@@ -3,8 +3,7 @@ L-jets, and a scenario harness checking equivariant L-value identities on
 concrete abelian extensions of Q.
 """
 
-from .ball import Ball, CBall, Undecided, set_working_precision, \
-    working_precision
+from .ball import Ball, CBall, Undecided, working_precision
 from .grpring import (AbelianGroup, Character, GroupRingElement, Subgroup,
                       affine_projection, aug_ideal_power, idempotent,
                       involution, norm_element)

@@ -8,6 +8,13 @@ endpoints, never on floats.
 
 A computation that cannot certify what was asked raises `Undecided` rather
 than guessing; callers treat that as "raise the precision", not as failure.
+
+The working precision has one source: `working_precision(bits)` is the only
+way to set it.  Each entry point (a scenario run, a CLI command) enters it
+once, and the code it calls reads the precision in force, through
+`precision()` where it needs the number itself; no function takes a
+precision argument.  A step that needs extra guard bits of its own nests
+`working_precision(precision() + extra)`.
 """
 
 from fractions import Fraction
@@ -40,16 +47,20 @@ class PrecisionError(Undecided):
     """
 
 
-def set_working_precision(bits):
-    """Set the interval working precision (plus guard bits); returns old."""
-    global _PREC
-    old = _PREC - _GUARD_BITS
-    _PREC = int(bits) + _GUARD_BITS
-    return old
+def precision():
+    """The working precision in force, in bits, without the guard bits."""
+    return _PREC - _GUARD_BITS
 
 
 class working_precision:
-    """Context manager scoping the working precision."""
+    """Context manager scoping the working precision to `bits` (plus guard
+    bits); the previous precision is restored on exit, also when the body
+    raises.
+
+    This is the only way to set the precision.  An entry point enters it
+    once for its whole run; the code it calls reads the precision in force
+    and does not take a precision argument.
+    """
 
     def __init__(self, bits):
         self.bits = bits

@@ -13,7 +13,8 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from . import hnf
-from .ball import Ball, ball_log, ball_log_int, ball_sqrt, working_precision
+from .ball import (Ball, ball_log, ball_log_int, ball_sqrt, precision,
+                   working_precision)
 from .grpring import AbelianGroup, GroupRingElement, InputError
 from .numfld import (QuadField, SUnitLattice, ord_at_place, places_over,
                      s_unit_lattice, squarefree_part)
@@ -238,10 +239,9 @@ class BiquadSUnitLattice:
     """S-unit sublattice of a real biquadratic compositum generated by the
     three subfields' S-units, with exact relations and Galois action."""
 
-    def __init__(self, field, S, prec=128):
+    def __init__(self, field, S):
         self.field = field
         self.S = S
-        self.prec = prec
         sub_lattices = []
         for k in field.subfields:
             sub_S = ["inf"] + [q for q in S if q != "inf"]
@@ -281,12 +281,10 @@ class BiquadSUnitLattice:
         # unit coordinates of each kernel combination, as rationals with
         # denominator dividing 8 (the classical bound on the unit index of
         # the subfield-unit subgroup in a real biquadratic field)
-        with working_precision(prec + 64):
-            eps_logs = self._unit_log_matrix(eps_idx, prec + 64)
-            coord_rows = []
-            for c in ker:
-                coord_rows.append(self._express_unit_combination(
-                    c, eps_idx, eps_logs, prec + 64))
+        with working_precision(precision() + 64):
+            eps_logs = self._unit_log_matrix(eps_idx)
+            coord_rows = [self._express_unit_combination(c, eps_logs)
+                          for c in ker]
         scaled = [[int(d * 8) for d in row] for row in coord_rows]
         rel_rows = []
         for y in hnf.kernel(scaled, ambient_dim=3):
@@ -325,7 +323,7 @@ class BiquadSUnitLattice:
                 out = out * (g ** e)
         return out
 
-    def _unit_log_matrix(self, eps_idx, prec):
+    def _unit_log_matrix(self, eps_idx):
         rows = []
         arch = [w for w in self.places if w.kind == "real"][:3]
         for i in eps_idx:
@@ -333,7 +331,7 @@ class BiquadSUnitLattice:
                          for w in arch])
         return rows
 
-    def _express_unit_combination(self, c, eps_idx, eps_logs, prec):
+    def _express_unit_combination(self, c, eps_logs):
         """Rational exponents d (denominator | 8) with
         prod pool^c = +- prod eps^d in log coordinates, certified."""
         u = self._pool_product(c)
@@ -386,25 +384,23 @@ class BiquadSUnitLattice:
             out.append(self.pool_coords_to_basis(coords))
         return out
 
-    def log_matrix(self, prec=None):
-        prec = prec or self.prec
+    def log_matrix(self):
         out = []
-        with working_precision(prec):
-            fin = [w for w in self.places if w.kind == "finite"]
-            for h, hcoords in zip(self.basis_elements, self._basis_pool_rows):
-                row = []
-                for w in self.places:
-                    if w.kind == "real":
-                        row.append(-ball_log(abs(h.embedding_ball(w.signs))))
-                    else:
-                        # -log|h|_w = ord_w(h) * log(Nw)
-                        o = self._basis_ord(hcoords, w, fin)
-                        row.append(ball_log_int(w.nw()) * o)
-                tot = row[0]
-                for e in row[1:]:
-                    tot = tot + e
-                assert tot.contains_zero(), "product formula violated"
-                out.append(row)
+        fin = [w for w in self.places if w.kind == "finite"]
+        for h, hcoords in zip(self.basis_elements, self._basis_pool_rows):
+            row = []
+            for w in self.places:
+                if w.kind == "real":
+                    row.append(-ball_log(abs(h.embedding_ball(w.signs))))
+                else:
+                    # -log|h|_w = ord_w(h) * log(Nw)
+                    o = self._basis_ord(hcoords, w, fin)
+                    row.append(ball_log_int(w.nw()) * o)
+            tot = row[0]
+            for e in row[1:]:
+                tot = tot + e
+            assert tot.contains_zero(), "product formula violated"
+            out.append(row)
         return out
 
     def _basis_ord(self, pool_coords, w, fin):

@@ -7,6 +7,12 @@ Exit codes: 0 all checks passed; 1 some check failed; 2 datum/config error;
 `sweep` runs every *.json file of a directory.  A file that is not a valid
 scenario (a certificate written by `--out`, say) is reported as a config
 error for that file, with exit code 2, and the other files still run.
+
+`--bits` means the same for every command.  Given, it is the working
+precision of the whole run: for `verify` and `sweep` it overrides the
+`bits` of every scenario.  Not given, `verify` and `sweep` run each
+scenario at its own `bits` (128 when the file has none), and the other
+commands run at 128 bits.
 """
 
 import argparse
@@ -14,7 +20,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .ball import Undecided, set_working_precision
+from .ball import DEFAULT_PREC, Undecided, working_precision
 from .grpring import InputError
 from .lfun import (AbelianFieldRealization, DirichletChar, LSpec,
                    l_jet, stickelberger_element)
@@ -36,7 +42,9 @@ def _bits(text):
 def main(argv=None):
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--bits", type=_bits, default=argparse.SUPPRESS,
-                        help="working precision in bits (default 128)")
+                        help="working precision in bits; overrides a "
+                             "scenario's own bits (default: the scenario's, "
+                             "else 128)")
     common.add_argument("--order", type=int, default=argparse.SUPPRESS,
                         help="jet truncation order override")
     common.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
@@ -47,7 +55,7 @@ def main(argv=None):
         prog="stark-lab", parents=[common],
         description="Exact and certified-numeric checks for equivariant "
                     "L-value identities over abelian fields")
-    parser.set_defaults(bits=128, order=None, jobs=1, out=None)
+    parser.set_defaults(bits=None, order=None, jobs=1, out=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_id = sub.add_parser("identity", parents=[common],
@@ -87,9 +95,9 @@ def main(argv=None):
     p_s.add_argument("directory")
 
     args = parser.parse_args(argv)
-    set_working_precision(args.bits)
     try:
-        return _dispatch(args)
+        with working_precision(args.bits or DEFAULT_PREC):
+            return _dispatch(args)
     except (DatumError, ConfigError, InputError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -126,7 +134,7 @@ def _dispatch(args):
             return 2
         chi = real.dirichlet(chars[args.char_index])
         S = _places(args.S)
-        spec = LSpec(chi, S, args.T, truncation=args.order, prec=args.bits)
+        spec = LSpec(chi, S, args.T, truncation=args.order)
         jet = l_jet(spec)
         report = {
             "modulus": args.modulus,
@@ -143,7 +151,6 @@ def _dispatch(args):
         real = _field_realization(args.field)
         theta = stickelberger_element(real, _places(args.S),
                                       _places(args.V), args.T,
-                                      prec=args.bits,
                                       truncation=args.order)
         _emit(theta.to_json(), args.out)
         return 0
@@ -173,7 +180,8 @@ def _dispatch(args):
 
     if args.command == "verify":
         scn = load_scenario(args.scenario)
-        scn.bits = args.bits if args.bits != 128 else scn.bits
+        if args.bits is not None:
+            scn.bits = args.bits
         cert = run_scenario(scn)
         print(certificate_summary(cert))
         if args.out:
@@ -188,7 +196,7 @@ def _dispatch(args):
         if not paths:
             print("error: no scenario files found", file=sys.stderr)
             return 2
-        certs = _run_many(paths, args.jobs)
+        certs = _run_many(paths, args.jobs, args.bits)
         for cert in certs:
             print(certificate_summary(cert))
         codes = [c["exit_code"] for c in certs]
@@ -205,21 +213,24 @@ def _dispatch(args):
     raise AssertionError("unreachable")
 
 
-def _run_many(paths, jobs):
+def _run_many(paths, jobs, bits):
     if jobs <= 1:
-        return [_run_one_path(p) for p in paths]
+        return [_run_one_path(p, bits) for p in paths]
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_run_one_path, paths))
+        return list(pool.map(_run_one_path, paths, [bits] * len(paths)))
 
 
-def _run_one_path(path):
-    """The certificate of one scenario file, or, when the file does not
-    load as a scenario, a record of the error with exit code 2."""
+def _run_one_path(path, bits):
+    """The certificate of one scenario file, run at `bits` when given, else
+    at the file's own; or, when the file does not load as a scenario, a
+    record of the error with exit code 2."""
     try:
         scn = load_scenario(path)
     except (ConfigError, InputError, DatumError) as exc:
         return {"path": path, "load_error": str(exc), "exit_code": 2}
+    if bits is not None:
+        scn.bits = bits
     return run_scenario(scn)
 
 

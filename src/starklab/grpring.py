@@ -3,13 +3,14 @@
 G is given by invariant factors (d_1 | ... | d_m); elements are exponent
 tuples enumerated in a fixed mixed-radix (lexicographic) order that every
 other module reuses.  Coefficient rings: "int", "rat", "cyc:e" (exact
-cyclotomic), "ball:prec" and "cball:prec" (certified enclosures).  All values
+cyclotomic), "ball" and "cball" (certified enclosures at the working
+precision in force, see `ball.working_precision`).  All values
 are immutable after construction and all operations are pure.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 from .ball import Ball, CBall
 from .cyclo import CycloField
@@ -66,10 +67,6 @@ class AbelianGroup:
 
     def identity(self):
         return (0,) * self.rank
-
-    def element_order(self, a):
-        return lcm(*(d // gcd(x, d) for x, d in
-                     zip(a, self.invariant_factors))) if self.rank else 1
 
     def subgroup(self, generators):
         return Subgroup(self, generators)
@@ -167,11 +164,9 @@ class Ring:
 
     def __init__(self, tag):
         self.tag = tag
-        if tag == "int" or tag == "rat":
+        if tag in ("int", "rat", "ball", "cball"):
             self.param = None
         elif tag.startswith("cyc:"):
-            self.param = int(tag.split(":")[1])
-        elif tag.startswith("ball:") or tag.startswith("cball:"):
             self.param = int(tag.split(":")[1])
         else:
             raise InputError(f"unknown ring tag {tag!r}")
@@ -256,9 +251,7 @@ def join_ring(r1, r2):
     a, b = (r1, r2) if order[r1.kind] >= order[r2.kind] else (r2, r1)
     if a.kind == b.kind:
         if a.param != b.param:
-            if a.kind == "cyc":
-                raise InputError("mixed cyclotomic exponents")
-            return Ring(f"{a.kind}:{max(a.param, b.param)}")
+            raise InputError("mixed cyclotomic exponents")
         return a
     if a.kind in ("ball", "cball") and b.kind == "cyc":
         raise InputError("cyclotomic values must be converted to complex "
@@ -402,11 +395,6 @@ class GroupRingElement:
     def coefficient(self, element):
         return self.coeffs[self.group.index[tuple(element)]]
 
-    def act_on_index(self, i):
-        """Indices and coefficients of self * (basis element i)."""
-        table = self.group.multiplication_table()
-        return [(table[j][i], c) for j, c in enumerate(self.coeffs)]
-
     def is_zero(self):
         return all(_is_zero_exact(c) for c in self.coeffs)
 
@@ -514,9 +502,9 @@ def _scalar_ring(x):
     if isinstance(x, Fraction):
         return Ring("rat")
     if isinstance(x, Ball):
-        return Ring("ball:128")
+        return Ring("ball")
     if isinstance(x, CBall):
-        return Ring("cball:128")
+        return Ring("cball")
     from .cyclo import CycloElt
     if isinstance(x, CycloElt):
         return Ring(f"cyc:{x.field.e}")
@@ -679,7 +667,7 @@ def affine_inner_products(q):
     return table
 
 
-def affine_projection(q, psi_values, group=None, prec=None):
+def affine_projection(q, psi_values, group=None):
     """Project central character data of the affine group of F_q onto C[G]
     for the order-q translation subgroup G.
 

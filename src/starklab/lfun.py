@@ -16,7 +16,7 @@ from sympy import bernoulli as sym_bernoulli
 from sympy import factorint, isprime
 
 from .ball import (Ball, CBall, Undecided, PrecisionError, ball_log,
-                   ball_log_int, working_precision)
+                   ball_log_int, precision)
 from .cyclo import CycloField
 from .finite import GroupStructure
 from .grpring import AbelianGroup, Character, GroupRingElement, InputError
@@ -465,46 +465,46 @@ def _correction_constants(B):
 @lru_cache(maxsize=None)
 def _tail_radius_table(N, B, K, prec):
     """Remainder-bound radii r_0..r_K for the Euler-Maclaurin tail; the
-    bound only depends on the cutoffs, not on x in (0, 1]."""
-    from .ball import ball_log_int
-    with working_precision(prec):
-        P2B = _rising_factorial_coeffs(2 * B)
-        bconst = abs(_bernoulli_fraction(2 * B)) / _factorial(2 * B)
-        logN = ball_log_int(N)
-        a_exp = 2 * B - 1
-        Npow = Ball(N) ** (-a_exp)
-        I = []
-        for j in range(K + 1):
-            acc = Ball(0)
-            for i in range(j + 1):
-                acc = acc + (logN ** i) * Fraction(
-                    _factorial(j), _factorial(i)) \
-                    * Fraction(1, a_exp ** (j - i + 1))
-            I.append(Npow * acc)
-        rads = []
-        for k in range(K + 1):
-            rad = Fraction(0)
-            for i in range(min(k, 2 * B) + 1):
-                if P2B[i]:
-                    bound = (I[k - i] * Fraction(P2B[i], _factorial(k - i))
-                             ).endpoints()[1]
-                    rad += abs(bound)
-            rads.append(bconst * rad)
-        return tuple(rads)
+    bound only depends on the cutoffs, not on x in (0, 1].  `prec` is the
+    precision in force, passed only to key the cache."""
+    P2B = _rising_factorial_coeffs(2 * B)
+    bconst = abs(_bernoulli_fraction(2 * B)) / _factorial(2 * B)
+    logN = ball_log_int(N)
+    a_exp = 2 * B - 1
+    Npow = Ball(N) ** (-a_exp)
+    I = []
+    for j in range(K + 1):
+        acc = Ball(0)
+        for i in range(j + 1):
+            acc = acc + (logN ** i) * Fraction(
+                _factorial(j), _factorial(i)) \
+                * Fraction(1, a_exp ** (j - i + 1))
+        I.append(Npow * acc)
+    rads = []
+    for k in range(K + 1):
+        rad = Fraction(0)
+        for i in range(min(k, 2 * B) + 1):
+            if P2B[i]:
+                bound = (I[k - i] * Fraction(P2B[i], _factorial(k - i))
+                         ).endpoints()[1]
+                rad += abs(bound)
+        rads.append(bconst * rad)
+    return tuple(rads)
 
 
-def hurwitz_jet(x, K, prec):
+def hurwitz_jet(x, K):
     """Taylor coefficients of the Hurwitz zeta function at s = 0: the jet
     (c_0, ..., c_K) of zeta_H(s, x) for rational x in (0, 1].
 
-    Euler-Maclaurin with parameters chosen from `prec`; every coefficient is
-    a certified enclosure and c_0 = 1/2 - x is exact.  `prec` must be at
-    least 53 bits: below that it raises `PrecisionError`, an `Undecided`
-    with radius 2^-prec.
+    Euler-Maclaurin with parameters chosen from the working precision;
+    every coefficient is a certified enclosure and c_0 = 1/2 - x is exact.
+    The precision must be at least 53 bits: below that it raises
+    `PrecisionError`, an `Undecided` with radius 2^-prec.
     """
     x = Fraction(x)
     if not 0 < x <= 1:
         raise InputError("x must lie in (0, 1]")
+    prec = precision()
     if prec < 53:
         raise PrecisionError(
             f"hurwitz_jet needs at least 53 bits of precision, got {prec}",
@@ -513,66 +513,64 @@ def hurwitz_jet(x, K, prec):
         raise InputError("jet truncation capped at K = 4")
     N = max(16, (3 * prec) // 10)
     B = max(8, (17 * prec) // 100)
-    with working_precision(prec):
-        den = x.denominator
-        log_den = ball_log_int(den)
-        # main sum: sum_{n<N} (-log(n+x))^k / k!
-        main = [Ball(0) for _ in range(K + 1)]
-        main[0] = Ball(N)
-        if K == 1:
+    den = x.denominator
+    log_den = ball_log_int(den)
+    # main sum: sum_{n<N} (-log(n+x))^k / k!
+    main = [Ball(0) for _ in range(K + 1)]
+    main[0] = Ball(N)
+    if K == 1:
+        acc = Ball(0)
+        for n in range(N):
+            acc = acc + ball_log_int(n * den + x.numerator)
+        main[1] = -(acc - log_den * N)
+    else:
+        for n in range(N):
+            L = ball_log_int(n * den + x.numerator) - log_den
+            power = Ball(1)
+            for k in range(1, K + 1):
+                power = power * (-L)
+                main[k] = main[k] + power * Fraction(1, _factorial(k))
+    w = N + x
+    Lw = ball_log_int(N * den + x.numerator) - log_den
+    # E_k = coefficients of exp(-s log w)
+    E = [Ball(1)]
+    for k in range(1, K + 1):
+        E.append(E[-1] * (-Lw) * Fraction(1, k))
+    # integral term w^{1-s}/(s-1) = -w e^{-sLw} (1 + s + s^2 + ...)
+    tail = [Ball(0) for _ in range(K + 1)]
+    partial = Ball(0)
+    for k in range(K + 1):
+        partial = partial + E[k]
+        tail[k] = tail[k] - Ball(w.numerator) / Ball(w.denominator) * partial
+    # half term + Bernoulli corrections
+    for k in range(K + 1):
+        tail[k] = tail[k] + E[k] * Fraction(1, 2)
+    w_ball = Ball(w.numerator) / Ball(w.denominator)
+    w_inv2 = 1 / (w_ball * w_ball)
+    w_pow = 1 / w_ball  # w^{1-2j} for j = 1
+    for coeff, P in _correction_constants(B):
+        for k in range(K + 1):
             acc = Ball(0)
-            for n in range(N):
-                acc = acc + ball_log_int(n * den + x.numerator)
-            main[1] = -(acc - log_den * N)
-        else:
-            for n in range(N):
-                L = ball_log_int(n * den + x.numerator) - log_den
-                power = Ball(1)
-                for k in range(1, K + 1):
-                    power = power * (-L)
-                    main[k] = main[k] + power * Fraction(1, _factorial(k))
-        w = N + x
-        Lw = ball_log_int(N * den + x.numerator) - log_den
-        # E_k = coefficients of exp(-s log w)
-        E = [Ball(1)]
-        for k in range(1, K + 1):
-            E.append(E[-1] * (-Lw) * Fraction(1, k))
-        # integral term w^{1-s}/(s-1) = -w e^{-sLw} (1 + s + s^2 + ...)
-        tail = [Ball(0) for _ in range(K + 1)]
-        partial = Ball(0)
-        for k in range(K + 1):
-            partial = partial + E[k]
-            tail[k] = tail[k] - Ball(w.numerator) / Ball(w.denominator) * partial
-        # half term + Bernoulli corrections
-        for k in range(K + 1):
-            tail[k] = tail[k] + E[k] * Fraction(1, 2)
-        w_ball = Ball(w.numerator) / Ball(w.denominator)
-        w_inv2 = 1 / (w_ball * w_ball)
-        w_pow = 1 / w_ball  # w^{1-2j} for j = 1
-        for coeff, P in _correction_constants(B):
-            for k in range(K + 1):
-                acc = Ball(0)
-                for i in range(min(k, len(P) - 1) + 1):
-                    if P[i]:
-                        acc = acc + E[k - i] * P[i]
-                tail[k] = tail[k] + acc * coeff * w_pow
-            w_pow = w_pow * w_inv2
-        rads = _tail_radius_table(N, B, K, prec)
-        out = [main[k] + tail[k] + Ball(0, rads[k]) for k in range(K + 1)]
-        # pin the exact value at order zero
-        exact0 = Fraction(1, 2) - x
-        assert out[0].contains(exact0), "Euler-Maclaurin c0 check failed"
-        coeffs = [exact0] + out[1:]
-        return Jet(coeffs, order=None,
-                   params={"N": N, "B": B, "prec": prec})
+            for i in range(min(k, len(P) - 1) + 1):
+                if P[i]:
+                    acc = acc + E[k - i] * P[i]
+            tail[k] = tail[k] + acc * coeff * w_pow
+        w_pow = w_pow * w_inv2
+    rads = _tail_radius_table(N, B, K, prec)
+    out = [main[k] + tail[k] + Ball(0, rads[k]) for k in range(K + 1)]
+    # pin the exact value at order zero
+    exact0 = Fraction(1, 2) - x
+    assert out[0].contains(exact0), "Euler-Maclaurin c0 check failed"
+    coeffs = [exact0] + out[1:]
+    return Jet(coeffs, order=None, params={"N": N, "B": B, "prec": prec})
 
 
 class LSpec:
     """Evaluation request for an S-truncated, T-modified Dirichlet L-jet."""
 
-    __slots__ = ("char", "S", "T", "truncation", "prec")
+    __slots__ = ("char", "S", "T", "truncation")
 
-    def __init__(self, char, S, T=(), truncation=None, prec=128):
+    def __init__(self, char, S, T=(), truncation=None):
         self.char = char
         self.S = _normalize_S(S)
         self.T = sorted(int(q) for q in T)
@@ -586,7 +584,6 @@ class LSpec:
         if fin & set(self.T):
             raise InputError("S and T must be disjoint")
         self.truncation = truncation
-        self.prec = prec
 
 
 def _normalize_S(S):
@@ -632,74 +629,72 @@ def l_jet(spec):
     if K > 4:
         raise InputError("jet truncation capped at K = 4")
     real = chi.is_real()
-    with working_precision(spec.prec):
-        jet = _primitive_l_jet(chi, K, spec.prec, real)
-        for q in spec.S:
-            if q == "inf" or chi.conductor() % q == 0:
-                continue
-            jet = jet * _euler_factor_jet(chi, q, K, shift=0, real=real)
-        for q in spec.T:
-            jet = jet * _euler_factor_jet(chi, q, K, shift=1, real=real)
-        # certify the order
-        coeffs = list(jet.coeffs)
-        for k in range(min(r, K + 1)):
-            c = coeffs[k]
-            if isinstance(c, (Ball,)):
-                assert c.contains_zero(), "theoretical order contradicted"
-            elif isinstance(c, CBall):
-                assert c.contains_zero()
-            else:
-                assert c == 0, "theoretical order contradicted"
-            coeffs[k] = Fraction(0)
-        if r <= K:
-            lead = coeffs[r]
-            if isinstance(lead, Fraction):
-                nonzero = lead != 0
-            elif isinstance(lead, (Ball, CBall)):
-                nonzero = lead.is_nonzero()
-            else:  # exact cyclotomic
-                nonzero = not lead.is_zero()
-            if not nonzero:
-                raise UnresolvedOrderError(
-                    f"cannot certify the leading coefficient at order {r} "
-                    f"(radius too large at {spec.prec} bits)")
-        return Jet(coeffs, order=r, params=jet.params)
+    jet = _primitive_l_jet(chi, K, real)
+    for q in spec.S:
+        if q == "inf" or chi.conductor() % q == 0:
+            continue
+        jet = jet * _euler_factor_jet(chi, q, K, shift=0, real=real)
+    for q in spec.T:
+        jet = jet * _euler_factor_jet(chi, q, K, shift=1, real=real)
+    # certify the order
+    coeffs = list(jet.coeffs)
+    for k in range(min(r, K + 1)):
+        c = coeffs[k]
+        if isinstance(c, (Ball,)):
+            assert c.contains_zero(), "theoretical order contradicted"
+        elif isinstance(c, CBall):
+            assert c.contains_zero()
+        else:
+            assert c == 0, "theoretical order contradicted"
+        coeffs[k] = Fraction(0)
+    if r <= K:
+        lead = coeffs[r]
+        if isinstance(lead, Fraction):
+            nonzero = lead != 0
+        elif isinstance(lead, (Ball, CBall)):
+            nonzero = lead.is_nonzero()
+        else:  # exact cyclotomic
+            nonzero = not lead.is_zero()
+        if not nonzero:
+            raise UnresolvedOrderError(
+                f"cannot certify the leading coefficient at order {r} "
+                f"(radius too large at {precision()} bits)")
+    return Jet(coeffs, order=r, params=jet.params)
 
 
-def _primitive_l_jet(chi, K, prec, real):
+def _primitive_l_jet(chi, K, real):
     f = chi.conductor()
-    with working_precision(prec):
-        if f == 1:
-            return hurwitz_jet(Fraction(1), K, prec)
-        exact0 = Fraction(0) if real else CycloField(chi.order).zero()
-        ball_coeffs = [Ball(0) if real else CBall(0, 0)
-                       for _ in range(K + 1)]
-        for a in range(1, f):
-            if chi(a) is None:
-                continue
-            hj = hurwitz_jet(Fraction(a, f), K, prec)
-            if real:
-                v = chi.value_rational(a)
-                exact0 += v * hj.coeffs[0]
-                for k in range(1, K + 1):
-                    ball_coeffs[k] = ball_coeffs[k] + hj.coeffs[k] * v
-            else:
-                exact0 = exact0 + chi.value_cyclo(a) * hj.coeffs[0]
-                vb = chi.value_cball(a)
-                for k in range(1, K + 1):
-                    ball_coeffs[k] = ball_coeffs[k] + vb * hj.coeffs[k]
-        # multiply by f^{-s} = exp(-s log f); the order-0 part stays exact
-        Lf = ball_log_int(f)
-        E = [Ball(1)]
-        for k in range(1, K + 1):
-            E.append(E[-1] * (-Lf) * Fraction(1, k))
-        out = [exact0]
-        for k in range(1, K + 1):
-            acc = _mul_exact(exact0, E[k])
-            for i in range(1, k + 1):
-                acc = acc + ball_coeffs[i] * E[k - i]
-            out.append(acc)
-        return Jet(out, params={"prec": prec})
+    if f == 1:
+        return hurwitz_jet(Fraction(1), K)
+    exact0 = Fraction(0) if real else CycloField(chi.order).zero()
+    ball_coeffs = [Ball(0) if real else CBall(0, 0)
+                   for _ in range(K + 1)]
+    for a in range(1, f):
+        if chi(a) is None:
+            continue
+        hj = hurwitz_jet(Fraction(a, f), K)
+        if real:
+            v = chi.value_rational(a)
+            exact0 += v * hj.coeffs[0]
+            for k in range(1, K + 1):
+                ball_coeffs[k] = ball_coeffs[k] + hj.coeffs[k] * v
+        else:
+            exact0 = exact0 + chi.value_cyclo(a) * hj.coeffs[0]
+            vb = chi.value_cball(a)
+            for k in range(1, K + 1):
+                ball_coeffs[k] = ball_coeffs[k] + vb * hj.coeffs[k]
+    # multiply by f^{-s} = exp(-s log f); the order-0 part stays exact
+    Lf = ball_log_int(f)
+    E = [Ball(1)]
+    for k in range(1, K + 1):
+        E.append(E[-1] * (-Lf) * Fraction(1, k))
+    out = [exact0]
+    for k in range(1, K + 1):
+        acc = _mul_exact(exact0, E[k])
+        for i in range(1, k + 1):
+            acc = acc + ball_coeffs[i] * E[k - i]
+        out.append(acc)
+    return Jet(out, params={"prec": precision()})
 
 
 def _mul_exact(c0, ball):
@@ -821,7 +816,7 @@ def validate_rubin_shape(realization, S, V, T):
     return S, V, T
 
 
-def stickelberger_element(realization, S, V, T, prec=128, truncation=None):
+def stickelberger_element(realization, S, V, T, truncation=None):
     """The group-ring element whose chi-component is
     lim_{s->0} s^{-|V|} L_{S,T}(chi^{-1}, s).
 
@@ -850,7 +845,7 @@ def stickelberger_element(realization, S, V, T, prec=128, truncation=None):
             err = None
             while K <= 4:
                 try:
-                    jet = l_jet(LSpec(chid, S, T, truncation=K, prec=prec))
+                    jet = l_jet(LSpec(chid, S, T, truncation=K))
                     break
                 except UnresolvedOrderError as exc:
                     err = exc
@@ -860,7 +855,7 @@ def stickelberger_element(realization, S, V, T, prec=128, truncation=None):
             components[chi.exponents] = jet.coeffs[r]
     if r == 0:
         return _assemble_exact(group, components)
-    return _assemble_ball(group, components, prec)
+    return _assemble_ball(group, components)
 
 
 def _assemble_exact(group, components):
@@ -882,31 +877,30 @@ def _assemble_exact(group, components):
     return GroupRingElement(group, "rat", coeffs)
 
 
-def _assemble_ball(group, components, prec):
+def _assemble_ball(group, components):
     from .grpring import GroupRingElement
     real_chars = group.exponent <= 2
     coeffs = []
-    with working_precision(prec):
-        for sigma in group.elements:
-            if real_chars:
-                total = Ball(0)
-                for chi in group.all_characters():
-                    sign = 1 if chi.value_exponent(sigma) == 0 else -1
-                    total = total + components[chi.exponents] * Fraction(sign)
-                coeffs.append(total * Fraction(1, group.order))
-            else:
-                total = CBall(0, 0)
-                for chi in group.all_characters():
-                    comp = components[chi.exponents]
-                    w = CBall.root_of_unity(-chi.value_exponent(sigma),
-                                            group.exponent)
-                    total = total + w * comp
-                coeffs.append(total.real_part_certified()
-                              * Fraction(1, group.order))
-    return GroupRingElement(group, f"ball:{prec}", coeffs)
+    for sigma in group.elements:
+        if real_chars:
+            total = Ball(0)
+            for chi in group.all_characters():
+                sign = 1 if chi.value_exponent(sigma) == 0 else -1
+                total = total + components[chi.exponents] * Fraction(sign)
+            coeffs.append(total * Fraction(1, group.order))
+        else:
+            total = CBall(0, 0)
+            for chi in group.all_characters():
+                comp = components[chi.exponents]
+                w = CBall.root_of_unity(-chi.value_exponent(sigma),
+                                        group.exponent)
+                total = total + w * comp
+            coeffs.append(total.real_part_certified()
+                          * Fraction(1, group.order))
+    return GroupRingElement(group, "ball", coeffs)
 
 
-def leading_term_element(realization, S, T, prec=128):
+def leading_term_element(realization, S, T):
     """sum_chi L*_{S,T}(chi^{-1}, 0) e_chi with per-character leading terms.
 
     Returns (element, orders) where orders maps character labels to their
@@ -920,34 +914,32 @@ def leading_term_element(realization, S, T, prec=128):
     for chi in group.all_characters():
         chid = realization.dirichlet(chi).inverse()
         r_chi = theoretical_order(chid, S)
-        jet = l_jet(LSpec(chid, S, T, truncation=min(max(r_chi, 1), 4),
-                          prec=prec))
+        jet = l_jet(LSpec(chid, S, T, truncation=min(max(r_chi, 1), 4)))
         comp = jet.coeffs[r_chi]
         if isinstance(comp, Fraction):
             assert comp != 0
         orders[chi.exponents] = r_chi
         components[chi.exponents] = comp
-    element = _assemble_ball(group, components, prec)
+    element = _assemble_ball(group, components)
     return element, orders
 
 
-def invert_ball_element(x, prec=128):
+def invert_ball_element(x):
     """Inverse of a unit of R[G] with certified-ball coefficients."""
     from .ball import gauss_solve
     from .grpring import GroupRingElement
     group = x.group
     n = group.order
     table = group.multiplication_table()
-    with working_precision(prec):
-        cols = []
-        for j in range(n):
-            col = [Ball(0)] * n
-            for i, c in enumerate(x.coeffs):
-                cc = c if isinstance(c, Ball) else Ball(c)
-                col[table[i][j]] = col[table[i][j]] + cc
-            cols.append(col)
-        A = [[cols[j][k] for j in range(n)] for k in range(n)]
-        rhs = [Ball(1 if group.elements[k] == group.identity() else 0)
-               for k in range(n)]
-        sol = gauss_solve(A, rhs)
-    return GroupRingElement(group, f"ball:{prec}", sol)
+    cols = []
+    for j in range(n):
+        col = [Ball(0)] * n
+        for i, c in enumerate(x.coeffs):
+            cc = c if isinstance(c, Ball) else Ball(c)
+            col[table[i][j]] = col[table[i][j]] + cc
+        cols.append(col)
+    A = [[cols[j][k] for j in range(n)] for k in range(n)]
+    rhs = [Ball(1 if group.elements[k] == group.identity() else 0)
+           for k in range(n)]
+    sol = gauss_solve(A, rhs)
+    return GroupRingElement(group, "ball", sol)

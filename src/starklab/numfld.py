@@ -146,10 +146,6 @@ class QuadField:
         """'split' | 'inert' | 'ramified' at the rational prime q."""
         return {1: "split", -1: "inert", 0: "ramified"}[kronecker(self.D, q)]
 
-    def frobenius_sign(self, q):
-        """chi_D(q) in {1, -1, 0}."""
-        return kronecker(self.D, q)
-
     def ramified_primes(self):
         return sorted(factorint(abs(self.D)))
 
@@ -388,15 +384,6 @@ def reduce_form_neg(form, with_transform=False):
             continue
         break
     return ((a, b, c), M) if with_transform else (a, b, c)
-
-
-def apply_transform(form, M):
-    a, b, c = form
-    p, q, r, s = M[0][0], M[0][1], M[1][0], M[1][1]
-    A = a * p * p + b * p * r + c * r * r
-    B = 2 * a * p * q + b * (p * s + q * r) + 2 * c * r * s
-    C = a * q * q + b * q * s + c * s * s
-    return (A, B, C)
 
 
 def reduced_forms(D):
@@ -1257,10 +1244,6 @@ def _normalize_places(S):
     # keep 'inf' first, primes sorted after
     fin = sorted(q for q in out if q != "inf")
     return (["inf"] if "inf" in out else []) + fin
-
-
-def _inert_dlog(cg):
-    return [0] * len(cg.structure.leaders)
 
 
 def _check_torsion_killed(field, T):

@@ -70,6 +70,27 @@ def _config_places(value, what):
             for v in _config_list(value, what)]
 
 
+def _config_params(params):
+    """The per-check `params` with the entries the checks read checked and
+    converted: `p` and `m` integers, `range` two integers, `signs` a list
+    of integers."""
+    out = dict(params)
+    for key in ("p", "m"):
+        if key in out:
+            out[key] = _config_int(out[key], f"params.{key}")
+    if "range" in out:
+        rng = [_config_int(d, "params.range entry")
+               for d in _config_list(out["range"], "params.range")]
+        if len(rng) != 2:
+            raise ConfigError(f"params.range must have two entries, got "
+                              f"{out['range']!r}")
+        out["range"] = rng
+    if "signs" in out:
+        out["signs"] = [_config_int(a, "params.signs entry")
+                        for a in _config_list(out["signs"], "params.signs")]
+    return out
+
+
 # -- scenario ----------------------------------------------------------------
 
 class Scenario:
@@ -125,10 +146,10 @@ class Scenario:
                 raise ConfigError(f"unknown check {c!r}")
             checks.append(c)
         self.checks = checks
-        self.params = spec.get("params", {})
-        if not isinstance(self.params, dict):
-            raise ConfigError(f"params must be a JSON object, got "
-                              f"{self.params!r}")
+        params = spec.get("params", {})
+        if not isinstance(params, dict):
+            raise ConfigError(f"params must be a JSON object, got {params!r}")
+        self.params = _config_params(params)
         self._validated = False
 
     def needs_datum(self):
@@ -227,7 +248,6 @@ class RubinStarkData:
 
     def __init__(self, scn):
         self.scn = scn
-        self.prec = scn.bits
         self._lattice = None
         self._theta = None
         self._epsilon = None
@@ -242,8 +262,7 @@ class RubinStarkData:
         if self._lattice is None:
             scn = self.scn
             if isinstance(scn.field, BiquadField):
-                self._lattice = BiquadSUnitLattice(scn.field, scn.S,
-                                                   prec=scn.bits)
+                self._lattice = BiquadSUnitLattice(scn.field, scn.S)
             else:
                 self._lattice = s_unit_lattice(scn.field, scn.S, scn.T)
         return self._lattice
@@ -252,7 +271,7 @@ class RubinStarkData:
         if self._theta is None:
             self._theta = stickelberger_element(
                 self.scn.realization, self.scn.S, self.scn.V, self.scn.T,
-                prec=self.scn.bits, truncation=self.scn.order)
+                truncation=self.scn.order)
         return self._theta
 
     def t_glattice(self):
@@ -289,16 +308,15 @@ class RubinStarkData:
             return self._epsilon
         if r == 1:
             coords = self._solve_degree_one(theta)
-            ring = f"ball:{scn.bits}"
-            coeffs = {(i,): GroupRingElement.one(self.group, ring).scale(c)
+            coeffs = {(i,): GroupRingElement.one(self.group, "ball").scale(c)
                       for i, c in enumerate(coords)}
             self._epsilon = WedgeElement(self.group, 1, self.cover(), coeffs)
             return self._epsilon
         if self.group.order == 1:
             coeff = self._solve_full_wedge(theta, r)
-            ring = f"ball:{scn.bits}"
             key = tuple(range(lat.rank))
-            coeffs = {key: GroupRingElement.one(self.group, ring).scale(coeff)}
+            coeffs = {key: GroupRingElement.one(self.group, "ball")
+                      .scale(coeff)}
             self._epsilon = WedgeElement(self.group, r, self.cover(), coeffs)
             return self._epsilon
         raise UnsupportedCaseError(
@@ -313,18 +331,17 @@ class RubinStarkData:
         idx1 = place_index_over(lat, v1)
         idx0 = place_index_over(lat, v0)
         n = len(lat.places)
-        with working_precision(scn.bits):
-            rhs = [Ball(0) for _ in range(n)]
-            for el, coeff in zip(group.elements, theta.coeffs):
-                c = coeff if isinstance(coeff, Ball) else Ball(coeff)
-                perm = place_permutation(lat, el)
-                rhs[perm[idx1]] = rhs[perm[idx1]] + c
-                rhs[perm[idx0]] = rhs[perm[idx0]] - c
-            lam = lat.log_matrix()
-            cols = [j for j in range(n) if j != idx0]
-            A = [[lam[g][j] for g in range(lat.rank)] for j in cols]
-            b = [rhs[j] for j in cols]
-            return gauss_solve(A, b)
+        rhs = [Ball(0) for _ in range(n)]
+        for el, coeff in zip(group.elements, theta.coeffs):
+            c = coeff if isinstance(coeff, Ball) else Ball(coeff)
+            perm = place_permutation(lat, el)
+            rhs[perm[idx1]] = rhs[perm[idx1]] + c
+            rhs[perm[idx0]] = rhs[perm[idx0]] - c
+        lam = lat.log_matrix()
+        cols = [j for j in range(n) if j != idx0]
+        A = [[lam[g][j] for g in range(lat.rank)] for j in cols]
+        b = [rhs[j] for j in cols]
+        return gauss_solve(A, b)
 
     def _solve_full_wedge(self, theta, r):
         scn = self.scn
@@ -336,13 +353,12 @@ class RubinStarkData:
         # sign of the arrangement of V-places inside the dropped list
         positions = [dropped.index(place_index_over(lat, v)) for v in scn.V]
         sign = _permutation_sign(positions)
-        with working_precision(scn.bits):
-            lam = lat.log_matrix()
-            M = [[lam[g][j] for g in range(lat.rank)] for j in dropped]
-            det = ball_det(M)
-            th = theta.coeffs[0]
-            thb = th if isinstance(th, Ball) else Ball(th)
-            return (thb * sign) / det
+        lam = lat.log_matrix()
+        M = [[lam[g][j] for g in range(lat.rank)] for j in dropped]
+        det = ball_det(M)
+        th = theta.coeffs[0]
+        thb = th if isinstance(th, Ball) else Ball(th)
+        return (thb * sign) / det
 
     def im_lattice(self):
         """im(epsilon) with its pairing witnesses; may raise NonIntegral or
@@ -446,7 +462,7 @@ def check_congruence_biquadratic(a):
     return in_z2
 
 
-def check_sign_criterion(log_matrix, prec=128):
+def check_sign_criterion(log_matrix):
     """Certified sign of det(log|b|_w); Undecided when the ball straddles 0.
 
     Accepts a square matrix of Balls (or exact numbers).
@@ -454,10 +470,9 @@ def check_sign_criterion(log_matrix, prec=128):
     n = len(log_matrix)
     if any(len(r) != n for r in log_matrix):
         raise InputError("sign criterion needs a square log matrix")
-    with working_precision(prec):
-        rows = [[c if isinstance(c, Ball) else Ball(c) for c in row]
-                for row in log_matrix]
-        det = ball_det(rows)
+    rows = [[c if isinstance(c, Ball) else Ball(c) for c in row]
+            for row in log_matrix]
+    det = ball_det(rows)
     return det.sign(), det
 
 
@@ -760,19 +775,16 @@ def run_norm_decomposition(scn, data):
         entry["verdict"] = "unsupported"
         entry["reason"] = "implemented for V = {inf}"
         return entry
-    prec = scn.bits
     field = scn.field
     lat = data.lattice()
     eps_K = data.epsilon()
     group = data.group
-    ring = f"ball:{prec}"
     # subfield elements, included into compositum coordinates
     parts = []
     sub_witness = []
     for idx, D in enumerate(field.discs):
         sub_real = AbelianFieldRealization.quadratic(D)
-        sub_scn = _SubScenario(sub_real, QuadField(D), scn.S, scn.V, scn.T,
-                               prec)
+        sub_scn = _SubScenario(sub_real, QuadField(D), scn.S, scn.V, scn.T)
         sub_data = RubinStarkData(sub_scn)
         sub_data._lattice = lat.sub_lattices[idx]
         eps_sub = sub_data.epsilon()
@@ -784,7 +796,7 @@ def run_norm_decomposition(scn, data):
             for bi, c in enumerate(co):
                 if c:
                     key = (bi,)
-                    term = GroupRingElement.one(group, ring).scale(
+                    term = GroupRingElement.one(group, "ball").scale(
                         scalar * Fraction(c))
                     incl[key] = incl[key] + term if key in incl else term
         part = WedgeElement(group, 1, data.cover(), incl)
@@ -794,7 +806,7 @@ def run_norm_decomposition(scn, data):
                                        _coords_list(eps_sub, lat.sub_lattices[idx].rank)]})
     # base-field element over Q
     q_scn = _SubScenario(AbelianFieldRealization.rationals(), "Q", scn.S,
-                         scn.V, scn.T, prec)
+                         scn.V, scn.T)
     q_data = RubinStarkData(q_scn)
     eps_q = q_data.epsilon()
     base_incl = {}
@@ -805,7 +817,7 @@ def run_norm_decomposition(scn, data):
         for bi, c in enumerate(co):
             if c:
                 key = (bi,)
-                term = GroupRingElement.one(group, ring).scale(
+                term = GroupRingElement.one(group, "ball").scale(
                     scalar * Fraction(c))
                 base_incl[key] = base_incl[key] + term if key in base_incl \
                     else term
@@ -851,21 +863,21 @@ def _rational_inclusion_coords(biquad_lat, q):
 class _SubScenario:
     """Internal reduced scenario for subfield pipelines."""
 
-    def __init__(self, realization, field, S, V, T, bits):
+    def __init__(self, realization, field, S, V, T):
         self.realization = realization
         self.field = field
         self.S = S
         self.V = V
         self.T = T
-        self.bits = bits
         self.order = None
 
     def hypothesis_flags(self):
         return {}
 
 
-def run_acnf(dmin=-500, dmax=500, prec=128, tol=Fraction(1, 10 ** 25)):
-    """Analytic class number formula sweep over fundamental discriminants.
+def run_acnf(dmin=-500, dmax=500, tol=Fraction(1, 10 ** 25)):
+    """Analytic class number formula sweep over fundamental discriminants,
+    at the working precision in force.
 
     Positive D: |L'(0, chi_D) - h(D) log eps_D| certified below tol.
     Negative D: L(0, chi_D) = 2 h(D) / w(D) exactly.
@@ -887,13 +899,12 @@ def run_acnf(dmin=-500, dmax=500, prec=128, tol=Fraction(1, 10 ** 25)):
             assert val == Fraction(2 * h, w), (D, val, h, w)
             checked_neg += 1
             continue
-        with working_precision(prec):
-            jet = l_jet(LSpec(chi, S, [], truncation=1, prec=prec))
-            h = class_number(D)
-            reg = fundamental_unit_log(D)
-            resid = jet.coeffs[1] - reg * h
-            lo, hi = resid.endpoints()
-            bound = max(abs(lo), abs(hi))
+        jet = l_jet(LSpec(chi, S, [], truncation=1))
+        h = class_number(D)
+        reg = fundamental_unit_log(D)
+        resid = jet.coeffs[1] - reg * h
+        lo, hi = resid.endpoints()
+        bound = max(abs(lo), abs(hi))
         assert bound < tol, (D, float(bound))
         max_resid = max(max_resid, bound)
         checked_pos += 1
@@ -904,57 +915,60 @@ def run_acnf(dmin=-500, dmax=500, prec=128, tol=Fraction(1, 10 ** 25)):
 # -- the runner ---------------------------------------------------------------
 
 def run_scenario(scn):
-    """Execute the requested checks; returns the certificate dict."""
-    cert = {"scenario": scn.raw, "field": scn.realization.label,
-            "bits": scn.bits, "results": []}
-    if scn.needs_datum():
-        try:
-            scn.validate_datum()
-        except (DatumError, InputError) as exc:
-            cert["datum_error"] = str(exc)
-            cert["exit_code"] = 2
-            return cert
-        cert["hypotheses"] = scn.hypothesis_flags()
-    data = RubinStarkData(scn)
-    for check in scn.checks:
-        try:
-            if check == "norm_identity":
-                p = int(scn.params.get("p", 2))
-                m = int(scn.params.get("m", 2))
-                entry = check_norm_identity(p, m)
-            elif check == "congruence":
-                entry = _run_congruence(scn.params)
-            elif check == "sign_criterion":
-                entry = _run_sign_criterion(scn, data)
-            elif check == "rs_integrality":
-                entry = run_rs_integrality(scn, data)
-            elif check == "fitting_equality":
-                entry = run_fitting_equality(scn, data)
-            elif check == "annihilation":
-                entry = run_annihilation(scn, data)
-            elif check == "igc_membership":
-                entry = run_igc_membership(scn, data)
-            elif check == "norm_decomposition":
-                entry = run_norm_decomposition(scn, data)
-            elif check == "acnf":
-                rng = scn.params.get("range", [-500, 500])
-                summary = run_acnf(int(rng[0]), int(rng[1]), scn.bits)
-                entry = {"check": "acnf", "verdict": "pass",
-                         "witness": summary}
-            else:
-                entry = {"check": check, "verdict": "unsupported"}
-        except (DatumError, InputError, ConfigError) as exc:
-            entry = {"check": check, "verdict": "blocked",
-                     "reason": str(exc)}
-        except Undecided as exc:
-            entry = _mark_undecided({"check": check}, exc)
-        except UnresolvedOrderError as exc:
-            entry = {"check": check, "verdict": "undecided",
-                     "reason": str(exc)}
-        except UnsupportedCaseError as exc:
-            entry = {"check": check, "verdict": "unsupported",
-                     "reason": str(exc)}
-        cert["results"].append(entry)
+    """Execute the requested checks; returns the certificate dict.
+
+    The whole run, from the S-unit lattices to the L-values and pairings,
+    is at the scenario's working precision `scn.bits`.
+    """
+    with working_precision(scn.bits):
+        cert = {"scenario": scn.raw, "field": scn.realization.label,
+                "bits": scn.bits, "results": []}
+        if scn.needs_datum():
+            try:
+                scn.validate_datum()
+            except (DatumError, InputError) as exc:
+                cert["datum_error"] = str(exc)
+                cert["exit_code"] = 2
+                return cert
+            cert["hypotheses"] = scn.hypothesis_flags()
+        data = RubinStarkData(scn)
+        for check in scn.checks:
+            try:
+                if check == "norm_identity":
+                    entry = check_norm_identity(scn.params.get("p", 2),
+                                                scn.params.get("m", 2))
+                elif check == "congruence":
+                    entry = _run_congruence(scn.params)
+                elif check == "sign_criterion":
+                    entry = _run_sign_criterion(scn, data)
+                elif check == "rs_integrality":
+                    entry = run_rs_integrality(scn, data)
+                elif check == "fitting_equality":
+                    entry = run_fitting_equality(scn, data)
+                elif check == "annihilation":
+                    entry = run_annihilation(scn, data)
+                elif check == "igc_membership":
+                    entry = run_igc_membership(scn, data)
+                elif check == "norm_decomposition":
+                    entry = run_norm_decomposition(scn, data)
+                elif check == "acnf":
+                    summary = run_acnf(*scn.params.get("range", [-500, 500]))
+                    entry = {"check": "acnf", "verdict": "pass",
+                             "witness": summary}
+                else:
+                    entry = {"check": check, "verdict": "unsupported"}
+            except (DatumError, InputError, ConfigError) as exc:
+                entry = {"check": check, "verdict": "blocked",
+                         "reason": str(exc)}
+            except Undecided as exc:
+                entry = _mark_undecided({"check": check}, exc)
+            except UnresolvedOrderError as exc:
+                entry = {"check": check, "verdict": "undecided",
+                         "reason": str(exc)}
+            except UnsupportedCaseError as exc:
+                entry = {"check": check, "verdict": "unsupported",
+                         "reason": str(exc)}
+            cert["results"].append(entry)
     verdicts = [e.get("verdict") for e in cert["results"]]
     if any(v == "fail" for v in verdicts):
         cert["exit_code"] = 1
@@ -967,7 +981,7 @@ def run_scenario(scn):
 
 def _run_congruence(params):
     if "signs" in params:
-        a = [int(x) for x in params["signs"]]
+        a = params["signs"]
         ok = check_congruence_biquadratic(a)
         return {"check": "congruence", "verdict": "pass",
                 "witness": {"signs": a, "in_Z2": ok,
@@ -987,7 +1001,7 @@ def _run_sign_criterion(scn, data):
     entry = {"check": "sign_criterion", "hypotheses": scn.hypothesis_flags()}
     try:
         matrix = sign_criterion_matrix(scn, data)
-        sign, det = check_sign_criterion(matrix, scn.bits)
+        sign, det = check_sign_criterion(matrix)
         ray = ray_class(scn.field, scn.S, scn.T)
         inside = (len(scn.S) == len(scn.V) + 1) and ray.order() == 1
         entry["verdict"] = "pass"

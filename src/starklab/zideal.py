@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from . import hnf
 from .ball import Undecided
-from .grpring import AbelianGroup, GroupRingElement, InputError, Subgroup
+from .grpring import GroupRingElement, InputError, Subgroup
 
 
 class UnsupportedCaseError(RuntimeError):
@@ -180,11 +180,6 @@ class GIdealLattice:
         return f"GIdeal(rank {self.rank} of {self.group})"
 
 
-def ideal_from_json(obj):
-    group = AbelianGroup(tuple(obj["group"]))
-    return GIdealLattice.from_vectors(group, obj["hnf"], stabilize=False)
-
-
 def ideal_from_generators(gens):
     """Smallest G-stable lattice containing the given elements of Z[G]."""
     if not gens:
@@ -196,22 +191,6 @@ def ideal_from_generators(gens):
             raise InputError("mixed groups")
         vecs.append(g.int_vector())
     return GIdealLattice.from_vectors(group, vecs, stabilize=True)
-
-
-def ideal_product(a, b):
-    return a.product(b)
-
-
-def ideal_contains(a, b):
-    return a.contains(b)
-
-
-def ideal_sharp(a):
-    return a.sharp()
-
-
-def principal_ideal(x):
-    return ideal_from_generators([x])
 
 
 def augmentation_ideal(group):

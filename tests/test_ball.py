@@ -5,8 +5,7 @@ import pytest
 
 from starklab.ball import (Ball, CBall, Undecided, ball_det, ball_exp,
                            ball_from_json, ball_log, ball_log_int, ball_pi,
-                           ball_sqrt, gauss_solve, set_working_precision,
-                           working_precision)
+                           ball_sqrt, gauss_solve, working_precision)
 
 
 

@@ -42,7 +42,7 @@ def test_places():
 
 def test_s_unit_lattice():
     F = BiquadField(8, 12)
-    L = BiquadSUnitLattice(F, ["inf", 2, 3], prec=128)
+    L = BiquadSUnitLattice(F, ["inf", 2, 3])
     assert L.rank == 5  # |S_K| - 1 = 6 - 1
     L.log_matrix()  # product formula certified per row
     mats = {el: L.sigma_matrix(el) for el in F.group.elements}
@@ -54,7 +54,7 @@ def test_s_unit_lattice():
 
 def test_subfield_inclusions_exact():
     F = BiquadField(8, 12)
-    L = BiquadSUnitLattice(F, ["inf", 2, 3], prec=128)
+    L = BiquadSUnitLattice(F, ["inf", 2, 3])
     for si in range(3):
         sl = L.sub_lattices[si]
         for gi in range(len(sl.gens)):

@@ -5,8 +5,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from starklab.ball import Ball, ball_log_int, set_working_precision, \
-    working_precision
+from starklab.ball import Ball, ball_log_int, working_precision
 from starklab.grpring import AbelianGroup, GroupRingElement, InputError
 from starklab.lfun import (AbelianFieldRealization, DirichletChar, Jet,
                            LSpec, UnresolvedOrderError, WrongOrderError,
@@ -20,22 +19,23 @@ def _close(ball, ref, tol=1e-25):
 
 
 def test_hurwitz_known_constants():
-    j = hurwitz_jet(Fraction(1), 1, 128)
+    j = hurwitz_jet(Fraction(1), 1)
     assert j.coeffs[0] == Fraction(-1, 2)
     mp.prec = 220
     assert _close(j.coeffs[1], float(-mp.log(2 * mp.pi) / 2), 1e-35)
-    j2 = hurwitz_jet(Fraction(1, 2), 1, 128)
+    j2 = hurwitz_jet(Fraction(1, 2), 1)
     assert j2.coeffs[0] == 0
     assert _close(j2.coeffs[1], -math.log(2) / 2, 1e-35)
-    ja = hurwitz_jet(Fraction(1, 4), 0, 64)
-    jb = hurwitz_jet(Fraction(3, 4), 0, 64)
+    with working_precision(64):
+        ja = hurwitz_jet(Fraction(1, 4), 0)
+        jb = hurwitz_jet(Fraction(3, 4), 0)
     assert ja.coeffs[0] + jb.coeffs[0] == 0
 
 
 def test_hurwitz_derivative_matches_loggamma():
     mp.prec = 220
     for num, den in [(1, 3), (2, 5), (7, 10), (1, 12)]:
-        j = hurwitz_jet(Fraction(num, den), 1, 128)
+        j = hurwitz_jet(Fraction(num, den), 1)
         ref = float(mp.loggamma(mp.mpf(num) / den) - mp.log(2 * mp.pi) / 2)
         assert _close(j.coeffs[1], ref, 1e-30), (num, den)
 
@@ -44,7 +44,7 @@ def test_hurwitz_second_order_against_numerical_diff():
     # independent check of c_2 by high-precision central differences
     mp.prec = 300
     x = Fraction(1, 3)
-    j = hurwitz_jet(x, 2, 128)
+    j = hurwitz_jet(x, 2)
     h = mp.mpf(1) / 10 ** 12
     xm = mp.mpf(1) / 3
     second = (mp.zeta(h, xm) - 2 * mp.zeta(0, xm) + mp.zeta(-h, xm)) / h ** 2
@@ -53,9 +53,9 @@ def test_hurwitz_second_order_against_numerical_diff():
 
 def test_hurwitz_input_validation():
     with pytest.raises(InputError):
-        hurwitz_jet(Fraction(3, 2), 1, 128)
-    with pytest.raises(Exception):
-        hurwitz_jet(Fraction(1, 2), 1, 10)
+        hurwitz_jet(Fraction(3, 2), 1)
+    with pytest.raises(Exception), working_precision(10):
+        hurwitz_jet(Fraction(1, 2), 1)
 
 
 def test_characters():
@@ -106,16 +106,15 @@ def test_bernoulli_values():
 
 
 def test_l_jet_examples():
-    spec = LSpec(DirichletChar.trivial(1), ["inf", 2], [], truncation=1,
-                 prec=128)
+    spec = LSpec(DirichletChar.trivial(1), ["inf", 2], [], truncation=1)
     j = l_jet(spec)
     assert j.order == 1
     assert _close(j.coeffs[1], -math.log(2) / 2, 1e-30)
     j0 = l_jet(LSpec(DirichletChar.quadratic(-3), ["inf", 3], [],
-                     truncation=1, prec=128))
+                     truncation=1))
     assert j0.order == 0 and j0.coeffs[0] == Fraction(1, 3)
     j5 = l_jet(LSpec(DirichletChar.quadratic(5), ["inf", 5], [],
-                     truncation=1, prec=128))
+                     truncation=1))
     assert j5.order == 1
     assert _close(j5.coeffs[1], math.log((1 + math.sqrt(5)) / 2), 1e-11)
 
@@ -127,14 +126,15 @@ def test_l_jet_exact_leading_value_agreement():
         S = ["inf"] + sorted(sympy.factorint(abs(D)))
         T = [5] if D == -3 else [7] if D == -15 else [3]
         exact = bernoulli_value(chi, S, T)
-        jet = l_jet(LSpec(chi, S, T, truncation=1, prec=80))
+        with working_precision(80):
+            jet = l_jet(LSpec(chi, S, T, truncation=1))
         assert jet.coeffs[0] == exact  # the exact path survives the jets
 
 
 def test_s_enlargement_property():
     chi5 = DirichletChar.quadratic(5)
-    j1 = l_jet(LSpec(chi5, ["inf", 5], [], truncation=2, prec=128))
-    j2 = l_jet(LSpec(chi5, ["inf", 5, 11], [], truncation=2, prec=128))
+    j1 = l_jet(LSpec(chi5, ["inf", 5], [], truncation=2))
+    j2 = l_jet(LSpec(chi5, ["inf", 5, 11], [], truncation=2))
     assert j1.order == 1 and j2.order == 2
     ratio = j2.coeffs[2] / j1.coeffs[1]
     assert (ratio - ball_log_int(11)).contains_zero()
@@ -162,7 +162,7 @@ def test_jet_multiplication_order_additivity():
 def test_unresolved_order():
     chi5 = DirichletChar.quadratic(5)
     with pytest.raises(UnresolvedOrderError):
-        l_jet(LSpec(chi5, ["inf", 5, 11], [], truncation=1, prec=128))
+        l_jet(LSpec(chi5, ["inf", 5, 11], [], truncation=1))
 
 
 def test_realizations():
@@ -212,7 +212,7 @@ def test_stickelberger_exact_cases():
 
 def test_stickelberger_first_order():
     R5 = AbelianFieldRealization.quadratic(5)
-    th = stickelberger_element(R5, ["inf", 5], ["inf"], [2], prec=128)
+    th = stickelberger_element(R5, ["inf", 5], ["inf"], [2])
     log5, logeps = math.log(5), math.log((1 + math.sqrt(5)) / 2)
     assert _close(th.coeffs[0], (log5 / 2 + 3 * logeps) / 2, 1e-11)
     assert _close(th.coeffs[1], (log5 / 2 - 3 * logeps) / 2, 1e-11)
@@ -222,9 +222,9 @@ def test_stickelberger_first_order():
 
 def test_leading_term_element_and_inverse():
     R5 = AbelianFieldRealization.quadratic(5)
-    lt, orders = leading_term_element(R5, ["inf", 5], [3], prec=128)
+    lt, orders = leading_term_element(R5, ["inf", 5], [3])
     assert orders == {(0,): 1, (1,): 1}
-    inv = invert_ball_element(lt, 128)
+    inv = invert_ball_element(lt)
     prod = lt * inv
     assert (prod.coeffs[0] - 1).contains_zero()
     assert prod.coeffs[1].contains_zero()
@@ -237,7 +237,8 @@ def test_complex_character_jet():
     quartic = next(c for c in chars if c.order() == 4)
     chi = R.dirichlet(quartic)
     assert chi.order == 4
-    jet = l_jet(LSpec(chi, ["inf", 5], [], truncation=1, prec=96))
+    with working_precision(96):
+        jet = l_jet(LSpec(chi, ["inf", 5], [], truncation=1))
     # odd quartic character mod 5: nonvanishing at 0, known exact value
     assert jet.order == 0  # odd quartic character
     exact = bernoulli_value(chi, ["inf", 5])

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from starklab.ball import set_working_precision, working_precision
+from starklab.ball import working_precision
 from starklab.grpring import InputError
 from starklab.hnf import identity_matrix, invariant_factors_from_diagonal, \
     mat_mul

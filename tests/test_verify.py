@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from starklab.ball import Ball, Undecided
+from starklab.ball import Ball, Undecided, precision, working_precision
 from starklab.verify import (ConfigError, Scenario, certificate_summary,
                              check_congruence_biquadratic,
                              check_norm_identity, check_sign_criterion,
@@ -250,6 +250,13 @@ def test_sweep_reports_files_that_are_not_scenarios(tmp_path, capsys, jobs):
     {"V": "inf"},
     {"T": 3},
     {"T": ["x"]},
+    {"checks": ["norm_identity"], "params": {"p": "x"}},
+    {"checks": ["norm_identity"], "params": {"m": 1.5}},
+    {"checks": ["acnf"], "params": {"range": 5}},
+    {"checks": ["acnf"], "params": {"range": [5]}},
+    {"checks": ["acnf"], "params": {"range": [-5, "x"]}},
+    {"checks": ["congruence"], "params": {"signs": "1111"}},
+    {"checks": ["congruence"], "params": {"signs": [1, 1, "a", 1]}},
 ])
 def test_scenario_input_errors_are_config_errors(spec):
     with pytest.raises(ConfigError):
@@ -261,7 +268,8 @@ def test_precision_floor_is_undecided_with_a_reason(capsys):
     from starklab.cli import main
     from starklab.lfun import hurwitz_jet
     with pytest.raises(Undecided) as info:
-        hurwitz_jet(Fraction(1, 2), 1, 13)
+        with working_precision(13):
+            hurwitz_jet(Fraction(1, 2), 1)
     assert isinstance(info.value, PrecisionError)
     assert info.value.radius == Fraction(1, 2 ** 13)
     cert = run_scenario(Scenario({
@@ -274,6 +282,53 @@ def test_precision_floor_is_undecided_with_a_reason(capsys):
     assert "53 bits" in certificate_summary(cert)
     assert main(["lvalue", "--modulus", "5", "--bits", "13"]) == 3
     assert "53 bits" in capsys.readouterr().err
+
+
+def _q7_radius(bits):
+    cert = run_scenario(Scenario({
+        "field": {"type": "Q"}, "S": ["inf", 7], "V": ["inf"], "T": [3],
+        "checks": ["rs_integrality"], "bits": bits}))
+    entry = cert["results"][0]
+    assert entry["verdict"] == "pass"
+    return float(entry["max_radius"])
+
+
+def test_scenario_bits_govern_the_whole_run():
+    # the S-unit log matrix and the pairings run at the scenario's bits
+    # too, so more bits past the default 128 buy a tighter enclosure
+    r160, r256 = _q7_radius(160), _q7_radius(256)
+    assert r256 < r160 < 2.0 ** -150
+
+
+def test_precision_is_restored_after_a_run():
+    run_scenario(Scenario({
+        "field": {"type": "quad", "disc": 5}, "S": ["inf", 5], "V": ["inf"],
+        "T": [3], "checks": ["rs_integrality"], "bits": 80}))
+    assert precision() == 128
+    with pytest.raises(Undecided), working_precision(200):
+        check_sign_criterion([[Ball(0, 1)]])
+    assert precision() == 128
+
+
+def test_cli_bits_overrides_every_scenario(tmp_path):
+    from starklab.cli import main
+    scns = tmp_path / "scenarios"
+    scns.mkdir()
+    for D in (5, 13):
+        (scns / f"s{D}.json").write_text(json.dumps({
+            "field": {"type": "quad", "disc": D}, "S": ["inf", D],
+            "V": ["inf"], "T": [3], "checks": ["rs_integrality"],
+            "bits": 80}))
+    out = tmp_path / "report.json"
+    assert main(["verify", str(scns / "s5.json"), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["bits"] == 80
+    assert main(["verify", str(scns / "s5.json"), "--bits", "128",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["bits"] == 128
+    for jobs in ("1", "2"):
+        assert main(["sweep", str(scns), "--bits", "200", "--jobs", jobs,
+                     "--out", str(out)]) == 0
+        assert [c["bits"] for c in json.loads(out.read_text())] == [200, 200]
 
 
 def test_cli_rejects_bits_below_one():

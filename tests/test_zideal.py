@@ -55,7 +55,7 @@ def test_membership():
     assert membership((SIGMA2 - ONE2).scale(2),
                       augmentation_ideal_power(G2, 2))
     # ball elements certify before membership
-    ball_two = GroupRingElement(G2, "ball:96",
+    ball_two = GroupRingElement(G2, "ball",
                                 [Ball(2, Fraction(1, 100)), Ball(0)])
     assert membership(ball_two, j)
 
