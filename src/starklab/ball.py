@@ -8,6 +8,8 @@ endpoints, never on floats.
 
 A computation that cannot certify what was asked raises `Undecided` rather
 than guessing; callers treat that as "raise the precision", not as failure.
+An enclosure that certifiably contradicts what must hold raises
+`CertificationError`, which callers treat as failure.
 
 The working precision has one source: `working_precision(bits)` is the only
 way to set it.  Each entry point (a scenario run, a CLI command) enters it
@@ -37,6 +39,14 @@ class Undecided(Exception):
     def __init__(self, message, radius=None):
         super().__init__(message)
         self.radius = radius
+
+
+class CertificationError(Exception):
+    """A certified enclosure contradicts what the theory or an exact
+    computation requires: a failure, which more precision does not resolve
+    (unlike `Undecided`).  Raised in place of `assert`, so the gate also
+    holds under `python -O`.
+    """
 
 
 class PrecisionError(Undecided):

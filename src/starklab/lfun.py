@@ -5,7 +5,10 @@ Bernoulli sums, and the group-ring elements built from them.
 The evaluation backbone is Euler-Maclaurin for the Hurwitz zeta function
 with a certified tail bound; every jet coefficient is an enclosure of the
 exact Taylor coefficient, and order-0 values are exact rationals or
-cyclotomics whenever the character data is exact.
+cyclotomics whenever the character data is exact.  Ball arithmetic is kept
+to what needs logarithms: at first order the main sum is the log of one
+exact integer product, and the Bernoulli corrections are exact rationals
+(Johansson, arXiv:1309.2877, for the method).
 """
 
 import itertools
@@ -15,8 +18,8 @@ from math import gcd, lcm
 from sympy import bernoulli as sym_bernoulli
 from sympy import factorint, isprime
 
-from .ball import (Ball, CBall, Undecided, PrecisionError, ball_log,
-                   ball_log_int, precision)
+from .ball import (Ball, CBall, CertificationError, PrecisionError,
+                   ball_log, ball_log_int, precision)
 from .cyclo import CycloField
 from .finite import GroupStructure
 from .grpring import AbelianGroup, Character, GroupRingElement, InputError
@@ -453,13 +456,21 @@ def _factorial(n):
 
 
 @lru_cache(maxsize=None)
-def _correction_constants(B):
-    """(coeff_j, P_j) tables for the Euler-Maclaurin correction terms."""
-    out = []
-    for j in range(1, B + 1):
-        coeff = _bernoulli_fraction(2 * j) * Fraction(1, _factorial(2 * j))
-        out.append((coeff, _rising_factorial_coeffs(2 * j - 1)))
-    return out
+def _correction_coeffs(B, K):
+    """Integer tables (a, d) of the Euler-Maclaurin corrections, one for
+    each s-degree i = 1..K: a[j - 1] / d = B_2j / (2j)! * P_j[i] for
+    j = 1..B, with P_j[i] the s^i coefficient of s(s+1)...(s+2j-2).  Every
+    P_j[0] is 0, so there is no table for i = 0."""
+    rows = []
+    for i in range(1, K + 1):
+        row = []
+        for j in range(1, B + 1):
+            P = _rising_factorial_coeffs(2 * j - 1)
+            Pi = P[i] if i < len(P) else 0
+            row.append(_bernoulli_fraction(2 * j) / _factorial(2 * j) * Pi)
+        d = lcm(*(c.denominator for c in row))
+        rows.append((tuple(int(c * d) for c in row), d))
+    return tuple(rows)
 
 
 @lru_cache(maxsize=None)
@@ -496,10 +507,16 @@ def hurwitz_jet(x, K):
     """Taylor coefficients of the Hurwitz zeta function at s = 0: the jet
     (c_0, ..., c_K) of zeta_H(s, x) for rational x in (0, 1].
 
-    Euler-Maclaurin with parameters chosen from the working precision;
-    every coefficient is a certified enclosure and c_0 = 1/2 - x is exact.
-    The precision must be at least 53 bits: below that it raises
-    `PrecisionError`, an `Undecided` with radius 2^-prec.
+    Euler-Maclaurin with N terms and B Bernoulli corrections chosen from
+    the working precision; every coefficient is a certified enclosure and
+    c_0 = 1/2 - x is exact.  For K = 1 the main sum sum_{n<N} log(n + x) is
+    the log of the exact integer prod_{n<N} (n den + num) less N log den;
+    for K >= 2 it accumulates the power sums of log(n + x) and divides by
+    k! once.  The corrections are summed as exact rationals in w = N + x,
+    so the only balls in the tail are log w and the tail bound.  The
+    precision must be at least 53 bits: below that it raises
+    `PrecisionError`, an `Undecided` with radius 2^-prec.  A c_0 enclosure
+    that misses 1/2 - x raises `CertificationError`.
     """
     x = Fraction(x)
     if not 0 < x <= 1:
@@ -513,54 +530,56 @@ def hurwitz_jet(x, K):
         raise InputError("jet truncation capped at K = 4")
     N = max(16, (3 * prec) // 10)
     B = max(8, (17 * prec) // 100)
-    den = x.denominator
+    num, den = x.numerator, x.denominator
     log_den = ball_log_int(den)
     # main sum: sum_{n<N} (-log(n+x))^k / k!
-    main = [Ball(0) for _ in range(K + 1)]
-    main[0] = Ball(N)
     if K == 1:
-        acc = Ball(0)
+        # sum_n log(n+x) = log prod_n (n den + num) - N log den; the
+        # product is exact and its log is used once, so it is not cached
+        prod = 1
         for n in range(N):
-            acc = acc + ball_log_int(n * den + x.numerator)
-        main[1] = -(acc - log_den * N)
+            prod *= n * den + num
+        main = [N, log_den * N - ball_log(prod)]
     else:
+        sums = [Ball(0)] * (K + 1)  # sums[k] = sum_n log(n+x)^k
         for n in range(N):
-            L = ball_log_int(n * den + x.numerator) - log_den
-            power = Ball(1)
+            L = ball_log_int(n * den + num) - log_den
+            power = L
             for k in range(1, K + 1):
-                power = power * (-L)
-                main[k] = main[k] + power * Fraction(1, _factorial(k))
+                if k > 1:
+                    power = power * L
+                sums[k] = sums[k] + power
+        main = [N] + [sums[k] * Fraction((-1) ** k, _factorial(k))
+                      for k in range(1, K + 1)]
+    # tail at w = N + x: the integral term w^(1-s)/(s-1), the half term
+    # w^(-s)/2 and the Bernoulli corrections sum_i R_i s^i w^(-s).  R_i is
+    # exact: Horner in u = w^-2 = p/q, on integers over the denominator
+    # q^(B-1).  Expanding w^(-s) = sum_m (-Lw)^m s^m / m! then leaves a
+    # polynomial in -Lw with exact coefficients t[m] / m!, where
+    # t[m] = R_(k-m) - w + [m = k]/2 and R_0 = 0.
     w = N + x
-    Lw = ball_log_int(N * den + x.numerator) - log_den
-    # E_k = coefficients of exp(-s log w)
-    E = [Ball(1)]
-    for k in range(1, K + 1):
-        E.append(E[-1] * (-Lw) * Fraction(1, k))
-    # integral term w^{1-s}/(s-1) = -w e^{-sLw} (1 + s + s^2 + ...)
-    tail = [Ball(0) for _ in range(K + 1)]
-    partial = Ball(0)
-    for k in range(K + 1):
-        partial = partial + E[k]
-        tail[k] = tail[k] - Ball(w.numerator) / Ball(w.denominator) * partial
-    # half term + Bernoulli corrections
-    for k in range(K + 1):
-        tail[k] = tail[k] + E[k] * Fraction(1, 2)
-    w_ball = Ball(w.numerator) / Ball(w.denominator)
-    w_inv2 = 1 / (w_ball * w_ball)
-    w_pow = 1 / w_ball  # w^{1-2j} for j = 1
-    for coeff, P in _correction_constants(B):
-        for k in range(K + 1):
-            acc = Ball(0)
-            for i in range(min(k, len(P) - 1) + 1):
-                if P[i]:
-                    acc = acc + E[k - i] * P[i]
-            tail[k] = tail[k] + acc * coeff * w_pow
-        w_pow = w_pow * w_inv2
+    p, q = w.denominator ** 2, w.numerator ** 2
+    R = [Fraction(0)]
+    for a, d in _correction_coeffs(B, K):
+        acc, qpow = a[-1], 1
+        for c in reversed(a[:-1]):
+            qpow *= q
+            acc = acc * p + c * qpow
+        R.append(Fraction(acc * w.denominator, d * qpow * w.numerator))
+    neg_Lw = log_den - ball_log_int(w.numerator)
     rads = _tail_radius_table(N, B, K, prec)
-    out = [main[k] + tail[k] + Ball(0, rads[k]) for k in range(K + 1)]
+    out = []
+    for k in range(K + 1):
+        t = [R[k - m] - w + (Fraction(1, 2) if m == k else 0)
+             for m in range(k + 1)]
+        c = 0
+        for m in range(k, 0, -1):
+            c = (c + t[m] / _factorial(m)) * neg_Lw
+        out.append(c + main[k] + Ball(t[0], rads[k]))
     # pin the exact value at order zero
     exact0 = Fraction(1, 2) - x
-    assert out[0].contains(exact0), "Euler-Maclaurin c0 check failed"
+    if not out[0].contains(exact0):
+        raise CertificationError("Euler-Maclaurin c0 check failed")
     coeffs = [exact0] + out[1:]
     return Jet(coeffs, order=None, params={"N": N, "B": B, "prec": prec})
 
@@ -617,8 +636,10 @@ def l_jet(spec):
     """Certified jet of L_{Q,S,T}(chi, s) at s = 0.
 
     The order of vanishing is the theoretical one; coefficients below it are
-    pinned to exact zero after a containment assertion, and the leading
-    coefficient must certify nonzero (else UnresolvedOrderError).
+    pinned to exact zero once their enclosures contain zero (else
+    CertificationError), and the leading coefficient must certify nonzero
+    (else UnresolvedOrderError).  `params` holds the N, B and precision of
+    the Hurwitz jets.
     """
     chi = spec.char.primitive()
     r = theoretical_order(spec.char, spec.S)
@@ -630,6 +651,7 @@ def l_jet(spec):
         raise InputError("jet truncation capped at K = 4")
     real = chi.is_real()
     jet = _primitive_l_jet(chi, K, real)
+    params = jet.params  # the products below do not carry them
     for q in spec.S:
         if q == "inf" or chi.conductor() % q == 0:
             continue
@@ -640,12 +662,14 @@ def l_jet(spec):
     coeffs = list(jet.coeffs)
     for k in range(min(r, K + 1)):
         c = coeffs[k]
-        if isinstance(c, (Ball,)):
-            assert c.contains_zero(), "theoretical order contradicted"
-        elif isinstance(c, CBall):
-            assert c.contains_zero()
+        if isinstance(c, (Ball, CBall)):
+            vanishes = c.contains_zero()
         else:
-            assert c == 0, "theoretical order contradicted"
+            vanishes = c == 0
+        if not vanishes:
+            raise CertificationError(
+                f"theoretical order {r} contradicted: coefficient {k} "
+                f"is certified nonzero")
         coeffs[k] = Fraction(0)
     if r <= K:
         lead = coeffs[r]
@@ -659,7 +683,7 @@ def l_jet(spec):
             raise UnresolvedOrderError(
                 f"cannot certify the leading coefficient at order {r} "
                 f"(radius too large at {precision()} bits)")
-    return Jet(coeffs, order=r, params=jet.params)
+    return Jet(coeffs, order=r, params=params)
 
 
 def _primitive_l_jet(chi, K, real):
@@ -674,10 +698,12 @@ def _primitive_l_jet(chi, K, real):
             continue
         hj = hurwitz_jet(Fraction(a, f), K)
         if real:
-            v = chi.value_rational(a)
-            exact0 += v * hj.coeffs[0]
+            # chi(a) is +1 or -1: add or subtract the jet
+            plus = chi.value_rational(a) == 1
+            exact0 += hj.coeffs[0] if plus else -hj.coeffs[0]
             for k in range(1, K + 1):
-                ball_coeffs[k] = ball_coeffs[k] + hj.coeffs[k] * v
+                ball_coeffs[k] = (ball_coeffs[k] + hj.coeffs[k] if plus
+                                  else ball_coeffs[k] - hj.coeffs[k])
         else:
             exact0 = exact0 + chi.value_cyclo(a) * hj.coeffs[0]
             vb = chi.value_cball(a)
@@ -694,7 +720,7 @@ def _primitive_l_jet(chi, K, real):
         for i in range(1, k + 1):
             acc = acc + ball_coeffs[i] * E[k - i]
         out.append(acc)
-    return Jet(out, params={"prec": precision()})
+    return Jet(out, params=hj.params)
 
 
 def _mul_exact(c0, ball):
@@ -916,8 +942,9 @@ def leading_term_element(realization, S, T):
         r_chi = theoretical_order(chid, S)
         jet = l_jet(LSpec(chid, S, T, truncation=min(max(r_chi, 1), 4)))
         comp = jet.coeffs[r_chi]
-        if isinstance(comp, Fraction):
-            assert comp != 0
+        if isinstance(comp, Fraction) and comp == 0:
+            raise CertificationError(
+                f"leading term at the theoretical order {r_chi} is zero")
         orders[chi.exponents] = r_chi
         components[chi.exponents] = comp
     element = _assemble_ball(group, components)

@@ -14,8 +14,8 @@ import json
 from fractions import Fraction
 
 from . import hnf
-from .ball import Ball, CBall, Undecided, ball_det, ball_log, gauss_solve, \
-    working_precision
+from .ball import Ball, CBall, CertificationError, Undecided, ball_det, \
+    ball_log, gauss_solve, working_precision
 from .biquad import BiquadField, BiquadSUnitLattice, biquad_places
 from .grpring import AbelianGroup, GroupRingElement, InputError, Subgroup, \
     norm_element
@@ -881,7 +881,10 @@ def run_acnf(dmin=-500, dmax=500, tol=Fraction(1, 10 ** 25)):
 
     Positive D: |L'(0, chi_D) - h(D) log eps_D| certified below tol.
     Negative D: L(0, chi_D) = 2 h(D) / w(D) exactly.
-    Returns a summary dict; raises AssertionError on any failure.
+    Returns a summary dict.  A residual whose enclosure excludes 0, or an
+    exact value that differs, raises CertificationError; a residual that
+    contains 0 but is not certified below tol raises Undecided with the
+    residual's radius.
     """
     from .numfld import is_fundamental_discriminant
     from sympy import factorint
@@ -896,16 +899,25 @@ def run_acnf(dmin=-500, dmax=500, tol=Fraction(1, 10 ** 25)):
             val = bernoulli_value(chi, S)
             w = QuadField(D).torsion_generator()[1]
             h = class_number(D)
-            assert val == Fraction(2 * h, w), (D, val, h, w)
+            if val != Fraction(2 * h, w):
+                raise CertificationError(
+                    f"ACNF fails at D = {D}: L(0, chi_D) = {val}, "
+                    f"2h/w = {Fraction(2 * h, w)}")
             checked_neg += 1
             continue
         jet = l_jet(LSpec(chi, S, [], truncation=1))
         h = class_number(D)
         reg = fundamental_unit_log(D)
         resid = jet.coeffs[1] - reg * h
+        if resid.is_nonzero():
+            raise CertificationError(
+                f"ACNF fails at D = {D}: L'(0, chi_D) - h log eps = {resid}")
         lo, hi = resid.endpoints()
         bound = max(abs(lo), abs(hi))
-        assert bound < tol, (D, float(bound))
+        if bound >= tol:
+            raise Undecided(
+                f"ACNF residual at D = {D} contains 0 but is not certified "
+                f"below {float(tol):.1e}", resid.rad())
         max_resid = max(max_resid, bound)
         checked_pos += 1
     return {"positive": checked_pos, "negative": checked_neg,
@@ -968,6 +980,9 @@ def run_scenario(scn):
             except UnsupportedCaseError as exc:
                 entry = {"check": check, "verdict": "unsupported",
                          "reason": str(exc)}
+            except CertificationError as exc:
+                entry = {"check": check, "verdict": "fail",
+                         "witness": str(exc)}
             cert["results"].append(entry)
     verdicts = [e.get("verdict") for e in cert["results"]]
     if any(v == "fail" for v in verdicts):

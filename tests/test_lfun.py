@@ -4,14 +4,17 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mp
+from mpmath.libmp import to_rational
 
-from starklab.ball import Ball, ball_log_int, working_precision
+from starklab.ball import (Ball, PrecisionError, ball_log_int, precision,
+                           working_precision)
 from starklab.grpring import AbelianGroup, GroupRingElement, InputError
 from starklab.lfun import (AbelianFieldRealization, DirichletChar, Jet,
                            LSpec, UnresolvedOrderError, WrongOrderError,
-                           bernoulli_value, hurwitz_jet, invert_ball_element,
-                           l_jet, leading_term_element, stickelberger_element,
-                           theoretical_order, validate_rubin_shape)
+                           _tail_radius_table, bernoulli_value, hurwitz_jet,
+                           invert_ball_element, l_jet, leading_term_element,
+                           stickelberger_element, theoretical_order,
+                           validate_rubin_shape)
 
 
 def _close(ball, ref, tol=1e-25):
@@ -54,8 +57,41 @@ def test_hurwitz_second_order_against_numerical_diff():
 def test_hurwitz_input_validation():
     with pytest.raises(InputError):
         hurwitz_jet(Fraction(3, 2), 1)
-    with pytest.raises(Exception), working_precision(10):
+    with pytest.raises(PrecisionError), working_precision(10):
         hurwitz_jet(Fraction(1, 2), 1)
+
+
+ORACLE_XS = [Fraction(1, 3), Fraction(2, 5), Fraction(7, 10), Fraction(1, 12),
+             Fraction(150, 293), Fraction(1)]
+
+
+@pytest.mark.parametrize("prec", [64, 128, 256])
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_hurwitz_jet_encloses_mpmath(prec, K):
+    # every coefficient encloses zeta^(k)(0, x) / k! from mpmath, computed
+    # at more than twice the precision of the jet
+    for x in ORACLE_XS:
+        with working_precision(prec):
+            jet = hurwitz_jet(x, K)
+        with mp.workprec(2 * prec + 64):
+            xm = mp.mpf(x.numerator) / x.denominator
+            for k in range(K + 1):
+                v = mp.zeta(0, xm, derivative=k) / mp.factorial(k)
+                ref = Fraction(*to_rational(v._mpf_))
+                c = jet.coeffs[k]
+                assert Ball(c).contains(ref), (prec, K, x, k)
+
+
+def test_hurwitz_c1_radius_is_the_tail_bound_plus_little_rounding():
+    # at 128 bits the tail bound is about 2^-166, so the radius is the
+    # rounding of the evaluation; the one-log main sum and the exact
+    # corrections keep that below 2^-(prec+3)
+    for x in ORACLE_XS:
+        jet = hurwitz_jet(x, 1)
+        N, B = jet.params["N"], jet.params["B"]
+        prec = precision()
+        tail = _tail_radius_table(N, B, 1, prec)[1]
+        assert jet.coeffs[1].rad() <= 2 * tail + Fraction(2) ** -(prec + 3), x
 
 
 def test_characters():

@@ -2,6 +2,8 @@ import itertools
 import json
 import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -282,6 +284,62 @@ def test_precision_floor_is_undecided_with_a_reason(capsys):
     assert "53 bits" in certificate_summary(cert)
     assert main(["lvalue", "--modulus", "5", "--bits", "13"]) == 3
     assert "53 bits" in capsys.readouterr().err
+
+
+def test_acnf_miss_at_low_precision_is_undecided():
+    # at 64 bits the D = 5 residual contains 0 but its radius is above the
+    # 1e-25 tolerance, which stays what it is at 128 bits
+    cert = run_scenario(Scenario({
+        "checks": ["acnf"], "params": {"range": [-20, 20]}, "bits": 64}))
+    entry = cert["results"][0]
+    assert entry["verdict"] == "undecided" and cert["exit_code"] == 3
+    assert float(entry["limit_radius"]) > 1e-25
+    assert "D = 5" in entry["reason"]
+
+
+CERTIFICATION_UNDER_O = """
+from starklab import numfld, verify
+from starklab.ball import CertificationError
+
+true_class_number = numfld.class_number
+# run_acnf reads class_number through the name verify imported
+verify.class_number = numfld.class_number = \
+    lambda D: true_class_number(D) + 1
+try:
+    verify.run_acnf(5, 5)
+except CertificationError:
+    pass
+else:
+    raise SystemExit("run_acnf(5, 5) did not raise CertificationError")
+cert = verify.run_scenario(verify.Scenario(
+    {"checks": ["acnf"], "params": {"range": [5, 5]}}))
+entry = cert["results"][0]
+if entry["verdict"] != "fail" or cert["exit_code"] != 1:
+    raise SystemExit(f"acnf scenario gave {entry}")
+if "D = 5" not in entry["witness"]:
+    raise SystemExit(f"no witness in {entry}")
+"""
+
+
+def test_certification_gates_hold_under_python_O():
+    # asserts vanish under -O; a wrong class number must still fail
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", CERTIFICATION_UNDER_O],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_cli_lvalue_reports_jet_params(tmp_path):
+    # the S- and T-Euler factors do not drop N, B and the precision
+    from starklab.cli import main
+    out = tmp_path / "lvalue.json"
+    assert main(["lvalue", "--modulus", "5", "--S", "inf", "5", "--T", "3",
+                 "--out", str(out)]) == 0
+    params = json.loads(out.read_text())["params"]
+    assert params == {"N": 38, "B": 21, "prec": 128}
 
 
 def _q7_radius(bits):
