@@ -15,7 +15,7 @@ from math import gcd, isqrt
 from sympy import factorint, sqrt_mod
 
 from . import hnf
-from .ball import Ball, ball_log, ball_log_int, ball_sqrt
+from .ball import Ball, CertificationError, ball_log, ball_log_int, ball_sqrt
 from .finite import GF, GroupStructure
 from .grpring import AbelianGroup, InputError
 from .sublat import CapacityError
@@ -1059,15 +1059,20 @@ class SUnitLattice:
 
     gens: multiplicative basis (exact field elements); places: every place
     of the field above S, distinguished place first per rational place;
+    valuations: row i is [ord_w(gens[i]) for w in finite_places()], known
+    by construction (the identity for Q; for a quadratic field the rows the
+    generators were built from and checked against, and a zero row for the
+    fundamental unit), so `express` never re-evaluates the generators;
     sigma_matrix: action of the nontrivial automorphism in basis coordinates
     (identity for Q); t_sublattice: coordinates of the T-congruence subgroup;
     torsion_order, torsion_gen: the roots of unity (killed in the lattice).
     The construction is exactly saturated: saturation_index == 1.
     """
 
-    __slots__ = ("field", "S", "T", "places", "gens", "sigma_matrix",
-                 "torsion_gen", "torsion_order", "t_sublattice",
-                 "residues", "saturation_index", "place_action")
+    __slots__ = ("field", "S", "T", "places", "gens", "valuations",
+                 "sigma_matrix", "torsion_gen", "torsion_order",
+                 "t_sublattice", "residues", "saturation_index",
+                 "place_action")
 
     def __init__(self, **kw):
         for k in self.__slots__:
@@ -1084,21 +1089,27 @@ class SUnitLattice:
         return [ord_at_place(x, w) for w in self.finite_places()]
 
     def express(self, x):
-        """(coords, torsion_power) with x = torsion^j * prod gens^coords."""
-        fin = self.finite_places()
-        val = self.valuation_vector(x)
-        vmat = [[ord_at_place(g, w) for w in fin] for g in self.gens]
-        sol = hnf.solve_in_rowspan(vmat, val)
+        """(coords, torsion_power) with x = torsion^j * prod gens^coords.
+
+        The coordinates solve x's valuations against `valuations`; what is
+        left after dividing out the generators must be a unit, then a root
+        of unity, and both are checked exactly (CertificationError if not).
+        """
+        sol = hnf.solve_in_rowspan(self.valuations, self.valuation_vector(x))
         if sol is None:
             raise InputError(f"{x} is not an S-unit on this lattice")
         u = x
         for g, c in zip(self.gens, sol):
             u = u * (g ** (-c)) if self.field != "Q" else u * Fraction(g) ** (-c)
-        # u is now a unit (all finite valuations zero)
         if self.field == "Q":
-            assert u in (Fraction(1), Fraction(-1)), u
+            if u not in (Fraction(1), Fraction(-1)):
+                raise CertificationError(
+                    f"{x} / prod gens^{sol} = {u} is not a unit")
             j = 0 if u == 1 else 1
             return sol, j
+        if not u.is_integral() or abs(u.norm()) != 1:
+            raise CertificationError(
+                f"{x} / prod gens^{sol} = {u} is not a unit")
         field = self.field
         if field.is_real:
             # peel off fundamental-unit factors exactly
@@ -1119,13 +1130,14 @@ class SUnitLattice:
             sol[eps_index] += k
         # now u is torsion
         tor = self.field.torsion_units()
-        assert u in tor, (u, "unit part is not torsion")
+        if u not in tor:
+            raise CertificationError(f"unit part {u} of {x} is not torsion")
         j = tor.index(u)
         return sol, j
 
     def _eps_index(self):
-        for i, g in enumerate(self.gens):
-            if all(v == 0 for v in self.valuation_vector(g)):
+        for i, row in enumerate(self.valuations):
+            if not any(row):
                 return i
         raise AssertionError("no unit among the generators")
 
@@ -1184,6 +1196,7 @@ def s_unit_lattice(field, S, T, enforce_h3=True):
         gens = [Fraction(q) for q in finite_S]
         lat = _t_sublattice_q(gens, residues)
         return SUnitLattice(field="Q", S=S, T=T, places=places, gens=gens,
+                            valuations=hnf.identity_matrix(len(gens)),
                             sigma_matrix=hnf.identity_matrix(len(gens)),
                             torsion_gen=Fraction(-1), torsion_order=2,
                             t_sublattice=lat, residues=residues,
@@ -1211,17 +1224,18 @@ def s_unit_lattice(field, S, T, enforce_h3=True):
     ker = hnf.kernel(stacked, ambient_dim=k_cl)
     lam_rows = [row[:len(fin)] for row in ker]
     lam = hnf.IntLattice(len(fin), lam_rows)
-    basis_rows = lam.canonical()
-    gens = []
-    for row in basis_rows:
-        gens.append(_generator_for_valuations(field, fin, row))
+    valuations = [list(row) for row in lam.canonical()]
+    gens = [_generator_for_valuations(field, fin, row) for row in valuations]
     if field.is_real:
         gens.append(fundamental_unit(field.D))
-    rank_expected = len(places) - 1
-    assert len(gens) == rank_expected, (len(gens), rank_expected)
+        valuations.append([0] * len(fin))
+    if len(gens) != len(places) - 1:
+        raise CertificationError(
+            f"S-unit rank {len(gens)}, expected |S_K| - 1 = {len(places) - 1}")
     lat = _t_sublattice(field, gens, residues)
     sl = SUnitLattice(field=field, S=S, T=T, places=places, gens=gens,
-                      sigma_matrix=None, torsion_gen=field.torsion_generator()[0],
+                      valuations=valuations, sigma_matrix=None,
+                      torsion_gen=field.torsion_generator()[0],
                       torsion_order=field.torsion_generator()[1],
                       t_sublattice=lat, residues=residues,
                       saturation_index=1, place_action=place_action)
@@ -1291,11 +1305,15 @@ def _generator_for_valuations(field, fin_places, row):
             ideal = ideal.multiply(ideal_power(p.conj(), -e))
             denom *= Fraction(p.a * p.scale * p.scale) ** (-e)
     gamma = ideal.principal_generator()
-    assert gamma is not None, "class-relation product is not principal"
+    if gamma is None:
+        raise CertificationError(
+            f"class-relation product {list(row)} is not principal")
     gamma = gamma / field.element(denom)
-    # verify valuations exactly
+    # verify valuations exactly: SUnitLattice.valuations stores `row`
     for w, e in zip(fin_places, row):
-        assert ord_at_place(gamma, w) == e, "generator valuation mismatch"
+        if ord_at_place(gamma, w) != e:
+            raise CertificationError(
+                f"generator valuation mismatch at {w!r}: wanted {e}")
     return gamma
 
 
@@ -1350,11 +1368,15 @@ class RayClassData:
                 f"orders={self.module.orders})")
 
 
-def ray_class(field, S, T):
+def ray_class(field, S, T, lattice=None):
     """Compute Cl_{K,S,T} as a FiniteGModule over Gal(K/Q) (or over the
     trivial group for K = Q), assembled from the class group, the residue
     system at T, and S-prime killing.  The extension-order identity
     |Cl_{K,S,T}| = |Cl_{K,S}| * |R_T / im(units)| is asserted.
+
+    For a quadratic field with T non-empty the unit image comes from the
+    generators of the (S, T)-unit lattice: `lattice`, when the caller
+    already holds `s_unit_lattice(field, S, T)`, else one built here.
     """
     from .zideal import FiniteGModule
     S = _normalize_places(S)
@@ -1434,7 +1456,10 @@ def ray_class(field, S, T):
     if residues:
         for rr in residues.structure.relation_rows:
             rel_rows.append([0] * r + list(rr))
-        sl = s_unit_lattice(field, S, T)
+        sl = lattice if lattice is not None else s_unit_lattice(field, S, T)
+        if (sl.field, sl.S, sl.T) != (field, S, T):
+            raise InputError(f"lattice is for S={sl.S}, T={sl.T}, "
+                             f"not S={S}, T={T}")
         for u in list(sl.gens) + [field.torsion_generator()[0]]:
             rel_rows.append([0] * r + rt_dlog(u))
     else:

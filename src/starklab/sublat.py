@@ -26,12 +26,7 @@ class HyperplaneSet:
     __slots__ = ("p", "m", "group", "normals", "planes", "includes_full")
 
     def __init__(self, p, m):
-        if not isprime(p):
-            raise InputError(f"{p} is not prime")
-        if m < 1:
-            raise InputError("rank must be >= 1")
-        if p ** m > DESK_BOUND:
-            raise CapacityError(f"p^m = {p**m} exceeds desk bound {DESK_BOUND}")
+        _check_desk_shape(p, m)
         self.p = p
         self.m = m
         self.group = AbelianGroup((p,) * m)
@@ -57,6 +52,16 @@ class HyperplaneSet:
 
     def __repr__(self):
         return f"HyperplaneSet(p={self.p}, m={self.m}, proper={len(self.planes)})"
+
+
+def _check_desk_shape(p, m):
+    """(Z/p)^m must have p prime, m >= 1 and at most DESK_BOUND elements."""
+    if not isprime(p):
+        raise InputError(f"{p} is not prime")
+    if m < 1:
+        raise InputError("rank must be >= 1")
+    if p ** m > DESK_BOUND:
+        raise CapacityError(f"p^m = {p**m} exceeds desk bound {DESK_BOUND}")
 
 
 def projective_normals(p, m):
@@ -98,11 +103,12 @@ def count_avoiding(p, m, v):
     v = tuple(int(a) % p for a in v)
     if not any(v):
         raise InputError("element must be nonzero")
-    hs = HyperplaneSet(p, m)
+    _check_desk_shape(p, m)
+    normals = projective_normals(p, m)
     containing = sum(
-        1 for n in hs.normals
+        1 for n in normals
         if sum(a * b for a, b in zip(n, v)) % p == 0)
-    avoiding = len(hs.normals) - containing
+    avoiding = len(normals) - containing
     return avoiding, containing
 
 

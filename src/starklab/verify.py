@@ -9,6 +9,7 @@ pass or fail (every pass is backed by an exact witness or a certified
 enclosure).
 """
 
+import copy
 import itertools
 import json
 from fractions import Fraction
@@ -30,7 +31,7 @@ from .multilin import (GLattice, NonIntegralError, WedgeElement,
 from .numfld import (DatumError, QuadField, class_number, fundamental_unit,
                      fundamental_unit_log, kronecker, ray_class,
                      s_unit_lattice)
-from .sublat import count_avoiding, enumerate_omega_star, norm_sum_identity
+from .sublat import count_avoiding, norm_sum_identity, projective_normals
 from .zideal import (FiniteGModule, GIdealLattice, Presentation,
                      UnsupportedCaseError, annihilator,
                      augmentation_ideal_power, fitting_from_extension,
@@ -150,7 +151,7 @@ class Scenario:
         if not isinstance(params, dict):
             raise ConfigError(f"params must be a JSON object, got {params!r}")
         self.params = _config_params(params)
-        self._validated = False
+        self._flags = None
 
     def needs_datum(self):
         return any(c in ("rs_integrality", "fitting_equality", "annihilation",
@@ -162,6 +163,7 @@ class Scenario:
         S, V, T = validate_rubin_shape(self.realization, self.S, self.V,
                                        self.T)
         self.S, self.V, self.T = S, V, T
+        self._flags = None
         # (H3) via torsion arithmetic
         from .numfld import _check_torsion_killed
         if self.field == "Q":
@@ -172,9 +174,15 @@ class Scenario:
             # torsion of a real biquadratic field is {+-1}
             if not any(q != 2 for q in T):
                 raise DatumError("(H3) fails: -1 = 1 at every place above T")
-        self._validated = True
 
     def hypothesis_flags(self):
+        """The theorem-hypothesis flags of (S, V, T): a fresh copy each
+        call, computed once per datum (validate_datum starts them over)."""
+        if self._flags is None:
+            self._flags = self._compute_flags()
+        return copy.deepcopy(self._flags)
+
+    def _compute_flags(self):
         flags = {"S": list(self.S), "V": list(self.V), "T": list(self.T)}
         flags["thm1_bound"] = len(self.S) > len(self.V) + 1
         invf = self.realization.group.invariant_factors
@@ -244,11 +252,14 @@ def sigma_matrices(lattice, group):
 
 
 class RubinStarkData:
-    """Cached per-scenario pipeline state."""
+    """Cached per-scenario pipeline state: each of lattice(), ray(),
+    theta(), epsilon(), im_lattice() and pairings() is computed at most
+    once per scenario."""
 
     def __init__(self, scn):
         self.scn = scn
         self._lattice = None
+        self._ray = None
         self._theta = None
         self._epsilon = None
         self._im = None
@@ -266,6 +277,17 @@ class RubinStarkData:
             else:
                 self._lattice = s_unit_lattice(scn.field, scn.S, scn.T)
         return self._lattice
+
+    def ray(self):
+        """Cl_{K,S,T} of the scenario.  A quadratic field with T non-empty
+        hands ray_class this scenario's lattice(), whose generators give
+        the unit image, instead of a second build of the same lattice."""
+        if self._ray is None:
+            scn = self.scn
+            lat = self.lattice() if isinstance(scn.field, QuadField) \
+                and scn.T else None
+            self._ray = ray_class(scn.field, scn.S, scn.T, lattice=lat)
+        return self._ray
 
     def theta(self):
         if self._theta is None:
@@ -422,17 +444,15 @@ def max_pairing_radius(pairings):
 
 def check_norm_identity(p, m):
     """The subgroup-norm identity over (Z/p)^m, exactly."""
-    element = norm_sum_identity(p, m)
-    hs = enumerate_omega_star(p, m)
-    avoiding, containing = count_avoiding(p, m, (1,) + (0,) * (m - 1)) \
-        if m >= 1 else (0, 0)
+    norm_sum_identity(p, m)
+    avoiding, containing = count_avoiding(p, m, (1,) + (0,) * (m - 1))
     return {
         "check": "norm_identity",
         "verdict": "pass",
         "witness": {
             "p": p, "m": m,
             "constant": p ** (m - 1),
-            "proper_subgroups": hs.count_proper(),
+            "proper_subgroups": len(projective_normals(p, m)),
             "avoiding_count": avoiding,
             "containing_count": containing,
         },
@@ -656,7 +676,7 @@ def run_fitting_equality(scn, data):
     entry["sharp_convention"] = (
         "Fitt(Sel)^# is computed as Fitt(Sel^tr) of the transpose module")
     try:
-        ray = ray_class(scn.field, scn.S, scn.T)
+        ray = data.ray()
         fit, method = selmer_transpose_fitting(scn, data, ray)
         im = data.im_lattice()
         contains_1 = fit.contains(im)
@@ -684,7 +704,7 @@ def run_fitting_equality(scn, data):
 def run_annihilation(scn, data):
     entry = {"check": "annihilation", "hypotheses": scn.hypothesis_flags()}
     try:
-        ray = ray_class(scn.field, scn.S, scn.T)
+        ray = data.ray()
         im = data.im_lattice()
         module = ray.module
         if module.order() == 1:
@@ -1017,7 +1037,7 @@ def _run_sign_criterion(scn, data):
     try:
         matrix = sign_criterion_matrix(scn, data)
         sign, det = check_sign_criterion(matrix)
-        ray = ray_class(scn.field, scn.S, scn.T)
+        ray = data.ray()
         inside = (len(scn.S) == len(scn.V) + 1) and ray.order() == 1
         entry["verdict"] = "pass"
         entry["witness"] = {"sign": sign,

@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from starklab.ball import working_precision
 from starklab.grpring import InputError
@@ -229,6 +234,13 @@ def test_ray_class_modules():
     # order identity asserted internally; spot check another field
     rc15 = ray_class(QuadField(-15), ["inf", 3, 5], [7])
     assert rc15.order() == rc15.h_s * rc15.rt_quotient_order
+    # a lattice the caller already holds gives the same module
+    F, S, T = QuadField(-15), ["inf", 3, 5], [7]
+    given_lat = ray_class(F, S, T, lattice=s_unit_lattice(F, S, T))
+    assert given_lat.module.orders == rc15.module.orders
+    assert given_lat.module.action == rc15.module.action
+    with pytest.raises(InputError):
+        ray_class(F, S, [11], lattice=s_unit_lattice(F, S, T))
 
 
 def test_torsion_units():
@@ -238,3 +250,84 @@ def test_torsion_units():
     z, w = QuadField(-3).torsion_generator()
     assert (z ** 6) == QuadField(-3).element(1)
     assert not (z ** 3) == QuadField(-3).element(1)
+
+
+SMALL_PRIMES = list(sympy.primerange(2, 20))
+FUNDAMENTAL = [D for D in range(-300, 301)
+               if D not in (0, 1) and is_fundamental_discriminant(D)]
+
+
+def _lattice_for(D, extra):
+    """s_unit_lattice over Q(sqrt D) with S = the ramified primes plus
+    `extra`, T = the smallest odd prime outside S."""
+    F = QuadField(D)
+    S = ["inf"] + sorted(set(F.ramified_primes()) | set(extra))
+    T = [next(q for q in sympy.primerange(3, 100) if q not in S)]
+    return s_unit_lattice(F, S, T)
+
+
+def _check_lattice(D, extra, seed):
+    L = _lattice_for(D, extra)
+    fin = L.finite_places()
+    for g, row in zip(L.gens, L.valuations):
+        assert row == [ord_at_place(g, w) for w in fin]
+    assert mat_mul(L.sigma_matrix, L.sigma_matrix) == identity_matrix(L.rank)
+    rng = random.Random(seed)
+    coords = [rng.randint(-2, 2) for _ in range(L.rank)]
+    j = rng.randrange(L.torsion_order)
+    x = L.torsion_gen ** j
+    for g, c in zip(L.gens, coords):
+        x = x * g ** c
+    assert L.express(x) == (coords, j)
+
+
+# split, inert and ramified primes in S, over real and imaginary fields
+# (D = -23 has class number 3, D = 229 class number 3 and a unit of norm -1)
+FIXED = [(5, (2, 11)), (-4, (3, 5)), (-23, (2, 5)), (12, (7, 11, 13)),
+         (229, (2, 3)), (-3, (7, 2)), (-84, (5, 11, 19))]
+
+
+def test_fixed_lattices_meet_every_splitting_type():
+    kinds = set()
+    for D, extra in FIXED:
+        F = QuadField(D)
+        kinds |= {F.splitting(q) for q in extra + tuple(F.ramified_primes())}
+        _check_lattice(D, extra, seed=D)
+    assert kinds == {"split", "inert", "ramified"}
+
+
+@given(st.sampled_from(FUNDAMENTAL),
+       st.lists(st.sampled_from(SMALL_PRIMES), max_size=3, unique=True),
+       st.integers(0, 10 ** 9))
+@settings(max_examples=40, deadline=None)
+@example(D=-3, extra=[], seed=0)
+def test_stored_valuations_express_and_sigma(D, extra, seed):
+    _check_lattice(D, extra, seed)
+
+
+VALUATION_GATE_UNDER_O = """
+from starklab.ball import CertificationError
+from starklab.numfld import QuadField, s_unit_lattice
+
+for D, S, T in [(12, ["inf", 2, 3], [5]), (-4, ["inf", 2, 5], [3])]:
+    L = s_unit_lattice(QuadField(D), S, T)
+    v = L.valuations
+    # same row span, so the solve succeeds with wrong coordinates
+    v[0] = [a + b for a, b in zip(v[0], v[1])]
+    try:
+        L.express(L.gens[0] * L.gens[1])
+    except CertificationError:
+        continue
+    raise SystemExit(f"D = {D}: express trusted corrupted valuations")
+"""
+
+
+def test_express_gates_hold_under_python_O():
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c",
+                           VALUATION_GATE_UNDER_O],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -24,6 +24,10 @@ def test_input_validation():
         enumerate_omega_star(3, 7)
     with pytest.raises(InputError):
         count_avoiding(2, 2, (0, 0))
+    with pytest.raises(InputError):
+        count_avoiding(4, 2, (1, 0))
+    with pytest.raises(CapacityError):
+        count_avoiding(3, 7, (1,) + (0,) * 6)
 
 
 def test_count_avoiding():

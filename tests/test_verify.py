@@ -394,3 +394,54 @@ def test_cli_rejects_bits_below_one():
     with pytest.raises(SystemExit) as info:
         main(["lvalue", "--modulus", "5", "--bits", "0"])
     assert info.value.code == 2
+
+
+def _count_calls(monkeypatch, module, name, counts, *aliases):
+    """Wrap module.name (and the same name in each alias module) so that
+    every call adds one to counts[name]."""
+    inner = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return inner(*args, **kwargs)
+    for mod in (module,) + aliases:
+        monkeypatch.setattr(mod, name, counted)
+
+
+def test_one_lattice_and_one_ray_class_per_scenario(monkeypatch):
+    from starklab import numfld, verify
+    counts = {}
+    _count_calls(monkeypatch, numfld, "s_unit_lattice", counts, verify)
+    _count_calls(monkeypatch, numfld, "ray_class", counts, verify)
+    cert = run_scenario(Scenario({
+        "field": {"type": "quad", "disc": 12}, "S": ["inf", 2, 3],
+        "V": ["inf"], "T": [5],
+        "checks": ["sign_criterion", "rs_integrality", "fitting_equality",
+                   "annihilation", "igc_membership"]}))
+    assert [e["verdict"] for e in cert["results"]] == \
+        ["blocked", "pass", "pass", "pass", "pass"]
+    # one lattice; one ray class of the field and one of Q (the s_p flag)
+    assert counts["s_unit_lattice"] == 1
+    assert counts["ray_class"] <= 2
+    # each entry holds its own copy of the same flags
+    flags = [cert["hypotheses"]] + [e["hypotheses"] for e in cert["results"]
+                                    if "hypotheses" in e]
+    assert len(flags) == 5
+    assert all(f == flags[0] for f in flags)
+    assert len({id(f["S"]) for f in flags}) == len(flags)
+
+
+def test_norm_identity_builds_one_hyperplane_set(monkeypatch):
+    from starklab import sublat
+    built = []
+
+    class CountedHyperplaneSet(sublat.HyperplaneSet):
+        def __init__(self, p, m):
+            built.append((p, m))
+            super().__init__(p, m)
+    monkeypatch.setattr(sublat, "HyperplaneSet", CountedHyperplaneSet)
+    entry = check_norm_identity(3, 6)
+    assert built == [(3, 6)]
+    assert entry["witness"]["proper_subgroups"] == 364
+    assert entry["witness"]["avoiding_count"] == 243
+    assert entry["witness"]["containing_count"] == 121
