@@ -9,6 +9,14 @@ cyclotomics whenever the character data is exact.  Ball arithmetic is kept
 to what needs logarithms: at first order the main sum is the log of one
 exact integer product, and the Bernoulli corrections are exact rationals
 (Johansson, arXiv:1309.2877, for the method).
+
+An L_{S,T}-jet is the primitive L-jet times Euler factors, and each split
+S-prime's factor 1 - q^{-s} is s times a jet with leading term log q (Tate,
+*Les conjectures de Stark*, ch. III).  So the primitive jet, of order 0 or
+1, is evaluated only to the truncation less the number of those primes: a
+leading term needs at most its first derivative, and at order 0 no Hurwitz
+jet at all.  The truncation cap K <= 4 applies to that primitive
+truncation, not to the order of vanishing.
 """
 
 import itertools
@@ -503,6 +511,18 @@ def _tail_radius_table(N, B, K, prec):
     return tuple(rads)
 
 
+def _floor_precision(name):
+    """The working precision, which the L engine needs to be at least 53
+    bits: below that raises `PrecisionError`, an `Undecided` with radius
+    2^-prec."""
+    prec = precision()
+    if prec < 53:
+        raise PrecisionError(
+            f"{name} needs at least 53 bits of precision, got {prec}",
+            Fraction(2) ** -prec)
+    return prec
+
+
 def hurwitz_jet(x, K):
     """Taylor coefficients of the Hurwitz zeta function at s = 0: the jet
     (c_0, ..., c_K) of zeta_H(s, x) for rational x in (0, 1].
@@ -521,11 +541,7 @@ def hurwitz_jet(x, K):
     x = Fraction(x)
     if not 0 < x <= 1:
         raise InputError("x must lie in (0, 1]")
-    prec = precision()
-    if prec < 53:
-        raise PrecisionError(
-            f"hurwitz_jet needs at least 53 bits of precision, got {prec}",
-            Fraction(2) ** -prec)
+    prec = _floor_precision("hurwitz_jet")
     if K > 4:
         raise InputError("jet truncation capped at K = 4")
     N = max(16, (3 * prec) // 10)
@@ -633,94 +649,117 @@ def theoretical_order(char, S):
 
 
 def l_jet(spec):
-    """Certified jet of L_{Q,S,T}(chi, s) at s = 0.
+    """Certified jet of L_{Q,S,T}(chi, s) at s = 0, to `spec.truncation`
+    (default: one past the order of vanishing r).
 
-    The order of vanishing is the theoretical one; coefficients below it are
-    pinned to exact zero once their enclosures contain zero (else
-    CertificationError), and the leading coefficient must certify nonzero
-    (else UnresolvedOrderError).  `params` holds the N, B and precision of
-    the Hurwitz jets.
+    Each of the m finite q in S off the conductor with chi(q) = 1 gives the
+    Euler factor 1 - q^{-s} = s * (1 - q^{-s})/s, whose second factor has
+    leading term log q.  So L_{S,T} = s^m P with P the primitive L-jet times
+    those quotients and the other S- and T-Euler factors, and P is evaluated
+    only to truncation K - m: the primitive jet to its own order (0 or 1)
+    when K = r, with no Hurwitz jet at all when K - m = 0.  The cap K <= 4
+    applies to K - m.  The primitive's coefficient below its order is the
+    exact -B_{1,chi} and must be 0 (else CertificationError); the leading
+    coefficient must certify nonzero (else UnresolvedOrderError).  `params`
+    holds the N, B and precision of the Hurwitz jets (only the precision
+    when none was needed).  The 53-bit floor of `hurwitz_jet` holds here
+    too, whether or not a Hurwitz jet is evaluated.
     """
+    _floor_precision("l_jet")
     chi = spec.char.primitive()
+    f = chi.conductor()
     r = theoretical_order(spec.char, spec.S)
     K = spec.truncation if spec.truncation is not None else r + 1
     if K < r:
         raise UnresolvedOrderError(
             f"truncation K={K} below the vanishing order {r}")
-    if K > 4:
-        raise InputError("jet truncation capped at K = 4")
+    off = [q for q in spec.S if q != "inf" and f % q != 0]
+    m = sum(1 for q in off if chi(q) == 0)  # exponent 0: chi(q) = 1
+    r_prim = r - m
+    if K - m > 4:
+        raise InputError("primitive jet truncation K - m capped at 4")
     real = chi.is_real()
-    jet = _primitive_l_jet(chi, K, real)
+    jet = _primitive_l_jet(chi, K - m, real)
     params = jet.params  # the products below do not carry them
-    for q in spec.S:
-        if q == "inf" or chi.conductor() % q == 0:
-            continue
-        jet = jet * _euler_factor_jet(chi, q, K, shift=0, real=real)
-    for q in spec.T:
-        jet = jet * _euler_factor_jet(chi, q, K, shift=1, real=real)
-    # certify the order
-    coeffs = list(jet.coeffs)
-    for k in range(min(r, K + 1)):
-        c = coeffs[k]
-        if isinstance(c, (Ball, CBall)):
-            vanishes = c.contains_zero()
+    if r_prim and not _is_exact_zero(jet.coeffs[0]):
+        raise CertificationError(
+            f"theoretical order {r} contradicted: the primitive L-value "
+            f"-B_1 = {jet.coeffs[0]} is nonzero")
+    for q in off:
+        if chi(q) == 0:
+            # (1 - q^{-s}) / s: drop the exact zero at order 0
+            euler = _euler_factor_jet(chi, q, K - m + 1, 0, real)
+            jet = jet * Jet(euler.coeffs[1:])
         else:
-            vanishes = c == 0
-        if not vanishes:
-            raise CertificationError(
-                f"theoretical order {r} contradicted: coefficient {k} "
-                f"is certified nonzero")
-        coeffs[k] = Fraction(0)
-    if r <= K:
-        lead = coeffs[r]
-        if isinstance(lead, Fraction):
-            nonzero = lead != 0
-        elif isinstance(lead, (Ball, CBall)):
-            nonzero = lead.is_nonzero()
-        else:  # exact cyclotomic
-            nonzero = not lead.is_zero()
-        if not nonzero:
-            raise UnresolvedOrderError(
-                f"cannot certify the leading coefficient at order {r} "
-                f"(radius too large at {precision()} bits)")
+            jet = jet * _euler_factor_jet(chi, q, K - m, 0, real)
+    for q in spec.T:
+        jet = jet * _euler_factor_jet(chi, q, K - m, 1, real)
+    coeffs = [Fraction(0)] * r + jet.coeffs[r_prim:]
+    lead = coeffs[r]
+    if isinstance(lead, (Ball, CBall)):
+        nonzero = lead.is_nonzero()
+    else:
+        nonzero = not _is_exact_zero(lead)
+    if not nonzero:
+        raise UnresolvedOrderError(
+            f"cannot certify the leading coefficient at order {r} "
+            f"(radius too large at {precision()} bits)")
     return Jet(coeffs, order=r, params=params)
 
 
+def _is_exact_zero(c):
+    """Is the exact value c (a Fraction or a cyclotomic) zero?"""
+    return c == 0 if isinstance(c, Fraction) else c.is_zero()
+
+
 def _primitive_l_jet(chi, K, real):
+    """Jet of the primitive L(chi, s) to truncation K.  c_0 is the exact
+    sum of chi(a) (1/2 - a/f), i.e. -B_{1,chi} (zeta(0) = -1/2 when f = 1);
+    Hurwitz jets are evaluated only for K >= 1."""
     f = chi.conductor()
     if f == 1:
+        if K == 0:
+            return Jet([Fraction(-1, 2)], params={"prec": precision()})
         return hurwitz_jet(Fraction(1), K)
-    exact0 = Fraction(0) if real else CycloField(chi.order).zero()
+    # zeta_H(0, a/f) = (f - 2a) / 2f: a real character sums the integers
+    # chi(a) (f - 2a), a complex one their cyclotomic multiples
+    exact0 = 0 if real else CycloField(chi.order).zero()
     ball_coeffs = [Ball(0) if real else CBall(0, 0)
                    for _ in range(K + 1)]
+    params = {"prec": precision()}
     for a in range(1, f):
         if chi(a) is None:
             continue
-        hj = hurwitz_jet(Fraction(a, f), K)
+        hj = hurwitz_jet(Fraction(a, f), K) if K else None
+        if hj is not None:
+            params = hj.params
         if real:
             # chi(a) is +1 or -1: add or subtract the jet
             plus = chi.value_rational(a) == 1
-            exact0 += hj.coeffs[0] if plus else -hj.coeffs[0]
+            exact0 += f - 2 * a if plus else 2 * a - f
             for k in range(1, K + 1):
                 ball_coeffs[k] = (ball_coeffs[k] + hj.coeffs[k] if plus
                                   else ball_coeffs[k] - hj.coeffs[k])
         else:
-            exact0 = exact0 + chi.value_cyclo(a) * hj.coeffs[0]
+            exact0 = exact0 + chi.value_cyclo(a) * (f - 2 * a)
             vb = chi.value_cball(a)
             for k in range(1, K + 1):
                 ball_coeffs[k] = ball_coeffs[k] + vb * hj.coeffs[k]
+    exact0 = Fraction(exact0, 2 * f) if real \
+        else exact0 * Fraction(1, 2 * f)
     # multiply by f^{-s} = exp(-s log f); the order-0 part stays exact
-    Lf = ball_log_int(f)
-    E = [Ball(1)]
-    for k in range(1, K + 1):
-        E.append(E[-1] * (-Lf) * Fraction(1, k))
     out = [exact0]
-    for k in range(1, K + 1):
-        acc = _mul_exact(exact0, E[k])
-        for i in range(1, k + 1):
-            acc = acc + ball_coeffs[i] * E[k - i]
-        out.append(acc)
-    return Jet(out, params=hj.params)
+    if K:
+        Lf = ball_log_int(f)
+        E = [Ball(1)]
+        for k in range(1, K + 1):
+            E.append(E[-1] * (-Lf) * Fraction(1, k))
+        for k in range(1, K + 1):
+            acc = _mul_exact(exact0, E[k])
+            for i in range(1, k + 1):
+                acc = acc + ball_coeffs[i] * E[k - i]
+            out.append(acc)
+    return Jet(out, params=params)
 
 
 def _mul_exact(c0, ball):
@@ -731,33 +770,25 @@ def _mul_exact(c0, ball):
 
 
 def _euler_factor_jet(chi, q, K, shift, real):
-    """(1 - chi(q) q^{shift} q^{-s}) as a jet with exact order-0 part."""
-    t = chi(q)
+    """(1 - chi(q) q^{shift} q^{-s}) as a jet with exact order-0 part, for
+    a primitive chi and q off its conductor."""
     Lq = ball_log_int(q)
     qs = q ** shift
-    if t is None:
-        one = Fraction(1)
-        coeffs = [one] + [Ball(0)] * K
-        return Jet(coeffs, order=0)
     if real:
         v = chi.value_rational(q)
-        c0 = Fraction(1 - v * qs)
-        coeffs = [c0]
+        coeffs = [Fraction(1 - v * qs)]
         power = Ball(1)
         for k in range(1, K + 1):
             power = power * (-Lq) * Fraction(1, k)
             coeffs.append(power * (-v * qs))
-        order = 0 if c0 != 0 else 1
-        return Jet(coeffs, order=order)
-    v = chi.value_cyclo(q)
+        return Jet(coeffs)
     vb = chi.value_cball(q)
-    c0 = CycloField(chi.order).one() - v * qs
-    coeffs = [c0]
+    coeffs = [CycloField(chi.order).one() - chi.value_cyclo(q) * qs]
     power = CBall(1, 0)
     for k in range(1, K + 1):
         power = power * CBall(-Lq, 0) * Fraction(1, k)
         coeffs.append(power * (-qs) * vb)
-    return Jet(coeffs, order=0 if not c0.is_zero() else 1)
+    return Jet(coeffs)
 
 
 def bernoulli_value(char, S, T=()):
@@ -847,8 +878,11 @@ def stickelberger_element(realization, S, V, T, truncation=None):
     lim_{s->0} s^{-|V|} L_{S,T}(chi^{-1}, s).
 
     Exact rational coefficients when |V| = 0; certified real-ball
-    coefficients otherwise.  Components of characters vanishing beyond
-    order |V| are exact zeros.
+    coefficients otherwise, each read from an `l_jet` at truncation |V|
+    (or `truncation` when given), which evaluates the primitive jet only to
+    its own order and the split S-primes' Euler factors by their exact
+    leading terms.  Components of characters vanishing beyond order |V|
+    are exact zeros.
     """
     S, V, T = validate_rubin_shape(realization, S, V, T)
     r = len(V)
@@ -866,18 +900,8 @@ def stickelberger_element(realization, S, V, T, truncation=None):
         elif r == 0:
             components[chi.exponents] = bernoulli_value(chid, S, T)
         else:
-            K = truncation if truncation is not None else r + 1
-            jet = None
-            err = None
-            while K <= 4:
-                try:
-                    jet = l_jet(LSpec(chid, S, T, truncation=K))
-                    break
-                except UnresolvedOrderError as exc:
-                    err = exc
-                    K += 1
-            if jet is None:
-                raise UnresolvedOrderError(str(err))
+            K = truncation if truncation is not None else r
+            jet = l_jet(LSpec(chid, S, T, truncation=K))
             components[chi.exponents] = jet.coeffs[r]
     if r == 0:
         return _assemble_exact(group, components)
@@ -897,7 +921,7 @@ def _assemble_exact(group, components):
                 -chi.value_exponent(sigma) * (field.e // group.exponent)
                 if group.rank else 0)
         if not total.is_rational():
-            raise AssertionError("Stickelberger coefficient not rational")
+            raise CertificationError("Stickelberger coefficient not rational")
         coeffs.append(total.rational_value() / group.order)
     from .grpring import GroupRingElement
     return GroupRingElement(group, "rat", coeffs)
@@ -940,7 +964,7 @@ def leading_term_element(realization, S, T):
     for chi in group.all_characters():
         chid = realization.dirichlet(chi).inverse()
         r_chi = theoretical_order(chid, S)
-        jet = l_jet(LSpec(chid, S, T, truncation=min(max(r_chi, 1), 4)))
+        jet = l_jet(LSpec(chid, S, T, truncation=r_chi))
         comp = jet.coeffs[r_chi]
         if isinstance(comp, Fraction) and comp == 0:
             raise CertificationError(

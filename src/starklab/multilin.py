@@ -13,7 +13,7 @@ import itertools
 from fractions import Fraction
 
 from . import hnf
-from .ball import Ball, CBall, Undecided
+from .ball import Ball, CBall, CertificationError, Undecided
 from .grpring import AbelianGroup, GroupRingElement, InputError
 from .zideal import GIdealLattice, UnsupportedCaseError, _det_group_ring
 
@@ -104,7 +104,10 @@ class GLattice:
             for i in range(t):
                 img = self.act_element(gen, basis[i])
                 co = self.lattice.coords(img)
-                assert co is not None
+                if co is None:
+                    raise CertificationError(
+                        f"generator {gen} moves basis vector {i} out of "
+                        "the lattice")
                 coords_of_image.append(co)
             for i in range(t):
                 for s in range(n):
@@ -134,20 +137,31 @@ class GLattice:
 
     def pull_hom_to_cover(self, hom, cover):
         """Values f(u) for the cover generators, via rational coordinates."""
-        out = []
+        return self.pull_homs_to_cover([hom], cover)[0]
+
+    def pull_homs_to_cover(self, homs, cover):
+        """[pull_hom_to_cover(f, cover) for f in homs], with the rational
+        coordinates of each cover generator in the lattice basis solved
+        once for all homs."""
+        basis = [[Fraction(c) for c in b] for b in self.lattice.basis()]
+        coords = []
         for u in cover:
-            co = hnf.rational_solve([[Fraction(c) for c in b]
-                                     for b in self.lattice.basis()],
-                                    [Fraction(c) for c in u])
+            co = hnf.rational_solve(basis, [Fraction(c) for c in u])
             if co is None:
                 raise InputError("cover generator outside Q-span of lattice")
-            n = self.group.order
-            acc = [Fraction(0)] * n
-            for k, c in enumerate(co):
-                if c:
-                    for s in range(n):
-                        acc[s] += c * hom[k][s]
-            out.append(GroupRingElement(self.group, "rat", acc))
+            coords.append(co)
+        n = self.group.order
+        out = []
+        for hom in homs:
+            values = []
+            for co in coords:
+                acc = [Fraction(0)] * n
+                for k, c in enumerate(co):
+                    if c:
+                        for s in range(n):
+                            acc[s] += c * hom[k][s]
+                values.append(GroupRingElement(self.group, "rat", acc))
+            out.append(values)
         return out
 
     def __repr__(self):
@@ -285,7 +299,7 @@ def _exact_int_vector_or_raise(val, f_idx):
 def all_dual_pairings(eps, M, homs=None):
     """[(index-tuple, pairing)] over r-subsets of the dual generating set."""
     homs = M.hom_generators() if homs is None else homs
-    pulled = [M.pull_hom_to_cover(h, eps.cover) for h in homs]
+    pulled = M.pull_homs_to_cover(homs, eps.cover)
     out = []
     for F in itertools.combinations(range(len(pulled)), eps.degree):
         val = det_pairing(eps, [pulled[i] for i in F])

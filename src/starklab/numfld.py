@@ -1088,14 +1088,18 @@ class SUnitLattice:
     def valuation_vector(self, x):
         return [ord_at_place(x, w) for w in self.finite_places()]
 
-    def express(self, x):
+    def express(self, x, valuations=None):
         """(coords, torsion_power) with x = torsion^j * prod gens^coords.
 
-        The coordinates solve x's valuations against `valuations`; what is
+        The coordinates solve x's valuations (`valuations` when the caller
+        knows them, else evaluated here) against `valuations`; what is
         left after dividing out the generators must be a unit, then a root
-        of unity, and both are checked exactly (CertificationError if not).
+        of unity, and both are checked exactly (CertificationError if not,
+        which also catches wrong given valuations).
         """
-        sol = hnf.solve_in_rowspan(self.valuations, self.valuation_vector(x))
+        if valuations is None:
+            valuations = self.valuation_vector(x)
+        sol = hnf.solve_in_rowspan(self.valuations, valuations)
         if sol is None:
             raise InputError(f"{x} is not an S-unit on this lattice")
         u = x
@@ -1140,11 +1144,6 @@ class SUnitLattice:
             if not any(row):
                 return i
         raise AssertionError("no unit among the generators")
-
-    def sigma_of_gen(self, i):
-        """Exact image of the i-th generator under the automorphism."""
-        assert self.field != "Q"
-        return self.gens[i].conj()
 
     def log_matrix(self, check_rows=True):
         """Rows: generators; columns: places; entries -log|g|_w (balls)."""
@@ -1239,12 +1238,13 @@ def s_unit_lattice(field, S, T, enforce_h3=True):
                       torsion_order=field.torsion_generator()[1],
                       t_sublattice=lat, residues=residues,
                       saturation_index=1, place_action=place_action)
-    # exact Galois action on coordinates
-    mat = []
-    for i in range(len(gens)):
-        coords, _tor = sl.express(sl.sigma_of_gen(i))
-        mat.append(coords)
-    sl.sigma_matrix = mat
+    # exact Galois action on coordinates: ord_w(conj g) = ord_{conj w}(g),
+    # so conj(g)'s valuations are g's row permuted by the place action
+    fin_idx = [i for i, w in enumerate(places) if w.kind == "finite"]
+    pos = {i: j for j, i in enumerate(fin_idx)}
+    fin_action = [pos[place_action[i]] for i in fin_idx]
+    sl.sigma_matrix = [sl.express(g.conj(), [row[a] for a in fin_action])[0]
+                       for g, row in zip(gens, valuations)]
     return sl
 
 
@@ -1372,7 +1372,8 @@ def ray_class(field, S, T, lattice=None):
     """Compute Cl_{K,S,T} as a FiniteGModule over Gal(K/Q) (or over the
     trivial group for K = Q), assembled from the class group, the residue
     system at T, and S-prime killing.  The extension-order identity
-    |Cl_{K,S,T}| = |Cl_{K,S}| * |R_T / im(units)| is asserted.
+    |Cl_{K,S,T}| = |Cl_{K,S}| * |R_T / im(units)| is checked
+    (CertificationError if it fails).
 
     For a quadratic field with T non-empty the unit image comes from the
     generators of the (S, T)-unit lattice: `lattice`, when the caller
@@ -1450,8 +1451,11 @@ def ray_class(field, S, T, lattice=None):
     for row in hnf.kernel(stacked, ambient_dim=len(cg.structure.leaders)):
         lam.add_vector(row[:r])
     for v in lam.canonical():
+        # prod ell^v = (gamma): the row is (v, -dlog gamma), where the
+        # S-prime and action rows below write p = prod ell^v (gamma) as
+        # (v, +dlog gamma)
         gamma = _signed_prime_product_generator(field, chosen, v)
-        rel_rows.append(list(v) + rt_dlog(gamma))
+        rel_rows.append(list(v) + [-c for c in rt_dlog(gamma)])
     # residue-system structure and unit-image relations
     if residues:
         for rr in residues.structure.relation_rows:
@@ -1500,12 +1504,16 @@ def ray_class(field, S, T, lattice=None):
         diag, _, _ = hnf.diagonalize_relations(img_rows, ncols=s_len)
         q_ord = 1
         for d in diag:
-            assert d != 0
+            if d == 0:
+                raise CertificationError(
+                    f"R_T / im(units) is infinite for T={T}")
             q_ord *= d
     else:
         q_ord = 1
-    assert module.order() == h_s * q_ord, \
-        (module.order(), h_s, q_ord, "ray class order mismatch")
+    if module.order() != h_s * q_ord:
+        raise CertificationError(
+            f"ray class order mismatch: module order {module.order()}, "
+            f"h_S * |R_T / im(units)| = {h_s} * {q_ord}")
     return RayClassData(field, S, T, module, h_s, q_ord)
 
 

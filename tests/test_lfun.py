@@ -6,8 +6,8 @@ import pytest
 from mpmath import mp
 from mpmath.libmp import to_rational
 
-from starklab.ball import (Ball, PrecisionError, ball_log_int, precision,
-                           working_precision)
+from starklab.ball import (Ball, CBall, PrecisionError, ball_log_int,
+                           precision, working_precision)
 from starklab.grpring import AbelianGroup, GroupRingElement, InputError
 from starklab.lfun import (AbelianFieldRealization, DirichletChar, Jet,
                            LSpec, UnresolvedOrderError, WrongOrderError,
@@ -280,3 +280,107 @@ def test_complex_character_jet():
     exact = bernoulli_value(chi, ["inf", 5])
     assert jet.coeffs[0] == exact  # the exact cyclotomic path is preserved
     assert not exact.is_zero()
+
+
+def _complex_chars():
+    """Complex primitive characters: order 4 mod 5 (odd), orders 3 (even)
+    and 6 (odd) mod 7."""
+    out = []
+    for f, orders in ((5, (4,)), (7, (3, 6))):
+        R = AbelianFieldRealization(f, [1], expected_degree=f - 1)
+        for c in R.group.all_characters():
+            if c.order() in orders:
+                out.append(R.dirichlet(c))
+    return out
+
+
+def _full_product_lead(chi, S, T, r):
+    """The leading coefficient as read from the full product at
+    truncation r + 1: the primitive jet and every Euler factor, including
+    the ones vanishing at s = 0, to that truncation."""
+    from starklab.lfun import _euler_factor_jet, _primitive_l_jet
+    K, real = r + 1, chi.is_real()
+    jet = _primitive_l_jet(chi, K, real)
+    for q in S[1:]:
+        if chi.conductor() % q:
+            jet = jet * _euler_factor_jet(chi, q, K, 0, real)
+    for q in T:
+        jet = jet * _euler_factor_jet(chi, q, K, 1, real)
+    return jet.coeffs[r]
+
+
+def test_leading_coefficient_matches_the_full_product_and_is_no_wider():
+    import sympy
+    chars = [DirichletChar.trivial(1), DirichletChar.quadratic(5),
+             DirichletChar.quadratic(-4), DirichletChar.quadratic(8)] \
+        + _complex_chars()
+    seen = set()
+    for chi in chars:
+        f = chi.conductor()
+        ram = sorted(sympy.factorint(f))
+        split = [q for q in sympy.primerange(2, 200)
+                 if f % q and chi(q) == 0][:3]
+        t = next(q for q in sympy.primerange(2, 200)
+                 if f % q and q not in split)
+        for m in range(4):
+            S = ["inf"] + sorted(ram + split[:m])
+            r = theoretical_order(chi, S)
+            if r > 3:  # the full product needs truncation r + 1 <= 4
+                continue
+            for T in ([], [t]):
+                lead = l_jet(LSpec(chi, S, T, truncation=r)).coeffs[r]
+                old = _full_product_lead(chi, S, T, r)
+                seen.add((chi.is_real(), r - m, m))
+                if not isinstance(lead, (Ball, CBall)):
+                    assert lead == old
+                    continue
+                assert (lead - old).contains_zero(), (chi, S, T)
+                assert lead.rad() <= old.rad(), (chi, S, T)
+    # real and complex characters, primitive orders 0 and 1, m = 0..3
+    assert {(real, rp) for real, rp, _m in seen} == {
+        (True, 0), (True, 1), (False, 0), (False, 1)}
+    assert {m for _r, _rp, m in seen} == {0, 1, 2, 3}
+
+
+def test_first_order_scenario_needs_only_first_order_hurwitz_jets(
+        monkeypatch):
+    from starklab import lfun
+    from starklab.verify import Scenario, run_scenario
+    calls = []
+    real_hurwitz = lfun.hurwitz_jet
+
+    def counted(x, K):
+        calls.append((Fraction(x), K))
+        return real_hurwitz(x, K)
+
+    monkeypatch.setattr(lfun, "hurwitz_jet", counted)
+    cert = run_scenario(Scenario({
+        "field": {"type": "quad", "disc": 5}, "S": ["inf", 5],
+        "V": ["inf"], "T": [3], "checks": ["rs_integrality"]}))
+    assert cert["results"][0]["verdict"] == "pass"
+    # chi_5 is even of conductor 5: one K = 1 jet per a = 1..4; the
+    # trivial character's component is zeta(0) log 5 (1 - 3), exactly
+    # -1/2 times one log, and needs none
+    assert all(K <= 1 for _x, K in calls)
+    assert {x for x, _K in calls} == {Fraction(a, 5) for a in range(1, 5)}
+    calls.clear()
+    R = AbelianFieldRealization.rationals()
+    th = stickelberger_element(R, ["inf", 2, 3], ["inf", 2], [5])
+    assert calls == [] and th.coeffs[0].is_nonzero()
+
+
+def test_leading_term_at_order_five():
+    # r_chi = 5 for both characters of Q(sqrt 5) with S = {inf, 5, 11, 19,
+    # 29, 31}: the trivial one through five split primes, chi_5 through
+    # its own first order and four split primes (1 - chi_5(3) 3 = 4)
+    R5 = AbelianFieldRealization.quadratic(5)
+    S = ["inf", 5, 11, 19, 29, 31]
+    lt, orders = leading_term_element(R5, S, [3])
+    assert orders == {(0,): 5, (1,): 5}
+    logs = math.prod(math.log(q) for q in (11, 19, 29, 31))
+    trivial = -0.5 * (1 - 3) * math.log(5) * logs
+    chi5 = math.log((1 + math.sqrt(5)) / 2) * (1 + 3) * logs
+    for c, want in zip(lt.coeffs, ((trivial + chi5) / 2,
+                                   (trivial - chi5) / 2)):
+        assert math.isclose(float(c.mid()), want, rel_tol=1e-12)
+        assert c.is_nonzero() and c.rad() < 1e-30

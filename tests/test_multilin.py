@@ -210,3 +210,69 @@ def test_norm_decomposition_residual_trivial():
     nz = WedgeElement(G2, 1, cover, {(0,): GroupRingElement.one(G2, "rat")})
     verdict, _ = norm_decomposition_residual(nz, [z, z], z, 2, 1)
     assert verdict is False
+
+
+def test_dual_pairings_solve_each_cover_generator_once(monkeypatch):
+    from starklab import hnf
+    M = free_rank2_lattice()
+    cover = [[1, 0, 0, 0], [0, 0, 1, 0], [1, 1, 1, 1]]
+    w = WedgeElement(G2, 2, cover, {
+        (0, 1): GroupRingElement.one(G2, "rat"),
+        (1, 2): GroupRingElement(G2, "rat", [Fraction(1, 2), 3])})
+    homs = M.hom_generators()
+    assert len(homs) > 1
+    per_hom = [M.pull_hom_to_cover(h, cover) for h in homs]
+    solves = []
+    real_solve = hnf.rational_solve
+
+    def counted(rows, vec):
+        solves.append(vec)
+        return real_solve(rows, vec)
+
+    monkeypatch.setattr(hnf, "rational_solve", counted)
+    pairings = all_dual_pairings(w, M, homs)
+    assert len(solves) <= len(cover)
+    assert pairings == [
+        (F, det_pairing(w, [per_hom[i] for i in F]))
+        for F in itertools.combinations(range(len(homs)), 2)]
+
+
+GATES_UNDER_O = """
+from fractions import Fraction
+from starklab.ball import CertificationError
+from starklab.grpring import AbelianGroup
+from starklab.hnf import identity_matrix
+from starklab.lfun import _assemble_exact
+from starklab.multilin import GLattice
+
+# the swap of coordinates does not preserve the lattice 2Z + Z
+G2 = AbelianGroup((2,))
+M = GLattice(G2, 2, [[2, 0], [0, 1]], [[[0, 1], [1, 0]]], validate=False)
+try:
+    M.hom_generators()
+    raise SystemExit("hom_generators accepted a non-stable lattice")
+except CertificationError:
+    pass
+# a single faithful character of Z/4 has non-rational idempotent entries
+G4 = AbelianGroup((4,))
+comps = {c.exponents: Fraction(c.order() == 4 and c.exponents == (1,))
+         for c in G4.all_characters()}
+try:
+    _assemble_exact(G4, comps)
+    raise SystemExit("_assemble_exact accepted a non-rational coefficient")
+except CertificationError:
+    pass
+"""
+
+
+def test_pairing_and_stickelberger_gates_hold_under_python_O():
+    import os
+    import subprocess
+    import sys
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", GATES_UNDER_O],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -6,15 +7,17 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from starklab.ball import working_precision
+from starklab.finite import GroupStructure
 from starklab.grpring import InputError
 from starklab.hnf import identity_matrix, invariant_factors_from_diagonal, \
     mat_mul
 from starklab.numfld import (DatumError, ImaginaryClassGroup, QuadField,
-                             QuadIdeal, RealClassGroup, class_number,
+                             QuadIdeal, RealClassGroup, ResidueSystem,
+                             class_group_structure, class_number,
                              fundamental_discriminant, fundamental_unit,
                              ideal_power, is_fundamental_discriminant,
                              kronecker, log_abs_at_place, narrow_class_number,
@@ -272,6 +275,9 @@ def _check_lattice(D, extra, seed):
     for g, row in zip(L.gens, L.valuations):
         assert row == [ord_at_place(g, w) for w in fin]
     assert mat_mul(L.sigma_matrix, L.sigma_matrix) == identity_matrix(L.rank)
+    # the rows built from the place action agree with valuations evaluated
+    # on the conjugates
+    assert L.sigma_matrix == [L.express(g.conj())[0] for g in L.gens]
     rng = random.Random(seed)
     coords = [rng.randint(-2, 2) for _ in range(L.rank)]
     j = rng.randrange(L.torsion_order)
@@ -303,6 +309,46 @@ def test_fixed_lattices_meet_every_splitting_type():
 @example(D=-3, extra=[], seed=0)
 def test_stored_valuations_express_and_sigma(D, extra, seed):
     _check_lattice(D, extra, seed)
+
+
+def test_ray_class_of_d_minus_187_by_hand():
+    # h(-187) = 2 and the ramified primes above 11 and 17 are not
+    # principal, so h_S = 1; 7 splits, R_T = (Z/6)^2, and the images of
+    # -1 and the S-units span <(1, 1), (3, 0)>, of index 3
+    rc = ray_class(QuadField(-187), ["inf", 11, 17], [7])
+    assert (rc.h_s, rc.rt_quotient_order, rc.order()) == (1, 3, 3)
+    assert rc.module.orders == [3]
+
+
+def _ray_class_order_oracle(F, S, T):
+    """h_S * |R_T / im O_S^x|, from subgroup closures instead of the
+    relation matrix `ray_class` diagonalises."""
+    cg = class_group_structure(F.D)
+    s_classes = [cg.structure.from_exponents(cg.class_of(w.ideal.as_form()))
+                 for q in S if q != "inf" for w in places_over(F, q)]
+    span = GroupStructure(cg.structure.identity, cg.structure.op, s_classes)
+    res = ResidueSystem(F, T)
+    units = list(s_unit_lattice(F, S, T).gens) + [F.torsion_generator()[0]]
+    image = GroupStructure(res.structure.identity, res.op,
+                           [res.reduce(u) for u in units])
+    return cg.structure.order // span.order * (res.size // image.order)
+
+
+@given(st.sampled_from(FUNDAMENTAL),
+       st.lists(st.sampled_from(SMALL_PRIMES), max_size=3, unique=True),
+       st.integers(0, 3), st.booleans())
+@settings(max_examples=40, deadline=None)
+@example(D=-187, extra=[], t_index=2, two=False)
+def test_ray_class_order_is_h_s_times_unit_quotient(D, extra, t_index, two):
+    F = QuadField(D)
+    S = ["inf"] + sorted(set(F.ramified_primes()) | set(extra))
+    odd = [q for q in sympy.primerange(3, 60) if q not in S and D % q]
+    T = [odd[t_index]] + ([odd[t_index + 1]] if two else [])
+    # |R_T| bounded, so that the closures stay quick
+    assume(math.prod(q * q - 1 if F.splitting(q) == "inert" else
+                     (q - 1) ** 2 for q in T) <= 3000)
+    rc = ray_class(F, S, T)
+    assert rc.order() == _ray_class_order_oracle(F, S, T)
 
 
 VALUATION_GATE_UNDER_O = """
