@@ -132,12 +132,6 @@ class Ball:
         b._v = ival
         return b
 
-    @staticmethod
-    def from_endpoints(lo, hi):
-        lo_i = _interval_of(lo)
-        hi_i = _interval_of(hi)
-        return Ball._wrap((lo_i[0], hi_i[1]))
-
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):

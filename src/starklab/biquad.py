@@ -5,7 +5,7 @@ S-units with exactly verified multiplicative relations.
 
 Saturation inside the full unit group is not attempted (out of desk scope);
 the lattice is the subgroup the subfields generate, which is all the
-norm-decomposition identity needs.
+norm-decomposition identity needs, and its saturation index is unknown.
 """
 
 import itertools
@@ -13,8 +13,8 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from . import hnf
-from .ball import (Ball, ball_log, ball_log_int, ball_sqrt, precision,
-                   working_precision)
+from .ball import (Ball, CertificationError, ball_log, ball_log_int,
+                   ball_sqrt, gauss_solve, precision, working_precision)
 from .grpring import AbelianGroup, GroupRingElement, InputError
 from .numfld import (QuadField, SUnitLattice, ord_at_place, places_over,
                      s_unit_lattice, squarefree_part)
@@ -23,7 +23,8 @@ from .zideal import UnsupportedCaseError
 
 def _sqrt_exact(n):
     r = isqrt(n)
-    assert r * r == n, f"{n} is not a square"
+    if r * r != n:
+        raise CertificationError(f"{n} is not a square")
     return r
 
 
@@ -79,7 +80,9 @@ class BiquadField:
         """The order-2 subgroup of G acting trivially on the idx-th subfield."""
         els = [el for el in self.group.elements
                if self.signs_of(el)[idx] == 1]
-        assert len(els) == 2
+        if len(els) != 2:
+            raise CertificationError(
+                f"{len(els)} group elements fix subfield {idx}, not 2")
         from .grpring import Subgroup
         return Subgroup.from_members(self.group, els)
 
@@ -136,7 +139,8 @@ class BiquadElt:
                  if el != (0, 0)]
         prod = conjs[0] * conjs[1] * conjs[2]
         n = (self * prod).c
-        assert n[1] == 0 and n[2] == 0 and n[3] == 0, "norm not rational"
+        if n[1] or n[2] or n[3]:
+            raise CertificationError(f"norm of {self} is not rational")
         if n[0] == 0:
             raise ZeroDivisionError
         return prod * (1 / n[0])
@@ -237,20 +241,32 @@ def biquad_places(field, v):
 
 class BiquadSUnitLattice:
     """S-unit sublattice of a real biquadratic compositum generated by the
-    three subfields' S-units, with exact relations and Galois action."""
+    three subfields' S-units, with exact relations and Galois action.
+
+    It offers the Galois and place interface of numfld.SUnitLattice
+    (place_indices, place_permutation, sigma_matrices, log_matrix); its
+    saturation index is not known, and its T-unit sublattice is not built.
+    """
+
+    saturation_index = None
 
     def __init__(self, field, S):
         self.field = field
         self.S = S
+        # the places first: biquad_places rejects what is out of scope
+        # before any subfield lattice is built
+        self.places = []
+        self.place_ranges = {}
+        for v in S:
+            start = len(self.places)
+            self.places.extend(biquad_places(field, v))
+            self.place_ranges[v] = range(start, len(self.places))
         sub_lattices = []
         for k in field.subfields:
             sub_S = ["inf"] + [q for q in S if q != "inf"]
             sub_lattices.append(s_unit_lattice(k, sub_S, [],
                                                enforce_h3=False))
         self.sub_lattices = sub_lattices
-        self.places = []
-        for v in S:
-            self.places.extend(biquad_places(field, v))
         fin = [w for w in self.places if w.kind == "finite"]
         # generator pool: (subfield index, element)
         pool = []
@@ -266,7 +282,10 @@ class BiquadSUnitLattice:
             row = []
             for w in fin:
                 sub_places = places_over(field.subfields[idx], w.q)
-                assert len(sub_places) == 1, "unsupported split tower"
+                if len(sub_places) != 1:
+                    raise CertificationError(
+                        f"{w.q} splits in subfield {idx} below a single "
+                        "compositum place")
                 o = ord_at_place(g, sub_places[0])
                 row.append(o * w.e_sub[idx])
             val_rows.append(row)
@@ -277,7 +296,9 @@ class BiquadSUnitLattice:
         unit_idx = [i for i, (idx, g) in enumerate(self.pool_owner)
                     if all(v == 0 for v in val_rows[i])]
         eps_idx = unit_idx  # the three fundamental units
-        assert len(eps_idx) == 3
+        if len(eps_idx) != 3:
+            raise CertificationError(
+                f"{len(eps_idx)} units among the subfield generators, not 3")
         # unit coordinates of each kernel combination, as rationals with
         # denominator dividing 8 (the classical bound on the unit index of
         # the subfield-unit subgroup in a real biquadratic field)
@@ -294,18 +315,25 @@ class BiquadSUnitLattice:
                     for i, ci in enumerate(c):
                         row[i] += yj * ci
             u = self._pool_product(row)
-            assert u.is_pm_one(), "relation verification failed"
+            if not u.is_pm_one():
+                raise CertificationError(
+                    f"relation {row} of the subfield generators is {u}, "
+                    "not +-1")
             rel_rows.append(row)
         diag, V, Vinv = hnf.diagonalize_relations(rel_rows,
                                                   ncols=len(pool))
-        assert all(d in (0, 1) for d in diag), diag
+        if any(d not in (0, 1) for d in diag):
+            raise CertificationError(
+                f"relation lattice has elementary divisors {diag}, not 0 / 1")
         keep = [j for j, d in enumerate(diag) if d == 0]
         self._keep = keep
         self._V = V
         self._basis_pool_rows = [Vinv[j] for j in keep]
         self.rank = len(keep)
-        assert self.rank == len(self.places) - 1, \
-            (self.rank, len(self.places))
+        if self.rank != len(self.places) - 1:
+            raise CertificationError(
+                f"S-unit rank {self.rank}, expected |S_K| - 1 = "
+                f"{len(self.places) - 1}")
         # basis elements as exact products of the pool
         self.basis_elements = [self._pool_product(row)
                                for row in self._basis_pool_rows]
@@ -314,7 +342,6 @@ class BiquadSUnitLattice:
         for sl in sub_lattices:
             self._offsets.append(off)
             off += len(sl.gens)
-        self.saturation_known = False
 
     def _pool_product(self, exponents):
         out = self.field.element(1)
@@ -337,7 +364,6 @@ class BiquadSUnitLattice:
         u = self._pool_product(c)
         arch = [w for w in self.places if w.kind == "real"][:3]
         logs_u = [ball_log(abs(u.embedding_ball(w.signs))) for w in arch]
-        from .ball import gauss_solve
         A = [[eps_logs[i][k] for i in range(3)] for k in range(3)]
         sol = gauss_solve(A, logs_u)
         return [s.unique_rational(8) for s in sol]
@@ -356,6 +382,33 @@ class BiquadSUnitLattice:
     def _local_index(self, pool_idx):
         idx = self.pool_owner[pool_idx][0]
         return pool_idx - self._offsets[idx]
+
+    def place_indices(self, v):
+        """Indices in `places` of the places above the rational place v,
+        distinguished place first."""
+        if v not in self.place_ranges:
+            raise InputError(f"no place over {v}")
+        return self.place_ranges[v]
+
+    def place_permutation(self, element):
+        """The permutation of `places` under a Galois group element: it
+        moves the real places by its signs and fixes each finite place,
+        the only place above its prime."""
+        signs = self.field.signs_of(element)
+        real = {w.signs: j for j, w in enumerate(self.places)
+                if w.kind == "real"}
+        return [real[tuple(a * b for a, b in zip(w.signs, signs))]
+                if w.kind == "real" else i
+                for i, w in enumerate(self.places)]
+
+    def sigma_matrices(self):
+        """Action matrices on basis coordinates, one per generator of the
+        Galois group (Z/2)^2."""
+        return [self.sigma_matrix(g) for g in ((1, 0), (0, 1))]
+
+    def t_lattice_hnf(self):
+        raise UnsupportedCaseError(
+            "T-unit lattices of composita are out of desk scope")
 
     def sigma_matrix(self, element):
         """Action of a group element on basis coordinates (exact)."""
@@ -399,7 +452,9 @@ class BiquadSUnitLattice:
             tot = row[0]
             for e in row[1:]:
                 tot = tot + e
-            assert tot.contains_zero(), "product formula violated"
+            if not tot.contains_zero():
+                raise CertificationError(
+                    f"product formula violated: the logs of {h} sum to {tot}")
             out.append(row)
         return out
 

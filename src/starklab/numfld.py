@@ -1064,15 +1064,18 @@ class SUnitLattice:
     generators were built from and checked against, and a zero row for the
     fundamental unit), so `express` never re-evaluates the generators;
     sigma_matrix: action of the nontrivial automorphism in basis coordinates
-    (identity for Q); t_sublattice: coordinates of the T-congruence subgroup;
-    torsion_order, torsion_gen: the roots of unity (killed in the lattice).
+    (identity for Q); place_action: the permutation of `places` under it;
+    place_ranges: for each rational place v of S, the range of indices in
+    `places` of the places above v; t_sublattice: coordinates of the
+    T-congruence subgroup; torsion_order, torsion_gen: the roots of unity
+    (killed in the lattice).
     The construction is exactly saturated: saturation_index == 1.
     """
 
     __slots__ = ("field", "S", "T", "places", "gens", "valuations",
                  "sigma_matrix", "torsion_gen", "torsion_order",
                  "t_sublattice", "residues", "saturation_index",
-                 "place_action")
+                 "place_action", "place_ranges")
 
     def __init__(self, **kw):
         for k in self.__slots__:
@@ -1084,6 +1087,25 @@ class SUnitLattice:
 
     def finite_places(self):
         return [w for w in self.places if w.kind == "finite"]
+
+    def place_indices(self, v):
+        """Indices in `places` of the places above the rational place v,
+        distinguished place first."""
+        if v not in self.place_ranges:
+            raise InputError(f"no place over {v}")
+        return self.place_ranges[v]
+
+    def place_permutation(self, element):
+        """The permutation of `places` under a Galois group element (a
+        tuple of exponents; the empty tuple over Q)."""
+        if any(element):
+            return self.place_action
+        return list(range(len(self.places)))
+
+    def sigma_matrices(self):
+        """Action matrices on basis coordinates, one per generator of the
+        Galois group: none over Q."""
+        return [] if self.field == "Q" else [self.sigma_matrix]
 
     def valuation_vector(self, x):
         return [ord_at_place(x, w) for w in self.finite_places()]
@@ -1200,14 +1222,18 @@ def s_unit_lattice(field, S, T, enforce_h3=True):
                             torsion_gen=Fraction(-1), torsion_order=2,
                             t_sublattice=lat, residues=residues,
                             saturation_index=1,
-                            place_action=list(range(len(places))))
+                            place_action=list(range(len(places))),
+                            place_ranges={v: range(i, i + 1)
+                                          for i, v in enumerate(S)})
 
     places = []
     place_action = []
+    place_ranges = {}
     for v in S:
         ws = places_over(field, v)
         base = len(places)
         places.extend(ws)
+        place_ranges[v] = range(base, len(places))
         if len(ws) == 2:
             place_action.extend([base + 1, base])
         else:
@@ -1237,7 +1263,8 @@ def s_unit_lattice(field, S, T, enforce_h3=True):
                       torsion_gen=field.torsion_generator()[0],
                       torsion_order=field.torsion_generator()[1],
                       t_sublattice=lat, residues=residues,
-                      saturation_index=1, place_action=place_action)
+                      saturation_index=1, place_action=place_action,
+                      place_ranges=place_ranges)
     # exact Galois action on coordinates: ord_w(conj g) = ord_{conj w}(g),
     # so conj(g)'s valuations are g's row permuted by the place action
     fin_idx = [i for i, w in enumerate(places) if w.kind == "finite"]

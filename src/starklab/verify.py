@@ -16,24 +16,19 @@ from fractions import Fraction
 
 from . import hnf
 from .ball import Ball, CBall, CertificationError, Undecided, ball_det, \
-    ball_log, gauss_solve, working_precision
-from .biquad import BiquadField, BiquadSUnitLattice, biquad_places
-from .grpring import AbelianGroup, GroupRingElement, InputError, Subgroup, \
-    norm_element
+    gauss_solve, working_precision
+from .biquad import BiquadField, BiquadSUnitLattice
+from .grpring import AbelianGroup, GroupRingElement, InputError
 from .lfun import (AbelianFieldRealization, DirichletChar, LSpec,
                    UnresolvedOrderError, bernoulli_value, l_jet,
-                   stickelberger_element, theoretical_order,
-                   validate_rubin_shape)
+                   stickelberger_element, validate_rubin_shape)
 from .multilin import (GLattice, NonIntegralError, WedgeElement,
-                       all_dual_pairings, det_pairing, image_lattice,
-                       interior_contract, norm_decomposition_residual,
+                       all_dual_pairings, norm_decomposition_residual,
                        scaled_inclusion)
-from .numfld import (DatumError, QuadField, class_number, fundamental_unit,
-                     fundamental_unit_log, kronecker, ray_class,
-                     s_unit_lattice)
+from .numfld import (DatumError, QuadField, class_number,
+                     fundamental_unit_log, ray_class, s_unit_lattice)
 from .sublat import count_avoiding, norm_sum_identity, projective_normals
-from .zideal import (FiniteGModule, GIdealLattice, Presentation,
-                     UnsupportedCaseError, annihilator,
+from .zideal import (GIdealLattice, Presentation, UnsupportedCaseError,
                      augmentation_ideal_power, fitting_from_extension,
                      fitting_ideal, ideal_from_generators)
 
@@ -166,14 +161,10 @@ class Scenario:
         self._flags = None
         # (H3) via torsion arithmetic
         from .numfld import _check_torsion_killed
-        if self.field == "Q":
-            _check_torsion_killed("Q", T)
-        elif isinstance(self.field, QuadField):
-            _check_torsion_killed(self.field, T)
-        elif isinstance(self.field, BiquadField):
-            # torsion of a real biquadratic field is {+-1}
-            if not any(q != 2 for q in T):
-                raise DatumError("(H3) fails: -1 = 1 at every place above T")
+        if self.field is not None:
+            # a real biquadratic field has torsion {+-1}, as Q has
+            _check_torsion_killed("Q" if isinstance(self.field, BiquadField)
+                                  else self.field, T)
 
     def hypothesis_flags(self):
         """The theorem-hypothesis flags of (S, V, T): a fresh copy each
@@ -206,59 +197,21 @@ class Scenario:
 
 # -- shared pipeline pieces ---------------------------------------------------
 
-def place_permutation(lattice, element):
-    """Permutation of the lattice's place list under a group element."""
-    if lattice.field == "Q":
-        return list(range(len(lattice.places)))
-    if isinstance(lattice, BiquadSUnitLattice):
-        out = []
-        signs = lattice.field.signs_of(element)
-        for i, w in enumerate(lattice.places):
-            if w.kind == "real":
-                target = (w.signs[0] * signs[0], w.signs[1] * signs[1])
-                for j, w2 in enumerate(lattice.places):
-                    if w2.kind == "real" and (w2.signs[0], w2.signs[1]) == target:
-                        out.append(j)
-                        break
-            else:
-                out.append(i)
-        return out
-    # quadratic
-    if element == (0,):
-        return list(range(len(lattice.places)))
-    return lattice.place_action
-
-
-def place_index_over(lattice, v):
-    """Index of the distinguished place above the rational place v."""
-    want = "inf" if v == "inf" else str(int(v))
-    for i, w in enumerate(lattice.places):
-        label = w.label
-        if v == "inf" and label.startswith("inf"):
-            return i
-        if v != "inf" and label.rstrip("+-") == want:
-            return i
-    raise InputError(f"no place over {v}")
-
-
-def sigma_matrices(lattice, group):
-    """Action matrices (one per group generator) on lattice coordinates."""
-    if lattice.field == "Q":
-        return []
-    if isinstance(lattice, BiquadSUnitLattice):
-        gens = [(1, 0), (0, 1)]
-        return [lattice.sigma_matrix(g) for g in gens]
-    return [lattice.sigma_matrix]
-
-
 class RubinStarkData:
-    """Cached per-scenario pipeline state: each of lattice(), ray(),
-    theta(), epsilon(), im_lattice() and pairings() is computed at most
-    once per scenario."""
+    """Cached pipeline state of one Rubin datum (S, V, T) over a field:
+    each of lattice(), ray(), theta(), epsilon(), im_lattice() and
+    pairings() is computed at most once.  `field` is "Q", a QuadField, a
+    BiquadField or None (a generic field, which has no lattice yet);
+    lattice() and ray() are where its type is decided.  A caller that
+    already holds the S-unit lattice passes it as `lattice`."""
 
-    def __init__(self, scn):
-        self.scn = scn
-        self._lattice = None
+    def __init__(self, realization, field, S, V, T, order=None,
+                 lattice=None):
+        self.realization = realization
+        self.field = field
+        self.S, self.V, self.T = S, V, T
+        self.order = order
+        self._lattice = lattice
         self._ray = None
         self._theta = None
         self._epsilon = None
@@ -267,44 +220,41 @@ class RubinStarkData:
 
     @property
     def group(self):
-        return self.scn.realization.group
+        return self.realization.group
 
     def lattice(self):
         if self._lattice is None:
-            scn = self.scn
-            if isinstance(scn.field, BiquadField):
-                self._lattice = BiquadSUnitLattice(scn.field, scn.S)
+            if isinstance(self.field, BiquadField):
+                self._lattice = BiquadSUnitLattice(self.field, self.S)
             else:
-                self._lattice = s_unit_lattice(scn.field, scn.S, scn.T)
+                self._lattice = s_unit_lattice(self.field, self.S, self.T)
         return self._lattice
 
     def ray(self):
-        """Cl_{K,S,T} of the scenario.  A quadratic field with T non-empty
-        hands ray_class this scenario's lattice(), whose generators give
-        the unit image, instead of a second build of the same lattice."""
+        """Cl_{K,S,T} of the datum.  A quadratic field with T non-empty
+        hands ray_class this datum's lattice(), whose generators give the
+        unit image, instead of a second build of the same lattice."""
         if self._ray is None:
-            scn = self.scn
-            lat = self.lattice() if isinstance(scn.field, QuadField) \
-                and scn.T else None
-            self._ray = ray_class(scn.field, scn.S, scn.T, lattice=lat)
+            if isinstance(self.field, BiquadField):
+                raise UnsupportedCaseError(
+                    "ray class groups of composita are out of desk scope")
+            lat = self.lattice() if isinstance(self.field, QuadField) \
+                and self.T else None
+            self._ray = ray_class(self.field, self.S, self.T, lattice=lat)
         return self._ray
 
     def theta(self):
         if self._theta is None:
             self._theta = stickelberger_element(
-                self.scn.realization, self.scn.S, self.scn.V, self.scn.T,
-                truncation=self.scn.order)
+                self.realization, self.S, self.V, self.T,
+                truncation=self.order)
         return self._theta
 
     def t_glattice(self):
         """O^x_{K,S,T} as a GLattice in lattice coordinates."""
         lat = self.lattice()
-        if isinstance(lat, BiquadSUnitLattice):
-            raise UnsupportedCaseError(
-                "T-unit lattices of composita are out of desk scope")
-        rank = lat.rank
-        rows = lat.t_lattice_hnf()
-        return GLattice(self.group, rank, rows, sigma_matrices(lat, self.group))
+        return GLattice(self.group, lat.rank, lat.t_lattice_hnf(),
+                        lat.sigma_matrices())
 
     def cover(self):
         rank = self.lattice().rank
@@ -314,9 +264,8 @@ class RubinStarkData:
         """The Rubin-Stark wedge element in lattice coordinates."""
         if self._epsilon is not None:
             return self._epsilon
-        scn = self.scn
         theta = self.theta()
-        r = len(scn.V)
+        r = len(self.V)
         lat = self.lattice()
         if r == 0:
             eps = WedgeElement(self.group, 0, self.cover(),
@@ -345,18 +294,15 @@ class RubinStarkData:
             "wedge degree >= 2 over a nontrivial group is out of desk scope")
 
     def _solve_degree_one(self, theta):
-        scn = self.scn
         lat = self.lattice()
-        group = self.group
-        v1 = scn.V[0]
-        v0 = next(v for v in scn.S if v not in scn.V)
-        idx1 = place_index_over(lat, v1)
-        idx0 = place_index_over(lat, v0)
+        v0 = next(v for v in self.S if v not in self.V)
+        idx1 = lat.place_indices(self.V[0])[0]
+        idx0 = lat.place_indices(v0)[0]
         n = len(lat.places)
         rhs = [Ball(0) for _ in range(n)]
-        for el, coeff in zip(group.elements, theta.coeffs):
+        for el, coeff in zip(self.group.elements, theta.coeffs):
             c = coeff if isinstance(coeff, Ball) else Ball(coeff)
-            perm = place_permutation(lat, el)
+            perm = lat.place_permutation(el)
             rhs[perm[idx1]] = rhs[perm[idx1]] + c
             rhs[perm[idx0]] = rhs[perm[idx0]] - c
         lam = lat.log_matrix()
@@ -366,14 +312,16 @@ class RubinStarkData:
         return gauss_solve(A, b)
 
     def _solve_full_wedge(self, theta, r):
-        scn = self.scn
         lat = self.lattice()
-        assert lat.rank == r, "full-wedge solve needs |V| = |S| - 1"
-        v0 = next(v for v in scn.S if v not in scn.V)
-        idx0 = place_index_over(lat, v0)
+        if lat.rank != r:
+            raise CertificationError(
+                f"full-wedge solve needs |V| = rank, got |V| = {r} and "
+                f"rank {lat.rank}")
+        v0 = next(v for v in self.S if v not in self.V)
+        idx0 = lat.place_indices(v0)[0]
         dropped = [j for j in range(len(lat.places)) if j != idx0]
         # sign of the arrangement of V-places inside the dropped list
-        positions = [dropped.index(place_index_over(lat, v)) for v in scn.V]
+        positions = [dropped.index(lat.place_indices(v)[0]) for v in self.V]
         sign = _permutation_sign(positions)
         lam = lat.log_matrix()
         M = [[lam[g][j] for g in range(lat.rank)] for j in dropped]
@@ -387,9 +335,8 @@ class RubinStarkData:
         Undecided; exact principal ideal for |V| = 0."""
         if self._im is not None:
             return self._im
-        scn = self.scn
         eps = self.epsilon()
-        if len(scn.V) == 0:
+        if len(self.V) == 0:
             theta = self.theta()
             vec = theta.int_vector()  # raises InputError when non-integral
             self._im = ideal_from_generators(
@@ -477,8 +424,9 @@ def check_congruence_biquadratic(a):
             in_z2 = False
             break
     product_condition = (a[0] * a[1] * a[2] * a[3]) % 4 == 1
-    assert in_z2 == product_condition, \
-        f"congruence criterion equivalence failed at {a}"
+    if in_z2 != product_condition:
+        raise CertificationError(
+            f"congruence criterion equivalence failed at {a}")
     return in_z2
 
 
@@ -499,16 +447,9 @@ def check_sign_criterion(log_matrix):
 def sign_criterion_matrix(scn, data):
     """The log matrix over the Z-basis of O^x_{K,S,T} and the places above V."""
     lat = data.lattice()
-    if isinstance(lat, BiquadSUnitLattice):
-        raise UnsupportedCaseError(
-            "sign criterion needs the T-unit lattice; composita are out of "
-            "desk scope")
     rows = lat.t_lattice_hnf()
     lam = lat.log_matrix()
-    v_place_idx = [i for i, w in enumerate(lat.places)
-                   if any((v == "inf" and w.label.startswith("inf"))
-                          or (v != "inf" and w.label.rstrip("+-") == str(v))
-                          for v in scn.V)]
+    v_place_idx = sorted(i for v in scn.V for i in lat.place_indices(v))
     if len(rows) != len(v_place_idx):
         raise InputError(
             f"log matrix is {len(rows)} x {len(v_place_idx)}, not square")
@@ -538,7 +479,7 @@ def run_rs_integrality(scn, data):
                  else val.certified_int_vector())
                 for idx, val in pairings],
             "image_hnf": [list(r) for r in im.basis()],
-            "saturation_index": getattr(data.lattice(), "saturation_index", 1),
+            "saturation_index": data.lattice().saturation_index,
         }
         entry["max_radius"] = _radius_str(max_pairing_radius(pairings))
     except NonIntegralError as exc:
@@ -580,7 +521,7 @@ def selmer_transpose_fitting(scn, data, ray):
     for v in scn.S:
         if v in scn.V:
             continue
-        if not _full_decomposition(scn, v):
+        if not _full_decomposition(data.realization, v):
             raise UnsupportedCaseError(
                 f"place {v} outside V lacks full decomposition group")
     d = len(scn.S) - len(scn.V)
@@ -588,25 +529,17 @@ def selmer_transpose_fitting(scn, data, ray):
     fit = fitting_ideal(pres, nV)
     if group.rank == 1 and group.invariant_factors[0] in (2, 3, 5, 7):
         closed = fitting_from_extension(ray.module, d, group)
-        assert closed == fit, "closed form disagrees with direct minors"
+        if closed != fit:
+            raise CertificationError(
+                "Selmer closed form disagrees with the direct minors")
     return fit, "Cl + trivial-action extension presentation"
 
 
-def _full_decomposition(scn, v):
-    deg = scn.realization.degree()
-    if deg == 1:
-        return True
-    if v == "inf":
-        return deg == 2 and not scn.realization.splits_completely("inf")
-    if isinstance(scn.field, QuadField):
-        return scn.field.splitting(int(v)) != "split"
-    if isinstance(scn.field, BiquadField):
-        try:
-            w = biquad_places(scn.field, int(v))[0]
-            return w.e * w.f == 4
-        except UnsupportedCaseError:
-            return False
-    return False
+def _full_decomposition(realization, v):
+    """Is the decomposition group at v the whole Galois group?  Read for Q
+    and quadratic fields, whose ray class is known."""
+    deg = realization.degree()
+    return deg == 1 or (deg == 2 and not realization.splits_completely(v))
 
 
 def _assembled_selmer_presentation(cl_module, d, nV):
@@ -643,7 +576,7 @@ def x_glattice(lattice, group):
         gens = [tuple(1 if l == j else 0 for l in range(group.rank))
                 for j in range(group.rank)]
         for g in gens:
-            perm = place_permutation(lattice, g)
+            perm = lattice.place_permutation(g)
             P = [[1 if perm[i] == j else 0 for j in range(n)]
                  for i in range(n)]
             mats.append(P)
@@ -803,10 +736,9 @@ def run_norm_decomposition(scn, data):
     parts = []
     sub_witness = []
     for idx, D in enumerate(field.discs):
-        sub_real = AbelianFieldRealization.quadratic(D)
-        sub_scn = _SubScenario(sub_real, QuadField(D), scn.S, scn.V, scn.T)
-        sub_data = RubinStarkData(sub_scn)
-        sub_data._lattice = lat.sub_lattices[idx]
+        sub_data = RubinStarkData(AbelianFieldRealization.quadratic(D),
+                                  QuadField(D), scn.S, scn.V, scn.T,
+                                  lattice=lat.sub_lattices[idx])
         eps_sub = sub_data.epsilon()
         # map coordinates into the compositum basis
         incl = {}
@@ -825,9 +757,8 @@ def run_norm_decomposition(scn, data):
                             "coords": [repr(v) for v in
                                        _coords_list(eps_sub, lat.sub_lattices[idx].rank)]})
     # base-field element over Q
-    q_scn = _SubScenario(AbelianFieldRealization.rationals(), "Q", scn.S,
-                         scn.V, scn.T)
-    q_data = RubinStarkData(q_scn)
+    q_data = RubinStarkData(AbelianFieldRealization.rationals(), "Q", scn.S,
+                            scn.V, scn.T)
     eps_q = q_data.epsilon()
     base_incl = {}
     for (j,), z in eps_q.coeffs.items():
@@ -878,21 +809,6 @@ def _rational_inclusion_coords(biquad_lat, q):
     for j, c in enumerate(coords):
         pool_coords[biquad_lat._offsets[0] + j] = c
     return biquad_lat.pool_coords_to_basis(pool_coords)
-
-
-class _SubScenario:
-    """Internal reduced scenario for subfield pipelines."""
-
-    def __init__(self, realization, field, S, V, T):
-        self.realization = realization
-        self.field = field
-        self.S = S
-        self.V = V
-        self.T = T
-        self.order = None
-
-    def hypothesis_flags(self):
-        return {}
 
 
 def run_acnf(dmin=-500, dmax=500, tol=Fraction(1, 10 ** 25)):
@@ -963,7 +879,8 @@ def run_scenario(scn):
                 cert["exit_code"] = 2
                 return cert
             cert["hypotheses"] = scn.hypothesis_flags()
-        data = RubinStarkData(scn)
+        data = RubinStarkData(scn.realization, scn.field, scn.S, scn.V,
+                              scn.T, scn.order)
         for check in scn.checks:
             try:
                 if check == "norm_identity":

@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+from starklab.ball import Ball
 from starklab.biquad import (BiquadField, BiquadSUnitLattice, biquad_places)
-from starklab.grpring import InputError
+from starklab.grpring import AbelianGroup, InputError
 from starklab.hnf import identity_matrix, mat_mul
+from starklab.numfld import QuadField, s_unit_lattice
 from starklab.zideal import UnsupportedCaseError
 
 
@@ -64,3 +69,110 @@ def test_subfield_inclusions_exact():
                 prod = prod * (h ** c)
             target = F.from_subfield(si, sl.gens[gi])
             assert (prod * target.inverse()).is_pm_one(), (si, gi)
+
+
+# (lattice, group, permutation of the places under each group generator,
+# sigma_matrices() as the lattice's own action matrices give them)
+def _q_lattice():
+    L = s_unit_lattice("Q", ["inf", 2, 3], [], enforce_h3=False)
+    return L, AbelianGroup(()), [], []
+
+
+def _quad_lattice(D, S, perm):
+    L = s_unit_lattice(QuadField(D), S, [], enforce_h3=False)
+    return L, AbelianGroup((2,)), [perm], [L.sigma_matrix]
+
+
+def _biquad_lattice():
+    L = BiquadSUnitLattice(BiquadField(5, 13), ["inf", 5, 13])
+    # places inf++, inf+-, inf-+, inf--, 5, 13: the generator (1, 0)
+    # flips the first sign, (0, 1) the second
+    return L, AbelianGroup((2, 2)), [[2, 3, 0, 1, 4, 5], [1, 0, 3, 2, 4, 5]], \
+        [L.sigma_matrix((1, 0)), L.sigma_matrix((0, 1))]
+
+
+@pytest.mark.parametrize("build", [
+    _q_lattice,
+    # places inf+, inf-, 2, 3: the automorphism swaps the real places
+    lambda: _quad_lattice(12, ["inf", 2, 3], [1, 0, 2, 3]),
+    # places inf, 2, 5+, 5-: it swaps the two places above the split 5
+    lambda: _quad_lattice(-4, ["inf", 2, 5], [0, 1, 3, 2]),
+    _biquad_lattice,
+], ids=["Q", "D=12", "D=-4", "discs=5,13"])
+def test_lattice_place_and_galois_protocol(build):
+    L, group, gen_perms, gen_mats = build()
+    n = len(L.places)
+    # place_indices partitions the places by the rational place below
+    seen = []
+    for v in L.S:
+        idx = list(L.place_indices(v))
+        assert idx and all(L.places[i].label.rstrip("+-") == str(v)
+                           for i in idx)
+        seen.extend(idx)
+    assert seen == list(range(n))
+    with pytest.raises(InputError):
+        L.place_indices(97)
+    # place_permutation is a group action with the given generators
+    perm = {el: L.place_permutation(el) for el in group.elements}
+    assert perm[group.identity()] == list(range(n))
+    for g in group.elements:
+        assert sorted(perm[g]) == list(range(n))
+        for h in group.elements:
+            assert perm[group.op(g, h)] == [perm[g][perm[h][i]]
+                                            for i in range(n)]
+    gens = [tuple(int(i == j) for i in range(group.rank))
+            for j in range(group.rank)]
+    assert [perm[g] for g in gens] == gen_perms
+    assert L.sigma_matrices() == gen_mats
+    # the matrices and the permutations describe the same action: the
+    # logs of sigma(g) are those of g at the permuted places
+    lam = L.log_matrix()
+    for M, p in zip(L.sigma_matrices(), gen_perms):
+        for row, log_row in zip(M, lam):
+            image = [sum((lam[j][w] * c for j, c in enumerate(row) if c),
+                         start=Ball(0)) for w in range(n)]
+            assert all((image[w] - log_row[p[w]]).contains_zero()
+                       for w in range(n))
+
+
+def test_biquad_lattice_has_no_t_lattice_and_unknown_saturation():
+    L = BiquadSUnitLattice(BiquadField(5, 13), ["inf", 5, 13])
+    assert L.saturation_index is None
+    with pytest.raises(UnsupportedCaseError):
+        L.t_lattice_hnf()
+
+
+RELATION_GATE_UNDER_O = """
+from starklab.ball import CertificationError
+from starklab.biquad import BiquadField, BiquadSUnitLattice
+
+true_coords = BiquadSUnitLattice._express_unit_combination
+
+
+def shifted_coords(self, c, eps_logs):
+    # every combination claims one more third fundamental unit than it
+    # holds, so relations found from these coordinates are not +-1
+    out = true_coords(self, c, eps_logs)
+    out[2] += 1
+    return out
+
+
+BiquadSUnitLattice._express_unit_combination = shifted_coords
+try:
+    BiquadSUnitLattice(BiquadField(8, 12), ["inf", 2, 3])
+except CertificationError as exc:
+    if "relation" not in str(exc):
+        raise SystemExit(f"wrong gate: {exc}")
+else:
+    raise SystemExit("a corrupted relation was accepted")
+"""
+
+
+def test_relation_gate_holds_under_python_O():
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", RELATION_GATE_UNDER_O],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

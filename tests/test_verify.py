@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 from starklab.ball import Ball, Undecided, precision, working_precision
-from starklab.verify import (ConfigError, Scenario, certificate_summary,
+from starklab.verify import (KNOWN_CHECKS, ConfigError, Scenario,
+                             certificate_summary,
                              check_congruence_biquadratic,
                              check_norm_identity, check_sign_criterion,
                              run_scenario, sign_criterion_matrix,
@@ -445,3 +446,51 @@ def test_norm_identity_builds_one_hyperplane_set(monkeypatch):
     assert entry["witness"]["proper_subgroups"] == 364
     assert entry["witness"]["avoiding_count"] == 243
     assert entry["witness"]["containing_count"] == 121
+
+
+VERDICTS = {"pass", "fail", "undecided", "blocked", "unsupported"}
+# field type -> (field spec, S); T = {3} throughout.  Generic fields stay
+# out: a generic-field scenario still raises, and the benchmark's test
+# test_crashing_cell_is_a_failed_op_and_the_run_goes_on uses one as its
+# crashing op
+CELL_FIELDS = {
+    "Q": ({"type": "Q"}, ["inf", 5, 7]),
+    "real_quad": ({"type": "quad", "disc": 5}, ["inf", 5]),
+    "imag_quad": ({"type": "quad", "disc": -23}, ["inf", 23]),
+    "real_biquad": ({"type": "multiquad", "discs": [5, 13]},
+                    ["inf", 5, 13]),
+}
+# (H2): V = {inf} needs the infinite place to split completely
+CELLS = [pytest.param(name, V, id=f"{name}-V={{{','.join(V)}}}")
+         for name in CELL_FIELDS for V in ([], ["inf"])
+         if not (name == "imag_quad" and V)]
+
+
+@pytest.mark.parametrize("check", [c for c in KNOWN_CHECKS if c != "acnf"])
+@pytest.mark.parametrize("field,V", CELLS)
+def test_every_cell_gives_a_verdict(field, V, check):
+    spec, S = CELL_FIELDS[field]
+    cert = run_scenario(Scenario({"field": spec, "S": S, "V": V, "T": [3],
+                                  "checks": [check], "bits": 96}))
+    assert "datum_error" not in cert
+    [entry] = cert["results"]
+    assert entry["verdict"] in VERDICTS
+    if field == "real_biquad" and check in ("fitting_equality",
+                                            "annihilation"):
+        assert entry["verdict"] == "unsupported"
+        assert "ray class groups of composita" in entry["reason"]
+
+
+def test_integrality_witness_reports_the_lattice_saturation_index():
+    def witness(field, S):
+        cert = run_scenario(Scenario({
+            "field": field, "S": S, "V": [], "T": [3],
+            "checks": ["rs_integrality"]}))
+        entry = cert["results"][0]
+        assert entry["verdict"] == "pass"
+        return entry["witness"]
+    # the compositum lattice is never saturated: its index is not known
+    assert witness({"type": "multiquad", "discs": [5, 13]},
+                   ["inf", 5, 13])["saturation_index"] is None
+    assert witness({"type": "quad", "disc": -23},
+                   ["inf", 23])["saturation_index"] == 1
