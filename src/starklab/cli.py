@@ -20,7 +20,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .ball import DEFAULT_PREC, Undecided, working_precision
+from .ball import (DEFAULT_PREC, CertificationError, Undecided,
+                   working_precision)
 from .grpring import InputError
 from .lfun import (AbelianFieldRealization, DirichletChar, LSpec,
                    l_jet, stickelberger_element)
@@ -104,12 +105,15 @@ def main(argv=None):
     except Undecided as exc:
         print(f"undecided: {exc} (raise --bits)", file=sys.stderr)
         return 3
+    except CertificationError as exc:
+        print(f"fail: {exc}", file=sys.stderr)
+        return 1
 
 
 def _dispatch(args):
     if args.command == "identity":
-        element = norm_sum_identity(args.p, args.m)
         hs = enumerate_omega_star(args.p, args.m)
+        element = norm_sum_identity(args.p, args.m, hs)
         print(f"sum of subgroup norms over {hs.count_proper()} hyperplanes "
               f"+ correction = {args.p}^{args.m - 1}")
         print(f"identity element: {element!r}")

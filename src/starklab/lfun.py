@@ -805,13 +805,11 @@ def bernoulli_value(char, S, T=()):
         raise WrongOrderError(f"order of vanishing is {r}, not 0")
     chi = char.primitive()
     f = chi.conductor()
+    # B_{1,chi} = sum_a chi(a) (a/f - 1/2) = sum_a chi(a) (2a - f) / (2f):
+    # integer sums, one division at the end
     if chi.is_real():
-        total = Fraction(0)
-        for a in range(1, f + 1):
-            v = chi.value_rational(a)
-            if v:
-                total += v * (Fraction(a, f) - Fraction(1, 2))
-        value = -total
+        value = Fraction(-sum(chi.value_rational(a) * (2 * a - f)
+                              for a in range(1, f + 1)), 2 * f)
         for q in S:
             if q != "inf" and f % q != 0:
                 value *= 1 - chi.value_rational(q)
@@ -819,12 +817,15 @@ def bernoulli_value(char, S, T=()):
             value *= 1 - chi.value_rational(q) * q
         return value
     field = CycloField(chi.order)
-    total = field.zero()
+    sums = [0] * chi.order  # one integer per power of zeta
     for a in range(1, f + 1):
-        if chi(a) is not None:
-            total = total + chi.value_cyclo(a, field) \
-                * (Fraction(a, f) - Fraction(1, 2))
-    value = -1 * total
+        t = chi(a)
+        if t is not None:
+            sums[t] += 2 * a - f
+    value = field.zero()
+    for t, total in enumerate(sums):
+        if total:
+            value = value + field.zeta_power(t) * Fraction(-total, 2 * f)
     for q in S:
         if q != "inf" and f % q != 0:
             value = value * (field.one() - chi.value_cyclo(q, field))

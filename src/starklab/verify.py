@@ -27,7 +27,7 @@ from .multilin import (GLattice, NonIntegralError, WedgeElement,
                        scaled_inclusion)
 from .numfld import (DatumError, QuadField, class_number,
                      fundamental_unit_log, ray_class, s_unit_lattice)
-from .sublat import count_avoiding, norm_sum_identity, projective_normals
+from .sublat import enumerate_omega_star, norm_sum_identity
 from .zideal import (GIdealLattice, Presentation, UnsupportedCaseError,
                      augmentation_ideal_power, fitting_from_extension,
                      fitting_ideal, ideal_from_generators)
@@ -264,9 +264,11 @@ class RubinStarkData:
         """The Rubin-Stark wedge element in lattice coordinates."""
         if self._epsilon is not None:
             return self._epsilon
+        # the lattice first: an out-of-scope field is unsupported at any
+        # precision, before the L-jets can ask for more bits
+        lat = self.lattice()
         theta = self.theta()
         r = len(self.V)
-        lat = self.lattice()
         if r == 0:
             eps = WedgeElement(self.group, 0, self.cover(),
                                {(): theta.convert("rat")
@@ -391,15 +393,16 @@ def max_pairing_radius(pairings):
 
 def check_norm_identity(p, m):
     """The subgroup-norm identity over (Z/p)^m, exactly."""
-    norm_sum_identity(p, m)
-    avoiding, containing = count_avoiding(p, m, (1,) + (0,) * (m - 1))
+    hs = enumerate_omega_star(p, m)
+    norm_sum_identity(p, m, hs)
+    avoiding, containing = hs.count_avoiding((1,) + (0,) * (m - 1))
     return {
         "check": "norm_identity",
         "verdict": "pass",
         "witness": {
             "p": p, "m": m,
             "constant": p ** (m - 1),
-            "proper_subgroups": len(projective_normals(p, m)),
+            "proper_subgroups": hs.count_proper(),
             "avoiding_count": avoiding,
             "containing_count": containing,
         },

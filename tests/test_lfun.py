@@ -3,11 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from mpmath import mp
 from mpmath.libmp import to_rational
 
 from starklab.ball import (Ball, CBall, PrecisionError, ball_log_int,
                            precision, working_precision)
+from starklab.cyclo import CycloField
 from starklab.grpring import AbelianGroup, GroupRingElement, InputError
 from starklab.lfun import (AbelianFieldRealization, DirichletChar, Jet,
                            LSpec, UnresolvedOrderError, WrongOrderError,
@@ -139,6 +141,46 @@ def test_bernoulli_values():
     base = bernoulli_value(chi, ["inf", 2])
     assert bernoulli_value(chi, ["inf", 2], [7]) == base * (1 - (-1) * 7)
     assert bernoulli_value(chi, ["inf", 2], [5]) == base * (1 - 1 * 5)
+
+
+def _bernoulli_by_residue(chi, S, T):
+    """-B_{1,chi} times the Euler factors, one Fraction per residue."""
+    chi = chi.primitive()
+    f = chi.conductor()
+    field = CycloField(max(chi.order, 1))
+    total = field.zero()
+    for a in range(1, f + 1):
+        if chi(a) is not None:
+            total = total + chi.value_cyclo(a, field) \
+                * (Fraction(a, f) - Fraction(1, 2))
+    value = -1 * total
+    for q in S:
+        if q != "inf" and f % q != 0:
+            value = value * (field.one() - chi.value_cyclo(q, field))
+    for q in T:
+        value = value * (field.one() - chi.value_cyclo(q, field) * q)
+    return value
+
+
+def test_bernoulli_value_matches_the_sum_by_residue():
+    chars = [DirichletChar.quadratic(D) for D in (-3, -4, -8, -1011)]
+    for modulus, kernel in [(5, []), (7, []), (9, []), (13, [3]), (15, [4]),
+                            (16, [5]), (41, [])]:
+        real = AbelianFieldRealization(modulus, kernel)
+        chars += [real.dirichlet(c) for c in real.group.all_characters()]
+    checked = 0
+    for chi in chars:
+        S = ["inf"] + sorted(sympy.factorint(chi.modulus)) + [11]
+        if theoretical_order(chi, S) != 0:
+            continue
+        value = bernoulli_value(chi, S, [17])
+        ref = _bernoulli_by_residue(chi, S, [17])
+        if chi.primitive().is_real():
+            assert value == ref.rational_value()
+        else:
+            assert value == ref
+        checked += 1
+    assert checked > 30
 
 
 def test_l_jet_examples():

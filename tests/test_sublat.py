@@ -1,9 +1,44 @@
-import pytest
+import itertools
 
-from starklab.grpring import InputError
-from starklab.sublat import (CapacityError, brute_force_index_p_subgroups,
-                             count_avoiding, enumerate_omega_star,
-                             norm_sum_identity)
+import pytest
+from sympy import primerange
+
+from starklab.grpring import (AbelianGroup, GroupRingElement, InputError,
+                              Subgroup, norm_element)
+from starklab.sublat import (CapacityError, count_avoiding,
+                             enumerate_omega_star, norm_sum_identity)
+
+
+def brute_force_index_p_subgroups(p, m):
+    """Oracle: subgroups of index <= p found by closing generator tuples.
+
+    Exhaustive over all (m-1)-tuples (plus the full group); only sensible
+    for p^m <= 27.
+    """
+    if p ** m > 27:
+        raise CapacityError("oracle restricted to p^m <= 27")
+    g = AbelianGroup((p,) * m)
+    found = {}
+    target = p ** (m - 1)
+    for gens in itertools.product(g.elements, repeat=max(m - 1, 1)):
+        sub = Subgroup(g, list(gens))
+        if sub.size == target:
+            found[sub.mask] = sub
+    subs = list(found.values())
+    subs.append(Subgroup(g, g.elements))
+    return subs
+
+
+def scanned_plane(hs, normal):
+    """ker(normal) by its definition {x : normal.x = 0 (mod p)}."""
+    members = [el for el in hs.group.elements
+               if sum(a * b for a, b in zip(el, normal)) % hs.p == 0]
+    return Subgroup.from_members(hs.group, members)
+
+
+def desk_shapes(bound):
+    return [(p, m) for p in primerange(2, bound + 1)
+            for m in range(1, bound.bit_length()) if p ** m <= bound]
 
 
 def test_omega_star_counts():
@@ -57,3 +92,35 @@ def test_brute_force_oracle_agreement():
         oracle = {s.mask for s in brute_force_index_p_subgroups(p, m)}
         fast = {s.mask for s in enumerate_omega_star(p, m).all_subgroups()}
         assert oracle == fast
+
+
+def test_parametrised_kernels_match_the_scan():
+    for p, m in desk_shapes(729):
+        hs = enumerate_omega_star(p, m)
+        planes = hs.planes
+        assert [s.mask for s in planes] == \
+            [scanned_plane(hs, n).mask for n in hs.normals], (p, m)
+        assert all(s.size == p ** (m - 1) for s in planes)
+
+
+def test_norm_sum_identity_equals_the_dense_sum():
+    for p, m in desk_shapes(243):
+        hs = enumerate_omega_star(p, m)
+        g = hs.group
+        total = GroupRingElement.zero(g, "int")
+        for n in hs.normals:
+            total = total + norm_element(g, scanned_plane(hs, n))
+        coefficient = (p ** (m - 1) - 1) - sum(p ** i for i in range(m))
+        total = total + norm_element(g, hs.full_group()).scale(
+            1 + coefficient)
+        assert norm_sum_identity(p, m) == total, (p, m)
+        assert norm_sum_identity(p, m, hs) == total, (p, m)
+    with pytest.raises(InputError):
+        norm_sum_identity(2, 3, enumerate_omega_star(2, 2))
+
+
+def test_count_avoiding_rejects_an_element_of_another_rank():
+    with pytest.raises(InputError):
+        count_avoiding(2, 3, (1,))
+    with pytest.raises(InputError):
+        count_avoiding(2, 2, (1, 1, 1))

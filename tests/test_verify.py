@@ -494,3 +494,71 @@ def test_integrality_witness_reports_the_lattice_saturation_index():
                    ["inf", 5, 13])["saturation_index"] is None
     assert witness({"type": "quad", "disc": -23},
                    ["inf", 23])["saturation_index"] == 1
+
+
+def test_out_of_scope_compositum_is_unsupported_below_the_jet_floor():
+    # 13 has two places in Q(sqrt 5, sqrt 8): the lattice is out of scope,
+    # which no number of bits changes, so 48 bits do not make it undecided
+    cert = run_scenario(Scenario({
+        "field": {"type": "multiquad", "discs": [5, 8]},
+        "S": ["inf", 2, 5, 13], "V": ["inf"], "T": [3],
+        "checks": ["rs_integrality", "igc_membership"], "bits": 48}))
+    assert [e["verdict"] for e in cert["results"]] == \
+        ["unsupported", "unsupported"]
+    assert cert["exit_code"] == 0
+
+
+NORM_IDENTITY_GATES = """
+from starklab import sublat, verify
+from starklab.ball import CertificationError
+
+
+def expect_fail(what):
+    try:
+        verify.check_norm_identity(3, 2)
+    except CertificationError:
+        pass
+    else:
+        raise SystemExit(f"{what}: check_norm_identity(3, 2) passed")
+    cert = verify.run_scenario(verify.Scenario(
+        {"checks": ["norm_identity"], "params": {"p": 3, "m": 2}}))
+    verdict = cert["results"][0]["verdict"]
+    if (verdict, cert["exit_code"]) != ("fail", 1):
+        raise SystemExit(f"{what}: {verdict}, exit {cert['exit_code']}")
+
+
+true_kernel = sublat.HyperplaneSet.kernel
+sublat.HyperplaneSet.kernel = lambda hs, n: true_kernel(hs, n)[:-1]
+expect_fail("a kernel short of one member")
+sublat.HyperplaneSet.kernel = true_kernel
+true_normals = sublat.projective_normals
+sublat.projective_normals = lambda p, m: true_normals(p, m)[:-1]
+expect_fail("one projective normal short")
+"""
+
+
+def test_broken_norm_identity_fails(monkeypatch, capsys):
+    from starklab import sublat
+    from starklab.ball import CertificationError
+    from starklab.cli import main
+    true_kernel = sublat.HyperplaneSet.kernel
+    monkeypatch.setattr(sublat.HyperplaneSet, "kernel",
+                        lambda hs, n: true_kernel(hs, n)[:-1])
+    with pytest.raises(CertificationError):
+        check_norm_identity(3, 2)
+    cert = run_scenario(Scenario({"checks": ["norm_identity"],
+                                  "params": {"p": 3, "m": 2}}))
+    assert cert["results"][0]["verdict"] == "fail"
+    assert cert["exit_code"] == 1
+    assert main(["identity", "--p", "3", "--m", "2"]) == 1
+    assert "norm-sum identity failed" in capsys.readouterr().err
+
+
+def test_norm_identity_gates_hold_under_python_O():
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", NORM_IDENTITY_GATES],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
