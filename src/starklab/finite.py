@@ -1,5 +1,13 @@
 """Small finite structures: multiplicative-group skeletons and tiny finite
-fields GF(p^k).  Everything here enumerates; desk-scale orders only.
+fields GF(p^k), for desk-scale orders only.
+
+Both enumerate.  `GroupStructure` lists every element of the group it
+presents; it builds the class groups of quadratic fields (`numfld`) and the
+quotient of a character realization (`lfun`), and it is the tests'
+enumerating oracle.  `GF` searches its elements for square roots,
+multiplicative generators and irreducible moduli.  The residue groups at T
+are not listed: `numfld.ResidueSystem` presents them as products of cyclic
+factors.
 """
 
 import itertools

@@ -6,6 +6,7 @@ Arbitrary-precision ints throughout; nothing here ever overflows.
 """
 
 import bisect
+import math
 from fractions import Fraction
 
 
@@ -148,16 +149,11 @@ class IntLattice:
             return None
         return out
 
-    def index_in(self, other):
-        """[other : self] when self <= other with equal rank, else None."""
-        if self.rank != other.rank or not other.contains_lattice(self):
+    def index(self):
+        """[Z^n : self], or None when self has rank < n."""
+        if self.rank < self.n:
             return None
-        # index = product of pivot ratios after expressing self in other's basis
-        mat = [other.coords(r) for r in self.canonical()]
-        if any(m is None for m in mat):
-            return None
-        d = det_int(mat)
-        return abs(d)
+        return abs(math.prod(row[j] for row, j in zip(self.rows, self.pivots)))
 
     def __eq__(self, other):
         if not isinstance(other, IntLattice):
@@ -295,30 +291,6 @@ def rational_solve(rows, vec):
     for i, c in enumerate(pivcols):
         x[c] = B[i][m]
     return x
-
-
-def det_int(mat):
-    """Exact determinant of a square integer matrix (fraction-free Gauss)."""
-    a = [[Fraction(x) for x in row] for row in mat]
-    n = len(a)
-    if n == 0:
-        return 1
-    det = Fraction(1)
-    for col in range(n):
-        pr = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if pr is None:
-            return 0
-        if pr != col:
-            a[col], a[pr] = a[pr], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for i in range(col + 1, n):
-            if a[i][col] != 0:
-                f = a[i][col] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    assert det.denominator == 1
-    return int(det)
 
 
 def mat_mul(A, B):

@@ -32,7 +32,8 @@ from .cyclo import CycloField
 from .finite import GroupStructure
 from .grpring import AbelianGroup, Character, GroupRingElement, InputError
 from .hnf import diagonalize_relations
-from .numfld import kronecker, fundamental_discriminant, squarefree_part
+from .numfld import (_normalize_places, fundamental_discriminant, kronecker,
+                     squarefree_part)
 
 
 class UnresolvedOrderError(RuntimeError):
@@ -607,7 +608,7 @@ class LSpec:
 
     def __init__(self, char, S, T=(), truncation=None):
         self.char = char
-        self.S = _normalize_S(S)
+        self.S = _normalize_places(S)
         self.T = sorted(int(q) for q in T)
         prim = char.primitive()
         ram = set(factorint(prim.conductor()))
@@ -619,14 +620,6 @@ class LSpec:
         if fin & set(self.T):
             raise InputError("S and T must be disjoint")
         self.truncation = truncation
-
-
-def _normalize_S(S):
-    out = []
-    for v in S:
-        out.append("inf" if v in ("inf", "oo", "infinity") else int(v))
-    fin = sorted(q for q in out if q != "inf")
-    return (["inf"] if "inf" in out else []) + fin
 
 
 def theoretical_order(char, S):
@@ -798,7 +791,7 @@ def bernoulli_value(char, S, T=()):
     Euler factors (1 - chi(q)) for q in S and (1 - chi(q) q) for q in T.
     Raises WrongOrderError at positive order.
     """
-    S = _normalize_S(S)
+    S = _normalize_places(S)
     T = sorted(int(q) for q in T)
     r = theoretical_order(char, S)
     if r != 0:
@@ -855,8 +848,8 @@ def validate_rubin_shape(realization, S, V, T):
     Raises InputError with a datum message on violation; the torsion
     condition (H3) is field arithmetic and lives with the S-unit lattice.
     """
-    S = _normalize_S(S)
-    V = _normalize_S(V) if V else []
+    S = _normalize_places(S)
+    V = _normalize_places(V) if V else []
     T = sorted(int(q) for q in T)
     if "inf" not in S:
         raise InputError("(H1) fails: S omits the infinite place")
@@ -957,7 +950,7 @@ def leading_term_element(realization, S, T):
     Returns (element, orders) where orders maps character labels to their
     orders of vanishing; every leading coefficient is certified nonzero.
     """
-    S = _normalize_S(S)
+    S = _normalize_places(S)
     T = sorted(int(q) for q in T)
     group = realization.group
     components = {}

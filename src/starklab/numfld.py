@@ -724,7 +724,9 @@ class QuadIdeal:
         gamma = f.element(self.a) * x + (f.element(self.b)
                                          + f.sqrt_disc()) * half * y
         gamma = gamma * f.element(self.scale)
-        assert abs(gamma.norm()) == self.norm(), "generator norm mismatch"
+        if abs(gamma.norm()) != self.norm():
+            raise CertificationError(
+                f"generator {gamma!r} of {self!r} has the wrong norm")
         return gamma
 
     def contains(self, x):
@@ -935,11 +937,16 @@ def log_abs_at_place(x, place):
 # -- residue systems at T ----------------------------------------------------
 
 class ResidueSystem:
-    """The product of residue fields k(w)^x over the places w above T.
+    """R_T = prod_w k(w)^x over the places w above T, as the direct product
+    of its cyclic factors.
 
-    Provides exact reduction of integral elements (or rationals with
-    T-coprime denominators), the Galois action on residue tuples, and the
-    multiplicative group structure.
+    Component i is the residue field k(w_i), of order N w_i = q_i^f_i; its
+    unit group is cyclic of order N w_i - 1.  Leader i is a generator of
+    k(w_i)^x in slot i and 1 elsewhere, so `relation_rows` is the diagonal
+    matrix diag(N w_i - 1) and `dlog` reads each slot's exponent from that
+    component's table of powers of its generator.  Also provides exact
+    reduction of integral elements (or rationals with T-coprime
+    denominators) and the Galois action on residue tuples.
     """
 
     def __init__(self, field, T):
@@ -956,24 +963,24 @@ class ResidueSystem:
             for w in places_over(field, q):
                 gf = GF(q, w.f)
                 self.components.append((w, gf, _omega_image(field, w, gf)))
+        ones = tuple(gf.one() for _, gf, _ in self.components)
+        k = len(self.components)
         self.size = 1
-        for _, gf, _img in self.components:
-            self.size *= gf.q - 1
-        # group structure of the product of k(w)^x
-        gens = []
+        self.leaders = []
+        self.relation_rows = []
+        self._logs = []       # per component: {g^a: a for 0 <= a < Nw - 1}
         for i, (_, gf, _img) in enumerate(self.components):
+            n = gf.q - 1
+            self.size *= n
             g = gf.multiplicative_generator()
-            gens.append(tuple(g if j == i else self.components[j][1].one()
-                              for j in range(len(self.components))))
-        ident = tuple(gf.one() for _, gf, _ in self.components)
-
-        def op(t1, t2):
-            return tuple(self.components[j][1].mul(a, b)
-                         for j, (a, b) in enumerate(zip(t1, t2)))
-
-        self.op = op
-        self.structure = GroupStructure(ident, op, gens)
-        assert self.structure.order == self.size
+            self.leaders.append(ones[:i] + (g,) + ones[i + 1:])
+            self.relation_rows.append([n if j == i else 0 for j in range(k)])
+            table = {}
+            x = gf.one()
+            for a in range(n):
+                table[x] = a
+                x = gf.mul(x, g)
+            self._logs.append(table)
 
     def reduce(self, x):
         """Residue tuple of x (unit at every T-place)."""
@@ -1021,7 +1028,8 @@ class ResidueSystem:
         return tuple(out)
 
     def dlog(self, tup):
-        return list(self.structure.dlog(tup))
+        """Exponents a with tup = prod leaders^a, 0 <= a_i < N w_i - 1."""
+        return [log[x] for log, x in zip(self._logs, tup)]
 
 
 def _omega_image(field, w, gf):
@@ -1037,9 +1045,10 @@ def _omega_image(field, w, gf):
                 if gf.add(gf.mul(cand, cand),
                           gf.add(gf.neg(cand), gf.element(c0))) == gf.zero():
                     return cand
-            raise AssertionError("no root of the omega polynomial")
+            raise CertificationError(f"no root of the omega polynomial in {gf}")
         r = gf.sqrt(gf.element(m % q))
-        assert r is not None
+        if r is None:
+            raise CertificationError(f"{m} has no square root in {gf}")
         return r
     # split place: omega maps into GF(q) via the place's root of m
     if q == 2:
@@ -1176,7 +1185,9 @@ class SUnitLattice:
                 tot = row[0]
                 for e in row[1:]:
                     tot = tot + e
-                assert tot.contains_zero(), "product formula violated"
+                if not tot.contains_zero():
+                    raise CertificationError(
+                        f"product formula violated by {g!r}: {tot!r}")
             out.append(row)
         return out
 
@@ -1184,9 +1195,7 @@ class SUnitLattice:
         return self.t_sublattice.canonical()
 
     def t_index(self):
-        full = hnf.IntLattice(self.rank,
-                              hnf.identity_matrix(self.rank))
-        return self.t_sublattice.index_in(full)
+        return self.t_sublattice.index()
 
 
 def s_unit_lattice(field, S, T, enforce_h3=True):
@@ -1215,7 +1224,7 @@ def s_unit_lattice(field, S, T, enforce_h3=True):
     if field == "Q":
         places = [places_over("Q", v)[0] for v in S]
         gens = [Fraction(q) for q in finite_S]
-        lat = _t_sublattice_q(gens, residues)
+        lat = _t_sublattice(gens, Fraction(-1), residues)
         return SUnitLattice(field="Q", S=S, T=T, places=places, gens=gens,
                             valuations=hnf.identity_matrix(len(gens)),
                             sigma_matrix=hnf.identity_matrix(len(gens)),
@@ -1250,14 +1259,22 @@ def s_unit_lattice(field, S, T, enforce_h3=True):
     lam_rows = [row[:len(fin)] for row in ker]
     lam = hnf.IntLattice(len(fin), lam_rows)
     valuations = [list(row) for row in lam.canonical()]
-    gens = [_generator_for_valuations(field, fin, row) for row in valuations]
+    gens = []
+    for row in valuations:
+        gamma = _principal_generator(field, [w.ideal for w in fin], row)
+        # exact: SUnitLattice.valuations stores `row`
+        for w, e in zip(fin, row):
+            if ord_at_place(gamma, w) != e:
+                raise CertificationError(
+                    f"generator valuation mismatch at {w!r}: wanted {e}")
+        gens.append(gamma)
     if field.is_real:
         gens.append(fundamental_unit(field.D))
         valuations.append([0] * len(fin))
     if len(gens) != len(places) - 1:
         raise CertificationError(
             f"S-unit rank {len(gens)}, expected |S_K| - 1 = {len(places) - 1}")
-    lat = _t_sublattice(field, gens, residues)
+    lat = _t_sublattice(gens, field.torsion_generator()[0], residues)
     sl = SUnitLattice(field=field, S=S, T=T, places=places, gens=gens,
                       valuations=valuations, sigma_matrix=None,
                       torsion_gen=field.torsion_generator()[0],
@@ -1313,60 +1330,33 @@ def _check_torsion_killed(field, T):
                 f"(H3) fails: {zeta!r} = 1 at every place above T={T}")
 
 
-def _generator_for_valuations(field, fin_places, row):
-    """Exact element with ord_w = row[w] at the finite S-places (unit sign).
+def _principal_generator(field, ideals, exponents):
+    """Exact generator of prod ideals_i^exponents_i, a fractional ideal that
+    is principal by construction (CertificationError if it is not).
 
-    The signed prime-power product is principal by construction; negative
-    exponents go through the conjugate ideal divided by the rational prime.
+    Negative exponents go through `ideal_power` (conjugate over the norm).
     """
-    ideal = QuadIdeal.unit_ideal(field)
-    denom = Fraction(1)
-    for w, e in zip(fin_places, row):
-        if e == 0:
-            continue
-        p = w.ideal
-        if e > 0:
-            ideal = ideal.multiply(ideal_power(p, e))
-        else:
-            # p^-1 = conj(p)/N(p)
-            ideal = ideal.multiply(ideal_power(p.conj(), -e))
-            denom *= Fraction(p.a * p.scale * p.scale) ** (-e)
-    gamma = ideal.principal_generator()
+    acc = QuadIdeal.unit_ideal(field)
+    for p, e in zip(ideals, exponents):
+        if e:
+            acc = acc.multiply(ideal_power(p, e))
+    gamma = acc.principal_generator()
     if gamma is None:
         raise CertificationError(
-            f"class-relation product {list(row)} is not principal")
-    gamma = gamma / field.element(denom)
-    # verify valuations exactly: SUnitLattice.valuations stores `row`
-    for w, e in zip(fin_places, row):
-        if ord_at_place(gamma, w) != e:
-            raise CertificationError(
-                f"generator valuation mismatch at {w!r}: wanted {e}")
+            f"ideal product with exponents {list(exponents)} is not principal")
     return gamma
 
 
-def _t_sublattice_q(gens, residues):
+def _t_sublattice(gens, torsion_gen, residues):
+    """Coordinates (in `gens`) of the units that reduce to 1 in R_T up to a
+    power of `torsion_gen`: the kernel of the dlog map, modulo R_T's
+    relations."""
     n = len(gens)
     if residues is None:
         return hnf.IntLattice(n, hnf.identity_matrix(n))
-    dl = [residues.dlog(residues.reduce(g)) for g in gens]
-    tor = residues.dlog(residues.reduce(Fraction(-1)))
-    k = len(residues.structure.leaders)
-    stacked = dl + [tor] + list(residues.structure.relation_rows)
-    ker = hnf.kernel(stacked)
-    rows = [r[:n] for r in ker]
-    return hnf.IntLattice(n, rows)
-
-
-def _t_sublattice(field, gens, residues):
-    n = len(gens)
-    if residues is None:
-        return hnf.IntLattice(n, hnf.identity_matrix(n))
-    dl = [residues.dlog(residues.reduce(g)) for g in gens]
-    tor = residues.dlog(residues.reduce(field.torsion_generator()[0]))
-    stacked = dl + [tor] + list(residues.structure.relation_rows)
-    ker = hnf.kernel(stacked)
-    rows = [r[:n] for r in ker]
-    return hnf.IntLattice(n, rows)
+    stacked = [residues.dlog(residues.reduce(u))
+               for u in list(gens) + [torsion_gen]] + residues.relation_rows
+    return hnf.IntLattice(n, [r[:n] for r in hnf.kernel(stacked)])
 
 
 # -- (S, T)-ray class modules ------------------------------------------------
@@ -1402,31 +1392,25 @@ def ray_class(field, S, T, lattice=None):
     |Cl_{K,S,T}| = |Cl_{K,S}| * |R_T / im(units)| is checked
     (CertificationError if it fails).
 
-    For a quadratic field with T non-empty the unit image comes from the
-    generators of the (S, T)-unit lattice: `lattice`, when the caller
+    For a quadratic field with T non-empty the residue system and the unit
+    image come from the (S, T)-unit lattice: `lattice`, when the caller
     already holds `s_unit_lattice(field, S, T)`, else one built here.
     """
-    from .zideal import FiniteGModule
     S = _normalize_places(S)
     T = sorted(set(int(q) for q in T))
     if set(S) & set(T):
         raise DatumError("S and T must be disjoint")
-    residues = ResidueSystem(field, T) if T else None
-    s_len = len(residues.structure.leaders) if residues else 0
 
     if field == "Q":
-        group = AbelianGroup(())
+        residues = ResidueSystem("Q", T) if T else None
         rel_rows = []
         if residues:
-            rel_rows += [list(r) for r in residues.structure.relation_rows]
-            rel_rows.append(residues.dlog(residues.reduce(Fraction(-1))))
-            for q in S:
-                if q != "inf":
-                    rel_rows.append(residues.dlog(residues.reduce(Fraction(q))))
-        module = _module_from_relations(group, s_len, rel_rows, [])
-        h_s = 1
-        q_ord = module.order()
-        return RayClassData("Q", S, T, module, h_s, q_ord)
+            rel_rows += residues.relation_rows
+            for x in [-1] + [q for q in S if q != "inf"]:
+                rel_rows.append(residues.dlog(residues.reduce(Fraction(x))))
+        s_len = len(residues.leaders) if residues else 0
+        module = _module_from_relations(AbelianGroup(()), s_len, rel_rows, [])
+        return RayClassData("Q", S, T, module, 1, module.order())
 
     if "inf" not in S:
         raise DatumError("S must contain the infinite place")
@@ -1434,31 +1418,42 @@ def ray_class(field, S, T, lattice=None):
     missing = [q for q in field.ramified_primes() if q not in finite_S]
     if missing:
         raise DatumError(f"S omits ramified primes {missing}")
+    if T:
+        sl = lattice if lattice is not None else s_unit_lattice(field, S, T)
+        if (sl.field, sl.S, sl.T) != (field, S, T):
+            raise InputError(f"lattice is for S={sl.S}, T={sl.T}, "
+                             f"not S={S}, T={T}")
+        residues = sl.residues
+        s_len = len(residues.leaders)
+    else:
+        residues = None
+        s_len = 0
 
     group = AbelianGroup((2,))
     cg = class_group_structure(field.D)
     # choose prime-ideal generators of the class group away from S, T, disc
     from sympy import primerange
-    chosen = []          # (ideal, dlog row)
-    span = GroupStructure(cg.structure.identity, cg.structure.op, [])
+    ideals, classes = [], []      # the chosen primes and their dlog rows
+    span = _class_lattice(cg, [])
     for ell in primerange(2, 5000):
-        if span.order == cg.structure.order:
+        if span.index() == 1:
             break
         if ell in finite_S or ell in T or field.D % ell == 0:
             continue
         if field.splitting(ell) != "split":
             continue
         p = QuadIdeal.prime_over(field, ell)
-        cls = cg.class_of(p.as_form())
-        if span.contains(cg.structure.from_exponents(cls)):
+        cls = list(cg.class_of(p.as_form()))
+        if span.contains_vector(cls):
             continue
-        chosen.append((p, list(cls)))
-        span = GroupStructure(cg.structure.identity, cg.structure.op,
-                              [cg.structure.from_exponents(c)
-                               for _, c in chosen])
-    assert span.order == cg.structure.order, "class group generators missing"
-    r = len(chosen)
+        ideals.append(p)
+        classes.append(cls)
+        span.add_vector(cls)
+    if span.index() != 1:
+        raise CertificationError(f"class group generators missing for {field}")
+    r = len(ideals)
     ngens = r + s_len
+    stacked = classes + list(cg.structure.relation_rows)
 
     def rt_dlog(x):
         if residues is None:
@@ -1466,35 +1461,29 @@ def ray_class(field, S, T, lattice=None):
         return residues.dlog(residues.reduce(x))
 
     def express_in_chosen(target_dlog):
-        stacked = [c for _, c in chosen] + list(cg.structure.relation_rows)
         sol = hnf.solve_in_rowspan(stacked, list(target_dlog))
-        assert sol is not None, "chosen primes do not generate"
+        if sol is None:
+            raise CertificationError(
+                f"class {list(target_dlog)} is outside the chosen primes' span")
         return sol[:r]
 
     rel_rows = []
     # class relations among the chosen primes
     lam = hnf.IntLattice(r)
-    stacked = [c for _, c in chosen] + list(cg.structure.relation_rows)
     for row in hnf.kernel(stacked, ambient_dim=len(cg.structure.leaders)):
         lam.add_vector(row[:r])
     for v in lam.canonical():
         # prod ell^v = (gamma): the row is (v, -dlog gamma), where the
         # S-prime and action rows below write p = prod ell^v (gamma) as
         # (v, +dlog gamma)
-        gamma = _signed_prime_product_generator(field, chosen, v)
+        gamma = _principal_generator(field, ideals, v)
         rel_rows.append(list(v) + [-c for c in rt_dlog(gamma)])
     # residue-system structure and unit-image relations
     if residues:
-        for rr in residues.structure.relation_rows:
-            rel_rows.append([0] * r + list(rr))
-        sl = lattice if lattice is not None else s_unit_lattice(field, S, T)
-        if (sl.field, sl.S, sl.T) != (field, S, T):
-            raise InputError(f"lattice is for S={sl.S}, T={sl.T}, "
-                             f"not S={S}, T={T}")
-        for u in list(sl.gens) + [field.torsion_generator()[0]]:
-            rel_rows.append([0] * r + rt_dlog(u))
-    else:
-        sl = None
+        unit_rows = [rt_dlog(u) for u in list(sl.gens)
+                     + [field.torsion_generator()[0]]]
+        for rr in residues.relation_rows + unit_rows:
+            rel_rows.append([0] * r + rr)
     # kill the classes of the S-primes
     for v_s in finite_S:
         for w in places_over(field, v_s):
@@ -1504,20 +1493,20 @@ def ray_class(field, S, T, lattice=None):
                 rel_rows.append([0] * r + rt_dlog(field.element(w.q)))
                 continue
             v = express_in_chosen(cg.class_of(p_w.as_form()))
-            gamma = _signed_prime_product_generator(
-                field, chosen, [-c for c in v], extra_ideal=p_w)
+            gamma = _principal_generator(field, [p_w] + ideals,
+                                         [1] + [-c for c in v])
             rel_rows.append(list(v) + rt_dlog(gamma))
 
     # Galois action on the generators
     action_rows = []
-    for p, _c in chosen:
+    for p in ideals:
         pc = p.conj()
         v = express_in_chosen(cg.class_of(pc.as_form()))
-        gamma = _signed_prime_product_generator(
-            field, chosen, [-c for c in v], extra_ideal=pc)
+        gamma = _principal_generator(field, [pc] + ideals,
+                                     [1] + [-c for c in v])
         action_rows.append(list(v) + rt_dlog(gamma))
     if residues:
-        for t_leader in residues.structure.leaders:
+        for t_leader in residues.leaders:
             sig = residues.galois_act(t_leader)
             action_rows.append([0] * r + residues.dlog(sig))
 
@@ -1525,16 +1514,11 @@ def ray_class(field, S, T, lattice=None):
     # order consistency: |Cl_{S,T}| = |Cl_S| * |R_T / im units|
     h_s = _s_class_number(field, cg, finite_S)
     if residues:
-        img_rows = [rt_dlog(u) for u in (list(sl.gens)
-                                         + [field.torsion_generator()[0]])]
-        img_rows += [list(rr) for rr in residues.structure.relation_rows]
-        diag, _, _ = hnf.diagonalize_relations(img_rows, ncols=s_len)
-        q_ord = 1
-        for d in diag:
-            if d == 0:
-                raise CertificationError(
-                    f"R_T / im(units) is infinite for T={T}")
-            q_ord *= d
+        q_ord = hnf.IntLattice(s_len, residues.relation_rows
+                               + unit_rows).index()
+        if q_ord is None:
+            raise CertificationError(
+                f"R_T / im(units) is infinite for T={T}")
     else:
         q_ord = 1
     if module.order() != h_s * q_ord:
@@ -1544,35 +1528,20 @@ def ray_class(field, S, T, lattice=None):
     return RayClassData(field, S, T, module, h_s, q_ord)
 
 
-def _signed_prime_product_generator(field, chosen, v, extra_ideal=None):
-    """Exact generator of extra_ideal * prod chosen_i^{v_i} (a principal
-    fractional ideal); negative exponents via conjugates over rational norms.
+def _class_lattice(cg, classes):
+    """The class relation rows plus the dlog vectors `classes`, in Z^k for
+    the k leaders of the class group: the classes generate it exactly when
+    this lattice is Z^k, and the order of the quotient by them is its index.
     """
-    acc = extra_ideal if extra_ideal is not None \
-        else QuadIdeal.unit_ideal(field)
-    denom = Fraction(1)
-    for (p, _), e in zip(chosen, v):
-        if e == 0:
-            continue
-        if e > 0:
-            acc = acc.multiply(ideal_power(p, e))
-        else:
-            acc = acc.multiply(ideal_power(p.conj(), -e))
-            denom *= Fraction(p.a) ** (-e)
-    gamma = acc.principal_generator()
-    assert gamma is not None, "signed product is not principal"
-    return gamma / field.element(denom)
+    return hnf.IntLattice(len(cg.structure.leaders),
+                          list(cg.structure.relation_rows) + list(classes))
 
 
 def _s_class_number(field, cg, finite_S):
-    gens = []
-    for q in finite_S:
-        for w in places_over(field, q):
-            if not (w.ideal.as_form()[0] == 1 and w.ideal.scale != 1):
-                gens.append(cg.structure.from_exponents(
-                    cg.class_of(w.ideal.as_form())))
-    span = GroupStructure(cg.structure.identity, cg.structure.op, gens)
-    return cg.structure.order // span.order
+    """h_S = |Cl_K / <classes of the finite S-places>|."""
+    return _class_lattice(cg, [cg.class_of(w.ideal.as_form())
+                               for q in finite_S
+                               for w in places_over(field, q)]).index()
 
 
 def _module_from_relations(group, ngens, rel_rows, action_rows_list):
@@ -1580,14 +1549,14 @@ def _module_from_relations(group, ngens, rel_rows, action_rows_list):
     from .zideal import FiniteGModule
     rel_rows = [list(r) + [0] * (ngens - len(r)) for r in rel_rows]
     diag, V, Vinv = hnf.diagonalize_relations(rel_rows, ncols=ngens)
-    assert all(d != 0 for d in diag), "module is not finite"
+    if not all(diag):
+        raise CertificationError(f"module is not finite: diagonal {diag}")
     keep = [i for i, d in enumerate(diag) if d != 1]
     orders = [diag[i] for i in keep]
     mats = []
     for action_rows in action_rows_list:
         A = [list(r) + [0] * (ngens - len(r)) for r in action_rows]
         Ap = hnf.mat_mul(hnf.mat_mul(Vinv, A), V)
-        sub = [[Ap[i][j] % diag[j] if diag[j] else Ap[i][j] for j in keep]
-               for i in keep]
+        sub = [[Ap[i][j] % diag[j] for j in keep] for i in keep]
         mats.append(sub)
     return FiniteGModule(group, orders, mats)

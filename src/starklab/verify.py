@@ -451,11 +451,12 @@ def sign_criterion_matrix(scn, data):
     """The log matrix over the Z-basis of O^x_{K,S,T} and the places above V."""
     lat = data.lattice()
     rows = lat.t_lattice_hnf()
-    lam = lat.log_matrix()
     v_place_idx = sorted(i for v in scn.V for i in lat.place_indices(v))
-    if len(rows) != len(v_place_idx):
-        raise InputError(
-            f"log matrix is {len(rows)} x {len(v_place_idx)}, not square")
+    if lat.rank != len(v_place_idx):
+        # the shape is fixed by (S, V): no precision makes it square
+        raise UnsupportedCaseError(
+            f"log matrix is {lat.rank} x {len(v_place_idx)}, not square")
+    lam = lat.log_matrix()
     out = []
     for row in rows:
         combo = None

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from starklab.ball import working_precision
 from starklab.finite import GroupStructure
 from starklab.grpring import InputError
-from starklab.hnf import identity_matrix, invariant_factors_from_diagonal, \
-    mat_mul
+from starklab.hnf import IntLattice, identity_matrix, \
+    invariant_factors_from_diagonal, mat_mul
 from starklab.numfld import (DatumError, ImaginaryClassGroup, QuadField,
                              QuadIdeal, RealClassGroup, ResidueSystem,
                              class_group_structure, class_number,
@@ -320,6 +320,69 @@ def test_ray_class_of_d_minus_187_by_hand():
     assert rc.module.orders == [3]
 
 
+def _residue_closure(res):
+    """(identity, op) of the product of the residue groups k(w)^x, slot by
+    slot: the group that `GroupStructure` enumerates in the oracles."""
+    fields = [gf for _, gf, _ in res.components]
+    identity = tuple(gf.one() for gf in fields)
+
+    def op(t1, t2):
+        return tuple(gf.mul(a, b) for gf, a, b in zip(fields, t1, t2))
+    return identity, op
+
+
+def _check_residues_against_enumeration(field, T):
+    """`ResidueSystem.dlog` and `relation_rows` against the polycyclic
+    presentation `GroupStructure` enumerates from the same leaders (it
+    skips a leader that is already in the span: the generator of GF(2)^x,
+    which is 1)."""
+    res = ResidueSystem(field, T)
+    k = len(res.leaders)
+    enum = GroupStructure(*_residue_closure(res), res.leaders)
+    assert enum.order == res.size == math.prod(r[i] for i, r in
+                                               enumerate(res.relation_rows))
+    slots = [res.leaders.index(g) for g in enum.leaders]
+
+    def lift(vec):
+        out = [0] * k
+        for i, a in zip(slots, vec):
+            out[i] = a
+        return out
+    for element, exponents in enum.exponents.items():
+        assert res.dlog(element) == lift(exponents)
+    skipped = [[int(i == j) for j in range(k)]
+               for i in range(k) if i not in slots]
+    enumerated = IntLattice(k, [lift(r) for r in enum.relation_rows]
+                            + skipped)
+    assert enumerated == IntLattice(k, res.relation_rows)
+
+
+@pytest.mark.parametrize("T", [[3], [2, 3], [5, 7], [2, 11, 13], [43]])
+def test_residues_of_q_match_enumeration(T):
+    _check_residues_against_enumeration("Q", T)
+
+
+@given(st.sampled_from(FUNDAMENTAL),
+       st.lists(st.sampled_from(SMALL_PRIMES), min_size=1, max_size=2,
+                unique=True))
+@settings(max_examples=40, deadline=None)
+@example(D=17, T=[2, 3])      # 2 splits: two copies of GF(2)^x
+@example(D=-4, T=[7])         # inert: GF(49)^x
+def test_residues_of_quadratic_fields_match_enumeration(D, T):
+    F = QuadField(D)
+    assume(all(D % q for q in T))
+    assume(math.prod(q * q - 1 if F.splitting(q) == "inert" else
+                     (q - 1) ** 2 for q in T) <= 3000)
+    _check_residues_against_enumeration(F, T)
+
+
+def test_ray_classes_with_large_residue_groups():
+    # |R_T| = 171072 and 103680: a lattice of relations, not a listing
+    rc = ray_class(QuadField(120), ["inf", 2, 3, 5, 7], [19, 23])
+    assert (rc.h_s, rc.rt_quotient_order, rc.order()) == (1, 2, 2)
+    assert ray_class(QuadField(97), ["inf", 97], [17, 19]).order() == 1
+
+
 def _ray_class_order_oracle(F, S, T):
     """h_S * |R_T / im O_S^x|, from subgroup closures instead of the
     relation matrix `ray_class` diagonalises."""
@@ -329,7 +392,7 @@ def _ray_class_order_oracle(F, S, T):
     span = GroupStructure(cg.structure.identity, cg.structure.op, s_classes)
     res = ResidueSystem(F, T)
     units = list(s_unit_lattice(F, S, T).gens) + [F.torsion_generator()[0]]
-    image = GroupStructure(res.structure.identity, res.op,
+    image = GroupStructure(*_residue_closure(res),
                            [res.reduce(u) for u in units])
     return cg.structure.order // span.order * (res.size // image.order)
 
@@ -365,6 +428,25 @@ for D, S, T in [(12, ["inf", 2, 3], [5]), (-4, ["inf", 2, 5], [3])]:
     except CertificationError:
         continue
     raise SystemExit(f"D = {D}: express trusted corrupted valuations")
+
+from starklab.grpring import AbelianGroup
+from starklab.numfld import _module_from_relations
+
+try:
+    _module_from_relations(AbelianGroup(()), 2, [[3, 0]], [])
+    raise SystemExit("relations of rank 1 < 2 gave a finite module")
+except CertificationError:
+    pass
+
+for field in ("Q", QuadField(5)):
+    L = s_unit_lattice(field, ["inf", 5], [3])
+    L.gens[0] = L.gens[0] * 7      # 7 is not an S-unit
+    try:
+        L.log_matrix()
+        raise SystemExit(f"{field}: corrupted generator passed the "
+                         "product formula")
+    except CertificationError:
+        pass
 """
 
 

@@ -420,7 +420,7 @@ def test_one_lattice_and_one_ray_class_per_scenario(monkeypatch):
         "checks": ["sign_criterion", "rs_integrality", "fitting_equality",
                    "annihilation", "igc_membership"]}))
     assert [e["verdict"] for e in cert["results"]] == \
-        ["blocked", "pass", "pass", "pass", "pass"]
+        ["unsupported", "pass", "pass", "pass", "pass"]
     # one lattice; one ray class of the field and one of Q (the s_p flag)
     assert counts["s_unit_lattice"] == 1
     assert counts["ray_class"] <= 2
@@ -430,6 +430,27 @@ def test_one_lattice_and_one_ray_class_per_scenario(monkeypatch):
     assert len(flags) == 5
     assert all(f == flags[0] for f in flags)
     assert len({id(f["S"]) for f in flags}) == len(flags)
+
+
+@pytest.mark.parametrize("field,S", [({"type": "Q"}, ["inf", 5, 7]),
+                                     ({"type": "quad", "disc": -23},
+                                      ["inf", 23])])
+def test_sign_criterion_without_v_places_is_unsupported(monkeypatch,
+                                                        field, S):
+    # V = []: the log matrix has no columns, and no precision makes it
+    # square, so the verdict is not one that asks for more bits; the shape
+    # is decided before any log is computed
+    from starklab import numfld
+
+    def no_logs(self, check_rows=True):
+        raise AssertionError("log matrix computed")
+    monkeypatch.setattr(numfld.SUnitLattice, "log_matrix", no_logs)
+    cert = run_scenario(Scenario({"field": field, "S": S, "V": [], "T": [3],
+                                  "checks": ["sign_criterion"]}))
+    [entry] = cert["results"]
+    assert entry["verdict"] == "unsupported"
+    assert "not square" in entry["reason"]
+    assert cert["exit_code"] != 3
 
 
 def test_norm_identity_builds_one_hyperplane_set(monkeypatch):
