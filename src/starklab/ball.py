@@ -3,8 +3,10 @@ interval kernel (libmpi), which rounds endpoints outward.
 
 A `Ball` encloses a real number between two exact binary endpoints; every
 operation returns an enclosure of the exact result.  All certification
-predicates (sign, integer recognition) are decided on exact rational
-endpoints, never on floats.
+predicates are decided exactly, never on floats: sign, zero and
+containment on the binary endpoints themselves (sign bits, and integer
+comparisons of mantissa times a power of two against a rational), with no
+`Fraction`s; integer recognition on the `Fraction` endpoints.
 
 A computation that cannot certify what was asked raises `Undecided` rather
 than guessing; callers treat that as "raise the precision", not as failure.
@@ -21,12 +23,10 @@ precision argument.  A step that needs extra guard bits of its own nests
 
 from fractions import Fraction
 
-from mpmath.libmp import (finf, fninf, fnan, from_int, from_rational,
-                          mpf_cmp, mpf_neg)
+from mpmath.libmp import from_int, from_rational, fzero, mpf_neg
 from mpmath.libmp.libmpi import (mpi_abs, mpi_add, mpi_cos, mpi_div,
-                                 mpi_exp, mpi_log, mpi_mul, mpi_neg,
-                                 mpi_pi, mpi_pos, mpi_pow_int, mpi_sin,
-                                 mpi_sqrt, mpi_sub)
+                                 mpi_log, mpi_mul, mpi_neg, mpi_pi, mpi_pos,
+                                 mpi_pow_int, mpi_sin, mpi_sqrt, mpi_sub)
 
 DEFAULT_PREC = 128
 _GUARD_BITS = 15
@@ -85,6 +85,29 @@ class working_precision:
         global _PREC
         _PREC = self.old
         return False
+
+
+def _raw_sign(raw):
+    """Sign (-1, 0 or 1) of an mpf endpoint; ValueError if non-finite."""
+    if raw[1]:
+        return -1 if raw[0] else 1
+    if raw != fzero:
+        raise ValueError("non-finite endpoint")
+    return 0
+
+
+def _raw_cmp(raw, x):
+    """Sign of raw - x for an mpf endpoint and a Fraction x: one integer
+    comparison of +-man * den * 2^exp against num.  ValueError if raw is
+    non-finite."""
+    _, man, exp, _ = raw
+    a = _raw_sign(raw) * man * x.denominator
+    n = x.numerator
+    if exp >= 0:
+        a <<= exp
+    else:
+        n <<= -exp
+    return (a > n) - (a < n)
 
 
 def _raw_to_fraction(raw):
@@ -203,29 +226,39 @@ class Ball:
         lo, hi = self.endpoints()
         return (hi - lo) / 2
 
+    def _signs(self):
+        lo, hi = self._v
+        return _raw_sign(lo), _raw_sign(hi)
+
     def contains_zero(self):
-        lo, hi = self.endpoints()
+        lo, hi = self._signs()
         return lo <= 0 <= hi
 
     def contains(self, x):
-        lo, hi = self.endpoints()
         x = Fraction(x)
-        return lo <= x <= hi
+        lo, hi = self._v
+        below, above = _raw_cmp(lo, x), _raw_cmp(hi, x)
+        return below <= 0 <= above
 
     def is_nonzero(self):
-        lo, hi = self.endpoints()
+        lo, hi = self._signs()
         return hi < 0 or lo > 0
 
+    def is_zero(self):
+        """Is the enclosure exactly {0}, both endpoints zero?"""
+        return self._signs() == (0, 0)
+
     def sign(self):
-        """Certified sign: -1 or +1; raises Undecided if straddling zero."""
-        lo, hi = self.endpoints()
+        """Certified sign: -1, 0 (for exactly {0}) or +1; raises Undecided
+        if straddling zero."""
+        lo, hi = self._signs()
         if lo > 0:
             return 1
         if hi < 0:
             return -1
         if lo == hi == 0:
             return 0
-        raise Undecided("interval straddles zero", (hi - lo) / 2)
+        raise Undecided("interval straddles zero", self.rad())
 
     def unique_integer(self):
         """The integer this ball certifies, per the radius < 1/4 rule.
@@ -308,21 +341,14 @@ def _decimal_to_fraction(s):
 
 def ball_log(x):
     b = x if isinstance(x, Ball) else Ball(x)
-    lo, _ = b.endpoints()
-    if lo <= 0:
+    if b._signs()[0] <= 0:
         raise ValueError("log requires a strictly positive enclosure")
     return Ball._wrap(mpi_log(b._v, _PREC))
 
 
-def ball_exp(x):
-    b = x if isinstance(x, Ball) else Ball(x)
-    return Ball._wrap(mpi_exp(b._v, _PREC))
-
-
 def ball_sqrt(x):
     b = x if isinstance(x, Ball) else Ball(x)
-    lo, _ = b.endpoints()
-    if lo < 0:
+    if b._signs()[0] < 0:
         raise ValueError("sqrt requires a nonnegative enclosure")
     return Ball._wrap(mpi_sqrt(b._v, _PREC))
 
@@ -350,6 +376,19 @@ def ball_sinpi2(t):
         return table[t]
     ang = ball_pi() * Fraction(2) * t
     return Ball._wrap(mpi_sin(ang._v, _PREC))
+
+
+def ball_ratio(n, d):
+    """Ball(Fraction(n, d)) for integers n and d > 0, without reducing n/d:
+    each endpoint is one outward rounding of n/d, which does not depend on
+    the representation.  An integer quotient of at most the working
+    precision rounds to itself; a longer one is kept exact, as Ball(int)
+    keeps it, so the result equals Ball(Fraction(n, d)) in every bit."""
+    if n.bit_length() - d.bit_length() >= _PREC and n % d == 0:
+        f = from_int(n // d)
+        return Ball._wrap((f, f))
+    return Ball._wrap((from_rational(n, d, _PREC, "f"),
+                       from_rational(n, d, _PREC, "c")))
 
 
 _LOG_CACHE = {}
@@ -462,7 +501,7 @@ def gauss_solve(A, b):
         M[col], M[piv] = M[piv], M[col]
         pe = M[col][col]
         for i in range(n):
-            if i != col and not (M[i][col].endpoints() == (0, 0)):
+            if i != col and not M[i][col].is_zero():
                 f = M[i][col] / pe
                 M[i] = [a - f * c for a, c in zip(M[i], M[col])]
                 M[i][col] = Ball(0)
@@ -512,7 +551,7 @@ def _det_expand(M, col, acc):
             return rows[0][0]
         total = Ball(0)
         for i in range(k):
-            if rows[i][0].endpoints() == (0, 0):
+            if rows[i][0].is_zero():
                 continue
             minor = [r[1:] for j, r in enumerate(rows) if j != i]
             term = rows[i][0] * expand(minor)

@@ -352,11 +352,11 @@ class GroupRingElement:
         n = self.group.order
         out = [a.ring.zero()] * n
         for i, ca in enumerate(a.coeffs):
-            if _is_zero_fast(ca):
+            if _is_zero(ca):
                 continue
             row = table[i]
             for j, cb in enumerate(b.coeffs):
-                if _is_zero_fast(cb):
+                if _is_zero(cb):
                     continue
                 k = row[j]
                 out[k] = out[k] + ca * cb
@@ -396,7 +396,7 @@ class GroupRingElement:
         return self.coeffs[self.group.index[tuple(element)]]
 
     def is_zero(self):
-        return all(_is_zero_exact(c) for c in self.coeffs)
+        return all(_is_zero(c) for c in self.coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, GroupRingElement):
@@ -470,7 +470,7 @@ class GroupRingElement:
     def __repr__(self):
         terms = []
         for e, c in zip(self.group.elements, self.coeffs):
-            if _is_zero_fast(c):
+            if _is_zero(c):
                 continue
             terms.append(f"({c})*g{list(e)}")
         return "GR[" + (" + ".join(terms) if terms else "0") + "]"
@@ -511,8 +511,9 @@ def _scalar_ring(x):
     raise InputError(f"unsupported scalar {x!r}")
 
 
-def _is_zero_fast(c):
-    # cheap short-circuit for convolution; never wrong about exact zeros
+def _is_zero(c):
+    """Is the coefficient exactly zero?  A ball counts only when its
+    enclosure is exactly {0}, decided on its raw endpoints."""
     if isinstance(c, int):
         return c == 0
     if isinstance(c, Fraction):
@@ -521,15 +522,10 @@ def _is_zero_fast(c):
     if isinstance(c, CycloElt):
         return c.is_zero()
     if isinstance(c, Ball):
-        return c.endpoints() == (0, 0)
+        return c.is_zero()
     if isinstance(c, CBall):
-        return c.re.endpoints() == (0, 0) and c.im.endpoints() == (0, 0)
+        return c.re.is_zero() and c.im.is_zero()
     return False
-
-
-def _is_zero_exact(c):
-    # for balls, only an exactly-zero enclosure counts
-    return _is_zero_fast(c)
 
 
 class Character:
@@ -646,25 +642,6 @@ def aug_ideal_power(group, c):
     """The lattice of I_G^c inside Z^{|G|} (delegates to the ideal module)."""
     from .zideal import augmentation_ideal_power
     return augmentation_ideal_power(group, c)
-
-
-def affine_inner_products(q):
-    """<psi, Ind(chi)> for the affine group of F_q acting on its order-q
-    normal subgroup: rows indexed by characters chi of the subgroup
-    ("trivial" or "nontrivial"), columns by psi (("lin", j) or "nl").
-
-    For q = 2 the table degenerates to the identity on two linear characters.
-    """
-    if q == 2:
-        return {("trivial", ("lin", 0)): 1, ("trivial", "nl"): 0,
-                ("nontrivial", ("lin", 0)): 0, ("nontrivial", "nl"): 1}
-    table = {}
-    for j in range(q - 1):
-        table[("trivial", ("lin", j))] = 1 if j == 0 else 0
-        table[("nontrivial", ("lin", j))] = 0
-    table[("trivial", "nl")] = 0
-    table[("nontrivial", "nl")] = 1
-    return table
 
 
 def affine_projection(q, psi_values, group=None):

@@ -21,13 +21,14 @@ truncation, not to the order of vanishing.
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 from sympy import bernoulli as sym_bernoulli
 from sympy import factorint, isprime
 
 from .ball import (Ball, CBall, CertificationError, PrecisionError,
-                   ball_log, ball_log_int, precision)
+                   ball_log, ball_log_int, ball_ratio, precision)
 from .cyclo import CycloField
 from .finite import GroupStructure
 from .grpring import AbelianGroup, Character, GroupRingElement, InputError
@@ -433,9 +434,6 @@ class Jet:
         return f"Jet(order={self.order}, coeffs={self.coeffs!r})"
 
 
-from functools import lru_cache
-
-
 @lru_cache(maxsize=None)
 def _rising_factorial_coeffs(m):
     """Coefficients of s(s+1)...(s+m-1), lowest degree first (m >= 1)."""
@@ -484,9 +482,10 @@ def _correction_coeffs(B, K):
 
 @lru_cache(maxsize=None)
 def _tail_radius_table(N, B, K, prec):
-    """Remainder-bound radii r_0..r_K for the Euler-Maclaurin tail; the
-    bound only depends on the cutoffs, not on x in (0, 1].  `prec` is the
-    precision in force, passed only to key the cache."""
+    """The Euler-Maclaurin remainder bounds r_0..r_K as balls [-r_k, r_k],
+    each rounded up once; the bound only depends on the cutoffs, not on x
+    in (0, 1].  `prec` is the precision in force, passed only to key the
+    cache."""
     P2B = _rising_factorial_coeffs(2 * B)
     bconst = abs(_bernoulli_fraction(2 * B)) / _factorial(2 * B)
     logN = ball_log_int(N)
@@ -508,7 +507,7 @@ def _tail_radius_table(N, B, K, prec):
                 bound = (I[k - i] * Fraction(P2B[i], _factorial(k - i))
                          ).endpoints()[1]
                 rad += abs(bound)
-        rads.append(bconst * rad)
+        rads.append(Ball(0, bconst * rad))
     return tuple(rads)
 
 
@@ -533,11 +532,12 @@ def hurwitz_jet(x, K):
     c_0 = 1/2 - x is exact.  For K = 1 the main sum sum_{n<N} log(n + x) is
     the log of the exact integer prod_{n<N} (n den + num) less N log den;
     for K >= 2 it accumulates the power sums of log(n + x) and divides by
-    k! once.  The corrections are summed as exact rationals in w = N + x,
-    so the only balls in the tail are log w and the tail bound.  The
-    precision must be at least 53 bits: below that it raises
-    `PrecisionError`, an `Undecided` with radius 2^-prec.  A c_0 enclosure
-    that misses 1/2 - x raises `CertificationError`.
+    k! once.  The tail is summed exactly in w = N + x on unreduced integer
+    pairs (numerator, denominator), each rounded outward once, so its only
+    other balls are log w and the tail bound, rounded once per cutoff and
+    precision.  The precision must be at least 53 bits: below that it
+    raises `PrecisionError`, an `Undecided` with radius 2^-prec.  A c_0
+    enclosure that misses 1/2 - x raises `CertificationError`.
     """
     x = Fraction(x)
     if not 0 < x <= 1:
@@ -568,31 +568,39 @@ def hurwitz_jet(x, K):
                 sums[k] = sums[k] + power
         main = [N] + [sums[k] * Fraction((-1) ** k, _factorial(k))
                       for k in range(1, K + 1)]
-    # tail at w = N + x: the integral term w^(1-s)/(s-1), the half term
-    # w^(-s)/2 and the Bernoulli corrections sum_i R_i s^i w^(-s).  R_i is
-    # exact: Horner in u = w^-2 = p/q, on integers over the denominator
-    # q^(B-1).  Expanding w^(-s) = sum_m (-Lw)^m s^m / m! then leaves a
-    # polynomial in -Lw with exact coefficients t[m] / m!, where
-    # t[m] = R_(k-m) - w + [m = k]/2 and R_0 = 0.
-    w = N + x
-    p, q = w.denominator ** 2, w.numerator ** 2
-    R = [Fraction(0)]
+    # tail at w = N + x = wn / den: the integral term w^(1-s)/(s-1), the
+    # half term w^(-s)/2 and the Bernoulli corrections sum_i R_i s^i w^(-s).
+    # R_i is exact: Horner in u = w^-2 = p/q, on integers over the
+    # denominator q^(B-1).  Expanding w^(-s) = sum_m (-Lw)^m s^m / m! then
+    # leaves a polynomial in -Lw with exact coefficients t[m] / m!, where
+    # t[m] = R_(k-m) - w + [m = k]/2 and R_0 = 0.  R_i and t[m] / m! stay
+    # unreduced integer pairs (numerator, denominator), each rounded
+    # outward once by `ball_ratio`.
+    wn = N * den + num
+    p, q = den * den, wn * wn
+    R = [(0, 1)]
     for a, d in _correction_coeffs(B, K):
         acc, qpow = a[-1], 1
         for c in reversed(a[:-1]):
             qpow *= q
             acc = acc * p + c * qpow
-        R.append(Fraction(acc * w.denominator, d * qpow * w.numerator))
-    neg_Lw = log_den - ball_log_int(w.numerator)
-    rads = _tail_radius_table(N, B, K, prec)
+        R.append((acc * den, d * qpow * wn))
+    neg_Lw = log_den - ball_log_int(wn)
+    spreads = _tail_radius_table(N, B, K, prec)
+
+    def term(k, m):
+        # t[m] / m! = (2 (Rn den - wn Rd) + [m = k] Rd den) / (2 Rd den m!)
+        Rn, Rd = R[k - m]
+        half = Rd * den if m == k else 0
+        return ball_ratio(2 * (Rn * den - wn * Rd) + half,
+                          2 * Rd * den * _factorial(m))
+
     out = []
     for k in range(K + 1):
-        t = [R[k - m] - w + (Fraction(1, 2) if m == k else 0)
-             for m in range(k + 1)]
         c = 0
         for m in range(k, 0, -1):
-            c = (c + t[m] / _factorial(m)) * neg_Lw
-        out.append(c + main[k] + Ball(t[0], rads[k]))
+            c = (c + term(k, m)) * neg_Lw
+        out.append(c + main[k] + (term(k, 0) + spreads[k]))
     # pin the exact value at order zero
     exact0 = Fraction(1, 2) - x
     if not out[0].contains(exact0):

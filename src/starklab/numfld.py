@@ -624,11 +624,6 @@ def class_number(D):
     return RealClassGroup(D).h
 
 
-def narrow_class_number(D):
-    assert D > 0
-    return RealClassGroup(D).h_plus
-
-
 def class_group_structure(D):
     return ImaginaryClassGroup(D) if D < 0 else RealClassGroup(D)
 

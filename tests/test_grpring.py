@@ -9,8 +9,27 @@ from hypothesis import strategies as st
 from starklab.ball import Ball
 from starklab.cyclo import CycloField, cyclotomic_polynomial
 from starklab.grpring import (AbelianGroup, Character, GroupRingElement,
-                              InputError, Subgroup, affine_inner_products,
-                              affine_projection, idempotent, norm_element)
+                              InputError, Subgroup, affine_projection,
+                              idempotent, norm_element)
+
+
+def affine_inner_products(q):
+    """<psi, Ind(chi)> for the affine group of F_q acting on its order-q
+    normal subgroup: rows indexed by characters chi of the subgroup
+    ("trivial" or "nontrivial"), columns by psi (("lin", j) or "nl").
+
+    For q = 2 the table degenerates to the identity on two linear characters.
+    """
+    if q == 2:
+        return {("trivial", ("lin", 0)): 1, ("trivial", "nl"): 0,
+                ("nontrivial", ("lin", 0)): 0, ("nontrivial", "nl"): 1}
+    table = {}
+    for j in range(q - 1):
+        table[("trivial", ("lin", j))] = 1 if j == 0 else 0
+        table[("nontrivial", ("lin", j))] = 0
+    table[("trivial", "nl")] = 0
+    table[("nontrivial", "nl")] = 1
+    return table
 
 
 GROUPS = [(2,), (3,), (4,), (2, 2), (2, 4), (3, 3)]

@@ -7,12 +7,14 @@ import sympy
 from mpmath import mp
 from mpmath.libmp import to_rational
 
-from starklab.ball import (Ball, CBall, PrecisionError, ball_log_int,
-                           precision, working_precision)
+from starklab.ball import (Ball, CBall, PrecisionError, ball_log,
+                           ball_log_int, precision, working_precision)
 from starklab.cyclo import CycloField
 from starklab.grpring import AbelianGroup, GroupRingElement, InputError
 from starklab.lfun import (AbelianFieldRealization, DirichletChar, Jet,
                            LSpec, UnresolvedOrderError, WrongOrderError,
+                           _bernoulli_fraction, _correction_coeffs,
+                           _factorial, _rising_factorial_coeffs,
                            _tail_radius_table, bernoulli_value, hurwitz_jet,
                            invert_ball_element, l_jet, leading_term_element,
                            stickelberger_element, theoretical_order,
@@ -92,8 +94,105 @@ def test_hurwitz_c1_radius_is_the_tail_bound_plus_little_rounding():
         jet = hurwitz_jet(x, 1)
         N, B = jet.params["N"], jet.params["B"]
         prec = precision()
-        tail = _tail_radius_table(N, B, 1, prec)[1]
+        tail = _tail_radius_table(N, B, 1, prec)[1].rad()  # rounded up
         assert jet.coeffs[1].rad() <= 2 * tail + Fraction(2) ** -(prec + 3), x
+
+
+def _fraction_tail_radii(N, B, K):
+    """The remainder bounds r_0..r_K as exact Fractions, the way the tail
+    radius table computed them before it stored rounded balls."""
+    P2B = _rising_factorial_coeffs(2 * B)
+    bconst = abs(_bernoulli_fraction(2 * B)) / _factorial(2 * B)
+    logN = ball_log_int(N)
+    a_exp = 2 * B - 1
+    Npow = Ball(N) ** (-a_exp)
+    I = []
+    for j in range(K + 1):
+        acc = Ball(0)
+        for i in range(j + 1):
+            acc = acc + (logN ** i) * Fraction(
+                _factorial(j), _factorial(i)) \
+                * Fraction(1, a_exp ** (j - i + 1))
+        I.append(Npow * acc)
+    rads = []
+    for k in range(K + 1):
+        rad = Fraction(0)
+        for i in range(min(k, 2 * B) + 1):
+            if P2B[i]:
+                bound = (I[k - i] * Fraction(P2B[i], _factorial(k - i))
+                         ).endpoints()[1]
+                rad += abs(bound)
+        rads.append(bconst * rad)
+    return rads
+
+
+def _fraction_tail_jet(x, K, N, B):
+    """hurwitz_jet's balls (c_0 included) with the tail summed in reduced
+    Fractions, each rounded by Ball(Fraction): the oracle for the integer
+    pairs that hurwitz_jet rounds once."""
+    num, den = x.numerator, x.denominator
+    log_den = ball_log_int(den)
+    if K == 1:
+        prod = 1
+        for n in range(N):
+            prod *= n * den + num
+        main = [N, log_den * N - ball_log(prod)]
+    else:
+        sums = [Ball(0)] * (K + 1)
+        for n in range(N):
+            L = ball_log_int(n * den + num) - log_den
+            power = L
+            for k in range(1, K + 1):
+                if k > 1:
+                    power = power * L
+                sums[k] = sums[k] + power
+        main = [N] + [sums[k] * Fraction((-1) ** k, _factorial(k))
+                      for k in range(1, K + 1)]
+    w = N + x
+    p, q = w.denominator ** 2, w.numerator ** 2
+    R = [Fraction(0)]
+    for a, d in _correction_coeffs(B, K):
+        acc, qpow = a[-1], 1
+        for c in reversed(a[:-1]):
+            qpow *= q
+            acc = acc * p + c * qpow
+        R.append(Fraction(acc * w.denominator, d * qpow * w.numerator))
+    neg_Lw = log_den - ball_log_int(w.numerator)
+    rads = _fraction_tail_radii(N, B, K)
+    out = []
+    for k in range(K + 1):
+        t = [R[k - m] - w + (Fraction(1, 2) if m == k else 0)
+             for m in range(k + 1)]
+        c = 0
+        for m in range(k, 0, -1):
+            c = (c + t[m] / _factorial(m)) * neg_Lw
+        out.append(c + main[k] + Ball(t[0], rads[k]))
+    return out
+
+
+ORACLE_TAIL_XS = ([Fraction(1), Fraction(1, 2)]
+                  + [Fraction(a, 7) for a in range(1, 7)]
+                  + [Fraction(a, 97) for a in (1, 2, 13, 48, 50, 96)]
+                  + [Fraction(a, 401) for a in (1, 3, 100, 200, 331, 400)])
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256])
+def test_hurwitz_tail_is_bit_identical_to_the_fraction_sum(bits):
+    with working_precision(bits):
+        for K in range(5):
+            for x in ORACLE_TAIL_XS:
+                jet = hurwitz_jet(x, K)
+                old = _fraction_tail_jet(x, K, jet.params["N"],
+                                         jet.params["B"])
+                assert jet.coeffs[0] == Fraction(1, 2) - x
+                assert old[0].contains(jet.coeffs[0])
+                assert [c._v for c in jet.coeffs[1:]] == \
+                    [c._v for c in old[1:]], (bits, K, x)
+                N, B = jet.params["N"], jet.params["B"]
+                spreads = _tail_radius_table(N, B, K, precision())
+                radii = _fraction_tail_radii(N, B, K)
+                assert [s._v for s in spreads] == \
+                    [Ball(0, r)._v for r in radii]
 
 
 def test_characters():

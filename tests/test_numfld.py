@@ -20,9 +20,15 @@ from starklab.numfld import (DatumError, ImaginaryClassGroup, QuadField,
                              class_group_structure, class_number,
                              fundamental_discriminant, fundamental_unit,
                              ideal_power, is_fundamental_discriminant,
-                             kronecker, log_abs_at_place, narrow_class_number,
-                             ord_at_place, places_over, ray_class,
-                             s_unit_lattice, squarefree_part, unit_norm)
+                             kronecker, log_abs_at_place, ord_at_place,
+                             places_over, ray_class, s_unit_lattice,
+                             squarefree_part, unit_norm)
+
+
+def narrow_class_number(D):
+    """Narrow class number of the real quadratic field of discriminant D."""
+    assert D > 0
+    return RealClassGroup(D).h_plus
 
 
 def test_kronecker_against_residue_oracle():
