@@ -320,16 +320,12 @@ class BiquadSUnitLattice:
                     f"relation {row} of the subfield generators is {u}, "
                     "not +-1")
             rel_rows.append(row)
-        diag, V, Vinv = hnf.diagonalize_relations(rel_rows,
-                                                  ncols=len(pool))
-        if any(d not in (0, 1) for d in diag):
+        factors, self._V, self._basis_pool_rows = \
+            hnf.diagonalize_relations(rel_rows, len(pool))
+        if any(factors):
             raise CertificationError(
-                f"relation lattice has elementary divisors {diag}, not 0 / 1")
-        keep = [j for j, d in enumerate(diag) if d == 0]
-        self._keep = keep
-        self._V = V
-        self._basis_pool_rows = [Vinv[j] for j in keep]
-        self.rank = len(keep)
+                f"relation lattice has invariant factors {factors}, not 0")
+        self.rank = len(factors)
         if self.rank != len(self.places) - 1:
             raise CertificationError(
                 f"S-unit rank {self.rank}, expected |S_K| - 1 = "
@@ -370,9 +366,8 @@ class BiquadSUnitLattice:
 
     def pool_coords_to_basis(self, coords):
         """Image of a pool-exponent vector in basis coordinates."""
-        y = [sum(coords[i] * self._V[i][j] for i in range(len(coords)))
-             for j in range(len(self._V))]
-        return [y[j] for j in self._keep]
+        return [sum(c * row[j] for c, row in zip(coords, self._V))
+                for j in range(self.rank)]
 
     def subfield_generator_coords(self, sub_idx, gen_idx):
         coords = [0] * len(self.pool)

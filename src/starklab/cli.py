@@ -23,6 +23,7 @@ from fractions import Fraction
 from .ball import (DEFAULT_PREC, CertificationError, Undecided,
                    working_precision)
 from .grpring import InputError
+from .hnf import diagonalize_relations
 from .lfun import (AbelianFieldRealization, DirichletChar, LSpec,
                    l_jet, stickelberger_element)
 from .numfld import (DatumError, QuadField, class_number,
@@ -162,10 +163,9 @@ def _dispatch(args):
     if args.command == "field":
         D = args.disc
         if args.what == "classgroup":
-            cg = class_group_structure(D)
-            from .hnf import invariant_factors_from_diagonal
-            diag, _, _ = cg.structure.invariants()
-            inv = invariant_factors_from_diagonal(diag)
+            st = class_group_structure(D).structure
+            inv, _, _ = diagonalize_relations(st.relation_rows,
+                                              len(st.leaders))
             _emit({"disc": D, "h": class_number(D),
                    "invariant_factors": inv or [1]}, args.out)
             return 0

@@ -4,15 +4,14 @@ fields GF(p^k), for desk-scale orders only.
 Both enumerate.  `GroupStructure` lists every element of the group it
 presents; it builds the class groups of quadratic fields (`numfld`) and the
 quotient of a character realization (`lfun`), and it is the tests'
-enumerating oracle.  `GF` searches its elements for square roots,
+enumerating oracle.  Its relation rows go to `hnf.diagonalize_relations`
+for the invariant factors.  `GF` searches its elements for square roots,
 multiplicative generators and irreducible moduli.  The residue groups at T
 are not listed: `numfld.ResidueSystem` presents them as products of cyclic
 factors.
 """
 
 import itertools
-
-from . import hnf
 
 
 class GroupStructure:
@@ -80,16 +79,6 @@ class GroupStructure:
             for _ in range(a):
                 out = self.op(out, g)
         return out
-
-    def invariants(self):
-        """(orders, V, Vinv) diagonalizing the relation lattice.
-
-        New coordinates: y = x @ V for an exponent vector x; new generator j
-        is prod leaders^(Vinv[j][i]).
-        """
-        k = len(self.leaders)
-        diag, V, Vinv = hnf.diagonalize_relations(self.relation_rows, ncols=k)
-        return diag, V, Vinv
 
 
 class GF:

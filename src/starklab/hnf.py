@@ -3,6 +3,12 @@
 All vectors are row vectors (lists of python ints), so a matrix is a list of
 rows and a linear map Z^n -> Z^m is applied as ``v @ A`` with A of shape n x m.
 Arbitrary-precision ints throughout; nothing here ever overflows.
+
+One echelon insertion, `IntLattice.add_vector`, builds every Hermite form,
+kernel and solve.  One Smith form, `diagonalize_relations`, gives the
+structure of every finitely generated abelian group presented by relation
+rows: it eliminates on the Hermite form of the relations, so its entries
+stay small, and returns the invariant-factor chain itself.
 """
 
 import bisect
@@ -55,23 +61,31 @@ class IntLattice:
     def rank(self):
         return len(self.rows)
 
-    def add_vector(self, vec0):
-        """Insert vec0; returns the reduction tail (None once absorbed)."""
-        assert len(vec0) == self.n, (len(vec0), self.n)
+    def add_vector(self, vec0, nlead=None):
+        """Insert vec0, pivoting only in its first `nlead` columns (all n by
+        default).
+
+        Returns the reduced tail vec[nlead:] when those columns reduce to
+        zero, and None when vec0 adds a new echelon row.
+        """
+        if len(vec0) != self.n:
+            raise ValueError(f"vector of length {len(vec0)} in Z^{self.n}")
+        if nlead is None:
+            nlead = self.n
         self._canon = None
         vec = list(vec0)
         j = 0
         while True:
             # find leading nonzero column of vec
-            while j < self.n and vec[j] == 0:
+            while j < nlead and vec[j] == 0:
                 j += 1
-            if j == self.n:
-                return
+            if j == nlead:
+                return vec[nlead:]
             k = bisect.bisect_left(self.pivots, j)
             if k == len(self.pivots) or self.pivots[k] != j:
                 self.rows.insert(k, vec)
                 self.pivots.insert(k, j)
-                return
+                return None
             row = self.rows[k]
             a, b = row[j], vec[j]
             if b % a == 0:
@@ -104,9 +118,6 @@ class IntLattice:
 
     def contains_vector(self, vec):
         return not any(self.reduce_vector(vec))
-
-    def contains_lattice(self, other):
-        return all(self.contains_vector(r) for r in other.basis())
 
     def basis(self):
         return self.canonical()
@@ -192,43 +203,10 @@ def kernel(rows, ambient_dim=None):
     for i, r in enumerate(rows):
         aug = r + [0] * m
         aug[n + i] = 1
-        tail = _add_vector_lead(lat, aug, n)
+        tail = lat.add_vector(aug, n)
         if tail is not None:
             harvested.append(tail)
     return harvested
-
-
-def _add_vector_lead(lat, vec0, nlead):
-    """Like IntLattice.add_vector but pivots only in the first nlead columns.
-
-    Returns the tail (columns nlead:) when the lead block reduces to zero,
-    else None.
-    """
-    vec = list(vec0)
-    j = 0
-    while True:
-        while j < nlead and vec[j] == 0:
-            j += 1
-        if j == nlead:
-            return vec[nlead:]
-        k = bisect.bisect_left(lat.pivots, j)
-        if k == len(lat.pivots) or lat.pivots[k] != j:
-            lat.rows.insert(k, vec)
-            lat.pivots.insert(k, j)
-            return None
-        row = lat.rows[k]
-        a, b = row[j], vec[j]
-        if b % a == 0:
-            q = b // a
-            for jj in range(j, lat.n):
-                vec[jj] -= q * row[jj]
-        else:
-            x, y, g = xgcd(a, b)
-            ag, bg = a // g, b // g
-            for jj in range(j, lat.n):
-                aa, bb = row[jj], vec[jj]
-                row[jj] = x * aa + y * bb
-                vec[jj] = -bg * aa + ag * bb
 
 
 def solve_in_rowspan(rows, vec):
@@ -242,7 +220,7 @@ def solve_in_rowspan(rows, vec):
     for i, r in enumerate(rows):
         aug = r + [0] * m
         aug[n + i] = 1
-        _add_vector_lead(lat, aug, n)
+        lat.add_vector(aug, n)
     # reduce [vec | 0]; pivot block reduction mirrors into the tail
     aug = list(vec) + [0] * m
     for row, j in zip(lat.rows, lat.pivots):
@@ -303,19 +281,25 @@ def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def diagonalize_relations(mat, ncols=None):
-    """Diagonalize a relation matrix by unimodular row and column operations.
+def diagonalize_relations(rows, ncols):
+    """Smith normal form of the group M = Z^ncols / rowspan(rows).
 
-    Returns (diag, V, Vinv) where U @ mat @ V is diagonal for some unimodular
-    U and diag lists the n diagonal entries (>= 0, padded with zeros).  For a
-    relation matrix R presenting M = Z^n / rowspan(R), element coordinates
-    transform by x -> x @ V and the j-th new generator has old coordinates
-    Vinv[j].  The diagonal entries are not sorted into a divisibility chain;
-    callers needing invariant factors combine them afterwards.
+    Returns (factors, V, Vinv).  `factors` is the invariant-factor chain
+    d_1 | d_2 | ... with every d_i > 1, then one 0 per free rank, so that
+    M = Z/d_1 x Z/d_2 x ... (Z/0 = Z) and the empty list means M = 0.  V is
+    ncols x len(factors): an element with coordinates x has new coordinates
+    x @ V, the j-th taken mod factors[j].  Vinv[j] lists the old coordinates
+    of the j-th new generator, and Vinv @ V is the identity.
+
+    Row operations do not change M, so the elimination starts from the
+    Hermite form of the rows, whose entries are reduced (Cohen, *A Course in
+    Computational Algebraic Number Theory*, Alg. 2.4.14).  Each pivot is the
+    smallest remaining entry; once its row and column are clear, a row with
+    an entry the pivot does not divide is added to the pivot row, so the
+    pivots come out as the divisibility chain in order.
     """
-    A = [list(r) for r in mat]
-    m = len(A)
-    n = ncols if ncols is not None else (len(A[0]) if A else 0)
+    A = IntLattice(ncols, rows).canonical()
+    m, n = len(A), ncols
     V = identity_matrix(n)
     Vinv = identity_matrix(n)
 
@@ -334,24 +318,9 @@ def diagonalize_relations(mat, ncols=None):
             row[j1], row[j2] = row[j2], row[j1]
         Vinv[j1], Vinv[j2] = Vinv[j2], Vinv[j1]
 
-    def col_neg(j):
-        for row in A:
-            row[j] = -row[j]
-        for row in V:
-            row[j] = -row[j]
-        Vinv[j] = [-a for a in Vinv[j]]
-
-    t = 0
-    while t < min(m, n):
-        pr = pc = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = abs(A[i][j])
-                if v and (best is None or v < best):
-                    best, pr, pc = v, i, j
-        if pr is None:
-            break
+    for t in range(m):
+        _, pr, pc = min((abs(A[i][j]), i, j) for i in range(t, m)
+                        for j in range(t, n) if A[i][j])
         A[t], A[pr] = A[pr], A[t]
         if pc != t:
             col_swap(t, pc)
@@ -372,34 +341,19 @@ def diagonalize_relations(mat, ncols=None):
                     if A[t][j]:
                         col_swap(t, j)
                         dirty = True
-            if not dirty:
+            if dirty:
+                continue
+            bad = next((i for i in range(t + 1, m)
+                        if any(a % A[t][t] for a in A[i][t + 1:])), None)
+            if bad is None:
                 break
+            A[t] = [a + b for a, b in zip(A[t], A[bad])]
         if A[t][t] < 0:
-            col_neg(t)
-        t += 1
-    diag = [A[i][i] if i < min(m, n) else 0 for i in range(n)]
-    return diag, V, Vinv
-
-
-def invariant_factors_from_diagonal(diag):
-    """Combine diagonal entries into the invariant factor chain d1 | d2 | ...
-
-    Zeros (free ranks) are returned as trailing zeros; ones are dropped.
-    """
-    from math import gcd
-    ds = [d for d in diag if d not in (0, 1)]
-    free = sum(1 for d in diag if d == 0)
-    # repeatedly fix non-divisible pairs via (gcd, lcm)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(ds)):
-            for j in range(i + 1, len(ds)):
-                g = gcd(ds[i], ds[j])
-                if ds[j] % ds[i] != 0:
-                    l = ds[i] * ds[j] // g
-                    ds[i], ds[j] = g, l
-                    changed = True
-        ds = [d for d in ds if d != 1]
-    ds.sort()
-    return ds + [0] * free
+            A[t][t] = -A[t][t]
+            for row in V:
+                row[t] = -row[t]
+            Vinv[t] = [-a for a in Vinv[t]]
+    # the chain starts with its unit factors; their coordinates are always 0
+    units = sum(1 for t in range(m) if A[t][t] == 1)
+    factors = [A[t][t] for t in range(units, m)] + [0] * (n - m)
+    return factors, [row[units:] for row in V], Vinv[units:]

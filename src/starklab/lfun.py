@@ -214,9 +214,6 @@ class AbelianFieldRealization:
         if f == 1:
             self.group = AbelianGroup(())
             self._coset_rep = {1: 1}
-            self._diag = []
-            self._keep = []
-            self._V = []
             if expected_degree not in (None, 1):
                 raise InputError("modulus 1 realizes only Q itself")
             return
@@ -241,13 +238,9 @@ class AbelianFieldRealization:
             raise InputError(
                 f"kernel index {self.quotient.order} differs from the "
                 f"declared degree {expected_degree}")
-        diag, V, _vinv = self.quotient.invariants()
-        keep = [i for i, d in enumerate(diag) if d != 1]
-        self._diag = [diag[i] for i in keep]
-        self._keep = keep
-        self._V = V
-        self.group = AbelianGroup(tuple(self._diag)) if self._diag \
-            else AbelianGroup(())
+        factors, self._V, _ = diagonalize_relations(
+            self.quotient.relation_rows, len(self.quotient.leaders))
+        self.group = AbelianGroup(factors)
 
     @staticmethod
     def rationals():
@@ -297,11 +290,9 @@ class AbelianFieldRealization:
         if getattr(self, "_kronecker", None) is not None:
             return tuple(0 if kronecker(D, a) == 1 else 1
                          for D in self._kronecker)
-        x = list(self.quotient.dlog(self._coset_rep[a]))
-        y = [sum(x[i] * self._V[i][j] for i in range(len(x)))
-             for j in range(len(x))]
-        return tuple(y[j] % self._diag[idx]
-                     for idx, j in enumerate(self._keep))
+        x = self.quotient.dlog(self._coset_rep[a])
+        return tuple(sum(xi * row[j] for xi, row in zip(x, self._V)) % d
+                     for j, d in enumerate(self.group.invariant_factors))
 
     def ramified_primes(self):
         """Primes dividing the conductor of some character of G."""

@@ -459,7 +459,10 @@ class ImaginaryClassGroup:
         inst.structure = GroupStructure(
             principal_form(D), lambda f1, f2: compose_forms(f1, f2, D),
             inst.forms)
-        assert inst.structure.order == inst.h
+        if inst.structure.order != inst.h:
+            raise CertificationError(
+                f"class group of {D}: {inst.structure.order} classes "
+                f"enumerated, {inst.h} reduced forms")
         cls._cache[D] = inst
         return inst
 
@@ -601,7 +604,10 @@ class RealClassGroup:
         ident = wide[inst._cycle_rep[reduce_indefinite(principal_form(D), D)]]
         inst.structure = GroupStructure(ident, op,
                                         sorted(set(wide.values())))
-        assert inst.structure.order == inst.h, (inst.h, inst.structure.order)
+        if inst.structure.order != inst.h:
+            raise CertificationError(
+                f"class group of {D}: {inst.structure.order} classes "
+                f"enumerated, h = {inst.h}")
         cls._cache[D] = inst
         return inst
 
@@ -1543,15 +1549,13 @@ def _module_from_relations(group, ngens, rel_rows, action_rows_list):
     """FiniteGModule from integer relation rows and generator action rows."""
     from .zideal import FiniteGModule
     rel_rows = [list(r) + [0] * (ngens - len(r)) for r in rel_rows]
-    diag, V, Vinv = hnf.diagonalize_relations(rel_rows, ncols=ngens)
-    if not all(diag):
-        raise CertificationError(f"module is not finite: diagonal {diag}")
-    keep = [i for i, d in enumerate(diag) if d != 1]
-    orders = [diag[i] for i in keep]
+    orders, V, Vinv = hnf.diagonalize_relations(rel_rows, ngens)
+    if not all(orders):
+        raise CertificationError(
+            f"module is not finite: invariant factors {orders}")
     mats = []
     for action_rows in action_rows_list:
         A = [list(r) + [0] * (ngens - len(r)) for r in action_rows]
         Ap = hnf.mat_mul(hnf.mat_mul(Vinv, A), V)
-        sub = [[Ap[i][j] % diag[j] for j in keep] for i in keep]
-        mats.append(sub)
+        mats.append([[x % d for x, d in zip(row, orders)] for row in Ap])
     return FiniteGModule(group, orders, mats)

@@ -11,7 +11,7 @@ import itertools
 from fractions import Fraction
 
 from . import hnf
-from .ball import Undecided
+from .ball import CertificationError, Undecided
 from .grpring import GroupRingElement, InputError, Subgroup
 
 
@@ -428,9 +428,6 @@ class FiniteGModule:
     def all_elements(self):
         return list(itertools.product(*(range(d) for d in self.orders)))
 
-    def invariant_factors(self):
-        return hnf.invariant_factors_from_diagonal(self.orders)
-
     def standard_presentation(self):
         """Z[G]-presentation with one generator per coordinate.
 
@@ -487,7 +484,8 @@ def annihilator(module):
     for row in ker:
         lat.add_vector(row[:n])
     out = GIdealLattice(group, lat)
-    assert out.is_g_stable()
+    if not out.is_g_stable():
+        raise CertificationError("annihilator lattice is not G-stable")
     return out
 
 

@@ -1,13 +1,14 @@
+import itertools
+import math
 import random
-
+import time
 from fractions import Fraction
 
 import pytest
 
 from starklab.hnf import (IntLattice, diagonalize_relations, hnf,
-                          identity_matrix, invariant_factors_from_diagonal,
-                          kernel, mat_mul, rational_solve, solve_in_rowspan,
-                          xgcd)
+                          identity_matrix, kernel, mat_mul, rational_solve,
+                          solve_in_rowspan, xgcd)
 
 
 def test_xgcd():
@@ -97,23 +98,79 @@ def test_solvers():
                 for j in range(n)] == vq
 
 
+def _check_smith_form(R, n):
+    """The Smith form of R presents the same group Z^n / rowspan(R)."""
+    factors, V, Vinv = diagonalize_relations(R, n)
+    k = len(factors)
+    torsion = factors[:k - factors.count(0)]
+    assert factors[len(torsion):] == [0] * (k - len(torsion))
+    assert all(d > 1 for d in torsion)
+    assert all(b % a == 0 for a, b in zip(torsion, torsion[1:]))
+    assert mat_mul(Vinv, V) == identity_matrix(k)
+    diag_rows = [[d if i == j else 0 for j in range(k)]
+                 for i, d in enumerate(factors)]
+    assert IntLattice(k, mat_mul(R, V)) == IntLattice(k, diag_rows)
+    return factors
+
+
 def test_diagonalize_relations():
     rng = random.Random(5)
     for _ in range(300):
         m, n = rng.randint(0, 5), rng.randint(1, 5)
         R = [[rng.randint(-8, 8) for _ in range(n)] for _ in range(m)]
-        diag, V, Vinv = diagonalize_relations(R, ncols=n)
-        assert mat_mul(Vinv, V) == identity_matrix(n)
-        RV = [[sum(r[k] * V[k][j] for k in range(n)) for j in range(n)]
-              for r in R]
-        diag_rows = [[diag[i] if i == j else 0 for j in range(n)]
-                     for i in range(n)]
-        assert IntLattice(n, RV) == IntLattice(n, diag_rows)
+        _check_smith_form(R, n)
 
 
 def test_invariant_factors():
-    assert invariant_factors_from_diagonal([2, 3]) == [6]
-    assert invariant_factors_from_diagonal([2, 4]) == [2, 4]
-    assert invariant_factors_from_diagonal([6, 4]) == [2, 12]
-    assert invariant_factors_from_diagonal([1, 1, 5]) == [5]
-    assert invariant_factors_from_diagonal([0, 2]) == [2, 0]
+    def factors(diag):
+        n = len(diag)
+        rows = [[d if i == j else 0 for j in range(n)]
+                for i, d in enumerate(diag)]
+        return diagonalize_relations(rows, n)[0]
+
+    assert factors([2, 3]) == [6]
+    assert factors([2, 4]) == [2, 4]
+    assert factors([6, 4]) == [2, 12]
+    assert factors([1, 1, 5]) == [5]
+    assert factors([0, 2]) == [2, 0]
+    assert factors([1, 1]) == []
+
+
+def _det(M):
+    if not M:
+        return 1
+    return sum((-1) ** j * M[0][j] * _det([row[:j] + row[j + 1:]
+                                           for row in M[1:]])
+               for j in range(len(M)) if M[0][j])
+
+
+def test_smith_form_against_determinantal_divisors():
+    # d_1 ... d_k is the gcd of the k x k minors, for every k
+    rng = random.Random(11)
+    for _ in range(300):
+        m, n = rng.randint(1, 5), rng.randint(1, 4)
+        R = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        factors = _check_smith_form(R, n)
+        rank = n - factors.count(0)
+        chain = [1] * (rank - len(factors) + factors.count(0)) + factors
+        for k in range(1, min(m, n) + 1):
+            minors = [_det([[R[i][j] for j in cols] for i in rows])
+                      for rows in itertools.combinations(range(m), k)
+                      for cols in itertools.combinations(range(n), k)]
+            assert math.prod(chain[:k]) == math.gcd(*minors), (R, k)
+
+
+def test_smith_form_entries_stay_bounded():
+    # elimination on the raw rows let entries grow past thousands of digits
+    ray_class_rows = [[36, 0, 0, 0], [0, 36, 0, 0], [0, 0, 52, 0],
+                      [0, 0, 0, 52], [23, 14, 7, 46], [9, 27, 13, 39],
+                      [23, 14, 7, 46]]
+    assert _check_smith_form(ray_class_rows, 4) == [4, 468]
+    rng = random.Random(12)
+    for _ in range(10):
+        R = [[rng.randint(-9999, 9999) for _ in range(8)] for _ in range(10)]
+        t0 = time.perf_counter()
+        factors = _check_smith_form(R, 8)
+        assert time.perf_counter() - t0 < 2.0
+        assert 0 not in factors
+        assert math.prod(factors) == IntLattice(8, R).index()

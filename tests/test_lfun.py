@@ -10,6 +10,7 @@ from mpmath.libmp import to_rational
 from starklab.ball import (Ball, CBall, PrecisionError, ball_log,
                            ball_log_int, precision, working_precision)
 from starklab.cyclo import CycloField
+from starklab.finite import GroupStructure
 from starklab.grpring import AbelianGroup, GroupRingElement, InputError
 from starklab.lfun import (AbelianFieldRealization, DirichletChar, Jet,
                            LSpec, UnresolvedOrderError, WrongOrderError,
@@ -405,6 +406,23 @@ def test_leading_term_element_and_inverse():
     prod = lt * inv
     assert (prod.coeffs[0] - 1).contains_zero()
     assert prod.coeffs[1].contains_zero()
+
+
+def test_realization_element_of_is_the_quotient_map():
+    # G = (Z/f)^x / <k>: element_of is a surjective homomorphism killing k,
+    # whatever the invariant factors of G
+    for f in range(2, 70):
+        units = [a for a in range(1, f) if math.gcd(a, f) == 1]
+        gens = GroupStructure(1, lambda a, b: a * b % f, units).leaders
+        for k in units:
+            R = AbelianFieldRealization(f, [k])
+            G = R.group
+            image = {a: R.element_of(a) for a in units}
+            assert image[k] == G.identity()
+            assert len(set(image.values())) == G.order
+            for a in units:
+                for g in gens:
+                    assert image[a * g % f] == G.op(image[a], image[g])
 
 
 def test_complex_character_jet():

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,8 +14,8 @@ from hypothesis import strategies as st
 from starklab.ball import working_precision
 from starklab.finite import GroupStructure
 from starklab.grpring import InputError
-from starklab.hnf import IntLattice, identity_matrix, \
-    invariant_factors_from_diagonal, mat_mul
+from starklab.hnf import IntLattice, diagonalize_relations, \
+    identity_matrix, mat_mul
 from starklab.numfld import (DatumError, ImaginaryClassGroup, QuadField,
                              QuadIdeal, RealClassGroup, ResidueSystem,
                              class_group_structure, class_number,
@@ -104,12 +105,10 @@ def test_class_numbers_against_tables():
         assert class_number(D) == h, D
     assert narrow_class_number(12) == 2  # N(eps) = +1 doubles the count
     assert narrow_class_number(5) == 1
-    cg = ImaginaryClassGroup(-23)
-    diag, _, _ = cg.structure.invariants()
-    assert invariant_factors_from_diagonal(diag) == [3]
-    cg4 = ImaginaryClassGroup(-84)  # Klein group (2, 2)
-    diag, _, _ = cg4.structure.invariants()
-    assert invariant_factors_from_diagonal(diag) == [2, 2]
+    for D, factors in [(-23, [3]), (-84, [2, 2])]:  # -84: Klein group
+        cg = ImaginaryClassGroup(D).structure
+        assert diagonalize_relations(cg.relation_rows,
+                                     len(cg.leaders))[0] == factors
 
 
 def test_splitting_against_factorization_oracle():
@@ -420,6 +419,15 @@ def test_ray_class_order_is_h_s_times_unit_quotient(D, extra, t_index, two):
     assert rc.order() == _ray_class_order_oracle(F, S, T)
 
 
+def test_ray_class_with_large_residue_group_is_quick():
+    # R_T has 3.5 million elements; its 7 x 4 relation matrix once took
+    # minutes to diagonalise
+    t0 = time.perf_counter()
+    rc = ray_class(QuadField(-4), ["inf", 2], [37, 53])
+    assert time.perf_counter() - t0 < 5.0
+    assert rc.module.orders == [4, 468]
+
+
 VALUATION_GATE_UNDER_O = """
 from starklab.ball import CertificationError
 from starklab.numfld import QuadField, s_unit_lattice
@@ -453,6 +461,14 @@ for field in ("Q", QuadField(5)):
                          "product formula")
     except CertificationError:
         pass
+
+from starklab.hnf import IntLattice
+
+try:
+    IntLattice(2).add_vector([1])
+    raise SystemExit("a vector of length 1 entered Z^2")
+except ValueError:
+    pass
 """
 
 

@@ -181,7 +181,12 @@ def test_cli_flows(tmp_path):
         "T": [5], "checks": ["rs_integrality"]}))
     assert main(["verify", str(bad)]) == 2
     assert main(["identity", "--p", "3", "--m", "2"]) == 0
-    assert main(["field", "--disc", "-23", "classgroup"]) == 0
+    for D, factors in [(-23, [3]), (-84, [2, 2]), (-3299, [3, 9]),
+                       (-4, [1])]:
+        cg = tmp_path / f"cg{-D}.json"
+        assert main(["field", "--disc", str(D), "classgroup",
+                     "--out", str(cg)]) == 0
+        assert json.loads(cg.read_text())["invariant_factors"] == factors
     assert main(["sweep", str(tmp_path)]) == 2  # bad.json dominates
     malformed = tmp_path / "broken.json"
     malformed.write_text("{not json")
