@@ -162,6 +162,7 @@ def _dispatch(args):
 
     if args.command == "field":
         D = args.disc
+        QuadField(D)      # a fundamental discriminant within the desk bound
         if args.what == "classgroup":
             st = class_group_structure(D).structure
             inv, _, _ = diagonalize_relations(st.relation_rows,

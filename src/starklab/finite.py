@@ -13,6 +13,9 @@ factors.
 
 import itertools
 
+from .arith import factorint
+from .grpring import InputError
+
 
 class GroupStructure:
     """Structure of a finite abelian group given by generators and an op.
@@ -106,7 +109,8 @@ class GF:
         if isinstance(coeffs, int):
             coeffs = (coeffs,) + (0,) * (self.k - 1)
         v = tuple(int(c) % self.p for c in coeffs)
-        assert len(v) == self.k
+        if len(v) != self.k:
+            raise InputError(f"{coeffs} needs {self.k} coordinates")
         return v
 
     def zero(self):
@@ -171,7 +175,6 @@ class GF:
 
     def multiplicative_generator(self):
         n = self.q - 1
-        from sympy import factorint
         primes = list(factorint(n))
         for cand in self.all_elements():
             if cand == self.zero():

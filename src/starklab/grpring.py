@@ -12,6 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
 
+from .arith import factorint
 from .ball import Ball, CBall
 from .cyclo import CycloField
 
@@ -654,8 +655,7 @@ def affine_projection(q, psi_values, group=None):
     The output is a*e_1 + b*(1 - e_1) with a the value at the trivial linear
     character and b the value at "nl".
     """
-    from sympy import factorint
-    fac = factorint(q)
+    fac = factorint(q) if q > 1 else {}
     if len(fac) != 1:
         raise InputError(f"{q} is not a prime power")
     p, k = next(iter(fac.items()))

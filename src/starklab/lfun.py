@@ -24,9 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from sympy import bernoulli as sym_bernoulli
-from sympy import factorint, isprime
-
+from .arith import bernoulli, factorint
 from .ball import (Ball, CBall, CertificationError, PrecisionError,
                    ball_log, ball_log_int, ball_ratio, precision)
 from .cyclo import CycloField
@@ -440,12 +438,6 @@ def _rising_factorial_coeffs(m):
 
 
 @lru_cache(maxsize=None)
-def _bernoulli_fraction(n):
-    b = sym_bernoulli(n)
-    return Fraction(int(b.p), int(b.q))
-
-
-@lru_cache(maxsize=None)
 def _factorial(n):
     out = 1
     for i in range(2, n + 1):
@@ -465,7 +457,7 @@ def _correction_coeffs(B, K):
         for j in range(1, B + 1):
             P = _rising_factorial_coeffs(2 * j - 1)
             Pi = P[i] if i < len(P) else 0
-            row.append(_bernoulli_fraction(2 * j) / _factorial(2 * j) * Pi)
+            row.append(bernoulli(2 * j) / _factorial(2 * j) * Pi)
         d = lcm(*(c.denominator for c in row))
         rows.append((tuple(int(c * d) for c in row), d))
     return tuple(rows)
@@ -478,7 +470,7 @@ def _tail_radius_table(N, B, K, prec):
     in (0, 1].  `prec` is the precision in force, passed only to key the
     cache."""
     P2B = _rising_factorial_coeffs(2 * B)
-    bconst = abs(_bernoulli_fraction(2 * B)) / _factorial(2 * B)
+    bconst = abs(bernoulli(2 * B)) / _factorial(2 * B)
     logN = ball_log_int(N)
     a_exp = 2 * B - 1
     Npow = Ball(N) ** (-a_exp)

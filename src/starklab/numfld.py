@@ -12,13 +12,11 @@ import itertools
 from fractions import Fraction
 from math import gcd, isqrt
 
-from sympy import factorint, sqrt_mod
-
 from . import hnf
+from .arith import CapacityError, factorint, primerange
 from .ball import Ball, CertificationError, ball_log, ball_log_int, ball_sqrt
 from .finite import GF, GroupStructure
 from .grpring import AbelianGroup, InputError
-from .sublat import CapacityError
 
 MAX_ABS_DISC = 10 ** 6
 
@@ -99,10 +97,10 @@ class QuadField:
         inst = cls._cache.get(D)
         if inst is not None:
             return inst
-        if not is_fundamental_discriminant(D):
-            raise InputError(f"{D} is not a fundamental discriminant")
         if abs(D) > MAX_ABS_DISC:
             raise CapacityError(f"|D| = {abs(D)} exceeds the desk bound")
+        if not is_fundamental_discriminant(D):
+            raise InputError(f"{D} is not a fundamental discriminant")
         inst = super().__new__(cls)
         inst.D = D
         inst.m = D if D % 4 == 1 else D // 4
@@ -325,7 +323,9 @@ def fundamental_unit(D):
                 cand = cand.inverse()
                 if cand.compare_zero() < 0:
                     cand = -cand
-            assert abs(cand.norm()) == 1 and cand.is_integral()
+            if abs(cand.norm()) != 1 or not cand.is_integral():
+                raise CertificationError(f"unit candidate for D={D} is not "
+                                         "an integral unit")
             _UNIT_CACHE[D] = cand
             return cand
         P = a * Q - P
@@ -362,7 +362,8 @@ def reduce_form_neg(form, with_transform=False):
     Convention: (Q o M)(x, y) = Q(p x + q y, r x + s y) for M = [[p,q],[r,s]].
     """
     a, b, c = form
-    assert a > 0 and b * b - 4 * a * c < 0
+    if a <= 0 or b * b - 4 * a * c >= 0:
+        raise CertificationError(f"{form} is not positive definite")
     M = [[1, 0], [0, 1]]
     while not _is_reduced_neg(a, b, c):
         if c < a or (c == a and b < 0):
@@ -388,7 +389,8 @@ def reduce_form_neg(form, with_transform=False):
 
 def reduced_forms(D):
     """All reduced primitive positive definite forms of discriminant D < 0."""
-    assert D < 0
+    if D >= 0:
+        raise CertificationError(f"definite forms need D < 0, got {D}")
     out = []
     for b in range(abs(D) % 2, isqrt(abs(D) // 3) + 1, 2):
         if (b * b - D) % 4:
@@ -434,7 +436,8 @@ def compose_abc(f1, f2, D):
     A = s * t
     B = w * u - (k * t + l * s)
     C = k * l - w * mcoef
-    assert B * B - 4 * A * C == D, "composition broke the discriminant"
+    if B * B - 4 * A * C != D:
+        raise CertificationError("composition broke the discriminant")
     return (A, B, C)
 
 
@@ -451,8 +454,10 @@ class ImaginaryClassGroup:
         inst = cls._cache.get(D)
         if inst is not None:
             return inst
+        if D >= 0:
+            raise CertificationError("definite class group needs D < 0, "
+                                     f"got {D}")
         inst = super().__new__(cls)
-        assert D < 0
         inst.D = D
         inst.forms = reduced_forms(D)
         inst.h = len(inst.forms)
@@ -567,8 +572,10 @@ class RealClassGroup:
         inst = cls._cache.get(D)
         if inst is not None:
             return inst
+        if D <= 0:
+            raise CertificationError("indefinite class group needs D > 0, "
+                                     f"got {D}")
         inst = super().__new__(cls)
-        assert D > 0
         inst.D = D
         forms = _all_reduced_indefinite(D)
         cycles = {}
@@ -642,7 +649,8 @@ class QuadIdeal:
     __slots__ = ("field", "a", "b", "scale")
 
     def __init__(self, field, a, b, scale=Fraction(1)):
-        assert a > 0
+        if a <= 0:
+            raise CertificationError(f"ideal norm part a = {a} <= 0")
         b %= 2 * a
         if b > a:
             b -= 2 * a
@@ -684,7 +692,8 @@ class QuadIdeal:
                 // (4 * self.a))
 
     def multiply(self, other):
-        assert other.field is self.field
+        if other.field is not self.field:
+            raise InputError("ideals of different fields")
         a1, b1 = self.a, self.b
         a2, b2 = other.a, other.b
         w = gcd(gcd(a1, a2), (b1 + b2) // 2)
@@ -790,7 +799,8 @@ class Place:
         self.label = label
 
     def nw(self):
-        assert self.kind == "finite"
+        if self.kind != "finite":
+            raise InputError(f"{self.label} is not a finite place")
         return self.q ** self.f
 
     def __repr__(self):
@@ -850,7 +860,9 @@ def _lift_sqrt(m, q, r, precision):
     class r: r is a root mod q for odd q, a residue mod 4 for q = 2."""
     if q != 2:
         R = r % q
-        assert (R * R - m) % q == 0
+        if (R * R - m) % q:
+            raise CertificationError(f"{r} is not a square root of {m} "
+                                     f"mod {q}")
         qk = q
         while qk < q ** precision:
             qk = qk * qk
@@ -858,7 +870,9 @@ def _lift_sqrt(m, q, r, precision):
         return R % (q ** precision), q ** precision
     # q = 2: m = 1 mod 8; each doubling has a unique lift, and the increments
     # (multiples of 4) preserve the class mod 4 that identifies the place
-    assert m % 8 == 1 and r % 2 == 1
+    if m % 8 != 1 or r % 2 != 1:
+        raise CertificationError(f"no 2-adic square root of {m} in the "
+                                 f"class {r} mod 4")
     R = r % 4
     mod = 8
     target = 2 ** max(precision, 3)
@@ -871,7 +885,8 @@ def _lift_sqrt(m, q, r, precision):
 
 def ord_at_place(x, place):
     """Normalized valuation ord_w(x) for x in the place's field."""
-    assert place.kind == "finite"
+    if place.kind != "finite":
+        raise InputError(f"{place.label} is not a finite place")
     q = place.q
     if place.field == "Q":
         return _vq_fraction(Fraction(x), q)
@@ -881,7 +896,8 @@ def ord_at_place(x, place):
         raise InputError("valuation of zero")
     if place.f == 2:  # inert
         t = _vq_fraction(n, q)
-        assert t % 2 == 0
+        if t % 2:
+            raise CertificationError("odd norm valuation at an inert prime")
         return t // 2
     if place.e == 2:  # ramified
         return _vq_fraction(n, q)
@@ -892,7 +908,8 @@ def ord_at_place(x, place):
     R, mod = _lift_sqrt(f.m, q, place.root_mod_q, t + 3)
     A, B = int(y.a), int(y.b)
     val = _vq_int((A + B * R) % mod, q, cap=t + 2)
-    assert val <= t, "split valuation exceeded the norm valuation"
+    if val > t:
+        raise CertificationError("split valuation exceeded the norm valuation")
     return val - _vq_int(den, q, cap=10 ** 9)
 
 
@@ -1013,7 +1030,8 @@ class ResidueSystem:
 
     def galois_act(self, tup):
         """Action of the nontrivial automorphism on a residue tuple."""
-        assert self.field != "Q"
+        if self.field == "Q":
+            raise InputError("Q has no nontrivial automorphism")
         out = list(tup)
         i = 0
         comps = self.components
@@ -1433,7 +1451,6 @@ def ray_class(field, S, T, lattice=None):
     group = AbelianGroup((2,))
     cg = class_group_structure(field.D)
     # choose prime-ideal generators of the class group away from S, T, disc
-    from sympy import primerange
     ideals, classes = [], []      # the chosen primes and their dlog rows
     span = _class_lattice(cg, [])
     for ell in primerange(2, 5000):

@@ -15,16 +15,11 @@ builds a single group-ring element at the end.
 
 from itertools import product
 
-from sympy import isprime
-
+from .arith import CapacityError, isprime
 from .ball import CertificationError
 from .grpring import AbelianGroup, GroupRingElement, InputError, Subgroup
 
 DESK_BOUND = 3 ** 6
-
-
-class CapacityError(RuntimeError):
-    """A desk-scale bound was exceeded."""
 
 
 class HyperplaneSet:
@@ -98,13 +93,14 @@ class HyperplaneSet:
 
 
 def _check_desk_shape(p, m):
-    """(Z/p)^m must have p prime, m >= 1 and at most DESK_BOUND elements."""
-    if not isprime(p):
-        raise InputError(f"{p} is not prime")
+    """(Z/p)^m must have p prime, m >= 1 and at most DESK_BOUND elements.
+    The size is checked first, so a huge p never reaches `isprime`."""
     if m < 1:
         raise InputError("rank must be >= 1")
     if p ** m > DESK_BOUND:
-        raise CapacityError(f"p^m = {p**m} exceeds desk bound {DESK_BOUND}")
+        raise CapacityError(f"{p}^{m} exceeds desk bound {DESK_BOUND}")
+    if not isprime(p):
+        raise InputError(f"{p} is not prime")
 
 
 def projective_normals(p, m):

@@ -15,6 +15,7 @@ import json
 from fractions import Fraction
 
 from . import hnf
+from .arith import factorint, isprime
 from .ball import Ball, CBall, CertificationError, Undecided, ball_det, \
     gauss_solve, working_precision
 from .biquad import BiquadField, BiquadSUnitLattice
@@ -178,7 +179,6 @@ class Scenario:
         flags["thm1_bound"] = len(self.S) > len(self.V) + 1
         invf = self.realization.group.invariant_factors
         if invf and all(f == invf[0] for f in invf):
-            from sympy import isprime
             p = invf[0]
             if isprime(p):
                 m = len(invf)
@@ -827,7 +827,6 @@ def run_acnf(dmin=-500, dmax=500, tol=Fraction(1, 10 ** 25)):
     residual's radius.
     """
     from .numfld import is_fundamental_discriminant
-    from sympy import factorint
     checked_pos = checked_neg = 0
     max_resid = Fraction(0)
     for D in range(dmin, dmax + 1):

@@ -11,6 +11,7 @@ import itertools
 from fractions import Fraction
 
 from . import hnf
+from .arith import isprime
 from .ball import CertificationError, Undecided
 from .grpring import GroupRingElement, InputError, Subgroup
 
@@ -494,7 +495,6 @@ def fitting_from_extension(cl_module, d, group=None):
     module when G is cyclic of prime order and all d split-removed places
     have full decomposition group (caller asserts the latter).
     """
-    from sympy import isprime
     group = group or cl_module.group
     if group.rank != 1 or not isprime(group.invariant_factors[0]):
         raise UnsupportedCaseError("closed form requires G cyclic of prime "

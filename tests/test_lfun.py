@@ -7,6 +7,7 @@ import sympy
 from mpmath import mp
 from mpmath.libmp import to_rational
 
+from starklab.arith import bernoulli
 from starklab.ball import (Ball, CBall, PrecisionError, ball_log,
                            ball_log_int, precision, working_precision)
 from starklab.cyclo import CycloField
@@ -14,9 +15,9 @@ from starklab.finite import GroupStructure
 from starklab.grpring import AbelianGroup, GroupRingElement, InputError
 from starklab.lfun import (AbelianFieldRealization, DirichletChar, Jet,
                            LSpec, UnresolvedOrderError, WrongOrderError,
-                           _bernoulli_fraction, _correction_coeffs,
-                           _factorial, _rising_factorial_coeffs,
-                           _tail_radius_table, bernoulli_value, hurwitz_jet,
+                           _correction_coeffs, _factorial,
+                           _rising_factorial_coeffs, _tail_radius_table,
+                           bernoulli_value, hurwitz_jet,
                            invert_ball_element, l_jet, leading_term_element,
                            stickelberger_element, theoretical_order,
                            validate_rubin_shape)
@@ -103,7 +104,7 @@ def _fraction_tail_radii(N, B, K):
     """The remainder bounds r_0..r_K as exact Fractions, the way the tail
     radius table computed them before it stored rounded balls."""
     P2B = _rising_factorial_coeffs(2 * B)
-    bconst = abs(_bernoulli_fraction(2 * B)) / _factorial(2 * B)
+    bconst = abs(bernoulli(2 * B)) / _factorial(2 * B)
     logN = ball_log_int(N)
     a_exp = 2 * B - 1
     Npow = Ball(N) ** (-a_exp)

@@ -469,6 +469,21 @@ try:
     raise SystemExit("a vector of length 1 entered Z^2")
 except ValueError:
     pass
+
+from starklab.grpring import InputError
+from starklab.numfld import _lift_sqrt, ord_at_place, places_over
+
+try:
+    ord_at_place(3, places_over("Q", "inf")[0])
+    raise SystemExit("a valuation at the real place")
+except InputError:
+    pass
+
+try:
+    _lift_sqrt(5, 11, 3, 2)         # 3^2 = 9, not 5, mod 11
+    raise SystemExit("Hensel lift from a non-root")
+except CertificationError:
+    pass
 """
 
 
