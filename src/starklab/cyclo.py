@@ -6,7 +6,7 @@ desk scale), so no CRT/factored representation is used.
 from fractions import Fraction
 from functools import lru_cache
 
-from .ball import Ball, CBall
+from .ball import Ball, CBall, CertificationError
 
 
 @lru_cache(maxsize=None)
@@ -25,12 +25,15 @@ def _poly_divexact(num, den):
     out = [0] * (len(num) - len(den) + 1)
     for i in range(len(out) - 1, -1, -1):
         c = num[i + len(den) - 1]
-        assert c % den[-1] == 0
+        if c % den[-1] != 0:
+            raise CertificationError(
+                f"division by {den} has a non-integral quotient")
         q = c // den[-1]
         out[i] = q
         for j, dc in enumerate(den):
             num[i + j] -= q * dc
-    assert not any(num)
+    if any(num):
+        raise CertificationError(f"division leaves the remainder {num}")
     return out
 
 
@@ -72,7 +75,10 @@ class CycloField:
         vec = [Fraction(c) for c in coeffs]
         if len(vec) < self.degree:
             vec += [Fraction(0)] * (self.degree - len(vec))
-        assert len(vec) == self.degree
+        if len(vec) != self.degree:
+            from .grpring import InputError  # grpring imports this module
+            raise InputError(f"{len(vec)} coefficients for Q(zeta_{self.e}) "
+                             f"of degree {self.degree}")
         return CycloElt(self, vec)
 
     def zero(self):
@@ -195,7 +201,10 @@ class CycloElt:
         """Apply zeta -> zeta^j (j coprime to e)."""
         f = self.field
         from math import gcd
-        assert gcd(j, f.e) == 1
+        if gcd(j, f.e) != 1:
+            from .grpring import InputError
+            raise InputError(f"zeta -> zeta^{j} is no automorphism of "
+                             f"Q(zeta_{f.e})")
         out = f.zero()
         for k, c in enumerate(self.vec):
             if c:

@@ -44,8 +44,8 @@ class AbelianGroup:
         inst.invariant_factors = key
         inst.order = prod(key) if key else 1
         if inst.order > MAX_GROUP_ORDER:
-            raise InputError(f"group order {inst.order} exceeds desk bound "
-                             f"{MAX_GROUP_ORDER}")
+            raise InputError(f"a product of {len(key)} cyclic groups has "
+                             f"order above the desk bound {MAX_GROUP_ORDER}")
         inst.exponent = key[-1] if key else 1
         inst.rank = len(key)
         # fixed global element order: mixed-radix lexicographic

@@ -131,23 +131,26 @@ class GLattice:
             homs.append([row[i * n:(i + 1) * n] for i in range(t)])
         return homs
 
-    def hom_as_elements(self, hom):
-        return [GroupRingElement(self.group, "int", coeffs)
-                for coeffs in hom]
-
     def pull_hom_to_cover(self, hom, cover):
         """Values f(u) for the cover generators, via rational coordinates."""
         return self.pull_homs_to_cover([hom], cover)[0]
 
     def pull_homs_to_cover(self, homs, cover):
         """[pull_hom_to_cover(f, cover) for f in homs], with the rational
-        coordinates of each cover generator in the lattice basis solved
-        once for all homs."""
-        basis = [[Fraction(c) for c in b] for b in self.lattice.basis()]
+        coordinates of each cover generator found once for all homs, by
+        back-substitution on the echelon basis."""
+        basis = self.lattice.basis()
         coords = []
         for u in cover:
-            co = hnf.rational_solve(basis, [Fraction(c) for c in u])
-            if co is None:
+            res = [Fraction(c) for c in u]
+            co = []
+            for row, j in zip(basis, self.lattice.pivots):
+                q = res[j] / row[j]
+                co.append(q)
+                if q:
+                    for jj in range(j, len(res)):
+                        res[jj] -= q * row[jj]
+            if any(res):
                 raise InputError("cover generator outside Q-span of lattice")
             coords.append(co)
         n = self.group.order

@@ -5,15 +5,22 @@ finite G-modules.
 Every ideal is identified with its lattice of coefficient vectors inside
 Z^{|G|}; equality and containment are decided on canonical HNF bases, so no
 Groebner-style machinery is needed.
+
+A Fitting ideal depends only on the module, not on its presentation
+(Northcott, *Finite Free Resolutions*, 1976, ch. 3).  So `fitting_ideal`
+first eliminates every generator that some relation solves for with a
+trivial-unit coefficient +-sigma (a Tietze move), and only then takes the
+minors of what is left: the number of minors falls with the number of
+generators and relations removed, and a presentation left with fewer
+relations than the minor size gives the zero ideal with no determinant.
 """
 
 import itertools
-from fractions import Fraction
 
 from . import hnf
 from .arith import isprime
-from .ball import CertificationError, Undecided
-from .grpring import GroupRingElement, InputError, Subgroup
+from .ball import CertificationError
+from .grpring import GroupRingElement, InputError
 
 
 class UnsupportedCaseError(RuntimeError):
@@ -148,27 +155,6 @@ class GIdealLattice:
             lat.add_vector([n * c for c in r])
         return GIdealLattice(self.group, lat)
 
-    def sharp(self):
-        """Image under the # involution (coefficient permutation)."""
-        perm = self.group.inversion_permutation()
-        lat = hnf.IntLattice(self.group.order)
-        for r in self.basis():
-            moved = [0] * self.group.order
-            for j, c in enumerate(r):
-                moved[perm[j]] = c
-            lat.add_vector(moved)
-        return GIdealLattice(self.group, lat)
-
-    def index_in_full(self):
-        """[Z[G] : self] when full rank, else None."""
-        if self.rank < self.group.order:
-            return None
-        basis = self.basis()
-        out = 1
-        for k in range(len(basis)):
-            out *= basis[k][self.lattice.pivots[k]]
-        return abs(out)
-
     def to_json(self):
         return {"group": list(self.group.invariant_factors),
                 "hnf": [list(r) for r in self.basis()]}
@@ -252,16 +238,21 @@ class Presentation:
 def fitting_ideal(pres, n=0):
     """n-th Fitting ideal: the ideal of (g-n)-minors of the relation matrix.
 
-    Conventions: size <= 0 gives the unit ideal (this covers n >= g); too few
-    relations for the required size gives the zero ideal.
+    The presentation is first Tietze-reduced at trivial-unit pivots
+    (`_unit_pivot_reduce`), which drops one generator and one relation per
+    pivot and presents the same module.  A Fitting ideal depends only on the
+    module (Northcott, *Finite Free Resolutions*, 1976, ch. 3), so every
+    Fitting ideal is unchanged.  Conventions, on the reduced presentation:
+    size <= 0 gives the unit ideal (this covers n >= g); too few relations
+    for the required size gives the zero ideal.
     """
-    g = pres.n_generators
     if n < 0:
         raise InputError("Fitting index must be nonnegative")
+    g, relations = _unit_pivot_reduce(pres.relations, pres.n_generators)
     size = g - n
     if size <= 0:
         return GIdealLattice.unit(pres.group)
-    if len(pres.relations) < size:
+    if len(relations) < size:
         return GIdealLattice.zero(pres.group)
     group = pres.group
     lat = hnf.IntLattice(group.order)
@@ -269,8 +260,8 @@ def fitting_ideal(pres, n=0):
     acc = GIdealLattice(group, lat)
     table = group.multiplication_table()
     for cols in itertools.combinations(range(g), size):
-        for rows in itertools.combinations(range(len(pres.relations)), size):
-            sub = [[pres.relations[r][c] for c in cols] for r in rows]
+        for rows in itertools.combinations(range(len(relations)), size):
+            sub = [[relations[r][c] for c in cols] for r in rows]
             det = _det_group_ring(sub)
             vec = det.int_vector()
             if not any(vec):
@@ -289,6 +280,49 @@ def fitting_ideal(pres, n=0):
             if acc == unit:
                 return acc
     return acc
+
+
+def _unit_pivot_reduce(relations, g):
+    """Tietze reduction of g-generator relation rows at trivial units.
+
+    While some relation r has an entry u = +-sigma in column c, the relation
+    solves e_c = -u^-1 (sum over j != c of r_j e_j); substituting that into
+    every other relation r' subtracts (r'_c u^-1) r from it, clears column c,
+    and leaves the pivot relation saying only what defines e_c.  So column
+    c and the pivot relation go, with the module unchanged.  Relations that
+    become zero are dropped: they add no nonzero minor.  Returns
+    (generator count, relation rows).
+    """
+    rels = [row for row in relations if not all(x.is_zero() for x in row)]
+    while True:
+        pivot = next(((r, c, inv) for r, row in enumerate(rels)
+                      for c, x in enumerate(row)
+                      if (inv := _trivial_unit_inverse(x)) is not None), None)
+        if pivot is None:
+            return g, rels
+        r, c, inv = pivot
+        prow = rels.pop(r)
+        reduced = []
+        for row in rels:
+            if not row[c].is_zero():
+                f = row[c] * inv
+                row = [x - f * y for x, y in zip(row, prow)]
+            row = row[:c] + row[c + 1:]
+            if not all(x.is_zero() for x in row):
+                reduced.append(row)
+        rels = reduced
+        g -= 1
+
+
+def _trivial_unit_inverse(x):
+    """u^-1 when the Z[G]-element x is a trivial unit u = +-sigma, else None."""
+    support = [i for i, c in enumerate(x.coeffs) if c]
+    if len(support) != 1 or x.coeffs[support[0]] not in (1, -1):
+        return None
+    group = x.group
+    sigma_inv = group.inv(group.elements[support[0]])
+    return GroupRingElement.from_element(group, sigma_inv).scale(
+        x.coeffs[support[0]])
 
 
 def _det_group_ring(matrix):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -304,3 +305,13 @@ def test_serialization_roundtrip():
     assert element_from_json(x.to_json()) == x
     y = GroupRingElement(g, "int", [1, -2, 3, 0])
     assert element_from_json(y.to_json()) == y
+
+
+def test_desk_bound_names_the_factors_not_the_order():
+    # the order 2^20000 has more decimal digits than Python will print
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="20000 cyclic groups"):
+        AbelianGroup((2,) * 20000)
+    assert time.perf_counter() - start < 2.0
+    with pytest.raises(InputError, match="desk bound 729"):
+        AbelianGroup((3, 3, 3, 3, 3, 3, 3))

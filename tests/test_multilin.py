@@ -1,12 +1,16 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from starklab import hnf
 from starklab.ball import Ball
-from starklab.grpring import (AbelianGroup, GroupRingElement, Subgroup,
-                              norm_element)
+from starklab.grpring import (AbelianGroup, GroupRingElement, InputError,
+                              Subgroup, norm_element)
 from starklab.hnf import IntLattice, identity_matrix
 from starklab.multilin import (GLattice, NonIntegralError, WedgeElement,
                                all_dual_pairings, bidual_member, det_pairing,
@@ -16,6 +20,11 @@ from starklab.zideal import ideal_from_generators
 
 G2 = AbelianGroup((2,))
 REG2 = [[[0, 1], [1, 0]]]  # regular representation of Z/2 on Z^2
+
+
+def hom_as_elements(hom, group):
+    """A hom's values on the lattice basis as Z[G]-elements."""
+    return [GroupRingElement(group, "int", coeffs) for coeffs in hom]
 
 
 def regular_lattice():
@@ -34,7 +43,7 @@ def test_hom_generators_of_group_ring():
     # each hom is equivariant: f(sigma x) = sigma f(x)
     basis = M.basis()
     for h in homs:
-        f = M.hom_as_elements(h)
+        f = hom_as_elements(h, G2)
         sigma_img = M.act_element((1,), basis[0])
         co = M.lattice.coords(sigma_img)
         lhs = GroupRingElement.zero(G2)
@@ -212,6 +221,68 @@ def test_norm_decomposition_residual_trivial():
     assert verdict is False
 
 
+def _pull_by_solve(M, homs, cover):
+    """Oracle: pull_homs_to_cover with a full rational Gaussian solve for
+    the coordinates of each cover generator."""
+    basis = [[Fraction(c) for c in b] for b in M.lattice.basis()]
+    out = []
+    for hom in homs:
+        values = []
+        for u in cover:
+            co = hnf.rational_solve(basis, [Fraction(c) for c in u])
+            if co is None:
+                raise InputError("cover generator outside Q-span of lattice")
+            acc = [sum((c * hom[k][s] for k, c in enumerate(co)), Fraction(0))
+                   for s in range(M.group.order)]
+            values.append(GroupRingElement(M.group, "rat", acc))
+        out.append(values)
+    return out
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_pull_homs_to_cover_matches_a_rational_solve(data):
+    """Back-substitution on the echelon basis gives the coordinates that a
+    Gaussian solve gives, on full-rank and rank-deficient lattices, and a
+    cover generator outside the Q-span raises InputError either way."""
+    small = st.integers(-4, 4)
+    amb = data.draw(st.integers(1, 6), label="ambient")
+    rank = data.draw(st.integers(0, amb), label="rank")
+    pivots = sorted(data.draw(st.sets(st.integers(0, amb - 1),
+                                      min_size=rank, max_size=rank)))
+    rows = []
+    for p in pivots:
+        lead = data.draw(st.integers(-3, 3).filter(bool))
+        rows.append([0] * p + [lead] + data.draw(
+            st.lists(small, min_size=amb - p - 1, max_size=amb - p - 1)))
+    # the identity action preserves every lattice, so G2 acts validly
+    M = GLattice(G2, amb, rows, [identity_matrix(amb)])
+    assert M.rank() == rank
+    basis = M.basis()
+    homs = [[data.draw(st.lists(small, min_size=2, max_size=2))
+             for _ in basis] for _ in range(data.draw(st.integers(1, 3)))]
+    cover = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        combo = data.draw(st.lists(small, min_size=rank, max_size=rank))
+        u = [sum(c * b[j] for c, b in zip(combo, basis)) for j in range(amb)]
+        # divided by its content, u keeps to the Q-span but its
+        # coordinates are no longer integers
+        g = math.gcd(*u)
+        cover.append([x // g for x in u] if g > 1 else u)
+    assert M.pull_homs_to_cover(homs, cover) == _pull_by_solve(M, homs,
+                                                               cover)
+    if rank < amb:
+        # a leading entry off the pivot columns puts a vector outside the
+        # Q-span of an echelon basis
+        j = data.draw(st.sampled_from(sorted(set(range(amb)) - set(pivots))))
+        outside = [0] * j + [1] + data.draw(
+            st.lists(small, min_size=amb - j - 1, max_size=amb - j - 1))
+        with pytest.raises(InputError):
+            M.pull_homs_to_cover(homs, cover + [outside])
+        with pytest.raises(InputError):
+            _pull_by_solve(M, homs, cover + [outside])
+
+
 def test_dual_pairings_solve_each_cover_generator_once(monkeypatch):
     from starklab import hnf
     M = free_rank2_lattice()
@@ -240,7 +311,8 @@ def test_dual_pairings_solve_each_cover_generator_once(monkeypatch):
 GATES_UNDER_O = """
 from fractions import Fraction
 from starklab.ball import CertificationError
-from starklab.grpring import AbelianGroup
+from starklab.cyclo import CycloField, _poly_divexact
+from starklab.grpring import AbelianGroup, InputError
 from starklab.hnf import identity_matrix
 from starklab.lfun import _assemble_exact
 from starklab.multilin import GLattice
@@ -262,6 +334,21 @@ try:
     raise SystemExit("_assemble_exact accepted a non-rational coefficient")
 except CertificationError:
     pass
+# exact polynomial division over Z: a non-integral quotient, a remainder
+for num, den in (([1, 0, 1], [1, 2]), ([1, 0, 1], [1, 1])):
+    try:
+        _poly_divexact(num, den)
+        raise SystemExit(f"_poly_divexact accepted {num} / {den}")
+    except CertificationError:
+        pass
+# five coefficients in the degree-4 field Q(zeta_5); zeta_4 -> zeta_4^2
+for bad in (lambda: CycloField(5).element([1] * 5),
+            lambda: CycloField(4).zeta_power(1).galois_map(2)):
+    try:
+        bad()
+        raise SystemExit("cyclo accepted a bad argument")
+    except InputError:
+        pass
 """
 
 

@@ -3,11 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from starklab import hnf
 from starklab.ball import Ball
 from starklab.grpring import AbelianGroup, GroupRingElement, Subgroup
 from starklab.zideal import (FiniteGModule, GIdealLattice, Presentation,
-                             UnsupportedCaseError, annihilator,
+                             UnsupportedCaseError, _det_group_ring,
+                             _unit_pivot_reduce, annihilator,
                              augmentation_ideal, augmentation_ideal_power,
                              fitting_from_extension, fitting_ideal,
                              ideal_from_generators, membership)
@@ -18,16 +22,60 @@ ONE2 = GroupRingElement.one(G2)
 SIGMA2 = GroupRingElement.from_element(G2, (1,))
 
 
+def sharp(ideal):
+    """Image of an ideal under the # involution (coefficient permutation)."""
+    perm = ideal.group.inversion_permutation()
+    lat = hnf.IntLattice(ideal.group.order)
+    for r in ideal.basis():
+        moved = [0] * ideal.group.order
+        for j, c in enumerate(r):
+            moved[perm[j]] = c
+        lat.add_vector(moved)
+    return GIdealLattice(ideal.group, lat)
+
+
+def _fitting_by_minors(pres, n=0):
+    """Oracle: the ideal of the (g-n)-minors of the unreduced relation
+    matrix, enumerated one minor at a time and expanded by cofactors."""
+    g = pres.n_generators
+    size = g - n
+    if size <= 0:
+        return GIdealLattice.unit(pres.group)
+    if len(pres.relations) < size:
+        return GIdealLattice.zero(pres.group)
+    group = pres.group
+    lat = hnf.IntLattice(group.order)
+    unit = GIdealLattice.unit(group)
+    acc = GIdealLattice(group, lat)
+    table = group.multiplication_table()
+    for cols in itertools.combinations(range(g), size):
+        for rows in itertools.combinations(range(len(pres.relations)), size):
+            sub = [[pres.relations[r][c] for c in cols] for r in rows]
+            vec = _det_group_ring(sub).int_vector()
+            if not any(vec) or acc.contains_vector(vec):
+                continue
+            for gi in range(group.order):
+                moved = [0] * group.order
+                for j, c in enumerate(vec):
+                    if c:
+                        moved[table[gi][j]] = c
+                lat.add_vector(moved)
+            acc = GIdealLattice(group, lat)
+            if acc == unit:
+                return acc
+    return acc
+
+
 def test_basic_ideals():
     assert ideal_from_generators([ONE2]).is_unit()
     ig = ideal_from_generators([SIGMA2 - ONE2])
     assert ig == augmentation_ideal(G2)
     j = ideal_from_generators([ONE2.scale(2), SIGMA2 - ONE2])
-    assert j.index_in_full() == 2
+    assert j.lattice.index() == 2
     # (2, s-1)^2 = (4, 2(s-1))
     assert j.product(j) == ideal_from_generators(
         [ONE2.scale(4), (SIGMA2 - ONE2).scale(2)])
-    assert ig.sharp() == ig
+    assert sharp(ig) == ig
     rng = random.Random(0)
     for _ in range(10):
         a = ideal_from_generators([GroupRingElement(
@@ -81,6 +129,72 @@ def test_fitting_examples():
     bound = ideal_from_generators([GroupRingElement.one(G3).scale(3)]).sum(
         augmentation_ideal(G3))
     assert bound.product(bound).contains(fit)
+
+
+PIVOT_GROUPS = [AbelianGroup((2,)), AbelianGroup((3,)), AbelianGroup((4,)),
+                AbelianGroup((2, 2))]
+
+
+@st.composite
+def _presentations(draw):
+    """(presentation, planted): random entries in {0, +-sigma, small Z[G]
+    elements}; the first `planted` relations carry a trivial unit in their
+    own column and zeros to its left, so the reduction runs at least that
+    many steps."""
+    group = draw(st.sampled_from(PIVOT_GROUPS))
+    g = draw(st.integers(1, 6))
+    nrel = draw(st.integers(0, g + 1))
+
+    def unit():
+        el = draw(st.sampled_from(group.elements))
+        sign = draw(st.sampled_from([1, -1]))
+        return GroupRingElement.from_element(group, el).scale(sign)
+
+    def entry():
+        kind = draw(st.sampled_from(["zero", "unit", "small", "small"]))
+        if kind == "zero":
+            return GroupRingElement.zero(group)
+        if kind == "unit":
+            return unit()
+        return GroupRingElement(group, "int", draw(st.lists(
+            st.integers(-2, 2), min_size=group.order, max_size=group.order)))
+
+    rels = [[entry() for _ in range(g)] for _ in range(nrel)]
+    planted = draw(st.integers(0, min(g, nrel)))
+    for i in range(planted):
+        rels[i][:i + 1] = [GroupRingElement.zero(group)] * i + [unit()]
+    return Presentation(group, g, rels), planted
+
+
+@given(_presentations())
+@settings(max_examples=60, deadline=None)
+def test_unit_pivot_reduction_matches_every_minor(case):
+    pres, planted = case
+    g, rels = _unit_pivot_reduce(pres.relations, pres.n_generators)
+    assert g <= pres.n_generators - planted
+    assert len(rels) <= len(pres.relations) - (pres.n_generators - g)
+    for n in range(pres.n_generators + 1):
+        assert fitting_ideal(pres, n) == _fitting_by_minors(pres, n), n
+
+
+def test_unit_pivot_reduction_to_zero_generators():
+    # a unitriangular presentation with one more relation presents 0
+    s = GroupRingElement.from_element(G3, (1,))
+    rng = random.Random(13)
+    g = 4
+    rels = []
+    for i in range(g):
+        row = [GroupRingElement.zero(G3)] * i + [s.scale(-1) if i % 2 else s]
+        row += [GroupRingElement(G3, "int",
+                                 [rng.randint(-2, 2) for _ in range(3)])
+                for _ in range(g - i - 1)]
+        rels.append(row)
+    rels.append([s - 1] * g)
+    pres = Presentation(G3, g, rels)
+    assert _unit_pivot_reduce(pres.relations, g) == (0, [])
+    for n in range(g + 1):
+        assert fitting_ideal(pres, n).is_unit()
+        assert _fitting_by_minors(pres, n).is_unit()
 
 
 def test_trivial_action_fitting_closed_form():
