@@ -11,6 +11,7 @@ fixed lexicographic convention throughout.
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 from . import hnf
 from .ball import Ball, CBall, CertificationError, Undecided
@@ -138,7 +139,9 @@ class GLattice:
     def pull_homs_to_cover(self, homs, cover):
         """[pull_hom_to_cover(f, cover) for f in homs], with the rational
         coordinates of each cover generator found once for all homs, by
-        back-substitution on the echelon basis."""
+        back-substitution on the echelon basis, and kept as integer
+        numerators over their common denominator, so each value is summed
+        in integers and divided once."""
         basis = self.lattice.basis()
         coords = []
         for u in cover:
@@ -152,18 +155,22 @@ class GLattice:
                         res[jj] -= q * row[jj]
             if any(res):
                 raise InputError("cover generator outside Q-span of lattice")
-            coords.append(co)
+            den = lcm(*(c.denominator for c in co))
+            coords.append(([c.numerator * (den // c.denominator)
+                            for c in co], den))
         n = self.group.order
         out = []
         for hom in homs:
             values = []
-            for co in coords:
-                acc = [Fraction(0)] * n
-                for k, c in enumerate(co):
+            for nums, den in coords:
+                acc = [0] * n
+                for k, c in enumerate(nums):
                     if c:
+                        row = hom[k]
                         for s in range(n):
-                            acc[s] += c * hom[k][s]
-                values.append(GroupRingElement(self.group, "rat", acc))
+                            acc[s] += c * row[s]
+                values.append(GroupRingElement(
+                    self.group, "rat", [Fraction(v, den) for v in acc]))
             out.append(values)
         return out
 

@@ -2,15 +2,17 @@
 quadratic forms, fundamental units via continued fractions, prime splitting,
 S-unit lattices with their Galois action, and (S, T)-ray class modules.
 
-Everything feeding an exact check is computed in rational arithmetic; only
-logarithms and real embeddings produce balls.  Absolute values are
+Everything feeding an exact check is computed in integer arithmetic: a
+field element is (A + B*sqrt(m))/d with integers A, B, d, d > 0 and
+gcd(A, B, d) = 1, and form reduction tracks its transform as four integers.
+Only logarithms and real embeddings produce balls.  Absolute values are
 normalized so the product formula holds exactly: complex places squared,
 finite places |x|_w = (Nw)^(-ord_w x).
 """
 
 import itertools
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from . import hnf
 from .arith import CapacityError, factorint, primerange
@@ -109,29 +111,28 @@ class QuadField:
         return inst
 
     def element(self, a, b=0):
-        return QuadElt(self, Fraction(a), Fraction(b))
+        return QuadElt(self, a, b)
 
     def omega(self):
         """Standard integral generator: (1+sqrt m)/2 for m = 1 (4), else sqrt m."""
         if self.m % 4 == 1:
-            return QuadElt(self, Fraction(1, 2), Fraction(1, 2))
-        return QuadElt(self, Fraction(0), Fraction(1))
+            return _quad(self, 1, 1, 2)
+        return _quad(self, 0, 1, 1)
 
     def sqrt_m(self):
-        return QuadElt(self, Fraction(0), Fraction(1))
+        return _quad(self, 0, 1, 1)
 
     def sqrt_disc(self):
         """sqrt(D) as an element (= sqrt m or 2 sqrt m)."""
-        k = 1 if self.D % 4 == 1 else 2
-        return QuadElt(self, Fraction(0), Fraction(k))
+        return _quad(self, 0, 1 if self.D % 4 == 1 else 2, 1)
 
     def torsion_generator(self):
         """(generator of roots of unity, order)."""
         if self.D == -4:
-            return QuadElt(self, Fraction(0), Fraction(1)), 4
+            return _quad(self, 0, 1, 1), 4
         if self.D == -3:
-            return QuadElt(self, Fraction(1, 2), Fraction(1, 2)), 6
-        return QuadElt(self, Fraction(-1), Fraction(0)), 2
+            return _quad(self, 1, 1, 2), 6
+        return _quad(self, -1, 0, 1), 2
 
     def torsion_units(self):
         zeta, w = self.torsion_generator()
@@ -154,15 +155,46 @@ class QuadField:
         return f"QuadField({self.D})"
 
 
-class QuadElt:
-    """a + b*sqrt(m) with rational a, b."""
+def _quad(field, A, B, d):
+    """The element (A + B*sqrt(m))/d for integers A, B and d != 0, brought
+    to lowest terms with d > 0 by one gcd."""
+    if d < 0:
+        A, B, d = -A, -B, -d
+    g = gcd(A, B, d)
+    if g != 1:
+        A, B, d = A // g, B // g, d // g
+    x = object.__new__(QuadElt)
+    x.field, x.A, x.B, x.d = field, A, B, d
+    return x
 
-    __slots__ = ("field", "a", "b")
+
+class QuadElt:
+    """(A + B*sqrt(m))/d with integers A, B, d, where d > 0 and
+    gcd(A, B, d) = 1.
+
+    The representation is unique, so equality and hashing compare the three
+    integers, and every ring operation is integer arithmetic with one gcd
+    per result.  `a` and `b` are the rational coordinates a + b*sqrt(m) as
+    read-only Fraction views; the constructor takes them.
+    """
+
+    __slots__ = ("field", "A", "B", "d")
 
     def __init__(self, field, a, b):
+        a, b = Fraction(a), Fraction(b)
+        d = lcm(a.denominator, b.denominator)
         self.field = field
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        self.A = a.numerator * (d // a.denominator)
+        self.B = b.numerator * (d // b.denominator)
+        self.d = d
+
+    @property
+    def a(self):
+        return Fraction(self.A, self.d)
+
+    @property
+    def b(self):
+        return Fraction(self.B, self.d)
 
     def _coerce(self, other):
         if isinstance(other, QuadElt):
@@ -170,51 +202,67 @@ class QuadElt:
                 raise InputError("mixed quadratic fields")
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadElt(self.field, Fraction(other), Fraction(0))
+            return _quad(self.field, other.numerator, 0, other.denominator)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
-        return QuadElt(self.field, self.a + o.a, self.b + o.b)
+        if o is None:
+            return NotImplemented
+        d, e = self.d, o.d
+        return _quad(self.field, self.A * e + o.A * d, self.B * e + o.B * d,
+                     d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._coerce(other)
-        return QuadElt(self.field, self.a - o.a, self.b - o.b)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return QuadElt(self.field, -self.a, -self.b)
+        return _quad(self.field, -self.A, -self.B, self.d)
 
     def __mul__(self, other):
+        if isinstance(other, int):
+            return _quad(self.field, self.A * other, self.B * other, self.d)
         o = self._coerce(other)
-        m = self.field.m
-        return QuadElt(self.field,
-                       self.a * o.a + m * self.b * o.b,
-                       self.a * o.b + self.b * o.a)
+        if o is None:
+            return NotImplemented
+        A, B, C, E = self.A, self.B, o.A, o.B
+        return _quad(self.field, A * C + self.field.m * B * E, A * E + B * C,
+                     self.d * o.d)
 
     __rmul__ = __mul__
 
     def conj(self):
-        return QuadElt(self.field, self.a, -self.b)
+        return _quad(self.field, self.A, -self.B, self.d)
+
+    def _norm_num(self):
+        """d^2 * N(self), an integer."""
+        return self.A * self.A - self.field.m * self.B * self.B
 
     def norm(self):
-        return self.a * self.a - self.field.m * self.b * self.b
+        return Fraction(self._norm_num(), self.d * self.d)
 
     def trace(self):
-        return 2 * self.a
+        return Fraction(2 * self.A, self.d)
 
     def inverse(self):
-        n = self.norm()
+        # 1/x = conj(x) / N(x) = d (A - B sqrt m) / (A^2 - m B^2)
+        n = self._norm_num()
         if n == 0:
             raise ZeroDivisionError("zero element")
-        return QuadElt(self.field, self.a / n, -self.b / n)
+        return _quad(self.field, self.d * self.A, -self.d * self.B, n)
 
     def __truediv__(self, other):
         o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         return self * o.inverse()
 
     def __rtruediv__(self, other):
@@ -223,39 +271,42 @@ class QuadElt:
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        out = QuadElt(self.field, Fraction(1), Fraction(0))
+        out = _quad(self.field, 1, 0, 1)
         base = self
-        while k:
+        while True:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
-        return out
+            if not k:
+                return out
+            base = base * base
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.a == o.a and self.b == o.b
+        return self.A == o.A and self.B == o.B and self.d == o.d
 
     def __hash__(self):
-        return hash((id(self.field), self.a, self.b))
+        return hash((id(self.field), self.A, self.B, self.d))
 
     def is_zero(self):
-        return self.a == 0 and self.b == 0
+        return self.A == 0 and self.B == 0
 
     def is_integral(self):
-        return self.trace().denominator == 1 and self.norm().denominator == 1
+        d = self.d
+        return (2 * self.A) % d == 0 and self._norm_num() % (d * d) == 0
 
     def is_rational(self):
-        return self.b == 0
+        return self.B == 0
 
     def omega_coords(self):
         """(u, v) with self = u + v*omega."""
-        w = self.field.omega()
-        v = self.b / w.b
-        u = self.a - v * w.a
-        return u, v
+        if self.field.m % 4 == 1:
+            # omega = (1 + sqrt m)/2: v = 2b, u = a - b
+            return Fraction(self.A - self.B, self.d), Fraction(2 * self.B,
+                                                               self.d)
+        return self.a, self.b
 
     def embedding_ball(self, conjugate=False):
         if not self.field.is_real:
@@ -266,7 +317,8 @@ class QuadElt:
 
     def compare_zero(self, conjugate=False):
         """Exact sign of the real embedding."""
-        a, b = self.a, (-self.b if conjugate else self.b)
+        # d > 0, so A + B sqrt(m) has the sign of the element
+        a, b = self.A, (-self.B if conjugate else self.B)
         m = self.field.m
         if b == 0:
             return (a > 0) - (a < 0)
@@ -315,7 +367,7 @@ def fundamental_unit(D):
     q_prev, q_cur = 0, 1
     w_conj = field.omega().conj()
     for _ in range(200000):
-        cand = QuadElt(field, Fraction(p_cur), 0) - w_conj * q_cur
+        cand = field.element(p_cur) - w_conj * q_cur
         if abs(cand.norm()) == 1:
             if cand.compare_zero() < 0:
                 cand = -cand
@@ -364,27 +416,27 @@ def reduce_form_neg(form, with_transform=False):
     a, b, c = form
     if a <= 0 or b * b - 4 * a * c >= 0:
         raise CertificationError(f"{form} is not positive definite")
-    M = [[1, 0], [0, 1]]
+    p, q, r, s = 1, 0, 0, 1     # M = [[p, q], [r, s]]
     while not _is_reduced_neg(a, b, c):
         if c < a or (c == a and b < 0):
-            # swap: (x, y) -> (-y, x)
+            # swap: (x, y) -> (-y, x), M <- M [[0, 1], [-1, 0]]
             a, b, c = c, -b, a
-            M = hnf.mat_mul(M, [[0, 1], [-1, 0]])
+            p, q, r, s = -q, p, -s, r
             continue
-        # translate: b -> b + 2 a k into (-a, a]
+        # translate: b -> b + 2 a k into (-a, a], M <- M [[1, k], [0, 1]]
         k = (a - b) // (2 * a)
         if k:
             b2 = b + 2 * a * k
             c2 = c + k * (b + a * k)
             b, c = b2, c2
-            M = hnf.mat_mul(M, [[1, k], [0, 1]])
+            q, s = q + p * k, s + r * k
             continue
         if b == -a:
             b = a
-            M = hnf.mat_mul(M, [[1, 1], [0, 1]])
+            q, s = q + p, s + r
             continue
         break
-    return ((a, b, c), M) if with_transform else (a, b, c)
+    return ((a, b, c), [[p, q], [r, s]]) if with_transform else (a, b, c)
 
 
 def reduced_forms(D):
@@ -511,15 +563,16 @@ def rho_step(form, D, sq):
 
 def reduce_indefinite(form, D, with_transform=False):
     sq = isqrt(D)
-    M = [[1, 0], [0, 1]]
+    p, q, r, s = 1, 0, 0, 1     # M = [[p, q], [r, s]]
     guard = 0
     while not _is_reduced_indef(form, sq, D):
         form, t = rho_step(form, D, sq)
-        M = hnf.mat_mul(M, [[0, -1], [1, t]])
+        # M <- M [[0, -1], [1, t]]
+        p, q, r, s = q, q * t - p, s, s * t - r
         guard += 1
         if guard > 100000:
             raise CapacityError("indefinite reduction cap exceeded")
-    return (form, M) if with_transform else form
+    return (form, [[p, q], [r, s]]) if with_transform else form
 
 
 def form_cycle(form, D, with_transform=False):
@@ -527,12 +580,13 @@ def form_cycle(form, D, with_transform=False):
     sq = isqrt(D)
     out = []
     cur = form
-    M = [[1, 0], [0, 1]]
+    p, q, r, s = 1, 0, 0, 1     # M = [[p, q], [r, s]]
     guard = 0
     while True:
-        out.append((cur, M) if with_transform else cur)
+        out.append((cur, [[p, q], [r, s]]) if with_transform else cur)
         cur, t = rho_step(cur, D, sq)
-        M = hnf.mat_mul(M, [[0, -1], [1, t]])
+        # M <- M [[0, -1], [1, t]]
+        p, q, r, s = q, q * t - p, s, s * t - r
         guard += 1
         if guard > 200000:
             raise CapacityError("cycle walk cap exceeded")
@@ -679,7 +733,7 @@ class QuadIdeal:
         for b in range(0, 2 * q):
             if (b * b - D) % (4 * q) == 0:
                 return QuadIdeal(field, q, b)
-        raise AssertionError(f"no ideal form over {q} for D={D}")
+        raise CertificationError(f"no ideal form over {q} for D={D}")
 
     def norm(self):
         return self.a * self.scale * self.scale
@@ -721,19 +775,21 @@ class QuadIdeal:
             if red != principal_form(f.D):
                 return None
             return self._element_from_xy(M[0][0], M[1][0])
-        red, M = reduce_indefinite(form, f.D, with_transform=True)
-        for g, M2 in form_cycle(red, f.D, with_transform=True):
+        red, ((p, q), (r, s)) = reduce_indefinite(form, f.D,
+                                                   with_transform=True)
+        for g, ((x, _), (y, _)) in form_cycle(red, f.D, with_transform=True):
             if abs(g[0]) == 1:
-                Mt = hnf.mat_mul(M, M2)
-                return self._element_from_xy(Mt[0][0], Mt[1][0])
+                # first column of M M2
+                return self._element_from_xy(p * x + q * y, r * x + s * y)
         return None
 
     def _element_from_xy(self, x, y):
+        """gamma = scale * (a x + y (b + sqrt D)/2), sqrt D = k sqrt m."""
         f = self.field
-        half = Fraction(1, 2)
-        gamma = f.element(self.a) * x + (f.element(self.b)
-                                         + f.sqrt_disc()) * half * y
-        gamma = gamma * f.element(self.scale)
+        k = 1 if f.D % 4 == 1 else 2
+        sn, sd = self.scale.numerator, self.scale.denominator
+        gamma = _quad(f, (2 * self.a * x + self.b * y) * sn, k * y * sn,
+                      2 * sd)
         if abs(gamma.norm()) != self.norm():
             raise CertificationError(
                 f"generator {gamma!r} of {self!r} has the wrong norm")
@@ -765,12 +821,13 @@ def ideal_power(ideal, k):
         base = QuadIdeal(base.field, base.a, base.b,
                          base.scale / (ideal.a * ideal.scale * ideal.scale))
         k = -k
-    while k:
+    while True:
         if k & 1:
             out = out.multiply(base)
-        base = base.multiply(base)
         k >>= 1
-    return out
+        if not k:
+            return out
+        base = base.multiply(base)
 
 
 # -- places and valuations ---------------------------------------------------
@@ -890,27 +947,23 @@ def ord_at_place(x, place):
     q = place.q
     if place.field == "Q":
         return _vq_fraction(Fraction(x), q)
-    f = place.field
-    n = x.norm()
+    n = x._norm_num()       # N(A + B sqrt m) = d^2 N(x)
     if n == 0:
         raise InputError("valuation of zero")
+    t = _vq_int(n, q, cap=10 ** 9)
+    vd = _vq_int(x.d, q, cap=10 ** 9)
     if place.f == 2:  # inert
-        t = _vq_fraction(n, q)
         if t % 2:
             raise CertificationError("odd norm valuation at an inert prime")
-        return t // 2
+        return t // 2 - vd
     if place.e == 2:  # ramified
-        return _vq_fraction(n, q)
-    # split: Hensel root evaluation on an integral rescaling
-    den = x.a.denominator * x.b.denominator
-    y = x * den
-    t = _vq_fraction(y.norm(), q)
-    R, mod = _lift_sqrt(f.m, q, place.root_mod_q, t + 3)
-    A, B = int(y.a), int(y.b)
-    val = _vq_int((A + B * R) % mod, q, cap=t + 2)
+        return t - 2 * vd
+    # split: Hensel root evaluation on the integral numerator A + B sqrt m
+    R, mod = _lift_sqrt(place.field.m, q, place.root_mod_q, t + 3)
+    val = _vq_int((x.A + x.B * R) % mod, q, cap=t + 2)
     if val > t:
         raise CertificationError("split valuation exceeded the norm valuation")
-    return val - _vq_int(den, q, cap=10 ** 9)
+    return val - vd
 
 
 def _vq_fraction(x, q):
@@ -1171,7 +1224,7 @@ class SUnitLattice:
             eps = self.gens[eps_index]
             k = 0
             guard = 0
-            while not u.is_rational() or abs(u.a) != 1:
+            while u.B != 0 or abs(u.A) != u.d:
                 if u.abs_greater_one():
                     u = u / eps
                     k += 1
@@ -1193,7 +1246,7 @@ class SUnitLattice:
         for i, row in enumerate(self.valuations):
             if not any(row):
                 return i
-        raise AssertionError("no unit among the generators")
+        raise CertificationError("no unit among the generators")
 
     def log_matrix(self, check_rows=True):
         """Rows: generators; columns: places; entries -log|g|_w (balls)."""

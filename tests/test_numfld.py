@@ -11,19 +11,21 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from starklab.ball import working_precision
+from starklab.ball import CertificationError, working_precision
 from starklab.finite import GroupStructure
 from starklab.grpring import InputError
 from starklab.hnf import IntLattice, diagonalize_relations, \
     identity_matrix, mat_mul
-from starklab.numfld import (DatumError, ImaginaryClassGroup, QuadField,
-                             QuadIdeal, RealClassGroup, ResidueSystem,
+from starklab.numfld import (DatumError, ImaginaryClassGroup, QuadElt,
+                             QuadField, QuadIdeal, RealClassGroup,
+                             ResidueSystem, SUnitLattice,
                              class_group_structure, class_number,
-                             fundamental_discriminant, fundamental_unit,
-                             ideal_power, is_fundamental_discriminant,
-                             kronecker, log_abs_at_place, ord_at_place,
-                             places_over, ray_class, s_unit_lattice,
-                             squarefree_part, unit_norm)
+                             form_cycle, fundamental_discriminant,
+                             fundamental_unit, ideal_power,
+                             is_fundamental_discriminant, kronecker,
+                             log_abs_at_place, ord_at_place, places_over,
+                             ray_class, reduce_form_neg, reduce_indefinite,
+                             s_unit_lattice, squarefree_part, unit_norm)
 
 
 def narrow_class_number(D):
@@ -258,6 +260,257 @@ def test_torsion_units():
     z, w = QuadField(-3).torsion_generator()
     assert (z ** 6) == QuadField(-3).element(1)
     assert not (z ** 3) == QuadField(-3).element(1)
+
+
+class FracQuadElt:
+    """a + b*sqrt(m) with rational a, b kept as two Fractions: the former
+    `QuadElt`, the oracle for the integer representation."""
+
+    __slots__ = ("field", "a", "b")
+
+    def __init__(self, field, a, b):
+        self.field = field
+        self.a = Fraction(a)
+        self.b = Fraction(b)
+
+    def _coerce(self, other):
+        if isinstance(other, FracQuadElt):
+            return other
+        return FracQuadElt(self.field, Fraction(other), Fraction(0))
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        return FracQuadElt(self.field, self.a + o.a, self.b + o.b)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return FracQuadElt(self.field, self.a - o.a, self.b - o.b)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __neg__(self):
+        return FracQuadElt(self.field, -self.a, -self.b)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        m = self.field.m
+        return FracQuadElt(self.field, self.a * o.a + m * self.b * o.b,
+                           self.a * o.b + self.b * o.a)
+
+    __rmul__ = __mul__
+
+    def conj(self):
+        return FracQuadElt(self.field, self.a, -self.b)
+
+    def norm(self):
+        return self.a * self.a - self.field.m * self.b * self.b
+
+    def trace(self):
+        return 2 * self.a
+
+    def inverse(self):
+        n = self.norm()
+        if n == 0:
+            raise ZeroDivisionError("zero element")
+        return FracQuadElt(self.field, self.a / n, -self.b / n)
+
+    def __truediv__(self, other):
+        return self * self._coerce(other).inverse()
+
+    def __rtruediv__(self, other):
+        return self._coerce(other) * self.inverse()
+
+    def __pow__(self, k):
+        if k < 0:
+            return self.inverse() ** (-k)
+        out = FracQuadElt(self.field, Fraction(1), Fraction(0))
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def is_integral(self):
+        return (self.trace().denominator == 1
+                and self.norm().denominator == 1)
+
+    def is_rational(self):
+        return self.b == 0
+
+    def omega_coords(self):
+        w = self.field.omega()
+        v = self.b / w.b
+        return self.a - v * w.a, v
+
+    def compare_zero(self, conjugate=False):
+        a, b = self.a, (-self.b if conjugate else self.b)
+        m = self.field.m
+        if b == 0:
+            return (a > 0) - (a < 0)
+        if a == 0:
+            return (b > 0) - (b < 0)
+        if a > 0 and b > 0:
+            return 1
+        if a < 0 and b < 0:
+            return -1
+        lhs, rhs = a * a, m * b * b
+        if a > 0:
+            return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
+        return -1 if lhs > rhs else (1 if lhs < rhs else 0)
+
+
+def _same(x, oracle):
+    """x is the oracle's value, in lowest terms with a positive
+    denominator."""
+    assert isinstance(x, QuadElt)
+    assert (x.a, x.b) == (oracle.a, oracle.b)
+    assert x.d > 0 and math.gcd(x.A, x.B, x.d) == 1
+    assert x == x.field.element(oracle.a, oracle.b)
+    assert hash(x) == hash(x.field.element(oracle.a, oracle.b))
+
+
+QUAD_DISCS = [-4, -3, -23, -84, -163, 5, 8, 12, 13, 17, 229, 376, 997]
+_RAT = st.fractions(min_value=-50, max_value=50, max_denominator=36)
+
+
+@given(st.sampled_from(QUAD_DISCS), _RAT, _RAT, _RAT, _RAT, _RAT,
+       st.integers(-20, 20), st.integers(-4, 4))
+@settings(max_examples=300, deadline=None)
+@example(D=5, a1=Fraction(1, 2), b1=Fraction(1, 2), a2=Fraction(1, 2),
+         b2=Fraction(-1, 2), q=Fraction(3, 4), k=0, e=-3)
+@example(D=-3, a1=Fraction(-1, 2), b1=Fraction(1, 2), a2=Fraction(0),
+         b2=Fraction(0), q=Fraction(1, 6), k=2, e=3)
+def test_integer_quad_elements_match_the_fraction_oracle(D, a1, b1, a2, b2,
+                                                         q, k, e):
+    F = QuadField(D)
+    x, y = F.element(a1, b1), F.element(a2, b2)
+    ox, oy = FracQuadElt(F, a1, b1), FracQuadElt(F, a2, b2)
+    _same(x, ox)
+    _same(y, oy)
+    for got, want in [(x + y, ox + oy), (x - y, ox - oy), (x * y, ox * oy),
+                      (-x, -ox), (x.conj(), ox.conj()),
+                      (x + q, ox + q), (q - x, q - ox), (x * k, ox * k),
+                      (q * x, q * ox), (k + x, k + ox), (x - k, ox - k)]:
+        _same(got, want)
+    assert x.norm() == ox.norm() and x.trace() == ox.trace()
+    assert x.is_integral() == ox.is_integral()
+    assert x.is_rational() == ox.is_rational()
+    assert x.omega_coords() == ox.omega_coords()
+    if F.is_real:
+        for conj in (False, True):
+            assert x.compare_zero(conj) == ox.compare_zero(conj)
+            assert (x - y).compare_zero(conj) == (ox - oy).compare_zero(conj)
+    if ox.norm() == 0:
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+        return
+    _same(x.inverse(), ox.inverse())
+    _same(x ** e, ox ** e)
+    _same(y / x, oy / ox)
+    if q:
+        _same(x / q, ox / q)
+    _same(q / x, q / ox)
+    # the same value reached by different routes is equal and hashes alike
+    z = x * y
+    for route in [y * x, (z / x) * x, x * (y + 1) - x,
+                  (x * x * y) / x, F.element(z.a, z.b)]:
+        assert route == z and hash(route) == hash(z)
+    assert x * x.inverse() == 1 and hash(x * x.inverse()) == hash(F.element(1))
+    assert x ** e * x ** (-e) == F.element(1)
+
+
+def test_quad_element_views_are_read_only():
+    x = QuadField(5).element(Fraction(3, 2), Fraction(1, 2))
+    assert (x.A, x.B, x.d) == (3, 1, 2)
+    assert (x.a, x.b) == (Fraction(3, 2), Fraction(1, 2))
+    with pytest.raises(AttributeError):
+        x.a = Fraction(1)
+    assert repr(x) == "QuadElt(3/2 + 1/2*sqrt(5))"
+    with pytest.raises(InputError):
+        x == QuadField(-3).element(1)
+
+
+def _apply_form(form, M):
+    """(Q o M)(x, y) = Q(p x + q y, r x + s y) for M = [[p, q], [r, s]]."""
+    a, b, c = form
+    (p, q), (r, s) = M
+    return (a * p * p + b * p * r + c * r * r,
+            2 * a * p * q + b * (p * s + q * r) + 2 * c * r * s,
+            a * q * q + b * q * s + c * s * s)
+
+
+def _det(M):
+    return M[0][0] * M[1][1] - M[0][1] * M[1][0]
+
+
+def test_definite_reduction_transform_is_special_and_exact():
+    rng = random.Random(15)
+    seen = 0
+    while seen < 400:
+        a = rng.randint(1, 300)
+        b = rng.randint(-600, 600)
+        c = rng.randint(1, 2000)
+        D = b * b - 4 * a * c
+        if not -10 ** 4 <= D < 0:
+            continue
+        seen += 1
+        red, M = reduce_form_neg((a, b, c), with_transform=True)
+        assert red == reduce_form_neg((a, b, c))
+        assert _det(M) == 1
+        assert _apply_form((a, b, c), M) == red
+
+
+def test_indefinite_reduction_and_cycle_transforms_are_special_and_exact():
+    rng = random.Random(16)
+    seen = 0
+    while seen < 150:
+        D = rng.randint(5, 10 ** 4)
+        b = rng.randint(-150, 150)
+        if D % 4 not in (0, 1) or math.isqrt(D) ** 2 == D or (b - D) % 2:
+            continue
+        n = (b * b - D) // 4
+        divisors = [t for t in range(1, math.isqrt(abs(n)) + 1)
+                    if n % t == 0]
+        a = rng.choice(divisors) * rng.choice((1, -1))
+        if rng.random() < 0.5:
+            a = n // a
+        form = (a, b, n // a)
+        seen += 1
+        red, M = reduce_indefinite(form, D, with_transform=True)
+        assert red == reduce_indefinite(form, D)
+        assert _det(M) == 1 and _apply_form(form, M) == red
+        cycle = form_cycle(red, D, with_transform=True)
+        assert [g for g, _ in cycle] == form_cycle(red, D)
+        for g, M2 in cycle:
+            assert _det(M2) == 1 and _apply_form(red, M2) == g
+
+
+def test_prime_over_without_an_ideal_form_is_a_certification_error(
+        monkeypatch):
+    F = QuadField(5)
+    assert F.splitting(3) == "inert"
+    # a splitting report that disagrees with the discriminant: no root b
+    monkeypatch.setattr(F, "splitting", lambda q: "split")
+    with pytest.raises(CertificationError, match="no ideal form over 3"):
+        QuadIdeal.prime_over(F, 3)
+
+
+def test_express_without_a_unit_generator_is_a_certification_error():
+    L = s_unit_lattice(QuadField(5), ["inf", 5], [3])
+    unit = [i for i, row in enumerate(L.valuations) if not any(row)]
+    assert len(unit) == 1
+    keep = [i for i in range(L.rank) if i not in unit]
+    kw = {k: getattr(L, k) for k in SUnitLattice.__slots__}
+    kw["gens"] = [L.gens[i] for i in keep]
+    kw["valuations"] = [L.valuations[i] for i in keep]
+    broken = SUnitLattice(**kw)
+    with pytest.raises(CertificationError, match="no unit among"):
+        broken.express(fundamental_unit(5))
 
 
 SMALL_PRIMES = list(sympy.primerange(2, 20))
