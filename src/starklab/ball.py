@@ -16,16 +16,18 @@ An enclosure that certifiably contradicts what must hold raises
 The working precision has one source: `working_precision(bits)` is the only
 way to set it.  Each entry point (a scenario run, a CLI command) enters it
 once, and the code it calls reads the precision in force, through
-`precision()` where it needs the number itself; no function takes a
-precision argument.  A step that needs extra guard bits of its own nests
+`precision()` where it needs the number itself; no public function takes
+a precision argument (a memo such as `_log_int` takes it only as part of
+its cache key).  A step that needs extra guard bits of its own nests
 `working_precision(precision() + extra)`.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 from mpmath.libmp import from_int, from_rational, fzero, mpf_neg
 from mpmath.libmp.libmpi import (mpi_abs, mpi_add, mpi_cos, mpi_div,
-                                 mpi_log, mpi_mul, mpi_neg, mpi_pi, mpi_pos,
+                                 mpi_log, mpi_mul, mpi_neg, mpi_pi,
                                  mpi_pow_int, mpi_sin, mpi_sqrt, mpi_sub)
 
 DEFAULT_PREC = 128
@@ -321,22 +323,6 @@ def _frac_to_decimal(x, digits, round_up=False):
     return f"{sign}{mantissa}e{exp}", err
 
 
-def ball_from_json(obj):
-    mid = Fraction(_decimal_to_fraction(obj["mid"]))
-    rad = Fraction(_decimal_to_fraction(obj["rad"]))
-    return Ball(mid, rad)
-
-
-def _decimal_to_fraction(s):
-    s = s.strip()
-    if "e" in s or "E" in s:
-        mant, _, ex = s.replace("E", "e").partition("e")
-        return Fraction(mant.replace(".", "")) * Fraction(10) ** (
-            int(ex) - (len(mant.partition(".")[2]))
-        )
-    return Fraction(s)
-
-
 # -- elementary functions with rigorous enclosures ----------------------
 
 def ball_log(x):
@@ -391,20 +377,17 @@ def ball_ratio(n, d):
                        from_rational(n, d, _PREC, "c")))
 
 
-_LOG_CACHE = {}
-
-
 def ball_log_int(n):
     """log(n) for a positive integer, cached per working precision."""
-    key = (n, _PREC)
-    out = _LOG_CACHE.get(key)
-    if out is None:
-        f = from_int(n)
-        out = Ball._wrap(mpi_log((f, f), _PREC))
-        if len(_LOG_CACHE) > 400000:
-            _LOG_CACHE.clear()
-        _LOG_CACHE[key] = out
-    return out
+    return _log_int(n, _PREC)
+
+
+@lru_cache(maxsize=1 << 16)
+def _log_int(n, prec):
+    """The `lru_cache` key is (n, prec): a log is computed once per
+    precision, and the least recently used logs go first."""
+    f = from_int(n)
+    return Ball._wrap(mpi_log((f, f), prec))
 
 
 class CBall:

@@ -10,14 +10,15 @@ norm-decomposition identity needs, and its saturation index is unknown.
 
 import itertools
 from fractions import Fraction
-from math import gcd, isqrt
+from functools import lru_cache
+from math import isqrt
 
 from . import hnf
 from .ball import (Ball, CertificationError, ball_log, ball_log_int,
                    ball_sqrt, gauss_solve, precision, working_precision)
-from .grpring import AbelianGroup, GroupRingElement, InputError
-from .numfld import (QuadField, SUnitLattice, ord_at_place, places_over,
-                     s_unit_lattice, squarefree_part)
+from .grpring import AbelianGroup, InputError
+from .numfld import (QuadField, ord_at_place, places_over, s_unit_lattice,
+                     squarefree_part)
 from .zideal import UnsupportedCaseError
 
 
@@ -31,13 +32,8 @@ def _sqrt_exact(n):
 class BiquadField:
     """Q(sqrt m1, sqrt m2) with the convention sqrt(m3) = sqrt m1 sqrt m2 / s."""
 
-    _cache = {}
-
+    @lru_cache(maxsize=None)
     def __new__(cls, D1, D2):
-        key = (D1, D2)
-        inst = cls._cache.get(key)
-        if inst is not None:
-            return inst
         inst = super().__new__(cls)
         k1, k2 = QuadField(D1), QuadField(D2)
         m1, m2 = k1.m, k2.m
@@ -56,7 +52,6 @@ class BiquadField:
         inst.s13 = _sqrt_exact(m1 * m3 // m2)
         inst.s23 = _sqrt_exact(m2 * m3 // m1)
         inst.group = AbelianGroup((2, 2))
-        cls._cache[key] = inst
         return inst
 
     def element(self, a0=0, a1=0, a2=0, a3=0):
@@ -160,9 +155,6 @@ class BiquadElt:
     def __eq__(self, other):
         return isinstance(other, BiquadElt) and self.c == other.c \
             and self.field is other.field
-
-    def is_one(self):
-        return self.c == (1, 0, 0, 0)
 
     def is_pm_one(self):
         return self.c in ((1, 0, 0, 0), (-1, 0, 0, 0))

@@ -24,14 +24,14 @@ from .ball import (DEFAULT_PREC, CertificationError, Undecided,
                    working_precision)
 from .grpring import InputError
 from .hnf import diagonalize_relations
-from .lfun import (AbelianFieldRealization, DirichletChar, LSpec,
-                   l_jet, stickelberger_element)
+from .lfun import (AbelianFieldRealization, LSpec, l_jet,
+                   stickelberger_element)
 from .numfld import (DatumError, QuadField, class_number,
                      class_group_structure, fundamental_unit,
                      is_fundamental_discriminant)
 from .sublat import CapacityError, norm_sum_identity, enumerate_omega_star
-from .verify import (ConfigError, Scenario, certificate_summary,
-                     load_scenario, run_scenario)
+from .verify import (ConfigError, certificate_summary, load_scenario,
+                     run_scenario)
 
 
 def _bits(text):

@@ -6,7 +6,7 @@ desk scale), so no CRT/factored representation is used.
 from fractions import Fraction
 from functools import lru_cache
 
-from .ball import Ball, CBall, CertificationError
+from .ball import CBall, CertificationError
 
 
 @lru_cache(maxsize=None)
@@ -40,26 +40,22 @@ def _poly_divexact(num, den):
 class CycloField:
     """Q(zeta_e) with dense Fraction-vector elements."""
 
-    _cache = {}
-
+    @lru_cache(maxsize=None)
     def __new__(cls, e):
-        inst = cls._cache.get(e)
-        if inst is None:
-            inst = super().__new__(cls)
-            inst.e = e
-            phi = cyclotomic_polynomial(e)
-            inst.modulus = phi
-            inst.degree = len(phi) - 1
-            # x^k mod Phi_e for k up to 2*degree - 2 (products before reduction)
-            pows = []
-            cur = [Fraction(0)] * inst.degree
-            if inst.degree > 0:
-                cur[0] = Fraction(1)
-            for k in range(2 * inst.degree):
-                pows.append(cur.copy())
-                cur = inst._shift_reduce(cur)
-            inst._monomials = pows
-            cls._cache[e] = inst
+        inst = super().__new__(cls)
+        inst.e = e
+        phi = cyclotomic_polynomial(e)
+        inst.modulus = phi
+        inst.degree = len(phi) - 1
+        # x^k mod Phi_e for k up to 2*degree - 2 (products before reduction)
+        pows = []
+        cur = [Fraction(0)] * inst.degree
+        if inst.degree > 0:
+            cur[0] = Fraction(1)
+        for k in range(2 * inst.degree):
+            pows.append(cur.copy())
+            cur = inst._shift_reduce(cur)
+        inst._monomials = pows
         return inst
 
     def _shift_reduce(self, vec):

@@ -12,6 +12,7 @@ factors.
 """
 
 import itertools
+from functools import lru_cache
 
 from .arith import factorint
 from .grpring import InputError
@@ -75,25 +76,17 @@ class GroupStructure:
     def contains(self, element):
         return element in self.exponents
 
-    def from_exponents(self, vec):
-        out = self.identity
-        for g, a in zip(self.leaders, vec):
-            a = int(a) % self.order  # g^order = identity
-            for _ in range(a):
-                out = self.op(out, g)
-        return out
-
 
 class GF:
     """GF(p^k) with elements as coefficient tuples over F_p."""
 
-    _cache = {}
-
     def __new__(cls, p, k=1):
-        key = (p, k)
-        inst = cls._cache.get(key)
-        if inst is not None:
-            return inst
+        # k is spelled out here, so GF(p) and GF(p, 1) share one cache key
+        return cls._interned(p, k)
+
+    @classmethod
+    @lru_cache(maxsize=None)
+    def _interned(cls, p, k):
         inst = super().__new__(cls)
         inst.p = p
         inst.k = k
@@ -102,7 +95,6 @@ class GF:
             inst.modulus = None
         else:
             inst.modulus = _find_irreducible(p, k)
-        cls._cache[key] = inst
         return inst
 
     def element(self, coeffs):

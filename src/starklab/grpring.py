@@ -28,35 +28,30 @@ class InputError(ValueError):
 class AbelianGroup:
     """Finite abelian group as a product of cyclic groups Z/d_i."""
 
-    _cache = {}
-
-    def __new__(cls, invariant_factors):
-        key = tuple(int(d) for d in invariant_factors)
-        inst = cls._cache.get(key)
-        if inst is not None:
-            return inst
-        if any(d < 2 for d in key):
-            raise InputError(f"invariant factors must be >= 2: {key}")
-        for a, b in zip(key, key[1:]):
+    @lru_cache(maxsize=None)
+    def __new__(cls, factors):
+        if any(d < 2 for d in factors):
+            raise InputError(f"invariant factors must be >= 2: {factors}")
+        for a, b in zip(factors, factors[1:]):
             if b % a != 0:
-                raise InputError(f"invariant factors must form a chain: {key}")
+                raise InputError(
+                    f"invariant factors must form a chain: {factors}")
         inst = super().__new__(cls)
-        inst.invariant_factors = key
-        inst.order = prod(key) if key else 1
+        inst.invariant_factors = factors
+        inst.order = prod(factors) if factors else 1
         if inst.order > MAX_GROUP_ORDER:
-            raise InputError(f"a product of {len(key)} cyclic groups has "
+            raise InputError(f"a product of {len(factors)} cyclic groups has "
                              f"order above the desk bound {MAX_GROUP_ORDER}")
-        inst.exponent = key[-1] if key else 1
-        inst.rank = len(key)
+        inst.exponent = factors[-1] if factors else 1
+        inst.rank = len(factors)
         # fixed global element order: mixed-radix lexicographic
         elements = [()]
-        for d in key:
+        for d in factors:
             elements = [e + (a,) for e in elements for a in range(d)]
         # lexicographic in tuple order
         elements.sort()
         inst.elements = elements
         inst.index = {e: i for i, e in enumerate(elements)}
-        cls._cache[key] = inst
         return inst
 
     def op(self, a, b):
@@ -74,9 +69,6 @@ class AbelianGroup:
 
     def all_characters(self):
         return [Character(self, t) for t in self.elements]
-
-    def trivial_character(self):
-        return Character(self, self.identity())
 
     @lru_cache(maxsize=None)
     def multiplication_table(self):
@@ -475,26 +467,6 @@ class GroupRingElement:
                 continue
             terms.append(f"({c})*g{list(e)}")
         return "GR[" + (" + ".join(terms) if terms else "0") + "]"
-
-
-def element_from_json(obj):
-    group = AbelianGroup(tuple(obj["group"]))
-    ring = Ring(obj["ring"])
-
-    def dec(c):
-        if ring.kind == "int":
-            return int(c)
-        if ring.kind == "rat":
-            return Fraction(c)
-        if ring.kind == "cyc":
-            return CycloField(ring.param).element([Fraction(q) for q in c])
-        if ring.kind == "ball":
-            from .ball import ball_from_json
-            return ball_from_json(c)
-        from .ball import ball_from_json
-        return CBall(ball_from_json(c["re"]), ball_from_json(c["im"]))
-
-    return GroupRingElement(group, ring, [dec(c) for c in obj["coeffs"]])
 
 
 def _scalar_ring(x):

@@ -19,17 +19,16 @@ jet at all.  The truncation cap K <= 4 applies to that primitive
 truncation, not to the order of vanishing.
 """
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 from .arith import bernoulli, factorint
 from .ball import (Ball, CBall, CertificationError, PrecisionError,
                    ball_log, ball_log_int, ball_ratio, precision)
 from .cyclo import CycloField
 from .finite import GroupStructure
-from .grpring import AbelianGroup, Character, GroupRingElement, InputError
+from .grpring import AbelianGroup, GroupRingElement, InputError
 from .hnf import diagonalize_relations
 from .numfld import (_normalize_places, fundamental_discriminant, kronecker,
                      squarefree_part)
@@ -61,13 +60,6 @@ class DirichletChar:
         if len(self.values) != modulus:
             raise InputError("value table must have length f")
         self._conductor = None
-
-    @staticmethod
-    def trivial(f=1):
-        vals = [0 if gcd(a, f) == 1 else None for a in range(f)]
-        if f == 1:
-            vals = [0]
-        return DirichletChar(f, 1, vals)
 
     @staticmethod
     def quadratic(D):
@@ -117,7 +109,7 @@ class DirichletChar:
             return 1
         if 2 * t == self.order:
             return -1
-        raise AssertionError("chi(-1) must be a square root of 1")
+        raise InputError("chi(-1) must be a square root of 1")
 
     def is_trivial(self):
         return self.order == 1
@@ -200,6 +192,10 @@ class AbelianFieldRealization:
     exactly when -1 does.
     """
 
+    # the discriminants of a (Z/2)^m realization built by
+    # `_kronecker_realization`, which reads Frobenius off Kronecker symbols
+    _kronecker = None
+
     def __init__(self, modulus, kernel_generators, expected_degree=None,
                  label=None, field=None, subfield_discs=None):
         f = int(modulus)
@@ -238,7 +234,7 @@ class AbelianFieldRealization:
                 f"declared degree {expected_degree}")
         factors, self._V, _ = diagonalize_relations(
             self.quotient.relation_rows, len(self.quotient.leaders))
-        self.group = AbelianGroup(factors)
+        self.group = AbelianGroup(tuple(factors))
 
     @staticmethod
     def rationals():
@@ -285,7 +281,7 @@ class AbelianFieldRealization:
         a %= self.modulus
         if gcd(a, self.modulus) != 1:
             raise InputError(f"{a} is not a unit mod {self.modulus}")
-        if getattr(self, "_kronecker", None) is not None:
+        if self._kronecker is not None:
             return tuple(0 if kronecker(D, a) == 1 else 1
                          for D in self._kronecker)
         x = self.quotient.dlog(self._coset_rep[a])
@@ -294,7 +290,7 @@ class AbelianFieldRealization:
 
     def ramified_primes(self):
         """Primes dividing the conductor of some character of G."""
-        if getattr(self, "_kronecker", None) is not None:
+        if self._kronecker is not None:
             out = set()
             for D in self._kronecker:
                 out |= set(factorint(abs(D)))
@@ -314,7 +310,7 @@ class AbelianFieldRealization:
         """
         if self.degree() == 1:
             return True
-        if getattr(self, "_kronecker", None) is not None:
+        if self._kronecker is not None:
             if v == "inf":
                 return all(D > 0 for D in self._kronecker)
             return all(kronecker(D, int(v)) == 1 for D in self._kronecker)
@@ -338,7 +334,7 @@ class AbelianFieldRealization:
     def dirichlet(self, chi):
         """The Dirichlet character mod f attached to an abstract character."""
         f = self.modulus
-        if getattr(self, "_kronecker", None) is not None:
+        if self._kronecker is not None:
             # product of the quadratic characters selected by the label
             vals = []
             order = 1 if all(t == 0 for t in chi.exponents) else 2
@@ -438,14 +434,6 @@ def _rising_factorial_coeffs(m):
 
 
 @lru_cache(maxsize=None)
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
-@lru_cache(maxsize=None)
 def _correction_coeffs(B, K):
     """Integer tables (a, d) of the Euler-Maclaurin corrections, one for
     each s-degree i = 1..K: a[j - 1] / d = B_2j / (2j)! * P_j[i] for
@@ -457,7 +445,7 @@ def _correction_coeffs(B, K):
         for j in range(1, B + 1):
             P = _rising_factorial_coeffs(2 * j - 1)
             Pi = P[i] if i < len(P) else 0
-            row.append(bernoulli(2 * j) / _factorial(2 * j) * Pi)
+            row.append(bernoulli(2 * j) / factorial(2 * j) * Pi)
         d = lcm(*(c.denominator for c in row))
         rows.append((tuple(int(c * d) for c in row), d))
     return tuple(rows)
@@ -467,10 +455,11 @@ def _correction_coeffs(B, K):
 def _tail_radius_table(N, B, K, prec):
     """The Euler-Maclaurin remainder bounds r_0..r_K as balls [-r_k, r_k],
     each rounded up once; the bound only depends on the cutoffs, not on x
-    in (0, 1].  `prec` is the precision in force, passed only to key the
-    cache."""
+    in (0, 1].  The `lru_cache` key is (N, B, K, prec): `prec` is the
+    precision in force, passed only so that each precision gets its own
+    table."""
     P2B = _rising_factorial_coeffs(2 * B)
-    bconst = abs(bernoulli(2 * B)) / _factorial(2 * B)
+    bconst = abs(bernoulli(2 * B)) / factorial(2 * B)
     logN = ball_log_int(N)
     a_exp = 2 * B - 1
     Npow = Ball(N) ** (-a_exp)
@@ -479,7 +468,7 @@ def _tail_radius_table(N, B, K, prec):
         acc = Ball(0)
         for i in range(j + 1):
             acc = acc + (logN ** i) * Fraction(
-                _factorial(j), _factorial(i)) \
+                factorial(j), factorial(i)) \
                 * Fraction(1, a_exp ** (j - i + 1))
         I.append(Npow * acc)
     rads = []
@@ -487,7 +476,7 @@ def _tail_radius_table(N, B, K, prec):
         rad = Fraction(0)
         for i in range(min(k, 2 * B) + 1):
             if P2B[i]:
-                bound = (I[k - i] * Fraction(P2B[i], _factorial(k - i))
+                bound = (I[k - i] * Fraction(P2B[i], factorial(k - i))
                          ).endpoints()[1]
                 rad += abs(bound)
         rads.append(Ball(0, bconst * rad))
@@ -549,7 +538,7 @@ def hurwitz_jet(x, K):
                 if k > 1:
                     power = power * L
                 sums[k] = sums[k] + power
-        main = [N] + [sums[k] * Fraction((-1) ** k, _factorial(k))
+        main = [N] + [sums[k] * Fraction((-1) ** k, factorial(k))
                       for k in range(1, K + 1)]
     # tail at w = N + x = wn / den: the integral term w^(1-s)/(s-1), the
     # half term w^(-s)/2 and the Bernoulli corrections sum_i R_i s^i w^(-s).
@@ -576,7 +565,7 @@ def hurwitz_jet(x, K):
         Rn, Rd = R[k - m]
         half = Rd * den if m == k else 0
         return ball_ratio(2 * (Rn * den - wn * Rd) + half,
-                          2 * Rd * den * _factorial(m))
+                          2 * Rd * den * factorial(m))
 
     out = []
     for k in range(K + 1):
@@ -958,24 +947,3 @@ def leading_term_element(realization, S, T):
         components[chi.exponents] = comp
     element = _assemble_ball(group, components)
     return element, orders
-
-
-def invert_ball_element(x):
-    """Inverse of a unit of R[G] with certified-ball coefficients."""
-    from .ball import gauss_solve
-    from .grpring import GroupRingElement
-    group = x.group
-    n = group.order
-    table = group.multiplication_table()
-    cols = []
-    for j in range(n):
-        col = [Ball(0)] * n
-        for i, c in enumerate(x.coeffs):
-            cc = c if isinstance(c, Ball) else Ball(c)
-            col[table[i][j]] = col[table[i][j]] + cc
-        cols.append(col)
-    A = [[cols[j][k] for j in range(n)] for k in range(n)]
-    rhs = [Ball(1 if group.elements[k] == group.identity() else 0)
-           for k in range(n)]
-    sol = gauss_solve(A, rhs)
-    return GroupRingElement(group, "ball", sol)

@@ -14,9 +14,9 @@ from fractions import Fraction
 from math import lcm
 
 from . import hnf
-from .ball import Ball, CBall, CertificationError, Undecided
-from .grpring import AbelianGroup, GroupRingElement, InputError
-from .zideal import GIdealLattice, UnsupportedCaseError, _det_group_ring
+from .ball import CertificationError
+from .grpring import GroupRingElement, InputError
+from .zideal import GIdealLattice, _det_group_ring
 
 
 class NonIntegralError(ValueError):
@@ -132,16 +132,12 @@ class GLattice:
             homs.append([row[i * n:(i + 1) * n] for i in range(t)])
         return homs
 
-    def pull_hom_to_cover(self, hom, cover):
-        """Values f(u) for the cover generators, via rational coordinates."""
-        return self.pull_homs_to_cover([hom], cover)[0]
-
     def pull_homs_to_cover(self, homs, cover):
-        """[pull_hom_to_cover(f, cover) for f in homs], with the rational
-        coordinates of each cover generator found once for all homs, by
-        back-substitution on the echelon basis, and kept as integer
-        numerators over their common denominator, so each value is summed
-        in integers and divided once."""
+        """The values f(u) on the cover generators u, for each hom f.  The
+        rational coordinates of each cover generator are found once for all
+        homs, by back-substitution on the echelon basis, and kept as integer
+        numerators over their common denominator, so each value is summed in
+        integers and divided once."""
         basis = self.lattice.basis()
         coords = []
         for u in cover:

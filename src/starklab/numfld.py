@@ -10,8 +10,8 @@ normalized so the product formula holds exactly: complex places squared,
 finite places |x|_w = (Nw)^(-ord_w x).
 """
 
-import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt, lcm
 
 from . import hnf
@@ -92,13 +92,8 @@ def is_fundamental_discriminant(D):
 class QuadField:
     """Q(sqrt(m)) for squarefree m, with fundamental discriminant D."""
 
-    _cache = {}
-
+    @lru_cache(maxsize=None)
     def __new__(cls, D):
-        D = int(D)
-        inst = cls._cache.get(D)
-        if inst is not None:
-            return inst
         if abs(D) > MAX_ABS_DISC:
             raise CapacityError(f"|D| = {abs(D)} exceeds the desk bound")
         if not is_fundamental_discriminant(D):
@@ -107,7 +102,6 @@ class QuadField:
         inst.D = D
         inst.m = D if D % 4 == 1 else D // 4
         inst.is_real = D > 0
-        cls._cache[D] = inst
         return inst
 
     def element(self, a, b=0):
@@ -117,9 +111,6 @@ class QuadField:
         """Standard integral generator: (1+sqrt m)/2 for m = 1 (4), else sqrt m."""
         if self.m % 4 == 1:
             return _quad(self, 1, 1, 2)
-        return _quad(self, 0, 1, 1)
-
-    def sqrt_m(self):
         return _quad(self, 0, 1, 1)
 
     def sqrt_disc(self):
@@ -347,15 +338,11 @@ class QuadElt:
 
 # -- fundamental units ------------------------------------------------------
 
-_UNIT_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def fundamental_unit(D):
     """Fundamental unit (> 1) of the real quadratic field of discriminant D,
     by the continued-fraction expansion of the standard integral generator.
     """
-    if D in _UNIT_CACHE:
-        return _UNIT_CACHE[D]
     field = QuadField(D)
     if not field.is_real:
         raise InputError("fundamental units require D > 0")
@@ -378,7 +365,6 @@ def fundamental_unit(D):
             if abs(cand.norm()) != 1 or not cand.is_integral():
                 raise CertificationError(f"unit candidate for D={D} is not "
                                          "an integral unit")
-            _UNIT_CACHE[D] = cand
             return cand
         P = a * Q - P
         Q = (m - P * P) // Q
@@ -500,12 +486,8 @@ def compose_forms(f1, f2, D):
 class ImaginaryClassGroup:
     """Form class group for D < 0 with composition and discrete logs."""
 
-    _cache = {}
-
+    @lru_cache(maxsize=None)
     def __new__(cls, D):
-        inst = cls._cache.get(D)
-        if inst is not None:
-            return inst
         if D >= 0:
             raise CertificationError("definite class group needs D < 0, "
                                      f"got {D}")
@@ -520,7 +502,6 @@ class ImaginaryClassGroup:
             raise CertificationError(
                 f"class group of {D}: {inst.structure.order} classes "
                 f"enumerated, {inst.h} reduced forms")
-        cls._cache[D] = inst
         return inst
 
     def class_of(self, form):
@@ -620,12 +601,8 @@ def _all_reduced_indefinite(D):
 class RealClassGroup:
     """Wide ideal class group for D > 0 via cycles of indefinite forms."""
 
-    _cache = {}
-
+    @lru_cache(maxsize=None)
     def __new__(cls, D):
-        inst = cls._cache.get(D)
-        if inst is not None:
-            return inst
         if D <= 0:
             raise CertificationError("indefinite class group needs D > 0, "
                                      f"got {D}")
@@ -669,7 +646,6 @@ class RealClassGroup:
             raise CertificationError(
                 f"class group of {D}: {inst.structure.order} classes "
                 f"enumerated, h = {inst.h}")
-        cls._cache[D] = inst
         return inst
 
     def class_of(self, form):
@@ -1265,9 +1241,6 @@ class SUnitLattice:
 
     def t_lattice_hnf(self):
         return self.t_sublattice.canonical()
-
-    def t_index(self):
-        return self.t_sublattice.index()
 
 
 def s_unit_lattice(field, S, T, enforce_h3=True):

@@ -17,7 +17,7 @@ from itertools import product
 
 from .arith import CapacityError, isprime
 from .ball import CertificationError
-from .grpring import AbelianGroup, GroupRingElement, InputError, Subgroup
+from .grpring import AbelianGroup, GroupRingElement, InputError
 
 DESK_BOUND = 3 ** 6
 
@@ -25,8 +25,8 @@ DESK_BOUND = 3 ** 6
 class HyperplaneSet:
     """All subgroups of (Z/p)^m of index at most p.
 
-    Holds the projective normals; the `Subgroup` objects of `planes` and
-    `all_subgroups()` are built only when asked for.
+    Holds the projective normals; a hyperplane's members are listed by
+    `kernel` only when asked for.
     """
 
     __slots__ = ("p", "m", "group", "normals")
@@ -52,21 +52,6 @@ class HyperplaneSet:
         w = p ** (m - 1 - k)
         base = [-d % p * w + s for d, s in suffix]
         return [off + b for off in range(0, p ** m, p * w) for b in base]
-
-    @property
-    def planes(self):
-        """The proper hyperplanes, as `Subgroup` objects."""
-        els = self.group.elements
-        return [Subgroup.from_members(self.group,
-                                      [els[i] for i in sorted(self.kernel(n))])
-                for n in self.normals]
-
-    def full_group(self):
-        return Subgroup.from_members(self.group, self.group.elements)
-
-    def all_subgroups(self):
-        """Proper hyperplanes plus the group itself."""
-        return self.planes + [self.full_group()]
 
     def count_proper(self):
         return len(self.normals)

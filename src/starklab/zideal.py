@@ -409,12 +409,6 @@ class FiniteGModule:
     def zero(group):
         return FiniteGModule(group, [], [[] for _ in range(group.rank)])
 
-    @staticmethod
-    def trivial_action(group, orders):
-        k = len(orders)
-        return FiniteGModule(group, orders,
-                             [hnf.identity_matrix(k)] * group.rank)
-
     def order(self):
         out = 1
         for d in self.orders:

@@ -3,7 +3,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 
 import pytest
 import sympy
@@ -14,8 +14,8 @@ from starklab import arith, cli, sublat
 from starklab.arith import (FACTOR_BOUND, CapacityError, bernoulli,
                             factorint, isprime, primerange)
 from starklab.ball import working_precision
-from starklab.lfun import (_correction_coeffs, _factorial,
-                           _rising_factorial_coeffs, hurwitz_jet)
+from starklab.lfun import (_correction_coeffs, _rising_factorial_coeffs,
+                           hurwitz_jet)
 from starklab.numfld import QuadField
 from starklab.sublat import enumerate_omega_star
 
@@ -65,7 +65,7 @@ def test_correction_coeffs_match_a_sympy_table(bits):
             P = _rising_factorial_coeffs(2 * j - 1)
             Pi = P[i] if i < len(P) else 0
             b = Fraction(str(sympy.bernoulli(2 * j)))
-            row.append(b / _factorial(2 * j) * Pi)
+            row.append(b / factorial(2 * j) * Pi)
         d = lcm(*(c.denominator for c in row))
         expected.append((tuple(int(c * d) for c in row), d))
     assert _correction_coeffs(B, K) == tuple(expected)

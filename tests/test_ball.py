@@ -8,7 +8,7 @@ from mpmath.libmp import finf, fnan, fninf, from_int, from_man_exp, fzero
 from mpmath.libmp.libmpi import mpi_exp
 
 from starklab import ball
-from starklab.ball import (Ball, CBall, Undecided, ball_det, ball_from_json,
+from starklab.ball import (Ball, CBall, Undecided, ball_det,
                            ball_log, ball_log_int, ball_pi, ball_ratio,
                            ball_sqrt, gauss_solve, working_precision)
 
@@ -68,9 +68,26 @@ def test_precision_scoping():
         assert b.rad() < Fraction(1, 2 ** 240)
 
 
+def test_log_int_is_cached_per_precision():
+    with working_precision(64):
+        ball_log_int(7)
+    with working_precision(256):
+        fine = ball_log_int(7)
+        assert fine.rad() < Fraction(1, 2 ** 240)
+    with working_precision(64):
+        coarse = ball_log_int(7)
+        assert coarse.rad() > Fraction(1, 2 ** 80)
+    ball._log_int.cache_clear()
+    with working_precision(64):
+        assert ball_log_int(7).endpoints() == coarse.endpoints()
+    with working_precision(256):
+        assert ball_log_int(7).endpoints() == fine.endpoints()
+
+
 def test_json_roundtrip_encloses():
     b = ball_log_int(7)
-    b2 = ball_from_json(b.to_json())
+    obj = b.to_json()
+    b2 = Ball(Fraction(obj["mid"]), Fraction(obj["rad"]))
     lo, hi = b.endpoints()
     lo2, hi2 = b2.endpoints()
     assert lo2 <= lo and hi <= hi2

@@ -1,0 +1,69 @@
+"""The value classes are interned: one argument tuple, one object.
+
+Arithmetic gates on identity (`field is other.field`, and `AbelianGroup`
+compares by `is`), so two spellings of one value must give the same object,
+and an argument that is rejected must be rejected on every call.
+"""
+
+import pytest
+
+from starklab.arith import CapacityError
+from starklab.ball import CertificationError
+from starklab.biquad import BiquadField
+from starklab.cyclo import CycloField
+from starklab.finite import GF
+from starklab.grpring import AbelianGroup, InputError, Ring
+from starklab.lfun import AbelianFieldRealization
+from starklab.numfld import (ImaginaryClassGroup, QuadField, RealClassGroup,
+                             class_group_structure)
+
+# (make, other spellings of the same value, rejected arguments)
+CASES = {
+    "AbelianGroup": (
+        lambda: AbelianGroup((2, 2)),
+        [lambda: AbelianFieldRealization(8, []).group,
+         lambda: AbelianFieldRealization.multiquadratic([-4, 8]).group],
+        [(lambda: AbelianGroup((3, 2)), InputError),
+         (lambda: AbelianGroup((1,)), InputError),
+         (lambda: AbelianGroup((3,) * 7), InputError)]),
+    "GF": (
+        lambda: GF(5),
+        [lambda: GF(5, 1)],
+        []),
+    "CycloField": (
+        lambda: CycloField(12),
+        [lambda: Ring("cyc:12").one().field],
+        []),
+    "QuadField": (
+        lambda: QuadField(5),
+        [lambda: AbelianFieldRealization.quadratic(5).field],
+        [(lambda: QuadField(20), InputError),
+         (lambda: QuadField(10 ** 7 + 1), CapacityError)]),
+    "BiquadField": (
+        lambda: BiquadField(5, 8),
+        [],
+        [(lambda: BiquadField(5, 5), InputError)]),
+    "ImaginaryClassGroup": (
+        lambda: ImaginaryClassGroup(-23),
+        [lambda: class_group_structure(-23)],
+        [(lambda: ImaginaryClassGroup(5), CertificationError)]),
+    "RealClassGroup": (
+        lambda: RealClassGroup(65),
+        [lambda: class_group_structure(65)],
+        [(lambda: RealClassGroup(-4), CertificationError)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_value_classes_are_interned(name):
+    make, spellings, rejected = CASES[name]
+    x = make()
+    assert type(x).__name__ == name
+    assert make() is x
+    for spell in spellings:
+        assert spell() is x
+    # a failed construction caches nothing: it fails again every time
+    for bad, error in rejected:
+        for _ in range(2):
+            with pytest.raises(error):
+                bad()

@@ -9,18 +9,41 @@ from mpmath.libmp import to_rational
 
 from starklab.arith import bernoulli
 from starklab.ball import (Ball, CBall, PrecisionError, ball_log,
-                           ball_log_int, precision, working_precision)
+                           ball_log_int, gauss_solve, precision,
+                           working_precision)
 from starklab.cyclo import CycloField
 from starklab.finite import GroupStructure
 from starklab.grpring import AbelianGroup, GroupRingElement, InputError
 from starklab.lfun import (AbelianFieldRealization, DirichletChar, Jet,
                            LSpec, UnresolvedOrderError, WrongOrderError,
-                           _correction_coeffs, _factorial,
+                           _correction_coeffs,
                            _rising_factorial_coeffs, _tail_radius_table,
                            bernoulli_value, hurwitz_jet,
-                           invert_ball_element, l_jet, leading_term_element,
+                           l_jet, leading_term_element,
                            stickelberger_element, theoretical_order,
                            validate_rubin_shape)
+
+
+def trivial_char(f):
+    """The trivial character mod f."""
+    if f == 1:
+        return DirichletChar(1, 1, [0])
+    return DirichletChar(f, 1, [0 if math.gcd(a, f) == 1 else None
+                                for a in range(f)])
+
+
+def invert_ball_element(x):
+    """Inverse of a unit of R[G] with ball coefficients, by solving x*y = 1
+    column by column of the multiplication matrix."""
+    group = x.group
+    n = group.order
+    table = group.multiplication_table()
+    A = [[Ball(0)] * n for _ in range(n)]
+    for j in range(n):
+        for i, c in enumerate(x.coeffs):
+            A[table[i][j]][j] = A[table[i][j]][j] + c
+    rhs = [Ball(1 if e == group.identity() else 0) for e in group.elements]
+    return GroupRingElement(group, "ball", gauss_solve(A, rhs))
 
 
 def _close(ball, ref, tol=1e-25):
@@ -104,7 +127,7 @@ def _fraction_tail_radii(N, B, K):
     """The remainder bounds r_0..r_K as exact Fractions, the way the tail
     radius table computed them before it stored rounded balls."""
     P2B = _rising_factorial_coeffs(2 * B)
-    bconst = abs(bernoulli(2 * B)) / _factorial(2 * B)
+    bconst = abs(bernoulli(2 * B)) / math.factorial(2 * B)
     logN = ball_log_int(N)
     a_exp = 2 * B - 1
     Npow = Ball(N) ** (-a_exp)
@@ -113,7 +136,7 @@ def _fraction_tail_radii(N, B, K):
         acc = Ball(0)
         for i in range(j + 1):
             acc = acc + (logN ** i) * Fraction(
-                _factorial(j), _factorial(i)) \
+                math.factorial(j), math.factorial(i)) \
                 * Fraction(1, a_exp ** (j - i + 1))
         I.append(Npow * acc)
     rads = []
@@ -121,7 +144,7 @@ def _fraction_tail_radii(N, B, K):
         rad = Fraction(0)
         for i in range(min(k, 2 * B) + 1):
             if P2B[i]:
-                bound = (I[k - i] * Fraction(P2B[i], _factorial(k - i))
+                bound = (I[k - i] * Fraction(P2B[i], math.factorial(k - i))
                          ).endpoints()[1]
                 rad += abs(bound)
         rads.append(bconst * rad)
@@ -148,7 +171,7 @@ def _fraction_tail_jet(x, K, N, B):
                 if k > 1:
                     power = power * L
                 sums[k] = sums[k] + power
-        main = [N] + [sums[k] * Fraction((-1) ** k, _factorial(k))
+        main = [N] + [sums[k] * Fraction((-1) ** k, math.factorial(k))
                       for k in range(1, K + 1)]
     w = N + x
     p, q = w.denominator ** 2, w.numerator ** 2
@@ -167,7 +190,7 @@ def _fraction_tail_jet(x, K, N, B):
              for m in range(k + 1)]
         c = 0
         for m in range(k, 0, -1):
-            c = (c + t[m] / _factorial(m)) * neg_Lw
+            c = (c + t[m] / math.factorial(m)) * neg_Lw
         out.append(c + main[k] + Ball(t[0], rads[k]))
     return out
 
@@ -202,7 +225,7 @@ def test_characters():
     assert chi3.parity() == -1 and chi3.conductor() == 3
     chi5 = DirichletChar.quadratic(5)
     assert chi5.parity() == 1 and chi5.order == 2
-    triv = DirichletChar.trivial(12)
+    triv = trivial_char(12)
     assert triv.conductor() == 1
     prod = chi3.mul(chi3)
     assert prod.order == 1
@@ -214,13 +237,19 @@ def test_characters():
     assert prim.conductor() == 3 and prim.values == chi3.values
 
 
+def test_parity_of_a_table_that_is_not_a_character_is_an_input_error():
+    # chi(-1) = zeta_4: the table is no character, so it has no parity
+    with pytest.raises(InputError):
+        DirichletChar(5, 4, [None, 0, 1, 3, 1]).parity()
+
+
 def test_theoretical_orders():
     chi5 = DirichletChar.quadratic(5)
     chi3 = DirichletChar.quadratic(-3)
     assert theoretical_order(chi5, ["inf", 5]) == 1
     assert theoretical_order(chi3, ["inf", 3]) == 0
-    assert theoretical_order(DirichletChar.trivial(1), ["inf", 2]) == 1
-    assert theoretical_order(DirichletChar.trivial(1), ["inf", 2, 3]) == 2
+    assert theoretical_order(trivial_char(1), ["inf", 2]) == 1
+    assert theoretical_order(trivial_char(1), ["inf", 2, 3]) == 2
     # a split prime in S raises the order: chi5(11) = 1
     assert theoretical_order(chi5, ["inf", 5, 11]) == 2
     assert theoretical_order(chi5, ["inf", 5, 7]) == 1
@@ -233,7 +262,7 @@ def test_bernoulli_values():
         == Fraction(1, 2)
     assert bernoulli_value(DirichletChar.quadratic(-4), ["inf", 2], [3]) \
         == Fraction(2)
-    assert bernoulli_value(DirichletChar.trivial(1), ["inf"]) \
+    assert bernoulli_value(trivial_char(1), ["inf"]) \
         == Fraction(-1, 2)
     with pytest.raises(WrongOrderError):
         bernoulli_value(DirichletChar.quadratic(5), ["inf", 5])
@@ -285,7 +314,7 @@ def test_bernoulli_value_matches_the_sum_by_residue():
 
 
 def test_l_jet_examples():
-    spec = LSpec(DirichletChar.trivial(1), ["inf", 2], [], truncation=1)
+    spec = LSpec(trivial_char(1), ["inf", 2], [], truncation=1)
     j = l_jet(spec)
     assert j.order == 1
     assert _close(j.coeffs[1], -math.log(2) / 2, 1e-30)
@@ -471,7 +500,7 @@ def _full_product_lead(chi, S, T, r):
 
 def test_leading_coefficient_matches_the_full_product_and_is_no_wider():
     import sympy
-    chars = [DirichletChar.trivial(1), DirichletChar.quadratic(5),
+    chars = [trivial_char(1), DirichletChar.quadratic(5),
              DirichletChar.quadratic(-4), DirichletChar.quadratic(8)] \
         + _complex_chars()
     seen = set()

@@ -57,7 +57,7 @@ def test_det_pairing_degree_one_and_alternating():
     M = regular_lattice()
     cover = [[1, 0], [0, 1]]
     homs = M.hom_generators()
-    pulled = [M.pull_hom_to_cover(h, cover) for h in homs]
+    pulled = M.pull_homs_to_cover(homs, cover)
     w = WedgeElement.from_vectors(G2, cover, M, [[1, 0]])
     for h in pulled:
         val = det_pairing(w, [h])
@@ -65,7 +65,7 @@ def test_det_pairing_degree_one_and_alternating():
     M2 = free_rank2_lattice()
     cover2 = [[1, 0, 0, 0], [0, 0, 1, 0]]
     w2 = WedgeElement(G2, 2, cover2, {(0, 1): GroupRingElement.one(G2, "rat")})
-    pulled2 = [M2.pull_hom_to_cover(h, cover2) for h in M2.hom_generators()]
+    pulled2 = M2.pull_homs_to_cover(M2.hom_generators(), cover2)
     assert det_pairing(w2, [pulled2[0], pulled2[0]]).is_zero()
     ints = [v.int_vector() for _f, v in all_dual_pairings(w2, M2)]
     assert [1, 0] in ints or [-1, 0] in ints
@@ -135,7 +135,7 @@ def test_bidual_oracle_equivalence_small_rank():
             continue
         homs = M.hom_generators()
         member = bidual_member(w, M, homs)
-        pulled = [M.pull_hom_to_cover(h, cover) for h in homs]
+        pulled = M.pull_homs_to_cover(homs, cover)
         # dense oracle: many random Z[G]-combinations of the dual homs
         oracle = True
         for _ in range(25):
@@ -173,7 +173,7 @@ def test_interior_contraction():
     M2 = free_rank2_lattice()
     cover2 = [[1, 0, 0, 0], [0, 0, 1, 0]]
     w2 = WedgeElement(G2, 2, cover2, {(0, 1): GroupRingElement.one(G2, "rat")})
-    pulled = [M2.pull_hom_to_cover(h, cover2) for h in M2.hom_generators()]
+    pulled = M2.pull_homs_to_cover(M2.hom_generators(), cover2)
     f, g = pulled[0], pulled[1]
     c_fg = interior_contract(w2, [f, g])
     c_gf = interior_contract(w2, [g, f])
@@ -292,7 +292,7 @@ def test_dual_pairings_solve_each_cover_generator_once(monkeypatch):
         (1, 2): GroupRingElement(G2, "rat", [Fraction(1, 2), 3])})
     homs = M.hom_generators()
     assert len(homs) > 1
-    per_hom = [M.pull_hom_to_cover(h, cover) for h in homs]
+    per_hom = [M.pull_homs_to_cover([h], cover)[0] for h in homs]
     solves = []
     real_solve = hnf.rational_solve
 

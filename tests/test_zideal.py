@@ -22,6 +22,13 @@ ONE2 = GroupRingElement.one(G2)
 SIGMA2 = GroupRingElement.from_element(G2, (1,))
 
 
+def trivial_action(group, orders):
+    """The module prod_i Z/d_i on which G acts trivially."""
+    k = len(orders)
+    return FiniteGModule(group, orders,
+                         [hnf.identity_matrix(k)] * group.rank)
+
+
 def sharp(ideal):
     """Image of an ideal under the # involution (coefficient permutation)."""
     perm = ideal.group.inversion_permutation()
@@ -124,7 +131,7 @@ def test_fitting_examples():
     pres = Presentation(G3, 1, [[s3 - GroupRingElement.one(G3)]])
     assert fitting_ideal(pres, 0) == augmentation_ideal(G3)
     # Fitt^0((Z/p)^s) inside prod (p Z[G] + I_G), p = 3, s = 2
-    m = FiniteGModule.trivial_action(G3, [3, 3])
+    m = trivial_action(G3, [3, 3])
     fit = fitting_ideal(m.standard_presentation(), 0)
     bound = ideal_from_generators([GroupRingElement.one(G3).scale(3)]).sum(
         augmentation_ideal(G3))
@@ -205,7 +212,7 @@ def test_trivial_action_fitting_closed_form():
         ig = augmentation_ideal(g)
         for _ in range(7):
             orders = [rng.choice([2, 3, 4]) for _ in range(rng.randint(1, 2))]
-            m = FiniteGModule.trivial_action(g, orders)
+            m = trivial_action(g, orders)
             fit = fitting_ideal(m.standard_presentation(), 0)
             expect = GIdealLattice.unit(g)
             for d in orders:
@@ -307,7 +314,7 @@ def test_fitting_multiplicative_on_direct_sums():
 
 
 def test_annihilator_examples():
-    m1 = FiniteGModule.trivial_action(G2, [2])
+    m1 = trivial_action(G2, [2])
     assert annihilator(m1) == ideal_from_generators(
         [ONE2.scale(2), SIGMA2 - ONE2])
     assert annihilator(FiniteGModule.zero(G2)).is_unit()
@@ -329,7 +336,7 @@ def test_fitting_from_extension():
     m0 = FiniteGModule.zero(G2)
     assert fitting_from_extension(m0, 2) == augmentation_ideal(G2)
     assert fitting_from_extension(m0, 1).is_unit()
-    mcl = FiniteGModule.trivial_action(G2, [2])
+    mcl = trivial_action(G2, [2])
     expect = ideal_from_generators([ONE2.scale(2), SIGMA2 - ONE2]).product(
         augmentation_ideal(G2))
     assert fitting_from_extension(mcl, 2) == expect
