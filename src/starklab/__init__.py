@@ -5,8 +5,8 @@ concrete abelian extensions of Q.
 
 from .ball import Ball, CBall, Undecided, working_precision
 from .grpring import (AbelianGroup, Character, GroupRingElement, Subgroup,
-                      affine_projection, aug_ideal_power, idempotent,
-                      involution, norm_element)
+                      affine_projection, idempotent, involution,
+                      norm_element)
 from .sublat import (HyperplaneSet, count_avoiding, enumerate_omega_star,
                      norm_sum_identity)
 from .zideal import (FiniteGModule, GIdealLattice, Presentation, annihilator,

@@ -81,12 +81,6 @@ class BiquadField:
         from .grpring import Subgroup
         return Subgroup.from_members(self.group, els)
 
-    def ramified_primes(self):
-        out = set()
-        for k in self.subfields:
-            out |= set(k.ramified_primes())
-        return sorted(out)
-
     def __repr__(self):
         return f"BiquadField(sqrt {self.ms[0]}, sqrt {self.ms[1]})"
 

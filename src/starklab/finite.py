@@ -73,9 +73,6 @@ class GroupStructure:
     def dlog(self, element):
         return self.exponents[element]
 
-    def contains(self, element):
-        return element in self.exponents
-
 
 class GF:
     """GF(p^k) with elements as coefficient tuples over F_p."""
@@ -116,9 +113,6 @@ class GF:
 
     def neg(self, a):
         return tuple((-x) % self.p for x in a)
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
 
     def mul(self, a, b):
         if self.k == 1:

@@ -64,9 +64,6 @@ class AbelianGroup:
     def identity(self):
         return (0,) * self.rank
 
-    def subgroup(self, generators):
-        return Subgroup(self, generators)
-
     def all_characters(self):
         return [Character(self, t) for t in self.elements]
 
@@ -523,20 +520,6 @@ class Character:
             total += t * a * (e // d)
         return total % e
 
-    def value(self, element):
-        """Exact value in Q(zeta_e)."""
-        return CycloField(self.group.exponent).zeta_power(
-            self.value_exponent(element))
-
-    def value_cball(self, element):
-        return CBall.root_of_unity(self.value_exponent(element),
-                                   self.group.exponent)
-
-    def is_real(self):
-        e = self.group.exponent
-        return all(self.value_exponent(el) % e in (0, e // 2 if e % 2 == 0 else 0)
-                   for el in self.group.elements)
-
     def real_value(self, element):
         """Value as a rational, for characters of order <= 2."""
         k = self.value_exponent(element)
@@ -562,11 +545,6 @@ class Character:
 
     def inverse(self):
         return Character(self.group, self.group.inv(self.exponents))
-
-    def kernel(self):
-        return Subgroup(self.group,
-                        [el for el in self.group.elements
-                         if self.value_exponent(el) == 0])
 
     def __eq__(self, other):
         return (isinstance(other, Character) and other.group is self.group
@@ -609,12 +587,6 @@ def idempotent(chi):
 
 def involution(x):
     return x.involution()
-
-
-def aug_ideal_power(group, c):
-    """The lattice of I_G^c inside Z^{|G|} (delegates to the ideal module)."""
-    from .zideal import augmentation_ideal_power
-    return augmentation_ideal_power(group, c)
 
 
 def affine_projection(q, psi_values, group=None):

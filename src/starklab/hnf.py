@@ -51,12 +51,6 @@ class IntLattice:
             for r in rows:
                 self.add_vector(r)
 
-    def copy(self):
-        other = IntLattice(self.n)
-        other.rows = [r.copy() for r in self.rows]
-        other.pivots = self.pivots.copy()
-        return other
-
     @property
     def rank(self):
         return len(self.rows)

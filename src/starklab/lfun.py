@@ -21,9 +21,10 @@ truncation, not to the order of vanishing.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm
+from itertools import combinations
+from math import factorial, gcd, lcm, prod
 
-from .arith import bernoulli, factorint
+from .arith import bernoulli, factorint, isprime
 from .ball import (Ball, CBall, CertificationError, PrecisionError,
                    ball_log, ball_log_int, ball_ratio, precision)
 from .cyclo import CycloField
@@ -111,28 +112,6 @@ class DirichletChar:
             return -1
         raise InputError("chi(-1) must be a square root of 1")
 
-    def is_trivial(self):
-        return self.order == 1
-
-    def mul(self, other):
-        f = lcm(self.modulus, other.modulus)
-        n = lcm(self.order, other.order)
-        vals = []
-        for a in range(f):
-            t1, t2 = self(a), other(a)
-            if t1 is None or t2 is None:
-                vals.append(None)
-            else:
-                vals.append((t1 * (n // self.order)
-                             + t2 * (n // other.order)) % n)
-        # the true order may be smaller
-        ordv = 1
-        for t in vals:
-            if t:
-                ordv = lcm(ordv, n // gcd(n, t))
-        vals = [None if t is None else (t * ordv) // n for t in vals]
-        return DirichletChar(f, ordv, vals)
-
     def inverse(self):
         n = self.order
         vals = [None if t is None else (-t) % n for t in self.values]
@@ -194,17 +173,15 @@ class AbelianFieldRealization:
 
     # the discriminants of a (Z/2)^m realization built by
     # `_kronecker_realization`, which reads Frobenius off Kronecker symbols
-    _kronecker = None
+    subfield_discs = None
 
     def __init__(self, modulus, kernel_generators, expected_degree=None,
-                 label=None, field=None, subfield_discs=None):
+                 label=None):
         f = int(modulus)
         if f < 1:
             raise InputError("modulus must be positive")
         self.modulus = f
         self.label = label or f"mod {f}"
-        self.field = field
-        self.subfield_discs = subfield_discs
         if f == 1:
             self.group = AbelianGroup(())
             self._coset_rep = {1: 1}
@@ -246,9 +223,16 @@ class AbelianFieldRealization:
 
     @staticmethod
     def multiquadratic(discs):
+        """Q(sqrt d_1, ..., sqrt d_m) for independent d_i: InputError when
+        some product of them is a square (a repeated subfield, say), as the
+        field would then have degree below 2^m."""
         Ds = [fundamental_discriminant(squarefree_part(d)) for d in discs]
-        if len(set(Ds)) != len(Ds):
-            raise InputError("repeated quadratic subfields")
+        for k in range(2, len(Ds) + 1):
+            for sub in combinations(Ds, k):
+                if squarefree_part(prod(sub)) == 1:
+                    raise InputError(
+                        f"dependent quadratic subfields: the product of "
+                        f"{list(sub)} is a square")
         return AbelianFieldRealization._kronecker_realization(Ds)
 
     @staticmethod
@@ -263,10 +247,7 @@ class AbelianFieldRealization:
         inst = AbelianFieldRealization.__new__(AbelianFieldRealization)
         inst.modulus = f
         inst.subfield_discs = list(Ds)
-        inst.field = QuadField(Ds[0]) if len(Ds) == 1 \
-            else [QuadField(D) for D in Ds]
         inst.group = AbelianGroup((2,) * len(Ds))
-        inst._kronecker = list(Ds)
         names = ", ".join(f"sqrt({QuadField(D).m})" for D in Ds)
         inst.label = f"Q({names})"
         return inst
@@ -281,18 +262,18 @@ class AbelianFieldRealization:
         a %= self.modulus
         if gcd(a, self.modulus) != 1:
             raise InputError(f"{a} is not a unit mod {self.modulus}")
-        if self._kronecker is not None:
+        if self.subfield_discs is not None:
             return tuple(0 if kronecker(D, a) == 1 else 1
-                         for D in self._kronecker)
+                         for D in self.subfield_discs)
         x = self.quotient.dlog(self._coset_rep[a])
         return tuple(sum(xi * row[j] for xi, row in zip(x, self._V)) % d
                      for j, d in enumerate(self.group.invariant_factors))
 
     def ramified_primes(self):
         """Primes dividing the conductor of some character of G."""
-        if self._kronecker is not None:
+        if self.subfield_discs is not None:
             out = set()
-            for D in self._kronecker:
+            for D in self.subfield_discs:
                 out |= set(factorint(abs(D)))
             return sorted(out)
         out = set()
@@ -310,10 +291,10 @@ class AbelianFieldRealization:
         """
         if self.degree() == 1:
             return True
-        if self._kronecker is not None:
+        if self.subfield_discs is not None:
             if v == "inf":
-                return all(D > 0 for D in self._kronecker)
-            return all(kronecker(D, int(v)) == 1 for D in self._kronecker)
+                return all(D > 0 for D in self.subfield_discs)
+            return all(kronecker(D, int(v)) == 1 for D in self.subfield_discs)
         for chi in self.group.all_characters():
             if chi.is_trivial():
                 continue
@@ -327,14 +308,10 @@ class AbelianFieldRealization:
                     return False
         return True
 
-    def frobenius(self, q):
-        """The Frobenius element at a prime q coprime to the modulus."""
-        return self.element_of(int(q))
-
     def dirichlet(self, chi):
         """The Dirichlet character mod f attached to an abstract character."""
         f = self.modulus
-        if self._kronecker is not None:
+        if self.subfield_discs is not None:
             # product of the quadratic characters selected by the label
             vals = []
             order = 1 if all(t == 0 for t in chi.exponents) else 2
@@ -342,11 +319,11 @@ class AbelianFieldRealization:
                 if gcd(a, f) != 1:
                     vals.append(None)
                     continue
-                prod = 1
-                for t, D in zip(chi.exponents, self._kronecker):
+                sign = 1
+                for t, D in zip(chi.exponents, self.subfield_discs):
                     if t:
-                        prod *= kronecker(D, a)
-                vals.append(0 if prod == 1 else 1)
+                        sign *= kronecker(D, a)
+                vals.append(0 if sign == 1 else 1)
             return DirichletChar(f, order, vals)
         n = max(chi.order(), 1)
         vals = []
@@ -408,12 +385,6 @@ class Jet:
         if self.order is not None and other.order is not None:
             order = min(self.order, other.order)
         return Jet(out, order)
-
-    def scale(self, c):
-        return Jet([c * x for x in self.coeffs], self.order)
-
-    def coefficient(self, k):
-        return self.coeffs[k]
 
     def __repr__(self):
         return f"Jet(order={self.order}, coeffs={self.coeffs!r})"
@@ -823,7 +794,8 @@ def _embed_cyclo(value, e):
 
 
 def validate_rubin_shape(realization, S, V, T):
-    """(H1) and (H2) shape checks for a Rubin datum over the realization.
+    """(H1) and (H2) shape checks for a Rubin datum over the realization,
+    whose finite places in S and T must be primes.
 
     Raises InputError with a datum message on violation; the torsion
     condition (H3) is field arithmetic and lives with the S-unit lattice.
@@ -831,6 +803,10 @@ def validate_rubin_shape(realization, S, V, T):
     S = _normalize_places(S)
     V = _normalize_places(V) if V else []
     T = sorted(int(q) for q in T)
+    composite = [q for q in S + T if q != "inf" and not isprime(q)]
+    if composite:
+        raise InputError(f"the finite places of S and T must be primes, "
+                         f"got {composite}")
     if "inf" not in S:
         raise InputError("(H1) fails: S omits the infinite place")
     ram = realization.ramified_primes()

@@ -11,10 +11,10 @@ fixed lexicographic convention throughout.
 
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import ceil, floor, lcm
 
 from . import hnf
-from .ball import CertificationError
+from .ball import CBall, CertificationError
 from .grpring import GroupRingElement, InputError
 from .zideal import GIdealLattice, _det_group_ring
 
@@ -277,29 +277,40 @@ def det_pairing(a, fs):
 
 def image_lattice(eps, M, homs=None):
     """The G-stable lattice generated by all determinant pairings of eps
-    against wedges of a generating set of Hom(M, Z[G]).
+    against wedges of a generating set of Hom(M, Z[G]), each read as an
+    integer vector by `pairing_vector`."""
+    return GIdealLattice.from_vectors(
+        eps.group, [pairing_vector(val, f_idx)
+                    for f_idx, val in all_dual_pairings(eps, M, homs)])
 
-    Exact non-integral pairings raise NonIntegralError; ball pairings that
-    cannot certify an integer vector raise Undecided.
+
+def pairing_vector(val, label):
+    """The integer vector of the pairing `val`, named `label` in errors.
+
+    Raises NonIntegralError when some coefficient is certifiably not an
+    integer: an exact non-integer, or an enclosure that holds no integer.
+    Raises Undecided when every enclosure holds an integer but one does not
+    single it out.
     """
-    pairings = all_dual_pairings(eps, M, homs)
-    vectors = []
-    for f_idx, val in pairings:
-        vec = val.certified_int_vector() if not val.ring.is_exact() \
-            else _exact_int_vector_or_raise(val, f_idx)
-        vectors.append(vec)
-    if not vectors:
-        return GIdealLattice.zero(eps.group)
-    return GIdealLattice.from_vectors(eps.group, vectors, stabilize=True)
+    if val.ring.is_exact():
+        try:
+            return val.int_vector()
+        except InputError:
+            pass
+    elif not any(map(_holds_no_integer, val.coeffs)):
+        return val.certified_int_vector()
+    raise NonIntegralError(f"pairing {label} is not in Z[G]", witness=val)
 
 
-def _exact_int_vector_or_raise(val, f_idx):
-    try:
-        return val.int_vector()
-    except InputError:
-        raise NonIntegralError(
-            f"pairing against dual wedge {f_idx} is not integral",
-            witness=val)
+def _holds_no_integer(c):
+    """Does the enclosure c (a Ball or CBall) certifiably miss every
+    integer?"""
+    if isinstance(c, CBall):
+        if not c.im.contains_zero():
+            return True
+        c = c.re
+    lo, hi = c.endpoints()
+    return floor(hi) < ceil(lo)
 
 
 def all_dual_pairings(eps, M, homs=None):

@@ -113,10 +113,6 @@ class QuadField:
             return _quad(self, 1, 1, 2)
         return _quad(self, 0, 1, 1)
 
-    def sqrt_disc(self):
-        """sqrt(D) as an element (= sqrt m or 2 sqrt m)."""
-        return _quad(self, 0, 1 if self.D % 4 == 1 else 2, 1)
-
     def torsion_generator(self):
         """(generator of roots of unity, order)."""
         if self.D == -4:
@@ -138,9 +134,6 @@ class QuadField:
 
     def ramified_primes(self):
         return sorted(factorint(abs(self.D)))
-
-    def degree(self):
-        return 2
 
     def __repr__(self):
         return f"QuadField({self.D})"
@@ -280,9 +273,6 @@ class QuadElt:
 
     def __hash__(self):
         return hash((id(self.field), self.A, self.B, self.d))
-
-    def is_zero(self):
-        return self.A == 0 and self.B == 0
 
     def is_integral(self):
         d = self.d
@@ -730,14 +720,6 @@ class QuadIdeal:
         A, B, _ = compose_abc(self.as_form(), other.as_form(), self.field.D)
         return QuadIdeal(self.field, A, B, self.scale * other.scale * w)
 
-    def generators(self):
-        """The two Z-generators as field elements (including the scale)."""
-        f = self.field
-        half = Fraction(1, 2)
-        g2 = (f.element(self.b) + f.sqrt_disc()) * half
-        s = f.element(self.scale)
-        return f.element(self.a) * s, g2 * s
-
     def principal_generator(self):
         """gamma with (gamma) = self, or None when the class is nontrivial.
 
@@ -770,11 +752,6 @@ class QuadIdeal:
             raise CertificationError(
                 f"generator {gamma!r} of {self!r} has the wrong norm")
         return gamma
-
-    def contains(self, x):
-        g1, g2 = self.generators()
-        sol = hnf.rational_solve([[g1.a, g1.b], [g2.a, g2.b]], [x.a, x.b])
-        return sol is not None and all(s.denominator == 1 for s in sol)
 
     def __eq__(self, other):
         return (isinstance(other, QuadIdeal) and other.field is self.field
@@ -1224,18 +1201,18 @@ class SUnitLattice:
                 return i
         raise CertificationError("no unit among the generators")
 
-    def log_matrix(self, check_rows=True):
-        """Rows: generators; columns: places; entries -log|g|_w (balls)."""
+    def log_matrix(self):
+        """Rows: generators; columns: places; entries -log|g|_w (balls),
+        each row certified against the product formula."""
         out = []
         for g in self.gens:
             row = [-log_abs_at_place(g, w) for w in self.places]
-            if check_rows:
-                tot = row[0]
-                for e in row[1:]:
-                    tot = tot + e
-                if not tot.contains_zero():
-                    raise CertificationError(
-                        f"product formula violated by {g!r}: {tot!r}")
+            tot = row[0]
+            for e in row[1:]:
+                tot = tot + e
+            if not tot.contains_zero():
+                raise CertificationError(
+                    f"product formula violated by {g!r}: {tot!r}")
             out.append(row)
         return out
 

@@ -3,16 +3,33 @@ integrality, Fitting-ideal, and annihilation checks end-to-end on concrete
 abelian extensions of Q, and emits re-verifiable certificates.
 
 Verdicts are "pass" / "fail" / "undecided" / "blocked" / "unsupported";
-undecided always carries the limiting radius and is distinct from failure.
-Raising the precision can only resolve undecided verdicts, never flip a
-pass or fail (every pass is backed by an exact witness or a certified
-enclosure).
+undecided is distinct from failure.  Raising the precision can only resolve
+undecided verdicts, never flip a pass or fail (every pass is backed by an
+exact witness or a certified enclosure).
+
+Every check is one row of `CHECKS`.  Its runner returns a verdict and a
+witness, or raises; `_run_check` alone turns what it raised into a verdict:
+
+    NonIntegralError      the row's verdict: "fail" for rs_integrality and
+                          fitting_equality, "blocked" for annihilation and
+                          igc_membership; the witness is the pairing
+    Undecided             "undecided", with the limiting radius
+    UnresolvedOrderError  "undecided"
+    UnsupportedCaseError  "unsupported"
+    CertificationError    "fail", the message as witness
+    DatumError, InputError, ConfigError
+                          "blocked"
+
+and each keeps the exception's message: as the witness for
+CertificationError, as `reason` for the others.  Any other exception is a
+fault of the program and propagates.
 """
 
 import copy
 import itertools
 import json
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import hnf
 from .arith import factorint, isprime
@@ -25,18 +42,15 @@ from .lfun import (AbelianFieldRealization, DirichletChar, LSpec,
                    stickelberger_element, validate_rubin_shape)
 from .multilin import (GLattice, NonIntegralError, WedgeElement,
                        all_dual_pairings, norm_decomposition_residual,
-                       scaled_inclusion)
+                       pairing_vector, scaled_inclusion)
 from .numfld import (DatumError, QuadField, class_number,
                      fundamental_unit_log, ray_class, s_unit_lattice)
 from .sublat import enumerate_omega_star, norm_sum_identity
 from .zideal import (GIdealLattice, Presentation, UnsupportedCaseError,
                      augmentation_ideal_power, fitting_from_extension,
-                     fitting_ideal, ideal_from_generators)
+                     fitting_ideal)
 
 CHECK_ALIASES = {"lemma41": "norm_identity", "prop42": "norm_decomposition"}
-KNOWN_CHECKS = ["norm_identity", "norm_decomposition", "congruence",
-                "sign_criterion", "rs_integrality", "fitting_equality",
-                "annihilation", "igc_membership", "acnf"]
 
 
 class ConfigError(ValueError):
@@ -119,8 +133,11 @@ class Scenario:
         elif self.field_type == "multiquad":
             discs = [_config_int(d, "discs entry")
                      for d in _config_list(field.get("discs"), "discs")]
+            if len(discs) != 2:
+                raise ConfigError(f"multiquad takes two discriminants, got "
+                                  f"{discs!r}")
             self.realization = AbelianFieldRealization.multiquadratic(discs)
-            self.field = BiquadField(*self.realization.subfield_discs[:2])
+            self.field = BiquadField(*self.realization.subfield_discs)
         elif self.field_type == "generic":
             kernel = [_config_int(g, "kernel entry") for g in _config_list(
                 field.get("kernel", []), "kernel")]
@@ -139,7 +156,7 @@ class Scenario:
         checks = []
         for c in _config_list(spec.get("checks", []), "checks"):
             c = CHECK_ALIASES.get(c, c)
-            if c not in KNOWN_CHECKS:
+            if c not in CHECKS:
                 raise ConfigError(f"unknown check {c!r}")
             checks.append(c)
         self.checks = checks
@@ -148,11 +165,6 @@ class Scenario:
             raise ConfigError(f"params must be a JSON object, got {params!r}")
         self.params = _config_params(params)
         self._flags = None
-
-    def needs_datum(self):
-        return any(c in ("rs_integrality", "fitting_equality", "annihilation",
-                         "igc_membership", "norm_decomposition",
-                         "sign_criterion") for c in self.checks)
 
     def validate_datum(self):
         """(H1)-(H3) plus the recorded theorem-hypothesis flags."""
@@ -199,11 +211,11 @@ class Scenario:
 
 class RubinStarkData:
     """Cached pipeline state of one Rubin datum (S, V, T) over a field:
-    each of lattice(), ray(), theta(), epsilon(), im_lattice() and
-    pairings() is computed at most once.  `field` is "Q", a QuadField, a
-    BiquadField or None (a generic field, which has no lattice yet);
-    lattice() and ray() are where its type is decided.  A caller that
-    already holds the S-unit lattice passes it as `lattice`."""
+    each of lattice(), ray(), theta(), epsilon(), pairings(),
+    pairing_vectors() and im_lattice() is computed at most once.  `field`
+    is "Q", a QuadField, a BiquadField or None (a generic field, which has
+    no lattice yet); lattice() and ray() are where its type is decided.  A
+    caller that already holds the S-unit lattice passes it as `lattice`."""
 
     def __init__(self, realization, field, S, V, T, order=None,
                  lattice=None):
@@ -215,8 +227,9 @@ class RubinStarkData:
         self._ray = None
         self._theta = None
         self._epsilon = None
-        self._im = None
         self._pairings = None
+        self._vectors = None
+        self._im = None
 
     @property
     def group(self):
@@ -332,38 +345,32 @@ class RubinStarkData:
         thb = th if isinstance(th, Ball) else Ball(th)
         return (thb * sign) / det
 
-    def im_lattice(self):
-        """im(epsilon) with its pairing witnesses; may raise NonIntegral or
-        Undecided; exact principal ideal for |V| = 0."""
-        if self._im is not None:
-            return self._im
-        eps = self.epsilon()
-        if len(self.V) == 0:
-            theta = self.theta()
-            vec = theta.int_vector()  # raises InputError when non-integral
-            self._im = ideal_from_generators(
-                [GroupRingElement(self.group, "int", vec)])
-            self._pairings = [(("theta",), theta)]
-            return self._im
-        M = self.t_glattice()
-        pairings = all_dual_pairings(eps, M)
-        self._pairings = pairings
-        vectors = []
-        for f_idx, val in pairings:
-            if val.ring.is_exact():
-                vectors.append(val.int_vector())
-            else:
-                vectors.append(val.certified_int_vector())
-        if not vectors:
-            self._im = GIdealLattice.zero(self.group)
-        else:
-            self._im = GIdealLattice.from_vectors(self.group, vectors,
-                                                  stabilize=True)
-        return self._im
-
     def pairings(self):
-        self.im_lattice()
+        """[(index, pairing)]: epsilon paired with every r-subset of the
+        dual generators of O^x_{K,S,T}; for |V| = 0, theta itself."""
+        if self._pairings is None:
+            # epsilon() builds the lattice first, so an out-of-scope field
+            # is unsupported before any L-jet, for |V| = 0 too
+            eps = self.epsilon()
+            self._pairings = [(("theta",), self.theta())] if not self.V \
+                else all_dual_pairings(eps, self.t_glattice())
         return self._pairings
+
+    def pairing_vectors(self):
+        """[(index, integer vector)] of the pairings; raises
+        NonIntegralError or Undecided as `pairing_vector` does."""
+        if self._vectors is None:
+            self._vectors = [(idx, pairing_vector(val, idx))
+                             for idx, val in self.pairings()]
+        return self._vectors
+
+    def im_lattice(self):
+        """im(epsilon), the G-stable lattice of the pairing vectors: for
+        |V| = 0 the principal ideal of theta."""
+        if self._im is None:
+            self._im = GIdealLattice.from_vectors(
+                self.group, [vec for _idx, vec in self.pairing_vectors()])
+        return self._im
 
 
 def _permutation_sign(seq):
@@ -392,20 +399,17 @@ def max_pairing_radius(pairings):
 # -- individual checks --------------------------------------------------------
 
 def check_norm_identity(p, m):
-    """The subgroup-norm identity over (Z/p)^m, exactly."""
+    """The subgroup-norm identity over (Z/p)^m, exactly; returns its
+    witness, and raises CertificationError when it fails."""
     hs = enumerate_omega_star(p, m)
     norm_sum_identity(p, m, hs)
     avoiding, containing = hs.count_avoiding((1,) + (0,) * (m - 1))
     return {
-        "check": "norm_identity",
-        "verdict": "pass",
-        "witness": {
-            "p": p, "m": m,
-            "constant": p ** (m - 1),
-            "proper_subgroups": hs.count_proper(),
-            "avoiding_count": avoiding,
-            "containing_count": containing,
-        },
+        "p": p, "m": m,
+        "constant": p ** (m - 1),
+        "proper_subgroups": hs.count_proper(),
+        "avoiding_count": avoiding,
+        "containing_count": containing,
     }
 
 
@@ -470,38 +474,16 @@ def sign_criterion_matrix(scn, data):
     return out
 
 
-def run_rs_integrality(scn, data):
-    entry = {"check": "rs_integrality", "hypotheses": scn.hypothesis_flags()}
-    try:
-        im = data.im_lattice()
-        pairings = data.pairings()
-        entry["verdict"] = "pass"
-        entry["witness"] = {
-            "pairing_vectors": [
-                (list(idx) if isinstance(idx, tuple) else idx,
-                 val.int_vector() if val.ring.is_exact()
-                 else val.certified_int_vector())
-                for idx, val in pairings],
-            "image_hnf": [list(r) for r in im.basis()],
-            "saturation_index": data.lattice().saturation_index,
-        }
-        entry["max_radius"] = _radius_str(max_pairing_radius(pairings))
-    except NonIntegralError as exc:
-        entry["verdict"] = "fail"
-        entry["witness"] = {"non_integral_pairing": repr(exc.witness)}
-    except Undecided as exc:
-        _mark_undecided(entry, exc)
-    return entry
-
-
-def _mark_undecided(entry, exc):
-    """Give `entry` the verdict undecided, with the radius that limited the
-    certification and the reason (for a PrecisionError: the precision floor
-    that was not met)."""
-    entry["verdict"] = "undecided"
-    entry["limit_radius"] = _radius_str(exc.radius)
-    entry["reason"] = str(exc)
-    return entry
+def _run_rs_integrality(scn, data, entry):
+    """Rubin-Stark integrality: every pairing of epsilon lies in Z[G]."""
+    vectors = data.pairing_vectors()
+    im = data.im_lattice()
+    entry["max_radius"] = _radius_str(max_pairing_radius(data.pairings()))
+    return "pass", {
+        "pairing_vectors": [(list(idx), vec) for idx, vec in vectors],
+        "image_hnf": [list(r) for r in im.basis()],
+        "saturation_index": data.lattice().saturation_index,
+    }
 
 
 def _radius_str(r):
@@ -607,131 +589,76 @@ def glattice_presentation(M):
     return Presentation(group, t, rels)
 
 
-def run_fitting_equality(scn, data):
-    entry = {"check": "fitting_equality",
-             "hypotheses": scn.hypothesis_flags()}
+def _run_fitting_equality(scn, data, entry):
+    """im(epsilon) equals the Fitting ideal of the transposed Selmer
+    module."""
     entry["sharp_convention"] = (
         "Fitt(Sel)^# is computed as Fitt(Sel^tr) of the transpose module")
-    try:
-        ray = data.ray()
-        fit, method = selmer_transpose_fitting(scn, data, ray)
-        im = data.im_lattice()
-        contains_1 = fit.contains(im)
-        contains_2 = im.contains(fit)
-        equal = contains_1 and contains_2
-        entry["verdict"] = "pass" if equal else "fail"
-        entry["witness"] = {
-            "method": method,
-            "image_hnf": [list(r) for r in im.basis()],
-            "fitting_hnf": [list(r) for r in fit.basis()],
-            "double_containment": [contains_1, contains_2],
-            "class_group_orders": list(ray.module.orders),
-        }
-    except UnsupportedCaseError as exc:
-        entry["verdict"] = "unsupported"
-        entry["reason"] = str(exc)
-    except NonIntegralError as exc:
-        entry["verdict"] = "fail"
-        entry["witness"] = {"non_integral_pairing": repr(exc.witness)}
-    except Undecided as exc:
-        _mark_undecided(entry, exc)
-    return entry
+    ray = data.ray()
+    fit, method = selmer_transpose_fitting(scn, data, ray)
+    im = data.im_lattice()
+    contains_1 = fit.contains(im)
+    contains_2 = im.contains(fit)
+    return "pass" if contains_1 and contains_2 else "fail", {
+        "method": method,
+        "image_hnf": [list(r) for r in im.basis()],
+        "fitting_hnf": [list(r) for r in fit.basis()],
+        "double_containment": [contains_1, contains_2],
+        "class_group_orders": list(ray.module.orders),
+    }
 
 
-def run_annihilation(scn, data):
-    entry = {"check": "annihilation", "hypotheses": scn.hypothesis_flags()}
-    try:
-        ray = data.ray()
-        im = data.im_lattice()
-        module = ray.module
-        if module.order() == 1:
-            entry["verdict"] = "pass"
-            entry["witness"] = {"class_group": "trivial", "vacuous": True,
-                                "image_hnf": [list(r) for r in im.basis()]}
-            return entry
-        killed = []
-        k = len(module.orders)
-        for row in im.basis():
-            x = GroupRingElement(data.group, "int", row)
-            for j in range(k):
-                e_j = tuple(1 if l == j else 0 for l in range(k))
-                out = module.act_group_ring(x, e_j)
-                if any(out):
-                    entry["verdict"] = "fail"
-                    entry["witness"] = {"annihilator_candidate": row,
-                                        "generator": j,
-                                        "nonzero_image": list(out)}
-                    return entry
-            killed.append(row)
-        entry["verdict"] = "pass"
-        entry["witness"] = {
-            "image_hnf": killed,
-            "class_group_orders": list(module.orders),
-            "action": module.action,
-        }
-    except NonIntegralError as exc:
-        entry["verdict"] = "blocked"
-        entry["reason"] = "image of the Rubin-Stark element is not integral"
-        entry["witness"] = {"non_integral_pairing": repr(exc.witness)}
-    except InputError as exc:
-        entry["verdict"] = "blocked"
-        entry["reason"] = str(exc)
-    except Undecided as exc:
-        _mark_undecided(entry, exc)
-    return entry
+def _run_annihilation(scn, data, entry):
+    """im(epsilon) kills the ray class group Cl_{K,S,T}."""
+    module = data.ray().module
+    image = [list(r) for r in data.im_lattice().basis()]
+    if module.order() == 1:
+        return "pass", {"class_group": "trivial", "vacuous": True,
+                        "image_hnf": image}
+    k = len(module.orders)
+    for row in image:
+        x = GroupRingElement(data.group, "int", row)
+        for j in range(k):
+            e_j = tuple(1 if l == j else 0 for l in range(k))
+            out = module.act_group_ring(x, e_j)
+            if any(out):
+                return "fail", {"annihilator_candidate": row, "generator": j,
+                                "nonzero_image": list(out)}
+    return "pass", {"image_hnf": image,
+                    "class_group_orders": list(module.orders),
+                    "action": module.action}
 
 
-def run_igc_membership(scn, data):
+def _run_igc_membership(scn, data, entry):
     """Membership of all pairings in I_G^c for the recorded exponent c."""
-    entry = {"check": "igc_membership", "hypotheses": scn.hypothesis_flags()}
     flags = entry["hypotheses"]
     if "p" not in flags:
-        entry["verdict"] = "unsupported"
-        entry["reason"] = "group is not p-elementary"
-        return entry
+        raise UnsupportedCaseError("group is not p-elementary")
     p, m, sp = flags["p"], flags["m"], flags["s_p"]
     c = len(scn.S) - len(scn.V) + sp - (p - 1) * (m - 1) - 2
     c = max(c, 0)
     if len(scn.S) < len(scn.V) + 2:
         c = 0
     entry["exponent"] = c
-    try:
-        ideal = augmentation_ideal_power(data.group, c)
-        pairings = data.pairings()
-        for idx, val in pairings:
-            vec = val.int_vector() if val.ring.is_exact() \
-                else val.certified_int_vector()
-            if not ideal.contains_vector(vec):
-                entry["verdict"] = "fail"
-                entry["witness"] = {"pairing": list(vec), "exponent": c}
-                return entry
-        entry["verdict"] = "pass"
-        entry["witness"] = {
-            "exponent": c,
-            "ideal_hnf": [list(r) for r in ideal.basis()],
-            "pairing_count": len(pairings)}
-        entry["max_radius"] = _radius_str(max_pairing_radius(pairings))
-    except NonIntegralError as exc:
-        entry["verdict"] = "blocked"
-        entry["witness"] = {"non_integral_pairing": repr(exc.witness)}
-    except Undecided as exc:
-        _mark_undecided(entry, exc)
-    return entry
+    ideal = augmentation_ideal_power(data.group, c)
+    vectors = data.pairing_vectors()
+    for _idx, vec in vectors:
+        if not ideal.contains_vector(vec):
+            return "fail", {"pairing": list(vec), "exponent": c}
+    entry["max_radius"] = _radius_str(max_pairing_radius(data.pairings()))
+    return "pass", {"exponent": c,
+                    "ideal_hnf": [list(r) for r in ideal.basis()],
+                    "pairing_count": len(vectors)}
 
 
-def run_norm_decomposition(scn, data):
+def _run_norm_decomposition(scn, data, entry):
     """The subfield-norm decomposition of the Rubin-Stark element for a real
     biquadratic compositum with V = {inf}."""
-    entry = {"check": "norm_decomposition",
-             "hypotheses": scn.hypothesis_flags()}
     if not isinstance(scn.field, BiquadField):
-        entry["verdict"] = "unsupported"
-        entry["reason"] = "norm decomposition runs on biquadratic composita"
-        return entry
+        raise UnsupportedCaseError(
+            "norm decomposition runs on biquadratic composita")
     if scn.V != ["inf"]:
-        entry["verdict"] = "unsupported"
-        entry["reason"] = "implemented for V = {inf}"
-        return entry
+        raise UnsupportedCaseError("implemented for V = {inf}")
     field = scn.field
     lat = data.lattice()
     eps_K = data.epsilon()
@@ -778,20 +705,12 @@ def run_norm_decomposition(scn, data):
                     else term
     eps_base = WedgeElement(group, 1, data.cover(), base_incl)
     eps_base = scaled_inclusion(eps_base, 4, r=1)
-    verdict, radius = norm_decomposition_residual(eps_K, parts + [eps_base],
-                                                  eps_base, 2, 2)
+    holds, radius = norm_decomposition_residual(eps_K, parts + [eps_base],
+                                                eps_base, 2, 2)
     entry["residual_radius"] = _radius_str(radius)
-    entry["witness"] = {"subfields": sub_witness,
-                        "epsilon_coords": [repr(v) for v in
-                                           _coords_list(eps_K, lat.rank)]}
-    if verdict is True:
-        entry["verdict"] = "pass"
-    elif verdict is False:
-        entry["verdict"] = "fail"
-    else:
-        entry["verdict"] = "undecided"
-        entry["limit_radius"] = _radius_str(radius)
-    return entry
+    return "pass" if holds else "fail", {
+        "subfields": sub_witness,
+        "epsilon_coords": [repr(v) for v in _coords_list(eps_K, lat.rank)]}
 
 
 def _coords_list(eps, rank):
@@ -863,7 +782,69 @@ def run_acnf(dmin=-500, dmax=500, tol=Fraction(1, 10 ** 25)):
             "max_positive_residual": _radius_str(max_resid)}
 
 
-# -- the runner ---------------------------------------------------------------
+def _run_norm_identity(scn, data, entry):
+    return "pass", check_norm_identity(scn.params.get("p", 2),
+                                       scn.params.get("m", 2))
+
+
+def _run_congruence(scn, data, entry):
+    params = scn.params
+    if "signs" in params:
+        a = params["signs"]
+        ok = check_congruence_biquadratic(a)
+        return "pass", {"signs": a, "in_Z2": ok,
+                        "product_mod_4": (a[0]*a[1]*a[2]*a[3]) % 4}
+    # exhaustive sweep over residues mod 8
+    count = 0
+    for a in itertools.product((1, 3, 5, 7), repeat=4):
+        check_congruence_biquadratic(list(a))
+        count += 1
+    for a in itertools.product((1, 3), repeat=4):
+        check_congruence_biquadratic(list(a))
+    return "pass", {"exhaustive_patterns": count}
+
+
+def _run_sign_criterion(scn, data, entry):
+    sign, det = check_sign_criterion(sign_criterion_matrix(scn, data))
+    inside = len(scn.S) == len(scn.V) + 1 and data.ray().order() == 1
+    return "pass", {"sign": sign, "det_mid": repr(det),
+                    "inside_hypotheses": inside}
+
+
+def _run_acnf(scn, data, entry):
+    return "pass", run_acnf(*scn.params.get("range", [-500, 500]))
+
+
+# -- the check table and the runner -------------------------------------------
+
+class Check(NamedTuple):
+    # (scn, data, entry) -> (verdict, witness); the runner may also record
+    # on `entry` what it learnt on the way (a radius, an exponent), which
+    # the entry keeps whatever the verdict
+    run: Callable
+    # reads the Rubin datum (S, V, T): the datum is validated before any
+    # check runs, and the entry records its hypothesis flags
+    datum: bool
+    # the verdict when a pairing of epsilon is not in Z[G]
+    non_integral: str = "fail"
+
+
+CHECKS = {
+    "norm_identity": Check(_run_norm_identity, datum=False),
+    "norm_decomposition": Check(_run_norm_decomposition, datum=True),
+    "congruence": Check(_run_congruence, datum=False),
+    "sign_criterion": Check(_run_sign_criterion, datum=True),
+    "rs_integrality": Check(_run_rs_integrality, datum=True),
+    "fitting_equality": Check(_run_fitting_equality, datum=True),
+    # a non-integral image says nothing of the class group or of I_G^c:
+    # these two checks cannot run without an integral epsilon
+    "annihilation": Check(_run_annihilation, datum=True,
+                          non_integral="blocked"),
+    "igc_membership": Check(_run_igc_membership, datum=True,
+                            non_integral="blocked"),
+    "acnf": Check(_run_acnf, datum=False),
+}
+
 
 def run_scenario(scn):
     """Execute the requested checks; returns the certificate dict.
@@ -874,56 +855,18 @@ def run_scenario(scn):
     with working_precision(scn.bits):
         cert = {"scenario": scn.raw, "field": scn.realization.label,
                 "bits": scn.bits, "results": []}
-        if scn.needs_datum():
+        if any(CHECKS[c].datum for c in scn.checks):
             try:
                 scn.validate_datum()
+                cert["hypotheses"] = scn.hypothesis_flags()
             except (DatumError, InputError) as exc:
                 cert["datum_error"] = str(exc)
                 cert["exit_code"] = 2
                 return cert
-            cert["hypotheses"] = scn.hypothesis_flags()
         data = RubinStarkData(scn.realization, scn.field, scn.S, scn.V,
                               scn.T, scn.order)
-        for check in scn.checks:
-            try:
-                if check == "norm_identity":
-                    entry = check_norm_identity(scn.params.get("p", 2),
-                                                scn.params.get("m", 2))
-                elif check == "congruence":
-                    entry = _run_congruence(scn.params)
-                elif check == "sign_criterion":
-                    entry = _run_sign_criterion(scn, data)
-                elif check == "rs_integrality":
-                    entry = run_rs_integrality(scn, data)
-                elif check == "fitting_equality":
-                    entry = run_fitting_equality(scn, data)
-                elif check == "annihilation":
-                    entry = run_annihilation(scn, data)
-                elif check == "igc_membership":
-                    entry = run_igc_membership(scn, data)
-                elif check == "norm_decomposition":
-                    entry = run_norm_decomposition(scn, data)
-                elif check == "acnf":
-                    summary = run_acnf(*scn.params.get("range", [-500, 500]))
-                    entry = {"check": "acnf", "verdict": "pass",
-                             "witness": summary}
-                else:
-                    entry = {"check": check, "verdict": "unsupported"}
-            except (DatumError, InputError, ConfigError) as exc:
-                entry = {"check": check, "verdict": "blocked",
-                         "reason": str(exc)}
-            except Undecided as exc:
-                entry = _mark_undecided({"check": check}, exc)
-            except UnresolvedOrderError as exc:
-                entry = {"check": check, "verdict": "undecided",
-                         "reason": str(exc)}
-            except UnsupportedCaseError as exc:
-                entry = {"check": check, "verdict": "unsupported",
-                         "reason": str(exc)}
-            except CertificationError as exc:
-                entry = {"check": check, "verdict": "fail",
-                         "witness": str(exc)}
-            cert["results"].append(entry)
+        for name in scn.checks:
+            cert["results"].append(_run_check(scn, data, name))
     verdicts = [e.get("verdict") for e in cert["results"]]
     if any(v == "fail" for v in verdicts):
         cert["exit_code"] = 1
@@ -934,37 +877,29 @@ def run_scenario(scn):
     return cert
 
 
-def _run_congruence(params):
-    if "signs" in params:
-        a = params["signs"]
-        ok = check_congruence_biquadratic(a)
-        return {"check": "congruence", "verdict": "pass",
-                "witness": {"signs": a, "in_Z2": ok,
-                            "product_mod_4": (a[0]*a[1]*a[2]*a[3]) % 4}}
-    # exhaustive sweep over residues mod 8
-    count = 0
-    for a in itertools.product((1, 3, 5, 7), repeat=4):
-        check_congruence_biquadratic(list(a))
-        count += 1
-    for a in itertools.product((1, 3), repeat=4):
-        check_congruence_biquadratic(list(a))
-    return {"check": "congruence", "verdict": "pass",
-            "witness": {"exhaustive_patterns": count}}
-
-
-def _run_sign_criterion(scn, data):
-    entry = {"check": "sign_criterion", "hypotheses": scn.hypothesis_flags()}
+def _run_check(scn, data, name):
+    """The certificate entry of one check: the one place where what a
+    runner raised becomes a verdict (the map is in the module docstring)."""
+    check = CHECKS[name]
+    entry = {"check": name}
+    if check.datum:
+        entry["hypotheses"] = scn.hypothesis_flags()
     try:
-        matrix = sign_criterion_matrix(scn, data)
-        sign, det = check_sign_criterion(matrix)
-        ray = data.ray()
-        inside = (len(scn.S) == len(scn.V) + 1) and ray.order() == 1
-        entry["verdict"] = "pass"
-        entry["witness"] = {"sign": sign,
-                            "det_mid": repr(det),
-                            "inside_hypotheses": inside}
+        entry["verdict"], entry["witness"] = check.run(scn, data, entry)
+    except NonIntegralError as exc:
+        entry.update(verdict=check.non_integral, reason=str(exc),
+                     witness={"non_integral_pairing": repr(exc.witness)})
     except Undecided as exc:
-        _mark_undecided(entry, exc)
+        entry.update(verdict="undecided", reason=str(exc),
+                     limit_radius=_radius_str(exc.radius))
+    except UnresolvedOrderError as exc:
+        entry.update(verdict="undecided", reason=str(exc))
+    except UnsupportedCaseError as exc:
+        entry.update(verdict="unsupported", reason=str(exc))
+    except CertificationError as exc:
+        entry.update(verdict="fail", witness=str(exc))
+    except (DatumError, InputError, ConfigError) as exc:
+        entry.update(verdict="blocked", reason=str(exc))
     return entry
 
 

@@ -37,20 +37,18 @@ class GIdealLattice:
         self.lattice = lattice  # hnf.IntLattice
 
     @staticmethod
-    def from_vectors(group, vectors, stabilize=True):
+    def from_vectors(group, vectors):
+        """The G-stable lattice spanned by the vectors and their translates
+        (the zero ideal when there are none)."""
         lat = hnf.IntLattice(group.order)
         table = group.multiplication_table()
         for v in vectors:
-            if stabilize:
-                for gi in range(group.order):
-                    row = table[gi]
-                    moved = [0] * group.order
-                    for j, c in enumerate(v):
-                        if c:
-                            moved[row[j]] = c
-                    lat.add_vector(moved)
-            else:
-                lat.add_vector(list(v))
+            for row in table:
+                moved = [0] * group.order
+                for j, c in enumerate(v):
+                    if c:
+                        moved[row[j]] = c
+                lat.add_vector(moved)
         return GIdealLattice(group, lat)
 
     @staticmethod
@@ -68,10 +66,6 @@ class GIdealLattice:
 
     def basis(self):
         return self.lattice.canonical()
-
-    def basis_elements(self):
-        return [GroupRingElement(self.group, "int", row)
-                for row in self.basis()]
 
     @property
     def rank(self):
@@ -155,10 +149,6 @@ class GIdealLattice:
             lat.add_vector([n * c for c in r])
         return GIdealLattice(self.group, lat)
 
-    def to_json(self):
-        return {"group": list(self.group.invariant_factors),
-                "hnf": [list(r) for r in self.basis()]}
-
     def __repr__(self):
         if self.is_zero():
             return f"GIdeal(0 of {self.group})"
@@ -177,7 +167,7 @@ def ideal_from_generators(gens):
         if g.group is not group:
             raise InputError("mixed groups")
         vecs.append(g.int_vector())
-    return GIdealLattice.from_vectors(group, vecs, stabilize=True)
+    return GIdealLattice.from_vectors(group, vecs)
 
 
 def augmentation_ideal(group):

@@ -16,6 +16,7 @@ from starklab.grpring import AbelianGroup, InputError, Ring
 from starklab.lfun import AbelianFieldRealization
 from starklab.numfld import (ImaginaryClassGroup, QuadField, RealClassGroup,
                              class_group_structure)
+from starklab.verify import Scenario
 
 # (make, other spellings of the same value, rejected arguments)
 CASES = {
@@ -36,7 +37,7 @@ CASES = {
         []),
     "QuadField": (
         lambda: QuadField(5),
-        [lambda: AbelianFieldRealization.quadratic(5).field],
+        [lambda: Scenario({"field": {"type": "quad", "disc": 5}}).field],
         [(lambda: QuadField(20), InputError),
          (lambda: QuadField(10 ** 7 + 1), CapacityError)]),
     "BiquadField": (

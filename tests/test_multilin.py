@@ -8,14 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starklab import hnf
-from starklab.ball import Ball
+from starklab.ball import Ball, CBall, Undecided
 from starklab.grpring import (AbelianGroup, GroupRingElement, InputError,
                               Subgroup, norm_element)
 from starklab.hnf import IntLattice, identity_matrix
 from starklab.multilin import (GLattice, NonIntegralError, WedgeElement,
                                all_dual_pairings, bidual_member, det_pairing,
                                image_lattice, interior_contract,
-                               norm_decomposition_residual, scaled_inclusion)
+                               norm_decomposition_residual, pairing_vector,
+                               scaled_inclusion)
 from starklab.zideal import ideal_from_generators
 
 G2 = AbelianGroup((2,))
@@ -93,6 +94,35 @@ def test_half_norm_is_not_integral():
     assert not bidual_member(half_ng, M)
     with pytest.raises(NonIntegralError):
         image_lattice(half_ng, M)
+
+
+HALF = Fraction(1, 2)
+
+
+@pytest.mark.parametrize("ring,coeff", [
+    ("rat", HALF),
+    ("ball", Ball(HALF)),
+    ("ball", Ball(HALF, Fraction(1, 2 ** 100))),
+    ("cball", CBall(Ball(1), Ball(HALF, Fraction(1, 4)))),
+], ids=["exact", "radius-0", "radius-2^-100", "non-real"])
+def test_a_pairing_with_no_integer_in_its_enclosure_is_not_integral(ring,
+                                                                     coeff):
+    # no precision puts an integer into these enclosures, so the answer is
+    # "not integral", never "raise the precision"
+    val = GroupRingElement(G2, ring, [coeff, 0])
+    with pytest.raises(NonIntegralError) as info:
+        pairing_vector(val, (0,))
+    assert info.value.witness is val
+
+
+def test_a_pairing_whose_enclosure_holds_integers_is_integral_or_undecided():
+    near_three = Ball(3, Fraction(1, 2 ** 100))
+    assert pairing_vector(GroupRingElement(G2, "ball", [near_three, 0]),
+                          (0,)) == [3, 0]
+    # [-1/2, 3/2] holds 0 and 1: more bits may still single one out
+    wide = Ball(HALF, 1)
+    with pytest.raises(Undecided):
+        pairing_vector(GroupRingElement(G2, "ball", [wide, 0]), (0,))
 
 
 def test_degree_zero_image_is_the_scalar_ideal():

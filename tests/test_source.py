@@ -1,6 +1,7 @@
 """Properties of the `starklab` source itself, read off its syntax trees:
-every function is used somewhere in the package, and every memo is a
-`functools.lru_cache`, not a dict kept by hand."""
+every function is used somewhere in the package, every memo is a
+`functools.lru_cache`, not a dict kept by hand, and `verify` names each
+check once and turns exceptions into verdicts in one place."""
 
 import ast
 import pathlib
@@ -51,6 +52,10 @@ def _functions(node, prefix):
 
 
 def test_every_function_is_referenced_outside_its_own_def():
+    # Matched by name alone: a method counts as used when anything of the
+    # same name is, so a dead method that shares its name with a live one
+    # elsewhere (`DirichletChar.is_trivial` next to `Character.is_trivial`,
+    # say) passes.  Only a call trace finds those.
     trees = _trees()
     everywhere = Counter()
     for tree in trees.values():
@@ -96,3 +101,50 @@ def test_no_module_or_class_keeps_a_dict_cache():
                  for where, name, value in _bindings(tree.body, module)
                  if name.lower().endswith("cache") and _is_dict(value)]
     assert hand_kept == []
+
+
+# What `verify._run_check` turns into a verdict, and the classes above them
+# that would catch them too
+VERDICT_EXCEPTIONS = {"NonIntegralError", "Undecided", "PrecisionError",
+                      "UnresolvedOrderError", "UnsupportedCaseError",
+                      "CertificationError", "ValueError", "RuntimeError",
+                      "Exception", "BaseException"}
+
+
+def _caught(handler):
+    """The class names an except clause names; a bare `except:` catches
+    everything."""
+    if handler.type is None:
+        return {"BaseException"}
+    types = handler.type.elts if isinstance(handler.type, ast.Tuple) \
+        else [handler.type]
+    return {t.id if isinstance(t, ast.Name) else t.attr for t in types}
+
+
+def test_verify_maps_exceptions_to_verdicts_in_one_place():
+    # no runner catches what `_run_check` maps, so an exception gives the
+    # same verdict whichever check or layer raised it
+    catching = sorted({qual for qual, node in
+                       _functions(_trees()["verify"], "verify.")
+                       for h in ast.walk(node)
+                       if isinstance(h, ast.ExceptHandler)
+                       and _caught(h) & VERDICT_EXCEPTIONS})
+    # _config_int reads the scenario file, before any check runs: its
+    # `except ValueError` turns a failed int() into a ConfigError
+    assert catching == ["verify._config_int", "verify._run_check"]
+
+
+def _assigned(tree, name):
+    return next(stmt.value for stmt in tree.body
+                if isinstance(stmt, ast.Assign)
+                and [t.id for t in stmt.targets] == [name])
+
+
+def test_verify_names_each_check_once():
+    tree = _trees()["verify"]
+    checks = [key.value for key in _assigned(tree, "CHECKS").keys]
+    named = Counter(n.value for n in ast.walk(tree)
+                    if isinstance(n, ast.Constant) and n.value in checks)
+    # the old names of two checks map onto the new ones
+    named.subtract(v.value for v in _assigned(tree, "CHECK_ALIASES").values)
+    assert named == Counter(checks)

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from starklab.ball import Ball, Undecided, precision, working_precision
-from starklab.verify import (KNOWN_CHECKS, ConfigError, Scenario,
+from starklab.verify import (CHECKS, ConfigError, Scenario,
                              certificate_summary,
                              check_congruence_biquadratic,
                              check_norm_identity, check_sign_criterion,
@@ -265,6 +265,9 @@ def test_sweep_reports_files_that_are_not_scenarios(tmp_path, capsys, jobs):
     {"checks": ["acnf"], "params": {"range": [-5, "x"]}},
     {"checks": ["congruence"], "params": {"signs": "1111"}},
     {"checks": ["congruence"], "params": {"signs": [1, 1, "a", 1]}},
+    # a biquadratic field, not one of degree 2 or 8
+    {"field": {"type": "multiquad", "discs": [5]}},
+    {"field": {"type": "multiquad", "discs": [5, 8, 13]}},
 ])
 def test_scenario_input_errors_are_config_errors(spec):
     with pytest.raises(ConfigError):
@@ -429,10 +432,10 @@ def test_one_lattice_and_one_ray_class_per_scenario(monkeypatch):
     # one lattice; one ray class of the field and one of Q (the s_p flag)
     assert counts["s_unit_lattice"] == 1
     assert counts["ray_class"] <= 2
-    # each entry holds its own copy of the same flags
-    flags = [cert["hypotheses"]] + [e["hypotheses"] for e in cert["results"]
-                                    if "hypotheses" in e]
-    assert len(flags) == 5
+    # each entry holds its own copy of the same flags, the unsupported
+    # sign_criterion's too
+    flags = [cert["hypotheses"]] + [e["hypotheses"] for e in cert["results"]]
+    assert len(flags) == 6
     assert all(f == flags[0] for f in flags)
     assert len({id(f["S"]) for f in flags}) == len(flags)
 
@@ -447,7 +450,7 @@ def test_sign_criterion_without_v_places_is_unsupported(monkeypatch,
     # is decided before any log is computed
     from starklab import numfld
 
-    def no_logs(self, check_rows=True):
+    def no_logs(self):
         raise AssertionError("log matrix computed")
     monkeypatch.setattr(numfld.SUnitLattice, "log_matrix", no_logs)
     cert = run_scenario(Scenario({"field": field, "S": S, "V": [], "T": [3],
@@ -467,11 +470,11 @@ def test_norm_identity_builds_one_hyperplane_set(monkeypatch):
             built.append((p, m))
             super().__init__(p, m)
     monkeypatch.setattr(sublat, "HyperplaneSet", CountedHyperplaneSet)
-    entry = check_norm_identity(3, 6)
+    witness = check_norm_identity(3, 6)
     assert built == [(3, 6)]
-    assert entry["witness"]["proper_subgroups"] == 364
-    assert entry["witness"]["avoiding_count"] == 243
-    assert entry["witness"]["containing_count"] == 121
+    assert witness["proper_subgroups"] == 364
+    assert witness["avoiding_count"] == 243
+    assert witness["containing_count"] == 121
 
 
 VERDICTS = {"pass", "fail", "undecided", "blocked", "unsupported"}
@@ -492,7 +495,7 @@ CELLS = [pytest.param(name, V, id=f"{name}-V={{{','.join(V)}}}")
          if not (name == "imag_quad" and V)]
 
 
-@pytest.mark.parametrize("check", [c for c in KNOWN_CHECKS if c != "acnf"])
+@pytest.mark.parametrize("check", [c for c in CHECKS if c != "acnf"])
 @pytest.mark.parametrize("field,V", CELLS)
 def test_every_cell_gives_a_verdict(field, V, check):
     spec, S = CELL_FIELDS[field]
@@ -505,6 +508,51 @@ def test_every_cell_gives_a_verdict(field, V, check):
                                             "annihilation"):
         assert entry["verdict"] == "unsupported"
         assert "ray class groups of composita" in entry["reason"]
+
+
+RUBIN_CHECKS = ["sign_criterion", "rs_integrality", "fitting_equality",
+                "annihilation", "igc_membership"]
+
+
+@pytest.mark.parametrize("field,S,T", [
+    # Z/9 would stand in for the residue field GF(9): a false
+    # fitting_equality fail
+    ({"type": "Q"}, ["inf", 5], [9]),
+    ({"type": "Q"}, ["inf", 5, 9], [7]),
+    ({"type": "Q"}, ["inf", 5], [15]),
+    ({"type": "Q"}, ["inf", 5], [1]),
+    ({"type": "quad", "disc": 5}, ["inf", 5], [9]),
+    # the hypothesis flags build the ray class of Q at S, 9 included
+    ({"type": "quad", "disc": 5}, ["inf", 5, 9], [3]),
+], ids=["Q-T=9", "Q-S=9", "Q-T=15", "Q-T=1", "Q(sqrt5)-T=9",
+        "Q(sqrt5)-S=9"])
+def test_places_that_are_not_primes_are_a_datum_error(field, S, T):
+    cert = run_scenario(Scenario({"field": field, "S": S, "V": ["inf"],
+                                  "T": T, "checks": RUBIN_CHECKS}))
+    assert cert["exit_code"] == 2 and cert["results"] == []
+    assert "must be primes" in cert["datum_error"]
+
+
+def test_rank_two_over_q_solves_the_full_wedge(monkeypatch):
+    # V = {inf, 2} in S = {inf, 2, 3}: theta, the leading term of the
+    # S-truncated zeta function at its double zero, is not 0, and epsilon
+    # is solved from the 2 x 2 log determinant of the S-units
+    solved = []
+    full_wedge = RubinStarkData._solve_full_wedge
+
+    def counted(self, theta, r):
+        solved.append(r)
+        return full_wedge(self, theta, r)
+    monkeypatch.setattr(RubinStarkData, "_solve_full_wedge", counted)
+    scn = Scenario({"field": {"type": "Q"}, "S": ["inf", 2, 3],
+                    "V": ["inf", 2], "T": [5], "checks": RUBIN_CHECKS})
+    cert = run_scenario(scn)
+    assert [e["verdict"] for e in cert["results"]] == \
+        ["pass", "pass", "pass", "pass", "unsupported"]
+    assert solved == [2]
+    data = RubinStarkData(scn.realization, scn.field, scn.S, scn.V, scn.T)
+    assert not data.theta().is_zero()
+    assert list(data.epsilon().coeffs) == [(0, 1)]
 
 
 def test_integrality_witness_reports_the_lattice_saturation_index():
