@@ -8,6 +8,19 @@ containment on the binary endpoints themselves (sign bits, and integer
 comparisons of mantissa times a power of two against a rational), with no
 `Fraction`s; integer recognition on the `Fraction` endpoints.
 
+An exact point (an integer, a rational n/d, or a point ball) is rounded
+once: its log, quotient or square root is evaluated only rounded down to
+the working precision (`mpf_log`, `from_rational`, `mpf_sqrt`), and the
+upper endpoint is the next binary number of that precision above the
+floor (`_step_up`).  Quotients and square roots are correctly rounded, so
+that number is their ceiling whenever the value is not the floor itself.
+`mpf_log` rounds one approximation both ways, and its ceiling is that
+number too unless the approximation falls on the grid, where the ceiling
+would equal the floor; the step keeps the ball one step wide there.  An
+exact value keeps a zero-width ball: log 1 = 0, a quotient that the floor
+equals (compared in integers), and a square root whose square is the
+point.
+
 A computation that cannot certify what was asked raises `Undecided` rather
 than guessing; callers treat that as "raise the precision", not as failure.
 An enclosure that certifiably contradicts what must hold raises
@@ -25,7 +38,8 @@ its cache key).  A step that needs extra guard bits of its own nests
 from fractions import Fraction
 from functools import lru_cache
 
-from mpmath.libmp import from_int, from_rational, fzero, mpf_neg
+from mpmath.libmp import (from_int, from_man_exp, from_rational, fone,
+                          fzero, mpf_log, mpf_mul, mpf_neg, mpf_sqrt)
 from mpmath.libmp.libmpi import (mpi_abs, mpi_add, mpi_cos, mpi_div,
                                  mpi_log, mpi_mul, mpi_neg, mpi_pi,
                                  mpi_pow_int, mpi_sin, mpi_sqrt, mpi_sub)
@@ -98,13 +112,12 @@ def _raw_sign(raw):
     return 0
 
 
-def _raw_cmp(raw, x):
-    """Sign of raw - x for an mpf endpoint and a Fraction x: one integer
-    comparison of +-man * den * 2^exp against num.  ValueError if raw is
-    non-finite."""
+def _raw_cmp(raw, n, d):
+    """Sign of raw - n/d for an mpf endpoint and integers n and d > 0: one
+    integer comparison of +-man * d * 2^exp against n.  ValueError if raw
+    is non-finite."""
     _, man, exp, _ = raw
-    a = _raw_sign(raw) * man * x.denominator
-    n = x.numerator
+    a = _raw_sign(raw) * man * d
     if exp >= 0:
         a <<= exp
     else:
@@ -122,6 +135,25 @@ def _raw_to_fraction(raw):
     return -v if sign else v
 
 
+def _step_up(lo, prec):
+    """The least binary number of `prec` bits above the nonzero mpf `lo`
+    (itself of at most `prec` bits): the ceiling at `prec` of every value
+    strictly between the two.  The grid below 2^k is twice as fine as the
+    one above it, so at lo = -2^k the step is 2^(k - prec), not
+    2^(k + 1 - prec)."""
+    sign, man, exp, bc = lo
+    shift = prec - bc + (1 if sign and man == 1 else 0)
+    m = man << shift
+    return from_man_exp(-(m - 1) if sign else m + 1, exp - shift)
+
+
+def _ratio_interval(n, d):
+    """n/d for integers n and d > 0, rounded once: the floor, and the step
+    up from it unless the floor is n/d itself."""
+    lo = from_rational(n, d, _PREC, "f")
+    return lo, lo if _raw_cmp(lo, n, d) == 0 else _step_up(lo, _PREC)
+
+
 def _interval_of(x):
     if isinstance(x, Ball):
         return x._v
@@ -132,8 +164,7 @@ def _interval_of(x):
         if x.denominator == 1:
             f = from_int(x.numerator)
             return (f, f)
-        return (from_rational(x.numerator, x.denominator, _PREC, "f"),
-                from_rational(x.numerator, x.denominator, _PREC, "c"))
+        return _ratio_interval(x.numerator, x.denominator)
     if isinstance(x, float):
         from mpmath.libmp import from_float
         f = from_float(x)
@@ -238,8 +269,9 @@ class Ball:
 
     def contains(self, x):
         x = Fraction(x)
+        n, d = x.numerator, x.denominator
         lo, hi = self._v
-        below, above = _raw_cmp(lo, x), _raw_cmp(hi, x)
+        below, above = _raw_cmp(lo, n, d), _raw_cmp(hi, n, d)
         return below <= 0 <= above
 
     def is_nonzero(self):
@@ -329,13 +361,31 @@ def ball_log(x):
     b = x if isinstance(x, Ball) else Ball(x)
     if b._signs()[0] <= 0:
         raise ValueError("log requires a strictly positive enclosure")
+    lo, hi = b._v
+    if lo == hi:
+        return _log_point(lo, _PREC)
     return Ball._wrap(mpi_log(b._v, _PREC))
+
+
+def _log_point(x, prec):
+    """log of the positive mpf x, rounded once: log 1 = 0 is the only
+    exact value."""
+    if x == fone:
+        return Ball(0)
+    lo = mpf_log(x, prec, "f")
+    return Ball._wrap((lo, _step_up(lo, prec)))
 
 
 def ball_sqrt(x):
     b = x if isinstance(x, Ball) else Ball(x)
     if b._signs()[0] < 0:
         raise ValueError("sqrt requires a nonnegative enclosure")
+    lo, hi = b._v
+    if lo == hi:
+        # rounded once: exact when the floor squares back to the point
+        r = mpf_sqrt(lo, _PREC, "f")
+        return Ball._wrap((r, r if mpf_mul(r, r) == lo
+                           else _step_up(r, _PREC)))
     return Ball._wrap(mpi_sqrt(b._v, _PREC))
 
 
@@ -366,15 +416,14 @@ def ball_sinpi2(t):
 
 def ball_ratio(n, d):
     """Ball(Fraction(n, d)) for integers n and d > 0, without reducing n/d:
-    each endpoint is one outward rounding of n/d, which does not depend on
-    the representation.  An integer quotient of at most the working
-    precision rounds to itself; a longer one is kept exact, as Ball(int)
-    keeps it, so the result equals Ball(Fraction(n, d)) in every bit."""
+    n/d is rounded once (`_ratio_interval`), which does not depend on the
+    representation.  An integer quotient of at most the working precision
+    rounds to itself; a longer one is kept exact, as Ball(int) keeps it, so
+    the result equals Ball(Fraction(n, d)) in every bit."""
     if n.bit_length() - d.bit_length() >= _PREC and n % d == 0:
         f = from_int(n // d)
         return Ball._wrap((f, f))
-    return Ball._wrap((from_rational(n, d, _PREC, "f"),
-                       from_rational(n, d, _PREC, "c")))
+    return Ball._wrap(_ratio_interval(n, d))
 
 
 def ball_log_int(n):
@@ -386,8 +435,7 @@ def ball_log_int(n):
 def _log_int(n, prec):
     """The `lru_cache` key is (n, prec): a log is computed once per
     precision, and the least recently used logs go first."""
-    f = from_int(n)
-    return Ball._wrap(mpi_log((f, f), prec))
+    return _log_point(from_int(n), prec)
 
 
 class CBall:

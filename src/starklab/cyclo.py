@@ -42,6 +42,9 @@ class CycloField:
 
     @lru_cache(maxsize=None)
     def __new__(cls, e):
+        if e < 1:
+            from .grpring import InputError  # grpring imports this module
+            raise InputError(f"Q(zeta_e) needs e >= 1, got {e}")
         inst = super().__new__(cls)
         inst.e = e
         phi = cyclotomic_polynomial(e)

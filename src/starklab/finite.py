@@ -14,7 +14,7 @@ factors.
 import itertools
 from functools import lru_cache
 
-from .arith import factorint
+from .arith import factorint, isprime
 from .grpring import InputError
 
 
@@ -84,6 +84,10 @@ class GF:
     @classmethod
     @lru_cache(maxsize=None)
     def _interned(cls, p, k):
+        if not isprime(p):
+            raise InputError(f"GF(p^k) needs a prime p, got {p}")
+        if k < 1:
+            raise InputError(f"GF(p^k) needs k >= 1, got {k}")
         inst = super().__new__(cls)
         inst.p = p
         inst.k = k

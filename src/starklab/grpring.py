@@ -157,7 +157,8 @@ class Ring:
         if tag in ("int", "rat", "ball", "cball"):
             self.param = None
         elif tag.startswith("cyc:"):
-            self.param = int(tag.split(":")[1])
+            # CycloField rejects e < 1
+            self.param = CycloField(int(tag.split(":")[1])).e
         else:
             raise InputError(f"unknown ring tag {tag!r}")
         self.kind = tag.split(":")[0]

@@ -22,7 +22,7 @@ truncation, not to the order of vanishing.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial, gcd, lcm, prod
+from math import factorial, gcd, isqrt, lcm, prod
 
 from .arith import bernoulli, factorint, isprime
 from .ball import (Ball, CBall, CertificationError, PrecisionError,
@@ -49,7 +49,11 @@ class DirichletChar:
     """Character mod f with values recorded as exponents of zeta_n.
 
     values[a] is t with chi(a) = zeta_n^t for gcd(a, f) = 1, else None;
-    n is the order of the character.
+    n is the order of the character.  A quadratic character reads its
+    values off the cached Kronecker table of its discriminant
+    (`_kronecker_table`).  The conductor is the least divisor f' of f with
+    chi trivial on the units = 1 mod f', so it looks only at the residues
+    1 + f', 1 + 2f', ... below f.
     """
 
     __slots__ = ("modulus", "order", "values", "_conductor")
@@ -64,13 +68,10 @@ class DirichletChar:
 
     @staticmethod
     def quadratic(D):
-        """The character a -> kronecker(D, a) mod |D| (D fundamental)."""
-        f = abs(D)
-        vals = []
-        for a in range(f):
-            k = kronecker(D, a)
-            vals.append(None if k == 0 else (0 if k == 1 else 1))
-        return DirichletChar(f, 2 if D != 1 else 1, vals)
+        """The character a -> kronecker(D, a) mod |D| (D a discriminant)."""
+        vals = [None if k == 0 else (0 if k == 1 else 1)
+                for k in _kronecker_table(D)]
+        return DirichletChar(abs(D), 2 if D != 1 else 1, vals)
 
     def __call__(self, a):
         """Exponent of zeta_order at a (None when not coprime)."""
@@ -118,19 +119,16 @@ class DirichletChar:
         return DirichletChar(self.modulus, n, vals)
 
     def conductor(self):
-        if self._conductor is not None:
-            return self._conductor
-        f = self.modulus
-        if f == 1:
-            self._conductor = 1
-            return 1
-        # chi factors through (Z/fp)^x iff it is trivial on units = 1 mod fp
-        for fp in _divisors(f):
-            if all(self(a) == 0 for a in range(1, f)
-                   if gcd(a, f) == 1 and a % fp == 1 % fp):
-                self._conductor = fp
-                return fp
-        raise AssertionError("unreachable: f itself always works")
+        if self._conductor is None:
+            # chi factors through (Z/fp)^x iff it is trivial on the units
+            # = 1 mod fp; the non-units among them have the value None, and
+            # fp = f always qualifies
+            f = self.modulus
+            self._conductor = next(
+                fp for fp in _divisors(f)
+                if all(self.values[a] in (0, None)
+                       for a in range(1 + fp, f, fp)))
+        return self._conductor
 
     def primitive(self):
         """The primitive character inducing this one."""
@@ -151,6 +149,30 @@ class DirichletChar:
 
     def __repr__(self):
         return f"DirichletChar(mod {self.modulus}, order {self.order})"
+
+
+@lru_cache(maxsize=128)
+def _kronecker_table(D):
+    """(kronecker(D, a) for a in range(|D|)) for a discriminant D: D is
+    nonzero and 0 or 1 mod 4, the D for which a -> (D|a) has period |D|
+    (InputError otherwise).  A smallest-prime-factor sieve calls
+    `kronecker` only at primes, as (D|a) is completely multiplicative in a."""
+    if D == 0 or D % 4 not in (0, 1):
+        raise InputError(f"{D} is not a discriminant (0 or 1 mod 4, nonzero)")
+    f = abs(D)
+    if f == 1:
+        return (1,)
+    spf = list(range(f))
+    for p in range(2, isqrt(f - 1) + 1):
+        if spf[p] == p:
+            for m in range(p * p, f, p):
+                if spf[m] == m:
+                    spf[m] = p
+    table = [0, 1] + [0] * (f - 2)
+    for a in range(2, f):
+        p = spf[a]
+        table[a] = kronecker(D, a) if p == a else table[p] * table[a // p]
+    return tuple(table)
 
 
 def _divisors(n):
@@ -313,18 +335,16 @@ class AbelianFieldRealization:
         f = self.modulus
         if self.subfield_discs is not None:
             # product of the quadratic characters selected by the label
+            tables = [_kronecker_table(D)
+                      for t, D in zip(chi.exponents, self.subfield_discs) if t]
             vals = []
-            order = 1 if all(t == 0 for t in chi.exponents) else 2
             for a in range(f):
                 if gcd(a, f) != 1:
                     vals.append(None)
                     continue
-                sign = 1
-                for t, D in zip(chi.exponents, self.subfield_discs):
-                    if t:
-                        sign *= kronecker(D, a)
+                sign = prod(table[a % len(table)] for table in tables)
                 vals.append(0 if sign == 1 else 1)
-            return DirichletChar(f, order, vals)
+            return DirichletChar(f, 2 if tables else 1, vals)
         n = max(chi.order(), 1)
         vals = []
         for a in range(f):
@@ -561,6 +581,7 @@ class LSpec:
         self.char = char
         self.S = _normalize_places(S)
         self.T = sorted(int(q) for q in T)
+        _require_prime_places(self.S + self.T)
         prim = char.primitive()
         ram = set(factorint(prim.conductor()))
         fin = {v for v in self.S if v != "inf"}
@@ -793,6 +814,14 @@ def _embed_cyclo(value, e):
     return out
 
 
+def _require_prime_places(places):
+    """InputError unless every finite place of S and T is a prime."""
+    composite = [q for q in places if q != "inf" and not isprime(q)]
+    if composite:
+        raise InputError(f"the finite places of S and T must be primes, "
+                         f"got {composite}")
+
+
 def validate_rubin_shape(realization, S, V, T):
     """(H1) and (H2) shape checks for a Rubin datum over the realization,
     whose finite places in S and T must be primes.
@@ -803,10 +832,7 @@ def validate_rubin_shape(realization, S, V, T):
     S = _normalize_places(S)
     V = _normalize_places(V) if V else []
     T = sorted(int(q) for q in T)
-    composite = [q for q in S + T if q != "inf" and not isprime(q)]
-    if composite:
-        raise InputError(f"the finite places of S and T must be primes, "
-                         f"got {composite}")
+    _require_prime_places(S + T)
     if "inf" not in S:
         raise InputError("(H1) fails: S omits the infinite place")
     ram = realization.ramified_primes()

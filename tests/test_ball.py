@@ -4,13 +4,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import finf, fnan, fninf, from_int, from_man_exp, fzero
-from mpmath.libmp.libmpi import mpi_exp
+from mpmath.libmp import (finf, fnan, fninf, from_int, from_man_exp,
+                          from_rational, fzero)
+from mpmath.libmp.libmpi import mpi_exp, mpi_log, mpi_sqrt
 
-from starklab import ball
+from starklab import ball, lfun
 from starklab.ball import (Ball, CBall, Undecided, ball_det,
                            ball_log, ball_log_int, ball_pi, ball_ratio,
                            ball_sqrt, gauss_solve, working_precision)
+from starklab.lfun import hurwitz_jet
 
 
 def ball_exp(x):
@@ -207,3 +209,103 @@ def test_ball_ratio_is_ball_of_the_fraction(n, d, g, bits):
     with working_precision(bits):
         assert ball_ratio(n * g, d * g)._v == Ball(Fraction(n, d))._v
         assert ball_ratio(n * d * g, g)._v == Ball(n * d)._v
+
+
+# -- one rounding per exact point, against the floor-and-ceiling kernel -----
+#
+# The oracle is the kernel as it was before points were rounded once: two
+# evaluations, one rounded down and one rounded up.
+
+def oracle_ratio(n, d):
+    """n/d for integers n and d > 0: `from_rational` at "f" and at "c",
+    with ball_ratio's exact long integer quotients."""
+    prec = ball._PREC
+    if n.bit_length() - d.bit_length() >= prec and n % d == 0:
+        f = from_int(n // d)
+        return f, f
+    return (from_rational(n, d, prec, "f"), from_rational(n, d, prec, "c"))
+
+
+def oracle_log_point(x, prec):
+    return Ball._wrap(mpi_log((x, x), prec))
+
+
+def _assert_points_match_the_oracle(n, d, m):
+    """ball_log_int, ball_log, ball_sqrt at the positive integer m and the
+    dyadic point m / 2^10; ball_ratio and Ball(Fraction) at n/d."""
+    prec = ball._PREC
+    for x in (from_int(m), from_man_exp(m, -10)):
+        assert ball_log(Ball._wrap((x, x)))._v == mpi_log((x, x), prec), m
+        assert ball_sqrt(Ball._wrap((x, x)))._v == \
+            mpi_sqrt((x, x), prec), m
+    assert ball_log_int(m)._v == mpi_log((from_int(m),) * 2, prec), m
+    assert ball_ratio(n, d)._v == oracle_ratio(n, d), (n, d)
+    x = Fraction(n, d)
+    assert Ball(x)._v == oracle_ratio(x.numerator, x.denominator), x
+
+
+ORACLE_BITS = [53, 80, 128, 160]
+
+
+@pytest.mark.parametrize("bits", ORACLE_BITS)
+@pytest.mark.parametrize("n,d,m", [
+    (1, 1, 1),                          # log 1 = 0 and sqrt 1 = 1, exact
+    (3, 8, 2), (-5, 64, 3),             # exact dyadic quotients
+    (2 ** 300 + 2 ** 200, 2 ** 200, 4),  # exact, longer than the precision
+    (-7, 3, 9), (-1, 10 ** 40, 10 ** 6),  # negative numerators
+    (2 ** 160 * 9 + 1, 9, 2 ** 60 * 25),  # perfect squares
+    (5 ** 101, 3 ** 70, 10 ** 50 + 7),
+])
+def test_points_are_rounded_once_as_the_oracle_rounds_them(bits, n, d, m):
+    with working_precision(bits):
+        _assert_points_match_the_oracle(n, d, m)
+        assert ball_log_int(1).is_zero()
+        assert ball_sqrt(m).rad() == 0 or math.isqrt(m) ** 2 != m
+
+
+@pytest.mark.parametrize("bits", ORACLE_BITS)
+@pytest.mark.parametrize("k", [-3, 0, 4])
+def test_a_floor_of_minus_a_power_of_two_steps_up_by_half_its_ulp(bits, k):
+    # n/d lies just above -2^k, so its floor is -2^k, and the binary
+    # numbers just above -2^k are twice as fine as those just below it
+    with working_precision(bits):
+        prec = ball._PREC
+        x = -Fraction(2) ** k + Fraction(1, 3 * 2 ** (prec + 8) + 1)
+        n, d = x.numerator, x.denominator
+        lo, hi = ball_ratio(n, d).endpoints()
+        assert lo == -Fraction(2) ** k
+        assert hi - lo == Fraction(2) ** (k - prec)
+        assert ball_ratio(n, d)._v == oracle_ratio(n, d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-10 ** 60, 10 ** 60), st.integers(1, 10 ** 40),
+       st.integers(0, 300), st.integers(1, 10 ** 60),
+       st.sampled_from(ORACLE_BITS))
+def test_one_rounding_matches_the_floor_and_ceiling_kernel(n, d, j, m, bits):
+    with working_precision(bits):
+        _assert_points_match_the_oracle(n, d, m)
+        _assert_points_match_the_oracle(n, 2 ** j, m * m)
+
+
+def _hurwitz_endpoints():
+    ball._log_int.cache_clear()
+    lfun._tail_radius_table.cache_clear()
+    xs = sorted({Fraction(a, f) for f in range(1, 61)
+                 for a in range(1, f + 1)})
+    with working_precision(128):
+        return [[c._v for c in hurwitz_jet(x, K).coeffs[1:]]
+                for K in (1, 2, 3) for x in xs]
+
+
+def test_hurwitz_jets_are_bit_identical_to_the_oracle_kernel(monkeypatch):
+    # every x = a/f with f <= 60 at K = 1, 2, 3: the current kernel, then
+    # the floor-and-ceiling kernel patched in, each with cold caches
+    try:
+        current = _hurwitz_endpoints()
+        monkeypatch.setattr(ball, "_ratio_interval", oracle_ratio)
+        monkeypatch.setattr(ball, "_log_point", oracle_log_point)
+        assert _hurwitz_endpoints() == current
+    finally:
+        ball._log_int.cache_clear()
+        lfun._tail_radius_table.cache_clear()

@@ -30,11 +30,16 @@ CASES = {
     "GF": (
         lambda: GF(5),
         [lambda: GF(5, 1)],
-        []),
+        [(lambda: GF(4), InputError),
+         (lambda: GF(1), InputError),
+         (lambda: GF(0), InputError),
+         (lambda: GF(5, 0), InputError)]),
     "CycloField": (
         lambda: CycloField(12),
         [lambda: Ring("cyc:12").one().field],
-        []),
+        [(lambda: CycloField(0), InputError),
+         (lambda: CycloField(-3), InputError),
+         (lambda: Ring("cyc:0"), InputError)]),
     "QuadField": (
         lambda: QuadField(5),
         [lambda: Scenario({"field": {"type": "quad", "disc": 5}}).field],

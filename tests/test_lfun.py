@@ -16,12 +16,13 @@ from starklab.finite import GroupStructure
 from starklab.grpring import AbelianGroup, GroupRingElement, InputError
 from starklab.lfun import (AbelianFieldRealization, DirichletChar, Jet,
                            LSpec, UnresolvedOrderError, WrongOrderError,
-                           _correction_coeffs,
+                           _correction_coeffs, _kronecker_table,
                            _rising_factorial_coeffs, _tail_radius_table,
                            bernoulli_value, hurwitz_jet,
                            l_jet, leading_term_element,
                            stickelberger_element, theoretical_order,
                            validate_rubin_shape)
+from starklab.numfld import is_fundamental_discriminant, kronecker
 
 
 def trivial_char(f):
@@ -233,6 +234,46 @@ def test_characters():
         None if math.gcd(a, 15) != 1 else chi3(a) for a in range(15)])
     prim = chi15.primitive()
     assert prim.conductor() == 3 and prim.values == chi3.values
+
+
+def test_kronecker_table_is_the_kronecker_symbol():
+    for D in range(-1500, 1501):
+        if D != 0 and D % 4 in (0, 1):
+            assert _kronecker_table(D) == tuple(
+                kronecker(D, a) for a in range(abs(D))), D
+    # (D|a) is periodic mod |D| only for D = 0 or 1 mod 4
+    for D in (0, 2, 3, -1, -2, 6, 7, 15, -5, -6):
+        with pytest.raises(InputError):
+            _kronecker_table(D)
+        with pytest.raises(InputError):
+            DirichletChar.quadratic(D)
+
+
+def _conductor_by_full_scan(chi):
+    """The least divisor fp of f with chi = 1 on every unit = 1 mod fp,
+    found by filtering all f residues for each divisor."""
+    f = chi.modulus
+    for fp in range(1, f + 1):
+        if f % fp == 0 and all(chi(a) == 0 for a in range(1, f)
+                               if math.gcd(a, f) == 1 and a % fp == 1 % fp):
+            return fp
+
+
+def test_conductor_steps_through_the_units_one_mod_each_divisor():
+    # a character of (Z/f)^x / <k> is a character of (Z/f)^x trivial on k,
+    # so the characters of (Z/f)^x cover every such quotient
+    for f in range(1, 120):
+        real = AbelianFieldRealization(f, [])
+        for chi in real.group.all_characters():
+            dchi = real.dirichlet(chi)
+            assert dchi.conductor() == _conductor_by_full_scan(dchi), (f, chi)
+    for D in range(-300, 301):
+        if D not in (0, 1) and is_fundamental_discriminant(D):
+            assert DirichletChar.quadratic(D).conductor() == abs(D)
+            real = AbelianFieldRealization.quadratic(D)
+            for chi in real.group.all_characters():
+                dchi = real.dirichlet(chi)
+                assert dchi.conductor() == _conductor_by_full_scan(dchi)
 
 
 def test_parity_of_a_table_that_is_not_a_character_is_an_input_error():

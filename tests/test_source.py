@@ -1,7 +1,8 @@
 """Properties of the `starklab` source itself, read off its syntax trees:
 every function is used somewhere in the package, every memo is a
-`functools.lru_cache`, not a dict kept by hand, and `verify` names each
-check once and turns exceptions into verdicts in one place."""
+`functools.lru_cache`, not a dict kept by hand, `verify` names each check
+once and turns exceptions into verdicts in one place, and only the ball
+kernel imports mpmath."""
 
 import ast
 import pathlib
@@ -148,3 +149,16 @@ def test_verify_names_each_check_once():
     # the old names of two checks map onto the new ones
     named.subtract(v.value for v in _assigned(tree, "CHECK_ALIASES").values)
     assert named == Counter(checks)
+
+
+def test_only_the_ball_kernel_imports_mpmath():
+    # `ball` is the one place that rounds: every other module reaches
+    # mpmath through its certified balls
+    importers = sorted(
+        module for module, tree in _trees().items()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Import) and any(
+            a.name.split(".")[0] == "mpmath" for a in n.names)
+        or isinstance(n, ast.ImportFrom) and n.level == 0
+        and n.module.split(".")[0] == "mpmath")
+    assert set(importers) == {"ball"}

@@ -351,6 +351,15 @@ def test_cli_lvalue_reports_jet_params(tmp_path):
     assert params == {"N": 38, "B": 21, "prec": 128}
 
 
+@pytest.mark.parametrize("args", [["--T", "9"], ["--T", "15"],
+                                  ["--S", "inf", "5", "9"]])
+def test_cli_lvalue_rejects_places_that_are_not_primes(args, capsys):
+    # LSpec takes its S and T from outside: 9 would be an Euler factor
+    from starklab.cli import main
+    assert main(["lvalue", "--modulus", "5"] + args) == 2
+    assert "must be primes" in capsys.readouterr().err
+
+
 def _q7_radius(bits):
     cert = run_scenario(Scenario({
         "field": {"type": "Q"}, "S": ["inf", 7], "V": ["inf"], "T": [3],
