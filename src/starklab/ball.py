@@ -509,6 +509,20 @@ class CBall:
         return f"CBall({self.re!r}, {self.im!r})"
 
 
+def _certified_pivot(M, col):
+    """The row i >= col whose entry in column col is certified nonzero and
+    farthest from zero (its endpoint nearest zero is largest), or None."""
+    piv, best = None, None
+    for i in range(col, len(M)):
+        e = M[i][col]
+        if e.is_nonzero():
+            lo, hi = e.endpoints()
+            score = min(abs(lo), abs(hi))
+            if best is None or score > best:
+                best, piv = score, i
+    return piv
+
+
 def gauss_solve(A, b):
     """Solve A x = b for ball matrices by elimination with certified pivots.
 
@@ -518,14 +532,7 @@ def gauss_solve(A, b):
     n = len(A)
     M = [row.copy() + [bv] for row, bv in zip(A, b)]
     for col in range(n):
-        piv, best = None, None
-        for i in range(col, n):
-            e = M[i][col]
-            if e.is_nonzero():
-                lo, hi = e.endpoints()
-                score = min(abs(lo), abs(hi))
-                if best is None or score > best:
-                    best, piv = score, i
+        piv = _certified_pivot(M, col)
         if piv is None:
             rad = max(M[i][col].rad() for i in range(col, n))
             raise Undecided("no certified nonzero pivot", rad)
@@ -547,14 +554,7 @@ def ball_det(A):
     M = [row.copy() for row in A]
     det = Ball(1)
     for col in range(n):
-        piv, best = None, None
-        for i in range(col, n):
-            e = M[i][col]
-            if e.is_nonzero():
-                lo, hi = e.endpoints()
-                score = min(abs(lo), abs(hi))
-                if best is None or score > best:
-                    best, piv = score, i
+        piv = _certified_pivot(M, col)
         if piv is None:
             if all(M[i][col].contains_zero() for i in range(col, n)):
                 return _det_expand(M, col, det)

@@ -535,9 +535,6 @@ class Character:
         k = gcd(e, *(self.value_exponent(el) for el in self.group.elements))
         return e // k
 
-    def is_trivial(self):
-        return all(t == 0 for t in self.exponents)
-
     def __mul__(self, other):
         if other.group is not self.group:
             raise InputError("mixed groups")

@@ -2,6 +2,17 @@
 T-modified L-series at s = 0, exact order-0 values through generalized
 Bernoulli sums, and the group-ring elements built from them.
 
+A character of order n records its values as exponents t of zeta_n and is
+read through one exact value and one ball value of zeta_n^t
+(`DirichletChar.exact_value`, `ball_value`).  Real characters (n <= 2)
+and complex ones share every sum: -B_{1,chi} = sum_a chi(a) (f - 2a) / 2f
+is one integer per power of zeta_n, and the Euler factors are
+1 - chi(q) q^{k-s} (Washington, *Introduction to Cyclotomic Fields*, ch. 4);
+only the values' types differ, Fractions and Balls for a real character.
+A field is an `AbelianFieldRealization`: its Galois group is presented by
+the coordinate characters dual to a basis of it, whatever way the field
+was given, and every reader works from them.
+
 The evaluation backbone is Euler-Maclaurin for the Hurwitz zeta function
 with a certified tail bound; every jet coefficient is an enclosure of the
 exact Taylor coefficient, and order-0 values are exact rationals or
@@ -77,32 +88,19 @@ class DirichletChar:
         """Exponent of zeta_order at a (None when not coprime)."""
         return self.values[a % self.modulus]
 
-    def value_rational(self, a):
-        """Value as an integer for characters of order <= 2 (0 if None)."""
-        t = self(a)
-        if t is None:
-            return 0
-        if self.order == 1 or t == 0:
-            return 1
-        if self.order == 2 and t == 1:
-            return -1
-        raise InputError("character is not quadratic")
+    def exact_value(self, t):
+        """zeta_n^t exactly (n the order): the Fraction +-1 when n <= 2,
+        else an element of Q(zeta_n)."""
+        if self.order <= 2:
+            return Fraction(-1) ** t
+        return CycloField(self.order).zeta_power(t)
 
-    def value_cyclo(self, a, field=None):
-        t = self(a)
-        field = field or CycloField(self.order)
-        if t is None:
-            return field.zero()
-        return field.zeta_power(t * (field.e // self.order))
-
-    def value_cball(self, a):
-        t = self(a)
-        if t is None:
-            return CBall(0, 0)
+    def ball_value(self, t):
+        """zeta_n^t for a ball sum: the integer +-1 when n <= 2, which the
+        sum adds or subtracts (`_add_times`), else a certified CBall."""
+        if self.order <= 2:
+            return (-1) ** t
         return CBall.root_of_unity(t, self.order)
-
-    def is_real(self):
-        return self.order <= 2
 
     def parity(self):
         """+1 for even, -1 for odd."""
@@ -193,32 +191,30 @@ def _divisors(n):
 # -- field realizations ------------------------------------------------------
 
 class AbelianFieldRealization:
-    """A finite abelian extension of Q presented by a modulus f and the
-    kernel subgroup H of (Z/f)^x, with G = (Z/f)^x / H.
+    """A finite abelian extension K of Q in Q(zeta_f), presented by the
+    coordinate characters of its Galois group G = Z/d_1 x ... x Z/d_k.
 
-    Frobenius data is read off from cosets: an unramified prime q splits
-    completely exactly when q mod f lies in H, and the infinite place splits
-    exactly when -1 does.
+    The j-th coordinate character is the Dirichlet character mod a divisor
+    of f, of order d_j, whose exponent at a unit is the j-th coordinate of
+    its image in G.  They generate the characters of G, so every character
+    is a product of their powers (`dirichlet`), and Frobenius data is read
+    off them alone: an unramified prime q splits completely exactly when
+    every coordinate character is 1 at q, and the infinite place exactly
+    when every one is even.
+
+    A kernel realization, G = (Z/f)^x / H for the subgroup H that the
+    kernel generators span, computes them once from discrete logs in the
+    quotient and its Smith form.  A multiquadratic field Q(sqrt d_1, ...,
+    sqrt d_m) takes the Kronecker characters of the d_i, in order: its
+    (Z/2)^m labels record the Frobenius sign on each sqrt(d_i), so the
+    compositum modules use the same element names.
     """
-
-    # the discriminants of a (Z/2)^m realization built by
-    # `_kronecker_realization`, which reads Frobenius off Kronecker symbols
-    subfield_discs = None
 
     def __init__(self, modulus, kernel_generators, expected_degree=None,
                  label=None):
         f = int(modulus)
         if f < 1:
             raise InputError("modulus must be positive")
-        self.modulus = f
-        self.label = label or f"mod {f}"
-        if f == 1:
-            self.group = AbelianGroup(())
-            self._coset_rep = {1: 1}
-            if expected_degree not in (None, 1):
-                raise InputError("modulus 1 realizes only Q itself")
-            return
-        units = [a for a in range(1, f) if gcd(a, f) == 1]
 
         def mul(a, b):
             return (a * b) % f
@@ -227,21 +223,41 @@ class AbelianFieldRealization:
         for k in kg:
             if gcd(k, f) != 1:
                 raise InputError(f"kernel generator {k} is not a unit mod {f}")
-        kernel = GroupStructure(1, mul, kg)
-        self._coset_rep = {}
-        for a in units:
-            self._coset_rep[a] = min(mul(a, h) for h in kernel.exponents)
-        reps = sorted(set(self._coset_rep.values()))
-        qop = lambda a, b: self._coset_rep[mul(a, b)]
-        self.quotient = GroupStructure(self._coset_rep[1], qop, reps)
+        # 1 % f is the identity, 0 for f = 1; each coset of H is named by
+        # its least element
+        kernel = GroupStructure(1 % f, mul, kg)
+        units = [a for a in range(f) if gcd(a, f) == 1]
+        rep = {a: min(mul(a, h) for h in kernel.exponents) for a in units}
+        quotient = GroupStructure(rep[1 % f], lambda a, b: rep[mul(a, b)],
+                                  sorted(set(rep.values())))
         if expected_degree is not None \
-                and self.quotient.order != expected_degree:
+                and quotient.order != expected_degree:
             raise InputError(
-                f"kernel index {self.quotient.order} differs from the "
+                f"kernel index {quotient.order} differs from the "
                 f"declared degree {expected_degree}")
-        factors, self._V, _ = diagonalize_relations(
-            self.quotient.relation_rows, len(self.quotient.leaders))
-        self.group = AbelianGroup(tuple(factors))
+        factors, V, _ = diagonalize_relations(
+            quotient.relation_rows, len(quotient.leaders))
+        logs = {a: quotient.dlog(rep[a]) for a in units}
+        coords = []
+        for j, d in enumerate(factors):
+            vals = [None] * f
+            for a, x in logs.items():
+                vals[a] = sum(xi * row[j] for xi, row in zip(x, V)) % d
+            coords.append(DirichletChar(f, d, vals))
+        self._present(f, coords, label or f"mod {f}")
+
+    def _present(self, modulus, coordinate_characters, label):
+        """Set the presentation: G is the product of the cyclic groups of
+        the coordinate characters' orders, in their order."""
+        self.modulus = modulus
+        self.label = label
+        self.coordinate_characters = coordinate_characters
+        self.group = AbelianGroup(
+            tuple(chi.order for chi in coordinate_characters))
+        # the principal character mod f, which `dirichlet` starts from: it
+        # keeps the non-units None also when G is trivial
+        self._principal = [0 if gcd(a, modulus) == 1 else None
+                           for a in range(modulus)]
 
     @staticmethod
     def rationals():
@@ -249,7 +265,7 @@ class AbelianFieldRealization:
 
     @staticmethod
     def quadratic(D):
-        return AbelianFieldRealization._kronecker_realization([D])
+        return AbelianFieldRealization._compositum([D])
 
     @staticmethod
     def multiquadratic(discs):
@@ -263,108 +279,62 @@ class AbelianFieldRealization:
                     raise InputError(
                         f"dependent quadratic subfields: the product of "
                         f"{list(sub)} is a square")
-        return AbelianFieldRealization._kronecker_realization(Ds)
+        return AbelianFieldRealization._compositum(Ds)
 
     @staticmethod
-    def _kronecker_realization(Ds):
-        """Realization of Q(sqrt d_1, ..., sqrt d_m) with the canonical
-        (Z/2)^m labeling: coordinate i records the Frobenius sign on
-        sqrt(d_i), so the compositum modules use the same element names."""
+    def _compositum(Ds):
+        """Q(sqrt D_1, ..., sqrt D_m) for fundamental discriminants D_i,
+        with their Kronecker characters as the coordinate characters."""
         from .numfld import QuadField
-        f = 1
-        for D in Ds:
-            f = lcm(f, abs(D))
         inst = AbelianFieldRealization.__new__(AbelianFieldRealization)
-        inst.modulus = f
-        inst.subfield_discs = list(Ds)
-        inst.group = AbelianGroup((2,) * len(Ds))
         names = ", ".join(f"sqrt({QuadField(D).m})" for D in Ds)
-        inst.label = f"Q({names})"
+        inst._present(lcm(*(abs(D) for D in Ds)),
+                      [DirichletChar.quadratic(D) for D in Ds],
+                      f"Q({names})")
         return inst
 
     def degree(self):
         return self.group.order
 
-    def element_of(self, a):
-        """Group element of the coset of the unit a."""
-        if self.modulus == 1:
-            return ()
-        a %= self.modulus
-        if gcd(a, self.modulus) != 1:
-            raise InputError(f"{a} is not a unit mod {self.modulus}")
-        if self.subfield_discs is not None:
-            return tuple(0 if kronecker(D, a) == 1 else 1
-                         for D in self.subfield_discs)
-        x = self.quotient.dlog(self._coset_rep[a])
-        return tuple(sum(xi * row[j] for xi, row in zip(x, self._V)) % d
-                     for j, d in enumerate(self.group.invariant_factors))
-
     def ramified_primes(self):
-        """Primes dividing the conductor of some character of G."""
-        if self.subfield_discs is not None:
-            out = set()
-            for D in self.subfield_discs:
-                out |= set(factorint(abs(D)))
-            return sorted(out)
-        out = set()
-        for chi in self.group.all_characters():
-            if chi.is_trivial():
-                continue
-            out |= set(factorint(self.dirichlet(chi).conductor()))
-        return sorted(out)
+        """Primes dividing the conductor of some character of G: those of
+        the coordinate characters, as the conductor of a product divides
+        the lcm of the factors' conductors."""
+        return sorted({p for chi in self.coordinate_characters
+                       for p in factorint(chi.conductor())})
 
     def splits_completely(self, v):
         """Does the rational place v split completely in the field?
 
-        Decided on primitive character values: Frob_v is trivial exactly
-        when every character is 1 at v (and v is then unramified).
+        Frob_v is trivial exactly when every character of G is 1 at v (and
+        v is then unramified), so exactly when every coordinate character
+        is: even at v = inf, and of conductor prime to a finite v with
+        primitive value 1 there.
         """
-        if self.degree() == 1:
-            return True
-        if self.subfield_discs is not None:
-            if v == "inf":
-                return all(D > 0 for D in self.subfield_discs)
-            return all(kronecker(D, int(v)) == 1 for D in self.subfield_discs)
-        for chi in self.group.all_characters():
-            if chi.is_trivial():
-                continue
-            prim = self.dirichlet(chi).primitive()
-            if v == "inf":
-                if prim.parity() != 1:
-                    return False
-            else:
-                v = int(v)
-                if prim.conductor() % v == 0 or prim(v) != 0:
-                    return False
-        return True
+        if v == "inf":
+            return all(chi.parity() == 1
+                       for chi in self.coordinate_characters)
+        v = int(v)
+        prims = [chi.primitive() for chi in self.coordinate_characters]
+        return all(chi.conductor() % v and chi(v) == 0 for chi in prims)
 
     def dirichlet(self, chi):
-        """The Dirichlet character mod f attached to an abstract character."""
-        f = self.modulus
-        if self.subfield_discs is not None:
-            # product of the quadratic characters selected by the label
-            tables = [_kronecker_table(D)
-                      for t, D in zip(chi.exponents, self.subfield_discs) if t]
-            vals = []
-            for a in range(f):
-                if gcd(a, f) != 1:
-                    vals.append(None)
-                    continue
-                sign = prod(table[a % len(table)] for table in tables)
-                vals.append(0 if sign == 1 else 1)
-            return DirichletChar(f, 2 if tables else 1, vals)
+        """The Dirichlet character mod f attached to an abstract character.
+
+        chi is the product of the coordinate characters psi_j to the powers
+        t_j of its label, so for chi of order n its exponent of zeta_n at a
+        unit a is sum_j t_j (n / d_j) psi_j(a) mod n.
+        """
         n = max(chi.order(), 1)
-        vals = []
-        for a in range(f):
-            if f > 1 and gcd(a, f) != 1:
-                vals.append(None)
-                continue
-            t = chi.value_exponent(self.element_of(a if f > 1 else 1))
-            e = self.group.exponent
-            vals.append((t * n // e) % n if n > 1 else 0)
-        if f == 1:
-            vals = [0]
-        return DirichletChar(f, n, vals)
+        vals = list(self._principal)
+        for t, d, psi in zip(chi.exponents, self.group.invariant_factors,
+                             self.coordinate_characters):
+            if t:
+                w, m = t * n // d, psi.modulus
+                for a, x in enumerate(vals):
+                    if x is not None:
+                        vals[a] = (x + w * psi.values[a % m]) % n
+        return DirichletChar(self.modulus, n, vals)
 
     def __repr__(self):
         return f"AbelianFieldRealization({self.label})"
@@ -651,8 +621,7 @@ def l_jet(spec):
     r_prim = r - m
     if K - m > 4:
         raise InputError("primitive jet truncation K - m capped at 4")
-    real = chi.is_real()
-    jet = _primitive_l_jet(chi, K - m, real)
+    jet = _primitive_l_jet(chi, K - m)
     params = jet.params  # the products below do not carry them
     if r_prim and not _is_exact_zero(jet.coeffs[0]):
         raise CertificationError(
@@ -661,12 +630,12 @@ def l_jet(spec):
     for q in off:
         if chi(q) == 0:
             # (1 - q^{-s}) / s: drop the exact zero at order 0
-            euler = _euler_factor_jet(chi, q, K - m + 1, 0, real)
+            euler = _euler_factor_jet(chi, q, K - m + 1, 0)
             jet = jet * Jet(euler.coeffs[1:])
         else:
-            jet = jet * _euler_factor_jet(chi, q, K - m, 0, real)
+            jet = jet * _euler_factor_jet(chi, q, K - m, 0)
     for q in spec.T:
-        jet = jet * _euler_factor_jet(chi, q, K - m, 1, real)
+        jet = jet * _euler_factor_jet(chi, q, K - m, 1)
     coeffs = [Fraction(0)] * r + jet.coeffs[r_prim:]
     lead = coeffs[r]
     if isinstance(lead, (Ball, CBall)):
@@ -685,54 +654,60 @@ def _is_exact_zero(c):
     return c == 0 if isinstance(c, Fraction) else c.is_zero()
 
 
-def _primitive_l_jet(chi, K, real):
-    """Jet of the primitive L(chi, s) to truncation K.  c_0 is the exact
-    sum of chi(a) (1/2 - a/f), i.e. -B_{1,chi} (zeta(0) = -1/2 when f = 1);
-    Hurwitz jets are evaluated only for K >= 1."""
+def _minus_b1(chi):
+    """-B_{1,chi} = sum_a chi(a) (f - 2a) / 2f for a primitive chi mod f,
+    exactly (zeta(0) = -1/2 when f = 1): one integer sum per power of
+    zeta_n, each divided once."""
     f = chi.conductor()
-    if f == 1:
-        if K == 0:
-            return Jet([Fraction(-1, 2)], params={"prec": precision()})
-        return hurwitz_jet(Fraction(1), K)
-    # zeta_H(0, a/f) = (f - 2a) / 2f: a real character sums the integers
-    # chi(a) (f - 2a), a complex one their cyclotomic multiples
-    exact0 = 0 if real else CycloField(chi.order).zero()
-    ball_coeffs = [Ball(0) if real else CBall(0, 0)
-                   for _ in range(K + 1)]
-    params = {"prec": precision()}
-    for a in range(1, f):
-        if chi(a) is None:
+    sums = [0] * chi.order
+    for a in range(1, f + 1):
+        t = chi(a)
+        if t is not None:
+            sums[t] += f - 2 * a
+    return sum(chi.exact_value(t) * Fraction(total, 2 * f)
+               for t, total in enumerate(sums))
+
+
+def _add_times(acc, w, x):
+    """acc + w x for a character value w from `DirichletChar.ball_value`:
+    the values +-1 of a real character add or subtract x."""
+    if w == 1:
+        return acc + x
+    if w == -1:
+        return acc - x
+    return acc + w * x
+
+
+def _primitive_l_jet(chi, K):
+    """Jet of the primitive L(chi, s) = f^{-s} sum_a chi(a) zeta_H(s, a/f)
+    to truncation K.  c_0 is the exact -B_{1,chi}; Hurwitz jets are
+    evaluated only for K >= 1."""
+    f = chi.conductor()
+    exact0 = _minus_b1(chi)
+    if not K:
+        return Jet([exact0], params={"prec": precision()})
+    # a = f is a unit only for f = 1, where zeta_H(s, 1) = zeta(s)
+    ball_coeffs = [0] * (K + 1)
+    for a in range(1, f + 1):
+        t = chi(a)
+        if t is None:
             continue
-        hj = hurwitz_jet(Fraction(a, f), K) if K else None
-        if hj is not None:
-            params = hj.params
-        if real:
-            # chi(a) is +1 or -1: add or subtract the jet
-            plus = chi.value_rational(a) == 1
-            exact0 += f - 2 * a if plus else 2 * a - f
-            for k in range(1, K + 1):
-                ball_coeffs[k] = (ball_coeffs[k] + hj.coeffs[k] if plus
-                                  else ball_coeffs[k] - hj.coeffs[k])
-        else:
-            exact0 = exact0 + chi.value_cyclo(a) * (f - 2 * a)
-            vb = chi.value_cball(a)
-            for k in range(1, K + 1):
-                ball_coeffs[k] = ball_coeffs[k] + vb * hj.coeffs[k]
-    exact0 = Fraction(exact0, 2 * f) if real \
-        else exact0 * Fraction(1, 2 * f)
+        hj = hurwitz_jet(Fraction(a, f), K)
+        w = chi.ball_value(t)
+        for k in range(1, K + 1):
+            ball_coeffs[k] = _add_times(ball_coeffs[k], w, hj.coeffs[k])
     # multiply by f^{-s} = exp(-s log f); the order-0 part stays exact
     out = [exact0]
-    if K:
-        Lf = ball_log_int(f)
-        E = [Ball(1)]
-        for k in range(1, K + 1):
-            E.append(E[-1] * (-Lf) * Fraction(1, k))
-        for k in range(1, K + 1):
-            acc = _mul_exact(exact0, E[k])
-            for i in range(1, k + 1):
-                acc = acc + ball_coeffs[i] * E[k - i]
-            out.append(acc)
-    return Jet(out, params=params)
+    Lf = ball_log_int(f)
+    E = [Ball(1)]
+    for k in range(1, K + 1):
+        E.append(E[-1] * (-Lf) * Fraction(1, k))
+    for k in range(1, K + 1):
+        acc = _mul_exact(exact0, E[k])
+        for i in range(1, k + 1):
+            acc = acc + ball_coeffs[i] * E[k - i]
+        out.append(acc)
+    return Jet(out, params=hj.params)
 
 
 def _mul_exact(c0, ball):
@@ -742,25 +717,18 @@ def _mul_exact(c0, ball):
     return c0.to_cball() * ball
 
 
-def _euler_factor_jet(chi, q, K, shift, real):
+def _euler_factor_jet(chi, q, K, shift):
     """(1 - chi(q) q^{shift} q^{-s}) as a jet with exact order-0 part, for
     a primitive chi and q off its conductor."""
     Lq = ball_log_int(q)
     qs = q ** shift
-    if real:
-        v = chi.value_rational(q)
-        coeffs = [Fraction(1 - v * qs)]
-        power = Ball(1)
-        for k in range(1, K + 1):
-            power = power * (-Lq) * Fraction(1, k)
-            coeffs.append(power * (-v * qs))
-        return Jet(coeffs)
-    vb = chi.value_cball(q)
-    coeffs = [CycloField(chi.order).one() - chi.value_cyclo(q) * qs]
-    power = CBall(1, 0)
+    t = chi(q)
+    w = chi.ball_value(t)
+    coeffs = [1 - chi.exact_value(t) * qs]
+    power = Ball(1)
     for k in range(1, K + 1):
-        power = power * CBall(-Lq, 0) * Fraction(1, k)
-        coeffs.append(power * (-qs) * vb)
+        power = power * (-Lq) * Fraction(1, k)
+        coeffs.append(power * (-qs) * w)
     return Jet(coeffs)
 
 
@@ -778,32 +746,12 @@ def bernoulli_value(char, S, T=()):
         raise WrongOrderError(f"order of vanishing is {r}, not 0")
     chi = char.primitive()
     f = chi.conductor()
-    # B_{1,chi} = sum_a chi(a) (a/f - 1/2) = sum_a chi(a) (2a - f) / (2f):
-    # integer sums, one division at the end
-    if chi.is_real():
-        value = Fraction(-sum(chi.value_rational(a) * (2 * a - f)
-                              for a in range(1, f + 1)), 2 * f)
-        for q in S:
-            if q != "inf" and f % q != 0:
-                value *= 1 - chi.value_rational(q)
-        for q in T:
-            value *= 1 - chi.value_rational(q) * q
-        return value
-    field = CycloField(chi.order)
-    sums = [0] * chi.order  # one integer per power of zeta
-    for a in range(1, f + 1):
-        t = chi(a)
-        if t is not None:
-            sums[t] += 2 * a - f
-    value = field.zero()
-    for t, total in enumerate(sums):
-        if total:
-            value = value + field.zeta_power(t) * Fraction(-total, 2 * f)
-    for q in S:
-        if q != "inf" and f % q != 0:
-            value = value * (field.one() - chi.value_cyclo(q, field))
-    for q in T:
-        value = value * (field.one() - chi.value_cyclo(q, field) * q)
+    value = _minus_b1(chi)
+    # (q, q^shift): shift 0 in S, off the conductor, and 1 in T
+    euler = [(q, 1) for q in S if q != "inf" and f % q != 0] \
+        + [(q, q) for q in T]
+    for q, qs in euler:
+        value = value * (1 - chi.exact_value(chi(q)) * qs)
     return value
 
 

@@ -42,7 +42,7 @@ from .lfun import (AbelianFieldRealization, DirichletChar, LSpec,
                    stickelberger_element, validate_rubin_shape)
 from .multilin import (GLattice, NonIntegralError, WedgeElement,
                        all_dual_pairings, norm_decomposition_residual,
-                       pairing_vector, scaled_inclusion)
+                       pairing_vector)
 from .numfld import (DatumError, QuadField, class_number,
                      fundamental_unit_log, ray_class, s_unit_lattice)
 from .sublat import enumerate_omega_star, norm_sum_identity
@@ -137,7 +137,12 @@ class Scenario:
                 raise ConfigError(f"multiquad takes two discriminants, got "
                                   f"{discs!r}")
             self.realization = AbelianFieldRealization.multiquadratic(discs)
-            self.field = BiquadField(*self.realization.subfield_discs)
+            # the coordinate characters are the subfields' Kronecker
+            # characters, and a quadratic character's discriminant is
+            # chi(-1) times its modulus
+            self.field = BiquadField(*(
+                chi.parity() * chi.modulus
+                for chi in self.realization.coordinate_characters))
         elif self.field_type == "generic":
             kernel = [_config_int(g, "kernel entry") for g in _config_list(
                 field.get("kernel", []), "kernel")]
@@ -389,9 +394,7 @@ def max_pairing_radius(pairings):
         if val.ring.is_exact():
             continue
         for c in val.coeffs:
-            if isinstance(c, Ball):
-                out = max(out, c.rad())
-            elif isinstance(c, CBall):
+            if isinstance(c, (Ball, CBall)):
                 out = max(out, c.rad())
     return out
 
@@ -514,7 +517,7 @@ def selmer_transpose_fitting(scn, data, ray):
     pres = _assembled_selmer_presentation(ray.module, d, nV)
     fit = fitting_ideal(pres, nV)
     if group.rank == 1 and group.invariant_factors[0] in (2, 3, 5, 7):
-        closed = fitting_from_extension(ray.module, d, group)
+        closed = fitting_from_extension(ray.module, d)
         if closed != fit:
             raise CertificationError(
                 "Selmer closed form disagrees with the direct minors")
@@ -671,19 +674,9 @@ def _run_norm_decomposition(scn, data, entry):
                                   QuadField(D), scn.S, scn.V, scn.T,
                                   lattice=lat.sub_lattices[idx])
         eps_sub = sub_data.epsilon()
-        # map coordinates into the compositum basis
-        incl = {}
-        for (j,), z in eps_sub.coeffs.items():
-            co = lat.subfield_generator_coords(idx, j)
-            scalar = z.coeffs[z.group.index[z.group.identity()]]
-            for bi, c in enumerate(co):
-                if c:
-                    key = (bi,)
-                    term = GroupRingElement.one(group, "ball").scale(
-                        scalar * Fraction(c))
-                    incl[key] = incl[key] + term if key in incl else term
-        part = WedgeElement(group, 1, data.cover(), incl)
-        parts.append(scaled_inclusion(part, 2, r=1))
+        parts.append(_included(group, data.cover(), (
+            (z, lat.subfield_generator_coords(idx, j))
+            for (j,), z in eps_sub.coeffs.items())))
         sub_witness.append({"disc": D,
                             "coords": [repr(v) for v in
                                        _coords_list(eps_sub, lat.sub_lattices[idx].rank)]})
@@ -691,26 +684,31 @@ def _run_norm_decomposition(scn, data, entry):
     q_data = RubinStarkData(AbelianFieldRealization.rationals(), "Q", scn.S,
                             scn.V, scn.T)
     eps_q = q_data.epsilon()
-    base_incl = {}
-    for (j,), z in eps_q.coeffs.items():
-        q_gen = q_data.lattice().gens[j]
-        co = _rational_inclusion_coords(lat, q_gen)
-        scalar = z.coeffs[0]
-        for bi, c in enumerate(co):
-            if c:
-                key = (bi,)
-                term = GroupRingElement.one(group, "ball").scale(
-                    scalar * Fraction(c))
-                base_incl[key] = base_incl[key] + term if key in base_incl \
-                    else term
-    eps_base = WedgeElement(group, 1, data.cover(), base_incl)
-    eps_base = scaled_inclusion(eps_base, 4, r=1)
+    eps_base = _included(group, data.cover(), (
+        (z, _rational_inclusion_coords(lat, q_data.lattice().gens[j]))
+        for (j,), z in eps_q.coeffs.items()))
     holds, radius = norm_decomposition_residual(eps_K, parts + [eps_base],
                                                 eps_base, 2, 2)
     entry["residual_radius"] = _radius_str(radius)
     return "pass" if holds else "fail", {
         "subfields": sub_witness,
         "epsilon_coords": [repr(v) for v in _coords_list(eps_K, lat.rank)]}
+
+
+def _included(group, cover, terms):
+    """The degree-1 wedge element over the compositum that puts, for each
+    (z, co) in terms, the scalar of z (its identity coefficient) times
+    co[i] on cover coordinate i."""
+    incl = {}
+    for z, co in terms:
+        scalar = z.coefficient(z.group.identity())
+        for bi, c in enumerate(co):
+            if c:
+                key = (bi,)
+                term = GroupRingElement.one(group, "ball").scale(
+                    scalar * Fraction(c))
+                incl[key] = incl[key] + term if key in incl else term
+    return WedgeElement(group, 1, cover, incl)
 
 
 def _coords_list(eps, rank):
@@ -720,7 +718,7 @@ def _coords_list(eps, rank):
         if z is None:
             out.append(0)
         else:
-            out.append(z.coeffs[z.group.index[z.group.identity()]])
+            out.append(z.coefficient(z.group.identity()))
     return out
 
 

@@ -27,6 +27,17 @@ class UnsupportedCaseError(RuntimeError):
     """A case outside the supported desk-scale shapes."""
 
 
+def _translates(table, vec):
+    """The translates sigma * vec of a coefficient vector over Z[G], one
+    for each row sigma of the group's multiplication table."""
+    for row in table:
+        moved = [0] * len(row)
+        for j, c in enumerate(vec):
+            if c:
+                moved[row[j]] = c
+        yield moved
+
+
 class GIdealLattice:
     """A G-stable sublattice of Z[G] ~ Z^{|G|}, canonical HNF basis."""
 
@@ -43,11 +54,7 @@ class GIdealLattice:
         lat = hnf.IntLattice(group.order)
         table = group.multiplication_table()
         for v in vectors:
-            for row in table:
-                moved = [0] * group.order
-                for j, c in enumerate(v):
-                    if c:
-                        moved[row[j]] = c
+            for moved in _translates(table, v):
                 lat.add_vector(moved)
         return GIdealLattice(group, lat)
 
@@ -79,15 +86,9 @@ class GIdealLattice:
 
     def is_g_stable(self):
         table = self.group.multiplication_table()
-        for row in self.basis():
-            for gi in range(self.group.order):
-                moved = [0] * self.group.order
-                for j, c in enumerate(row):
-                    if c:
-                        moved[table[gi][j]] = c
-                if not self.lattice.contains_vector(moved):
-                    return False
-        return True
+        return all(self.lattice.contains_vector(moved)
+                   for row in self.basis()
+                   for moved in _translates(table, row))
 
     def contains_vector(self, vec):
         return self.lattice.contains_vector(list(vec))
@@ -259,12 +260,7 @@ def fitting_ideal(pres, n=0):
             if acc.contains_vector(vec):
                 continue
             # G-stabilize the new generator into the accumulator
-            for gi in range(group.order):
-                moved = [0] * group.order
-                row = table[gi]
-                for j, c in enumerate(vec):
-                    if c:
-                        moved[row[j]] = c
+            for moved in _translates(table, vec):
                 lat.add_vector(moved)
             acc = GIdealLattice(group, lat)
             if acc == unit:
@@ -508,12 +504,12 @@ def annihilator(module):
     return out
 
 
-def fitting_from_extension(cl_module, d, group=None):
+def fitting_from_extension(cl_module, d):
     """Fitt^0(Cl) * I_G^(d-1): the closed form for the transpose Selmer
     module when G is cyclic of prime order and all d split-removed places
     have full decomposition group (caller asserts the latter).
     """
-    group = group or cl_module.group
+    group = cl_module.group
     if group.rank != 1 or not isprime(group.invariant_factors[0]):
         raise UnsupportedCaseError("closed form requires G cyclic of prime "
                                    "order")

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -13,7 +14,9 @@ from starklab.ball import (Ball, CBall, PrecisionError, ball_log,
                            working_precision)
 from starklab.cyclo import CycloField
 from starklab.finite import GroupStructure
+from starklab import lfun
 from starklab.grpring import AbelianGroup, GroupRingElement, InputError
+from starklab.hnf import diagonalize_relations
 from starklab.lfun import (AbelianFieldRealization, DirichletChar, Jet,
                            LSpec, UnresolvedOrderError, WrongOrderError,
                            _correction_coeffs, _kronecker_table,
@@ -320,14 +323,14 @@ def _bernoulli_by_residue(chi, S, T):
     total = field.zero()
     for a in range(1, f + 1):
         if chi(a) is not None:
-            total = total + chi.value_cyclo(a, field) \
+            total = total + _value_cyclo(chi, a, field) \
                 * (Fraction(a, f) - Fraction(1, 2))
     value = -1 * total
     for q in S:
         if q != "inf" and f % q != 0:
-            value = value * (field.one() - chi.value_cyclo(q, field))
+            value = value * (field.one() - _value_cyclo(chi, q, field))
     for q in T:
-        value = value * (field.one() - chi.value_cyclo(q, field) * q)
+        value = value * (field.one() - _value_cyclo(chi, q, field) * q)
     return value
 
 
@@ -344,7 +347,7 @@ def test_bernoulli_value_matches_the_sum_by_residue():
             continue
         value = bernoulli_value(chi, S, [17])
         ref = _bernoulli_by_residue(chi, S, [17])
-        if chi.primitive().is_real():
+        if chi.primitive().order <= 2:
             assert value == ref.rational_value()
         else:
             assert value == ref
@@ -486,16 +489,20 @@ def test_leading_term_element_and_inverse():
     assert prod.coeffs[1].contains_zero()
 
 
-def test_realization_element_of_is_the_quotient_map():
-    # G = (Z/f)^x / <k>: element_of is a surjective homomorphism killing k,
-    # whatever the invariant factors of G
+def test_realization_coordinate_characters_are_the_quotient_map():
+    # G = (Z/f)^x / <k>: reading a unit's coordinates off the coordinate
+    # characters is a surjective homomorphism killing k, whatever the
+    # invariant factors of G
     for f in range(2, 70):
         units = [a for a in range(1, f) if math.gcd(a, f) == 1]
         gens = GroupStructure(1, lambda a, b: a * b % f, units).leaders
         for k in units:
             R = AbelianFieldRealization(f, [k])
             G = R.group
-            image = {a: R.element_of(a) for a in units}
+            assert tuple(psi.order for psi in R.coordinate_characters) \
+                == G.invariant_factors
+            image = {a: tuple(psi(a) for psi in R.coordinate_characters)
+                     for a in units}
             assert image[k] == G.identity()
             assert len(set(image.values())) == G.order
             for a in units:
@@ -536,13 +543,13 @@ def _full_product_lead(chi, S, T, r):
     truncation r + 1: the primitive jet and every Euler factor, including
     the ones vanishing at s = 0, to that truncation."""
     from starklab.lfun import _euler_factor_jet, _primitive_l_jet
-    K, real = r + 1, chi.is_real()
-    jet = _primitive_l_jet(chi, K, real)
+    K = r + 1
+    jet = _primitive_l_jet(chi, K)
     for q in S[1:]:
         if chi.conductor() % q:
-            jet = jet * _euler_factor_jet(chi, q, K, 0, real)
+            jet = jet * _euler_factor_jet(chi, q, K, 0)
     for q in T:
-        jet = jet * _euler_factor_jet(chi, q, K, 1, real)
+        jet = jet * _euler_factor_jet(chi, q, K, 1)
     return jet.coeffs[r]
 
 
@@ -567,7 +574,7 @@ def test_leading_coefficient_matches_the_full_product_and_is_no_wider():
             for T in ([], [t]):
                 lead = l_jet(LSpec(chi, S, T, truncation=r)).coeffs[r]
                 old = _full_product_lead(chi, S, T, r)
-                seen.add((chi.is_real(), r - m, m))
+                seen.add((chi.order <= 2, r - m, m))
                 if not isinstance(lead, (Ball, CBall)):
                     assert lead == old
                     continue
@@ -621,3 +628,305 @@ def test_leading_term_at_order_five():
                                    (trivial - chi5) / 2)):
         assert math.isclose(float(c.mid()), want, rel_tol=1e-12)
         assert c.is_nonzero() and c.rad() < 1e-30
+
+
+# -- oracles: Galois groups read off cosets and Kronecker symbols, and
+# L-jets summed on separate real and complex paths -------------------------
+
+def _value_rational(chi, a):
+    """chi(a) as an integer for a character of order <= 2 (0 off the
+    units)."""
+    t = chi(a)
+    if t is None:
+        return 0
+    return 1 if t == 0 else -1
+
+
+def _value_cyclo(chi, a, field=None):
+    t = chi(a)
+    field = field or CycloField(chi.order)
+    if t is None:
+        return field.zero()
+    return field.zeta_power(t * (field.e // chi.order))
+
+
+def _value_cball(chi, a):
+    t = chi(a)
+    if t is None:
+        return CBall(0, 0)
+    return CBall.root_of_unity(t, chi.order)
+
+
+class _CosetRealization:
+    """G = (Z/f)^x / H, with Frobenius read off the coset of each unit and
+    every character of G tried in turn; or, given discriminants, the
+    multiquadratic field with Frobenius read off their Kronecker symbols."""
+
+    def __init__(self, modulus, kernel=(), discs=None):
+        self.discs = discs
+        if discs is not None:
+            self.modulus = math.lcm(*(abs(D) for D in discs))
+            self.group = AbelianGroup((2,) * len(discs))
+            return
+        f = self.modulus = modulus
+
+        def mul(a, b):
+            return a * b % f
+
+        H = GroupStructure(1, mul, [k % f for k in kernel])
+        units = [a for a in range(1, f) if math.gcd(a, f) == 1]
+        self.rep = {a: min(mul(a, h) for h in H.exponents) for a in units}
+        self.quotient = GroupStructure(self.rep[1],
+                                       lambda a, b: self.rep[mul(a, b)],
+                                       sorted(set(self.rep.values())))
+        factors, self.V, _ = diagonalize_relations(
+            self.quotient.relation_rows, len(self.quotient.leaders))
+        self.group = AbelianGroup(tuple(factors))
+
+    def element_of(self, a):
+        if self.discs is not None:
+            return tuple(0 if kronecker(D, a) == 1 else 1
+                         for D in self.discs)
+        x = self.quotient.dlog(self.rep[a % self.modulus])
+        return tuple(sum(xi * row[j] for xi, row in zip(x, self.V)) % d
+                     for j, d in enumerate(self.group.invariant_factors))
+
+    def dirichlet(self, chi):
+        f = self.modulus
+        n = max(chi.order(), 1)
+        e = self.group.exponent
+        vals = [None if math.gcd(a, f) != 1
+                else chi.value_exponent(self.element_of(a)) * n // e % n
+                for a in range(f)]
+        return DirichletChar(f, n, vals)
+
+    def ramified_primes(self):
+        if self.discs is not None:
+            return sorted({p for D in self.discs for p in sympy.factorint(D)
+                           if p > 0})
+        out = set()
+        for chi in self.group.all_characters():
+            out |= set(sympy.factorint(self.dirichlet(chi).conductor()))
+        return sorted(out)
+
+    def splits_completely(self, v):
+        if self.discs is not None:
+            if v == "inf":
+                return all(D > 0 for D in self.discs)
+            return all(kronecker(D, v) == 1 for D in self.discs)
+        for chi in self.group.all_characters():
+            prim = self.dirichlet(chi).primitive()
+            if v == "inf":
+                if prim.parity() != 1:
+                    return False
+            elif prim.conductor() % v == 0 or prim(v) != 0:
+                return False
+        return True
+
+
+def _oracle_primitive_l_jet(chi, K, real):
+    f = chi.conductor()
+    if f == 1:
+        if K == 0:
+            return Jet([Fraction(-1, 2)], params={"prec": precision()})
+        return lfun.hurwitz_jet(Fraction(1), K)
+    exact0 = 0 if real else CycloField(chi.order).zero()
+    ball_coeffs = [Ball(0) if real else CBall(0, 0) for _ in range(K + 1)]
+    params = {"prec": precision()}
+    for a in range(1, f):
+        if chi(a) is None:
+            continue
+        hj = lfun.hurwitz_jet(Fraction(a, f), K) if K else None
+        if hj is not None:
+            params = hj.params
+        if real:
+            plus = _value_rational(chi, a) == 1
+            exact0 += f - 2 * a if plus else 2 * a - f
+            for k in range(1, K + 1):
+                ball_coeffs[k] = (ball_coeffs[k] + hj.coeffs[k] if plus
+                                  else ball_coeffs[k] - hj.coeffs[k])
+        else:
+            exact0 = exact0 + _value_cyclo(chi, a) * (f - 2 * a)
+            vb = _value_cball(chi, a)
+            for k in range(1, K + 1):
+                ball_coeffs[k] = ball_coeffs[k] + vb * hj.coeffs[k]
+    exact0 = Fraction(exact0, 2 * f) if real \
+        else exact0 * Fraction(1, 2 * f)
+    out = [exact0]
+    if K:
+        Lf = ball_log_int(f)
+        E = [Ball(1)]
+        for k in range(1, K + 1):
+            E.append(E[-1] * (-Lf) * Fraction(1, k))
+        for k in range(1, K + 1):
+            acc = E[k] * exact0 if real else exact0.to_cball() * E[k]
+            for i in range(1, k + 1):
+                acc = acc + ball_coeffs[i] * E[k - i]
+            out.append(acc)
+    return Jet(out, params=params)
+
+
+def _oracle_euler_factor_jet(chi, q, K, shift, real):
+    Lq = ball_log_int(q)
+    qs = q ** shift
+    if real:
+        v = _value_rational(chi, q)
+        coeffs = [Fraction(1 - v * qs)]
+        power = Ball(1)
+        for k in range(1, K + 1):
+            power = power * (-Lq) * Fraction(1, k)
+            coeffs.append(power * (-v * qs))
+        return Jet(coeffs)
+    vb = _value_cball(chi, q)
+    coeffs = [CycloField(chi.order).one() - _value_cyclo(chi, q) * qs]
+    power = CBall(1, 0)
+    for k in range(1, K + 1):
+        power = power * CBall(-Lq, 0) * Fraction(1, k)
+        coeffs.append(power * (-qs) * vb)
+    return Jet(coeffs)
+
+
+def _oracle_bernoulli_value(chi, S, T):
+    chi = chi.primitive()
+    f = chi.conductor()
+    if chi.order <= 2:
+        value = Fraction(-sum(_value_rational(chi, a) * (2 * a - f)
+                              for a in range(1, f + 1)), 2 * f)
+        for q in S:
+            if q != "inf" and f % q != 0:
+                value *= 1 - _value_rational(chi, q)
+        for q in T:
+            value *= 1 - _value_rational(chi, q) * q
+        return value
+    return _bernoulli_by_residue(chi, S, T)
+
+
+def _use_oracle_sums(m):
+    """Send the primitive jets, Euler factors and Bernoulli values of
+    `lfun` through the oracle (m: a monkeypatch context)."""
+    m.setattr(lfun, "_primitive_l_jet", lambda chi, K:
+              _oracle_primitive_l_jet(chi, K, chi.order <= 2))
+    m.setattr(lfun, "_euler_factor_jet", lambda chi, q, K, shift:
+              _oracle_euler_factor_jet(chi, q, K, shift, chi.order <= 2))
+    m.setattr(lfun, "bernoulli_value", _oracle_bernoulli_value)
+
+
+def _endpoints(c):
+    """Raw endpoints of a ball or complex ball, or the exact value."""
+    if isinstance(c, Ball):
+        return ("ball", c._v)
+    if isinstance(c, CBall):
+        return ("cball", c.re._v, c.im._v)
+    return (type(c).__name__, c)
+
+
+def test_jets_and_bernoulli_values_match_the_oracle_bit_for_bit(
+        monkeypatch):
+    # every character of (Z/f)^x, 3 <= f < 40, with S = {inf} + ramified +
+    # up to two extra primes, T empty or one prime, and K in {r, r + 1};
+    # an L-jet reads only the primitive character, so each is run once.
+    # The Hurwitz jets and the roots of unity, exact and enclosed, are
+    # shared between the two sides, which sum them
+    hurwitz = functools.lru_cache(maxsize=None)(lfun.hurwitz_jet)
+    monkeypatch.setattr(lfun, "hurwitz_jet", lambda x, K: hurwitz(
+        Fraction(x), K))
+    monkeypatch.setattr(CBall, "root_of_unity", staticmethod(
+        functools.lru_cache(maxsize=None)(CBall.root_of_unity)))
+    monkeypatch.setattr(CycloField, "zeta_power", functools.lru_cache(
+        maxsize=None)(CycloField.zeta_power))
+    seen, done = set(), set()
+    for f in range(3, 40):
+        R = AbelianFieldRealization(f, [])
+        for c in R.group.all_characters():
+            chi = R.dirichlet(c)
+            cond = chi.conductor()
+            if tuple(chi.primitive().values) in done:
+                continue
+            done.add(tuple(chi.primitive().values))
+            ram = sorted(sympy.factorint(cond))
+            extra = [q for q in sympy.primerange(2, 50) if cond % q][:3]
+            for k in range(3):
+                S = ["inf"] + sorted(ram + extra[:k])
+                for T in ([], [extra[2]]):
+                    r = theoretical_order(chi, S)
+                    if r == 0:
+                        assert _endpoints(bernoulli_value(chi, S, T)) == \
+                            _endpoints(_oracle_bernoulli_value(chi, S, T))
+                    for K in (r, r + 1):
+                        spec = LSpec(chi, S, T, truncation=K)
+                        new = l_jet(spec)
+                        with monkeypatch.context() as m:
+                            _use_oracle_sums(m)
+                            old = l_jet(spec)
+                        assert [_endpoints(x) for x in new.coeffs] == \
+                            [_endpoints(x) for x in old.coeffs], (f, c, S, T)
+                        assert new.params == old.params
+                        seen.add((chi.primitive().order <= 2, r > 0))
+    assert seen == {(True, False), (True, True), (False, False),
+                    (False, True)}
+
+
+# the generic kernels and biquadratic pairs of the benchmark pools
+POOL_KERNELS = [(5, [4]), (7, [6]), (9, [8]), (13, [5]), (11, [10]),
+                (5, []), (7, []), (9, []), (13, [3]), (7, [2]), (15, [4])]
+POOL_DISC_PAIRS = [(5, 8), (5, 12), (5, 13), (8, 13), (5, 17), (12, 13),
+                   (8, 17), (13, 17), (5, 21), (5, 24), (8, 21), (13, 24)]
+
+
+def _assert_same_readers(R, oracle):
+    assert R.group is oracle.group and R.modulus == oracle.modulus
+    for c in R.group.all_characters():
+        new, old = R.dirichlet(c), oracle.dirichlet(c)
+        assert (new.modulus, new.order, new.values) == \
+            (old.modulus, old.order, old.values), (R, c)
+    assert R.ramified_primes() == oracle.ramified_primes()
+    for v in ["inf"] + list(sympy.primerange(2, 120)):
+        assert R.splits_completely(v) == oracle.splits_completely(v), (R, v)
+
+
+def test_realization_readers_match_the_coset_oracle():
+    for f, kernel in POOL_KERNELS:
+        _assert_same_readers(AbelianFieldRealization(f, kernel),
+                             _CosetRealization(f, kernel))
+    for f in range(2, 40):
+        units = [a for a in range(1, f) if math.gcd(a, f) == 1]
+        for kernel in [[]] + [[k] for k in units]:
+            _assert_same_readers(AbelianFieldRealization(f, kernel),
+                                 _CosetRealization(f, kernel))
+    for D in (-4, -3, 5, 8, -7, 12, -15, 21, -23):
+        _assert_same_readers(AbelianFieldRealization.quadratic(D),
+                             _CosetRealization(None, discs=[D]))
+    for pair in POOL_DISC_PAIRS:
+        _assert_same_readers(AbelianFieldRealization.multiquadratic(pair),
+                             _CosetRealization(None, discs=list(pair)))
+
+
+def test_trivial_group_keeps_the_non_units_out():
+    Q = AbelianFieldRealization.rationals()
+    assert Q.dirichlet(Q.group.all_characters()[0]).values == [0]
+    assert Q.ramified_primes() == [] and Q.splits_completely("inf")
+    # f > 1 and H everything: G is trivial and has no coordinate
+    # characters, yet the trivial character is still the one mod f
+    R = AbelianFieldRealization(10, [3])
+    assert R.degree() == 1 and R.coordinate_characters == []
+    chi = R.dirichlet(R.group.all_characters()[0])
+    assert chi.values == [None, 0, None, 0, None, None, None, 0, None, 0]
+    assert R.ramified_primes() == [] and R.splits_completely(7)
+
+
+def test_generic_stickelberger_elements_match_the_oracle(monkeypatch):
+    # exact (|V| = 0) and first-order (V = {inf}) elements of the pool's
+    # generic fields, read through the coset oracle and its sums
+    for f, kernel in POOL_KERNELS:
+        R = AbelianFieldRealization(f, kernel)
+        S = ["inf"] + R.ramified_primes()
+        T = [next(q for q in sympy.primerange(2, 50) if f % q)]
+        V = ["inf"] if R.splits_completely("inf") else []
+        new = stickelberger_element(R, S, V, T)
+        with monkeypatch.context() as m:
+            _use_oracle_sums(m)
+            old = stickelberger_element(_CosetRealization(f, kernel),
+                                        S, V, T)
+        assert new.ring.tag == old.ring.tag
+        assert [_endpoints(c) for c in new.coeffs] == \
+            [_endpoints(c) for c in old.coeffs], (f, kernel)
