@@ -21,6 +21,13 @@ exact value keeps a zero-width ball: log 1 = 0, a quotient that the floor
 equals (compared in integers), and a square root whose square is the
 point.
 
+An exact linear combination of balls is rounded once too
+(`ball_combination`): integer coefficients over one denominator times
+balls, plus an exact rational.  Each end is the exact sum, in integers,
+of the binary endpoints that the coefficients' signs send to it, and one
+integer floor division rounds it to the working precision, down for the
+lower end and up for the upper.
+
 A computation that cannot certify what was asked raises `Undecided` rather
 than guessing; callers treat that as "raise the precision", not as failure.
 An enclosure that certifiably contradicts what must hold raises
@@ -424,6 +431,58 @@ def ball_ratio(n, d):
         f = from_int(n // d)
         return Ball._wrap((f, f))
     return Ball._wrap(_ratio_interval(n, d))
+
+
+def ball_combination(coeffs, balls, den, exact):
+    """sum_i coeffs[i] balls[i] / den + p/q, rounded once, for integers
+    coeffs[i], den > 0, and an exact rational given as the unreduced pair
+    exact = (p, q), q > 0.
+
+    Each end sums, in one integer, the binary endpoints that the
+    coefficients' signs send to it, so the sum is exact; one integer floor
+    division then gives a mantissa of at least the working precision, and
+    `from_man_exp` rounds it down (lower end) or up (upper end) to the
+    working precision.  A radius r enters as the ball [-r, r] with
+    coefficient den."""
+    ends = [(a, b._v[0], b._v[1]) if a > 0 else (a, b._v[1], b._v[0])
+            for a, b in zip(coeffs, balls) if a]
+    exps = [raw[2] for _, lo, hi in ends for raw in (lo, hi) if raw[1]]
+    e = min(exps, default=0)
+    p, q = exact
+    lo_hi = []
+    for k, rnd in ((1, "f"), (2, "c")):
+        s = 0
+        for end in ends:
+            sign, man, exp, _ = end[k]
+            if man:
+                s += end[0] * (-man if sign else man) << (exp - e)
+            elif end[k] != fzero:
+                raise ValueError("non-finite endpoint")
+        # s 2^e / den + p / q = n / d
+        if e < 0:
+            n, d = s * q + (p * den << -e), (den * q) << -e
+        else:
+            n, d = (s * q << e) + p * den, den * q
+        lo_hi.append(_round_ratio(n, d, rnd))
+    return Ball._wrap(tuple(lo_hi))
+
+
+def _round_ratio(n, d, rnd):
+    """n/d for integers n and d > 0, rounded to the working precision in
+    the direction rnd ("f" or "c"): one floor division to a mantissa of
+    _PREC or _PREC + 1 bits, which `from_man_exp` rounds the same way.
+    Every binary number of _PREC bits at or beyond the quotient's magnitude
+    lies on the grid of that division, so the two roundings in one
+    direction round once."""
+    if not n:
+        return fzero
+    shift = _PREC - abs(n).bit_length() + d.bit_length()
+    if shift >= 0:
+        n <<= shift
+    else:
+        d <<= -shift
+    m = n // d if rnd == "f" else -(-n // d)
+    return from_man_exp(m, -shift, _PREC, rnd)
 
 
 def ball_log_int(n):

@@ -17,9 +17,12 @@ The evaluation backbone is Euler-Maclaurin for the Hurwitz zeta function
 with a certified tail bound; every jet coefficient is an enclosure of the
 exact Taylor coefficient, and order-0 values are exact rationals or
 cyclotomics whenever the character data is exact.  Ball arithmetic is kept
-to what needs logarithms: at first order the main sum is the log of one
-exact integer product, and the Bernoulli corrections are exact rationals
-(Johansson, arXiv:1309.2877, for the method).
+to what needs logarithms, and the Bernoulli corrections are exact
+rationals (Johansson, arXiv:1309.2877, for the method).  The first-order
+coefficient, which every leading term at order one is a sum of, is one
+exact combination of three logs (of the denominator of x, of the
+numerator of N + x, and of one exact integer product for the main sum)
+and an exact rational, rounded once (`ball.ball_combination`).
 
 An L_{S,T}-jet is the primitive L-jet times Euler factors, and each split
 S-prime's factor 1 - q^{-s} is s times a jet with leading term log q (Tate,
@@ -37,7 +40,8 @@ from math import factorial, gcd, isqrt, lcm, prod
 
 from .arith import bernoulli, factorint, isprime
 from .ball import (Ball, CBall, CertificationError, PrecisionError,
-                   ball_log, ball_log_int, ball_ratio, precision)
+                   Undecided, ball_combination, ball_log, ball_log_int,
+                   ball_ratio, precision)
 from .cyclo import CycloField
 from .finite import GroupStructure
 from .grpring import AbelianGroup, GroupRingElement, InputError
@@ -46,8 +50,10 @@ from .numfld import (_normalize_places, fundamental_discriminant, kronecker,
                      squarefree_part)
 
 
-class UnresolvedOrderError(RuntimeError):
-    """The jet truncation cannot see the certified leading coefficient."""
+class UnresolvedOrderError(Undecided):
+    """The leading coefficient at the order of vanishing does not certify
+    nonzero at the working precision: an `Undecided`, whose radius is that
+    coefficient's."""
 
 
 class WrongOrderError(ValueError):
@@ -466,57 +472,44 @@ def _floor_precision(name):
 
 def hurwitz_jet(x, K):
     """Taylor coefficients of the Hurwitz zeta function at s = 0: the jet
-    (c_0, ..., c_K) of zeta_H(s, x) for rational x in (0, 1].
+    (c_0, ..., c_K) of zeta_H(s, x) for rational x in (0, 1] and a
+    truncation K in 0..4 (else InputError).
 
     Euler-Maclaurin with N terms and B Bernoulli corrections chosen from
     the working precision; every coefficient is a certified enclosure and
-    c_0 = 1/2 - x is exact.  For K = 1 the main sum sum_{n<N} log(n + x) is
-    the log of the exact integer prod_{n<N} (n den + num) less N log den;
-    for K >= 2 it accumulates the power sums of log(n + x) and divides by
-    k! once.  The tail is summed exactly in w = N + x on unreduced integer
-    pairs (numerator, denominator), each rounded outward once, so its only
-    other balls are log w and the tail bound, rounded once per cutoff and
-    precision.  The precision must be at least 53 bits: below that it
-    raises `PrecisionError`, an `Undecided` with radius 2^-prec.  A c_0
-    enclosure that misses 1/2 - x raises `CertificationError`.
+    c_0 = 1/2 - x is exact.  The tail at w = N + x is summed exactly on
+    unreduced integer pairs (numerator, denominator).
+
+    At K = 1, with prod = prod_{n<N} (n den + num) and w = wn / den, the
+    coefficient is exactly
+
+        c_1 = (1/2 - x) log den + (w - 1/2) log wn - log prod + (R_1 - w)
+
+    up to the tail bound, R_1 the exact first Bernoulli correction: one
+    combination of three logs with integer coefficients over 2 den, summed
+    exactly and rounded once (`ball_combination`).  For K >= 2 the main sum
+    accumulates the power sums of log(n + x) and divides by k! once, and
+    each exact tail term is rounded outward once.  The logs of den and wn
+    are cached (`ball_log_int`), the log of the product is not, and the
+    tail bound is rounded once per cutoff and precision.  The precision
+    must be at least 53 bits: below that it raises `PrecisionError`, an
+    `Undecided` with radius 2^-prec.  A c_0 that misses 1/2 - x raises
+    `CertificationError`.
     """
     x = Fraction(x)
     if not 0 < x <= 1:
         raise InputError("x must lie in (0, 1]")
     prec = _floor_precision("hurwitz_jet")
-    if K > 4:
-        raise InputError("jet truncation capped at K = 4")
+    if not 0 <= K <= 4:
+        raise InputError(f"jet truncation K = {K} must lie in 0..4")
     N = max(16, (3 * prec) // 10)
     B = max(8, (17 * prec) // 100)
     num, den = x.numerator, x.denominator
-    log_den = ball_log_int(den)
-    # main sum: sum_{n<N} (-log(n+x))^k / k!
-    if K == 1:
-        # sum_n log(n+x) = log prod_n (n den + num) - N log den; the
-        # product is exact and its log is used once, so it is not cached
-        prod = 1
-        for n in range(N):
-            prod *= n * den + num
-        main = [N, log_den * N - ball_log(prod)]
-    else:
-        sums = [Ball(0)] * (K + 1)  # sums[k] = sum_n log(n+x)^k
-        for n in range(N):
-            L = ball_log_int(n * den + num) - log_den
-            power = L
-            for k in range(1, K + 1):
-                if k > 1:
-                    power = power * L
-                sums[k] = sums[k] + power
-        main = [N] + [sums[k] * Fraction((-1) ** k, factorial(k))
-                      for k in range(1, K + 1)]
-    # tail at w = N + x = wn / den: the integral term w^(1-s)/(s-1), the
-    # half term w^(-s)/2 and the Bernoulli corrections sum_i R_i s^i w^(-s).
-    # R_i is exact: Horner in u = w^-2 = p/q, on integers over the
-    # denominator q^(B-1).  Expanding w^(-s) = sum_m (-Lw)^m s^m / m! then
-    # leaves a polynomial in -Lw with exact coefficients t[m] / m!, where
-    # t[m] = R_(k-m) - w + [m = k]/2 and R_0 = 0.  R_i and t[m] / m! stay
-    # unreduced integer pairs (numerator, denominator), each rounded
-    # outward once by `ball_ratio`.
+    params = {"N": N, "B": B, "prec": prec}
+    exact0 = Fraction(1, 2) - x
+    # the Bernoulli corrections sum_i R_i s^i w^(-s) at w = N + x = wn / den:
+    # R_i is exact, Horner in u = w^-2 = p/q on integers over the
+    # denominator q^(B-1), kept as the pair (Rn, Rd)
     wn = N * den + num
     p, q = den * den, wn * wn
     R = [(0, 1)]
@@ -526,8 +519,39 @@ def hurwitz_jet(x, K):
             qpow *= q
             acc = acc * p + c * qpow
         R.append((acc * den, d * qpow * wn))
-    neg_Lw = log_den - ball_log_int(wn)
+    log_den, log_wn = ball_log_int(den), ball_log_int(wn)
     spreads = _tail_radius_table(N, B, K, prec)
+    if K == 1:
+        # c_0 = N + (1/2 - w), exactly, over 2 den
+        if 2 * N * den + den - 2 * wn != den - 2 * num:
+            raise CertificationError("Euler-Maclaurin c0 check failed")
+        # the product is exact and its log is used once, so it is not cached
+        prod = 1
+        for n in range(N):
+            prod *= n * den + num
+        Rn, Rd = R[1]
+        c1 = ball_combination(
+            (den - 2 * num, 2 * wn - den, -2 * den, 2 * den),
+            (log_den, log_wn, ball_log(prod), spreads[1]),
+            2 * den, (Rn * den - wn * Rd, Rd * den))
+        return Jet([exact0, c1], order=None, params=params)
+    # main sum: sum_{n<N} (-log(n+x))^k / k!
+    sums = [Ball(0)] * (K + 1)  # sums[k] = sum_n log(n+x)^k
+    for n in range(N):
+        L = ball_log_int(n * den + num) - log_den
+        power = L
+        for k in range(1, K + 1):
+            if k > 1:
+                power = power * L
+            sums[k] = sums[k] + power
+    main = [N] + [sums[k] * Fraction((-1) ** k, factorial(k))
+                  for k in range(1, K + 1)]
+    # tail: the integral term w^(1-s)/(s-1), the half term w^(-s)/2 and the
+    # corrections.  Expanding w^(-s) = sum_m (-Lw)^m s^m / m! leaves a
+    # polynomial in -Lw with exact coefficients t[m] / m!, where
+    # t[m] = R_(k-m) - w + [m = k]/2 and R_0 = 0, each an unreduced integer
+    # pair rounded outward once by `ball_ratio`.
+    neg_Lw = log_den - log_wn
 
     def term(k, m):
         # t[m] / m! = (2 (Rn den - wn Rd) + [m = k] Rd den) / (2 Rd den m!)
@@ -543,11 +567,9 @@ def hurwitz_jet(x, K):
             c = (c + term(k, m)) * neg_Lw
         out.append(c + main[k] + (term(k, 0) + spreads[k]))
     # pin the exact value at order zero
-    exact0 = Fraction(1, 2) - x
     if not out[0].contains(exact0):
         raise CertificationError("Euler-Maclaurin c0 check failed")
-    coeffs = [exact0] + out[1:]
-    return Jet(coeffs, order=None, params={"N": N, "B": B, "prec": prec})
+    return Jet([exact0] + out[1:], order=None, params=params)
 
 
 class LSpec:
@@ -601,9 +623,12 @@ def l_jet(spec):
     those quotients and the other S- and T-Euler factors, and P is evaluated
     only to truncation K - m: the primitive jet to its own order (0 or 1)
     when K = r, with no Hurwitz jet at all when K - m = 0.  The cap K <= 4
-    applies to K - m.  The primitive's coefficient below its order is the
-    exact -B_{1,chi} and must be 0 (else CertificationError); the leading
-    coefficient must certify nonzero (else UnresolvedOrderError).  `params`
+    applies to K - m, and a truncation below r is an InputError, as no
+    precision can show the leading coefficient then.  The primitive's
+    coefficient below its order is the exact -B_{1,chi} and must be 0 (else
+    CertificationError); the leading coefficient must certify nonzero: an
+    exact zero is a CertificationError, a ball that contains zero an
+    UnresolvedOrderError, which is `Undecided`.  `params`
     holds the N, B and precision of the Hurwitz jets (only the precision
     when none was needed).  The 53-bit floor of `hurwitz_jet` holds here
     too, whether or not a Hurwitz jet is evaluated.
@@ -614,7 +639,7 @@ def l_jet(spec):
     r = theoretical_order(spec.char, spec.S)
     K = spec.truncation if spec.truncation is not None else r + 1
     if K < r:
-        raise UnresolvedOrderError(
+        raise InputError(
             f"truncation K={K} below the vanishing order {r}")
     off = [q for q in spec.S if q != "inf" and f % q != 0]
     m = sum(1 for q in off if chi(q) == 0)  # exponent 0: chi(q) = 1
@@ -638,14 +663,15 @@ def l_jet(spec):
         jet = jet * _euler_factor_jet(chi, q, K - m, 1)
     coeffs = [Fraction(0)] * r + jet.coeffs[r_prim:]
     lead = coeffs[r]
-    if isinstance(lead, (Ball, CBall)):
-        nonzero = lead.is_nonzero()
-    else:
-        nonzero = not _is_exact_zero(lead)
-    if not nonzero:
+    if not isinstance(lead, (Ball, CBall)):
+        if _is_exact_zero(lead):
+            raise CertificationError(
+                f"theoretical order {r} contradicted: the exact leading "
+                f"coefficient is 0")
+    elif not lead.is_nonzero():
         raise UnresolvedOrderError(
             f"cannot certify the leading coefficient at order {r} "
-            f"(radius too large at {precision()} bits)")
+            f"(radius too large at {precision()} bits)", lead.rad())
     return Jet(coeffs, order=r, params=params)
 
 

@@ -13,8 +13,8 @@ witness, or raises; `_run_check` alone turns what it raised into a verdict:
     NonIntegralError      the row's verdict: "fail" for rs_integrality and
                           fitting_equality, "blocked" for annihilation and
                           igc_membership; the witness is the pairing
-    Undecided             "undecided", with the limiting radius
-    UnresolvedOrderError  "undecided"
+    Undecided             "undecided", with the limiting radius (also
+                          UnresolvedOrderError and PrecisionError)
     UnsupportedCaseError  "unsupported"
     CertificationError    "fail", the message as witness
     DatumError, InputError, ConfigError
@@ -38,8 +38,8 @@ from .ball import Ball, CBall, CertificationError, Undecided, ball_det, \
 from .biquad import BiquadField, BiquadSUnitLattice
 from .grpring import AbelianGroup, GroupRingElement, InputError
 from .lfun import (AbelianFieldRealization, DirichletChar, LSpec,
-                   UnresolvedOrderError, bernoulli_value, l_jet,
-                   stickelberger_element, validate_rubin_shape)
+                   bernoulli_value, l_jet, stickelberger_element,
+                   validate_rubin_shape)
 from .multilin import (GLattice, NonIntegralError, WedgeElement,
                        all_dual_pairings, norm_decomposition_residual,
                        pairing_vector)
@@ -890,8 +890,6 @@ def _run_check(scn, data, name):
     except Undecided as exc:
         entry.update(verdict="undecided", reason=str(exc),
                      limit_radius=_radius_str(exc.radius))
-    except UnresolvedOrderError as exc:
-        entry.update(verdict="undecided", reason=str(exc))
     except UnsupportedCaseError as exc:
         entry.update(verdict="unsupported", reason=str(exc))
     except CertificationError as exc:

@@ -9,9 +9,10 @@ from mpmath.libmp import (finf, fnan, fninf, from_int, from_man_exp,
 from mpmath.libmp.libmpi import mpi_exp, mpi_log, mpi_sqrt
 
 from starklab import ball, lfun
-from starklab.ball import (Ball, CBall, Undecided, ball_det,
-                           ball_log, ball_log_int, ball_pi, ball_ratio,
-                           ball_sqrt, gauss_solve, working_precision)
+from starklab.ball import (Ball, CBall, Undecided, ball_combination,
+                           ball_det, ball_log, ball_log_int, ball_pi,
+                           ball_ratio, ball_sqrt, gauss_solve,
+                           working_precision)
 from starklab.lfun import hurwitz_jet
 
 
@@ -286,6 +287,73 @@ def test_one_rounding_matches_the_floor_and_ceiling_kernel(n, d, j, m, bits):
     with working_precision(bits):
         _assert_points_match_the_oracle(n, d, m)
         _assert_points_match_the_oracle(n, 2 ** j, m * m)
+
+
+# -- an exact combination of ball endpoints, rounded once ------------------
+
+def oracle_combination(coeffs, balls, den, exact):
+    """Each end of sum_i coeffs[i] balls[i] / den + p/q summed exactly in
+    Fractions, the lower end from each ball's endpoint that its coefficient
+    sends down, then rounded by `from_rational` at "f" and "c"."""
+    prec = ball._PREC
+    out = []
+    for end, rnd in ((0, "f"), (1, "c")):
+        total = Fraction(*exact)
+        for a, b in zip(coeffs, balls):
+            pick = end if a >= 0 else 1 - end
+            total += Fraction(a, den) * b.endpoints()[pick]
+        out.append(from_rational(total.numerator, total.denominator, prec,
+                                 rnd))
+    return tuple(out)
+
+
+def _make_ball(spec):
+    kind, n, d = spec
+    if kind == "log":
+        return ball_log_int(n)          # n = 1 gives the exact 0
+    if kind == "ratio":
+        return ball_ratio(n, d)
+    if kind == "int":
+        return Ball(n)                  # exact, longer than the precision
+    return Ball(0, Fraction(n, d))      # a radius [-n/d, n/d]
+
+
+BALL_SPECS = st.tuples(
+    st.sampled_from(["log", "ratio", "int", "spread"]),
+    st.one_of(st.just(1), st.integers(1, 10 ** 60)),
+    st.integers(1, 10 ** 45))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-10 ** 6, 10 ** 6), BALL_SPECS),
+                max_size=5),
+       st.integers(1, 10 ** 30), st.integers(-10 ** 200, 10 ** 200),
+       st.integers(1, 10 ** 200), st.sampled_from(ORACLE_BITS))
+def test_combination_is_the_fraction_sum_rounded_once(terms, den, p, q,
+                                                      bits):
+    with working_precision(bits):
+        coeffs = [a for a, _ in terms]
+        balls = [_make_ball(spec) for _, spec in terms]
+        got = ball_combination(coeffs, balls, den, (p, q))._v
+        assert got == oracle_combination(coeffs, balls, den, (p, q))
+
+
+@pytest.mark.parametrize("bits", ORACLE_BITS)
+def test_combination_keeps_exact_sums_exact(bits):
+    with working_precision(bits):
+        # log 1 = 0 and a zero coefficient add nothing
+        zero = ball_combination([5, 0], [ball_log_int(1), ball_log_int(3)],
+                                7, (0, 1))
+        assert zero.is_zero()
+        long = 2 ** 300 + 2 ** 250      # longer than the precision
+        exact = ball_combination([2, -1], [Ball(long), Ball(1)], 4,
+                                 (1, 4))
+        assert exact.endpoints() == (Fraction(long, 2),) * 2
+        # a rational alone rounds as Ball(Fraction) rounds it
+        assert ball_combination([], [], 1, (2, 3))._v == \
+            Ball(Fraction(2, 3))._v
+        with pytest.raises(ValueError):
+            ball_combination([1], [Ball._wrap((finf, finf))], 1, (0, 1))
 
 
 def _hurwitz_endpoints():

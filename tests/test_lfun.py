@@ -9,8 +9,8 @@ from mpmath import mp
 from mpmath.libmp import to_rational
 
 from starklab.arith import bernoulli
-from starklab.ball import (Ball, CBall, PrecisionError, ball_log,
-                           ball_log_int, gauss_solve, precision,
+from starklab.ball import (Ball, CBall, PrecisionError, Undecided,
+                           ball_log, ball_log_int, gauss_solve, precision,
                            working_precision)
 from starklab.cyclo import CycloField
 from starklab.finite import GroupStructure
@@ -90,6 +90,9 @@ def test_hurwitz_second_order_against_numerical_diff():
 def test_hurwitz_input_validation():
     with pytest.raises(InputError):
         hurwitz_jet(Fraction(3, 2), 1)
+    for K in (-1, 5):
+        with pytest.raises(InputError):
+            hurwitz_jet(Fraction(1, 3), K)
     with pytest.raises(PrecisionError), working_precision(10):
         hurwitz_jet(Fraction(1, 2), 1)
 
@@ -117,14 +120,14 @@ def test_hurwitz_jet_encloses_mpmath(prec, K):
 
 def test_hurwitz_c1_radius_is_the_tail_bound_plus_little_rounding():
     # at 128 bits the tail bound is about 2^-166, so the radius is the
-    # rounding of the evaluation; the one-log main sum and the exact
-    # corrections keep that below 2^-(prec+3)
+    # rounding of the evaluation: the three logs, each one step wide, and
+    # one rounding of their exact combination keep that below 2^-(prec+5)
     for x in ORACLE_XS:
         jet = hurwitz_jet(x, 1)
         N, B = jet.params["N"], jet.params["B"]
         prec = precision()
         tail = _tail_radius_table(N, B, 1, prec)[1].rad()  # rounded up
-        assert jet.coeffs[1].rad() <= 2 * tail + Fraction(2) ** -(prec + 3), x
+        assert jet.coeffs[1].rad() <= 2 * tail + Fraction(2) ** -(prec + 5), x
 
 
 def _fraction_tail_radii(N, B, K):
@@ -158,7 +161,9 @@ def _fraction_tail_radii(N, B, K):
 def _fraction_tail_jet(x, K, N, B):
     """hurwitz_jet's balls (c_0 included) with the tail summed in reduced
     Fractions, each rounded by Ball(Fraction): the oracle for the integer
-    pairs that hurwitz_jet rounds once."""
+    pairs that hurwitz_jet rounds once at K >= 2.  At K = 1 it is the
+    two-step ball evaluation that the one rounding of `ball_combination`
+    replaced: the oracle that c_1 refines."""
     num, den = x.numerator, x.denominator
     log_den = ball_log_int(den)
     if K == 1:
@@ -205,15 +210,30 @@ ORACLE_TAIL_XS = ([Fraction(1), Fraction(1, 2)]
                   + [Fraction(a, 401) for a in (1, 3, 100, 200, 331, 400)])
 
 
+def _assert_c1_refines_the_two_step_evaluation(x, jet):
+    """c_1 of a K = 1 jet overlaps the two-step ball evaluation of the
+    same N and B and is no wider."""
+    old = _fraction_tail_jet(x, 1, jet.params["N"], jet.params["B"])[1]
+    lo, hi = jet.coeffs[1].endpoints()
+    old_lo, old_hi = old.endpoints()
+    assert lo <= old_hi and old_lo <= hi, x
+    assert hi - lo <= old_hi - old_lo, x
+
+
 @pytest.mark.parametrize("bits", [53, 128, 256])
 def test_hurwitz_tail_is_bit_identical_to_the_fraction_sum(bits):
+    # K = 1 is one rounding of an exact combination, which refines the
+    # two-step sum; the other truncations round each tail term once
     with working_precision(bits):
         for K in range(5):
             for x in ORACLE_TAIL_XS:
                 jet = hurwitz_jet(x, K)
+                assert jet.coeffs[0] == Fraction(1, 2) - x
+                if K == 1:
+                    _assert_c1_refines_the_two_step_evaluation(x, jet)
+                    continue
                 old = _fraction_tail_jet(x, K, jet.params["N"],
                                          jet.params["B"])
-                assert jet.coeffs[0] == Fraction(1, 2) - x
                 assert old[0].contains(jet.coeffs[0])
                 assert [c._v for c in jet.coeffs[1:]] == \
                     [c._v for c in old[1:]], (bits, K, x)
@@ -222,6 +242,33 @@ def test_hurwitz_tail_is_bit_identical_to_the_fraction_sum(bits):
                 radii = _fraction_tail_radii(N, B, K)
                 assert [s._v for s in spreads] == \
                     [Ball(0, r)._v for r in radii]
+
+
+C1_ORACLE_XS = sorted({Fraction(a, f) for f in range(1, 61)
+                       for a in range(1, f + 1)} | set(ORACLE_XS))
+
+
+@pytest.mark.parametrize("bits", [53, 80, 128, 160, 256])
+def test_hurwitz_c1_encloses_mpmath_and_refines_the_two_step_evaluation(
+        bits):
+    # every a/f with f <= 60, and ORACLE_XS: c_1 contains zeta'(0, x) at
+    # 2 bits + 64 bits, overlaps the two-step evaluation and is no wider.
+    # On the grid the reference is Lerch's log Gamma(x) - log(2 pi) / 2,
+    # which mpmath evaluates some 30 times faster than the zeta
+    # derivative; on ORACLE_XS it is mp.zeta's derivative itself
+    with working_precision(bits):
+        jets = [(x, hurwitz_jet(x, 1)) for x in C1_ORACLE_XS]
+    with mp.workprec(2 * bits + 64):
+        half_log_2pi = mp.log(2 * mp.pi) / 2
+        for x, jet in jets:
+            xm = mp.mpf(x.numerator) / x.denominator
+            v = mp.zeta(0, xm, derivative=1) if x in ORACLE_XS \
+                else mp.loggamma(xm) - half_log_2pi
+            ref = Fraction(*to_rational(v._mpf_))
+            assert jet.coeffs[1].contains(ref), (bits, x)
+    with working_precision(bits):
+        for x, jet in jets:
+            _assert_c1_refines_the_two_step_evaluation(x, jet)
 
 
 def test_characters():
@@ -409,10 +456,25 @@ def test_jet_multiplication_order_additivity():
                 assert prod.coeffs[k] == 0
 
 
-def test_unresolved_order():
+def test_truncation_below_the_order_is_an_input_error():
+    # r = 2 (11 splits), and no precision shows a leading coefficient
+    # above the truncation
     chi5 = DirichletChar.quadratic(5)
-    with pytest.raises(UnresolvedOrderError):
-        l_jet(LSpec(chi5, ["inf", 5, 11], [], truncation=1))
+    for K in (1, 0, -1):
+        with pytest.raises(InputError):
+            l_jet(LSpec(chi5, ["inf", 5, 11], [], truncation=K))
+
+
+def test_unresolved_order(monkeypatch):
+    # a leading coefficient whose ball contains 0 is undecided, with the
+    # radius of that ball
+    chi5 = DirichletChar.quadratic(5)
+    monkeypatch.setattr(lfun, "_primitive_l_jet", lambda chi, K: Jet(
+        [Fraction(0), Ball(0, Fraction(1, 2 ** 90))], params={}))
+    with pytest.raises(UnresolvedOrderError) as info:
+        l_jet(LSpec(chi5, ["inf", 5], [], truncation=1))
+    assert isinstance(info.value, Undecided)
+    assert info.value.radius == Fraction(1, 2 ** 90)
 
 
 def test_realizations():

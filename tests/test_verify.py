@@ -351,6 +351,40 @@ def test_cli_lvalue_reports_jet_params(tmp_path):
     assert params == {"N": 38, "B": 21, "prec": 128}
 
 
+@pytest.mark.parametrize("order", ["0", "-1"])
+def test_cli_lvalue_truncation_below_the_order_is_an_input_error(order,
+                                                                 capsys):
+    # chi_5 vanishes to order 1: no precision shows its leading term at a
+    # truncation below it
+    from starklab.cli import main
+    assert main(["lvalue", "--modulus", "5", "--char-index", "1",
+                 "--S", "inf", "5", "--order", order]) == 2
+    assert "below the vanishing order" in capsys.readouterr().err
+
+
+def test_cli_lvalue_unresolved_leading_coefficient_is_undecided(
+        monkeypatch, capsys):
+    from starklab import lfun
+    from starklab.cli import main
+    from starklab.lfun import Jet
+    monkeypatch.setattr(lfun, "_primitive_l_jet", lambda chi, K: Jet(
+        [Fraction(0), Ball(0, Fraction(1, 2 ** 90))], params={}))
+    assert main(["lvalue", "--modulus", "5", "--char-index", "1",
+                 "--S", "inf", "5", "--order", "1"]) == 3
+    assert capsys.readouterr().err.startswith(
+        "undecided: cannot certify the leading coefficient")
+
+
+def test_scenario_order_below_the_rank_is_blocked():
+    cert = run_scenario(Scenario({
+        "field": {"type": "quad", "disc": 5}, "S": ["inf", 5],
+        "V": ["inf"], "T": [3], "checks": ["rs_integrality"],
+        "order": 0, "bits": 64}))
+    entry = cert["results"][0]
+    assert entry["verdict"] == "blocked"
+    assert "below the vanishing order" in entry["reason"]
+
+
 @pytest.mark.parametrize("args", [["--T", "9"], ["--T", "15"],
                                   ["--S", "inf", "5", "9"]])
 def test_cli_lvalue_rejects_places_that_are_not_primes(args, capsys):
