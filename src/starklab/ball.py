@@ -26,7 +26,9 @@ An exact linear combination of balls is rounded once too
 balls, plus an exact rational.  Each end is the exact sum, in integers,
 of the binary endpoints that the coefficients' signs send to it, and one
 integer floor division rounds it to the working precision, down for the
-lower end and up for the upper.
+lower end and up for the upper.  Exact rationals with long denominators
+that enter such a sum by the hundred are first summed on one fixed-point
+grid (`ball_grid_sum`), one floor and one ceiling per term.
 
 A computation that cannot certify what was asked raises `Undecided` rather
 than guessing; callers treat that as "raise the precision", not as failure.
@@ -165,7 +167,10 @@ def _interval_of(x):
     if isinstance(x, Ball):
         return x._v
     if isinstance(x, int):
-        f = from_int(x)
+        # the power of two comes off in one shift: `from_int` strips zero
+        # bits eight at a time, which is slow on a long product
+        k = (x & -x).bit_length() - 1
+        f = from_man_exp(x >> k, k) if k > 0 else from_int(x)
         return (f, f)
     if isinstance(x, Fraction):
         if x.denominator == 1:
@@ -465,6 +470,23 @@ def ball_combination(coeffs, balls, den, exact):
             n, d = (s * q << e) + p * den, den * q
         lo_hi.append(_round_ratio(n, d, rnd))
     return Ball._wrap(tuple(lo_hi))
+
+
+def ball_grid_sum(pairs):
+    """sum n/d over exact rationals given as unreduced integer pairs
+    (n, d), d > 0, on one fixed-point grid 2^-M with M = _PREC +
+    bit_length(len(pairs)): the lower end sums the floors of n 2^M / d,
+    the upper end the ceilings.  One integer division per term and no
+    common denominator, so the ball is at most len(pairs) 2^-M, below
+    2^-_PREC, wide; its endpoints are exact and go into
+    `ball_combination` as they are."""
+    M = _PREC + len(pairs).bit_length()
+    lo = hi = 0
+    for n, d in pairs:
+        q, r = divmod(n << M, d)
+        lo += q
+        hi += q + (r > 0)
+    return Ball._wrap((from_man_exp(lo, -M), from_man_exp(hi, -M)))
 
 
 def _round_ratio(n, d, rnd):

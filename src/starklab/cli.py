@@ -2,7 +2,10 @@
 sweep.
 
 Exit codes: 0 all checks passed; 1 some check failed; 2 datum/config error;
-3 undecided (not a failure: raise --bits).
+3 undecided (not a failure: raise --bits); 4 blocked (no precision decides
+it: the datum or the requested order is outside what the check can decide).
+`verify` gives the code of its worst verdict, and `sweep` the worst code of
+its scenarios, in the order 2, 1, 4, 3, 0.
 
 `sweep` runs every *.json file of a directory.  A file that is not a valid
 scenario (a certificate written by `--out`, say) is reported as a config
@@ -208,13 +211,7 @@ def _dispatch(args):
         if args.out:
             with open(args.out, "w") as fh:
                 json.dump(certs, fh, indent=2, default=str)
-        if any(c == 2 for c in codes):
-            return 2
-        if any(c == 1 for c in codes):
-            return 1
-        if any(c == 3 for c in codes):
-            return 3
-        return 0
+        return next((c for c in (2, 1, 4, 3) if c in codes), 0)
     raise AssertionError("unreachable")
 
 

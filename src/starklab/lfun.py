@@ -18,11 +18,16 @@ with a certified tail bound; every jet coefficient is an enclosure of the
 exact Taylor coefficient, and order-0 values are exact rationals or
 cyclotomics whenever the character data is exact.  Ball arithmetic is kept
 to what needs logarithms, and the Bernoulli corrections are exact
-rationals (Johansson, arXiv:1309.2877, for the method).  The first-order
-coefficient, which every leading term at order one is a sum of, is one
-exact combination of three logs (of the denominator of x, of the
-numerator of N + x, and of one exact integer product for the main sum)
-and an exact rational, rounded once (`ball.ball_combination`).
+rationals (Johansson, arXiv:1309.2877, for the method).  A primitive
+L-jet sums sum_a chi(a) zeta_H(s, a/f) one value class at a time: the
+units a with chi(a) = zeta_n^t (`DirichletChar.classes`) share one
+Hurwitz jet of their sum, weighted by zeta_n^t, as -B_{1,chi} shares one
+integer sum.  The first-order coefficient of a class, which every leading
+term at order one is built from, is one exact combination of the logs of
+f, of each N f + a and of one integer product for the whole main sum,
+plus the corrections on one fixed-point grid, rounded once
+(`ball.ball_combination`): a real character's leading term costs two such
+roundings, not one per residue.
 
 An L_{S,T}-jet is the primitive L-jet times Euler factors, and each split
 S-prime's factor 1 - q^{-s} is s times a jet with leading term log q (Tate,
@@ -40,8 +45,8 @@ from math import factorial, gcd, isqrt, lcm, prod
 
 from .arith import bernoulli, factorint, isprime
 from .ball import (Ball, CBall, CertificationError, PrecisionError,
-                   Undecided, ball_combination, ball_log, ball_log_int,
-                   ball_ratio, precision)
+                   Undecided, ball_combination, ball_grid_sum, ball_log,
+                   ball_log_int, ball_ratio, precision, working_precision)
 from .cyclo import CycloField
 from .finite import GroupStructure
 from .grpring import AbelianGroup, GroupRingElement, InputError
@@ -73,26 +78,56 @@ class DirichletChar:
     1 + f', 1 + 2f', ... below f.
     """
 
-    __slots__ = ("modulus", "order", "values", "_conductor")
+    __slots__ = ("modulus", "order", "values", "_conductor", "_classes")
 
     def __init__(self, modulus, order, values):
         self.modulus = modulus
         self.order = order
-        self.values = list(values)
-        if len(self.values) != modulus:
-            raise InputError("value table must have length f")
-        self._conductor = None
+        self.values = vals = list(values)
+        if modulus < 1 or len(vals) != modulus:
+            raise InputError("value table must have length f >= 1")
+        # an int exponent in range(n) at every unit and None exactly at the
+        # multiples of the primes of f, checked on the distinct values and
+        # the non-units; multiplicativity would need a generating set of
+        # the units, and is not checked
+        non_units = {m for p in factorint(modulus)
+                     for m in range(0, modulus, p)}
+        distinct = set(vals)
+        if not (distinct <= {None, *range(order)}
+                and all(type(t) is int for t in distinct - {None})
+                and vals.count(None) == len(non_units)
+                and all(vals[m] is None for m in non_units)):
+            raise InputError(
+                f"a character mod {modulus} of order {order} needs an "
+                f"exponent in range({order}) at every unit and None at "
+                f"every non-unit")
+        self._conductor = self._classes = None
 
     @staticmethod
     def quadratic(D):
         """The character a -> kronecker(D, a) mod |D| (D a discriminant)."""
-        vals = [None if k == 0 else (0 if k == 1 else 1)
-                for k in _kronecker_table(D)]
+        vals = map({0: None, 1: 0, -1: 1}.__getitem__, _kronecker_table(D))
         return DirichletChar(abs(D), 2 if D != 1 else 1, vals)
 
     def __call__(self, a):
         """Exponent of zeta_order at a (None when not coprime)."""
         return self.values[a % self.modulus]
+
+    def classes(self):
+        """The units a in 1..f grouped by exponent: the pairs (t, (a with
+        chi(a) = zeta_n^t)), each tuple ascending and the classes in the
+        order of their least elements.  a = f is a unit only for f = 1."""
+        if self._classes is None:
+            groups = [[] for _ in range(self.order)]
+            vals = self.values
+            # the exponents at a = 1..f are values[1:] then values[0]
+            for a, t in enumerate(vals[1:] + vals[:1], 1):
+                if t is not None:
+                    groups[t].append(a)
+            self._classes = tuple(sorted(
+                ((t, tuple(g)) for t, g in enumerate(groups) if g),
+                key=lambda tg: tg[1][0]))
+        return self._classes
 
     def exact_value(self, t):
         """zeta_n^t exactly (n the order): the Fraction +-1 when n <= 2,
@@ -118,7 +153,10 @@ class DirichletChar:
         raise InputError("chi(-1) must be a square root of 1")
 
     def inverse(self):
+        """The conjugate character: itself when real (order <= 2)."""
         n = self.order
+        if n <= 2:
+            return self
         vals = [None if t is None else (-t) % n for t in self.values]
         return DirichletChar(self.modulus, n, vals)
 
@@ -470,71 +508,110 @@ def _floor_precision(name):
     return prec
 
 
-def hurwitz_jet(x, K):
-    """Taylor coefficients of the Hurwitz zeta function at s = 0: the jet
-    (c_0, ..., c_K) of zeta_H(s, x) for rational x in (0, 1] and a
-    truncation K in 0..4 (else InputError).
+def hurwitz_jet(f, residues, K):
+    """Taylor coefficients at s = 0 of a sum of Hurwitz zeta functions:
+    the jet (c_0, ..., c_K) of sum_{a in residues} zeta_H(s, a/f), for a
+    modulus f >= 1, a nonempty sequence of residues a in 1..f and a
+    truncation K in 0..4 (else InputError).  A single x in (0, 1] is the
+    class (x.denominator, [x.numerator]).
 
     Euler-Maclaurin with N terms and B Bernoulli corrections chosen from
     the working precision; every coefficient is a certified enclosure and
-    c_0 = 1/2 - x is exact.  The tail at w = N + x is summed exactly on
-    unreduced integer pairs (numerator, denominator).
+    c_0 = sum (1/2 - a/f) is exact.  The tail at w = N + a/f = wn_a / f is
+    summed exactly on unreduced integer pairs (numerator, denominator).
 
-    At K = 1, with prod = prod_{n<N} (n den + num) and w = wn / den, the
-    coefficient is exactly
+    At K = 1, with prod_a = prod_{n<N} (n f + a), the coefficient is
+    exactly
 
-        c_1 = (1/2 - x) log den + (w - 1/2) log wn - log prod + (R_1 - w)
+        c_1 = [sum (f - 2a) log f + sum (2 wn_a - f) log wn_a
+               - 2f log(prod_a prod_a)] / 2f + sum (R_1(a) - wn_a / f)
 
-    up to the tail bound, R_1 the exact first Bernoulli correction: one
-    combination of three logs with integer coefficients over 2 den, summed
-    exactly and rounded once (`ball_combination`).  For K >= 2 the main sum
-    accumulates the power sums of log(n + x) and divides by k! once, and
-    each exact tail term is rounded outward once.  The logs of den and wn
-    are cached (`ball_log_int`), the log of the product is not, and the
-    tail bound is rounded once per cutoff and precision.  The precision
-    must be at least 53 bits: below that it raises `PrecisionError`, an
-    `Undecided` with radius 2^-prec.  A c_0 that misses 1/2 - x raises
-    `CertificationError`.
+    up to |residues| times the tail bound, R_1(a) the exact first Bernoulli
+    correction: one log of one integer product, the cached logs of f and
+    of each wn_a (`ball_log_int`), and one combination with integer
+    coefficients over 2f, summed exactly and rounded once
+    (`ball_combination`).  The product's log, which is about |residues|
+    times as large as one residue's, is taken with bit_length(|residues|)
+    guard bits; the R_1(a), whose denominators run to hundreds of bits, are
+    summed on one fixed-point grid (`ball_grid_sum`).  So the sum over a
+    character-value class costs one rounding, not one per residue.
+
+    For K = 0 and K >= 2 the coefficients are the sums of one jet per
+    residue, at x = a/f in lowest terms: the main sum accumulates the power
+    sums of log(n + x) and divides by k! once, and each exact tail term is
+    rounded outward once.  The tail bound is rounded once per cutoff and
+    precision.  The precision must be at least 53 bits: below that it
+    raises `PrecisionError`, an `Undecided` with radius 2^-prec.  A c_0
+    that misses its exact value raises `CertificationError`.
     """
-    x = Fraction(x)
-    if not 0 < x <= 1:
-        raise InputError("x must lie in (0, 1]")
     prec = _floor_precision("hurwitz_jet")
     if not 0 <= K <= 4:
         raise InputError(f"jet truncation K = {K} must lie in 0..4")
+    if not residues or not all(1 <= a <= f for a in residues):
+        raise InputError(f"residues must be a nonempty sequence in 1..{f}")
     N = max(16, (3 * prec) // 10)
     B = max(8, (17 * prec) // 100)
-    num, den = x.numerator, x.denominator
     params = {"N": N, "B": B, "prec": prec}
-    exact0 = Fraction(1, 2) - x
-    # the Bernoulli corrections sum_i R_i s^i w^(-s) at w = N + x = wn / den:
-    # R_i is exact, Horner in u = w^-2 = p/q on integers over the
-    # denominator q^(B-1), kept as the pair (Rn, Rd)
-    wn = N * den + num
-    p, q = den * den, wn * wn
-    R = [(0, 1)]
-    for a, d in _correction_coeffs(B, K):
-        acc, qpow = a[-1], 1
-        for c in reversed(a[:-1]):
-            qpow *= q
-            acc = acc * p + c * qpow
-        R.append((acc * den, d * qpow * wn))
-    log_den, log_wn = ball_log_int(den), ball_log_int(wn)
+    size, total = len(residues), sum(residues)
+    exact0 = Fraction(f * size - 2 * total, 2 * f)
     spreads = _tail_radius_table(N, B, K, prec)
-    if K == 1:
-        # c_0 = N + (1/2 - w), exactly, over 2 den
-        if 2 * N * den + den - 2 * wn != den - 2 * num:
-            raise CertificationError("Euler-Maclaurin c0 check failed")
-        # the product is exact and its log is used once, so it is not cached
-        prod = 1
-        for n in range(N):
-            prod *= n * den + num
-        Rn, Rd = R[1]
-        c1 = ball_combination(
-            (den - 2 * num, 2 * wn - den, -2 * den, 2 * den),
-            (log_den, log_wn, ball_log(prod), spreads[1]),
-            2 * den, (Rn * den - wn * Rd, Rd * den))
-        return Jet([exact0, c1], order=None, params=params)
+    if K != 1:
+        jets = [_residue_jet(Fraction(a, f), K, N, B, spreads)
+                for a in residues]
+        return Jet([exact0] + [sum(cs[1:], cs[0]) for cs in zip(*jets)],
+                   order=None, params=params)
+    # c_0 = sum (N + 1/2 - w_a), exactly, over 2f
+    wn = [N * f + a for a in residues]
+    total_wn = sum(wn)
+    if 2 * N * f * size + f * size - 2 * total_wn != f * size - 2 * total:
+        raise CertificationError("Euler-Maclaurin c0 check failed")
+    # the product is exact and its log is used once, so it is not cached;
+    # the residues' products are multiplied in halves, as their lengths
+    # grow, for Karatsuba's sake
+    prods = [prod(range(a, w, f)) for a, w in zip(residues, wn)]
+    while len(prods) > 1:
+        prods = [prod(prods[i:i + 2]) for i in range(0, len(prods), 2)]
+    with working_precision(prec + size.bit_length()):
+        log_prod = ball_log(prods[0])
+    (R1,) = _corrections(f, wn, B, 1)
+    c1 = ball_combination(
+        (f * size - 2 * total, -2 * f, 2 * f, 2 * f * size)
+        + tuple(2 * w - f for w in wn),
+        (ball_log_int(f), log_prod, ball_grid_sum(R1), spreads[1])
+        + tuple(ball_log_int(w) for w in wn),
+        2 * f, (-total_wn, f))
+    return Jet([exact0, c1], order=None, params=params)
+
+
+def _corrections(den, wns, B, K):
+    """The Bernoulli corrections sum_i R_i s^i w^(-s) at each w = wn / den
+    of `wns`: R_i exact, by Horner in u = w^-2 = p/q on integers over the
+    denominator q^(B-1), as the unreduced pair (Rn, Rd).  Returns, for each
+    i = 1..K, the list of pairs over `wns`."""
+    p = den * den
+    rows = []
+    for a, d in _correction_coeffs(B, K):
+        row = []
+        for wn in wns:
+            q = wn * wn
+            acc, qpow = a[-1], 1
+            for c in reversed(a[:-1]):
+                qpow *= q
+                acc = acc * p + c * qpow
+            row.append((acc * den, d * qpow * wn))
+        rows.append(row)
+    return rows
+
+
+def _residue_jet(x, K, N, B, spreads):
+    """The ball coefficients c_1..c_K of zeta_H(s, x) for one x = num/den in
+    lowest terms (`hurwitz_jet` at K != 1), after checking that the ball
+    c_0 contains 1/2 - x."""
+    num, den = x.numerator, x.denominator
+    exact0 = Fraction(1, 2) - x
+    wn = N * den + num
+    R = [(0, 1)] + [row[0] for row in _corrections(den, [wn], B, K)]
+    log_den, log_wn = ball_log_int(den), ball_log_int(wn)
     # main sum: sum_{n<N} (-log(n+x))^k / k!
     sums = [Ball(0)] * (K + 1)  # sums[k] = sum_n log(n+x)^k
     for n in range(N):
@@ -569,7 +646,7 @@ def hurwitz_jet(x, K):
     # pin the exact value at order zero
     if not out[0].contains(exact0):
         raise CertificationError("Euler-Maclaurin c0 check failed")
-    return Jet([exact0] + out[1:], order=None, params=params)
+    return out[1:]
 
 
 class LSpec:
@@ -685,13 +762,9 @@ def _minus_b1(chi):
     exactly (zeta(0) = -1/2 when f = 1): one integer sum per power of
     zeta_n, each divided once."""
     f = chi.conductor()
-    sums = [0] * chi.order
-    for a in range(1, f + 1):
-        t = chi(a)
-        if t is not None:
-            sums[t] += f - 2 * a
-    return sum(chi.exact_value(t) * Fraction(total, 2 * f)
-               for t, total in enumerate(sums))
+    return sum(chi.exact_value(t) * Fraction(f * len(res) - 2 * sum(res),
+                                             2 * f)
+               for t, res in chi.classes())
 
 
 def _add_times(acc, w, x):
@@ -707,18 +780,16 @@ def _add_times(acc, w, x):
 def _primitive_l_jet(chi, K):
     """Jet of the primitive L(chi, s) = f^{-s} sum_a chi(a) zeta_H(s, a/f)
     to truncation K.  c_0 is the exact -B_{1,chi}; Hurwitz jets are
-    evaluated only for K >= 1."""
+    evaluated only for K >= 1, one per value class, for the sum of
+    zeta_H(s, a/f) over the units a with chi(a) = zeta_n^t."""
     f = chi.conductor()
     exact0 = _minus_b1(chi)
     if not K:
         return Jet([exact0], params={"prec": precision()})
-    # a = f is a unit only for f = 1, where zeta_H(s, 1) = zeta(s)
+    # for f = 1 the class {1} gives zeta_H(s, 1) = zeta(s)
     ball_coeffs = [0] * (K + 1)
-    for a in range(1, f + 1):
-        t = chi(a)
-        if t is None:
-            continue
-        hj = hurwitz_jet(Fraction(a, f), K)
+    for t, residues in chi.classes():
+        hj = hurwitz_jet(f, residues, K)
         w = chi.ball_value(t)
         for k in range(1, K + 1):
             ball_coeffs[k] = _add_times(ball_coeffs[k], w, hj.coeffs[k])

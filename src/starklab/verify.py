@@ -844,6 +844,12 @@ CHECKS = {
 }
 
 
+# the exit code of a certificate is that of its first verdict in this list,
+# else 0: blocked has its own code, as no precision resolves it, and
+# undecided (raise the precision) comes last
+_EXIT_CODES = (("fail", 1), ("blocked", 4), ("undecided", 3))
+
+
 def run_scenario(scn):
     """Execute the requested checks; returns the certificate dict.
 
@@ -865,13 +871,9 @@ def run_scenario(scn):
                               scn.T, scn.order)
         for name in scn.checks:
             cert["results"].append(_run_check(scn, data, name))
-    verdicts = [e.get("verdict") for e in cert["results"]]
-    if any(v == "fail" for v in verdicts):
-        cert["exit_code"] = 1
-    elif any(v in ("undecided", "blocked") for v in verdicts):
-        cert["exit_code"] = 3
-    else:
-        cert["exit_code"] = 0
+    verdicts = {e.get("verdict") for e in cert["results"]}
+    cert["exit_code"] = next((code for v, code in _EXIT_CODES
+                              if v in verdicts), 0)
     return cert
 
 

@@ -56,7 +56,7 @@ def test_bernoulli_matches_sympy():
 @pytest.mark.parametrize("bits", [53, 128, 256, 512, 1024])
 def test_correction_coeffs_match_a_sympy_table(bits):
     with working_precision(bits):
-        B = hurwitz_jet(Fraction(1), 1).params["B"]
+        B = hurwitz_jet(1, [1], 1).params["B"]
     K = 4
     expected = []
     for i in range(1, K + 1):

@@ -1,17 +1,19 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 from mpmath.libmp import (finf, fnan, fninf, from_int, from_man_exp,
-                          from_rational, fzero)
+                          from_rational, fzero, to_rational)
 from mpmath.libmp.libmpi import mpi_exp, mpi_log, mpi_sqrt
 
 from starklab import ball, lfun
 from starklab.ball import (Ball, CBall, Undecided, ball_combination,
-                           ball_det, ball_log, ball_log_int, ball_pi,
-                           ball_ratio, ball_sqrt, gauss_solve,
+                           ball_det, ball_grid_sum, ball_log, ball_log_int,
+                           ball_pi, ball_ratio, ball_sqrt, gauss_solve,
                            working_precision)
 from starklab.lfun import hurwitz_jet
 
@@ -356,13 +358,61 @@ def test_combination_keeps_exact_sums_exact(bits):
             ball_combination([1], [Ball._wrap((finf, finf))], 1, (0, 1))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-10 ** 80, 10 ** 80),
+                          st.integers(1, 2 ** 700)), max_size=40),
+       st.sampled_from(ORACLE_BITS + [256]))
+def test_grid_sum_encloses_the_fraction_sum_on_one_grid(pairs, bits):
+    with working_precision(bits):
+        got = ball_grid_sum(pairs)
+        M = ball._PREC + len(pairs).bit_length()
+    exact = sum((Fraction(n, d) for n, d in pairs), Fraction(0))
+    lo, hi = got.endpoints()
+    assert lo <= exact <= hi
+    assert lo == Fraction(sum(n * 2 ** M // d for n, d in pairs), 2 ** M)
+    assert hi - lo <= Fraction(len(pairs), 2 ** M) < Fraction(1, 2 ** bits)
+
+
+def _long_integers():
+    """Integers of 10^3, 10^4 and 10^5 bits: 2^k - 1, 2^k, 2^k + 1, a
+    product of consecutive terms of an arithmetic progression, as the
+    class products of `hurwitz_jet` are, and seeded random ones."""
+    rng = random.Random(20231016)
+    out = []
+    for k in (10 ** 3, 10 ** 4, 10 ** 5):
+        out += [2 ** k - 1, 2 ** k, 2 ** k + 1,
+                rng.getrandbits(k) | 1 << (k - 1),
+                (rng.getrandbits(k) | 1 << (k - 1)) << 37]
+        terms, n = [], 1
+        while n.bit_length() < k:
+            n *= 293 * len(terms) + 150
+            terms.append(n)
+        out.append(n)
+    return out
+
+
+@pytest.mark.parametrize("bits", ORACLE_BITS + [256])
+def test_log_of_a_long_integer_encloses_mpmath(bits):
+    # the class products reach some 10^5 bits: every enclosure contains
+    # the log that mpmath computes at 2 bits + 64 bits
+    for n in _long_integers():
+        assert Ball(n)._v == (from_int(n),) * 2     # exact, however long
+        with working_precision(bits):
+            got = ball_log(n)
+        with mp.workprec(2 * bits + 64):
+            ref = Fraction(*to_rational(mp.log(n)._mpf_))
+        assert got.contains(ref), (bits, n.bit_length())
+        assert got.rad() <= Fraction(2) ** -bits * ref, (bits, n)
+
+
 def _hurwitz_endpoints():
     ball._log_int.cache_clear()
     lfun._tail_radius_table.cache_clear()
     xs = sorted({Fraction(a, f) for f in range(1, 61)
                  for a in range(1, f + 1)})
     with working_precision(128):
-        return [[c._v for c in hurwitz_jet(x, K).coeffs[1:]]
+        return [[c._v for c in hurwitz_jet(
+            x.denominator, [x.numerator], K).coeffs[1:]]
                 for K in (1, 2, 3) for x in xs]
 
 

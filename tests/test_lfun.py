@@ -54,24 +54,30 @@ def _close(ball, ref, tol=1e-25):
     return abs(float(ball.mid()) - ref) < tol + float(ball.rad())
 
 
+def jet_at(x, K):
+    """The Hurwitz jet of zeta_H(s, x) alone: the class (den, [num])."""
+    x = Fraction(x)
+    return hurwitz_jet(x.denominator, [x.numerator], K)
+
+
 def test_hurwitz_known_constants():
-    j = hurwitz_jet(Fraction(1), 1)
+    j = jet_at(Fraction(1), 1)
     assert j.coeffs[0] == Fraction(-1, 2)
     mp.prec = 220
     assert _close(j.coeffs[1], float(-mp.log(2 * mp.pi) / 2), 1e-35)
-    j2 = hurwitz_jet(Fraction(1, 2), 1)
+    j2 = jet_at(Fraction(1, 2), 1)
     assert j2.coeffs[0] == 0
     assert _close(j2.coeffs[1], -math.log(2) / 2, 1e-35)
     with working_precision(64):
-        ja = hurwitz_jet(Fraction(1, 4), 0)
-        jb = hurwitz_jet(Fraction(3, 4), 0)
+        ja = jet_at(Fraction(1, 4), 0)
+        jb = jet_at(Fraction(3, 4), 0)
     assert ja.coeffs[0] + jb.coeffs[0] == 0
 
 
 def test_hurwitz_derivative_matches_loggamma():
     mp.prec = 220
     for num, den in [(1, 3), (2, 5), (7, 10), (1, 12)]:
-        j = hurwitz_jet(Fraction(num, den), 1)
+        j = jet_at(Fraction(num, den), 1)
         ref = float(mp.loggamma(mp.mpf(num) / den) - mp.log(2 * mp.pi) / 2)
         assert _close(j.coeffs[1], ref, 1e-30), (num, den)
 
@@ -80,7 +86,7 @@ def test_hurwitz_second_order_against_numerical_diff():
     # independent check of c_2 by high-precision central differences
     mp.prec = 300
     x = Fraction(1, 3)
-    j = hurwitz_jet(x, 2)
+    j = jet_at(x, 2)
     h = mp.mpf(1) / 10 ** 12
     xm = mp.mpf(1) / 3
     second = (mp.zeta(h, xm) - 2 * mp.zeta(0, xm) + mp.zeta(-h, xm)) / h ** 2
@@ -89,12 +95,17 @@ def test_hurwitz_second_order_against_numerical_diff():
 
 def test_hurwitz_input_validation():
     with pytest.raises(InputError):
-        hurwitz_jet(Fraction(3, 2), 1)
+        jet_at(Fraction(3, 2), 1)
     for K in (-1, 5):
         with pytest.raises(InputError):
-            hurwitz_jet(Fraction(1, 3), K)
+            jet_at(Fraction(1, 3), K)
     with pytest.raises(PrecisionError), working_precision(10):
-        hurwitz_jet(Fraction(1, 2), 1)
+        jet_at(Fraction(1, 2), 1)
+    # a class is a nonempty list of residues in 1..f
+    for f, residues in [(5, []), (5, [0]), (5, [1, 6]), (0, [1])]:
+        for K in (1, 2):
+            with pytest.raises(InputError):
+                hurwitz_jet(f, residues, K)
 
 
 ORACLE_XS = [Fraction(1, 3), Fraction(2, 5), Fraction(7, 10), Fraction(1, 12),
@@ -108,7 +119,7 @@ def test_hurwitz_jet_encloses_mpmath(prec, K):
     # at more than twice the precision of the jet
     for x in ORACLE_XS:
         with working_precision(prec):
-            jet = hurwitz_jet(x, K)
+            jet = jet_at(x, K)
         with mp.workprec(2 * prec + 64):
             xm = mp.mpf(x.numerator) / x.denominator
             for k in range(K + 1):
@@ -123,7 +134,7 @@ def test_hurwitz_c1_radius_is_the_tail_bound_plus_little_rounding():
     # rounding of the evaluation: the three logs, each one step wide, and
     # one rounding of their exact combination keep that below 2^-(prec+5)
     for x in ORACLE_XS:
-        jet = hurwitz_jet(x, 1)
+        jet = jet_at(x, 1)
         N, B = jet.params["N"], jet.params["B"]
         prec = precision()
         tail = _tail_radius_table(N, B, 1, prec)[1].rad()  # rounded up
@@ -227,7 +238,7 @@ def test_hurwitz_tail_is_bit_identical_to_the_fraction_sum(bits):
     with working_precision(bits):
         for K in range(5):
             for x in ORACLE_TAIL_XS:
-                jet = hurwitz_jet(x, K)
+                jet = jet_at(x, K)
                 assert jet.coeffs[0] == Fraction(1, 2) - x
                 if K == 1:
                     _assert_c1_refines_the_two_step_evaluation(x, jet)
@@ -257,7 +268,7 @@ def test_hurwitz_c1_encloses_mpmath_and_refines_the_two_step_evaluation(
     # which mpmath evaluates some 30 times faster than the zeta
     # derivative; on ORACLE_XS it is mp.zeta's derivative itself
     with working_precision(bits):
-        jets = [(x, hurwitz_jet(x, 1)) for x in C1_ORACLE_XS]
+        jets = [(x, jet_at(x, 1)) for x in C1_ORACLE_XS]
     with mp.workprec(2 * bits + 64):
         half_log_2pi = mp.log(2 * mp.pi) / 2
         for x, jet in jets:
@@ -269,6 +280,65 @@ def test_hurwitz_c1_encloses_mpmath_and_refines_the_two_step_evaluation(
     with working_precision(bits):
         for x, jet in jets:
             _assert_c1_refines_the_two_step_evaluation(x, jet)
+
+
+@functools.lru_cache(maxsize=None)
+def _every_class(f_max):
+    """(f, residues) for each class of units with one value, of every
+    character mod f <= f_max, each class once, grouped by the oracle."""
+    out = set()
+    for f in range(1, f_max + 1):
+        R = AbelianFieldRealization(f, [])
+        for c in R.group.all_characters():
+            chi = R.dirichlet(c)
+            for _rep, residues in _oracle_classes(chi).values():
+                out.add((f, tuple(residues)))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("bits", [53, 80, 128, 160, 256])
+def test_class_jets_enclose_mpmath_and_overlap_the_singleton_sums(bits):
+    # every class of every character mod f <= 60: c_1 contains
+    # sum_a (log Gamma(a/f) - log(2 pi) / 2) at 2 bits + 64 bits and
+    # overlaps the sum of the classes' singleton jets
+    classes = _every_class(60)
+    with working_precision(bits):
+        jets = [hurwitz_jet(f, list(res), 1) for f, res in classes]
+        single = {x: jet_at(x, 1).coeffs[1] for f, res in classes
+                  for x in (Fraction(a, f) for a in res)}
+    with mp.workprec(2 * bits + 64):
+        half_log_2pi = mp.log(2 * mp.pi) / 2
+        lgamma = {x: mp.loggamma(mp.mpf(x.numerator) / x.denominator)
+                  for x in single}
+        for (f, res), jet in zip(classes, jets):
+            assert jet.coeffs[0] == sum(Fraction(1, 2) - Fraction(a, f)
+                                        for a in res)
+            v = mp.fsum(lgamma[Fraction(a, f)] for a in res) \
+                - len(res) * half_log_2pi
+            assert jet.coeffs[1].contains(
+                Fraction(*to_rational(v._mpf_))), (bits, f, res)
+    with working_precision(bits):
+        for (f, res), jet in zip(classes, jets):
+            total = Ball(0)
+            for a in res:
+                total = total + single[Fraction(a, f)]
+            lo, hi = jet.coeffs[1].endpoints()
+            total_lo, total_hi = total.endpoints()
+            assert lo <= total_hi and total_lo <= hi, (bits, f, res)
+
+
+def test_class_jets_above_first_order_are_the_singleton_sums():
+    # K = 0 and K >= 2 add the residues' own jets, in the class's order
+    for f, res in [(7, [1, 2, 4]), (12, [1, 5, 7, 11]), (10, [5])]:
+        for K in (0, 2, 3):
+            jet = hurwitz_jet(f, res, K)
+            singles = [jet_at(Fraction(a, f), K) for a in res]
+            assert jet.coeffs[0] == sum(j.coeffs[0] for j in singles)
+            for k in range(1, K + 1):
+                total = singles[0].coeffs[k]
+                for j in singles[1:]:
+                    total = total + j.coeffs[k]
+                assert jet.coeffs[k]._v == total._v, (f, res, K, k)
 
 
 def test_characters():
@@ -330,6 +400,33 @@ def test_parity_of_a_table_that_is_not_a_character_is_an_input_error():
     # chi(-1) = zeta_4: the table is no character, so it has no parity
     with pytest.raises(InputError):
         DirichletChar(5, 4, [None, 0, 1, 3, 1]).parity()
+
+
+@pytest.mark.parametrize("modulus,order,values", [
+    (5, 4, [None, 0, 4, 3, 1]),         # exponent beyond the order
+    (5, 4, [None, 0, -1, 3, 1]),        # negative exponent
+    (5, 4, [None, 0, 1.0, 3, 1]),       # not an integer
+    (5, 4, [None, 0, 1, None, 1]),      # a unit without a value
+    (5, 4, [0, 0, 1, 3, 1]),            # a value at 0, which is no unit
+    (6, 2, [None, 0, 1, None, None, 1]),  # a value at 2, which is no unit
+    (1, 1, [None]),                     # 0 is the unit mod 1
+    (5, 4, [None, 0, 1, 3]),            # short table
+])
+def test_malformed_value_tables_are_input_errors(modulus, order, values):
+    with pytest.raises(InputError):
+        DirichletChar(modulus, order, values)
+
+
+def test_value_classes_group_the_units_by_exponent():
+    chi = DirichletChar(5, 4, [None, 0, 1, 3, 2])
+    assert chi.classes() == ((0, (1,)), (1, (2,)), (3, (3,)), (2, (4,)))
+    assert DirichletChar.quadratic(5).classes() == ((0, (1, 4)),
+                                                     (1, (2, 3)))
+    assert DirichletChar(1, 1, [0]).classes() == ((0, (1,)),)
+    # a table that is well formed but not multiplicative is accepted:
+    # that check would need a generating set of the units
+    assert DirichletChar(5, 4, [None, 0, 1, 1, 0]).classes() == (
+        (0, (1, 4)), (1, (2, 3)))
 
 
 def test_theoretical_orders():
@@ -655,20 +752,20 @@ def test_first_order_scenario_needs_only_first_order_hurwitz_jets(
     calls = []
     real_hurwitz = lfun.hurwitz_jet
 
-    def counted(x, K):
-        calls.append((Fraction(x), K))
-        return real_hurwitz(x, K)
+    def counted(f, residues, K):
+        calls.append((f, tuple(residues), K))
+        return real_hurwitz(f, residues, K)
 
     monkeypatch.setattr(lfun, "hurwitz_jet", counted)
     cert = run_scenario(Scenario({
         "field": {"type": "quad", "disc": 5}, "S": ["inf", 5],
         "V": ["inf"], "T": [3], "checks": ["rs_integrality"]}))
     assert cert["results"][0]["verdict"] == "pass"
-    # chi_5 is even of conductor 5: one K = 1 jet per a = 1..4; the
-    # trivial character's component is zeta(0) log 5 (1 - 3), exactly
-    # -1/2 times one log, and needs none
-    assert all(K <= 1 for _x, K in calls)
-    assert {x for x, _K in calls} == {Fraction(a, 5) for a in range(1, 5)}
+    # chi_5 is even of conductor 5: one K = 1 jet per value class, {1, 4}
+    # where chi_5 = 1 and {2, 3} where it is -1; the trivial character's
+    # component is zeta(0) log 5 (1 - 3), exactly -1/2 times one log, and
+    # needs none
+    assert calls == [(5, (1, 4), 1), (5, (2, 3), 1)]
     calls.clear()
     R = AbelianFieldRealization.rationals()
     th = stickelberger_element(R, ["inf", 2, 3], ["inf", 2], [5])
@@ -717,6 +814,21 @@ def _value_cball(chi, a):
     if t is None:
         return CBall(0, 0)
     return CBall.root_of_unity(t, chi.order)
+
+
+def _oracle_classes(chi):
+    """The units a of 1..f - 1 (a = 1 for f = 1) grouped by the oracle's
+    value of chi(a): {value: (least a, [a, ...])}, in the order of the
+    least elements."""
+    f = chi.modulus
+    classes = {}
+    for a in range(1, max(f, 2)):
+        if chi(a) is None:
+            continue
+        v = _value_rational(chi, a) if chi.order <= 2 \
+            else _value_cyclo(chi, a)
+        classes.setdefault(v, (a, []))[1].append(a)
+    return classes
 
 
 class _CosetRealization:
@@ -791,27 +903,28 @@ def _oracle_primitive_l_jet(chi, K, real):
     if f == 1:
         if K == 0:
             return Jet([Fraction(-1, 2)], params={"prec": precision()})
-        return lfun.hurwitz_jet(Fraction(1), K)
+        return lfun.hurwitz_jet(1, [1], K)
     exact0 = 0 if real else CycloField(chi.order).zero()
     ball_coeffs = [Ball(0) if real else CBall(0, 0) for _ in range(K + 1)]
     params = {"prec": precision()}
     for a in range(1, f):
         if chi(a) is None:
             continue
-        hj = lfun.hurwitz_jet(Fraction(a, f), K) if K else None
-        if hj is not None:
-            params = hj.params
         if real:
-            plus = _value_rational(chi, a) == 1
-            exact0 += f - 2 * a if plus else 2 * a - f
-            for k in range(1, K + 1):
-                ball_coeffs[k] = (ball_coeffs[k] + hj.coeffs[k] if plus
-                                  else ball_coeffs[k] - hj.coeffs[k])
+            exact0 += (f - 2 * a) * _value_rational(chi, a)
         else:
             exact0 = exact0 + _value_cyclo(chi, a) * (f - 2 * a)
-            vb = _value_cball(chi, a)
-            for k in range(1, K + 1):
-                ball_coeffs[k] = ball_coeffs[k] + vb * hj.coeffs[k]
+    for value, (rep, residues) in _oracle_classes(chi).items() if K else ():
+        hj = lfun.hurwitz_jet(f, residues, K)
+        params = hj.params
+        for k in range(1, K + 1):
+            if real:
+                ball_coeffs[k] = (ball_coeffs[k] + hj.coeffs[k]
+                                  if value == 1
+                                  else ball_coeffs[k] - hj.coeffs[k])
+            else:
+                ball_coeffs[k] = ball_coeffs[k] \
+                    + _value_cball(chi, rep) * hj.coeffs[k]
     exact0 = Fraction(exact0, 2 * f) if real \
         else exact0 * Fraction(1, 2 * f)
     out = [exact0]
@@ -890,8 +1003,8 @@ def test_jets_and_bernoulli_values_match_the_oracle_bit_for_bit(
     # The Hurwitz jets and the roots of unity, exact and enclosed, are
     # shared between the two sides, which sum them
     hurwitz = functools.lru_cache(maxsize=None)(lfun.hurwitz_jet)
-    monkeypatch.setattr(lfun, "hurwitz_jet", lambda x, K: hurwitz(
-        Fraction(x), K))
+    monkeypatch.setattr(lfun, "hurwitz_jet", lambda f, residues, K: hurwitz(
+        f, tuple(residues), K))
     monkeypatch.setattr(CBall, "root_of_unity", staticmethod(
         functools.lru_cache(maxsize=None)(CBall.root_of_unity)))
     monkeypatch.setattr(CycloField, "zeta_power", functools.lru_cache(

@@ -280,7 +280,7 @@ def test_precision_floor_is_undecided_with_a_reason(capsys):
     from starklab.lfun import hurwitz_jet
     with pytest.raises(Undecided) as info:
         with working_precision(13):
-            hurwitz_jet(Fraction(1, 2), 1)
+            hurwitz_jet(2, [1], 1)
     assert isinstance(info.value, PrecisionError)
     assert info.value.radius == Fraction(1, 2 ** 13)
     cert = run_scenario(Scenario({
@@ -383,6 +383,20 @@ def test_scenario_order_below_the_rank_is_blocked():
     entry = cert["results"][0]
     assert entry["verdict"] == "blocked"
     assert "below the vanishing order" in entry["reason"]
+    # no precision unblocks it, so it does not share undecided's code
+    assert cert["exit_code"] == 4
+
+
+def test_sweep_ranks_blocked_above_undecided(tmp_path):
+    from starklab.cli import main
+    base = {"field": {"type": "quad", "disc": 5}, "S": ["inf", 5],
+            "V": ["inf"], "T": [3], "checks": ["rs_integrality"]}
+    (tmp_path / "undecided.json").write_text(json.dumps(dict(base, bits=13)))
+    assert main(["sweep", str(tmp_path)]) == 3
+    (tmp_path / "blocked.json").write_text(json.dumps(
+        dict(base, order=0, bits=64)))
+    assert main(["verify", str(tmp_path / "blocked.json")]) == 4
+    assert main(["sweep", str(tmp_path)]) == 4
 
 
 @pytest.mark.parametrize("args", [["--T", "9"], ["--T", "15"],
