@@ -26,9 +26,13 @@ An exact linear combination of balls is rounded once too
 balls, plus an exact rational.  Each end is the exact sum, in integers,
 of the binary endpoints that the coefficients' signs send to it, and one
 integer floor division rounds it to the working precision, down for the
-lower end and up for the upper.  Exact rationals with long denominators
-that enter such a sum by the hundred are first summed on one fixed-point
-grid (`ball_grid_sum`), one floor and one ceiling per term.
+lower end and up for the upper.
+
+The log of a long product of positive integers (`ball_log_prod`) is taken
+without forming the product: a floor and a ceiling of it are kept trimmed
+to a little more than the working precision, and one log is rounded,
+that of the floor; the upper end adds the ceiling's relative excess over
+it.
 
 A computation that cannot certify what was asked raises `Undecided` rather
 than guessing; callers treat that as "raise the precision", not as failure.
@@ -48,7 +52,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from mpmath.libmp import (from_int, from_man_exp, from_rational, fone,
-                          fzero, mpf_log, mpf_mul, mpf_neg, mpf_sqrt)
+                          fzero, mpf_add, mpf_log, mpf_mul, mpf_neg,
+                          mpf_sqrt)
 from mpmath.libmp.libmpi import (mpi_abs, mpi_add, mpi_cos, mpi_div,
                                  mpi_log, mpi_mul, mpi_neg, mpi_pi,
                                  mpi_pow_int, mpi_sin, mpi_sqrt, mpi_sub)
@@ -379,6 +384,36 @@ def ball_log(x):
     return Ball._wrap(mpi_log(b._v, _PREC))
 
 
+def ball_log_prod(factors):
+    """log of the product of a sequence of positive integers, without the
+    exact product: a floor and a ceiling of it, lo 2^e <= prod <= hi 2^e,
+    are multiplied factor by factor, and whenever hi grows past 4T bits,
+    T = _PREC + bit_length(len(factors)) + 16, both are trimmed to T bits
+    (lo rounded down, hi up).  A trim moves its end by less than 2^(2-T)
+    of it, and there is at most one per factor, so hi / lo stays below
+    1 + 2^-(_PREC+12).  One log is rounded (`_log_point`): the lower end is
+    the floor of log(lo 2^e), and the upper end its ceiling plus
+    (hi - lo) / lo >= log(hi / lo), rounded up.  A product of at most 4T
+    bits is never trimmed: lo = hi, and the ball is its log's point."""
+    T = _PREC + len(factors).bit_length() + 16
+    lo = hi = 1
+    e = 0
+    for x in factors:
+        lo *= x
+        hi *= x
+        shift = hi.bit_length() - T
+        if shift > 3 * T:
+            lo >>= shift
+            hi = -(-hi >> shift)
+            e += shift
+    low, high = _log_point(from_man_exp(lo, e), _PREC)._v
+    if lo != hi:
+        # (hi - lo) / lo <= (hi - lo) 2^(1 - bit_length(lo))
+        high = mpf_add(high, from_man_exp(hi - lo, 1 - lo.bit_length()),
+                       _PREC, "c")
+    return Ball._wrap((low, high))
+
+
 def _log_point(x, prec):
     """log of the positive mpf x, rounded once: log 1 = 0 is the only
     exact value."""
@@ -472,23 +507,6 @@ def ball_combination(coeffs, balls, den, exact):
     return Ball._wrap(tuple(lo_hi))
 
 
-def ball_grid_sum(pairs):
-    """sum n/d over exact rationals given as unreduced integer pairs
-    (n, d), d > 0, on one fixed-point grid 2^-M with M = _PREC +
-    bit_length(len(pairs)): the lower end sums the floors of n 2^M / d,
-    the upper end the ceilings.  One integer division per term and no
-    common denominator, so the ball is at most len(pairs) 2^-M, below
-    2^-_PREC, wide; its endpoints are exact and go into
-    `ball_combination` as they are."""
-    M = _PREC + len(pairs).bit_length()
-    lo = hi = 0
-    for n, d in pairs:
-        q, r = divmod(n << M, d)
-        lo += q
-        hi += q + (r > 0)
-    return Ball._wrap((from_man_exp(lo, -M), from_man_exp(hi, -M)))
-
-
 def _round_ratio(n, d, rnd):
     """n/d for integers n and d > 0, rounded to the working precision in
     the direction rnd ("f" or "c"): one floor division to a mantissa of
@@ -512,10 +530,27 @@ def ball_log_int(n):
     return _log_int(n, _PREC)
 
 
-@lru_cache(maxsize=1 << 16)
+@lru_cache(maxsize=1 << 12)
 def _log_int(n, prec):
     """The `lru_cache` key is (n, prec): a log is computed once per
-    precision, and the least recently used logs go first."""
+    precision, and the least recently used logs go first.
+
+    A first-order class jet takes the logs of N f and N alone, so after
+    one pass over a benchmark pool (every op once, fresh process) the
+    cache holds 188 logs for `acnf` (451 calls), 77 for `rubin_stark`
+    (206) and none for `exact_algebra`, and a benchmark run's stream adds
+    no new ones.  Only jets of order 2 and up take a log per main-sum term:
+    one `lvalue --order 2` at conductor f makes about (N + 1) f distinct
+    logs, 15601 at f = 401 and 38859 at f = 997 (N = 38 at 128 bits), each
+    used once per character, and they are reused only by the next
+    character of that conductor (`stickelberger --field 5,13 --S inf 5 13
+    --V inf --T 7 --order 2` holds 1979 logs and hits 590 times), or by a
+    later jet whose terms n f' + a run over the same integers.  An entry
+    takes about 570 bytes, so 4096 entries, 2.3 MiB, hold every working
+    set above but the long order-2 streams.  65536 entries held those up to
+    f = 1680: `lvalue --order 2` at f = 997 and then at f = 401, in one
+    process, hit 16984 times in a 46.8 MiB process, and hits 1704 times in
+    a 26.1 MiB one at 4096."""
     return _log_point(from_int(n), prec)
 
 

@@ -23,11 +23,16 @@ L-jet sums sum_a chi(a) zeta_H(s, a/f) one value class at a time: the
 units a with chi(a) = zeta_n^t (`DirichletChar.classes`) share one
 Hurwitz jet of their sum, weighted by zeta_n^t, as -B_{1,chi} shares one
 integer sum.  The first-order coefficient of a class, which every leading
-term at order one is built from, is one exact combination of the logs of
-f, of each N f + a and of one integer product for the whole main sum,
-plus the corrections on one fixed-point grid, rounded once
-(`ball.ball_combination`): a real character's leading term costs two such
-roundings, not one per residue.
+term at order one is built from, takes three logs whatever the class's
+size: of N f, of N, and of the main sum's product, from a floor and a
+ceiling of it trimmed to the working precision (`ball.ball_log_prod`).
+The rest of the tail is one power series in u = a/(N f) <= 1/N, whose
+coefficients depend only on the cutoffs and are cached as integers over
+one denominator (`_tail_series`): summed over the class it is one exact
+rational in the power sums sum_a a^k.  One exact combination of the three
+logs and that rational is rounded once (`ball.ball_combination`), so a
+real character's leading term costs two such roundings and six logs, not
+a log per residue.
 
 An L_{S,T}-jet is the primitive L-jet times Euler factors, and each split
 S-prime's factor 1 - q^{-s} is s times a jet with leading term log q (Tate,
@@ -38,15 +43,17 @@ jet at all.  The truncation cap K <= 4 applies to that primitive
 truncation, not to the order of vanishing.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import factorial, gcd, isqrt, lcm, prod
+from itertools import accumulate, combinations, repeat
+from math import comb, factorial, gcd, isqrt, lcm, prod
+from operator import mul
 
 from .arith import bernoulli, factorint, isprime
 from .ball import (Ball, CBall, CertificationError, PrecisionError,
-                   Undecided, ball_combination, ball_grid_sum, ball_log,
-                   ball_log_int, ball_ratio, precision, working_precision)
+                   Undecided, ball_combination, ball_log_int, ball_log_prod,
+                   ball_ratio, precision, working_precision)
 from .cyclo import CycloField
 from .finite import GroupStructure
 from .grpring import AbelianGroup, GroupRingElement, InputError
@@ -496,6 +503,62 @@ def _tail_radius_table(N, B, K, prec):
     return tuple(rads)
 
 
+@lru_cache(maxsize=None)
+def _tail_series(N, B, prec):
+    """The tail of a first-order jet at w = N (1 + u) as a power series in
+    u: g(u) = (N (1 + u) - 1/2) log(1 + u) + sum_{j <= B} beta_j
+    (N (1 + u))^(1 - 2j), beta_j = B_2j / (2j (2j - 1)), is sum_k gamma_k
+    u^k.  Returns (G, D, exps, rads): gamma_k = G[k] / D for k = 0..M, in
+    integers, and for each k a bound 2^-exps[k] on the terms of one residue
+    past k at 0 < u <= 1/N, with rads[k] the ball [-2^-exps[k],
+    2^-exps[k]].
+
+    Past M the bound is Cauchy's on |u| = 3/4.  There |log(1 + u)| <=
+    log 4 < 7/5, |N (1 + u) - 1/2| <= 7N/4 + 1/2 and |1 + u| >= 1/4, so
+    |g| <= G' = (7N/4 + 1/2) 7/5 + sum_j |beta_j| (4/N)^(2j - 1),
+    |gamma_k| <= G' (4/3)^k, and the terms past M sum to at most
+    G' rho^(M+1) / (1 - rho) for rho = 4/(3N); M is the first k that puts
+    this below 2^-(prec + 64).  Up to M the bound adds the exact
+    |gamma_i| N^-i.  A class of fewer than 2^40 residues thus reaches the
+    2^-(prec + 24) that `hurwitz_jet` asks of it.  The `lru_cache` key is
+    (N, B, prec), one table per precision, like `_tail_radius_table`'s."""
+    (a, d), = _correction_coeffs(B, 1)  # beta_j = a[j - 1] / d
+    rho = Fraction(4, 3 * N)
+    rest = (Fraction(7 * N + 2, 4) * Fraction(7, 5) + sum(
+        Fraction(abs(c), d) * Fraction(4, N) ** (2 * j - 1)
+        for j, c in enumerate(a, 1))) * rho / (1 - rho)
+    M = 0
+    while rest > Fraction(2) ** -(prec + 64):
+        rest *= rho
+        M += 1
+    Nb = d * N ** (2 * B - 1)
+    D = lcm(2 * lcm(*range(1, M + 1)), Nb)
+    # (-1)^k gamma_k D is the sum over j of a[j - 1] (D / Nb) N^(2B - 2j)
+    # binomial(2j - 2 + k, k), from (1 + u)^(1 - 2j), by Horner in N^2;
+    # less (N - 1/2) D / k from k >= 1 and plus N D / (k - 1) from k >= 2,
+    # from (N - 1/2 + N u) log(1 + u)
+    G = []
+    for k in range(M + 1):
+        acc = 0
+        for j, c in enumerate(a, 1):
+            acc = acc * N * N + c * comb(2 * j - 2 + k, k)
+        g = acc * (D // Nb)
+        if k:
+            g -= (2 * N - 1) * (D // (2 * k))
+        if k > 1:
+            g += N * (D // (k - 1))
+        G.append(-g if k % 2 else g)
+    exps = []
+    for k in range(M, -1, -1):
+        # the largest e with rest <= 2^-e
+        e = rest.denominator.bit_length() - rest.numerator.bit_length()
+        exps.append(e if Fraction(2) ** -e >= rest else e - 1)
+        rest += Fraction(abs(G[k]), D * N ** k)
+    exps.reverse()
+    rads = tuple(Ball(0, Fraction(2) ** -e) for e in exps)
+    return tuple(G), D, tuple(exps), rads
+
+
 def _floor_precision(name):
     """The working precision, which the L engine needs to be at least 53
     bits: below that raises `PrecisionError`, an `Undecided` with radius
@@ -517,37 +580,47 @@ def hurwitz_jet(f, residues, K):
 
     Euler-Maclaurin with N terms and B Bernoulli corrections chosen from
     the working precision; every coefficient is a certified enclosure and
-    c_0 = sum (1/2 - a/f) is exact.  The tail at w = N + a/f = wn_a / f is
-    summed exactly on unreduced integer pairs (numerator, denominator).
+    c_0 = sum (1/2 - a/f) is exact.
 
-    At K = 1, with prod_a = prod_{n<N} (n f + a), the coefficient is
-    exactly
+    At K = 1, with C the residues, w_a = N + a/f = wn_a / f, u_a = a/(N f)
+    <= 1/N, prod the product of all n f + a for n < N and a in C, and
 
-        c_1 = [sum (f - 2a) log f + sum (2 wn_a - f) log wn_a
-               - 2f log(prod_a prod_a)] / 2f + sum (R_1(a) - wn_a / f)
+        g(u) = (N (1 + u) - 1/2) log(1 + u)
+               + sum_{j <= B} B_2j / (2j (2j - 1)) (N (1 + u))^(1 - 2j)
 
-    up to |residues| times the tail bound, R_1(a) the exact first Bernoulli
-    correction: one log of one integer product, the cached logs of f and
-    of each wn_a (`ball_log_int`), and one combination with integer
-    coefficients over 2f, summed exactly and rounded once
-    (`ball_combination`).  The product's log, which is about |residues|
-    times as large as one residue's, is taken with bit_length(|residues|)
-    guard bits; the R_1(a), whose denominators run to hundreds of bits, are
-    summed on one fixed-point grid (`ball_grid_sum`).  So the sum over a
-    character-value class costs one rounding, not one per residue.
+    (so that (w_a - 1/2) log w_a plus the Bernoulli corrections at w_a is
+    (w_a - 1/2) log N + g(u_a)), the coefficient is exactly
+
+        c_1 = N |C| log f - log prod + (sum (2 wn_a - f) / 2f) log N
+              + sum_a g(u_a) - sum_a wn_a / f
+
+    up to |C| times the tail bound.  It is evaluated with the log f and
+    log N terms regrouped as N |C| log(N f) + (sum (2a - f) / 2f) log N,
+    so the large coefficient N |C| falls on one log, and with
+    sum_a g(u_a) = sum_k gamma_k P_k / (N f)^k, P_k = sum_a a^k, for the
+    cached integer table of g's Taylor coefficients (`_tail_series`), cut
+    at the first M whose truncation bound, times |C|, is below
+    2^-(prec + 24) and enters the radius.  The logs of N f and N
+    (`ball_log_int`) and of prod (`ball_log_prod`, from a trimmed product)
+    are taken with bit_length(N |C|) guard bits, as their coefficients are
+    up to N |C| times as large as c_1; the rest is one exact rational.  So
+    c_1 is one combination with integer coefficients over 2f, summed
+    exactly and rounded once (`ball_combination`), and a class of any size
+    makes two `ball_log_int` calls.
 
     For K = 0 and K >= 2 the coefficients are the sums of one jet per
     residue, at x = a/f in lowest terms: the main sum accumulates the power
-    sums of log(n + x) and divides by k! once, and each exact tail term is
-    rounded outward once.  The tail bound is rounded once per cutoff and
-    precision.  The precision must be at least 53 bits: below that it
-    raises `PrecisionError`, an `Undecided` with radius 2^-prec.  A c_0
-    that misses its exact value raises `CertificationError`.
+    sums of log(n + x) and divides by k! once, and each exact tail term at
+    w = N + x, an unreduced integer pair, is rounded outward once.  The
+    tail bound is rounded once per cutoff and precision.  The precision
+    must be at least 53 bits: below that it raises `PrecisionError`, an
+    `Undecided` with radius 2^-prec.  A c_0 that misses its exact value
+    raises `CertificationError`.
     """
     prec = _floor_precision("hurwitz_jet")
     if not 0 <= K <= 4:
         raise InputError(f"jet truncation K = {K} must lie in 0..4")
-    if not residues or not all(1 <= a <= f for a in residues):
+    if not residues or min(residues) < 1 or max(residues) > f:
         raise InputError(f"residues must be a nonempty sequence in 1..{f}")
     N = max(16, (3 * prec) // 10)
     B = max(8, (17 * prec) // 100)
@@ -565,21 +638,24 @@ def hurwitz_jet(f, residues, K):
     total_wn = sum(wn)
     if 2 * N * f * size + f * size - 2 * total_wn != f * size - 2 * total:
         raise CertificationError("Euler-Maclaurin c0 check failed")
-    # the product is exact and its log is used once, so it is not cached;
-    # the residues' products are multiplied in halves, as their lengths
-    # grow, for Karatsuba's sake
-    prods = [prod(range(a, w, f)) for a, w in zip(residues, wn)]
-    while len(prods) > 1:
-        prods = [prod(prods[i:i + 2]) for i in range(0, len(prods), 2)]
-    with working_precision(prec + size.bit_length()):
-        log_prod = ball_log(prods[0])
-    (R1,) = _corrections(f, wn, B, 1)
+    with working_precision(prec + (N * size).bit_length()):
+        logs = (ball_log_int(N * f), ball_log_int(N), ball_log_prod(
+            [prod(range(a, w, f)) for a, w in zip(residues, wn)]))
+    # sum_a g(u_a) = sum_k gamma_k P_k / (N f)^k, P_k = sum_a a^k, is
+    # sum_k G[k] P_k (N f)^(M - k) over Q = D (N f)^M, by Horner in N f;
+    # the powers a^k come from `accumulate`, the power sums from one zip
+    G, D, exps, rads = _tail_series(N, B, prec)
+    M = min(bisect_left(exps, prec + 24 + size.bit_length()), len(exps) - 1)
+    P = map(sum, zip(*(accumulate(repeat(a, M), mul, initial=1)
+                       for a in residues)))
+    Nf, tail = N * f, 0
+    for g, p in zip(G, P):
+        tail = tail * Nf + g * p
+    Q = D * Nf ** M
     c1 = ball_combination(
-        (f * size - 2 * total, -2 * f, 2 * f, 2 * f * size)
-        + tuple(2 * w - f for w in wn),
-        (ball_log_int(f), log_prod, ball_grid_sum(R1), spreads[1])
-        + tuple(ball_log_int(w) for w in wn),
-        2 * f, (-total_wn, f))
+        (2 * f * N * size, 2 * total - f * size, -2 * f, 2 * f * size,
+         2 * f * size),
+        logs + (spreads[1], rads[M]), 2 * f, (tail - total_wn * (Q // f), Q))
     return Jet([exact0, c1], order=None, params=params)
 
 
@@ -587,7 +663,9 @@ def _corrections(den, wns, B, K):
     """The Bernoulli corrections sum_i R_i s^i w^(-s) at each w = wn / den
     of `wns`: R_i exact, by Horner in u = w^-2 = p/q on integers over the
     denominator q^(B-1), as the unreduced pair (Rn, Rd).  Returns, for each
-    i = 1..K, the list of pairs over `wns`."""
+    i = 1..K, the list of pairs over `wns`.  They serve the jets of
+    K >= 2 (`_residue_jet`) only: at K = 1 the corrections are part of the
+    power series of `_tail_series`."""
     p = den * den
     rows = []
     for a, d in _correction_coeffs(B, K):

@@ -12,7 +12,7 @@ from mpmath.libmp.libmpi import mpi_exp, mpi_log, mpi_sqrt
 
 from starklab import ball, lfun
 from starklab.ball import (Ball, CBall, Undecided, ball_combination,
-                           ball_det, ball_grid_sum, ball_log, ball_log_int,
+                           ball_det, ball_log, ball_log_int, ball_log_prod,
                            ball_pi, ball_ratio, ball_sqrt, gauss_solve,
                            working_precision)
 from starklab.lfun import hurwitz_jet
@@ -358,21 +358,6 @@ def test_combination_keeps_exact_sums_exact(bits):
             ball_combination([1], [Ball._wrap((finf, finf))], 1, (0, 1))
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.integers(-10 ** 80, 10 ** 80),
-                          st.integers(1, 2 ** 700)), max_size=40),
-       st.sampled_from(ORACLE_BITS + [256]))
-def test_grid_sum_encloses_the_fraction_sum_on_one_grid(pairs, bits):
-    with working_precision(bits):
-        got = ball_grid_sum(pairs)
-        M = ball._PREC + len(pairs).bit_length()
-    exact = sum((Fraction(n, d) for n, d in pairs), Fraction(0))
-    lo, hi = got.endpoints()
-    assert lo <= exact <= hi
-    assert lo == Fraction(sum(n * 2 ** M // d for n, d in pairs), 2 ** M)
-    assert hi - lo <= Fraction(len(pairs), 2 ** M) < Fraction(1, 2 ** bits)
-
-
 def _long_integers():
     """Integers of 10^3, 10^4 and 10^5 bits: 2^k - 1, 2^k, 2^k + 1, a
     product of consecutive terms of an arithmetic progression, as the
@@ -403,6 +388,53 @@ def test_log_of_a_long_integer_encloses_mpmath(bits):
             ref = Fraction(*to_rational(mp.log(n)._mpf_))
         assert got.contains(ref), (bits, n.bit_length())
         assert got.rad() <= Fraction(2) ** -bits * ref, (bits, n)
+
+
+def _factor_lists():
+    """Sequences of positive integers: the empty product, one factor, the
+    factor 1 alone, a product below the trim length, the class product of
+    f = 1 (n = 1..N), the class products of a real character mod 997 and
+    seeded random factors, these two some 10^5 bits in all."""
+    rng = random.Random(20231018)
+    big = [math.prod(range(a, 38 * 997 + a, 997)) for a in range(1, 499)]
+    return [[], [2 ** 200 + 1], [1], [3, 5, 7, 2 ** 40 + 15],
+            [math.prod(range(1, 77))], big,
+            [rng.getrandbits(rng.randint(1, 400)) | 1 for _ in range(500)]]
+
+
+@pytest.mark.parametrize("bits", ORACLE_BITS + [256])
+def test_log_of_a_product_encloses_mpmath(bits):
+    # the enclosure contains the log of the exact product, computed by
+    # mpmath at 2 bits + 64 bits; a product below the trim length is one
+    # log of the exact point, and a trimmed one is at most a few steps wider
+    for factors in _factor_lists():
+        n = math.prod(factors)
+        with working_precision(bits):
+            got = ball_log_prod(factors)
+            T = ball._PREC + len(factors).bit_length() + 16
+            exact = ball_log(n)
+        with mp.workprec(2 * bits + 64):
+            ref = Fraction(*to_rational(mp.log(n)._mpf_))
+        assert got.contains(ref), (bits, len(factors))
+        if n.bit_length() <= 4 * T:
+            assert got._v == exact._v, (bits, len(factors))
+        else:
+            assert got.rad() <= 4 * exact.rad(), (bits, len(factors))
+    with working_precision(bits):
+        assert ball_log_prod([1]).is_zero() and ball_log_prod([]).is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 2 ** 600), min_size=1, max_size=60),
+       st.sampled_from(ORACLE_BITS))
+def test_log_of_a_product_contains_the_log_of_the_exact_product(factors,
+                                                                  bits):
+    n = math.prod(factors)
+    with working_precision(bits):
+        got = ball_log_prod(factors)
+    with mp.workprec(2 * bits + 64):
+        ref = Fraction(*to_rational(mp.log(n)._mpf_))
+    assert got.contains(ref)
 
 
 def _hurwitz_endpoints():

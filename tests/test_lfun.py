@@ -6,12 +6,13 @@ from fractions import Fraction
 import pytest
 import sympy
 from mpmath import mp
-from mpmath.libmp import to_rational
+from mpmath.libmp import from_man_exp, to_rational
 
+from starklab import ball
 from starklab.arith import bernoulli
 from starklab.ball import (Ball, CBall, PrecisionError, Undecided,
-                           ball_log, ball_log_int, gauss_solve, precision,
-                           working_precision)
+                           ball_combination, ball_log, ball_log_int,
+                           gauss_solve, precision, working_precision)
 from starklab.cyclo import CycloField
 from starklab.finite import GroupStructure
 from starklab import lfun
@@ -19,8 +20,9 @@ from starklab.grpring import AbelianGroup, GroupRingElement, InputError
 from starklab.hnf import diagonalize_relations
 from starklab.lfun import (AbelianFieldRealization, DirichletChar, Jet,
                            LSpec, UnresolvedOrderError, WrongOrderError,
-                           _correction_coeffs, _kronecker_table,
+                           _correction_coeffs, _corrections, _kronecker_table,
                            _rising_factorial_coeffs, _tail_radius_table,
+                           _tail_series,
                            bernoulli_value, hurwitz_jet,
                            l_jet, leading_term_element,
                            stickelberger_element, theoretical_order,
@@ -325,6 +327,129 @@ def test_class_jets_enclose_mpmath_and_overlap_the_singleton_sums(bits):
             lo, hi = jet.coeffs[1].endpoints()
             total_lo, total_hi = total.endpoints()
             assert lo <= total_hi and total_lo <= hi, (bits, f, res)
+
+
+def _cutoffs(bits):
+    """hurwitz_jet's N and B at the precision `bits`."""
+    return max(16, (3 * bits) // 10), max(8, (17 * bits) // 100)
+
+
+def _per_residue_class_c1(f, residues):
+    """c_1 of a class jet by the kernel that came before the power sums:
+    one cached log of each N f + a with coefficient 2(N f + a) - f, log f
+    with f |C| - 2 sum a, the log of the exact main-sum product, and the
+    exact R_1(a) of `_corrections` summed on one fixed-point grid 2^-G
+    (floors for the lower end, ceilings for the upper), in one
+    `ball_combination` over 2f with the exact -sum w_a."""
+    prec = precision()
+    N, B = _cutoffs(prec)
+    size, total = len(residues), sum(residues)
+    wn = [N * f + a for a in residues]
+    with working_precision(prec + size.bit_length()):
+        log_prod = ball_log(math.prod(math.prod(range(a, w, f))
+                                      for a, w in zip(residues, wn)))
+    (R1,) = _corrections(f, wn, B, 1)
+    G = ball._PREC + size.bit_length()
+    lo = hi = 0
+    for n, d in R1:
+        q, r = divmod(n << G, d)
+        lo += q
+        hi += q + (r > 0)
+    grid = Ball._wrap((from_man_exp(lo, -G), from_man_exp(hi, -G)))
+    return ball_combination(
+        (f * size - 2 * total, -2 * f, 2 * f, 2 * f * size)
+        + tuple(2 * w - f for w in wn),
+        (ball_log_int(f), log_prod, grid,
+         _tail_radius_table(N, B, 1, prec)[1])
+        + tuple(ball_log_int(w) for w in wn),
+        2 * f, (-sum(wn), f))
+
+
+@pytest.mark.parametrize("bits", [53, 80, 128, 160, 256])
+def test_class_c1_overlaps_the_per_residue_kernel(bits):
+    # every class of every character mod f <= 60, and both classes of
+    # chi_D for D = 401 and 997: the power-sum kernel's c_1 overlaps the
+    # per-residue kernel's, and its radius is at most 1.25 times as large
+    classes = _every_class(60) + [
+        (D, res) for D in (401, 997)
+        for _t, res in DirichletChar.quadratic(D).classes()]
+    with working_precision(bits):
+        for f, res in classes:
+            new = hurwitz_jet(f, res, 1).coeffs[1]
+            old = _per_residue_class_c1(f, res)
+            lo, hi = new.endpoints()
+            old_lo, old_hi = old.endpoints()
+            assert lo <= old_hi and old_lo <= hi, (bits, f, res)
+            assert 4 * (hi - lo) <= 5 * (old_hi - old_lo), (bits, f, res)
+
+
+def _fraction_gammas(N, B, M):
+    """gamma_0..gamma_M of g(u) = (N (1 + u) - 1/2) log(1 + u)
+    + sum_j beta_j (N (1 + u))^(1 - 2j) in Fractions, with sympy's
+    Bernoulli numbers: log(1 + u) = sum_k (-1)^(k+1) u^k / k and
+    (1 + u)^(1 - 2j) = sum_k binomial(1 - 2j, k) u^k."""
+    beta = [Fraction(int(b.p), int(b.q)) / (2 * j * (2 * j - 1))
+            for j in range(1, B + 1) for b in [sympy.bernoulli(2 * j)]]
+    out = []
+    for k in range(M + 1):
+        g = sum(b * Fraction(N) ** (1 - 2 * j)
+                * int(sympy.binomial(1 - 2 * j, k))
+                for j, b in enumerate(beta, 1))
+        if k:
+            g += (N - Fraction(1, 2)) * Fraction((-1) ** (k + 1), k)
+        if k > 1:
+            g += N * Fraction((-1) ** k, k - 1)
+        out.append(g)
+    return out, beta
+
+
+@pytest.mark.parametrize("bits", [53, 80, 128, 160, 256])
+def test_tail_series_is_the_fraction_table_and_its_bound_holds(bits):
+    # the integer table over one denominator is the Fraction table, and at
+    # u = 1/N, the end of the range, and at u = 1/(7N), each partial sum is
+    # within its bound 2^-exps[k] of g(u), evaluated by mpmath at
+    # 2 bits + 64 bits
+    N, B = _cutoffs(bits)
+    G, D, exps, rads = _tail_series(N, B, bits)
+    gammas, beta = _fraction_gammas(N, B, len(G) - 1)
+    assert [Fraction(g, D) for g in G] == gammas
+    assert exps[-1] >= bits + 64 and list(exps) == sorted(exps)
+    assert [r.endpoints()[1] for r in rads] == \
+        [Fraction(2) ** -e for e in exps]
+    for u in (Fraction(1, N), Fraction(1, 7 * N)):
+        with mp.workprec(2 * bits + 64):
+            um = mp.mpf(u.numerator) / u.denominator
+            w = N * (1 + um)
+            v = (w - mp.mpf(1) / 2) * mp.log(1 + um) + mp.fsum(
+                mp.mpf(b.numerator) / b.denominator * w ** (1 - 2 * j)
+                for j, b in enumerate(beta, 1))
+            ref = Fraction(*to_rational(v._mpf_))
+        partial = Fraction(0)
+        for k, g in enumerate(gammas):
+            partial += g * u ** k
+            assert abs(partial - ref) <= Fraction(2) ** -exps[k], (bits, k)
+
+
+def test_class_jet_log_calls_do_not_grow_with_the_class(monkeypatch):
+    # ball_log_int is called for N f and N alone, whatever the class size
+    calls = []
+    real = lfun.ball_log_int
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(lfun, "ball_log_int", counted)
+    counts = {}
+    for size in (2, 200):
+        res = list(range(1, 2 * size, 2))
+        hurwitz_jet(401, res, 1)    # the cutoff tables are built once
+        calls.clear()
+        hurwitz_jet(401, res, 1)
+        counts[size] = len(calls)
+    N = _cutoffs(precision())[0]
+    assert counts == {2: 2, 200: 2}
+    assert sorted(set(calls)) == [N, N * 401]
 
 
 def test_class_jets_above_first_order_are_the_singleton_sums():
