@@ -268,10 +268,6 @@ class Ball:
         lo, hi = self._v
         return _raw_to_fraction(lo), _raw_to_fraction(hi)
 
-    def mid(self):
-        lo, hi = self.endpoints()
-        return (lo + hi) / 2
-
     def rad(self):
         lo, hi = self.endpoints()
         return (hi - lo) / 2
@@ -602,12 +598,6 @@ class CBall:
     def __neg__(self):
         return CBall(-self.re, -self.im)
 
-    def conj(self):
-        return CBall(self.re, -self.im)
-
-    def contains_zero(self):
-        return self.re.contains_zero() and self.im.contains_zero()
-
     def is_nonzero(self):
         return self.re.is_nonzero() or self.im.is_nonzero()
 
@@ -617,9 +607,6 @@ class CBall:
             raise Undecided("imaginary part does not contain zero",
                             self.im.rad())
         return self.re
-
-    def rad(self):
-        return max(self.re.rad(), self.im.rad())
 
     def __repr__(self):
         return f"CBall({self.re!r}, {self.im!r})"
@@ -663,7 +650,12 @@ def gauss_solve(A, b):
 
 
 def ball_det(A):
-    """Determinant of a square ball matrix by certified elimination."""
+    """Determinant of a square ball matrix by certified elimination.
+
+    A column with no certified nonzero entry left gives exactly Ball(0)
+    when every such entry is exactly 0, and raises Undecided with the
+    column's largest radius otherwise: each term of the determinant then
+    has a factor that contains 0, so no expansion certifies its sign."""
     n = len(A)
     if n == 0:
         return Ball(1)
@@ -672,9 +664,10 @@ def ball_det(A):
     for col in range(n):
         piv = _certified_pivot(M, col)
         if piv is None:
-            if all(M[i][col].contains_zero() for i in range(col, n)):
-                return _det_expand(M, col, det)
-            raise Undecided("no certified nonzero pivot in determinant", None)
+            rad = max(M[i][col].rad() for i in range(col, n))
+            if rad == 0:
+                return Ball(0)
+            raise Undecided("no certified nonzero pivot in determinant", rad)
         if piv != col:
             M[col], M[piv] = M[piv], M[col]
             det = -det
@@ -684,25 +677,3 @@ def ball_det(A):
             f = M[i][col] / pe
             M[i] = [a - f * c for a, c in zip(M[i], M[col])]
     return det
-
-
-def _det_expand(M, col, acc):
-    """Cofactor expansion fallback for ball determinants (small sizes)."""
-    sub = [row[col:] for row in M[col:]]
-
-    def expand(rows):
-        k = len(rows)
-        if k == 0:
-            return Ball(1)
-        if k == 1:
-            return rows[0][0]
-        total = Ball(0)
-        for i in range(k):
-            if rows[i][0].is_zero():
-                continue
-            minor = [r[1:] for j, r in enumerate(rows) if j != i]
-            term = rows[i][0] * expand(minor)
-            total = total + term if i % 2 == 0 else total - term
-        return total
-
-    return acc * expand(sub)

@@ -1,15 +1,19 @@
 """Command-line front end: identity, lvalue, stickelberger, field, verify,
 sweep.
 
-Exit codes: 0 all checks passed; 1 some check failed; 2 datum/config error;
-3 undecided (not a failure: raise --bits); 4 blocked (no precision decides
-it: the datum or the requested order is outside what the check can decide).
-`verify` gives the code of its worst verdict, and `sweep` the worst code of
-its scenarios, in the order 2, 1, 4, 3, 0.
+Exit codes: 0 all checks passed; 1 some check failed; 2 datum/config error
+(malformed places and fields included); 3 undecided (not a failure: raise
+--bits); 4 blocked (no precision decides it: the datum or the requested
+order is outside what the check can decide); 5 a scenario of `sweep`
+raised an exception that no check turns into a verdict (a fault of the
+program).  `verify` gives the code of its worst verdict, and `sweep` the
+worst code of its scenarios, in the order 5, 2, 1, 4, 3, 0.
 
 `sweep` runs every *.json file of a directory.  A file that is not a valid
 scenario (a certificate written by `--out`, say) is reported as a config
-error for that file, with exit code 2, and the other files still run.
+error for that file, with exit code 2, and a scenario that raises is
+reported with the exception's type and message, with exit code 5; the
+other files still run.
 
 `--bits` means the same for every command.  Given, it is the working
 precision of the whole run: for `verify` and `sweep` it overrides the
@@ -21,15 +25,15 @@ commands run at 128 bits.
 import argparse
 import json
 import sys
-from fractions import Fraction
+import traceback
 
 from .ball import (DEFAULT_PREC, CertificationError, Undecided,
                    working_precision)
-from .grpring import InputError
+from .grpring import InputError, coeff_json
 from .hnf import diagonalize_relations
 from .lfun import (AbelianFieldRealization, LSpec, l_jet,
                    stickelberger_element)
-from .numfld import (DatumError, QuadField, class_number,
+from .numfld import (DatumError, QuadField, _normalize_places, class_number,
                      class_group_structure, fundamental_unit,
                      is_fundamental_discriminant)
 from .sublat import CapacityError, norm_sum_identity, enumerate_omega_star
@@ -141,7 +145,7 @@ def _dispatch(args):
                   file=sys.stderr)
             return 2
         chi = real.dirichlet(chars[args.char_index])
-        S = _places(args.S)
+        S = _normalize_places(args.S)
         spec = LSpec(chi, S, args.T, truncation=args.order)
         jet = l_jet(spec)
         report = {
@@ -149,7 +153,7 @@ def _dispatch(args):
             "char_index": args.char_index,
             "S": S, "T": args.T,
             "order": jet.order,
-            "coeffs": [_coeff_json(c) for c in jet.coeffs],
+            "coeffs": [coeff_json(c) for c in jet.coeffs],
             "params": jet.params,
         }
         _emit(report, args.out)
@@ -157,8 +161,7 @@ def _dispatch(args):
 
     if args.command == "stickelberger":
         real = _field_realization(args.field)
-        theta = stickelberger_element(real, _places(args.S),
-                                      _places(args.V), args.T,
+        theta = stickelberger_element(real, args.S, args.V, args.T,
                                       truncation=args.order)
         _emit(theta.to_json(), args.out)
         return 0
@@ -211,7 +214,7 @@ def _dispatch(args):
         if args.out:
             with open(args.out, "w") as fh:
                 json.dump(certs, fh, indent=2, default=str)
-        return next((c for c in (2, 1, 4, 3) if c in codes), 0)
+        return next((c for c in (5, 2, 1, 4, 3) if c in codes), 0)
     raise AssertionError("unreachable")
 
 
@@ -226,41 +229,32 @@ def _run_many(paths, jobs, bits):
 def _run_one_path(path, bits):
     """The certificate of one scenario file, run at `bits` when given, else
     at the file's own; or, when the file does not load as a scenario, a
-    record of the error with exit code 2."""
+    record of the error with exit code 2; or, when the run raises, a record
+    of the exception with exit code 5, so that the sweep goes on."""
     try:
         scn = load_scenario(path)
     except (ConfigError, InputError, DatumError) as exc:
         return {"path": path, "load_error": str(exc), "exit_code": 2}
     if bits is not None:
         scn.bits = bits
-    return run_scenario(scn)
-
-
-def _places(values):
-    out = []
-    for v in values:
-        out.append("inf" if v in ("inf", "oo") else int(v))
-    return out
+    try:
+        return run_scenario(scn)
+    except Exception as exc:  # a fault of the program, reported per file
+        return {"path": path, "error": f"{type(exc).__name__}: {exc}",
+                "traceback": traceback.format_exc(), "exit_code": 5}
 
 
 def _field_realization(text):
     if text.strip().upper() == "Q":
         return AbelianFieldRealization.rationals()
-    if "," in text:
+    try:
         discs = [int(x) for x in text.split(",")]
+    except ValueError:
+        raise InputError(f'a field is "Q", a fundamental discriminant or '
+                         f'"d1,d2", got {text!r}') from None
+    if len(discs) > 1:
         return AbelianFieldRealization.multiquadratic(discs)
-    return AbelianFieldRealization.quadratic(int(text))
-
-
-def _coeff_json(c):
-    from .ball import Ball, CBall
-    if isinstance(c, Fraction):
-        return f"{c.numerator}/{c.denominator}"
-    if isinstance(c, Ball):
-        return c.to_json()
-    if isinstance(c, CBall):
-        return {"re": c.re.to_json(), "im": c.im.to_json()}
-    return str(c)
+    return AbelianFieldRealization.quadratic(discs[0])
 
 
 def _emit(obj, out):

@@ -83,9 +83,6 @@ class CycloField:
     def zero(self):
         return self.element([])
 
-    def one(self):
-        return self.element([1]) if self.degree else CycloElt(self, [])
-
     def from_rational(self, q):
         v = [Fraction(0)] * self.degree
         if self.degree:
@@ -167,7 +164,7 @@ class CycloElt:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("only nonnegative integer powers")
-        out = self.field.one()
+        out = self.field.from_rational(1)
         base = self
         while k:
             if k & 1:
@@ -195,23 +192,6 @@ class CycloElt:
         if not self.is_rational():
             raise ValueError(f"not rational: {self}")
         return self.vec[0] if self.vec else Fraction(0)
-
-    def galois_map(self, j):
-        """Apply zeta -> zeta^j (j coprime to e)."""
-        f = self.field
-        from math import gcd
-        if gcd(j, f.e) != 1:
-            from .grpring import InputError
-            raise InputError(f"zeta -> zeta^{j} is no automorphism of "
-                             f"Q(zeta_{f.e})")
-        out = f.zero()
-        for k, c in enumerate(self.vec):
-            if c:
-                out = out + f.zeta_power(j * k) * c
-        return out
-
-    def conjugate(self):
-        return self.galois_map(-1 % self.field.e if self.field.e > 1 else 1)
 
     def to_cball(self):
         """Certified complex enclosure via root-of-unity balls."""

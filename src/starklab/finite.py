@@ -154,11 +154,6 @@ class GF:
             n >>= 1
         return out
 
-    def inv(self, a):
-        if a == self.zero():
-            raise ZeroDivisionError
-        return self.pow(a, self.q - 2)
-
     def all_elements(self):
         return [tuple(v) for v in itertools.product(range(self.p),
                                                     repeat=self.k)]

@@ -2,9 +2,11 @@
 
 G is given by invariant factors (d_1 | ... | d_m); elements are exponent
 tuples enumerated in a fixed mixed-radix (lexicographic) order that every
-other module reuses.  Coefficient rings: "int", "rat", "cyc:e" (exact
-cyclotomic), "ball" and "cball" (certified enclosures at the working
-precision in force, see `ball.working_precision`).  All values
+other module reuses.  Coefficient rings: "int", "rat" and "ball" (real
+certified enclosures at the working precision in force, see
+`ball.working_precision`); a mixed operation runs in the larger of the
+two.  Complex and cyclotomic values stay per character, outside Z[G]
+(`lfun` assembles them into rational or real coefficients).  All values
 are immutable after construction and all operations are pure.
 """
 
@@ -12,9 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
 
-from .arith import factorint
 from .ball import Ball, CBall
-from .cyclo import CycloField
+from .cyclo import CycloElt
 
 # dense representations stay comfortable well beyond the exhaustive-test
 # sizes (<= 64); the hyperplane identity sweeps need (Z/3)^6 at most
@@ -74,10 +75,6 @@ class AbelianGroup:
         idx = self.index
         return [[idx[self.op(els[i], els[j])] for j in range(n)]
                 for i in range(n)]
-
-    @lru_cache(maxsize=None)
-    def inversion_permutation(self):
-        return [self.index[self.inv(e)] for e in self.elements]
 
     def __repr__(self):
         return f"AbelianGroup{self.invariant_factors}"
@@ -149,82 +146,51 @@ class Subgroup:
 
 # -- coefficient ring plumbing -------------------------------------------
 
+# the coefficient rings, Z < Q < R: a mixed operation runs in the larger
+_RING_ORDER = {"int": 0, "rat": 1, "ball": 2}
+
+
 class Ring:
     """Coefficient ring descriptor with coercion helpers."""
 
     def __init__(self, tag):
-        self.tag = tag
-        if tag in ("int", "rat", "ball", "cball"):
-            self.param = None
-        elif tag.startswith("cyc:"):
-            # CycloField rejects e < 1
-            self.param = CycloField(int(tag.split(":")[1])).e
-        else:
+        if tag not in _RING_ORDER:
             raise InputError(f"unknown ring tag {tag!r}")
-        self.kind = tag.split(":")[0]
+        self.tag = tag
 
     def zero(self):
-        if self.kind == "int":
+        if self.tag == "int":
             return 0
-        if self.kind == "rat":
+        if self.tag == "rat":
             return Fraction(0)
-        if self.kind == "cyc":
-            return CycloField(self.param).zero()
-        if self.kind == "ball":
-            return Ball(0)
-        return CBall(0, 0)
+        return Ball(0)
 
     def one(self):
-        if self.kind == "int":
+        if self.tag == "int":
             return 1
-        if self.kind == "rat":
+        if self.tag == "rat":
             return Fraction(1)
-        if self.kind == "cyc":
-            return CycloField(self.param).one()
-        if self.kind == "ball":
-            return Ball(1)
-        return CBall(1, 0)
+        return Ball(1)
 
     def coerce(self, x):
-        if self.kind == "int":
+        if self.tag == "int":
             if isinstance(x, int):
                 return x
             if isinstance(x, Fraction) and x.denominator == 1:
                 return int(x)
             raise InputError(f"cannot coerce {x!r} into Z")
-        if self.kind == "rat":
+        if self.tag == "rat":
             if isinstance(x, (int, Fraction)):
                 return Fraction(x)
             raise InputError(f"cannot coerce {x!r} into Q")
-        if self.kind == "cyc":
-            f = CycloField(self.param)
-            from .cyclo import CycloElt
-            if isinstance(x, CycloElt):
-                if x.field.e == self.param:
-                    return x
-                if x.is_rational():
-                    return f.from_rational(x.rational_value())
-                raise InputError("mixed cyclotomic fields")
-            if isinstance(x, (int, Fraction)):
-                return f.from_rational(x)
-            raise InputError(f"cannot coerce {x!r} into Q(zeta)")
-        if self.kind == "ball":
-            if isinstance(x, Ball):
-                return x
-            if isinstance(x, (int, Fraction)):
-                return Ball(x)
-            raise InputError(f"cannot coerce {x!r} into a real ball")
-        if self.kind == "cball":
-            if isinstance(x, CBall):
-                return x
-            if isinstance(x, Ball):
-                return CBall(x, 0)
-            if isinstance(x, (int, Fraction)):
-                return CBall(x, 0)
-            raise InputError(f"cannot coerce {x!r} into a complex ball")
+        if isinstance(x, Ball):
+            return x
+        if isinstance(x, (int, Fraction)):
+            return Ball(x)
+        raise InputError(f"cannot coerce {x!r} into a real ball")
 
     def is_exact(self):
-        return self.kind in ("int", "rat", "cyc")
+        return self.tag != "ball"
 
     def __eq__(self, other):
         return isinstance(other, Ring) and self.tag == other.tag
@@ -238,16 +204,7 @@ class Ring:
 
 def join_ring(r1, r2):
     """Smallest common coefficient ring for a mixed binary operation."""
-    order = {"int": 0, "rat": 1, "cyc": 2, "ball": 3, "cball": 4}
-    a, b = (r1, r2) if order[r1.kind] >= order[r2.kind] else (r2, r1)
-    if a.kind == b.kind:
-        if a.param != b.param:
-            raise InputError("mixed cyclotomic exponents")
-        return a
-    if a.kind in ("ball", "cball") and b.kind == "cyc":
-        raise InputError("cyclotomic values must be converted to complex "
-                         "balls explicitly")
-    return a
+    return r1 if _RING_ORDER[r1.tag] >= _RING_ORDER[r2.tag] else r2
 
 
 class GroupRingElement:
@@ -287,12 +244,6 @@ class GroupRingElement:
         ring = ring if isinstance(ring, Ring) else Ring(ring)
         if ring == self.ring:
             return self
-        if self.ring.kind == "cyc" and ring.kind == "cball":
-            return GroupRingElement(self.group, ring,
-                                    [c.to_cball() for c in self.coeffs])
-        if self.ring.kind == "cyc" and ring.kind in ("rat", "int"):
-            return GroupRingElement(self.group, ring,
-                                    [c.rational_value() for c in self.coeffs])
         return GroupRingElement(self.group, ring, self.coeffs)
 
     def _pair(self, other):
@@ -301,7 +252,7 @@ class GroupRingElement:
                 raise InputError("mixed groups")
             ring = join_ring(self.ring, other.ring)
             return self.convert(ring), other.convert(ring)
-        if isinstance(other, (int, Fraction, Ball, CBall)):
+        if isinstance(other, (int, Fraction, Ball)):
             scalar_ring = _scalar_ring(other)
             ring = join_ring(self.ring, scalar_ring)
             me = self.convert(ring)
@@ -368,21 +319,6 @@ class GroupRingElement:
             k >>= 1
         return out
 
-    def involution(self):
-        """The # map: coefficient of sigma moves to sigma^{-1}."""
-        perm = self.group.inversion_permutation()
-        out = [None] * self.group.order
-        for i, c in enumerate(self.coeffs):
-            out[perm[i]] = c
-        return GroupRingElement(self.group, self.ring, out)
-
-    def aug(self):
-        """Augmentation: sum of coefficients."""
-        total = self.ring.zero()
-        for c in self.coeffs:
-            total = total + c
-        return total
-
     def coefficient(self, element):
         return self.coeffs[self.group.index[tuple(element)]]
 
@@ -417,12 +353,7 @@ class GroupRingElement:
             elif isinstance(c, Fraction) and c.denominator == 1:
                 out.append(int(c))
             else:
-                from .cyclo import CycloElt
-                if isinstance(c, CycloElt) and c.is_rational() \
-                        and c.rational_value().denominator == 1:
-                    out.append(int(c.rational_value()))
-                else:
-                    raise InputError(f"non-integral coefficient {c!r}")
+                raise InputError(f"non-integral coefficient {c!r}")
         return out
 
     def certified_int_vector(self):
@@ -433,30 +364,12 @@ class GroupRingElement:
         """
         if self.ring.is_exact():
             return self.int_vector()
-        out = []
-        for c in self.coeffs:
-            if isinstance(c, CBall):
-                c = c.real_part_certified()
-            out.append(c.unique_integer())
-        return out
+        return [c.unique_integer() for c in self.coeffs]
 
     def to_json(self):
-        def enc(c):
-            if isinstance(c, int):
-                return c
-            if isinstance(c, Fraction):
-                return f"{c.numerator}/{c.denominator}"
-            if isinstance(c, Ball):
-                return c.to_json()
-            if isinstance(c, CBall):
-                return {"re": c.re.to_json(), "im": c.im.to_json()}
-            from .cyclo import CycloElt
-            if isinstance(c, CycloElt):
-                return [f"{q.numerator}/{q.denominator}" for q in c.vec]
-            raise TypeError(type(c))
         return {"group": list(self.group.invariant_factors),
                 "ring": self.ring.tag,
-                "coeffs": [enc(c) for c in self.coeffs]}
+                "coeffs": [coeff_json(c) for c in self.coeffs]}
 
     def __repr__(self):
         terms = []
@@ -474,29 +387,32 @@ def _scalar_ring(x):
         return Ring("rat")
     if isinstance(x, Ball):
         return Ring("ball")
-    if isinstance(x, CBall):
-        return Ring("cball")
-    from .cyclo import CycloElt
-    if isinstance(x, CycloElt):
-        return Ring(f"cyc:{x.field.e}")
     raise InputError(f"unsupported scalar {x!r}")
 
 
 def _is_zero(c):
     """Is the coefficient exactly zero?  A ball counts only when its
     enclosure is exactly {0}, decided on its raw endpoints."""
-    if isinstance(c, int):
-        return c == 0
-    if isinstance(c, Fraction):
-        return c == 0
-    from .cyclo import CycloElt
-    if isinstance(c, CycloElt):
-        return c.is_zero()
     if isinstance(c, Ball):
         return c.is_zero()
+    return c == 0
+
+
+def coeff_json(c):
+    """A coefficient as JSON: an int as itself, a rational as "n/d", a ball
+    as its {mid, rad}, a complex ball as {re, im} of those, and an exact
+    cyclotomic as the list of its rational coordinates."""
+    if isinstance(c, int):
+        return c
+    if isinstance(c, Fraction):
+        return f"{c.numerator}/{c.denominator}"
+    if isinstance(c, Ball):
+        return c.to_json()
     if isinstance(c, CBall):
-        return c.re.is_zero() and c.im.is_zero()
-    return False
+        return {"re": c.re.to_json(), "im": c.im.to_json()}
+    if isinstance(c, CycloElt):
+        return [f"{q.numerator}/{q.denominator}" for q in c.vec]
+    raise TypeError(type(c))
 
 
 class Character:
@@ -521,15 +437,6 @@ class Character:
             total += t * a * (e // d)
         return total % e
 
-    def real_value(self, element):
-        """Value as a rational, for characters of order <= 2."""
-        k = self.value_exponent(element)
-        if k == 0:
-            return 1
-        if 2 * k == self.group.exponent:
-            return -1
-        raise InputError("character is not quadratic")
-
     def order(self):
         e = self.group.exponent
         k = gcd(e, *(self.value_exponent(el) for el in self.group.elements))
@@ -540,9 +447,6 @@ class Character:
             raise InputError("mixed groups")
         return Character(self.group, self.group.op(self.exponents,
                                                    other.exponents))
-
-    def inverse(self):
-        return Character(self.group, self.group.inv(self.exponents))
 
     def __eq__(self, other):
         return (isinstance(other, Character) and other.group is self.group
@@ -565,56 +469,3 @@ def norm_element(group, subgroup):
         raise InputError("subgroup belongs to a different group")
     coeffs = [1 if subgroup.mask >> i & 1 else 0 for i in range(group.order)]
     return GroupRingElement(group, "int", coeffs)
-
-
-def idempotent(chi):
-    """e_chi = |G|^{-1} sum_sigma chi(sigma)^{-1} sigma, exactly."""
-    g = chi.group
-    e = g.exponent
-    if e <= 2:
-        ring = Ring("rat")
-        coeffs = [Fraction(chi.real_value(g.inv(el)), g.order)
-                  for el in g.elements]
-        return GroupRingElement(g, ring, coeffs)
-    field = CycloField(e)
-    inv_order = Fraction(1, g.order)
-    coeffs = [field.zeta_power(-chi.value_exponent(el)) * inv_order
-              for el in g.elements]
-    return GroupRingElement(g, f"cyc:{e}", coeffs)
-
-
-def involution(x):
-    return x.involution()
-
-
-def affine_projection(q, psi_values, group=None):
-    """Project central character data of the affine group of F_q onto C[G]
-    for the order-q translation subgroup G.
-
-    `psi_values` maps the q-1 linear characters ("lin", j), j = 0..q-2, and
-    the degree q-1 character "nl" to scalars (rationals or balls).  For q = 2
-    the two keys are ("lin", 0) and "nl", matching the two linear characters.
-    The output is a*e_1 + b*(1 - e_1) with a the value at the trivial linear
-    character and b the value at "nl".
-    """
-    fac = factorint(q) if q > 1 else {}
-    if len(fac) != 1:
-        raise InputError(f"{q} is not a prime power")
-    p, k = next(iter(fac.items()))
-    expected = {("lin", j) for j in range(q - 1)} | {"nl"}
-    if q == 2:
-        expected = {("lin", 0), "nl"}
-    if set(psi_values.keys()) != expected:
-        raise InputError(f"psi_values keys {sorted(map(str, psi_values))} "
-                         f"do not match the character index set")
-    if group is None:
-        group = AbelianGroup((p,) * k)
-    if group.order != q:
-        raise InputError("group order must be q")
-    a = psi_values[("lin", 0)]
-    b = psi_values["nl"]
-    # a*e_1 + b*(1 - e_1) where e_1 = N_G / |G|
-    n_g = norm_element(group, Subgroup(group, group.elements))
-    one = GroupRingElement.one(group, "rat")
-    e1 = n_g.scale(Fraction(1, group.order))
-    return e1.scale(a) + (one - e1).scale(b)

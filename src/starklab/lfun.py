@@ -1055,28 +1055,3 @@ def _assemble_ball(group, components):
             coeffs.append(total.real_part_certified()
                           * Fraction(1, group.order))
     return GroupRingElement(group, "ball", coeffs)
-
-
-def leading_term_element(realization, S, T):
-    """sum_chi L*_{S,T}(chi^{-1}, 0) e_chi with per-character leading terms.
-
-    Returns (element, orders) where orders maps character labels to their
-    orders of vanishing; every leading coefficient is certified nonzero.
-    """
-    S = _normalize_places(S)
-    T = sorted(int(q) for q in T)
-    group = realization.group
-    components = {}
-    orders = {}
-    for chi in group.all_characters():
-        chid = realization.dirichlet(chi).inverse()
-        r_chi = theoretical_order(chid, S)
-        jet = l_jet(LSpec(chid, S, T, truncation=r_chi))
-        comp = jet.coeffs[r_chi]
-        if isinstance(comp, Fraction) and comp == 0:
-            raise CertificationError(
-                f"leading term at the theoretical order {r_chi} is zero")
-        orders[chi.exponents] = r_chi
-        components[chi.exponents] = comp
-    element = _assemble_ball(group, components)
-    return element, orders

@@ -1,12 +1,13 @@
-"""Exterior-power machinery for G-lattices: the determinant pairing, image
-lattices and bidual membership of wedge elements, scaled inclusions of
-norm-compatible subfield elements, and interior-product contractions.
+"""Exterior-power machinery for G-lattices: wedge elements, the determinant
+pairing of a wedge element against homomorphisms to Z[G], the integer
+vectors of those pairings, and the residual of the subgroup-norm
+decomposition of wedge elements.
 
 Wedge elements live in coordinates of a designated cover: a list of module
 generators u_1, ..., u_t whose Z[G]-span contains everything handled; a
 degree-r element is a sparse map from r-subsets (sorted index tuples) to
-group-ring coefficients.  The wedge basis and contraction slots use the
-fixed lexicographic convention throughout.
+group-ring coefficients.  The wedge basis uses the fixed lexicographic
+convention throughout.
 """
 
 import itertools
@@ -14,9 +15,9 @@ from fractions import Fraction
 from math import ceil, floor, lcm
 
 from . import hnf
-from .ball import CBall, CertificationError
+from .ball import CertificationError
 from .grpring import GroupRingElement, InputError
-from .zideal import GIdealLattice, _det_group_ring
+from .zideal import _det_group_ring
 
 
 class NonIntegralError(ValueError):
@@ -76,9 +77,6 @@ class GLattice:
             for _ in range(a):
                 out = self._apply(self.action[j], out)
         return out
-
-    def rank(self):
-        return self.lattice.rank
 
     def basis(self):
         return self.lattice.basis()
@@ -192,41 +190,6 @@ class WedgeElement:
                 raise InputError(f"bad wedge index {key}")
             self.coeffs[key] = val
 
-    @staticmethod
-    def from_vectors(group, cover, lattice, vectors, ring="rat"):
-        """The wedge v_1 ^ ... ^ v_r of lattice vectors, expressed in
-        Z[G]-coordinates on the cover (solved over all cover translates)."""
-        r = len(vectors)
-        translates = []
-        keys = []
-        for j, u in enumerate(cover):
-            for el in group.elements:
-                translates.append([Fraction(x)
-                                   for x in lattice.act_element(el, u)])
-                keys.append((j, el))
-        if r == 0:
-            return WedgeElement(group, 0, cover,
-                                {(): GroupRingElement.one(group, ring)})
-        rows_z = []
-        for v in vectors:
-            sol = hnf.rational_solve(translates, [Fraction(x) for x in v])
-            if sol is None:
-                raise InputError("vector outside the cover span")
-            zrow = [GroupRingElement.zero(group, ring)
-                    for _ in range(len(cover))]
-            for (j, el), c in zip(keys, sol):
-                if c:
-                    bump = GroupRingElement.from_element(group, el, ring)
-                    zrow[j] = zrow[j] + bump.scale(c)
-            rows_z.append(zrow)
-        coeffs = {}
-        for J in itertools.combinations(range(len(cover)), r):
-            det = _det_group_ring([[rows_z[i][j] for j in J]
-                                   for i in range(r)])
-            if not det.is_zero():
-                coeffs[J] = det
-        return WedgeElement(group, r, cover, coeffs)
-
     def scale(self, c):
         return WedgeElement(self.group, self.degree, self.cover,
                             {k: v.scale(c) if not isinstance(c, GroupRingElement)
@@ -275,15 +238,6 @@ def det_pairing(a, fs):
     return total
 
 
-def image_lattice(eps, M, homs=None):
-    """The G-stable lattice generated by all determinant pairings of eps
-    against wedges of a generating set of Hom(M, Z[G]), each read as an
-    integer vector by `pairing_vector`."""
-    return GIdealLattice.from_vectors(
-        eps.group, [pairing_vector(val, f_idx)
-                    for f_idx, val in all_dual_pairings(eps, M, homs)])
-
-
 def pairing_vector(val, label):
     """The integer vector of the pairing `val`, named `label` in errors.
 
@@ -303,12 +257,7 @@ def pairing_vector(val, label):
 
 
 def _holds_no_integer(c):
-    """Does the enclosure c (a Ball or CBall) certifiably miss every
-    integer?"""
-    if isinstance(c, CBall):
-        if not c.im.contains_zero():
-            return True
-        c = c.re
+    """Does the ball c certifiably miss every integer?"""
     lo, hi = c.endpoints()
     return floor(hi) < ceil(lo)
 
@@ -322,48 +271,6 @@ def all_dual_pairings(eps, M, homs=None):
         val = det_pairing(eps, [pulled[i] for i in F])
         out.append((F, val))
     return out
-
-
-def bidual_member(a, M, homs=None):
-    """True exactly when every dual pairing lands in Z[G]."""
-    try:
-        image_lattice(a, M, homs)
-        return True
-    except NonIntegralError:
-        return False
-
-
-def scaled_inclusion(a, subgroup_order, r=None):
-    """The norm-compatible inclusion of a wedge element attached to the
-    fixed field of a subgroup of order `subgroup_order`: multiplication by
-    subgroup_order^max(0, 1 - r) on common-cover coordinates.
-
-    Degree 0 elements (scalars represented by their idempotent image) are
-    multiplied by the subgroup order; degree >= 1 elements include plainly.
-    """
-    r = a.degree if r is None else r
-    scale = subgroup_order ** max(0, 1 - r)
-    return a.scale(scale) if scale != 1 else a
-
-
-def interior_contract(eps, psis):
-    """Contract a degree-|V'| element by the listed cover-homomorphisms, in
-    order, with the alternating slot signs of the lexicographic convention.
-    """
-    cur = eps
-    for psi in psis:
-        if cur.degree == 0:
-            raise InputError("degree underflow in contraction")
-        new = {}
-        for J, z in cur.coeffs.items():
-            for pos, idx in enumerate(J):
-                Jp = J[:pos] + J[pos + 1:]
-                term = z * psi[idx]
-                if pos % 2 == 1:
-                    term = -term
-                new[Jp] = new[Jp] + term if Jp in new else term
-        cur = WedgeElement(cur.group, cur.degree - 1, cur.cover, new)
-    return cur
 
 
 def norm_decomposition_residual(eps_full, eps_parts, eps_base, p, m):

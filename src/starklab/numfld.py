@@ -278,9 +278,6 @@ class QuadElt:
         d = self.d
         return (2 * self.A) % d == 0 and self._norm_num() % (d * d) == 0
 
-    def is_rational(self):
-        return self.B == 0
-
     def omega_coords(self):
         """(u, v) with self = u + v*omega."""
         if self.field.m % 4 == 1:
@@ -1093,7 +1090,7 @@ class SUnitLattice:
 
     gens: multiplicative basis (exact field elements); places: every place
     of the field above S, distinguished place first per rational place;
-    valuations: row i is [ord_w(gens[i]) for w in finite_places()], known
+    valuations: row i is [ord_w(gens[i]) for the finite places w], known
     by construction (the identity for Q; for a quadratic field the rows the
     generators were built from and checked against, and a zero row for the
     fundamental unit), so `express` never re-evaluates the generators;
@@ -1119,9 +1116,6 @@ class SUnitLattice:
     def rank(self):
         return len(self.gens)
 
-    def finite_places(self):
-        return [w for w in self.places if w.kind == "finite"]
-
     def place_indices(self, v):
         """Indices in `places` of the places above the rational place v,
         distinguished place first."""
@@ -1141,20 +1135,15 @@ class SUnitLattice:
         Galois group: none over Q."""
         return [] if self.field == "Q" else [self.sigma_matrix]
 
-    def valuation_vector(self, x):
-        return [ord_at_place(x, w) for w in self.finite_places()]
-
-    def express(self, x, valuations=None):
+    def express(self, x, valuations):
         """(coords, torsion_power) with x = torsion^j * prod gens^coords.
 
-        The coordinates solve x's valuations (`valuations` when the caller
-        knows them, else evaluated here) against `valuations`; what is
-        left after dividing out the generators must be a unit, then a root
-        of unity, and both are checked exactly (CertificationError if not,
-        which also catches wrong given valuations).
+        The coordinates solve x's valuations at the finite places, which
+        the caller knows, against `valuations`; what is left after dividing
+        out the generators must be a unit, then a root of unity, and both
+        are checked exactly (CertificationError if not, which also catches
+        wrong given valuations).
         """
-        if valuations is None:
-            valuations = self.valuation_vector(x)
         sol = hnf.solve_in_rowspan(self.valuations, valuations)
         if sol is None:
             raise InputError(f"{x} is not an S-unit on this lattice")
@@ -1315,12 +1304,18 @@ def s_unit_lattice(field, S, T, enforce_h3=True):
 
 
 def _normalize_places(S):
+    """The places of S as "inf" (from "inf", "oo" or "infinity") and ints,
+    "inf" first and the primes sorted; InputError for anything else."""
     out = []
     for v in S:
         if v in ("inf", "oo", "infinity"):
             out.append("inf")
-        else:
+            continue
+        try:
             out.append(int(v))
+        except (TypeError, ValueError):
+            raise InputError(f"a place is 'inf' or a prime, got {v!r}") \
+                from None
     # keep 'inf' first, primes sorted after
     fin = sorted(q for q in out if q != "inf")
     return (["inf"] if "inf" in out else []) + fin

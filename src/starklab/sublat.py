@@ -110,14 +110,6 @@ def enumerate_omega_star(p, m):
     return hs
 
 
-def count_avoiding(p, m, v):
-    """Number of proper hyperplanes not containing the nonzero vector v.
-
-    Returns (avoiding, containing); avoiding = p^(m-1) always.
-    """
-    return HyperplaneSet(p, m).count_avoiding(v)
-
-
 def norm_sum_identity(p, m, hyperplanes=None):
     """The identity sum_H N_H + ((p^(m-1)-1) - sum_i p^i) N_G = p^(m-1).
 

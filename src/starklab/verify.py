@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 
 from . import hnf
 from .arith import factorint, isprime
-from .ball import Ball, CBall, CertificationError, Undecided, ball_det, \
+from .ball import Ball, CertificationError, Undecided, ball_det, \
     gauss_solve, working_precision
 from .biquad import BiquadField, BiquadSUnitLattice
 from .grpring import AbelianGroup, GroupRingElement, InputError
@@ -391,11 +391,8 @@ def _permutation_sign(seq):
 def max_pairing_radius(pairings):
     out = Fraction(0)
     for _idx, val in pairings:
-        if val.ring.is_exact():
-            continue
-        for c in val.coeffs:
-            if isinstance(c, (Ball, CBall)):
-                out = max(out, c.rad())
+        if not val.ring.is_exact():
+            out = max(out, *(c.rad() for c in val.coeffs))
     return out
 
 
@@ -680,13 +677,10 @@ def _run_norm_decomposition(scn, data, entry):
         sub_witness.append({"disc": D,
                             "coords": [repr(v) for v in
                                        _coords_list(eps_sub, lat.sub_lattices[idx].rank)]})
-    # base-field element over Q
-    q_data = RubinStarkData(AbelianFieldRealization.rationals(), "Q", scn.S,
-                            scn.V, scn.T)
-    eps_q = q_data.epsilon()
-    eps_base = _included(group, data.cover(), (
-        (z, _rational_inclusion_coords(lat, q_data.lattice().gens[j]))
-        for (j,), z in eps_q.coeffs.items()))
+    # the base-field element over Q is 0: S holds inf and the two or more
+    # primes that ramify in a real biquadratic field, so zeta_{Q,S,T}(s)
+    # vanishes to order |S| - 1 >= 2 > |V| = 1
+    eps_base = WedgeElement(group, 1, data.cover(), {})
     holds, radius = norm_decomposition_residual(eps_K, parts + [eps_base],
                                                 eps_base, 2, 2)
     entry["residual_radius"] = _radius_str(radius)
@@ -720,16 +714,6 @@ def _coords_list(eps, rank):
         else:
             out.append(z.coefficient(z.group.identity()))
     return out
-
-
-def _rational_inclusion_coords(biquad_lat, q):
-    """Coordinates of a rational S-unit in the compositum basis."""
-    sub = biquad_lat.sub_lattices[0]
-    coords, _tor = sub.express(sub.field.element(Fraction(q)))
-    pool_coords = [0] * len(biquad_lat.pool)
-    for j, c in enumerate(coords):
-        pool_coords[biquad_lat._offsets[0] + j] = c
-    return biquad_lat.pool_coords_to_basis(pool_coords)
 
 
 def run_acnf(dmin=-500, dmax=500, tol=Fraction(1, 10 ** 25)):
@@ -913,6 +897,8 @@ def load_scenario(path):
 def certificate_summary(cert):
     if "load_error" in cert:
         return f"[{cert['path']}] config error: {cert['load_error']}"
+    if "error" in cert:
+        return f"[{cert['path']}] error: {cert['error']}"
     lines = []
     label = cert.get("field", "?")
     if "datum_error" in cert:

@@ -1,6 +1,8 @@
 """Ideals of Z[G] as G-stable integer lattices in Hermite normal form,
-Fitting ideals of finitely presented Z[G]-modules, and annihilators of
-finite G-modules.
+Fitting ideals of finitely presented Z[G]-modules, and finite G-modules
+with their standard presentations.  `annihilator` computes Ann(M) by an
+independent kernel solve; the tests compare Fitting ideals against it
+(Fitt <= Ann), and no check of the package calls it.
 
 Every ideal is identified with its lattice of coefficient vectors inside
 Z^{|G|}; equality and containment are decided on canonical HNF bases, so no
@@ -81,9 +83,6 @@ class GIdealLattice:
     def is_zero(self):
         return self.rank == 0
 
-    def is_unit(self):
-        return self.basis() == hnf.identity_matrix(self.group.order)
-
     def is_g_stable(self):
         table = self.group.multiplication_table()
         return all(self.lattice.contains_vector(moved)
@@ -153,7 +152,7 @@ class GIdealLattice:
     def __repr__(self):
         if self.is_zero():
             return f"GIdeal(0 of {self.group})"
-        if self.is_unit():
+        if self == GIdealLattice.unit(self.group):
             return f"GIdeal(1 of {self.group})"
         return f"GIdeal(rank {self.rank} of {self.group})"
 
@@ -188,14 +187,6 @@ def augmentation_ideal_power(group, c):
     if c < 0:
         raise InputError("power must be nonnegative")
     return augmentation_ideal(group).power(c)
-
-
-def membership(x, ideal):
-    """Does x lie in the ideal lattice?  Ball elements must certify to a
-    unique integer vector first (Undecided propagates, distinct from False).
-    """
-    vec = x.certified_int_vector() if isinstance(x, GroupRingElement) else list(x)
-    return ideal.contains_vector(vec)
 
 
 class Presentation:
@@ -391,10 +382,6 @@ class FiniteGModule:
         return all((m1[i][j] - m2[i][j]) % self.orders[j] == 0
                    for i in range(k) for j in range(k))
 
-    @staticmethod
-    def zero(group):
-        return FiniteGModule(group, [], [[] for _ in range(group.rank)])
-
     def order(self):
         out = 1
         for d in self.orders:
@@ -439,9 +426,6 @@ class FiniteGModule:
                 for l in range(k):
                     out[l] += c * moved[l]
         return self.reduce(out)
-
-    def all_elements(self):
-        return list(itertools.product(*(range(d) for d in self.orders)))
 
     def standard_presentation(self):
         """Z[G]-presentation with one generator per coordinate.

@@ -100,8 +100,9 @@ def test_json_roundtrip_encloses():
 
 def test_complex_balls():
     w = CBall.root_of_unity(1, 3)
-    assert ((w * w * w) - 1).contains_zero()
-    assert (w * w.conj() - 1).contains_zero()
+    cube = w * w * w - 1
+    assert cube.re.contains_zero() and cube.im.contains_zero()
+    assert (w.re * w.re + w.im * w.im - 1).contains_zero()
     exact = CBall.root_of_unity(1, 4)
     assert exact.re.endpoints() == (0, 0)  # special angle stays exact
     with pytest.raises(Undecided):
@@ -115,10 +116,13 @@ def test_linear_algebra():
     assert (ball_det(A) - 5).contains_zero()
     with pytest.raises(Undecided):
         gauss_solve([[Ball(0, 1)]], [Ball(1)])
-    # determinant with a zero-straddling column still encloses the truth
+    # a column with no certified nonzero entry: exactly zero gives exactly
+    # 0, and one that straddles 0 is undecided with its largest radius
+    assert ball_det([[Ball(0), Ball(1)], [Ball(0), Ball(3)]]).is_zero()
     Z = [[Ball(0, Fraction(1, 1000)), Ball(1)], [Ball(0), Ball(1)]]
-    d = ball_det(Z)
-    assert d.contains_zero()
+    with pytest.raises(Undecided) as info:
+        ball_det(Z)
+    assert info.value.radius == max(Z[0][0].rad(), Z[1][0].rad())
 
 
 # -- the raw-endpoint predicates against their Fraction definitions ----------

@@ -8,16 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starklab import hnf
-from starklab.ball import Ball, CBall, Undecided
-from starklab.grpring import (AbelianGroup, GroupRingElement, InputError,
-                              Subgroup, norm_element)
+from starklab.ball import Ball, Undecided
+from starklab.grpring import AbelianGroup, GroupRingElement, InputError
 from starklab.hnf import IntLattice, identity_matrix
 from starklab.multilin import (GLattice, NonIntegralError, WedgeElement,
-                               all_dual_pairings, bidual_member, det_pairing,
-                               image_lattice, interior_contract,
-                               norm_decomposition_residual, pairing_vector,
-                               scaled_inclusion)
-from starklab.zideal import ideal_from_generators
+                               all_dual_pairings, det_pairing,
+                               norm_decomposition_residual, pairing_vector)
+from starklab.zideal import GIdealLattice, ideal_from_generators
 
 G2 = AbelianGroup((2,))
 REG2 = [[[0, 1], [1, 0]]]  # regular representation of Z/2 on Z^2
@@ -30,6 +27,15 @@ def hom_as_elements(hom, group):
 
 def regular_lattice():
     return GLattice(G2, 2, identity_matrix(2), REG2)
+
+
+def image(eps, M, homs=None):
+    """The G-stable lattice of the integer vectors of eps's dual pairings,
+    as `RubinStarkData.im_lattice` builds it; NonIntegralError when some
+    pairing is not in Z[G]."""
+    return GIdealLattice.from_vectors(
+        eps.group, [pairing_vector(val, F)
+                    for F, val in all_dual_pairings(eps, M, homs)])
 
 
 def free_rank2_lattice():
@@ -59,7 +65,7 @@ def test_det_pairing_degree_one_and_alternating():
     cover = [[1, 0], [0, 1]]
     homs = M.hom_generators()
     pulled = M.pull_homs_to_cover(homs, cover)
-    w = WedgeElement.from_vectors(G2, cover, M, [[1, 0]])
+    w = WedgeElement(G2, 1, cover, {(0,): GroupRingElement.one(G2, "rat")})
     for h in pulled:
         val = det_pairing(w, [h])
         assert val.ring.is_exact()
@@ -80,9 +86,10 @@ def test_image_lattice_is_principal_for_vectors():
         vec = [rng.randint(-3, 3), rng.randint(-3, 3)]
         if vec == [0, 0]:
             continue
-        w = WedgeElement.from_vectors(G2, cover, M, [vec])
-        img = image_lattice(w, M)
-        assert img == ideal_from_generators(
+        # vec = v_0 u + v_1 sigma u on the free generator u
+        w = WedgeElement(G2, 1, cover,
+                         {(0,): GroupRingElement(G2, "rat", vec)})
+        assert image(w, M) == ideal_from_generators(
             [GroupRingElement(G2, "int", vec)])
 
 
@@ -91,9 +98,8 @@ def test_half_norm_is_not_integral():
     cover = [[1, 0], [0, 1]]
     half_ng = WedgeElement(G2, 1, cover, {
         (0,): GroupRingElement(G2, "rat", [Fraction(1, 2), Fraction(1, 2)])})
-    assert not bidual_member(half_ng, M)
     with pytest.raises(NonIntegralError):
-        image_lattice(half_ng, M)
+        image(half_ng, M)
 
 
 HALF = Fraction(1, 2)
@@ -103,8 +109,7 @@ HALF = Fraction(1, 2)
     ("rat", HALF),
     ("ball", Ball(HALF)),
     ("ball", Ball(HALF, Fraction(1, 2 ** 100))),
-    ("cball", CBall(Ball(1), Ball(HALF, Fraction(1, 4)))),
-], ids=["exact", "radius-0", "radius-2^-100", "non-real"])
+], ids=["exact", "radius-0", "radius-2^-100"])
 def test_a_pairing_with_no_integer_in_its_enclosure_is_not_integral(ring,
                                                                      coeff):
     # no precision puts an integer into these enclosures, so the answer is
@@ -130,8 +135,7 @@ def test_degree_zero_image_is_the_scalar_ideal():
     cover = [[1, 0], [0, 1]]
     theta = GroupRingElement(G2, "rat", [3, -3])
     w0 = WedgeElement(G2, 0, cover, {(): theta})
-    img = image_lattice(w0, M)
-    assert img == ideal_from_generators([theta.convert("int")])
+    assert image(w0, M) == ideal_from_generators([theta.convert("int")])
 
 
 def test_bidual_oracle_equivalence_small_rank():
@@ -164,7 +168,11 @@ def test_bidual_oracle_equivalence_small_rank():
         if not w.coeffs:
             continue
         homs = M.hom_generators()
-        member = bidual_member(w, M, homs)
+        try:
+            image(w, M, homs)
+            member = True
+        except NonIntegralError:
+            member = False
         pulled = M.pull_homs_to_cover(homs, cover)
         # dense oracle: many random Z[G]-combinations of the dual homs
         oracle = True
@@ -182,63 +190,6 @@ def test_bidual_oracle_equivalence_small_rank():
                 break
         assert member == oracle
         trials += 1
-
-
-def test_honest_wedges_are_bidual_members():
-    rng = random.Random(5)
-    M = free_rank2_lattice()
-    cover = [[1, 0, 0, 0], [0, 0, 1, 0]]
-    for _ in range(10):
-        vecs = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(2)]
-        try:
-            w = WedgeElement.from_vectors(G2, cover, M, vecs)
-        except Exception:
-            continue
-        if not w.coeffs:
-            continue
-        assert bidual_member(w, M)
-
-
-def test_interior_contraction():
-    M2 = free_rank2_lattice()
-    cover2 = [[1, 0, 0, 0], [0, 0, 1, 0]]
-    w2 = WedgeElement(G2, 2, cover2, {(0, 1): GroupRingElement.one(G2, "rat")})
-    pulled = M2.pull_homs_to_cover(M2.hom_generators(), cover2)
-    f, g = pulled[0], pulled[1]
-    c_fg = interior_contract(w2, [f, g])
-    c_gf = interior_contract(w2, [g, f])
-    assert (c_fg.coeffs[()] + c_gf.coeffs[()]).is_zero()
-    seq = interior_contract(interior_contract(w2, [f]), [g])
-    assert (seq.coeffs[()] - c_fg.coeffs[()]).is_zero()
-    # no psis: identity
-    assert interior_contract(w2, []).coeffs == w2.coeffs
-    # eps = a ^ b contracted by f equals f(a) b - f(b) a
-    a, b = [1, 0, 0, 0], [0, 1, 1, 0]
-    w = WedgeElement.from_vectors(G2, cover2, M2, [a, b])
-    c = interior_contract(w, [f])
-    fa = det_pairing(WedgeElement.from_vectors(G2, cover2, M2, [a]), [f])
-    fb = det_pairing(WedgeElement.from_vectors(G2, cover2, M2, [b]), [f])
-    wa = WedgeElement.from_vectors(G2, cover2, M2, [a]).scale(fb)
-    wb = WedgeElement.from_vectors(G2, cover2, M2, [b]).scale(fa)
-    diff = c - (wb - wa)
-    assert all(v.is_zero() for v in diff.coeffs.values())
-
-
-def test_scaled_inclusion_exponents():
-    cover = [[1, 0], [0, 1]]
-    one = GroupRingElement.one(G2, "rat")
-    w0 = WedgeElement(G2, 0, cover, {(): one})
-    assert scaled_inclusion(w0, 2).coeffs[()] == one.scale(2)
-    w1 = WedgeElement(G2, 1, cover, {(0,): one})
-    assert scaled_inclusion(w1, 2).coeffs == w1.coeffs
-    w2 = WedgeElement(G2, 2, cover, {(0, 1): one})
-    assert scaled_inclusion(w2, 2).coeffs == w2.coeffs
-    # norm-compatibility: nu_H(N_H^r a) = N_H a at r = 1, H = G
-    n_g = norm_element(G2, Subgroup(G2, G2.elements))
-    a = WedgeElement(G2, 1, cover, {(0,): GroupRingElement(G2, "rat", [1, 2])})
-    lhs = scaled_inclusion(a.scale(n_g), 2, r=1)
-    rhs = a.scale(n_g)
-    assert all((lhs.coeffs[k] - rhs.coeffs[k]).is_zero() for k in lhs.coeffs)
 
 
 def test_norm_decomposition_residual_trivial():
@@ -287,7 +238,7 @@ def test_pull_homs_to_cover_matches_a_rational_solve(data):
             st.lists(small, min_size=amb - p - 1, max_size=amb - p - 1)))
     # the identity action preserves every lattice, so G2 acts validly
     M = GLattice(G2, amb, rows, [identity_matrix(amb)])
-    assert M.rank() == rank
+    assert M.lattice.rank == rank
     basis = M.basis()
     homs = [[data.draw(st.lists(small, min_size=2, max_size=2))
              for _ in basis] for _ in range(data.draw(st.integers(1, 3)))]
@@ -371,14 +322,12 @@ for num, den in (([1, 0, 1], [1, 2]), ([1, 0, 1], [1, 1])):
         raise SystemExit(f"_poly_divexact accepted {num} / {den}")
     except CertificationError:
         pass
-# five coefficients in the degree-4 field Q(zeta_5); zeta_4 -> zeta_4^2
-for bad in (lambda: CycloField(5).element([1] * 5),
-            lambda: CycloField(4).zeta_power(1).galois_map(2)):
-    try:
-        bad()
-        raise SystemExit("cyclo accepted a bad argument")
-    except InputError:
-        pass
+# five coefficients in the degree-4 field Q(zeta_5)
+try:
+    CycloField(5).element([1] * 5)
+    raise SystemExit("cyclo accepted a bad argument")
+except InputError:
+    pass
 """
 
 

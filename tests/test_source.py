@@ -1,6 +1,7 @@
 """Properties of the `starklab` source itself, read off its syntax trees:
-every function is used somewhere in the package, every memo is a
-`functools.lru_cache`, not a dict kept by hand, `verify` names each check
+`__init__` exports exactly what it imports, every function is used
+somewhere in the package or is a reference that tests call, every memo is
+a `functools.lru_cache`, not a dict kept by hand, `verify` names each check
 once and turns exceptions into verdicts in one place, and only the ball
 kernel imports mpmath."""
 
@@ -10,8 +11,12 @@ from collections import Counter
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "starklab"
 
+TESTS = pathlib.Path(__file__).resolve().parent
+
 # Functions that nothing in the package refers to, each kept for a reason.
-# Dunders are exempt as a class: the interpreter calls them.
+# Dunders are exempt as a class: the interpreter calls them.  The other
+# functions that only tests call are references that tests compare
+# production code against; they are named in `starklab.__all__` instead.
 UNREFERENCED_OK = {
     # the console-script entry point: pyproject.toml's `stark-lab` launcher
     # calls it
@@ -19,6 +24,15 @@ UNREFERENCED_OK = {
     # the trace of a quadratic element, kept for the exact ACNF check, which
     # recognises the unit eps_D^(2h) by its (integer) trace
     "numfld.QuadElt.trace",
+    # a layer that the benchmark's span tracer wraps by name
+    # (perfbench/spans.py), so it stays while the benchmark names it
+    "hnf.hnf",
+    # the sum and the multiples of ideals, with which test_zideal builds the
+    # ideals it expects: Fitting ideals of trivial-action modules
+    # (test_fitting_examples, test_trivial_action_fitting_closed_form) and
+    # powers of I_G (test_aug_ideal_powers)
+    "zideal.GIdealLattice.sum",
+    "zideal.GIdealLattice.scale",
 }
 
 
@@ -52,26 +66,51 @@ def _functions(node, prefix):
             yield from _functions(child, prefix)
 
 
+def _init_names(tree):
+    """(the names `__init__` imports, the names its `__all__` lists)."""
+    imported = [a.asname or a.name for n in tree.body
+                if isinstance(n, ast.ImportFrom) for a in n.names]
+    listed = [e.value for e in _assigned(tree, "__all__").elts]
+    return imported, listed
+
+
+def test_init_all_is_exactly_what_it_imports():
+    imported, listed = _init_names(_trees()["__init__"])
+    assert len(listed) == len(set(listed))
+    assert sorted(listed) == sorted(imported)
+
+
 def test_every_function_is_referenced_outside_its_own_def():
     # Matched by name alone: a method counts as used when anything of the
     # same name is, so a dead method that shares its name with a live one
     # elsewhere (`DirichletChar.is_trivial` next to `Character.is_trivial`,
-    # say) passes.  Only a call trace finds those.
+    # say) passes.  Only a call trace finds those.  A re-export from
+    # `__init__` is no use: a function that nothing else in the package
+    # refers to is in UNREFERENCED_OK, or is named in `__all__` and called
+    # from the tests, as a reference they compare production code against.
     trees = _trees()
+    _imported, exported = _init_names(trees.pop("__init__"))
     everywhere = Counter()
     for tree in trees.values():
         everywhere.update(_referenced_names(tree))
+    in_tests = set()
+    for path in sorted(TESTS.glob("*.py")):
+        in_tests.update(_referenced_names(ast.parse(path.read_text())))
     unreferenced = []
+    defined = set()
     for module, tree in trees.items():
         for qual, node in _functions(tree, module + "."):
+            defined.add(qual)
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
             # a recursive call is no use from outside
             inside = Counter(_referenced_names(node))[name]
-            if everywhere[name] == inside and qual not in UNREFERENCED_OK:
+            if everywhere[name] == inside and qual not in UNREFERENCED_OK \
+                    and not (name in exported and name in in_tests):
                 unreferenced.append(qual)
     assert unreferenced == []
+    assert UNREFERENCED_OK <= defined
 
 
 def _is_dict(value):

@@ -154,8 +154,6 @@ def test_nonintegral_scalar_detected():
     # T = [] is rejected earlier by (H3), so check the integrality machinery
     # directly on a scalar with denominator
     from starklab.grpring import AbelianGroup, GroupRingElement
-    from starklab.multilin import WedgeElement, image_lattice
-    from starklab.multilin import NonIntegralError
     from starklab.zideal import ideal_from_generators
     g = AbelianGroup((2,))
     theta = GroupRingElement(g, "rat", [Fraction(1, 2), Fraction(1, 2)])
