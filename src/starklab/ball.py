@@ -531,22 +531,23 @@ def _log_int(n, prec):
     """The `lru_cache` key is (n, prec): a log is computed once per
     precision, and the least recently used logs go first.
 
-    A first-order class jet takes the logs of N f and N alone, so after
-    one pass over a benchmark pool (every op once, fresh process) the
-    cache holds 188 logs for `acnf` (451 calls), 77 for `rubin_stark`
-    (206) and none for `exact_algebra`, and a benchmark run's stream adds
-    no new ones.  Only jets of order 2 and up take a log per main-sum term:
-    one `lvalue --order 2` at conductor f makes about (N + 1) f distinct
-    logs, 15601 at f = 401 and 38859 at f = 997 (N = 38 at 128 bits), each
-    used once per character, and they are reused only by the next
-    character of that conductor (`stickelberger --field 5,13 --S inf 5 13
-    --V inf --T 7 --order 2` holds 1979 logs and hits 590 times), or by a
-    later jet whose terms n f' + a run over the same integers.  An entry
-    takes about 570 bytes, so 4096 entries, 2.3 MiB, hold every working
-    set above but the long order-2 streams.  65536 entries held those up to
-    f = 1680: `lvalue --order 2` at f = 997 and then at f = 401, in one
-    process, hit 16984 times in a 46.8 MiB process, and hits 1704 times in
-    a 26.1 MiB one at 4096."""
+    A first-order class jet takes the logs of (2N + 1) f and 2 alone, and
+    of 2N + 1 when its offsets 2a - f do not sum to 0, so after one
+    pass over a benchmark pool (every op once, fresh process) the cache
+    holds 188 logs for `acnf` (452 calls), 79 for `rubin_stark` (209) and
+    none for `exact_algebra`, and a benchmark run's stream adds no new
+    ones.  Only jets of order 2 and up take a log per main-sum term: one
+    `lvalue --order 2` at conductor f makes about (N + 1) f distinct logs,
+    10401 at f = 401 and 25897 at f = 997 (N = 25 at 128 bits), each used
+    once per character, and they are reused only by the next character of
+    that conductor (`stickelberger --field 5,13 --S inf 5 13 --V inf --T 7
+    --order 2` holds 1319 logs and hits 419 times), or by a later jet
+    whose terms n f' + a run over the same integers.  An entry takes about
+    570 bytes, so 4096 entries, 2.3 MiB, hold every working set above but
+    the long order-2 streams: `lvalue --order 2` at f = 997 and then at
+    f = 401, in one process, hits 1614 times in a 27 MiB process.  65536
+    entries held those up to f = 1680, and hit 16984 times on the same
+    pair in a 46.8 MiB process when N was 38 at 128 bits."""
     return _log_point(from_int(n), prec)
 
 

@@ -23,16 +23,20 @@ L-jet sums sum_a chi(a) zeta_H(s, a/f) one value class at a time: the
 units a with chi(a) = zeta_n^t (`DirichletChar.classes`) share one
 Hurwitz jet of their sum, weighted by zeta_n^t, as -B_{1,chi} shares one
 integer sum.  The first-order coefficient of a class, which every leading
-term at order one is built from, takes three logs whatever the class's
-size: of N f, of N, and of the main sum's product, from a floor and a
-ceiling of it trimmed to the working precision (`ball.ball_log_prod`).
-The rest of the tail is one power series in u = a/(N f) <= 1/N, whose
-coefficients depend only on the cutoffs and are cached as integers over
-one denominator (`_tail_series`): summed over the class it is one exact
-rational in the power sums sum_a a^k.  One exact combination of the three
-logs and that rational is rounded once (`ball.ball_combination`), so a
-real character's leading term costs two such roundings and six logs, not
-a log per residue.
+term at order one is built from, expands the Euler-Maclaurin tail about
+the midpoint N + 1/2, with cutoffs N and B sized from the certified tail
+bound (`_cutoffs`).  It takes a fixed number of logs whatever the class's
+size: of (2N + 1) f, of 2, of 2N + 1 when the offsets 2a - f do not sum
+to 0, and of the main sum's product, from a floor and a ceiling of it
+trimmed to the working precision (`ball.ball_log_prod`).  The rest of
+the tail is one power series in the offsets (2a - f)/((2N + 1) f), whose
+coefficients are cached as integers over one denominator
+(`_midpoint_series`): summed over the class it is one exact rational in
+the power sums of 2a - f.  Every class of an even character is closed
+under a -> f - a, so its odd power sums vanish and are never formed.  One
+exact combination of the logs and that rational is rounded once
+(`ball.ball_combination`), so a real character's leading term costs two
+such roundings and a handful of logs, not a log per residue.
 
 An L_{S,T}-jet is the primitive L-jet times Euler factors, and each split
 S-prime's factor 1 - q^{-s} is s times a jet with leading term log q (Tate,
@@ -46,9 +50,9 @@ truncation, not to the order of vanishing.
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations, repeat
+from itertools import combinations, repeat
 from math import comb, factorial, gcd, isqrt, lcm, prod
-from operator import mul
+from operator import add, mul, sub
 
 from .arith import bernoulli, factorint, isprime
 from .ball import (Ball, CBall, CertificationError, PrecisionError,
@@ -504,59 +508,89 @@ def _tail_radius_table(N, B, K, prec):
 
 
 @lru_cache(maxsize=None)
-def _tail_series(N, B, prec):
-    """The tail of a first-order jet at w = N (1 + u) as a power series in
-    u: g(u) = (N (1 + u) - 1/2) log(1 + u) + sum_{j <= B} beta_j
-    (N (1 + u))^(1 - 2j), beta_j = B_2j / (2j (2j - 1)), is sum_k gamma_k
-    u^k.  Returns (G, D, exps, rads): gamma_k = G[k] / D for k = 0..M, in
-    integers, and for each k a bound 2^-exps[k] on the terms of one residue
-    past k at 0 < u <= 1/N, with rads[k] the ball [-2^-exps[k],
-    2^-exps[k]].
+def _cutoffs(prec):
+    """The Euler-Maclaurin cutoffs (N, B) of `hurwitz_jet` at prec >= 53
+    bits, sized from the certified tail: N = max(16, prec // 5) main-sum
+    terms and the least B >= prec // 5 Bernoulli corrections whose
+    first-order remainder bound `_tail_radius_table(N, B, 1, prec)[1]` is
+    at most 2^-(prec + 20).  B = prec // 5 meets it at 53 and 80 bits
+    (2^-100 at 80, to the bit) and at every precision from 100 to 512
+    bits; where N is at its floor of 16, some precisions from 69 to 99 bits
+    need one or two more.  From 53 to 512 bits the bounds of orders 2..4
+    are then at most 2^-(prec + 12).  Each B tried builds the first-order
+    table at prec, under the key that `hurwitz_jet` reads; the `lru_cache`
+    key is prec."""
+    N, B = max(16, prec // 5), prec // 5
+    with working_precision(prec):
+        while _tail_radius_table(N, B, 1, prec)[1].rad() \
+                > Fraction(2) ** -(prec + 20):
+            B += 1
+    return N, B
 
-    Past M the bound is Cauchy's on |u| = 3/4.  There |log(1 + u)| <=
-    log 4 < 7/5, |N (1 + u) - 1/2| <= 7N/4 + 1/2 and |1 + u| >= 1/4, so
-    |g| <= G' = (7N/4 + 1/2) 7/5 + sum_j |beta_j| (4/N)^(2j - 1),
-    |gamma_k| <= G' (4/3)^k, and the terms past M sum to at most
-    G' rho^(M+1) / (1 - rho) for rho = 4/(3N); M is the first k that puts
-    this below 2^-(prec + 64).  Up to M the bound adds the exact
-    |gamma_i| N^-i.  A class of fewer than 2^40 residues thus reaches the
-    2^-(prec + 24) that `hurwitz_jet` asks of it.  The `lru_cache` key is
-    (N, B, prec), one table per precision, like `_tail_radius_table`'s."""
-    (a, d), = _correction_coeffs(B, 1)  # beta_j = a[j - 1] / d
-    rho = Fraction(4, 3 * N)
-    rest = (Fraction(7 * N + 2, 4) * Fraction(7, 5) + sum(
-        Fraction(abs(c), d) * Fraction(4, N) ** (2 * j - 1)
+
+@lru_cache(maxsize=None)
+def _midpoint_series(N, B, prec):
+    """The tail of a first-order jet about the midpoint N' = N + 1/2, as a
+    power series in v: with w = N' (1 + v) and beta_j = B_2j / (2j (2j -
+    1)),
+
+        h(v) = (N' (1 + v) - 1/2) log(1 + v)
+               + sum_{j <= B} beta_j (N' (1 + v))^(1 - 2j)
+
+    is sum_k eta_k v^k.  Returns (H, D, exps, rads): eta_k = H[k] / D for
+    k = 0..M, in integers, and for each k a bound 2^-exps[k] on the terms
+    of one residue past k at |v| <= 1/(2N + 1), with rads[k] the ball
+    [-2^-exps[k], 2^-exps[k]].
+
+    Past M the bound is Cauchy's on |v| = 3/4.  There |log(1 + v)| <=
+    log 4 < 7/5, |N' (1 + v) - 1/2| <= 7N'/4 + 1/2 and |1 + v| >= 1/4, so
+    |h| <= H' = (7N'/4 + 1/2) 7/5 + sum_j |beta_j| (4/N')^(2j - 1),
+    |eta_k| <= H' (4/3)^k, and the terms past M sum to at most
+    H' rho^(M+1) / (1 - rho) for rho = 4/(3 (2N + 1)); M is the first k
+    that puts this below 2^-(prec + 64).  Up to M the bound adds the exact
+    |eta_i| (2N + 1)^-i.  A class of fewer than 2^40 residues thus reaches
+    the 2^-(prec + 24) that `hurwitz_jet` asks of it.  The `lru_cache` key
+    is (N, B, prec), one table per precision, like `_tail_radius_table`'s.
+    """
+    beta = [bernoulli(2 * j) / (2 * j * (2 * j - 1)) for j in range(1, B + 1)]
+    d = lcm(*(b.denominator for b in beta))
+    a = [int(b * d) for b in beta]  # beta_j = a[j - 1] / d
+    T = 2 * N + 1  # N' = T / 2
+    rho = Fraction(4, 3 * T)
+    rest = (Fraction(7 * T + 4, 8) * Fraction(7, 5) + sum(
+        Fraction(abs(c), d) * Fraction(8, T) ** (2 * j - 1)
         for j, c in enumerate(a, 1))) * rho / (1 - rho)
     M = 0
     while rest > Fraction(2) ** -(prec + 64):
         rest *= rho
         M += 1
-    Nb = d * N ** (2 * B - 1)
-    D = lcm(2 * lcm(*range(1, M + 1)), Nb)
-    # (-1)^k gamma_k D is the sum over j of a[j - 1] (D / Nb) N^(2B - 2j)
-    # binomial(2j - 2 + k, k), from (1 + u)^(1 - 2j), by Horner in N^2;
-    # less (N - 1/2) D / k from k >= 1 and plus N D / (k - 1) from k >= 2,
-    # from (N - 1/2 + N u) log(1 + u)
-    G = []
+    Tb = d * T ** (2 * B - 1)
+    D = lcm(2 * lcm(*range(1, M + 1)), Tb)
+    # (-1)^k eta_k D is the sum over j of a[j - 1] 2^(2j - 1) (D / Tb)
+    # T^(2B - 2j) binomial(2j - 2 + k, k), from (N' (1 + v))^(1 - 2j) =
+    # (2/T)^(2j - 1) (1 + v)^(1 - 2j), by Horner in T^2; less N D / k from
+    # k >= 1 and plus T D / (2 (k - 1)) from k >= 2, from
+    # (N + N' v) log(1 + v)
+    H = []
     for k in range(M + 1):
         acc = 0
         for j, c in enumerate(a, 1):
-            acc = acc * N * N + c * comb(2 * j - 2 + k, k)
-        g = acc * (D // Nb)
+            acc = acc * T * T + (c * comb(2 * j - 2 + k, k) << (2 * j - 1))
+        h = acc * (D // Tb)
         if k:
-            g -= (2 * N - 1) * (D // (2 * k))
+            h -= N * (D // k)
         if k > 1:
-            g += N * (D // (k - 1))
-        G.append(-g if k % 2 else g)
+            h += T * (D // (2 * k - 2))
+        H.append(-h if k % 2 else h)
     exps = []
     for k in range(M, -1, -1):
         # the largest e with rest <= 2^-e
         e = rest.denominator.bit_length() - rest.numerator.bit_length()
         exps.append(e if Fraction(2) ** -e >= rest else e - 1)
-        rest += Fraction(abs(G[k]), D * N ** k)
+        rest += Fraction(abs(H[k]), D * T ** k)
     exps.reverse()
     rads = tuple(Ball(0, Fraction(2) ** -e) for e in exps)
-    return tuple(G), D, tuple(exps), rads
+    return tuple(H), D, tuple(exps), rads
 
 
 def _floor_precision(name):
@@ -578,35 +612,41 @@ def hurwitz_jet(f, residues, K):
     truncation K in 0..4 (else InputError).  A single x in (0, 1] is the
     class (x.denominator, [x.numerator]).
 
-    Euler-Maclaurin with N terms and B Bernoulli corrections chosen from
-    the working precision; every coefficient is a certified enclosure and
-    c_0 = sum (1/2 - a/f) is exact.
+    Euler-Maclaurin with N terms and B Bernoulli corrections sized from
+    the certified tail (`_cutoffs`); every coefficient is a certified
+    enclosure and c_0 = sum (1/2 - a/f) is exact.
 
-    At K = 1, with C the residues, w_a = N + a/f = wn_a / f, u_a = a/(N f)
-    <= 1/N, prod the product of all n f + a for n < N and a in C, and
+    At K = 1 the tail is expanded about the midpoint N' = N + 1/2: with C
+    the residues, w_a = N + a/f = N' (1 + v_a), v_a = d_a / X for the
+    offset d_a = 2a - f and X = (2N + 1) f, so |v_a| <= 1/(2N + 1), prod
+    the product of all n f + a for n < N and a in C, and h the series of
+    `_midpoint_series` (so that (w_a - 1/2) log w_a plus the Bernoulli
+    corrections at w_a is (w_a - 1/2) log N' + h(v_a)), the coefficient is
+    exactly
 
-        g(u) = (N (1 + u) - 1/2) log(1 + u)
-               + sum_{j <= B} B_2j / (2j (2j - 1)) (N (1 + u))^(1 - 2j)
+        c_1 = N |C| log f - log prod + (sum_a (w_a - 1/2)) log N'
+              + sum_k eta_k sum_a v_a^k - sum_a w_a
 
-    (so that (w_a - 1/2) log w_a plus the Bernoulli corrections at w_a is
-    (w_a - 1/2) log N + g(u_a)), the coefficient is exactly
-
-        c_1 = N |C| log f - log prod + (sum (2 wn_a - f) / 2f) log N
-              + sum_a g(u_a) - sum_a wn_a / f
-
-    up to |C| times the tail bound.  It is evaluated with the log f and
-    log N terms regrouped as N |C| log(N f) + (sum (2a - f) / 2f) log N,
-    so the large coefficient N |C| falls on one log, and with
-    sum_a g(u_a) = sum_k gamma_k P_k / (N f)^k, P_k = sum_a a^k, for the
-    cached integer table of g's Taylor coefficients (`_tail_series`), cut
-    at the first M whose truncation bound, times |C|, is below
-    2^-(prec + 24) and enters the radius.  The logs of N f and N
-    (`ball_log_int`) and of prod (`ball_log_prod`, from a trimmed product)
-    are taken with bit_length(N |C|) guard bits, as their coefficients are
-    up to N |C| times as large as c_1; the rest is one exact rational.  So
-    c_1 is one combination with integer coefficients over 2f, summed
-    exactly and rounded once (`ball_combination`), and a class of any size
-    makes two `ball_log_int` calls.
+    up to |C| times the tail bound.  With S = sum_a d_a, sum_a (w_a - 1/2)
+    = N |C| + S / 2f, and the logs are regrouped as N |C| log X
+    - (N |C| + S / 2f) log 2 + (S / 2f) log(2N + 1), so the large
+    coefficient N |C| falls on log X and log 2.  A residue whose mirror
+    f - a is in the class is taken with it: the pair's main-sum factors
+    are (n f + a)(n f + f - a) = ((2n + 1)^2 f^2 - d_a^2) / 4, one per n,
+    their offsets are d_a and -d_a, so their odd power sums cancel and are
+    never formed, and their even ones come from one run of powers of
+    d_a^2.  Every class of an even character is closed under a -> f - a,
+    so S = 0 and log(2N + 1) is not taken; the other residues (of an odd
+    character's class, a = f/2, a = f, repeated entries) add their own
+    factors and every power.  The series is cut at the first M whose
+    truncation bound, times |C|, is below 2^-(prec + 24) and enters the
+    radius.  The logs of X, 2 and 2N + 1 (`ball_log_int`) and of prod
+    (`ball_log_prod`, from a trimmed product) are taken with
+    bit_length(N |C|) guard bits, as their coefficients are up to N |C|
+    times as large as c_1; the rest is one exact rational.  So c_1 is one
+    combination with integer coefficients over 2f, summed exactly and
+    rounded once (`ball_combination`), and a class of any size makes two
+    `ball_log_int` calls, three when S != 0.
 
     For K = 0 and K >= 2 the coefficients are the sums of one jet per
     residue, at x = a/f in lowest terms: the main sum accumulates the power
@@ -622,8 +662,7 @@ def hurwitz_jet(f, residues, K):
         raise InputError(f"jet truncation K = {K} must lie in 0..4")
     if not residues or min(residues) < 1 or max(residues) > f:
         raise InputError(f"residues must be a nonempty sequence in 1..{f}")
-    N = max(16, (3 * prec) // 10)
-    B = max(8, (17 * prec) // 100)
+    N, B = _cutoffs(prec)
     params = {"N": N, "B": B, "prec": prec}
     size, total = len(residues), sum(residues)
     exact0 = Fraction(f * size - 2 * total, 2 * f)
@@ -633,30 +672,58 @@ def hurwitz_jet(f, residues, K):
                 for a in residues]
         return Jet([exact0] + [sum(cs[1:], cs[0]) for cs in zip(*jets)],
                    order=None, params=params)
-    # c_0 = sum (N + 1/2 - w_a), exactly, over 2f
-    wn = [N * f + a for a in residues]
-    total_wn = sum(wn)
-    if 2 * N * f * size + f * size - 2 * total_wn != f * size - 2 * total:
+    # c_0 = sum (N + 1/2 - w_a) = -S / 2f, exactly
+    S = 2 * total - f * size
+    total_wn = N * f * size + total
+    if 2 * N * f * size + f * size - 2 * total_wn != -S:
         raise CertificationError("Euler-Maclaurin c0 check failed")
+    # the mirror pairs, each by its a < f - a, and the unpaired residues:
+    # those without a mirror, a = f/2, and each repeated entry past the
+    # first
+    distinct = dict.fromkeys(residues)
+    pairs = [a for a in distinct if 2 * a < f and f - a in distinct]
+    singles = [a for a in distinct if 2 * a == f or f - a not in distinct]
+    if len(distinct) < size:
+        ordered = sorted(residues)
+        singles += [a for a, b in zip(ordered, ordered[1:]) if a == b]
+    squares = [(n * f) ** 2 for n in range(1, 2 * N, 2)]
+    factors = [prod(map(sub, squares, repeat((f - 2 * a) ** 2))) >> 2 * N
+               for a in pairs]
+    factors += [prod(range(a, N * f + a, f)) for a in singles]
+    T, X = 2 * N + 1, (2 * N + 1) * f
     with working_precision(prec + (N * size).bit_length()):
-        logs = (ball_log_int(N * f), ball_log_int(N), ball_log_prod(
-            [prod(range(a, w, f)) for a, w in zip(residues, wn)]))
-    # sum_a g(u_a) = sum_k gamma_k P_k / (N f)^k, P_k = sum_a a^k, is
-    # sum_k G[k] P_k (N f)^(M - k) over Q = D (N f)^M, by Horner in N f;
-    # the powers a^k come from `accumulate`, the power sums from one zip
-    G, D, exps, rads = _tail_series(N, B, prec)
+        logs = (ball_log_int(X), ball_log_int(2), ball_log_prod(factors),
+                ball_log_int(T) if S else Ball(0))
+    # sum_a h(v_a) = sum_k eta_k P_k / X^k, P_k = sum_a d_a^k, is
+    # sum_k H[k] P_k X^(M - k) over Q = D X^M, by Horner in X; a pair
+    # adds 2 d^2m to P_2m, an unpaired residue d^k to P_k
+    H, D, exps, rads = _midpoint_series(N, B, prec)
     M = min(bisect_left(exps, prec + 24 + size.bit_length()), len(exps) - 1)
-    P = map(sum, zip(*(accumulate(repeat(a, M), mul, initial=1)
-                       for a in residues)))
-    Nf, tail = N * f, 0
-    for g, p in zip(G, P):
-        tail = tail * Nf + g * p
-    Q = D * Nf ** M
+    P = [0] * (M + 1)
+    if pairs:
+        P[::2] = [2 * p for p in _power_sums(
+            [(f - 2 * a) ** 2 for a in pairs], M // 2)]
+    if singles:
+        P = list(map(add, P, _power_sums([2 * a - f for a in singles], M)))
+    tail = 0
+    for h, p in zip(H, P):
+        tail = tail * X + h * p
+    Q = D * X ** M
     c1 = ball_combination(
-        (2 * f * N * size, 2 * total - f * size, -2 * f, 2 * f * size,
-         2 * f * size),
+        (2 * f * N * size, -(2 * f * N * size + S), -2 * f, S,
+         2 * f * size, 2 * f * size),
         logs + (spreads[1], rads[M]), 2 * f, (tail - total_wn * (Q // f), Q))
     return Jet([exact0, c1], order=None, params=params)
+
+
+def _power_sums(xs, m):
+    """[sum x^0, sum x^1, ..., sum x^m] over the integers xs, one power of
+    all of them at a time."""
+    sums, powers = [], [1] * len(xs)
+    for _ in range(m + 1):
+        sums.append(sum(powers))
+        powers = list(map(mul, powers, xs))
+    return sums
 
 
 def _corrections(den, wns, B, K):
@@ -665,7 +732,7 @@ def _corrections(den, wns, B, K):
     denominator q^(B-1), as the unreduced pair (Rn, Rd).  Returns, for each
     i = 1..K, the list of pairs over `wns`.  They serve the jets of
     K >= 2 (`_residue_jet`) only: at K = 1 the corrections are part of the
-    power series of `_tail_series`."""
+    power series of `_midpoint_series`."""
     p = den * den
     rows = []
     for a, d in _correction_coeffs(B, K):

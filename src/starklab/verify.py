@@ -25,7 +25,6 @@ CertificationError, as `reason` for the others.  Any other exception is a
 fault of the program and propagates.
 """
 
-import copy
 import itertools
 import json
 from fractions import Fraction
@@ -186,10 +185,14 @@ class Scenario:
 
     def hypothesis_flags(self):
         """The theorem-hypothesis flags of (S, V, T): a fresh copy each
-        call, computed once per datum (validate_datum starts them over)."""
+        call, computed once per datum (validate_datum starts them over).
+        The values are numbers, booleans and the place lists S, V and T,
+        so a new dict with new lists of them copies it in full."""
         if self._flags is None:
             self._flags = self._compute_flags()
-        return copy.deepcopy(self._flags)
+        flags = self._flags
+        return {**flags, "S": list(flags["S"]), "V": list(flags["V"]),
+                "T": list(flags["T"])}
 
     def _compute_flags(self):
         flags = {"S": list(self.S), "V": list(self.V), "T": list(self.T)}

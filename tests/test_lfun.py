@@ -20,9 +20,9 @@ from starklab.grpring import AbelianGroup, GroupRingElement, InputError
 from starklab.hnf import diagonalize_relations
 from starklab.lfun import (AbelianFieldRealization, DirichletChar, Jet,
                            LSpec, UnresolvedOrderError, WrongOrderError,
-                           _correction_coeffs, _corrections, _kronecker_table,
+                           _correction_coeffs, _corrections, _cutoffs,
+                           _kronecker_table, _midpoint_series,
                            _rising_factorial_coeffs, _tail_radius_table,
-                           _tail_series,
                            bernoulli_value, hurwitz_jet,
                            l_jet, stickelberger_element, theoretical_order,
                            validate_rubin_shape)
@@ -134,9 +134,9 @@ def test_hurwitz_jet_encloses_mpmath(prec, K):
 
 
 def test_hurwitz_c1_radius_is_the_tail_bound_plus_little_rounding():
-    # at 128 bits the tail bound is about 2^-166, so the radius is the
-    # rounding of the evaluation: the three logs, each one step wide, and
-    # one rounding of their exact combination keep that below 2^-(prec+5)
+    # at 128 bits the tail bound is about 2^-156, so the radius is the
+    # rounding of the evaluation: the logs, each one step wide, and one
+    # rounding of their exact combination keep that below 2^-(prec+5)
     for x in ORACLE_XS:
         jet = jet_at(x, 1)
         N, B = jet.params["N"], jet.params["B"]
@@ -300,12 +300,24 @@ def _every_class(f_max):
     return sorted(out)
 
 
+def _mirror_closed(f, residues):
+    """Is the class closed under a -> f - a?"""
+    return sorted(residues) == sorted(f - a for a in residues)
+
+
+# unpaired residues that no character class has: a repeated entry, a = f/2
+# alone, a = f, and the class of zeta(s) itself
+UNPAIRED_CLASSES = [(5, (1, 1)), (10, (5,)), (5, (5,)), (1, (1,))]
+
+
 @pytest.mark.parametrize("bits", [53, 80, 128, 160, 256])
 def test_class_jets_enclose_mpmath_and_overlap_the_singleton_sums(bits):
-    # every class of every character mod f <= 60: c_1 contains
+    # every class of every character mod f <= 60, mirror-closed (even
+    # characters) or not (odd ones), and the unpaired classes: c_1 contains
     # sum_a (log Gamma(a/f) - log(2 pi) / 2) at 2 bits + 64 bits and
     # overlaps the sum of the classes' singleton jets
-    classes = _every_class(60)
+    classes = _every_class(60) + UNPAIRED_CLASSES
+    assert {_mirror_closed(f, res) for f, res in classes} == {True, False}
     with working_precision(bits):
         jets = [hurwitz_jet(f, list(res), 1) for f, res in classes]
         single = {x: jet_at(x, 1).coeffs[1] for f, res in classes
@@ -329,11 +341,6 @@ def test_class_jets_enclose_mpmath_and_overlap_the_singleton_sums(bits):
             lo, hi = jet.coeffs[1].endpoints()
             total_lo, total_hi = total.endpoints()
             assert lo <= total_hi and total_lo <= hi, (bits, f, res)
-
-
-def _cutoffs(bits):
-    """hurwitz_jet's N and B at the precision `bits`."""
-    return max(16, (3 * bits) // 10), max(8, (17 * bits) // 100)
 
 
 def _per_residue_class_c1(f, residues):
@@ -369,10 +376,11 @@ def _per_residue_class_c1(f, residues):
 
 @pytest.mark.parametrize("bits", [53, 80, 128, 160, 256])
 def test_class_c1_overlaps_the_per_residue_kernel(bits):
-    # every class of every character mod f <= 60, and both classes of
-    # chi_D for D = 401 and 997: the power-sum kernel's c_1 overlaps the
-    # per-residue kernel's, and its radius is at most 1.25 times as large
-    classes = _every_class(60) + [
+    # every class of every character mod f <= 60, mirror-closed or not,
+    # the unpaired classes, and both classes of chi_D for D = 401 and 997:
+    # the midpoint kernel's c_1 overlaps the per-residue kernel's at the
+    # same cutoffs, and its radius is at most 1.25 times as large
+    classes = _every_class(60) + UNPAIRED_CLASSES + [
         (D, res) for D in (401, 997)
         for _t, res in DirichletChar.quadratic(D).classes()]
     with working_precision(bits):
@@ -385,55 +393,73 @@ def test_class_c1_overlaps_the_per_residue_kernel(bits):
             assert 4 * (hi - lo) <= 5 * (old_hi - old_lo), (bits, f, res)
 
 
-def _fraction_gammas(N, B, M):
-    """gamma_0..gamma_M of g(u) = (N (1 + u) - 1/2) log(1 + u)
-    + sum_j beta_j (N (1 + u))^(1 - 2j) in Fractions, with sympy's
-    Bernoulli numbers: log(1 + u) = sum_k (-1)^(k+1) u^k / k and
-    (1 + u)^(1 - 2j) = sum_k binomial(1 - 2j, k) u^k."""
+def _fraction_etas(N, B, M):
+    """eta_0..eta_M of h(v) = (N' (1 + v) - 1/2) log(1 + v)
+    + sum_j beta_j (N' (1 + v))^(1 - 2j), N' = N + 1/2, in Fractions, with
+    sympy's Bernoulli numbers: log(1 + v) = sum_k (-1)^(k+1) v^k / k and
+    (1 + v)^(1 - 2j) = sum_k binomial(1 - 2j, k) v^k."""
+    Np = N + Fraction(1, 2)
     beta = [Fraction(int(b.p), int(b.q)) / (2 * j * (2 * j - 1))
             for j in range(1, B + 1) for b in [sympy.bernoulli(2 * j)]]
     out = []
     for k in range(M + 1):
-        g = sum(b * Fraction(N) ** (1 - 2 * j)
-                * int(sympy.binomial(1 - 2 * j, k))
+        h = sum(b * Np ** (1 - 2 * j) * int(sympy.binomial(1 - 2 * j, k))
                 for j, b in enumerate(beta, 1))
         if k:
-            g += (N - Fraction(1, 2)) * Fraction((-1) ** (k + 1), k)
+            h += (Np - Fraction(1, 2)) * Fraction((-1) ** (k + 1), k)
         if k > 1:
-            g += N * Fraction((-1) ** k, k - 1)
-        out.append(g)
+            h += Np * Fraction((-1) ** k, k - 1)
+        out.append(h)
     return out, beta
 
 
 @pytest.mark.parametrize("bits", [53, 80, 128, 160, 256])
-def test_tail_series_is_the_fraction_table_and_its_bound_holds(bits):
+def test_midpoint_series_is_the_fraction_table_and_its_bound_holds(bits):
     # the integer table over one denominator is the Fraction table, and at
-    # u = 1/N, the end of the range, and at u = 1/(7N), each partial sum is
-    # within its bound 2^-exps[k] of g(u), evaluated by mpmath at
-    # 2 bits + 64 bits
+    # v = +-1/(2N + 1), the ends of the range, and at v = +-1/(7 (2N + 1)),
+    # each partial sum is within its bound 2^-exps[k] of h(v), evaluated
+    # by mpmath at 2 bits + 64 bits
     N, B = _cutoffs(bits)
-    G, D, exps, rads = _tail_series(N, B, bits)
-    gammas, beta = _fraction_gammas(N, B, len(G) - 1)
-    assert [Fraction(g, D) for g in G] == gammas
+    H, D, exps, rads = _midpoint_series(N, B, bits)
+    etas, beta = _fraction_etas(N, B, len(H) - 1)
+    assert [Fraction(h, D) for h in H] == etas
     assert exps[-1] >= bits + 64 and list(exps) == sorted(exps)
     assert [r.endpoints()[1] for r in rads] == \
         [Fraction(2) ** -e for e in exps]
-    for u in (Fraction(1, N), Fraction(1, 7 * N)):
+    T = 2 * N + 1
+    for v in (Fraction(1, T), Fraction(-1, T), Fraction(1, 7 * T),
+              Fraction(-1, 7 * T)):
         with mp.workprec(2 * bits + 64):
-            um = mp.mpf(u.numerator) / u.denominator
-            w = N * (1 + um)
-            v = (w - mp.mpf(1) / 2) * mp.log(1 + um) + mp.fsum(
+            vm = mp.mpf(v.numerator) / v.denominator
+            w = (N + mp.mpf(1) / 2) * (1 + vm)
+            h = (w - mp.mpf(1) / 2) * mp.log(1 + vm) + mp.fsum(
                 mp.mpf(b.numerator) / b.denominator * w ** (1 - 2 * j)
                 for j, b in enumerate(beta, 1))
-            ref = Fraction(*to_rational(v._mpf_))
+            ref = Fraction(*to_rational(h._mpf_))
         partial = Fraction(0)
-        for k, g in enumerate(gammas):
-            partial += g * u ** k
-            assert abs(partial - ref) <= Fraction(2) ** -exps[k], (bits, k)
+        for k, eta in enumerate(etas):
+            partial += eta * v ** k
+            assert abs(partial - ref) <= Fraction(2) ** -exps[k], (bits, v, k)
+
+
+@pytest.mark.parametrize("bits", [53, 64, 80, 100, 128, 160, 256, 512,
+                                  69, 83, 84, 89, 99])
+def test_cutoffs_put_the_tail_bound_past_the_precision(bits):
+    # the first-order remainder bound is at most 2^-(prec + 20), and the
+    # bounds of orders 2..4 at most 2^-(prec + 12); at 69..99 bits, with N
+    # at its floor, B = prec // 5 alone would miss the first
+    N, B = _cutoffs(bits)
+    assert N == max(16, bits // 5) and B >= bits // 5
+    with working_precision(bits):
+        spreads = _tail_radius_table(N, B, 4, bits)
+    assert spreads[1].rad() <= Fraction(2) ** -(bits + 20)
+    assert all(r.rad() <= Fraction(2) ** -(bits + 12) for r in spreads[2:])
 
 
 def test_class_jet_log_calls_do_not_grow_with_the_class(monkeypatch):
-    # ball_log_int is called for N f and N alone, whatever the class size
+    # ball_log_int is called for (2N + 1) f and 2 alone when the class is
+    # closed under a -> f - a, and for 2N + 1 as well when it is not,
+    # whatever the class size
     calls = []
     real = lfun.ball_log_int
 
@@ -444,14 +470,18 @@ def test_class_jet_log_calls_do_not_grow_with_the_class(monkeypatch):
     monkeypatch.setattr(lfun, "ball_log_int", counted)
     counts = {}
     for size in (2, 200):
-        res = list(range(1, 2 * size, 2))
-        hurwitz_jet(401, res, 1)    # the cutoff tables are built once
-        calls.clear()
-        hurwitz_jet(401, res, 1)
-        counts[size] = len(calls)
-    N = _cutoffs(precision())[0]
-    assert counts == {2: 2, 200: 2}
-    assert sorted(set(calls)) == [N, N * 401]
+        closed = [a for b in range(1, size + 1) for a in (b, 401 - b)]
+        unpaired = list(range(1, 2 * size, 2))
+        for kind, res in (("closed", closed), ("unpaired", unpaired)):
+            hurwitz_jet(401, res, 1)    # the cutoff tables are built once
+            calls.clear()
+            hurwitz_jet(401, res, 1)
+            counts[kind, size] = sorted(calls)
+    T = 2 * _cutoffs(precision())[0] + 1
+    assert counts == {("closed", 2): [2, T * 401],
+                      ("closed", 200): [2, T * 401],
+                      ("unpaired", 2): [2, T, T * 401],
+                      ("unpaired", 200): [2, T, T * 401]}
 
 
 def test_class_jets_above_first_order_are_the_singleton_sums():

@@ -41,29 +41,19 @@ def _trees():
             for p in sorted(SRC.glob("*.py"))}
 
 
-def _referenced_names(node):
-    """Every name the subtree reads: plain names, attribute names, and the
-    names it imports (so a function that `__init__` re-exports is used)."""
-    for n in ast.walk(node):
-        if isinstance(n, ast.Name):
-            yield n.id
-        elif isinstance(n, ast.Attribute):
-            yield n.attr
-        elif isinstance(n, ast.alias):
-            yield n.name
-
-
-def _functions(node, prefix):
-    """(qualified name, def node) of every function and method under node."""
+def _functions(node, prefix, kind="function"):
+    """(qualified name, def node, kind) of every function under node: kind
+    is "function" at module level, "method" in a class body and "nested"
+    in a function."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
             qual = prefix + child.name
-            yield qual, child
-            yield from _functions(child, qual + ".")
+            yield qual, child, kind
+            yield from _functions(child, qual + ".", "nested")
         elif isinstance(child, ast.ClassDef):
-            yield from _functions(child, prefix + child.name + ".")
+            yield from _functions(child, prefix + child.name + ".", "method")
         else:
-            yield from _functions(child, prefix)
+            yield from _functions(child, prefix, kind)
 
 
 def _init_names(tree):
@@ -80,37 +70,155 @@ def test_init_all_is_exactly_what_it_imports():
     assert sorted(listed) == sorted(imported)
 
 
-def test_every_function_is_referenced_outside_its_own_def():
-    # Matched by name alone: a method counts as used when anything of the
-    # same name is, so a dead method that shares its name with a live one
-    # elsewhere (`DirichletChar.is_trivial` next to `Character.is_trivial`,
-    # say) passes.  Only a call trace finds those.  A re-export from
-    # `__init__` is no use: a function that nothing else in the package
-    # refers to is in UNREFERENCED_OK, or is named in `__all__` and called
-    # from the tests, as a reference they compare production code against.
-    trees = _trees()
-    _imported, exported = _init_names(trees.pop("__init__"))
-    everywhere = Counter()
-    for tree in trees.values():
-        everywhere.update(_referenced_names(tree))
-    in_tests = set()
-    for path in sorted(TESTS.glob("*.py")):
-        in_tests.update(_referenced_names(ast.parse(path.read_text())))
-    unreferenced = []
-    defined = set()
+def _scopes(trees):
+    """({module: its module-level function names}, {class: its method
+    names}) over the package's syntax trees."""
+    modules, classes = {}, {}
     for module, tree in trees.items():
-        for qual, node in _functions(tree, module + "."):
+        modules[module] = set()
+        for qual, _node, kind in _functions(tree, module + "."):
+            *_, owner, name = qual.split(".")
+            if kind == "function":
+                modules[module].add(name)
+            elif kind == "method":
+                classes.setdefault(owner, set()).add(name)
+    return modules, classes
+
+
+def _uses(node, module, modules, classes):
+    """The references the subtree makes, as keys: ("name", module, n) for a
+    plain name n; ("function", "m.f") for `from .m import f` and for
+    `m.f`, with f a module-level function of the package module m;
+    ("method", "C.n") for `C.n`, with n a method of the package class C;
+    ("attribute", n) for any other attribute n."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield "name", module, n.id
+        elif isinstance(n, ast.ImportFrom) and n.module:
+            source = n.module.split(".")[-1]
+            for alias in n.names:
+                yield "function", f"{source}.{alias.name}"
+        elif isinstance(n, ast.Attribute):
+            base = n.value.id if isinstance(n.value, ast.Name) else None
+            if n.attr in modules.get(base, ()):
+                yield "function", f"{base}.{n.attr}"
+            elif n.attr in classes.get(base, ()):
+                yield "method", f"{base}.{n.attr}"
+            else:
+                yield "attribute", n.attr
+
+
+def _keys(module, qual, kind):
+    """The keys of `_uses` through which the function `qual` is used: a
+    module-level function through a plain name in its module, an import or
+    `module.name`; a nested one through a plain name; a method through
+    `Class.name` for its own class, or an attribute of anything else."""
+    *_, owner, name = qual.split(".")
+    if kind == "function":
+        return [("name", module, name), ("function", f"{module}.{name}")]
+    if kind == "nested":
+        return [("name", module, name)]
+    return [("method", f"{owner}.{name}"), ("attribute", name)]
+
+
+def _unreferenced(trees, tests):
+    """(the functions of the package that nothing uses, every function it
+    defines), from {module: syntax tree}, `__init__` included, and the
+    syntax trees of the tests.
+
+    A recursive call is no use, nor is a re-export from `__init__`.  A
+    function that `__init__` exports counts as used when a test reaches it
+    through a plain name or `module.name`: it is a reference that tests
+    compare production code against.  Dunders are exempt, as the
+    interpreter calls them."""
+    trees = dict(trees)
+    init = trees.pop("__init__")
+    exported = {f"{n.module.split('.')[-1]}.{a.name}": a.asname or a.name
+                for n in init.body if isinstance(n, ast.ImportFrom)
+                for a in n.names}
+    modules, classes = _scopes(trees)
+    everywhere = Counter()
+    for module, tree in trees.items():
+        everywhere.update(_uses(tree, module, modules, classes))
+    in_tests = Counter()
+    for tree in tests:
+        in_tests.update(_uses(tree, None, modules, classes))
+    unreferenced, defined = [], set()
+    for module, tree in trees.items():
+        for qual, node, kind in _functions(tree, module + "."):
             defined.add(qual)
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
-            # a recursive call is no use from outside
-            inside = Counter(_referenced_names(node))[name]
-            if everywhere[name] == inside and qual not in UNREFERENCED_OK \
-                    and not (name in exported and name in in_tests):
+            keys = _keys(module, qual, kind)
+            inside = Counter(_uses(node, module, modules, classes))
+            if all(everywhere[k] == inside[k] for k in keys) and not (
+                    qual in exported
+                    and (in_tests["name", None, exported[qual]]
+                         or in_tests["function", qual])):
                 unreferenced.append(qual)
-    assert unreferenced == []
+    return unreferenced, defined
+
+
+def test_every_function_is_referenced_outside_its_own_def():
+    # a function that nothing in the package uses is in UNREFERENCED_OK, or
+    # is named in `__all__` and reached from the tests (`_unreferenced`)
+    tests = [ast.parse(path.read_text())
+             for path in sorted(TESTS.glob("*.py"))]
+    unreferenced, defined = _unreferenced(_trees(), tests)
+    assert sorted(set(unreferenced) - UNREFERENCED_OK) == []
     assert UNREFERENCED_OK <= defined
+
+
+# Two dead functions that matching names alone let through: a module-level
+# wrapper, re-exported and named like a live method that tests call, and a
+# classmethod named like another class's live one
+HIDDEN = {
+    "__init__": "from .sublat import count_avoiding\n",
+    "sublat": """
+class HyperplaneSet:
+    def count_avoiding(self, v):
+        return v
+
+
+def count_avoiding(p, m, v):
+    return HyperplaneSet().count_avoiding(v)
+""",
+    "verify": """
+from .sublat import HyperplaneSet
+from .zideal import GIdealLattice
+
+USES = HyperplaneSet().count_avoiding(1), GIdealLattice.from_vectors([1])
+""",
+    "zideal": """
+class GIdealLattice:
+    @classmethod
+    def from_vectors(cls, vectors):
+        return cls()
+""",
+    "multilin": """
+class WedgeElement:
+    @classmethod
+    def from_vectors(cls, vectors):
+        return cls()
+""",
+}
+
+
+def test_the_reference_check_sees_functions_hidden_by_a_shared_name():
+    trees = {module: ast.parse(text) for module, text in HIDDEN.items()}
+    by_method = ast.parse("def test_count(hs):\n"
+                          "    assert hs.count_avoiding(1) == 1\n")
+    unreferenced, _ = _unreferenced(trees, [by_method])
+    assert sorted(unreferenced) == ["multilin.WedgeElement.from_vectors",
+                                    "sublat.count_avoiding"]
+    # a test that reaches the export by its name or as `module.name` keeps it
+    for test in ("from starklab import count_avoiding\n"
+                 "count_avoiding(2, 2, 1)\n",
+                 "from starklab import sublat\n"
+                 "sublat.count_avoiding(2, 2, 1)\n"):
+        unreferenced, _ = _unreferenced(trees, [ast.parse(test)])
+        assert unreferenced == ["multilin.WedgeElement.from_vectors"]
 
 
 def _is_dict(value):
@@ -164,7 +272,7 @@ def _caught(handler):
 def test_verify_maps_exceptions_to_verdicts_in_one_place():
     # no runner catches what `_run_check` maps, so an exception gives the
     # same verdict whichever check or layer raised it
-    catching = sorted({qual for qual, node in
+    catching = sorted({qual for qual, node, _kind in
                        _functions(_trees()["verify"], "verify.")
                        for h in ast.walk(node)
                        if isinstance(h, ast.ExceptHandler)

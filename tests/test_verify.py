@@ -346,7 +346,7 @@ def test_cli_lvalue_reports_jet_params(tmp_path):
     assert main(["lvalue", "--modulus", "5", "--S", "inf", "5", "--T", "3",
                  "--out", str(out)]) == 0
     params = json.loads(out.read_text())["params"]
-    assert params == {"N": 38, "B": 21, "prec": 128}
+    assert params == {"N": 25, "B": 25, "prec": 128}
 
 
 @pytest.mark.parametrize("order", ["0", "-1"])
