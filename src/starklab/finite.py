@@ -17,6 +17,9 @@ from functools import lru_cache
 from .arith import factorint, isprime
 from .grpring import InputError
 
+# the desk bound on the relative order of a `GroupStructure` generator
+MAX_ORDER = 2 ** 20
+
 
 class GroupStructure:
     """Structure of a finite abelian group given by generators and an op.
@@ -27,7 +30,7 @@ class GroupStructure:
     the relation rows  r_i e_i - (expression of g_i^{r_i} in g_1..g_{i-1}).
     """
 
-    def __init__(self, identity, op, generators, max_order=2 ** 20):
+    def __init__(self, identity, op, generators):
         self.identity = identity
         self.op = op
         self.leaders = []
@@ -37,7 +40,7 @@ class GroupStructure:
         for g in generators:
             if g in self.exponents:
                 continue
-            self._extend(g, max_order)
+            self._extend(g)
         k = len(self.leaders)
         # pad earlier exponent tuples to full length
         self.exponents = {el: tuple(v) + (0,) * (k - len(v))
@@ -46,14 +49,14 @@ class GroupStructure:
                               for row in self.relation_rows]
         self.order = len(self.exponents)
 
-    def _extend(self, g, max_order):
+    def _extend(self, g):
         # find relative order r = min{r >= 1 : g^r in current span}
         power = g
         r = 1
         while power not in self.exponents:
             power = self.op(power, g)
             r += 1
-            if r > max_order:
+            if r > MAX_ORDER:
                 raise RuntimeError("group order exceeds the desk bound")
         tail = list(self.exponents[power])
         k = len(self.leaders)

@@ -146,102 +146,68 @@ class Subgroup:
 
 # -- coefficient ring plumbing -------------------------------------------
 
-# the coefficient rings, Z < Q < R: a mixed operation runs in the larger
+# the coefficient rings by tag, Z < Q < R: a mixed operation runs in the
+# larger (`_join`)
 _RING_ORDER = {"int": 0, "rat": 1, "ball": 2}
+_ZERO = {"int": 0, "rat": Fraction(0), "ball": Ball(0)}
 
 
-class Ring:
-    """Coefficient ring descriptor with coercion helpers."""
-
-    def __init__(self, tag):
-        if tag not in _RING_ORDER:
-            raise InputError(f"unknown ring tag {tag!r}")
-        self.tag = tag
-
-    def zero(self):
-        if self.tag == "int":
-            return 0
-        if self.tag == "rat":
-            return Fraction(0)
-        return Ball(0)
-
-    def one(self):
-        if self.tag == "int":
-            return 1
-        if self.tag == "rat":
-            return Fraction(1)
-        return Ball(1)
-
-    def coerce(self, x):
-        if self.tag == "int":
-            if isinstance(x, int):
-                return x
-            if isinstance(x, Fraction) and x.denominator == 1:
-                return int(x)
-            raise InputError(f"cannot coerce {x!r} into Z")
-        if self.tag == "rat":
-            if isinstance(x, (int, Fraction)):
-                return Fraction(x)
-            raise InputError(f"cannot coerce {x!r} into Q")
-        if isinstance(x, Ball):
+def _coerce(ring, x):
+    """x as a coefficient of the ring tagged `ring`."""
+    if ring == "int":
+        if isinstance(x, int):
             return x
+        if isinstance(x, Fraction) and x.denominator == 1:
+            return int(x)
+        raise InputError(f"cannot coerce {x!r} into Z")
+    if ring == "rat":
         if isinstance(x, (int, Fraction)):
-            return Ball(x)
-        raise InputError(f"cannot coerce {x!r} into a real ball")
-
-    def is_exact(self):
-        return self.tag != "ball"
-
-    def __eq__(self, other):
-        return isinstance(other, Ring) and self.tag == other.tag
-
-    def __hash__(self):
-        return hash(self.tag)
-
-    def __repr__(self):
-        return f"Ring({self.tag})"
+            return Fraction(x)
+        raise InputError(f"cannot coerce {x!r} into Q")
+    if isinstance(x, Ball):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return Ball(x)
+    raise InputError(f"cannot coerce {x!r} into a real ball")
 
 
-def join_ring(r1, r2):
-    """Smallest common coefficient ring for a mixed binary operation."""
-    return r1 if _RING_ORDER[r1.tag] >= _RING_ORDER[r2.tag] else r2
+def _join(r1, r2):
+    """The smallest ring holding both: the ring of a mixed operation."""
+    return r1 if _RING_ORDER[r1] >= _RING_ORDER[r2] else r2
 
 
 class GroupRingElement:
-    """Dense element of R[G], immutable by convention."""
+    """Dense element of R[G], immutable by convention; `ring` is the tag
+    of R: "int", "rat" or "ball"."""
 
     __slots__ = ("group", "ring", "coeffs")
 
     def __init__(self, group, ring, coeffs):
+        if ring not in _RING_ORDER:
+            raise InputError(f"unknown ring tag {ring!r}")
         self.group = group
-        self.ring = ring if isinstance(ring, Ring) else Ring(ring)
-        coeffs = [self.ring.coerce(c) for c in coeffs]
+        self.ring = ring
+        coeffs = [_coerce(ring, c) for c in coeffs]
         if len(coeffs) != group.order:
             raise InputError("coefficient vector length must equal |G|")
         self.coeffs = coeffs
 
-    # construction helpers
+    # construction helpers: integer coefficients, coerced into the ring
     @staticmethod
     def zero(group, ring="int"):
-        r = ring if isinstance(ring, Ring) else Ring(ring)
-        return GroupRingElement(group, r, [r.zero()] * group.order)
+        return GroupRingElement(group, ring, [0] * group.order)
 
     @staticmethod
     def one(group, ring="int"):
-        r = ring if isinstance(ring, Ring) else Ring(ring)
-        c = [r.zero()] * group.order
-        c[group.index[group.identity()]] = r.one()
-        return GroupRingElement(group, r, c)
+        return GroupRingElement.from_element(group, group.identity(), ring)
 
     @staticmethod
     def from_element(group, element, ring="int"):
-        r = ring if isinstance(ring, Ring) else Ring(ring)
-        c = [r.zero()] * group.order
-        c[group.index[tuple(element)]] = r.one()
-        return GroupRingElement(group, r, c)
+        c = [0] * group.order
+        c[group.index[tuple(element)]] = 1
+        return GroupRingElement(group, ring, c)
 
     def convert(self, ring):
-        ring = ring if isinstance(ring, Ring) else Ring(ring)
         if ring == self.ring:
             return self
         return GroupRingElement(self.group, ring, self.coeffs)
@@ -250,14 +216,13 @@ class GroupRingElement:
         if isinstance(other, GroupRingElement):
             if other.group is not self.group:
                 raise InputError("mixed groups")
-            ring = join_ring(self.ring, other.ring)
+            ring = _join(self.ring, other.ring)
             return self.convert(ring), other.convert(ring)
         if isinstance(other, (int, Fraction, Ball)):
-            scalar_ring = _scalar_ring(other)
-            ring = join_ring(self.ring, scalar_ring)
+            ring = _join(self.ring, _scalar_ring(other))
             me = self.convert(ring)
-            c = [ring.zero()] * self.group.order
-            c[self.group.index[self.group.identity()]] = ring.coerce(other)
+            c = [_ZERO[ring]] * self.group.order
+            c[self.group.index[self.group.identity()]] = _coerce(ring, other)
             return me, GroupRingElement(self.group, ring, c)
         raise InputError(f"cannot combine group ring element with {other!r}")
 
@@ -281,9 +246,9 @@ class GroupRingElement:
                                 [-x for x in self.coeffs])
 
     def scale(self, scalar):
-        ring = join_ring(self.ring, _scalar_ring(scalar))
+        ring = _join(self.ring, _scalar_ring(scalar))
         me = self.convert(ring)
-        s = ring.coerce(scalar)
+        s = _coerce(ring, scalar)
         return GroupRingElement(me.group, ring, [s * c for c in me.coeffs])
 
     def __mul__(self, other):
@@ -292,7 +257,7 @@ class GroupRingElement:
         a, b = self._pair(other)
         table = self.group.multiplication_table()
         n = self.group.order
-        out = [a.ring.zero()] * n
+        out = [_ZERO[a.ring]] * n
         for i, ca in enumerate(a.coeffs):
             if _is_zero(ca):
                 continue
@@ -307,18 +272,6 @@ class GroupRingElement:
     def __rmul__(self, other):
         return self.scale(other)
 
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise InputError("only nonnegative integer powers")
-        out = GroupRingElement.one(self.group, self.ring)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def coefficient(self, element):
         return self.coeffs[self.group.index[tuple(element)]]
 
@@ -332,16 +285,16 @@ class GroupRingElement:
             except InputError:
                 return NotImplemented
             return a == b
-        if not self.ring.is_exact() or not other.ring.is_exact():
+        if "ball" in (self.ring, other.ring):
             raise InputError("ball elements have no decidable equality; "
                              "use certified predicates")
         a, b = self._pair(other)
         return a.coeffs == b.coeffs
 
     def __hash__(self):
-        if not self.ring.is_exact():
+        if self.ring == "ball":
             raise TypeError("ball elements are unhashable")
-        return hash((id(self.group), self.ring.tag,
+        return hash((id(self.group), self.ring,
                      tuple(repr(c) for c in self.coeffs)))
 
     def int_vector(self):
@@ -362,13 +315,13 @@ class GroupRingElement:
         Follows the 1/4 rule coefficientwise; raises Undecided when any
         coefficient fails to certify.
         """
-        if self.ring.is_exact():
+        if self.ring != "ball":
             return self.int_vector()
         return [c.unique_integer() for c in self.coeffs]
 
     def to_json(self):
         return {"group": list(self.group.invariant_factors),
-                "ring": self.ring.tag,
+                "ring": self.ring,
                 "coeffs": [coeff_json(c) for c in self.coeffs]}
 
     def __repr__(self):
@@ -382,11 +335,11 @@ class GroupRingElement:
 
 def _scalar_ring(x):
     if isinstance(x, int):
-        return Ring("int")
+        return "int"
     if isinstance(x, Fraction):
-        return Ring("rat")
+        return "rat"
     if isinstance(x, Ball):
-        return Ring("ball")
+        return "ball"
     raise InputError(f"unsupported scalar {x!r}")
 
 

@@ -25,18 +25,21 @@ Hurwitz jet of their sum, weighted by zeta_n^t, as -B_{1,chi} shares one
 integer sum.  The first-order coefficient of a class, which every leading
 term at order one is built from, expands the Euler-Maclaurin tail about
 the midpoint N + 1/2, with cutoffs N and B sized from the certified tail
-bound (`_cutoffs`).  It takes a fixed number of logs whatever the class's
-size: of (2N + 1) f, of 2, of 2N + 1 when the offsets 2a - f do not sum
-to 0, and of the main sum's product, from a floor and a ceiling of it
-trimmed to the working precision (`ball.ball_log_prod`).  The rest of
-the tail is one power series in the offsets (2a - f)/((2N + 1) f), whose
-coefficients are cached as integers over one denominator
-(`_midpoint_series`): summed over the class it is one exact rational in
-the power sums of 2a - f.  Every class of an even character is closed
-under a -> f - a, so its odd power sums vanish and are never formed.  One
-exact combination of the logs and that rational is rounded once
-(`ball.ball_combination`), so a real character's leading term costs two
-such roundings and a handful of logs, not a log per residue.
+bound.  The precision alone fixes the cutoffs, the tail bounds, the
+correction rows and the midpoint table, so they are one cached plan per
+precision (`_plan`).  The coefficient takes a fixed number of logs
+whatever the class's size: of (2N + 1) f, of 2, of 2N + 1 when the
+offsets 2a - f do not sum to 0, and of the main sum's product, from a
+floor and a ceiling of it trimmed to the working precision
+(`ball.ball_log_prod`).  The rest of the tail is one power series in the
+offsets (2a - f)/((2N + 1) f), whose coefficients the plan holds as
+integers over one denominator (`_midpoint_series`): summed over the class
+it is one exact rational in the power sums of 2a - f.  Every class of an
+even character is closed under a -> f - a, so its odd power sums vanish
+and are never formed.  One exact combination of the logs and that
+rational is rounded once (`ball.ball_combination`), so a real
+character's leading term costs two such roundings and a handful of logs,
+not a log per residue.
 
 An L_{S,T}-jet is the primitive L-jet times Euler factors, and each split
 S-prime's factor 1 - q^{-s} is s times a jet with leading term log q (Tate,
@@ -53,6 +56,7 @@ from functools import lru_cache
 from itertools import combinations, repeat
 from math import comb, factorial, gcd, isqrt, lcm, prod
 from operator import add, mul, sub
+from typing import NamedTuple
 
 from .arith import bernoulli, factorint, isprime
 from .ball import (Ball, CBall, CertificationError, PrecisionError,
@@ -431,64 +435,83 @@ class Jet:
             order = self.order + other.order
         return Jet(out, order)
 
-    def __add__(self, other):
-        K = min(self.truncation, other.truncation)
-        out = [self.coeffs[k] + other.coeffs[k] for k in range(K + 1)]
-        order = None
-        if self.order is not None and other.order is not None:
-            order = min(self.order, other.order)
-        return Jet(out, order)
-
     def __repr__(self):
         return f"Jet(order={self.order}, coeffs={self.coeffs!r})"
 
 
-@lru_cache(maxsize=None)
-def _rising_factorial_coeffs(m):
-    """Coefficients of s(s+1)...(s+m-1), lowest degree first (m >= 1)."""
-    poly = (0, 1)
-    for j in range(1, m):
-        # multiply by (s + j)
-        new = [0] * (len(poly) + 1)
-        for i, c in enumerate(poly):
-            new[i] += j * c
-            new[i + 1] += c
-        poly = tuple(new)
-    return poly
+class _Plan(NamedTuple):
+    """What the precision fixes for `hurwitz_jet` (`_plan`)."""
+    N: int              # main-sum terms
+    B: int              # Bernoulli corrections
+    spreads: tuple      # remainder bounds r_0..r_4, balls [-r_k, r_k]
+    corrections: tuple  # rows (a, d) of the s-degrees 1..4
+    # the midpoint table (H, D, exps, rads) of `_midpoint_series`
+    H: tuple
+    D: int
+    exps: tuple
+    rads: tuple
 
 
-@lru_cache(maxsize=None)
-def _correction_coeffs(B, K):
-    """Integer tables (a, d) of the Euler-Maclaurin corrections, one for
-    each s-degree i = 1..K: a[j - 1] / d = B_2j / (2j)! * P_j[i] for
-    j = 1..B, with P_j[i] the s^i coefficient of s(s+1)...(s+2j-2).  Every
-    P_j[0] is 0, so there is no table for i = 0."""
-    rows = []
-    for i in range(1, K + 1):
-        row = []
-        for j in range(1, B + 1):
-            P = _rising_factorial_coeffs(2 * j - 1)
-            Pi = P[i] if i < len(P) else 0
-            row.append(bernoulli(2 * j) / factorial(2 * j) * Pi)
-        d = lcm(*(c.denominator for c in row))
-        rows.append((tuple(int(c * d) for c in row), d))
-    return tuple(rows)
+@lru_cache(maxsize=8)
+def _plan(prec):
+    """The Euler-Maclaurin plan of `hurwitz_jet` at prec >= 53 bits.
+
+    The cutoffs are sized from the certified tail: N = max(16, prec // 5)
+    main-sum terms and the least B >= prec // 5 Bernoulli corrections whose
+    first-order remainder bound r_1 (`_tail_radii`) is at most
+    2^-(prec + 20).  B = prec // 5 meets it at 53 and 80 bits (2^-100 at
+    80, to the bit) and at every precision from 100 to 512 bits; where N is
+    at its floor of 16, some precisions from 69 to 99 bits need one or two
+    more.  From 53 to 512 bits the bounds r_2..r_4 are then at most
+    2^-(prec + 12).
+
+    With P_m[i] the s^i coefficient of s(s + 1)...(s + m - 1), kept only at
+    s^0..s^4 and built by one multiplication by s + m per step, the
+    correction row of s-degree i = 1..4 is the integer table (a, d) with
+    a[j - 1] / d = B_2j / (2j)! P_(2j-1)[i] for j = 1..B.  Every P_m[0] is
+    0, so there is no row for i = 0, and P_(2j-1)[1] = (2j - 2)!, so the
+    s^1 row is beta_j = B_2j / (2j (2j - 1)), from which the first-order
+    jet's midpoint table is built (`_midpoint_series`).
+
+    The `lru_cache` key is prec.  A process works at a few precisions: one
+    pass over the benchmark pools asks for jets at 128 bits alone (`acnf`)
+    and at 80, 128 and 160 bits (`rubin_stark`), so each plan is built once
+    per precision and process.
+    """
+    N, B = max(16, prec // 5), prec // 5
+    rising = [(1, 0, 0, 0, 0)]  # P_0
+    with working_precision(prec):
+        while True:
+            while len(rising) <= 2 * B:
+                m, c = len(rising) - 1, rising[-1]
+                rising.append(tuple(m * x + y
+                                    for x, y in zip(c, (0,) + c[:4])))
+            spreads = _tail_radii(N, B, rising[2 * B])
+            if spreads[1].rad() <= Fraction(2) ** -(prec + 20):
+                break
+            B += 1
+        corrections = []
+        for i in range(1, 5):
+            row = [bernoulli(2 * j) / factorial(2 * j) * rising[2 * j - 1][i]
+                   for j in range(1, B + 1)]
+            d = lcm(*(c.denominator for c in row))
+            corrections.append((tuple(int(c * d) for c in row), d))
+        a, d = corrections[0]
+        return _Plan(N, B, spreads, tuple(corrections),
+                     *_midpoint_series(N, a, d, prec))
 
 
-@lru_cache(maxsize=None)
-def _tail_radius_table(N, B, K, prec):
-    """The Euler-Maclaurin remainder bounds r_0..r_K as balls [-r_k, r_k],
-    each rounded up once; the bound only depends on the cutoffs, not on x
-    in (0, 1].  The `lru_cache` key is (N, B, K, prec): `prec` is the
-    precision in force, passed only so that each precision gets its own
-    table."""
-    P2B = _rising_factorial_coeffs(2 * B)
+def _tail_radii(N, B, P2B):
+    """The Euler-Maclaurin remainder bounds r_0..r_4 of the cutoffs N and
+    B as balls [-r_k, r_k], each rounded up once, from the coefficients
+    P2B of s^0..s^4 in s(s + 1)...(s + 2B - 1); the bound does not depend
+    on x in (0, 1]."""
     bconst = abs(bernoulli(2 * B)) / factorial(2 * B)
     logN = ball_log_int(N)
     a_exp = 2 * B - 1
     Npow = Ball(N) ** (-a_exp)
     I = []
-    for j in range(K + 1):
+    for j in range(5):
         acc = Ball(0)
         for i in range(j + 1):
             acc = acc + (logN ** i) * Fraction(
@@ -496,9 +519,9 @@ def _tail_radius_table(N, B, K, prec):
                 * Fraction(1, a_exp ** (j - i + 1))
         I.append(Npow * acc)
     rads = []
-    for k in range(K + 1):
+    for k in range(5):
         rad = Fraction(0)
-        for i in range(min(k, 2 * B) + 1):
+        for i in range(k + 1):
             if P2B[i]:
                 bound = (I[k - i] * Fraction(P2B[i], factorial(k - i))
                          ).endpoints()[1]
@@ -507,32 +530,10 @@ def _tail_radius_table(N, B, K, prec):
     return tuple(rads)
 
 
-@lru_cache(maxsize=None)
-def _cutoffs(prec):
-    """The Euler-Maclaurin cutoffs (N, B) of `hurwitz_jet` at prec >= 53
-    bits, sized from the certified tail: N = max(16, prec // 5) main-sum
-    terms and the least B >= prec // 5 Bernoulli corrections whose
-    first-order remainder bound `_tail_radius_table(N, B, 1, prec)[1]` is
-    at most 2^-(prec + 20).  B = prec // 5 meets it at 53 and 80 bits
-    (2^-100 at 80, to the bit) and at every precision from 100 to 512
-    bits; where N is at its floor of 16, some precisions from 69 to 99 bits
-    need one or two more.  From 53 to 512 bits the bounds of orders 2..4
-    are then at most 2^-(prec + 12).  Each B tried builds the first-order
-    table at prec, under the key that `hurwitz_jet` reads; the `lru_cache`
-    key is prec."""
-    N, B = max(16, prec // 5), prec // 5
-    with working_precision(prec):
-        while _tail_radius_table(N, B, 1, prec)[1].rad() \
-                > Fraction(2) ** -(prec + 20):
-            B += 1
-    return N, B
-
-
-@lru_cache(maxsize=None)
-def _midpoint_series(N, B, prec):
+def _midpoint_series(N, a, d, prec):
     """The tail of a first-order jet about the midpoint N' = N + 1/2, as a
-    power series in v: with w = N' (1 + v) and beta_j = B_2j / (2j (2j -
-    1)),
+    power series in v: with w = N' (1 + v) and beta_j = a[j - 1] / d =
+    B_2j / (2j (2j - 1)) for j = 1..B, the s^1 correction row of `_plan`,
 
         h(v) = (N' (1 + v) - 1/2) log(1 + v)
                + sum_{j <= B} beta_j (N' (1 + v))^(1 - 2j)
@@ -549,12 +550,9 @@ def _midpoint_series(N, B, prec):
     H' rho^(M+1) / (1 - rho) for rho = 4/(3 (2N + 1)); M is the first k
     that puts this below 2^-(prec + 64).  Up to M the bound adds the exact
     |eta_i| (2N + 1)^-i.  A class of fewer than 2^40 residues thus reaches
-    the 2^-(prec + 24) that `hurwitz_jet` asks of it.  The `lru_cache` key
-    is (N, B, prec), one table per precision, like `_tail_radius_table`'s.
+    the 2^-(prec + 24) that `hurwitz_jet` asks of it.
     """
-    beta = [bernoulli(2 * j) / (2 * j * (2 * j - 1)) for j in range(1, B + 1)]
-    d = lcm(*(b.denominator for b in beta))
-    a = [int(b * d) for b in beta]  # beta_j = a[j - 1] / d
+    B = len(a)
     T = 2 * N + 1  # N' = T / 2
     rho = Fraction(4, 3 * T)
     rest = (Fraction(7 * T + 4, 8) * Fraction(7, 5) + sum(
@@ -613,16 +611,17 @@ def hurwitz_jet(f, residues, K):
     class (x.denominator, [x.numerator]).
 
     Euler-Maclaurin with N terms and B Bernoulli corrections sized from
-    the certified tail (`_cutoffs`); every coefficient is a certified
-    enclosure and c_0 = sum (1/2 - a/f) is exact.
+    the certified tail; the precision's `_plan` holds them with the tail
+    bounds, the correction rows and the midpoint table.  Every coefficient
+    is a certified enclosure and c_0 = sum (1/2 - a/f) is exact.
 
     At K = 1 the tail is expanded about the midpoint N' = N + 1/2: with C
     the residues, w_a = N + a/f = N' (1 + v_a), v_a = d_a / X for the
     offset d_a = 2a - f and X = (2N + 1) f, so |v_a| <= 1/(2N + 1), prod
     the product of all n f + a for n < N and a in C, and h the series of
-    `_midpoint_series` (so that (w_a - 1/2) log w_a plus the Bernoulli
-    corrections at w_a is (w_a - 1/2) log N' + h(v_a)), the coefficient is
-    exactly
+    the plan's midpoint table (`_midpoint_series`, so that (w_a - 1/2) log
+    w_a plus the Bernoulli corrections at w_a is (w_a - 1/2) log N' +
+    h(v_a)), the coefficient is exactly
 
         c_1 = N |C| log f - log prod + (sum_a (w_a - 1/2)) log N'
               + sum_k eta_k sum_a v_a^k - sum_a w_a
@@ -652,7 +651,7 @@ def hurwitz_jet(f, residues, K):
     residue, at x = a/f in lowest terms: the main sum accumulates the power
     sums of log(n + x) and divides by k! once, and each exact tail term at
     w = N + x, an unreduced integer pair, is rounded outward once.  The
-    tail bound is rounded once per cutoff and precision.  The precision
+    tail bounds are rounded once per precision, in its plan.  The precision
     must be at least 53 bits: below that it raises `PrecisionError`, an
     `Undecided` with radius 2^-prec.  A c_0 that misses its exact value
     raises `CertificationError`.
@@ -662,14 +661,13 @@ def hurwitz_jet(f, residues, K):
         raise InputError(f"jet truncation K = {K} must lie in 0..4")
     if not residues or min(residues) < 1 or max(residues) > f:
         raise InputError(f"residues must be a nonempty sequence in 1..{f}")
-    N, B = _cutoffs(prec)
-    params = {"N": N, "B": B, "prec": prec}
+    plan = _plan(prec)
+    N = plan.N
+    params = {"N": N, "B": plan.B, "prec": prec}
     size, total = len(residues), sum(residues)
     exact0 = Fraction(f * size - 2 * total, 2 * f)
-    spreads = _tail_radius_table(N, B, K, prec)
     if K != 1:
-        jets = [_residue_jet(Fraction(a, f), K, N, B, spreads)
-                for a in residues]
+        jets = [_residue_jet(Fraction(a, f), K, plan) for a in residues]
         return Jet([exact0] + [sum(cs[1:], cs[0]) for cs in zip(*jets)],
                    order=None, params=params)
     # c_0 = sum (N + 1/2 - w_a) = -S / 2f, exactly
@@ -697,7 +695,7 @@ def hurwitz_jet(f, residues, K):
     # sum_a h(v_a) = sum_k eta_k P_k / X^k, P_k = sum_a d_a^k, is
     # sum_k H[k] P_k X^(M - k) over Q = D X^M, by Horner in X; a pair
     # adds 2 d^2m to P_2m, an unpaired residue d^k to P_k
-    H, D, exps, rads = _midpoint_series(N, B, prec)
+    exps = plan.exps
     M = min(bisect_left(exps, prec + 24 + size.bit_length()), len(exps) - 1)
     P = [0] * (M + 1)
     if pairs:
@@ -706,13 +704,14 @@ def hurwitz_jet(f, residues, K):
     if singles:
         P = list(map(add, P, _power_sums([2 * a - f for a in singles], M)))
     tail = 0
-    for h, p in zip(H, P):
+    for h, p in zip(plan.H, P):
         tail = tail * X + h * p
-    Q = D * X ** M
+    Q = plan.D * X ** M
     c1 = ball_combination(
         (2 * f * N * size, -(2 * f * N * size + S), -2 * f, S,
          2 * f * size, 2 * f * size),
-        logs + (spreads[1], rads[M]), 2 * f, (tail - total_wn * (Q // f), Q))
+        logs + (plan.spreads[1], plan.rads[M]), 2 * f,
+        (tail - total_wn * (Q // f), Q))
     return Jet([exact0, c1], order=None, params=params)
 
 
@@ -726,36 +725,33 @@ def _power_sums(xs, m):
     return sums
 
 
-def _corrections(den, wns, B, K):
-    """The Bernoulli corrections sum_i R_i s^i w^(-s) at each w = wn / den
-    of `wns`: R_i exact, by Horner in u = w^-2 = p/q on integers over the
-    denominator q^(B-1), as the unreduced pair (Rn, Rd).  Returns, for each
-    i = 1..K, the list of pairs over `wns`.  They serve the jets of
-    K >= 2 (`_residue_jet`) only: at K = 1 the corrections are part of the
-    power series of `_midpoint_series`."""
-    p = den * den
-    rows = []
-    for a, d in _correction_coeffs(B, K):
-        row = []
-        for wn in wns:
-            q = wn * wn
-            acc, qpow = a[-1], 1
-            for c in reversed(a[:-1]):
-                qpow *= q
-                acc = acc * p + c * qpow
-            row.append((acc * den, d * qpow * wn))
-        rows.append(row)
-    return rows
+def _corrections(den, wn, rows):
+    """The Bernoulli corrections sum_i R_i s^i w^(-s) at w = wn / den, one
+    R_i for each correction row (a, d) of `rows` (the plan's, from s-degree
+    1 on): R_i exact, by Horner in u = w^-2 = p/q on integers over the
+    denominator q^(B-1), as the unreduced pair (Rn, Rd).  They serve the
+    jets of K >= 2 (`_residue_jet`) only: at K = 1 the corrections are part
+    of the power series of `_midpoint_series`."""
+    p, q = den * den, wn * wn
+    out = []
+    for a, d in rows:
+        acc, qpow = a[-1], 1
+        for c in reversed(a[:-1]):
+            qpow *= q
+            acc = acc * p + c * qpow
+        out.append((acc * den, d * qpow * wn))
+    return out
 
 
-def _residue_jet(x, K, N, B, spreads):
+def _residue_jet(x, K, plan):
     """The ball coefficients c_1..c_K of zeta_H(s, x) for one x = num/den in
-    lowest terms (`hurwitz_jet` at K != 1), after checking that the ball
-    c_0 contains 1/2 - x."""
+    lowest terms (`hurwitz_jet` at K != 1, with its `_plan`), after
+    checking that the ball c_0 contains 1/2 - x."""
     num, den = x.numerator, x.denominator
     exact0 = Fraction(1, 2) - x
+    N = plan.N
     wn = N * den + num
-    R = [(0, 1)] + [row[0] for row in _corrections(den, [wn], B, K)]
+    R = [(0, 1)] + _corrections(den, wn, plan.corrections[:K])
     log_den, log_wn = ball_log_int(den), ball_log_int(wn)
     # main sum: sum_{n<N} (-log(n+x))^k / k!
     sums = [Ball(0)] * (K + 1)  # sums[k] = sum_n log(n+x)^k
@@ -787,7 +783,7 @@ def _residue_jet(x, K, N, B, spreads):
         c = 0
         for m in range(k, 0, -1):
             c = (c + term(k, m)) * neg_Lw
-        out.append(c + main[k] + (term(k, 0) + spreads[k]))
+        out.append(c + main[k] + (term(k, 0) + plan.spreads[k]))
     # pin the exact value at order zero
     if not out[0].contains(exact0):
         raise CertificationError("Euler-Maclaurin c0 check failed")
@@ -1102,23 +1098,20 @@ def _assemble_exact(group, components):
 
 
 def _assemble_ball(group, components):
-    from .grpring import GroupRingElement
-    real_chars = group.exponent <= 2
+    """The ball element sum_chi L*(chi^-1) e_chi: the coefficient of sigma
+    is sum_chi chi(sigma^-1) L*(chi^-1) / |G|, summed as `_primitive_l_jet`
+    sums its classes (`_add_times`), with the weights +-1 when every
+    character is real and certified roots of unity otherwise, whose sum
+    must certify real."""
+    e = group.exponent
     coeffs = []
     for sigma in group.elements:
-        if real_chars:
-            total = Ball(0)
-            for chi in group.all_characters():
-                sign = 1 if chi.value_exponent(sigma) == 0 else -1
-                total = total + components[chi.exponents] * Fraction(sign)
-            coeffs.append(total * Fraction(1, group.order))
-        else:
-            total = CBall(0, 0)
-            for chi in group.all_characters():
-                comp = components[chi.exponents]
-                w = CBall.root_of_unity(-chi.value_exponent(sigma),
-                                        group.exponent)
-                total = total + w * comp
-            coeffs.append(total.real_part_certified()
-                          * Fraction(1, group.order))
+        total = 0
+        for chi in group.all_characters():
+            t = chi.value_exponent(sigma)
+            w = (-1) ** t if e <= 2 else CBall.root_of_unity(-t, e)
+            total = _add_times(total, w, components[chi.exponents])
+        if isinstance(total, CBall):
+            total = total.real_part_certified()
+        coeffs.append(total * Fraction(1, group.order))
     return GroupRingElement(group, "ball", coeffs)

@@ -246,7 +246,7 @@ def pairing_vector(val, label):
     Raises Undecided when every enclosure holds an integer but one does not
     single it out.
     """
-    if val.ring.is_exact():
+    if val.ring != "ball":
         try:
             return val.int_vector()
         except InputError:

@@ -51,6 +51,9 @@ from .zideal import (GIdealLattice, Presentation, UnsupportedCaseError,
 
 CHECK_ALIASES = {"lemma41": "norm_identity", "prop42": "norm_decomposition"}
 
+# `run_acnf` certifies each positive-D residual below this bound
+ACNF_TOL = Fraction(1, 10 ** 25)
+
 
 class ConfigError(ValueError):
     """Malformed scenario file."""
@@ -293,7 +296,7 @@ class RubinStarkData:
         if r == 0:
             eps = WedgeElement(self.group, 0, self.cover(),
                                {(): theta.convert("rat")
-                                if theta.ring.is_exact() else theta})
+                                if theta.ring != "ball" else theta})
             self._epsilon = eps
             return eps
         if theta.is_zero():
@@ -394,7 +397,7 @@ def _permutation_sign(seq):
 def max_pairing_radius(pairings):
     out = Fraction(0)
     for _idx, val in pairings:
-        if not val.ring.is_exact():
+        if val.ring == "ball":
             out = max(out, *(c.rad() for c in val.coeffs))
     return out
 
@@ -719,15 +722,15 @@ def _coords_list(eps, rank):
     return out
 
 
-def run_acnf(dmin=-500, dmax=500, tol=Fraction(1, 10 ** 25)):
+def run_acnf(dmin=-500, dmax=500):
     """Analytic class number formula sweep over fundamental discriminants,
     at the working precision in force.
 
-    Positive D: |L'(0, chi_D) - h(D) log eps_D| certified below tol.
+    Positive D: |L'(0, chi_D) - h(D) log eps_D| certified below `ACNF_TOL`.
     Negative D: L(0, chi_D) = 2 h(D) / w(D) exactly.
     Returns a summary dict.  A residual whose enclosure excludes 0, or an
     exact value that differs, raises CertificationError; a residual that
-    contains 0 but is not certified below tol raises Undecided with the
+    contains 0 but is not certified below the bound raises Undecided with the
     residual's radius.
     """
     from .numfld import is_fundamental_discriminant
@@ -757,10 +760,10 @@ def run_acnf(dmin=-500, dmax=500, tol=Fraction(1, 10 ** 25)):
                 f"ACNF fails at D = {D}: L'(0, chi_D) - h log eps = {resid}")
         lo, hi = resid.endpoints()
         bound = max(abs(lo), abs(hi))
-        if bound >= tol:
+        if bound >= ACNF_TOL:
             raise Undecided(
                 f"ACNF residual at D = {D} contains 0 but is not certified "
-                f"below {float(tol):.1e}", resid.rad())
+                f"below {float(ACNF_TOL):.1e}", resid.rad())
         max_resid = max(max_resid, bound)
         checked_pos += 1
     return {"positive": checked_pos, "negative": checked_neg,

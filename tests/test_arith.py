@@ -7,15 +7,14 @@ from math import factorial, lcm
 
 import pytest
 import sympy
+from sympy.functions.combinatorial.numbers import stirling
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starklab import arith, cli, sublat
 from starklab.arith import (FACTOR_BOUND, CapacityError, bernoulli,
                             factorint, isprime, primerange)
-from starklab.ball import working_precision
-from starklab.lfun import (_correction_coeffs, _rising_factorial_coeffs,
-                           hurwitz_jet)
+from starklab.lfun import _plan
 from starklab.numfld import QuadField
 from starklab.sublat import enumerate_omega_star
 
@@ -55,20 +54,19 @@ def test_bernoulli_matches_sympy():
 
 @pytest.mark.parametrize("bits", [53, 128, 256, 512, 1024])
 def test_correction_coeffs_match_a_sympy_table(bits):
-    with working_precision(bits):
-        B = hurwitz_jet(1, [1], 1).params["B"]
-    K = 4
+    # B_2j / (2j)! times the s^i coefficient of s(s + 1)...(s + 2j - 2),
+    # which is the unsigned Stirling number [2j - 1, i]
+    plan = _plan(bits)
     expected = []
-    for i in range(1, K + 1):
+    for i in range(1, 5):
         row = []
-        for j in range(1, B + 1):
-            P = _rising_factorial_coeffs(2 * j - 1)
-            Pi = P[i] if i < len(P) else 0
+        for j in range(1, plan.B + 1):
             b = Fraction(str(sympy.bernoulli(2 * j)))
-            row.append(b / factorial(2 * j) * Pi)
+            row.append(b / factorial(2 * j) * int(stirling(2 * j - 1, i,
+                                                           kind=1)))
         d = lcm(*(c.denominator for c in row))
         expected.append((tuple(int(c * d) for c in row), d))
-    assert _correction_coeffs(B, K) == tuple(expected)
+    assert plan.corrections == tuple(expected)
 
 
 def test_no_factoring_beyond_desk_scale():

@@ -443,7 +443,7 @@ def test_log_of_a_product_contains_the_log_of_the_exact_product(factors,
 
 def _hurwitz_endpoints():
     ball._log_int.cache_clear()
-    lfun._tail_radius_table.cache_clear()
+    lfun._plan.cache_clear()
     xs = sorted({Fraction(a, f) for f in range(1, 61)
                  for a in range(1, f + 1)})
     with working_precision(128):
@@ -462,4 +462,4 @@ def test_hurwitz_jets_are_bit_identical_to_the_oracle_kernel(monkeypatch):
         assert _hurwitz_endpoints() == current
     finally:
         ball._log_int.cache_clear()
-        lfun._tail_radius_table.cache_clear()
+        lfun._plan.cache_clear()

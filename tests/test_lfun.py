@@ -7,6 +7,7 @@ import pytest
 import sympy
 from mpmath import mp
 from mpmath.libmp import from_man_exp, to_rational
+from sympy.functions.combinatorial.numbers import stirling
 
 from starklab import ball
 from starklab.arith import bernoulli
@@ -20,9 +21,7 @@ from starklab.grpring import AbelianGroup, GroupRingElement, InputError
 from starklab.hnf import diagonalize_relations
 from starklab.lfun import (AbelianFieldRealization, DirichletChar, Jet,
                            LSpec, UnresolvedOrderError, WrongOrderError,
-                           _correction_coeffs, _corrections, _cutoffs,
-                           _kronecker_table, _midpoint_series,
-                           _rising_factorial_coeffs, _tail_radius_table,
+                           _corrections, _kronecker_table, _plan,
                            bernoulli_value, hurwitz_jet,
                            l_jet, stickelberger_element, theoretical_order,
                            validate_rubin_shape)
@@ -139,16 +138,32 @@ def test_hurwitz_c1_radius_is_the_tail_bound_plus_little_rounding():
     # rounding of their exact combination keep that below 2^-(prec+5)
     for x in ORACLE_XS:
         jet = jet_at(x, 1)
-        N, B = jet.params["N"], jet.params["B"]
         prec = precision()
-        tail = _tail_radius_table(N, B, 1, prec)[1].rad()  # rounded up
+        tail = _plan(prec).spreads[1].rad()  # rounded up
         assert jet.coeffs[1].rad() <= 2 * tail + Fraction(2) ** -(prec + 5), x
+
+
+def _sympy_rising(m):
+    """The coefficients of s^0..s^4 in s(s + 1)...(s + m - 1) = rf(s, m):
+    sympy's unsigned Stirling numbers of the first kind [m, i]."""
+    return [int(stirling(m, i, kind=1)) for i in range(5)]
+
+
+@functools.lru_cache(maxsize=None)
+def _fraction_corrections(B):
+    """The Euler-Maclaurin correction rows of the s-degrees i = 1..4 in
+    Fractions, B_2j / (2j)! [2j - 1, i] for j = 1..B, with sympy's Bernoulli
+    numbers and Stirling numbers."""
+    return [[Fraction(str(sympy.bernoulli(2 * j))) / math.factorial(2 * j)
+             * _sympy_rising(2 * j - 1)[i] for j in range(1, B + 1)]
+            for i in range(1, 5)]
 
 
 def _fraction_tail_radii(N, B, K):
     """The remainder bounds r_0..r_K as exact Fractions, the way the tail
-    radius table computed them before it stored rounded balls."""
-    P2B = _rising_factorial_coeffs(2 * B)
+    radius table computed them before it stored rounded balls, from the
+    rising factorial of `_sympy_rising`."""
+    P2B = _sympy_rising(2 * B)
     bconst = abs(bernoulli(2 * B)) / math.factorial(2 * B)
     logN = ball_log_int(N)
     a_exp = 2 * B - 1
@@ -198,14 +213,9 @@ def _fraction_tail_jet(x, K, N, B):
         main = [N] + [sums[k] * Fraction((-1) ** k, math.factorial(k))
                       for k in range(1, K + 1)]
     w = N + x
-    p, q = w.denominator ** 2, w.numerator ** 2
-    R = [Fraction(0)]
-    for a, d in _correction_coeffs(B, K):
-        acc, qpow = a[-1], 1
-        for c in reversed(a[:-1]):
-            qpow *= q
-            acc = acc * p + c * qpow
-        R.append(Fraction(acc * w.denominator, d * qpow * w.numerator))
+    R = [Fraction(0)] + [
+        sum(c * w ** (1 - 2 * j) for j, c in enumerate(row, 1))
+        for row in _fraction_corrections(B)[:K]]
     neg_Lw = log_den - ball_log_int(w.numerator)
     rads = _fraction_tail_radii(N, B, K)
     out = []
@@ -252,11 +262,10 @@ def test_hurwitz_tail_is_bit_identical_to_the_fraction_sum(bits):
                 assert old[0].contains(jet.coeffs[0])
                 assert [c._v for c in jet.coeffs[1:]] == \
                     [c._v for c in old[1:]], (bits, K, x)
-                N, B = jet.params["N"], jet.params["B"]
-                spreads = _tail_radius_table(N, B, K, precision())
-                radii = _fraction_tail_radii(N, B, K)
-                assert [s._v for s in spreads] == \
-                    [Ball(0, r)._v for r in radii]
+        plan = _plan(bits)
+        radii = _fraction_tail_radii(plan.N, plan.B, 4)
+        assert [s._v for s in plan.spreads] == \
+            [Ball(0, r)._v for r in radii]
 
 
 C1_ORACLE_XS = sorted({Fraction(a, f) for f in range(1, 61)
@@ -351,13 +360,14 @@ def _per_residue_class_c1(f, residues):
     (floors for the lower end, ceilings for the upper), in one
     `ball_combination` over 2f with the exact -sum w_a."""
     prec = precision()
-    N, B = _cutoffs(prec)
+    plan = _plan(prec)
+    N = plan.N
     size, total = len(residues), sum(residues)
     wn = [N * f + a for a in residues]
     with working_precision(prec + size.bit_length()):
         log_prod = ball_log(math.prod(math.prod(range(a, w, f))
                                       for a, w in zip(residues, wn)))
-    (R1,) = _corrections(f, wn, B, 1)
+    R1 = [_corrections(f, w, plan.corrections[:1])[0] for w in wn]
     G = ball._PREC + size.bit_length()
     lo = hi = 0
     for n, d in R1:
@@ -368,8 +378,7 @@ def _per_residue_class_c1(f, residues):
     return ball_combination(
         (f * size - 2 * total, -2 * f, 2 * f, 2 * f * size)
         + tuple(2 * w - f for w in wn),
-        (ball_log_int(f), log_prod, grid,
-         _tail_radius_table(N, B, 1, prec)[1])
+        (ball_log_int(f), log_prod, grid, plan.spreads[1])
         + tuple(ball_log_int(w) for w in wn),
         2 * f, (-sum(wn), f))
 
@@ -419,9 +428,9 @@ def test_midpoint_series_is_the_fraction_table_and_its_bound_holds(bits):
     # v = +-1/(2N + 1), the ends of the range, and at v = +-1/(7 (2N + 1)),
     # each partial sum is within its bound 2^-exps[k] of h(v), evaluated
     # by mpmath at 2 bits + 64 bits
-    N, B = _cutoffs(bits)
-    H, D, exps, rads = _midpoint_series(N, B, bits)
-    etas, beta = _fraction_etas(N, B, len(H) - 1)
+    plan = _plan(bits)
+    N, H, D, exps, rads = plan.N, plan.H, plan.D, plan.exps, plan.rads
+    etas, beta = _fraction_etas(N, plan.B, len(H) - 1)
     assert [Fraction(h, D) for h in H] == etas
     assert exps[-1] >= bits + 64 and list(exps) == sorted(exps)
     assert [r.endpoints()[1] for r in rads] == \
@@ -447,13 +456,29 @@ def test_midpoint_series_is_the_fraction_table_and_its_bound_holds(bits):
 def test_cutoffs_put_the_tail_bound_past_the_precision(bits):
     # the first-order remainder bound is at most 2^-(prec + 20), and the
     # bounds of orders 2..4 at most 2^-(prec + 12); at 69..99 bits, with N
-    # at its floor, B = prec // 5 alone would miss the first
-    N, B = _cutoffs(bits)
+    # at its floor, B = prec // 5 alone would miss the first, and B is the
+    # least that meets it
+    plan = _plan(bits)
+    N, B, spreads = plan.N, plan.B, plan.spreads
     assert N == max(16, bits // 5) and B >= bits // 5
-    with working_precision(bits):
-        spreads = _tail_radius_table(N, B, 4, bits)
+    if B > bits // 5:
+        with working_precision(bits):
+            missed = Ball(0, _fraction_tail_radii(N, B - 1, 1)[1])
+        assert missed.rad() > Fraction(2) ** -(bits + 20)
     assert spreads[1].rad() <= Fraction(2) ** -(bits + 20)
     assert all(r.rad() <= Fraction(2) ** -(bits + 12) for r in spreads[2:])
+
+
+def test_one_plan_serves_every_truncation_at_a_precision():
+    # the cutoffs, tail bounds, correction rows and midpoint table of a
+    # precision are built once, whatever truncations read them
+    _plan.cache_clear()
+    with working_precision(97):
+        for K in range(5):
+            hurwitz_jet(7, [1, 6], K)
+            hurwitz_jet(12, [5], K)
+    info = _plan.cache_info()
+    assert (info.misses, info.hits) == (1, 9)
 
 
 def test_class_jet_log_calls_do_not_grow_with_the_class(monkeypatch):
@@ -477,7 +502,7 @@ def test_class_jet_log_calls_do_not_grow_with_the_class(monkeypatch):
             calls.clear()
             hurwitz_jet(401, res, 1)
             counts[kind, size] = sorted(calls)
-    T = 2 * _cutoffs(precision())[0] + 1
+    T = 2 * _plan(precision()).N + 1
     assert counts == {("closed", 2): [2, T * 401],
                       ("closed", 200): [2, T * 401],
                       ("unpaired", 2): [2, T, T * 401],
@@ -1265,6 +1290,6 @@ def test_generic_stickelberger_elements_match_the_oracle(monkeypatch):
             _use_oracle_sums(m)
             old = stickelberger_element(_CosetRealization(f, kernel),
                                         S, V, T)
-        assert new.ring.tag == old.ring.tag
+        assert new.ring == old.ring
         assert [_endpoints(c) for c in new.coeffs] == \
             [_endpoints(c) for c in old.coeffs], (f, kernel)

@@ -68,7 +68,7 @@ def test_det_pairing_degree_one_and_alternating():
     w = WedgeElement(G2, 1, cover, {(0,): GroupRingElement.one(G2, "rat")})
     for h in pulled:
         val = det_pairing(w, [h])
-        assert val.ring.is_exact()
+        assert val.ring != "ball"
     M2 = free_rank2_lattice()
     cover2 = [[1, 0, 0, 0], [0, 0, 1, 0]]
     w2 = WedgeElement(G2, 2, cover2, {(0, 1): GroupRingElement.one(G2, "rat")})
