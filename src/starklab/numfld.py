@@ -661,7 +661,10 @@ def class_group_structure(D):
 # -- quadratic ideals --------------------------------------------------------
 
 class QuadIdeal:
-    """Fractional ideal scale * (a Z + ((b + sqrt D)/2) Z), normalized."""
+    """The fractional ideal scale * (a Z + ((b + sqrt D)/2) Z) in its
+    normalised form: scale > 0 rational, a > 0 and b in (-a, a].  Each
+    fractional ideal has exactly one such form.  Products of ideals are
+    built in integers by `_principal_generator`."""
 
     __slots__ = ("field", "a", "b", "scale")
 
@@ -679,10 +682,6 @@ class QuadIdeal:
         self.scale = Fraction(scale)
 
     @staticmethod
-    def unit_ideal(field):
-        return QuadIdeal(field, 1, field.D % 2)
-
-    @staticmethod
     def prime_over(field, q):
         """Distinguished prime over a split/ramified q (InputError if inert).
 
@@ -698,24 +697,12 @@ class QuadIdeal:
                 return QuadIdeal(field, q, b)
         raise CertificationError(f"no ideal form over {q} for D={D}")
 
-    def norm(self):
-        return self.a * self.scale * self.scale
-
     def conj(self):
         return QuadIdeal(self.field, self.a, -self.b, self.scale)
 
     def as_form(self):
         return (self.a, self.b, (self.b * self.b - self.field.D)
                 // (4 * self.a))
-
-    def multiply(self, other):
-        if other.field is not self.field:
-            raise InputError("ideals of different fields")
-        a1, b1 = self.a, self.b
-        a2, b2 = other.a, other.b
-        w = gcd(gcd(a1, a2), (b1 + b2) // 2)
-        A, B, _ = compose_abc(self.as_form(), other.as_form(), self.field.D)
-        return QuadIdeal(self.field, A, B, self.scale * other.scale * w)
 
     def principal_generator(self):
         """gamma with (gamma) = self, or None when the class is nontrivial.
@@ -745,7 +732,8 @@ class QuadIdeal:
         sn, sd = self.scale.numerator, self.scale.denominator
         gamma = _quad(f, (2 * self.a * x + self.b * y) * sn, k * y * sn,
                       2 * sd)
-        if abs(gamma.norm()) != self.norm():
+        # |N(gamma)| = a scale^2, in integers
+        if abs(gamma._norm_num()) * sd * sd != self.a * sn * sn * gamma.d ** 2:
             raise CertificationError(
                 f"generator {gamma!r} of {self!r} has the wrong norm")
         return gamma
@@ -760,24 +748,6 @@ class QuadIdeal:
 
     def __repr__(self):
         return f"QuadIdeal({self.scale} * ({self.a}, ({self.b}+sqrt{self.field.D})/2))"
-
-
-def ideal_power(ideal, k):
-    out = QuadIdeal.unit_ideal(ideal.field)
-    base = ideal
-    if k < 0:
-        # inverse via conjugate / norm
-        base = ideal.conj()
-        base = QuadIdeal(base.field, base.a, base.b,
-                         base.scale / (ideal.a * ideal.scale * ideal.scale))
-        k = -k
-    while True:
-        if k & 1:
-            out = out.multiply(base)
-        k >>= 1
-        if not k:
-            return out
-        base = base.multiply(base)
 
 
 # -- places and valuations ---------------------------------------------------
@@ -1348,20 +1318,48 @@ def _check_torsion_killed(field, T):
 
 
 def _principal_generator(field, ideals, exponents):
-    """Exact generator of prod ideals_i^exponents_i, a fractional ideal that
-    is principal by construction (CertificationError if it is not).
+    """Exact generator of the fractional ideal prod ideals_i^exponents_i,
+    which is principal by construction (CertificationError if it is not).
 
-    Negative exponents go through `ideal_power` (conjugate over the norm).
+    p^-e is conj(p)^e / N(p)^e, so each factor is a rational scale times a
+    positive power of an integral ideal.  The scales collect in one
+    fraction, the powers are composed as integer triples by
+    `_ideal_product`, and the product is reduced once.  A fractional ideal
+    has one normalised form, so the order of the factors does not matter.
     """
-    acc = QuadIdeal.unit_ideal(field)
+    D = field.D
+    num = den = 1
+    acc = (1, 1, D % 2)
     for p, e in zip(ideals, exponents):
-        if e:
-            acc = acc.multiply(ideal_power(p, e))
-    gamma = acc.principal_generator()
+        b, n, d = p.b, p.scale.numerator, p.scale.denominator
+        if e < 0:
+            # p^-1 = conj(p) / N(p), with N(p) = a s^2 for p = s [a, b]
+            e, b, n, d = -e, -b, d, p.a * n
+        num, den, base = num * n ** e, den * d ** e, (1, p.a, b)
+        while e:
+            if e & 1:
+                acc = _ideal_product(acc, base, D)
+            e >>= 1
+            if e:
+                base = _ideal_product(base, base, D)
+    c, A, B = acc
+    gamma = QuadIdeal(field, A, B, Fraction(num * c, den)) \
+        .principal_generator()
     if gamma is None:
         raise CertificationError(
             f"ideal product with exponents {list(exponents)} is not principal")
     return gamma
+
+
+def _ideal_product(x, y, D):
+    """x y for integral ideals c [A, (B + sqrt D)/2] given as triples
+    (c, A, B): Gaussian composition times the content gcd(A1, A2,
+    (B1 + B2)/2) (Cohen, GTM 138, 5.4), with B put into (-A, A]."""
+    (c1, a1, b1), (c2, a2, b2) = x, y
+    A, B, _ = compose_abc((a1, b1, (b1 * b1 - D) // (4 * a1)),
+                          (a2, b2, (b2 * b2 - D) // (4 * a2)), D)
+    B = (B + A - 1) % (2 * A) - A + 1
+    return c1 * c2 * gcd(a1, a2, (b1 + b2) // 2), A, B
 
 
 def _t_sublattice(gens, torsion_gen, residues):

@@ -27,6 +27,7 @@ fault of the program and propagates.
 
 import itertools
 import json
+import math
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -50,9 +51,6 @@ from .zideal import (GIdealLattice, Presentation, UnsupportedCaseError,
                      fitting_ideal)
 
 CHECK_ALIASES = {"lemma41": "norm_identity", "prop42": "norm_decomposition"}
-
-# `run_acnf` certifies each positive-D residual below this bound
-ACNF_TOL = Fraction(1, 10 ** 25)
 
 
 class ConfigError(ValueError):
@@ -726,12 +724,12 @@ def run_acnf(dmin=-500, dmax=500):
     """Analytic class number formula sweep over fundamental discriminants,
     at the working precision in force.
 
-    Positive D: |L'(0, chi_D) - h(D) log eps_D| certified below `ACNF_TOL`.
+    Positive D: n = 2 L'(0, chi_D) / log eps_D is an integer (Lerch); its
+    enclosure must hold exactly one integer, and it must be 2 h(D).
     Negative D: L(0, chi_D) = 2 h(D) / w(D) exactly.
-    Returns a summary dict.  A residual whose enclosure excludes 0, or an
-    exact value that differs, raises CertificationError; a residual that
-    contains 0 but is not certified below the bound raises Undecided with the
-    residual's radius.
+    Returns a summary dict.  An enclosure with no integer or the wrong one,
+    or an exact value that differs, raises CertificationError; one with two
+    integers raises Undecided with its radius.
     """
     from .numfld import is_fundamental_discriminant
     checked_pos = checked_neg = 0
@@ -751,20 +749,22 @@ def run_acnf(dmin=-500, dmax=500):
                     f"2h/w = {Fraction(2 * h, w)}")
             checked_neg += 1
             continue
-        jet = l_jet(LSpec(chi, S, [], truncation=1))
+        c1 = l_jet(LSpec(chi, S, [], truncation=1)).coeffs[1]
         h = class_number(D)
         reg = fundamental_unit_log(D)
-        resid = jet.coeffs[1] - reg * h
-        if resid.is_nonzero():
-            raise CertificationError(
-                f"ACNF fails at D = {D}: L'(0, chi_D) - h log eps = {resid}")
-        lo, hi = resid.endpoints()
-        bound = max(abs(lo), abs(hi))
-        if bound >= ACNF_TOL:
+        ratio = 2 * c1 / reg
+        lo, hi = ratio.endpoints()
+        n = math.ceil(lo)
+        if n < math.floor(hi):
             raise Undecided(
-                f"ACNF residual at D = {D} contains 0 but is not certified "
-                f"below {float(ACNF_TOL):.1e}", resid.rad())
-        max_resid = max(max_resid, bound)
+                f"2 L'(0, chi_D) / log eps_D at D = {D} holds more than "
+                "one integer", ratio.rad())
+        if n > hi or n != 2 * h:
+            raise CertificationError(
+                f"ACNF fails at D = {D}: 2 L'(0, chi_D) / log eps_D = "
+                f"{ratio}, 2h = {2 * h}")
+        lo, hi = (c1 - reg * h).endpoints()
+        max_resid = max(max_resid, abs(lo), abs(hi))
         checked_pos += 1
     return {"positive": checked_pos, "negative": checked_neg,
             "max_positive_residual": _radius_str(max_resid)}

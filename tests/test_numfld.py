@@ -15,17 +15,18 @@ from starklab.ball import CertificationError, working_precision
 from starklab.finite import GroupStructure
 from starklab.grpring import InputError
 from starklab.hnf import IntLattice, diagonalize_relations, \
-    identity_matrix, mat_mul
+    identity_matrix, kernel, mat_mul
 from starklab.numfld import (DatumError, ImaginaryClassGroup, QuadElt,
                              QuadField, QuadIdeal, RealClassGroup,
                              ResidueSystem, SUnitLattice,
                              class_group_structure, class_number,
                              form_cycle, fundamental_discriminant,
-                             fundamental_unit, ideal_power,
+                             fundamental_unit,
                              is_fundamental_discriminant, kronecker,
                              log_abs_at_place, ord_at_place, places_over,
                              ray_class, reduce_form_neg, reduce_indefinite,
-                             s_unit_lattice, squarefree_part, unit_norm)
+                             s_unit_lattice, squarefree_part, unit_norm,
+                             _principal_generator)
 
 
 def finite_valuations(L, x):
@@ -148,7 +149,7 @@ def test_ideals_and_generators():
     assert g is not None and abs(g.norm()) == 23
     p2 = QuadIdeal.prime_over(Fm23, 2)
     assert p2.principal_generator() is None  # class of order 3
-    g8 = ideal_power(p2, 3).principal_generator()
+    g8 = _principal_generator(Fm23, [p2], [3])
     assert g8 is not None and abs(g8.norm()) == 8
     F5 = QuadField(5)
     p5 = QuadIdeal.prime_over(F5, 5)
@@ -573,6 +574,54 @@ def test_fixed_lattices_meet_every_splitting_type():
 @example(D=-3, extra=[], seed=0)
 def test_stored_valuations_express_and_sigma(D, extra, seed):
     _check_lattice(D, extra, seed)
+
+
+FUNDAMENTAL_1100 = [D for D in range(-1100, 1101)
+                    if D not in (0, 1) and is_fundamental_discriminant(D)]
+
+
+@given(st.sampled_from(FUNDAMENTAL_1100),
+       st.lists(st.sampled_from(SMALL_PRIMES), min_size=1, max_size=3,
+                unique=True),
+       st.lists(st.integers(-150, 150), min_size=1, max_size=3),
+       st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+@example(D=-23, extra=[2, 3, 5], coeffs=[1, -1, 40],
+         rng=random.Random(0))       # h = 3: 2 and 3 split, 5 inert
+@example(D=-1095, extra=[2, 7], coeffs=[-150, 101, 7],
+         rng=random.Random(1))       # h = 28; 3, 5 ramified, 2, 7 split
+@example(D=229, extra=[2, 3, 5], coeffs=[120, -7, 3],
+         rng=random.Random(2))       # h = 3, a unit of norm -1; 2 inert
+def test_principal_generators_of_principal_products(D, extra, coeffs, rng):
+    F = QuadField(D)
+    primes = sorted(set(F.ramified_primes()[:2]) | set(extra))
+    places = [w for q in primes for w in places_over(F, q)]
+    ideals = [w.ideal for w in places]
+    cg = class_group_structure(D)
+    classes = [list(cg.class_of(p.as_form())) for p in ideals]
+    rows = [r[:len(places)] for r in kernel(
+        classes + cg.structure.relation_rows,
+        ambient_dim=len(cg.structure.leaders))]
+    # a principal product: an integer combination of (at most three of)
+    # the class relations
+    row = [sum(c * r[i] for c, r in zip(coeffs, rows))
+           for i in range(len(places))]
+    gamma = _principal_generator(F, ideals, row)
+    assert [ord_at_place(gamma, w) for w in places] == row
+    norm = math.prod(Fraction(w.nw()) ** e for w, e in zip(places, row))
+    assert abs(gamma.norm()) == norm
+    # the generator does not depend on the order of the factors
+    pairs = list(zip(ideals, row))
+    rng.shuffle(pairs)
+    assert _principal_generator(F, [p for p, _ in pairs],
+                                [e for _, e in pairs]) == gamma
+    # one more factor of a nontrivial class makes the product not principal
+    for i, cls in enumerate(classes):
+        if any(cls):
+            bumped = row[:i] + [row[i] + 1] + row[i + 1:]
+            with pytest.raises(CertificationError, match="not principal"):
+                _principal_generator(F, ideals, bumped)
+            break
 
 
 def test_ray_class_of_d_minus_187_by_hand():

@@ -293,15 +293,30 @@ def test_precision_floor_is_undecided_with_a_reason(capsys):
     assert "53 bits" in capsys.readouterr().err
 
 
-def test_acnf_miss_at_low_precision_is_undecided():
-    # at 64 bits the D = 5 residual contains 0 but its radius is above the
-    # 1e-25 tolerance, which stays what it is at 128 bits
-    cert = run_scenario(Scenario({
-        "checks": ["acnf"], "params": {"range": [-20, 20]}, "bits": 64}))
+def test_acnf_ratio_with_two_integers_is_undecided(monkeypatch):
+    # the integer test needs no tolerance, so 64 bits decide [-20, 20]
+    scn = Scenario({
+        "checks": ["acnf"], "params": {"range": [-20, 20]}, "bits": 64})
+    cert = run_scenario(scn)
+    assert cert["results"][0]["verdict"] == "pass" and cert["exit_code"] == 0
+    # 2 L'(0, chi_5) / log eps_5 = 2; with log eps widened by 1/5 the
+    # enclosure of the ratio holds 2 and 3, which no integer test decides
+    from starklab import verify
+    true_log = verify.fundamental_unit_log
+    monkeypatch.setattr(verify, "fundamental_unit_log",
+                        lambda D: true_log(D) + Ball(0, Fraction(1, 5)))
+    cert = run_scenario(scn)
     entry = cert["results"][0]
     assert entry["verdict"] == "undecided" and cert["exit_code"] == 3
-    assert float(entry["limit_radius"]) > 1e-25
+    assert float(entry["limit_radius"]) > 0.5
     assert "D = 5" in entry["reason"]
+
+
+def test_acnf_decides_every_positive_d_to_500_at_53_bits():
+    from starklab.verify import run_acnf
+    with working_precision(53):
+        summary = run_acnf(5, 500)
+    assert summary["positive"] == 153 and summary["negative"] == 0
 
 
 CERTIFICATION_UNDER_O = """
