@@ -1,6 +1,6 @@
-"""stark-lab: exact group-ring algebra, Fitting ideals, certified Dirichlet
-L-jets, and a scenario harness checking equivariant L-value identities on
-concrete abelian extensions of Q.
+"""stark-lab: exact group-ring algebra, Fitting ideals, certified leading
+terms of Dirichlet L-series at s = 0, and a scenario harness checking
+equivariant L-value identities on concrete abelian extensions of Q.
 
 `__all__` is exactly what this module imports.  Three of its names have
 no caller inside the package: they are the references that tests compare
@@ -20,7 +20,7 @@ from .zideal import (FiniteGModule, GIdealLattice, Presentation, annihilator,
                      ideal_from_generators)
 from .multilin import (GLattice, WedgeElement, det_pairing,
                        norm_decomposition_residual)
-from .lfun import (AbelianFieldRealization, DirichletChar, Jet, LSpec,
+from .lfun import (AbelianFieldRealization, DirichletChar, LSpec,
                    bernoulli_value, hurwitz_jet, l_jet, stickelberger_element,
                    theoretical_order)
 from .numfld import (QuadField, QuadElt, QuadIdeal, class_number,
@@ -39,7 +39,7 @@ __all__ = [
     "augmentation_ideal", "augmentation_ideal_power",
     "fitting_from_extension", "fitting_ideal", "ideal_from_generators",
     "GLattice", "WedgeElement", "det_pairing", "norm_decomposition_residual",
-    "AbelianFieldRealization", "DirichletChar", "Jet", "LSpec",
+    "AbelianFieldRealization", "DirichletChar", "LSpec",
     "bernoulli_value", "hurwitz_jet", "l_jet", "stickelberger_element",
     "theoretical_order",
     "QuadField", "QuadElt", "QuadIdeal", "class_number", "fundamental_unit",

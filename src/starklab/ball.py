@@ -457,18 +457,6 @@ def ball_sinpi2(t):
     return Ball._wrap(mpi_sin(ang._v, _PREC))
 
 
-def ball_ratio(n, d):
-    """Ball(Fraction(n, d)) for integers n and d > 0, without reducing n/d:
-    n/d is rounded once (`_ratio_interval`), which does not depend on the
-    representation.  An integer quotient of at most the working precision
-    rounds to itself; a longer one is kept exact, as Ball(int) keeps it, so
-    the result equals Ball(Fraction(n, d)) in every bit."""
-    if n.bit_length() - d.bit_length() >= _PREC and n % d == 0:
-        f = from_int(n // d)
-        return Ball._wrap((f, f))
-    return Ball._wrap(_ratio_interval(n, d))
-
-
 def ball_combination(coeffs, balls, den, exact):
     """sum_i coeffs[i] balls[i] / den + p/q, rounded once, for integers
     coeffs[i], den > 0, and an exact rational given as the unreduced pair
@@ -531,23 +519,13 @@ def _log_int(n, prec):
     """The `lru_cache` key is (n, prec): a log is computed once per
     precision, and the least recently used logs go first.
 
-    A first-order class jet takes the logs of (2N + 1) f and 2 alone, and
-    of 2N + 1 when its offsets 2a - f do not sum to 0, so after one
-    pass over a benchmark pool (every op once, fresh process) the cache
-    holds 188 logs for `acnf` (452 calls), 79 for `rubin_stark` (209) and
-    none for `exact_algebra`, and a benchmark run's stream adds no new
-    ones.  Only jets of order 2 and up take a log per main-sum term: one
-    `lvalue --order 2` at conductor f makes about (N + 1) f distinct logs,
-    10401 at f = 401 and 25897 at f = 997 (N = 25 at 128 bits), each used
-    once per character, and they are reused only by the next character of
-    that conductor (`stickelberger --field 5,13 --S inf 5 13 --V inf --T 7
-    --order 2` holds 1319 logs and hits 419 times), or by a later jet
-    whose terms n f' + a run over the same integers.  An entry takes about
-    570 bytes, so 4096 entries, 2.3 MiB, hold every working set above but
-    the long order-2 streams: `lvalue --order 2` at f = 997 and then at
-    f = 401, in one process, hits 1614 times in a 27 MiB process.  65536
-    entries held those up to f = 1680, and hit 16984 times on the same
-    pair in a 46.8 MiB process when N was 38 at 128 bits."""
+    A class's c_1 takes the logs of (2N + 1) f and 2 alone, and a leading
+    term adds log q for each S-prime q where the character is 1, so after
+    one pass over a benchmark pool (every op once, fresh process) the
+    cache holds 97 logs for `acnf` (360 calls), 60 for `rubin_stark` (147)
+    and none for `exact_algebra`, and a benchmark run's stream adds no new
+    ones.  An entry takes about 570 bytes, so 4096 entries, 2.3 MiB, hold
+    these working sets many times over."""
     return _log_point(from_int(n), prec)
 
 

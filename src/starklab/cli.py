@@ -3,11 +3,11 @@ sweep.
 
 Exit codes: 0 all checks passed; 1 some check failed; 2 datum/config error
 (malformed places and fields included); 3 undecided (not a failure: raise
---bits); 4 blocked (no precision decides it: the datum or the requested
-order is outside what the check can decide); 5 a scenario of `sweep`
-raised an exception that no check turns into a verdict (a fault of the
-program).  `verify` gives the code of its worst verdict, and `sweep` the
-worst code of its scenarios, in the order 5, 2, 1, 4, 3, 0.
+--bits); 4 blocked (no precision decides it: the datum is outside what
+the check can decide); 5 a scenario of `sweep` raised an exception that
+no check turns into a verdict (a fault of the program).  `verify` gives
+the code of its worst verdict, and `sweep` the worst code of its
+scenarios, in the order 5, 2, 1, 4, 3, 0.
 
 `sweep` runs every *.json file of a directory.  A file that is not a valid
 scenario (a certificate written by `--out`, say) is reported as a config
@@ -54,8 +54,6 @@ def main(argv=None):
                         help="working precision in bits; overrides a "
                              "scenario's own bits (default: the scenario's, "
                              "else 128)")
-    common.add_argument("--order", type=int, default=argparse.SUPPRESS,
-                        help="jet truncation order override")
     common.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
                         help="parallel scenario workers for sweep")
     common.add_argument("--out", default=argparse.SUPPRESS,
@@ -64,7 +62,7 @@ def main(argv=None):
         prog="stark-lab", parents=[common],
         description="Exact and certified-numeric checks for equivariant "
                     "L-value identities over abelian fields")
-    parser.set_defaults(bits=None, order=None, jobs=1, out=None)
+    parser.set_defaults(bits=None, jobs=1, out=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_id = sub.add_parser("identity", parents=[common],
@@ -73,7 +71,7 @@ def main(argv=None):
     p_id.add_argument("--m", type=int, required=True)
 
     p_lv = sub.add_parser("lvalue", parents=[common],
-                          help="certified L-jet at s = 0")
+                          help="certified leading term at s = 0")
     p_lv.add_argument("--modulus", type=int, required=True)
     p_lv.add_argument("--char-index", type=int, default=0,
                       help="index into the character list of the modulus "
@@ -146,23 +144,21 @@ def _dispatch(args):
             return 2
         chi = real.dirichlet(chars[args.char_index])
         S = _normalize_places(args.S)
-        spec = LSpec(chi, S, args.T, truncation=args.order)
-        jet = l_jet(spec)
+        lead = l_jet(LSpec(chi, S, args.T))
         report = {
             "modulus": args.modulus,
             "char_index": args.char_index,
             "S": S, "T": args.T,
-            "order": jet.order,
-            "coeffs": [coeff_json(c) for c in jet.coeffs],
-            "params": jet.params,
+            "order": lead.order,
+            "value": coeff_json(lead.value),
+            "params": lead.params,
         }
         _emit(report, args.out)
         return 0
 
     if args.command == "stickelberger":
         real = _field_realization(args.field)
-        theta = stickelberger_element(real, args.S, args.V, args.T,
-                                      truncation=args.order)
+        theta = stickelberger_element(real, args.S, args.V, args.T)
         _emit(theta.to_json(), args.out)
         return 0
 

@@ -1,5 +1,5 @@
-"""Dirichlet characters over Q, rigorous Taylor jets of S-truncated
-T-modified L-series at s = 0, exact order-0 values through generalized
+"""Dirichlet characters over Q, certified leading terms at s = 0 of
+S-truncated T-modified L-series, exact order-0 values through generalized
 Bernoulli sums, and the group-ring elements built from them.
 
 A character of order n records its values as exponents t of zeta_n and is
@@ -13,41 +13,38 @@ A field is an `AbelianFieldRealization`: its Galois group is presented by
 the coordinate characters dual to a basis of it, whatever way the field
 was given, and every reader works from them.
 
-The evaluation backbone is Euler-Maclaurin for the Hurwitz zeta function
-with a certified tail bound; every jet coefficient is an enclosure of the
-exact Taylor coefficient, and order-0 values are exact rationals or
-cyclotomics whenever the character data is exact.  Ball arithmetic is kept
-to what needs logarithms, and the Bernoulli corrections are exact
-rationals (Johansson, arXiv:1309.2877, for the method).  A primitive
-L-jet sums sum_a chi(a) zeta_H(s, a/f) one value class at a time: the
-units a with chi(a) = zeta_n^t (`DirichletChar.classes`) share one
-Hurwitz jet of their sum, weighted by zeta_n^t, as -B_{1,chi} shares one
-integer sum.  The first-order coefficient of a class, which every leading
-term at order one is built from, expands the Euler-Maclaurin tail about
-the midpoint N + 1/2, with cutoffs N and B sized from the certified tail
-bound.  The precision alone fixes the cutoffs, the tail bounds, the
-correction rows and the midpoint table, so they are one cached plan per
-precision (`_plan`).  The coefficient takes a fixed number of logs
-whatever the class's size: of (2N + 1) f, of 2, of 2N + 1 when the
-offsets 2a - f do not sum to 0, and of the main sum's product, from a
-floor and a ceiling of it trimmed to the working precision
-(`ball.ball_log_prod`).  The rest of the tail is one power series in the
-offsets (2a - f)/((2N + 1) f), whose coefficients the plan holds as
-integers over one denominator (`_midpoint_series`): summed over the class
-it is one exact rational in the power sums of 2a - f.  Every class of an
-even character is closed under a -> f - a, so its odd power sums vanish
-and are never formed.  One exact combination of the logs and that
-rational is rounded once (`ball.ball_combination`), so a real
-character's leading term costs two such roundings and a handful of logs,
-not a log per residue.
+Every identity checked here reads one number per character: the leading
+term lim_{s->0} s^-r L_{S,T}(chi, s) at the order of vanishing r (Tate,
+*Les conjectures de Stark*, ch. I, section 3).  The leading term of a
+product is the product of the leading terms, so it is the primitive
+character's leading term times one factor per finite S-prime q off the
+conductor, log q when chi(q) = 1 (there 1 - q^-s = s log q + ...) and
+the exact 1 - chi(q) otherwise, and the exact 1 - chi(q) q of each
+T-prime (Tate, ch. III).  The primitive leading term is the exact
+-B_{1,chi}, unless chi is even and nontrivial; then L(chi, 0) = 0, and
+its derivative is sum_t zeta_n^t c_1(class t), where c_1(C) is the
+derivative at 0 of the Hurwitz zeta sum sum_{a in C} zeta_H(s, a/f) over
+the units a with chi(a) = zeta_n^t (`DirichletChar.classes`), as
+-B_{1,chi} sums one integer per class.
 
-An L_{S,T}-jet is the primitive L-jet times Euler factors, and each split
-S-prime's factor 1 - q^{-s} is s times a jet with leading term log q (Tate,
-*Les conjectures de Stark*, ch. III).  So the primitive jet, of order 0 or
-1, is evaluated only to the truncation less the number of those primes: a
-leading term needs at most its first derivative, and at order 0 no Hurwitz
-jet at all.  The truncation cap K <= 4 applies to that primitive
-truncation, not to the order of vanishing.
+c_1 comes from Euler-Maclaurin with a certified tail bound, and is an
+enclosure of the exact value; ball arithmetic is kept to what needs
+logarithms, and the Bernoulli corrections are exact rationals (Johansson,
+arXiv:1309.2877, for the method).  Every class of an even character is
+closed under a -> f - a, so the tail is expanded about the midpoint
+N + 1/2, with cutoffs N and B sized from the certified tail bound.  The
+precision alone fixes the cutoffs, the tail bound and the midpoint table,
+so they are one cached plan per precision (`_plan`).  c_1 takes three
+logs whatever the class's size: of (2N + 1) f, of 2, and of the main
+sum's product, from a floor and a ceiling of it trimmed to the working
+precision (`ball.ball_log_prod`).  The rest of the tail is one power
+series in the offsets (2a - f)/((2N + 1) f), whose coefficients the plan
+holds as integers over one denominator (`_midpoint_series`): summed over
+the class it is one exact rational in the even power sums of 2a - f, as
+the odd ones vanish.  One exact combination of the logs and that rational
+is rounded once (`ball.ball_combination`), so a real character's leading
+term costs two such roundings and a handful of logs, not a log per
+residue.
 """
 
 from bisect import bisect_left
@@ -55,13 +52,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, repeat
 from math import comb, factorial, gcd, isqrt, lcm, prod
-from operator import add, mul, sub
+from operator import mul, sub
 from typing import NamedTuple
 
 from .arith import bernoulli, factorint, isprime
 from .ball import (Ball, CBall, CertificationError, PrecisionError,
                    Undecided, ball_combination, ball_log_int, ball_log_prod,
-                   ball_ratio, precision, working_precision)
+                   precision, working_precision)
 from .cyclo import CycloField
 from .finite import GroupStructure
 from .grpring import AbelianGroup, GroupRingElement, InputError
@@ -399,52 +396,24 @@ class AbelianFieldRealization:
         return f"AbelianFieldRealization({self.label})"
 
 
-# -- jets --------------------------------------------------------------------
+# -- leading terms -----------------------------------------------------------
 
-class Jet:
-    """Truncated Taylor expansion at s = 0 with certified coefficients.
-
-    coeffs[k] encloses the k-th Taylor coefficient (exact Fractions and
-    cyclotomics allowed); `order` is the proven order of vanishing, or None
-    when unresolved.  Multiplication truncates at the smaller length and
-    adds declared orders.
-    """
-
-    __slots__ = ("coeffs", "order", "params")
-
-    def __init__(self, coeffs, order=None, params=None):
-        self.coeffs = list(coeffs)
-        self.order = order
-        self.params = params or {}
-
-    @property
-    def truncation(self):
-        return len(self.coeffs) - 1
-
-    def __mul__(self, other):
-        K = min(self.truncation, other.truncation)
-        out = []
-        for k in range(K + 1):
-            acc = None
-            for i in range(k + 1):
-                term = self.coeffs[i] * other.coeffs[k - i]
-                acc = term if acc is None else acc + term
-            out.append(acc)
-        order = None
-        if self.order is not None and other.order is not None:
-            order = self.order + other.order
-        return Jet(out, order)
-
-    def __repr__(self):
-        return f"Jet(order={self.order}, coeffs={self.coeffs!r})"
+class LeadingTerm(NamedTuple):
+    """lim_{s->0} s^-order L_{S,T}(chi, s), from `l_jet`: `value` is exact
+    (a Fraction or a cyclotomic) or a certified ball, and `params` holds
+    the N, B and precision of the Hurwitz sums (only the precision when
+    none was needed)."""
+    order: int
+    value: object
+    params: dict
 
 
 class _Plan(NamedTuple):
     """What the precision fixes for `hurwitz_jet` (`_plan`)."""
     N: int              # main-sum terms
     B: int              # Bernoulli corrections
-    spreads: tuple      # remainder bounds r_0..r_4, balls [-r_k, r_k]
-    corrections: tuple  # rows (a, d) of the s-degrees 1..4
+    spread: Ball        # the remainder bound r_1, as the ball [-r_1, r_1]
+    beta: tuple         # (a, d): beta_j = a[j - 1] / d for j = 1..B
     # the midpoint table (H, D, exps, rads) of `_midpoint_series`
     H: tuple
     D: int
@@ -458,76 +427,43 @@ def _plan(prec):
 
     The cutoffs are sized from the certified tail: N = max(16, prec // 5)
     main-sum terms and the least B >= prec // 5 Bernoulli corrections whose
-    first-order remainder bound r_1 (`_tail_radii`) is at most
-    2^-(prec + 20).  B = prec // 5 meets it at 53 and 80 bits (2^-100 at
-    80, to the bit) and at every precision from 100 to 512 bits; where N is
-    at its floor of 16, some precisions from 69 to 99 bits need one or two
-    more.  From 53 to 512 bits the bounds r_2..r_4 are then at most
-    2^-(prec + 12).
-
-    With P_m[i] the s^i coefficient of s(s + 1)...(s + m - 1), kept only at
-    s^0..s^4 and built by one multiplication by s + m per step, the
-    correction row of s-degree i = 1..4 is the integer table (a, d) with
-    a[j - 1] / d = B_2j / (2j)! P_(2j-1)[i] for j = 1..B.  Every P_m[0] is
-    0, so there is no row for i = 0, and P_(2j-1)[1] = (2j - 2)!, so the
-    s^1 row is beta_j = B_2j / (2j (2j - 1)), from which the first-order
-    jet's midpoint table is built (`_midpoint_series`).
+    remainder bound r_1 (`_tail_radius`) is at most 2^-(prec + 20).
+    B = prec // 5 meets it at 53 and 80 bits (2^-100 at 80, to the bit)
+    and at every precision from 100 to 512 bits; where N is at its floor
+    of 16, some precisions from 69 to 99 bits need one or two more.  The
+    corrections are beta_j = B_2j / (2j (2j - 1)) for j = 1..B, the
+    coefficients of s in B_2j / (2j)! s (s + 1) ... (s + 2j - 2), kept as
+    integers a over one denominator d, from which the midpoint table is
+    built (`_midpoint_series`).
 
     The `lru_cache` key is prec.  A process works at a few precisions: one
-    pass over the benchmark pools asks for jets at 128 bits alone (`acnf`)
+    pass over the benchmark pools asks for c_1 at 128 bits alone (`acnf`)
     and at 80, 128 and 160 bits (`rubin_stark`), so each plan is built once
     per precision and process.
     """
     N, B = max(16, prec // 5), prec // 5
-    rising = [(1, 0, 0, 0, 0)]  # P_0
     with working_precision(prec):
         while True:
-            while len(rising) <= 2 * B:
-                m, c = len(rising) - 1, rising[-1]
-                rising.append(tuple(m * x + y
-                                    for x, y in zip(c, (0,) + c[:4])))
-            spreads = _tail_radii(N, B, rising[2 * B])
-            if spreads[1].rad() <= Fraction(2) ** -(prec + 20):
+            spread = _tail_radius(N, B)
+            if spread.rad() <= Fraction(2) ** -(prec + 20):
                 break
             B += 1
-        corrections = []
-        for i in range(1, 5):
-            row = [bernoulli(2 * j) / factorial(2 * j) * rising[2 * j - 1][i]
-                   for j in range(1, B + 1)]
-            d = lcm(*(c.denominator for c in row))
-            corrections.append((tuple(int(c * d) for c in row), d))
-        a, d = corrections[0]
-        return _Plan(N, B, spreads, tuple(corrections),
-                     *_midpoint_series(N, a, d, prec))
+        beta = [bernoulli(2 * j) / (2 * j * (2 * j - 1))
+                for j in range(1, B + 1)]
+        d = lcm(*(c.denominator for c in beta))
+        a = tuple(int(c * d) for c in beta)
+        return _Plan(N, B, spread, (a, d), *_midpoint_series(N, a, d, prec))
 
 
-def _tail_radii(N, B, P2B):
-    """The Euler-Maclaurin remainder bounds r_0..r_4 of the cutoffs N and
-    B as balls [-r_k, r_k], each rounded up once, from the coefficients
-    P2B of s^0..s^4 in s(s + 1)...(s + 2B - 1); the bound does not depend
-    on x in (0, 1]."""
-    bconst = abs(bernoulli(2 * B)) / factorial(2 * B)
-    logN = ball_log_int(N)
+def _tail_radius(N, B):
+    """The Euler-Maclaurin remainder bound of c_1 at the cutoffs N and B
+    as the ball [-r_1, r_1], rounded up once: r_1 = |B_2B| / (2B)! (2B - 1)!
+    N^(1 - 2B) / (2B - 1), where (2B - 1)! is the coefficient of s in
+    s (s + 1) ... (s + 2B - 1).  It does not depend on x in (0, 1]."""
     a_exp = 2 * B - 1
-    Npow = Ball(N) ** (-a_exp)
-    I = []
-    for j in range(5):
-        acc = Ball(0)
-        for i in range(j + 1):
-            acc = acc + (logN ** i) * Fraction(
-                factorial(j), factorial(i)) \
-                * Fraction(1, a_exp ** (j - i + 1))
-        I.append(Npow * acc)
-    rads = []
-    for k in range(5):
-        rad = Fraction(0)
-        for i in range(k + 1):
-            if P2B[i]:
-                bound = (I[k - i] * Fraction(P2B[i], factorial(k - i))
-                         ).endpoints()[1]
-                rad += abs(bound)
-        rads.append(Ball(0, bconst * rad))
-    return tuple(rads)
+    bound = (Ball(N) ** (-a_exp) * Fraction(1, a_exp)
+             * factorial(a_exp)).endpoints()[1]
+    return Ball(0, abs(bernoulli(2 * B)) / factorial(2 * B) * abs(bound))
 
 
 def _midpoint_series(N, a, d, prec):
@@ -603,116 +539,82 @@ def _floor_precision(name):
     return prec
 
 
-def hurwitz_jet(f, residues, K):
-    """Taylor coefficients at s = 0 of a sum of Hurwitz zeta functions:
-    the jet (c_0, ..., c_K) of sum_{a in residues} zeta_H(s, a/f), for a
-    modulus f >= 1, a nonempty sequence of residues a in 1..f and a
-    truncation K in 0..4 (else InputError).  A single x in (0, 1] is the
-    class (x.denominator, [x.numerator]).
+def hurwitz_jet(f, residues):
+    """c_1, the derivative at s = 0 of sum_{a in residues} zeta_H(s, a/f),
+    as a certified ball, for a class of residues in 1..f - 1 that is
+    closed under a -> f - a, with no repeats and no a = f/2, else
+    InputError: every class of an even character mod f > 2 is one.  The
+    value at 0, sum (1/2 - a/f), is exactly 0.
 
     Euler-Maclaurin with N terms and B Bernoulli corrections sized from
     the certified tail; the precision's `_plan` holds them with the tail
-    bounds, the correction rows and the midpoint table.  Every coefficient
-    is a certified enclosure and c_0 = sum (1/2 - a/f) is exact.
-
-    At K = 1 the tail is expanded about the midpoint N' = N + 1/2: with C
-    the residues, w_a = N + a/f = N' (1 + v_a), v_a = d_a / X for the
-    offset d_a = 2a - f and X = (2N + 1) f, so |v_a| <= 1/(2N + 1), prod
-    the product of all n f + a for n < N and a in C, and h the series of
-    the plan's midpoint table (`_midpoint_series`, so that (w_a - 1/2) log
-    w_a plus the Bernoulli corrections at w_a is (w_a - 1/2) log N' +
-    h(v_a)), the coefficient is exactly
+    bound and the midpoint table.  The tail is expanded about the midpoint
+    N' = N + 1/2: with C the residues, w_a = N + a/f = N' (1 + v_a),
+    v_a = d_a / X for the offset d_a = 2a - f and X = (2N + 1) f, so
+    |v_a| <= 1/(2N + 1), prod the product of all n f + a for n < N and a
+    in C, and h the series of the plan's midpoint table
+    (`_midpoint_series`, so that (w_a - 1/2) log w_a plus the Bernoulli
+    corrections at w_a is (w_a - 1/2) log N' + h(v_a)), the value is
+    exactly
 
         c_1 = N |C| log f - log prod + (sum_a (w_a - 1/2)) log N'
               + sum_k eta_k sum_a v_a^k - sum_a w_a
 
-    up to |C| times the tail bound.  With S = sum_a d_a, sum_a (w_a - 1/2)
-    = N |C| + S / 2f, and the logs are regrouped as N |C| log X
-    - (N |C| + S / 2f) log 2 + (S / 2f) log(2N + 1), so the large
-    coefficient N |C| falls on log X and log 2.  A residue whose mirror
-    f - a is in the class is taken with it: the pair's main-sum factors
-    are (n f + a)(n f + f - a) = ((2n + 1)^2 f^2 - d_a^2) / 4, one per n,
-    their offsets are d_a and -d_a, so their odd power sums cancel and are
-    never formed, and their even ones come from one run of powers of
-    d_a^2.  Every class of an even character is closed under a -> f - a,
-    so S = 0 and log(2N + 1) is not taken; the other residues (of an odd
-    character's class, a = f/2, a = f, repeated entries) add their own
-    factors and every power.  The series is cut at the first M whose
-    truncation bound, times |C|, is below 2^-(prec + 24) and enters the
-    radius.  The logs of X, 2 and 2N + 1 (`ball_log_int`) and of prod
-    (`ball_log_prod`, from a trimmed product) are taken with
-    bit_length(N |C|) guard bits, as their coefficients are up to N |C|
-    times as large as c_1; the rest is one exact rational.  So c_1 is one
-    combination with integer coefficients over 2f, summed exactly and
-    rounded once (`ball_combination`), and a class of any size makes two
-    `ball_log_int` calls, three when S != 0.
-
-    For K = 0 and K >= 2 the coefficients are the sums of one jet per
-    residue, at x = a/f in lowest terms: the main sum accumulates the power
-    sums of log(n + x) and divides by k! once, and each exact tail term at
-    w = N + x, an unreduced integer pair, is rounded outward once.  The
-    tail bounds are rounded once per precision, in its plan.  The precision
-    must be at least 53 bits: below that it raises `PrecisionError`, an
-    `Undecided` with radius 2^-prec.  A c_0 that misses its exact value
-    raises `CertificationError`.
+    up to |C| times the tail bound.  As the offsets sum to 0, sum_a
+    (w_a - 1/2) = N |C|, and the logs are regrouped as N |C| log X -
+    N |C| log 2, so the large coefficient N |C| falls on log X and log 2.
+    A residue a < f/2 is taken with its mirror f - a: the pair's main-sum
+    factors are (n f + a)(n f + f - a) = ((2n + 1)^2 f^2 - d_a^2) / 4, one
+    per n, its offsets are d_a and -d_a, so the odd power sums cancel and
+    are never formed, and the even ones come from one run of powers of
+    d_a^2.  The series is cut at the first M whose truncation bound, times
+    |C|, is below 2^-(prec + 24) and enters the radius.  The logs of X and
+    2 (`ball_log_int`) and of prod (`ball_log_prod`, from a trimmed
+    product) are taken with bit_length(N |C|) guard bits, as their
+    coefficients are up to N |C| times as large as c_1; the rest is one
+    exact rational.  So c_1 is one combination with integer coefficients
+    over 2f, summed exactly and rounded once (`ball_combination`), and a
+    class of any size makes two `ball_log_int` calls.  The precision must
+    be at least 53 bits: below that it raises `PrecisionError`, an
+    `Undecided` with radius 2^-prec.
     """
     prec = _floor_precision("hurwitz_jet")
-    if not 0 <= K <= 4:
-        raise InputError(f"jet truncation K = {K} must lie in 0..4")
-    if not residues or min(residues) < 1 or max(residues) > f:
-        raise InputError(f"residues must be a nonempty sequence in 1..{f}")
+    distinct = set(residues)
+    if not residues or len(distinct) < len(residues) \
+            or min(residues) < 1 or max(residues) >= f \
+            or any(2 * a == f or f - a not in distinct for a in residues):
+        raise InputError(
+            f"residues must be a nonempty class in 1..{f - 1}, closed under "
+            f"a -> {f} - a, with no repeats and no a = {f}/2")
     plan = _plan(prec)
     N = plan.N
-    params = {"N": N, "B": plan.B, "prec": prec}
-    size, total = len(residues), sum(residues)
-    exact0 = Fraction(f * size - 2 * total, 2 * f)
-    if K != 1:
-        jets = [_residue_jet(Fraction(a, f), K, plan) for a in residues]
-        return Jet([exact0] + [sum(cs[1:], cs[0]) for cs in zip(*jets)],
-                   order=None, params=params)
-    # c_0 = sum (N + 1/2 - w_a) = -S / 2f, exactly
-    S = 2 * total - f * size
-    total_wn = N * f * size + total
-    if 2 * N * f * size + f * size - 2 * total_wn != -S:
-        raise CertificationError("Euler-Maclaurin c0 check failed")
-    # the mirror pairs, each by its a < f - a, and the unpaired residues:
-    # those without a mirror, a = f/2, and each repeated entry past the
-    # first
-    distinct = dict.fromkeys(residues)
-    pairs = [a for a in distinct if 2 * a < f and f - a in distinct]
-    singles = [a for a in distinct if 2 * a == f or f - a not in distinct]
-    if len(distinct) < size:
-        ordered = sorted(residues)
-        singles += [a for a, b in zip(ordered, ordered[1:]) if a == b]
+    size = len(residues)
+    total_wn = N * f * size + sum(residues)
+    # the mirror pairs, each by its a < f - a
+    pairs = [a for a in residues if 2 * a < f]
     squares = [(n * f) ** 2 for n in range(1, 2 * N, 2)]
     factors = [prod(map(sub, squares, repeat((f - 2 * a) ** 2))) >> 2 * N
                for a in pairs]
-    factors += [prod(range(a, N * f + a, f)) for a in singles]
-    T, X = 2 * N + 1, (2 * N + 1) * f
+    X = (2 * N + 1) * f
     with working_precision(prec + (N * size).bit_length()):
-        logs = (ball_log_int(X), ball_log_int(2), ball_log_prod(factors),
-                ball_log_int(T) if S else Ball(0))
+        logs = (ball_log_int(X), ball_log_int(2), ball_log_prod(factors))
     # sum_a h(v_a) = sum_k eta_k P_k / X^k, P_k = sum_a d_a^k, is
     # sum_k H[k] P_k X^(M - k) over Q = D X^M, by Horner in X; a pair
-    # adds 2 d^2m to P_2m, an unpaired residue d^k to P_k
+    # adds 2 d^2m to P_2m, and the odd P_k are 0
     exps = plan.exps
     M = min(bisect_left(exps, prec + 24 + size.bit_length()), len(exps) - 1)
     P = [0] * (M + 1)
-    if pairs:
-        P[::2] = [2 * p for p in _power_sums(
-            [(f - 2 * a) ** 2 for a in pairs], M // 2)]
-    if singles:
-        P = list(map(add, P, _power_sums([2 * a - f for a in singles], M)))
+    P[::2] = [2 * p for p in _power_sums(
+        [(f - 2 * a) ** 2 for a in pairs], M // 2)]
     tail = 0
     for h, p in zip(plan.H, P):
         tail = tail * X + h * p
     Q = plan.D * X ** M
-    c1 = ball_combination(
-        (2 * f * N * size, -(2 * f * N * size + S), -2 * f, S,
+    return ball_combination(
+        (2 * f * N * size, -2 * f * N * size, -2 * f,
          2 * f * size, 2 * f * size),
-        logs + (plan.spreads[1], plan.rads[M]), 2 * f,
+        logs + (plan.spread, plan.rads[M]), 2 * f,
         (tail - total_wn * (Q // f), Q))
-    return Jet([exact0, c1], order=None, params=params)
 
 
 def _power_sums(xs, m):
@@ -725,77 +627,13 @@ def _power_sums(xs, m):
     return sums
 
 
-def _corrections(den, wn, rows):
-    """The Bernoulli corrections sum_i R_i s^i w^(-s) at w = wn / den, one
-    R_i for each correction row (a, d) of `rows` (the plan's, from s-degree
-    1 on): R_i exact, by Horner in u = w^-2 = p/q on integers over the
-    denominator q^(B-1), as the unreduced pair (Rn, Rd).  They serve the
-    jets of K >= 2 (`_residue_jet`) only: at K = 1 the corrections are part
-    of the power series of `_midpoint_series`."""
-    p, q = den * den, wn * wn
-    out = []
-    for a, d in rows:
-        acc, qpow = a[-1], 1
-        for c in reversed(a[:-1]):
-            qpow *= q
-            acc = acc * p + c * qpow
-        out.append((acc * den, d * qpow * wn))
-    return out
-
-
-def _residue_jet(x, K, plan):
-    """The ball coefficients c_1..c_K of zeta_H(s, x) for one x = num/den in
-    lowest terms (`hurwitz_jet` at K != 1, with its `_plan`), after
-    checking that the ball c_0 contains 1/2 - x."""
-    num, den = x.numerator, x.denominator
-    exact0 = Fraction(1, 2) - x
-    N = plan.N
-    wn = N * den + num
-    R = [(0, 1)] + _corrections(den, wn, plan.corrections[:K])
-    log_den, log_wn = ball_log_int(den), ball_log_int(wn)
-    # main sum: sum_{n<N} (-log(n+x))^k / k!
-    sums = [Ball(0)] * (K + 1)  # sums[k] = sum_n log(n+x)^k
-    for n in range(N):
-        L = ball_log_int(n * den + num) - log_den
-        power = L
-        for k in range(1, K + 1):
-            if k > 1:
-                power = power * L
-            sums[k] = sums[k] + power
-    main = [N] + [sums[k] * Fraction((-1) ** k, factorial(k))
-                  for k in range(1, K + 1)]
-    # tail: the integral term w^(1-s)/(s-1), the half term w^(-s)/2 and the
-    # corrections.  Expanding w^(-s) = sum_m (-Lw)^m s^m / m! leaves a
-    # polynomial in -Lw with exact coefficients t[m] / m!, where
-    # t[m] = R_(k-m) - w + [m = k]/2 and R_0 = 0, each an unreduced integer
-    # pair rounded outward once by `ball_ratio`.
-    neg_Lw = log_den - log_wn
-
-    def term(k, m):
-        # t[m] / m! = (2 (Rn den - wn Rd) + [m = k] Rd den) / (2 Rd den m!)
-        Rn, Rd = R[k - m]
-        half = Rd * den if m == k else 0
-        return ball_ratio(2 * (Rn * den - wn * Rd) + half,
-                          2 * Rd * den * factorial(m))
-
-    out = []
-    for k in range(K + 1):
-        c = 0
-        for m in range(k, 0, -1):
-            c = (c + term(k, m)) * neg_Lw
-        out.append(c + main[k] + (term(k, 0) + plan.spreads[k]))
-    # pin the exact value at order zero
-    if not out[0].contains(exact0):
-        raise CertificationError("Euler-Maclaurin c0 check failed")
-    return out[1:]
-
-
 class LSpec:
-    """Evaluation request for an S-truncated, T-modified Dirichlet L-jet."""
+    """Evaluation request for the leading term of an S-truncated,
+    T-modified Dirichlet L-series at s = 0."""
 
-    __slots__ = ("char", "S", "T", "truncation")
+    __slots__ = ("char", "S", "T")
 
-    def __init__(self, char, S, T=(), truncation=None):
+    def __init__(self, char, S, T=()):
         self.char = char
         self.S = _normalize_places(S)
         self.T = sorted(int(q) for q in T)
@@ -809,7 +647,6 @@ class LSpec:
             raise InputError(f"S must contain the ramified primes {sorted(ram)}")
         if fin & set(self.T):
             raise InputError("S and T must be disjoint")
-        self.truncation = truncation
 
 
 def theoretical_order(char, S):
@@ -832,70 +669,67 @@ def theoretical_order(char, S):
 
 
 def l_jet(spec):
-    """Certified jet of L_{Q,S,T}(chi, s) at s = 0, to `spec.truncation`
-    (default: one past the order of vanishing r).
+    """The certified leading term lim_{s->0} s^-r L_{Q,S,T}(chi, s) at the
+    order of vanishing r, as a `LeadingTerm`.
 
-    Each of the m finite q in S off the conductor with chi(q) = 1 gives the
-    Euler factor 1 - q^{-s} = s * (1 - q^{-s})/s, whose second factor has
-    leading term log q.  So L_{S,T} = s^m P with P the primitive L-jet times
-    those quotients and the other S- and T-Euler factors, and P is evaluated
-    only to truncation K - m: the primitive jet to its own order (0 or 1)
-    when K = r, with no Hurwitz jet at all when K - m = 0.  The cap K <= 4
-    applies to K - m, and a truncation below r is an InputError, as no
-    precision can show the leading coefficient then.  The primitive's
-    coefficient below its order is the exact -B_{1,chi} and must be 0 (else
-    CertificationError); the leading coefficient must certify nonzero: an
-    exact zero is a CertificationError, a ball that contains zero an
-    UnresolvedOrderError, which is `Undecided`.  `params`
-    holds the N, B and precision of the Hurwitz jets (only the precision
-    when none was needed).  The 53-bit floor of `hurwitz_jet` holds here
-    too, whether or not a Hurwitz jet is evaluated.
+    The value is the primitive leading term (`_primitive_leading`), then,
+    multiplied in one at a time in this order, the factor of each finite q
+    in S off the conductor, in S order, and of each q in T
+    (`_euler_values`): log q (`ball_log_int`) for an S-prime with
+    chi(q) = 1, whose Euler factor 1 - q^-s vanishes at 0 to first order,
+    and otherwise the exact value 1 - chi(q) or 1 - chi(q) q.  An exact
+    cyclotomic meets a ball through its complex enclosure (`_times`).  The
+    leading term must certify nonzero: an exact zero is a
+    CertificationError, a ball that contains zero an
+    UnresolvedOrderError, which is `Undecided`.  The 53-bit floor of
+    `hurwitz_jet` holds here too, whether or not a Hurwitz sum is
+    evaluated.
     """
-    _floor_precision("l_jet")
+    prec = _floor_precision("l_jet")
     chi = spec.char.primitive()
-    f = chi.conductor()
     r = theoretical_order(spec.char, spec.S)
-    K = spec.truncation if spec.truncation is not None else r + 1
-    if K < r:
-        raise InputError(
-            f"truncation K={K} below the vanishing order {r}")
-    off = [q for q in spec.S if q != "inf" and f % q != 0]
-    m = sum(1 for q in off if chi(q) == 0)  # exponent 0: chi(q) = 1
-    r_prim = r - m
-    if K - m > 4:
-        raise InputError("primitive jet truncation K - m capped at 4")
-    jet = _primitive_l_jet(chi, K - m)
-    params = jet.params  # the products below do not carry them
-    if r_prim and not _is_exact_zero(jet.coeffs[0]):
-        raise CertificationError(
-            f"theoretical order {r} contradicted: the primitive L-value "
-            f"-B_1 = {jet.coeffs[0]} is nonzero")
-    for q in off:
-        if chi(q) == 0:
-            # (1 - q^{-s}) / s: drop the exact zero at order 0
-            euler = _euler_factor_jet(chi, q, K - m + 1, 0)
-            jet = jet * Jet(euler.coeffs[1:])
-        else:
-            jet = jet * _euler_factor_jet(chi, q, K - m, 0)
-    for q in spec.T:
-        jet = jet * _euler_factor_jet(chi, q, K - m, 1)
-    coeffs = [Fraction(0)] * r + jet.coeffs[r_prim:]
-    lead = coeffs[r]
-    if not isinstance(lead, (Ball, CBall)):
-        if _is_exact_zero(lead):
+    value, params = _primitive_leading(chi, prec)
+    for q, exact in _euler_values(chi, spec.S, spec.T):
+        value = _times(value, ball_log_int(q) if exact == 0 else exact)
+    if not isinstance(value, (Ball, CBall)):
+        if value == 0:
             raise CertificationError(
                 f"theoretical order {r} contradicted: the exact leading "
                 f"coefficient is 0")
-    elif not lead.is_nonzero():
+    elif not value.is_nonzero():
         raise UnresolvedOrderError(
             f"cannot certify the leading coefficient at order {r} "
-            f"(radius too large at {precision()} bits)", lead.rad())
-    return Jet(coeffs, order=r, params=params)
+            f"(radius too large at {prec} bits)", value.rad())
+    return LeadingTerm(r, value, params)
 
 
-def _is_exact_zero(c):
-    """Is the exact value c (a Fraction or a cyclotomic) zero?"""
-    return c == 0 if isinstance(c, Fraction) else c.is_zero()
+def _primitive_leading(chi, prec):
+    """(leading term, params) of L(chi, s) = f^-s sum_a chi(a)
+    zeta_H(s, a/f) at s = 0, for a primitive chi mod f: the exact
+    -B_{1,chi} at order 0, or, for an even nontrivial chi, whose L-value
+    at 0 vanishes, the derivative sum_t zeta_n^t c_1(class t), one
+    `hurwitz_jet` per value class summed in class order (`_add_times`)."""
+    if chi.conductor() == 1 or chi.parity() == -1:
+        return _minus_b1(chi), {"prec": prec}
+    f = chi.conductor()
+    value = 0
+    for t, residues in chi.classes():
+        value = _add_times(value, chi.ball_value(t), hurwitz_jet(f, residues))
+    plan = _plan(prec)
+    return value, {"N": plan.N, "B": plan.B, "prec": prec}
+
+
+def _euler_values(chi, S, T):
+    """The exact values at s = 0 of the Euler factors that S and T remove
+    from L(chi, s), for a primitive chi: (q, 1 - chi(q)) for each finite
+    q in S off the conductor, in S order, then (q, 1 - chi(q) q) for each
+    q in T.  The value is 0 exactly at the S-primes with chi(q) = 1."""
+    f = chi.conductor()
+    for q in S:
+        if q != "inf" and f % q:
+            yield q, 1 - chi.exact_value(chi(q))
+    for q in T:
+        yield q, 1 - chi.exact_value(chi(q)) * q
 
 
 def _minus_b1(chi):
@@ -918,64 +752,23 @@ def _add_times(acc, w, x):
     return acc + w * x
 
 
-def _primitive_l_jet(chi, K):
-    """Jet of the primitive L(chi, s) = f^{-s} sum_a chi(a) zeta_H(s, a/f)
-    to truncation K.  c_0 is the exact -B_{1,chi}; Hurwitz jets are
-    evaluated only for K >= 1, one per value class, for the sum of
-    zeta_H(s, a/f) over the units a with chi(a) = zeta_n^t."""
-    f = chi.conductor()
-    exact0 = _minus_b1(chi)
-    if not K:
-        return Jet([exact0], params={"prec": precision()})
-    # for f = 1 the class {1} gives zeta_H(s, 1) = zeta(s)
-    ball_coeffs = [0] * (K + 1)
-    for t, residues in chi.classes():
-        hj = hurwitz_jet(f, residues, K)
-        w = chi.ball_value(t)
-        for k in range(1, K + 1):
-            ball_coeffs[k] = _add_times(ball_coeffs[k], w, hj.coeffs[k])
-    # multiply by f^{-s} = exp(-s log f); the order-0 part stays exact
-    out = [exact0]
-    Lf = ball_log_int(f)
-    E = [Ball(1)]
-    for k in range(1, K + 1):
-        E.append(E[-1] * (-Lf) * Fraction(1, k))
-    for k in range(1, K + 1):
-        acc = _mul_exact(exact0, E[k])
-        for i in range(1, k + 1):
-            acc = acc + ball_coeffs[i] * E[k - i]
-        out.append(acc)
-    return Jet(out, params=hj.params)
-
-
-def _mul_exact(c0, ball):
-    if isinstance(c0, Fraction):
-        return ball * c0
-    # cyclotomic scalar: go through a certified complex enclosure
-    return c0.to_cball() * ball
-
-
-def _euler_factor_jet(chi, q, K, shift):
-    """(1 - chi(q) q^{shift} q^{-s}) as a jet with exact order-0 part, for
-    a primitive chi and q off its conductor."""
-    Lq = ball_log_int(q)
-    qs = q ** shift
-    t = chi(q)
-    w = chi.ball_value(t)
-    coeffs = [1 - chi.exact_value(t) * qs]
-    power = Ball(1)
-    for k in range(1, K + 1):
-        power = power * (-Lq) * Fraction(1, k)
-        coeffs.append(power * (-qs) * w)
-    return Jet(coeffs)
+def _times(value, factor):
+    """value * factor for a leading term and a factor, each exact (a
+    Fraction or a cyclotomic) or a ball: an exact cyclotomic meets a real
+    ball through its certified complex enclosure, as the product of a
+    CycloElt and a Ball is not defined."""
+    if isinstance(factor, Ball) \
+            and not isinstance(value, (Fraction, Ball, CBall)):
+        value = value.to_cball()
+    return value * factor
 
 
 def bernoulli_value(char, S, T=()):
     """Exact L_{S,T}(chi, 0) when the order of vanishing is zero.
 
     Computed as -B_{1,chi} for the primitive core times the exact removed
-    Euler factors (1 - chi(q)) for q in S and (1 - chi(q) q) for q in T.
-    Raises WrongOrderError at positive order.
+    Euler factors (1 - chi(q)) for q in S and (1 - chi(q) q) for q in T
+    (`_euler_values`).  Raises WrongOrderError at positive order.
     """
     S = _normalize_places(S)
     T = sorted(int(q) for q in T)
@@ -983,13 +776,9 @@ def bernoulli_value(char, S, T=()):
     if r != 0:
         raise WrongOrderError(f"order of vanishing is {r}, not 0")
     chi = char.primitive()
-    f = chi.conductor()
     value = _minus_b1(chi)
-    # (q, q^shift): shift 0 in S, off the conductor, and 1 in T
-    euler = [(q, 1) for q in S if q != "inf" and f % q != 0] \
-        + [(q, q) for q in T]
-    for q, qs in euler:
-        value = value * (1 - chi.exact_value(chi(q)) * qs)
+    for _q, exact in _euler_values(chi, S, T):
+        value = value * exact
     return value
 
 
@@ -1043,16 +832,13 @@ def validate_rubin_shape(realization, S, V, T):
     return S, V, T
 
 
-def stickelberger_element(realization, S, V, T, truncation=None):
+def stickelberger_element(realization, S, V, T):
     """The group-ring element whose chi-component is
     lim_{s->0} s^{-|V|} L_{S,T}(chi^{-1}, s).
 
     Exact rational coefficients when |V| = 0; certified real-ball
-    coefficients otherwise, each read from an `l_jet` at truncation |V|
-    (or `truncation` when given), which evaluates the primitive jet only to
-    its own order and the split S-primes' Euler factors by their exact
-    leading terms.  Components of characters vanishing beyond order |V|
-    are exact zeros.
+    coefficients otherwise, each the leading term of an `l_jet`.
+    Components of characters vanishing beyond order |V| are exact zeros.
     """
     S, V, T = validate_rubin_shape(realization, S, V, T)
     r = len(V)
@@ -1070,9 +856,7 @@ def stickelberger_element(realization, S, V, T, truncation=None):
         elif r == 0:
             components[chi.exponents] = bernoulli_value(chid, S, T)
         else:
-            K = truncation if truncation is not None else r
-            jet = l_jet(LSpec(chid, S, T, truncation=K))
-            components[chi.exponents] = jet.coeffs[r]
+            components[chi.exponents] = l_jet(LSpec(chid, S, T)).value
     if r == 0:
         return _assemble_exact(group, components)
     return _assemble_ball(group, components)
@@ -1099,10 +883,10 @@ def _assemble_exact(group, components):
 
 def _assemble_ball(group, components):
     """The ball element sum_chi L*(chi^-1) e_chi: the coefficient of sigma
-    is sum_chi chi(sigma^-1) L*(chi^-1) / |G|, summed as `_primitive_l_jet`
-    sums its classes (`_add_times`), with the weights +-1 when every
-    character is real and certified roots of unity otherwise, whose sum
-    must certify real."""
+    is sum_chi chi(sigma^-1) L*(chi^-1) / |G|, summed as
+    `_primitive_leading` sums its classes (`_add_times`), with the weights
+    +-1 when every character is real and certified roots of unity
+    otherwise, whose sum must certify real."""
     e = group.exponent
     coeffs = []
     for sigma in group.elements:

@@ -116,9 +116,10 @@ class Scenario:
         self.bits = _config_int(spec.get("bits", 128), "bits")
         if self.bits < 1:
             raise ConfigError(f"bits must be at least 1, got {self.bits}")
-        self.order = spec.get("order")
-        if self.order is not None:
-            self.order = _config_int(self.order, "order")
+        if "order" in spec:
+            raise ConfigError(
+                "the scenario key 'order' was removed: every check reads the "
+                "leading term at the order |V|, which no key changes")
         field = spec.get("field", {"type": "Q"})
         if not isinstance(field, dict):
             raise ConfigError(f"field must be a JSON object, got {field!r}")
@@ -226,12 +227,10 @@ class RubinStarkData:
     no lattice yet); lattice() and ray() are where its type is decided.  A
     caller that already holds the S-unit lattice passes it as `lattice`."""
 
-    def __init__(self, realization, field, S, V, T, order=None,
-                 lattice=None):
+    def __init__(self, realization, field, S, V, T, lattice=None):
         self.realization = realization
         self.field = field
         self.S, self.V, self.T = S, V, T
-        self.order = order
         self._lattice = lattice
         self._ray = None
         self._theta = None
@@ -268,8 +267,7 @@ class RubinStarkData:
     def theta(self):
         if self._theta is None:
             self._theta = stickelberger_element(
-                self.realization, self.S, self.V, self.T,
-                truncation=self.order)
+                self.realization, self.S, self.V, self.T)
         return self._theta
 
     def t_glattice(self):
@@ -287,7 +285,7 @@ class RubinStarkData:
         if self._epsilon is not None:
             return self._epsilon
         # the lattice first: an out-of-scope field is unsupported at any
-        # precision, before the L-jets can ask for more bits
+        # precision, before the L-values can ask for more bits
         lat = self.lattice()
         theta = self.theta()
         r = len(self.V)
@@ -359,7 +357,7 @@ class RubinStarkData:
         dual generators of O^x_{K,S,T}; for |V| = 0, theta itself."""
         if self._pairings is None:
             # epsilon() builds the lattice first, so an out-of-scope field
-            # is unsupported before any L-jet, for |V| = 0 too
+            # is unsupported before any L-value, for |V| = 0 too
             eps = self.epsilon()
             self._pairings = [(("theta",), self.theta())] if not self.V \
                 else all_dual_pairings(eps, self.t_glattice())
@@ -749,7 +747,7 @@ def run_acnf(dmin=-500, dmax=500):
                     f"2h/w = {Fraction(2 * h, w)}")
             checked_neg += 1
             continue
-        c1 = l_jet(LSpec(chi, S, [], truncation=1)).coeffs[1]
+        c1 = l_jet(LSpec(chi, S)).value
         h = class_number(D)
         reg = fundamental_unit_log(D)
         ratio = 2 * c1 / reg
@@ -858,7 +856,7 @@ def run_scenario(scn):
                 cert["exit_code"] = 2
                 return cert
         data = RubinStarkData(scn.realization, scn.field, scn.S, scn.V,
-                              scn.T, scn.order)
+                              scn.T)
         for name in scn.checks:
             cert["results"].append(_run_check(scn, data, name))
     verdicts = {e.get("verdict") for e in cert["results"]}

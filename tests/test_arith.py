@@ -54,19 +54,14 @@ def test_bernoulli_matches_sympy():
 
 @pytest.mark.parametrize("bits", [53, 128, 256, 512, 1024])
 def test_correction_coeffs_match_a_sympy_table(bits):
-    # B_2j / (2j)! times the s^i coefficient of s(s + 1)...(s + 2j - 2),
-    # which is the unsigned Stirling number [2j - 1, i]
+    # B_2j / (2j)! times the s^1 coefficient of s(s + 1)...(s + 2j - 2),
+    # which is the unsigned Stirling number [2j - 1, 1]
     plan = _plan(bits)
-    expected = []
-    for i in range(1, 5):
-        row = []
-        for j in range(1, plan.B + 1):
-            b = Fraction(str(sympy.bernoulli(2 * j)))
-            row.append(b / factorial(2 * j) * int(stirling(2 * j - 1, i,
-                                                           kind=1)))
-        d = lcm(*(c.denominator for c in row))
-        expected.append((tuple(int(c * d) for c in row), d))
-    assert plan.corrections == tuple(expected)
+    row = [Fraction(str(sympy.bernoulli(2 * j))) / factorial(2 * j)
+           * int(stirling(2 * j - 1, 1, kind=1))
+           for j in range(1, plan.B + 1)]
+    d = lcm(*(c.denominator for c in row))
+    assert plan.beta == (tuple(int(c * d) for c in row), d)
 
 
 def test_no_factoring_beyond_desk_scale():

@@ -13,7 +13,7 @@ from mpmath.libmp.libmpi import mpi_exp, mpi_log, mpi_sqrt
 from starklab import ball, lfun
 from starklab.ball import (Ball, CBall, Undecided, ball_combination,
                            ball_det, ball_log, ball_log_int, ball_log_prod,
-                           ball_pi, ball_ratio, ball_sqrt, gauss_solve,
+                           ball_pi, ball_sqrt, gauss_solve,
                            working_precision)
 from starklab.lfun import hurwitz_jet
 
@@ -207,17 +207,6 @@ def test_non_finite_endpoints_raise(raw):
             query()
 
 
-@given(st.integers(-10 ** 80, 10 ** 80), st.integers(1, 10 ** 50),
-       st.integers(1, 10 ** 30), st.sampled_from([53, 64, 128, 256]))
-@settings(deadline=None)
-def test_ball_ratio_is_ball_of_the_fraction(n, d, g, bits):
-    # an unreduced pair n g / d g rounds to the same endpoints as the
-    # Fraction, including integer quotients longer than the precision
-    with working_precision(bits):
-        assert ball_ratio(n * g, d * g)._v == Ball(Fraction(n, d))._v
-        assert ball_ratio(n * d * g, g)._v == Ball(n * d)._v
-
-
 # -- one rounding per exact point, against the floor-and-ceiling kernel -----
 #
 # The oracle is the kernel as it was before points were rounded once: two
@@ -225,7 +214,8 @@ def test_ball_ratio_is_ball_of_the_fraction(n, d, g, bits):
 
 def oracle_ratio(n, d):
     """n/d for integers n and d > 0: `from_rational` at "f" and at "c",
-    with ball_ratio's exact long integer quotients."""
+    with an integer quotient longer than the precision kept exact, as
+    Ball(int) keeps it."""
     prec = ball._PREC
     if n.bit_length() - d.bit_length() >= prec and n % d == 0:
         f = from_int(n // d)
@@ -239,14 +229,13 @@ def oracle_log_point(x, prec):
 
 def _assert_points_match_the_oracle(n, d, m):
     """ball_log_int, ball_log, ball_sqrt at the positive integer m and the
-    dyadic point m / 2^10; ball_ratio and Ball(Fraction) at n/d."""
+    dyadic point m / 2^10; Ball(Fraction) at n/d."""
     prec = ball._PREC
     for x in (from_int(m), from_man_exp(m, -10)):
         assert ball_log(Ball._wrap((x, x)))._v == mpi_log((x, x), prec), m
         assert ball_sqrt(Ball._wrap((x, x)))._v == \
             mpi_sqrt((x, x), prec), m
     assert ball_log_int(m)._v == mpi_log((from_int(m),) * 2, prec), m
-    assert ball_ratio(n, d)._v == oracle_ratio(n, d), (n, d)
     x = Fraction(n, d)
     assert Ball(x)._v == oracle_ratio(x.numerator, x.denominator), x
 
@@ -279,10 +268,10 @@ def test_a_floor_of_minus_a_power_of_two_steps_up_by_half_its_ulp(bits, k):
         prec = ball._PREC
         x = -Fraction(2) ** k + Fraction(1, 3 * 2 ** (prec + 8) + 1)
         n, d = x.numerator, x.denominator
-        lo, hi = ball_ratio(n, d).endpoints()
+        lo, hi = Ball(x).endpoints()
         assert lo == -Fraction(2) ** k
         assert hi - lo == Fraction(2) ** (k - prec)
-        assert ball_ratio(n, d)._v == oracle_ratio(n, d)
+        assert Ball(x)._v == oracle_ratio(n, d)
 
 
 @settings(max_examples=200, deadline=None)
@@ -318,7 +307,7 @@ def _make_ball(spec):
     if kind == "log":
         return ball_log_int(n)          # n = 1 gives the exact 0
     if kind == "ratio":
-        return ball_ratio(n, d)
+        return Ball(Fraction(n, d))
     if kind == "int":
         return Ball(n)                  # exact, longer than the precision
     return Ball(0, Fraction(n, d))      # a radius [-n/d, n/d]
@@ -444,17 +433,23 @@ def test_log_of_a_product_contains_the_log_of_the_exact_product(factors,
 def _hurwitz_endpoints():
     ball._log_int.cache_clear()
     lfun._plan.cache_clear()
-    xs = sorted({Fraction(a, f) for f in range(1, 61)
-                 for a in range(1, f + 1)})
     with working_precision(128):
-        return [[c._v for c in hurwitz_jet(
-            x.denominator, [x.numerator], K).coeffs[1:]]
-                for K in (1, 2, 3) for x in xs]
+        return [hurwitz_jet(f, list(residues))._v
+                for f in range(3, 61)
+                for residues in _mirror_closed_classes(f)]
+
+
+def _mirror_closed_classes(f):
+    """The value classes of the even characters mod f, each once."""
+    R = lfun.AbelianFieldRealization(f, [])
+    return sorted({residues for c in R.group.all_characters()
+                   if R.dirichlet(c).parity() == 1
+                   for _t, residues in R.dirichlet(c).classes()})
 
 
 def test_hurwitz_jets_are_bit_identical_to_the_oracle_kernel(monkeypatch):
-    # every x = a/f with f <= 60 at K = 1, 2, 3: the current kernel, then
-    # the floor-and-ceiling kernel patched in, each with cold caches
+    # c_1 of every even character's class mod f <= 60: the current kernel,
+    # then the floor-and-ceiling kernel patched in, each with cold caches
     try:
         current = _hurwitz_endpoints()
         monkeypatch.setattr(ball, "_ratio_interval", oracle_ratio)

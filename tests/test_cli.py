@@ -41,14 +41,20 @@ def test_verify_a_scenario_file(capsys, tmp_path):
 
 
 def test_an_exact_cyclotomic_coefficient_is_a_list_of_rationals(capsys):
-    # the cubic character mod 7 vanishes to order 0 with S = {inf, 7}: c0 is
-    # exact in Q(zeta_6) and c1 a complex ball
+    # the cubic character mod 7 vanishes to order 0 with S = {inf, 7}: its
+    # leading term is exact in Q(zeta_6); with 29 in S, where it is 1, it
+    # is of order 1, a complex ball
     code, out, _err = run(capsys, "lvalue", "--modulus", "7", "--kernel",
                           "--char-index", "1", "--S", "inf", "7")
     assert code == 0
-    c0, c1 = json.loads(out)["coeffs"]
-    assert c0 == ["2/7", "4/7"]
-    assert set(c1) == {"re", "im"} and set(c1["re"]) == {"mid", "rad"}
+    report = json.loads(out)
+    assert report["order"] == 0 and report["value"] == ["2/7", "4/7"]
+    code, out, _err = run(capsys, "lvalue", "--modulus", "7", "--kernel",
+                          "--char-index", "1", "--S", "inf", "7", "29")
+    assert code == 0
+    report = json.loads(out)
+    assert report["order"] == 1 and set(report["value"]) == {"re", "im"}
+    assert set(report["value"]["re"]) == {"mid", "rad"}
 
 
 def test_every_spelling_of_the_infinite_place_is_accepted(capsys):

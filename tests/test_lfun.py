@@ -1,30 +1,27 @@
 import functools
 import math
-import random
 from fractions import Fraction
 
 import pytest
 import sympy
 from mpmath import mp
-from mpmath.libmp import from_man_exp, to_rational
+from mpmath.libmp import to_rational
 from sympy.functions.combinatorial.numbers import stirling
 
-from starklab import ball
 from starklab.arith import bernoulli
-from starklab.ball import (Ball, CBall, PrecisionError, Undecided,
-                           ball_combination, ball_log, ball_log_int,
-                           precision, working_precision)
+from starklab.ball import (Ball, CBall, CertificationError, PrecisionError,
+                           Undecided, ball_log_int, precision,
+                           working_precision)
 from starklab.cyclo import CycloField
 from starklab.finite import GroupStructure
 from starklab import lfun
 from starklab.grpring import AbelianGroup, GroupRingElement, InputError
 from starklab.hnf import diagonalize_relations
-from starklab.lfun import (AbelianFieldRealization, DirichletChar, Jet,
-                           LSpec, UnresolvedOrderError, WrongOrderError,
-                           _corrections, _kronecker_table, _plan,
-                           bernoulli_value, hurwitz_jet,
-                           l_jet, stickelberger_element, theoretical_order,
-                           validate_rubin_shape)
+from starklab.lfun import (AbelianFieldRealization, DirichletChar, LSpec,
+                           UnresolvedOrderError, WrongOrderError,
+                           _kronecker_table, _plan, bernoulli_value,
+                           hurwitz_jet, l_jet, stickelberger_element,
+                           theoretical_order, validate_rubin_shape)
 from starklab.numfld import is_fundamental_discriminant, kronecker
 
 
@@ -47,359 +44,128 @@ def _close(ball, ref, tol=1e-25):
 
 def leading_terms(real, S, T):
     """{character label: (r_chi, L*_{S,T}(chi^-1, 0))}, each leading term
-    read from the l_jet truncated at the theoretical order r_chi."""
+    read from `l_jet` at its theoretical order r_chi."""
     out = {}
     for chi in real.group.all_characters():
-        chid = real.dirichlet(chi).inverse()
-        r = theoretical_order(chid, S)
-        jet = l_jet(LSpec(chid, S, T, truncation=r))
-        out[chi.exponents] = r, jet.coeffs[r]
+        lead = l_jet(LSpec(real.dirichlet(chi).inverse(), S, T))
+        out[chi.exponents] = lead.order, lead.value
     return out
 
 
-def jet_at(x, K):
-    """The Hurwitz jet of zeta_H(s, x) alone: the class (den, [num])."""
-    x = Fraction(x)
-    return hurwitz_jet(x.denominator, [x.numerator], K)
-
-
 def test_hurwitz_known_constants():
-    j = jet_at(Fraction(1), 1)
-    assert j.coeffs[0] == Fraction(-1, 2)
-    mp.prec = 220
-    assert _close(j.coeffs[1], float(-mp.log(2 * mp.pi) / 2), 1e-35)
-    j2 = jet_at(Fraction(1, 2), 1)
-    assert j2.coeffs[0] == 0
-    assert _close(j2.coeffs[1], -math.log(2) / 2, 1e-35)
-    with working_precision(64):
-        ja = jet_at(Fraction(1, 4), 0)
-        jb = jet_at(Fraction(3, 4), 0)
-    assert ja.coeffs[0] + jb.coeffs[0] == 0
-
-
-def test_hurwitz_derivative_matches_loggamma():
-    mp.prec = 220
-    for num, den in [(1, 3), (2, 5), (7, 10), (1, 12)]:
-        j = jet_at(Fraction(num, den), 1)
-        ref = float(mp.loggamma(mp.mpf(num) / den) - mp.log(2 * mp.pi) / 2)
-        assert _close(j.coeffs[1], ref, 1e-30), (num, den)
-
-
-def test_hurwitz_second_order_against_numerical_diff():
-    # independent check of c_2 by high-precision central differences
-    mp.prec = 300
-    x = Fraction(1, 3)
-    j = jet_at(x, 2)
-    h = mp.mpf(1) / 10 ** 12
-    xm = mp.mpf(1) / 3
-    second = (mp.zeta(h, xm) - 2 * mp.zeta(0, xm) + mp.zeta(-h, xm)) / h ** 2
-    assert _close(j.coeffs[2], float(second / 2), 1e-10)
+    # sum_{a in C} zeta'(0, a/f) over a mirror-closed class C is
+    # -sum_{a < f/2} log(2 sin(pi a / f)): -log(3)/2 for {1, 2} mod 3,
+    # -log(2)/2 for {1, 3} mod 4, 0 for {1, 5} mod 6, and -log(p)/2 for
+    # every unit mod a prime p, as prod_{a < p/2} 2 sin(pi a / p) = sqrt p
+    for f, res, want in [(3, [1, 2], -math.log(3) / 2),
+                         (4, [1, 3], -math.log(2) / 2),
+                         (5, [1, 2, 3, 4], -math.log(5) / 2),
+                         (7, list(range(1, 7)), -math.log(7) / 2)]:
+        assert _close(hurwitz_jet(f, res), want, 1e-35), (f, res)
+    assert hurwitz_jet(6, [1, 5]).contains(0)
 
 
 def test_hurwitz_input_validation():
-    with pytest.raises(InputError):
-        jet_at(Fraction(3, 2), 1)
-    for K in (-1, 5):
+    # a class is a nonempty list of residues in 1..f - 1, closed under
+    # a -> f - a, with no repeats and without the fixed point f/2
+    for f, residues in [(5, []), (5, [0, 5]), (5, [1, 6]), (0, [1]),
+                        (5, [1]), (7, [1, 2, 4]), (5, [1, 4, 1, 4]),
+                        (1, [1]), (2, [1]), (10, [3, 5, 7]),
+                        (5, [1, 4, 5])]:
         with pytest.raises(InputError):
-            jet_at(Fraction(1, 3), K)
+            hurwitz_jet(f, residues)
     with pytest.raises(PrecisionError), working_precision(10):
-        jet_at(Fraction(1, 2), 1)
-    # a class is a nonempty list of residues in 1..f
-    for f, residues in [(5, []), (5, [0]), (5, [1, 6]), (0, [1])]:
-        for K in (1, 2):
-            with pytest.raises(InputError):
-                hurwitz_jet(f, residues, K)
+        hurwitz_jet(5, [1, 4])
 
 
-ORACLE_XS = [Fraction(1, 3), Fraction(2, 5), Fraction(7, 10), Fraction(1, 12),
-             Fraction(150, 293), Fraction(1)]
+ORACLE_CLASSES = [(3, [1, 2]), (5, [1, 4]), (5, [2, 3]), (7, [1, 6]),
+                  (10, [3, 7]), (12, [1, 5, 7, 11]), (293, [150, 143])]
 
 
 @pytest.mark.parametrize("prec", [64, 128, 256])
-@pytest.mark.parametrize("K", [1, 2, 3])
-def test_hurwitz_jet_encloses_mpmath(prec, K):
-    # every coefficient encloses zeta^(k)(0, x) / k! from mpmath, computed
-    # at more than twice the precision of the jet
-    for x in ORACLE_XS:
+def test_hurwitz_jet_encloses_mpmath(prec):
+    # c_1 of each class encloses the sum of zeta'(0, a/f) that mpmath
+    # computes, at more than twice the precision of c_1
+    for f, res in ORACLE_CLASSES:
         with working_precision(prec):
-            jet = jet_at(x, K)
+            c1 = hurwitz_jet(f, res)
         with mp.workprec(2 * prec + 64):
-            xm = mp.mpf(x.numerator) / x.denominator
-            for k in range(K + 1):
-                v = mp.zeta(0, xm, derivative=k) / mp.factorial(k)
-                ref = Fraction(*to_rational(v._mpf_))
-                c = jet.coeffs[k]
-                assert Ball(c).contains(ref), (prec, K, x, k)
+            v = mp.fsum(mp.zeta(0, mp.mpf(a) / f, derivative=1) for a in res)
+            assert c1.contains(Fraction(*to_rational(v._mpf_))), (prec, f)
 
 
 def test_hurwitz_c1_radius_is_the_tail_bound_plus_little_rounding():
     # at 128 bits the tail bound is about 2^-156, so the radius is the
     # rounding of the evaluation: the logs, each one step wide, and one
     # rounding of their exact combination keep that below 2^-(prec+5)
-    for x in ORACLE_XS:
-        jet = jet_at(x, 1)
-        prec = precision()
-        tail = _plan(prec).spreads[1].rad()  # rounded up
-        assert jet.coeffs[1].rad() <= 2 * tail + Fraction(2) ** -(prec + 5), x
+    prec = precision()
+    tail = _plan(prec).spread.rad()  # rounded up
+    for f, res in ORACLE_CLASSES:
+        rad = hurwitz_jet(f, res).rad()
+        assert rad <= 2 * len(res) * tail + Fraction(2) ** -(prec + 5), f
 
 
-def _sympy_rising(m):
-    """The coefficients of s^0..s^4 in s(s + 1)...(s + m - 1) = rf(s, m):
-    sympy's unsigned Stirling numbers of the first kind [m, i]."""
-    return [int(stirling(m, i, kind=1)) for i in range(5)]
-
-
-@functools.lru_cache(maxsize=None)
-def _fraction_corrections(B):
-    """The Euler-Maclaurin correction rows of the s-degrees i = 1..4 in
-    Fractions, B_2j / (2j)! [2j - 1, i] for j = 1..B, with sympy's Bernoulli
-    numbers and Stirling numbers."""
-    return [[Fraction(str(sympy.bernoulli(2 * j))) / math.factorial(2 * j)
-             * _sympy_rising(2 * j - 1)[i] for j in range(1, B + 1)]
-            for i in range(1, 5)]
-
-
-def _fraction_tail_radii(N, B, K):
-    """The remainder bounds r_0..r_K as exact Fractions, the way the tail
-    radius table computed them before it stored rounded balls, from the
-    rising factorial of `_sympy_rising`."""
-    P2B = _sympy_rising(2 * B)
-    bconst = abs(bernoulli(2 * B)) / math.factorial(2 * B)
-    logN = ball_log_int(N)
+def _fraction_tail_radius(N, B):
+    """The remainder bound r_1 as an exact Fraction, the way the tail
+    radius table computed it before it stored rounded balls: |B_2B| / (2B)!
+    times the upper end of the ball N^(1 - 2B) / (2B - 1) [2B, 1], with
+    sympy's unsigned Stirling number [2B, 1], the coefficient of s in
+    s(s + 1)...(s + 2B - 1)."""
     a_exp = 2 * B - 1
-    Npow = Ball(N) ** (-a_exp)
-    I = []
-    for j in range(K + 1):
-        acc = Ball(0)
-        for i in range(j + 1):
-            acc = acc + (logN ** i) * Fraction(
-                math.factorial(j), math.factorial(i)) \
-                * Fraction(1, a_exp ** (j - i + 1))
-        I.append(Npow * acc)
-    rads = []
-    for k in range(K + 1):
-        rad = Fraction(0)
-        for i in range(min(k, 2 * B) + 1):
-            if P2B[i]:
-                bound = (I[k - i] * Fraction(P2B[i], math.factorial(k - i))
-                         ).endpoints()[1]
-                rad += abs(bound)
-        rads.append(bconst * rad)
-    return rads
-
-
-def _fraction_tail_jet(x, K, N, B):
-    """hurwitz_jet's balls (c_0 included) with the tail summed in reduced
-    Fractions, each rounded by Ball(Fraction): the oracle for the integer
-    pairs that hurwitz_jet rounds once at K >= 2.  At K = 1 it is the
-    two-step ball evaluation that the one rounding of `ball_combination`
-    replaced: the oracle that c_1 refines."""
-    num, den = x.numerator, x.denominator
-    log_den = ball_log_int(den)
-    if K == 1:
-        prod = 1
-        for n in range(N):
-            prod *= n * den + num
-        main = [N, log_den * N - ball_log(prod)]
-    else:
-        sums = [Ball(0)] * (K + 1)
-        for n in range(N):
-            L = ball_log_int(n * den + num) - log_den
-            power = L
-            for k in range(1, K + 1):
-                if k > 1:
-                    power = power * L
-                sums[k] = sums[k] + power
-        main = [N] + [sums[k] * Fraction((-1) ** k, math.factorial(k))
-                      for k in range(1, K + 1)]
-    w = N + x
-    R = [Fraction(0)] + [
-        sum(c * w ** (1 - 2 * j) for j, c in enumerate(row, 1))
-        for row in _fraction_corrections(B)[:K]]
-    neg_Lw = log_den - ball_log_int(w.numerator)
-    rads = _fraction_tail_radii(N, B, K)
-    out = []
-    for k in range(K + 1):
-        t = [R[k - m] - w + (Fraction(1, 2) if m == k else 0)
-             for m in range(k + 1)]
-        c = 0
-        for m in range(k, 0, -1):
-            c = (c + t[m] / math.factorial(m)) * neg_Lw
-        out.append(c + main[k] + Ball(t[0], rads[k]))
-    return out
-
-
-ORACLE_TAIL_XS = ([Fraction(1), Fraction(1, 2)]
-                  + [Fraction(a, 7) for a in range(1, 7)]
-                  + [Fraction(a, 97) for a in (1, 2, 13, 48, 50, 96)]
-                  + [Fraction(a, 401) for a in (1, 3, 100, 200, 331, 400)])
-
-
-def _assert_c1_refines_the_two_step_evaluation(x, jet):
-    """c_1 of a K = 1 jet overlaps the two-step ball evaluation of the
-    same N and B and is no wider."""
-    old = _fraction_tail_jet(x, 1, jet.params["N"], jet.params["B"])[1]
-    lo, hi = jet.coeffs[1].endpoints()
-    old_lo, old_hi = old.endpoints()
-    assert lo <= old_hi and old_lo <= hi, x
-    assert hi - lo <= old_hi - old_lo, x
+    low = Ball(N) ** (-a_exp) * (Ball(0) + Ball(1) * Fraction(1, a_exp))
+    bound = (low * int(stirling(2 * B, 1, kind=1))).endpoints()[1]
+    return abs(bernoulli(2 * B)) / math.factorial(2 * B) * abs(bound)
 
 
 @pytest.mark.parametrize("bits", [53, 128, 256])
 def test_hurwitz_tail_is_bit_identical_to_the_fraction_sum(bits):
-    # K = 1 is one rounding of an exact combination, which refines the
-    # two-step sum; the other truncations round each tail term once
+    # the plan's r_1 is the Fraction bound of the rising factorial,
+    # rounded once
+    plan = _plan(bits)
     with working_precision(bits):
-        for K in range(5):
-            for x in ORACLE_TAIL_XS:
-                jet = jet_at(x, K)
-                assert jet.coeffs[0] == Fraction(1, 2) - x
-                if K == 1:
-                    _assert_c1_refines_the_two_step_evaluation(x, jet)
-                    continue
-                old = _fraction_tail_jet(x, K, jet.params["N"],
-                                         jet.params["B"])
-                assert old[0].contains(jet.coeffs[0])
-                assert [c._v for c in jet.coeffs[1:]] == \
-                    [c._v for c in old[1:]], (bits, K, x)
-        plan = _plan(bits)
-        radii = _fraction_tail_radii(plan.N, plan.B, 4)
-        assert [s._v for s in plan.spreads] == \
-            [Ball(0, r)._v for r in radii]
+        radius = Ball(0, _fraction_tail_radius(plan.N, plan.B))
+    assert plan.spread._v == radius._v
 
 
-C1_ORACLE_XS = sorted({Fraction(a, f) for f in range(1, 61)
-                       for a in range(1, f + 1)} | set(ORACLE_XS))
-
-
-@pytest.mark.parametrize("bits", [53, 80, 128, 160, 256])
-def test_hurwitz_c1_encloses_mpmath_and_refines_the_two_step_evaluation(
-        bits):
-    # every a/f with f <= 60, and ORACLE_XS: c_1 contains zeta'(0, x) at
-    # 2 bits + 64 bits, overlaps the two-step evaluation and is no wider.
-    # On the grid the reference is Lerch's log Gamma(x) - log(2 pi) / 2,
-    # which mpmath evaluates some 30 times faster than the zeta
-    # derivative; on ORACLE_XS it is mp.zeta's derivative itself
-    with working_precision(bits):
-        jets = [(x, jet_at(x, 1)) for x in C1_ORACLE_XS]
-    with mp.workprec(2 * bits + 64):
-        half_log_2pi = mp.log(2 * mp.pi) / 2
-        for x, jet in jets:
-            xm = mp.mpf(x.numerator) / x.denominator
-            v = mp.zeta(0, xm, derivative=1) if x in ORACLE_XS \
-                else mp.loggamma(xm) - half_log_2pi
-            ref = Fraction(*to_rational(v._mpf_))
-            assert jet.coeffs[1].contains(ref), (bits, x)
-    with working_precision(bits):
-        for x, jet in jets:
-            _assert_c1_refines_the_two_step_evaluation(x, jet)
-
-
-@functools.lru_cache(maxsize=None)
-def _every_class(f_max):
-    """(f, residues) for each class of units with one value, of every
-    character mod f <= f_max, each class once, grouped by the oracle."""
-    out = set()
-    for f in range(1, f_max + 1):
+def _even_classes(f):
+    """The value classes of the even characters of (Z/f)^x, each once, as
+    the oracle groups them: for f < 100 from every character, and for a
+    prime f as the cosets of the subgroups <g^d> with -1 in them, for a
+    primitive root g."""
+    if f < 100:
         R = AbelianFieldRealization(f, [])
-        for c in R.group.all_characters():
-            chi = R.dirichlet(c)
-            for _rep, residues in _oracle_classes(chi).values():
-                out.add((f, tuple(residues)))
-    return sorted(out)
+        return sorted({tuple(residues) for c in R.group.all_characters()
+                       if R.dirichlet(c).parity() == 1
+                       for _rep, residues in _oracle_classes(
+                           R.dirichlet(c)).values()})
+    g = next(g for g in range(2, f) if all(
+        pow(g, (f - 1) // q, f) != 1 for q in sympy.factorint(f - 1)))
+    return sorted({tuple(sorted(pow(g, i + d * k, f)
+                                for k in range((f - 1) // d)))
+                   for d in sympy.divisors((f - 1) // 2) for i in range(d)})
 
 
-def _mirror_closed(f, residues):
-    """Is the class closed under a -> f - a?"""
-    return sorted(residues) == sorted(f - a for a in residues)
-
-
-# unpaired residues that no character class has: a repeated entry, a = f/2
-# alone, a = f, and the class of zeta(s) itself
-UNPAIRED_CLASSES = [(5, (1, 1)), (10, (5,)), (5, (5,)), (1, (1,))]
-
-
-@pytest.mark.parametrize("bits", [53, 80, 128, 160, 256])
-def test_class_jets_enclose_mpmath_and_overlap_the_singleton_sums(bits):
-    # every class of every character mod f <= 60, mirror-closed (even
-    # characters) or not (odd ones), and the unpaired classes: c_1 contains
-    # sum_a (log Gamma(a/f) - log(2 pi) / 2) at 2 bits + 64 bits and
-    # overlaps the sum of the classes' singleton jets
-    classes = _every_class(60) + UNPAIRED_CLASSES
-    assert {_mirror_closed(f, res) for f, res in classes} == {True, False}
+@pytest.mark.parametrize("bits", [53, 128, 256])
+def test_class_c1_is_the_reflection_formula(bits):
+    # zeta'(0, x) + zeta'(0, 1 - x) = -log(2 sin(pi x)), from
+    # log Gamma(x) + log Gamma(1 - x) = log(pi / sin(pi x)) and Lerch's
+    # zeta'(0, x) = log Gamma(x) - log(2 pi) / 2; so a mirror-closed class
+    # has c_1 = -sum_{a < f/2} log(2 sin(pi a / f)), which mpmath computes
+    # at 2 bits + 64 bits.  Every even character's classes mod f for
+    # 3 <= f <= 60, and mod the primes 997 and 4001
+    classes = [(f, res) for f in list(range(3, 61)) + [997, 4001]
+               for res in _even_classes(f)]
+    assert len(classes) > 6000
     with working_precision(bits):
-        jets = [hurwitz_jet(f, list(res), 1) for f, res in classes]
-        single = {x: jet_at(x, 1).coeffs[1] for f, res in classes
-                  for x in (Fraction(a, f) for a in res)}
+        values = [hurwitz_jet(f, list(res)) for f, res in classes]
     with mp.workprec(2 * bits + 64):
-        half_log_2pi = mp.log(2 * mp.pi) / 2
-        lgamma = {x: mp.loggamma(mp.mpf(x.numerator) / x.denominator)
-                  for x in single}
-        for (f, res), jet in zip(classes, jets):
-            assert jet.coeffs[0] == sum(Fraction(1, 2) - Fraction(a, f)
-                                        for a in res)
-            v = mp.fsum(lgamma[Fraction(a, f)] for a in res) \
-                - len(res) * half_log_2pi
-            assert jet.coeffs[1].contains(
-                Fraction(*to_rational(v._mpf_))), (bits, f, res)
-    with working_precision(bits):
-        for (f, res), jet in zip(classes, jets):
-            total = Ball(0)
+        logs = {}
+        for (f, res), c1 in zip(classes, values):
             for a in res:
-                total = total + single[Fraction(a, f)]
-            lo, hi = jet.coeffs[1].endpoints()
-            total_lo, total_hi = total.endpoints()
-            assert lo <= total_hi and total_lo <= hi, (bits, f, res)
-
-
-def _per_residue_class_c1(f, residues):
-    """c_1 of a class jet by the kernel that came before the power sums:
-    one cached log of each N f + a with coefficient 2(N f + a) - f, log f
-    with f |C| - 2 sum a, the log of the exact main-sum product, and the
-    exact R_1(a) of `_corrections` summed on one fixed-point grid 2^-G
-    (floors for the lower end, ceilings for the upper), in one
-    `ball_combination` over 2f with the exact -sum w_a."""
-    prec = precision()
-    plan = _plan(prec)
-    N = plan.N
-    size, total = len(residues), sum(residues)
-    wn = [N * f + a for a in residues]
-    with working_precision(prec + size.bit_length()):
-        log_prod = ball_log(math.prod(math.prod(range(a, w, f))
-                                      for a, w in zip(residues, wn)))
-    R1 = [_corrections(f, w, plan.corrections[:1])[0] for w in wn]
-    G = ball._PREC + size.bit_length()
-    lo = hi = 0
-    for n, d in R1:
-        q, r = divmod(n << G, d)
-        lo += q
-        hi += q + (r > 0)
-    grid = Ball._wrap((from_man_exp(lo, -G), from_man_exp(hi, -G)))
-    return ball_combination(
-        (f * size - 2 * total, -2 * f, 2 * f, 2 * f * size)
-        + tuple(2 * w - f for w in wn),
-        (ball_log_int(f), log_prod, grid, plan.spreads[1])
-        + tuple(ball_log_int(w) for w in wn),
-        2 * f, (-sum(wn), f))
-
-
-@pytest.mark.parametrize("bits", [53, 80, 128, 160, 256])
-def test_class_c1_overlaps_the_per_residue_kernel(bits):
-    # every class of every character mod f <= 60, mirror-closed or not,
-    # the unpaired classes, and both classes of chi_D for D = 401 and 997:
-    # the midpoint kernel's c_1 overlaps the per-residue kernel's at the
-    # same cutoffs, and its radius is at most 1.25 times as large
-    classes = _every_class(60) + UNPAIRED_CLASSES + [
-        (D, res) for D in (401, 997)
-        for _t, res in DirichletChar.quadratic(D).classes()]
-    with working_precision(bits):
-        for f, res in classes:
-            new = hurwitz_jet(f, res, 1).coeffs[1]
-            old = _per_residue_class_c1(f, res)
-            lo, hi = new.endpoints()
-            old_lo, old_hi = old.endpoints()
-            assert lo <= old_hi and old_lo <= hi, (bits, f, res)
-            assert 4 * (hi - lo) <= 5 * (old_hi - old_lo), (bits, f, res)
+                if 2 * a < f and (f, a) not in logs:
+                    logs[f, a] = mp.log(2 * mp.sin(mp.pi * a / f))
+            ref = -mp.fsum(logs[f, a] for a in res if 2 * a < f)
+            assert c1.contains(Fraction(*to_rational(ref._mpf_))), (bits, f)
 
 
 def _fraction_etas(N, B, M):
@@ -454,37 +220,34 @@ def test_midpoint_series_is_the_fraction_table_and_its_bound_holds(bits):
 @pytest.mark.parametrize("bits", [53, 64, 80, 100, 128, 160, 256, 512,
                                   69, 83, 84, 89, 99])
 def test_cutoffs_put_the_tail_bound_past_the_precision(bits):
-    # the first-order remainder bound is at most 2^-(prec + 20), and the
-    # bounds of orders 2..4 at most 2^-(prec + 12); at 69..99 bits, with N
-    # at its floor, B = prec // 5 alone would miss the first, and B is the
+    # the remainder bound r_1 is at most 2^-(prec + 20); at 69..99 bits,
+    # with N at its floor, B = prec // 5 alone would miss it, and B is the
     # least that meets it
     plan = _plan(bits)
-    N, B, spreads = plan.N, plan.B, plan.spreads
+    N, B = plan.N, plan.B
     assert N == max(16, bits // 5) and B >= bits // 5
     if B > bits // 5:
         with working_precision(bits):
-            missed = Ball(0, _fraction_tail_radii(N, B - 1, 1)[1])
+            missed = Ball(0, _fraction_tail_radius(N, B - 1))
         assert missed.rad() > Fraction(2) ** -(bits + 20)
-    assert spreads[1].rad() <= Fraction(2) ** -(bits + 20)
-    assert all(r.rad() <= Fraction(2) ** -(bits + 12) for r in spreads[2:])
+    assert plan.spread.rad() <= Fraction(2) ** -(bits + 20)
 
 
-def test_one_plan_serves_every_truncation_at_a_precision():
-    # the cutoffs, tail bounds, correction rows and midpoint table of a
-    # precision are built once, whatever truncations read them
+def test_one_plan_serves_every_class_at_a_precision():
+    # the cutoffs, tail bound and midpoint table of a precision are built
+    # once, whatever classes read them
     _plan.cache_clear()
     with working_precision(97):
-        for K in range(5):
-            hurwitz_jet(7, [1, 6], K)
-            hurwitz_jet(12, [5], K)
+        for _ in range(5):
+            hurwitz_jet(7, [1, 6])
+            hurwitz_jet(12, [1, 5, 7, 11])
     info = _plan.cache_info()
     assert (info.misses, info.hits) == (1, 9)
 
 
 def test_class_jet_log_calls_do_not_grow_with_the_class(monkeypatch):
-    # ball_log_int is called for (2N + 1) f and 2 alone when the class is
-    # closed under a -> f - a, and for 2N + 1 as well when it is not,
-    # whatever the class size
+    # ball_log_int is called for (2N + 1) f and 2 alone, whatever the
+    # class size
     calls = []
     real = lfun.ball_log_int
 
@@ -496,31 +259,12 @@ def test_class_jet_log_calls_do_not_grow_with_the_class(monkeypatch):
     counts = {}
     for size in (2, 200):
         closed = [a for b in range(1, size + 1) for a in (b, 401 - b)]
-        unpaired = list(range(1, 2 * size, 2))
-        for kind, res in (("closed", closed), ("unpaired", unpaired)):
-            hurwitz_jet(401, res, 1)    # the cutoff tables are built once
-            calls.clear()
-            hurwitz_jet(401, res, 1)
-            counts[kind, size] = sorted(calls)
+        hurwitz_jet(401, closed)    # the cutoff tables are built once
+        calls.clear()
+        hurwitz_jet(401, closed)
+        counts[size] = sorted(calls)
     T = 2 * _plan(precision()).N + 1
-    assert counts == {("closed", 2): [2, T * 401],
-                      ("closed", 200): [2, T * 401],
-                      ("unpaired", 2): [2, T, T * 401],
-                      ("unpaired", 200): [2, T, T * 401]}
-
-
-def test_class_jets_above_first_order_are_the_singleton_sums():
-    # K = 0 and K >= 2 add the residues' own jets, in the class's order
-    for f, res in [(7, [1, 2, 4]), (12, [1, 5, 7, 11]), (10, [5])]:
-        for K in (0, 2, 3):
-            jet = hurwitz_jet(f, res, K)
-            singles = [jet_at(Fraction(a, f), K) for a in res]
-            assert jet.coeffs[0] == sum(j.coeffs[0] for j in singles)
-            for k in range(1, K + 1):
-                total = singles[0].coeffs[k]
-                for j in singles[1:]:
-                    total = total + j.coeffs[k]
-                assert jet.coeffs[k]._v == total._v, (f, res, K, k)
+    assert counts == {2: [2, T * 401], 200: [2, T * 401]}
 
 
 def test_characters():
@@ -682,78 +426,55 @@ def test_bernoulli_value_matches_the_sum_by_residue():
 
 
 def test_l_jet_examples():
-    spec = LSpec(trivial_char(1), ["inf", 2], [], truncation=1)
-    j = l_jet(spec)
-    assert j.order == 1
-    assert _close(j.coeffs[1], -math.log(2) / 2, 1e-30)
-    j0 = l_jet(LSpec(DirichletChar.quadratic(-3), ["inf", 3], [],
-                     truncation=1))
-    assert j0.order == 0 and j0.coeffs[0] == Fraction(1, 3)
-    j5 = l_jet(LSpec(DirichletChar.quadratic(5), ["inf", 5], [],
-                     truncation=1))
-    assert j5.order == 1
-    assert _close(j5.coeffs[1], math.log((1 + math.sqrt(5)) / 2), 1e-11)
+    lead = l_jet(LSpec(trivial_char(1), ["inf", 2], []))
+    assert lead.order == 1
+    assert _close(lead.value, -math.log(2) / 2, 1e-30)
+    lead = l_jet(LSpec(DirichletChar.quadratic(-3), ["inf", 3], []))
+    assert lead.order == 0 and lead.value == Fraction(1, 3)
+    lead = l_jet(LSpec(DirichletChar.quadratic(5), ["inf", 5], []))
+    assert lead.order == 1
+    assert _close(lead.value, math.log((1 + math.sqrt(5)) / 2), 1e-11)
 
 
 def test_l_jet_exact_leading_value_agreement():
-    import sympy
     for D in [-3, -4, -7, -8, -11, -15]:
         chi = DirichletChar.quadratic(D)
         S = ["inf"] + sorted(sympy.factorint(abs(D)))
         T = [5] if D == -3 else [7] if D == -15 else [3]
         exact = bernoulli_value(chi, S, T)
         with working_precision(80):
-            jet = l_jet(LSpec(chi, S, T, truncation=1))
-        assert jet.coeffs[0] == exact  # the exact path survives the jets
+            lead = l_jet(LSpec(chi, S, T))
+        assert lead.order == 0 and lead.value == exact
 
 
 def test_s_enlargement_property():
+    # 11 splits in Q(sqrt 5): L*_{S + {11}} = L*_S log 11
     chi5 = DirichletChar.quadratic(5)
-    j1 = l_jet(LSpec(chi5, ["inf", 5], [], truncation=2))
-    j2 = l_jet(LSpec(chi5, ["inf", 5, 11], [], truncation=2))
-    assert j1.order == 1 and j2.order == 2
-    ratio = j2.coeffs[2] / j1.coeffs[1]
+    small = l_jet(LSpec(chi5, ["inf", 5], []))
+    large = l_jet(LSpec(chi5, ["inf", 5, 11], []))
+    assert small.order == 1 and large.order == 2
+    ratio = large.value / small.value
     assert (ratio - ball_log_int(11)).contains_zero()
-
-
-def test_jet_multiplication_order_additivity():
-    rng = random.Random(6)
-    for _ in range(25):
-        r1, r2 = rng.randint(0, 2), rng.randint(0, 2)
-        K = 4
-        c1 = [Fraction(0)] * r1 + [Fraction(rng.randint(1, 5))] \
-            + [Fraction(rng.randint(-3, 3)) for _ in range(K - r1)]
-        c2 = [Fraction(0)] * r2 + [Fraction(rng.randint(1, 5))] \
-            + [Fraction(rng.randint(-3, 3)) for _ in range(K - r2)]
-        j1 = Jet(c1[:K + 1], order=r1)
-        j2 = Jet(c2[:K + 1], order=r2)
-        prod = j1 * j2
-        assert prod.order == r1 + r2
-        if prod.order <= prod.truncation:
-            assert prod.coeffs[prod.order] == c1[r1] * c2[r2]
-            for k in range(prod.order):
-                assert prod.coeffs[k] == 0
-
-
-def test_truncation_below_the_order_is_an_input_error():
-    # r = 2 (11 splits), and no precision shows a leading coefficient
-    # above the truncation
-    chi5 = DirichletChar.quadratic(5)
-    for K in (1, 0, -1):
-        with pytest.raises(InputError):
-            l_jet(LSpec(chi5, ["inf", 5, 11], [], truncation=K))
 
 
 def test_unresolved_order(monkeypatch):
     # a leading coefficient whose ball contains 0 is undecided, with the
     # radius of that ball
     chi5 = DirichletChar.quadratic(5)
-    monkeypatch.setattr(lfun, "_primitive_l_jet", lambda chi, K: Jet(
-        [Fraction(0), Ball(0, Fraction(1, 2 ** 90))], params={}))
+    monkeypatch.setattr(lfun, "_primitive_leading", lambda chi, prec: (
+        Ball(0, Fraction(1, 2 ** 90)), {}))
     with pytest.raises(UnresolvedOrderError) as info:
-        l_jet(LSpec(chi5, ["inf", 5], [], truncation=1))
+        l_jet(LSpec(chi5, ["inf", 5], []))
     assert isinstance(info.value, Undecided)
     assert info.value.radius == Fraction(1, 2 ** 90)
+
+
+def test_exact_zero_leading_term_is_a_certification_error(monkeypatch):
+    # an exact leading term of 0 contradicts the theoretical order
+    monkeypatch.setattr(lfun, "_primitive_leading", lambda chi, prec: (
+        Fraction(0), {}))
+    with pytest.raises(CertificationError):
+        l_jet(LSpec(DirichletChar.quadratic(-3), ["inf", 3], []))
 
 
 def test_realizations():
@@ -857,80 +578,12 @@ def test_complex_character_jet():
     chi = R.dirichlet(quartic)
     assert chi.order == 4
     with working_precision(96):
-        jet = l_jet(LSpec(chi, ["inf", 5], [], truncation=1))
+        lead = l_jet(LSpec(chi, ["inf", 5], []))
     # odd quartic character mod 5: nonvanishing at 0, known exact value
-    assert jet.order == 0  # odd quartic character
+    assert lead.order == 0  # odd quartic character
     exact = bernoulli_value(chi, ["inf", 5])
-    assert jet.coeffs[0] == exact  # the exact cyclotomic path is preserved
+    assert lead.value == exact  # the exact cyclotomic path is preserved
     assert not exact.is_zero()
-
-
-def _complex_chars():
-    """Complex primitive characters: order 4 mod 5 (odd), orders 3 (even)
-    and 6 (odd) mod 7."""
-    out = []
-    for f, orders in ((5, (4,)), (7, (3, 6))):
-        R = AbelianFieldRealization(f, [1], expected_degree=f - 1)
-        for c in R.group.all_characters():
-            if c.order() in orders:
-                out.append(R.dirichlet(c))
-    return out
-
-
-def _full_product_lead(chi, S, T, r):
-    """The leading coefficient as read from the full product at
-    truncation r + 1: the primitive jet and every Euler factor, including
-    the ones vanishing at s = 0, to that truncation."""
-    from starklab.lfun import _euler_factor_jet, _primitive_l_jet
-    K = r + 1
-    jet = _primitive_l_jet(chi, K)
-    for q in S[1:]:
-        if chi.conductor() % q:
-            jet = jet * _euler_factor_jet(chi, q, K, 0)
-    for q in T:
-        jet = jet * _euler_factor_jet(chi, q, K, 1)
-    return jet.coeffs[r]
-
-
-def test_leading_coefficient_matches_the_full_product_and_is_no_wider():
-    import sympy
-    chars = [trivial_char(1), DirichletChar.quadratic(5),
-             DirichletChar.quadratic(-4), DirichletChar.quadratic(8)] \
-        + _complex_chars()
-    seen = set()
-    for chi in chars:
-        f = chi.conductor()
-        ram = sorted(sympy.factorint(f))
-        split = [q for q in sympy.primerange(2, 200)
-                 if f % q and chi(q) == 0][:3]
-        t = next(q for q in sympy.primerange(2, 200)
-                 if f % q and q not in split)
-        for m in range(4):
-            S = ["inf"] + sorted(ram + split[:m])
-            r = theoretical_order(chi, S)
-            if r > 3:  # the full product needs truncation r + 1 <= 4
-                continue
-            for T in ([], [t]):
-                lead = l_jet(LSpec(chi, S, T, truncation=r)).coeffs[r]
-                old = _full_product_lead(chi, S, T, r)
-                seen.add((chi.order <= 2, r - m, m))
-                if not isinstance(lead, (Ball, CBall)):
-                    assert lead == old
-                    continue
-                new, ref = _real_parts(lead), _real_parts(old)
-                assert all((x - y).contains_zero()
-                           for x, y in zip(new, ref)), (chi, S, T)
-                assert max(x.rad() for x in new) \
-                    <= max(y.rad() for y in ref), (chi, S, T)
-    # real and complex characters, primitive orders 0 and 1, m = 0..3
-    assert {(real, rp) for real, rp, _m in seen} == {
-        (True, 0), (True, 1), (False, 0), (False, 1)}
-    assert {m for _r, _rp, m in seen} == {0, 1, 2, 3}
-
-
-def _real_parts(b):
-    """The real balls of a ball: itself, or a complex ball's re and im."""
-    return (b.re, b.im) if isinstance(b, CBall) else (b,)
 
 
 def test_first_order_scenario_needs_only_first_order_hurwitz_jets(
@@ -940,20 +593,20 @@ def test_first_order_scenario_needs_only_first_order_hurwitz_jets(
     calls = []
     real_hurwitz = lfun.hurwitz_jet
 
-    def counted(f, residues, K):
-        calls.append((f, tuple(residues), K))
-        return real_hurwitz(f, residues, K)
+    def counted(f, residues):
+        calls.append((f, tuple(residues)))
+        return real_hurwitz(f, residues)
 
     monkeypatch.setattr(lfun, "hurwitz_jet", counted)
     cert = run_scenario(Scenario({
         "field": {"type": "quad", "disc": 5}, "S": ["inf", 5],
         "V": ["inf"], "T": [3], "checks": ["rs_integrality"]}))
     assert cert["results"][0]["verdict"] == "pass"
-    # chi_5 is even of conductor 5: one K = 1 jet per value class, {1, 4}
-    # where chi_5 = 1 and {2, 3} where it is -1; the trivial character's
+    # chi_5 is even of conductor 5: one c_1 per value class, {1, 4} where
+    # chi_5 = 1 and {2, 3} where it is -1; the trivial character's
     # component is zeta(0) log 5 (1 - 3), exactly -1/2 times one log, and
     # needs none
-    assert calls == [(5, (1, 4), 1), (5, (2, 3), 1)]
+    assert calls == [(5, (1, 4)), (5, (2, 3))]
     calls.clear()
     R = AbelianFieldRealization.rationals()
     th = stickelberger_element(R, ["inf", 2, 3], ["inf", 2], [5])
@@ -1086,67 +739,53 @@ class _CosetRealization:
         return True
 
 
-def _oracle_primitive_l_jet(chi, K, real):
+def _oracle_leading_term(chi, S, T):
+    """(lim s^-r L_{S,T}(chi, s), params) summed on separate real and
+    complex paths: the primitive leading term from the oracle's classes,
+    then the factors at s = 0 of the S-primes off the conductor (log q
+    where chi(q) = 1) and of T, multiplied in one at a time, as the
+    leading terms of a product are."""
+    chi = chi.primitive()
     f = chi.conductor()
-    if f == 1:
-        if K == 0:
-            return Jet([Fraction(-1, 2)], params={"prec": precision()})
-        return lfun.hurwitz_jet(1, [1], K)
-    exact0 = 0 if real else CycloField(chi.order).zero()
-    ball_coeffs = [Ball(0) if real else CBall(0, 0) for _ in range(K + 1)]
+    real = chi.order <= 2
     params = {"prec": precision()}
-    for a in range(1, f):
-        if chi(a) is None:
-            continue
-        if real:
-            exact0 += (f - 2 * a) * _value_rational(chi, a)
-        else:
-            exact0 = exact0 + _value_cyclo(chi, a) * (f - 2 * a)
-    for value, (rep, residues) in _oracle_classes(chi).items() if K else ():
-        hj = lfun.hurwitz_jet(f, residues, K)
-        params = hj.params
-        for k in range(1, K + 1):
+    if f > 1 and chi.parity() == 1:
+        value = Ball(0) if real else CBall(0, 0)
+        for v, (rep, residues) in _oracle_classes(chi).items():
+            c1 = lfun.hurwitz_jet(f, residues)
             if real:
-                ball_coeffs[k] = (ball_coeffs[k] + hj.coeffs[k]
-                                  if value == 1
-                                  else ball_coeffs[k] - hj.coeffs[k])
+                value = value + c1 if v == 1 else value - c1
             else:
-                ball_coeffs[k] = ball_coeffs[k] \
-                    + _value_cball(chi, rep) * hj.coeffs[k]
-    exact0 = Fraction(exact0, 2 * f) if real \
-        else exact0 * Fraction(1, 2 * f)
-    out = [exact0]
-    if K:
-        Lf = ball_log_int(f)
-        E = [Ball(1)]
-        for k in range(1, K + 1):
-            E.append(E[-1] * (-Lf) * Fraction(1, k))
-        for k in range(1, K + 1):
-            acc = E[k] * exact0 if real else exact0.to_cball() * E[k]
-            for i in range(1, k + 1):
-                acc = acc + ball_coeffs[i] * E[k - i]
-            out.append(acc)
-    return Jet(out, params=params)
-
-
-def _oracle_euler_factor_jet(chi, q, K, shift, real):
-    Lq = ball_log_int(q)
-    qs = q ** shift
-    if real:
-        v = _value_rational(chi, q)
-        coeffs = [Fraction(1 - v * qs)]
-        power = Ball(1)
-        for k in range(1, K + 1):
-            power = power * (-Lq) * Fraction(1, k)
-            coeffs.append(power * (-v * qs))
-        return Jet(coeffs)
-    vb = _value_cball(chi, q)
-    coeffs = [1 - _value_cyclo(chi, q) * qs]
-    power = CBall(1, 0)
-    for k in range(1, K + 1):
-        power = power * CBall(-Lq, 0) * Fraction(1, k)
-        coeffs.append(power * (-qs) * vb)
-    return Jet(coeffs)
+                value = value + _value_cball(chi, rep) * c1
+        plan = _plan(precision())
+        params = {"N": plan.N, "B": plan.B, "prec": precision()}
+    elif f == 1:
+        value = Fraction(-1, 2)
+    elif real:
+        value = Fraction(sum((f - 2 * a) * _value_rational(chi, a)
+                             for a in range(1, f)), 2 * f)
+    else:
+        value = CycloField(chi.order).zero()
+        for a in range(1, f):
+            if chi(a) is not None:
+                value = value + _value_cyclo(chi, a) * (f - 2 * a)
+        value = value * Fraction(1, 2 * f)
+    for q in S:
+        if q == "inf" or f % q == 0:
+            continue
+        if chi(q) == 0:
+            log = ball_log_int(q)
+            value = value * (log if real else CBall(log, 0))
+        elif real:
+            value = value * Fraction(1 - _value_rational(chi, q))
+        else:
+            value = value * (1 - _value_cyclo(chi, q))
+    for q in T:
+        if real:
+            value = value * Fraction(1 - _value_rational(chi, q) * q)
+        else:
+            value = value * (1 - _value_cyclo(chi, q) * q)
+    return value, params
 
 
 def _oracle_bernoulli_value(chi, S, T):
@@ -1165,12 +804,10 @@ def _oracle_bernoulli_value(chi, S, T):
 
 
 def _use_oracle_sums(m):
-    """Send the primitive jets, Euler factors and Bernoulli values of
-    `lfun` through the oracle (m: a monkeypatch context)."""
-    m.setattr(lfun, "_primitive_l_jet", lambda chi, K:
-              _oracle_primitive_l_jet(chi, K, chi.order <= 2))
-    m.setattr(lfun, "_euler_factor_jet", lambda chi, q, K, shift:
-              _oracle_euler_factor_jet(chi, q, K, shift, chi.order <= 2))
+    """Send the leading terms and Bernoulli values of `lfun` through the
+    oracle (m: a monkeypatch context)."""
+    m.setattr(lfun, "l_jet", lambda spec: lfun.LeadingTerm(
+        None, *_oracle_leading_term(spec.char, spec.S, spec.T)))
     m.setattr(lfun, "bernoulli_value", _oracle_bernoulli_value)
 
 
@@ -1186,13 +823,14 @@ def _endpoints(c):
 def test_jets_and_bernoulli_values_match_the_oracle_bit_for_bit(
         monkeypatch):
     # every character of (Z/f)^x, 3 <= f < 40, with S = {inf} + ramified +
-    # up to two extra primes, T empty or one prime, and K in {r, r + 1};
-    # an L-jet reads only the primitive character, so each is run once.
-    # The Hurwitz jets and the roots of unity, exact and enclosed, are
-    # shared between the two sides, which sum them
+    # up to two extra primes and T empty or one prime: the leading term at
+    # the order r, and at r = 0 the exact Bernoulli value.  A leading term
+    # reads only the primitive character, so each is run once.  The class
+    # sums c_1 and the roots of unity, exact and enclosed, are shared
+    # between the two sides, which sum them
     hurwitz = functools.lru_cache(maxsize=None)(lfun.hurwitz_jet)
-    monkeypatch.setattr(lfun, "hurwitz_jet", lambda f, residues, K: hurwitz(
-        f, tuple(residues), K))
+    monkeypatch.setattr(lfun, "hurwitz_jet", lambda f, residues: hurwitz(
+        f, tuple(residues)))
     monkeypatch.setattr(CBall, "root_of_unity", staticmethod(
         functools.lru_cache(maxsize=None)(CBall.root_of_unity)))
     monkeypatch.setattr(CycloField, "zeta_power", functools.lru_cache(
@@ -1215,16 +853,15 @@ def test_jets_and_bernoulli_values_match_the_oracle_bit_for_bit(
                     if r == 0:
                         assert _endpoints(bernoulli_value(chi, S, T)) == \
                             _endpoints(_oracle_bernoulli_value(chi, S, T))
-                    for K in (r, r + 1):
-                        spec = LSpec(chi, S, T, truncation=K)
-                        new = l_jet(spec)
-                        with monkeypatch.context() as m:
-                            _use_oracle_sums(m)
-                            old = l_jet(spec)
-                        assert [_endpoints(x) for x in new.coeffs] == \
-                            [_endpoints(x) for x in old.coeffs], (f, c, S, T)
-                        assert new.params == old.params
-                        seen.add((chi.primitive().order <= 2, r > 0))
+                    spec = LSpec(chi, S, T)
+                    new = l_jet(spec)
+                    value, params = _oracle_leading_term(chi, spec.S,
+                                                         spec.T)
+                    assert new.order == r
+                    assert _endpoints(new.value) == _endpoints(value), \
+                        (f, c, S, T)
+                    assert new.params == params
+                    seen.add((chi.primitive().order <= 2, r > 0))
     assert seen == {(True, False), (True, True), (False, False),
                     (False, True)}
 

@@ -278,7 +278,7 @@ def test_precision_floor_is_undecided_with_a_reason(capsys):
     from starklab.lfun import hurwitz_jet
     with pytest.raises(Undecided) as info:
         with working_precision(13):
-            hurwitz_jet(2, [1], 1)
+            hurwitz_jet(5, [1, 4])
     assert isinstance(info.value, PrecisionError)
     assert info.value.radius == Fraction(1, 2 ** 13)
     cert = run_scenario(Scenario({
@@ -355,47 +355,60 @@ def test_certification_gates_hold_under_python_O():
 
 
 def test_cli_lvalue_reports_jet_params(tmp_path):
-    # the S- and T-Euler factors do not drop N, B and the precision
+    # chi_5 is even: its leading term sums c_1 over its classes, and the
+    # S- and T-Euler factors do not drop their N, B and precision; the
+    # trivial character's, -1/2 log 5 (1 - 3), needs no Hurwitz sum
     from starklab.cli import main
     out = tmp_path / "lvalue.json"
-    assert main(["lvalue", "--modulus", "5", "--S", "inf", "5", "--T", "3",
-                 "--out", str(out)]) == 0
-    params = json.loads(out.read_text())["params"]
-    assert params == {"N": 25, "B": 25, "prec": 128}
+    for index, want in (("1", {"N": 25, "B": 25, "prec": 128}),
+                        ("0", {"prec": 128})):
+        assert main(["lvalue", "--modulus", "5", "--char-index", index,
+                     "--S", "inf", "5", "7", "--T", "3",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["params"] == want
 
 
-@pytest.mark.parametrize("order", ["0", "-1"])
-def test_cli_lvalue_truncation_below_the_order_is_an_input_error(order,
-                                                                 capsys):
-    # chi_5 vanishes to order 1: no precision shows its leading term at a
-    # truncation below it
+@pytest.mark.parametrize("order", ["0", "1"])
+def test_cli_order_option_is_gone(order, capsys):
+    # the leading term is the only value: argparse rejects --order
     from starklab.cli import main
-    assert main(["lvalue", "--modulus", "5", "--char-index", "1",
-                 "--S", "inf", "5", "--order", order]) == 2
-    assert "below the vanishing order" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        main(["lvalue", "--modulus", "5", "--char-index", "1",
+              "--S", "inf", "5", "--order", order])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --order" in capsys.readouterr().err
 
 
 def test_cli_lvalue_unresolved_leading_coefficient_is_undecided(
         monkeypatch, capsys):
     from starklab import lfun
     from starklab.cli import main
-    from starklab.lfun import Jet
-    monkeypatch.setattr(lfun, "_primitive_l_jet", lambda chi, K: Jet(
-        [Fraction(0), Ball(0, Fraction(1, 2 ** 90))], params={}))
+    monkeypatch.setattr(lfun, "_primitive_leading", lambda chi, prec: (
+        Ball(0, Fraction(1, 2 ** 90)), {}))
     assert main(["lvalue", "--modulus", "5", "--char-index", "1",
-                 "--S", "inf", "5", "--order", "1"]) == 3
+                 "--S", "inf", "5"]) == 3
     assert capsys.readouterr().err.startswith(
         "undecided: cannot certify the leading coefficient")
 
 
-def test_scenario_order_below_the_rank_is_blocked():
-    cert = run_scenario(Scenario({
-        "field": {"type": "quad", "disc": 5}, "S": ["inf", 5],
-        "V": ["inf"], "T": [3], "checks": ["rs_integrality"],
-        "order": 0, "bits": 64}))
+def test_scenario_order_key_is_a_config_error_naming_the_removal():
+    # an old scenario's order: 2 would silently mean something else
+    for order in (0, 1, 2):
+        with pytest.raises(ConfigError, match="'order' was removed"):
+            Scenario({"field": {"type": "quad", "disc": 5},
+                      "S": ["inf", 5], "V": ["inf"], "T": [3],
+                      "checks": ["rs_integrality"], "order": order})
+
+
+# norm_identity needs a prime p: no precision decides p = 4
+BLOCKED = {"checks": ["norm_identity"], "params": {"p": 4, "m": 2}}
+
+
+def test_norm_identity_at_a_composite_p_is_blocked():
+    cert = run_scenario(Scenario(BLOCKED))
     entry = cert["results"][0]
     assert entry["verdict"] == "blocked"
-    assert "below the vanishing order" in entry["reason"]
+    assert "4 is not prime" in entry["reason"]
     # no precision unblocks it, so it does not share undecided's code
     assert cert["exit_code"] == 4
 
@@ -406,8 +419,7 @@ def test_sweep_ranks_blocked_above_undecided(tmp_path):
             "V": ["inf"], "T": [3], "checks": ["rs_integrality"]}
     (tmp_path / "undecided.json").write_text(json.dumps(dict(base, bits=13)))
     assert main(["sweep", str(tmp_path)]) == 3
-    (tmp_path / "blocked.json").write_text(json.dumps(
-        dict(base, order=0, bits=64)))
+    (tmp_path / "blocked.json").write_text(json.dumps(BLOCKED))
     assert main(["verify", str(tmp_path / "blocked.json")]) == 4
     assert main(["sweep", str(tmp_path)]) == 4
 
