@@ -65,6 +65,17 @@ def test_hurwitz_known_constants():
     assert hurwitz_jet(6, [1, 5]).contains(0)
 
 
+def test_hurwitz_derivative_matches_loggamma():
+    # Lerch: zeta'(0, x) = log Gamma(x) - log(2 pi) / 2, so the class
+    # {a, f - a} has c_1 = log Gamma(a/f) + log Gamma(1 - a/f) - log(2 pi)
+    mp.prec = 220
+    for num, den in [(1, 3), (2, 5), (3, 10), (1, 12)]:
+        c1 = hurwitz_jet(den, [num, den - num])
+        x = mp.mpf(num) / den
+        ref = float(mp.loggamma(x) + mp.loggamma(1 - x) - mp.log(2 * mp.pi))
+        assert _close(c1, ref, 1e-30), (num, den)
+
+
 def test_hurwitz_input_validation():
     # a class is a nonempty list of residues in 1..f - 1, closed under
     # a -> f - a, with no repeats and without the fixed point f/2
@@ -455,6 +466,94 @@ def test_s_enlargement_property():
     assert small.order == 1 and large.order == 2
     ratio = large.value / small.value
     assert (ratio - ball_log_int(11)).contains_zero()
+
+
+# moduli with real and complex, even and odd, primitive and imprimitive
+# characters, and with 2, 3 or 5 among their primes or not
+DIRICHLET_ORACLE_MODULI = [3, 4, 5, 7, 8, 9, 11, 12, 13, 15, 16, 19, 20, 21,
+                           24, 25, 27, 28, 29, 31, 35, 36, 40, 44]
+
+
+def _primes_off(f, count):
+    """The first `count` primes that do not divide f."""
+    return [q for q in sympy.primerange(2, 100) if f % q][:count]
+
+
+def _mp_leading(chi, S, T):
+    """(r, lim_{s->0} s^-r L_{S,T}(chi, s)) from mpmath at its working
+    precision, for the primitive chi.  At order 0 the primitive value is
+    mp.dirichlet's L(chi, 0); for an even nontrivial chi it is
+    L'(chi, 0) = sum_a chi(a) log Gamma(a/f), Lerch's formula with
+    sum_a chi(a) = 0.  Each finite q in S off f gives log q where
+    chi(q) = 1 and 1 - chi(q) elsewhere, each q in T gives 1 - chi(q) q."""
+    f, n = chi.conductor(), chi.order
+
+    def value(a):
+        t = chi(a)
+        return 0 if t is None else mp.expjpi(mp.mpf(2 * t) / n)
+
+    table = [value(a) for a in range(f)]
+    if f > 1 and chi.parity() == 1:
+        r = 1
+        lead = mp.fsum(table[a] * mp.loggamma(mp.mpf(a) / f)
+                       for a in range(1, f))
+    else:
+        r = 0
+        lead = mp.dirichlet(0, table)
+    for q in S:
+        if q == "inf" or f % q == 0:
+            continue
+        if chi(q) == 0:
+            r += 1
+            lead *= mp.log(q)
+        else:
+            lead *= 1 - value(q)
+    for q in T:
+        lead *= 1 - value(q) * q
+    return r, mp.mpc(lead)
+
+
+def _encloses(value, ref, slack):
+    """Does the leading value (a Fraction, a cyclotomic, a Ball or a
+    CBall) enclose the complex mpmath reference, to within the slack that
+    bounds the reference's own error?"""
+    if isinstance(value, Fraction):
+        parts = [(value, value), (0, 0)]
+    else:
+        if isinstance(value, Ball):
+            value = CBall(value)
+        elif not isinstance(value, CBall):
+            value = value.to_cball()
+        parts = [value.re.endpoints(), value.im.endpoints()]
+    return all(lo - slack <= Fraction(*to_rational(x._mpf_)) <= hi + slack
+               for (lo, hi), x in zip(parts, (ref.real, ref.imag)))
+
+
+@pytest.mark.parametrize("f", DIRICHLET_ORACLE_MODULI)
+def test_leading_terms_enclose_the_mpmath_dirichlet_l_functions(f):
+    # every character mod f, with S = {inf} and the primes of f, T empty,
+    # and with the first two primes off f added to S and the third in T:
+    # l_jet's order is r and its value encloses the leading term that
+    # mpmath computes at 2 bits + 64 bits, at 53 and 128 bits
+    R = AbelianFieldRealization(f, [])
+    chars = [R.dirichlet(c) for c in R.group.all_characters()]
+    base = ["inf"] + sorted(sympy.factorint(f))
+    q1, q2, q3 = _primes_off(f, 3)
+    cases = [(chi, S, T) for chi in chars
+             for S, T in ((base, []), (base + [q1, q2], [q3]))]
+    orders = set()
+    for bits in (53, 128):
+        with working_precision(bits):
+            leads = [l_jet(LSpec(chi, S, T)) for chi, S, T in cases]
+        slack = Fraction(1, 2 ** (2 * bits))
+        with mp.workprec(2 * bits + 64):
+            for (chi, S, T), lead in zip(cases, leads):
+                r, ref = _mp_leading(chi.primitive(), S, T)
+                assert lead.order == r, (f, S, T)
+                assert _encloses(lead.value, ref, slack), \
+                    (bits, f, chi.values, S, T)
+                orders.add(r)
+    assert 0 in orders and 1 in orders and max(orders) >= 2
 
 
 def test_unresolved_order(monkeypatch):
