@@ -278,9 +278,9 @@ def norm_decomposition_residual(eps_full, eps_parts, eps_base, p, m):
 
         eps_full = p^{1-m} ( sum_parts + ((p^{m-1}-1) - sum_i p^i) eps_base )
 
-    on a common cover.  Returns (verdict, max_radius) where verdict is True
-    when every coefficient ball contains zero, False when some coefficient
-    certifies nonzero, and None (undecided) otherwise.
+    on a common cover.  Returns (True, the largest radius) when every
+    coefficient is 0 or a ball containing 0, else (False, its radius) at
+    the first coefficient certified nonzero (radius 0 for an exact one).
     """
     coef = (p ** (m - 1) - 1) - sum(p ** i for i in range(m))
     combo = None

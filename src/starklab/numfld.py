@@ -17,7 +17,7 @@ from math import gcd, isqrt, lcm
 from . import hnf
 from .arith import CapacityError, factorint, primerange
 from .ball import Ball, CertificationError, ball_log, ball_log_int, ball_sqrt
-from .finite import GF, GroupStructure
+from .finite import GroupStructure
 from .grpring import AbelianGroup, InputError
 
 MAX_ABS_DISC = 10 ** 6
@@ -232,9 +232,6 @@ class QuadElt:
 
     def norm(self):
         return Fraction(self._norm_num(), self.d * self.d)
-
-    def trace(self):
-        return Fraction(2 * self.A, self.d)
 
     def inverse(self):
         # 1/x = conj(x) / N(x) = d (A - B sqrt m) / (A^2 - m B^2)
@@ -929,76 +926,91 @@ def log_abs_at_place(x, place):
 
 class ResidueSystem:
     """R_T = prod_w k(w)^x over the places w above T, as the direct product
-    of its cyclic factors.
+    of its cyclic factors, read off O_K / w.
 
-    Component i is the residue field k(w_i), of order N w_i = q_i^f_i; its
-    unit group is cyclic of order N w_i - 1.  Leader i is a generator of
-    k(w_i)^x in slot i and 1 elsewhere, so `relation_rows` is the diagonal
-    matrix diag(N w_i - 1) and `dlog` reads each slot's exponent from that
-    component's table of powers of its generator.  Also provides exact
-    reduction of integral elements (or rationals with T-coprime
-    denominators) and the Galois action on residue tuples.
+    At a place of degree 1, k(w) = F_q and a residue is an integer mod q:
+    u + v omega goes to u + v r, where omega's image r is read off the prime
+    ideal w = (q, (b + sqrt D)/2), in which sqrt D = -b, as
+    ((D mod 2) - b)/2.  At an inert q, k(w) = Z[omega]/(q) with
+    omega^2 = t omega - n (t and n the trace and norm of omega), a residue
+    is the pair (u, v) mod q of u + v omega, and the nontrivial automorphism
+    acts as the conjugation omega -> t - omega, which is the Frobenius.
+    Over Q a residue is an integer mod q.
+
+    Leader i is a generator of k(w_i)^x in slot i and 1 elsewhere: the
+    smallest primitive root mod q at a place of degree 1, the first
+    primitive u + v omega in the order (v, u) at an inert q.  So
+    `relation_rows` is the diagonal matrix diag(N w_i - 1), and `dlog` reads
+    each slot's exponent from that slot's table of powers of its leader.
     """
 
     def __init__(self, field, T):
         self.field = field
         self.T = sorted(T)
-        self.components = []  # (place, GF, omega_image or None)
+        self.places = []
         for q in self.T:
             if field == "Q":
-                self.components.append((places_over("Q", q)[0], GF(q), None))
-                continue
-            kind = field.splitting(q)
-            if kind == "ramified":
+                self.places.append(places_over("Q", q)[0])
+            elif field.splitting(q) == "ramified":
                 raise DatumError(f"T contains the ramified prime {q}")
-            for w in places_over(field, q):
-                gf = GF(q, w.f)
-                self.components.append((w, gf, _omega_image(field, w, gf)))
-        ones = tuple(gf.one() for _, gf, _ in self.components)
-        k = len(self.components)
+            else:
+                self.places.extend(places_over(field, q))
+        self._images = [0] * len(self.places)
+        if field != "Q":
+            t = field.D % 2
+            self._t, self._n = t, (t - field.D) // 4
+            self._images = [0 if w.f == 2 else (t - w.ideal.b) // 2 % w.q
+                            for w in self.places]
+        ones = [(1, 0) if w.f == 2 else 1 for w in self.places]
+        k = len(self.places)
         self.size = 1
         self.leaders = []
         self.relation_rows = []
-        self._logs = []       # per component: {g^a: a for 0 <= a < Nw - 1}
-        for i, (_, gf, _img) in enumerate(self.components):
-            n = gf.q - 1
+        self._logs = []       # per slot: {g^a: a for 0 <= a < N w - 1}
+        for i, w in enumerate(self.places):
+            n = w.nw() - 1
             self.size *= n
-            g = gf.multiplicative_generator()
-            self.leaders.append(ones[:i] + (g,) + ones[i + 1:])
+            for g in (range(1, w.q) if w.f == 1 else
+                      ((u, v) for v in range(1, w.q) for u in range(w.q))):
+                table = {}    # {g^a: a} until the powers of g cycle
+                x = ones[i]
+                while x not in table:
+                    table[x] = len(table)
+                    x = self._mul(w, x, g)
+                if len(table) == n:
+                    break
+            else:
+                raise CertificationError(f"k(w)^x has no generator at "
+                                         f"{w.label}")
+            self.leaders.append(tuple(ones[:i] + [g] + ones[i + 1:]))
             self.relation_rows.append([n if j == i else 0 for j in range(k)])
-            table = {}
-            x = gf.one()
-            for a in range(n):
-                table[x] = a
-                x = gf.mul(x, g)
             self._logs.append(table)
+
+    def _mul(self, w, x, y):
+        """x y in k(w)."""
+        q = w.q
+        if w.f == 1:
+            return x * y % q
+        (a, b), (c, d) = x, y
+        return ((a * c - self._n * b * d) % q,
+                (a * d + b * c + self._t * b * d) % q)
 
     def reduce(self, x):
         """Residue tuple of x (unit at every T-place)."""
-        out = []
-        for w, gf, img in self.components:
-            out.append(self._reduce_at(x, w, gf, img))
-        return tuple(out)
+        return tuple(self._reduce_at(x, w, r)
+                     for w, r in zip(self.places, self._images))
 
-    def _reduce_at(self, x, w, gf, img):
-        if self.field == "Q":
-            v = Fraction(x)
-            num = v.numerator % w.q
-            den = v.denominator % w.q
-            if den == 0 or num == 0:
-                raise DatumError(f"{x} is not a unit at {w.q}")
-            r = num * pow(den, -1, w.q) % w.q
-            return gf.element(r)
-        u, v = x.omega_coords()
-        qq = w.q
-        du, dv = u.denominator, v.denominator
-        if du % qq == 0 or dv % qq == 0:
-            raise DatumError(f"element has a pole at {qq}")
-        uu = gf.element(u.numerator * pow(du, -1, qq) % qq)
-        vv = gf.element(v.numerator * pow(dv, -1, qq) % qq)
-        out = gf.add(uu, gf.mul(vv, img))
-        if out == gf.zero():
-            raise DatumError(f"element is not a unit at the place {w}")
+    def _reduce_at(self, x, w, r):
+        q = w.q
+        u, v = (Fraction(x), Fraction(0)) if self.field == "Q" \
+            else x.omega_coords()
+        if u.denominator % q == 0 or v.denominator % q == 0:
+            raise DatumError(f"{x} has a pole at {w.label}")
+        u = u.numerator * pow(u.denominator, -1, q) % q
+        v = v.numerator * pow(v.denominator, -1, q) % q
+        out = (u, v) if w.f == 2 else (u + v * r) % q
+        if out in (0, (0, 0)):
+            raise DatumError(f"{x} is not a unit at the place {w.label}")
         return out
 
     def galois_act(self, tup):
@@ -1007,11 +1019,11 @@ class ResidueSystem:
             raise InputError("Q has no nontrivial automorphism")
         out = list(tup)
         i = 0
-        comps = self.components
-        while i < len(comps):
-            w, gf, _ = comps[i]
+        while i < len(tup):
+            w = self.places[i]
             if w.f == 2:
-                out[i] = gf.frobenius(tup[i])
+                u, v = tup[i]
+                out[i] = ((u + self._t * v) % w.q, -v % w.q)
                 i += 1
             else:
                 # split pair occupies consecutive slots: swap
@@ -1022,35 +1034,6 @@ class ResidueSystem:
     def dlog(self, tup):
         """Exponents a with tup = prod leaders^a, 0 <= a_i < N w_i - 1."""
         return [log[x] for log, x in zip(self._logs, tup)]
-
-
-def _omega_image(field, w, gf):
-    """Image of the integral generator omega in the residue field at w."""
-    q = w.q
-    m = field.m
-    if w.f == 2:
-        # inert: root of the minimal polynomial of omega in GF(q^2)
-        if m % 4 == 1:
-            # x^2 - x + (1 - m)/4
-            c0 = ((1 - m) // 4) % q
-            for cand in gf.all_elements():
-                if gf.add(gf.mul(cand, cand),
-                          gf.add(gf.neg(cand), gf.element(c0))) == gf.zero():
-                    return cand
-            raise CertificationError(f"no root of the omega polynomial in {gf}")
-        r = gf.sqrt(gf.element(m % q))
-        if r is None:
-            raise CertificationError(f"{m} has no square root in {gf}")
-        return r
-    # split place: omega maps into GF(q) via the place's root of m
-    if q == 2:
-        R, _ = _lift_sqrt(m, 2, w.root_mod_q, 4)
-        # omega = (1 + sqrt m)/2: image = ((1 + R)/2) mod 2
-        return gf.element(((1 + R) // 2) % 2)
-    r = w.root_mod_q
-    if m % 4 == 1:
-        return gf.element((1 + r) * pow(2, -1, q) % q)
-    return gf.element(r % q)
 
 
 # -- S-unit lattices ---------------------------------------------------------
@@ -1502,7 +1485,7 @@ def ray_class(field, S, T, lattice=None):
     for v_s in finite_S:
         for w in places_over(field, v_s):
             p_w = w.ideal
-            if p_w.as_form()[0] == 1 and p_w.scale != 1:
+            if w.f == 2:
                 # inert (q): principal with generator q
                 rel_rows.append([0] * r + rt_dlog(field.element(w.q)))
                 continue

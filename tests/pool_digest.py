@@ -4,12 +4,14 @@ keeps every verdict and certificate byte for byte.
     python tests/pool_digest.py
 
 runs each op of `perfbench.workloads.pool` once, in this one process and
-at the program's default precision, and prints three fields: the number
-of ops, the number that raised, and the sha256 of the JSON dump
-(`sort_keys=True`) of all results.  A result is the `run_acnf` summary,
-the `run_scenario` certificate, or, for an op that raised, the exception's
-type and message.  Run it on two checkouts, each in its own process; equal
-lines mean equal results.  pytest does not collect this file.
+at the program's default precision.  It prints one line per workload,
+the workload's name, then the number of its ops, the number that raised
+and the sha256 of the JSON dump (`sort_keys=True`) of its results, and
+last the same three fields over all results.  A result is the `run_acnf`
+summary, the `run_scenario` certificate, or, for an op that raised, the
+exception's type and message.  Run it on two checkouts, each in its own
+process; equal lines mean equal results, and a workload line that differs
+names where they moved.  pytest does not collect this file.
 """
 
 import hashlib
@@ -33,13 +35,22 @@ def run(op):
         return {"raised": type(exc).__name__, "message": str(exc)}
 
 
-def main():
-    results = [[workloads.op_key(op), run(op)]
-               for name in workloads.WORKLOADS
-               for _stratum, _n, ops in workloads.pool(name) for op in ops]
+def digest(results):
+    """ops raised sha256 of a list of [key, result] pairs."""
     raised = sum("raised" in res for _key, res in results)
     text = json.dumps(results, sort_keys=True, default=str)
-    print(len(results), raised, hashlib.sha256(text.encode()).hexdigest())
+    sha = hashlib.sha256(text.encode()).hexdigest()
+    return f"{len(results)} {raised} {sha}"
+
+
+def main():
+    results = []
+    for name in workloads.WORKLOADS:
+        ours = [[workloads.op_key(op), run(op)]
+                for _stratum, _n, ops in workloads.pool(name) for op in ops]
+        print(name, digest(ours))
+        results += ours
+    print(digest(results))
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ from starklab.arith import CapacityError
 from starklab.ball import CertificationError
 from starklab.biquad import BiquadField
 from starklab.cyclo import CycloField
-from starklab.finite import GF
 from starklab.grpring import AbelianGroup, InputError
 from starklab.lfun import AbelianFieldRealization
 from starklab.numfld import (ImaginaryClassGroup, QuadField, RealClassGroup,
@@ -27,13 +26,6 @@ CASES = {
         [(lambda: AbelianGroup((3, 2)), InputError),
          (lambda: AbelianGroup((1,)), InputError),
          (lambda: AbelianGroup((3,) * 7), InputError)]),
-    "GF": (
-        lambda: GF(5),
-        [lambda: GF(5, 1)],
-        [(lambda: GF(4), InputError),
-         (lambda: GF(1), InputError),
-         (lambda: GF(0), InputError),
-         (lambda: GF(5, 0), InputError)]),
     "CycloField": (
         lambda: CycloField(12),
         [],

@@ -403,7 +403,7 @@ def test_integer_quad_elements_match_the_fraction_oracle(D, a1, b1, a2, b2,
                       (x + q, ox + q), (q - x, q - ox), (x * k, ox * k),
                       (q * x, q * ox), (k + x, k + ox), (x - k, ox - k)]:
         _same(got, want)
-    assert x.norm() == ox.norm() and x.trace() == ox.trace()
+    assert x.norm() == ox.norm()
     assert x.is_integral() == ox.is_integral()
     assert x.omega_coords() == ox.omega_coords()
     if F.is_real:
@@ -635,23 +635,52 @@ def test_ray_class_of_d_minus_187_by_hand():
 
 def _residue_closure(res):
     """(identity, op) of the product of the residue groups k(w)^x, slot by
-    slot: the group that `GroupStructure` enumerates in the oracles."""
-    fields = [gf for _, gf, _ in res.components]
-    identity = tuple(gf.one() for gf in fields)
+    slot: the group that `GroupStructure` enumerates in the oracles.
+
+    op lifts both residue tuples to O_K (to Z over Q), multiplies the lifts
+    as field elements and reduces the product.  A lift writes each slot as
+    u + v omega mod its q: an integer residue a is a + 0 omega, an inert
+    pair (u, v) is itself, and the two slots of a split q are joined
+    through omega's images there, each the root r with ord_w(omega - r) > 0;
+    the rational primes of T are then joined by the Chinese remainder
+    theorem."""
+    F = res.field
+    primes = []       # (q, c = 1 mod q and 0 mod the rest of T, slots, roots)
+    for q in res.T:
+        slots = [i for i, w in enumerate(res.places) if w.q == q]
+        roots = [next(r for r in range(q)
+                      if ord_at_place(F.omega() - r, res.places[i]) > 0)
+                 for i in slots] if len(slots) == 2 else []
+        c = math.prod(res.T) // q
+        primes.append((q, c * pow(c, -1, q), slots, roots))
+
+    def lift(tup):
+        u = v = 0
+        for q, c, slots, roots in primes:
+            if roots:
+                (a, b), (r, s) = [tup[i] for i in slots], roots
+                vq = (a - b) * pow(r - s, -1, q)
+                uq = a - vq * r
+            else:
+                uq, vq = (tup[slots[0]], 0) if F == "Q" else tup[slots[0]]
+            u, v = u + uq * c, v + vq * c
+        return Fraction(u) if F == "Q" else F.element(u) + F.omega() * v
 
     def op(t1, t2):
-        return tuple(gf.mul(a, b) for gf, a, b in zip(fields, t1, t2))
-    return identity, op
+        return res.reduce(lift(t1) * lift(t2))
+    return res.reduce(1 if F == "Q" else F.element(1)), op
 
 
 def _check_residues_against_enumeration(field, T):
     """`ResidueSystem.dlog` and `relation_rows` against the polycyclic
     presentation `GroupStructure` enumerates from the same leaders (it
-    skips a leader that is already in the span: the generator of GF(2)^x,
+    skips a leader that is already in the span: the generator of F_2^x,
     which is 1)."""
     res = ResidueSystem(field, T)
     k = len(res.leaders)
-    enum = GroupStructure(*_residue_closure(res), res.leaders)
+    identity, op = _residue_closure(res)
+    assert all(op(identity, g) == g for g in res.leaders)
+    enum = GroupStructure(identity, op, res.leaders)
     assert enum.order == res.size == math.prod(r[i] for i, r in
                                                enumerate(res.relation_rows))
     slots = [res.leaders.index(g) for g in enum.leaders]
@@ -679,14 +708,45 @@ def test_residues_of_q_match_enumeration(T):
        st.lists(st.sampled_from(SMALL_PRIMES), min_size=1, max_size=2,
                 unique=True))
 @settings(max_examples=40, deadline=None)
-@example(D=17, T=[2, 3])      # 2 splits: two copies of GF(2)^x
-@example(D=-4, T=[7])         # inert: GF(49)^x
+@example(D=17, T=[2, 3])      # 2 splits: two copies of F_2^x
+@example(D=-4, T=[7])         # inert: F_49^x
+@example(D=-3, T=[2])         # inert 2: F_4^x
 def test_residues_of_quadratic_fields_match_enumeration(D, T):
     F = QuadField(D)
     assume(all(D % q for q in T))
     assume(math.prod(q * q - 1 if F.splitting(q) == "inert" else
                      (q - 1) ** 2 for q in T) <= 3000)
     _check_residues_against_enumeration(F, T)
+
+
+@given(st.sampled_from(FUNDAMENTAL),
+       st.lists(st.sampled_from(SMALL_PRIMES), min_size=1, max_size=2,
+                unique=True),
+       st.lists(st.integers(-40, 40), min_size=4, max_size=4),
+       st.integers(1, 30))
+@settings(max_examples=60, deadline=None)
+@example(D=17, T=[2, 3], uv=[1, 2, 5, 2], c=5)     # 2 and 3 split
+@example(D=-4, T=[7], uv=[1, 2, 3, -1], c=3)       # 7 inert
+@example(D=-3, T=[2], uv=[1, 1, 2, 1], c=3)        # 2 inert
+def test_residue_map_is_a_multiplicative_galois_map(D, T, uv, c):
+    # x = (u1 + v1 omega)/c and y = (u2 + v2 omega)/c, units at every place
+    # above T exactly when their norms are prime to T
+    F = QuadField(D)
+    assume(all(D % q and c % q for q in T))
+    x, y = [(F.element(u) + F.omega() * v) / c
+            for u, v in (uv[:2], uv[2:])]
+    assume(all(z.norm().numerator % q for z in (x, y) for q in T))
+    res = ResidueSystem(F, T)
+    rx, ry, rxy = res.reduce(x), res.reduce(y), res.reduce(x * y)
+    k = len(res.leaders)
+    gap = [a - b - e for a, b, e in zip(res.dlog(rxy), res.dlog(rx),
+                                        res.dlog(ry))]
+    assert IntLattice(k, res.relation_rows).contains_vector(gap)
+    for z, rz in ((x, rx), (y, ry), (x * y, rxy)):
+        assert res.galois_act(rz) == res.reduce(z.conj())
+    for q in T:
+        with pytest.raises(DatumError):
+            res.reduce(F.element(q))
 
 
 def test_ray_classes_with_large_residue_groups():

@@ -21,9 +21,6 @@ UNREFERENCED_OK = {
     # the console-script entry point: pyproject.toml's `stark-lab` launcher
     # calls it
     "cli.main",
-    # the trace of a quadratic element, kept for the exact ACNF check, which
-    # recognises the unit eps_D^(2h) by its (integer) trace
-    "numfld.QuadElt.trace",
     # a layer that the benchmark's span tracer wraps by name
     # (perfbench/spans.py), so it stays while the benchmark names it
     "hnf.hnf",
