@@ -55,7 +55,7 @@ from math import comb, factorial, gcd, isqrt, lcm, prod
 from operator import mul, sub
 from typing import NamedTuple
 
-from .arith import bernoulli, factorint, isprime
+from .arith import bernoulli, factorint
 from .ball import (Ball, CBall, CertificationError, PrecisionError,
                    Undecided, ball_combination, ball_log_int, ball_log_prod,
                    precision, working_precision)
@@ -63,8 +63,8 @@ from .cyclo import CycloField
 from .finite import GroupStructure
 from .grpring import AbelianGroup, GroupRingElement, InputError
 from .hnf import diagonalize_relations
-from .numfld import (_normalize_places, fundamental_discriminant, kronecker,
-                     squarefree_part)
+from .numfld import (_normalize_places, _normalize_primes,
+                     fundamental_discriminant, kronecker, squarefree_part)
 
 
 class UnresolvedOrderError(Undecided):
@@ -636,8 +636,7 @@ class LSpec:
     def __init__(self, char, S, T=()):
         self.char = char
         self.S = _normalize_places(S)
-        self.T = sorted(int(q) for q in T)
-        _require_prime_places(self.S + self.T)
+        self.T = _normalize_primes(T)
         prim = char.primitive()
         ram = set(factorint(prim.conductor()))
         fin = {v for v in self.S if v != "inf"}
@@ -771,7 +770,7 @@ def bernoulli_value(char, S, T=()):
     (`_euler_values`).  Raises WrongOrderError at positive order.
     """
     S = _normalize_places(S)
-    T = sorted(int(q) for q in T)
+    T = _normalize_primes(T)
     r = theoretical_order(char, S)
     if r != 0:
         raise WrongOrderError(f"order of vanishing is {r}, not 0")
@@ -797,14 +796,6 @@ def _embed_cyclo(value, e):
     return out
 
 
-def _require_prime_places(places):
-    """InputError unless every finite place of S and T is a prime."""
-    composite = [q for q in places if q != "inf" and not isprime(q)]
-    if composite:
-        raise InputError(f"the finite places of S and T must be primes, "
-                         f"got {composite}")
-
-
 def validate_rubin_shape(realization, S, V, T):
     """(H1) and (H2) shape checks for a Rubin datum over the realization,
     whose finite places in S and T must be primes.
@@ -814,8 +805,7 @@ def validate_rubin_shape(realization, S, V, T):
     """
     S = _normalize_places(S)
     V = _normalize_places(V) if V else []
-    T = sorted(int(q) for q in T)
-    _require_prime_places(S + T)
+    T = _normalize_primes(T)
     if "inf" not in S:
         raise InputError("(H1) fails: S omits the infinite place")
     ram = realization.ramified_primes()

@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import gcd, isqrt, lcm
 
 from . import hnf
-from .arith import CapacityError, factorint, primerange
+from .arith import CapacityError, factorint, isprime, primerange
 from .ball import Ball, CertificationError, ball_log, ball_log_int, ball_sqrt
 from .finite import GroupStructure
 from .grpring import AbelianGroup, InputError
@@ -753,15 +753,16 @@ class Place:
     """A place of Q or a quadratic field.
 
     kind: 'real' (with conjugate flag), 'complex', or 'finite'.
-    Finite places carry q, e, f, and for split primes the associated prime
-    ideal and a Hensel-liftable root of m mod q identifying the embedding.
+    Finite places carry q, e, f and, in a quadratic field, the prime ideal
+    w; at a place of degree 1 (split or ramified q) also omega_image, the
+    integer r mod q with omega = r mod w.
     """
 
     __slots__ = ("field", "kind", "q", "e", "f", "conjugate", "ideal",
-                 "root_mod_q", "label")
+                 "omega_image", "label")
 
     def __init__(self, field, kind, q=None, e=1, f=1, conjugate=False,
-                 ideal=None, root_mod_q=None, label=""):
+                 ideal=None, omega_image=None, label=""):
         self.field = field
         self.kind = kind
         self.q = q
@@ -769,7 +770,7 @@ class Place:
         self.f = f
         self.conjugate = conjugate
         self.ideal = ideal
-        self.root_mod_q = root_mod_q
+        self.omega_image = omega_image
         self.label = label
 
     def nw(self):
@@ -784,7 +785,10 @@ class Place:
 def places_over(field, v):
     """The places of `field` over the rational place v ('inf' or a prime).
 
-    Returns the distinguished place first.
+    Returns the distinguished place first.  A place of degree 1 is the
+    prime ideal w = (q, (b + sqrt D)/2), and omega = ((D mod 2) + sqrt D)/2
+    differs from (b + sqrt D)/2 by ((D mod 2) - b)/2: that is omega's image
+    mod w.
     """
     if field == "Q":
         if v == "inf":
@@ -800,65 +804,26 @@ def places_over(field, v):
         ideal = QuadIdeal(field, 1, field.D % 2, scale=v)  # (v) itself
         return [Place(field, "finite", q=v, e=1, f=2, ideal=ideal,
                       label=f"{v}")]
-    if kind == "ramified":
-        ideal = QuadIdeal.prime_over(field, v)
-        return [Place(field, "finite", q=v, e=2, f=1, ideal=ideal,
-                      label=f"{v}")]
     ideal = QuadIdeal.prime_over(field, v)
-    r1 = _root_for_ideal(field, ideal)
-    r2 = (-r1) % (4 if v == 2 else v)
-    return [Place(field, "finite", q=v, e=1, f=1, ideal=ideal,
-                  root_mod_q=r1, label=f"{v}+"),
-            Place(field, "finite", q=v, e=1, f=1, ideal=ideal.conj(),
-                  root_mod_q=r2, label=f"{v}-")]
-
-
-def _root_for_ideal(field, ideal):
-    """Root class r of m with sqrt(m) = r at the place of `ideal`.
-
-    The ideal (q, (b + sqrt D)/2) vanishes exactly at the embedding with
-    sqrt(D) = -b; for odd q the root is -b/k mod q (sqrt D = k sqrt m), and
-    for split q = 2 the two 2-adic roots are separated by their class mod 4.
-    """
-    q = ideal.a
-    k = 1 if field.D % 4 == 1 else 2
-    if q == 2:
-        # split 2 requires D = m = 1 mod 8; sqrt(D) = -b mod 4 marks the place
-        return (-ideal.b) % 4
-    kinv = pow(k, -1, q)
-    return (-ideal.b * kinv) % q
-
-
-def _lift_sqrt(m, q, r, precision):
-    """(R, q^precision) with R^2 = m mod q^precision and R in the embedding
-    class r: r is a root mod q for odd q, a residue mod 4 for q = 2."""
-    if q != 2:
-        R = r % q
-        if (R * R - m) % q:
-            raise CertificationError(f"{r} is not a square root of {m} "
-                                     f"mod {q}")
-        qk = q
-        while qk < q ** precision:
-            qk = qk * qk
-            R = (R + m * pow(R, -1, qk)) * pow(2, -1, qk) % qk
-        return R % (q ** precision), q ** precision
-    # q = 2: m = 1 mod 8; each doubling has a unique lift, and the increments
-    # (multiples of 4) preserve the class mod 4 that identifies the place
-    if m % 8 != 1 or r % 2 != 1:
-        raise CertificationError(f"no 2-adic square root of {m} in the "
-                                 f"class {r} mod 4")
-    R = r % 4
-    mod = 8
-    target = 2 ** max(precision, 3)
-    while mod < target:
-        if (R * R - m) % (2 * mod) != 0:
-            R += mod // 2
-        mod *= 2
-    return R % target, target
+    if kind == "ramified":
+        ideals, e, labels = [ideal], 2, [f"{v}"]
+    else:
+        ideals, e, labels = [ideal, ideal.conj()], 1, [f"{v}+", f"{v}-"]
+    return [Place(field, "finite", q=v, e=e, f=1, ideal=w,
+                  omega_image=(field.D % 2 - w.b) // 2 % v, label=label)
+            for w, label in zip(ideals, labels)]
 
 
 def ord_at_place(x, place):
-    """Normalized valuation ord_w(x) for x in the place's field."""
+    """Normalized valuation ord_w(x) for x in the place's field.
+
+    At an inert or ramified q it is read off ord_q N(x).  At a split q,
+    x = (U + V omega)/d in integers and q^k is the q-part of gcd(U, V), so
+    y = (U + V omega)/q^k is not divisible by q and lies in at most one of
+    w and its conjugate.  With a = k - ord_q(d), ord_w(x) = a when y is a
+    unit at w, that is U/q^k + (V/q^k) r != 0 mod q for omega's image r
+    there; else y is a unit at the conjugate and ord_w(x) = ord_q N(x) - a.
+    """
     if place.kind != "finite":
         raise InputError(f"{place.label} is not a finite place")
     q = place.q
@@ -875,12 +840,16 @@ def ord_at_place(x, place):
         return t // 2 - vd
     if place.e == 2:  # ramified
         return t - 2 * vd
-    # split: Hensel root evaluation on the integral numerator A + B sqrt m
-    R, mod = _lift_sqrt(place.field.m, q, place.root_mod_q, t + 3)
-    val = _vq_int((x.A + x.B * R) % mod, q, cap=t + 2)
-    if val > t:
-        raise CertificationError("split valuation exceeded the norm valuation")
-    return val - vd
+    # split: A + B sqrt m = U + V omega, and N(y) = n / q^2k
+    U, V = (x.A - x.B, 2 * x.B) if x.field.m % 4 == 1 else (x.A, x.B)
+    k = _vq_int(gcd(U, V), q, cap=t)
+    if (U + V * place.omega_image) // q ** k % q:
+        return k - vd
+    if t == 2 * k:
+        raise CertificationError(f"{x!r} vanishes at {place.label}, but q "
+                                 f"does not divide its norm: omega's image "
+                                 f"there is wrong")
+    return t - k - vd
 
 
 def _vq_fraction(x, q):
@@ -929,9 +898,8 @@ class ResidueSystem:
     of its cyclic factors, read off O_K / w.
 
     At a place of degree 1, k(w) = F_q and a residue is an integer mod q:
-    u + v omega goes to u + v r, where omega's image r is read off the prime
-    ideal w = (q, (b + sqrt D)/2), in which sqrt D = -b, as
-    ((D mod 2) - b)/2.  At an inert q, k(w) = Z[omega]/(q) with
+    u + v omega goes to u + v r, where r is the place's `omega_image`
+    (`places_over`).  At an inert q, k(w) = Z[omega]/(q) with
     omega^2 = t omega - n (t and n the trace and norm of omega), a residue
     is the pair (u, v) mod q of u + v omega, and the nontrivial automorphism
     acts as the conjugation omega -> t - omega, which is the Frobenius.
@@ -955,12 +923,9 @@ class ResidueSystem:
                 raise DatumError(f"T contains the ramified prime {q}")
             else:
                 self.places.extend(places_over(field, q))
-        self._images = [0] * len(self.places)
         if field != "Q":
             t = field.D % 2
             self._t, self._n = t, (t - field.D) // 4
-            self._images = [0 if w.f == 2 else (t - w.ideal.b) // 2 % w.q
-                            for w in self.places]
         ones = [(1, 0) if w.f == 2 else 1 for w in self.places]
         k = len(self.places)
         self.size = 1
@@ -997,10 +962,9 @@ class ResidueSystem:
 
     def reduce(self, x):
         """Residue tuple of x (unit at every T-place)."""
-        return tuple(self._reduce_at(x, w, r)
-                     for w, r in zip(self.places, self._images))
+        return tuple(self._reduce_at(x, w) for w in self.places)
 
-    def _reduce_at(self, x, w, r):
+    def _reduce_at(self, x, w):
         q = w.q
         u, v = (Fraction(x), Fraction(0)) if self.field == "Q" \
             else x.omega_coords()
@@ -1008,7 +972,10 @@ class ResidueSystem:
             raise DatumError(f"{x} has a pole at {w.label}")
         u = u.numerator * pow(u.denominator, -1, q) % q
         v = v.numerator * pow(v.denominator, -1, q) % q
-        out = (u, v) if w.f == 2 else (u + v * r) % q
+        if w.f == 2:
+            out = (u, v)
+        else:     # v = 0 over Q, whose places carry no omega_image
+            out = (u + v * w.omega_image) % q if v else u
         if out in (0, (0, 0)):
             raise DatumError(f"{x} is not a unit at the place {w.label}")
         return out
@@ -1171,7 +1138,7 @@ def s_unit_lattice(field, S, T, enforce_h3=True):
     internal constructions that only need the lattice modulo torsion).
     """
     S = _normalize_places(S)
-    T = sorted(set(int(q) for q in T))
+    T = _normalize_primes(T)
     if "inf" not in S:
         raise DatumError("S must contain the infinite place")
     if set(S) & set(T):
@@ -1257,21 +1224,29 @@ def s_unit_lattice(field, S, T, enforce_h3=True):
 
 
 def _normalize_places(S):
-    """The places of S as "inf" (from "inf", "oo" or "infinity") and ints,
-    "inf" first and the primes sorted; InputError for anything else."""
+    """The places of S, each once, as "inf" (from "inf", "oo" or
+    "infinity") and primes, "inf" first and the primes sorted; InputError
+    for anything else, as in `_normalize_primes`."""
+    infinite = ("inf", "oo", "infinity")
+    return ((["inf"] if any(v in infinite for v in S) else [])
+            + _normalize_primes(v for v in S if v not in infinite))
+
+
+def _normalize_primes(T):
+    """The finite places T, each once, as sorted ints; InputError unless
+    each is a prime."""
     out = []
-    for v in S:
-        if v in ("inf", "oo", "infinity"):
-            out.append("inf")
-            continue
+    for v in T:
         try:
             out.append(int(v))
         except (TypeError, ValueError):
             raise InputError(f"a place is 'inf' or a prime, got {v!r}") \
                 from None
-    # keep 'inf' first, primes sorted after
-    fin = sorted(q for q in out if q != "inf")
-    return (["inf"] if "inf" in out else []) + fin
+    composite = [q for q in out if not isprime(q)]
+    if composite:
+        raise InputError(f"the finite places of S and T must be primes, "
+                         f"got {composite}")
+    return sorted(set(out))
 
 
 def _check_torsion_killed(field, T):
@@ -1395,7 +1370,7 @@ def ray_class(field, S, T, lattice=None):
     already holds `s_unit_lattice(field, S, T)`, else one built here.
     """
     S = _normalize_places(S)
-    T = sorted(set(int(q) for q in T))
+    T = _normalize_primes(T)
     if set(S) & set(T):
         raise DatumError("S and T must be disjoint")
 

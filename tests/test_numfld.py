@@ -16,6 +16,7 @@ from starklab.finite import GroupStructure
 from starklab.grpring import InputError
 from starklab.hnf import IntLattice, diagonalize_relations, \
     identity_matrix, kernel, mat_mul
+from starklab.lfun import DirichletChar, bernoulli_value
 from starklab.numfld import (DatumError, ImaginaryClassGroup, QuadElt,
                              QuadField, QuadIdeal, RealClassGroup,
                              ResidueSystem, SUnitLattice,
@@ -633,6 +634,43 @@ def test_ray_class_of_d_minus_187_by_hand():
     assert rc.module.orders == [3]
 
 
+def _gamma(w):
+    """(b + sqrt D)/2, which with q generates the prime ideal
+    w = (q, (b + sqrt D)/2) of a place of degree 1."""
+    F = w.field
+    k = 1 if F.D % 4 == 1 else 2        # sqrt D = k sqrt m
+    return F.element(Fraction(w.ideal.b, 2), Fraction(k, 2))
+
+
+SPLIT = [(D, q) for D in FUNDAMENTAL for q in SMALL_PRIMES
+         if kronecker(D, q) == 1]
+
+
+@given(st.sampled_from(SPLIT), st.integers(0, 3), st.integers(0, 3),
+       st.integers(-3, 3), st.lists(st.integers(-60, 60), min_size=2,
+                                    max_size=2), st.integers(1, 40))
+@settings(max_examples=80, deadline=None)
+@example(Dq=(17, 2), i=2, j=1, l=-1, uv=[1, 2], c=3)    # 2 splits
+@example(Dq=(17, 2), i=0, j=3, l=0, uv=[3, 0], c=1)
+@example(Dq=(5, 11), i=1, j=0, l=2, uv=[2, 1], c=7)
+@example(Dq=(5, 11), i=3, j=3, l=-2, uv=[-5, 4], c=1)
+def test_split_valuations_match_powers_of_the_ideal_generator(Dq, i, j, l,
+                                                              uv, c):
+    # gamma = (b + sqrt D)/2 lies in w and not in its conjugate (their sum b
+    # would be 0 mod q, and so would D), so ord_w(gamma) = ord_q N(gamma)
+    # and ord_w'(gamma) = 0; z is a unit at both places
+    D, q = Dq
+    F = QuadField(D)
+    w, w_conj = places_over(F, q)
+    z = (F.element(uv[0]) + F.omega() * uv[1]) / c
+    assume(c % q and (z * c).norm() % q)
+    gamma = _gamma(w)
+    e = sympy.multiplicity(q, int(gamma.norm()))
+    x = z * gamma ** i * gamma.conj() ** j * Fraction(q) ** l
+    assert ord_at_place(x, w) == i * e + l
+    assert ord_at_place(x, w_conj) == j * e + l
+
+
 def _residue_closure(res):
     """(identity, op) of the product of the residue groups k(w)^x, slot by
     slot: the group that `GroupStructure` enumerates in the oracles.
@@ -641,16 +679,20 @@ def _residue_closure(res):
     as field elements and reduces the product.  A lift writes each slot as
     u + v omega mod its q: an integer residue a is a + 0 omega, an inert
     pair (u, v) is itself, and the two slots of a split q are joined
-    through omega's images there, each the root r with ord_w(omega - r) > 0;
-    the rational primes of T are then joined by the Chinese remainder
-    theorem."""
+    through omega's images there, each the r mod q at which the generator
+    (b + sqrt D)/2 of the prime ideal w, written u + v omega, goes to
+    u + v r = 0; the rational primes of T are then joined by the Chinese
+    remainder theorem."""
     F = res.field
     primes = []       # (q, c = 1 mod q and 0 mod the rest of T, slots, roots)
     for q in res.T:
         slots = [i for i, w in enumerate(res.places) if w.q == q]
-        roots = [next(r for r in range(q)
-                      if ord_at_place(F.omega() - r, res.places[i]) > 0)
-                 for i in slots] if len(slots) == 2 else []
+        roots = []
+        if len(slots) == 2:
+            for i in slots:
+                u, v = _gamma(res.places[i]).omega_coords()
+                roots.append(next(r for r in range(q)
+                                  if (u + v * r) % q == 0))
         c = math.prod(res.T) // q
         primes.append((q, c * pow(c, -1, q), slots, roots))
 
@@ -805,6 +847,42 @@ def test_ray_class_with_large_residue_group_is_quick():
     assert rc.module.orders == [4, 468]
 
 
+def _bernoulli_value(S, T):
+    return bernoulli_value(DirichletChar.quadratic(-4), S, T)
+
+
+# (call, S, T): each call succeeds on these places
+PLACE_PARSERS = [
+    (lambda S, T: s_unit_lattice("Q", S, T), ["inf", 5], [3]),
+    (lambda S, T: s_unit_lattice(QuadField(5), S, T), ["inf", 5], [3]),
+    (lambda S, T: ray_class(QuadField(5), S, T), ["inf", 5], [3]),
+    (_bernoulli_value, ["inf", 2], [3]),
+]
+
+
+@pytest.mark.parametrize("bad", [1, 4, 9, -3])
+@pytest.mark.parametrize("in_s", [True, False], ids=["S", "T"])
+@pytest.mark.parametrize("call, S, T", PLACE_PARSERS,
+                         ids=["s_unit_lattice-Q", "s_unit_lattice-Q(sqrt5)",
+                              "ray_class", "bernoulli_value"])
+def test_places_that_are_not_primes_are_an_input_error(call, S, T, in_s,
+                                                       bad):
+    call(S, T)
+    with pytest.raises(InputError, match="must be primes"):
+        call(S + [bad], T) if in_s else call(S, T + [bad])
+
+
+def test_a_repeated_place_counts_once():
+    F = QuadField(5)
+    L = s_unit_lattice(F, ["inf", 5, 11], [3])
+    assert s_unit_lattice(F, ["inf", 11, 5, "oo", 11], [3, 3]).valuations \
+        == L.valuations
+    assert ray_class(F, ["inf", 5, 5, 11], [3, 3]).module.orders \
+        == ray_class(F, ["inf", 5, 11], [3]).module.orders
+    assert _bernoulli_value(["inf", 2, 2], [3, 3]) \
+        == _bernoulli_value(["inf", 2], [3])
+
+
 VALUATION_GATE_UNDER_O = """
 from starklab.ball import CertificationError
 from starklab.numfld import QuadField, ord_at_place, s_unit_lattice
@@ -850,7 +928,7 @@ except ValueError:
     pass
 
 from starklab.grpring import InputError
-from starklab.numfld import _lift_sqrt, ord_at_place, places_over
+from starklab.numfld import places_over
 
 try:
     ord_at_place(3, places_over("Q", "inf")[0])
@@ -858,9 +936,12 @@ try:
 except InputError:
     pass
 
+F = QuadField(5)
+w = places_over(F, 11)[0]
+w.omega_image = (w.omega_image + 1) % 11     # not a root of x^2 - x - 1
 try:
-    _lift_sqrt(5, 11, 3, 2)         # 3^2 = 9, not 5, mod 11
-    raise SystemExit("Hensel lift from a non-root")
+    ord_at_place(F.omega() - w.omega_image, w)
+    raise SystemExit("a valuation read through a wrong image of omega")
 except CertificationError:
     pass
 """
