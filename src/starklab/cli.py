@@ -33,9 +33,8 @@ from .grpring import InputError, coeff_json
 from .hnf import diagonalize_relations
 from .lfun import (AbelianFieldRealization, LSpec, l_jet,
                    stickelberger_element)
-from .numfld import (DatumError, QuadField, _normalize_places, class_number,
-                     class_group_structure, fundamental_unit,
-                     is_fundamental_discriminant)
+from .numfld import (ClassGroup, DatumError, QuadField, _normalize_places,
+                     fundamental_unit, is_fundamental_discriminant)
 from .sublat import CapacityError, norm_sum_identity, enumerate_omega_star
 from .verify import (ConfigError, certificate_summary, load_scenario,
                      run_scenario)
@@ -166,10 +165,10 @@ def _dispatch(args):
         D = args.disc
         QuadField(D)      # a fundamental discriminant within the desk bound
         if args.what == "classgroup":
-            st = class_group_structure(D).structure
-            inv, _, _ = diagonalize_relations(st.relation_rows,
-                                              len(st.leaders))
-            _emit({"disc": D, "h": class_number(D),
+            cg = ClassGroup(D)
+            inv, _, _ = diagonalize_relations(cg.structure.relation_rows,
+                                              len(cg.structure.leaders))
+            _emit({"disc": D, "h": cg.h,
                    "invariant_factors": inv or [1]}, args.out)
             return 0
         if D <= 0:

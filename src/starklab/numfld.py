@@ -367,7 +367,7 @@ def fundamental_unit_log(D):
     return ball_log(fundamental_unit(D).embedding_ball())
 
 
-# -- binary quadratic forms (D < 0) ----------------------------------------
+# -- binary quadratic forms -------------------------------------------------
 
 def principal_form(D):
     k = abs(D) % 2
@@ -378,15 +378,40 @@ def _is_reduced_neg(a, b, c):
     return (abs(b) <= a <= c) and (b >= 0 or (abs(b) != a and a != c))
 
 
-def reduce_form_neg(form, with_transform=False):
-    """Reduce a positive definite form; optionally track M with Q o M reduced.
+def _is_reduced_indef(form, sq, D):
+    # reduced: 0 < b < sqrt(D) and |sqrt(D) - 2|a|| < b, equivalently
+    # 4a(a - c) < 0 or (a - c)^2 < D  (using b^2 - 4ac = D)
+    a, b, c = form
+    if b <= 0 or b > sq:
+        return False
+    return 4 * a * (a - c) < 0 or (a - c) * (a - c) < D
+
+
+def reduce_form(form, D):
+    """(reduced, M): a reduced form equivalent to `form` of discriminant D,
+    and M in SL_2(Z) with form o M = reduced.
 
     Convention: (Q o M)(x, y) = Q(p x + q y, r x + s y) for M = [[p,q],[r,s]].
+    For D < 0 the form must be positive definite, and the reduced form is
+    the unique one of its class (Cohen, GTM 138, 5.4).  For D > 0 it is
+    the first reduced form that rho steps reach, one of the cycle
+    `form_cycle` walks (Cohen, GTM 138, 5.6).
     """
+    p, q, r, s = 1, 0, 0, 1     # M = [[p, q], [r, s]]
+    if D > 0:
+        sq = isqrt(D)
+        guard = 0
+        while not _is_reduced_indef(form, sq, D):
+            form, t = rho_step(form, D, sq)
+            # M <- M [[0, -1], [1, t]]
+            p, q, r, s = q, q * t - p, s, s * t - r
+            guard += 1
+            if guard > 100000:
+                raise CapacityError("indefinite reduction cap exceeded")
+        return form, [[p, q], [r, s]]
     a, b, c = form
     if a <= 0 or b * b - 4 * a * c >= 0:
         raise CertificationError(f"{form} is not positive definite")
-    p, q, r, s = 1, 0, 0, 1     # M = [[p, q], [r, s]]
     while not _is_reduced_neg(a, b, c):
         if c < a or (c == a and b < 0):
             # swap: (x, y) -> (-y, x), M <- M [[0, 1], [-1, 0]]
@@ -406,29 +431,75 @@ def reduce_form_neg(form, with_transform=False):
             q, s = q + p, s + r
             continue
         break
-    return ((a, b, c), [[p, q], [r, s]]) if with_transform else (a, b, c)
+    return (a, b, c), [[p, q], [r, s]]
 
 
 def reduced_forms(D):
-    """All reduced primitive positive definite forms of discriminant D < 0."""
-    if D >= 0:
-        raise CertificationError(f"definite forms need D < 0, got {D}")
-    out = []
-    for b in range(abs(D) % 2, isqrt(abs(D) // 3) + 1, 2):
-        if (b * b - D) % 4:
-            continue
+    """All reduced primitive forms of discriminant D, sorted: positive
+    definite ones for D < 0."""
+    if D > 0:
+        hi = isqrt(D)           # 0 < b < sqrt(D)
+        reduced = lambda f: _is_reduced_indef(f, hi, D)
+    else:
+        hi = isqrt(-D // 3)     # |b| <= a <= sqrt(|D|/3)
+        reduced = lambda f: _is_reduced_neg(*f)
+    out = set()
+    for b in range(D % 2, hi + 1, 2):       # b^2 = D (mod 4)
         ac = (b * b - D) // 4
-        a = max(b, 1)
-        while a * a <= ac:
+        for a in range(max(b, 1) if D < 0 else 1, isqrt(abs(ac)) + 1):
             if ac % a == 0:
-                c = ac // a
-                if gcd(gcd(a, b), c) == 1:
-                    if _is_reduced_neg(a, b, c):
-                        out.append((a, b, c))
-                    if b and _is_reduced_neg(a, -b, c):
-                        out.append((a, -b, c))
-            a += 1
-    return sorted(set(out))
+                for A in (a, -a, ac // a, -ac // a):
+                    for f in ((A, b, ac // A), (A, -b, ac // A)):
+                        if reduced(f) and gcd(*f) == 1:
+                            out.add(f)
+    return sorted(out)
+
+
+def rho_step(form, D, sq):
+    """One cycle step (c, b', c'); returns (form', t) with transform
+    [[0, -1], [1, t]]."""
+    a, b, c = form
+    ac = abs(c)
+    if ac > sq:
+        lo, hi = -ac, ac            # b' in (-|c|, |c|]
+    else:
+        lo, hi = sq - 2 * ac, sq    # b' in (sq - 2|c|, sq]
+    # b' = -b + 2 c t
+    t = (hi + b) // (2 * c) if c > 0 else -((hi + b) // (2 * (-c)))
+    bp = -b + 2 * c * t
+    step = 1 if c > 0 else -1
+    while bp > hi:
+        t -= step
+        bp = -b + 2 * c * t
+    while bp <= lo:
+        t += step
+        bp = -b + 2 * c * t
+    cp = (bp * bp - D) // (4 * c)
+    return (c, bp, cp), t
+
+
+def form_cycle(form, D):
+    """The cycle of the reduced form `form` of discriminant D, as (g, M)
+    pairs with form o M = g, starting with (form, identity).
+
+    For D > 0 the cycle is the rho-orbit of `form`, and its forms are the
+    reduced forms properly equivalent to it.  For D < 0 a reduced form is
+    the only reduced form of its class, so its cycle is itself alone.
+    """
+    out = [(form, [[1, 0], [0, 1]])]
+    if D < 0:
+        return out
+    sq = isqrt(D)
+    cur, (p, q, r, s) = form, (1, 0, 0, 1)     # M = [[p, q], [r, s]]
+    while True:
+        cur, t = rho_step(cur, D, sq)
+        # M <- M [[0, -1], [1, t]]
+        p, q, r, s = q, q * t - p, s, s * t - r
+        if cur == form:
+            return out
+        out.append((cur, [[p, q], [r, s]]))
+        if len(out) > 200000:
+            raise CapacityError("cycle walk cap exceeded")
 
 
 def _solve_linmod(a, b, m):
@@ -463,178 +534,54 @@ def compose_abc(f1, f2, D):
     return (A, B, C)
 
 
-def compose_forms(f1, f2, D):
-    return reduce_form_neg(compose_abc(f1, f2, D))
+class ClassGroup:
+    """The (wide) ideal class group of the quadratic field of fundamental
+    discriminant D, as classes of primitive binary quadratic forms.
 
-
-class ImaginaryClassGroup:
-    """Form class group for D < 0 with composition and discrete logs."""
-
-    @lru_cache(maxsize=None)
-    def __new__(cls, D):
-        if D >= 0:
-            raise CertificationError("definite class group needs D < 0, "
-                                     f"got {D}")
-        inst = super().__new__(cls)
-        inst.D = D
-        inst.forms = reduced_forms(D)
-        inst.h = len(inst.forms)
-        inst.structure = GroupStructure(
-            principal_form(D), lambda f1, f2: compose_forms(f1, f2, D),
-            inst.forms)
-        if inst.structure.order != inst.h:
-            raise CertificationError(
-                f"class group of {D}: {inst.structure.order} classes "
-                f"enumerated, {inst.h} reduced forms")
-        return inst
-
-    def class_of(self, form):
-        return self.structure.dlog(reduce_form_neg(form))
-
-
-# -- indefinite forms (D > 0): cycles, narrow classes ----------------------
-
-def _is_reduced_indef(form, sq, D):
-    # reduced: 0 < b < sqrt(D) and |sqrt(D) - 2|a|| < b, equivalently
-    # 4a(a - c) < 0 or (a - c)^2 < D  (using b^2 - 4ac = D)
-    a, b, c = form
-    if b <= 0 or b > sq:
-        return False
-    return 4 * a * (a - c) < 0 or (a - c) * (a - c) < D
-
-
-def rho_step(form, D, sq):
-    """One cycle step (c, b', c'); returns (form', t) with transform
-    [[0, -1], [1, t]]."""
-    a, b, c = form
-    ac = abs(c)
-    if ac > sq:
-        lo, hi = -ac, ac            # b' in (-|c|, |c|]
-    else:
-        lo, hi = sq - 2 * ac, sq    # b' in (sq - 2|c|, sq]
-    # b' = -b + 2 c t
-    t = (hi + b) // (2 * c) if c > 0 else -((hi + b) // (2 * (-c)))
-    bp = -b + 2 * c * t
-    step = 1 if c > 0 else -1
-    while bp > hi:
-        t -= step
-        bp = -b + 2 * c * t
-    while bp <= lo:
-        t += step
-        bp = -b + 2 * c * t
-    cp = (bp * bp - D) // (4 * c)
-    return (c, bp, cp), t
-
-
-def reduce_indefinite(form, D, with_transform=False):
-    sq = isqrt(D)
-    p, q, r, s = 1, 0, 0, 1     # M = [[p, q], [r, s]]
-    guard = 0
-    while not _is_reduced_indef(form, sq, D):
-        form, t = rho_step(form, D, sq)
-        # M <- M [[0, -1], [1, t]]
-        p, q, r, s = q, q * t - p, s, s * t - r
-        guard += 1
-        if guard > 100000:
-            raise CapacityError("indefinite reduction cap exceeded")
-    return (form, [[p, q], [r, s]]) if with_transform else form
-
-
-def form_cycle(form, D, with_transform=False):
-    """The rho-cycle of a reduced indefinite form."""
-    sq = isqrt(D)
-    out = []
-    cur = form
-    p, q, r, s = 1, 0, 0, 1     # M = [[p, q], [r, s]]
-    guard = 0
-    while True:
-        out.append((cur, [[p, q], [r, s]]) if with_transform else cur)
-        cur, t = rho_step(cur, D, sq)
-        # M <- M [[0, -1], [1, t]]
-        p, q, r, s = q, q * t - p, s, s * t - r
-        guard += 1
-        if guard > 200000:
-            raise CapacityError("cycle walk cap exceeded")
-        if cur == form:
-            return out
-
-
-def _all_reduced_indefinite(D):
-    sq = isqrt(D)
-    forms = set()
-    for b in range(1, sq + 1):
-        if (D - b * b) % 4:
-            continue
-        prod = (D - b * b) // 4
-        if prod <= 0:
-            continue
-        a = 1
-        while a * a <= prod:
-            if prod % a == 0:
-                for aa in {a, prod // a}:
-                    for A in (aa, -aa):
-                        C = -(prod // aa) if A > 0 else prod // aa
-                        f = (A, b, C)
-                        if gcd(gcd(abs(A), b), abs(C)) == 1 \
-                                and _is_reduced_indef(f, sq, D):
-                            forms.add(f)
-            a += 1
-    return forms
-
-
-class RealClassGroup:
-    """Wide ideal class group for D > 0 via cycles of indefinite forms."""
+    Each class has one representative reduced form: for D < 0 the reduced
+    form of the class itself; for D > 0 the least form of its rho-cycle,
+    and, when N(eps) = +1, the lesser of that and the representative of
+    the cycle's twist by a form of norm -1, which joins the two narrow
+    classes of one wide class.  `structure` is the `GroupStructure` over
+    these representatives, with identity the principal class and law
+    composition followed by reduction; `class_of(form)` is the dlog of a
+    form's class.  `h` is the class number and `h_plus` the narrow class
+    number.
+    """
 
     @lru_cache(maxsize=None)
     def __new__(cls, D):
-        if D <= 0:
-            raise CertificationError("indefinite class group needs D > 0, "
-                                     f"got {D}")
+        QuadField(D)        # a fundamental discriminant within the desk bound
         inst = super().__new__(cls)
         inst.D = D
-        forms = _all_reduced_indefinite(D)
-        cycles = {}
-        for f in sorted(forms):
-            if f in cycles:
-                continue
-            cyc = form_cycle(f, D)
-            rep = min(cyc)
-            for g in cyc:
-                cycles[g] = rep
-        inst._cycle_rep = cycles
-        inst.h_plus = len(set(cycles.values()))
-        # wide classes: quotient by the class of the principal-with-norm -1
-        # cycle; equivalently identify f ~ -f composed when N(eps) = +1
-        inst.eps_norm = unit_norm(D)
-        reps = sorted(set(cycles.values()))
-        if inst.eps_norm == -1:
-            inst.h = inst.h_plus
-            wide = {r: r for r in reps}
-        else:
-            # identify each cycle with its twist by the form of norm -1
-            # direction: compose with (-1, b0, c0)-type form of disc D
+        rep = {}
+        for f in reduced_forms(D):
+            if f not in rep:
+                cycle = [g for g, _ in form_cycle(f, D)]
+                rep.update(dict.fromkeys(cycle, min(cycle)))
+        inst.h_plus = len(set(rep.values()))
+        if D > 0 and unit_norm(D) == 1:
             twist = _norm_minus_one_form(D)
-            wide = {}
-            for r in reps:
-                t = inst._cycle_rep[reduce_indefinite(
-                    compose_abc(r, twist, D), D)]
-                wide[r] = min(r, t)
-            inst.h = len(set(wide.values()))
-        inst._wide_rep = wide
-        op = lambda f1, f2: wide[
-            inst._cycle_rep[reduce_indefinite(compose_abc(f1, f2, D), D)]]
-        ident = wide[inst._cycle_rep[reduce_indefinite(principal_form(D), D)]]
-        inst.structure = GroupStructure(ident, op,
-                                        sorted(set(wide.values())))
+            wide = {r: min(r, rep[reduce_form(compose_abc(r, twist, D), D)[0]])
+                    for r in set(rep.values())}
+            rep = {g: wide[r] for g, r in rep.items()}
+        inst._rep = rep
+        classes = sorted(set(rep.values()))
+        inst.h = len(classes)
+        inst.structure = GroupStructure(
+            inst._class_rep(principal_form(D)),
+            lambda f1, f2: inst._class_rep(compose_abc(f1, f2, D)), classes)
         if inst.structure.order != inst.h:
             raise CertificationError(
                 f"class group of {D}: {inst.structure.order} classes "
                 f"enumerated, h = {inst.h}")
         return inst
 
+    def _class_rep(self, form):
+        return self._rep[reduce_form(form, self.D)[0]]
+
     def class_of(self, form):
-        red = reduce_indefinite(form, self.D)
-        return self.structure.dlog(self._wide_rep[self._cycle_rep[red]])
+        return self.structure.dlog(self._class_rep(form))
 
 
 def _norm_minus_one_form(D):
@@ -645,14 +592,9 @@ def _norm_minus_one_form(D):
 
 
 def class_number(D):
-    """Wide class number of the quadratic field of discriminant D."""
-    if D < 0:
-        return len(reduced_forms(D))
-    return RealClassGroup(D).h
-
-
-def class_group_structure(D):
-    return ImaginaryClassGroup(D) if D < 0 else RealClassGroup(D)
+    """Wide class number of the quadratic field of fundamental
+    discriminant D (InputError for any other D)."""
+    return ClassGroup(D).h
 
 
 # -- quadratic ideals --------------------------------------------------------
@@ -704,19 +646,17 @@ class QuadIdeal:
     def principal_generator(self):
         """gamma with (gamma) = self, or None when the class is nontrivial.
 
-        Found by reducing the associated form with a tracked transform; the
+        The ideal's form reduces by M, and the walk along the cycle of the
+        reduced form stops at the first form g = (+-1, b, c), reached from
+        the reduced one by M2: g represents +-1 at (1, 0), so the ideal's
+        form represents +-1 at the first column (x, y) of M M2, and
+        scale * (a x + y (b + sqrt D)/2) generates the ideal.  For D < 0 the
+        cycle is the reduced form alone, and g is the principal form.  The
         result has |N(gamma)| = N(ideal).
         """
-        f = self.field
-        form = self.as_form()
-        if f.D < 0:
-            red, M = reduce_form_neg(form, with_transform=True)
-            if red != principal_form(f.D):
-                return None
-            return self._element_from_xy(M[0][0], M[1][0])
-        red, ((p, q), (r, s)) = reduce_indefinite(form, f.D,
-                                                   with_transform=True)
-        for g, ((x, _), (y, _)) in form_cycle(red, f.D, with_transform=True):
+        D = self.field.D
+        red, ((p, q), (r, s)) = reduce_form(self.as_form(), D)
+        for g, ((x, _), (y, _)) in form_cycle(red, D):
             if abs(g[0]) == 1:
                 # first column of M M2
                 return self._element_from_xy(p * x + q * y, r * x + s * y)
@@ -734,14 +674,6 @@ class QuadIdeal:
             raise CertificationError(
                 f"generator {gamma!r} of {self!r} has the wrong norm")
         return gamma
-
-    def __eq__(self, other):
-        return (isinstance(other, QuadIdeal) and other.field is self.field
-                and (self.a, self.b, self.scale)
-                == (other.a, other.b, other.scale))
-
-    def __hash__(self):
-        return hash((id(self.field), self.a, self.b, self.scale))
 
     def __repr__(self):
         return f"QuadIdeal({self.scale} * ({self.a}, ({self.b}+sqrt{self.field.D})/2))"
@@ -1182,22 +1114,14 @@ def s_unit_lattice(field, S, T, enforce_h3=True):
 
     # class-relation lattice over the finite S-places (inert places carry
     # the principal ideal (q), so their class is trivial automatically)
-    cg = class_group_structure(field.D)
-    k_cl = len(cg.structure.leaders)
-    dlogs = [list(cg.class_of(w.ideal.as_form())) for w in fin]
-    stacked = dlogs + list(cg.structure.relation_rows)
-    ker = hnf.kernel(stacked, ambient_dim=k_cl)
-    lam_rows = [row[:len(fin)] for row in ker]
-    lam = hnf.IntLattice(len(fin), lam_rows)
-    valuations = [list(row) for row in lam.canonical()]
-    gens = []
-    for row in valuations:
-        gamma = _principal_generator(field, [w.ideal for w in fin], row)
+    valuations, gens = [], []
+    for row, gamma in _principal_relations(field, [w.ideal for w in fin]):
         # exact: SUnitLattice.valuations stores `row`
         for w, e in zip(fin, row):
             if ord_at_place(gamma, w) != e:
                 raise CertificationError(
                     f"generator valuation mismatch at {w!r}: wanted {e}")
+        valuations.append(row)
         gens.append(gamma)
     if field.is_real:
         gens.append(fundamental_unit(field.D))
@@ -1309,6 +1233,19 @@ def _principal_generator(field, ideals, exponents):
     return gamma
 
 
+def _principal_relations(field, ideals):
+    """[(v, gamma)]: the Hermite basis of the exponent vectors v with
+    prod ideals^v principal, each with an exact generator gamma of
+    prod ideals^v."""
+    cg = ClassGroup(field.D)
+    stacked = ([list(cg.class_of(p.as_form())) for p in ideals]
+               + list(cg.structure.relation_rows))
+    ker = hnf.kernel(stacked, ambient_dim=len(cg.structure.leaders))
+    lam = hnf.IntLattice(len(ideals), [row[:len(ideals)] for row in ker])
+    return [(list(v), _principal_generator(field, ideals, v))
+            for v in lam.canonical()]
+
+
 def _ideal_product(x, y, D):
     """x y for integral ideals c [A, (B + sqrt D)/2] given as triples
     (c, A, B): Gaussian composition times the content gcd(A1, A2,
@@ -1403,7 +1340,7 @@ def ray_class(field, S, T, lattice=None):
         s_len = 0
 
     group = AbelianGroup((2,))
-    cg = class_group_structure(field.D)
+    cg = ClassGroup(field.D)
     # choose prime-ideal generators of the class group away from S, T, disc
     ideals, classes = [], []      # the chosen primes and their dlog rows
     span = _class_lattice(cg, [])
@@ -1432,24 +1369,23 @@ def ray_class(field, S, T, lattice=None):
             return []
         return residues.dlog(residues.reduce(x))
 
-    def express_in_chosen(target_dlog):
-        sol = hnf.solve_in_rowspan(stacked, list(target_dlog))
+    def relation_of(p):
+        """(v, dlog gamma) with p = prod ell^v (gamma) over the chosen
+        primes ell."""
+        sol = hnf.solve_in_rowspan(stacked, list(cg.class_of(p.as_form())))
         if sol is None:
             raise CertificationError(
-                f"class {list(target_dlog)} is outside the chosen primes' span")
-        return sol[:r]
+                f"class of {p!r} is outside the chosen primes' span")
+        v = sol[:r]
+        gamma = _principal_generator(field, [p] + ideals,
+                                     [1] + [-c for c in v])
+        return list(v) + rt_dlog(gamma)
 
-    rel_rows = []
-    # class relations among the chosen primes
-    lam = hnf.IntLattice(r)
-    for row in hnf.kernel(stacked, ambient_dim=len(cg.structure.leaders)):
-        lam.add_vector(row[:r])
-    for v in lam.canonical():
-        # prod ell^v = (gamma): the row is (v, -dlog gamma), where the
-        # S-prime and action rows below write p = prod ell^v (gamma) as
-        # (v, +dlog gamma)
-        gamma = _principal_generator(field, ideals, v)
-        rel_rows.append(list(v) + [-c for c in rt_dlog(gamma)])
+    # class relations among the chosen primes: prod ell^v = (gamma) gives
+    # the row (v, -dlog gamma), where relation_of writes p = prod ell^v
+    # (gamma) as (v, +dlog gamma)
+    rel_rows = [v + [-c for c in rt_dlog(gamma)]
+                for v, gamma in _principal_relations(field, ideals)]
     # residue-system structure and unit-image relations
     if residues:
         unit_rows = [rt_dlog(u) for u in list(sl.gens)
@@ -1459,24 +1395,14 @@ def ray_class(field, S, T, lattice=None):
     # kill the classes of the S-primes
     for v_s in finite_S:
         for w in places_over(field, v_s):
-            p_w = w.ideal
             if w.f == 2:
                 # inert (q): principal with generator q
                 rel_rows.append([0] * r + rt_dlog(field.element(w.q)))
-                continue
-            v = express_in_chosen(cg.class_of(p_w.as_form()))
-            gamma = _principal_generator(field, [p_w] + ideals,
-                                         [1] + [-c for c in v])
-            rel_rows.append(list(v) + rt_dlog(gamma))
+            else:
+                rel_rows.append(relation_of(w.ideal))
 
     # Galois action on the generators
-    action_rows = []
-    for p in ideals:
-        pc = p.conj()
-        v = express_in_chosen(cg.class_of(pc.as_form()))
-        gamma = _principal_generator(field, [pc] + ideals,
-                                     [1] + [-c for c in v])
-        action_rows.append(list(v) + rt_dlog(gamma))
+    action_rows = [relation_of(p.conj()) for p in ideals]
     if residues:
         for t_leader in residues.leaders:
             sig = residues.galois_act(t_leader)

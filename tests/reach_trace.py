@@ -9,9 +9,11 @@ under a `sys.setprofile` hook that records every Python function entered.
 Code run in a child process (the `python -O` gate tests) is not seen.  It
 then prints each function or method defined in `src/`, nested ones
 included, that no call entered, as `file:line qualname` in source order,
-and last a count line.  Run it on two checkouts, each in its own process,
-to see which functions a change left without a caller or a test.  pytest
-does not collect this file.
+and a count line.  A second section lists the same way, with its own count
+line, the functions that tier-1 entered but no pool op did: code that only
+tests reach.  Run it on two checkouts, each in its own process, to see
+which functions a change left without a caller or a test.  pytest does not
+collect this file.
 """
 
 import os
@@ -67,30 +69,42 @@ def defined_functions(path):
     return sorted(out)
 
 
+def seen():
+    """(file, line, qualname) of every function entered so far."""
+    codes = list(entered.values())    # the hook may still add to `entered`
+    return {(c.co_filename, c.co_firstlineno, c.co_qualname) for c in codes}
+
+
+def report(functions, outside, what):
+    """Print each of `functions` that is not in `outside`, then a count."""
+    missed = [(path, line, qualname) for path, line, qualname in functions
+              if (path, line, qualname) not in outside]
+    for path, line, qualname in missed:
+        print(f"{os.path.relpath(path, ROOT)}:{line} {qualname}")
+    print(f"{len(missed)} of {len(functions)} functions in src/ {what}")
+
+
 def main():
     for name in workloads.WORKLOADS:
         for _stratum, _n, ops in workloads.pool(name):
             for op in ops:
                 run(op)
+    by_pool = seen()
     pytest.main(["-q", "-p", "no:cacheprovider",
                  "--continue-on-collection-errors",
                  os.path.join(ROOT, "tests"), os.path.join(ROOT, "perfbench")])
     sys.setprofile(None)
     threading.setprofile(None)
-    seen = {(c.co_filename, c.co_firstlineno, c.co_qualname)
-            for c in entered.values()}
+    by_any = seen()
     package = os.path.dirname(starklab.__file__)
-    total = missed = 0
-    for fname in sorted(os.listdir(package)):
-        if not fname.endswith(".py"):
-            continue
-        path = os.path.join(package, fname)
-        for line, qualname in defined_functions(path):
-            total += 1
-            if (path, line, qualname) not in seen:
-                missed += 1
-                print(f"{os.path.relpath(path, ROOT)}:{line} {qualname}")
-    print(f"{missed} of {total} functions in src/ not entered")
+    functions = [(os.path.join(package, fname), line, qualname)
+                 for fname in sorted(os.listdir(package))
+                 if fname.endswith(".py")
+                 for line, qualname in defined_functions(
+                     os.path.join(package, fname))]
+    report(functions, by_any, "not entered")
+    report([f for f in functions if f in by_any], by_pool,
+           "entered by tier-1 and by no pool op")
 
 
 if __name__ == "__main__":

@@ -8,13 +8,11 @@ and an argument that is rejected must be rejected on every call.
 import pytest
 
 from starklab.arith import CapacityError
-from starklab.ball import CertificationError
 from starklab.biquad import BiquadField
 from starklab.cyclo import CycloField
 from starklab.grpring import AbelianGroup, InputError
 from starklab.lfun import AbelianFieldRealization
-from starklab.numfld import (ImaginaryClassGroup, QuadField, RealClassGroup,
-                             class_group_structure)
+from starklab.numfld import ClassGroup, QuadField
 from starklab.verify import Scenario
 
 # (make, other spellings of the same value, rejected arguments)
@@ -40,14 +38,11 @@ CASES = {
         lambda: BiquadField(5, 8),
         [],
         [(lambda: BiquadField(5, 5), InputError)]),
-    "ImaginaryClassGroup": (
-        lambda: ImaginaryClassGroup(-23),
-        [lambda: class_group_structure(-23)],
-        [(lambda: ImaginaryClassGroup(5), CertificationError)]),
-    "RealClassGroup": (
-        lambda: RealClassGroup(65),
-        [lambda: class_group_structure(65)],
-        [(lambda: RealClassGroup(-4), CertificationError)]),
+    "ClassGroup": (
+        lambda: ClassGroup(-23),
+        [],
+        [(lambda: ClassGroup(20), InputError),
+         (lambda: ClassGroup(0), InputError)]),
 }
 
 

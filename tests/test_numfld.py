@@ -17,15 +17,13 @@ from starklab.grpring import InputError
 from starklab.hnf import IntLattice, diagonalize_relations, \
     identity_matrix, kernel, mat_mul
 from starklab.lfun import DirichletChar, bernoulli_value
-from starklab.numfld import (DatumError, ImaginaryClassGroup, QuadElt,
-                             QuadField, QuadIdeal, RealClassGroup,
-                             ResidueSystem, SUnitLattice,
-                             class_group_structure, class_number,
-                             form_cycle, fundamental_discriminant,
-                             fundamental_unit,
+from starklab.numfld import (ClassGroup, DatumError, QuadElt, QuadField,
+                             QuadIdeal, ResidueSystem, SUnitLattice,
+                             class_number, compose_abc, form_cycle,
+                             fundamental_discriminant, fundamental_unit,
                              is_fundamental_discriminant, kronecker,
                              log_abs_at_place, ord_at_place, places_over,
-                             ray_class, reduce_form_neg, reduce_indefinite,
+                             ray_class, reduce_form, reduced_forms,
                              s_unit_lattice, squarefree_part, unit_norm,
                              _principal_generator)
 
@@ -38,7 +36,7 @@ def finite_valuations(L, x):
 def narrow_class_number(D):
     """Narrow class number of the real quadratic field of discriminant D."""
     assert D > 0
-    return RealClassGroup(D).h_plus
+    return ClassGroup(D).h_plus
 
 
 def test_kronecker_against_residue_oracle():
@@ -115,7 +113,7 @@ def test_class_numbers_against_tables():
     assert narrow_class_number(12) == 2  # N(eps) = +1 doubles the count
     assert narrow_class_number(5) == 1
     for D, factors in [(-23, [3]), (-84, [2, 2])]:  # -84: Klein group
-        cg = ImaginaryClassGroup(D).structure
+        cg = ClassGroup(D).structure
         assert diagonalize_relations(cg.relation_rows,
                                      len(cg.leaders))[0] == factors
 
@@ -465,10 +463,12 @@ def test_definite_reduction_transform_is_special_and_exact():
         if not -10 ** 4 <= D < 0:
             continue
         seen += 1
-        red, M = reduce_form_neg((a, b, c), with_transform=True)
-        assert red == reduce_form_neg((a, b, c))
+        red, M = reduce_form((a, b, c), D)
         assert _det(M) == 1
         assert _apply_form((a, b, c), M) == red
+        assert abs(red[1]) <= red[0] <= red[2]
+        # a reduced definite form is alone in its cycle
+        assert form_cycle(red, D) == [(red, [[1, 0], [0, 1]])]
 
 
 def test_indefinite_reduction_and_cycle_transforms_are_special_and_exact():
@@ -487,13 +487,50 @@ def test_indefinite_reduction_and_cycle_transforms_are_special_and_exact():
             a = n // a
         form = (a, b, n // a)
         seen += 1
-        red, M = reduce_indefinite(form, D, with_transform=True)
-        assert red == reduce_indefinite(form, D)
+        red, M = reduce_form(form, D)
         assert _det(M) == 1 and _apply_form(form, M) == red
-        cycle = form_cycle(red, D, with_transform=True)
-        assert [g for g, _ in cycle] == form_cycle(red, D)
+        cycle = form_cycle(red, D)
+        assert cycle[0] == (red, [[1, 0], [0, 1]])
         for g, M2 in cycle:
             assert _det(M2) == 1 and _apply_form(red, M2) == g
+
+
+def _random_sl2(rng):
+    """A seeded random element of SL_2(Z): a product of matrices
+    [[0, -1], [1, k]], which generate it."""
+    M = [[1, 0], [0, 1]]
+    for _ in range(rng.randint(1, 4)):
+        k = rng.randint(-6, 6)
+        M = mat_mul(M, [[0, -1], [1, k]])
+    return M
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_class_of_is_an_invariant_and_a_homomorphism(sign):
+    # class_of is read as a map from forms to Z^k modulo the class
+    # group's relation rows: it must be constant on SL_2(Z)-orbits, and
+    # composition of forms must add classes
+    rng = random.Random(17 + sign)
+    for D in range(sign * 3, sign * 500, sign):
+        if not is_fundamental_discriminant(D):
+            continue
+        cg = ClassGroup(D)
+        rel = IntLattice(len(cg.structure.leaders),
+                         cg.structure.relation_rows)
+        forms = reduced_forms(D)
+        for f in forms:
+            cls = cg.class_of(f)
+            assert cg.class_of(_apply_form(f, _random_sl2(rng))) == cls
+            g = rng.choice(forms)
+            total = cg.class_of(compose_abc(f, g, D))
+            assert rel.contains_vector(
+                [x - y - z for x, y, z in zip(total, cls, cg.class_of(g))])
+
+
+@pytest.mark.parametrize("D", [-16, -12, -1, 0, 1, 20])
+def test_class_number_rejects_non_fundamental_discriminants(D):
+    with pytest.raises(InputError):
+        class_number(D)
 
 
 def test_prime_over_without_an_ideal_form_is_a_certification_error(
@@ -598,7 +635,7 @@ def test_principal_generators_of_principal_products(D, extra, coeffs, rng):
     primes = sorted(set(F.ramified_primes()[:2]) | set(extra))
     places = [w for q in primes for w in places_over(F, q)]
     ideals = [w.ideal for w in places]
-    cg = class_group_structure(D)
+    cg = ClassGroup(D)
     classes = [list(cg.class_of(p.as_form())) for p in ideals]
     rows = [r[:len(places)] for r in kernel(
         classes + cg.structure.relation_rows,
@@ -810,7 +847,7 @@ def from_exponents(structure, vec):
 def _ray_class_order_oracle(F, S, T):
     """h_S * |R_T / im O_S^x|, from subgroup closures instead of the
     relation matrix `ray_class` diagonalises."""
-    cg = class_group_structure(F.D)
+    cg = ClassGroup(F.D)
     s_classes = [from_exponents(cg.structure, cg.class_of(w.ideal.as_form()))
                  for q in S if q != "inf" for w in places_over(F, q)]
     span = GroupStructure(cg.structure.identity, cg.structure.op, s_classes)
