@@ -11,7 +11,15 @@ last the same three fields over all results.  A result is the `run_acnf`
 summary, the `run_scenario` certificate, or, for an op that raised, the
 exception's type and message.  Run it on two checkouts, each in its own
 process; equal lines mean equal results, and a workload line that differs
-names where they moved.  pytest does not collect this file.
+names where they moved.
+
+    python tests/pool_digest.py --write-verdicts
+
+runs the same ops and writes `tests/pool_verdicts.json`, the golden
+verdict table that `tests/test_pool_verdicts.py` compares every pool op
+with: workload -> op key -> what `verdicts` keeps of its result.  A
+verdict that moves is then a reviewed diff of that table.  pytest does not
+collect this file.
 """
 
 import hashlib
@@ -24,6 +32,9 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import workloads  # noqa: E402
 from starklab import verify  # noqa: E402
+
+
+VERDICTS = os.path.join(ROOT, "tests", "pool_verdicts.json")
 
 
 def run(op):
@@ -43,15 +54,56 @@ def digest(results):
     return f"{len(results)} {raised} {sha}"
 
 
-def main():
-    results = []
-    for name in workloads.WORKLOADS:
-        ours = [[workloads.op_key(op), run(op)]
-                for _stratum, _n, ops in workloads.pool(name) for op in ops]
+def verdicts(result):
+    """What the golden table keeps of an op's result: {check: verdict} of
+    a certificate, its datum error, or the type of what the op raised.  A
+    `run_acnf` summary is its one check passing: a failing sweep raises."""
+    if "raised" in result:
+        return {"raised": result["raised"]}
+    if "datum_error" in result:
+        return {"datum_error": result["datum_error"]}
+    if "results" in result:
+        return {e["check"]: e["verdict"] for e in result["results"]}
+    return {"acnf": "pass"}
+
+
+def pool_results():
+    """{workload: [[op key, result], ...]} over every pool op, in pool
+    order."""
+    return {name: [[workloads.op_key(op), run(op)]
+                   for _stratum, _n, ops in workloads.pool(name)
+                   for op in ops]
+            for name in workloads.WORKLOADS}
+
+
+def verdict_table(results):
+    """{workload: {op key: verdicts}} of `pool_results()`."""
+    return {name: {key: verdicts(res) for key, res in ours}
+            for name, ours in results.items()}
+
+
+def dump_table(table):
+    """The table as JSON text with one op to a line, so that a verdict that
+    moves is a one-line diff."""
+    return "{\n" + ",\n".join(
+        f" {json.dumps(name)}: {{\n" + ",\n".join(
+            f"  {json.dumps(key)}: {json.dumps(val, sort_keys=True)}"
+            for key, val in sorted(ops.items())) + "\n }"
+        for name, ops in sorted(table.items())) + "\n}\n"
+
+
+def main(argv):
+    results = pool_results()
+    if argv == ["--write-verdicts"]:
+        with open(VERDICTS, "w") as fh:
+            fh.write(dump_table(verdict_table(results)))
+        return
+    if argv:
+        sys.exit("usage: python tests/pool_digest.py [--write-verdicts]")
+    for name, ours in results.items():
         print(name, digest(ours))
-        results += ours
-    print(digest(results))
+    print(digest([pair for ours in results.values() for pair in ours]))
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])
