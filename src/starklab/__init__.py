@@ -5,8 +5,8 @@ equivariant L-value identities on concrete abelian extensions of Q.
 `__all__` is exactly what this module imports.  Three of its names have
 no caller inside the package: they are the references that tests compare
 production code against (`rational_solve` for
-`GLattice.pull_homs_to_cover`, `annihilator` for Fitt <= Ann, and
-`Subgroup` with `norm_element` for `norm_sum_identity`).
+`GLattice.pull_homs_to_cover`, and `Subgroup` with `norm_element` for
+`norm_sum_identity`).
 """
 
 from .ball import Ball, CBall, Undecided, working_precision
@@ -27,7 +27,7 @@ from .numfld import (QuadField, QuadElt, QuadIdeal, class_number,
                      fundamental_unit, kronecker, ray_class, s_unit_lattice)
 from .biquad import BiquadField, BiquadSUnitLattice
 from .verify import (Scenario, certificate_summary, run_acnf, run_scenario,
-                     check_congruence_biquadratic, check_sign_criterion)
+                     check_sign_criterion)
 
 __all__ = [
     "Ball", "CBall", "Undecided", "working_precision",
@@ -46,7 +46,7 @@ __all__ = [
     "kronecker", "ray_class", "s_unit_lattice",
     "BiquadField", "BiquadSUnitLattice",
     "Scenario", "certificate_summary", "run_acnf", "run_scenario",
-    "check_congruence_biquadratic", "check_sign_criterion",
+    "check_sign_criterion",
 ]
 
 __version__ = "0.1.0"

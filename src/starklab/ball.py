@@ -50,6 +50,7 @@ its cache key).  A step that needs extra guard bits of its own nests
 
 from fractions import Fraction
 from functools import lru_cache
+from math import ceil
 
 from mpmath.libmp import (from_int, from_man_exp, from_rational, fone,
                           fzero, mpf_add, mpf_log, mpf_mul, mpf_neg,
@@ -307,26 +308,21 @@ class Ball:
             return 0
         raise Undecided("interval straddles zero", self.rad())
 
-    def unique_integer(self):
-        """The integer this ball certifies, per the radius < 1/4 rule.
+    def only_integer(self, what="the enclosure"):
+        """The one integer in the enclosure, or None when it holds none;
+        raises Undecided, naming `what`, when it holds two or more.
 
-        Certifies n iff rad < 1/4 and |mid - n| <= 1/4; raises Undecided
-        otherwise.
+        Decided exactly on the endpoints, so no integer outside the
+        enclosure is ever returned.
         """
         lo, hi = self.endpoints()
-        rad = (hi - lo) / 2
-        mid = (lo + hi) / 2
-        if rad >= Fraction(1, 4):
-            raise Undecided("radius too large to recognise an integer", rad)
-        n = round(mid)
-        if abs(mid - n) > Fraction(1, 4):
-            raise Undecided("midpoint not within 1/4 of an integer", rad)
-        return int(n)
-
-    def unique_rational(self, denominator):
-        """Certified rational with the given denominator (scaled 1/4 rule)."""
-        n = (self * denominator).unique_integer()
-        return Fraction(n, denominator)
+        n = ceil(lo)
+        if n > hi:
+            return None
+        if n + 1 <= hi:
+            raise Undecided(f"{what} holds more than one integer",
+                            self.rad())
+        return n
 
     def __repr__(self):
         lo, hi = self.endpoints()

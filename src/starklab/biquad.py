@@ -71,16 +71,6 @@ class BiquadField:
         s2 = -1 if e2 else 1
         return (s1, s2, s1 * s2)
 
-    def subgroup_fixing(self, idx):
-        """The order-2 subgroup of G acting trivially on the idx-th subfield."""
-        els = [el for el in self.group.elements
-               if self.signs_of(el)[idx] == 1]
-        if len(els) != 2:
-            raise CertificationError(
-                f"{len(els)} group elements fix subfield {idx}, not 2")
-        from .grpring import Subgroup
-        return Subgroup.from_members(self.group, els)
-
     def __repr__(self):
         return f"BiquadField(sqrt {self.ms[0]}, sqrt {self.ms[1]})"
 
@@ -347,8 +337,14 @@ class BiquadSUnitLattice:
         arch = [w for w in self.places if w.kind == "real"][:3]
         logs_u = [ball_log(abs(u.embedding_ball(w.signs))) for w in arch]
         A = [[eps_logs[i][k] for i in range(3)] for k in range(3)]
-        sol = gauss_solve(A, logs_u)
-        return [s.unique_rational(8) for s in sol]
+        out = []
+        for s in gauss_solve(A, logs_u):
+            n = (s * 8).only_integer("8 times a unit exponent")
+            if n is None:
+                raise CertificationError(
+                    f"unit exponent {s!r} is not in (1/8)Z")
+            out.append(Fraction(n, 8))
+        return out
 
     def pool_coords_to_basis(self, coords):
         """Image of a pool-exponent vector in basis coordinates."""
@@ -398,8 +394,7 @@ class BiquadSUnitLattice:
         for i, (idx, _g) in enumerate(self.pool_owner):
             sub = self.sub_lattices[idx]
             local = self._local_index(i)
-            H = self.field.subgroup_fixing(idx)
-            if H.contains(element):
+            if self.field.signs_of(element)[idx] == 1:
                 row = [1 if j == local else 0 for j in range(len(sub.gens))]
             else:
                 row = list(sub.sigma_matrix[local])

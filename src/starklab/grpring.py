@@ -113,25 +113,9 @@ class Subgroup:
         self.mask = mask
         self.size = len(seen)
 
-    @staticmethod
-    def from_members(group, members):
-        """Trusted constructor from a full member list (skips the closure)."""
-        sub = Subgroup.__new__(Subgroup)
-        sub.group = group
-        sub.generators = [tuple(m) for m in members]
-        mask = 0
-        for m in members:
-            mask |= 1 << group.index[tuple(m)]
-        sub.mask = mask
-        sub.size = len(members)
-        return sub
-
     def elements(self):
         g = self.group
         return [g.elements[i] for i in range(g.order) if self.mask >> i & 1]
-
-    def contains(self, element):
-        return bool(self.mask >> self.group.index[tuple(element)] & 1)
 
     def __eq__(self, other):
         return (isinstance(other, Subgroup) and self.group is other.group
@@ -308,16 +292,6 @@ class GroupRingElement:
             else:
                 raise InputError(f"non-integral coefficient {c!r}")
         return out
-
-    def certified_int_vector(self):
-        """Recognize a ball element as the unique nearby integer vector.
-
-        Follows the 1/4 rule coefficientwise; raises Undecided when any
-        coefficient fails to certify.
-        """
-        if self.ring != "ball":
-            return self.int_vector()
-        return [c.unique_integer() for c in self.coeffs]
 
     def to_json(self):
         return {"group": list(self.group.invariant_factors),

@@ -12,10 +12,10 @@ convention throughout.
 
 import itertools
 from fractions import Fraction
-from math import ceil, floor, lcm
+from math import lcm
 
 from . import hnf
-from .ball import CertificationError
+from .ball import CertificationError, Undecided
 from .grpring import GroupRingElement, InputError
 from .zideal import _det_group_ring
 
@@ -243,23 +243,26 @@ def pairing_vector(val, label):
 
     Raises NonIntegralError when some coefficient is certifiably not an
     integer: an exact non-integer, or an enclosure that holds no integer.
-    Raises Undecided when every enclosure holds an integer but one does not
-    single it out.
+    Raises Undecided when every enclosure holds an integer but one holds
+    more than one.
     """
     if val.ring != "ball":
         try:
             return val.int_vector()
         except InputError:
             pass
-    elif not any(map(_holds_no_integer, val.coeffs)):
-        return val.certified_int_vector()
+    else:
+        vec, undecided = [], None
+        for c in val.coeffs:
+            try:
+                vec.append(c.only_integer(f"a coefficient of pairing {label}"))
+            except Undecided as exc:
+                undecided = exc
+        if None not in vec:
+            if undecided is not None:
+                raise undecided
+            return vec
     raise NonIntegralError(f"pairing {label} is not in Z[G]", witness=val)
-
-
-def _holds_no_integer(c):
-    """Does the ball c certifiably miss every integer?"""
-    lo, hi = c.endpoints()
-    return floor(hi) < ceil(lo)
 
 
 def all_dual_pairings(eps, M, homs=None):

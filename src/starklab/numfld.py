@@ -714,36 +714,38 @@ class Place:
         return f"Place({self.label})"
 
 
+@lru_cache(maxsize=None)
 def places_over(field, v):
     """The places of `field` over the rational place v ('inf' or a prime).
 
-    Returns the distinguished place first.  A place of degree 1 is the
-    prime ideal w = (q, (b + sqrt D)/2), and omega = ((D mod 2) + sqrt D)/2
-    differs from (b + sqrt D)/2 by ((D mod 2) - b)/2: that is omega's image
-    mod w.
+    Returns a tuple, the distinguished place first; the places of each
+    (field, v) are built once, and every call shares them.  A place of
+    degree 1 is the prime ideal w = (q, (b + sqrt D)/2), and
+    omega = ((D mod 2) + sqrt D)/2 differs from (b + sqrt D)/2 by
+    ((D mod 2) - b)/2: that is omega's image mod w.
     """
     if field == "Q":
         if v == "inf":
-            return [Place("Q", "real", label="inf")]
-        return [Place("Q", "finite", q=v, e=1, f=1, label=f"{v}")]
+            return (Place("Q", "real", label="inf"),)
+        return (Place("Q", "finite", q=v, e=1, f=1, label=f"{v}"),)
     if v == "inf":
         if field.is_real:
-            return [Place(field, "real", conjugate=False, label="inf+"),
-                    Place(field, "real", conjugate=True, label="inf-")]
-        return [Place(field, "complex", label="inf")]
+            return (Place(field, "real", conjugate=False, label="inf+"),
+                    Place(field, "real", conjugate=True, label="inf-"))
+        return (Place(field, "complex", label="inf"),)
     kind = field.splitting(v)
     if kind == "inert":
         ideal = QuadIdeal(field, 1, field.D % 2, scale=v)  # (v) itself
-        return [Place(field, "finite", q=v, e=1, f=2, ideal=ideal,
-                      label=f"{v}")]
+        return (Place(field, "finite", q=v, e=1, f=2, ideal=ideal,
+                      label=f"{v}"),)
     ideal = QuadIdeal.prime_over(field, v)
     if kind == "ramified":
         ideals, e, labels = [ideal], 2, [f"{v}"]
     else:
         ideals, e, labels = [ideal, ideal.conj()], 1, [f"{v}+", f"{v}-"]
-    return [Place(field, "finite", q=v, e=e, f=1, ideal=w,
-                  omega_image=(field.D % 2 - w.b) // 2 % v, label=label)
-            for w, label in zip(ideals, labels)]
+    return tuple(Place(field, "finite", q=v, e=e, f=1, ideal=w,
+                       omega_image=(field.D % 2 - w.b) // 2 % v, label=label)
+                 for w, label in zip(ideals, labels))
 
 
 def ord_at_place(x, place):

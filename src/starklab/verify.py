@@ -23,11 +23,15 @@ witness, or raises; `_run_check` alone turns what it raised into a verdict:
 and each keeps the exception's message: as the witness for
 CertificationError, as `reason` for the others.  Any other exception is a
 fault of the program and propagates.
+
+Each exact decision has one rule.  An integer is read off an enclosure
+only by `Ball.only_integer`, which certifies the one integer the enclosure
+holds: the pairings of epsilon and the positive-D ACNF ratio both go
+through it.  Annihilation is the containment of im(epsilon) in
+`zideal.annihilator` of the ray class group.
 """
 
-import itertools
 import json
-import math
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -36,7 +40,7 @@ from .arith import factorint, isprime
 from .ball import Ball, CertificationError, Undecided, ball_det, \
     gauss_solve, working_precision
 from .biquad import BiquadField, BiquadSUnitLattice
-from .grpring import AbelianGroup, GroupRingElement, InputError
+from .grpring import GroupRingElement, InputError
 from .lfun import (AbelianFieldRealization, DirichletChar, LSpec,
                    bernoulli_value, l_jet, stickelberger_element,
                    validate_rubin_shape)
@@ -47,8 +51,8 @@ from .numfld import (DatumError, QuadField, class_number,
                      fundamental_unit_log, ray_class, s_unit_lattice)
 from .sublat import enumerate_omega_star, norm_sum_identity
 from .zideal import (GIdealLattice, Presentation, UnsupportedCaseError,
-                     augmentation_ideal_power, fitting_from_extension,
-                     fitting_ideal)
+                     annihilator, augmentation_ideal_power,
+                     fitting_from_extension, fitting_ideal)
 
 CHECK_ALIASES = {"lemma41": "norm_identity", "prop42": "norm_decomposition"}
 
@@ -83,8 +87,7 @@ def _config_places(value, what):
 
 def _config_params(params):
     """The per-check `params` with the entries the checks read checked and
-    converted: `p` and `m` integers, `range` two integers, `signs` a list
-    of integers."""
+    converted: `p` and `m` integers, `range` two integers."""
     out = dict(params)
     for key in ("p", "m"):
         if key in out:
@@ -96,9 +99,6 @@ def _config_params(params):
             raise ConfigError(f"params.range must have two entries, got "
                               f"{out['range']!r}")
         out["range"] = rng
-    if "signs" in out:
-        out["signs"] = [_config_int(a, "params.signs entry")
-                        for a in _config_list(out["signs"], "params.signs")]
     return out
 
 
@@ -415,30 +415,6 @@ def check_norm_identity(p, m):
     }
 
 
-def check_congruence_biquadratic(a):
-    """lambda = sum a_i e_i lies in Z_(2)[G] iff prod a_i = 1 (mod 4).
-
-    a: four odd integers; returns the verdict and asserts the equivalence
-    of the coefficient condition with the product condition.
-    """
-    if len(a) != 4 or any(x % 2 == 0 for x in a):
-        raise InputError("need four odd integers")
-    group = AbelianGroup((2, 2))
-    chars = group.all_characters()
-    in_z2 = True
-    for sigma in group.elements:
-        total = sum(ai * (1 if chi.value_exponent(sigma) == 0 else -1)
-                    for ai, chi in zip(a, chars))
-        if total % 4 != 0:
-            in_z2 = False
-            break
-    product_condition = (a[0] * a[1] * a[2] * a[3]) % 4 == 1
-    if in_z2 != product_condition:
-        raise CertificationError(
-            f"congruence criterion equivalence failed at {a}")
-    return in_z2
-
-
 def check_sign_criterion(log_matrix):
     """Certified sign of det(log|b|_w); Undecided when the ball straddles 0.
 
@@ -611,24 +587,23 @@ def _run_fitting_equality(scn, data, entry):
 
 
 def _run_annihilation(scn, data, entry):
-    """im(epsilon) kills the ray class group Cl_{K,S,T}."""
+    """im(epsilon) kills the ray class group Cl_{K,S,T}: Ann(Cl_{K,S,T})
+    contains im(epsilon).  A fail names the image row outside Ann."""
     module = data.ray().module
     image = [list(r) for r in data.im_lattice().basis()]
     if module.order() == 1:
         return "pass", {"class_group": "trivial", "vacuous": True,
                         "image_hnf": image}
-    k = len(module.orders)
-    for row in image:
-        x = GroupRingElement(data.group, "int", row)
-        for j in range(k):
-            e_j = tuple(1 if l == j else 0 for l in range(k))
-            out = module.act_group_ring(x, e_j)
-            if any(out):
-                return "fail", {"annihilator_candidate": row, "generator": j,
-                                "nonzero_image": list(out)}
-    return "pass", {"image_hnf": image,
-                    "class_group_orders": list(module.orders),
-                    "action": module.action}
+    ann = annihilator(module)
+    outside = next((row for row in image if not ann.contains_vector(row)),
+                   None)
+    witness = {"image_hnf": image,
+               "class_group_orders": list(module.orders),
+               "action": module.action}
+    if outside is not None:
+        return "fail", {**witness, "image_row_outside": outside,
+                        "annihilator_hnf": [list(r) for r in ann.basis()]}
+    return "pass", witness
 
 
 def _run_igc_membership(scn, data, entry):
@@ -727,7 +702,8 @@ def run_acnf(dmin=-500, dmax=500):
     Negative D: L(0, chi_D) = 2 h(D) / w(D) exactly.
     Returns a summary dict.  An enclosure with no integer or the wrong one,
     or an exact value that differs, raises CertificationError; one with two
-    integers raises Undecided with its radius.
+    integers raises Undecided with its radius; a range that holds no
+    fundamental discriminant, and so checks nothing, raises InputError.
     """
     from .numfld import is_fundamental_discriminant
     checked_pos = checked_neg = 0
@@ -751,19 +727,17 @@ def run_acnf(dmin=-500, dmax=500):
         h = class_number(D)
         reg = fundamental_unit_log(D)
         ratio = 2 * c1 / reg
-        lo, hi = ratio.endpoints()
-        n = math.ceil(lo)
-        if n < math.floor(hi):
-            raise Undecided(
-                f"2 L'(0, chi_D) / log eps_D at D = {D} holds more than "
-                "one integer", ratio.rad())
-        if n > hi or n != 2 * h:
+        n = ratio.only_integer(f"2 L'(0, chi_D) / log eps_D at D = {D}")
+        if n != 2 * h:
             raise CertificationError(
                 f"ACNF fails at D = {D}: 2 L'(0, chi_D) / log eps_D = "
                 f"{ratio}, 2h = {2 * h}")
         lo, hi = (c1 - reg * h).endpoints()
         max_resid = max(max_resid, abs(lo), abs(hi))
         checked_pos += 1
+    if checked_pos + checked_neg == 0:
+        raise InputError(
+            f"no fundamental discriminant in [{dmin}, {dmax}]")
     return {"positive": checked_pos, "negative": checked_neg,
             "max_positive_residual": _radius_str(max_resid)}
 
@@ -771,23 +745,6 @@ def run_acnf(dmin=-500, dmax=500):
 def _run_norm_identity(scn, data, entry):
     return "pass", check_norm_identity(scn.params.get("p", 2),
                                        scn.params.get("m", 2))
-
-
-def _run_congruence(scn, data, entry):
-    params = scn.params
-    if "signs" in params:
-        a = params["signs"]
-        ok = check_congruence_biquadratic(a)
-        return "pass", {"signs": a, "in_Z2": ok,
-                        "product_mod_4": (a[0]*a[1]*a[2]*a[3]) % 4}
-    # exhaustive sweep over residues mod 8
-    count = 0
-    for a in itertools.product((1, 3, 5, 7), repeat=4):
-        check_congruence_biquadratic(list(a))
-        count += 1
-    for a in itertools.product((1, 3), repeat=4):
-        check_congruence_biquadratic(list(a))
-    return "pass", {"exhaustive_patterns": count}
 
 
 def _run_sign_criterion(scn, data, entry):
@@ -815,10 +772,11 @@ class Check(NamedTuple):
     non_integral: str = "fail"
 
 
+# every row reads the Rubin datum or its `params`: a check that reads
+# neither would re-prove a fixed fact on every run, and has no row
 CHECKS = {
     "norm_identity": Check(_run_norm_identity, datum=False),
     "norm_decomposition": Check(_run_norm_decomposition, datum=True),
-    "congruence": Check(_run_congruence, datum=False),
     "sign_criterion": Check(_run_sign_criterion, datum=True),
     "rs_integrality": Check(_run_rs_integrality, datum=True),
     "fitting_equality": Check(_run_fitting_equality, datum=True),

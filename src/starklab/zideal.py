@@ -1,8 +1,9 @@
 """Ideals of Z[G] as G-stable integer lattices in Hermite normal form,
 Fitting ideals of finitely presented Z[G]-modules, and finite G-modules
 with their standard presentations.  `annihilator` computes Ann(M) by an
-independent kernel solve; the tests compare Fitting ideals against it
-(Fitt <= Ann), and no check of the package calls it.
+independent kernel solve: the annihilation check asks whether it contains
+im(epsilon), and the tests compare Fitting ideals against it
+(Fitt <= Ann).
 
 Every ideal is identified with its lattice of coefficient vectors inside
 Z^{|G|}; equality and containment are decided on canonical HNF bases, so no

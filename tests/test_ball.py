@@ -52,16 +52,55 @@ def test_enclosures_contain_truth():
 
 
 def test_certified_predicates():
-    assert Ball(5, Fraction(1, 10)).unique_integer() == 5
-    with pytest.raises(Undecided):
-        Ball(Fraction(1, 2), Fraction(1, 100)).unique_integer()
     with pytest.raises(Undecided):
         Ball(0, 1).sign()
     assert Ball(3, Fraction(1, 10)).sign() == 1
-    assert Ball(Fraction(3, 8), Fraction(1, 100)).unique_rational(8) \
-        == Fraction(3, 8)
     with pytest.raises(Undecided):
         (Ball(1) / Ball(0, 1))
+
+
+TENTH = Fraction(1, 10)
+
+
+@pytest.mark.parametrize("mid,rad,expected", [
+    (5, 0, 5),
+    (5, TENTH, 5),
+    # [4.7, 5.3]: radius 3/10, wider than a 1/4 rule allows, one integer
+    (5, 3 * TENTH, 5),
+    # [5.1, 5.3], [3.08, 3.24] and [0.49, 0.51] hold no integer, though
+    # the first two have a radius under 1/4 and a midpoint within 1/4 of
+    # one, which a "nearest integer" rule would certify
+    (Fraction(26, 5), TENTH, None),
+    (Fraction(79, 25), Fraction(2, 25), None),
+    (Fraction(1, 2), Fraction(1, 100), None),
+    # [4.9, 6.1] holds 5 and 6; so does [5, 6], ends included
+    (Fraction(11, 2), 6 * TENTH, Undecided),
+    (Fraction(11, 2), Fraction(1, 2), Undecided),
+], ids=["point", "narrow", "wide-one", "none-near-5", "none-near-3",
+        "none-at-half", "two", "two-at-the-ends"])
+def test_only_integer_at_its_edges(mid, rad, expected):
+    b = Ball(mid, rad)
+    if expected is Undecided:
+        with pytest.raises(Undecided) as info:
+            b.only_integer("the ratio")
+        assert "the ratio" in str(info.value)
+        assert info.value.radius == b.rad()
+    else:
+        assert b.only_integer() == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(min_value=-20, max_value=20),
+       st.fractions(min_value=0, max_value=3))
+def test_only_integer_is_the_one_integer_in_the_enclosure(mid, rad):
+    b = Ball(mid, rad)
+    lo, hi = b.endpoints()
+    inside = list(range(math.ceil(lo), math.floor(hi) + 1))
+    if len(inside) > 1:
+        with pytest.raises(Undecided):
+            b.only_integer()
+    else:
+        assert b.only_integer() == (inside[0] if inside else None)
 
 
 def test_precision_scoping():

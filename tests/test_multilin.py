@@ -130,6 +130,18 @@ def test_a_pairing_whose_enclosure_holds_integers_is_integral_or_undecided():
         pairing_vector(GroupRingElement(G2, "ball", [wide, 0]), (0,))
 
 
+def test_no_integer_in_one_coefficient_outranks_two_in_another():
+    # [-1/2, 3/2] holds two integers and [0.49, 0.51] none: no precision
+    # makes the second integral, so the pairing is not in Z[G], whichever
+    # coefficient comes first
+    wide, none = Ball(HALF, 1), Ball(HALF, Fraction(1, 100))
+    for coeffs in ([wide, none], [none, wide]):
+        val = GroupRingElement(G2, "ball", coeffs)
+        with pytest.raises(NonIntegralError) as info:
+            pairing_vector(val, (0,))
+        assert info.value.witness is val
+
+
 def test_degree_zero_image_is_the_scalar_ideal():
     M = regular_lattice()
     cover = [[1, 0], [0, 1]]

@@ -160,6 +160,8 @@ def test_valuations_and_product_formula():
     F5 = QuadField(5)
     split = places_over(F5, 11)
     assert len(split) == 2
+    # built once and shared, so no caller can change another's places
+    assert isinstance(split, tuple) and places_over(F5, 11) is split
     pi = F5.element(Fraction(7, 2), Fraction(1, 2))  # norm 11
     vals = sorted(ord_at_place(pi, w) for w in split)
     assert vals == [0, 1]

@@ -30,6 +30,10 @@ UNREFERENCED_OK = {
     # powers of I_G (test_aug_ideal_powers)
     "zideal.GIdealLattice.sum",
     "zideal.GIdealLattice.scale",
+    # the direct action of Z[G] on a finite module, against which tests
+    # check `annihilator` (test_annihilator_examples) and recheck the
+    # annihilation witnesses (test_witnesses_reverify)
+    "zideal.FiniteGModule.act_group_ring",
 }
 
 

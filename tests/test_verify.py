@@ -1,4 +1,3 @@
-import itertools
 import json
 import os
 import random
@@ -10,25 +9,10 @@ import pytest
 
 from starklab.ball import Ball, Undecided, precision, working_precision
 from starklab.verify import (CHECKS, ConfigError, Scenario,
-                             certificate_summary,
-                             check_congruence_biquadratic,
-                             check_norm_identity, check_sign_criterion,
-                             run_scenario, sign_criterion_matrix,
+                             certificate_summary, check_norm_identity,
+                             check_sign_criterion, run_scenario, sign_criterion_matrix,
                              RubinStarkData)
 from starklab.numfld import DatumError
-
-
-def test_congruence_examples_and_exhaustive():
-    assert check_congruence_biquadratic([1, 1, 1, 1]) is True
-    assert check_congruence_biquadratic([1, 1, 1, -1]) is False
-    # all 16 sign patterns mod 4 and all 256 patterns mod 8: the
-    # equivalence with the product condition is asserted inside
-    for a in itertools.product((1, -1), repeat=4):
-        check_congruence_biquadratic(list(a))
-    for a in itertools.product((1, 3, 5, 7), repeat=4):
-        check_congruence_biquadratic(list(a))
-    with pytest.raises(Exception):
-        check_congruence_biquadratic([2, 1, 1, 1])
 
 
 def test_sign_criterion_matrix_level():
@@ -123,6 +107,34 @@ def test_witnesses_reverify():
     fit = next(e for e in cert["results"] if e["check"] == "fitting_equality")
     assert fit["verdict"] == "pass"
     assert fit["witness"]["image_hnf"] == fit["witness"]["fitting_hnf"]
+
+
+def test_annihilation_fails_on_an_image_outside_the_annihilator(monkeypatch):
+    from starklab.grpring import AbelianGroup, GroupRingElement
+    from starklab.zideal import FiniteGModule, GIdealLattice, annihilator
+    # Cl_{K,S,T} has order 3 here; the unit ideal does not kill it
+    monkeypatch.setattr(RubinStarkData, "im_lattice",
+                        lambda data: GIdealLattice.unit(data.group))
+    cert = run_scenario(Scenario({
+        "field": {"type": "quad", "disc": -23}, "S": ["inf", 23], "V": [],
+        "T": [3], "checks": ["annihilation"], "bits": 128}))
+    entry = cert["results"][0]
+    assert entry["verdict"] == "fail" and cert["exit_code"] == 1
+    wit = entry["witness"]
+    assert wit["image_hnf"] == [[1, 0], [0, 1]]
+    # recheck from the witness alone: the named row is an image row, Ann
+    # is what the module gives, and the row moves some generator
+    g = AbelianGroup((2,))
+    module = FiniteGModule(g, wit["class_group_orders"], wit["action"])
+    row = wit["image_row_outside"]
+    assert row in wit["image_hnf"]
+    ann = annihilator(module)
+    assert [list(r) for r in ann.basis()] == wit["annihilator_hnf"]
+    assert not ann.contains_vector(row)
+    x = GroupRingElement(g, "int", row)
+    k = len(module.orders)
+    assert any(any(module.act_group_ring(
+        x, tuple(1 if l == j else 0 for l in range(k)))) for j in range(k))
 
 
 def test_theorem_gating_recorded():
@@ -261,8 +273,9 @@ def test_sweep_reports_files_that_are_not_scenarios(tmp_path, capsys, jobs):
     {"checks": ["acnf"], "params": {"range": 5}},
     {"checks": ["acnf"], "params": {"range": [5]}},
     {"checks": ["acnf"], "params": {"range": [-5, "x"]}},
-    {"checks": ["congruence"], "params": {"signs": "1111"}},
-    {"checks": ["congruence"], "params": {"signs": [1, 1, "a", 1]}},
+    # `congruence` is no check: it read no datum
+    {"checks": ["congruence"]},
+    {"checks": ["congruence"], "params": {"signs": [1, 1, 1, 1]}},
     # a biquadratic field, not one of degree 2 or 8
     {"field": {"type": "multiquad", "discs": [5]}},
     {"field": {"type": "multiquad", "discs": [5, 8, 13]}},
@@ -310,6 +323,15 @@ def test_acnf_ratio_with_two_integers_is_undecided(monkeypatch):
     assert entry["verdict"] == "undecided" and cert["exit_code"] == 3
     assert float(entry["limit_radius"]) > 0.5
     assert "D = 5" in entry["reason"]
+
+
+@pytest.mark.parametrize("rng", [[5, -5], [1, 1]])
+def test_acnf_over_a_range_with_no_fundamental_discriminant_is_blocked(rng):
+    cert = run_scenario(Scenario({"checks": ["acnf"],
+                                  "params": {"range": rng}}))
+    entry = cert["results"][0]
+    assert entry["verdict"] == "blocked" and cert["exit_code"] == 4
+    assert "no fundamental discriminant" in entry["reason"]
 
 
 def test_acnf_decides_every_positive_d_to_500_at_53_bits():
