@@ -85,12 +85,6 @@ class BiquadElt:
     def __add__(self, other):
         return BiquadElt(self.field, *(x + y for x, y in zip(self.c, other.c)))
 
-    def __sub__(self, other):
-        return BiquadElt(self.field, *(x - y for x, y in zip(self.c, other.c)))
-
-    def __neg__(self):
-        return BiquadElt(self.field, *(-x for x in self.c))
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return BiquadElt(self.field, *(x * other for x in self.c))

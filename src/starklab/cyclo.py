@@ -126,12 +126,6 @@ class CycloElt:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CycloElt(self.field, [a - b for a, b in zip(self.vec, o.vec)])
-
     def __rsub__(self, other):
         return (-self) + other
 

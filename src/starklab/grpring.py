@@ -79,12 +79,6 @@ class AbelianGroup:
     def __repr__(self):
         return f"AbelianGroup{self.invariant_factors}"
 
-    def __eq__(self, other):
-        return self is other
-
-    def __hash__(self):
-        return id(self)
-
 
 class Subgroup:
     """Subgroup stored as an element bitmask over the fixed element order."""
@@ -116,13 +110,6 @@ class Subgroup:
     def elements(self):
         g = self.group
         return [g.elements[i] for i in range(g.order) if self.mask >> i & 1]
-
-    def __eq__(self, other):
-        return (isinstance(other, Subgroup) and self.group is other.group
-                and self.mask == other.mask)
-
-    def __hash__(self):
-        return hash((id(self.group), self.mask))
 
     def __repr__(self):
         return f"Subgroup(order={self.size} of {self.group})"
@@ -222,13 +209,6 @@ class GroupRingElement:
         return GroupRingElement(a.group, a.ring,
                                 [x - y for x, y in zip(a.coeffs, b.coeffs)])
 
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return GroupRingElement(self.group, self.ring,
-                                [-x for x in self.coeffs])
-
     def scale(self, scalar):
         ring = _join(self.ring, _scalar_ring(scalar))
         me = self.convert(ring)
@@ -253,9 +233,6 @@ class GroupRingElement:
                 out[k] = out[k] + ca * cb
         return GroupRingElement(a.group, a.ring, out)
 
-    def __rmul__(self, other):
-        return self.scale(other)
-
     def coefficient(self, element):
         return self.coeffs[self.group.index[tuple(element)]]
 
@@ -274,12 +251,6 @@ class GroupRingElement:
                              "use certified predicates")
         a, b = self._pair(other)
         return a.coeffs == b.coeffs
-
-    def __hash__(self):
-        if self.ring == "ball":
-            raise TypeError("ball elements are unhashable")
-        return hash((id(self.group), self.ring,
-                     tuple(repr(c) for c in self.coeffs)))
 
     def int_vector(self):
         """Exact integer coefficient vector (raises if not integral)."""
@@ -374,13 +345,6 @@ class Character:
             raise InputError("mixed groups")
         return Character(self.group, self.group.op(self.exponents,
                                                    other.exponents))
-
-    def __eq__(self, other):
-        return (isinstance(other, Character) and other.group is self.group
-                and other.exponents == self.exponents)
-
-    def __hash__(self):
-        return hash((id(self.group), self.exponents))
 
     def __repr__(self):
         return f"Character{self.exponents}"

@@ -165,9 +165,6 @@ class IntLattice:
             return NotImplemented
         return self.n == other.n and self.canonical() == other.canonical()
 
-    def __hash__(self):
-        return hash((self.n, tuple(map(tuple, self.canonical()))))
-
 
 def hnf(rows, ambient_dim=None):
     """Hermite normal form rows of the lattice spanned by `rows`."""

@@ -1066,53 +1066,29 @@ class SUnitLattice:
 def s_unit_lattice(field, S, T, enforce_h3=True):
     """Construct the (S, T)-unit lattice with exact generators.
 
-    Raises DatumError when (S, T) violates the standing shape: S must
-    contain 'inf' and the ramified primes, be disjoint from T, and T must
-    make the unit group torsion free (skipped with enforce_h3=False for
-    internal constructions that only need the lattice modulo torsion).
+    Raises DatumError when (S, T) violates the standing shape (`_s_places`),
+    or when T does not make the unit group torsion free (skipped with
+    enforce_h3=False for internal constructions that only need the lattice
+    modulo torsion).
     """
-    S = _normalize_places(S)
-    T = _normalize_primes(T)
-    if "inf" not in S:
-        raise DatumError("S must contain the infinite place")
-    if set(S) & set(T):
-        raise DatumError("S and T must be disjoint")
-    finite_S = [v for v in S if v != "inf"]
-    if field != "Q":
-        missing = [q for q in field.ramified_primes() if q not in finite_S]
-        if missing:
-            raise DatumError(f"S omits ramified primes {missing}")
+    S, T, places, place_action, place_ranges = _s_places(field, S, T)
     if enforce_h3:
         _check_torsion_killed(field, T)
     residues = ResidueSystem(field, T) if T else None
 
     if field == "Q":
-        places = [places_over("Q", v)[0] for v in S]
-        gens = [Fraction(q) for q in finite_S]
+        gens = [Fraction(q) for q in S[1:]]
         lat = _t_sublattice(gens, Fraction(-1), residues)
         return SUnitLattice(field="Q", S=S, T=T, places=places, gens=gens,
                             valuations=hnf.identity_matrix(len(gens)),
                             sigma_matrix=hnf.identity_matrix(len(gens)),
                             torsion_gen=Fraction(-1), torsion_order=2,
                             t_sublattice=lat, residues=residues,
-                            saturation_index=1,
-                            place_action=list(range(len(places))),
-                            place_ranges={v: range(i, i + 1)
-                                          for i, v in enumerate(S)})
+                            saturation_index=1, place_action=place_action,
+                            place_ranges=place_ranges)
 
-    places = []
-    place_action = []
-    place_ranges = {}
-    for v in S:
-        ws = places_over(field, v)
-        base = len(places)
-        places.extend(ws)
-        place_ranges[v] = range(base, len(places))
-        if len(ws) == 2:
-            place_action.extend([base + 1, base])
-        else:
-            place_action.append(base)
-    fin = [w for w in places if w.kind == "finite"]
+    k = len(place_ranges["inf"])      # the infinite places come first
+    fin = places[k:]
 
     # class-relation lattice over the finite S-places (inert places carry
     # the principal ideal (q), so their class is trivial automatically)
@@ -1141,12 +1117,39 @@ def s_unit_lattice(field, S, T, enforce_h3=True):
                       place_ranges=place_ranges)
     # exact Galois action on coordinates: ord_w(conj g) = ord_{conj w}(g),
     # so conj(g)'s valuations are g's row permuted by the place action
-    fin_idx = [i for i, w in enumerate(places) if w.kind == "finite"]
-    pos = {i: j for j, i in enumerate(fin_idx)}
-    fin_action = [pos[place_action[i]] for i in fin_idx]
-    sl.sigma_matrix = [sl.express(g.conj(), [row[a] for a in fin_action])[0]
+    sl.sigma_matrix = [sl.express(g.conj(), [row[a - k]
+                                             for a in place_action[k:]])[0]
                        for g, row in zip(gens, valuations)]
     return sl
+
+
+def _s_places(field, S, T):
+    """(S, T, places, place_action, place_ranges): S and T normalised, the
+    places of `field` above S (the distinguished place first over each v),
+    their permutation under the nontrivial automorphism (the identity over
+    Q), and for each v in S the range of its places' indices.  As S lists
+    'inf' first, the infinite places come first.
+
+    DatumError unless S contains 'inf' and the ramified primes and is
+    disjoint from T.
+    """
+    S = _normalize_places(S)
+    T = _normalize_primes(T)
+    if "inf" not in S:
+        raise DatumError("S must contain the infinite place")
+    if set(S) & set(T):
+        raise DatumError("S and T must be disjoint")
+    if field != "Q":
+        missing = [q for q in field.ramified_primes() if q not in S]
+        if missing:
+            raise DatumError(f"S omits ramified primes {missing}")
+    places, place_action, place_ranges = [], [], {}
+    for v in S:
+        base = len(places)
+        places.extend(places_over(field, v))
+        place_ranges[v] = range(base, len(places))
+        place_action.extend(reversed(place_ranges[v]))
+    return S, T, places, place_action, place_ranges
 
 
 def _normalize_places(S):
@@ -1298,38 +1301,47 @@ class RayClassData:
 
 
 def ray_class(field, S, T, lattice=None):
-    """Compute Cl_{K,S,T} as a FiniteGModule over Gal(K/Q) (or over the
-    trivial group for K = Q), assembled from the class group, the residue
-    system at T, and S-prime killing.  The extension-order identity
-    |Cl_{K,S,T}| = |Cl_{K,S}| * |R_T / im(units)| is checked
-    (CertificationError if it fails).
+    """Cl_{K,S,T} as a FiniteGModule over Gal(K/Q) (over the trivial group
+    for K = Q), from one presentation (Cohen, *Advanced Topics in
+    Computational Number Theory*, GTM 193, ch. 4).
 
-    For a quadratic field with T non-empty the residue system and the unit
-    image come from the (S, T)-unit lattice: `lattice`, when the caller
-    already holds `s_unit_lattice(field, S, T)`, else one built here.
+    Generators: ideals prime to T, then the leaders of the residue system
+    R_T at T.  For a quadratic field the ideals are split primes l_1..l_r
+    outside S and T whose classes generate Cl_K, their conjugates, and the
+    prime ideals of the finite S-places; over Q there are none.
+
+    Relations: each Hermite basis row v of the exponent vectors with
+    prod ideals^v = (gamma) principal gives (v, -dlog gamma), as the class
+    of (gamma) is the image of gamma's residue; each S-place's ideal is 0;
+    and on the leaders, R_T's own relations and the residues of the
+    (S, T)-lattice's generators and of the roots of unity.
+
+    Action: the nontrivial automorphism permutes the ideals (l_i and its
+    conjugate swap, so do the two places over a split prime of S, and a
+    ramified or inert place is fixed), and acts on each leader through its
+    residue (`ResidueSystem.galois_act`).
+
+    The order is checked against |Cl_{K,S,T}| = h_S * |R_T / im(units)|,
+    with h_S from the classes of the S-places alone (CertificationError if
+    it fails).  For a quadratic field with T non-empty the residue system
+    and the unit image come from the (S, T)-unit lattice: `lattice`, when
+    the caller already holds `s_unit_lattice(field, S, T)`, else one built
+    here.
     """
-    S = _normalize_places(S)
-    T = _normalize_primes(T)
-    if set(S) & set(T):
-        raise DatumError("S and T must be disjoint")
+    S, T, places, place_action, place_ranges = _s_places(field, S, T)
+    finite_S = S[1:]
 
     if field == "Q":
         residues = ResidueSystem("Q", T) if T else None
         rel_rows = []
         if residues:
             rel_rows += residues.relation_rows
-            for x in [-1] + [q for q in S if q != "inf"]:
+            for x in [-1] + finite_S:
                 rel_rows.append(residues.dlog(residues.reduce(Fraction(x))))
         s_len = len(residues.leaders) if residues else 0
         module = _module_from_relations(AbelianGroup(()), s_len, rel_rows, [])
         return RayClassData("Q", S, T, module, 1, module.order())
 
-    if "inf" not in S:
-        raise DatumError("S must contain the infinite place")
-    finite_S = [v for v in S if v != "inf"]
-    missing = [q for q in field.ramified_primes() if q not in finite_S]
-    if missing:
-        raise DatumError(f"S omits ramified primes {missing}")
     if T:
         sl = lattice if lattice is not None else s_unit_lattice(field, S, T)
         if (sl.field, sl.S, sl.T) != (field, S, T):
@@ -1344,7 +1356,7 @@ def ray_class(field, S, T, lattice=None):
     group = AbelianGroup((2,))
     cg = ClassGroup(field.D)
     # choose prime-ideal generators of the class group away from S, T, disc
-    ideals, classes = [], []      # the chosen primes and their dlog rows
+    ideals = []
     span = _class_lattice(cg, [])
     for ell in primerange(2, 5000):
         if span.index() == 1:
@@ -1358,59 +1370,39 @@ def ray_class(field, S, T, lattice=None):
         if span.contains_vector(cls):
             continue
         ideals.append(p)
-        classes.append(cls)
         span.add_vector(cls)
     if span.index() != 1:
         raise CertificationError(f"class group generators missing for {field}")
     r = len(ideals)
-    ngens = r + s_len
-    stacked = classes + list(cg.structure.relation_rows)
+    k = len(place_ranges["inf"])      # the infinite places come first
+    ideals += [p.conj() for p in ideals] + [w.ideal for w in places[k:]]
+    n = len(ideals)
+    eye = hnf.identity_matrix(n)
 
     def rt_dlog(x):
         if residues is None:
             return []
         return residues.dlog(residues.reduce(x))
 
-    def relation_of(p):
-        """(v, dlog gamma) with p = prod ell^v (gamma) over the chosen
-        primes ell."""
-        sol = hnf.solve_in_rowspan(stacked, list(cg.class_of(p.as_form())))
-        if sol is None:
-            raise CertificationError(
-                f"class of {p!r} is outside the chosen primes' span")
-        v = sol[:r]
-        gamma = _principal_generator(field, [p] + ideals,
-                                     [1] + [-c for c in v])
-        return list(v) + rt_dlog(gamma)
-
-    # class relations among the chosen primes: prod ell^v = (gamma) gives
-    # the row (v, -dlog gamma), where relation_of writes p = prod ell^v
-    # (gamma) as (v, +dlog gamma)
+    # prod ideals^v = (gamma) gives the row (v, -dlog gamma); the S-places'
+    # ideals are 0
     rel_rows = [v + [-c for c in rt_dlog(gamma)]
                 for v, gamma in _principal_relations(field, ideals)]
-    # residue-system structure and unit-image relations
+    rel_rows += eye[2 * r:]
     if residues:
         unit_rows = [rt_dlog(u) for u in list(sl.gens)
                      + [field.torsion_generator()[0]]]
-        for rr in residues.relation_rows + unit_rows:
-            rel_rows.append([0] * r + rr)
-    # kill the classes of the S-primes
-    for v_s in finite_S:
-        for w in places_over(field, v_s):
-            if w.f == 2:
-                # inert (q): principal with generator q
-                rel_rows.append([0] * r + rt_dlog(field.element(w.q)))
-            else:
-                rel_rows.append(relation_of(w.ideal))
+        rel_rows += [[0] * n + rr for rr in residues.relation_rows + unit_rows]
 
-    # Galois action on the generators
-    action_rows = [relation_of(p.conj()) for p in ideals]
+    # Galois action on the generators: a permutation of the ideals
+    action_rows = [eye[j] for j in list(range(r, 2 * r)) + list(range(r))
+                   + [2 * r + a - k for a in place_action[k:]]]
     if residues:
-        for t_leader in residues.leaders:
-            sig = residues.galois_act(t_leader)
-            action_rows.append([0] * r + residues.dlog(sig))
+        action_rows += [[0] * n + residues.dlog(residues.galois_act(t))
+                        for t in residues.leaders]
 
-    module = _module_from_relations(group, ngens, rel_rows, [action_rows])
+    module = _module_from_relations(group, n + s_len, rel_rows,
+                                    [action_rows])
     # order consistency: |Cl_{S,T}| = |Cl_S| * |R_T / im units|
     h_s = _s_class_number(field, cg, finite_S)
     if residues:

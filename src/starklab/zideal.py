@@ -102,9 +102,6 @@ class GIdealLattice:
             return NotImplemented
         return self.group is other.group and self.basis() == other.basis()
 
-    def __hash__(self):
-        return hash((id(self.group), tuple(map(tuple, self.basis()))))
-
     def product(self, other):
         if other.group is not self.group:
             raise InputError("mixed groups")

@@ -13,6 +13,12 @@ exception's type and message.  Run it on two checkouts, each in its own
 process; equal lines mean equal results, and a workload line that differs
 names where they moved.
 
+    python tests/pool_digest.py --ops
+
+prints instead one line per op, its key (`workloads.op_key`) and the
+sha256 of its result, so that a diff of two checkouts' outputs names each
+op whose result moved.
+
     python tests/pool_digest.py --write-verdicts
 
 runs the same ops and writes `tests/pool_verdicts.json`, the golden
@@ -46,12 +52,16 @@ def run(op):
         return {"raised": type(exc).__name__, "message": str(exc)}
 
 
+def sha256(obj):
+    """sha256 of the JSON dump of `obj`, keys sorted."""
+    text = json.dumps(obj, sort_keys=True, default=str)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def digest(results):
     """ops raised sha256 of a list of [key, result] pairs."""
     raised = sum("raised" in res for _key, res in results)
-    text = json.dumps(results, sort_keys=True, default=str)
-    sha = hashlib.sha256(text.encode()).hexdigest()
-    return f"{len(results)} {raised} {sha}"
+    return f"{len(results)} {raised} {sha256(results)}"
 
 
 def verdicts(result):
@@ -98,8 +108,14 @@ def main(argv):
         with open(VERDICTS, "w") as fh:
             fh.write(dump_table(verdict_table(results)))
         return
+    if argv == ["--ops"]:
+        for ours in results.values():
+            for key, res in ours:
+                print(key, sha256(res))
+        return
     if argv:
-        sys.exit("usage: python tests/pool_digest.py [--write-verdicts]")
+        sys.exit("usage: python tests/pool_digest.py "
+                 "[--ops | --write-verdicts]")
     for name, ours in results.items():
         print(name, digest(ours))
     print(digest([pair for ours in results.values() for pair in ours]))

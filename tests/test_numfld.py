@@ -877,6 +877,40 @@ def test_ray_class_order_is_h_s_times_unit_quotient(D, extra, t_index, two):
     assert rc.order() == _ray_class_order_oracle(F, S, T)
 
 
+@given(st.sampled_from(FUNDAMENTAL),
+       st.lists(st.sampled_from(SMALL_PRIMES), max_size=3, unique=True))
+@settings(max_examples=40, deadline=None)
+@example(D=-56, extra=[3, 11])          # split and inert, h = 4
+@example(D=-84, extra=[5, 13, 19])      # (Z/2)^2 class group
+@example(D=60, extra=[7])
+def test_ray_class_without_t_is_cl_s_with_sigma_as_minus_one(D, extra):
+    # with T empty Cl_{K,S,T} is Cl_K / <classes of the S-places>, read
+    # here off the class group's own relations, and sigma acts as x -> -x,
+    # because I sigma(I) = (N I) is principal
+    F = QuadField(D)
+    S = ["inf"] + sorted(set(F.ramified_primes()) | set(extra))
+    m = ray_class(F, S, []).module
+    cg = ClassGroup(D)
+    s_classes = [list(cg.class_of(w.ideal.as_form()))
+                 for q in S[1:] for w in places_over(F, q)]
+    orders, _, _ = diagonalize_relations(
+        list(cg.structure.relation_rows) + s_classes,
+        len(cg.structure.leaders))
+    assert m.orders == orders
+    assert m.action == [[[-(i == j) % d for j, d in enumerate(m.orders)]
+                         for i in range(len(m.orders))]]
+
+
+@pytest.mark.parametrize("call", [ray_class, s_unit_lattice],
+                         ids=["ray_class", "s_unit_lattice"])
+@pytest.mark.parametrize("field, S, T", [("Q", [2], [5]),
+                                         (QuadField(5), [5], [3])],
+                         ids=["Q", "Q(sqrt5)"])
+def test_s_without_the_infinite_place_is_a_datum_error(call, field, S, T):
+    with pytest.raises(DatumError, match="infinite place"):
+        call(field, S, T)
+
+
 def test_ray_class_with_large_residue_group_is_quick():
     # R_T has 3.5 million elements; its 7 x 4 relation matrix once took
     # minutes to diagonalise
