@@ -176,9 +176,9 @@ class DirichletChar:
         if self._conductor is None:
             # chi factors through (Z/fp)^x iff it is trivial on the units
             # = 1 mod fp; the non-units among them have the value None, and
-            # fp = f always qualifies
+            # fp = f always qualifies.  A character of order 1 is trivial.
             f = self.modulus
-            self._conductor = next(
+            self._conductor = 1 if self.order == 1 else next(
                 fp for fp in _divisors(f)
                 if all(self.values[a] in (0, None)
                        for a in range(1 + fp, f, fp)))
@@ -379,8 +379,14 @@ class AbelianFieldRealization:
 
         chi is the product of the coordinate characters psi_j to the powers
         t_j of its label, so for chi of order n its exponent of zeta_n at a
-        unit a is sum_j t_j (n / d_j) psi_j(a) mod n.
+        unit a is sum_j t_j (n / d_j) psi_j(a) mod n.  When chi is a
+        coordinate character psi_j mod f itself, that is psi_j, the same
+        object with its conductor and value classes already read.
         """
+        if sum(chi.exponents) == 1:       # labels are >= 0: a unit vector
+            psi = self.coordinate_characters[chi.exponents.index(1)]
+            if psi.modulus == self.modulus:
+                return psi
         n = max(chi.order(), 1)
         vals = list(self._principal)
         for t, d, psi in zip(chi.exponents, self.group.invariant_factors,
@@ -853,21 +859,27 @@ def stickelberger_element(realization, S, V, T):
 
 
 def _assemble_exact(group, components):
-    e = max(group.exponent, 1)
-    field = CycloField(max(e, 1))
+    """The exact element sum_chi L(chi^-1) e_chi: the coefficient of sigma
+    is sum_chi chi(sigma^-1) L(chi^-1) / |G|, with the weights +-1 when
+    every character is real, else summed in Q(zeta_e) and certified
+    rational."""
+    if group.exponent <= 2:
+        return GroupRingElement(group, "rat", [
+            Fraction(sum((-1) ** chi.value_exponent(sigma)
+                         * components[chi.exponents]
+                         for chi in group.all_characters()), group.order)
+            for sigma in group.elements])
+    field = CycloField(group.exponent)
     coeffs = []
     for sigma in group.elements:
         total = field.zero()
         for chi in group.all_characters():
             val = _embed_cyclo(components[chi.exponents], field.e)
             # coefficient of sigma in e_chi is chi(sigma^{-1}) / |G|
-            total = total + val * field.zeta_power(
-                -chi.value_exponent(sigma) * (field.e // group.exponent)
-                if group.rank else 0)
+            total = total + val * field.zeta_power(-chi.value_exponent(sigma))
         if not total.is_rational():
             raise CertificationError("Stickelberger coefficient not rational")
         coeffs.append(total.rational_value() / group.order)
-    from .grpring import GroupRingElement
     return GroupRingElement(group, "rat", coeffs)
 
 

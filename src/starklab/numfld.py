@@ -953,14 +953,19 @@ class SUnitLattice:
     place_ranges: for each rational place v of S, the range of indices in
     `places` of the places above v; t_sublattice: coordinates of the
     T-congruence subgroup; torsion_order, torsion_gen: the roots of unity
-    (killed in the lattice).
+    (killed in the lattice); class_primes: the split primes l_1..l_r whose
+    classes generate Cl_K (`_class_primes`); relations: the (v, gamma)
+    rows of `_principal_relations` over l_1..l_r, their conjugates and the
+    finite places, which `ray_class` presents Cl_{K,S,T} from (both empty
+    over Q).
     The construction is exactly saturated: saturation_index == 1.
     """
 
     __slots__ = ("field", "S", "T", "places", "gens", "valuations",
                  "sigma_matrix", "torsion_gen", "torsion_order",
                  "t_sublattice", "residues", "saturation_index",
-                 "place_action", "place_ranges")
+                 "place_action", "place_ranges", "class_primes",
+                 "relations")
 
     def __init__(self, **kw):
         for k in self.__slots__:
@@ -1066,6 +1071,13 @@ class SUnitLattice:
 def s_unit_lattice(field, S, T, enforce_h3=True):
     """Construct the (S, T)-unit lattice with exact generators.
 
+    For a quadratic field the S-units come from one relation lattice, of
+    the v with prod ideals^v principal over the class primes l_1..l_r
+    (`_class_primes`), their conjugates and the finite S-places, kept
+    whole for `ray_class`: its Hermite basis rows that vanish on the first
+    2r columns are the Hermite basis of the relations among the S-places
+    alone, with their generators.
+
     Raises DatumError when (S, T) violates the standing shape (`_s_places`),
     or when T does not make the unit group torsion free (skipped with
     enforce_h3=False for internal constructions that only need the lattice
@@ -1085,15 +1097,20 @@ def s_unit_lattice(field, S, T, enforce_h3=True):
                             torsion_gen=Fraction(-1), torsion_order=2,
                             t_sublattice=lat, residues=residues,
                             saturation_index=1, place_action=place_action,
-                            place_ranges=place_ranges)
+                            place_ranges=place_ranges, class_primes=[],
+                            relations=[])
 
     k = len(place_ranges["inf"])      # the infinite places come first
     fin = places[k:]
-
-    # class-relation lattice over the finite S-places (inert places carry
-    # the principal ideal (q), so their class is trivial automatically)
+    primes = _class_primes(field, S[1:] + T)
+    r = len(primes)
+    relations = _principal_relations(
+        field, primes + [p.conj() for p in primes] + [w.ideal for w in fin])
     valuations, gens = [], []
-    for row, gamma in _principal_relations(field, [w.ideal for w in fin]):
+    for v, gamma in relations:
+        if any(v[:2 * r]):
+            continue
+        row = v[2 * r:]
         # exact: SUnitLattice.valuations stores `row`
         for w, e in zip(fin, row):
             if ord_at_place(gamma, w) != e:
@@ -1114,7 +1131,8 @@ def s_unit_lattice(field, S, T, enforce_h3=True):
                       torsion_order=field.torsion_generator()[1],
                       t_sublattice=lat, residues=residues,
                       saturation_index=1, place_action=place_action,
-                      place_ranges=place_ranges)
+                      place_ranges=place_ranges, class_primes=primes,
+                      relations=relations)
     # exact Galois action on coordinates: ord_w(conj g) = ord_{conj w}(g),
     # so conj(g)'s valuations are g's row permuted by the place action
     sl.sigma_matrix = [sl.express(g.conj(), [row[a - k]
@@ -1238,6 +1256,29 @@ def _principal_generator(field, ideals, exponents):
     return gamma
 
 
+def _class_primes(field, avoid):
+    """Split primes l_1..l_r off `avoid` whose classes generate Cl_K: the
+    least ones below 5000 that each enlarge the span of those before."""
+    cg = ClassGroup(field.D)
+    primes = []
+    span = _class_lattice(cg, [])
+    for ell in primerange(2, 5000):
+        if span.index() == 1:
+            break
+        if ell in avoid or field.D % ell == 0 \
+                or field.splitting(ell) != "split":
+            continue
+        p = QuadIdeal.prime_over(field, ell)
+        cls = list(cg.class_of(p.as_form()))
+        if span.contains_vector(cls):
+            continue
+        primes.append(p)
+        span.add_vector(cls)
+    if span.index() != 1:
+        raise CertificationError(f"class group generators missing for {field}")
+    return primes
+
+
 def _principal_relations(field, ideals):
     """[(v, gamma)]: the Hermite basis of the exponent vectors v with
     prod ideals^v principal, each with an exact generator gamma of
@@ -1305,30 +1346,30 @@ def ray_class(field, S, T, lattice=None):
     for K = Q), from one presentation (Cohen, *Advanced Topics in
     Computational Number Theory*, GTM 193, ch. 4).
 
-    Generators: ideals prime to T, then the leaders of the residue system
-    R_T at T.  For a quadratic field the ideals are split primes l_1..l_r
-    outside S and T whose classes generate Cl_K, their conjugates, and the
-    prime ideals of the finite S-places; over Q there are none.
+    Generators: for a quadratic field the class primes l_1..l_r and their
+    conjugates, then the leaders of the residue system R_T at T; over Q
+    the leaders alone.
 
-    Relations: each Hermite basis row v of the exponent vectors with
-    prod ideals^v = (gamma) principal gives (v, -dlog gamma), as the class
-    of (gamma) is the image of gamma's residue; each S-place's ideal is 0;
-    and on the leaders, R_T's own relations and the residues of the
-    (S, T)-lattice's generators and of the roots of unity.
+    Relations: the (S, T)-unit lattice holds the Hermite basis of the v
+    with prod ideals^v = (gamma) principal over the l_i, their conjugates
+    and the m finite S-places (`s_unit_lattice`).  The S-places' ideals
+    are 0, and Z^(2r+m+s) / (R + Z^m) = Z^(2r+s) / pi(R) for pi dropping
+    their columns, so each row with pi(v) != 0 gives (pi(v), -dlog gamma),
+    as the class of (gamma) is the image of gamma's residue.  On the
+    leaders: R_T's own relations and the residues of the lattice's
+    generators (which cover the rows with pi(v) = 0) and of the roots of
+    unity.
 
-    Action: the nontrivial automorphism permutes the ideals (l_i and its
-    conjugate swap, so do the two places over a split prime of S, and a
-    ramified or inert place is fixed), and acts on each leader through its
-    residue (`ResidueSystem.galois_act`).
+    Action: the nontrivial automorphism swaps l_i and its conjugate, and
+    acts on each leader through its residue (`ResidueSystem.galois_act`).
 
     The order is checked against |Cl_{K,S,T}| = h_S * |R_T / im(units)|,
     with h_S from the classes of the S-places alone (CertificationError if
-    it fails).  For a quadratic field with T non-empty the residue system
-    and the unit image come from the (S, T)-unit lattice: `lattice`, when
-    the caller already holds `s_unit_lattice(field, S, T)`, else one built
-    here.
+    it fails).  For a quadratic field the relations come from `lattice`,
+    when the caller already holds `s_unit_lattice(field, S, T)`, else from
+    one built here.
     """
-    S, T, places, place_action, place_ranges = _s_places(field, S, T)
+    S, T, *_ = _s_places(field, S, T)
     finite_S = S[1:]
 
     if field == "Q":
@@ -1342,41 +1383,14 @@ def ray_class(field, S, T, lattice=None):
         module = _module_from_relations(AbelianGroup(()), s_len, rel_rows, [])
         return RayClassData("Q", S, T, module, 1, module.order())
 
-    if T:
-        sl = lattice if lattice is not None else s_unit_lattice(field, S, T)
-        if (sl.field, sl.S, sl.T) != (field, S, T):
-            raise InputError(f"lattice is for S={sl.S}, T={sl.T}, "
-                             f"not S={S}, T={T}")
-        residues = sl.residues
-        s_len = len(residues.leaders)
-    else:
-        residues = None
-        s_len = 0
-
-    group = AbelianGroup((2,))
-    cg = ClassGroup(field.D)
-    # choose prime-ideal generators of the class group away from S, T, disc
-    ideals = []
-    span = _class_lattice(cg, [])
-    for ell in primerange(2, 5000):
-        if span.index() == 1:
-            break
-        if ell in finite_S or ell in T or field.D % ell == 0:
-            continue
-        if field.splitting(ell) != "split":
-            continue
-        p = QuadIdeal.prime_over(field, ell)
-        cls = list(cg.class_of(p.as_form()))
-        if span.contains_vector(cls):
-            continue
-        ideals.append(p)
-        span.add_vector(cls)
-    if span.index() != 1:
-        raise CertificationError(f"class group generators missing for {field}")
-    r = len(ideals)
-    k = len(place_ranges["inf"])      # the infinite places come first
-    ideals += [p.conj() for p in ideals] + [w.ideal for w in places[k:]]
-    n = len(ideals)
+    sl = lattice if lattice is not None \
+        else s_unit_lattice(field, S, T, enforce_h3=bool(T))
+    if (sl.field, sl.S, sl.T) != (field, S, T):
+        raise InputError(f"lattice is for S={sl.S}, T={sl.T}, "
+                         f"not S={S}, T={T}")
+    residues = sl.residues
+    s_len = len(residues.leaders) if residues else 0
+    n = 2 * len(sl.class_primes)
     eye = hnf.identity_matrix(n)
 
     def rt_dlog(x):
@@ -1384,27 +1398,25 @@ def ray_class(field, S, T, lattice=None):
             return []
         return residues.dlog(residues.reduce(x))
 
-    # prod ideals^v = (gamma) gives the row (v, -dlog gamma); the S-places'
-    # ideals are 0
-    rel_rows = [v + [-c for c in rt_dlog(gamma)]
-                for v, gamma in _principal_relations(field, ideals)]
-    rel_rows += eye[2 * r:]
+    # prod ideals^v = (gamma) gives the row (v, -dlog gamma), its S-place
+    # entries dropped
+    rel_rows = [v[:n] + [-c for c in rt_dlog(gamma)]
+                for v, gamma in sl.relations if any(v[:n])]
     if residues:
         unit_rows = [rt_dlog(u) for u in list(sl.gens)
                      + [field.torsion_generator()[0]]]
         rel_rows += [[0] * n + rr for rr in residues.relation_rows + unit_rows]
 
-    # Galois action on the generators: a permutation of the ideals
-    action_rows = [eye[j] for j in list(range(r, 2 * r)) + list(range(r))
-                   + [2 * r + a - k for a in place_action[k:]]]
+    # Galois action on the generators: l_i <-> conj(l_i), then the leaders
+    action_rows = eye[n // 2:] + eye[:n // 2]
     if residues:
         action_rows += [[0] * n + residues.dlog(residues.galois_act(t))
                         for t in residues.leaders]
 
-    module = _module_from_relations(group, n + s_len, rel_rows,
+    module = _module_from_relations(AbelianGroup((2,)), n + s_len, rel_rows,
                                     [action_rows])
     # order consistency: |Cl_{S,T}| = |Cl_S| * |R_T / im units|
-    h_s = _s_class_number(field, cg, finite_S)
+    h_s = _s_class_number(field, ClassGroup(field.D), finite_S)
     if residues:
         q_ord = hnf.IntLattice(s_len, residues.relation_rows
                                + unit_rows).index()

@@ -15,7 +15,8 @@ witness, or raises; `_run_check` alone turns what it raised into a verdict:
                           igc_membership; the witness is the pairing
     Undecided             "undecided", with the limiting radius (also
                           UnresolvedOrderError and PrecisionError)
-    UnsupportedCaseError  "unsupported"
+    UnsupportedCaseError  "unsupported" (also CapacityError, a datum
+                          past a desk bound)
     CertificationError    "fail", the message as witness
     DatumError, InputError, ConfigError
                           "blocked"
@@ -36,7 +37,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import hnf
-from .arith import factorint, isprime
+from .arith import CapacityError, factorint, isprime
 from .ball import Ball, CertificationError, Undecided, ball_det, \
     gauss_solve, working_precision
 from .biquad import BiquadField, BiquadSUnitLattice
@@ -47,7 +48,7 @@ from .lfun import (AbelianFieldRealization, DirichletChar, LSpec,
 from .multilin import (GLattice, NonIntegralError, WedgeElement,
                        all_dual_pairings, norm_decomposition_residual,
                        pairing_vector)
-from .numfld import (DatumError, QuadField, class_number,
+from .numfld import (MAX_ABS_DISC, DatumError, QuadField, class_number,
                      fundamental_unit_log, ray_class, s_unit_lattice)
 from .sublat import enumerate_omega_star, norm_sum_identity
 from .zideal import (GIdealLattice, Presentation, UnsupportedCaseError,
@@ -703,9 +704,14 @@ def run_acnf(dmin=-500, dmax=500):
     Returns a summary dict.  An enclosure with no integer or the wrong one,
     or an exact value that differs, raises CertificationError; one with two
     integers raises Undecided with its radius; a range that holds no
-    fundamental discriminant, and so checks nothing, raises InputError.
+    fundamental discriminant, and so checks nothing, raises InputError;
+    one that reaches past the desk bound |D| <= MAX_ABS_DISC raises
+    CapacityError before any D is checked.
     """
     from .numfld import is_fundamental_discriminant
+    if max(abs(dmin), abs(dmax)) > MAX_ABS_DISC:
+        raise CapacityError(f"the range [{dmin}, {dmax}] leaves the desk "
+                            f"bound |D| <= {MAX_ABS_DISC}")
     checked_pos = checked_neg = 0
     max_resid = Fraction(0)
     for D in range(dmin, dmax + 1):
@@ -838,7 +844,7 @@ def _run_check(scn, data, name):
     except Undecided as exc:
         entry.update(verdict="undecided", reason=str(exc),
                      limit_radius=_radius_str(exc.radius))
-    except UnsupportedCaseError as exc:
+    except (UnsupportedCaseError, CapacityError) as exc:
         entry.update(verdict="unsupported", reason=str(exc))
     except CertificationError as exc:
         entry.update(verdict="fail", witness=str(exc))

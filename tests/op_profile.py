@@ -1,0 +1,77 @@
+"""Where one benchmark run's op time goes, under cProfile in one process.
+
+    python tests/op_profile.py WORKLOAD [--seed N] [--sort KEY] [--top K]
+                               [--match REGEX]
+
+runs the ops of a default benchmark run of WORKLOAD: the first
+`run.op_count(WORKLOAD, 22)` ops of the seeded stream
+`workloads.stream(WORKLOAD, N)` (seed 1 by default), back to back through
+the worker's `run_op`, with the profiler on only while an op runs.  It
+prints the K functions (25 by default) that lead by KEY, any `pstats` sort
+key (`cumulative` by default), restricted to the names that REGEX matches
+when given; then, for each stratum of the workload's pool, the number of
+its ops, their total time and its share of the whole, and the mean op
+time.  The times are wall times under the profiler: they rank strata and
+functions against each other, not against the benchmark's latencies.
+
+It imports perfbench's modules and changes nothing there; pytest does not
+collect this file.
+"""
+
+import argparse
+import cProfile
+import itertools
+import os
+import pstats
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+import run  # noqa: E402
+import worker  # noqa: E402
+import workloads  # noqa: E402
+from starklab import verify  # noqa: E402
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("workload", choices=workloads.WORKLOADS)
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--sort", default="cumulative")
+    ap.add_argument("--top", type=int, default=25)
+    ap.add_argument("--match", help="print only functions matching this")
+    args = ap.parse_args(argv)
+
+    count = run.op_count(args.workload, 22)
+    stratum_of = {workloads.op_key(op): name
+                  for name, _n, ops in workloads.pool(args.workload)
+                  for op in ops}
+    times = {}
+    prof = cProfile.Profile()
+    for op in itertools.islice(workloads.stream(args.workload, args.seed),
+                               count):
+        t = time.perf_counter()
+        prof.enable()
+        worker.run_op(verify, op)
+        prof.disable()
+        times.setdefault(stratum_of[workloads.op_key(op)], []).append(
+            time.perf_counter() - t)
+
+    stats = pstats.Stats(prof).strip_dirs().sort_stats(args.sort)
+    restrictions = [args.match] if args.match else []
+    stats.print_stats(*restrictions, args.top)
+    total = sum(map(sum, times.values()))
+    print(f"{args.workload}, seed {args.seed}: {count} ops, "
+          f"{total:.3f} s under the profiler")
+    print(f"{'stratum':<24}{'ops':>6}{'total s':>10}{'share':>8}"
+          f"{'mean ms':>10}")
+    for name, ts in sorted(times.items(), key=lambda kv: -sum(kv[1])):
+        print(f"{name:<24}{len(ts):>6}{sum(ts):>10.3f}"
+              f"{sum(ts) / total:>8.1%}{1000 * sum(ts) / len(ts):>10.2f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1000,6 +1000,41 @@ def test_realization_readers_match_the_coset_oracle():
                              _CosetRealization(None, discs=list(pair)))
 
 
+def _pool_realizations():
+    """One realization per distinct field of the benchmark pools."""
+    import json
+    import pool_digest  # noqa: F401  (puts perfbench's modules on the path)
+    import workloads
+    from starklab.verify import Scenario
+    fields = {}
+    for name in workloads.WORKLOADS:
+        for _stratum, _n, ops in workloads.pool(name):
+            for op in ops:
+                if op["kind"] == "scenario":
+                    key = json.dumps(op["spec"].get("field"), sort_keys=True)
+                    if key not in fields:
+                        fields[key] = Scenario(op["spec"]).realization
+    return list(fields.values())
+
+
+def test_dirichlet_characters_of_the_pool_fields_are_their_products():
+    # chi's exponent at a unit a is sum_j (t_j n / d_j) psi_j(a) mod n,
+    # rebuilt here from the coordinate characters psi_j
+    shortcuts = 0
+    for R in _pool_realizations():
+        f = R.modulus
+        for chi in R.group.all_characters():
+            n = max(chi.order(), 1)
+            table = [sum(t * n // d * psi(a) for t, d, psi in zip(
+                chi.exponents, R.group.invariant_factors,
+                R.coordinate_characters)) % n if math.gcd(a, f) == 1
+                else None for a in range(f)]
+            dchi = R.dirichlet(chi)
+            assert (dchi.modulus, dchi.order, dchi.values) == (f, n, table)
+            shortcuts += dchi in R.coordinate_characters
+    assert shortcuts > 0
+
+
 def test_trivial_group_keeps_the_non_units_out():
     Q = AbelianFieldRealization.rationals()
     assert Q.dirichlet(Q.group.all_characters()[0]).values == [0]

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from starklab.ball import CertificationError, working_precision
 from starklab.finite import GroupStructure
-from starklab.grpring import InputError
+from starklab.grpring import AbelianGroup, InputError
 from starklab.hnf import IntLattice, diagonalize_relations, \
     identity_matrix, kernel, mat_mul
 from starklab.lfun import DirichletChar, bernoulli_value
@@ -25,7 +25,9 @@ from starklab.numfld import (ClassGroup, DatumError, QuadElt, QuadField,
                              log_abs_at_place, ord_at_place, places_over,
                              ray_class, reduce_form, reduced_forms,
                              s_unit_lattice, squarefree_part, unit_norm,
-                             _principal_generator)
+                             _module_from_relations, _principal_generator,
+                             _principal_relations)
+from starklab.zideal import annihilator
 
 
 def finite_valuations(L, x):
@@ -662,6 +664,65 @@ def test_principal_generators_of_principal_products(D, extra, coeffs, rng):
             with pytest.raises(CertificationError, match="not principal"):
                 _principal_generator(F, ideals, bumped)
             break
+
+
+def _one_lattice_datum(D, extra):
+    """(field, S, T): S the ramified primes and `extra` off them, T the
+    least prime >= 5 outside S, which kills every root of unity."""
+    F = QuadField(D)
+    S = ["inf"] + sorted(set(F.ramified_primes()) | set(extra))
+    T = [next(q for q in sympy.primerange(5, 100) if q not in S)]
+    return F, S, T
+
+
+def _ray_module_keeping_s_columns(F, L):
+    """Cl_{K,S,T} presented with a column per finite S-place, each killed
+    by an identity row, and the place permutation on those columns."""
+    k = len(L.place_ranges["inf"])
+    r = len(L.class_primes)
+    ideals = (L.class_primes + [p.conj() for p in L.class_primes]
+              + [w.ideal for w in L.places[k:]])
+    n = len(ideals)
+    res = L.residues
+    eye = identity_matrix(n)
+
+    def dlog(x):
+        return res.dlog(res.reduce(x))
+
+    rows = [v + [-c for c in dlog(g)]
+            for v, g in _principal_relations(F, ideals)] + eye[2 * r:]
+    rows += [[0] * n + rr for rr in res.relation_rows
+             + [dlog(u) for u in L.gens + [F.torsion_generator()[0]]]]
+    action = [eye[j] for j in list(range(r, 2 * r)) + list(range(r))
+              + [2 * r + a - k for a in L.place_action[k:]]]
+    action += [[0] * n + res.dlog(res.galois_act(t)) for t in res.leaders]
+    return _module_from_relations(AbelianGroup((2,)), n + len(res.leaders),
+                                  rows, [action])
+
+
+@given(st.sampled_from(FUNDAMENTAL),
+       st.lists(st.sampled_from(SMALL_PRIMES), max_size=3, unique=True))
+@settings(max_examples=25, deadline=None)
+@example(D=-23, extra=[2, 3, 5])        # h = 3: 2 and 3 split, 5 inert
+@example(D=-23, extra=[5])              # Cl_{K,S,T} = Z/12
+@example(D=-84, extra=[7])              # Cl_K = (Z/2)^2, two class primes
+@example(D=229, extra=[7])              # a unit of norm -1; Z/6
+def test_one_relation_lattice_gives_the_s_units_and_the_ray_class(D, extra):
+    F, S, T = _one_lattice_datum(D, extra)
+    L = s_unit_lattice(F, S, T)
+    fin = [w.ideal for w in L.places if w.kind == "finite"]
+    # the S-units: the relations among the S-places alone, as their own
+    # call gives them, then the fundamental unit of a real field
+    alone = _principal_relations(F, fin)
+    units = 1 if F.is_real else 0
+    assert L.valuations[:len(L.valuations) - units] == [v for v, _ in alone]
+    assert L.gens[:len(L.gens) - units] == [g for _, g in alone]
+    # the ray class: the same group and annihilator as the presentation
+    # that keeps a killed column per S-place
+    rc = ray_class(F, S, T, lattice=L)
+    kept = _ray_module_keeping_s_columns(F, L)
+    assert rc.module.orders == kept.orders
+    assert annihilator(rc.module) == annihilator(kept)
 
 
 def test_ray_class_of_d_minus_187_by_hand():

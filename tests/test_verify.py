@@ -334,6 +334,34 @@ def test_acnf_over_a_range_with_no_fundamental_discriminant_is_blocked(rng):
     assert "no fundamental discriminant" in entry["reason"]
 
 
+def _least_fundamental_past_the_bound(sign):
+    from starklab.numfld import MAX_ABS_DISC, is_fundamental_discriminant
+    return next(sign * d for d in range(MAX_ABS_DISC + 1, 2 * MAX_ABS_DISC)
+                if is_fundamental_discriminant(sign * d))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_acnf_past_the_desk_bound_raises_before_any_table(sign):
+    from starklab.arith import CapacityError
+    from starklab.lfun import _kronecker_table
+    from starklab.verify import run_acnf
+    D = _least_fundamental_past_the_bound(sign)
+    before = _kronecker_table.cache_info()
+    with pytest.raises(CapacityError, match="desk bound"):
+        run_acnf(D, D)
+    assert _kronecker_table.cache_info() == before
+
+
+@pytest.mark.parametrize("spec", [
+    {"checks": ["norm_identity"], "params": {"p": 3, "m": 7}},
+    {"checks": ["acnf"], "params": {"range": [-1000003, -1000003]}}])
+def test_a_datum_past_a_desk_bound_is_unsupported(spec):
+    cert = run_scenario(Scenario(spec))
+    entry = cert["results"][0]
+    assert entry["verdict"] == "unsupported" and cert["exit_code"] == 0
+    assert "desk bound" in entry["reason"]
+
+
 def test_acnf_decides_every_positive_d_to_500_at_53_bits():
     from starklab.verify import run_acnf
     with working_precision(53):
