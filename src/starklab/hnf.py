@@ -265,9 +265,16 @@ def rational_solve(rows, vec):
 
 
 def mat_mul(A, B):
+    """A B: each row of A adds a B[k] only for its nonzero entries a."""
     nb = len(B[0]) if B else 0
-    return [[sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(nb)]
-            for i in range(len(A))]
+    out = []
+    for row in A:
+        acc = [0] * nb
+        for a, b in zip(row, B):
+            if a:
+                acc = [x + a * y for x, y in zip(acc, b)]
+        out.append(acc)
+    return out
 
 
 def identity_matrix(n):

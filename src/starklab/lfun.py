@@ -310,10 +310,7 @@ class AbelianFieldRealization:
         self.coordinate_characters = coordinate_characters
         self.group = AbelianGroup(
             tuple(chi.order for chi in coordinate_characters))
-        # the principal character mod f, which `dirichlet` starts from: it
-        # keeps the non-units None also when G is trivial
-        self._principal = [0 if gcd(a, modulus) == 1 else None
-                           for a in range(modulus)]
+        self._principal = None      # built by `_principal_character`
 
     @staticmethod
     def rationals():
@@ -383,12 +380,14 @@ class AbelianFieldRealization:
         coordinate character psi_j mod f itself, that is psi_j, the same
         object with its conductor and value classes already read.
         """
+        if not any(chi.exponents):
+            return self._principal_character()
         if sum(chi.exponents) == 1:       # labels are >= 0: a unit vector
             psi = self.coordinate_characters[chi.exponents.index(1)]
             if psi.modulus == self.modulus:
                 return psi
-        n = max(chi.order(), 1)
-        vals = list(self._principal)
+        n = chi.order()
+        vals = list(self._principal_character().values)
         for t, d, psi in zip(chi.exponents, self.group.invariant_factors,
                              self.coordinate_characters):
             if t:
@@ -397,6 +396,17 @@ class AbelianFieldRealization:
                     if x is not None:
                         vals[a] = (x + w * psi.values[a % m]) % n
         return DirichletChar(self.modulus, n, vals)
+
+    def _principal_character(self):
+        """The principal character mod f, built on first use and kept: the
+        trivial character of G, whose values every product in `dirichlet`
+        starts from.  It keeps the non-units None also when G is trivial."""
+        if self._principal is None:
+            vals = [0] * self.modulus
+            for p in factorint(self.modulus):
+                vals[::p] = [None] * len(vals[::p])
+            self._principal = DirichletChar(self.modulus, 1, vals)
+        return self._principal
 
     def __repr__(self):
         return f"AbelianFieldRealization({self.label})"

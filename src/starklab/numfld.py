@@ -948,28 +948,59 @@ class SUnitLattice:
     by construction (the identity for Q; for a quadratic field the rows the
     generators were built from and checked against, and a zero row for the
     fundamental unit), so `express` never re-evaluates the generators;
-    sigma_matrix: action of the nontrivial automorphism in basis coordinates
-    (identity for Q); place_action: the permutation of `places` under it;
-    place_ranges: for each rational place v of S, the range of indices in
-    `places` of the places above v; t_sublattice: coordinates of the
-    T-congruence subgroup; torsion_order, torsion_gen: the roots of unity
-    (killed in the lattice); class_primes: the split primes l_1..l_r whose
-    classes generate Cl_K (`_class_primes`); relations: the (v, gamma)
-    rows of `_principal_relations` over l_1..l_r, their conjugates and the
-    finite places, which `ray_class` presents Cl_{K,S,T} from (both empty
-    over Q).
+    place_action: the permutation of `places` under the nontrivial
+    automorphism; place_ranges: for each rational place v of S, the range
+    of indices in `places` of the places above v; torsion_order,
+    torsion_gen: the roots of unity (killed in the lattice); unit_dlogs:
+    the dlog rows (`ResidueSystem.dlog`) of the residues mod T of the
+    generators, then of torsion_gen, each reduced once (None without T);
+    class_primes: the split primes l_1..l_r whose classes generate Cl_K
+    (`_class_primes`); relations: the (v, gamma) rows of
+    `_principal_relations` over l_1..l_r, their conjugates and the finite
+    places, which `ray_class` presents Cl_{K,S,T} from (both empty over Q).
+
+    Two attributes are built on first read and then kept, as only the
+    checks at |V| >= 1 read them: sigma_matrix, the action of the
+    nontrivial automorphism in basis coordinates (the identity for Q),
+    whose rows `express` the conjugates of the generators; and
+    t_sublattice, the coordinates of the T-congruence subgroup, read off
+    unit_dlogs (`_t_sublattice`).
     The construction is exactly saturated: saturation_index == 1.
     """
 
-    __slots__ = ("field", "S", "T", "places", "gens", "valuations",
-                 "sigma_matrix", "torsion_gen", "torsion_order",
-                 "t_sublattice", "residues", "saturation_index",
-                 "place_action", "place_ranges", "class_primes",
-                 "relations")
+    __slots__ = ("_sigma_matrix", "_t_sublattice", "field", "S", "T",
+                 "places", "gens", "valuations", "torsion_gen",
+                 "torsion_order", "residues", "unit_dlogs",
+                 "saturation_index", "place_action", "place_ranges",
+                 "class_primes", "relations")
 
-    def __init__(self, **kw):
-        for k in self.__slots__:
+    def __init__(self, _sigma_matrix=None, _t_sublattice=None, **kw):
+        self._sigma_matrix = _sigma_matrix
+        self._t_sublattice = _t_sublattice
+        for k in self.__slots__[2:]:
             setattr(self, k, kw[k])
+
+    @property
+    def sigma_matrix(self):
+        if self._sigma_matrix is None:
+            if self.field == "Q":
+                self._sigma_matrix = hnf.identity_matrix(self.rank)
+            else:
+                # ord_w(conj g) = ord_{conj w}(g), so conj(g)'s valuations
+                # are g's row permuted by the place action
+                k = len(self.place_ranges["inf"])
+                self._sigma_matrix = [
+                    self.express(g.conj(),
+                                 [row[a - k] for a in self.place_action[k:]])[0]
+                    for g, row in zip(self.gens, self.valuations)]
+        return self._sigma_matrix
+
+    @property
+    def t_sublattice(self):
+        if self._t_sublattice is None:
+            self._t_sublattice = _t_sublattice(self.rank, self.residues,
+                                               self.unit_dlogs)
+        return self._t_sublattice
 
     @property
     def rank(self):
@@ -1090,12 +1121,12 @@ def s_unit_lattice(field, S, T, enforce_h3=True):
 
     if field == "Q":
         gens = [Fraction(q) for q in S[1:]]
-        lat = _t_sublattice(gens, Fraction(-1), residues)
         return SUnitLattice(field="Q", S=S, T=T, places=places, gens=gens,
                             valuations=hnf.identity_matrix(len(gens)),
-                            sigma_matrix=hnf.identity_matrix(len(gens)),
                             torsion_gen=Fraction(-1), torsion_order=2,
-                            t_sublattice=lat, residues=residues,
+                            residues=residues,
+                            unit_dlogs=_unit_dlogs(gens, Fraction(-1),
+                                                   residues),
                             saturation_index=1, place_action=place_action,
                             place_ranges=place_ranges, class_primes=[],
                             relations=[])
@@ -1124,21 +1155,14 @@ def s_unit_lattice(field, S, T, enforce_h3=True):
     if len(gens) != len(places) - 1:
         raise CertificationError(
             f"S-unit rank {len(gens)}, expected |S_K| - 1 = {len(places) - 1}")
-    lat = _t_sublattice(gens, field.torsion_generator()[0], residues)
-    sl = SUnitLattice(field=field, S=S, T=T, places=places, gens=gens,
-                      valuations=valuations, sigma_matrix=None,
-                      torsion_gen=field.torsion_generator()[0],
-                      torsion_order=field.torsion_generator()[1],
-                      t_sublattice=lat, residues=residues,
-                      saturation_index=1, place_action=place_action,
-                      place_ranges=place_ranges, class_primes=primes,
-                      relations=relations)
-    # exact Galois action on coordinates: ord_w(conj g) = ord_{conj w}(g),
-    # so conj(g)'s valuations are g's row permuted by the place action
-    sl.sigma_matrix = [sl.express(g.conj(), [row[a - k]
-                                             for a in place_action[k:]])[0]
-                       for g, row in zip(gens, valuations)]
-    return sl
+    zeta, order = field.torsion_generator()
+    return SUnitLattice(field=field, S=S, T=T, places=places, gens=gens,
+                        valuations=valuations, torsion_gen=zeta,
+                        torsion_order=order, residues=residues,
+                        unit_dlogs=_unit_dlogs(gens, zeta, residues),
+                        saturation_index=1, place_action=place_action,
+                        place_ranges=place_ranges, class_primes=primes,
+                        relations=relations)
 
 
 def _s_places(field, S, T):
@@ -1303,15 +1327,21 @@ def _ideal_product(x, y, D):
     return c1 * c2 * gcd(a1, a2, (b1 + b2) // 2), A, B
 
 
-def _t_sublattice(gens, torsion_gen, residues):
-    """Coordinates (in `gens`) of the units that reduce to 1 in R_T up to a
-    power of `torsion_gen`: the kernel of the dlog map, modulo R_T's
-    relations."""
-    n = len(gens)
+def _unit_dlogs(gens, torsion_gen, residues):
+    """The dlog rows of the residues mod T of `gens`, then of
+    `torsion_gen` (None without T)."""
+    if residues is None:
+        return None
+    return [residues.dlog(residues.reduce(u)) for u in [*gens, torsion_gen]]
+
+
+def _t_sublattice(n, residues, unit_dlogs):
+    """Coordinates (in the n generators) of the units that reduce to 1 in
+    R_T up to a power of the torsion generator: the kernel of the dlog map
+    on `unit_dlogs`, modulo R_T's relations."""
     if residues is None:
         return hnf.IntLattice(n, hnf.identity_matrix(n))
-    stacked = [residues.dlog(residues.reduce(u))
-               for u in list(gens) + [torsion_gen]] + residues.relation_rows
+    stacked = unit_dlogs + residues.relation_rows
     return hnf.IntLattice(n, [r[:n] for r in hnf.kernel(stacked)])
 
 
@@ -1356,9 +1386,10 @@ def ray_class(field, S, T, lattice=None):
     are 0, and Z^(2r+m+s) / (R + Z^m) = Z^(2r+s) / pi(R) for pi dropping
     their columns, so each row with pi(v) != 0 gives (pi(v), -dlog gamma),
     as the class of (gamma) is the image of gamma's residue.  On the
-    leaders: R_T's own relations and the residues of the lattice's
-    generators (which cover the rows with pi(v) = 0) and of the roots of
-    unity.
+    leaders: R_T's own relations and the unit rows, the dlogs of the
+    residues of the lattice's generators (which cover the rows with
+    pi(v) = 0) and of its torsion generator, which the lattice reduced
+    once when it was built (`SUnitLattice.unit_dlogs`).
 
     Action: the nontrivial automorphism swaps l_i and its conjugate, and
     acts on each leader through its residue (`ResidueSystem.galois_act`).
@@ -1403,9 +1434,8 @@ def ray_class(field, S, T, lattice=None):
     rel_rows = [v[:n] + [-c for c in rt_dlog(gamma)]
                 for v, gamma in sl.relations if any(v[:n])]
     if residues:
-        unit_rows = [rt_dlog(u) for u in list(sl.gens)
-                     + [field.torsion_generator()[0]]]
-        rel_rows += [[0] * n + rr for rr in residues.relation_rows + unit_rows]
+        rel_rows += [[0] * n + rr
+                     for rr in residues.relation_rows + sl.unit_dlogs]
 
     # Galois action on the generators: l_i <-> conj(l_i), then the leaders
     action_rows = eye[n // 2:] + eye[:n // 2]
@@ -1419,7 +1449,7 @@ def ray_class(field, S, T, lattice=None):
     h_s = _s_class_number(field, ClassGroup(field.D), finite_S)
     if residues:
         q_ord = hnf.IntLattice(s_len, residues.relation_rows
-                               + unit_rows).index()
+                               + sl.unit_dlogs).index()
         if q_ord is None:
             raise CertificationError(
                 f"R_T / im(units) is infinite for T={T}")

@@ -433,12 +433,13 @@ def check_sign_criterion(log_matrix):
 def sign_criterion_matrix(scn, data):
     """The log matrix over the Z-basis of O^x_{K,S,T} and the places above V."""
     lat = data.lattice()
-    rows = lat.t_lattice_hnf()
     v_place_idx = sorted(i for v in scn.V for i in lat.place_indices(v))
     if lat.rank != len(v_place_idx):
-        # the shape is fixed by (S, V): no precision makes it square
+        # the shape is fixed by (S, V): no precision makes it square, and
+        # nothing is built for it
         raise UnsupportedCaseError(
             f"log matrix is {lat.rank} x {len(v_place_idx)}, not square")
+    rows = lat.t_lattice_hnf()
     lam = lat.log_matrix()
     out = []
     for row in rows:

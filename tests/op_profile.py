@@ -1,7 +1,7 @@
 """Where one benchmark run's op time goes, under cProfile in one process.
 
     python tests/op_profile.py WORKLOAD [--seed N] [--sort KEY] [--top K]
-                               [--match REGEX]
+                               [--match REGEX] [--callers REGEX]
 
 runs the ops of a default benchmark run of WORKLOAD: the first
 `run.op_count(WORKLOAD, 22)` ops of the seeded stream
@@ -9,9 +9,11 @@ runs the ops of a default benchmark run of WORKLOAD: the first
 the worker's `run_op`, with the profiler on only while an op runs.  It
 prints the K functions (25 by default) that lead by KEY, any `pstats` sort
 key (`cumulative` by default), restricted to the names that REGEX matches
-when given; then, for each stratum of the workload's pool, the number of
-its ops, their total time and its share of the whole, and the mean op
-time.  The times are wall times under the profiler: they rank strata and
+when given; with --callers, the `pstats` callers of each function whose
+name that REGEX matches, with the calls and times that each caller spent
+in it; then, for each stratum of the workload's pool, the number of its
+ops, their total time and its share of the whole, and the mean op time.
+The times are wall times under the profiler: they rank strata and
 functions against each other, not against the benchmark's latencies.
 
 It imports perfbench's modules and changes nothing there; pytest does not
@@ -42,6 +44,8 @@ def main(argv=None):
     ap.add_argument("--sort", default="cumulative")
     ap.add_argument("--top", type=int, default=25)
     ap.add_argument("--match", help="print only functions matching this")
+    ap.add_argument("--callers", metavar="REGEX",
+                    help="print the callers of the functions matching this")
     args = ap.parse_args(argv)
 
     count = run.op_count(args.workload, 22)
@@ -62,6 +66,8 @@ def main(argv=None):
     stats = pstats.Stats(prof).strip_dirs().sort_stats(args.sort)
     restrictions = [args.match] if args.match else []
     stats.print_stats(*restrictions, args.top)
+    if args.callers:
+        stats.print_callers(args.callers)
     total = sum(map(sum, times.values()))
     print(f"{args.workload}, seed {args.seed}: {count} ops, "
           f"{total:.3f} s under the profiler")

@@ -5,6 +5,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from starklab.hnf import (IntLattice, diagonalize_relations, hnf,
                           identity_matrix, kernel, mat_mul, rational_solve,
@@ -174,3 +176,32 @@ def test_smith_form_entries_stay_bounded():
         assert time.perf_counter() - t0 < 2.0
         assert 0 not in factors
         assert math.prod(factors) == IntLattice(8, R).index()
+
+
+def _dense_product(A, B):
+    return [[sum(A[i][k] * B[k][j] for k in range(len(B)))
+             for j in range(len(B[0]) if B else 0)] for i in range(len(A))]
+
+
+@st.composite
+def _factors(draw):
+    """(A, B) of shapes m x n and n x p, entries in [-9, 9] and many of
+    them 0, or B a permutation matrix."""
+    m, n, p = (draw(st.integers(0, 5)) for _ in range(3))
+    entry = st.sampled_from([0, 0, 0, 1, -1]) | st.integers(-9, 9)
+    A = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(n)))
+        return A, [[int(j == perm[i]) for j in range(n)] for i in range(n)]
+    return A, [[draw(entry) for _ in range(p)] for _ in range(n)]
+
+
+@given(_factors())
+@settings(max_examples=100, deadline=None)
+@example(([], [[1, 2]]))                      # 0 rows
+@example(([[3, -4, 5]], [[1], [-2], [0]]))   # 1 x n times n x 1
+@example(([[2], [-7]], [[-1, 6]]))           # n x 1 times 1 x n
+@example(([[0, -2], [5, 0]], [[0, 1], [1, 0]]))
+def test_mat_mul_is_the_dense_triple_sum(AB):
+    A, B = AB
+    assert mat_mul(A, B) == _dense_product(A, B)

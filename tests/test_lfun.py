@@ -1045,6 +1045,8 @@ def test_trivial_group_keeps_the_non_units_out():
     assert R.degree() == 1 and R.coordinate_characters == []
     chi = R.dirichlet(R.group.all_characters()[0])
     assert chi.values == [None, 0, None, 0, None, None, None, 0, None, 0]
+    # built once per realization
+    assert R.dirichlet(R.group.all_characters()[0]) is chi
     assert R.ramified_primes() == [] and R.splits_completely(7)
 
 

@@ -725,6 +725,29 @@ def test_one_relation_lattice_gives_the_s_units_and_the_ray_class(D, extra):
     assert annihilator(rc.module) == annihilator(kept)
 
 
+@pytest.mark.parametrize("D,extra", [(-23, (2, 3, 5)), (-84, (7,)),
+                                     (229, (7,)), (5, ())])
+def test_ray_class_reads_the_unit_rows_off_the_lattice(monkeypatch, D,
+                                                       extra):
+    # the generators and the torsion generator are reduced mod T once, by
+    # s_unit_lattice; ray_class reduces only the generators of the
+    # relations that survive on the class primes
+    F, S, T = _one_lattice_datum(D, extra)
+    L = s_unit_lattice(F, S, T)
+    res = L.residues
+    assert L.unit_dlogs == [res.dlog(res.reduce(u))
+                            for u in L.gens + [L.torsion_gen]]
+    n = 2 * len(L.class_primes)
+    calls = []
+    inner = ResidueSystem.reduce
+    monkeypatch.setattr(ResidueSystem, "reduce",
+                        lambda self, x: calls.append(x) or inner(self, x))
+    rc = ray_class(F, S, T, lattice=L)
+    assert calls == [g for v, g in L.relations if any(v[:n])]
+    monkeypatch.undo()
+    assert rc.module.orders == ray_class(F, S, T).module.orders
+
+
 def test_ray_class_of_d_minus_187_by_hand():
     # h(-187) = 2 and the ramified primes above 11 and 17 are not
     # principal, so h_S = 1; 7 splits, R_T = (Z/6)^2, and the images of

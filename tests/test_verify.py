@@ -12,7 +12,7 @@ from starklab.verify import (CHECKS, ConfigError, Scenario,
                              certificate_summary, check_norm_identity,
                              check_sign_criterion, run_scenario, sign_criterion_matrix,
                              RubinStarkData)
-from starklab.numfld import DatumError
+from starklab.numfld import DatumError, QuadField
 
 
 def test_sign_criterion_matrix_level():
@@ -572,6 +572,30 @@ def test_one_lattice_and_one_ray_class_per_scenario(monkeypatch):
     assert len({id(f["S"]) for f in flags}) == len(flags)
 
 
+def test_sigma_and_the_t_sublattice_are_built_only_when_read(monkeypatch):
+    # |V| = 0: the exact checks read theta, the ray class and the unit
+    # residues, never the Galois action on the S-units or the T-sublattice;
+    # at V = {2} (2 splits in Q(sqrt -23)) the pairings read both, and each
+    # is built once: one `express` per generator and one T-sublattice
+    from starklab import numfld
+    checks = ["sign_criterion", "rs_integrality", "fitting_equality",
+              "annihilation", "igc_membership"]
+    for V, S, T, built in (([], ["inf", 2, 3, 23], [5], False),
+                           ([2], ["inf", 2, 23], [3], True)):
+        rank = numfld.s_unit_lattice(QuadField(-23), S, T).rank
+        counts = {}
+        with monkeypatch.context() as m:
+            _count_calls(m, numfld.SUnitLattice, "express", counts)
+            _count_calls(m, numfld, "_t_sublattice", counts)
+            cert = run_scenario(Scenario({
+                "field": {"type": "quad", "disc": -23}, "S": S, "V": V,
+                "T": T, "checks": checks}))
+        assert [e["verdict"] for e in cert["results"]] == \
+            ["unsupported"] + ["pass"] * 4
+        assert counts == ({"express": rank, "_t_sublattice": 1} if built
+                          else {})
+
+
 @pytest.mark.parametrize("field,S", [({"type": "Q"}, ["inf", 5, 7]),
                                      ({"type": "quad", "disc": -23},
                                       ["inf", 23])])
@@ -579,12 +603,13 @@ def test_sign_criterion_without_v_places_is_unsupported(monkeypatch,
                                                         field, S):
     # V = []: the log matrix has no columns, and no precision makes it
     # square, so the verdict is not one that asks for more bits; the shape
-    # is decided before any log is computed
+    # is decided before any log or the T-sublattice is computed
     from starklab import numfld
 
-    def no_logs(self):
-        raise AssertionError("log matrix computed")
-    monkeypatch.setattr(numfld.SUnitLattice, "log_matrix", no_logs)
+    def unreachable(self):
+        raise AssertionError("built for a matrix that is not square")
+    monkeypatch.setattr(numfld.SUnitLattice, "log_matrix", unreachable)
+    monkeypatch.setattr(numfld.SUnitLattice, "t_lattice_hnf", unreachable)
     cert = run_scenario(Scenario({"field": field, "S": S, "V": [], "T": [3],
                                   "checks": ["sign_criterion"]}))
     [entry] = cert["results"]
