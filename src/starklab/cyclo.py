@@ -80,9 +80,6 @@ class CycloField:
                              f"of degree {self.degree}")
         return CycloElt(self, vec)
 
-    def zero(self):
-        return self.element([])
-
     def from_rational(self, q):
         v = [Fraction(0)] * self.degree
         if self.degree:
@@ -179,14 +176,6 @@ class CycloElt:
     def is_zero(self):
         return not any(self.vec)
 
-    def is_rational(self):
-        return not any(self.vec[1:])
-
-    def rational_value(self):
-        if not self.is_rational():
-            raise ValueError(f"not rational: {self}")
-        return self.vec[0] if self.vec else Fraction(0)
-
     def to_cball(self):
         """Certified complex enclosure via root-of-unity balls."""
         out = CBall(0, 0)
@@ -196,10 +185,7 @@ class CycloElt:
         return out
 
     def __repr__(self):
-        if self.is_rational():
-            return f"Cyclo({self.rational_value()})"
-        terms = []
-        for k, c in enumerate(self.vec):
-            if c:
-                terms.append(f"{c}*z{self.field.e}^{k}" if k else f"{c}")
-        return "Cyclo(" + " + ".join(terms) + ")"
+        e = self.field.e
+        terms = [f"{c}*z{e}^{k}" if k else f"{c}"
+                 for k, c in enumerate(self.vec) if c]
+        return "Cyclo(" + (" + ".join(terms) or "0") + ")"

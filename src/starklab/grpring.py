@@ -5,9 +5,10 @@ tuples enumerated in a fixed mixed-radix (lexicographic) order that every
 other module reuses.  Coefficient rings: "int", "rat" and "ball" (real
 certified enclosures at the working precision in force, see
 `ball.working_precision`); a mixed operation runs in the larger of the
-two.  Complex and cyclotomic values stay per character, outside Z[G]
-(`lfun` assembles them into rational or real coefficients).  All values
-are immutable after construction and all operations are pure.
+two.  Complex and cyclotomic values stay per character, outside Z[G]:
+at |V| >= 1 `lfun` assembles certified complex leading terms into real
+coefficients, and at |V| = 0 it builds rational ones with no character.
+All values are immutable after construction and all operations are pure.
 """
 
 from fractions import Fraction

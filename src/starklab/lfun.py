@@ -1,6 +1,8 @@
 """Dirichlet characters over Q, certified leading terms at s = 0 of
 S-truncated T-modified L-series, exact order-0 values through generalized
-Bernoulli sums, and the group-ring elements built from them.
+Bernoulli sums, and the group-ring elements built from them.  At order 0
+that element reads no character: it is the Stickelberger sum over the
+units mod the field's conductor (`stickelberger_element`).
 
 A character of order n records its values as exponents t of zeta_n and is
 read through one exact value and one ball value of zeta_n^t
@@ -13,7 +15,7 @@ A field is an `AbelianFieldRealization`: its Galois group is presented by
 the coordinate characters dual to a basis of it, whatever way the field
 was given, and every reader works from them.
 
-Every identity checked here reads one number per character: the leading
+Every L-value read here is one number per character: the leading
 term lim_{s->0} s^-r L_{S,T}(chi, s) at the order of vanishing r (Tate,
 *Les conjectures de Stark*, ch. I, section 3).  The leading term of a
 product is the product of the leading terms, so it is the primitive
@@ -799,19 +801,6 @@ def bernoulli_value(char, S, T=()):
 
 # -- group-ring elements from L-values ---------------------------------------
 
-def _embed_cyclo(value, e):
-    """Embed an exact value (Fraction or CycloElt) into Q(zeta_e)."""
-    field = CycloField(e)
-    if isinstance(value, Fraction):
-        return field.from_rational(value)
-    out = field.zero()
-    step = e // value.field.e
-    for k, c in enumerate(value.vec):
-        if c:
-            out = out + field.zeta_power(k * step) * c
-    return out
-
-
 def validate_rubin_shape(realization, S, V, T):
     """(H1) and (H2) shape checks for a Rubin datum over the realization,
     whose finite places in S and T must be primes.
@@ -842,11 +831,21 @@ def stickelberger_element(realization, S, V, T):
     """The group-ring element whose chi-component is
     lim_{s->0} s^{-|V|} L_{S,T}(chi^{-1}, s).
 
-    Exact rational coefficients when |V| = 0; certified real-ball
-    coefficients otherwise, each the leading term of an `l_jet`.
-    Components of characters vanishing beyond order |V| are exact zeros.
+    At |V| = 0 it is exact, the image in Q[G] of the Stickelberger sum
+
+        sum_{a in (Z/f)^x, 1 <= a <= f} (1/2 - a/f) sigma_a^-1
+          * prod_{q in S finite, q not dividing f} (1 - sigma_q^-1)
+          * prod_{t in T} (1 - t sigma_t^-1)
+
+    (Washington, GTM 83, section 6.2; Tate, ch. IV) for f the conductor
+    of the field, the lcm of its coordinate characters' conductors
+    (`_stickelberger_sum`).  Otherwise its coefficients are certified real
+    balls assembled from each character's `l_jet`, and the components of
+    characters vanishing beyond order |V| are exact zeros.
     """
     S, V, T = validate_rubin_shape(realization, S, V, T)
+    if not V:
+        return _stickelberger_sum(realization, S, T)
     r = len(V)
     group = realization.group
     components = {}
@@ -859,38 +858,47 @@ def stickelberger_element(realization, S, V, T):
                 "some place of V cannot split completely")
         if r_chi > r:
             components[chi.exponents] = Fraction(0)
-        elif r == 0:
-            components[chi.exponents] = bernoulli_value(chid, S, T)
         else:
             components[chi.exponents] = l_jet(LSpec(chid, S, T)).value
-    if r == 0:
-        return _assemble_exact(group, components)
     return _assemble_ball(group, components)
 
 
-def _assemble_exact(group, components):
-    """The exact element sum_chi L(chi^-1) e_chi: the coefficient of sigma
-    is sum_chi chi(sigma^-1) L(chi^-1) / |G|, with the weights +-1 when
-    every character is real, else summed in Q(zeta_e) and certified
-    rational."""
-    if group.exponent <= 2:
-        return GroupRingElement(group, "rat", [
-            Fraction(sum((-1) ** chi.value_exponent(sigma)
-                         * components[chi.exponents]
-                         for chi in group.all_characters()), group.order)
-            for sigma in group.elements])
-    field = CycloField(group.exponent)
-    coeffs = []
-    for sigma in group.elements:
-        total = field.zero()
-        for chi in group.all_characters():
-            val = _embed_cyclo(components[chi.exponents], field.e)
-            # coefficient of sigma in e_chi is chi(sigma^{-1}) / |G|
-            total = total + val * field.zeta_power(-chi.value_exponent(sigma))
-        if not total.is_rational():
-            raise CertificationError("Stickelberger coefficient not rational")
-        coeffs.append(total.rational_value() / group.order)
-    return GroupRingElement(group, "rat", coeffs)
+def _stickelberger_sum(realization, S, T):
+    """theta_{S,T} at s = 0 by the sum of `stickelberger_element`: summed
+    over the units mod f, chi^-1 of conductor f' gives -B_{1,chi^-1} times
+    1 - chi^-1(q) for each q | f off f'.  sigma_a is read off the primitive
+    coordinate characters, so a modulus with a prime unramified in K needs
+    no lift.  For f > 2, sigma_{f-a} = sigma_-1 sigma_a makes the sum
+    (1 - sigma_-1) times its half over a < f/2, and 0 for real K."""
+    group = realization.group
+    prims = [psi.primitive() for psi in realization.coordinate_characters]
+    f = lcm(*(chi.modulus for chi in prims))
+    if not prims:
+        index, u, steps = [0], [-1], []
+    else:
+        # index[a]: the position of sigma_a in group.elements, whose
+        # mixed radix runs fastest in the last coordinate; None off the units
+        *rest, last = prims
+        index, stride = last.values * (f // last.modulus), last.order
+        for chi in reversed(rest):
+            index = [None if i is None or t is None else i + t * stride
+                     for i, t in zip(index, chi.values * (f // chi.modulus))]
+            stride *= chi.order
+        if index[f - 1] == 0:
+            return GroupRingElement.zero(group, "rat")
+        half = [0] * group.order
+        for a, i in enumerate(index[1:(f + 1) // 2], 1):
+            if i is not None:
+                half[i] += f - 2 * a
+        u = [half[group.index[group.inv(g)]] for g in group.elements]
+        steps = [(1, index[f - 1])]
+    # times 1 - x sigma_q^-1: the coefficient of g gains -x that of g sigma_q
+    steps += [(1, index[q % f]) for q in S if q != "inf" and f % q]
+    steps += [(t, index[t % f]) for t in T]
+    table = group.multiplication_table()
+    for x, k in steps:
+        u = [c - x * u[row[k]] for c, row in zip(u, table)]
+    return GroupRingElement(group, "rat", [Fraction(c, 2 * f) for c in u])
 
 
 def _assemble_ball(group, components):

@@ -291,11 +291,9 @@ class RubinStarkData:
         theta = self.theta()
         r = len(self.V)
         if r == 0:
-            eps = WedgeElement(self.group, 0, self.cover(),
-                               {(): theta.convert("rat")
-                                if theta.ring != "ball" else theta})
-            self._epsilon = eps
-            return eps
+            self._epsilon = WedgeElement(self.group, 0, self.cover(),
+                                         {(): theta})
+            return self._epsilon
         if theta.is_zero():
             coeffs = {}
             self._epsilon = WedgeElement(self.group, r, self.cover(), coeffs)

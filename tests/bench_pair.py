@@ -1,0 +1,172 @@
+"""Paired benchmark runs of a parent commit and this checkout.
+
+    python tests/bench_pair.py PARENT [--workload W] [--pairs N] [--seed S]
+
+exports PARENT's committed files (`git archive`) into a temporary
+directory and runs `perfbench/run.py --workload W --seed S --trace 0`
+N times from each tree, alternating which side runs first pair by pair,
+every run with the same seed; a run's result is the JSON object on the
+last line of its stdout.  It then writes `BENCH_<parent sha>.json` at the
+root of this checkout: each run's result, and per end-to-end metric the
+median and quartiles of each side, the pairs the change wins and whether
+the change's median is worse than the parent's by more than the bound of
+`BENCHMARK.json`, with both sides' `setup_s` and `peak_rss_mb` samples
+(the set-up samples of every run too).  A file for the same parent gains
+or replaces the workload's entry, so one file holds every workload paired
+against that parent.  The export is removed at the end.
+
+An export, unlike a worktree, leaves nothing registered in `.git` when a
+run is killed, and holds exactly the committed files that the benchmark
+builds from.  Nothing under `perfbench/` changes.  pytest does not collect
+this file; `tests/test_bench_pair.py` checks its statistics on fake runs.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SIDES = ("parent", "change")
+SAMPLED = ("setup_s", "peak_rss_mb")
+
+
+def git(*args, cwd=ROOT):
+    return subprocess.run(["git", *args], cwd=cwd, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def parse_run(stdout):
+    """(result, setup samples) of one `run.py --trace 0` stdout: the JSON
+    object of its last line, and the `setup_samples` of its info line
+    (empty when that line is missing)."""
+    lines = stdout.strip().splitlines()
+    samples = []
+    for line in lines:
+        if line.strip().startswith("info {"):
+            samples = json.loads(line.strip()[5:]).get("setup_samples", [])
+    return json.loads(lines[-1]), samples
+
+
+def quartiles(xs):
+    """The first and third quartiles (inclusive method); a single sample
+    is its own quartiles."""
+    if len(xs) < 2:
+        return [xs[0], xs[0]]
+    q = statistics.quantiles(xs, n=4, method="inclusive")
+    return [q[0], q[2]]
+
+
+def summarize(runs, end_to_end):
+    """The statistics of one workload's runs: `runs` is a list of
+    {"side", "pair", "result", "setup_samples"}, `end_to_end` the
+    `BENCHMARK.json` entries of the metrics (name, better, bound)."""
+    by_side = {side: sorted((r for r in runs if r["side"] == side),
+                            key=lambda r: r["pair"]) for side in SIDES}
+    pairs = min(len(by_side[side]) for side in SIDES)
+    out = {"pairs": pairs,
+           "attempted_failed": {side: sorted({
+               (r["result"]["attempted"], r["result"]["failed"])
+               for r in by_side[side]}) for side in SIDES},
+           "correct": {side: all(r["result"]["correct"]
+                                 for r in by_side[side]) for side in SIDES},
+           "metrics": {},
+           "samples": {}}
+    for spec in end_to_end:
+        name = spec["name"]
+        values = {side: [r["result"]["metrics"][name]["value"]
+                         for r in by_side[side]] for side in SIDES}
+        sign = 1 if spec["better"] == "higher" else -1
+        wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"],
+                                                      values["change"]))
+        parent, change = (statistics.median(values[side]) for side in SIDES)
+        # how much worse the change's median reads, as a share of the
+        # parent's; negative when it reads better
+        worse = sign * (parent - change) / parent if parent else 0.0
+        out["metrics"][name] = {
+            "parent_median": parent,
+            "parent_quartiles": quartiles(values["parent"]),
+            "change_median": change,
+            "change_quartiles": quartiles(values["change"]),
+            "change_better_pairs": wins,
+            "worse_share": worse,
+            "bound": spec["bound"],
+            "within_bound": worse <= spec["bound"],
+        }
+        if name in SAMPLED:
+            out["samples"][name] = values
+    out["samples"]["setup_samples"] = {
+        side: [r["setup_samples"] for r in by_side[side]] for side in SIDES}
+    return out
+
+
+def run_side(tree, workload, seed):
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True, check=True)
+    return parse_run(proc.stdout)
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", help="the commit to pair against")
+    ap.add_argument("--workload", default="exact_algebra")
+    ap.add_argument("--pairs", type=int, default=5)
+    ap.add_argument("--seed", type=int, default=7)
+    args = ap.parse_args(argv)
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        end_to_end = json.load(fh)["end_to_end"]
+    parent_sha = git("rev-parse", args.parent)
+    path = os.path.join(ROOT, f"BENCH_{parent_sha[:7]}.json")
+    doc = {}
+    if os.path.exists(path):
+        with open(path) as fh:
+            doc = json.load(fh)
+    doc.update({
+        "parent_sha": parent_sha,
+        "change": f"this checkout at {git('rev-parse', 'HEAD')}"
+                  + (" with uncommitted changes"
+                     if git("status", "--porcelain", "--", "src", "tests",
+                            "perfbench") else ""),
+        "command": "python3 perfbench/run.py --workload W --seed S "
+                   "--trace 0, from each tree",
+        "order": "parent first in even pairs, change first in odd ones",
+        "quartiles": "statistics.quantiles(n=4, method='inclusive'), "
+                     "first and third",
+    })
+    runs = []
+    with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
+        archive = subprocess.run(["git", "archive", parent_sha], cwd=ROOT,
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        trees = {"parent": tmp, "change": ROOT}
+        for pair in range(args.pairs):
+            order = SIDES if pair % 2 == 0 else SIDES[::-1]
+            for side in order:
+                result, samples = run_side(trees[side], args.workload,
+                                           args.seed)
+                runs.append({"side": side, "pair": pair, "first": order[0],
+                             "result": result, "setup_samples": samples})
+                print(f"pair {pair} {side}: "
+                      f"{result['metrics']['ops_per_s']['value']:.1f} "
+                      f"ops/s, correct {result['correct']}", flush=True)
+    entry = summarize(runs, end_to_end)
+    entry.update({"seed": args.seed, "runs": runs})
+    doc.setdefault("workloads", {})[args.workload] = entry
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    for name, m in entry["metrics"].items():
+        print(f"{name:<16} parent {m['parent_median']:.4g} change "
+              f"{m['change_median']:.4g} wins {m['change_better_pairs']}/"
+              f"{entry['pairs']} within bound {m['within_bound']}")
+    print(f"wrote {os.path.relpath(path, ROOT)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

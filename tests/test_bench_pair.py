@@ -1,0 +1,98 @@
+"""The statistics of `tests/bench_pair.py`, fed fake run lines: no
+benchmark runs and no subprocess starts."""
+
+import json
+import subprocess
+
+import pytest
+
+import bench_pair
+
+END_TO_END = [{"name": "ops_per_s", "better": "higher", "bound": 0.25},
+              {"name": "latency_p90_ms", "better": "lower", "bound": 0.25},
+              {"name": "setup_s", "better": "lower", "bound": 0.25}]
+
+
+def _stdout(ops, p90, setup, samples=None, failed=25):
+    """A `run.py --trace 0` stdout: a table, an info line, the result."""
+    result = {"correct": True, "attempted": 250, "failed": failed,
+              "metrics": {"ops_per_s": {"value": ops, "unit": "1/s"},
+                          "latency_p90_ms": {"value": p90, "unit": "ms"},
+                          "setup_s": {"value": setup, "unit": "s"}}}
+    info = {"completed": 250 - failed, "setup_samples": samples or [setup]}
+    return "\n".join(["== exact_algebra: end-to-end; attempted 250",
+                      f"   ops_per_s {ops} 1/s",
+                      f"   info {json.dumps(info, sort_keys=True)}",
+                      json.dumps(result)]) + "\n"
+
+
+@pytest.fixture(autouse=True)
+def no_subprocess(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a subprocess was started")
+    monkeypatch.setattr(subprocess, "run", refuse)
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+
+
+def test_a_run_is_its_last_line_and_its_set_up_samples():
+    result, samples = bench_pair.parse_run(
+        _stdout(250.0, 6.0, 0.15, samples=[0.14, 0.26, 0.15]))
+    assert result["attempted"] == 250 and result["failed"] == 25
+    assert result["metrics"]["setup_s"]["value"] == 0.15
+    assert samples == [0.14, 0.26, 0.15]
+    # a stdout without the info line still gives its result
+    line = _stdout(1.0, 1.0, 1.0).splitlines()[-1]
+    assert bench_pair.parse_run(line + "\n") == (json.loads(line), [])
+
+
+def _runs(parent, change):
+    """Runs of alternating pairs from (ops, p90, setup) triples."""
+    runs = []
+    for pair, sides in enumerate(zip(parent, change)):
+        for side, (ops, p90, setup) in zip(bench_pair.SIDES, sides):
+            result, samples = bench_pair.parse_run(
+                _stdout(ops, p90, setup, samples=[setup, 2 * setup]))
+            runs.append({"side": side, "pair": pair, "result": result,
+                         "setup_samples": samples})
+    return runs
+
+
+def test_medians_quartiles_wins_and_bounds():
+    parent = [(200, 8.0, 0.15), (220, 7.0, 0.16), (240, 6.0, 0.26),
+              (260, 6.0, 0.15), (280, 5.0, 0.14)]
+    change = [(210, 8.0, 0.20), (215, 6.0, 0.25), (250, 6.5, 0.26),
+              (270, 5.0, 0.27), (290, 4.0, 0.30)]
+    out = bench_pair.summarize(_runs(parent, change), END_TO_END)
+    assert out["pairs"] == 5 and out["correct"] == {"parent": True,
+                                                    "change": True}
+    assert out["attempted_failed"] == {"parent": [(250, 25)],
+                                       "change": [(250, 25)]}
+    ops = out["metrics"]["ops_per_s"]
+    assert (ops["parent_median"], ops["change_median"]) == (240, 250)
+    assert ops["parent_quartiles"] == [220, 260]
+    assert ops["change_quartiles"] == [215, 270]
+    assert ops["change_better_pairs"] == 4            # 215 < 220 loses
+    assert ops["worse_share"] == pytest.approx(-10 / 240)
+    assert ops["within_bound"]
+    # lower is better: the tie at 8.0 counts for neither side
+    p90 = out["metrics"]["latency_p90_ms"]
+    assert p90["change_better_pairs"] == 3
+    assert p90["worse_share"] == pytest.approx(0.0)
+    # set-up 0.15 -> 0.26 s is 73% worse, past the 0.25 bound
+    setup = out["metrics"]["setup_s"]
+    assert setup["worse_share"] == pytest.approx(0.11 / 0.15)
+    assert not setup["within_bound"] and setup["change_better_pairs"] == 0
+    assert out["samples"]["setup_s"] == {
+        "parent": [0.15, 0.16, 0.26, 0.15, 0.14],
+        "change": [0.20, 0.25, 0.26, 0.27, 0.30]}
+    assert out["samples"]["setup_samples"]["parent"][2] == [0.26, 0.52]
+    assert "peak_rss_mb" not in out["samples"]
+
+
+def test_a_single_pair_is_its_own_quartiles():
+    out = bench_pair.summarize(_runs([(100, 2.0, 0.1)], [(90, 2.0, 0.1)]),
+                               END_TO_END)
+    ops = out["metrics"]["ops_per_s"]
+    assert ops["parent_quartiles"] == [100, 100]
+    assert ops["worse_share"] == pytest.approx(0.1)
+    assert ops["change_better_pairs"] == 0

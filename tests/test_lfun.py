@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 from mpmath.libmp import to_rational
 from sympy.functions.combinatorial.numbers import stirling
@@ -401,12 +403,11 @@ def _bernoulli_by_residue(chi, S, T):
     chi = chi.primitive()
     f = chi.conductor()
     field = CycloField(max(chi.order, 1))
-    total = field.zero()
+    powers = [Fraction(0)] * field.e
     for a in range(1, f + 1):
         if chi(a) is not None:
-            total = total + _value_cyclo(chi, a, field) \
-                * (Fraction(a, f) - Fraction(1, 2))
-    value = -1 * total
+            powers[chi(a)] += Fraction(1, 2) - Fraction(a, f)
+    value = _from_powers(field, powers)
     for q in S:
         if q != "inf" and f % q != 0:
             value = value * (1 - _value_cyclo(chi, q, field))
@@ -427,11 +428,7 @@ def test_bernoulli_value_matches_the_sum_by_residue():
         if theoretical_order(chi, S) != 0:
             continue
         value = bernoulli_value(chi, S, [17])
-        ref = _bernoulli_by_residue(chi, S, [17])
-        if chi.primitive().order <= 2:
-            assert value == ref.rational_value()
-        else:
-            assert value == ref
+        assert value == _bernoulli_by_residue(chi, S, [17])
         checked += 1
     assert checked > 30
 
@@ -741,12 +738,30 @@ def _value_rational(chi, a):
     return 1 if t == 0 else -1
 
 
+# zeta_e^k, kept: the oracle's sums ask for the same few powers many times
+_zeta_power = functools.lru_cache(maxsize=None)(CycloField.zeta_power)
+
+
+def _from_powers(field, powers):
+    """sum_j powers[j] zeta_e^j in field = Q(zeta_e), e = len(powers),
+    summed in integers over one denominator (zeta_e^j has integer
+    coordinates)."""
+    den = math.lcm(*(c.denominator for c in powers))
+    total = [0] * field.degree
+    for j, c in enumerate(powers):
+        if c:
+            n = c.numerator * (den // c.denominator)
+            for i, z in enumerate(_zeta_power(field, j).vec):
+                total[i] += n * int(z)
+    return field.element([Fraction(t, den) for t in total])
+
+
 def _value_cyclo(chi, a, field=None):
     t = chi(a)
     field = field or CycloField(chi.order)
     if t is None:
-        return field.zero()
-    return field.zeta_power(t * (field.e // chi.order))
+        return field.from_rational(Fraction(0))
+    return _zeta_power(field, t * (field.e // chi.order))
 
 
 def _value_cball(chi, a):
@@ -864,7 +879,7 @@ def _oracle_leading_term(chi, S, T):
         value = Fraction(sum((f - 2 * a) * _value_rational(chi, a)
                              for a in range(1, f)), 2 * f)
     else:
-        value = CycloField(chi.order).zero()
+        value = CycloField(chi.order).from_rational(Fraction(0))
         for a in range(1, f):
             if chi(a) is not None:
                 value = value + _value_cyclo(chi, a) * (f - 2 * a)
@@ -903,11 +918,10 @@ def _oracle_bernoulli_value(chi, S, T):
 
 
 def _use_oracle_sums(m):
-    """Send the leading terms and Bernoulli values of `lfun` through the
-    oracle (m: a monkeypatch context)."""
+    """Send the leading terms of `lfun` through the oracle (m: a
+    monkeypatch context)."""
     m.setattr(lfun, "l_jet", lambda spec: lfun.LeadingTerm(
         None, *_oracle_leading_term(spec.char, spec.S, spec.T)))
-    m.setattr(lfun, "bernoulli_value", _oracle_bernoulli_value)
 
 
 def _endpoints(c):
@@ -1051,18 +1065,167 @@ def test_trivial_group_keeps_the_non_units_out():
 
 
 def test_generic_stickelberger_elements_match_the_oracle(monkeypatch):
-    # exact (|V| = 0) and first-order (V = {inf}) elements of the pool's
-    # generic fields, read through the coset oracle and its sums
+    # first-order (V = {inf}) elements of the pool's real generic fields,
+    # read through the coset oracle and its sums
     for f, kernel in POOL_KERNELS:
         R = AbelianFieldRealization(f, kernel)
+        if not R.splits_completely("inf"):
+            continue
         S = ["inf"] + R.ramified_primes()
         T = [next(q for q in sympy.primerange(2, 50) if f % q)]
-        V = ["inf"] if R.splits_completely("inf") else []
-        new = stickelberger_element(R, S, V, T)
+        new = stickelberger_element(R, S, ["inf"], T)
         with monkeypatch.context() as m:
             _use_oracle_sums(m)
             old = stickelberger_element(_CosetRealization(f, kernel),
-                                        S, V, T)
-        assert new.ring == old.ring
+                                        S, ["inf"], T)
+        assert new.ring == old.ring == "ball"
         assert [_endpoints(c) for c in new.coeffs] == \
             [_endpoints(c) for c in old.coeffs], (f, kernel)
+
+
+# -- theta at s = 0: the Stickelberger sum against the character route ------
+
+def _in_field(value, field):
+    """An exact value of `_oracle_bernoulli_value`, a Fraction or an
+    element of Q(zeta_n) for n | e, as an element of field = Q(zeta_e)."""
+    powers = [Fraction(0)] * field.e
+    if isinstance(value, Fraction):
+        powers[0] = value
+    else:
+        step = field.e // value.field.e
+        for k, c in enumerate(value.vec):
+            powers[k * step] = c
+    return _from_powers(field, powers)
+
+
+def _theta_by_characters(real, S, T):
+    """theta_{S,T} at s = 0 summed over the characters of G: the
+    coefficient of sigma is sum_chi chi(sigma^-1) L_{S,T}(chi^-1, 0) / |G|,
+    each L-value the oracle's (0 at a positive order of vanishing), summed
+    in Q(zeta_e), where every coefficient must come out rational."""
+    group = real.group
+    e = group.exponent
+    field = CycloField(e)
+    values = [(chi, _in_field(_oracle_bernoulli_value(
+        real.dirichlet(chi).inverse(), S, T), field).vec)
+        for chi in group.all_characters()]
+    # the values' coordinates as integers over one denominator
+    den = math.lcm(*(c.denominator for _chi, vec in values for c in vec))
+    values = [(chi, [int(c * den) for c in vec]) for chi, vec in values]
+    coeffs = []
+    for sigma in group.elements:
+        # zeta^-k L = sum_i c_i zeta^(i - k), on the powers of zeta
+        powers = [0] * e
+        for chi, vec in values:
+            k = chi.value_exponent(sigma)
+            for i, c in enumerate(vec):
+                powers[(i - k) % e] += c
+        total = _from_powers(field, powers).vec
+        assert not any(total[1:]), (real, sigma, total)
+        coeffs.append(total[0] / (den * group.order))
+    return GroupRingElement(group, "rat", coeffs)
+
+
+def test_generic_exact_stickelberger_elements_match_the_character_route():
+    # |V| = 0 over the pool's generic fields and some imaginary composita,
+    # against the character sum over the coset oracle's characters
+    fields = [(AbelianFieldRealization(f, kernel),
+               _CosetRealization(f, kernel)) for f, kernel in POOL_KERNELS]
+    fields += [(AbelianFieldRealization.multiquadratic(discs),
+                _CosetRealization(None, discs=discs))
+               for discs in ([-3, -4], [-4, 5], [-3, 5, -8], [-7, 13])]
+    for R, oracle in fields:
+        S = ["inf"] + R.ramified_primes()
+        T = [next(q for q in sympy.primerange(2, 50) if R.modulus % q)]
+        assert stickelberger_element(R, S, [], T) == \
+            _theta_by_characters(oracle, S, T), R
+
+
+_SMALL_PRIMES = list(sympy.primerange(2, 20))
+
+
+@st.composite
+def _kernel_data(draw):
+    """(f, kernel generators, extra S-primes, T-primes) for a kernel
+    realization mod f <= 64; the primes drawn below 20, disjoint, and
+    filtered of the ramified ones by the test."""
+    f = draw(st.integers(1, 64))
+    units = [a for a in range(1, f) if math.gcd(a, f) == 1]
+    kernel = draw(st.lists(st.sampled_from(units), max_size=2)) \
+        if units else []
+    primes = draw(st.permutations(_SMALL_PRIMES))
+    ks, kt = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    return f, kernel, primes[:ks], primes[ks:ks + kt]
+
+
+@settings(max_examples=40, deadline=None)
+@example((15, [11], [], [2]))      # 3 | 15 is unramified and not in S
+@example((15, [11], [3], [2]))
+@example((56, [], [3, 5], [11]))
+@given(_kernel_data())
+def test_stickelberger_sum_is_the_character_route(data):
+    f, kernel, extra, T = data
+    R = AbelianFieldRealization(f, kernel)
+    ram = R.ramified_primes()
+    S = ["inf"] + ram + [q for q in extra if q not in ram]
+    T = [t for t in T if t not in ram]
+    assert stickelberger_element(R, S, [], T) == \
+        _theta_by_characters(R, S, T)
+
+
+def test_stickelberger_sum_examples():
+    Q = AbelianFieldRealization.rationals()
+    assert stickelberger_element(Q, ["inf"], [], []).coeffs == \
+        [Fraction(-1, 2)]                   # zeta(0)
+    assert stickelberger_element(Q, ["inf"], [], [3]).coeffs == \
+        [Fraction(1)]                       # zeta(0) (1 - 3)
+    # Q(zeta_5) at modulus 15, where 3 is unramified: the sum runs over
+    # the units mod 5, a = 1, 2, 3, 4 lifted to the units 1, 2, 8, 4 mod
+    # 15, and 3 in S multiplies it by 1 - sigma_3^-1 = 1 - sigma_8^-1
+    R = AbelianFieldRealization(15, [11])
+    G = R.group
+    assert R.degree() == 4 and R.ramified_primes() == [5]
+
+    def sigma_inv(a):
+        return GroupRingElement.from_element(G, G.inv(tuple(
+            psi(a) for psi in R.coordinate_characters)), "rat")
+
+    theta = sum((sigma_inv(lift) * (Fraction(1, 2) - Fraction(a, 5))
+                 for a, lift in ((1, 1), (2, 2), (3, 8), (4, 4))),
+                GroupRingElement.zero(G, "rat"))
+    assert sorted(theta.coeffs) == [Fraction(k, 10) for k in (-3, -1, 1, 3)]
+    assert stickelberger_element(R, ["inf", 5], [], []) == theta
+    assert stickelberger_element(R, ["inf", 3, 5], [], []) == \
+        theta * (GroupRingElement.one(G, "rat") - sigma_inv(8))
+    # every character of a real field is even: theta = 0
+    for real in (AbelianFieldRealization.quadratic(5),
+                 AbelianFieldRealization(13, [5]),
+                 AbelianFieldRealization.multiquadratic([5, 8])):
+        S = ["inf"] + real.ramified_primes()
+        assert stickelberger_element(real, S, [], [3]).is_zero()
+
+
+def test_theta_at_order_zero_reads_no_character(monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(lfun, "bernoulli_value",
+                        counted(lfun.bernoulli_value))
+    monkeypatch.setattr(AbelianFieldRealization, "dirichlet",
+                        counted(AbelianFieldRealization.dirichlet))
+    for R, T in ((AbelianFieldRealization.rationals(), [3]),
+                 (AbelianFieldRealization.quadratic(-23), [3]),
+                 (AbelianFieldRealization(15, [11]), [2]),
+                 (AbelianFieldRealization(63, [2]), [5]),
+                 (AbelianFieldRealization.multiquadratic([-3, 5]), [7])):
+        stickelberger_element(R, ["inf"] + R.ramified_primes(), [], T)
+    assert calls == []
+    # the first-order element reads each character through `dirichlet`
+    stickelberger_element(AbelianFieldRealization.quadratic(5), ["inf", 5],
+                          ["inf"], [3])
+    assert calls == ["dirichlet", "dirichlet"]

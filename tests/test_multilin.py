@@ -302,12 +302,10 @@ def test_dual_pairings_solve_each_cover_generator_once(monkeypatch):
 
 
 GATES_UNDER_O = """
-from fractions import Fraction
 from starklab.ball import CertificationError
 from starklab.cyclo import CycloField, _poly_divexact
 from starklab.grpring import AbelianGroup, InputError
 from starklab.hnf import identity_matrix
-from starklab.lfun import _assemble_exact
 from starklab.multilin import GLattice
 
 # the swap of coordinates does not preserve the lattice 2Z + Z
@@ -316,15 +314,6 @@ M = GLattice(G2, 2, [[2, 0], [0, 1]], [[[0, 1], [1, 0]]], validate=False)
 try:
     M.hom_generators()
     raise SystemExit("hom_generators accepted a non-stable lattice")
-except CertificationError:
-    pass
-# a single faithful character of Z/4 has non-rational idempotent entries
-G4 = AbelianGroup((4,))
-comps = {c.exponents: Fraction(c.order() == 4 and c.exponents == (1,))
-         for c in G4.all_characters()}
-try:
-    _assemble_exact(G4, comps)
-    raise SystemExit("_assemble_exact accepted a non-rational coefficient")
 except CertificationError:
     pass
 # exact polynomial division over Z: a non-integral quotient, a remainder
@@ -343,7 +332,7 @@ except InputError:
 """
 
 
-def test_pairing_and_stickelberger_gates_hold_under_python_O():
+def test_pairing_and_cyclotomic_gates_hold_under_python_O():
     import os
     import subprocess
     import sys
