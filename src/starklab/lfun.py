@@ -118,8 +118,10 @@ class DirichletChar:
         self._conductor = self._classes = None
 
     @staticmethod
+    @lru_cache(maxsize=256)
     def quadratic(D):
-        """The character a -> kronecker(D, a) mod |D| (D a discriminant)."""
+        """The character a -> kronecker(D, a) mod |D| (D a discriminant),
+        one object per D; nothing writes to a character's `values`."""
         vals = map({0: None, 1: 0, -1: 1}.__getitem__, _kronecker_table(D))
         return DirichletChar(abs(D), 2 if D != 1 else 1, vals)
 

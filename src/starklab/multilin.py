@@ -266,7 +266,9 @@ def pairing_vector(val, label):
 
 
 def all_dual_pairings(eps, M, homs=None):
-    """[(index-tuple, pairing)] over r-subsets of the dual generating set."""
+    """[(index-tuple, pairing)] over r-subsets of the dual generating set.
+    It has len(M.basis()) homs, so a zero eps gives 0 on the r-subsets of
+    range(rank M), which `RubinStarkData.pairings` builds without M."""
     homs = M.hom_generators() if homs is None else homs
     pulled = M.pull_homs_to_cover(homs, eps.cover)
     out = []

@@ -32,6 +32,7 @@ through it.  Annihilation is the containment of im(epsilon) in
 `zideal.annihilator` of the ray class group.
 """
 
+import itertools
 import json
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -295,8 +296,7 @@ class RubinStarkData:
                                          {(): theta})
             return self._epsilon
         if theta.is_zero():
-            coeffs = {}
-            self._epsilon = WedgeElement(self.group, r, self.cover(), coeffs)
+            self._epsilon = WedgeElement(self.group, r, self.cover(), {})
             return self._epsilon
         if r == 1:
             coords = self._solve_degree_one(theta)
@@ -353,13 +353,24 @@ class RubinStarkData:
 
     def pairings(self):
         """[(index, pairing)]: epsilon paired with every r-subset of the
-        dual generators of O^x_{K,S,T}; for |V| = 0, theta itself."""
+        dual generators of O^x_{K,S,T}; for |V| = 0, theta itself.  An
+        epsilon = 0 at r = |V| >= 1 pairs to 0 on the r-subsets of
+        range(t), t = rank_Z M, as f -> (coefficient of 1 in f) maps
+        Hom_{Z[G]}(M, Z[G]) onto Hom_Z(M, Z): no Galois action or Hom
+        kernel is built, only the HNF that rules out a compositum."""
         if self._pairings is None:
             # epsilon() builds the lattice first, so an out-of-scope field
             # is unsupported before any L-value, for |V| = 0 too
-            eps = self.epsilon()
-            self._pairings = [(("theta",), self.theta())] if not self.V \
-                else all_dual_pairings(eps, self.t_glattice())
+            eps, r = self.epsilon(), len(self.V)
+            if not r:
+                self._pairings = [(("theta",), self.theta())]
+            elif not eps.coeffs:
+                t = len(self.lattice().t_lattice_hnf())
+                self._pairings = [(F, GroupRingElement.zero(self.group,
+                                                            "rat"))
+                                  for F in itertools.combinations(range(t), r)]
+            else:
+                self._pairings = all_dual_pairings(eps, self.t_glattice())
         return self._pairings
 
     def pairing_vectors(self):

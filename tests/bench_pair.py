@@ -1,6 +1,8 @@
 """Paired benchmark runs of a parent commit and this checkout.
 
     python tests/bench_pair.py PARENT [--workload W] [--pairs N] [--seed S]
+    python tests/bench_pair.py PARENT --setup [--workload W] [--pairs N] \
+        [--seed S]
 
 exports PARENT's committed files (`git archive`) into a temporary
 directory and runs `perfbench/run.py --workload W --seed S --trace 0`
@@ -15,6 +17,14 @@ the change's median is worse than the parent's by more than the bound of
 or replaces the workload's entry, so one file holds every workload paired
 against that parent.  The export is removed at the end.
 
+With `--setup` each run is one `perfbench/worker.py --workload W --seed S
+--mode setup` process alone, timed as `run.py` times set-up: from just
+before the process starts to the monotonic clock reading it prints when it
+has imported stark-lab and built its inputs.  The pairs alternate as
+above, and the file's `setup` entry for W gets the `setup_s` statistics,
+so that a bimodal `setup_s` can be told apart from a change without the
+cost of whole runs.
+
 An export, unlike a worktree, leaves nothing registered in `.git` when a
 run is killed, and holds exactly the committed files that the benchmark
 builds from.  Nothing under `perfbench/` changes.  pytest does not collect
@@ -28,6 +38,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
@@ -60,12 +71,54 @@ def quartiles(xs):
     return [q[0], q[2]]
 
 
+def parse_setup(stdout, t0):
+    """The set-up seconds of one `worker.py --mode setup` stdout: its
+    `setup_done` clock reading less `t0`, the monotonic clock just before
+    the process started."""
+    return json.loads(stdout.strip().splitlines()[-1])["setup_done"] - t0
+
+
+def _by_side(runs):
+    return {side: sorted((r for r in runs if r["side"] == side),
+                         key=lambda r: r["pair"]) for side in SIDES}
+
+
+def compare(values, spec):
+    """The statistics of one metric's values {side: [value per pair]},
+    `spec` its `BENCHMARK.json` entry (name, better, bound)."""
+    sign = 1 if spec["better"] == "higher" else -1
+    wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"],
+                                                  values["change"]))
+    parent, change = (statistics.median(values[side]) for side in SIDES)
+    # how much worse the change's median reads, as a share of the parent's;
+    # negative when it reads better
+    worse = sign * (parent - change) / parent if parent else 0.0
+    return {"parent_median": parent,
+            "parent_quartiles": quartiles(values["parent"]),
+            "change_median": change,
+            "change_quartiles": quartiles(values["change"]),
+            "change_better_pairs": wins,
+            "worse_share": worse,
+            "bound": spec["bound"],
+            "within_bound": worse <= spec["bound"]}
+
+
+def summarize_setup(runs, end_to_end):
+    """The `setup_s` statistics of `--setup` runs, a list of {"side",
+    "pair", "setup_s"}."""
+    by_side = _by_side(runs)
+    values = {side: [r["setup_s"] for r in by_side[side]] for side in SIDES}
+    spec = next(s for s in end_to_end if s["name"] == "setup_s")
+    return {"pairs": min(len(v) for v in values.values()),
+            "metrics": {"setup_s": compare(values, spec)},
+            "samples": {"setup_s": values}}
+
+
 def summarize(runs, end_to_end):
     """The statistics of one workload's runs: `runs` is a list of
     {"side", "pair", "result", "setup_samples"}, `end_to_end` the
     `BENCHMARK.json` entries of the metrics (name, better, bound)."""
-    by_side = {side: sorted((r for r in runs if r["side"] == side),
-                            key=lambda r: r["pair"]) for side in SIDES}
+    by_side = _by_side(runs)
     pairs = min(len(by_side[side]) for side in SIDES)
     out = {"pairs": pairs,
            "attempted_failed": {side: sorted({
@@ -79,23 +132,7 @@ def summarize(runs, end_to_end):
         name = spec["name"]
         values = {side: [r["result"]["metrics"][name]["value"]
                          for r in by_side[side]] for side in SIDES}
-        sign = 1 if spec["better"] == "higher" else -1
-        wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"],
-                                                      values["change"]))
-        parent, change = (statistics.median(values[side]) for side in SIDES)
-        # how much worse the change's median reads, as a share of the
-        # parent's; negative when it reads better
-        worse = sign * (parent - change) / parent if parent else 0.0
-        out["metrics"][name] = {
-            "parent_median": parent,
-            "parent_quartiles": quartiles(values["parent"]),
-            "change_median": change,
-            "change_quartiles": quartiles(values["change"]),
-            "change_better_pairs": wins,
-            "worse_share": worse,
-            "bound": spec["bound"],
-            "within_bound": worse <= spec["bound"],
-        }
+        out["metrics"][name] = compare(values, spec)
         if name in SAMPLED:
             out["samples"][name] = values
     out["samples"]["setup_samples"] = {
@@ -111,12 +148,23 @@ def run_side(tree, workload, seed):
     return parse_run(proc.stdout)
 
 
+def setup_side(tree, workload, seed):
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "perfbench/worker.py", "--workload", workload,
+         "--seed", str(seed), "--mode", "setup"],
+        cwd=tree, capture_output=True, text=True, check=True)
+    return parse_setup(proc.stdout, t0)
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", help="the commit to pair against")
     ap.add_argument("--workload", default="exact_algebra")
     ap.add_argument("--pairs", type=int, default=5)
     ap.add_argument("--seed", type=int, default=7)
+    ap.add_argument("--setup", action="store_true",
+                    help="pair the set-up worker alone")
     args = ap.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         end_to_end = json.load(fh)["end_to_end"]
@@ -134,6 +182,8 @@ def main(argv=None):
                             "perfbench") else ""),
         "command": "python3 perfbench/run.py --workload W --seed S "
                    "--trace 0, from each tree",
+        "setup_command": "python3 perfbench/worker.py --workload W "
+                         "--seed S --mode setup, from each tree",
         "order": "parent first in even pairs, change first in odd ones",
         "quartiles": "statistics.quantiles(n=4, method='inclusive'), "
                      "first and third",
@@ -147,16 +197,24 @@ def main(argv=None):
         for pair in range(args.pairs):
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for side in order:
-                result, samples = run_side(trees[side], args.workload,
-                                           args.seed)
-                runs.append({"side": side, "pair": pair, "first": order[0],
-                             "result": result, "setup_samples": samples})
-                print(f"pair {pair} {side}: "
-                      f"{result['metrics']['ops_per_s']['value']:.1f} "
-                      f"ops/s, correct {result['correct']}", flush=True)
-    entry = summarize(runs, end_to_end)
+                run = {"side": side, "pair": pair, "first": order[0]}
+                if args.setup:
+                    run["setup_s"] = setup_side(trees[side], args.workload,
+                                                args.seed)
+                    print(f"pair {pair} {side}: {run['setup_s']:.3f} s "
+                          f"set-up", flush=True)
+                else:
+                    result, run["setup_samples"] = run_side(
+                        trees[side], args.workload, args.seed)
+                    run["result"] = result
+                    print(f"pair {pair} {side}: "
+                          f"{result['metrics']['ops_per_s']['value']:.1f} "
+                          f"ops/s, correct {result['correct']}", flush=True)
+                runs.append(run)
+    entry = (summarize_setup if args.setup else summarize)(runs, end_to_end)
     entry.update({"seed": args.seed, "runs": runs})
-    doc.setdefault("workloads", {})[args.workload] = entry
+    doc.setdefault("setup" if args.setup else "workloads",
+                   {})[args.workload] = entry
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -25,7 +25,7 @@ runs the same ops and writes `tests/pool_verdicts.json`, the golden
 verdict table that `tests/test_pool_verdicts.py` compares every pool op
 with: workload -> op key -> what `verdicts` keeps of its result.  A
 verdict that moves is then a reviewed diff of that table.  pytest does not
-collect this file.
+collect this file; the tests import `rubin_scenarios` from it.
 """
 
 import hashlib
@@ -84,6 +84,22 @@ def pool_results():
                    for _stratum, _n, ops in workloads.pool(name)
                    for op in ops]
             for name in workloads.WORKLOADS}
+
+
+def rubin_scenarios():
+    """One `Scenario`, with no checks, per distinct Rubin datum (field, S,
+    V, T) with |V| >= 1 among the pool ops, in pool order; the ops' bits
+    are dropped."""
+    out = {}
+    for name in workloads.WORKLOADS:
+        for _stratum, _n, ops in workloads.pool(name):
+            for op in ops:
+                spec = op.get("spec", {})
+                if spec.get("V"):
+                    datum = {k: spec[k] for k in ("field", "S", "V", "T")}
+                    out.setdefault(workloads.op_key(datum),
+                                   verify.Scenario(datum))
+    return list(out.values())
 
 
 def verdict_table(results):

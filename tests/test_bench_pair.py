@@ -96,3 +96,29 @@ def test_a_single_pair_is_its_own_quartiles():
     assert ops["parent_quartiles"] == [100, 100]
     assert ops["worse_share"] == pytest.approx(0.1)
     assert ops["change_better_pairs"] == 0
+
+
+def test_set_up_pairs_are_read_and_compared_alone():
+    # a `worker.py --mode setup` stdout is one JSON line: its set-up time
+    # is its clock reading less the reading just before it started
+    assert bench_pair.parse_setup('{"setup_done": 105.25}\n', 105.0) == \
+        pytest.approx(0.25)
+    # a bimodal parent (0.14 / 0.26 s) against a change that reads the
+    # same: the medians stay within the bound and the wins are split
+    parent = [0.14, 0.26, 0.15, 0.25, 0.14]
+    change = [0.15, 0.14, 0.26, 0.15, 0.25]
+    runs = [{"side": side, "pair": pair, "setup_s": t}
+            for pair, ts in enumerate(zip(parent, change))
+            for side, t in zip(bench_pair.SIDES, ts)]
+    out = bench_pair.summarize_setup(runs, END_TO_END)
+    assert out["pairs"] == 5 and list(out["metrics"]) == ["setup_s"]
+    setup = out["metrics"]["setup_s"]
+    assert (setup["parent_median"], setup["change_median"]) == (0.15, 0.15)
+    assert setup["parent_quartiles"] == [0.14, 0.25]
+    assert setup["change_better_pairs"] == 2 and setup["within_bound"]
+    assert out["samples"]["setup_s"] == {"parent": parent, "change": change}
+    # the statistics of a metric are those of a whole run's
+    whole = bench_pair.summarize(_runs([(1.0, 1.0, t) for t in parent],
+                                       [(1.0, 1.0, t) for t in change]),
+                                 END_TO_END)
+    assert whole["metrics"]["setup_s"] == setup

@@ -11,7 +11,7 @@ from starklab.arith import CapacityError
 from starklab.biquad import BiquadField
 from starklab.cyclo import CycloField
 from starklab.grpring import AbelianGroup, InputError
-from starklab.lfun import AbelianFieldRealization
+from starklab.lfun import AbelianFieldRealization, DirichletChar
 from starklab.numfld import ClassGroup, QuadField
 from starklab.verify import Scenario
 
@@ -38,6 +38,16 @@ CASES = {
         lambda: BiquadField(5, 8),
         [],
         [(lambda: BiquadField(5, 5), InputError)]),
+    # DirichletChar.quadratic is the interned constructor: a quadratic
+    # field's coordinate character is the same object
+    "DirichletChar": (
+        lambda: DirichletChar.quadratic(-23),
+        [lambda: AbelianFieldRealization.quadratic(-23)
+         .coordinate_characters[0],
+         lambda: Scenario({"field": {"type": "quad", "disc": -23}})
+         .realization.coordinate_characters[0]],
+        [(lambda: DirichletChar.quadratic(3), InputError),
+         (lambda: DirichletChar.quadratic(0), InputError)]),
     "ClassGroup": (
         lambda: ClassGroup(-23),
         [],

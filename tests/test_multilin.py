@@ -276,6 +276,72 @@ def test_pull_homs_to_cover_matches_a_rational_solve(data):
             _pull_by_solve(M, homs, cover + [outside])
 
 
+def test_the_hom_basis_of_every_pool_t_lattice_has_its_rank():
+    # Hom_{Z[G]}(M, Z[G]) -> Hom_Z(M, Z), f -> (coefficient of 1 in f), is
+    # an isomorphism, so the Hom basis has rank_Z M elements: the index
+    # tuples of a vacuous datum's zero pairings rest on it
+    import pool_digest
+    from starklab.ball import working_precision
+    from starklab.numfld import QuadField
+    from starklab.verify import RubinStarkData
+    built = 0
+    for scn in pool_digest.rubin_scenarios():
+        if not (scn.field == "Q" or isinstance(scn.field, QuadField)):
+            continue
+        data = RubinStarkData(scn.realization, scn.field, scn.S, scn.V,
+                              scn.T)
+        with working_precision(128):
+            M = data.t_glattice()
+        assert len(M.hom_generators()) == len(M.basis())
+        built += 1
+    assert built == 54
+
+
+def _summand(group, kind):
+    """The action matrices of one generator each on a summand of a G-lattice
+    Z^n: the regular representation, the trivial one, or ("sign", j), where
+    generator j (of even order) acts by -1 and the others trivially."""
+    if kind == "regular":
+        return [[[int(group.op(gen, el) == other) for other in group.elements]
+                 for el in group.elements]
+                for gen in (tuple(int(i == j) for i in range(group.rank))
+                            for j in range(group.rank))]
+    if kind == "trivial":
+        return [[[1]] for _ in range(group.rank)]
+    return [[[-1 if i == kind[1] else 1]] for i in range(group.rank)]
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_the_hom_basis_of_a_g_lattice_has_its_rank(data):
+    group = AbelianGroup(data.draw(st.sampled_from([(2,), (3,), (4,),
+                                                    (2, 2)])))
+    kinds = ["regular", "trivial"] + [
+        ("sign", j) for j, d in enumerate(group.invariant_factors)
+        if d % 2 == 0]
+    blocks = [_summand(group, k) for k in data.draw(
+        st.lists(st.sampled_from(kinds), min_size=1, max_size=3))]
+    amb = sum(len(b[0]) for b in blocks)
+    action = []
+    for j in range(group.rank):
+        mat, off = [[0] * amb for _ in range(amb)], 0
+        for b in blocks:
+            for i, row in enumerate(b[j]):
+                mat[off + i][off:off + len(row)] = row
+            off += len(b[j])
+        action.append(mat)
+    # the Z-span of the orbits of a few drawn vectors is G-stable
+    M = GLattice(group, amb, [[0] * amb], action)
+    lat = IntLattice(amb)
+    for _ in range(data.draw(st.integers(1, 3))):
+        v = data.draw(st.lists(st.integers(-3, 3), min_size=amb,
+                               max_size=amb))
+        for el in group.elements:
+            lat.add_vector(M.act_element(el, v))
+    M = GLattice(group, amb, lat.canonical(), action)
+    assert len(M.hom_generators()) == len(M.basis()) == lat.rank
+
+
 def test_dual_pairings_solve_each_cover_generator_once(monkeypatch):
     from starklab import hnf
     M = free_rank2_lattice()

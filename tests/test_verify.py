@@ -739,6 +739,92 @@ def test_out_of_scope_compositum_is_unsupported_below_the_jet_floor():
     assert cert["exit_code"] == 0
 
 
+def _pool_rubin_data():
+    """RubinStarkData of every distinct |V| >= 1 datum of the benchmark
+    pools (`pool_digest.rubin_scenarios`)."""
+    import pool_digest
+    return [RubinStarkData(scn.realization, scn.field, scn.S, scn.V, scn.T)
+            for scn in pool_digest.rubin_scenarios()]
+
+
+def test_theta_vanishes_exactly_when_every_order_exceeds_v():
+    # epsilon_{S,T,V} = 0 exactly when r_S(chi) > |V| for every chi (Rubin
+    # 1996, section 1): theta's chi-component is the leading term of
+    # L_{S,T}(chi^-1, s) at order |V|, and a leading term is never 0
+    from starklab.lfun import theoretical_order
+    counts = {}
+    for data in _pool_rubin_data():
+        real = data.realization
+        vacuous = all(
+            theoretical_order(real.dirichlet(chi).inverse(), data.S)
+            > len(data.V) for chi in real.group.all_characters())
+        with working_precision(128):
+            assert data.theta().is_zero() == vacuous, (data.S, data.V)
+        key = (type(data.field).__name__, vacuous)
+        counts[key] = counts.get(key, 0) + 1
+    assert counts == {("str", True): 7, ("str", False): 4,
+                      ("QuadField", True): 26, ("QuadField", False): 17,
+                      ("BiquadField", True): 4, ("BiquadField", False): 8,
+                      ("NoneType", True): 3, ("NoneType", False): 7}
+
+
+def test_a_vacuous_datum_pairs_to_zeros_without_the_galois_action(
+        monkeypatch):
+    # epsilon = 0 at |V| >= 1: the pairings are the zeros on the |V|-subsets
+    # of the T-lattice's rank, as the full route against the Hom basis
+    # gives them, and neither the action, the Hom kernel nor the pull to
+    # the cover is built for them
+    from starklab import biquad, multilin, numfld
+    vacuous = 0
+    for data in _pool_rubin_data():
+        if not (data.field == "Q" or isinstance(data.field, QuadField)):
+            continue
+        with working_precision(128):
+            if not data.theta().is_zero():
+                continue
+            counts = {}
+            with monkeypatch.context() as m:
+                for cls, name in ((multilin.GLattice, "hom_generators"),
+                                  (multilin.GLattice, "pull_homs_to_cover"),
+                                  (numfld.SUnitLattice, "sigma_matrices"),
+                                  (biquad.BiquadSUnitLattice,
+                                   "sigma_matrices"),
+                                  (RubinStarkData, "t_glattice")):
+                    _count_calls(m, cls, name, counts)
+                pairings = data.pairings()
+            assert counts == {}
+            oracle = multilin.all_dual_pairings(data.epsilon(),
+                                                data.t_glattice())
+        assert pairings == oracle
+        assert all(val.ring == "rat" and val.is_zero()
+                   for _F, val in pairings)
+        vacuous += 1
+    assert vacuous == 33
+
+
+def test_a_vacuous_compositum_is_still_out_of_scope(monkeypatch):
+    # no in-scope datum of a real biquadratic lattice is vacuous at
+    # V = {inf}: chi_D(q) = 1 at a q of S off D splits q in Q(sqrt D), and
+    # q then has two places.  So theta is made 0 here, and the shortcut
+    # still reads the T-lattice's HNF, where the compositum is unsupported
+    from starklab import biquad, grpring, verify
+    monkeypatch.setattr(verify, "stickelberger_element",
+                        lambda real, S, V, T:
+                        grpring.GroupRingElement.zero(real.group, "rat"))
+    counts = {}
+    _count_calls(monkeypatch, biquad.BiquadSUnitLattice, "sigma_matrices",
+                 counts)
+    cert = run_scenario(Scenario({
+        "field": {"type": "multiquad", "discs": [5, 13]},
+        "S": ["inf", 5, 13], "V": ["inf"], "T": [3],
+        "checks": ["rs_integrality"]}))
+    [entry] = cert["results"]
+    assert entry["verdict"] == "unsupported"
+    assert entry["reason"] == \
+        "T-unit lattices of composita are out of desk scope"
+    assert counts == {}
+
+
 NORM_IDENTITY_GATES = """
 from starklab import sublat, verify
 from starklab.ball import CertificationError
