@@ -25,7 +25,7 @@ runs the same ops and writes `tests/pool_verdicts.json`, the golden
 verdict table that `tests/test_pool_verdicts.py` compares every pool op
 with: workload -> op key -> what `verdicts` keeps of its result.  A
 verdict that moves is then a reviewed diff of that table.  pytest does not
-collect this file; the tests import `rubin_scenarios` from it.
+collect this file; the tests import `rubin_data` from it.
 """
 
 import hashlib
@@ -86,10 +86,10 @@ def pool_results():
             for name in workloads.WORKLOADS}
 
 
-def rubin_scenarios():
-    """One `Scenario`, with no checks, per distinct Rubin datum (field, S,
+def rubin_data():
+    """A fresh `verify.RubinStarkData` per distinct Rubin datum (field, S,
     V, T) with |V| >= 1 among the pool ops, in pool order; the ops' bits
-    are dropped."""
+    and checks are dropped."""
     out = {}
     for name in workloads.WORKLOADS:
         for _stratum, _n, ops in workloads.pool(name):
@@ -99,7 +99,8 @@ def rubin_scenarios():
                     datum = {k: spec[k] for k in ("field", "S", "V", "T")}
                     out.setdefault(workloads.op_key(datum),
                                    verify.Scenario(datum))
-    return list(out.values())
+    return [verify.RubinStarkData(scn.realization, scn.field, scn.S, scn.V,
+                                  scn.T) for scn in out.values()]
 
 
 def verdict_table(results):

@@ -283,13 +283,10 @@ def test_the_hom_basis_of_every_pool_t_lattice_has_its_rank():
     import pool_digest
     from starklab.ball import working_precision
     from starklab.numfld import QuadField
-    from starklab.verify import RubinStarkData
     built = 0
-    for scn in pool_digest.rubin_scenarios():
-        if not (scn.field == "Q" or isinstance(scn.field, QuadField)):
+    for data in pool_digest.rubin_data():
+        if not (data.field == "Q" or isinstance(data.field, QuadField)):
             continue
-        data = RubinStarkData(scn.realization, scn.field, scn.S, scn.V,
-                              scn.T)
         with working_precision(128):
             M = data.t_glattice()
         assert len(M.hom_generators()) == len(M.basis())

@@ -739,21 +739,14 @@ def test_out_of_scope_compositum_is_unsupported_below_the_jet_floor():
     assert cert["exit_code"] == 0
 
 
-def _pool_rubin_data():
-    """RubinStarkData of every distinct |V| >= 1 datum of the benchmark
-    pools (`pool_digest.rubin_scenarios`)."""
-    import pool_digest
-    return [RubinStarkData(scn.realization, scn.field, scn.S, scn.V, scn.T)
-            for scn in pool_digest.rubin_scenarios()]
-
-
 def test_theta_vanishes_exactly_when_every_order_exceeds_v():
     # epsilon_{S,T,V} = 0 exactly when r_S(chi) > |V| for every chi (Rubin
     # 1996, section 1): theta's chi-component is the leading term of
     # L_{S,T}(chi^-1, s) at order |V|, and a leading term is never 0
+    import pool_digest
     from starklab.lfun import theoretical_order
     counts = {}
-    for data in _pool_rubin_data():
+    for data in pool_digest.rubin_data():
         real = data.realization
         vacuous = all(
             theoretical_order(real.dirichlet(chi).inverse(), data.S)
@@ -774,9 +767,10 @@ def test_a_vacuous_datum_pairs_to_zeros_without_the_galois_action(
     # of the T-lattice's rank, as the full route against the Hom basis
     # gives them, and neither the action, the Hom kernel nor the pull to
     # the cover is built for them
-    from starklab import biquad, multilin, numfld
+    import pool_digest
+    from starklab import multilin, numfld
     vacuous = 0
-    for data in _pool_rubin_data():
+    for data in pool_digest.rubin_data():
         if not (data.field == "Q" or isinstance(data.field, QuadField)):
             continue
         with working_precision(128):
@@ -787,8 +781,6 @@ def test_a_vacuous_datum_pairs_to_zeros_without_the_galois_action(
                 for cls, name in ((multilin.GLattice, "hom_generators"),
                                   (multilin.GLattice, "pull_homs_to_cover"),
                                   (numfld.SUnitLattice, "sigma_matrices"),
-                                  (biquad.BiquadSUnitLattice,
-                                   "sigma_matrices"),
                                   (RubinStarkData, "t_glattice")):
                     _count_calls(m, cls, name, counts)
                 pairings = data.pairings()
