@@ -86,10 +86,10 @@ class DirichletChar:
 
     values[a] is t with chi(a) = zeta_n^t for gcd(a, f) = 1, else None;
     n is the order of the character.  A quadratic character reads its
-    values off the cached Kronecker table of its discriminant
-    (`_kronecker_table`).  The conductor is the least divisor f' of f with
-    chi trivial on the units = 1 mod f', so it looks only at the residues
-    1 + f', 1 + 2f', ... below f.
+    values off the Kronecker table of its discriminant (`_kronecker_table`),
+    once per D, as `quadratic` is memoised.  The conductor is the least
+    divisor f' of f with chi trivial on the units = 1 mod f', so it looks
+    only at the residues 1 + f', 1 + 2f', ... below f.
     """
 
     __slots__ = ("modulus", "order", "values", "_conductor", "_classes")
@@ -209,20 +209,16 @@ class DirichletChar:
         return f"DirichletChar(mod {self.modulus}, order {self.order})"
 
 
-@lru_cache(maxsize=256)
 def _kronecker_table(D):
     """(kronecker(D, a) for a in range(|D|)) for a discriminant D: D is
     nonzero and 0 or 1 mod 4, the D for which a -> (D|a) has period |D|
     (InputError otherwise).  A smallest-prime-factor sieve calls
     `kronecker` only at primes, as (D|a) is completely multiplicative in a.
 
-    The `lru_cache` key is D.  One scenario reads the tables of at most
-    three discriminants, some of them up to four times (a multiquadratic
-    field's characters, the ray-class checks of a quadratic one); a process
-    that checks many fields comes back to the same D across them.  256
-    entries hold the 163 discriminants (|D| < 1500, 0.9 MiB of tables) of
-    the largest benchmark pool, `exact_algebra`, so a run over it builds
-    each table once."""
+    Nothing keeps the table: its one caller, `DirichletChar.quadratic`, is
+    memoised on the same D with 256 entries, which hold the 163
+    discriminants (|D| < 1500) of the largest benchmark pool,
+    `exact_algebra`, so a run over it builds each table once."""
     if D == 0 or D % 4 not in (0, 1):
         raise InputError(f"{D} is not a discriminant (0 or 1 mod 4, nonzero)")
     f = abs(D)

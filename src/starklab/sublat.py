@@ -3,14 +3,22 @@
 The proper subgroups of index p are the hyperplanes ker(n) = {x : n.x = 0
 (mod p)}, one for each projective normal n, keyed by the representative
 whose first nonzero coordinate (the pivot k) is 1, which is also the
-lexicographically smallest one.  Each kernel is generated directly as its
-p^(m-1) indices in the group's mixed-radix element order, without a scan
-of the group: the coordinates before k are free and add whole blocks of
-p^(m-k) indices, the coordinates after k are free, and x_k is
--(n.x over them) mod p.  The ambient group itself is included when
-representing the full "index at most p" family.  The norm-sum identity
-adds the kernels into one integer count array, one plane at a time, and
-builds a single group-ring element at the end.
+lexicographically smallest one.  The ambient group itself is included
+when representing the full "index at most p" family.
+
+The norm-sum identity holds each hyperplane as one integer with a W-bit
+lane per group element, in the group's mixed-radix element order (lane i
+at bit W*i, x_(m-1) the lowest digit), and a 1 in the lanes of its
+members.  W is the bit length of the number of planes summed, and no lane
+of the sum exceeds that number, so the planes add as integers without a
+carry from one lane into the next.  A plane is built from its normal's
+coordinates, never by listing its p^(m-1) members: for each residue v
+the lanes of the suffix points x_(k+1..m-1) with n.x = v, one coordinate
+at a time from the last, then x_k = -v placed above them, then the p^k
+blocks of the free prefix tiled by one multiplication with a repunit.
+The normals are walked in the order of their reversed coordinates, so
+each one shares the suffix states of the coordinates it has in common
+with the one before.
 """
 
 from itertools import product
@@ -25,8 +33,7 @@ DESK_BOUND = 3 ** 6
 class HyperplaneSet:
     """All subgroups of (Z/p)^m of index at most p.
 
-    Holds the projective normals; a hyperplane's members are listed by
-    `kernel` only when asked for.
+    Holds the projective normals; no hyperplane's members are listed.
     """
 
     __slots__ = ("p", "m", "group", "normals")
@@ -37,21 +44,6 @@ class HyperplaneSet:
         self.m = m
         self.group = AbelianGroup((p,) * m)
         self.normals = projective_normals(p, m)
-
-    def kernel(self, normal):
-        """Indices of the p^(m-1) members of ker(normal), for a normal
-        whose first nonzero coordinate is 1."""
-        p, m = self.p, self.m
-        k = next(i for i, a in enumerate(normal) if a)
-        # (partial dot product, index) of every suffix after the pivot
-        suffix = [(0, 0)]
-        for j in range(k + 1, m):
-            c, w = normal[j], p ** (m - 1 - j)
-            suffix = [(d + c * a, s + a * w) for d, s in suffix
-                      for a in range(p)]
-        w = p ** (m - 1 - k)
-        base = [-d % p * w + s for d, s in suffix]
-        return [off + b for off in range(0, p ** m, p * w) for b in base]
 
     def count_proper(self):
         return len(self.normals)
@@ -117,18 +109,23 @@ def norm_sum_identity(p, m, hyperplanes=None):
     exactly in Z[G], raises CertificationError unless it is the constant
     p^(m-1), and returns it.  hyperplanes: the HyperplaneSet(p, m) a caller
     already holds; one is built here without it.
+
+    The proper planes are summed as lane integers (module docstring), in
+    the order of the normals' reversed coordinates: one W-bit lane per
+    element, W the bit length of the number of normals, so the count at
+    any element, at most that number, stays in its lane.  The total is
+    decoded once into one count per element.
     """
     hs = enumerate_omega_star(p, m) if hyperplanes is None else hyperplanes
     if (hs.p, hs.m) != (p, m):
         raise InputError(f"{hs!r} is not the hyperplane set of p={p}, m={m}")
     g = hs.group
-    counts = [0] * g.order
-    for normal in hs.normals:
-        for i in hs.kernel(normal):
-            counts[i] += 1
+    width = len(hs.normals).bit_length()
+    total = sum(_plane_lanes(hs, width))
+    lane = (1 << width) - 1
     # N_G enters once as a subgroup of index 1 and then with the coefficient
     full = 1 + (p ** (m - 1) - 1) - sum(p ** i for i in range(m))
-    counts = [c + full for c in counts]
+    counts = [(total >> width * i & lane) + full for i in range(g.order)]
     expected = [0] * g.order
     expected[g.index[g.identity()]] = p ** (m - 1)
     if counts != expected:
@@ -137,3 +134,46 @@ def norm_sum_identity(p, m, hyperplanes=None):
             f"norm-sum identity failed for p={p}, m={m}: coefficient "
             f"{counts[i]} at {g.elements[i]}, expected {expected[i]}")
     return GroupRingElement(g, "int", counts)
+
+
+def _plane_lanes(hs, width):
+    """ker(n) as a lane integer of the given width, for each normal n of
+    hs in the order of n's reversed coordinates.
+
+    states[d][v] holds the lanes, at offsets within a block of p^d
+    elements, of the points of the last d coordinates with n.x = v over
+    them; keys[d] is the coordinate of n that states[d + 1] read, so a
+    normal reuses the states of the suffix it shares with the one before.
+    """
+    p, m = hs.p, hs.m
+    # repunits[k] holds a 1 at the start of each of the p^k blocks of
+    # p^(m-k) lanes that the free prefix x_0..x_(k-1) selects
+    span = (1 << width * p ** m) - 1
+    repunits = [span // ((1 << width * p ** (m - k)) - 1) for k in range(m)]
+    keys, states = [], [[1] + [0] * (p - 1)]
+    for normal in sorted(hs.normals, key=lambda n: n[::-1]):
+        k = next(i for i, a in enumerate(normal) if a)
+        tail = normal[:k:-1]
+        shared = 0
+        for a, b in zip(keys, tail):
+            if a != b:
+                break
+            shared += 1
+        del keys[shared:], states[shared + 1:]
+        for c in tail[shared:]:
+            step, extended = width * p ** len(keys), [0] * p
+            for u, lanes in enumerate(states[-1]):
+                if lanes:
+                    for a in range(p):
+                        extended[(u + c * a) % p] |= lanes << a * step
+            states.append(extended)
+            keys.append(c)
+        yield _kernel_lanes(states[-1], p, width * p ** len(keys),
+                            repunits[k])
+
+
+def _kernel_lanes(suffix, p, step, repunit):
+    """The lanes of ker(n), n's pivot coordinate 1, from the residue states
+    of n's suffix after the pivot: x_pivot = -v sits above suffix[v], step
+    bits per unit, and the repunit tiles that block over the free prefix."""
+    return sum(s << (-v % p) * step for v, s in enumerate(suffix)) * repunit

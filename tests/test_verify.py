@@ -343,13 +343,13 @@ def _least_fundamental_past_the_bound(sign):
 @pytest.mark.parametrize("sign", [1, -1])
 def test_acnf_past_the_desk_bound_raises_before_any_table(sign):
     from starklab.arith import CapacityError
-    from starklab.lfun import _kronecker_table
+    from starklab.lfun import DirichletChar
     from starklab.verify import run_acnf
     D = _least_fundamental_past_the_bound(sign)
-    before = _kronecker_table.cache_info()
+    before = DirichletChar.quadratic.cache_info()
     with pytest.raises(CapacityError, match="desk bound"):
         run_acnf(D, D)
-    assert _kronecker_table.cache_info() == before
+    assert DirichletChar.quadratic.cache_info() == before
 
 
 @pytest.mark.parametrize("spec", [
@@ -836,31 +836,45 @@ def expect_fail(what):
         raise SystemExit(f"{what}: {verdict}, exit {cert['exit_code']}")
 
 
-true_kernel = sublat.HyperplaneSet.kernel
-sublat.HyperplaneSet.kernel = lambda hs, n: true_kernel(hs, n)[:-1]
-expect_fail("a kernel short of one member")
-sublat.HyperplaneSet.kernel = true_kernel
+# a plane's lanes always hold the identity, at bit 0, and never the unit
+# vector at the pivot, at bit `step` (sublat._kernel_lanes)
+true_lanes = sublat._kernel_lanes
+sublat._kernel_lanes = lambda *args: true_lanes(*args) - 1
+expect_fail("a plane short of one member")
+sublat._kernel_lanes = lambda suffix, p, step, repunit: \
+    true_lanes(suffix, p, step, repunit) - 1 + (1 << step)
+expect_fail("one member displaced")
+sublat._kernel_lanes = true_lanes
 true_normals = sublat.projective_normals
 sublat.projective_normals = lambda p, m: true_normals(p, m)[:-1]
 expect_fail("one projective normal short")
 """
+
+# the mutants of NORM_IDENTITY_GATES that patch sublat._kernel_lanes
+NORM_IDENTITY_MUTANTS = {
+    "a plane short of one member":
+        lambda true: lambda *args: true(*args) - 1,
+    "one member displaced":
+        lambda true: lambda suffix, p, step, repunit:
+            true(suffix, p, step, repunit) - 1 + (1 << step),
+}
 
 
 def test_broken_norm_identity_fails(monkeypatch, capsys):
     from starklab import sublat
     from starklab.ball import CertificationError
     from starklab.cli import main
-    true_kernel = sublat.HyperplaneSet.kernel
-    monkeypatch.setattr(sublat.HyperplaneSet, "kernel",
-                        lambda hs, n: true_kernel(hs, n)[:-1])
-    with pytest.raises(CertificationError):
-        check_norm_identity(3, 2)
-    cert = run_scenario(Scenario({"checks": ["norm_identity"],
-                                  "params": {"p": 3, "m": 2}}))
-    assert cert["results"][0]["verdict"] == "fail"
-    assert cert["exit_code"] == 1
-    assert main(["identity", "--p", "3", "--m", "2"]) == 1
-    assert "norm-sum identity failed" in capsys.readouterr().err
+    true_lanes = sublat._kernel_lanes
+    for what, mutant in NORM_IDENTITY_MUTANTS.items():
+        monkeypatch.setattr(sublat, "_kernel_lanes", mutant(true_lanes))
+        with pytest.raises(CertificationError):
+            check_norm_identity(3, 2)
+        cert = run_scenario(Scenario({"checks": ["norm_identity"],
+                                      "params": {"p": 3, "m": 2}}))
+        assert cert["results"][0]["verdict"] == "fail", what
+        assert cert["exit_code"] == 1, what
+        assert main(["identity", "--p", "3", "--m", "2"]) == 1, what
+        assert "norm-sum identity failed" in capsys.readouterr().err, what
 
 
 def test_norm_identity_gates_hold_under_python_O():
