@@ -4,8 +4,8 @@ equivariant L-value identities on concrete abelian extensions of Q.
 
 `__all__` is exactly what this module imports.  Three of its names have
 no caller inside the package: they are the references that tests compare
-production code against (`rational_solve` for
-`GLattice.pull_homs_to_cover`, and `Subgroup` with `norm_element` for
+production code against (`rational_solve` for the back-substitution in
+`GLattice.dual_values`, and `Subgroup` with `norm_element` for
 `norm_sum_identity`).
 """
 

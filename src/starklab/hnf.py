@@ -230,7 +230,7 @@ def solve_in_rowspan(rows, vec):
 def rational_solve(rows, vec):
     """Rational x with x @ rows == vec, or None if vec not in the Q-rowspan,
     by a full Gaussian solve: the reference that tests compare
-    `GLattice.pull_homs_to_cover`'s back-substitution against."""
+    `GLattice.dual_values`'s back-substitution against."""
     m = len(rows)
     if m == 0:
         return [] if not any(vec) else None

@@ -3,11 +3,11 @@ pairing of a wedge element against homomorphisms to Z[G], the integer
 vectors of those pairings, and the residual of the subgroup-norm
 decomposition of wedge elements.
 
-Wedge elements live in coordinates of a designated cover: a list of module
-generators u_1, ..., u_t whose Z[G]-span contains everything handled; a
-degree-r element is a sparse map from r-subsets (sorted index tuples) to
-group-ring coefficients.  The wedge basis uses the fixed lexicographic
-convention throughout.
+Wedge elements live in the ambient coordinates Z^n of a G-lattice
+M in Z^n: a degree-r element is a sparse map from r-subsets (sorted index
+tuples) of range(n) to group-ring coefficients.  The wedge basis uses the
+fixed lexicographic convention throughout.  They pair against the dual
+basis of Hom_{Z[G]}(M, Z[G]) that `GLattice.dual_values` gives.
 """
 
 import itertools
@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import hnf
-from .ball import CertificationError, Undecided
+from .ball import Undecided
 from .grpring import GroupRingElement, InputError
 from .zideal import _det_group_ring
 
@@ -31,24 +31,28 @@ class NonIntegralError(ValueError):
 class GLattice:
     """G-stable sublattice of Z^n with explicit generator action matrices."""
 
-    __slots__ = ("group", "ambient", "lattice", "action")
+    __slots__ = ("group", "ambient", "lattice", "action", "coord_action")
 
-    def __init__(self, group, ambient, basis_rows, action, validate=True):
+    def __init__(self, group, ambient, basis_rows, action):
         self.group = group
         self.ambient = ambient
         self.lattice = hnf.IntLattice(ambient, basis_rows)
         self.action = [[list(map(int, row)) for row in mat] for mat in action]
         if len(self.action) != group.rank:
             raise InputError("need one action matrix per group generator")
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
+        # row i of coord_action[j] holds the M-coordinates of g_j . b_i
+        self.coord_action = []
         for mat in self.action:
+            rows = []
             for row in self.lattice.basis():
-                img = self._apply(mat, row)
-                if not self.lattice.contains_vector(img):
+                co = self.lattice.coords(self._apply(mat, row))
+                if co is None:
                     raise InputError("action does not preserve the lattice")
+                rows.append(co)
+            self.coord_action.append(rows)
         for j, d in enumerate(self.group.invariant_factors):
             power = hnf.identity_matrix(self.ambient)
             for _ in range(d):
@@ -63,7 +67,6 @@ class GLattice:
 
     @staticmethod
     def _apply(mat, vec):
-        n = len(mat)
         out = [0] * len(mat[0])
         for i, v in enumerate(vec):
             if v:
@@ -81,64 +84,23 @@ class GLattice:
     def basis(self):
         return self.lattice.basis()
 
-    def hom_generators(self):
-        """Z-basis of Hom_{Z[G]}(M, Z[G]), each hom as a (rank x |G|) matrix
-        of coefficients of f(b_i)."""
-        group = self.group
-        n = group.order
-        basis = self.lattice.basis()
-        t = len(basis)
-        if t == 0:
-            return []
-        # unknowns x[(i, s)]; equivariance for each group generator g:
-        #   f(g . b_i) = g . f(b_i)
-        unknowns = t * n
-        rows = []
-        for j in range(group.rank):
-            gen = tuple(1 if l == j else 0 for l in range(group.rank))
-            # permutation: (g . y)_tau = y_{g^{-1} tau}
-            perm = [group.index[group.op(group.inv(gen), el)]
-                    for el in group.elements]
-            coords_of_image = []
-            for i in range(t):
-                img = self.act_element(gen, basis[i])
-                co = self.lattice.coords(img)
-                if co is None:
-                    raise CertificationError(
-                        f"generator {gen} moves basis vector {i} out of "
-                        "the lattice")
-                coords_of_image.append(co)
-            for i in range(t):
-                for s in range(n):
-                    # sum_k T[i][k] x[(k, s)] - x[(i, perm[s])] = 0
-                    row = [0] * unknowns
-                    for k in range(t):
-                        if coords_of_image[i][k]:
-                            row[k * n + s] += coords_of_image[i][k]
-                    row[i * n + perm[s]] -= 1
-                    rows.append(row)
-        if not rows:
-            ker = hnf.identity_matrix(unknowns)
-        else:
-            # kernel of the transpose system: unknown vector x with M x = 0;
-            # as rows: x @ M^T = 0
-            mt = [[rows[r][c] for r in range(len(rows))]
-                  for c in range(unknowns)]
-            ker = hnf.kernel(mt, ambient_dim=len(rows))
-        homs = []
-        for row in ker:
-            homs.append([row[i * n:(i + 1) * n] for i in range(t)])
-        return homs
+    def dual_values(self, vectors):
+        """The dual basis F_1, ..., F_t of Hom_{Z[G]}(M, Z[G]) on each of
+        `vectors`: out[i][k] = F_i(vectors[k]), a rational Z[G]-element.
 
-    def pull_homs_to_cover(self, homs, cover):
-        """The values f(u) on the cover generators u, for each hom f.  The
-        rational coordinates of each cover generator are found once for all
-        homs, by back-substitution on the echelon basis, and kept as integer
-        numerators over their common denominator, so each value is summed in
-        integers and divided once."""
+        F_i(m) = sum_g b_i*(g^-1 m) g, where b_i* is the Z-dual of the i-th
+        HNF basis vector.  f -> (coefficient of 1 in f) maps
+        Hom_{Z[G]}(M, Z[G]) onto Hom_Z(M, Z), and m -> F(m) is its inverse,
+        so the F_i are a Z-basis.  Each vector's rational M-coordinates are
+        found once, by back-substitution on the echelon basis, as integer
+        numerators over one denominator; those of its G-orbit follow from
+        the integer action matrices in M-coordinates.  A vector outside the
+        Q-span of M raises InputError."""
+        group = self.group
         basis = self.lattice.basis()
-        coords = []
-        for u in cover:
+        inverse = [group.inv(g) for g in group.elements]
+        out = [[] for _ in basis]
+        for u in vectors:
             res = [Fraction(c) for c in u]
             co = []
             for row, j in zip(basis, self.lattice.pivots):
@@ -148,24 +110,22 @@ class GLattice:
                     for jj in range(j, len(res)):
                         res[jj] -= q * row[jj]
             if any(res):
-                raise InputError("cover generator outside Q-span of lattice")
+                raise InputError("vector outside Q-span of lattice")
+            if not co:
+                continue
             den = lcm(*(c.denominator for c in co))
-            coords.append(([c.numerator * (den // c.denominator)
-                            for c in co], den))
-        n = self.group.order
-        out = []
-        for hom in homs:
-            values = []
-            for nums, den in coords:
-                acc = [0] * n
-                for k, c in enumerate(nums):
-                    if c:
-                        row = hom[k]
-                        for s in range(n):
-                            acc[s] += c * row[s]
+            # numerators of the M-coordinates of h . u for every h; h is
+            # reached from an earlier element by one generator step
+            orbit = {group.identity(): [c.numerator * (den // c.denominator)
+                                        for c in co]}
+            for el in group.elements[1:]:
+                gen = max(l for l, a in enumerate(el) if a)
+                prev = el[:gen] + (el[gen] - 1,) + el[gen + 1:]
+                orbit[el] = self._apply(self.coord_action[gen], orbit[prev])
+            for i, values in enumerate(out):
                 values.append(GroupRingElement(
-                    self.group, "rat", [Fraction(v, den) for v in acc]))
-            out.append(values)
+                    group, "rat",
+                    [Fraction(orbit[g][i], den) for g in inverse]))
         return out
 
     def __repr__(self):
@@ -175,14 +135,13 @@ class GLattice:
 
 class WedgeElement:
     """Element of Q (or R) tensor the r-th exterior power over Z[G] of the
-    free module on the cover generators."""
+    free module on the ambient coordinates."""
 
-    __slots__ = ("group", "degree", "cover", "coeffs")
+    __slots__ = ("group", "degree", "coeffs")
 
-    def __init__(self, group, degree, cover, coeffs):
+    def __init__(self, group, degree, coeffs):
         self.group = group
         self.degree = degree
-        self.cover = cover  # list of ambient vectors (context only)
         self.coeffs = {}
         for key, val in coeffs.items():
             key = tuple(sorted(key))
@@ -191,7 +150,7 @@ class WedgeElement:
             self.coeffs[key] = val
 
     def scale(self, c):
-        return WedgeElement(self.group, self.degree, self.cover,
+        return WedgeElement(self.group, self.degree,
                             {k: v.scale(c) if not isinstance(c, GroupRingElement)
                              else v * c for k, v in self.coeffs.items()})
 
@@ -201,7 +160,7 @@ class WedgeElement:
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
             out[k] = out[k] + v if k in out else v
-        return WedgeElement(self.group, self.degree, self.cover, out)
+        return WedgeElement(self.group, self.degree, out)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -217,7 +176,8 @@ class WedgeElement:
 
 def det_pairing(a, fs):
     """The determinant pairing of a degree-r wedge element against r
-    cover-homomorphisms (each a list of group-ring values on the cover).
+    homomorphisms, each a list of its group-ring values on the ambient
+    coordinates.
 
     Multilinear and alternating in both slots; the empty pairing of a
     degree-0 element returns its scalar.
@@ -265,17 +225,14 @@ def pairing_vector(val, label):
     raise NonIntegralError(f"pairing {label} is not in Z[G]", witness=val)
 
 
-def all_dual_pairings(eps, M, homs=None):
-    """[(index-tuple, pairing)] over r-subsets of the dual generating set.
-    It has len(M.basis()) homs, so a zero eps gives 0 on the r-subsets of
+def all_dual_pairings(eps, M):
+    """[(index-tuple, pairing)] of eps, in M's ambient coordinates, against
+    the r-subsets of the dual basis of M (`GLattice.dual_values`).  The
+    basis has rank M elements, so a zero eps gives 0 on the r-subsets of
     range(rank M), which `RubinStarkData.pairings` builds without M."""
-    homs = M.hom_generators() if homs is None else homs
-    pulled = M.pull_homs_to_cover(homs, eps.cover)
-    out = []
-    for F in itertools.combinations(range(len(pulled)), eps.degree):
-        val = det_pairing(eps, [pulled[i] for i in F])
-        out.append((F, val))
-    return out
+    duals = M.dual_values(hnf.identity_matrix(M.ambient))
+    return [(F, det_pairing(eps, [duals[i] for i in F]))
+            for F in itertools.combinations(range(len(duals)), eps.degree)]
 
 
 def norm_decomposition_residual(eps_full, eps_parts, eps_base, p, m):
@@ -283,7 +240,7 @@ def norm_decomposition_residual(eps_full, eps_parts, eps_base, p, m):
 
         eps_full = p^{1-m} ( sum_parts + ((p^{m-1}-1) - sum_i p^i) eps_base )
 
-    on a common cover.  Returns (True, the largest radius) when every
+    in common coordinates.  Returns (True, the largest radius) when every
     coefficient is 0 or a ball containing 0, else (False, its radius) at
     the first coefficient certified nonzero (radius 0 for an exact one).
     """

@@ -278,10 +278,6 @@ class RubinStarkData:
         return GLattice(self.group, lat.rank, lat.t_lattice_hnf(),
                         lat.sigma_matrices())
 
-    def cover(self):
-        rank = self.lattice().rank
-        return [[1 if i == j else 0 for j in range(rank)] for i in range(rank)]
-
     def epsilon(self):
         """The Rubin-Stark wedge element in lattice coordinates."""
         if self._epsilon is not None:
@@ -292,24 +288,23 @@ class RubinStarkData:
         theta = self.theta()
         r = len(self.V)
         if r == 0:
-            self._epsilon = WedgeElement(self.group, 0, self.cover(),
-                                         {(): theta})
+            self._epsilon = WedgeElement(self.group, 0, {(): theta})
             return self._epsilon
         if theta.is_zero():
-            self._epsilon = WedgeElement(self.group, r, self.cover(), {})
+            self._epsilon = WedgeElement(self.group, r, {})
             return self._epsilon
         if r == 1:
             coords = self._solve_degree_one(theta)
             coeffs = {(i,): GroupRingElement.one(self.group, "ball").scale(c)
                       for i, c in enumerate(coords)}
-            self._epsilon = WedgeElement(self.group, 1, self.cover(), coeffs)
+            self._epsilon = WedgeElement(self.group, 1, coeffs)
             return self._epsilon
         if self.group.order == 1:
             coeff = self._solve_full_wedge(theta, r)
             key = tuple(range(lat.rank))
             coeffs = {key: GroupRingElement.one(self.group, "ball")
                       .scale(coeff)}
-            self._epsilon = WedgeElement(self.group, r, self.cover(), coeffs)
+            self._epsilon = WedgeElement(self.group, r, coeffs)
             return self._epsilon
         raise UnsupportedCaseError(
             "wedge degree >= 2 over a nontrivial group is out of desk scope")
@@ -353,11 +348,11 @@ class RubinStarkData:
 
     def pairings(self):
         """[(index, pairing)]: epsilon paired with every r-subset of the
-        dual generators of O^x_{K,S,T}; for |V| = 0, theta itself.  An
+        dual basis of M = O^x_{K,S,T} (`all_dual_pairings`); for |V| = 0,
+        theta itself.  That basis has t = rank_Z M elements, so an
         epsilon = 0 at r = |V| >= 1 pairs to 0 on the r-subsets of
-        range(t), t = rank_Z M, as f -> (coefficient of 1 in f) maps
-        Hom_{Z[G]}(M, Z[G]) onto Hom_Z(M, Z): no Galois action or Hom
-        kernel is built, only the HNF that rules out a compositum."""
+        range(t): no Galois action is built, only the HNF that rules out a
+        compositum."""
         if self._pairings is None:
             # epsilon() builds the lattice first, so an out-of-scope field
             # is unsupported before any L-value, for |V| = 0 too
@@ -603,8 +598,7 @@ def _run_annihilation(scn, data, entry):
     module = data.ray().module
     image = [list(r) for r in data.im_lattice().basis()]
     if module.order() == 1:
-        return "pass", {"class_group": "trivial", "vacuous": True,
-                        "image_hnf": image}
+        return "pass", {"class_group": "trivial", "image_hnf": image}
     ann = annihilator(module)
     outside = next((row for row in image if not ann.contains_vector(row)),
                    None)
@@ -659,7 +653,7 @@ def _run_norm_decomposition(scn, data, entry):
                                   QuadField(D), scn.S, scn.V, scn.T,
                                   lattice=lat.sub_lattices[idx])
         eps_sub = sub_data.epsilon()
-        parts.append(_included(group, data.cover(), (
+        parts.append(_included(group, (
             (z, lat.subfield_generator_coords(idx, j))
             for (j,), z in eps_sub.coeffs.items())))
         sub_witness.append({"disc": D,
@@ -668,7 +662,7 @@ def _run_norm_decomposition(scn, data, entry):
     # the base-field element over Q is 0: S holds inf and the two or more
     # primes that ramify in a real biquadratic field, so zeta_{Q,S,T}(s)
     # vanishes to order |S| - 1 >= 2 > |V| = 1
-    eps_base = WedgeElement(group, 1, data.cover(), {})
+    eps_base = WedgeElement(group, 1, {})
     holds, radius = norm_decomposition_residual(eps_K, parts + [eps_base],
                                                 eps_base, 2, 2)
     entry["residual_radius"] = _radius_str(radius)
@@ -677,10 +671,10 @@ def _run_norm_decomposition(scn, data, entry):
         "epsilon_coords": [repr(v) for v in _coords_list(eps_K, lat.rank)]}
 
 
-def _included(group, cover, terms):
+def _included(group, terms):
     """The degree-1 wedge element over the compositum that puts, for each
     (z, co) in terms, the scalar of z (its identity coefficient) times
-    co[i] on cover coordinate i."""
+    co[i] on lattice coordinate i."""
     incl = {}
     for z, co in terms:
         scalar = z.coefficient(z.group.identity())
@@ -690,7 +684,7 @@ def _included(group, cover, terms):
                 term = GroupRingElement.one(group, "ball").scale(
                     scalar * Fraction(c))
                 incl[key] = incl[key] + term if key in incl else term
-    return WedgeElement(group, 1, cover, incl)
+    return WedgeElement(group, 1, incl)
 
 
 def _coords_list(eps, rank):

@@ -764,9 +764,9 @@ def test_theta_vanishes_exactly_when_every_order_exceeds_v():
 def test_a_vacuous_datum_pairs_to_zeros_without_the_galois_action(
         monkeypatch):
     # epsilon = 0 at |V| >= 1: the pairings are the zeros on the |V|-subsets
-    # of the T-lattice's rank, as the full route against the Hom basis
-    # gives them, and neither the action, the Hom kernel nor the pull to
-    # the cover is built for them
+    # of the T-lattice's rank, as the full route against the dual basis
+    # gives them, and neither the action nor the dual values are built for
+    # them
     import pool_digest
     from starklab import multilin, numfld
     vacuous = 0
@@ -778,8 +778,8 @@ def test_a_vacuous_datum_pairs_to_zeros_without_the_galois_action(
                 continue
             counts = {}
             with monkeypatch.context() as m:
-                for cls, name in ((multilin.GLattice, "hom_generators"),
-                                  (multilin.GLattice, "pull_homs_to_cover"),
+                for cls, name in ((multilin.GLattice, "__init__"),
+                                  (multilin.GLattice, "dual_values"),
                                   (numfld.SUnitLattice, "sigma_matrices"),
                                   (RubinStarkData, "t_glattice")):
                     _count_calls(m, cls, name, counts)
