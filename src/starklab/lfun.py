@@ -346,9 +346,6 @@ class AbelianFieldRealization:
                       f"Q({names})")
         return inst
 
-    def degree(self):
-        return self.group.order
-
     def ramified_primes(self):
         """Primes dividing the conductor of some character of G: those of
         the coordinate characters, as the conductor of a product divides

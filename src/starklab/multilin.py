@@ -74,13 +74,6 @@ class GLattice:
                     out[j] += v * mat[i][j]
         return out
 
-    def act_element(self, element, vec):
-        out = list(vec)
-        for j, a in enumerate(element):
-            for _ in range(a):
-                out = self._apply(self.action[j], out)
-        return out
-
     def basis(self):
         return self.lattice.basis()
 

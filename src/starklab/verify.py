@@ -37,7 +37,6 @@ import json
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from . import hnf
 from .arith import CapacityError, factorint, isprime
 from .ball import Ball, CertificationError, Undecided, ball_det, \
     gauss_solve, working_precision
@@ -476,40 +475,63 @@ def _radius_str(r):
     return f"{float(r):.3e}"
 
 
+def place_module_fitting(lattice, group, r):
+    """Fitt^r(X_{K,S}) in closed form, from the number of places of K above
+    each v of S, for G trivial or of prime order; UnsupportedCaseError for
+    any other G.
+
+    X_{K,S} is the kernel of the sum map from Y_{K,S} = (+)_{v in S}
+    Z[G/G_v] to Z.  S holds a place v0 with one place w0 of K above it
+    (every place of Q, and a ramified prime by (H1)), and G fixes w0, so
+    dropping w0's coordinate maps X_{K,S} isomorphically onto
+    (+)_{v != v0} Z[G/G_v].  For G trivial or of prime order, Z[G/G_v] is
+    Z[G] when v has more than one place above it and Z = Z[G]/I_G when it
+    has one.  With a places of S of the first kind, the direct sum gives
+
+        Fitt^r(X_{K,S}) = 0                   for r < a,
+                          I_G^(|S| - 1 - r)   otherwise
+
+    (I_G^0 = Z[G]; for K = Q, I_G = 0).  The places of V split
+    completely, so at r = |V| it is 0 when a place outside V splits, and
+    otherwise I_G^(d-1), d = |S| - |V|: `fitting_from_extension` at
+    Cl_{K,S,T} = 1.
+    """
+    if group.order > 1 and not isprime(group.order):
+        raise UnsupportedCaseError(
+            "the place module's closed form needs G trivial or of prime "
+            "order")
+    counts = [len(places) for places in lattice.place_ranges.values()]
+    if r < sum(n > 1 for n in counts):
+        return GIdealLattice.zero(group)
+    return augmentation_ideal_power(group, max(len(counts) - 1 - r, 0))
+
+
 def selmer_transpose_fitting(scn, data, ray):
-    """Fitt^{|V|}(Sel^tr) with the paper-shaped splitting; returns
-    (ideal, method) or raises UnsupportedCaseError."""
-    group = data.group
+    """Fitt^{|V|}(Sel^tr); returns (ideal, method) or raises
+    UnsupportedCaseError.
+
+    With Cl_{K,S,T} = 1, Sel^tr = X_{K,S} and the ideal is
+    `place_module_fitting`'s closed form.  Otherwise every place outside V
+    must have one place of K above it; the ideal is then the direct minors
+    of Cl + Z^(d-1) + Z[G]^{|V|}, cross-checked against
+    `fitting_from_extension` (CertificationError when they differ).
+    """
+    lat = data.lattice()
     nV = len(scn.V)
     if ray.order() == 1:
-        # Sel^tr = X_{K,S}: present it from the place module
-        lat = data.lattice()
-        X = x_glattice(lat, group)
-        pres = glattice_presentation(X)
-        return fitting_ideal(pres, nV), "presentation of X_{K,S}"
-    # nontrivial class part: need full decomposition at S \ V
+        return place_module_fitting(lat, data.group, nV), \
+            "closed form of Fitt^{|V|}(X_{K,S})"
     for v in scn.S:
-        if v in scn.V:
-            continue
-        if not _full_decomposition(data.realization, v):
+        if v not in scn.V and len(lat.place_ranges[v]) > 1:
             raise UnsupportedCaseError(
                 f"place {v} outside V lacks full decomposition group")
-    d = len(scn.S) - len(scn.V)
+    d = len(scn.S) - nV
     pres = _assembled_selmer_presentation(ray.module, d, nV)
     fit = fitting_ideal(pres, nV)
-    if group.rank == 1 and group.invariant_factors[0] in (2, 3, 5, 7):
-        closed = fitting_from_extension(ray.module, d)
-        if closed != fit:
-            raise CertificationError(
-                "Selmer closed form disagrees with the direct minors")
+    if fitting_from_extension(ray.module, d) != fit:
+        raise CertificationError(
+            "Selmer closed form disagrees with the direct minors")
     return fit, "Cl + trivial-action extension presentation"
-
-
-def _full_decomposition(realization, v):
-    """Is the decomposition group at v the whole Galois group?  Read for Q
-    and quadratic fields, whose ray class is known."""
-    deg = realization.degree()
-    return deg == 1 or (deg == 2 and not realization.splits_completely(v))
 
 
 def _assembled_selmer_presentation(cl_module, d, nV):
@@ -530,47 +552,6 @@ def _assembled_selmer_presentation(cl_module, d, nV):
             row[k + j] = sigma - one
             rels.append(row)
     return Presentation(group, total, rels)
-
-
-def x_glattice(lattice, group):
-    """X_{K,S} (coefficient-sum-zero place module) as a GLattice."""
-    n = len(lattice.places)
-    basis = []
-    for i in range(1, n):
-        row = [0] * n
-        row[i] = 1
-        row[0] = -1
-        basis.append(row)
-    mats = []
-    if group.rank:
-        gens = [tuple(1 if l == j else 0 for l in range(group.rank))
-                for j in range(group.rank)]
-        for g in gens:
-            perm = lattice.place_permutation(g)
-            P = [[1 if perm[i] == j else 0 for j in range(n)]
-                 for i in range(n)]
-            mats.append(P)
-    return GLattice(group, n, basis, mats)
-
-
-def glattice_presentation(M):
-    """Z[G]-presentation of a G-lattice: generators = Z-basis, relations =
-    the kernel of the evaluation map from the free module."""
-    group = M.group
-    basis = M.basis()
-    t = len(basis)
-    n = group.order
-    rows = []
-    for i in range(t):
-        for el in group.elements:
-            rows.append(M.act_element(el, basis[i]))
-    ker = hnf.kernel(rows, ambient_dim=M.ambient)
-    rels = []
-    for row in ker:
-        rel = [GroupRingElement(group, "int", row[i * n:(i + 1) * n])
-               for i in range(t)]
-        rels.append(rel)
-    return Presentation(group, t, rels)
 
 
 def _run_fitting_equality(scn, data, entry):

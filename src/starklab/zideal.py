@@ -487,14 +487,19 @@ def annihilator(module):
 
 
 def fitting_from_extension(cl_module, d):
-    """Fitt^0(Cl) * I_G^(d-1): the closed form for the transpose Selmer
-    module when G is cyclic of prime order and all d split-removed places
-    have full decomposition group (caller asserts the latter).
+    """Fitt^0(Cl) * I_G^(d-1), for G trivial or of prime order: Fitt^r of
+    Cl + Z^(d-1) + Z[G]^r, the transpose Selmer module at r = |V| when
+    each of the d places outside V has one place of K above it.
+
+    Z = Z[G]/I_G, so the Z^(d-1) summand adds the factor I_G^(d-1), which
+    is 0 over the trivial group for d > 1.  At Cl = 1 this is Fitt^r of
+    the place module X_{K,S} = Z^(d-1) + Z[G]^r, as stated with its
+    isomorphism at `verify.place_module_fitting`.
     """
     group = cl_module.group
-    if group.rank != 1 or not isprime(group.invariant_factors[0]):
-        raise UnsupportedCaseError("closed form requires G cyclic of prime "
-                                   "order")
+    if group.order > 1 and not isprime(group.order):
+        raise UnsupportedCaseError("closed form requires G trivial or of "
+                                   "prime order")
     if d < 1:
         raise InputError("d counts places outside V; it must be >= 1")
     if cl_module.order() == 1:

@@ -26,6 +26,17 @@ verdict table that `tests/test_pool_verdicts.py` compares every pool op
 with: workload -> op key -> what `verdicts` keeps of its result.  A
 verdict that moves is then a reviewed diff of that table.  pytest does not
 collect this file; the tests import `rubin_data` from it.
+
+    python tests/pool_digest.py --dump FILE
+    python tests/pool_digest.py --diff A B
+
+`--dump` runs the same ops and writes their results to FILE as JSON:
+workload -> [[op key, result], ...] in pool order.  `--diff` reads two
+such dumps, made on two checkouts, and prints one line per value that
+differs between an op's two results: the workload, the op key and the
+JSON path of the value (`$.results[2].witness.method`); a path stops
+where the two results differ in type, in a list's length or in a dict's
+keys.  A last line counts the ops and paths that differ.
 """
 
 import hashlib
@@ -119,8 +130,53 @@ def dump_table(table):
         for name, ops in sorted(table.items())) + "\n}\n"
 
 
+def differing_paths(a, b, path="$"):
+    """The JSON paths at which the values a and b differ."""
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        for k in sorted(a):
+            yield from differing_paths(a[k], b[k], f"{path}.{k}")
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from differing_paths(x, y, f"{path}[{i}]")
+    elif a != b:
+        yield path
+
+
+def diff_dumps(a, b):
+    """[(workload, op key, path)] over every value that differs between
+    two dumps; the ops are paired by workload and position, and an op key
+    or a workload that differs is itself a path."""
+    out = []
+    for name in sorted(a.keys() | b.keys()):
+        ours, theirs = a.get(name, []), b.get(name, [])
+        if len(ours) != len(theirs):
+            out.append((name, "-", f"$ ({len(ours)} ops, {len(theirs)})"))
+            continue
+        for (key, res), (key2, res2) in zip(ours, theirs):
+            if key != key2:
+                out.append((name, key, f"$ (op key {key2})"))
+                continue
+            out.extend((name, key, p) for p in differing_paths(res, res2))
+    return out
+
+
 def main(argv):
+    if len(argv) == 3 and argv[0] == "--diff":
+        dumps = []
+        for path in argv[1:]:
+            with open(path) as fh:
+                dumps.append(json.load(fh))
+        moved = diff_dumps(*dumps)
+        for name, key, path in moved:
+            print(name, key, path)
+        ops = {(name, key) for name, key, _path in moved}
+        print(f"{len(ops)} ops differ, in {len(moved)} paths")
+        return
     results = pool_results()
+    if len(argv) == 2 and argv[0] == "--dump":
+        with open(argv[1], "w") as fh:
+            fh.write(json.dumps(results, default=str, sort_keys=True))
+        return
     if argv == ["--write-verdicts"]:
         with open(VERDICTS, "w") as fh:
             fh.write(dump_table(verdict_table(results)))
@@ -131,8 +187,8 @@ def main(argv):
                 print(key, sha256(res))
         return
     if argv:
-        sys.exit("usage: python tests/pool_digest.py "
-                 "[--ops | --write-verdicts]")
+        sys.exit("usage: python tests/pool_digest.py [--ops | "
+                 "--write-verdicts | --dump FILE | --diff A B]")
     for name, ours in results.items():
         print(name, digest(ours))
     print(digest([pair for ours in results.values() for pair in ours]))

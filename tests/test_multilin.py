@@ -20,6 +20,17 @@ G2 = AbelianGroup((2,))
 REG2 = [[[0, 1], [1, 0]]]  # regular representation of Z/2 on Z^2
 
 
+def act_element(M, element, vec):
+    """g . vec for g = prod_j g_j^(a_j), element = (a_j), through the
+    generator matrices of the G-lattice M."""
+    out = list(vec)
+    for mat, a in zip(M.action, element):
+        for _ in range(a):
+            out = [sum(v * row[k] for v, row in zip(out, mat))
+                   for k in range(M.ambient)]
+    return out
+
+
 def regular_lattice():
     return GLattice(G2, 2, identity_matrix(2), REG2)
 
@@ -201,7 +212,7 @@ def _hom_kernel(M):
         # permutation: (g . y)_tau = y_{g^{-1} tau}
         perm = [group.index[group.op(group.inv(gen), el)]
                 for el in group.elements]
-        images = [M.lattice.coords(M.act_element(gen, b)) for b in basis]
+        images = [M.lattice.coords(act_element(M, gen, b)) for b in basis]
         for i in range(t):
             for s in range(n):
                 # sum_k T[i][k] x[(k, s)] - x[(i, perm[s])] = 0
@@ -242,7 +253,7 @@ def _duals_by_solve(M, vectors):
         coords = []
         for g in group.elements:
             co = hnf.rational_solve(basis, [Fraction(c) for c in
-                                            M.act_element(group.inv(g), u)])
+                                            act_element(M, group.inv(g), u)])
             if co is None:
                 raise InputError("vector outside Q-span of lattice")
             coords.append(co)
@@ -351,7 +362,7 @@ def g_lattices(draw):
                                    max_size=amb), min_size=1, max_size=3))
     for v in drawn:
         for el in group.elements:
-            lat.add_vector(M.act_element(el, v))
+            lat.add_vector(act_element(M, el, v))
     M = GLattice(group, amb, lat.canonical(), action)
     assert len(M.basis()) == lat.rank
     return M, drawn

@@ -1113,3 +1113,25 @@ def test_express_gates_hold_under_python_O():
                           env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_class_groups_match_genus_theory():
+    # Gauss: the narrow class group of discriminant D has 2-rank
+    # omega(D) - 1.  The wide group equals it for D < 0 and for N(eps) = -1;
+    # otherwise it is the narrow group mod an element of order 2, of 2-rank
+    # omega(D) - 2 or omega(D) - 1, and 2^(omega(D) - 1) divides h_plus
+    fundamental = [D for D in range(-5000, 5001)
+                   if D not in (0, 1) and is_fundamental_discriminant(D)]
+    for D in random.Random(14).sample(fundamental, 400):
+        cg = ClassGroup(D)
+        law = cg.structure
+        involutions = sum(law.op(c, c) == law.identity
+                          for c in law.exponents)
+        two_rank = involutions.bit_length() - 1
+        assert involutions == 2 ** two_rank, D
+        omega = len(sympy.primefactors(D))
+        if D < 0 or unit_norm(D) == -1:
+            assert two_rank == omega - 1, D
+        else:
+            assert two_rank in (omega - 2, omega - 1), D
+            assert cg.h_plus % 2 ** (omega - 1) == 0, D

@@ -19,3 +19,18 @@ def test_every_pool_verdict_matches_the_golden_table():
     assert not moved
     assert {name: ops.keys() for name, ops in table.items()} == \
         {name: ops.keys() for name, ops in golden.items()}
+
+
+def test_a_dump_diff_names_each_moved_value():
+    ours = {"w": [["k1", {"results": [{"verdict": "pass", "witness":
+                                        {"method": "a", "hnf": [[1, 0]]}}]}],
+                  ["k2", {"raised": "AttributeError"}]]}
+    theirs = {"w": [["k1", {"results": [{"verdict": "pass", "witness":
+                                          {"method": "b", "hnf": [[2]]}}]}],
+                    ["k2", {"raised": "AttributeError"}]]}
+    assert pool_digest.diff_dumps(ours, ours) == []
+    assert pool_digest.diff_dumps(ours, theirs) == [
+        ("w", "k1", "$.results[0].witness.hnf[0]"),
+        ("w", "k1", "$.results[0].witness.method")]
+    assert pool_digest.diff_dumps(ours, {"w": ours["w"][:1]}) == [
+        ("w", "-", "$ (2 ops, 1)")]

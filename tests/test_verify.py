@@ -885,3 +885,102 @@ def test_norm_identity_gates_hold_under_python_O():
                           env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+# -- Fitt^r(X_{K,S}): the closed form against the minors of a presentation
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_multilin import act_element
+
+from starklab import hnf, verify
+from starklab.grpring import AbelianGroup, GroupRingElement
+from starklab.multilin import GLattice
+from starklab.numfld import is_fundamental_discriminant, s_unit_lattice
+from starklab.verify import place_module_fitting
+from starklab.zideal import (Presentation, UnsupportedCaseError,
+                             fitting_ideal)
+
+
+def x_glattice(lattice, group):
+    """X_{K,S} (coefficient-sum-zero place module) as a GLattice."""
+    n = len(lattice.places)
+    basis = []
+    for i in range(1, n):
+        row = [0] * n
+        row[i] = 1
+        row[0] = -1
+        basis.append(row)
+    mats = []
+    for j in range(group.rank):
+        g = tuple(1 if l == j else 0 for l in range(group.rank))
+        perm = lattice.place_permutation(g)
+        mats.append([[1 if perm[i] == k else 0 for k in range(n)]
+                     for i in range(n)])
+    return GLattice(group, n, basis, mats)
+
+
+def glattice_presentation(M):
+    """Z[G]-presentation of a G-lattice: generators = Z-basis, relations =
+    the kernel of the evaluation map from the free module."""
+    group = M.group
+    basis = M.basis()
+    t = len(basis)
+    n = group.order
+    rows = [act_element(M, el, b) for b in basis for el in group.elements]
+    ker = hnf.kernel(rows, ambient_dim=M.ambient)
+    rels = [[GroupRingElement(group, "int", row[i * n:(i + 1) * n])
+             for i in range(t)] for row in ker]
+    return Presentation(group, t, rels)
+
+
+PLACE_FIELDS = ["Q"] + [D for D in range(-400, 401)
+                        if D not in (0, 1) and is_fundamental_discriminant(D)]
+PRIMES_BELOW_30 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+TRIVIAL, CYCLIC2 = AbelianGroup(()), AbelianGroup((2,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(PLACE_FIELDS),
+       st.sets(st.sampled_from(PRIMES_BELOW_30), max_size=4))
+def test_place_module_fitting_equals_the_minors_of_a_presentation(D, extra):
+    # S = {inf} + the ramified primes + 0-4 primes below 30, and r = 0..3
+    if D == "Q":
+        field, group, ramified = "Q", TRIVIAL, []
+    else:
+        field, group = QuadField(D), CYCLIC2
+        ramified = field.ramified_primes()
+    S = ["inf"] + sorted(set(ramified) | extra)
+    lattice = s_unit_lattice(field, S, [], enforce_h3=False)
+    pres = glattice_presentation(x_glattice(lattice, group))
+    for r in range(4):
+        assert place_module_fitting(lattice, group, r) == \
+            fitting_ideal(pres, r), (D, S, r)
+
+
+def test_place_module_fitting_needs_g_trivial_or_of_prime_order():
+    lattice = s_unit_lattice("Q", ["inf"], [], enforce_h3=False)
+    with pytest.raises(UnsupportedCaseError):
+        place_module_fitting(lattice, AbelianGroup((2, 2)), 0)
+
+
+# Cl_{Q,S,T} = (Z/5)^x / <-1, 11> has order 2, and V = {inf} leaves d = 1
+# place outside V: Fitt^1(Sel^tr) = Fitt^0(Cl) = (2)
+Q_WITH_CLASSES = {"field": {"type": "Q"}, "S": ["inf", 11], "V": ["inf"],
+                  "T": [5], "checks": ["fitting_equality"]}
+
+
+def test_q_with_a_nontrivial_class_group_is_cross_checked(monkeypatch):
+    [entry] = run_scenario(Scenario(Q_WITH_CLASSES))["results"]
+    assert entry["verdict"] == "pass"
+    assert entry["witness"]["class_group_orders"] == [2]
+    assert entry["witness"]["fitting_hnf"] == [[2]]
+    assert entry["witness"]["method"] == \
+        "Cl + trivial-action extension presentation"
+    # a closed form with I_G^d for I_G^(d-1) reads 0 for (2)
+    true_closed = verify.fitting_from_extension
+    monkeypatch.setattr(verify, "fitting_from_extension",
+                        lambda cl, d: true_closed(cl, d + 1))
+    [entry] = run_scenario(Scenario(Q_WITH_CLASSES))["results"]
+    assert entry["verdict"] == "fail"
+    assert "disagrees with the direct minors" in entry["witness"]

@@ -330,6 +330,14 @@ def test_fitting_from_extension():
     assert fitting_from_extension(mcl, 2) == expect
     with pytest.raises(UnsupportedCaseError):
         fitting_from_extension(trivial_action(AbelianGroup((2, 2)), []), 2)
+    # over the trivial group I_G = 0, so only d = 1 leaves Fitt^0(Cl)
+    g1 = AbelianGroup(())
+    six = trivial_action(g1, [2, 3])
+    assert fitting_from_extension(six, 1) == \
+        ideal_from_generators([GroupRingElement.one(g1).scale(6)])
+    assert fitting_from_extension(six, 2) == GIdealLattice.zero(g1)
+    assert fitting_from_extension(trivial_action(g1, []), 1) == \
+        GIdealLattice.unit(g1)
 
 
 def _planted_extension_presentation(cl, d, rng):
