@@ -546,8 +546,6 @@ class CBall:
             return x
         if isinstance(x, (int, Fraction, Ball)):
             return CBall(x, 0)
-        if hasattr(x, "to_cball"):  # exact cyclotomic scalars
-            return x.to_cball()
         raise TypeError(f"cannot coerce {type(x)} to CBall")
 
     def __add__(self, other):
@@ -575,6 +573,10 @@ class CBall:
 
     def is_nonzero(self):
         return self.re.is_nonzero() or self.im.is_nonzero()
+
+    def rad(self):
+        """The larger of the two parts' radii."""
+        return max(self.re.rad(), self.im.rad())
 
     def real_part_certified(self):
         """The real part, once the imaginary part certifiably contains 0."""

@@ -5,9 +5,9 @@ tuples enumerated in a fixed mixed-radix (lexicographic) order that every
 other module reuses.  Coefficient rings: "int", "rat" and "ball" (real
 certified enclosures at the working precision in force, see
 `ball.working_precision`); a mixed operation runs in the larger of the
-two.  Complex and cyclotomic values stay per character, outside Z[G]:
-at |V| >= 1 `lfun` assembles certified complex leading terms into real
-coefficients, and at |V| = 0 it builds rational ones with no character.
+two.  Complex values stay per character, outside Z[G]: at |V| >= 1
+`lfun` assembles certified complex leading terms into real coefficients,
+and at |V| = 0 it builds rational ones with no character.
 All values are immutable after construction and all operations are pure.
 """
 
@@ -16,7 +16,6 @@ from functools import lru_cache
 from math import gcd, prod
 
 from .ball import Ball, CBall
-from .cyclo import CycloElt
 
 # dense representations stay comfortable well beyond the exhaustive-test
 # sizes (<= 64); the hyperplane identity sweeps need (Z/3)^6 at most
@@ -299,8 +298,7 @@ def _is_zero(c):
 
 def coeff_json(c):
     """A coefficient as JSON: an int as itself, a rational as "n/d", a ball
-    as its {mid, rad}, a complex ball as {re, im} of those, and an exact
-    cyclotomic as the list of its rational coordinates."""
+    as its {mid, rad}, and a complex ball as {re, im} of those."""
     if isinstance(c, int):
         return c
     if isinstance(c, Fraction):
@@ -309,8 +307,6 @@ def coeff_json(c):
         return c.to_json()
     if isinstance(c, CBall):
         return {"re": c.re.to_json(), "im": c.im.to_json()}
-    if isinstance(c, CycloElt):
-        return [f"{q.numerator}/{q.denominator}" for q in c.vec]
     raise TypeError(type(c))
 
 

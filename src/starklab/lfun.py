@@ -1,16 +1,17 @@
 """Dirichlet characters over Q, certified leading terms at s = 0 of
-S-truncated T-modified L-series, exact order-0 values through generalized
+S-truncated T-modified L-series, order-0 values through generalized
 Bernoulli sums, and the group-ring elements built from them.  At order 0
 that element reads no character: it is the Stickelberger sum over the
 units mod the field's conductor (`stickelberger_element`).
 
 A character of order n records its values as exponents t of zeta_n and is
-read through one exact value and one ball value of zeta_n^t
-(`DirichletChar.exact_value`, `ball_value`).  Real characters (n <= 2)
+read through one value of zeta_n^t (`DirichletChar.value`): the integer
++-1 when n <= 2, else a certified complex ball.  Real characters (n <= 2)
 and complex ones share every sum: -B_{1,chi} = sum_a chi(a) (f - 2a) / 2f
 is one integer per power of zeta_n, and the Euler factors are
 1 - chi(q) q^{k-s} (Washington, *Introduction to Cyclotomic Fields*, ch. 4);
-only the values' types differ, Fractions and Balls for a real character.
+only the values' types differ: a real character's order-0 values are
+exact Fractions, a complex character's are certified complex balls.
 A field is an `AbelianFieldRealization`: its Galois group is presented by
 the coordinate characters dual to a basis of it, whatever way the field
 was given, and every reader works from them.
@@ -21,13 +22,12 @@ term lim_{s->0} s^-r L_{S,T}(chi, s) at the order of vanishing r (Tate,
 product is the product of the leading terms, so it is the primitive
 character's leading term times one factor per finite S-prime q off the
 conductor, log q when chi(q) = 1 (there 1 - q^-s = s log q + ...) and
-the exact 1 - chi(q) otherwise, and the exact 1 - chi(q) q of each
-T-prime (Tate, ch. III).  The primitive leading term is the exact
--B_{1,chi}, unless chi is even and nontrivial; then L(chi, 0) = 0, and
-its derivative is sum_t zeta_n^t c_1(class t), where c_1(C) is the
-derivative at 0 of the Hurwitz zeta sum sum_{a in C} zeta_H(s, a/f) over
-the units a with chi(a) = zeta_n^t (`DirichletChar.classes`), as
--B_{1,chi} sums one integer per class.
+1 - chi(q) otherwise, and 1 - chi(q) q of each T-prime (Tate, ch. III).
+The primitive leading term is -B_{1,chi}, unless chi is even and
+nontrivial; then L(chi, 0) = 0, and its derivative is sum_t zeta_n^t
+c_1(class t), where c_1(C) is the derivative at 0 of the Hurwitz zeta sum
+sum_{a in C} zeta_H(s, a/f) over the units a with chi(a) = zeta_n^t
+(`DirichletChar.classes`), as -B_{1,chi} sums one integer per class.
 
 c_1 comes from Euler-Maclaurin with a certified tail bound, and is an
 enclosure of the exact value; ball arithmetic is kept to what needs
@@ -61,7 +61,6 @@ from .arith import bernoulli, factorint
 from .ball import (Ball, CBall, CertificationError, PrecisionError,
                    Undecided, ball_combination, ball_log_int, ball_log_prod,
                    precision, working_precision)
-from .cyclo import CycloField
 from .finite import GroupStructure
 from .grpring import AbelianGroup, GroupRingElement, InputError
 from .hnf import diagonalize_relations
@@ -76,7 +75,7 @@ class UnresolvedOrderError(Undecided):
 
 
 class WrongOrderError(ValueError):
-    """An exact order-0 value was requested at positive vanishing order."""
+    """An order-0 value was requested at positive vanishing order."""
 
 
 # -- Dirichlet characters ----------------------------------------------------
@@ -145,19 +144,9 @@ class DirichletChar:
                 key=lambda tg: tg[1][0]))
         return self._classes
 
-    def exact_value(self, t):
-        """zeta_n^t exactly (n the order): the Fraction +-1 when n <= 2,
-        else an element of Q(zeta_n)."""
-        if self.order <= 2:
-            return Fraction(-1) ** t
-        return CycloField(self.order).zeta_power(t)
-
-    def ball_value(self, t):
-        """zeta_n^t for a ball sum: the integer +-1 when n <= 2, which the
-        sum adds or subtracts (`_add_times`), else a certified CBall."""
-        if self.order <= 2:
-            return (-1) ** t
-        return CBall.root_of_unity(t, self.order)
+    def value(self, t):
+        """zeta_n^t, n the order, for an exponent t = chi(a) (`_zeta`)."""
+        return _zeta(t, self.order)
 
     def parity(self):
         """+1 for even, -1 for odd."""
@@ -207,6 +196,12 @@ class DirichletChar:
 
     def __repr__(self):
         return f"DirichletChar(mod {self.modulus}, order {self.order})"
+
+
+def _zeta(t, n):
+    """zeta_n^t for an integer t: the integer +-1 when n <= 2, which a sum
+    adds or subtracts (`_add_times`), else a certified CBall."""
+    return (-1) ** (t % n) if n <= 2 else CBall.root_of_unity(t, n)
 
 
 def _kronecker_table(D):
@@ -412,10 +407,11 @@ class AbelianFieldRealization:
 # -- leading terms -----------------------------------------------------------
 
 class LeadingTerm(NamedTuple):
-    """lim_{s->0} s^-order L_{S,T}(chi, s), from `l_jet`: `value` is exact
-    (a Fraction or a cyclotomic) or a certified ball, and `params` holds
-    the N, B and precision of the Hurwitz sums (only the precision when
-    none was needed)."""
+    """lim_{s->0} s^-order L_{S,T}(chi, s), from `l_jet`: `value` is an
+    exact Fraction for a real character at order 0, and otherwise a
+    certified ball, a complex one (CBall) for a complex character; `params`
+    holds the N, B and precision of the Hurwitz sums (only the precision
+    when none was needed)."""
     order: int
     value: object
     params: dict
@@ -687,22 +683,21 @@ def l_jet(spec):
     The value is the primitive leading term (`_primitive_leading`), then,
     multiplied in one at a time in this order, the factor of each finite q
     in S off the conductor, in S order, and of each q in T
-    (`_euler_values`): log q (`ball_log_int`) for an S-prime with
+    (`_euler_factors`): log q (`ball_log_int`) for an S-prime with
     chi(q) = 1, whose Euler factor 1 - q^-s vanishes at 0 to first order,
-    and otherwise the exact value 1 - chi(q) or 1 - chi(q) q.  An exact
-    cyclotomic meets a ball through its complex enclosure (`_times`).  The
-    leading term must certify nonzero: an exact zero is a
-    CertificationError, a ball that contains zero an
-    UnresolvedOrderError, which is `Undecided`.  The 53-bit floor of
-    `hurwitz_jet` holds here too, whether or not a Hurwitz sum is
+    and otherwise 1 - chi(q) or 1 - chi(q) q, exact for a real chi and a
+    certified CBall for a complex one.  The leading term must certify
+    nonzero: an exact zero is a CertificationError, a ball that contains
+    zero an UnresolvedOrderError, which is `Undecided`.  The 53-bit floor
+    of `hurwitz_jet` holds here too, whether or not a Hurwitz sum is
     evaluated.
     """
     prec = _floor_precision("l_jet")
     chi = spec.char.primitive()
     r = theoretical_order(spec.char, spec.S)
     value, params = _primitive_leading(chi, prec)
-    for q, exact in _euler_values(chi, spec.S, spec.T):
-        value = _times(value, ball_log_int(q) if exact == 0 else exact)
+    for factor in _euler_factors(chi, spec.S, spec.T):
+        value = value * factor
     if not isinstance(value, (Ball, CBall)):
         if value == 0:
             raise CertificationError(
@@ -717,8 +712,8 @@ def l_jet(spec):
 
 def _primitive_leading(chi, prec):
     """(leading term, params) of L(chi, s) = f^-s sum_a chi(a)
-    zeta_H(s, a/f) at s = 0, for a primitive chi mod f: the exact
-    -B_{1,chi} at order 0, or, for an even nontrivial chi, whose L-value
+    zeta_H(s, a/f) at s = 0, for a primitive chi mod f: -B_{1,chi} at
+    order 0 (`_minus_b1`), or, for an even nontrivial chi, whose L-value
     at 0 vanishes, the derivative sum_t zeta_n^t c_1(class t), one
     `hurwitz_jet` per value class summed in class order (`_add_times`)."""
     if chi.conductor() == 1 or chi.parity() == -1:
@@ -726,37 +721,41 @@ def _primitive_leading(chi, prec):
     f = chi.conductor()
     value = 0
     for t, residues in chi.classes():
-        value = _add_times(value, chi.ball_value(t), hurwitz_jet(f, residues))
+        value = _add_times(value, chi.value(t), hurwitz_jet(f, residues))
     plan = _plan(prec)
     return value, {"N": plan.N, "B": plan.B, "prec": prec}
 
 
-def _euler_values(chi, S, T):
-    """The exact values at s = 0 of the Euler factors that S and T remove
-    from L(chi, s), for a primitive chi: (q, 1 - chi(q)) for each finite
-    q in S off the conductor, in S order, then (q, 1 - chi(q) q) for each
-    q in T.  The value is 0 exactly at the S-primes with chi(q) = 1."""
+def _euler_factors(chi, S, T):
+    """The leading terms at s = 0 of the Euler factors that S and T remove
+    from L(chi, s), for a primitive chi: for each finite q in S off the
+    conductor, in S order, log q (`ball_log_int`) where chi(q) = 1, as
+    1 - q^-s vanishes there to first order, and 1 - chi(q) elsewhere; then
+    1 - chi(q) q for each q in T.  The log is keyed on the exponent
+    chi(q) = 0, not on the value, as a complex value 1 - zeta_n^0 is a
+    ball, which never compares equal to 0."""
     f = chi.conductor()
     for q in S:
         if q != "inf" and f % q:
-            yield q, 1 - chi.exact_value(chi(q))
+            t = chi(q)
+            yield ball_log_int(q) if t == 0 else 1 - chi.value(t)
     for q in T:
-        yield q, 1 - chi.exact_value(chi(q)) * q
+        yield 1 - chi.value(chi(q)) * q
 
 
 def _minus_b1(chi):
-    """-B_{1,chi} = sum_a chi(a) (f - 2a) / 2f for a primitive chi mod f,
-    exactly (zeta(0) = -1/2 when f = 1): one integer sum per power of
-    zeta_n, each divided once."""
+    """-B_{1,chi} = sum_a chi(a) (f - 2a) / 2f for a primitive chi mod f
+    (zeta(0) = -1/2 when f = 1): one integer sum per power of zeta_n, each
+    divided once, so exact for a real chi and a certified CBall for a
+    complex one."""
     f = chi.conductor()
-    return sum(chi.exact_value(t) * Fraction(f * len(res) - 2 * sum(res),
-                                             2 * f)
+    return sum(chi.value(t) * Fraction(f * len(res) - 2 * sum(res), 2 * f)
                for t, res in chi.classes())
 
 
 def _add_times(acc, w, x):
-    """acc + w x for a character value w from `DirichletChar.ball_value`:
-    the values +-1 of a real character add or subtract x."""
+    """acc + w x for a character value w from `_zeta`: the values +-1 of a
+    real character add or subtract x."""
     if w == 1:
         return acc + x
     if w == -1:
@@ -764,23 +763,14 @@ def _add_times(acc, w, x):
     return acc + w * x
 
 
-def _times(value, factor):
-    """value * factor for a leading term and a factor, each exact (a
-    Fraction or a cyclotomic) or a ball: an exact cyclotomic meets a real
-    ball through its certified complex enclosure, as the product of a
-    CycloElt and a Ball is not defined."""
-    if isinstance(factor, Ball) \
-            and not isinstance(value, (Fraction, Ball, CBall)):
-        value = value.to_cball()
-    return value * factor
-
-
 def bernoulli_value(char, S, T=()):
-    """Exact L_{S,T}(chi, 0) when the order of vanishing is zero.
+    """L_{S,T}(chi, 0) when the order of vanishing is zero: a Fraction,
+    exactly, for a real chi (order <= 2), and a certified CBall for a
+    complex one.
 
-    Computed as -B_{1,chi} for the primitive core times the exact removed
-    Euler factors (1 - chi(q)) for q in S and (1 - chi(q) q) for q in T
-    (`_euler_values`).  Raises WrongOrderError at positive order.
+    Computed as -B_{1,chi} for the primitive core (`_minus_b1`) times the
+    removed Euler factors (1 - chi(q)) for q in S and (1 - chi(q) q) for q
+    in T (`_euler_factors`).  Raises WrongOrderError at positive order.
     """
     S = _normalize_places(S)
     T = _normalize_primes(T)
@@ -789,8 +779,8 @@ def bernoulli_value(char, S, T=()):
         raise WrongOrderError(f"order of vanishing is {r}, not 0")
     chi = char.primitive()
     value = _minus_b1(chi)
-    for _q, exact in _euler_values(chi, S, T):
-        value = value * exact
+    for factor in _euler_factors(chi, S, T):
+        value = value * factor
     return value
 
 
@@ -900,16 +890,15 @@ def _assemble_ball(group, components):
     """The ball element sum_chi L*(chi^-1) e_chi: the coefficient of sigma
     is sum_chi chi(sigma^-1) L*(chi^-1) / |G|, summed as
     `_primitive_leading` sums its classes (`_add_times`), with the weights
-    +-1 when every character is real and certified roots of unity
-    otherwise, whose sum must certify real."""
+    chi(sigma^-1) from `_zeta`, +-1 when every character is real and
+    certified roots of unity otherwise, whose sum must certify real."""
     e = group.exponent
     coeffs = []
     for sigma in group.elements:
         total = 0
         for chi in group.all_characters():
             t = chi.value_exponent(sigma)
-            w = (-1) ** t if e <= 2 else CBall.root_of_unity(-t, e)
-            total = _add_times(total, w, components[chi.exponents])
+            total = _add_times(total, _zeta(-t, e), components[chi.exponents])
         if isinstance(total, CBall):
             total = total.real_part_certified()
         coeffs.append(total * Fraction(1, group.order))

@@ -1,8 +1,10 @@
-"""Smoke tests of the command line: every subcommand once, the encoding of
-an exact cyclotomic coefficient, exit code 2 for malformed places and
-fields, and a sweep that goes on past a scenario that raises."""
+"""Smoke tests of the command line: every subcommand once, a complex
+character's leading term as {re, im} balls at every order, exit code 2 for
+malformed places and fields, and a sweep that goes on past a scenario that
+raises."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -40,15 +42,27 @@ def test_verify_a_scenario_file(capsys, tmp_path):
     assert code == 0 and out.strip() == "[Q] norm_identity: PASS"
 
 
-def test_an_exact_cyclotomic_coefficient_is_a_list_of_rationals(capsys):
-    # the cubic character mod 7 vanishes to order 0 with S = {inf, 7}: its
-    # leading term is exact in Q(zeta_6); with 29 in S, where it is 1, it
-    # is of order 1, a complex ball
+def _ends(ball):
+    """The endpoints of a {mid, rad} ball of the JSON, as Fractions."""
+    mid, rad = Fraction(ball["mid"]), Fraction(ball["rad"])
+    return mid - rad, mid + rad
+
+
+def test_a_complex_leading_term_is_re_and_im_balls_at_every_order(capsys):
+    # the odd character of order 6 mod 7 vanishes to order 0 with
+    # S = {inf, 7}: its leading term -B_{1,chi} = 2/7 + 4/7 zeta_6 is
+    # 4/7 + (2 sqrt 3 / 7) i, a complex ball; with 29 in S, where it is 1,
+    # it is of order 1, a complex ball too
     code, out, _err = run(capsys, "lvalue", "--modulus", "7", "--kernel",
                           "--char-index", "1", "--S", "inf", "7")
     assert code == 0
     report = json.loads(out)
-    assert report["order"] == 0 and report["value"] == ["2/7", "4/7"]
+    assert report["order"] == 0 and set(report["value"]) == {"re", "im"}
+    lo, hi = _ends(report["value"]["re"])
+    assert lo <= Fraction(4, 7) <= hi
+    # lo <= 2 sqrt 3 / 7 <= hi, for 0 < lo, squared
+    lo, hi = _ends(report["value"]["im"])
+    assert 0 < lo and (7 * lo / 2) ** 2 <= 3 <= (7 * hi / 2) ** 2
     code, out, _err = run(capsys, "lvalue", "--modulus", "7", "--kernel",
                           "--char-index", "1", "--S", "inf", "7", "29")
     assert code == 0

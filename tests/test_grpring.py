@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starklab.ball import Ball
-from starklab.cyclo import CycloField, cyclotomic_polynomial
 from starklab.grpring import (AbelianGroup, GroupRingElement, InputError,
                               Subgroup, norm_element)
 
@@ -101,15 +100,6 @@ def test_ball_coefficient_ring():
     assert y.coeffs[1].contains(Fraction(2, 3))
     with pytest.raises(InputError):
         x == x  # no decidable equality on ball elements
-
-
-def test_cyclotomic_polynomials():
-    assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
-    F = CycloField(12)
-    z = F.zeta_power(1)
-    assert z ** 12 == 1 and not z ** 6 == 1
-    z3 = F.zeta_power(4)
-    assert (z3 * z3 + z3 + 1).is_zero()
 
 
 def element_from_json(obj):

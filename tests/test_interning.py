@@ -9,7 +9,6 @@ import pytest
 
 from starklab.arith import CapacityError
 from starklab.biquad import BiquadField
-from starklab.cyclo import CycloField
 from starklab.grpring import AbelianGroup, InputError
 from starklab.lfun import AbelianFieldRealization, DirichletChar
 from starklab.numfld import ClassGroup, QuadField
@@ -24,11 +23,6 @@ CASES = {
         [(lambda: AbelianGroup((3, 2)), InputError),
          (lambda: AbelianGroup((1,)), InputError),
          (lambda: AbelianGroup((3,) * 7), InputError)]),
-    "CycloField": (
-        lambda: CycloField(12),
-        [],
-        [(lambda: CycloField(0), InputError),
-         (lambda: CycloField(-3), InputError)]),
     "QuadField": (
         lambda: QuadField(5),
         [lambda: Scenario({"field": {"type": "quad", "disc": 5}}).field],

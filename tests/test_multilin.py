@@ -414,10 +414,7 @@ def test_dual_pairings_of_a_free_module_are_the_determinants():
 
 
 GATES_UNDER_O = """
-from starklab.ball import CertificationError
-from starklab.cyclo import CycloField, _poly_divexact
 from starklab.grpring import AbelianGroup, InputError
-from starklab.hnf import identity_matrix
 from starklab.multilin import GLattice
 
 # the swap of coordinates does not preserve the lattice 2Z + Z
@@ -427,23 +424,10 @@ try:
     raise SystemExit("GLattice accepted a non-stable lattice")
 except InputError:
     pass
-# exact polynomial division over Z: a non-integral quotient, a remainder
-for num, den in (([1, 0, 1], [1, 2]), ([1, 0, 1], [1, 1])):
-    try:
-        _poly_divexact(num, den)
-        raise SystemExit(f"_poly_divexact accepted {num} / {den}")
-    except CertificationError:
-        pass
-# five coefficients in the degree-4 field Q(zeta_5)
-try:
-    CycloField(5).element([1] * 5)
-    raise SystemExit("cyclo accepted a bad argument")
-except InputError:
-    pass
 """
 
 
-def test_pairing_and_cyclotomic_gates_hold_under_python_O():
+def test_the_g_stability_gate_holds_under_python_O():
     import os
     import subprocess
     import sys

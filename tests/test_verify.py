@@ -984,3 +984,87 @@ def test_q_with_a_nontrivial_class_group_is_cross_checked(monkeypatch):
     [entry] = run_scenario(Scenario(Q_WITH_CLASSES))["results"]
     assert entry["verdict"] == "fail"
     assert "disagrees with the direct minors" in entry["witness"]
+
+
+# -- Rubin's S- and T-change rules on im(epsilon), through the pipeline ------
+
+from hypothesis import example
+
+from starklab.numfld import kronecker
+from starklab.zideal import GIdealLattice
+
+CHANGE_FIELDS = [D for D in PLACE_FIELDS if D == "Q" or abs(D) < 100]
+
+
+@st.composite
+def _change_data(draw):
+    """(field, S, V, T, q, t) over Q or a quadratic field with |D| < 100.
+    S is {inf}, the ramified primes and 0 or 1 more prime below 30; V is
+    {inf} for a real quadratic field, and otherwise a split prime below 30
+    that S then holds.  T is one odd prime below 30, and q and t two more,
+    all three unramified and off S."""
+    D = draw(st.sampled_from(CHANGE_FIELDS))
+    ram = [] if D == "Q" else QuadField(D).ramified_primes()
+    free = [p for p in PRIMES_BELOW_30 if p not in ram]
+    if D != "Q" and D > 0:
+        V = ["inf"]
+    else:
+        V = [draw(st.sampled_from(
+            [p for p in free if D == "Q" or kronecker(D, p) == 1]))]
+    rest = draw(st.permutations([p for p in free if p not in V]))
+    k = draw(st.integers(0, 1))
+    extra, rest = rest[:k], rest[k:]
+    T = next(p for p in rest if p != 2)
+    q, t = [p for p in rest if p != T][:2]
+    S = ["inf"] + ram + [p for p in V if p != "inf"] + extra
+    return D, S, V, [T], q, t
+
+
+def _im_epsilon(D, S, V, T):
+    """(im(epsilon) of the datum at 128 bits, its field realization)."""
+    field = {"type": "Q"} if D == "Q" else {"type": "quad", "disc": D}
+    scn = Scenario({"field": field, "S": S, "V": V, "T": T})
+    scn.validate_datum()
+    with working_precision(128):
+        return RubinStarkData(scn.realization, scn.field, scn.S, scn.V,
+                              scn.T).im_lattice(), scn.realization
+
+
+def _euler_ideal(realization, q, x):
+    """The principal ideal of 1 - x Fr_q^-1 in Z[G], for q unramified."""
+    group = realization.group
+    frob = tuple(psi(q) for psi in realization.coordinate_characters)
+    vec = [0] * group.order
+    vec[group.index[group.identity()]] += 1
+    vec[group.index[group.inv(frob)]] -= x
+    return GIdealLattice.from_vectors(group, [vec])
+
+
+@settings(max_examples=30, deadline=None)
+@example((5, ["inf", 5, 11], ["inf"], [3], 7, 13))  # 11 splits: epsilon = 0
+@example((-23, ["inf", 2, 23], [2], [3], 13, 5))
+@example(("Q", ["inf", 2], [2], [3], 5, 7))
+@given(_change_data())
+def test_im_epsilon_follows_rubins_s_and_t_change_rules(data):
+    # Rubin 1996, at r = |V| = 1.  S-change: for q unramified and off S and
+    # T, eps_{S+q} = (1 - Fr_q^-1) eps_S, and the quotient of the unit
+    # lattices is Z-free, so every hom extends and the images are equal.
+    # T-change: the (S, T+t)-units have finite index in the (S, T)-units,
+    # so only (1 - t Fr_t^-1) im(eps_T) <= im(eps_{T+t}) holds.  A vacuous
+    # datum, epsilon = 0, gives 0 on both sides
+    D, S, V, T, q, t = data
+    base, real = _im_epsilon(D, S, V, T)
+    larger_s, _ = _im_epsilon(D, S + [q], V, T)
+    assert larger_s == _euler_ideal(real, q, 1).product(base)
+    larger_t, _ = _im_epsilon(D, S, V, T + [t])
+    assert larger_t.contains(_euler_ideal(real, t, t).product(base))
+
+
+# -- the class number formula past tier-1's exhaustive range -----------------
+
+def test_acnf_holds_on_a_seeded_sample_of_positive_d_to_5000():
+    from starklab.verify import run_acnf
+    fundamental = [D for D in range(501, 5001)
+                   if is_fundamental_discriminant(D)]
+    for D in random.Random(41).sample(fundamental, 24):
+        assert run_acnf(D, D)["positive"] == 1, D
