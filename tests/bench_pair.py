@@ -14,8 +14,9 @@ median and quartiles of each side, the pairs the change wins and whether
 the change's median is worse than the parent's by more than the bound of
 `BENCHMARK.json`, with both sides' `setup_s` and `peak_rss_mb` samples
 (the set-up samples of every run too).  A file for the same parent gains
-or replaces the workload's entry, so one file holds every workload paired
-against that parent.  The export is removed at the end.
+the workload's entry, so one file holds every workload paired against
+that parent; an entry it replaces moves to the end of `earlier`, so the
+file keeps every run.  The export is removed at the end.
 
 With `--setup` each run is one `perfbench/worker.py --workload W --seed S
 --mode setup` process alone, timed as `run.py` times set-up: from just
@@ -213,8 +214,12 @@ def main(argv=None):
                 runs.append(run)
     entry = (summarize_setup if args.setup else summarize)(runs, end_to_end)
     entry.update({"seed": args.seed, "runs": runs})
-    doc.setdefault("setup" if args.setup else "workloads",
-                   {})[args.workload] = entry
+    key = "setup" if args.setup else "workloads"
+    entries = doc.setdefault(key, {})
+    if args.workload in entries:
+        doc.setdefault("earlier", {}).setdefault(key, {}).setdefault(
+            args.workload, []).append(entries[args.workload])
+    entries[args.workload] = entry
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")

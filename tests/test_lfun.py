@@ -900,8 +900,9 @@ def _oracle_leading_term(chi, S, T):
     then the factors at s = 0 of the S-primes off the conductor (log q
     where chi(q) = 1) and of T, multiplied in one at a time, as the
     leading terms of a product are.  A real character's order-0 value is
-    exact; a complex character's is the enclosure of its exact -B_{1,chi}
-    in Q(zeta_n), and its Euler factors are complex balls."""
+    exact; a complex character's -B_{1,chi} sums the enclosed roots of
+    unity of its classes, each times that class's rational weight, and
+    its Euler factors are complex balls."""
     chi = chi.primitive()
     f = chi.conductor()
     real = chi.order <= 2
@@ -922,7 +923,10 @@ def _oracle_leading_term(chi, S, T):
         value = Fraction(sum((f - 2 * a) * _value_rational(chi, a)
                              for a in range(1, f)), 2 * f)
     else:
-        value = _bernoulli_by_residue(chi, [], []).enclosure()
+        value = CBall(0, 0)
+        for v, (rep, residues) in _oracle_classes(chi).items():
+            value = value + _value_cball(chi, rep) * Fraction(
+                f * len(residues) - 2 * sum(residues), 2 * f)
     for q in S:
         if q == "inf" or f % q == 0:
             continue
@@ -979,9 +983,9 @@ def test_jets_and_bernoulli_values_match_the_oracle_bit_for_bit(
     # the order r, and at r = 0 the Bernoulli value.  A leading term reads
     # only the primitive character, so each is run once.  The class sums
     # c_1 and the roots of unity, exact and enclosed, are shared between
-    # the two sides, which sum them, bit for bit but for an odd complex
-    # character: its -B_{1,chi}, a ball, must meet the enclosure of the
-    # exact value in Q(zeta_n)
+    # the two sides, which sum them bit for bit.  An odd complex
+    # character's Bernoulli value, a ball, must also meet the enclosure of
+    # its exact value in Q(zeta_n)
     hurwitz = functools.lru_cache(maxsize=None)(lfun.hurwitz_jet)
     monkeypatch.setattr(lfun, "hurwitz_jet", lambda f, residues: hurwitz(
         f, tuple(residues)))
@@ -1009,18 +1013,16 @@ def test_jets_and_bernoulli_values_match_the_oracle_bit_for_bit(
                     value, params = _oracle_leading_term(chi, spec.S,
                                                          spec.T)
                     assert new.order == r
+                    assert _endpoints(new.value) == _endpoints(value), \
+                        (f, c, S, T)
                     if r == 0:
                         got = bernoulli_value(chi, S, T)
                         want = _oracle_bernoulli_value(chi, S, T)
-                    if chi.order > 2 and chi.parity() == -1:
-                        if r == 0:
+                        if chi.order > 2:
                             assert _meets(got, want.enclosure())
-                        assert _meets(new.value, value), (f, c, S, T)
-                    else:
-                        if r == 0:
+                            assert _endpoints(got) == _endpoints(value)
+                        else:
                             assert _endpoints(got) == _endpoints(want)
-                        assert _endpoints(new.value) == _endpoints(value), \
-                            (f, c, S, T)
                     assert new.params == params
                     seen.add((chi.primitive().order <= 2, r > 0))
     assert seen == {(True, False), (True, True), (False, False),
