@@ -707,20 +707,23 @@ def test_complex_character_jet():
 
 
 def test_a_complex_character_takes_log_q_where_it_is_one():
-    # the odd character of order 6 mod 7 is 1 at 29 = 1 mod 7, so 29 in S
-    # raises its order to 1 and multiplies its order-0 value by log 29.
-    # 1 - chi(29) read off the value would be a ball around 0, which never
-    # compares equal to 0 and would drop the log
+    # the characters of order 6 (odd) and 3 (even) mod 7 are 1 at
+    # 29 = 1 mod 7, so 29 in S raises their order by one, from 0 and from
+    # 1, and multiplies their leading term by log 29.  1 - chi(29) read off
+    # the value would be a ball around 0, which never compares equal to 0
+    # and would drop the log
     R = AbelianFieldRealization(7, [])
-    chi = R.dirichlet(R.group.all_characters()[1])
-    assert chi.order == 6 and chi(29) == 0
-    base = l_jet(LSpec(chi, ["inf", 7]))
-    lead = l_jet(LSpec(chi, ["inf", 7, 29]))
-    assert base.order == 0 and lead.order == 1
-    want = base.value * ball_log_int(29)
-    for part, inner in ((lead.value.re, want.re), (lead.value.im, want.im)):
-        (lo, hi), (ilo, ihi) = part.endpoints(), inner.endpoints()
-        assert lo <= ilo and ihi <= hi
+    for k, order in ((1, 0), (2, 1)):
+        chi = R.dirichlet(R.group.all_characters()[k])
+        assert chi.order == 6 // k and chi(29) == 0
+        base = l_jet(LSpec(chi, ["inf", 7]))
+        lead = l_jet(LSpec(chi, ["inf", 7, 29]))
+        assert base.order == order and lead.order == order + 1
+        want = base.value * ball_log_int(29)
+        for part, inner in ((lead.value.re, want.re),
+                            (lead.value.im, want.im)):
+            (lo, hi), (ilo, ihi) = part.endpoints(), inner.endpoints()
+            assert lo <= ilo and ihi <= hi
 
 
 def test_first_order_scenario_needs_only_first_order_hurwitz_jets(
