@@ -568,9 +568,6 @@ class CBall:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return CBall(-self.re, -self.im)
-
     def is_nonzero(self):
         return self.re.is_nonzero() or self.im.is_nonzero()
 

@@ -971,12 +971,12 @@ class SUnitLattice:
     __slots__ = ("_sigma_matrix", "_t_sublattice", "field", "S", "T",
                  "places", "gens", "valuations", "torsion_gen",
                  "torsion_order", "residues", "unit_dlogs",
-                 "saturation_index", "place_action", "place_ranges",
-                 "class_primes", "relations")
+                 "place_action", "place_ranges", "class_primes",
+                 "relations")
+    saturation_index = 1
 
-    def __init__(self, _sigma_matrix=None, _t_sublattice=None, **kw):
-        self._sigma_matrix = _sigma_matrix
-        self._t_sublattice = _t_sublattice
+    def __init__(self, **kw):
+        self._sigma_matrix = self._t_sublattice = None
         for k in self.__slots__[2:]:
             setattr(self, k, kw[k])
 
@@ -1109,7 +1109,7 @@ def s_unit_lattice(field, S, T, enforce_h3=True):
     2r columns are the Hermite basis of the relations among the S-places
     alone, with their generators.
 
-    Raises DatumError when (S, T) violates the standing shape (`_s_places`),
+    Raises DatumError when (S, T) violates the standing shape (`_s_and_t`),
     or when T does not make the unit group torsion free (skipped with
     enforce_h3=False for internal constructions that only need the lattice
     modulo torsion).
@@ -1127,7 +1127,7 @@ def s_unit_lattice(field, S, T, enforce_h3=True):
                             residues=residues,
                             unit_dlogs=_unit_dlogs(gens, Fraction(-1),
                                                    residues),
-                            saturation_index=1, place_action=place_action,
+                            place_action=place_action,
                             place_ranges=place_ranges, class_primes=[],
                             relations=[])
 
@@ -1160,21 +1160,13 @@ def s_unit_lattice(field, S, T, enforce_h3=True):
                         valuations=valuations, torsion_gen=zeta,
                         torsion_order=order, residues=residues,
                         unit_dlogs=_unit_dlogs(gens, zeta, residues),
-                        saturation_index=1, place_action=place_action,
-                        place_ranges=place_ranges, class_primes=primes,
-                        relations=relations)
+                        place_action=place_action, place_ranges=place_ranges,
+                        class_primes=primes, relations=relations)
 
 
-def _s_places(field, S, T):
-    """(S, T, places, place_action, place_ranges): S and T normalised, the
-    places of `field` above S (the distinguished place first over each v),
-    their permutation under the nontrivial automorphism (the identity over
-    Q), and for each v in S the range of its places' indices.  As S lists
-    'inf' first, the infinite places come first.
-
-    DatumError unless S contains 'inf' and the ramified primes and is
-    disjoint from T.
-    """
+def _s_and_t(field, S, T):
+    """(S, T) normalised, 'inf' first in S; DatumError unless S contains
+    'inf' and the ramified primes of `field` and is disjoint from T."""
     S = _normalize_places(S)
     T = _normalize_primes(T)
     if "inf" not in S:
@@ -1185,6 +1177,17 @@ def _s_places(field, S, T):
         missing = [q for q in field.ramified_primes() if q not in S]
         if missing:
             raise DatumError(f"S omits ramified primes {missing}")
+    return S, T
+
+
+def _s_places(field, S, T):
+    """(S, T, places, place_action, place_ranges): S and T from `_s_and_t`,
+    the places of `field` above S (the distinguished place first over each
+    v), their permutation under the nontrivial automorphism (the identity
+    over Q), and for each v in S the range of its places' indices.  As S
+    lists 'inf' first, the infinite places come first.
+    """
+    S, T = _s_and_t(field, S, T)
     places, place_action, place_ranges = [], [], {}
     for v in S:
         base = len(places)
@@ -1347,30 +1350,6 @@ def _t_sublattice(n, residues, unit_dlogs):
 
 # -- (S, T)-ray class modules ------------------------------------------------
 
-class RayClassData:
-    """Cl_{K,S,T} as a finite module with Galois action, plus bookkeeping."""
-
-    __slots__ = ("field", "S", "T", "module", "h_s", "rt_quotient_order")
-
-    def __init__(self, field, S, T, module, h_s, rt_quotient_order):
-        self.field = field
-        self.S = S
-        self.T = T
-        self.module = module
-        self.h_s = h_s
-        self.rt_quotient_order = rt_quotient_order
-
-    def order(self):
-        return self.module.order()
-
-    def p_rank(self, p):
-        return sum(1 for d in self.module.orders if d % p == 0)
-
-    def __repr__(self):
-        return (f"RayClassData(|Cl|={self.order()}, "
-                f"orders={self.module.orders})")
-
-
 def ray_class(field, S, T, lattice=None):
     """Cl_{K,S,T} as a FiniteGModule over Gal(K/Q) (over the trivial group
     for K = Q), from one presentation (Cohen, *Advanced Topics in
@@ -1394,13 +1373,13 @@ def ray_class(field, S, T, lattice=None):
     Action: the nontrivial automorphism swaps l_i and its conjugate, and
     acts on each leader through its residue (`ResidueSystem.galois_act`).
 
-    The order is checked against |Cl_{K,S,T}| = h_S * |R_T / im(units)|,
-    with h_S from the classes of the S-places alone (CertificationError if
-    it fails).  For a quadratic field the relations come from `lattice`,
-    when the caller already holds `s_unit_lattice(field, S, T)`, else from
-    one built here.
+    For a quadratic field the order is checked against |Cl_{K,S,T}| =
+    h_S * |R_T / im(units)|, with h_S from the classes of the S-places
+    alone (CertificationError if it fails), and the relations come from
+    `lattice`, when the caller already holds `s_unit_lattice(field, S, T)`,
+    else from one built here.
     """
-    S, T, *_ = _s_places(field, S, T)
+    S, T = _s_and_t(field, S, T)
     finite_S = S[1:]
 
     if field == "Q":
@@ -1411,8 +1390,7 @@ def ray_class(field, S, T, lattice=None):
             for x in [-1] + finite_S:
                 rel_rows.append(residues.dlog(residues.reduce(Fraction(x))))
         s_len = len(residues.leaders) if residues else 0
-        module = _module_from_relations(AbelianGroup(()), s_len, rel_rows, [])
-        return RayClassData("Q", S, T, module, 1, module.order())
+        return _module_from_relations(AbelianGroup(()), s_len, rel_rows, [])
 
     sl = lattice if lattice is not None \
         else s_unit_lattice(field, S, T, enforce_h3=bool(T))
@@ -1459,7 +1437,7 @@ def ray_class(field, S, T, lattice=None):
         raise CertificationError(
             f"ray class order mismatch: module order {module.order()}, "
             f"h_S * |R_T / im(units)| = {h_s} * {q_ord}")
-    return RayClassData(field, S, T, module, h_s, q_ord)
+    return module
 
 
 def _class_lattice(cg, classes):

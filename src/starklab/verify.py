@@ -205,7 +205,8 @@ class Scenario:
             p = invf[0]
             if isprime(p):
                 m = len(invf)
-                sp = ray_class("Q", self.S, self.T).p_rank(p)
+                sp = sum(d % p == 0
+                         for d in ray_class("Q", self.S, self.T).orders)
                 bound = max(len(self.V) + 2,
                             len(self.V) - sp + (p - 1) * (m - 1) + 3)
                 flags.update({"p": p, "m": m, "s_p": sp,
@@ -526,9 +527,9 @@ def selmer_transpose_fitting(scn, data, ray):
             raise UnsupportedCaseError(
                 f"place {v} outside V lacks full decomposition group")
     d = len(scn.S) - nV
-    pres = _assembled_selmer_presentation(ray.module, d, nV)
+    pres = _assembled_selmer_presentation(ray, d, nV)
     fit = fitting_ideal(pres, nV)
-    if fitting_from_extension(ray.module, d) != fit:
+    if fitting_from_extension(ray, d) != fit:
         raise CertificationError(
             "Selmer closed form disagrees with the direct minors")
     return fit, "Cl + trivial-action extension presentation"
@@ -569,14 +570,14 @@ def _run_fitting_equality(scn, data, entry):
         "image_hnf": [list(r) for r in im.basis()],
         "fitting_hnf": [list(r) for r in fit.basis()],
         "double_containment": [contains_1, contains_2],
-        "class_group_orders": list(ray.module.orders),
+        "class_group_orders": list(ray.orders),
     }
 
 
 def _run_annihilation(scn, data, entry):
     """im(epsilon) kills the ray class group Cl_{K,S,T}: Ann(Cl_{K,S,T})
     contains im(epsilon).  A fail names the image row outside Ann."""
-    module = data.ray().module
+    module = data.ray()
     image = [list(r) for r in data.im_lattice().basis()]
     if module.order() == 1:
         return "pass", {"class_group": "trivial", "image_hnf": image}

@@ -6,17 +6,21 @@
 
 exports PARENT's committed files (`git archive`) into a temporary
 directory and runs `perfbench/run.py --workload W --seed S --trace 0`
-N times from each tree, alternating which side runs first pair by pair,
-every run with the same seed; a run's result is the JSON object on the
-last line of its stdout.  It then writes `BENCH_<parent sha>.json` at the
-root of this checkout: each run's result, and per end-to-end metric the
-median and quartiles of each side, the pairs the change wins and whether
-the change's median is worse than the parent's by more than the bound of
-`BENCHMARK.json`, with both sides' `setup_s` and `peak_rss_mb` samples
-(the set-up samples of every run too).  A file for the same parent gains
-the workload's entry, so one file holds every workload paired against
-that parent; an entry it replaces moves to the end of `earlier`, so the
-file keeps every run.  The export is removed at the end.
+N times (10 by default) from each tree, alternating which side runs first
+pair by pair, every run with the same seed; a run's result is the JSON
+object on the last line of its stdout.  It then writes
+`BENCH_<parent sha>.json` at the root of this checkout: each run's
+result, and per end-to-end metric the median and quartiles of each side,
+the pairs the change wins, whether the change's median is worse than the
+parent's by more than the bound of `BENCHMARK.json`, and whether a gain
+may be claimed (`claim_met`: the change wins at least nine tenths of the
+pairs, ties counting for neither side, and its median beats the parent's
+by more than the distance between the parent's quartiles), with both
+sides' `setup_s` and `peak_rss_mb` samples (the set-up samples of every
+run too).  A file for the same parent gains the workload's entry, so one
+file holds every workload paired against that parent; an entry it
+replaces moves to the end of `earlier`, so the file keeps every run.  The
+export is removed at the end.
 
 With `--setup` each run is one `perfbench/worker.py --workload W --seed S
 --mode setup` process alone, timed as `run.py` times set-up: from just
@@ -90,18 +94,22 @@ def compare(values, spec):
     sign = 1 if spec["better"] == "higher" else -1
     wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"],
                                                   values["change"]))
+    pairs = min(len(values[side]) for side in SIDES)
     parent, change = (statistics.median(values[side]) for side in SIDES)
+    low, high = quartiles(values["parent"])
     # how much worse the change's median reads, as a share of the parent's;
     # negative when it reads better
     worse = sign * (parent - change) / parent if parent else 0.0
     return {"parent_median": parent,
-            "parent_quartiles": quartiles(values["parent"]),
+            "parent_quartiles": [low, high],
             "change_median": change,
             "change_quartiles": quartiles(values["change"]),
             "change_better_pairs": wins,
             "worse_share": worse,
             "bound": spec["bound"],
-            "within_bound": worse <= spec["bound"]}
+            "within_bound": worse <= spec["bound"],
+            "claim_met": (10 * wins >= 9 * pairs
+                          and sign * (change - parent) > high - low)}
 
 
 def summarize_setup(runs, end_to_end):
@@ -162,7 +170,7 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", help="the commit to pair against")
     ap.add_argument("--workload", default="exact_algebra")
-    ap.add_argument("--pairs", type=int, default=5)
+    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--setup", action="store_true",
                     help="pair the set-up worker alone")
@@ -226,7 +234,8 @@ def main(argv=None):
     for name, m in entry["metrics"].items():
         print(f"{name:<16} parent {m['parent_median']:.4g} change "
               f"{m['change_median']:.4g} wins {m['change_better_pairs']}/"
-              f"{entry['pairs']} within bound {m['within_bound']}")
+              f"{entry['pairs']} within bound {m['within_bound']} "
+              f"claim met {m['claim_met']}")
     print(f"wrote {os.path.relpath(path, ROOT)}")
     return 0
 

@@ -7,13 +7,15 @@ runs each op of `perfbench.workloads.pool` once and then tier-1
 (`pytest.main` over `tests/` and `perfbench/`), both in this one process
 under a `sys.setprofile` hook that records every Python function entered.
 Code run in a child process (the `python -O` gate tests) is not seen.  It
-then prints each function or method defined in `src/`, nested ones
-included, that no call entered, as `file:line qualname` in source order,
-and a count line.  A second section lists the same way, with its own count
-line, the functions that tier-1 entered but no pool op did: code that only
-tests reach.  Run it on two checkouts, each in its own process, to see
-which functions a change left without a caller or a test.  pytest does not
-collect this file.
+reads the functions and methods defined in `src/`, nested ones included,
+before anything runs, so that an edit made to `src/` during the run
+cannot shift their line keys, and at the end prints each that no call
+entered, as `file:line qualname` in source order, and a count line.  A
+second section lists the same way, with its own count line, the functions
+that tier-1 entered but no pool op did: code that only tests reach.  Run
+it on two checkouts, each in its own process, to see which functions a
+change left without a caller or a test.  pytest does not collect this
+file.
 """
 
 import os
@@ -85,6 +87,12 @@ def report(functions, outside, what):
 
 
 def main():
+    package = os.path.dirname(starklab.__file__)
+    functions = [(os.path.join(package, fname), line, qualname)
+                 for fname in sorted(os.listdir(package))
+                 if fname.endswith(".py")
+                 for line, qualname in defined_functions(
+                     os.path.join(package, fname))]
     for name in workloads.WORKLOADS:
         for _stratum, _n, ops in workloads.pool(name):
             for op in ops:
@@ -96,12 +104,6 @@ def main():
     sys.setprofile(None)
     threading.setprofile(None)
     by_any = seen()
-    package = os.path.dirname(starklab.__file__)
-    functions = [(os.path.join(package, fname), line, qualname)
-                 for fname in sorted(os.listdir(package))
-                 if fname.endswith(".py")
-                 for line, qualname in defined_functions(
-                     os.path.join(package, fname))]
     report(functions, by_any, "not entered")
     report([f for f in functions if f in by_any], by_pool,
            "entered by tier-1 and by no pool op")

@@ -122,3 +122,39 @@ def test_set_up_pairs_are_read_and_compared_alone():
                                        [(1.0, 1.0, t) for t in change]),
                                  END_TO_END)
     assert whole["metrics"]["setup_s"] == setup
+
+
+def _claim(parent_ops, change_ops):
+    """The `ops_per_s` statistics of pairs that differ only in ops/s."""
+    out = bench_pair.summarize(_runs([(x, 5.0, 0.1) for x in parent_ops],
+                                     [(x, 5.0, 0.1) for x in change_ops]),
+                               END_TO_END)
+    return out["metrics"]["ops_per_s"]
+
+
+def test_a_gain_is_claimed_at_nine_wins_in_ten_beyond_the_parents_spread():
+    # the parent reads 100..109: median 104.5, quartiles 102.25 and 106.75
+    parent = list(range(100, 110))
+    met = _claim(parent, [x + 10 for x in parent])
+    assert met["parent_quartiles"] == [102.25, 106.75]
+    assert met["change_better_pairs"] == 10 and met["claim_met"]
+    # 9 wins and a tie: the tie counts for neither side, and 9/10 holds
+    tie = _claim(parent, [x + 10 for x in parent[:9]] + [parent[9]])
+    assert tie["change_better_pairs"] == 9 and tie["claim_met"]
+    # 8 wins of 10, with the median gain still 10 > 4.5
+    eight = _claim(parent, [x + 10 for x in parent[:8]]
+                   + [x - 1 for x in parent[8:]])
+    assert eight["change_better_pairs"] == 8
+    assert eight["change_median"] - eight["parent_median"] > 4.5
+    assert not eight["claim_met"]
+    # every pair won, but by 2 ops/s: within the parent's 4.5 spread
+    narrow = _claim(parent, [x + 2 for x in parent])
+    assert narrow["change_better_pairs"] == 10
+    assert narrow["change_median"] - narrow["parent_median"] == 2
+    assert not narrow["claim_met"]
+    # lower is better for a latency: the same rule with the sign turned
+    p90 = bench_pair.summarize(
+        _runs([(1.0, x, 0.1) for x in parent],
+              [(1.0, x - 10, 0.1) for x in parent]),
+        END_TO_END)["metrics"]["latency_p90_ms"]
+    assert p90["change_better_pairs"] == 10 and p90["claim_met"]

@@ -180,6 +180,17 @@ def test_class_c1_is_the_reflection_formula(bits):
                     logs[f, a] = mp.log(2 * mp.sin(mp.pi * a / f))
             ref = -mp.fsum(logs[f, a] for a in res if 2 * a < f)
             assert c1.contains(Fraction(*to_rational(ref._mpf_))), (bits, f)
+            # the class of all units mod f, the kernel of the trivial
+            # character: sum_{(a, f) = 1} zeta(s, a/f) = f^s zeta(s)
+            # prod_{p | f} (1 - p^-s), so c_1 = -Lambda(f) / 2
+            if len(res) == sympy.totient(f):
+                primes = sympy.primefactors(f)
+                if len(primes) == 1:
+                    ref = -mp.log(primes[0]) / 2
+                    assert c1.contains(Fraction(*to_rational(ref._mpf_))), \
+                        (bits, f)
+                else:
+                    assert c1.contains_zero(), (bits, f)
 
 
 def _fraction_etas(N, B, M):
