@@ -515,13 +515,13 @@ def _log_int(n, prec):
     """The `lru_cache` key is (n, prec): a log is computed once per
     precision, and the least recently used logs go first.
 
-    A class's c_1 takes the logs of (2N + 1) f and 2 alone, and a leading
-    term adds log q for each S-prime q where the character is 1, so after
-    one pass over a benchmark pool (every op once, fresh process) the
-    cache holds 97 logs for `acnf` (360 calls), 60 for `rubin_stark` (147)
-    and none for `exact_algebra`, and a benchmark run's stream adds no new
-    ones.  An entry takes about 570 bytes, so 4096 entries, 2.3 MiB, hold
-    these working sets many times over."""
+    A class's c_1 takes the logs of (2N + 1) f and 2 alone (of p alone for the
+    units mod p^k), and a leading term adds log q for each S-prime q where the
+    character is 1, so after one pass over a benchmark pool (every op once,
+    fresh process) the cache holds 127 logs for `acnf` (210 calls), 60 for
+    `rubin_stark` (117) and none for `exact_algebra`, and a benchmark run's
+    stream adds no new ones.  An entry takes about 570 bytes, so 4096 entries,
+    2.3 MiB, hold these working sets many times over."""
     return _log_point(from_int(n), prec)
 
 

@@ -24,13 +24,14 @@ character's leading term times one factor per finite S-prime q off the
 conductor, log q when chi(q) = 1 (there 1 - q^-s = s log q + ...) and
 1 - chi(q) otherwise, and 1 - chi(q) q of each T-prime (Tate, ch. III).
 The primitive leading term is -B_{1,chi}, unless chi is even and
-nontrivial; then L(chi, 0) = 0, and its derivative is sum_t zeta_n^t
-c_1(class t), where c_1(C) is the derivative at 0 of the Hurwitz zeta sum
-sum_{a in C} zeta_H(s, a/f) over the units a with chi(a) = zeta_n^t
-(`DirichletChar.classes`), as -B_{1,chi} sums one integer per class.
+nontrivial; then L(chi, 0) = 0, and its derivative is c_1(U) + sum_{t != 0}
+(zeta_n^t - 1) c_1(class t), where c_1(C) is the derivative at 0 of the
+Hurwitz zeta sum sum_{a in C} zeta_H(s, a/f), class t holds the units a
+with chi(a) = zeta_n^t (`DirichletChar.classes`), and U all units mod f,
+with c_1(U) = -Lambda(f)/2 in closed form (`hurwitz_jet`).
 
-c_1 comes from Euler-Maclaurin with a certified tail bound, and is an
-enclosure of the exact value; ball arithmetic is kept to what needs
+Any other c_1 comes from Euler-Maclaurin with a certified tail bound, and
+is an enclosure of the exact value; ball arithmetic is kept to what needs
 logarithms, and the Bernoulli corrections are exact rationals (Johansson,
 arXiv:1309.2877, for the method).  Every class of an even character is
 closed under a -> f - a, so the tail is expanded about the midpoint
@@ -585,7 +586,10 @@ def hurwitz_jet(f, residues):
     over 2f, summed exactly and rounded once (`ball_combination`), and a
     class of any size makes two `ball_log_int` calls.  The precision must
     be at least 53 bits: below that it raises `PrecisionError`, an
-    `Undecided` with radius 2^-prec.
+    `Undecided` with radius 2^-prec.  The units mod f (phi(f) residues
+    prime to f) have c_1 = -Lambda(f)/2 in closed form, as their sum is
+    f^s zeta(s) prod_{p | f} (1 - p^-s): -log(p)/2 when f = p^k, else an
+    exact Ball(0).
     """
     prec = _floor_precision("hurwitz_jet")
     distinct = set(residues)
@@ -595,6 +599,10 @@ def hurwitz_jet(f, residues):
         raise InputError(
             f"residues must be a nonempty class in 1..{f - 1}, closed under "
             f"a -> {f} - a, with no repeats and no a = {f}/2")
+    primes = factorint(f)
+    if len(residues) == f // prod(primes) * prod(p - 1 for p in primes) \
+            and all(gcd(a, f) == 1 for a in residues):
+        return Ball(0) if len(primes) > 1 else -ball_log_int(min(primes)) / 2
     plan = _plan(prec)
     N = plan.N
     size = len(residues)
@@ -680,7 +688,8 @@ def l_jet(spec):
     """The certified leading term lim_{s->0} s^-r L_{Q,S,T}(chi, s) at the
     order of vanishing r, as a `LeadingTerm`.
 
-    The value is the primitive leading term (`_primitive_leading`), then,
+    The value is the primitive leading term (`_primitive_leading`, from
+    c_1 of the units mod f and of each class where chi is not 1), then,
     multiplied in one at a time in this order, the factor of each finite q
     in S off the conductor, in S order, and of each q in T
     (`_euler_factors`): log q (`ball_log_int`) for an S-prime with
@@ -689,8 +698,7 @@ def l_jet(spec):
     certified CBall for a complex one.  The leading term must certify
     nonzero: an exact zero is a CertificationError, a ball that contains
     zero an UnresolvedOrderError, which is `Undecided`.  The 53-bit floor
-    of `hurwitz_jet` holds here too, whether or not a Hurwitz sum is
-    evaluated.
+    of `hurwitz_jet` holds here too, with or without a Hurwitz sum.
     """
     prec = _floor_precision("l_jet")
     chi = spec.char.primitive()
@@ -714,14 +722,16 @@ def _primitive_leading(chi, prec):
     """(leading term, params) of L(chi, s) = f^-s sum_a chi(a)
     zeta_H(s, a/f) at s = 0, for a primitive chi mod f: -B_{1,chi} at
     order 0 (`_minus_b1`), or, for an even nontrivial chi, whose L-value
-    at 0 vanishes, the derivative sum_t zeta_n^t c_1(class t), one
-    `hurwitz_jet` per value class summed in class order (`_add_times`)."""
+    at 0 vanishes, the derivative c_1(U) + sum_{t != 0} (zeta_n^t - 1)
+    c_1(class t), U the units mod f, whose c_1 less the others' is
+    c_1(class 0): U's first, then the classes in class order (`_add_times`)."""
     if chi.conductor() == 1 or chi.parity() == -1:
         return _minus_b1(chi), {"prec": prec}
     f = chi.conductor()
-    value = 0
-    for t, residues in chi.classes():
-        value = _add_times(value, chi.value(t), hurwitz_jet(f, residues))
+    classes = chi.classes()     # class 0, holding 1, first
+    value = hurwitz_jet(f, sorted(a for _t, res in classes for a in res))
+    for t, residues in classes[1:]:
+        value = _add_times(value, chi.value(t) - 1, hurwitz_jet(f, residues))
     plan = _plan(prec)
     return value, {"N": plan.N, "B": plan.B, "prec": prec}
 
@@ -754,8 +764,8 @@ def _minus_b1(chi):
 
 
 def _add_times(acc, w, x):
-    """acc + w x for a character value w from `_zeta`: the values +-1 of a
-    real character add or subtract x."""
+    """acc + w x for a weight w built from `_zeta`'s values: +-1 add or
+    subtract x."""
     if w == 1:
         return acc + x
     if w == -1:

@@ -976,8 +976,13 @@ class SUnitLattice:
     saturation_index = 1
 
     def __init__(self, **kw):
+        names = set(self.__slots__[2:])
+        if kw.keys() != names:
+            raise InputError(
+                f"SUnitLattice keywords: unknown {sorted(kw.keys() - names)}, "
+                f"missing {sorted(names - kw.keys())}")
         self._sigma_matrix = self._t_sublattice = None
-        for k in self.__slots__[2:]:
+        for k in names:
             setattr(self, k, kw[k])
 
     @property

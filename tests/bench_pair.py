@@ -1,26 +1,28 @@
 """Paired benchmark runs of a parent commit and this checkout.
 
-    python tests/bench_pair.py PARENT [--workload W] [--pairs N] [--seed S]
-    python tests/bench_pair.py PARENT --setup [--workload W] [--pairs N] \
+    python tests/bench_pair.py PARENT [--workload W|all] [--pairs N] \
         [--seed S]
+    python tests/bench_pair.py PARENT --setup [--workload W|all] \
+        [--pairs N] [--seed S]
 
 exports PARENT's committed files (`git archive`) into a temporary
 directory and runs `perfbench/run.py --workload W --seed S --trace 0`
 N times (10 by default) from each tree, alternating which side runs first
 pair by pair, every run with the same seed; a run's result is the JSON
-object on the last line of its stdout.  It then writes
-`BENCH_<parent sha>.json` at the root of this checkout: each run's
-result, and per end-to-end metric the median and quartiles of each side,
-the pairs the change wins, whether the change's median is worse than the
-parent's by more than the bound of `BENCHMARK.json`, and whether a gain
-may be claimed (`claim_met`: the change wins at least nine tenths of the
-pairs, ties counting for neither side, and its median beats the parent's
-by more than the distance between the parent's quartiles), with both
-sides' `setup_s` and `peak_rss_mb` samples (the set-up samples of every
-run too).  A file for the same parent gains the workload's entry, so one
-file holds every workload paired against that parent; an entry it
-replaces moves to the end of `earlier`, so the file keeps every run.  The
-export is removed at the end.
+object on the last line of its stdout.  `--workload all` pairs every
+workload of `BENCHMARK.json` in turn, in its order, from the one export.
+After each workload it writes `BENCH_<parent sha>.json` at the root of
+this checkout: each run's result, and per end-to-end metric the median
+and quartiles of each side, the pairs the change wins, whether the
+change's median is worse than the parent's by more than the bound of
+`BENCHMARK.json`, and whether a gain may be claimed (`claim_met`: the
+change wins at least nine tenths of the pairs, ties counting for neither
+side, and its median beats the parent's by more than the distance between
+the parent's quartiles), with both sides' `setup_s` and `peak_rss_mb`
+samples (the set-up samples of every run too).  A file for the same
+parent gains the workload's entry, so one file holds every workload
+paired against that parent; an entry it replaces moves to the end of
+`earlier`, so the file keeps every run.  The export is removed at the end.
 
 With `--setup` each run is one `perfbench/worker.py --workload W --seed S
 --mode setup` process alone, timed as `run.py` times set-up: from just
@@ -33,7 +35,8 @@ cost of whole runs.
 An export, unlike a worktree, leaves nothing registered in `.git` when a
 run is killed, and holds exactly the committed files that the benchmark
 builds from.  Nothing under `perfbench/` changes.  pytest does not collect
-this file; `tests/test_bench_pair.py` checks its statistics on fake runs.
+this file; `tests/test_bench_pair.py` checks its statistics and its
+loop over the workloads on fake runs.
 """
 
 import argparse
@@ -166,17 +169,52 @@ def setup_side(tree, workload, seed):
     return parse_setup(proc.stdout, t0)
 
 
+def export(sha, tree):
+    """Write the files committed at sha into the directory tree."""
+    archive = subprocess.run(["git", "archive", sha], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
+
+
+def pair_runs(trees, workload, args):
+    """The runs of `args.pairs` alternating pairs of one workload."""
+    runs = []
+    for pair in range(args.pairs):
+        order = SIDES if pair % 2 == 0 else SIDES[::-1]
+        for side in order:
+            run = {"side": side, "pair": pair, "first": order[0]}
+            if args.setup:
+                run["setup_s"] = setup_side(trees[side], workload, args.seed)
+                print(f"{workload} pair {pair} {side}: "
+                      f"{run['setup_s']:.3f} s set-up", flush=True)
+            else:
+                result, run["setup_samples"] = run_side(
+                    trees[side], workload, args.seed)
+                run["result"] = result
+                print(f"{workload} pair {pair} {side}: "
+                      f"{result['metrics']['ops_per_s']['value']:.1f} "
+                      f"ops/s, correct {result['correct']}", flush=True)
+            runs.append(run)
+    return runs
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", help="the commit to pair against")
-    ap.add_argument("--workload", default="exact_algebra")
+    ap.add_argument("--workload", default="exact_algebra",
+                    help="a workload of BENCHMARK.json, or all of them")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--setup", action="store_true",
                     help="pair the set-up worker alone")
     args = ap.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        end_to_end = json.load(fh)["end_to_end"]
+        bench = json.load(fh)
+    end_to_end = bench["end_to_end"]
+    names = [w["name"] for w in bench["workloads"]]
+    if args.workload != "all" and args.workload not in names:
+        ap.error(f"--workload must be one of {names} or all")
+    workloads = names if args.workload == "all" else [args.workload]
     parent_sha = git("rev-parse", args.parent)
     path = os.path.join(ROOT, f"BENCH_{parent_sha[:7]}.json")
     doc = {}
@@ -197,46 +235,31 @@ def main(argv=None):
         "quartiles": "statistics.quantiles(n=4, method='inclusive'), "
                      "first and third",
     })
-    runs = []
-    with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
-        archive = subprocess.run(["git", "archive", parent_sha], cwd=ROOT,
-                                 check=True, capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        trees = {"parent": tmp, "change": ROOT}
-        for pair in range(args.pairs):
-            order = SIDES if pair % 2 == 0 else SIDES[::-1]
-            for side in order:
-                run = {"side": side, "pair": pair, "first": order[0]}
-                if args.setup:
-                    run["setup_s"] = setup_side(trees[side], args.workload,
-                                                args.seed)
-                    print(f"pair {pair} {side}: {run['setup_s']:.3f} s "
-                          f"set-up", flush=True)
-                else:
-                    result, run["setup_samples"] = run_side(
-                        trees[side], args.workload, args.seed)
-                    run["result"] = result
-                    print(f"pair {pair} {side}: "
-                          f"{result['metrics']['ops_per_s']['value']:.1f} "
-                          f"ops/s, correct {result['correct']}", flush=True)
-                runs.append(run)
-    entry = (summarize_setup if args.setup else summarize)(runs, end_to_end)
-    entry.update({"seed": args.seed, "runs": runs})
     key = "setup" if args.setup else "workloads"
-    entries = doc.setdefault(key, {})
-    if args.workload in entries:
-        doc.setdefault("earlier", {}).setdefault(key, {}).setdefault(
-            args.workload, []).append(entries[args.workload])
-    entries[args.workload] = entry
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    for name, m in entry["metrics"].items():
-        print(f"{name:<16} parent {m['parent_median']:.4g} change "
-              f"{m['change_median']:.4g} wins {m['change_better_pairs']}/"
-              f"{entry['pairs']} within bound {m['within_bound']} "
-              f"claim met {m['claim_met']}")
-    print(f"wrote {os.path.relpath(path, ROOT)}")
+    with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
+        export(parent_sha, tmp)
+        trees = {"parent": tmp, "change": ROOT}
+        for workload in workloads:
+            runs = pair_runs(trees, workload, args)
+            entry = (summarize_setup if args.setup else summarize)(
+                runs, end_to_end)
+            entry.update({"seed": args.seed, "runs": runs})
+            entries = doc.setdefault(key, {})
+            if workload in entries:
+                doc.setdefault("earlier", {}).setdefault(key, {}).setdefault(
+                    workload, []).append(entries[workload])
+            entries[workload] = entry
+            with open(path, "w") as fh:
+                json.dump(doc, fh, indent=1, sort_keys=True)
+                fh.write("\n")
+            for name, m in entry["metrics"].items():
+                print(f"{workload} {name:<16} parent "
+                      f"{m['parent_median']:.4g} change "
+                      f"{m['change_median']:.4g} wins "
+                      f"{m['change_better_pairs']}/{entry['pairs']} within "
+                      f"bound {m['within_bound']} claim met "
+                      f"{m['claim_met']}")
+            print(f"wrote {os.path.relpath(path, ROOT)}", flush=True)
     return 0
 
 

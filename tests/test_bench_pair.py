@@ -158,3 +158,54 @@ def test_a_gain_is_claimed_at_nine_wins_in_ten_beyond_the_parents_spread():
               [(1.0, x - 10, 0.1) for x in parent]),
         END_TO_END)["metrics"]["latency_p90_ms"]
     assert p90["change_better_pairs"] == 10 and p90["claim_met"]
+
+
+def test_all_pairs_every_workload_in_turn_into_one_file(tmp_path,
+                                                        monkeypatch):
+    # a checkout whose BENCHMARK.json names three workloads; git, the
+    # export and the runs are fakes, and each fake run reads 100 ops/s
+    # on the parent and 110 on the change
+    names = ["acnf", "rubin_stark", "exact_algebra"]
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"workloads": [{"name": n} for n in names],
+         "end_to_end": END_TO_END}))
+    monkeypatch.setattr(bench_pair, "ROOT", str(tmp_path))
+    monkeypatch.setattr(bench_pair, "git", lambda *args: {
+        "rev-parse": "abcdef0123", "status": ""}[args[0]])
+    exports, calls = [], []
+    monkeypatch.setattr(bench_pair, "export",
+                        lambda sha, tree: exports.append(sha))
+
+    def run_side(tree, workload, seed):
+        side = "change" if tree == str(tmp_path) else "parent"
+        calls.append((workload, side, seed))
+        return bench_pair.parse_run(
+            _stdout(110.0 if side == "change" else 100.0, 5.0, 0.1))
+
+    monkeypatch.setattr(bench_pair, "run_side", run_side)
+    assert bench_pair.main(["HEAD~1", "--workload", "all", "--pairs", "2",
+                            "--seed", "11"]) == 0
+    # one export; each workload's pairs in turn, alternating the first side
+    assert exports == ["abcdef0123"]
+    assert calls == [(w, side, 11) for w in names
+                     for side in ("parent", "change", "change", "parent")]
+    doc = json.loads((tmp_path / "BENCH_abcdef0.json").read_text())
+    assert doc["parent_sha"] == "abcdef0123"
+    assert list(doc["workloads"]) == sorted(names)
+    for entry in doc["workloads"].values():
+        assert entry["pairs"] == 2 and entry["seed"] == 11
+        ops = entry["metrics"]["ops_per_s"]
+        assert (ops["parent_median"], ops["change_median"]) == (100.0, 110.0)
+        assert ops["change_better_pairs"] == 2 and ops["claim_met"]
+    # a later run of one workload replaces its entry and keeps the old one
+    calls.clear()
+    assert bench_pair.main(["HEAD~1", "--workload", "acnf", "--pairs",
+                            "1"]) == 0
+    assert [c[0] for c in calls] == ["acnf", "acnf"]
+    doc = json.loads((tmp_path / "BENCH_abcdef0.json").read_text())
+    assert doc["workloads"]["acnf"]["pairs"] == 1
+    assert [e["pairs"] for e in doc["earlier"]["workloads"]["acnf"]] == [2]
+    assert doc["workloads"]["rubin_stark"]["pairs"] == 2
+    # a workload that BENCHMARK.json does not name is refused
+    with pytest.raises(SystemExit):
+        bench_pair.main(["HEAD~1", "--workload", "acfn"])

@@ -96,13 +96,41 @@ ORACLE_CLASSES = [(3, [1, 2]), (5, [1, 4]), (5, [2, 3]), (7, [1, 6]),
                   (10, [3, 7]), (12, [1, 5, 7, 11]), (293, [150, 143])]
 
 
+def _is_unit_group(f, res):
+    """Is the class res, of distinct residues, every unit mod f?"""
+    return len(res) == sympy.totient(f) \
+        and all(math.gcd(a, f) == 1 for a in res)
+
+
+def _assert_minus_half_mangoldt(f, c1, bits):
+    """c_1 of the units mod f is -Lambda(f) / 2, as sum_{(a, f) = 1}
+    zeta(s, a/f) = f^s zeta(s) prod_{p | f} (1 - p^-s): an exact zero,
+    of radius 0, when f has two primes or more, and otherwise a ball that
+    contains -log(p) / 2, computed by mpmath at 2 bits + 64 bits.  A sum
+    of zeta'(0, a/f) in mpmath is not exactly 0 there, so it is no oracle
+    for this class."""
+    primes = sympy.primefactors(f)
+    if len(primes) > 1:
+        assert c1.rad() == 0 and c1.contains(0), (bits, f)
+        return
+    with mp.workprec(2 * bits + 64):
+        ref = -mp.log(primes[0]) / 2
+    assert c1.contains(Fraction(*to_rational(ref._mpf_))), (bits, f)
+
+
 @pytest.mark.parametrize("prec", [64, 128, 256])
 def test_hurwitz_jet_encloses_mpmath(prec):
     # c_1 of each class encloses the sum of zeta'(0, a/f) that mpmath
-    # computes, at more than twice the precision of c_1
+    # computes, at more than twice the precision of c_1, except the two
+    # whole unit groups, held to the exact -Lambda(f) / 2
+    assert [(f, res) for f, res in ORACLE_CLASSES
+            if _is_unit_group(f, res)] == [(3, [1, 2]), (12, [1, 5, 7, 11])]
     for f, res in ORACLE_CLASSES:
         with working_precision(prec):
             c1 = hurwitz_jet(f, res)
+        if _is_unit_group(f, res):
+            _assert_minus_half_mangoldt(f, c1, prec)
+            continue
         with mp.workprec(2 * prec + 64):
             v = mp.fsum(mp.zeta(0, mp.mpf(a) / f, derivative=1) for a in res)
             assert c1.contains(Fraction(*to_rational(v._mpf_))), (prec, f)
@@ -166,31 +194,27 @@ def test_class_c1_is_the_reflection_formula(bits):
     # zeta'(0, x) = log Gamma(x) - log(2 pi) / 2; so a mirror-closed class
     # has c_1 = -sum_{a < f/2} log(2 sin(pi a / f)), which mpmath computes
     # at 2 bits + 64 bits.  Every even character's classes mod f for
-    # 3 <= f <= 60, and mod the primes 997 and 4001
+    # 3 <= f <= 60, and mod the primes 997 and 4001.  The class of all
+    # units mod f, the kernel of the trivial character, is held to the
+    # exact -Lambda(f) / 2 instead
     classes = [(f, res) for f in list(range(3, 61)) + [997, 4001]
                for res in _even_classes(f)]
     assert len(classes) > 6000
+    units = {(f, res) for f, res in classes if _is_unit_group(f, res)}
+    assert len(units) == 60
     with working_precision(bits):
         values = [hurwitz_jet(f, list(res)) for f, res in classes]
     with mp.workprec(2 * bits + 64):
         logs = {}
         for (f, res), c1 in zip(classes, values):
+            if (f, res) in units:
+                _assert_minus_half_mangoldt(f, c1, bits)
+                continue
             for a in res:
                 if 2 * a < f and (f, a) not in logs:
                     logs[f, a] = mp.log(2 * mp.sin(mp.pi * a / f))
             ref = -mp.fsum(logs[f, a] for a in res if 2 * a < f)
             assert c1.contains(Fraction(*to_rational(ref._mpf_))), (bits, f)
-            # the class of all units mod f, the kernel of the trivial
-            # character: sum_{(a, f) = 1} zeta(s, a/f) = f^s zeta(s)
-            # prod_{p | f} (1 - p^-s), so c_1 = -Lambda(f) / 2
-            if len(res) == sympy.totient(f):
-                primes = sympy.primefactors(f)
-                if len(primes) == 1:
-                    ref = -mp.log(primes[0]) / 2
-                    assert c1.contains(Fraction(*to_rational(ref._mpf_))), \
-                        (bits, f)
-                else:
-                    assert c1.contains_zero(), (bits, f)
 
 
 def _fraction_etas(N, B, M):
@@ -260,19 +284,22 @@ def test_cutoffs_put_the_tail_bound_past_the_precision(bits):
 
 def test_one_plan_serves_every_class_at_a_precision():
     # the cutoffs, tail bound and midpoint table of a precision are built
-    # once, whatever classes read them
+    # once, whatever classes read them; the units mod 12, in closed form,
+    # read no plan
     _plan.cache_clear()
     with working_precision(97):
         for _ in range(5):
             hurwitz_jet(7, [1, 6])
-            hurwitz_jet(12, [1, 5, 7, 11])
-    info = _plan.cache_info()
-    assert (info.misses, info.hits) == (1, 9)
+            hurwitz_jet(12, [1, 11])
+        info = _plan.cache_info()
+        assert (info.misses, info.hits) == (1, 9)
+        assert hurwitz_jet(12, [1, 5, 7, 11]).is_zero()
+    assert _plan.cache_info() == info
 
 
 def test_class_jet_log_calls_do_not_grow_with_the_class(monkeypatch):
     # ball_log_int is called for (2N + 1) f and 2 alone, whatever the
-    # class size
+    # class size; the 400 units mod the prime 401 take log 401 alone
     calls = []
     real = lfun.ball_log_int
 
@@ -282,14 +309,14 @@ def test_class_jet_log_calls_do_not_grow_with_the_class(monkeypatch):
 
     monkeypatch.setattr(lfun, "ball_log_int", counted)
     counts = {}
-    for size in (2, 200):
+    for size in (2, 199, 200):
         closed = [a for b in range(1, size + 1) for a in (b, 401 - b)]
         hurwitz_jet(401, closed)    # the cutoff tables are built once
         calls.clear()
         hurwitz_jet(401, closed)
         counts[size] = sorted(calls)
     T = 2 * _plan(precision()).N + 1
-    assert counts == {2: [2, T * 401], 200: [2, T * 401]}
+    assert counts == {2: [2, T * 401], 199: [2, T * 401], 200: [401]}
 
 
 def test_characters():
@@ -753,11 +780,11 @@ def test_first_order_scenario_needs_only_first_order_hurwitz_jets(
         "field": {"type": "quad", "disc": 5}, "S": ["inf", 5],
         "V": ["inf"], "T": [3], "checks": ["rs_integrality"]}))
     assert cert["results"][0]["verdict"] == "pass"
-    # chi_5 is even of conductor 5: one c_1 per value class, {1, 4} where
-    # chi_5 = 1 and {2, 3} where it is -1; the trivial character's
-    # component is zeta(0) log 5 (1 - 3), exactly -1/2 times one log, and
-    # needs none
-    assert calls == [(5, (1, 4)), (5, (2, 3))]
+    # chi_5 is even of conductor 5: one c_1 for the units mod 5, in closed
+    # form, and one for {2, 3}, where chi_5 is -1, which stand for {1, 4};
+    # the trivial character's component is zeta(0) log 5 (1 - 3), exactly
+    # -1/2 times one log, and needs none
+    assert calls == [(5, (1, 2, 3, 4)), (5, (2, 3))]
     calls.clear()
     R = AbelianFieldRealization.rationals()
     th = stickelberger_element(R, ["inf", 2, 3], ["inf", 2], [5])
@@ -908,7 +935,7 @@ class _CosetRealization:
         return True
 
 
-def _oracle_leading_term(chi, S, T):
+def _oracle_leading_term(chi, S, T, all_classes=False):
     """(lim s^-r L_{S,T}(chi, s), params) summed on separate real and
     complex paths: the primitive leading term from the oracle's classes,
     then the factors at s = 0 of the S-primes off the conductor (log q
@@ -916,19 +943,26 @@ def _oracle_leading_term(chi, S, T):
     leading terms of a product are.  A real character's order-0 value is
     exact; a complex character's -B_{1,chi} sums the enclosed roots of
     unity of its classes, each times that class's rational weight, and
-    its Euler factors are complex balls."""
+    its Euler factors are complex balls.
+
+    An even nontrivial chi's L'(0, chi) is c_1(U) + sum_{v != 1}
+    (v - 1) c_1(class v), U the units 1..f - 1 gcd-scanned, as c_1 of the
+    kernel class is c_1(U) less those of the others; with `all_classes`
+    it is sum_v v c_1(class v) instead, the sum over every class."""
     chi = chi.primitive()
     f = chi.conductor()
     real = chi.order <= 2
     params = {"prec": precision()}
     if f > 1 and chi.parity() == 1:
-        value = Ball(0) if real else CBall(0, 0)
+        value = Ball(0) if all_classes else lfun.hurwitz_jet(
+            f, [a for a in range(1, f) if math.gcd(a, f) == 1])
         for v, (rep, residues) in _oracle_classes(chi).items():
-            c1 = lfun.hurwitz_jet(f, residues)
-            if real:
-                value = value + c1 if v == 1 else value - c1
-            else:
-                value = value + _value_cball(chi, rep) * c1
+            if rep == 1 and not all_classes:
+                continue        # the kernel class: c_1(U) stands for it
+            weight = v if real else _value_cball(chi, rep)
+            if not all_classes:
+                weight = weight - 1
+            value = value + weight * lfun.hurwitz_jet(f, residues)
         plan = _plan(precision())
         params = {"N": plan.N, "B": plan.B, "prec": precision()}
     elif f == 1:
@@ -974,11 +1008,26 @@ def _oracle_bernoulli_value(chi, S, T):
     return _bernoulli_by_residue(chi, S, T)
 
 
-def _use_oracle_sums(m):
+def _use_oracle_sums(m, all_classes=False):
     """Send the leading terms of `lfun` through the oracle (m: a
-    monkeypatch context)."""
+    monkeypatch context), summed over every class with `all_classes`."""
     m.setattr(lfun, "l_jet", lambda spec: lfun.LeadingTerm(
-        None, *_oracle_leading_term(spec.char, spec.S, spec.T)))
+        None, *_oracle_leading_term(spec.char, spec.S, spec.T,
+                                    all_classes)))
+
+
+def _overlaps(value, ref):
+    """Do `value` and `ref`, exact values or (complex) balls, meet: equal
+    when both are exact, else overlapping in every part?"""
+    if not isinstance(value, (Ball, CBall)) \
+            and not isinstance(ref, (Ball, CBall)):
+        return value == ref
+
+    def parts(c):
+        c = CBall._coerce(c)
+        return c.re.endpoints(), c.im.endpoints()
+    return all(lo <= rhi and rlo <= hi for (lo, hi), (rlo, rhi)
+               in zip(parts(value), parts(ref)))
 
 
 def _endpoints(c):
@@ -997,9 +1046,11 @@ def test_jets_and_bernoulli_values_match_the_oracle_bit_for_bit(
     # the order r, and at r = 0 the Bernoulli value.  A leading term reads
     # only the primitive character, so each is run once.  The class sums
     # c_1 and the roots of unity, exact and enclosed, are shared between
-    # the two sides, which sum them bit for bit.  An odd complex
-    # character's Bernoulli value, a ball, must also meet the enclosure of
-    # its exact value in Q(zeta_n)
+    # the two sides, which sum them bit for bit.  An even character's
+    # leading term, summed from the units mod f and the other classes, must
+    # also meet the sum over every class.  An odd complex character's
+    # Bernoulli value, a ball, must also meet the enclosure of its exact
+    # value in Q(zeta_n)
     hurwitz = functools.lru_cache(maxsize=None)(lfun.hurwitz_jet)
     monkeypatch.setattr(lfun, "hurwitz_jet", lambda f, residues: hurwitz(
         f, tuple(residues)))
@@ -1029,6 +1080,8 @@ def test_jets_and_bernoulli_values_match_the_oracle_bit_for_bit(
                     assert new.order == r
                     assert _endpoints(new.value) == _endpoints(value), \
                         (f, c, S, T)
+                    assert _overlaps(new.value, _oracle_leading_term(
+                        chi, spec.S, spec.T, all_classes=True)[0])
                     if r == 0:
                         got = bernoulli_value(chi, S, T)
                         want = _oracle_bernoulli_value(chi, S, T)
@@ -1130,7 +1183,8 @@ def test_trivial_group_keeps_the_non_units_out():
 
 def test_generic_stickelberger_elements_match_the_oracle(monkeypatch):
     # first-order (V = {inf}) elements of the pool's real generic fields,
-    # read through the coset oracle and its sums
+    # read through the coset oracle and its sums, bit for bit; each
+    # coefficient also meets the one from the sums over every class
     for f, kernel in POOL_KERNELS:
         R = AbelianFieldRealization(f, kernel)
         if not R.splits_completely("inf"):
@@ -1145,6 +1199,11 @@ def test_generic_stickelberger_elements_match_the_oracle(monkeypatch):
         assert new.ring == old.ring == "ball"
         assert [_endpoints(c) for c in new.coeffs] == \
             [_endpoints(c) for c in old.coeffs], (f, kernel)
+        with monkeypatch.context() as m:
+            _use_oracle_sums(m, all_classes=True)
+            every = stickelberger_element(_CosetRealization(f, kernel),
+                                          S, ["inf"], T)
+        assert all(map(_overlaps, new.coeffs, every.coeffs)), (f, kernel)
 
 
 # -- theta at s = 0: the Stickelberger sum against the character route ------

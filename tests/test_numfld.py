@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -564,13 +565,28 @@ def test_express_without_a_unit_generator_is_a_certification_error():
     unit = [i for i, row in enumerate(L.valuations) if not any(row)]
     assert len(unit) == 1
     keep = [i for i in range(L.rank) if i not in unit]
-    kw = {k: getattr(L, k) for k in SUnitLattice.__slots__}
+    kw = {k: getattr(L, k) for k in SUnitLattice.__slots__[2:]}
     kw["gens"] = [L.gens[i] for i in keep]
     kw["valuations"] = [L.valuations[i] for i in keep]
     broken = SUnitLattice(**kw)
     with pytest.raises(CertificationError, match="no unit among"):
         eps = fundamental_unit(5)
         broken.express(eps, finite_valuations(broken, eps))
+
+
+def test_s_unit_lattice_rejects_unknown_and_missing_keywords():
+    L = s_unit_lattice(QuadField(5), ["inf", 5], [3])
+    kw = {k: getattr(L, k) for k in SUnitLattice.__slots__[2:]}
+    assert SUnitLattice(**kw).gens == L.gens
+    # a misspelt, removed or private keyword is named, not dropped
+    for extra in ({"saturation_index": 1}, {"sigma_matrix": None},
+                  {"_t_sublattice": None}):
+        with pytest.raises(InputError,
+                           match=re.escape(f"unknown {list(extra)}")):
+            SUnitLattice(**kw, **extra)
+    del kw["relations"]
+    with pytest.raises(InputError, match=re.escape("missing ['relations']")):
+        SUnitLattice(**kw)
 
 
 SMALL_PRIMES = list(sympy.primerange(2, 20))
