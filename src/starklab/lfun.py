@@ -54,7 +54,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, repeat
-from math import comb, factorial, gcd, isqrt, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from operator import mul, sub
 from typing import NamedTuple
 
@@ -66,7 +66,8 @@ from .finite import GroupStructure
 from .grpring import AbelianGroup, GroupRingElement, InputError
 from .hnf import diagonalize_relations
 from .numfld import (_normalize_places, _normalize_primes,
-                     fundamental_discriminant, kronecker, squarefree_part)
+                     fundamental_discriminant, is_fundamental_discriminant,
+                     squarefree_part)
 
 
 class UnresolvedOrderError(Undecided):
@@ -120,8 +121,9 @@ class DirichletChar:
     @staticmethod
     @lru_cache(maxsize=256)
     def quadratic(D):
-        """The character a -> kronecker(D, a) mod |D| (D a discriminant),
-        one object per D; nothing writes to a character's `values`."""
+        """The character a -> kronecker(D, a) mod |D| for a fundamental
+        discriminant D or D = 1 (any other D is an InputError), one object
+        per D; nothing writes to a character's `values`."""
         vals = map({0: None, 1: 0, -1: 1}.__getitem__, _kronecker_table(D))
         return DirichletChar(abs(D), 2 if D != 1 else 1, vals)
 
@@ -206,30 +208,34 @@ def _zeta(t, n):
 
 
 def _kronecker_table(D):
-    """(kronecker(D, a) for a in range(|D|)) for a discriminant D: D is
-    nonzero and 0 or 1 mod 4, the D for which a -> (D|a) has period |D|
-    (InputError otherwise).  A smallest-prime-factor sieve calls
-    `kronecker` only at primes, as (D|a) is completely multiplicative in a.
+    """(kronecker(D, a) for a in range(|D|)) for a fundamental
+    discriminant D, or (1,) for D = 1; InputError for any other D.  D is
+    a product of prime discriminants -4, 8, -8 and p* = +-p = 1 mod 4, so
+    the table is the pointwise product of theirs, each repeated to length
+    |D|; that of p* is (a|p): 1 at a^2 mod p for 0 < a < p/2, 0 at 0.
 
     Nothing keeps the table: its one caller, `DirichletChar.quadratic`, is
     memoised on the same D with 256 entries, which hold the 163
     discriminants (|D| < 1500) of the largest benchmark pool,
     `exact_algebra`, so a run over it builds each table once."""
-    if D == 0 or D % 4 not in (0, 1):
-        raise InputError(f"{D} is not a discriminant (0 or 1 mod 4, nonzero)")
-    f = abs(D)
-    if f == 1:
-        return (1,)
-    spf = list(range(f))
-    for p in range(2, isqrt(f - 1) + 1):
-        if spf[p] == p:
-            for m in range(p * p, f, p):
-                if spf[m] == m:
-                    spf[m] = p
-    table = [0, 1] + [0] * (f - 2)
-    for a in range(2, f):
-        p = spf[a]
-        table[a] = kronecker(D, a) if p == a else table[p] * table[a // p]
+    if D != 1 and not is_fundamental_discriminant(D):
+        raise InputError(f"{D} is not a fundamental discriminant")
+    f, two, table = abs(D), D, (1,)
+    parts = []
+    for p in factorint(f):
+        if p > 2:
+            two //= p if p % 4 == 1 else -p
+            legendre = [-1] * p
+            legendre[0] = 0
+            for a in range(1, p // 2 + 1):
+                legendre[a * a % p] = 1
+            parts.append(legendre)
+    if two != 1:
+        parts.append({-4: [0, 1, 0, -1], 8: [0, 1, 0, -1, 0, -1, 0, 1],
+                      -8: [0, 1, 0, 1, 0, -1, 0, -1]}[two])
+    for i, part in enumerate(parts):
+        part *= f // len(part)
+        table = part if i == 0 else list(map(mul, table, part))
     return tuple(table)
 
 
@@ -435,13 +441,17 @@ class _Plan(NamedTuple):
 def _plan(prec):
     """The Euler-Maclaurin plan of `hurwitz_jet` at prec >= 53 bits.
 
-    The cutoffs are sized from the certified tail: N = max(16, prec // 5)
-    main-sum terms and the least B >= prec // 5 Bernoulli corrections whose
-    remainder bound r_1 (`_tail_radius`) is at most 2^-(prec + 20).
-    B = prec // 5 meets it at 53 and 80 bits (2^-100 at 80, to the bit)
-    and at every precision from 100 to 512 bits; where N is at its floor
-    of 16, some precisions from 69 to 99 bits need one or two more.  The
-    corrections are beta_j = B_2j / (2j (2j - 1)) for j = 1..B, the
+    N = max(16, (prec + 32) // 8) main-sum terms, sized to what a class jet
+    costs (about N product steps and M/2 power-sum steps per mirror pair,
+    and a larger N shortens the series M little), and the least
+    B >= prec // 5 Bernoulli corrections whose remainder bound r_1
+    (`_tail_radius`) is at most 2^-(prec + 20):
+
+        prec  53  80  128  160  256  512
+        N     16  16  20   24   36   68
+        B     10  16  28   35   56   111
+
+    The corrections are beta_j = B_2j / (2j (2j - 1)) for j = 1..B, the
     coefficients of s in B_2j / (2j)! s (s + 1) ... (s + 2j - 2), kept as
     integers a over one denominator d, from which the midpoint table is
     built (`_midpoint_series`).
@@ -451,7 +461,7 @@ def _plan(prec):
     and at 80, 128 and 160 bits (`rubin_stark`), so each plan is built once
     per precision and process.
     """
-    N, B = max(16, prec // 5), prec // 5
+    N, B = max(16, (prec + 32) // 8), prec // 5
     with working_precision(prec):
         while True:
             spread = _tail_radius(N, B)
@@ -587,21 +597,23 @@ def hurwitz_jet(f, residues):
     class of any size makes two `ball_log_int` calls.  The precision must
     be at least 53 bits: below that it raises `PrecisionError`, an
     `Undecided` with radius 2^-prec.  The units mod f (phi(f) residues
-    prime to f) have c_1 = -Lambda(f)/2 in closed form, as their sum is
-    f^s zeta(s) prod_{p | f} (1 - p^-s): -log(p)/2 when f = p^k, else an
-    exact Ball(0).
+    whose gcds with f make the set {1}) have c_1 = -Lambda(f)/2 in closed
+    form, as their sum is f^s zeta(s) prod_{p | f} (1 - p^-s): -log(p)/2
+    when f = p^k, else an exact Ball(0).  The class must equal its own
+    image under a -> f - a, a test on sets.
     """
     prec = _floor_precision("hurwitz_jet")
     distinct = set(residues)
     if not residues or len(distinct) < len(residues) \
             or min(residues) < 1 or max(residues) >= f \
-            or any(2 * a == f or f - a not in distinct for a in residues):
+            or f % 2 == 0 and f // 2 in distinct \
+            or distinct != {f - a for a in distinct}:
         raise InputError(
             f"residues must be a nonempty class in 1..{f - 1}, closed under "
             f"a -> {f} - a, with no repeats and no a = {f}/2")
     primes = factorint(f)
     if len(residues) == f // prod(primes) * prod(p - 1 for p in primes) \
-            and all(gcd(a, f) == 1 for a in residues):
+            and set(map(gcd, repeat(f), distinct)) == {1}:
         return Ball(0) if len(primes) > 1 else -ball_log_int(min(primes)) / 2
     plan = _plan(prec)
     N = plan.N

@@ -107,12 +107,6 @@ class QuadField:
     def element(self, a, b=0):
         return QuadElt(self, a, b)
 
-    def omega(self):
-        """Standard integral generator: (1+sqrt m)/2 for m = 1 (4), else sqrt m."""
-        if self.m % 4 == 1:
-            return _quad(self, 1, 1, 2)
-        return _quad(self, 0, 1, 1)
-
     def torsion_generator(self):
         """(generator of roots of unity, order)."""
         if self.D == -4:
@@ -325,21 +319,25 @@ class QuadElt:
 @lru_cache(maxsize=None)
 def fundamental_unit(D):
     """Fundamental unit (> 1) of the real quadratic field of discriminant D,
-    by the continued-fraction expansion of the standard integral generator.
+    by the continued-fraction expansion of omega, (1 + sqrt m)/2 for
+    m = 1 mod 4 and sqrt m otherwise: the first convergent p/q with
+    N(p - q conj(omega)) = +-1, tested in integers as (2p - q)^2 - m q^2
+    = +-4 or p^2 - m q^2 = +-1, becomes the one QuadElt.
     """
     field = QuadField(D)
     if not field.is_real:
         raise InputError("fundamental units require D > 0")
     m = field.m
-    P, Q = (1, 2) if m % 4 == 1 else (0, 1)
+    half = m % 4 == 1
+    P, Q = (1, 2) if half else (0, 1)
     sq = isqrt(m)
     a = (P + sq) // Q
     p_prev, p_cur = 1, a
     q_prev, q_cur = 0, 1
-    w_conj = field.omega().conj()
     for _ in range(200000):
-        cand = field.element(p_cur) - w_conj * q_cur
-        if abs(cand.norm()) == 1:
+        u = 2 * p_cur - q_cur if half else p_cur
+        if abs(u * u - m * q_cur * q_cur) == (4 if half else 1):
+            cand = _quad(field, u, q_cur, 2 if half else 1)
             if cand.compare_zero() < 0:
                 cand = -cand
             if not cand.abs_greater_one():
@@ -436,22 +434,31 @@ def reduce_form(form, D):
 
 def reduced_forms(D):
     """All reduced primitive forms of discriminant D, sorted: positive
-    definite ones for D < 0."""
-    if D > 0:
-        hi = isqrt(D)           # 0 < b < sqrt(D)
-        reduced = lambda f: _is_reduced_indef(f, hi, D)
-    else:
-        hi = isqrt(-D // 3)     # |b| <= a <= sqrt(|D|/3)
-        reduced = lambda f: _is_reduced_neg(*f)
-    out = set()
-    for b in range(D % 2, hi + 1, 2):       # b^2 = D (mod 4)
-        ac = (b * b - D) // 4
-        for a in range(max(b, 1) if D < 0 else 1, isqrt(abs(ac)) + 1):
-            if ac % a == 0:
-                for A in (a, -a, ac // a, -ac // a):
-                    for f in ((A, b, ac // A), (A, -b, ac // A)):
-                        if reduced(f) and gcd(*f) == 1:
-                            out.add(f)
+    definite ones for D < 0.  One pass over b and the divisors a <= sqrt(n)
+    of n = |b^2 - D| / 4, with the reduced conditions in integers: for
+    D < 0, |b| <= a <= c with b >= 0 when |b| = a or a = c; for D > 0,
+    0 < b < sqrt(D) and |sqrt(D) - 2|a|| < b, where |a| is either divisor
+    and a form comes with its negative (Cohen, GTM 138, 5.4 and 5.6).
+    """
+    out = []
+    if D < 0:
+        for b in range(D % 2, isqrt(-D // 3) + 1, 2):
+            n = (b * b - D) // 4
+            for a in range(max(b, 1), isqrt(n) + 1):
+                if n % a == 0 and gcd(a, b, n // a) == 1:
+                    out.append((a, b, n // a))
+                    if 0 < b < a < n // a:
+                        out.append((a, -b, n // a))
+        return sorted(out)
+    for b in range(2 - D % 2, isqrt(D) + 1, 2):
+        n = (D - b * b) // 4
+        for a in range(1, isqrt(n) + 1):
+            if n % a == 0:
+                for A in (a, n // a) if a * a != n else (a,):
+                    u, v = 2 * A + b, 2 * A - b
+                    if u * u > D and (v < 0 or v * v < D) \
+                            and gcd(A, b, n // A) == 1:
+                        out += [(A, b, -n // A), (-A, b, n // A)]
     return sorted(out)
 
 
@@ -1362,7 +1369,7 @@ def ray_class(field, S, T, lattice=None):
 
     Generators: for a quadratic field the class primes l_1..l_r and their
     conjugates, then the leaders of the residue system R_T at T; over Q
-    the leaders alone.
+    the leaders alone, with the relations of `q_ray_relations`.
 
     Relations: the (S, T)-unit lattice holds the Hermite basis of the v
     with prod ideals^v = (gamma) principal over the l_i, their conjugates
@@ -1385,17 +1392,9 @@ def ray_class(field, S, T, lattice=None):
     else from one built here.
     """
     S, T = _s_and_t(field, S, T)
-    finite_S = S[1:]
-
     if field == "Q":
-        residues = ResidueSystem("Q", T) if T else None
-        rel_rows = []
-        if residues:
-            rel_rows += residues.relation_rows
-            for x in [-1] + finite_S:
-                rel_rows.append(residues.dlog(residues.reduce(Fraction(x))))
-        s_len = len(residues.leaders) if residues else 0
-        return _module_from_relations(AbelianGroup(()), s_len, rel_rows, [])
+        return _module_from_relations(AbelianGroup(()),
+                                      *q_ray_relations(S, T), [])
 
     sl = lattice if lattice is not None \
         else s_unit_lattice(field, S, T, enforce_h3=bool(T))
@@ -1429,7 +1428,7 @@ def ray_class(field, S, T, lattice=None):
     module = _module_from_relations(AbelianGroup((2,)), n + s_len, rel_rows,
                                     [action_rows])
     # order consistency: |Cl_{S,T}| = |Cl_S| * |R_T / im units|
-    h_s = _s_class_number(field, ClassGroup(field.D), finite_S)
+    h_s = _s_class_number(field, ClassGroup(field.D), S[1:])
     if residues:
         q_ord = hnf.IntLattice(s_len, residues.relation_rows
                                + sl.unit_dlogs).index()
@@ -1443,6 +1442,17 @@ def ray_class(field, S, T, lattice=None):
             f"ray class order mismatch: module order {module.order()}, "
             f"h_S * |R_T / im(units)| = {h_s} * {q_ord}")
     return module
+
+
+def q_ray_relations(S, T):
+    """Cl_{Q,S,T} presented on the leaders of R_T: (their number, R_T's
+    relation rows and the dlog rows of -1 and of the finite places of S)."""
+    S, T = _s_and_t("Q", S, T)
+    if not T:
+        return 0, []
+    R = ResidueSystem("Q", T)
+    return len(R.leaders), R.relation_rows + [R.dlog(R.reduce(x))
+                                              for x in [-1] + S[1:]]
 
 
 def _class_lattice(cg, classes):

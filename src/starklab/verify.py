@@ -49,7 +49,8 @@ from .multilin import (GLattice, NonIntegralError, WedgeElement,
                        all_dual_pairings, norm_decomposition_residual,
                        pairing_vector)
 from .numfld import (MAX_ABS_DISC, DatumError, QuadField, class_number,
-                     fundamental_unit_log, ray_class, s_unit_lattice)
+                     fundamental_unit_log, q_ray_relations, ray_class,
+                     s_unit_lattice)
 from .sublat import enumerate_omega_star, norm_sum_identity
 from .zideal import (GIdealLattice, Presentation, UnsupportedCaseError,
                      annihilator, augmentation_ideal_power,
@@ -205,8 +206,7 @@ class Scenario:
             p = invf[0]
             if isprime(p):
                 m = len(invf)
-                sp = sum(d % p == 0
-                         for d in ray_class("Q", self.S, self.T).orders)
+                sp = _q_ray_p_rank(self.S, self.T, p)
                 bound = max(len(self.V) + 2,
                             len(self.V) - sp + (p - 1) * (m - 1) + 3)
                 flags.update({"p": p, "m": m, "s_p": sp,
@@ -217,6 +217,22 @@ class Scenario:
     def __repr__(self):
         return (f"Scenario({self.realization.label}, S={self.S}, "
                 f"V={self.V}, T={self.T}, checks={self.checks})")
+
+
+def _q_ray_p_rank(S, T, p):
+    """s_p, the p-rank of Cl_{Q,S,T}: the number of generators of its
+    presentation (`q_ray_relations`) less the F_p-rank of its relations."""
+    ngens, rows = q_ray_relations(S, T)
+    pivots = []     # (column c, a row mod p that is 1 at c)
+    for row in rows:
+        for c, piv in pivots:
+            k = row[c]
+            row = [(x - k * y) % p for x, y in zip(row, piv)]
+        c = next((c for c, x in enumerate(row) if x % p), None)
+        if c is not None:
+            inv = pow(row[c], -1, p)
+            pivots.append((c, [x * inv % p for x in row]))
+    return ngens - len(pivots)
 
 
 # -- shared pipeline pieces ---------------------------------------------------

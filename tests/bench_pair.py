@@ -1,16 +1,18 @@
-"""Paired benchmark runs of a parent commit and this checkout.
+"""Paired benchmark runs of a parent commit and this checkout's files.
 
     python tests/bench_pair.py PARENT [--workload W|all] [--pairs N] \
         [--seed S]
     python tests/bench_pair.py PARENT --setup [--workload W|all] \
         [--pairs N] [--seed S]
 
-exports PARENT's committed files (`git archive`) into a temporary
-directory and runs `perfbench/run.py --workload W --seed S --trace 0`
-N times (10 by default) from each tree, alternating which side runs first
-pair by pair, every run with the same seed; a run's result is the JSON
-object on the last line of its stdout.  `--workload all` pairs every
-workload of `BENCHMARK.json` in turn, in its order, from the one export.
+exports PARENT's committed files (`git archive`) into one temporary
+directory and this checkout's files, tracked and untracked alike but not
+the ignored ones, as they stand in the working tree, into another, and
+runs `perfbench/run.py --workload W --seed S --trace 0` N times (10 by
+default) from each tree, alternating which side runs first pair by pair,
+every run with the same seed; a run's result is the JSON object on the
+last line of its stdout.  `--workload all` pairs every workload of
+`BENCHMARK.json` in turn, in its order, from the same two exports.
 After each workload it writes `BENCH_<parent sha>.json` at the root of
 this checkout: each run's result, and per end-to-end metric the median
 and quartiles of each side, the pairs the change wins, whether the
@@ -22,7 +24,8 @@ the parent's quartiles), with both sides' `setup_s` and `peak_rss_mb`
 samples (the set-up samples of every run too).  A file for the same
 parent gains the workload's entry, so one file holds every workload
 paired against that parent; an entry it replaces moves to the end of
-`earlier`, so the file keeps every run.  The export is removed at the end.
+`earlier`, so the file keeps every run.  The exports are removed at the
+end.
 
 With `--setup` each run is one `perfbench/worker.py --workload W --seed S
 --mode setup` process alone, timed as `run.py` times set-up: from just
@@ -33,15 +36,19 @@ so that a bimodal `setup_s` can be told apart from a change without the
 cost of whole runs.
 
 An export, unlike a worktree, leaves nothing registered in `.git` when a
-run is killed, and holds exactly the committed files that the benchmark
-builds from.  Nothing under `perfbench/` changes.  pytest does not collect
-this file; `tests/test_bench_pair.py` checks its statistics and its
-loop over the workloads on fake runs.
+run is killed, and holds exactly the files that the benchmark builds
+from.  Both sides run from a fresh directory, so neither reads the
+checkout's caches or leftovers, which biased `setup_s` and `peak_rss_mb`
+when the change side ran in the checkout.  Nothing under `perfbench/`
+changes.  pytest does not collect this file; `tests/test_bench_pair.py`
+checks its statistics, the copy of the checkout and its loop over the
+workloads on fake runs.
 """
 
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -176,6 +183,20 @@ def export(sha, tree):
     subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
 
 
+def export_checkout(tree):
+    """Copy this checkout's tracked and untracked, not ignored, files as
+    they stand in the working tree into the directory tree; a tracked file
+    deleted from the working tree is left out."""
+    names = git("ls-files", "-z", "--cached", "--others",
+                "--exclude-standard").split("\0")
+    for name in dict.fromkeys(filter(None, names)):
+        src = os.path.join(ROOT, name)
+        if os.path.isfile(src):
+            dst = os.path.join(tree, name)
+            os.makedirs(os.path.dirname(dst), exist_ok=True)
+            shutil.copy2(src, dst)
+
+
 def pair_runs(trees, workload, args):
     """The runs of `args.pairs` alternating pairs of one workload."""
     runs = []
@@ -223,7 +244,8 @@ def main(argv=None):
             doc = json.load(fh)
     doc.update({
         "parent_sha": parent_sha,
-        "change": f"this checkout at {git('rev-parse', 'HEAD')}"
+        "change": f"a copy of this checkout's files at "
+                  f"{git('rev-parse', 'HEAD')}"
                   + (" with uncommitted changes"
                      if git("status", "--porcelain", "--", "src", "tests",
                             "perfbench") else ""),
@@ -237,8 +259,11 @@ def main(argv=None):
     })
     key = "setup" if args.setup else "workloads"
     with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
-        export(parent_sha, tmp)
-        trees = {"parent": tmp, "change": ROOT}
+        trees = {side: os.path.join(tmp, side) for side in SIDES}
+        for tree in trees.values():
+            os.mkdir(tree)
+        export(parent_sha, trees["parent"])
+        export_checkout(trees["change"])
         for workload in workloads:
             runs = pair_runs(trees, workload, args)
             entry = (summarize_setup if args.setup else summarize)(

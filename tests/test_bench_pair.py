@@ -172,12 +172,22 @@ def test_all_pairs_every_workload_in_turn_into_one_file(tmp_path,
     monkeypatch.setattr(bench_pair, "ROOT", str(tmp_path))
     monkeypatch.setattr(bench_pair, "git", lambda *args: {
         "rev-parse": "abcdef0123", "status": ""}[args[0]])
-    exports, calls = [], []
-    monkeypatch.setattr(bench_pair, "export",
-                        lambda sha, tree: exports.append(sha))
+    exports, calls, sides = [], [], {}
+
+    def export(sha, tree):
+        exports.append(sha)
+        sides[tree] = "parent"
+
+    def export_checkout(tree):
+        sides[tree] = "change"
+
+    monkeypatch.setattr(bench_pair, "export", export)
+    monkeypatch.setattr(bench_pair, "export_checkout", export_checkout)
 
     def run_side(tree, workload, seed):
-        side = "change" if tree == str(tmp_path) else "parent"
+        # both sides run from their exports, never from the checkout
+        assert not tree.startswith(str(tmp_path))
+        side = sides[tree]
         calls.append((workload, side, seed))
         return bench_pair.parse_run(
             _stdout(110.0 if side == "change" else 100.0, 5.0, 0.1))
@@ -209,3 +219,30 @@ def test_all_pairs_every_workload_in_turn_into_one_file(tmp_path,
     # a workload that BENCHMARK.json does not name is refused
     with pytest.raises(SystemExit):
         bench_pair.main(["HEAD~1", "--workload", "acfn"])
+
+
+def test_the_change_side_is_a_copy_of_the_working_tree(tmp_path,
+                                                       monkeypatch):
+    # tracked and untracked files are copied as they stand, and a tracked
+    # file deleted from the working tree is left out; git's listing is a
+    # fake, which leaves the ignored files out as `--exclude-standard` does
+    root, tree = tmp_path / "checkout", tmp_path / "export"
+    (root / "src" / "pkg").mkdir(parents=True)
+    tree.mkdir()
+    (root / "src" / "pkg" / "mod.py").write_text("edited = True\n")
+    (root / "new.py").write_text("untracked = True\n")
+    (root / "ignored.log").write_text("left behind\n")
+    monkeypatch.setattr(bench_pair, "ROOT", str(root))
+    listed = []
+
+    def git(*args):
+        listed.append(args)
+        return "src/pkg/mod.py\0gone.py\0new.py\0new.py\0"
+
+    monkeypatch.setattr(bench_pair, "git", git)
+    bench_pair.export_checkout(str(tree))
+    assert listed == [("ls-files", "-z", "--cached", "--others",
+                       "--exclude-standard")]
+    assert sorted(str(p.relative_to(tree)) for p in tree.rglob("*")
+                  if p.is_file()) == ["new.py", "src/pkg/mod.py"]
+    assert (tree / "src" / "pkg" / "mod.py").read_text() == "edited = True\n"

@@ -1,5 +1,6 @@
 import functools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -269,12 +270,12 @@ def test_midpoint_series_is_the_fraction_table_and_its_bound_holds(bits):
 @pytest.mark.parametrize("bits", [53, 64, 80, 100, 128, 160, 256, 512,
                                   69, 83, 84, 89, 99])
 def test_cutoffs_put_the_tail_bound_past_the_precision(bits):
-    # the remainder bound r_1 is at most 2^-(prec + 20); at 69..99 bits,
-    # with N at its floor, B = prec // 5 alone would miss it, and B is the
-    # least that meets it
+    # the remainder bound r_1 is at most 2^-(prec + 20); where N is small
+    # against prec (69..99 bits at its floor, and from 100 bits up)
+    # B = prec // 5 alone would miss it, and B is the least that meets it
     plan = _plan(bits)
     N, B = plan.N, plan.B
-    assert N == max(16, bits // 5) and B >= bits // 5
+    assert N == max(16, (bits + 32) // 8) and B >= bits // 5
     if B > bits // 5:
         with working_precision(bits):
             missed = Ball(0, _fraction_tail_radius(N, B - 1))
@@ -335,14 +336,26 @@ def test_characters():
 
 
 def test_kronecker_table_is_the_kronecker_symbol():
+    # the table from prime discriminants against kronecker(D, a) at every
+    # a for each fundamental |D| <= 1500, and at random a for a D of six
+    # digits; D = 1 is the trivial table
     for D in range(-1500, 1501):
-        if D != 0 and D % 4 in (0, 1):
+        if D not in (0, 1) and is_fundamental_discriminant(D):
             assert _kronecker_table(D) == tuple(
                 kronecker(D, a) for a in range(abs(D))), D
-    # (D|a) is periodic mod |D| only for D = 0 or 1 mod 4
-    for D in (0, 2, 3, -1, -2, 6, 7, 15, -5, -6):
-        with pytest.raises(InputError):
-            _kronecker_table(D)
+    assert _kronecker_table(1) == (1,)
+    D = -256019
+    table = _kronecker_table(D)
+    assert len(table) == -D
+    for a in random.Random(45).sample(range(-D), 2000):
+        assert table[a] == kronecker(D, a), a
+    # any other D is refused: squares, non-fundamental discriminants
+    # (-12, 20, ...) and integers that are not discriminants at all
+    for D in range(-1500, 1501):
+        if D != 1 and not is_fundamental_discriminant(D):
+            with pytest.raises(InputError):
+                _kronecker_table(D)
+    for D in (0, 2, 3, -1, -12, 20, 15, -5, -6):
         with pytest.raises(InputError):
             DirichletChar.quadratic(D)
 

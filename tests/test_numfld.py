@@ -26,9 +26,16 @@ from starklab.numfld import (ClassGroup, DatumError, QuadElt, QuadField,
                              log_abs_at_place, ord_at_place, places_over,
                              ray_class, reduce_form, reduced_forms,
                              s_unit_lattice, squarefree_part, unit_norm,
+                             _is_reduced_indef, _is_reduced_neg,
                              _module_from_relations, _principal_generator,
                              _principal_relations, _s_class_number)
 from starklab.zideal import annihilator
+
+
+def omega(F):
+    """The standard integral generator of F: (1 + sqrt m)/2 for m = 1 mod 4,
+    else sqrt m."""
+    return F.element(1, 1) / 2 if F.m % 4 == 1 else F.element(0, 1)
 
 
 def finite_valuations(L, x):
@@ -89,7 +96,7 @@ def test_fundamental_unit_is_minimal():
     for D in [5, 8, 12, 13, 17, 21, 24, 28, 29, 33]:
         F = QuadField(D)
         eps = fundamental_unit(D)
-        w = F.omega()
+        w = omega(F)
         best = None
         for x in range(-60, 61):
             for y in range(-60, 61):
@@ -101,6 +108,71 @@ def test_fundamental_unit_is_minimal():
                     if best is None or (best - u).compare_zero() > 0:
                         best = u
         assert best is not None and best == eps, D
+
+
+def _unit_by_quadelt_continued_fraction(D):
+    """The fundamental unit by the continued fraction of omega in QuadElt
+    arithmetic: the first convergent p/q with p - q conj(omega) of norm
+    +-1, brought to the unit > 1."""
+    F = QuadField(D)
+    P, Q = (1, 2) if F.m % 4 == 1 else (0, 1)
+    sq = math.isqrt(F.m)
+    a = (P + sq) // Q
+    p_prev, p_cur, q_prev, q_cur = 1, a, 0, 1
+    w_conj = omega(F).conj()
+    while True:
+        cand = F.element(p_cur) - w_conj * q_cur
+        if abs(cand.norm()) == 1:
+            if cand.compare_zero() < 0:
+                cand = -cand
+            if not cand.abs_greater_one():
+                cand = cand.inverse()
+                if cand.compare_zero() < 0:
+                    cand = -cand
+            return cand
+        P = a * Q - P
+        Q = (F.m - P * P) // Q
+        a = (P + sq) // Q
+        p_prev, p_cur = p_cur, a * p_cur + p_prev
+        q_prev, q_cur = q_cur, a * q_cur + q_prev
+
+
+def test_fundamental_unit_is_the_quadelt_continued_fraction():
+    # the integer norm test against QuadElt arithmetic, D < 5000
+    for D in range(5, 5000):
+        if is_fundamental_discriminant(D):
+            assert fundamental_unit(D) == \
+                _unit_by_quadelt_continued_fraction(D), D
+
+
+def _reduced_forms_by_candidates(D):
+    """The reduced primitive forms of discriminant D: for each b and each
+    divisor a <= sqrt(|ac|), the eight candidates (A, +-b, ac/A) with
+    A in {+-a, +-ac/a}, kept when reduced and primitive."""
+    if D > 0:
+        hi = math.isqrt(D)
+        reduced = lambda f: _is_reduced_indef(f, hi, D)
+    else:
+        hi = math.isqrt(-D // 3)
+        reduced = lambda f: _is_reduced_neg(*f)
+    out = set()
+    for b in range(D % 2, hi + 1, 2):
+        ac = (b * b - D) // 4
+        for a in range(max(b, 1) if D < 0 else 1, math.isqrt(abs(ac)) + 1):
+            if ac % a == 0:
+                for A in (a, -a, ac // a, -ac // a):
+                    for f in ((A, b, ac // A), (A, -b, ac // A)):
+                        if reduced(f) and math.gcd(*f) == 1:
+                            out.add(f)
+    return sorted(out)
+
+
+def test_reduced_forms_are_the_candidate_enumeration():
+    # one divisor-pair pass against the eight-candidate filter, for every
+    # fundamental 0 < |D| < 5000
+    for D in range(-4999, 5000):
+        if D not in (0, 1) and is_fundamental_discriminant(D):
+            assert reduced_forms(D) == _reduced_forms_by_candidates(D), D
 
 
 def test_class_numbers_against_tables():
@@ -365,7 +437,7 @@ class FracQuadElt:
         return self.b == 0
 
     def omega_coords(self):
-        w = self.field.omega()
+        w = omega(self.field)
         v = self.b / w.b
         return self.a - v * w.a, v
 
@@ -814,7 +886,7 @@ def test_split_valuations_match_powers_of_the_ideal_generator(Dq, i, j, l,
     D, q = Dq
     F = QuadField(D)
     w, w_conj = places_over(F, q)
-    z = (F.element(uv[0]) + F.omega() * uv[1]) / c
+    z = (F.element(uv[0]) + omega(F) * uv[1]) / c
     assume(c % q and (z * c).norm() % q)
     gamma = _gamma(w)
     e = sympy.multiplicity(q, int(gamma.norm()))
@@ -858,7 +930,7 @@ def _residue_closure(res):
             else:
                 uq, vq = (tup[slots[0]], 0) if F == "Q" else tup[slots[0]]
             u, v = u + uq * c, v + vq * c
-        return Fraction(u) if F == "Q" else F.element(u) + F.omega() * v
+        return Fraction(u) if F == "Q" else F.element(u) + omega(F) * v
 
     def op(t1, t2):
         return res.reduce(lift(t1) * lift(t2))
@@ -927,7 +999,7 @@ def test_residue_map_is_a_multiplicative_galois_map(D, T, uv, c):
     # above T exactly when their norms are prime to T
     F = QuadField(D)
     assume(all(D % q and c % q for q in T))
-    x, y = [(F.element(u) + F.omega() * v) / c
+    x, y = [(F.element(u) + omega(F) * v) / c
             for u, v in (uv[:2], uv[2:])]
     assume(all(z.norm().numerator % q for z in (x, y) for q in T))
     res = ResidueSystem(F, T)
@@ -1127,7 +1199,8 @@ F = QuadField(5)
 w = places_over(F, 11)[0]
 w.omega_image = (w.omega_image + 1) % 11     # not a root of x^2 - x - 1
 try:
-    ord_at_place(F.omega() - w.omega_image, w)
+    # omega = (1 + sqrt 5)/2 less its wrong image
+    ord_at_place(F.element(1, 1) / 2 - w.omega_image, w)
     raise SystemExit("a valuation read through a wrong image of omega")
 except CertificationError:
     pass

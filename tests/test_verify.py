@@ -6,6 +6,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starklab.ball import Ball, Undecided, precision, working_precision
 from starklab.verify import (CHECKS, ConfigError, Scenario,
@@ -410,7 +412,7 @@ def test_cli_lvalue_reports_jet_params(tmp_path):
     # trivial character's, -1/2 log 5 (1 - 3), needs no Hurwitz sum
     from starklab.cli import main
     out = tmp_path / "lvalue.json"
-    for index, want in (("1", {"N": 25, "B": 25, "prec": 128}),
+    for index, want in (("1", {"N": 20, "B": 28, "prec": 128}),
                         ("0", {"prec": 128})):
         assert main(["lvalue", "--modulus", "5", "--char-index", index,
                      "--S", "inf", "5", "7", "--T", "3",
@@ -561,15 +563,32 @@ def test_one_lattice_and_one_ray_class_per_scenario(monkeypatch):
                    "annihilation", "igc_membership"]}))
     assert [e["verdict"] for e in cert["results"]] == \
         ["unsupported", "pass", "pass", "pass", "pass"]
-    # one lattice; one ray class of the field and one of Q (the s_p flag)
+    # one lattice and one ray class, the field's: the s_p flag reads the
+    # presentation of Q's ray class, not its module
     assert counts["s_unit_lattice"] == 1
-    assert counts["ray_class"] <= 2
+    assert counts["ray_class"] == 1
     # each entry holds its own copy of the same flags, the unsupported
     # sign_criterion's too
     flags = [cert["hypotheses"]] + [e["hypotheses"] for e in cert["results"]]
     assert len(flags) == 6
     assert all(f == flags[0] for f in flags)
     assert len({id(f["S"]) for f in flags}) == len(flags)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]),
+                max_size=4, unique=True),
+       st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 29, 31, 37, 41, 43]),
+                max_size=3, unique=True),
+       st.sampled_from([2, 3, 5, 7]))
+def test_s_p_is_the_p_rank_of_the_ray_class_of_q(S, T, p):
+    # the leaders less an F_p-rank, against the invariant factors of the
+    # module that ray_class builds from the same presentation
+    from starklab.numfld import ray_class
+    from starklab.verify import _q_ray_p_rank
+    S, T = ["inf"] + S, [q for q in T if q not in S]
+    assert _q_ray_p_rank(S, T, p) == sum(
+        d % p == 0 for d in ray_class("Q", S, T).orders), (S, T, p)
 
 
 def test_sigma_and_the_t_sublattice_are_built_only_when_read(monkeypatch):
@@ -679,7 +698,7 @@ RUBIN_CHECKS = ["sign_criterion", "rs_integrality", "fitting_equality",
     ({"type": "Q"}, ["inf", 5], [15]),
     ({"type": "Q"}, ["inf", 5], [1]),
     ({"type": "quad", "disc": 5}, ["inf", 5], [9]),
-    # the hypothesis flags build the ray class of Q at S, 9 included
+    # S is refused before the hypothesis flags read it
     ({"type": "quad", "disc": 5}, ["inf", 5, 9], [3]),
 ], ids=["Q-T=9", "Q-S=9", "Q-T=15", "Q-T=1", "Q(sqrt5)-T=9",
         "Q(sqrt5)-S=9"])
@@ -889,8 +908,6 @@ def test_norm_identity_gates_hold_under_python_O():
 
 # -- Fitt^r(X_{K,S}): the closed form against the minors of a presentation
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from test_multilin import act_element
 
 from starklab import hnf, verify
