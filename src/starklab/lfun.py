@@ -212,7 +212,8 @@ def _kronecker_table(D):
     discriminant D, or (1,) for D = 1; InputError for any other D.  D is
     a product of prime discriminants -4, 8, -8 and p* = +-p = 1 mod 4, so
     the table is the pointwise product of theirs, each repeated to length
-    |D|; that of p* is (a|p): 1 at a^2 mod p for 0 < a < p/2, 0 at 0.
+    |D|; that of p* is (a|p): 0 at 0, 1 at a^2 mod p for 0 < a < p/2 and
+    -1 elsewhere.
 
     Nothing keeps the table: its one caller, `DirichletChar.quadratic`, is
     memoised on the same D with 256 entries, which hold the 163

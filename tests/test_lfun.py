@@ -355,7 +355,7 @@ def test_kronecker_table_is_the_kronecker_symbol():
         if D != 1 and not is_fundamental_discriminant(D):
             with pytest.raises(InputError):
                 _kronecker_table(D)
-    for D in (0, 2, 3, -1, -12, 20, 15, -5, -6):
+    for D in (0, 2, 3, -1, -2, 6, 7, 15, -5, -6, -12, 20):
         with pytest.raises(InputError):
             DirichletChar.quadratic(D)
 
