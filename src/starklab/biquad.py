@@ -211,11 +211,14 @@ def biquad_places(field, v):
 
 class BiquadSUnitLattice:
     """S-unit sublattice of a real biquadratic compositum generated by the
-    three subfields' S-units, with exact relations and Galois action.
+    three subfields' S-units, with exact relations.
 
-    It offers the Galois and place interface of numfld.SUnitLattice
-    (place_indices, place_permutation, sigma_matrices, log_matrix); its
-    saturation index is not known, and its T-unit sublattice is not built.
+    It offers the place interface of numfld.SUnitLattice (place_indices,
+    place_permutation, log_matrix).  Its saturation index is not known,
+    and its T-unit sublattice is not built: `t_lattice_hnf` raises, so no
+    check reads an action on its coordinates, and it builds none.  S is in
+    a datum's normal form (`RubinDatum`), and each subfield's lattice reads
+    it as it is, with T empty.
     """
 
     saturation_index = None
@@ -231,11 +234,7 @@ class BiquadSUnitLattice:
             start = len(self.places)
             self.places.extend(biquad_places(field, v))
             self.place_ranges[v] = range(start, len(self.places))
-        sub_lattices = []
-        for k in field.subfields:
-            sub_S = ["inf"] + [q for q in S if q != "inf"]
-            sub_lattices.append(s_unit_lattice(k, sub_S, [],
-                                               enforce_h3=False))
+        sub_lattices = [s_unit_lattice(k, S, ()) for k in field.subfields]
         self.sub_lattices = sub_lattices
         fin = [w for w in self.places if w.kind == "finite"]
         # generator pool: (subfield index, element)
@@ -350,10 +349,6 @@ class BiquadSUnitLattice:
         coords[self._offsets[sub_idx] + gen_idx] = 1
         return self.pool_coords_to_basis(coords)
 
-    def _local_index(self, pool_idx):
-        idx = self.pool_owner[pool_idx][0]
-        return pool_idx - self._offsets[idx]
-
     def place_indices(self, v):
         """Indices in `places` of the places above the rational place v,
         distinguished place first."""
@@ -372,40 +367,9 @@ class BiquadSUnitLattice:
                 if w.kind == "real" else i
                 for i, w in enumerate(self.places)]
 
-    def sigma_matrices(self):
-        """Action matrices on basis coordinates, one per generator of the
-        Galois group (Z/2)^2."""
-        return [self.sigma_matrix(g) for g in ((1, 0), (0, 1))]
-
     def t_lattice_hnf(self):
         raise UnsupportedCaseError(
             "T-unit lattices of composita are out of desk scope")
-
-    def sigma_matrix(self, element):
-        """Action of a group element on basis coordinates (exact)."""
-        n = len(self.pool)
-        pool_mat = []
-        for i, (idx, _g) in enumerate(self.pool_owner):
-            sub = self.sub_lattices[idx]
-            local = self._local_index(i)
-            if self.field.signs_of(element)[idx] == 1:
-                row = [1 if j == local else 0 for j in range(len(sub.gens))]
-            else:
-                row = list(sub.sigma_matrix[local])
-            full = [0] * n
-            off = self._offsets[idx]
-            for j, e in enumerate(row):
-                full[off + j] = e
-            pool_mat.append(full)
-        out = []
-        for pool_row in self._basis_pool_rows:
-            coords = [0] * n
-            for i, e in enumerate(pool_row):
-                if e:
-                    for l in range(n):
-                        coords[l] += e * pool_mat[i][l]
-            out.append(self.pool_coords_to_basis(coords))
-        return out
 
     def log_matrix(self):
         out = []

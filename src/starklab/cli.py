@@ -31,13 +31,13 @@ from .ball import (DEFAULT_PREC, CertificationError, Undecided,
                    working_precision)
 from .grpring import InputError, coeff_json
 from .hnf import diagonalize_relations
-from .lfun import (AbelianFieldRealization, LSpec, l_jet,
-                   stickelberger_element)
-from .numfld import (ClassGroup, DatumError, QuadField, _normalize_places,
-                     fundamental_unit, is_fundamental_discriminant)
+from .lfun import AbelianFieldRealization, LSpec, l_jet, stickelberger_element
+from .numfld import (ClassGroup, DatumError, QuadField, RubinDatum,
+                     _normalize_places, fundamental_unit,
+                     is_fundamental_discriminant)
 from .sublat import CapacityError, norm_sum_identity, enumerate_omega_star
-from .verify import (ConfigError, certificate_summary, load_scenario,
-                     run_scenario)
+from .verify import (ConfigError, certificate_summary, field_of,
+                     load_scenario, run_scenario)
 
 
 def _bits(text):
@@ -156,8 +156,8 @@ def _dispatch(args):
         return 0
 
     if args.command == "stickelberger":
-        real = _field_realization(args.field)
-        theta = stickelberger_element(real, args.S, args.V, args.T)
+        datum = RubinDatum.of(*_field(args.field), args.S, args.V, args.T)
+        theta = stickelberger_element(datum)
         _emit(theta.to_json(), args.out)
         return 0
 
@@ -239,17 +239,20 @@ def _run_one_path(path, bits):
                 "traceback": traceback.format_exc(), "exit_code": 5}
 
 
-def _field_realization(text):
+def _field(text):
+    """(realization, field, kind) of a --field value (`verify.field_of`);
+    three or more discriminants give the realization alone, all theta reads."""
     if text.strip().upper() == "Q":
-        return AbelianFieldRealization.rationals()
+        return field_of({"type": "Q"})
     try:
         discs = [int(x) for x in text.split(",")]
     except ValueError:
         raise InputError(f'a field is "Q", a fundamental discriminant or '
                          f'"d1,d2", got {text!r}') from None
-    if len(discs) > 1:
-        return AbelianFieldRealization.multiquadratic(discs)
-    return AbelianFieldRealization.quadratic(discs[0])
+    if len(discs) > 2:
+        return AbelianFieldRealization.multiquadratic(discs), None, "generic"
+    return field_of({"type": "multiquad", "discs": discs} if len(discs) > 1
+                    else {"type": "quad", "disc": discs[0]})
 
 
 def _emit(obj, out):

@@ -809,35 +809,9 @@ def bernoulli_value(char, S, T=()):
 
 # -- group-ring elements from L-values ---------------------------------------
 
-def validate_rubin_shape(realization, S, V, T):
-    """(H1) and (H2) shape checks for a Rubin datum over the realization,
-    whose finite places in S and T must be primes.
-
-    Raises InputError with a datum message on violation; the torsion
-    condition (H3) is field arithmetic and lives with the S-unit lattice.
-    """
-    S = _normalize_places(S)
-    V = _normalize_places(V) if V else []
-    T = _normalize_primes(T)
-    if "inf" not in S:
-        raise InputError("(H1) fails: S omits the infinite place")
-    ram = realization.ramified_primes()
-    missing = [q for q in ram if q not in S]
-    if missing:
-        raise InputError(f"(H1) fails: S omits ramified primes {missing}")
-    if set(S) & set(T):
-        raise InputError("S and T must be disjoint")
-    if not set(V) <= set(S) or len(V) >= len(S):
-        raise InputError("(H2) fails: V must be a proper subset of S")
-    for v in V:
-        if not realization.splits_completely(v):
-            raise InputError(f"(H2) fails: {v} does not split completely")
-    return S, V, T
-
-
-def stickelberger_element(realization, S, V, T):
+def stickelberger_element(datum):
     """The group-ring element whose chi-component is
-    lim_{s->0} s^{-|V|} L_{S,T}(chi^{-1}, s).
+    lim_{s->0} s^{-|V|} L_{S,T}(chi^{-1}, s) for a `numfld.RubinDatum`.
 
     At |V| = 0 it is exact, the image in Q[G] of the Stickelberger sum
 
@@ -851,7 +825,7 @@ def stickelberger_element(realization, S, V, T):
     balls assembled from each character's `l_jet`, and the components of
     characters vanishing beyond order |V| are exact zeros.
     """
-    S, V, T = validate_rubin_shape(realization, S, V, T)
+    realization, S, V, T = datum.realization, datum.S, datum.V, datum.T
     if not V:
         return _stickelberger_sum(realization, S, T)
     r = len(V)

@@ -13,6 +13,7 @@ finite places |x|_w = (Nw)^(-ord_w x).
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
+from typing import NamedTuple
 
 from . import hnf
 from .arith import CapacityError, factorint, isprime, primerange
@@ -860,8 +861,6 @@ class ResidueSystem:
         for q in self.T:
             if field == "Q":
                 self.places.append(places_over("Q", q)[0])
-            elif field.splitting(q) == "ramified":
-                raise DatumError(f"T contains the ramified prime {q}")
             else:
                 self.places.extend(places_over(field, q))
         if field != "Q":
@@ -1111,7 +1110,7 @@ class SUnitLattice:
         return self.t_sublattice.canonical()
 
 
-def s_unit_lattice(field, S, T, enforce_h3=True):
+def s_unit_lattice(field, S, T):
     """Construct the (S, T)-unit lattice with exact generators.
 
     For a quadratic field the S-units come from one relation lattice, of
@@ -1121,14 +1120,10 @@ def s_unit_lattice(field, S, T, enforce_h3=True):
     2r columns are the Hermite basis of the relations among the S-places
     alone, with their generators.
 
-    Raises DatumError when (S, T) violates the standing shape (`_s_and_t`),
-    or when T does not make the unit group torsion free (skipped with
-    enforce_h3=False for internal constructions that only need the lattice
-    modulo torsion).
+    S and T are a `RubinDatum`'s, read as given; the lattice is taken
+    modulo torsion, so it needs no (H3).
     """
-    S, T, places, place_action, place_ranges = _s_places(field, S, T)
-    if enforce_h3:
-        _check_torsion_killed(field, T)
+    places, place_action, place_ranges = _s_places(field, S)
     residues = ResidueSystem(field, T) if T else None
 
     if field == "Q":
@@ -1145,7 +1140,7 @@ def s_unit_lattice(field, S, T, enforce_h3=True):
 
     k = len(place_ranges["inf"])      # the infinite places come first
     fin = places[k:]
-    primes = _class_primes(field, S[1:] + T)
+    primes = _class_primes(field, {*S[1:], *T})
     r = len(primes)
     relations = _principal_relations(
         field, primes + [p.conj() for p in primes] + [w.ideal for w in fin])
@@ -1176,37 +1171,61 @@ def s_unit_lattice(field, S, T, enforce_h3=True):
                         class_primes=primes, relations=relations)
 
 
-def _s_and_t(field, S, T):
-    """(S, T) normalised, 'inf' first in S; DatumError unless S contains
-    'inf' and the ramified primes of `field` and is disjoint from T."""
-    S = _normalize_places(S)
-    T = _normalize_primes(T)
-    if "inf" not in S:
-        raise DatumError("S must contain the infinite place")
-    if set(S) & set(T):
-        raise DatumError("S and T must be disjoint")
-    if field != "Q":
-        missing = [q for q in field.ramified_primes() if q not in S]
-        if missing:
-            raise DatumError(f"S omits ramified primes {missing}")
-    return S, T
-
-
-def _s_places(field, S, T):
-    """(S, T, places, place_action, place_ranges): S and T from `_s_and_t`,
-    the places of `field` above S (the distinguished place first over each
-    v), their permutation under the nontrivial automorphism (the identity
-    over Q), and for each v in S the range of its places' indices.  As S
-    lists 'inf' first, the infinite places come first.
+def _s_places(field, S):
+    """(places, place_action, place_ranges): the places of `field` above
+    S (the distinguished place first over each v), their permutation under
+    the nontrivial automorphism (the identity over Q), and for each v in S
+    the range of its places' indices.  As S lists 'inf' first, the
+    infinite places come first.
     """
-    S, T = _s_and_t(field, S, T)
     places, place_action, place_ranges = [], [], {}
     for v in S:
         base = len(places)
         places.extend(places_over(field, v))
         place_ranges[v] = range(base, len(places))
         place_action.extend(reversed(place_ranges[v]))
-    return S, T, places, place_action, place_ranges
+    return places, place_action, place_ranges
+
+
+# -- the Rubin datum ---------------------------------------------------------
+
+class RubinDatum(NamedTuple):
+    """A Rubin datum (K, S, V, T): the realization of K, `field` (the
+    arithmetic that the lattice and the ray class read: "Q", a QuadField, a
+    BiquadField, or None for a generic field), the field's `kind` ("Q",
+    "quad", "multiquad" or "generic"), and S, V and T as sorted tuples of
+    distinct places, "inf" first.  Its one constructor, `of`, normalises
+    them and checks their shape, (H1), S and T disjoint and (H2), in that
+    order (InputError); `verify.Scenario.validate_datum` checks (H3) on it
+    once.  Every reader takes it, or its S and T, as it is.
+    """
+
+    realization: object
+    field: object
+    kind: str
+    S: tuple
+    V: tuple
+    T: tuple
+
+    @classmethod
+    def of(cls, realization, field, kind, S, V, T):
+        """The datum, normalised and its shape checked."""
+        S = tuple(_normalize_places(S))
+        V = tuple(_normalize_places(V))
+        T = tuple(_normalize_primes(T))
+        if "inf" not in S:
+            raise InputError("(H1) fails: S omits the infinite place")
+        missing = [q for q in realization.ramified_primes() if q not in S]
+        if missing:
+            raise InputError(f"(H1) fails: S omits ramified primes {missing}")
+        if set(S) & set(T):
+            raise InputError("S and T must be disjoint")
+        if not set(V) <= set(S) or len(V) >= len(S):
+            raise InputError("(H2) fails: V must be a proper subset of S")
+        for v in V:
+            if not realization.splits_completely(v):
+                raise InputError(f"(H2) fails: {v} does not split completely")
+        return cls(realization, field, kind, S, V, T)
 
 
 def _normalize_places(S):
@@ -1236,6 +1255,8 @@ def _normalize_primes(T):
 
 
 def _check_torsion_killed(field, T):
+    """(H3) for the T of a `RubinDatum`: DatumError unless each root of
+    unity of `field` other than 1 is not 1 at some place above T."""
     if field == "Q":
         # -1 = 1 (mod q) exactly when q = 2
         if not any(q != 2 for q in T):
@@ -1248,8 +1269,6 @@ def _check_torsion_killed(field, T):
     for zeta in torsion:
         killed = False
         for q in T:
-            if field.splitting(q) == "ramified":
-                raise DatumError(f"T contains the ramified prime {q}")
             for w in places_over(field, q):
                 if ord_at_place(zeta - field.element(1), w) == 0:
                     killed = True
@@ -1258,7 +1277,7 @@ def _check_torsion_killed(field, T):
                 break
         if not killed:
             raise DatumError(
-                f"(H3) fails: {zeta!r} = 1 at every place above T={T}")
+                f"(H3) fails: {zeta!r} = 1 at every place above T={list(T)}")
 
 
 def _principal_generator(field, ideals, exponents):
@@ -1388,16 +1407,15 @@ def ray_class(field, S, T, lattice=None):
     For a quadratic field the order is checked against |Cl_{K,S,T}| =
     h_S * |R_T / im(units)|, with h_S from the classes of the S-places
     alone (CertificationError if it fails), and the relations come from
-    `lattice`, when the caller already holds `s_unit_lattice(field, S, T)`,
-    else from one built here.
+    `lattice`, when the caller already holds `s_unit_lattice(field, S, T)`
+    (InputError if it is another's), else from one built here.  S and T
+    are a `RubinDatum`'s, read as given.
     """
-    S, T = _s_and_t(field, S, T)
     if field == "Q":
         return _module_from_relations(AbelianGroup(()),
                                       *q_ray_relations(S, T), [])
 
-    sl = lattice if lattice is not None \
-        else s_unit_lattice(field, S, T, enforce_h3=bool(T))
+    sl = lattice if lattice is not None else s_unit_lattice(field, S, T)
     if (sl.field, sl.S, sl.T) != (field, S, T):
         raise InputError(f"lattice is for S={sl.S}, T={sl.T}, "
                          f"not S={S}, T={T}")
@@ -1446,13 +1464,13 @@ def ray_class(field, S, T, lattice=None):
 
 def q_ray_relations(S, T):
     """Cl_{Q,S,T} presented on the leaders of R_T: (their number, R_T's
-    relation rows and the dlog rows of -1 and of the finite places of S)."""
-    S, T = _s_and_t("Q", S, T)
+    relation rows and the dlog rows of -1 and of the finite places of S),
+    for the S and T of a `RubinDatum`."""
     if not T:
         return 0, []
     R = ResidueSystem("Q", T)
     return len(R.leaders), R.relation_rows + [R.dlog(R.reduce(x))
-                                              for x in [-1] + S[1:]]
+                                              for x in (-1, *S[1:])]
 
 
 def _class_lattice(cg, classes):

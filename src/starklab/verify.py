@@ -43,12 +43,12 @@ from .ball import Ball, CertificationError, Undecided, ball_det, \
 from .biquad import BiquadField, BiquadSUnitLattice
 from .grpring import GroupRingElement, InputError
 from .lfun import (AbelianFieldRealization, DirichletChar, LSpec,
-                   bernoulli_value, l_jet, stickelberger_element,
-                   validate_rubin_shape)
+                   bernoulli_value, l_jet, stickelberger_element)
 from .multilin import (GLattice, NonIntegralError, WedgeElement,
                        all_dual_pairings, norm_decomposition_residual,
                        pairing_vector)
-from .numfld import (MAX_ABS_DISC, DatumError, QuadField, class_number,
+from .numfld import (MAX_ABS_DISC, DatumError, QuadField, RubinDatum,
+                     _check_torsion_killed, class_number,
                      fundamental_unit_log, q_ray_relations, ray_class,
                      s_unit_lattice)
 from .sublat import enumerate_omega_star, norm_sum_identity
@@ -104,6 +104,41 @@ def _config_params(params):
     return out
 
 
+def field_of(spec):
+    """(realization, field, kind) of a scenario's `field` object, as a
+    `RubinDatum` holds them: the kind is its "type"."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"field must be a JSON object, got {spec!r}")
+    kind = spec.get("type", "Q")
+    if kind == "Q":
+        return AbelianFieldRealization.rationals(), "Q", kind
+    if kind == "quad":
+        D = _config_int(spec.get("disc"), "disc")
+        return AbelianFieldRealization.quadratic(D), QuadField(D), kind
+    if kind == "multiquad":
+        discs = [_config_int(d, "discs entry")
+                 for d in _config_list(spec.get("discs"), "discs")]
+        if len(discs) != 2:
+            raise ConfigError(f"multiquad takes two discriminants, got "
+                              f"{discs!r}")
+        realization = AbelianFieldRealization.multiquadratic(discs)
+        # the coordinate characters are the subfields' Kronecker
+        # characters, and a quadratic character's discriminant is
+        # chi(-1) times its modulus
+        return realization, BiquadField(*(
+            chi.parity() * chi.modulus
+            for chi in realization.coordinate_characters)), kind
+    if kind == "generic":
+        kernel = [_config_int(g, "kernel entry")
+                  for g in _config_list(spec.get("kernel", []), "kernel")]
+        degree = spec.get("degree")
+        return AbelianFieldRealization(
+            _config_int(spec.get("modulus"), "modulus"), kernel,
+            expected_degree=None if degree is None
+            else _config_int(degree, "degree")), None, kind
+    raise ConfigError(f"unknown field type {kind!r}")
+
+
 # -- scenario ----------------------------------------------------------------
 
 class Scenario:
@@ -122,41 +157,8 @@ class Scenario:
             raise ConfigError(
                 "the scenario key 'order' was removed: every check reads the "
                 "leading term at the order |V|, which no key changes")
-        field = spec.get("field", {"type": "Q"})
-        if not isinstance(field, dict):
-            raise ConfigError(f"field must be a JSON object, got {field!r}")
-        self.field_type = field.get("type", "Q")
-        if self.field_type == "Q":
-            self.realization = AbelianFieldRealization.rationals()
-            self.field = "Q"
-        elif self.field_type == "quad":
-            D = _config_int(field.get("disc"), "disc")
-            self.realization = AbelianFieldRealization.quadratic(D)
-            self.field = QuadField(D)
-        elif self.field_type == "multiquad":
-            discs = [_config_int(d, "discs entry")
-                     for d in _config_list(field.get("discs"), "discs")]
-            if len(discs) != 2:
-                raise ConfigError(f"multiquad takes two discriminants, got "
-                                  f"{discs!r}")
-            self.realization = AbelianFieldRealization.multiquadratic(discs)
-            # the coordinate characters are the subfields' Kronecker
-            # characters, and a quadratic character's discriminant is
-            # chi(-1) times its modulus
-            self.field = BiquadField(*(
-                chi.parity() * chi.modulus
-                for chi in self.realization.coordinate_characters))
-        elif self.field_type == "generic":
-            kernel = [_config_int(g, "kernel entry") for g in _config_list(
-                field.get("kernel", []), "kernel")]
-            degree = field.get("degree")
-            self.realization = AbelianFieldRealization(
-                _config_int(field.get("modulus"), "modulus"),
-                kernel, expected_degree=None if degree is None
-                else _config_int(degree, "degree"))
-            self.field = None
-        else:
-            raise ConfigError(f"unknown field type {self.field_type!r}")
+        self.realization, self.field, self.kind = field_of(
+            spec.get("field", {"type": "Q"}))
         self.S = _config_places(spec.get("S", []), "S")
         self.V = _config_places(spec.get("V", []), "V")
         self.T = [_config_int(q, "T entry")
@@ -172,23 +174,24 @@ class Scenario:
         if not isinstance(params, dict):
             raise ConfigError(f"params must be a JSON object, got {params!r}")
         self.params = _config_params(params)
+        self.datum = None
         self._flags = None
 
     def validate_datum(self):
-        """(H1)-(H3) plus the recorded theorem-hypothesis flags."""
-        S, V, T = validate_rubin_shape(self.realization, self.S, self.V,
-                                       self.T)
-        self.S, self.V, self.T = S, V, T
+        """Build `self.datum`, which every check reads: `RubinDatum.of`
+        checks the shape, (H1) and (H2) (InputError), and (H3) is checked
+        here and nowhere else (DatumError), by the rule of Q for a
+        compositum, whose torsion is +-1, and not for a generic field."""
+        datum = RubinDatum.of(self.realization, self.field, self.kind,
+                              self.S, self.V, self.T)
+        if datum.kind != "generic":
+            _check_torsion_killed(
+                "Q" if datum.kind == "multiquad" else datum.field, datum.T)
+        self.datum = datum
         self._flags = None
-        # (H3) via torsion arithmetic
-        from .numfld import _check_torsion_killed
-        if self.field is not None:
-            # a real biquadratic field has torsion {+-1}, as Q has
-            _check_torsion_killed("Q" if isinstance(self.field, BiquadField)
-                                  else self.field, T)
 
     def hypothesis_flags(self):
-        """The theorem-hypothesis flags of (S, V, T): a fresh copy each
+        """The theorem-hypothesis flags of the datum: a fresh copy each
         call, computed once per datum (validate_datum starts them over).
         The values are numbers, booleans and the place lists S, V and T,
         so a new dict with new lists of them copies it in full."""
@@ -199,18 +202,18 @@ class Scenario:
                 "T": list(flags["T"])}
 
     def _compute_flags(self):
-        flags = {"S": list(self.S), "V": list(self.V), "T": list(self.T)}
-        flags["thm1_bound"] = len(self.S) > len(self.V) + 1
+        S, V, T = self.datum.S, self.datum.V, self.datum.T
+        flags = {"S": list(S), "V": list(V), "T": list(T)}
+        flags["thm1_bound"] = len(S) > len(V) + 1
         invf = self.realization.group.invariant_factors
         if invf and all(f == invf[0] for f in invf):
             p = invf[0]
             if isprime(p):
                 m = len(invf)
-                sp = _q_ray_p_rank(self.S, self.T, p)
-                bound = max(len(self.V) + 2,
-                            len(self.V) - sp + (p - 1) * (m - 1) + 3)
+                sp = _q_ray_p_rank(S, T, p)
+                bound = max(len(V) + 2, len(V) - sp + (p - 1) * (m - 1) + 3)
                 flags.update({"p": p, "m": m, "s_p": sp,
-                              "thm2_bound": len(self.S) >= bound,
+                              "thm2_bound": len(S) >= bound,
                               "thm2_required_S": bound})
         return flags
 
@@ -238,17 +241,14 @@ def _q_ray_p_rank(S, T, p):
 # -- shared pipeline pieces ---------------------------------------------------
 
 class RubinStarkData:
-    """Cached pipeline state of one Rubin datum (S, V, T) over a field:
-    each of lattice(), ray(), theta(), epsilon(), pairings(),
-    pairing_vectors() and im_lattice() is computed at most once.  `field`
-    is "Q", a QuadField, a BiquadField or None (a generic field, which has
-    no lattice yet); lattice() and ray() are where its type is decided.  A
-    caller that already holds the S-unit lattice passes it as `lattice`."""
+    """Cached pipeline state of one `RubinDatum`, read as it is: each of
+    lattice(), ray(), theta(), epsilon(), pairings(), pairing_vectors()
+    and im_lattice() is computed at most once.  lattice() and ray() read
+    the datum's kind; a generic field has no lattice yet.  A caller that
+    already holds the S-unit lattice passes it as `lattice`."""
 
-    def __init__(self, realization, field, S, V, T, lattice=None):
-        self.realization = realization
-        self.field = field
-        self.S, self.V, self.T = S, V, T
+    def __init__(self, datum, lattice=None):
+        self.datum = datum
         self._lattice = lattice
         self._ray = None
         self._theta = None
@@ -259,14 +259,15 @@ class RubinStarkData:
 
     @property
     def group(self):
-        return self.realization.group
+        return self.datum.realization.group
 
     def lattice(self):
         if self._lattice is None:
-            if isinstance(self.field, BiquadField):
-                self._lattice = BiquadSUnitLattice(self.field, self.S)
+            d = self.datum
+            if d.kind == "multiquad":
+                self._lattice = BiquadSUnitLattice(d.field, d.S)
             else:
-                self._lattice = s_unit_lattice(self.field, self.S, self.T)
+                self._lattice = s_unit_lattice(d.field, d.S, d.T)
         return self._lattice
 
     def ray(self):
@@ -274,18 +275,17 @@ class RubinStarkData:
         hands ray_class this datum's lattice(), whose generators give the
         unit image, instead of a second build of the same lattice."""
         if self._ray is None:
-            if isinstance(self.field, BiquadField):
+            d = self.datum
+            if d.kind == "multiquad":
                 raise UnsupportedCaseError(
                     "ray class groups of composita are out of desk scope")
-            lat = self.lattice() if isinstance(self.field, QuadField) \
-                and self.T else None
-            self._ray = ray_class(self.field, self.S, self.T, lattice=lat)
+            lat = self.lattice() if d.kind == "quad" and d.T else None
+            self._ray = ray_class(d.field, d.S, d.T, lattice=lat)
         return self._ray
 
     def theta(self):
         if self._theta is None:
-            self._theta = stickelberger_element(
-                self.realization, self.S, self.V, self.T)
+            self._theta = stickelberger_element(self.datum)
         return self._theta
 
     def t_glattice(self):
@@ -302,7 +302,7 @@ class RubinStarkData:
         # precision, before the L-values can ask for more bits
         lat = self.lattice()
         theta = self.theta()
-        r = len(self.V)
+        r = len(self.datum.V)
         if r == 0:
             self._epsilon = WedgeElement(self.group, 0, {(): theta})
             return self._epsilon
@@ -326,9 +326,9 @@ class RubinStarkData:
             "wedge degree >= 2 over a nontrivial group is out of desk scope")
 
     def _solve_degree_one(self, theta):
-        lat = self.lattice()
-        v0 = next(v for v in self.S if v not in self.V)
-        idx1 = lat.place_indices(self.V[0])[0]
+        lat, S, V = self.lattice(), self.datum.S, self.datum.V
+        v0 = next(v for v in S if v not in V)
+        idx1 = lat.place_indices(V[0])[0]
         idx0 = lat.place_indices(v0)[0]
         n = len(lat.places)
         rhs = [Ball(0) for _ in range(n)]
@@ -349,11 +349,12 @@ class RubinStarkData:
             raise CertificationError(
                 f"full-wedge solve needs |V| = rank, got |V| = {r} and "
                 f"rank {lat.rank}")
-        v0 = next(v for v in self.S if v not in self.V)
+        S, V = self.datum.S, self.datum.V
+        v0 = next(v for v in S if v not in V)
         idx0 = lat.place_indices(v0)[0]
         dropped = [j for j in range(len(lat.places)) if j != idx0]
         # sign of the arrangement of V-places inside the dropped list
-        positions = [dropped.index(lat.place_indices(v)[0]) for v in self.V]
+        positions = [dropped.index(lat.place_indices(v)[0]) for v in V]
         sign = _permutation_sign(positions)
         lam = lat.log_matrix()
         M = [[lam[g][j] for g in range(lat.rank)] for j in dropped]
@@ -372,7 +373,7 @@ class RubinStarkData:
         if self._pairings is None:
             # epsilon() builds the lattice first, so an out-of-scope field
             # is unsupported before any L-value, for |V| = 0 too
-            eps, r = self.epsilon(), len(self.V)
+            eps, r = self.epsilon(), len(self.datum.V)
             if not r:
                 self._pairings = [(("theta",), self.theta())]
             elif not eps.coeffs:
@@ -450,10 +451,10 @@ def check_sign_criterion(log_matrix):
     return det.sign(), det
 
 
-def sign_criterion_matrix(scn, data):
+def sign_criterion_matrix(data):
     """The log matrix over the Z-basis of O^x_{K,S,T} and the places above V."""
     lat = data.lattice()
-    v_place_idx = sorted(i for v in scn.V for i in lat.place_indices(v))
+    v_place_idx = sorted(i for v in data.datum.V for i in lat.place_indices(v))
     if lat.rank != len(v_place_idx):
         # the shape is fixed by (S, V): no precision makes it square, and
         # nothing is built for it
@@ -523,7 +524,7 @@ def place_module_fitting(lattice, group, r):
     return augmentation_ideal_power(group, max(len(counts) - 1 - r, 0))
 
 
-def selmer_transpose_fitting(scn, data, ray):
+def selmer_transpose_fitting(data, ray):
     """Fitt^{|V|}(Sel^tr); returns (ideal, method) or raises
     UnsupportedCaseError.
 
@@ -533,16 +534,16 @@ def selmer_transpose_fitting(scn, data, ray):
     of Cl + Z^(d-1) + Z[G]^{|V|}, cross-checked against
     `fitting_from_extension` (CertificationError when they differ).
     """
-    lat = data.lattice()
-    nV = len(scn.V)
+    lat, S, V = data.lattice(), data.datum.S, data.datum.V
+    nV = len(V)
     if ray.order() == 1:
         return place_module_fitting(lat, data.group, nV), \
             "closed form of Fitt^{|V|}(X_{K,S})"
-    for v in scn.S:
-        if v not in scn.V and len(lat.place_ranges[v]) > 1:
+    for v in S:
+        if v not in V and len(lat.place_ranges[v]) > 1:
             raise UnsupportedCaseError(
                 f"place {v} outside V lacks full decomposition group")
-    d = len(scn.S) - nV
+    d = len(S) - nV
     pres = _assembled_selmer_presentation(ray, d, nV)
     fit = fitting_ideal(pres, nV)
     if fitting_from_extension(ray, d) != fit:
@@ -577,7 +578,7 @@ def _run_fitting_equality(scn, data, entry):
     entry["sharp_convention"] = (
         "Fitt(Sel)^# is computed as Fitt(Sel^tr) of the transpose module")
     ray = data.ray()
-    fit, method = selmer_transpose_fitting(scn, data, ray)
+    fit, method = selmer_transpose_fitting(data, ray)
     im = data.im_lattice()
     contains_1 = fit.contains(im)
     contains_2 = im.contains(fit)
@@ -615,9 +616,9 @@ def _run_igc_membership(scn, data, entry):
     if "p" not in flags:
         raise UnsupportedCaseError("group is not p-elementary")
     p, m, sp = flags["p"], flags["m"], flags["s_p"]
-    c = len(scn.S) - len(scn.V) + sp - (p - 1) * (m - 1) - 2
-    c = max(c, 0)
-    if len(scn.S) < len(scn.V) + 2:
+    nS, nV = len(data.datum.S), len(data.datum.V)
+    c = max(nS - nV + sp - (p - 1) * (m - 1) - 2, 0)
+    if nS < nV + 2:
         c = 0
     entry["exponent"] = c
     ideal = augmentation_ideal_power(data.group, c)
@@ -634,22 +635,25 @@ def _run_igc_membership(scn, data, entry):
 def _run_norm_decomposition(scn, data, entry):
     """The subfield-norm decomposition of the Rubin-Stark element for a real
     biquadratic compositum with V = {inf}."""
-    if not isinstance(scn.field, BiquadField):
+    datum = data.datum
+    if datum.kind != "multiquad":
         raise UnsupportedCaseError(
             "norm decomposition runs on biquadratic composita")
-    if scn.V != ["inf"]:
+    if datum.V != ("inf",):
         raise UnsupportedCaseError("implemented for V = {inf}")
-    field = scn.field
     lat = data.lattice()
     eps_K = data.epsilon()
     group = data.group
     # subfield elements, included into compositum coordinates
     parts = []
     sub_witness = []
-    for idx, D in enumerate(field.discs):
-        sub_data = RubinStarkData(AbelianFieldRealization.quadratic(D),
-                                  QuadField(D), scn.S, scn.V, scn.T,
-                                  lattice=lat.sub_lattices[idx])
+    for idx, D in enumerate(datum.field.discs):
+        # (H1) and (H2) hold over each subfield: its ramified primes are
+        # the compositum's, and it is real, as V = {inf} splits completely
+        sub_datum = datum._replace(
+            realization=AbelianFieldRealization.quadratic(D),
+            field=QuadField(D), kind="quad")
+        sub_data = RubinStarkData(sub_datum, lattice=lat.sub_lattices[idx])
         eps_sub = sub_data.epsilon()
         parts.append(_included(group, (
             (z, lat.subfield_generator_coords(idx, j))
@@ -756,8 +760,9 @@ def _run_norm_identity(scn, data, entry):
 
 
 def _run_sign_criterion(scn, data, entry):
-    sign, det = check_sign_criterion(sign_criterion_matrix(scn, data))
-    inside = len(scn.S) == len(scn.V) + 1 and data.ray().order() == 1
+    sign, det = check_sign_criterion(sign_criterion_matrix(data))
+    inside = len(data.datum.S) == len(data.datum.V) + 1 \
+        and data.ray().order() == 1
     return "pass", {"sign": sign, "det_mid": repr(det),
                     "inside_hypotheses": inside}
 
@@ -813,6 +818,7 @@ def run_scenario(scn):
     with working_precision(scn.bits):
         cert = {"scenario": scn.raw, "field": scn.realization.label,
                 "bits": scn.bits, "results": []}
+        data = None
         if any(CHECKS[c].datum for c in scn.checks):
             try:
                 scn.validate_datum()
@@ -821,8 +827,7 @@ def run_scenario(scn):
                 cert["datum_error"] = str(exc)
                 cert["exit_code"] = 2
                 return cert
-        data = RubinStarkData(scn.realization, scn.field, scn.S, scn.V,
-                              scn.T)
+            data = RubinStarkData(scn.datum)
         for name in scn.checks:
             cert["results"].append(_run_check(scn, data, name))
     verdicts = {e.get("verdict") for e in cert["results"]}

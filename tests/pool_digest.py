@@ -99,8 +99,9 @@ def pool_results():
 
 def rubin_data():
     """A fresh `verify.RubinStarkData` per distinct Rubin datum (field, S,
-    V, T) with |V| >= 1 among the pool ops, in pool order; the ops' bits
-    and checks are dropped."""
+    V, T) with |V| >= 1 among the pool ops, in pool order, each on the
+    datum that `Scenario.validate_datum` builds; the ops' bits and checks
+    are dropped."""
     out = {}
     for name in workloads.WORKLOADS:
         for _stratum, _n, ops in workloads.pool(name):
@@ -110,8 +111,9 @@ def rubin_data():
                     datum = {k: spec[k] for k in ("field", "S", "V", "T")}
                     out.setdefault(workloads.op_key(datum),
                                    verify.Scenario(datum))
-    return [verify.RubinStarkData(scn.realization, scn.field, scn.S, scn.V,
-                                  scn.T) for scn in out.values()]
+    for scn in out.values():
+        scn.validate_datum()
+    return [verify.RubinStarkData(scn.datum) for scn in out.values()]
 
 
 def verdict_table(results):

@@ -23,8 +23,9 @@ from starklab.lfun import (AbelianFieldRealization, DirichletChar, LSpec,
                            UnresolvedOrderError, WrongOrderError,
                            _kronecker_table, _plan, bernoulli_value,
                            hurwitz_jet, l_jet, stickelberger_element,
-                           theoretical_order, validate_rubin_shape)
-from starklab.numfld import is_fundamental_discriminant, kronecker
+                           theoretical_order)
+from starklab.numfld import (QuadField, RubinDatum,
+                             is_fundamental_discriminant, kronecker)
 
 from cyclo_oracle import CycloField
 
@@ -668,15 +669,25 @@ def test_realizations():
 
 def test_rubin_shape_validation():
     R5 = AbelianFieldRealization.quadratic(5)
+
+    def datum(S, V, T):
+        return RubinDatum.of(R5, QuadField(5), "quad", S, V, T)
     with pytest.raises(InputError):
-        validate_rubin_shape(R5, [5], [], [3])          # no infinite place
+        datum([5], [], [3])                         # no infinite place
     with pytest.raises(InputError):
-        validate_rubin_shape(R5, ["inf"], [], [3])      # missing ramified
+        datum(["inf"], [], [3])                     # missing ramified
     with pytest.raises(InputError):
-        validate_rubin_shape(R5, ["inf", 5], ["inf", 5], [3])  # V not proper
+        datum(["inf", 5], ["inf", 5], [3])          # V not proper
     with pytest.raises(InputError):
-        validate_rubin_shape(R5, ["inf", 5, 2], [2], [3])  # 2 inert
-    validate_rubin_shape(R5, ["inf", 5], ["inf"], [3])
+        datum(["inf", 5, 2], [2], [3])              # 2 inert
+    assert datum(["inf", 5], ["inf"], [3]) == \
+        (R5, QuadField(5), "quad", ("inf", 5), ("inf",), (3,))
+
+
+def _theta(R, S, V, T):
+    """theta of the datum (S, V, T) over a field given by its realization
+    R alone."""
+    return stickelberger_element(RubinDatum.of(R, None, "generic", S, V, T))
 
 
 @pytest.mark.parametrize("discs", [[5, 5], [5, 20], [5, 8, 40],
@@ -690,23 +701,23 @@ def test_dependent_discriminants_are_rejected(discs):
 
 def test_stickelberger_exact_cases():
     R = AbelianFieldRealization.quadratic(-4)
-    th = stickelberger_element(R, ["inf", 2], [], [5])
+    th = _theta(R, ["inf", 2], [], [5])
     assert th == GroupRingElement(R.group, "rat", [Fraction(-1), Fraction(1)])
     assert sum(th.coeffs) == 0  # = zeta_{Q,S,T}(0), which vanishes
     R23 = AbelianFieldRealization.quadratic(-23)
-    th23 = stickelberger_element(R23, ["inf", 23], [], [3])
+    th23 = _theta(R23, ["inf", 23], [], [3])
     assert th23 == GroupRingElement(R23.group, "rat",
                                     [Fraction(-3), Fraction(3)])
 
 
 def test_stickelberger_first_order():
     R5 = AbelianFieldRealization.quadratic(5)
-    th = stickelberger_element(R5, ["inf", 5], ["inf"], [2])
+    th = _theta(R5, ["inf", 5], ["inf"], [2])
     log5, logeps = math.log(5), math.log((1 + math.sqrt(5)) / 2)
     assert _close(th.coeffs[0], (log5 / 2 + 3 * logeps) / 2, 1e-11)
     assert _close(th.coeffs[1], (log5 / 2 - 3 * logeps) / 2, 1e-11)
     with pytest.raises(InputError):
-        stickelberger_element(R5, ["inf", 5], [5], [3])
+        _theta(R5, ["inf", 5], [5], [3])
 
 
 def test_leading_terms_at_order_one_are_nonzero():
@@ -800,7 +811,7 @@ def test_first_order_scenario_needs_only_first_order_hurwitz_jets(
     assert calls == [(5, (1, 2, 3, 4)), (5, (2, 3))]
     calls.clear()
     R = AbelianFieldRealization.rationals()
-    th = stickelberger_element(R, ["inf", 2, 3], ["inf", 2], [5])
+    th = _theta(R, ["inf", 2, 3], ["inf", 2], [5])
     assert calls == [] and th.coeffs[0].is_nonzero()
 
 
@@ -1204,18 +1215,16 @@ def test_generic_stickelberger_elements_match_the_oracle(monkeypatch):
             continue
         S = ["inf"] + R.ramified_primes()
         T = [next(q for q in sympy.primerange(2, 50) if f % q)]
-        new = stickelberger_element(R, S, ["inf"], T)
+        new = _theta(R, S, ["inf"], T)
         with monkeypatch.context() as m:
             _use_oracle_sums(m)
-            old = stickelberger_element(_CosetRealization(f, kernel),
-                                        S, ["inf"], T)
+            old = _theta(_CosetRealization(f, kernel), S, ["inf"], T)
         assert new.ring == old.ring == "ball"
         assert [_endpoints(c) for c in new.coeffs] == \
             [_endpoints(c) for c in old.coeffs], (f, kernel)
         with monkeypatch.context() as m:
             _use_oracle_sums(m, all_classes=True)
-            every = stickelberger_element(_CosetRealization(f, kernel),
-                                          S, ["inf"], T)
+            every = _theta(_CosetRealization(f, kernel), S, ["inf"], T)
         assert all(map(_overlaps, new.coeffs, every.coeffs)), (f, kernel)
 
 
@@ -1273,7 +1282,7 @@ def test_generic_exact_stickelberger_elements_match_the_character_route():
     for R, oracle in fields:
         S = ["inf"] + R.ramified_primes()
         T = [next(q for q in sympy.primerange(2, 50) if R.modulus % q)]
-        assert stickelberger_element(R, S, [], T) == \
+        assert _theta(R, S, [], T) == \
             _theta_by_characters(oracle, S, T), R
 
 
@@ -1305,15 +1314,15 @@ def test_stickelberger_sum_is_the_character_route(data):
     ram = R.ramified_primes()
     S = ["inf"] + ram + [q for q in extra if q not in ram]
     T = [t for t in T if t not in ram]
-    assert stickelberger_element(R, S, [], T) == \
+    assert _theta(R, S, [], T) == \
         _theta_by_characters(R, S, T)
 
 
 def test_stickelberger_sum_examples():
     Q = AbelianFieldRealization.rationals()
-    assert stickelberger_element(Q, ["inf"], [], []).coeffs == \
+    assert _theta(Q, ["inf"], [], []).coeffs == \
         [Fraction(-1, 2)]                   # zeta(0)
-    assert stickelberger_element(Q, ["inf"], [], [3]).coeffs == \
+    assert _theta(Q, ["inf"], [], [3]).coeffs == \
         [Fraction(1)]                       # zeta(0) (1 - 3)
     # Q(zeta_5) at modulus 15, where 3 is unramified: the sum runs over
     # the units mod 5, a = 1, 2, 3, 4 lifted to the units 1, 2, 8, 4 mod
@@ -1330,15 +1339,15 @@ def test_stickelberger_sum_examples():
                  for a, lift in ((1, 1), (2, 2), (3, 8), (4, 4))),
                 GroupRingElement.zero(G, "rat"))
     assert sorted(theta.coeffs) == [Fraction(k, 10) for k in (-3, -1, 1, 3)]
-    assert stickelberger_element(R, ["inf", 5], [], []) == theta
-    assert stickelberger_element(R, ["inf", 3, 5], [], []) == \
+    assert _theta(R, ["inf", 5], [], []) == theta
+    assert _theta(R, ["inf", 3, 5], [], []) == \
         theta * (GroupRingElement.one(G, "rat") - sigma_inv(8))
     # every character of a real field is even: theta = 0
     for real in (AbelianFieldRealization.quadratic(5),
                  AbelianFieldRealization(13, [5]),
                  AbelianFieldRealization.multiquadratic([5, 8])):
         S = ["inf"] + real.ramified_primes()
-        assert stickelberger_element(real, S, [], [3]).is_zero()
+        assert _theta(real, S, [], [3]).is_zero()
 
 
 def test_theta_at_order_zero_reads_no_character(monkeypatch):
@@ -1359,9 +1368,8 @@ def test_theta_at_order_zero_reads_no_character(monkeypatch):
                  (AbelianFieldRealization(15, [11]), [2]),
                  (AbelianFieldRealization(63, [2]), [5]),
                  (AbelianFieldRealization.multiquadratic([-3, 5]), [7])):
-        stickelberger_element(R, ["inf"] + R.ramified_primes(), [], T)
+        _theta(R, ["inf"] + R.ramified_primes(), [], T)
     assert calls == []
     # the first-order element reads each character through `dirichlet`
-    stickelberger_element(AbelianFieldRealization.quadratic(5), ["inf", 5],
-                          ["inf"], [3])
+    _theta(AbelianFieldRealization.quadratic(5), ["inf", 5], ["inf"], [3])
     assert calls == ["dirichlet", "dirichlet"]

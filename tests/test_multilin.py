@@ -310,10 +310,9 @@ def test_the_dual_basis_of_every_pool_t_lattice_spans_the_hom_kernel():
     # tuples of a vacuous datum's zero pairings rest on it
     import pool_digest
     from starklab.ball import working_precision
-    from starklab.numfld import QuadField
     built = 0
     for data in pool_digest.rubin_data():
-        if not (data.field == "Q" or isinstance(data.field, QuadField)):
+        if data.datum.kind not in ("Q", "quad"):
             continue
         with working_precision(128):
             M = data.t_glattice()

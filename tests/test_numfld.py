@@ -19,9 +19,10 @@ from starklab.hnf import IntLattice, diagonalize_relations, \
     identity_matrix, kernel, mat_mul
 from starklab.lfun import DirichletChar, bernoulli_value
 from starklab.numfld import (ClassGroup, DatumError, QuadElt, QuadField,
-                             QuadIdeal, ResidueSystem, SUnitLattice,
-                             class_number, compose_abc, form_cycle,
-                             fundamental_discriminant, fundamental_unit,
+                             QuadIdeal, ResidueSystem, RubinDatum,
+                             SUnitLattice, class_number, compose_abc,
+                             form_cycle, fundamental_discriminant,
+                             fundamental_unit,
                              is_fundamental_discriminant, kronecker,
                              log_abs_at_place, ord_at_place, places_over,
                              ray_class, reduce_form, reduced_forms,
@@ -29,7 +30,20 @@ from starklab.numfld import (ClassGroup, DatumError, QuadElt, QuadField,
                              _is_reduced_indef, _is_reduced_neg,
                              _module_from_relations, _principal_generator,
                              _principal_relations, _s_class_number)
+from starklab.verify import Scenario, field_of
 from starklab.zideal import annihilator
+
+SPEC_Q, SPEC_Q5 = {"type": "Q"}, {"type": "quad", "disc": 5}
+
+
+def _on_datum(call, spec):
+    """call(field, S, T) on the datum of S and T, with V empty, over the
+    field of the scenario `field` object `spec`: the way places reach
+    s_unit_lattice and ray_class, which read them as they are."""
+    def run(S, T):
+        datum = RubinDatum.of(*field_of(spec), S, [], T)
+        return call(datum.field, datum.S, datum.T)
+    return run
 
 
 def omega(F):
@@ -276,12 +290,14 @@ def test_s_unit_lattices():
     L = s_unit_lattice("Q", ["inf", 2], [5])
     assert L.rank == 1 and L.gens == [Fraction(2)]
     assert L.t_sublattice.index() == 2
-    with pytest.raises(DatumError):
-        s_unit_lattice("Q", ["inf"], [])
-    with pytest.raises(DatumError):
-        s_unit_lattice(QuadField(5), ["inf", 5], [2])  # (H3): -1 = 1 mod 2
-    with pytest.raises(DatumError):
-        s_unit_lattice(QuadField(5), ["inf"], [3])     # missing ramified 5
+    # the datum checks S and T, once, and the lattice reads them: (H3) in
+    # Scenario.validate_datum, and the shape in RubinDatum.of
+    for spec, S, T in ((SPEC_Q, ["inf"], []),
+                       (SPEC_Q5, ["inf", 5], [2])):  # (H3): -1 = 1 mod 2
+        with pytest.raises(DatumError):
+            Scenario({"field": spec, "S": S, "T": T}).validate_datum()
+    with pytest.raises(InputError, match="ramified primes"):  # 5 missing
+        _on_datum(s_unit_lattice, SPEC_Q5)(["inf"], [3])
     L5 = s_unit_lattice(QuadField(5), ["inf", 5], [3])
     assert L5.rank == 2 and L5.t_sublattice.index() == 4
     assert mat_mul(L5.sigma_matrix, L5.sigma_matrix) == identity_matrix(2)
@@ -1089,12 +1105,13 @@ def test_ray_class_without_t_is_cl_s_with_sigma_as_minus_one(D, extra):
 
 @pytest.mark.parametrize("call", [ray_class, s_unit_lattice],
                          ids=["ray_class", "s_unit_lattice"])
-@pytest.mark.parametrize("field, S, T", [("Q", [2], [5]),
-                                         (QuadField(5), [5], [3])],
+@pytest.mark.parametrize("spec, S, T", [(SPEC_Q, [2], [5]),
+                                       (SPEC_Q5, [5], [3])],
                          ids=["Q", "Q(sqrt5)"])
-def test_s_without_the_infinite_place_is_a_datum_error(call, field, S, T):
-    with pytest.raises(DatumError, match="infinite place"):
-        call(field, S, T)
+def test_s_without_the_infinite_place_is_a_datum_error(call, spec, S, T):
+    # the datum refuses S, before the lattice or the ray class is built
+    with pytest.raises(InputError, match="infinite place"):
+        _on_datum(call, spec)(S, T)
 
 
 def test_ray_class_with_large_residue_group_is_quick():
@@ -1112,9 +1129,9 @@ def _bernoulli_value(S, T):
 
 # (call, S, T): each call succeeds on these places
 PLACE_PARSERS = [
-    (lambda S, T: s_unit_lattice("Q", S, T), ["inf", 5], [3]),
-    (lambda S, T: s_unit_lattice(QuadField(5), S, T), ["inf", 5], [3]),
-    (lambda S, T: ray_class(QuadField(5), S, T), ["inf", 5], [3]),
+    (_on_datum(s_unit_lattice, SPEC_Q), ["inf", 5], [3]),
+    (_on_datum(s_unit_lattice, SPEC_Q5), ["inf", 5], [3]),
+    (_on_datum(ray_class, SPEC_Q5), ["inf", 5], [3]),
     (_bernoulli_value, ["inf", 2], [3]),
 ]
 
@@ -1132,12 +1149,13 @@ def test_places_that_are_not_primes_are_an_input_error(call, S, T, in_s,
 
 
 def test_a_repeated_place_counts_once():
-    F = QuadField(5)
-    L = s_unit_lattice(F, ["inf", 5, 11], [3])
-    assert s_unit_lattice(F, ["inf", 11, 5, "oo", 11], [3, 3]).valuations \
+    lattice = _on_datum(s_unit_lattice, SPEC_Q5)
+    ray = _on_datum(ray_class, SPEC_Q5)
+    L = lattice(["inf", 5, 11], [3])
+    assert lattice(["inf", 11, 5, "oo", 11], [3, 3]).valuations \
         == L.valuations
-    assert ray_class(F, ["inf", 5, 5, 11], [3, 3]).orders \
-        == ray_class(F, ["inf", 5, 11], [3]).orders
+    assert ray(["inf", 5, 5, 11], [3, 3]).orders \
+        == ray(["inf", 5, 11], [3]).orders
     assert _bernoulli_value(["inf", 2, 2], [3, 3]) \
         == _bernoulli_value(["inf", 2], [3])
 

@@ -2,8 +2,9 @@
 `__init__` exports exactly what it imports, every function is used
 somewhere in the package or is a reference that tests call, every memo is
 a `functools.lru_cache`, not a dict kept by hand, `verify` names each check
-once and turns exceptions into verdicts in one place, and only the ball
-kernel imports mpmath."""
+once and turns exceptions into verdicts in one place, a Rubin datum is
+normalised and checked in one place, and only the ball kernel imports
+mpmath."""
 
 import ast
 import pathlib
@@ -310,3 +311,48 @@ def test_only_the_ball_kernel_imports_mpmath():
         or isinstance(n, ast.ImportFrom) and n.level == 0
         and n.module.split(".")[0] == "mpmath")
     assert set(importers) == {"ball"}
+
+
+def _references(node):
+    """The names that `node`'s own code reads, as a plain name or an
+    attribute, leaving out the functions and classes defined in it."""
+    stack = list(ast.iter_child_nodes(node))
+    while stack:
+        n = stack.pop()
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef,
+                          ast.ClassDef)):
+            continue
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        stack.extend(ast.iter_child_nodes(n))
+
+
+def _readers(name):
+    """The qualified names of the package's functions whose own code reads
+    `name`, and of the modules whose top-level code does."""
+    out = set()
+    for module, tree in _trees().items():
+        if name in set(_references(tree)):
+            out.add(module)
+        for qual, node, _kind in _functions(tree, module + "."):
+            if name in set(_references(node)):
+                out.add(qual)
+    return sorted(out)
+
+
+def test_a_rubin_datum_is_normalised_and_checked_in_one_place():
+    # (H3) is checked once per datum, where the scenario builds it; S, V
+    # and T are normalised by the datum's constructor, and otherwise only
+    # by the entry points that take no Rubin datum: an L-series request,
+    # an order-0 L-value and the command line
+    assert _readers("_check_torsion_killed") == \
+        ["verify.Scenario.validate_datum"]
+    assert _readers("_normalize_places") == \
+        ["cli._dispatch", "lfun.LSpec.__init__", "lfun.bernoulli_value",
+         "numfld.RubinDatum.of"]
+    # the place normaliser reads its primes through the prime normaliser
+    assert _readers("_normalize_primes") == \
+        ["lfun.LSpec.__init__", "lfun.bernoulli_value",
+         "numfld.RubinDatum.of", "numfld._normalize_places"]

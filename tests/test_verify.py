@@ -586,7 +586,8 @@ def test_s_p_is_the_p_rank_of_the_ray_class_of_q(S, T, p):
     # module that ray_class builds from the same presentation
     from starklab.numfld import ray_class
     from starklab.verify import _q_ray_p_rank
-    S, T = ["inf"] + S, [q for q in T if q not in S]
+    # S and T in a datum's normal form, which both read as given
+    S, T = ["inf"] + sorted(S), sorted(q for q in T if q not in S)
     assert _q_ray_p_rank(S, T, p) == sum(
         d % p == 0 for d in ray_class("Q", S, T).orders), (S, T, p)
 
@@ -709,6 +710,40 @@ def test_places_that_are_not_primes_are_a_datum_error(field, S, T):
     assert "must be primes" in cert["datum_error"]
 
 
+# (field, S, V, T, datum error): one rule of the datum a row, in the order
+# the datum checks them, with the certificate's message in full
+DATUM_ERRORS = [
+    ({"type": "Q"}, [5], [], [3], "(H1) fails: S omits the infinite place"),
+    ({"type": "quad", "disc": 5}, ["inf"], [], [3],
+     "(H1) fails: S omits ramified primes [5]"),
+    ({"type": "Q"}, ["inf", 3], [], [3], "S and T must be disjoint"),
+    ({"type": "quad", "disc": 5}, ["inf", 5], ["inf", 5], [3],
+     "(H2) fails: V must be a proper subset of S"),
+    ({"type": "quad", "disc": 5}, ["inf", 2, 5], [2], [3],
+     "(H2) fails: 2 does not split completely"),
+    ({"type": "quad", "disc": -23}, ["inf", 23], [], [],
+     "T empty: torsion units survive"),
+    ({"type": "Q"}, ["inf", 3], [], [2],
+     "(H3) fails: -1 = 1 at every place above T=[2]"),
+    ({"type": "quad", "disc": 5}, ["inf", 5], ["inf"], [2],
+     "(H3) fails: QuadElt(-1 + 0*sqrt(5)) = 1 at every place above T=[2]"),
+    # a compositum takes the rule of Q: its torsion is +-1
+    ({"type": "multiquad", "discs": [5, 13]}, ["inf", 5, 13], ["inf"], [2],
+     "(H3) fails: -1 = 1 at every place above T=[2]"),
+]
+
+
+@pytest.mark.parametrize("field,S,V,T,message", DATUM_ERRORS,
+                         ids=["no-inf", "ramified-missing", "S-meets-T",
+                              "V-not-proper", "V-not-split", "quad-T-empty",
+                              "H3-Q", "H3-Q(sqrt5)", "H3-multiquad"])
+def test_each_datum_error_keeps_its_message(field, S, V, T, message):
+    cert = run_scenario(Scenario({"field": field, "S": S, "V": V, "T": T,
+                                  "checks": RUBIN_CHECKS}))
+    assert cert["exit_code"] == 2 and cert["results"] == []
+    assert cert["datum_error"] == message
+
+
 def test_rank_two_over_q_solves_the_full_wedge(monkeypatch):
     # V = {inf, 2} in S = {inf, 2, 3}: theta, the leading term of the
     # S-truncated zeta function at its double zero, is not 0, and epsilon
@@ -726,7 +761,7 @@ def test_rank_two_over_q_solves_the_full_wedge(monkeypatch):
     assert [e["verdict"] for e in cert["results"]] == \
         ["pass", "pass", "pass", "pass", "unsupported"]
     assert solved == [2]
-    data = RubinStarkData(scn.realization, scn.field, scn.S, scn.V, scn.T)
+    data = RubinStarkData(scn.datum)
     assert not data.theta().is_zero()
     assert list(data.epsilon().coeffs) == [(0, 1)]
 
@@ -766,13 +801,14 @@ def test_theta_vanishes_exactly_when_every_order_exceeds_v():
     from starklab.lfun import theoretical_order
     counts = {}
     for data in pool_digest.rubin_data():
-        real = data.realization
+        datum = data.datum
+        real = datum.realization
         vacuous = all(
-            theoretical_order(real.dirichlet(chi).inverse(), data.S)
-            > len(data.V) for chi in real.group.all_characters())
+            theoretical_order(real.dirichlet(chi).inverse(), datum.S)
+            > len(datum.V) for chi in real.group.all_characters())
         with working_precision(128):
-            assert data.theta().is_zero() == vacuous, (data.S, data.V)
-        key = (type(data.field).__name__, vacuous)
+            assert data.theta().is_zero() == vacuous, (datum.S, datum.V)
+        key = (type(datum.field).__name__, vacuous)
         counts[key] = counts.get(key, 0) + 1
     assert counts == {("str", True): 7, ("str", False): 4,
                       ("QuadField", True): 26, ("QuadField", False): 17,
@@ -790,7 +826,7 @@ def test_a_vacuous_datum_pairs_to_zeros_without_the_galois_action(
     from starklab import multilin, numfld
     vacuous = 0
     for data in pool_digest.rubin_data():
-        if not (data.field == "Q" or isinstance(data.field, QuadField)):
+        if data.datum.kind not in ("Q", "quad"):
             continue
         with working_precision(128):
             if not data.theta().is_zero():
@@ -818,13 +854,10 @@ def test_a_vacuous_compositum_is_still_out_of_scope(monkeypatch):
     # V = {inf}: chi_D(q) = 1 at a q of S off D splits q in Q(sqrt D), and
     # q then has two places.  So theta is made 0 here, and the shortcut
     # still reads the T-lattice's HNF, where the compositum is unsupported
-    from starklab import biquad, grpring, verify
+    from starklab import grpring, verify
     monkeypatch.setattr(verify, "stickelberger_element",
-                        lambda real, S, V, T:
-                        grpring.GroupRingElement.zero(real.group, "rat"))
-    counts = {}
-    _count_calls(monkeypatch, biquad.BiquadSUnitLattice, "sigma_matrices",
-                 counts)
+                        lambda datum: grpring.GroupRingElement.zero(
+                            datum.realization.group, "rat"))
     cert = run_scenario(Scenario({
         "field": {"type": "multiquad", "discs": [5, 13]},
         "S": ["inf", 5, 13], "V": ["inf"], "T": [3],
@@ -833,7 +866,6 @@ def test_a_vacuous_compositum_is_still_out_of_scope(monkeypatch):
     assert entry["verdict"] == "unsupported"
     assert entry["reason"] == \
         "T-unit lattices of composita are out of desk scope"
-    assert counts == {}
 
 
 NORM_IDENTITY_GATES = """
@@ -968,7 +1000,7 @@ def test_place_module_fitting_equals_the_minors_of_a_presentation(D, extra):
         field, group = QuadField(D), CYCLIC2
         ramified = field.ramified_primes()
     S = ["inf"] + sorted(set(ramified) | extra)
-    lattice = s_unit_lattice(field, S, [], enforce_h3=False)
+    lattice = s_unit_lattice(field, S, [])
     pres = glattice_presentation(x_glattice(lattice, group))
     for r in range(4):
         assert place_module_fitting(lattice, group, r) == \
@@ -976,7 +1008,7 @@ def test_place_module_fitting_equals_the_minors_of_a_presentation(D, extra):
 
 
 def test_place_module_fitting_needs_g_trivial_or_of_prime_order():
-    lattice = s_unit_lattice("Q", ["inf"], [], enforce_h3=False)
+    lattice = s_unit_lattice("Q", ["inf"], [])
     with pytest.raises(UnsupportedCaseError):
         place_module_fitting(lattice, AbelianGroup((2, 2)), 0)
 
@@ -1043,8 +1075,7 @@ def _im_epsilon(D, S, V, T):
     scn = Scenario({"field": field, "S": S, "V": V, "T": T})
     scn.validate_datum()
     with working_precision(128):
-        return RubinStarkData(scn.realization, scn.field, scn.S, scn.V,
-                              scn.T).im_lattice(), scn.realization
+        return RubinStarkData(scn.datum).im_lattice(), scn.realization
 
 
 def _euler_ideal(realization, q, x):
