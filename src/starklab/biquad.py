@@ -1,7 +1,7 @@
-"""Real biquadratic composita assembled from their three quadratic
-subfields: exact quartic arithmetic on the basis (1, sqrt m1, sqrt m2,
-sqrt m3), compositum places, and an S-unit lattice generated by subfield
-S-units with exactly verified multiplicative relations.
+"""Real biquadratic composita K = k1 k2 k3 read through their three
+quadratic subfields: compositum places, and an S-unit lattice generated by
+the subfields' S-units, whose relations are certified exactly by their
+norms to the subfields and whose logs are read off the subfields' places.
 
 Saturation inside the full unit group is not attempted (out of desk scope);
 the lattice is the subgroup the subfields generate, which is all the
@@ -11,26 +11,20 @@ norm-decomposition identity needs, and its saturation index is unknown.
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
 
 from . import hnf
-from .ball import (Ball, CertificationError, ball_log, ball_log_int,
-                   ball_sqrt, gauss_solve, precision, working_precision)
-from .grpring import AbelianGroup, InputError
-from .numfld import (QuadField, ord_at_place, places_over, s_unit_lattice,
-                     squarefree_part)
+from .ball import (CertificationError, ball_combination, ball_log_int,
+                   gauss_solve, precision, working_precision)
+from .grpring import InputError
+from .numfld import (QuadField, fundamental_discriminant, kronecker,
+                     log_abs_at_place, ord_at_place, places_over,
+                     s_unit_lattice, squarefree_part)
 from .zideal import UnsupportedCaseError
 
 
-def _sqrt_exact(n):
-    r = isqrt(n)
-    if r * r != n:
-        raise CertificationError(f"{n} is not a square")
-    return r
-
-
 class BiquadField:
-    """Q(sqrt m1, sqrt m2) with the convention sqrt(m3) = sqrt m1 sqrt m2 / s."""
+    """Q(sqrt m1, sqrt m2) and its three quadratic subfields k1, k2, k3,
+    k3 = Q(sqrt m3) for m3 the squarefree part of m1 m2."""
 
     @lru_cache(maxsize=None)
     def __new__(cls, D1, D2):
@@ -40,29 +34,13 @@ class BiquadField:
         m3 = squarefree_part(m1 * m2)
         if m3 == 1:
             raise InputError("the two discriminants generate the same field")
-        from .numfld import fundamental_discriminant
         D3 = fundamental_discriminant(m3)
         k3 = QuadField(D3)
         inst.subfields = [k1, k2, k3]
         inst.ms = [m1, m2, m3]
         inst.discs = [D1, D2, D3]
         inst.is_real = all(m > 0 for m in inst.ms)
-        # sqrt(mi) sqrt(mj) = s_ij sqrt(mk)
-        inst.s12 = _sqrt_exact(m1 * m2 // m3)
-        inst.s13 = _sqrt_exact(m1 * m3 // m2)
-        inst.s23 = _sqrt_exact(m2 * m3 // m1)
-        inst.group = AbelianGroup((2, 2))
         return inst
-
-    def element(self, a0=0, a1=0, a2=0, a3=0):
-        return BiquadElt(self, Fraction(a0), Fraction(a1), Fraction(a2),
-                         Fraction(a3))
-
-    def from_subfield(self, idx, x):
-        """Embed a QuadElt of the idx-th subfield."""
-        coords = [Fraction(x.a), 0, 0, 0]
-        coords[idx + 1] = Fraction(x.b)
-        return BiquadElt(self, *coords)
 
     def signs_of(self, element):
         """The action signs (s1, s2, s3) of the group element (e1, e2)."""
@@ -73,81 +51,6 @@ class BiquadField:
 
     def __repr__(self):
         return f"BiquadField(sqrt {self.ms[0]}, sqrt {self.ms[1]})"
-
-
-class BiquadElt:
-    __slots__ = ("field", "c")
-
-    def __init__(self, field, a0, a1, a2, a3):
-        self.field = field
-        self.c = (Fraction(a0), Fraction(a1), Fraction(a2), Fraction(a3))
-
-    def __add__(self, other):
-        return BiquadElt(self.field, *(x + y for x, y in zip(self.c, other.c)))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return BiquadElt(self.field, *(x * other for x in self.c))
-        f = self.field
-        a, b = self.c, other.c
-        m1, m2, m3 = f.ms
-        s12, s13, s23 = f.s12, f.s13, f.s23
-        out0 = a[0]*b[0] + m1*a[1]*b[1] + m2*a[2]*b[2] + m3*a[3]*b[3]
-        out1 = a[0]*b[1] + a[1]*b[0] + s23*(a[2]*b[3] + a[3]*b[2])
-        out2 = a[0]*b[2] + a[2]*b[0] + s13*(a[1]*b[3] + a[3]*b[1])
-        out3 = a[0]*b[3] + a[3]*b[0] + s12*(a[1]*b[2] + a[2]*b[1])
-        return BiquadElt(f, out0, out1, out2, out3)
-
-    __rmul__ = __mul__
-
-    def galois(self, element):
-        s = self.field.signs_of(element)
-        return BiquadElt(self.field, self.c[0], s[0]*self.c[1],
-                         s[1]*self.c[2], s[2]*self.c[3])
-
-    def inverse(self):
-        # multiply by the three conjugates over the rational norm
-        f = self.field
-        conjs = [self.galois(el) for el in f.group.elements
-                 if el != (0, 0)]
-        prod = conjs[0] * conjs[1] * conjs[2]
-        n = (self * prod).c
-        if n[1] or n[2] or n[3]:
-            raise CertificationError(f"norm of {self} is not rational")
-        if n[0] == 0:
-            raise ZeroDivisionError
-        return prod * (1 / n[0])
-
-    def __pow__(self, k):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = self.field.element(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, BiquadElt) and self.c == other.c \
-            and self.field is other.field
-
-    def is_pm_one(self):
-        return self.c in ((1, 0, 0, 0), (-1, 0, 0, 0))
-
-    def embedding_ball(self, signs):
-        f = self.field
-        out = Ball(self.c[0])
-        for i in range(3):
-            if self.c[i + 1]:
-                out = out + Ball(self.c[i + 1]) * signs[i] \
-                    * ball_sqrt(Ball(f.ms[i]))
-        return out
-
-    def __repr__(self):
-        return f"BiquadElt{self.c}"
 
 
 class BiquadPlace:
@@ -183,15 +86,12 @@ def biquad_places(field, v):
     if v == "inf":
         if not field.is_real:
             raise UnsupportedCaseError("complex composita not supported")
-        out = []
-        for s1, s2 in itertools.product((1, -1), repeat=2):
-            out.append(BiquadPlace(field, "real", signs=(s1, s2, s1 * s2),
-                                   label=f"inf{'+' if s1>0 else '-'}"
-                                         f"{'+' if s2>0 else '-'}"))
-        return out
+        return [BiquadPlace(field, "real", signs=(s1, s2, s1 * s2),
+                            label=f"inf{'+' if s1>0 else '-'}"
+                                  f"{'+' if s2>0 else '-'}")
+                for s1, s2 in itertools.product((1, -1), repeat=2)]
     q = int(v)
     # character-theoretic splitting data: the three quadratic characters
-    from .numfld import kronecker
     values = [kronecker(D, q) for D in field.discs]
     n_unram = 1 + sum(1 for vl in values if vl != 0)
     e = 4 // n_unram
@@ -201,17 +101,24 @@ def biquad_places(field, v):
         raise UnsupportedCaseError(
             f"{q} has {g} places in the compositum; only single-place "
             "primes are supported at desk scale")
-    e_sub = []
-    for idx, k in enumerate(field.subfields):
-        e_k = 2 if values[idx] == 0 else 1
-        e_sub.append(e // e_k)
+    # ramification over each subfield: over Q less that of the subfield
+    e_sub = [e // 2 if vl == 0 else e for vl in values]
     return [BiquadPlace(field, "finite", q=q, e=e, f=f_ord, e_sub=e_sub,
                         label=f"{q}")]
 
 
 class BiquadSUnitLattice:
-    """S-unit sublattice of a real biquadratic compositum generated by the
-    three subfields' S-units, with exact relations.
+    """S-unit sublattice of a real biquadratic compositum K generated by
+    the S-units of its three quadratic subfields k1, k2, k3, and read
+    through them alone.
+
+    The pool is the subfield lattices' generators, each an element of its
+    own subfield.  A relation among them is found through unit coordinates
+    in (1/8)Z and certified exactly by its norms to the subfields
+    (`_norms_to_subfields`).  The log of a pool product at a real place w
+    of K is the same integer combination of the generators' logs at the
+    real places of their subfields below w, taken once, when the lattice
+    is built.
 
     It offers the place interface of numfld.SUnitLattice (place_indices,
     place_permutation, log_matrix).  Its saturation index is not known,
@@ -237,14 +144,9 @@ class BiquadSUnitLattice:
         sub_lattices = [s_unit_lattice(k, S, ()) for k in field.subfields]
         self.sub_lattices = sub_lattices
         fin = [w for w in self.places if w.kind == "finite"]
-        # generator pool: (subfield index, element)
-        pool = []
-        self.pool_owner = []
-        for idx, sl in enumerate(sub_lattices):
-            for g in sl.gens:
-                pool.append(field.from_subfield(idx, g))
-                self.pool_owner.append((idx, g))
-        self.pool = pool
+        # generator pool: (subfield index, element of that subfield)
+        self.pool_owner = [(idx, g) for idx, sl in enumerate(sub_lattices)
+                           for g in sl.gens]
         # valuations of pool elements at the compositum places
         val_rows = []
         for (idx, g) in self.pool_owner:
@@ -262,9 +164,8 @@ class BiquadSUnitLattice:
         # relation lattice: kernel vectors whose product is exactly +-1,
         # discovered through unit coordinates and verified exactly
         ker = hnf.kernel(val_rows, ambient_dim=len(fin))
-        unit_idx = [i for i, (idx, g) in enumerate(self.pool_owner)
-                    if all(v == 0 for v in val_rows[i])]
-        eps_idx = unit_idx  # the three fundamental units
+        # the three fundamental units
+        eps_idx = [i for i, row in enumerate(val_rows) if not any(row)]
         if len(eps_idx) != 3:
             raise CertificationError(
                 f"{len(eps_idx)} units among the subfield generators, not 3")
@@ -272,25 +173,32 @@ class BiquadSUnitLattice:
         # denominator dividing 8 (the classical bound on the unit index of
         # the subfield-unit subgroup in a real biquadratic field)
         with working_precision(precision() + 64):
-            eps_logs = self._unit_log_matrix(eps_idx)
+            # log|g|_w at a real place w of K, for g in k_i, is log|g| at
+            # the real place of k_i below w: the first when w sends sqrt m_i
+            # to the positive root, else its conjugate
+            below = [places_over(k, "inf") for k in field.subfields]
+            self._real_logs = {
+                j: [log_abs_at_place(g, below[i][self.places[j].signs[i] < 0])
+                    for i, g in self.pool_owner]
+                for j in self.place_ranges["inf"]}
+            arch = self.place_ranges["inf"][:3]
+            eps_logs = [[self._real_logs[j][i] for j in arch]
+                        for i in eps_idx]
             coord_rows = [self._express_unit_combination(c, eps_logs)
                           for c in ker]
         scaled = [[int(d * 8) for d in row] for row in coord_rows]
         rel_rows = []
         for y in hnf.kernel(scaled, ambient_dim=3):
-            row = [0] * len(pool)
-            for yj, c in zip(y, ker):
-                if yj:
-                    for i, ci in enumerate(c):
-                        row[i] += yj * ci
-            u = self._pool_product(row)
-            if not u.is_pm_one():
+            row = [sum(yj * c[i] for yj, c in zip(y, ker))
+                   for i in range(len(self.pool_owner))]
+            norms = self._norms_to_subfields(row)
+            if any(n != 1 for n in norms):
                 raise CertificationError(
-                    f"relation {row} of the subfield generators is {u}, "
-                    "not +-1")
+                    f"relation {row} of the subfield generators is, by its "
+                    f"norms {norms} to k1, k2, k3, not +-1")
             rel_rows.append(row)
         factors, self._V, self._basis_pool_rows = \
-            hnf.diagonalize_relations(rel_rows, len(pool))
+            hnf.diagonalize_relations(rel_rows, len(self.pool_owner))
         if any(factors):
             raise CertificationError(
                 f"relation lattice has invariant factors {factors}, not 0")
@@ -299,36 +207,36 @@ class BiquadSUnitLattice:
             raise CertificationError(
                 f"S-unit rank {self.rank}, expected |S_K| - 1 = "
                 f"{len(self.places) - 1}")
-        # basis elements as exact products of the pool
-        self.basis_elements = [self._pool_product(row)
-                               for row in self._basis_pool_rows]
-        self._offsets = []
-        off = 0
-        for sl in sub_lattices:
-            self._offsets.append(off)
-            off += len(sl.gens)
 
-    def _pool_product(self, exponents):
-        out = self.field.element(1)
-        for g, e in zip(self.pool, exponents):
-            if e:
-                out = out * (g ** e)
-        return out
+    def _norms_to_subfields(self, exponents):
+        """[N_{K/k_i}(x) for i = 1, 2, 3], exactly, for x the pool product
+        prod pool^exponents.
 
-    def _unit_log_matrix(self, eps_idx):
-        rows = []
-        arch = [w for w in self.places if w.kind == "real"][:3]
-        for i in eps_idx:
-            rows.append([ball_log(abs(self.pool[i].embedding_ball(w.signs)))
-                         for w in arch])
-        return rows
+        N_{K/k_i}(x) is x times its image under the automorphism of K that
+        fixes k_i, which conjugates the other two subfields: so a generator
+        g of k_i has norm g^2, one of another subfield k_j the rational
+        N_{k_j/Q}(g), and each norm is one product in k_i.
+
+        They are all 1 exactly when x = +-1.  The product of the three norms
+        is x^2 N_{K/Q}(x) (Kubota, Nagoya Math. J. 10 (1956)), and
+        N_{K/Q}(x) = N_{k_i/Q}(N_{K/k_i}(x)).  So if all three are 1, then
+        N_{K/Q}(x) = 1, x^2 = 1 and x = +-1; if x = +-1, each is (+-1)^2 = 1.
+        """
+        norms = []
+        for i, k in enumerate(self.field.subfields):
+            x = k.element(1)
+            for (j, g), e in zip(self.pool_owner, exponents):
+                if e:
+                    x = x * (g ** (2 * e) if j == i else g.norm() ** e)
+            norms.append(x)
+        return norms
 
     def _express_unit_combination(self, c, eps_logs):
         """Rational exponents d (denominator | 8) with
         prod pool^c = +- prod eps^d in log coordinates, certified."""
-        u = self._pool_product(c)
-        arch = [w for w in self.places if w.kind == "real"][:3]
-        logs_u = [ball_log(abs(u.embedding_ball(w.signs))) for w in arch]
+        arch = self.place_ranges["inf"][:3]
+        logs_u = [ball_combination(c, self._real_logs[j], 1, (0, 1))
+                  for j in arch]
         A = [[eps_logs[i][k] for i in range(3)] for k in range(3)]
         out = []
         for s in gauss_solve(A, logs_u):
@@ -339,15 +247,11 @@ class BiquadSUnitLattice:
             out.append(Fraction(n, 8))
         return out
 
-    def pool_coords_to_basis(self, coords):
-        """Image of a pool-exponent vector in basis coordinates."""
-        return [sum(c * row[j] for c, row in zip(coords, self._V))
-                for j in range(self.rank)]
-
     def subfield_generator_coords(self, sub_idx, gen_idx):
-        coords = [0] * len(self.pool)
-        coords[self._offsets[sub_idx] + gen_idx] = 1
-        return self.pool_coords_to_basis(coords)
+        """Basis coordinates of the gen_idx-th generator of subfield
+        sub_idx: its pool row of the Smith transform."""
+        offset = sum(len(sl.gens) for sl in self.sub_lattices[:sub_idx])
+        return list(self._V[offset + gen_idx])
 
     def place_indices(self, v):
         """Indices in `places` of the places above the rational place v,
@@ -372,23 +276,26 @@ class BiquadSUnitLattice:
             "T-unit lattices of composita are out of desk scope")
 
     def log_matrix(self):
+        """Rows: basis elements; columns: places; entries -log|h|_w
+        (balls), the real ones combined from the pool's logs and rounded
+        once, each row certified against the product formula."""
         out = []
         fin = [w for w in self.places if w.kind == "finite"]
-        for h, hcoords in zip(self.basis_elements, self._basis_pool_rows):
+        for b, hcoords in enumerate(self._basis_pool_rows):
             row = []
-            for w in self.places:
+            for j, w in enumerate(self.places):
                 if w.kind == "real":
-                    row.append(-ball_log(abs(h.embedding_ball(w.signs))))
+                    row.append(ball_combination([-c for c in hcoords],
+                                                self._real_logs[j], 1, (0, 1)))
                 else:
                     # -log|h|_w = ord_w(h) * log(Nw)
                     o = self._basis_ord(hcoords, w, fin)
                     row.append(ball_log_int(w.nw()) * o)
-            tot = row[0]
-            for e in row[1:]:
-                tot = tot + e
+            tot = sum(row[1:], start=row[0])
             if not tot.contains_zero():
                 raise CertificationError(
-                    f"product formula violated: the logs of {h} sum to {tot}")
+                    f"product formula violated: the logs of basis element "
+                    f"{b} sum to {tot}")
             out.append(row)
         return out
 

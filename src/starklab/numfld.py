@@ -1388,7 +1388,8 @@ def ray_class(field, S, T, lattice=None):
 
     Generators: for a quadratic field the class primes l_1..l_r and their
     conjugates, then the leaders of the residue system R_T at T; over Q
-    the leaders alone, with the relations of `q_ray_relations`.
+    the leaders alone, with R_T's relations and the lattice's unit rows,
+    the dlogs of the finite S-places and of -1.
 
     Relations: the (S, T)-unit lattice holds the Hermite basis of the v
     with prod ideals^v = (gamma) principal over the l_i, their conjugates
@@ -1404,23 +1405,22 @@ def ray_class(field, S, T, lattice=None):
     Action: the nontrivial automorphism swaps l_i and its conjugate, and
     acts on each leader through its residue (`ResidueSystem.galois_act`).
 
-    For a quadratic field the order is checked against |Cl_{K,S,T}| =
-    h_S * |R_T / im(units)|, with h_S from the classes of the S-places
-    alone (CertificationError if it fails), and the relations come from
-    `lattice`, when the caller already holds `s_unit_lattice(field, S, T)`
-    (InputError if it is another's), else from one built here.  S and T
-    are a `RubinDatum`'s, read as given.
+    The relations come from `lattice`, when the caller already holds
+    `s_unit_lattice(field, S, T)` (InputError if it is another's), else
+    from one built here.  For a quadratic field the order is checked
+    against |Cl_{K,S,T}| = h_S * |R_T / im(units)|, with h_S from the
+    classes of the S-places alone (CertificationError if it fails).  S and
+    T are a `RubinDatum`'s, read as given.
     """
-    if field == "Q":
-        return _module_from_relations(AbelianGroup(()),
-                                      *q_ray_relations(S, T), [])
-
     sl = lattice if lattice is not None else s_unit_lattice(field, S, T)
     if (sl.field, sl.S, sl.T) != (field, S, T):
         raise InputError(f"lattice is for S={sl.S}, T={sl.T}, "
                          f"not S={S}, T={T}")
     residues = sl.residues
     s_len = len(residues.leaders) if residues else 0
+    unit_rows = residues.relation_rows + sl.unit_dlogs if residues else []
+    if field == "Q":
+        return _module_from_relations(AbelianGroup(()), s_len, unit_rows, [])
     n = 2 * len(sl.class_primes)
     eye = hnf.identity_matrix(n)
 
@@ -1433,9 +1433,7 @@ def ray_class(field, S, T, lattice=None):
     # entries dropped
     rel_rows = [v[:n] + [-c for c in rt_dlog(gamma)]
                 for v, gamma in sl.relations if any(v[:n])]
-    if residues:
-        rel_rows += [[0] * n + rr
-                     for rr in residues.relation_rows + sl.unit_dlogs]
+    rel_rows += [[0] * n + rr for rr in unit_rows]
 
     # Galois action on the generators: l_i <-> conj(l_i), then the leaders
     action_rows = eye[n // 2:] + eye[:n // 2]
@@ -1448,8 +1446,7 @@ def ray_class(field, S, T, lattice=None):
     # order consistency: |Cl_{S,T}| = |Cl_S| * |R_T / im units|
     h_s = _s_class_number(field, ClassGroup(field.D), S[1:])
     if residues:
-        q_ord = hnf.IntLattice(s_len, residues.relation_rows
-                               + sl.unit_dlogs).index()
+        q_ord = hnf.IntLattice(s_len, unit_rows).index()
         if q_ord is None:
             raise CertificationError(
                 f"R_T / im(units) is infinite for T={T}")
@@ -1465,7 +1462,8 @@ def ray_class(field, S, T, lattice=None):
 def q_ray_relations(S, T):
     """Cl_{Q,S,T} presented on the leaders of R_T: (their number, R_T's
     relation rows and the dlog rows of -1 and of the finite places of S),
-    for the S and T of a `RubinDatum`."""
+    for the S and T of a `RubinDatum`: the presentation the s_p flag reads
+    without building the datum's lattice."""
     if not T:
         return 0, []
     R = ResidueSystem("Q", T)

@@ -271,16 +271,15 @@ class RubinStarkData:
         return self._lattice
 
     def ray(self):
-        """Cl_{K,S,T} of the datum.  A quadratic field with T non-empty
-        hands ray_class this datum's lattice(), whose generators give the
-        unit image, instead of a second build of the same lattice."""
+        """Cl_{K,S,T} of the datum.  It hands ray_class this datum's
+        lattice(), whose generators give the unit image, instead of a
+        second build of the same lattice."""
         if self._ray is None:
             d = self.datum
             if d.kind == "multiquad":
                 raise UnsupportedCaseError(
                     "ray class groups of composita are out of desk scope")
-            lat = self.lattice() if d.kind == "quad" and d.T else None
-            self._ray = ray_class(d.field, d.S, d.T, lattice=lat)
+            self._ray = ray_class(d.field, d.S, d.T, lattice=self.lattice())
         return self._ray
 
     def theta(self):
@@ -665,8 +664,7 @@ def _run_norm_decomposition(scn, data, entry):
     # primes that ramify in a real biquadratic field, so zeta_{Q,S,T}(s)
     # vanishes to order |S| - 1 >= 2 > |V| = 1
     eps_base = WedgeElement(group, 1, {})
-    holds, radius = norm_decomposition_residual(eps_K, parts + [eps_base],
-                                                eps_base, 2, 2)
+    holds, radius = norm_decomposition_residual(eps_K, parts, eps_base, 2, 2)
     entry["residual_radius"] = _radius_str(radius)
     return "pass" if holds else "fail", {
         "subfields": sub_witness,

@@ -1,10 +1,11 @@
 import os
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
+import sympy
 
+from starklab import hnf
 from starklab.ball import Ball
 from starklab.biquad import (BiquadField, BiquadSUnitLattice, biquad_places)
 from starklab.grpring import AbelianGroup, InputError
@@ -12,21 +13,9 @@ from starklab.numfld import QuadField, s_unit_lattice
 from starklab.zideal import UnsupportedCaseError
 
 
-def test_element_arithmetic():
+def test_field_data():
     F = BiquadField(8, 12)
     assert F.ms == [2, 3, 6] and F.discs == [8, 12, 24]
-    s2, s3, s6 = (F.element(0, 1, 0, 0), F.element(0, 0, 1, 0),
-                  F.element(0, 0, 0, 1))
-    assert s2 * s3 == s6
-    assert s2 * s2 == F.element(2)
-    assert s2 * s6 == F.element(0, 0, 2, 0)
-    t = s2 + s3
-    assert t * t == F.element(5, 0, 0, 2)  # (sqrt2+sqrt3)^2 = eps_24
-    x = F.element(1, 1, 1, 0)
-    assert x * x.inverse() == F.element(1)
-    assert s2.galois((1, 0)) == F.element(0, -1, 0, 0)
-    assert s6.galois((1, 0)) == F.element(0, 0, 0, -1)
-    assert s3.galois((1, 0)) == s3
     with pytest.raises(InputError):
         BiquadField(8, 8)
 
@@ -51,18 +40,59 @@ def test_s_unit_lattice():
     L.log_matrix()  # product formula certified per row
 
 
+def _sympy_product(L, exponents):
+    """prod pool^exponents as a sympy number, each generator a + b sqrt m_i
+    at the positive square roots (a real embedding of the compositum)."""
+    x = sympy.Integer(1)
+    for (idx, g), e in zip(L.pool_owner, exponents):
+        if e:
+            x *= (sympy.Rational(g.a.numerator, g.a.denominator)
+                  + sympy.Rational(g.b.numerator, g.b.denominator)
+                  * sympy.sqrt(L.field.ms[idx])) ** e
+    return x
+
+
+def _is_pm_one(x):
+    """x = +-1 exactly, by its minimal polynomial over Q."""
+    X = sympy.Symbol("X")
+    return sympy.minimal_polynomial(x, X) in (X - 1, X + 1)
+
+
+# in-scope composita, with S = inf and the primes that ramify in them
+COMPOSITA = [((5, 13), ["inf", 5, 13]), ((5, 8), ["inf", 2, 5]),
+             ((8, 12), ["inf", 2, 3]), ((5, 12), ["inf", 2, 3, 5])]
+
+
+@pytest.mark.parametrize("discs,S", COMPOSITA,
+                         ids=[f"{a},{b}" for (a, b), _ in COMPOSITA])
+def test_relation_gate_matches_the_minimal_polynomial(discs, S):
+    # the norm gate accepts every relation among the pool (the kernel of
+    # the pool-to-basis map) and rejects every basis element, as the
+    # minimal polynomial of the exact product decides
+    L = BiquadSUnitLattice(BiquadField(*discs), S)
+    relations = hnf.kernel(L._V)
+    assert len(relations) == len(L.pool_owner) - L.rank
+    for row in relations:
+        assert all(n == 1 for n in L._norms_to_subfields(row)), row
+        assert _is_pm_one(_sympy_product(L, row)), row
+    for row in L._basis_pool_rows:
+        assert any(n != 1 for n in L._norms_to_subfields(row)), row
+        assert not _is_pm_one(_sympy_product(L, row)), row
+
+
 def test_subfield_inclusions_exact():
+    # prod basis^coords is +- the generator, exactly: their quotient's
+    # minimal polynomial is X -+ 1
     F = BiquadField(8, 12)
     L = BiquadSUnitLattice(F, ["inf", 2, 3])
     for si in range(3):
         sl = L.sub_lattices[si]
         for gi in range(len(sl.gens)):
             co = L.subfield_generator_coords(si, gi)
-            prod = F.element(1)
-            for c, h in zip(co, L.basis_elements):
-                prod = prod * (h ** c)
-            target = F.from_subfield(si, sl.gens[gi])
-            assert (prod * target.inverse()).is_pm_one(), (si, gi)
+            row = [sum(c * b[i] for c, b in zip(co, L._basis_pool_rows))
+                   for i in range(len(L.pool_owner))]
+            row[L.pool_owner.index((si, sl.gens[gi]))] -= 1
+            assert _is_pm_one(_sympy_product(L, row)), (si, gi)
 
 
 # (lattice, group, permutation of the places under each group generator,

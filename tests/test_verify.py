@@ -575,6 +575,21 @@ def test_one_lattice_and_one_ray_class_per_scenario(monkeypatch):
     assert len({id(f["S"]) for f in flags}) == len(flags)
 
 
+def test_a_datum_over_q_presents_its_ray_class_from_its_lattice(monkeypatch):
+    # over Q the Galois group is trivial, so no s_p flag is computed, and
+    # ray_class reads R_T and the unit dlogs off the datum's own lattice:
+    # one residue system at T, and no second presentation
+    from starklab import numfld, verify
+    counts = {}
+    _count_calls(monkeypatch, numfld.ResidueSystem, "__init__", counts)
+    _count_calls(monkeypatch, numfld, "q_ray_relations", counts, verify)
+    cert = run_scenario(Scenario({
+        "field": {"type": "Q"}, "S": ["inf", 7], "V": ["inf"], "T": [3],
+        "checks": ["fitting_equality", "annihilation"]}))
+    assert [e["verdict"] for e in cert["results"]] == ["pass", "pass"]
+    assert counts == {"__init__": 1}
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]),
                 max_size=4, unique=True),
