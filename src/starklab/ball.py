@@ -3,10 +3,11 @@ interval kernel (libmpi), which rounds endpoints outward.
 
 A `Ball` encloses a real number between two exact binary endpoints; every
 operation returns an enclosure of the exact result.  All certification
-predicates are decided exactly, never on floats: sign, zero and
-containment on the binary endpoints themselves (sign bits, and integer
-comparisons of mantissa times a power of two against a rational), with no
-`Fraction`s; integer recognition on the `Fraction` endpoints.
+predicates are decided exactly, never on floats: sign, zero, containment
+and integer recognition on the binary endpoints themselves (sign bits,
+and integer comparisons of mantissa times a power of two against a
+rational), with no `Fraction`s.  Floats only choose a preconditioner
+for `gauss_solve`, which certifies nothing itself.
 
 An exact point (an integer, a rational n/d, or a point ball) is rounded
 once: its log, quotient or square root is evaluated only rounded down to
@@ -50,11 +51,11 @@ its cache key).  A step that needs extra guard bits of its own nests
 
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil
+from math import frexp, isfinite, ldexp
 
 from mpmath.libmp import (from_int, from_man_exp, from_rational, fone,
-                          fzero, mpf_add, mpf_log, mpf_mul, mpf_neg,
-                          mpf_sqrt)
+                          fzero, mpf_add, mpf_cmp, mpf_log, mpf_mul,
+                          mpf_neg, mpf_sqrt, mpf_sub, to_float)
 from mpmath.libmp.libmpi import (mpi_abs, mpi_add, mpi_cos, mpi_div,
                                  mpi_log, mpi_mul, mpi_neg, mpi_pi,
                                  mpi_pow_int, mpi_sin, mpi_sqrt, mpi_sub)
@@ -141,13 +142,30 @@ def _raw_cmp(raw, n, d):
 
 
 def _raw_to_fraction(raw):
-    sign, man, exp, bc = raw
-    if man == 0:
-        if raw == (0, 0, 0, 0):
+    """The exact value of a finite mpf endpoint: +-man 2^exp as one integer
+    or one integer over a power of two."""
+    sign, man, exp, _ = raw
+    if not man:
+        if raw == fzero:
             return Fraction(0)
         raise ValueError("non-finite endpoint")
-    v = Fraction(int(man)) * (Fraction(2) ** exp)
-    return -v if sign else v
+    if sign:
+        man = -man
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+
+
+def max_radius(balls):
+    """The largest radius of `balls` as a Fraction, 0 for none: the widths
+    hi - lo are compared on the binary endpoints, each an exact `mpf_sub`,
+    and only the largest is converted.  ValueError if an endpoint is not
+    finite."""
+    widest = fzero
+    for b in balls:
+        lo, hi = b._v
+        width = mpf_sub(hi, lo)
+        if _raw_sign(width) and mpf_cmp(width, widest) > 0:
+            widest = width
+    return _raw_to_fraction(widest) / 2
 
 
 def _step_up(lo, prec):
@@ -312,14 +330,17 @@ class Ball:
         """The one integer in the enclosure, or None when it holds none;
         raises Undecided, naming `what`, when it holds two or more.
 
-        Decided exactly on the endpoints, so no integer outside the
-        enclosure is ever returned.
+        Decided exactly on the binary endpoints, so no integer outside the
+        enclosure is ever returned: n is the ceiling of the lower end, by
+        one shift of its mantissa, and is compared with the upper end.
         """
-        lo, hi = self.endpoints()
-        n = ceil(lo)
-        if n > hi:
+        lo, hi = self._v
+        _, man, exp, _ = lo
+        m = _raw_sign(lo) * man
+        n = m << exp if exp >= 0 else -(-m >> -exp)
+        if _raw_cmp(hi, n, 1) < 0:
             return None
-        if n + 1 <= hi:
+        if _raw_cmp(hi, n + 1, 1) >= 0:
             raise Undecided(f"{what} holds more than one integer",
                             self.rad())
         return n
@@ -593,20 +614,62 @@ def _certified_pivot(M, col):
     for i in range(col, len(M)):
         e = M[i][col]
         if e.is_nonzero():
-            lo, hi = e.endpoints()
-            score = min(abs(lo), abs(hi))
-            if best is None or score > best:
+            lo, hi = e._v
+            score = lo if _raw_sign(lo) > 0 else mpf_neg(hi)
+            if best is None or mpf_cmp(score, best) > 0:
                 best, piv = score, i
     return piv
+
+
+def _preconditioner(A):
+    """Integer rows R_i, each a float approximate inverse row of the
+    midpoint of the ball matrix A scaled to 53-bit integers, by
+    Gauss-Jordan elimination in floats; None when that elimination meets
+    a zero pivot or a midpoint out of float range."""
+    n = len(A)
+    M = []
+    for i, row in enumerate(A):
+        mids = [to_float(mpf_add(*e._v, 53)) / 2 for e in row]
+        if not all(map(isfinite, mids)):
+            return None
+        M.append(mids + [float(i == j) for j in range(n)])
+    for c in range(n):
+        p = max(range(c, n), key=lambda i: abs(M[i][c]))
+        if not M[p][c]:
+            return None
+        M[c], M[p] = M[p], M[c]
+        M[c] = [x / M[c][c] for x in M[c]]
+        for i in range(n):
+            if i != c and M[i][c]:
+                f = M[i][c]
+                M[i] = [x - f * y for x, y in zip(M[i], M[c])]
+    out = []
+    for row in M:
+        e = frexp(max(map(abs, row[n:])))[1]
+        out.append([round(ldexp(x, 53 - e)) for x in row[n:]])
+    return out
 
 
 def gauss_solve(A, b):
     """Solve A x = b for ball matrices by elimination with certified pivots.
 
-    A is a list of rows of Balls, b a list of Balls.  Raises Undecided when
-    no remaining pivot candidate certifies nonzero.
+    A is a list of rows of Balls, b a list of Balls.  From three unknowns
+    on, the system is first preconditioned (Hansen): with R an approximate
+    inverse of A's midpoint, in integers (`_preconditioner`), R A x = R b
+    has the same solutions, and each entry of R A and R b is one
+    `ball_combination`.  R A is then near the identity, so elimination on
+    it widens the balls little.  At one or two unknowns elimination widens
+    them little anyway, and the preconditioner's own roundings can double
+    a radius that is at the rounding level.  Raises Undecided when no
+    remaining pivot candidate certifies nonzero.
     """
     n = len(A)
+    R = _preconditioner(A) if n > 2 else None
+    if R is not None:
+        cols = [list(col) for col in zip(*A)]
+        A = [[ball_combination(r, col, 1, (0, 1)) for col in cols]
+             for r in R]
+        b = [ball_combination(r, b, 1, (0, 1)) for r in R]
     M = [row.copy() + [bv] for row, bv in zip(A, b)]
     for col in range(n):
         piv = _certified_pivot(M, col)

@@ -13,12 +13,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import hnf
-from .ball import (CertificationError, ball_combination, ball_log_int,
-                   gauss_solve, precision, working_precision)
+from .ball import (CertificationError, ball_combination, gauss_solve,
+                   precision, working_precision)
 from .grpring import InputError
-from .numfld import (QuadField, fundamental_discriminant, kronecker,
-                     log_abs_at_place, ord_at_place, places_over,
-                     s_unit_lattice, squarefree_part)
+from .numfld import (QuadField, assembled_log_matrix, certified_arch_logs,
+                     fundamental_discriminant, kronecker, log_abs_at_place,
+                     ord_at_place, places_over, s_unit_lattice,
+                     squarefree_part)
 from .zideal import UnsupportedCaseError
 
 
@@ -120,12 +121,13 @@ class BiquadSUnitLattice:
     real places of their subfields below w, taken once, when the lattice
     is built.
 
-    It offers the place interface of numfld.SUnitLattice (place_indices,
-    place_permutation, log_matrix).  Its saturation index is not known,
-    and its T-unit sublattice is not built: `t_lattice_hnf` raises, so no
-    check reads an action on its coordinates, and it builds none.  S is in
-    a datum's normal form (`RubinDatum`), and each subfield's lattice reads
-    it as it is, with T empty.
+    It offers the place and log interface of numfld.SUnitLattice
+    (place_indices, place_permutation, valuations, arch_logs, log_matrix).
+    Its saturation index is not known, and its T-unit sublattice is not
+    built: `t_lattice_hnf` raises, so no check reads an action on its
+    coordinates, and it builds none.  S is in a datum's normal form
+    (`RubinDatum`), and each subfield's lattice reads it as it is, with T
+    empty.
     """
 
     saturation_index = None
@@ -160,7 +162,6 @@ class BiquadSUnitLattice:
                 o = ord_at_place(g, sub_places[0])
                 row.append(o * w.e_sub[idx])
             val_rows.append(row)
-        self.val_rows = val_rows
         # relation lattice: kernel vectors whose product is exactly +-1,
         # discovered through unit coordinates and verified exactly
         ker = hnf.kernel(val_rows, ambient_dim=len(fin))
@@ -207,6 +208,9 @@ class BiquadSUnitLattice:
             raise CertificationError(
                 f"S-unit rank {self.rank}, expected |S_K| - 1 = "
                 f"{len(self.places) - 1}")
+        # ord_w of each basis element, from its pool coordinates
+        self.valuations = hnf.mat_mul(self._basis_pool_rows, val_rows)
+        self._arch_logs = None
 
     def _norms_to_subfields(self, exponents):
         """[N_{K/k_i}(x) for i = 1, 2, 3], exactly, for x the pool product
@@ -275,31 +279,24 @@ class BiquadSUnitLattice:
         raise UnsupportedCaseError(
             "T-unit lattices of composita are out of desk scope")
 
+    @property
+    def arch_logs(self):
+        """-log|h|_w of each basis element h at the real places, combined
+        from the pool's logs and rounded once, and certified against the
+        product formula (`numfld.certified_arch_logs`) on first read."""
+        if self._arch_logs is None:
+            arch = self.place_ranges["inf"]
+            rows = [[ball_combination([-c for c in hcoords],
+                                      self._real_logs[j], 1, (0, 1))
+                     for j in arch] for hcoords in self._basis_pool_rows]
+            self._arch_logs = certified_arch_logs(
+                rows, self.valuations, self.places[len(arch):])
+        return self._arch_logs
+
     def log_matrix(self):
         """Rows: basis elements; columns: places; entries -log|h|_w
-        (balls), the real ones combined from the pool's logs and rounded
-        once, each row certified against the product formula."""
-        out = []
-        fin = [w for w in self.places if w.kind == "finite"]
-        for b, hcoords in enumerate(self._basis_pool_rows):
-            row = []
-            for j, w in enumerate(self.places):
-                if w.kind == "real":
-                    row.append(ball_combination([-c for c in hcoords],
-                                                self._real_logs[j], 1, (0, 1)))
-                else:
-                    # -log|h|_w = ord_w(h) * log(Nw)
-                    o = self._basis_ord(hcoords, w, fin)
-                    row.append(ball_log_int(w.nw()) * o)
-            tot = sum(row[1:], start=row[0])
-            if not tot.contains_zero():
-                raise CertificationError(
-                    f"product formula violated: the logs of basis element "
-                    f"{b} sum to {tot}")
-            out.append(row)
-        return out
-
-    def _basis_ord(self, pool_coords, w, fin):
-        widx = fin.index(w)
-        return sum(c * self.val_rows[i][widx]
-                   for i, c in enumerate(pool_coords) if c)
+        (balls), assembled from the log data: at a finite place
+        ord_w(h) log N(w)."""
+        k = len(self.place_ranges["inf"])
+        return assembled_log_matrix(self.arch_logs, self.valuations,
+                                    self.places[k:])

@@ -132,7 +132,9 @@ def _coerce(ring, x):
             return int(x)
         raise InputError(f"cannot coerce {x!r} into Z")
     if ring == "rat":
-        if isinstance(x, (int, Fraction)):
+        if isinstance(x, Fraction):
+            return x
+        if isinstance(x, int):
             return Fraction(x)
         raise InputError(f"cannot coerce {x!r} into Q")
     if isinstance(x, Ball):

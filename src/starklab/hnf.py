@@ -229,7 +229,8 @@ def solve_in_rowspan(rows, vec):
 
 def rational_solve(rows, vec):
     """Rational x with x @ rows == vec, or None if vec not in the Q-rowspan,
-    by a full Gaussian solve: the reference that tests compare
+    by a full Gaussian solve: the particular solutions of epsilon's
+    finite valuation block at r = 1, and the reference that tests compare
     `GLattice.dual_values`'s back-substitution against."""
     m = len(rows)
     if m == 0:

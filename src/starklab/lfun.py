@@ -511,15 +511,18 @@ def _midpoint_series(N, a, d, prec):
     """
     B = len(a)
     T = 2 * N + 1  # N' = T / 2
-    rho = Fraction(4, 3 * T)
-    rest = (Fraction(7 * T + 4, 8) * Fraction(7, 5) + sum(
-        Fraction(abs(c), d) * Fraction(8, T) ** (2 * j - 1)
-        for j, c in enumerate(a, 1))) * rho / (1 - rho)
-    M = 0
-    while rest > Fraction(2) ** -(prec + 64):
-        rest *= rho
-        M += 1
     Tb = d * T ** (2 * B - 1)
+    # the bound past M in integers, P 4^M / (Q (3T)^M): H' rho / (1 - rho)
+    # = H' 4 / (3T - 4), and H' over the denominator 40 Tb
+    P = 4 * (7 * (7 * T + 4) * Tb + 40 * sum(
+        abs(c) * 8 ** (2 * j - 1) * T ** (2 * B - 2 * j)
+        for j, c in enumerate(a, 1)))
+    Q = 40 * Tb * (3 * T - 4)
+    M, num, den = 0, P << (prec + 64), Q
+    while num > den:
+        num <<= 2
+        den *= 3 * T
+        M += 1
     D = lcm(2 * lcm(*range(1, M + 1)), Tb)
     # (-1)^k eta_k D is the sum over j of a[j - 1] 2^(2j - 1) (D / Tb)
     # T^(2B - 2j) binomial(2j - 2 + k, k), from (N' (1 + v))^(1 - 2j) =
@@ -537,12 +540,18 @@ def _midpoint_series(N, a, d, prec):
         if k > 1:
             h += T * (D // (2 * k - 2))
         H.append(-h if k % 2 else h)
+    # rest = n / W, W = Q (3T)^M D, from the bound past M down to k = 0
+    W = Q * 3 ** M * D * T ** M
+    n, scale = P * 4 ** M * D, Q * 3 ** M
     exps = []
     for k in range(M, -1, -1):
-        # the largest e with rest <= 2^-e
-        e = rest.denominator.bit_length() - rest.numerator.bit_length()
-        exps.append(e if Fraction(2) ** -e >= rest else e - 1)
-        rest += Fraction(abs(H[k]), D * T ** k)
+        # the largest e with n / W <= 2^-e: bit lengths put it at e or
+        # e - 1
+        e = W.bit_length() - n.bit_length()
+        fits = n << e <= W if e >= 0 else n <= W << -e
+        exps.append(e if fits else e - 1)
+        n += abs(H[k]) * scale
+        scale *= T
     exps.reverse()
     rads = tuple(Ball(0, Fraction(2) ** -e) for e in exps)
     return tuple(H), D, tuple(exps), rads

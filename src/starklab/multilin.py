@@ -12,11 +12,11 @@ basis of Hom_{Z[G]}(M, Z[G]) that `GLattice.dual_values` gives.
 
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from . import hnf
-from .ball import Undecided
-from .grpring import GroupRingElement, InputError
+from .ball import Ball, Undecided, ball_combination
+from .grpring import GroupRingElement, InputError, _is_zero
 from .zideal import _det_group_ring
 
 
@@ -85,19 +85,21 @@ class GLattice:
         HNF basis vector.  f -> (coefficient of 1 in f) maps
         Hom_{Z[G]}(M, Z[G]) onto Hom_Z(M, Z), and m -> F(m) is its inverse,
         so the F_i are a Z-basis.  Each vector's rational M-coordinates are
-        found once, by back-substitution on the echelon basis, as integer
-        numerators over one denominator; those of its G-orbit follow from
-        the integer action matrices in M-coordinates.  A vector outside the
-        Q-span of M raises InputError."""
+        found once, by back-substitution on the echelon basis in integers
+        over one denominator, the product of the pivots, which clears every
+        denominator of the triangular solve; those of its G-orbit follow
+        from the integer action matrices in M-coordinates.  A vector
+        outside the Q-span of M raises InputError."""
         group = self.group
         basis = self.lattice.basis()
         inverse = [group.inv(g) for g in group.elements]
+        den = prod(row[j] for row, j in zip(basis, self.lattice.pivots))
         out = [[] for _ in basis]
         for u in vectors:
-            res = [Fraction(c) for c in u]
+            res = [den * c for c in u]
             co = []
             for row, j in zip(basis, self.lattice.pivots):
-                q = res[j] / row[j]
+                q = res[j] // row[j]
                 co.append(q)
                 if q:
                     for jj in range(j, len(res)):
@@ -106,11 +108,9 @@ class GLattice:
                 raise InputError("vector outside Q-span of lattice")
             if not co:
                 continue
-            den = lcm(*(c.denominator for c in co))
             # numerators of the M-coordinates of h . u for every h; h is
             # reached from an earlier element by one generator step
-            orbit = {group.identity(): [c.numerator * (den // c.denominator)
-                                        for c in co]}
+            orbit = {group.identity(): co}
             for el in group.elements[1:]:
                 gen = max(l for l, a in enumerate(el) if a)
                 prev = el[:gen] + (el[gen] - 1,) + el[gen + 1:]
@@ -169,26 +169,51 @@ class WedgeElement:
 
 def det_pairing(a, fs):
     """The determinant pairing of a degree-r wedge element against r
-    homomorphisms, each a list of its group-ring values on the ambient
-    coordinates.
+    homomorphisms, each a list of its exact group-ring values on the
+    ambient coordinates.
 
     Multilinear and alternating in both slots; the empty pairing of a
-    degree-0 element returns its scalar.
+    degree-0 element returns its scalar.  The pairing is sum_J z_J det_J
+    over the wedge's terms z_J e_J, with det_J the exact r x r minor of
+    the homomorphisms' values on J.  Each coefficient of the sum is
+    computed once: its exact part as a rational, and when some z_J has
+    ball coefficients, the whole coefficient as one `ball_combination`
+    of those balls with the rational coefficients of the det_J, rounded
+    once.
     """
     r = a.degree
     if len(fs) != r:
         raise InputError(f"need exactly {r} homomorphisms, got {len(fs)}")
     if r == 0:
         return a.coeffs.get((), GroupRingElement.zero(a.group, "rat"))
-    total = None
+    group = a.group
+    table = group.multiplication_table()
+    exact = [Fraction(0)] * group.order
+    terms = [[] for _ in range(group.order)]    # (rational, ball) pairs
     for J, z in a.coeffs.items():
-        sub = [[fs[i][j] for j in J] for i in range(r)]
-        det = _det_group_ring(sub)
-        term = z * det
-        total = term if total is None else total + term
-    if total is None:
-        total = GroupRingElement.zero(a.group, "rat")
-    return total
+        det = _det_group_ring([[fs[i][j] for j in J] for i in range(r)])
+        if det.ring == "ball":
+            raise InputError("homomorphism values must be exact")
+        for i, ca in enumerate(z.coeffs):
+            if _is_zero(ca):
+                continue
+            row = table[i]
+            for j, cb in enumerate(det.coeffs):
+                if not cb:
+                    continue
+                if isinstance(ca, Ball):
+                    terms[row[j]].append((cb, ca))
+                else:
+                    exact[row[j]] += ca * cb
+    if all(z.ring != "ball" for z in a.coeffs.values()):
+        return GroupRingElement(group, "rat", exact)
+    out = []
+    for q, pairs in zip(exact, terms):
+        den = lcm(q.denominator, *(c.denominator for c, _b in pairs))
+        out.append(ball_combination(
+            [c.numerator * (den // c.denominator) for c, _b in pairs],
+            [b for _c, b in pairs], den, (q.numerator, q.denominator)))
+    return GroupRingElement(group, "ball", out)
 
 
 def pairing_vector(val, label):

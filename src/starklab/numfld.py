@@ -17,7 +17,8 @@ from typing import NamedTuple
 
 from . import hnf
 from .arith import CapacityError, factorint, isprime, primerange
-from .ball import Ball, CertificationError, ball_log, ball_log_int, ball_sqrt
+from .ball import (Ball, CertificationError, ball_combination, ball_log,
+                   ball_log_int, ball_sqrt)
 from .finite import GroupStructure
 from .grpring import AbelianGroup, InputError
 
@@ -278,10 +279,12 @@ class QuadElt:
                                                                self.d)
         return self.a, self.b
 
-    def embedding_ball(self, conjugate=False):
+    def embedding_ball(self, conjugate=False, root=None):
+        """The real embedding a + b sqrt m (a - b sqrt m when conjugate),
+        with `root` the ball of sqrt m when the caller holds it."""
         if not self.field.is_real:
             raise InputError("complex field: use norm-based absolute values")
-        s = ball_sqrt(Ball(self.field.m))
+        s = ball_sqrt(Ball(self.field.m)) if root is None else root
         b = -self.b if conjugate else self.b
         return Ball(self.a) + Ball(b) * s
 
@@ -833,6 +836,35 @@ def log_abs_at_place(x, place):
     return ball_log_int(place.nw()) * (-o)
 
 
+def certified_arch_logs(arch_rows, valuations, finite_places):
+    """`arch_rows`, each basis element's -log|g|_w at the infinite places,
+    once every row passes the product formula; CertificationError if one
+    does not.
+
+    At a finite place -log|g|_w = ord_w(g) log N(w) exactly, so an
+    element's logs at all places sum to one `ball_combination`: its
+    infinite logs with coefficient 1 and the log N(w) with its integer
+    valuations (`valuations`, a row per element over `finite_places`)."""
+    logs = [ball_log_int(w.nw()) for w in finite_places]
+    for b, (row, vals) in enumerate(zip(arch_rows, valuations)):
+        tot = ball_combination([1] * len(row) + list(vals), row + logs, 1,
+                               (0, 1))
+        if not tot.contains_zero():
+            raise CertificationError(
+                f"product formula violated: the logs of basis element {b} "
+                f"sum to {tot!r}")
+    return arch_rows
+
+
+def assembled_log_matrix(arch_logs, valuations, finite_places):
+    """Rows: basis elements; columns: the infinite places, then
+    `finite_places`; entries -log|g|_w, at a finite place
+    ord_w(g) log N(w)."""
+    logs = [ball_log_int(w.nw()) for w in finite_places]
+    return [row + [L * o for L, o in zip(logs, vals)]
+            for row, vals in zip(arch_logs, valuations)]
+
+
 # -- residue systems at T ----------------------------------------------------
 
 class ResidueSystem:
@@ -965,29 +997,31 @@ class SUnitLattice:
     `_principal_relations` over l_1..l_r, their conjugates and the finite
     places, which `ray_class` presents Cl_{K,S,T} from (both empty over Q).
 
-    Two attributes are built on first read and then kept, as only the
+    Three attributes are built on first read and then kept, as only the
     checks at |V| >= 1 read them: sigma_matrix, the action of the
     nontrivial automorphism in basis coordinates (the identity for Q),
-    whose rows `express` the conjugates of the generators; and
-    t_sublattice, the coordinates of the T-congruence subgroup, read off
-    unit_dlogs (`_t_sublattice`).
+    whose rows `express` the conjugates of the generators; t_sublattice,
+    the coordinates of the T-congruence subgroup, read off unit_dlogs
+    (`_t_sublattice`); and arch_logs, the generators' -log|g|_w at the
+    infinite places, which with `valuations` are the whole log data
+    (`certified_arch_logs`, `log_matrix`).
     The construction is exactly saturated: saturation_index == 1.
     """
 
-    __slots__ = ("_sigma_matrix", "_t_sublattice", "field", "S", "T",
-                 "places", "gens", "valuations", "torsion_gen",
-                 "torsion_order", "residues", "unit_dlogs",
+    __slots__ = ("_sigma_matrix", "_t_sublattice", "_arch_logs",
+                 "field", "S", "T", "places", "gens", "valuations",
+                 "torsion_gen", "torsion_order", "residues", "unit_dlogs",
                  "place_action", "place_ranges", "class_primes",
                  "relations")
     saturation_index = 1
 
     def __init__(self, **kw):
-        names = set(self.__slots__[2:])
+        names = {k for k in self.__slots__ if k[0] != "_"}
         if kw.keys() != names:
             raise InputError(
                 f"SUnitLattice keywords: unknown {sorted(kw.keys() - names)}, "
                 f"missing {sorted(names - kw.keys())}")
-        self._sigma_matrix = self._t_sublattice = None
+        self._sigma_matrix = self._t_sublattice = self._arch_logs = None
         for k in names:
             setattr(self, k, kw[k])
 
@@ -1091,20 +1125,30 @@ class SUnitLattice:
                 return i
         raise CertificationError("no unit among the generators")
 
+    @property
+    def arch_logs(self):
+        if self._arch_logs is None:
+            k = len(self.place_ranges["inf"])
+            arch = self.places[:k]
+            if self.field != "Q" and self.field.is_real:
+                # both real places read one sqrt m
+                root = ball_sqrt(Ball(self.field.m))
+                rows = [[-ball_log(abs(g.embedding_ball(w.conjugate, root)))
+                         for w in arch] for g in self.gens]
+            else:
+                rows = [[-log_abs_at_place(g, w) for w in arch]
+                        for g in self.gens]
+            self._arch_logs = certified_arch_logs(rows, self.valuations,
+                                                  self.places[k:])
+        return self._arch_logs
+
     def log_matrix(self):
         """Rows: generators; columns: places; entries -log|g|_w (balls),
-        each row certified against the product formula."""
-        out = []
-        for g in self.gens:
-            row = [-log_abs_at_place(g, w) for w in self.places]
-            tot = row[0]
-            for e in row[1:]:
-                tot = tot + e
-            if not tot.contains_zero():
-                raise CertificationError(
-                    f"product formula violated by {g!r}: {tot!r}")
-            out.append(row)
-        return out
+        assembled from the log data, whose rows are certified against the
+        product formula."""
+        k = len(self.place_ranges["inf"])
+        return assembled_log_matrix(self.arch_logs, self.valuations,
+                                    self.places[k:])
 
     def t_lattice_hnf(self):
         return self.t_sublattice.canonical()

@@ -35,11 +35,14 @@ through it.  Annihilation is the containment of im(epsilon) in
 import itertools
 import json
 from fractions import Fraction
+from math import lcm
 from typing import Callable, NamedTuple
 
 from .arith import CapacityError, factorint, isprime
-from .ball import Ball, CertificationError, Undecided, ball_det, \
-    gauss_solve, working_precision
+from . import hnf
+from .ball import (Ball, CertificationError, Undecided, ball_combination,
+                   ball_det, ball_log_int, gauss_solve, max_radius,
+                   working_precision)
 from .biquad import BiquadField, BiquadSUnitLattice
 from .grpring import GroupRingElement, InputError
 from .lfun import (AbelianFieldRealization, DirichletChar, LSpec,
@@ -325,22 +328,72 @@ class RubinStarkData:
             "wedge degree >= 2 over a nontrivial group is out of desk scope")
 
     def _solve_degree_one(self, theta):
+        """epsilon's lattice coordinates x at r = 1: the solution of
+        sum_g x_g (-log|g|_w) = b_w at every place w of S but w0, the
+        first place over the first v0 of S outside V, where b puts each
+        coefficient of theta at the image of the first place over V and
+        takes it off at the image of w0.
+
+        A finite row w is ord_w(g) log N(w), so divided through it is the
+        integer row of the valuations, with right side
+        beta_w = b_w / log N(w).  That finite block F has, over Q, a
+        solution p_w of F p_w = e_w and an integer kernel basis Z, so
+        x = sum_w beta_w p_w + Z s over the w with b_w != 0.  The infinite
+        rows Lambda fix s by the small ball system
+        (Lambda Z) s = b_inf - sum_w beta_w Lambda p_w, which `gauss_solve`
+        solves: 1 x 1 over Q, 2 x 2 for a real quadratic field, 4 x 4 for
+        a biquadratic compositum, and empty when w0 is the infinite place.
+        Each entry of Lambda Z, each Lambda p_w and each x_g is one
+        `ball_combination`.  A kernel of another rank than the number of
+        infinite rows is a CertificationError: the system is then not
+        square."""
         lat, S, V = self.lattice(), self.datum.S, self.datum.V
         v0 = next(v for v in S if v not in V)
         idx1 = lat.place_indices(V[0])[0]
         idx0 = lat.place_indices(v0)[0]
-        n = len(lat.places)
-        rhs = [Ball(0) for _ in range(n)]
+        n, k = len(lat.places), len(lat.place_ranges["inf"])
+        b = [Ball(0) for _ in range(n)]
         for el, coeff in zip(self.group.elements, theta.coeffs):
             c = coeff if isinstance(coeff, Ball) else Ball(coeff)
             perm = lat.place_permutation(el)
-            rhs[perm[idx1]] = rhs[perm[idx1]] + c
-            rhs[perm[idx0]] = rhs[perm[idx0]] - c
-        lam = lat.log_matrix()
-        cols = [j for j in range(n) if j != idx0]
-        A = [[lam[g][j] for g in range(lat.rank)] for j in cols]
-        b = [rhs[j] for j in cols]
-        return gauss_solve(A, b)
+            b[perm[idx1]] = b[perm[idx1]] + c
+            b[perm[idx0]] = b[perm[idx0]] - c
+        inf_rows = [j for j in range(k) if j != idx0]
+        fin_rows = [j for j in range(k, n) if j != idx0]
+        # x @ block is F x: a row per generator, a column per finite row
+        block = [[vals[j - k] for j in fin_rows] for vals in lat.valuations]
+        kernel = hnf.kernel(block, len(fin_rows))
+        if len(kernel) != len(inf_rows):
+            raise CertificationError(
+                f"the valuations at the finite rows have a kernel of rank "
+                f"{len(kernel)}, not the {len(inf_rows)} infinite rows")
+        betas, parts = [], []
+        for j in fin_rows:
+            if b[j].is_zero():
+                continue
+            p = hnf.rational_solve(block, [int(i == j) for i in fin_rows])
+            if p is None:
+                raise CertificationError(
+                    f"no rational solution of the valuations for "
+                    f"{lat.places[j]!r}")
+            betas.append(b[j] / ball_log_int(lat.places[j].nw()))
+            parts.append(p)
+        den = lcm(*(c.denominator for p in parts for c in p))
+        parts = [[c.numerator * (den // c.denominator) for c in p]
+                 for p in parts]
+        arch = lat.arch_logs
+        A, rhs = [], []
+        for j in inf_rows:
+            logs = [row[j] for row in arch]
+            A.append([ball_combination(z, logs, 1, (0, 1)) for z in kernel])
+            r = b[j]
+            for beta, p in zip(betas, parts):
+                r = r - beta * ball_combination(p, logs, den, (0, 1))
+            rhs.append(r)
+        s = gauss_solve(A, rhs)
+        rows = parts + [[den * c for c in z] for z in kernel]
+        return [ball_combination([row[g] for row in rows], betas + s, den,
+                                 (0, 1)) for g in range(lat.rank)]
 
     def _solve_full_wedge(self, theta, r):
         lat = self.lattice()
@@ -412,11 +465,10 @@ def _permutation_sign(seq):
 
 
 def max_pairing_radius(pairings):
-    out = Fraction(0)
-    for _idx, val in pairings:
-        if val.ring == "ball":
-            out = max(out, *(c.rad() for c in val.coeffs))
-    return out
+    """The largest radius among the ball coefficients of the pairings
+    (`ball.max_radius`), 0 when every pairing is exact."""
+    return max_radius(c for _idx, val in pairings if val.ring == "ball"
+                      for c in val.coeffs)
 
 
 # -- individual checks --------------------------------------------------------

@@ -2,6 +2,7 @@
 
     python tests/op_profile.py WORKLOAD [--seed N] [--sort KEY] [--top K]
                                [--match REGEX] [--callers REGEX]
+                               [--decile D]
 
 runs the ops of a default benchmark run of WORKLOAD: the first
 `run.op_count(WORKLOAD, 22)` ops of the seeded stream
@@ -16,6 +17,13 @@ ops, their total time and its share of the whole, and the mean op time.
 The times are wall times under the profiler: they rank strata and
 functions against each other, not against the benchmark's latencies.
 
+Each op has its own profile.  With --decile D (1..9) the functions are
+those of the merged profile of the ops at or above the D-th decile of the
+run's op times, so `--decile 8` shows what the ops behind the
+`latency_p90_ms` tail spend their time in; a line before the table names
+how many ops were merged and the threshold.  Without it every op is
+merged.
+
 It imports perfbench's modules and changes nothing there; pytest does not
 collect this file.
 """
@@ -25,6 +33,7 @@ import cProfile
 import itertools
 import os
 import pstats
+import statistics
 import sys
 import time
 
@@ -46,6 +55,9 @@ def main(argv=None):
     ap.add_argument("--match", help="print only functions matching this")
     ap.add_argument("--callers", metavar="REGEX",
                     help="print the callers of the functions matching this")
+    ap.add_argument("--decile", type=int, choices=range(1, 10),
+                    metavar="D", help="merge only the ops at or above the "
+                    "D-th decile of the op times")
     args = ap.parse_args(argv)
 
     count = run.op_count(args.workload, 22)
@@ -53,17 +65,28 @@ def main(argv=None):
                   for name, _n, ops in workloads.pool(args.workload)
                   for op in ops}
     times = {}
-    prof = cProfile.Profile()
+    profiles = []
     for op in itertools.islice(workloads.stream(args.workload, args.seed),
                                count):
+        prof = cProfile.Profile()
         t = time.perf_counter()
         prof.enable()
         worker.run_op(verify, op)
         prof.disable()
+        elapsed = time.perf_counter() - t
+        profiles.append((elapsed, prof))
         times.setdefault(stratum_of[workloads.op_key(op)], []).append(
-            time.perf_counter() - t)
+            elapsed)
 
-    stats = pstats.Stats(prof).strip_dirs().sort_stats(args.sort)
+    if args.decile:
+        cut = statistics.quantiles([t for t, _p in profiles],
+                                   n=10)[args.decile - 1]
+        profiles = [(t, p) for t, p in profiles if t >= cut]
+        print(f"{len(profiles)} ops at or above decile {args.decile} "
+              f"({1000 * cut:.3f} ms), "
+              f"{sum(t for t, _p in profiles):.3f} s under the profiler")
+    stats = pstats.Stats(*(p for _t, p in profiles)).strip_dirs()
+    stats.sort_stats(args.sort)
     restrictions = [args.match] if args.match else []
     stats.print_stats(*restrictions, args.top)
     if args.callers:

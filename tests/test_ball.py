@@ -13,7 +13,7 @@ from mpmath.libmp.libmpi import mpi_exp, mpi_log, mpi_sqrt
 from starklab import ball, lfun
 from starklab.ball import (Ball, CBall, Undecided, ball_combination,
                            ball_det, ball_log, ball_log_int, ball_log_prod,
-                           ball_pi, ball_sqrt, gauss_solve,
+                           ball_pi, ball_sqrt, gauss_solve, max_radius,
                            working_precision)
 from starklab.lfun import hurwitz_jet
 
@@ -235,12 +235,68 @@ def test_predicates_on_exact_points():
     assert not tiny.contains(Fraction(1, 2 ** 5001))
 
 
+@settings(max_examples=300, deadline=None)
+@given(_mpf)
+def test_an_endpoint_is_mpmaths_rational(raw):
+    # one integer, or one integer over a power of two, read off the
+    # mantissa and exponent: mpmath's own rational of the endpoint
+    assert _frac(raw) == Fraction(*to_rational(raw))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ball(), max_size=4))
+def test_integer_recognition_and_the_widest_radius_match_fractions(balls):
+    # only_integer and max_radius decide on the binary endpoints; the
+    # oracle reads the Fraction endpoints
+    assert max_radius(balls) == max((b.rad() for b in balls), default=0)
+    for b in balls:
+        lo, hi = b.endpoints()
+        count = math.floor(hi) - math.ceil(lo) + 1
+        if count > 1:
+            with pytest.raises(Undecided) as err:
+                b.only_integer("the ball")
+            assert err.value.radius == b.rad()
+        else:
+            assert b.only_integer() == (math.ceil(lo) if count else None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.randoms(use_true_random=False),
+       st.sampled_from([53, 128]))
+def test_solve_encloses_the_exact_solution_of_a_rational_system(n, rng,
+                                                                bits):
+    # each entry rounded once; from three unknowns on the system is
+    # preconditioned first, and each coordinate still holds the exact
+    # solution that sympy finds
+    import sympy
+    A = [[Fraction(rng.randint(-60, 60), rng.randint(1, 9))
+          for _ in range(n)] for _ in range(n)]
+    b = [Fraction(rng.randint(-60, 60), rng.randint(1, 9)) for _ in range(n)]
+    M = sympy.Matrix(A)
+    if M.det() == 0:
+        return
+    exact = [Fraction(int(v.p), int(v.q)) for v in M.LUsolve(sympy.Matrix(b))]
+    with working_precision(bits):
+        x = gauss_solve([[Ball(a) for a in row] for row in A],
+                        [Ball(v) for v in b])
+    assert all(xi.contains(e) for xi, e in zip(x, exact))
+
+
+def test_a_solve_with_no_certified_pivot_is_undecided():
+    # the midpoint is singular, so no preconditioner is formed, and no
+    # pivot of the balls certifies
+    wide = [[Ball(0, 1) for _ in range(3)] for _ in range(3)]
+    with pytest.raises(Undecided):
+        gauss_solve(wide, [Ball(1)] * 3)
+
+
 @pytest.mark.parametrize("raw", [(fninf, from_int(1)), (fzero, finf),
                                  (fnan, fnan), (from_int(1), finf)])
 def test_non_finite_endpoints_raise(raw):
     b = Ball._wrap(raw)
     for query in (b.contains_zero, b.is_nonzero, b.is_zero, b.sign,
                   lambda: b.contains(1), lambda: b.contains(Fraction(1, 3)),
+                  b.only_integer, lambda: max_radius([b]),
                   lambda: ball_log(b), lambda: ball_sqrt(b)):
         with pytest.raises(ValueError):
             query()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starklab import hnf
-from starklab.ball import Ball, Undecided
+from starklab.ball import Ball, Undecided, working_precision
 from starklab.grpring import AbelianGroup, GroupRingElement, InputError
 from starklab.hnf import IntLattice, identity_matrix
 from starklab.multilin import (GLattice, NonIntegralError, WedgeElement,
@@ -63,6 +63,33 @@ def test_det_pairing_degree_one_and_alternating():
     assert det_pairing(w2, [duals2[0], duals2[0]]).is_zero()
     ints = [v.int_vector() for _f, v in all_dual_pairings(w2, M2)]
     assert [1, 0] in ints or [-1, 0] in ints
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(-40, 40), st.integers(0, 6)),
+                min_size=9, max_size=9),
+       st.integers(1, 3), st.sampled_from([53, 128]))
+def test_a_ball_pairing_is_the_exact_pairing_rounded_once(parts, degree,
+                                                          bits):
+    # {x in Z^3 : x_0 + x_1 + x_2 = 0 mod 3} under the cyclic shift, whose
+    # dual values have denominator 3: a wedge with exact dyadic points in
+    # balls pairs, coefficient by coefficient, to its exact rational
+    # pairing rounded once, each a `ball_combination` of the products
+    G3 = AbelianGroup((3,))
+    shift = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+    M = GLattice(G3, 3, [[1, 0, 2], [0, 1, 2], [0, 0, 3]], [shift])
+    q = [Fraction(n, 2 ** k) for n, k in parts]
+    keys = list(itertools.combinations(range(3), degree))
+    exact = WedgeElement(G3, degree, {
+        J: GroupRingElement(G3, "rat", q[3 * i:3 * i + 3])
+        for i, J in enumerate(keys)})
+    with working_precision(bits):
+        balls = WedgeElement(G3, degree, {J: z.convert("ball")
+                                          for J, z in exact.coeffs.items()})
+        for (F, e), (F2, b) in zip(all_dual_pairings(exact, M),
+                                   all_dual_pairings(balls, M)):
+            assert F == F2 and e.ring == "rat" and b.ring == "ball"
+            assert [c._v for c in b.coeffs] == [Ball(c)._v for c in e.coeffs]
 
 
 def test_image_lattice_is_principal_for_vectors():

@@ -864,6 +864,97 @@ def test_a_vacuous_datum_pairs_to_zeros_without_the_galois_action(
     assert vacuous == 33
 
 
+def _full_system_coords(data, theta):
+    """epsilon's lattice coordinates at r = 1 by the full-system route, the
+    oracle of `RubinStarkData._solve_degree_one`: `gauss_solve` on every
+    row of the log matrix but that of w0, the first place over the first
+    v0 of S outside V, with theta's coefficients put at the image of the
+    first place over V and taken off at the image of w0."""
+    from starklab.ball import gauss_solve
+    lat, S, V = data.lattice(), data.datum.S, data.datum.V
+    v0 = next(v for v in S if v not in V)
+    idx1 = lat.place_indices(V[0])[0]
+    idx0 = lat.place_indices(v0)[0]
+    n = len(lat.places)
+    rhs = [Ball(0) for _ in range(n)]
+    for el, coeff in zip(data.group.elements, theta.coeffs):
+        c = coeff if isinstance(coeff, Ball) else Ball(coeff)
+        perm = lat.place_permutation(el)
+        rhs[perm[idx1]] = rhs[perm[idx1]] + c
+        rhs[perm[idx0]] = rhs[perm[idx0]] - c
+    lam = lat.log_matrix()
+    cols = [j for j in range(n) if j != idx0]
+    A = [[lam[g][j] for g in range(lat.rank)] for j in cols]
+    return gauss_solve(A, [rhs[j] for j in cols])
+
+
+# r = 1 data of tier-1 whose V is a finite place: w0 is then the infinite
+# place, and the ball system of the infinite rows is empty
+FINITE_V_DATA = [({"type": "quad", "disc": -23}, ["inf", 2, 23], [2], [3]),
+                 ({"type": "quad", "disc": -23}, ["inf", 2, 23], [2], [3, 5]),
+                 ({"type": "Q"}, ["inf", 2], [2], [3])]
+
+
+def test_the_structured_solve_matches_the_full_system_oracle(monkeypatch):
+    # every non-vacuous r = 1 datum of the pools and FINITE_V_DATA: each
+    # coordinate ball of epsilon overlaps the full-system oracle's, the
+    # pairing vectors and im(epsilon) read off the oracle's coordinates are
+    # the same, and `_solve_degree_one` calls `gauss_solve` once, on the
+    # infinite rows alone: 1 x 1 over Q, 2 x 2 for a real quadratic field,
+    # 4 x 4 for the biquadratic compositum, 0 x 0 when V is finite
+    import pool_digest
+    from starklab import verify
+    from starklab.multilin import WedgeElement
+    from starklab.grpring import GroupRingElement
+    from starklab.zideal import UnsupportedCaseError
+    data = [d for d in pool_digest.rubin_data()
+            if len(d.datum.V) == 1 and d.datum.kind != "generic"]
+    for field, S, V, T in FINITE_V_DATA:
+        scn = Scenario({"field": field, "S": S, "V": V, "T": T})
+        scn.validate_datum()
+        data.append(RubinStarkData(scn.datum))
+    solve, solved, sizes = verify.gauss_solve, [], {}
+
+    def recorded(A, b):
+        solved.append(len(A))
+        return solve(A, b)
+    for d in data:
+        with working_precision(128):
+            try:
+                lat = d.lattice()
+            except UnsupportedCaseError:
+                continue
+            theta = d.theta()
+            if theta.is_zero():
+                continue
+            solved.clear()
+            with monkeypatch.context() as m:
+                m.setattr(verify, "gauss_solve", recorded)
+                eps = d.epsilon()
+            oracle = _full_system_coords(d, theta)
+            for (i,), z in eps.coeffs.items():
+                lo, hi = z.coeffs[0].endpoints()
+                olo, ohi = oracle[i].endpoints()
+                assert lo <= ohi and olo <= hi, (d.datum, i)
+            finite_v = d.datum.V != ("inf",)
+            expected = 0 if finite_v else len(lat.place_indices("inf"))
+            assert solved == [expected], d.datum
+            key = (d.datum.kind, finite_v)
+            sizes[key] = sizes.get(key, 0) + 1
+            if d.datum.kind == "multiquad":
+                continue
+            ref = RubinStarkData(d.datum, lattice=lat)
+            ref._theta = theta
+            ref._epsilon = WedgeElement(d.group, 1, {
+                (i,): GroupRingElement.one(d.group, "ball").scale(c)
+                for i, c in enumerate(oracle)})
+            assert ref.pairing_vectors() == d.pairing_vectors()
+            assert ref.im_lattice().basis() == d.im_lattice().basis()
+    assert sizes == {("Q", False): 4, ("quad", False): 17,
+                     ("multiquad", False): 1, ("quad", True): 2,
+                     ("Q", True): 1}
+
+
 def test_a_vacuous_compositum_is_still_out_of_scope(monkeypatch):
     # no in-scope datum of a real biquadratic lattice is vacuous at
     # V = {inf}: chi_D(q) = 1 at a q of S off D splits q in Q(sqrt D), and
