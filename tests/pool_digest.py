@@ -23,8 +23,9 @@ op whose result moved.
 
 runs the same ops and writes `tests/pool_verdicts.json`, the golden
 verdict table that `tests/test_pool_verdicts.py` compares every pool op
-with: workload -> op key -> what `verdicts` keeps of its result.  A
-verdict that moves is then a reviewed diff of that table.  pytest does not
+with: workload -> op key -> what `verdicts` keeps of its result, the
+verdicts and the basis-free invariants of the pass entries.  A verdict or
+an invariant that moves is then a reviewed diff of that table.  pytest does not
 collect this file; the tests import `rubin_data` from it.
 
     python tests/pool_digest.py --dump FILE
@@ -75,16 +76,33 @@ def digest(results):
     return f"{len(results)} {raised} {sha256(results)}"
 
 
+# The witness keys of a pass entry that no choice of basis moves: the HNF
+# of im(epsilon), the Fitting ideal and the class group's invariant
+# factors, and igc_membership's ideal I_G^c and its exponent c.  Radii,
+# pairing vectors (a change of lattice basis moves them) and method
+# strings are not kept.
+INVARIANTS = ("image_hnf", "fitting_hnf", "class_group_orders", "ideal_hnf",
+              "exponent")
+
+
 def verdicts(result):
     """What the golden table keeps of an op's result: {check: verdict} of
-    a certificate, its datum error, or the type of what the op raised.  A
-    `run_acnf` summary is its one check passing: a failing sweep raises."""
+    a certificate, with "check.key" for each of the `INVARIANTS` that a
+    pass entry's witness holds, its datum error, or the type of what the
+    op raised.  A `run_acnf` summary is its one check passing: a failing
+    sweep raises."""
     if "raised" in result:
         return {"raised": result["raised"]}
     if "datum_error" in result:
         return {"datum_error": result["datum_error"]}
     if "results" in result:
-        return {e["check"]: e["verdict"] for e in result["results"]}
+        out = {}
+        for e in result["results"]:
+            out[e["check"]] = e["verdict"]
+            if e["verdict"] == "pass":
+                out.update((f"{e['check']}.{k}", e["witness"][k])
+                           for k in INVARIANTS if k in e["witness"])
+        return out
     return {"acnf": "pass"}
 
 
