@@ -23,7 +23,7 @@ from .multilin import (GLattice, WedgeElement, det_pairing,
 from .lfun import (AbelianFieldRealization, DirichletChar, LSpec,
                    bernoulli_value, hurwitz_jet, l_jet, stickelberger_element,
                    theoretical_order)
-from .numfld import (QuadField, QuadElt, QuadIdeal, class_number,
+from .numfld import (QQ, QuadField, QuadElt, QuadIdeal, class_number,
                      fundamental_unit, kronecker, ray_class, s_unit_lattice)
 from .biquad import BiquadField, BiquadSUnitLattice
 from .verify import (Scenario, certificate_summary, run_acnf, run_scenario,
@@ -42,8 +42,8 @@ __all__ = [
     "AbelianFieldRealization", "DirichletChar", "LSpec",
     "bernoulli_value", "hurwitz_jet", "l_jet", "stickelberger_element",
     "theoretical_order",
-    "QuadField", "QuadElt", "QuadIdeal", "class_number", "fundamental_unit",
-    "kronecker", "ray_class", "s_unit_lattice",
+    "QQ", "QuadField", "QuadElt", "QuadIdeal", "class_number",
+    "fundamental_unit", "kronecker", "ray_class", "s_unit_lattice",
     "BiquadField", "BiquadSUnitLattice",
     "Scenario", "certificate_summary", "run_acnf", "run_scenario",
     "check_sign_criterion",

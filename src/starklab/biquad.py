@@ -17,9 +17,8 @@ from .ball import (CertificationError, ball_combination, gauss_solve,
                    precision, working_precision)
 from .grpring import InputError
 from .numfld import (QuadField, assembled_log_matrix, certified_arch_logs,
-                     fundamental_discriminant, kronecker, log_abs_at_place,
-                     ord_at_place, places_over, s_unit_lattice,
-                     squarefree_part)
+                     fundamental_discriminant, kronecker, ord_at_place,
+                     s_unit_lattice, squarefree_part)
 from .zideal import UnsupportedCaseError
 
 
@@ -154,7 +153,7 @@ class BiquadSUnitLattice:
         for (idx, g) in self.pool_owner:
             row = []
             for w in fin:
-                sub_places = places_over(field.subfields[idx], w.q)
+                sub_places = field.subfields[idx].places(w.q)
                 if len(sub_places) != 1:
                     raise CertificationError(
                         f"{w.q} splits in subfield {idx} below a single "
@@ -176,11 +175,12 @@ class BiquadSUnitLattice:
         with working_precision(precision() + 64):
             # log|g|_w at a real place w of K, for g in k_i, is log|g| at
             # the real place of k_i below w: the first when w sends sqrt m_i
-            # to the positive root, else its conjugate
-            below = [places_over(k, "inf") for k in field.subfields]
+            # to the positive root, else its conjugate (`arch_logs`: -log)
+            below = [row for k, sl in zip(field.subfields, sub_lattices)
+                     for row in k.arch_logs(sl.gens)]
             self._real_logs = {
-                j: [log_abs_at_place(g, below[i][self.places[j].signs[i] < 0])
-                    for i, g in self.pool_owner]
+                j: [-row[self.places[j].signs[i] < 0]
+                    for (i, _g), row in zip(self.pool_owner, below)]
                 for j in self.place_ranges["inf"]}
             arch = self.place_ranges["inf"][:3]
             eps_logs = [[self._real_logs[j][i] for j in arch]

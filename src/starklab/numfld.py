@@ -2,8 +2,10 @@
 quadratic forms, fundamental units via continued fractions, prime splitting,
 S-unit lattices with their Galois action, and (S, T)-ray class modules.
 
-Everything feeding an exact check is computed in integer arithmetic: a
-field element is (A + B*sqrt(m))/d with integers A, B, d, d > 0 and
+A field is `QQ` or a `QuadField`, and the S-unit layer reads what it
+declares and answers, never its type.  Everything feeding an exact check
+is computed in integer arithmetic: an element of Q is a Fraction, one of a
+quadratic field is (A + B*sqrt(m))/d with integers A, B, d, d > 0 and
 gcd(A, B, d) = 1, and form reduction tracks its transform as four integers.
 Only logarithms and real embeddings produce balls.  Absolute values are
 normalized so the product formula holds exactly: complex places squared,
@@ -91,8 +93,48 @@ def is_fundamental_discriminant(D):
     return False
 
 
+class RationalField:
+    """Q, with Fractions for elements, answering what a `QuadField` answers
+    for the S-unit layer: degree 1, unit rank 0, torsion +-1, one place over
+    each rational place, norms and logs.  `QQ` is its one instance."""
+
+    degree = 1
+    unit_rank = 0
+
+    def torsion_generator(self):
+        return Fraction(-1), 2
+
+    def torsion_units(self):
+        return [Fraction(1), Fraction(-1)]
+
+    def norm(self, x):
+        return Fraction(x)
+
+    def is_unit(self, x):
+        return abs(x) == 1
+
+    @lru_cache(maxsize=None)
+    def places(self, v):
+        """The one place over the rational place v ('inf' or a prime)."""
+        if v == "inf":
+            return (Place(self, "real", label="inf"),)
+        return (Place(self, "finite", q=v, label=f"{v}"),)
+
+    def arch_logs(self, elements):
+        """Each element's -log|x| at the real place, as a row."""
+        return [[-ball_log(abs(Ball(x)))] for x in elements]
+
+    def __repr__(self):
+        return "QQ"
+
+
+QQ = RationalField()
+
+
 class QuadField:
     """Q(sqrt(m)) for squarefree m, with fundamental discriminant D."""
+
+    degree = 2
 
     @lru_cache(maxsize=None)
     def __new__(cls, D):
@@ -104,10 +146,50 @@ class QuadField:
         inst.D = D
         inst.m = D if D % 4 == 1 else D // 4
         inst.is_real = D > 0
+        inst.unit_rank = int(inst.is_real)
         return inst
 
     def element(self, a, b=0):
         return QuadElt(self, a, b)
+
+    def norm(self, x):
+        return x.norm()
+
+    def is_unit(self, x):
+        return x.is_integral() and abs(x.norm()) == 1
+
+    @lru_cache(maxsize=None)
+    def places(self, v):
+        """The places over the rational place v ('inf' or a prime), as a
+        tuple built once, the distinguished place first.  A place of degree
+        1 is the prime ideal w = (q, (b + sqrt D)/2), and omega's image mod
+        w is ((D mod 2) - b)/2, as omega = ((D mod 2) + sqrt D)/2."""
+        if v == "inf":
+            if self.is_real:
+                return (Place(self, "real", conjugate=False, label="inf+"),
+                        Place(self, "real", conjugate=True, label="inf-"))
+            return (Place(self, "complex", label="inf"),)
+        kind = self.splitting(v)
+        if kind == "inert":
+            ideal = QuadIdeal(self, 1, self.D % 2, scale=v)  # (v) itself
+            return (Place(self, "finite", q=v, e=1, f=2, ideal=ideal,
+                          label=f"{v}"),)
+        ideal = QuadIdeal.prime_over(self, v)
+        if kind == "ramified":
+            ideals, e, labels = [ideal], 2, [f"{v}"]
+        else:
+            ideals, e, labels = [ideal, ideal.conj()], 1, [f"{v}+", f"{v}-"]
+        return tuple(Place(self, "finite", q=v, e=e, f=1, ideal=w,
+                           omega_image=(self.D % 2 - w.b) // 2 % v,
+                           label=label)
+                     for w, label in zip(ideals, labels))
+
+    def arch_logs(self, elements):
+        """Each element's -log|x|_w at the infinite places, as a row: the
+        two real places of a real field read one sqrt m for all of them."""
+        root = ball_sqrt(Ball(self.m)) if self.is_real else None
+        return [[-log_abs_at_place(x, w, root) for w in self.places("inf")]
+                for x in elements]
 
     def torsion_generator(self):
         """(generator of roots of unity, order)."""
@@ -219,7 +301,7 @@ class QuadElt:
 
     __rmul__ = __mul__
 
-    def conj(self):
+    def conjugate(self):
         return _quad(self.field, self.A, -self.B, self.d)
 
     def _norm_num(self):
@@ -725,40 +807,6 @@ class Place:
         return f"Place({self.label})"
 
 
-@lru_cache(maxsize=None)
-def places_over(field, v):
-    """The places of `field` over the rational place v ('inf' or a prime).
-
-    Returns a tuple, the distinguished place first; the places of each
-    (field, v) are built once, and every call shares them.  A place of
-    degree 1 is the prime ideal w = (q, (b + sqrt D)/2), and
-    omega = ((D mod 2) + sqrt D)/2 differs from (b + sqrt D)/2 by
-    ((D mod 2) - b)/2: that is omega's image mod w.
-    """
-    if field == "Q":
-        if v == "inf":
-            return (Place("Q", "real", label="inf"),)
-        return (Place("Q", "finite", q=v, e=1, f=1, label=f"{v}"),)
-    if v == "inf":
-        if field.is_real:
-            return (Place(field, "real", conjugate=False, label="inf+"),
-                    Place(field, "real", conjugate=True, label="inf-"))
-        return (Place(field, "complex", label="inf"),)
-    kind = field.splitting(v)
-    if kind == "inert":
-        ideal = QuadIdeal(field, 1, field.D % 2, scale=v)  # (v) itself
-        return (Place(field, "finite", q=v, e=1, f=2, ideal=ideal,
-                      label=f"{v}"),)
-    ideal = QuadIdeal.prime_over(field, v)
-    if kind == "ramified":
-        ideals, e, labels = [ideal], 2, [f"{v}"]
-    else:
-        ideals, e, labels = [ideal, ideal.conj()], 1, [f"{v}+", f"{v}-"]
-    return tuple(Place(field, "finite", q=v, e=e, f=1, ideal=w,
-                       omega_image=(field.D % 2 - w.b) // 2 % v, label=label)
-                 for w, label in zip(ideals, labels))
-
-
 def ord_at_place(x, place):
     """Normalized valuation ord_w(x) for x in the place's field.
 
@@ -772,8 +820,6 @@ def ord_at_place(x, place):
     if place.kind != "finite":
         raise InputError(f"{place.label} is not a finite place")
     q = place.q
-    if place.field == "Q":
-        return _vq_fraction(Fraction(x), q)
     n = x._norm_num()       # N(A + B sqrt m) = d^2 N(x)
     if n == 0:
         raise InputError("valuation of zero")
@@ -797,14 +843,6 @@ def ord_at_place(x, place):
     return t - k - vd
 
 
-def _vq_fraction(x, q):
-    x = Fraction(x)
-    if x == 0:
-        raise InputError("valuation of zero")
-    return _vq_int(x.numerator, q, cap=10 ** 9) - _vq_int(x.denominator, q,
-                                                          cap=10 ** 9)
-
-
 def _vq_int(n, q, cap):
     n = abs(n)
     if n == 0:
@@ -816,16 +854,11 @@ def _vq_int(n, q, cap):
     return v
 
 
-def log_abs_at_place(x, place):
-    """Certified log|x|_w under the product-formula normalization."""
+def log_abs_at_place(x, place, root=None):
+    """Certified log|x|_w under the product-formula normalization, at a
+    place of a quadratic field; `root` is sqrt m, when the caller holds it."""
     if place.kind == "real":
-        if place.field == "Q":
-            v = Fraction(x)
-            if v == 0:
-                raise InputError("log of zero")
-            return ball_log(abs(Ball(v)))
-        e = x.embedding_ball(conjugate=place.conjugate)
-        return ball_log(abs(e))
+        return ball_log(abs(x.embedding_ball(place.conjugate, root)))
     if place.kind == "complex":
         # |x|_w = |x|_C^2 = N(x) for imaginary quadratic
         n = x.norm()
@@ -871,13 +904,12 @@ class ResidueSystem:
     """R_T = prod_w k(w)^x over the places w above T, as the direct product
     of its cyclic factors, read off O_K / w.
 
-    At a place of degree 1, k(w) = F_q and a residue is an integer mod q:
-    u + v omega goes to u + v r, where r is the place's `omega_image`
-    (`places_over`).  At an inert q, k(w) = Z[omega]/(q) with
-    omega^2 = t omega - n (t and n the trace and norm of omega), a residue
-    is the pair (u, v) mod q of u + v omega, and the nontrivial automorphism
-    acts as the conjugation omega -> t - omega, which is the Frobenius.
-    Over Q a residue is an integer mod q.
+    The field is `QQ` or a `QuadField`.  At a place of degree 1, k(w) = F_q
+    and a residue is an integer mod q: u + v omega goes to u + v r, for r
+    the place's `omega_image`, and a rational x is (x, 0) in any field.  At
+    an inert q, k(w) = Z[omega]/(q) with omega^2 = t omega - n (t and n the
+    trace and norm of omega), a residue is the pair (u, v) mod q of
+    u + v omega, and conjugation acts as omega -> t - omega, the Frobenius.
 
     Leader i is a generator of k(w_i)^x in slot i and 1 elsewhere: the
     smallest primitive root mod q at a place of degree 1, the first
@@ -889,13 +921,8 @@ class ResidueSystem:
     def __init__(self, field, T):
         self.field = field
         self.T = sorted(T)
-        self.places = []
-        for q in self.T:
-            if field == "Q":
-                self.places.append(places_over("Q", q)[0])
-            else:
-                self.places.extend(places_over(field, q))
-        if field != "Q":
+        self.places = [w for q in self.T for w in field.places(q)]
+        if any(w.f == 2 for w in self.places):
             t = field.D % 2
             self._t, self._n = t, (t - field.D) // 4
         ones = [(1, 0) if w.f == 2 else 1 for w in self.places]
@@ -938,15 +965,15 @@ class ResidueSystem:
 
     def _reduce_at(self, x, w):
         q = w.q
-        u, v = (Fraction(x), Fraction(0)) if self.field == "Q" \
-            else x.omega_coords()
+        u, v = x.omega_coords() if isinstance(x, QuadElt) \
+            else (Fraction(x), Fraction(0))
         if u.denominator % q == 0 or v.denominator % q == 0:
             raise DatumError(f"{x} has a pole at {w.label}")
         u = u.numerator * pow(u.denominator, -1, q) % q
         v = v.numerator * pow(v.denominator, -1, q) % q
         if w.f == 2:
             out = (u, v)
-        else:     # v = 0 over Q, whose places carry no omega_image
+        else:     # v = 0 for a rational x: Q's places carry no omega_image
             out = (u + v * w.omega_image) % q if v else u
         if out in (0, (0, 0)):
             raise DatumError(f"{x} is not a unit at the place {w.label}")
@@ -954,7 +981,7 @@ class ResidueSystem:
 
     def galois_act(self, tup):
         """Action of the nontrivial automorphism on a residue tuple."""
-        if self.field == "Q":
+        if self.field.degree == 1:
             raise InputError("Q has no nontrivial automorphism")
         out = list(tup)
         i = 0
@@ -978,7 +1005,7 @@ class ResidueSystem:
 # -- S-unit lattices ---------------------------------------------------------
 
 class SUnitLattice:
-    """Exact S-unit lattice of Q or a quadratic field, modulo torsion.
+    """Exact S-unit lattice of `field`, `QQ` or a QuadField, mod torsion.
 
     gens: multiplicative basis (exact field elements); places: every place
     of the field above S, distinguished place first per rational place;
@@ -998,12 +1025,12 @@ class SUnitLattice:
     places, which `ray_class` presents Cl_{K,S,T} from (both empty over Q).
 
     Three attributes are built on first read and then kept, as only the
-    checks at |V| >= 1 read them: sigma_matrix, the action of the
-    nontrivial automorphism in basis coordinates (the identity for Q),
-    whose rows `express` the conjugates of the generators; t_sublattice,
-    the coordinates of the T-congruence subgroup, read off unit_dlogs
-    (`_t_sublattice`); and arch_logs, the generators' -log|g|_w at the
-    infinite places, which with `valuations` are the whole log data
+    checks at |V| >= 1 read them: sigma_matrix, the action of conjugation
+    in basis coordinates (the identity for Q), whose rows `express` the
+    conjugates of the generators; t_sublattice, the coordinates of the
+    T-congruence subgroup, read off unit_dlogs (`_t_sublattice`); and
+    arch_logs, the generators' -log|g|_w at the infinite places, from one
+    call to the field, which with `valuations` are the whole log data
     (`certified_arch_logs`, `log_matrix`).
     The construction is exactly saturated: saturation_index == 1.
     """
@@ -1028,16 +1055,13 @@ class SUnitLattice:
     @property
     def sigma_matrix(self):
         if self._sigma_matrix is None:
-            if self.field == "Q":
-                self._sigma_matrix = hnf.identity_matrix(self.rank)
-            else:
-                # ord_w(conj g) = ord_{conj w}(g), so conj(g)'s valuations
-                # are g's row permuted by the place action
-                k = len(self.place_ranges["inf"])
-                self._sigma_matrix = [
-                    self.express(g.conj(),
-                                 [row[a - k] for a in self.place_action[k:]])[0]
-                    for g, row in zip(self.gens, self.valuations)]
+            # ord_w(conj g) = ord_{conj w}(g), so conj(g)'s valuations are
+            # g's row permuted by the place action
+            k = len(self.place_ranges["inf"])
+            self._sigma_matrix = [
+                self.express(g.conjugate(),
+                             [row[a - k] for a in self.place_action[k:]])[0]
+                for g, row in zip(self.gens, self.valuations)]
         return self._sigma_matrix
 
     @property
@@ -1067,16 +1091,17 @@ class SUnitLattice:
 
     def sigma_matrices(self):
         """Action matrices on basis coordinates, one per generator of the
-        Galois group: none over Q."""
-        return [] if self.field == "Q" else [self.sigma_matrix]
+        Galois group: none over Q, of degree 1."""
+        return [self.sigma_matrix] if self.field.degree == 2 else []
 
     def express(self, x, valuations):
         """(coords, torsion_power) with x = torsion^j * prod gens^coords.
 
         The coordinates solve x's valuations at the finite places, which
         the caller knows, against `valuations`; what is left after dividing
-        out the generators must be a unit, then a root of unity, and both
-        are checked exactly (CertificationError if not, which also catches
+        out the generators must be a unit, then, less its powers of the
+        fundamental unit when the unit rank is 1, a root of unity; both are
+        checked exactly (CertificationError if not, which also catches
         wrong given valuations).
         """
         sol = hnf.solve_in_rowspan(self.valuations, valuations)
@@ -1084,18 +1109,12 @@ class SUnitLattice:
             raise InputError(f"{x} is not an S-unit on this lattice")
         u = x
         for g, c in zip(self.gens, sol):
-            u = u * (g ** (-c)) if self.field != "Q" else u * Fraction(g) ** (-c)
-        if self.field == "Q":
-            if u not in (Fraction(1), Fraction(-1)):
-                raise CertificationError(
-                    f"{x} / prod gens^{sol} = {u} is not a unit")
-            j = 0 if u == 1 else 1
-            return sol, j
-        if not u.is_integral() or abs(u.norm()) != 1:
+            u = u * g ** (-c)
+        field = self.field
+        if not field.is_unit(u):
             raise CertificationError(
                 f"{x} / prod gens^{sol} = {u} is not a unit")
-        field = self.field
-        if field.is_real:
+        if field.unit_rank:
             # peel off fundamental-unit factors exactly
             eps_index = self._eps_index()
             eps = self.gens[eps_index]
@@ -1113,7 +1132,7 @@ class SUnitLattice:
                     raise CapacityError("unit expression loop cap")
             sol[eps_index] += k
         # now u is torsion
-        tor = self.field.torsion_units()
+        tor = field.torsion_units()
         if u not in tor:
             raise CertificationError(f"unit part {u} of {x} is not torsion")
         j = tor.index(u)
@@ -1129,17 +1148,9 @@ class SUnitLattice:
     def arch_logs(self):
         if self._arch_logs is None:
             k = len(self.place_ranges["inf"])
-            arch = self.places[:k]
-            if self.field != "Q" and self.field.is_real:
-                # both real places read one sqrt m
-                root = ball_sqrt(Ball(self.field.m))
-                rows = [[-ball_log(abs(g.embedding_ball(w.conjugate, root)))
-                         for w in arch] for g in self.gens]
-            else:
-                rows = [[-log_abs_at_place(g, w) for w in arch]
-                        for g in self.gens]
-            self._arch_logs = certified_arch_logs(rows, self.valuations,
-                                                  self.places[k:])
+            self._arch_logs = certified_arch_logs(
+                self.field.arch_logs(self.gens), self.valuations,
+                self.places[k:])
         return self._arch_logs
 
     def log_matrix(self):
@@ -1155,9 +1166,12 @@ class SUnitLattice:
 
 
 def s_unit_lattice(field, S, T):
-    """Construct the (S, T)-unit lattice with exact generators.
+    """Construct the (S, T)-unit lattice of `field` (`QQ` or a
+    `QuadField`) with exact generators.
 
-    For a quadratic field the S-units come from one relation lattice, of
+    Over Q, of degree 1 and class number 1, the generators are the finite
+    places of S.  For a quadratic field the S-units come from one relation
+    lattice, of
     the v with prod ideals^v principal over the class primes l_1..l_r
     (`_class_primes`), their conjugates and the finite S-places, kept
     whole for `ray_class`: its Hermite basis rows that vanish on the first
@@ -1169,40 +1183,33 @@ def s_unit_lattice(field, S, T):
     """
     places, place_action, place_ranges = _s_places(field, S)
     residues = ResidueSystem(field, T) if T else None
-
-    if field == "Q":
-        gens = [Fraction(q) for q in S[1:]]
-        return SUnitLattice(field="Q", S=S, T=T, places=places, gens=gens,
-                            valuations=hnf.identity_matrix(len(gens)),
-                            torsion_gen=Fraction(-1), torsion_order=2,
-                            residues=residues,
-                            unit_dlogs=_unit_dlogs(gens, Fraction(-1),
-                                                   residues),
-                            place_action=place_action,
-                            place_ranges=place_ranges, class_primes=[],
-                            relations=[])
-
     k = len(place_ranges["inf"])      # the infinite places come first
     fin = places[k:]
-    primes = _class_primes(field, {*S[1:], *T})
-    r = len(primes)
-    relations = _principal_relations(
-        field, primes + [p.conj() for p in primes] + [w.ideal for w in fin])
-    valuations, gens = [], []
-    for v, gamma in relations:
-        if any(v[:2 * r]):
-            continue
-        row = v[2 * r:]
-        # exact: SUnitLattice.valuations stores `row`
-        for w, e in zip(fin, row):
-            if ord_at_place(gamma, w) != e:
-                raise CertificationError(
-                    f"generator valuation mismatch at {w!r}: wanted {e}")
-        valuations.append(row)
-        gens.append(gamma)
-    if field.is_real:
-        gens.append(fundamental_unit(field.D))
-        valuations.append([0] * len(fin))
+    if field.degree == 1:
+        primes, relations = [], []
+        gens = [Fraction(q) for q in S[1:]]
+        valuations = hnf.identity_matrix(len(gens))
+    else:
+        primes = _class_primes(field, {*S[1:], *T})
+        r = len(primes)
+        relations = _principal_relations(
+            field, primes + [p.conj() for p in primes]
+            + [w.ideal for w in fin])
+        valuations, gens = [], []
+        for v, gamma in relations:
+            if any(v[:2 * r]):
+                continue
+            row = v[2 * r:]
+            # exact: SUnitLattice.valuations stores `row`
+            for w, e in zip(fin, row):
+                if ord_at_place(gamma, w) != e:
+                    raise CertificationError(
+                        f"generator valuation mismatch at {w!r}: wanted {e}")
+            valuations.append(row)
+            gens.append(gamma)
+        if field.unit_rank:
+            gens.append(fundamental_unit(field.D))
+            valuations.append([0] * len(fin))
     if len(gens) != len(places) - 1:
         raise CertificationError(
             f"S-unit rank {len(gens)}, expected |S_K| - 1 = {len(places) - 1}")
@@ -1218,14 +1225,14 @@ def s_unit_lattice(field, S, T):
 def _s_places(field, S):
     """(places, place_action, place_ranges): the places of `field` above
     S (the distinguished place first over each v), their permutation under
-    the nontrivial automorphism (the identity over Q), and for each v in S
-    the range of its places' indices.  As S lists 'inf' first, the
-    infinite places come first.
+    conjugation (the identity over Q), and for each v in S the range of its
+    places' indices.  As S lists 'inf' first, the infinite places come
+    first.
     """
     places, place_action, place_ranges = [], [], {}
     for v in S:
         base = len(places)
-        places.extend(places_over(field, v))
+        places.extend(field.places(v))
         place_ranges[v] = range(base, len(places))
         place_action.extend(reversed(place_ranges[v]))
     return places, place_action, place_ranges
@@ -1235,8 +1242,8 @@ def _s_places(field, S):
 
 class RubinDatum(NamedTuple):
     """A Rubin datum (K, S, V, T): the realization of K, `field` (the
-    arithmetic that the lattice and the ray class read: "Q", a QuadField, a
-    BiquadField, or None for a generic field), the field's `kind` ("Q",
+    arithmetic that the lattice and the ray class read: `QQ`, a QuadField,
+    a BiquadField, or None for a generic field), the field's `kind` ("Q",
     "quad", "multiquad" or "generic"), and S, V and T as sorted tuples of
     distinct places, "inf" first.  Its one constructor, `of`, normalises
     them and checks their shape, (H1), S and T disjoint and (H2), in that
@@ -1300,28 +1307,18 @@ def _normalize_primes(T):
 
 def _check_torsion_killed(field, T):
     """(H3) for the T of a `RubinDatum`: DatumError unless each root of
-    unity of `field` other than 1 is not 1 at some place above T."""
-    if field == "Q":
-        # -1 = 1 (mod q) exactly when q = 2
-        if not any(q != 2 for q in T):
-            raise DatumError("(H3) fails: -1 = 1 at every place above "
-                             f"T={sorted(T)}")
-        return
-    torsion = [z for z in field.torsion_units() if z != field.element(1)]
+    unity of `field` other than 1 is not 1 at some place above T.
+
+    A root of unity zeta != 1 is 1 at every place above q exactly when
+    q | N(zeta - 1): zeta - 1 lies in every place over 2 when zeta = -1,
+    and otherwise in one ramified place alone."""
     if not T:
         raise DatumError("T empty: torsion units survive")
-    for zeta in torsion:
-        killed = False
-        for q in T:
-            for w in places_over(field, q):
-                if ord_at_place(zeta - field.element(1), w) == 0:
-                    killed = True
-                    break
-            if killed:
-                break
-        if not killed:
+    for zeta in field.torsion_units()[1:]:
+        n = field.norm(zeta - 1)
+        if all(n % q == 0 for q in T):
             raise DatumError(
-                f"(H3) fails: {zeta!r} = 1 at every place above T={list(T)}")
+                f"(H3) fails: {zeta} = 1 at every place above T={list(T)}")
 
 
 def _principal_generator(field, ideals, exponents):
@@ -1426,9 +1423,9 @@ def _t_sublattice(n, residues, unit_dlogs):
 # -- (S, T)-ray class modules ------------------------------------------------
 
 def ray_class(field, S, T, lattice=None):
-    """Cl_{K,S,T} as a FiniteGModule over Gal(K/Q) (over the trivial group
-    for K = Q), from one presentation (Cohen, *Advanced Topics in
-    Computational Number Theory*, GTM 193, ch. 4).
+    """Cl_{K,S,T} as a FiniteGModule over Gal(K/Q), for `field` `QQ` (over
+    the trivial group) or a `QuadField`, from one presentation (Cohen,
+    *Advanced Topics in Computational Number Theory*, GTM 193, ch. 4).
 
     Generators: for a quadratic field the class primes l_1..l_r and their
     conjugates, then the leaders of the residue system R_T at T; over Q
@@ -1463,7 +1460,7 @@ def ray_class(field, S, T, lattice=None):
     residues = sl.residues
     s_len = len(residues.leaders) if residues else 0
     unit_rows = residues.relation_rows + sl.unit_dlogs if residues else []
-    if field == "Q":
+    if field.degree == 1:
         return _module_from_relations(AbelianGroup(()), s_len, unit_rows, [])
     n = 2 * len(sl.class_primes)
     eye = hnf.identity_matrix(n)
@@ -1510,7 +1507,7 @@ def q_ray_relations(S, T):
     without building the datum's lattice."""
     if not T:
         return 0, []
-    R = ResidueSystem("Q", T)
+    R = ResidueSystem(QQ, T)
     return len(R.leaders), R.relation_rows + [R.dlog(R.reduce(x))
                                               for x in (-1, *S[1:])]
 
@@ -1528,7 +1525,7 @@ def _s_class_number(field, cg, finite_S):
     """h_S = |Cl_K / <classes of the finite S-places>|."""
     return _class_lattice(cg, [cg.class_of(w.ideal.as_form())
                                for q in finite_S
-                               for w in places_over(field, q)]).index()
+                               for w in field.places(q)]).index()
 
 
 def _module_from_relations(group, ngens, rel_rows, action_rows_list):

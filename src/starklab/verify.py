@@ -50,7 +50,7 @@ from .lfun import (AbelianFieldRealization, DirichletChar, LSpec,
 from .multilin import (GLattice, NonIntegralError, WedgeElement,
                        all_dual_pairings, norm_decomposition_residual,
                        pairing_vector)
-from .numfld import (MAX_ABS_DISC, DatumError, QuadField, RubinDatum,
+from .numfld import (MAX_ABS_DISC, QQ, DatumError, QuadField, RubinDatum,
                      _check_torsion_killed, class_number,
                      fundamental_unit_log, q_ray_relations, ray_class,
                      s_unit_lattice)
@@ -114,7 +114,7 @@ def field_of(spec):
         raise ConfigError(f"field must be a JSON object, got {spec!r}")
     kind = spec.get("type", "Q")
     if kind == "Q":
-        return AbelianFieldRealization.rationals(), "Q", kind
+        return AbelianFieldRealization.rationals(), QQ, kind
     if kind == "quad":
         D = _config_int(spec.get("disc"), "disc")
         return AbelianFieldRealization.quadratic(D), QuadField(D), kind
@@ -183,13 +183,13 @@ class Scenario:
     def validate_datum(self):
         """Build `self.datum`, which every check reads: `RubinDatum.of`
         checks the shape, (H1) and (H2) (InputError), and (H3) is checked
-        here and nowhere else (DatumError), by the rule of Q for a
-        compositum, whose torsion is +-1, and not for a generic field."""
+        here and nowhere else (DatumError), on `QQ` for a compositum,
+        whose torsion is +-1, and not for a generic field."""
         datum = RubinDatum.of(self.realization, self.field, self.kind,
                               self.S, self.V, self.T)
         if datum.kind != "generic":
             _check_torsion_killed(
-                "Q" if datum.kind == "multiquad" else datum.field, datum.T)
+                QQ if datum.kind == "multiquad" else datum.field, datum.T)
         self.datum = datum
         self._flags = None
 

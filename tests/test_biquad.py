@@ -9,7 +9,7 @@ from starklab import hnf
 from starklab.ball import Ball
 from starklab.biquad import (BiquadField, BiquadSUnitLattice, biquad_places)
 from starklab.grpring import AbelianGroup, InputError
-from starklab.numfld import QuadField, s_unit_lattice
+from starklab.numfld import QQ, QuadField, s_unit_lattice
 from starklab.zideal import UnsupportedCaseError
 
 
@@ -99,7 +99,7 @@ def test_subfield_inclusions_exact():
 # sigma_matrices() as the lattice's own action matrices give them, or None
 # for a compositum, whose lattice builds no action matrices)
 def _q_lattice():
-    L = s_unit_lattice("Q", ["inf", 2, 3], [])
+    L = s_unit_lattice(QQ, ["inf", 2, 3], [])
     return L, AbelianGroup(()), [], []
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import random
@@ -18,17 +19,18 @@ from starklab.grpring import AbelianGroup, InputError
 from starklab.hnf import IntLattice, diagonalize_relations, \
     identity_matrix, kernel, mat_mul
 from starklab.lfun import DirichletChar, bernoulli_value
-from starklab.numfld import (ClassGroup, DatumError, QuadElt, QuadField,
+from starklab.numfld import (QQ, ClassGroup, DatumError, QuadElt, QuadField,
                              QuadIdeal, ResidueSystem, RubinDatum,
                              SUnitLattice, class_number, compose_abc,
                              form_cycle, fundamental_discriminant,
                              fundamental_unit,
                              is_fundamental_discriminant, kronecker,
-                             log_abs_at_place, ord_at_place, places_over,
-                             ray_class, reduce_form, reduced_forms,
+                             log_abs_at_place, ord_at_place, ray_class,
+                             reduce_form, reduced_forms,
                              s_unit_lattice, squarefree_part, unit_norm,
-                             _is_reduced_indef, _is_reduced_neg,
-                             _module_from_relations, _principal_generator,
+                             _check_torsion_killed, _is_reduced_indef,
+                             _is_reduced_neg, _module_from_relations,
+                             _principal_generator,
                              _principal_relations, _s_class_number)
 from starklab.verify import Scenario, field_of
 from starklab.zideal import annihilator
@@ -133,7 +135,7 @@ def _unit_by_quadelt_continued_fraction(D):
     sq = math.isqrt(F.m)
     a = (P + sq) // Q
     p_prev, p_cur, q_prev, q_cur = 1, a, 0, 1
-    w_conj = omega(F).conj()
+    w_conj = omega(F).conjugate()
     while True:
         cand = F.element(p_cur) - w_conj * q_cur
         if abs(cand.norm()) == 1:
@@ -247,23 +249,23 @@ def test_ideals_and_generators():
 
 def test_valuations_and_product_formula():
     F5 = QuadField(5)
-    split = places_over(F5, 11)
+    split = F5.places(11)
     assert len(split) == 2
     # built once and shared, so no caller can change another's places
-    assert isinstance(split, tuple) and places_over(F5, 11) is split
+    assert isinstance(split, tuple) and F5.places(11) is split
     pi = F5.element(Fraction(7, 2), Fraction(1, 2))  # norm 11
     vals = sorted(ord_at_place(pi, w) for w in split)
     assert vals == [0, 1]
-    assert ord_at_place(pi.conj(), split[0]) == ord_at_place(pi, split[1])
-    ram = places_over(F5, 5)[0]
+    assert ord_at_place(pi.conjugate(), split[0]) == ord_at_place(pi, split[1])
+    ram = F5.places(5)[0]
     assert ord_at_place(F5.element(0, 1), ram) == 1
     assert ord_at_place(F5.element(5), ram) == 2
-    inert = places_over(QuadField(8), 3)[0]
+    inert = QuadField(8).places(3)[0]
     assert inert.nw() == 9
     assert ord_at_place(QuadField(8).element(3), inert) == 1
     # split prime 2 (D = 17): distinguish the two places 2-adically
     F17 = QuadField(17)
-    two = places_over(F17, 2)
+    two = F17.places(2)
     x = (F17.element(1) + F17.element(0, 1)) * Fraction(1, 2)  # norm -4
     assert sorted(ord_at_place(x, w) for w in two) == [0, 2]
     # product formula over all places
@@ -280,14 +282,14 @@ def test_valuations_and_product_formula():
                 + F.ramified_primes()))
             total = None
             for v in ["inf"] + primes:
-                for w in places_over(F, v):
+                for w in F.places(v):
                     term = log_abs_at_place(x, w)
                     total = term if total is None else total + term
             assert total.contains_zero() and total.rad() < Fraction(1, 2 ** 60)
 
 
 def test_s_unit_lattices():
-    L = s_unit_lattice("Q", ["inf", 2], [5])
+    L = s_unit_lattice(QQ, ["inf", 2], [5])
     assert L.rank == 1 and L.gens == [Fraction(2)]
     assert L.t_sublattice.index() == 2
     # the datum checks S and T, once, and the lattice reads them: (H3) in
@@ -309,6 +311,49 @@ def test_s_unit_lattices():
     # rank = |S_K| - 1 on a split-prime scenario
     L57 = s_unit_lattice(QuadField(5), ["inf", 5, 11], [3])
     assert L57.rank == 4  # places: 2 arch + 1 ram + 2 split - 1
+
+
+def _h3_place_by_place(field, T):
+    """(H3) read place by place, the oracle of `_check_torsion_killed`:
+    DatumError unless each root of unity zeta != 1 has zeta - 1 a unit at
+    some place above T, with the messages that rule has always given."""
+    if not T:
+        raise DatumError("T empty: torsion units survive")
+    for zeta in field.torsion_units():
+        if zeta == 1:
+            continue
+        x = zeta - 1
+        if not any(x.numerator % w.q != 0 if isinstance(x, Fraction)
+                   else ord_at_place(x, w) == 0
+                   for q in T for w in field.places(q)):
+            raise DatumError(
+                f"(H3) fails: {zeta} = 1 at every place above T={list(T)}")
+
+
+def _h3_outcome(rule, field, T):
+    try:
+        rule(field, T)
+    except DatumError as exc:
+        return str(exc)
+    return None
+
+
+def test_h3_by_norms_matches_the_rule_place_by_place():
+    # a root of unity zeta != 1 is 1 at every place above q exactly when
+    # q | N(zeta - 1); T is empty, one prime <= 31 or two primes <= 13, on
+    # Q and every quadratic field with |D| <= 400, Q(i) and Q(sqrt -3) too
+    fields = [QQ] + [QuadField(D) for D in range(-400, 401)
+                     if is_fundamental_discriminant(D)]
+    Ts = ([()] + [(q,) for q in sympy.primerange(2, 32)]
+          + list(itertools.combinations(sympy.primerange(2, 14), 2)))
+    failed = 0
+    for F in fields:
+        for T in Ts:
+            want = _h3_outcome(_h3_place_by_place, F, T)
+            assert _h3_outcome(_check_torsion_killed, F, T) == want, (F, T)
+            failed += want is not None
+    # T empty and T = {2} fail everywhere, and Q(sqrt -3) fails at {3}
+    assert (len(fields), len(Ts), failed) == (243, 27, 2 * 243 + 1)
 
 
 def test_express_roundtrip():
@@ -337,10 +382,10 @@ def _order_factors(F, S, T):
 
 
 def test_ray_class_modules():
-    assert ray_class("Q", ["inf"], [3]).order() == 1
-    rc5 = ray_class("Q", ["inf"], [5])
+    assert ray_class(QQ, ["inf"], [3]).order() == 1
+    rc5 = ray_class(QQ, ["inf"], [5])
     assert rc5.order() == 2
-    assert ray_class("Q", ["inf", 2], [5]).order() == 1
+    assert ray_class(QQ, ["inf", 2], [5]).order() == 1
     assert ray_class(QuadField(-4), ["inf", 2], [5]).order() == 1
     assert ray_class(QuadField(5), ["inf", 5], [3]).order() == 1
     assert ray_class(QuadField(12), ["inf", 2, 3], [5]).order() == 1
@@ -412,7 +457,7 @@ class FracQuadElt:
 
     __rmul__ = __mul__
 
-    def conj(self):
+    def conjugate(self):
         return FracQuadElt(self.field, self.a, -self.b)
 
     def norm(self):
@@ -503,7 +548,7 @@ def test_integer_quad_elements_match_the_fraction_oracle(D, a1, b1, a2, b2,
     _same(x, ox)
     _same(y, oy)
     for got, want in [(x + y, ox + oy), (x - y, ox - oy), (x * y, ox * oy),
-                      (-x, -ox), (x.conj(), ox.conj()),
+                      (-x, -ox), (x.conjugate(), ox.conjugate()),
                       (x + q, ox + q), (q - x, q - ox), (x * k, ox * k),
                       (q * x, q * ox), (k + x, k + ox), (x - k, ox - k)]:
         _same(got, want)
@@ -698,8 +743,8 @@ def _check_lattice(D, extra, seed):
     assert mat_mul(L.sigma_matrix, L.sigma_matrix) == identity_matrix(L.rank)
     # the rows built from the place action agree with valuations evaluated
     # on the conjugates
-    assert L.sigma_matrix == [L.express(g.conj(),
-                                        finite_valuations(L, g.conj()))[0]
+    assert L.sigma_matrix == [L.express(g.conjugate(),
+                                        finite_valuations(L, g.conjugate()))[0]
                               for g in L.gens]
     rng = random.Random(seed)
     coords = [rng.randint(-2, 2) for _ in range(L.rank)]
@@ -753,7 +798,7 @@ FUNDAMENTAL_1100 = [D for D in range(-1100, 1101)
 def test_principal_generators_of_principal_products(D, extra, coeffs, rng):
     F = QuadField(D)
     primes = sorted(set(F.ramified_primes()[:2]) | set(extra))
-    places = [w for q in primes for w in places_over(F, q)]
+    places = [w for q in primes for w in F.places(q)]
     ideals = [w.ideal for w in places]
     cg = ClassGroup(D)
     classes = [list(cg.class_of(p.as_form())) for p in ideals]
@@ -901,12 +946,12 @@ def test_split_valuations_match_powers_of_the_ideal_generator(Dq, i, j, l,
     # and ord_w'(gamma) = 0; z is a unit at both places
     D, q = Dq
     F = QuadField(D)
-    w, w_conj = places_over(F, q)
+    w, w_conj = F.places(q)
     z = (F.element(uv[0]) + omega(F) * uv[1]) / c
     assume(c % q and (z * c).norm() % q)
     gamma = _gamma(w)
     e = sympy.multiplicity(q, int(gamma.norm()))
-    x = z * gamma ** i * gamma.conj() ** j * Fraction(q) ** l
+    x = z * gamma ** i * gamma.conjugate() ** j * Fraction(q) ** l
     assert ord_at_place(x, w) == i * e + l
     assert ord_at_place(x, w_conj) == j * e + l
 
@@ -944,13 +989,13 @@ def _residue_closure(res):
                 vq = (a - b) * pow(r - s, -1, q)
                 uq = a - vq * r
             else:
-                uq, vq = (tup[slots[0]], 0) if F == "Q" else tup[slots[0]]
+                uq, vq = (tup[slots[0]], 0) if F is QQ else tup[slots[0]]
             u, v = u + uq * c, v + vq * c
-        return Fraction(u) if F == "Q" else F.element(u) + omega(F) * v
+        return Fraction(u) if F is QQ else F.element(u) + omega(F) * v
 
     def op(t1, t2):
         return res.reduce(lift(t1) * lift(t2))
-    return res.reduce(1 if F == "Q" else F.element(1)), op
+    return res.reduce(1), op
 
 
 def _check_residues_against_enumeration(field, T):
@@ -983,7 +1028,7 @@ def _check_residues_against_enumeration(field, T):
 
 @pytest.mark.parametrize("T", [[3], [2, 3], [5, 7], [2, 11, 13], [43]])
 def test_residues_of_q_match_enumeration(T):
-    _check_residues_against_enumeration("Q", T)
+    _check_residues_against_enumeration(QQ, T)
 
 
 @given(st.sampled_from(FUNDAMENTAL),
@@ -1025,7 +1070,7 @@ def test_residue_map_is_a_multiplicative_galois_map(D, T, uv, c):
                                         res.dlog(ry))]
     assert IntLattice(k, res.relation_rows).contains_vector(gap)
     for z, rz in ((x, rx), (y, ry), (x * y, rxy)):
-        assert res.galois_act(rz) == res.reduce(z.conj())
+        assert res.galois_act(rz) == res.reduce(z.conjugate())
     for q in T:
         with pytest.raises(DatumError):
             res.reduce(F.element(q))
@@ -1053,7 +1098,7 @@ def _ray_class_order_oracle(F, S, T):
     relation matrix `ray_class` diagonalises."""
     cg = ClassGroup(F.D)
     s_classes = [from_exponents(cg.structure, cg.class_of(w.ideal.as_form()))
-                 for q in S if q != "inf" for w in places_over(F, q)]
+                 for q in S if q != "inf" for w in F.places(q)]
     span = GroupStructure(cg.structure.identity, cg.structure.op, s_classes)
     res = ResidueSystem(F, T)
     units = list(s_unit_lattice(F, S, T).gens) + [F.torsion_generator()[0]]
@@ -1094,7 +1139,7 @@ def test_ray_class_without_t_is_cl_s_with_sigma_as_minus_one(D, extra):
     m = ray_class(F, S, [])
     cg = ClassGroup(D)
     s_classes = [list(cg.class_of(w.ideal.as_form()))
-                 for q in S[1:] for w in places_over(F, q)]
+                 for q in S[1:] for w in F.places(q)]
     orders, _, _ = diagonalize_relations(
         list(cg.structure.relation_rows) + s_classes,
         len(cg.structure.leaders))
@@ -1162,20 +1207,22 @@ def test_a_repeated_place_counts_once():
 
 VALUATION_GATE_UNDER_O = """
 from starklab.ball import CertificationError
-from starklab.numfld import QuadField, ord_at_place, s_unit_lattice
+from starklab.numfld import QQ, QuadField, ord_at_place, s_unit_lattice
 
-for D, S, T in [(12, ["inf", 2, 3], [5]), (-4, ["inf", 2, 5], [3])]:
-    L = s_unit_lattice(QuadField(D), S, T)
+for F, S, T in [(QuadField(12), ["inf", 2, 3], [5]),
+                (QuadField(-4), ["inf", 2, 5], [3]),
+                (QQ, ["inf", 2, 3], [5])]:
+    L = s_unit_lattice(F, S, T)
     v = L.valuations
-    # same row span, so the solve succeeds with wrong coordinates
-    v[0] = [a + b for a, b in zip(v[0], v[1])]
+    # x = g0 g1 has the valuations v0 + v1; with v0 replaced by them, the
+    # row span is the same, so the solve succeeds with wrong coordinates
+    x, vals = L.gens[0] * L.gens[1], [a + b for a, b in zip(v[0], v[1])]
+    v[0] = vals
     try:
-        x = L.gens[0] * L.gens[1]
-        L.express(x, [ord_at_place(x, w) for w in L.places
-                      if w.kind == "finite"])
+        L.express(x, vals)
     except CertificationError:
         continue
-    raise SystemExit(f"D = {D}: express trusted corrupted valuations")
+    raise SystemExit(f"{F}: express trusted corrupted valuations")
 
 from starklab.grpring import AbelianGroup
 from starklab.numfld import _module_from_relations
@@ -1186,7 +1233,7 @@ try:
 except CertificationError:
     pass
 
-for field in ("Q", QuadField(5)):
+for field in (QQ, QuadField(5)):
     L = s_unit_lattice(field, ["inf", 5], [3])
     L.gens[0] = L.gens[0] * 7      # 7 is not an S-unit
     try:
@@ -1205,16 +1252,14 @@ except ValueError:
     pass
 
 from starklab.grpring import InputError
-from starklab.numfld import places_over
-
 try:
-    ord_at_place(3, places_over("Q", "inf")[0])
+    ord_at_place(3, QQ.places("inf")[0])
     raise SystemExit("a valuation at the real place")
 except InputError:
     pass
 
 F = QuadField(5)
-w = places_over(F, 11)[0]
+w = F.places(11)[0]
 w.omega_image = (w.omega_image + 1) % 11     # not a root of x^2 - x - 1
 try:
     # omega = (1 + sqrt 5)/2 less its wrong image

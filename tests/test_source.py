@@ -2,9 +2,9 @@
 `__init__` exports exactly what it imports, every function is used
 somewhere in the package or is a reference that tests call, every memo is
 a `functools.lru_cache`, not a dict kept by hand, `verify` names each check
-once and turns exceptions into verdicts in one place, a Rubin datum is
-normalised and checked in one place, and only the ball kernel imports
-mpmath."""
+once and turns exceptions into verdicts in one place, Q is a field object
+and not a string, a Rubin datum is normalised and checked in one place,
+and only the ball kernel imports mpmath."""
 
 import ast
 import pathlib
@@ -340,6 +340,30 @@ def _readers(name):
             if name in set(_references(node)):
                 out.add(qual)
     return sorted(out)
+
+
+def _comparisons_with(value):
+    """The qualified name of the innermost function around each comparison
+    with the constant `value` in the package (the module's name at its top
+    level), sorted."""
+    out = []
+    for module, tree in _trees().items():
+        owner = {}
+        # a nested function comes after its parent, so it owns its nodes
+        for qual, node, _kind in _functions(tree, module + "."):
+            owner.update(dict.fromkeys(ast.walk(node), qual))
+        out += [owner.get(node, module) for node in ast.walk(tree)
+                if isinstance(node, ast.Compare)
+                and any(isinstance(x, ast.Constant) and x.value == value
+                        for x in [node.left, *node.comparators])]
+    return sorted(out)
+
+
+def test_q_is_a_field_not_a_string():
+    # the S-unit layer reads Q as `numfld.QQ`, through what it declares;
+    # only the readers of a scenario's JSON "type" and of the command
+    # line's field word compare with the string "Q"
+    assert _comparisons_with("Q") == ["cli._field", "verify.field_of"]
 
 
 def test_a_rubin_datum_is_normalised_and_checked_in_one_place():

@@ -14,7 +14,7 @@ from starklab.verify import (CHECKS, ConfigError, Scenario,
                              certificate_summary, check_norm_identity,
                              check_sign_criterion, run_scenario, sign_criterion_matrix,
                              RubinStarkData)
-from starklab.numfld import DatumError, QuadField
+from starklab.numfld import QQ, DatumError, QuadField
 
 
 def test_sign_criterion_matrix_level():
@@ -604,7 +604,7 @@ def test_s_p_is_the_p_rank_of_the_ray_class_of_q(S, T, p):
     # S and T in a datum's normal form, which both read as given
     S, T = ["inf"] + sorted(S), sorted(q for q in T if q not in S)
     assert _q_ray_p_rank(S, T, p) == sum(
-        d % p == 0 for d in ray_class("Q", S, T).orders), (S, T, p)
+        d % p == 0 for d in ray_class(QQ, S, T).orders), (S, T, p)
 
 
 def test_sigma_and_the_t_sublattice_are_built_only_when_read(monkeypatch):
@@ -825,7 +825,8 @@ def test_theta_vanishes_exactly_when_every_order_exceeds_v():
             assert data.theta().is_zero() == vacuous, (datum.S, datum.V)
         key = (type(datum.field).__name__, vacuous)
         counts[key] = counts.get(key, 0) + 1
-    assert counts == {("str", True): 7, ("str", False): 4,
+    assert counts == {("RationalField", True): 7,
+                      ("RationalField", False): 4,
                       ("QuadField", True): 26, ("QuadField", False): 17,
                       ("BiquadField", True): 4, ("BiquadField", False): 8,
                       ("NoneType", True): 3, ("NoneType", False): 7}
@@ -1101,7 +1102,7 @@ TRIVIAL, CYCLIC2 = AbelianGroup(()), AbelianGroup((2,))
 def test_place_module_fitting_equals_the_minors_of_a_presentation(D, extra):
     # S = {inf} + the ramified primes + 0-4 primes below 30, and r = 0..3
     if D == "Q":
-        field, group, ramified = "Q", TRIVIAL, []
+        field, group, ramified = QQ, TRIVIAL, []
     else:
         field, group = QuadField(D), CYCLIC2
         ramified = field.ramified_primes()
@@ -1114,7 +1115,7 @@ def test_place_module_fitting_equals_the_minors_of_a_presentation(D, extra):
 
 
 def test_place_module_fitting_needs_g_trivial_or_of_prime_order():
-    lattice = s_unit_lattice("Q", ["inf"], [])
+    lattice = s_unit_lattice(QQ, ["inf"], [])
     with pytest.raises(UnsupportedCaseError):
         place_module_fitting(lattice, AbelianGroup((2, 2)), 0)
 
