@@ -124,9 +124,6 @@ class RationalField:
         """Each element's -log|x| at the real place, as a row."""
         return [[-ball_log(abs(Ball(x)))] for x in elements]
 
-    def __repr__(self):
-        return "QQ"
-
 
 QQ = RationalField()
 

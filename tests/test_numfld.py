@@ -291,6 +291,7 @@ def test_valuations_and_product_formula():
 def test_s_unit_lattices():
     L = s_unit_lattice(QQ, ["inf", 2], [5])
     assert L.rank == 1 and L.gens == [Fraction(2)]
+    assert L.sigma_matrix == [[1]] and L.sigma_matrices() == []
     assert L.t_sublattice.index() == 2
     # the datum checks S and T, once, and the lattice reads them: (H3) in
     # Scenario.validate_datum, and the shape in RubinDatum.of
