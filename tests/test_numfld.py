@@ -316,8 +316,8 @@ def test_s_unit_lattices():
 
 def _h3_place_by_place(field, T):
     """(H3) read place by place, the oracle of `_check_torsion_killed`:
-    DatumError unless each root of unity zeta != 1 has zeta - 1 a unit at
-    some place above T, with the messages that rule has always given."""
+    DatumError, with its messages, unless each root of unity zeta != 1 has
+    zeta - 1 a unit at some place above T."""
     if not T:
         raise DatumError("T empty: torsion units survive")
     for zeta in field.torsion_units():
