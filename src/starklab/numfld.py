@@ -14,7 +14,7 @@ finite places |x|_w = (Nw)^(-ord_w x).
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from typing import NamedTuple
 
 from . import hnf
@@ -1017,9 +1017,10 @@ class SUnitLattice:
     the dlog rows (`ResidueSystem.dlog`) of the residues mod T of the
     generators, then of torsion_gen, each reduced once (None without T);
     class_primes: the split primes l_1..l_r whose classes generate Cl_K
-    (`_class_primes`); relations: the (v, gamma) rows of
-    `_principal_relations` over l_1..l_r, their conjugates and the finite
-    places, which `ray_class` presents Cl_{K,S,T} from (both empty over Q).
+    (`_class_primes`); relations: a basis (v, gamma) of the v with
+    prod ideals^v = (gamma) over l_1..l_r, their conjugates and the finite
+    places, the norm rows (`_norm_rows`) and then lifts, which `ray_class`
+    presents Cl_{K,S,T} from (both empty over Q).
 
     Three attributes are built on first read and then kept, as only the
     checks at |V| >= 1 read them: sigma_matrix, the action of conjugation
@@ -1168,12 +1169,15 @@ def s_unit_lattice(field, S, T):
 
     Over Q, of degree 1 and class number 1, the generators are the finite
     places of S.  For a quadratic field the S-units come from one relation
-    lattice, of
-    the v with prod ideals^v principal over the class primes l_1..l_r
-    (`_class_primes`), their conjugates and the finite S-places, kept
-    whole for `ray_class`: its Hermite basis rows that vanish on the first
-    2r columns are the Hermite basis of the relations among the S-places
-    alone, with their generators.
+    lattice, of the v with prod ideals^v principal over the class primes
+    l_1..l_r (`_class_primes`), their conjugates and the finite S-places,
+    kept whole for `ray_class`.  Its basis is the norm rows, with their
+    rational generators (`_norm_rows`, each certified by its norm), and
+    lifts: the Hermite basis of the relations among one ideal per
+    conjugate pair, class primes first, each with one exact generator
+    (`_principal_relations`).  The rows that vanish on the first 2r
+    columns, the split and inert norm rows and then the lifts that do,
+    are a basis of the relations among the S-places alone.
 
     S and T are a `RubinDatum`'s, read as given; the lattice is taken
     modulo torsion, so it needs no (H3).
@@ -1189,9 +1193,20 @@ def s_unit_lattice(field, S, T):
     else:
         primes = _class_primes(field, {*S[1:], *T})
         r = len(primes)
-        relations = _principal_relations(
-            field, primes + [p.conj() for p in primes]
-            + [w.ideal for w in fin])
+        ideals = primes + [p.conj() for p in primes] + [w.ideal for w in fin]
+        relations, cols = _norm_rows(field, primes, fin)
+        norms = [p.a for p in primes] * 2 + [w.nw() for w in fin]
+        for v, gamma in relations:
+            # |N(gamma)| = prod N(ideal)^v in integers: the l_i's only gate
+            if abs(gamma._norm_num()) != gamma.d ** 2 * prod(
+                    nw ** e for nw, e in zip(norms, v)):
+                raise CertificationError(
+                    f"norm row {v} has a wrong generator {gamma!r}")
+        for u, gamma in _principal_relations(field, [ideals[j] for j in cols]):
+            v = [0] * len(ideals)
+            for j, e in zip(cols, u):
+                v[j] = e
+            relations.append((v, gamma))
         valuations, gens = [], []
         for v, gamma in relations:
             if any(v[:2 * r]):
@@ -1375,6 +1390,31 @@ def _class_primes(field, avoid):
     return primes
 
 
+def _norm_rows(field, primes, fin):
+    """(rows, cols) over the class primes l_1..l_r, their conjugates and
+    the finite S-places `fin`.  rows: the norm rows (v, c) with rational
+    generators c, l_i conj(l_i) = (l_i), w conj(w) = (q) at a split q and
+    w = (q) at an inert q.  cols: one ideal's column per conjugate pair,
+    l_i and the first place over each split or ramified q.  Less norm rows
+    every relation lies on cols (a ramified w^2 = (q) among them), so the
+    norm rows and a basis of the relations on cols are a basis of all."""
+    r = len(primes)
+    n = 2 * r + len(fin)
+    groups = [(p.a, [i, r + i], 1, 1) for i, p in enumerate(primes)]
+    for j, w in enumerate(fin, 2 * r):
+        if groups and groups[-1][0] == w.q:
+            groups[-1][1].append(j)
+        else:
+            groups.append((w.q, [j], w.e, w.f))
+    rows, cols = [], []
+    for q, js, e, f in groups:
+        if e == 1:      # unramified: the pair's product is (q)
+            rows.append(([int(j in js) for j in range(n)], field.element(q)))
+        if f == 1:      # of degree 1: its first place is a column
+            cols.append(js[0])
+    return rows, cols
+
+
 def _principal_relations(field, ideals):
     """[(v, gamma)]: the Hermite basis of the exponent vectors v with
     prod ideals^v principal, each with an exact generator gamma of
@@ -1429,14 +1469,14 @@ def ray_class(field, S, T, lattice=None):
     the leaders alone, with R_T's relations and the lattice's unit rows,
     the dlogs of the finite S-places and of -1.
 
-    Relations: the (S, T)-unit lattice holds the Hermite basis of the v
-    with prod ideals^v = (gamma) principal over the l_i, their conjugates
-    and the m finite S-places (`s_unit_lattice`).  The S-places' ideals
-    are 0, and Z^(2r+m+s) / (R + Z^m) = Z^(2r+s) / pi(R) for pi dropping
-    their columns, so each row with pi(v) != 0 gives (pi(v), -dlog gamma),
-    as the class of (gamma) is the image of gamma's residue.  On the
-    leaders: R_T's own relations and the unit rows, the dlogs of the
-    residues of the lattice's generators (which cover the rows with
+    Relations: the (S, T)-unit lattice holds a basis (norm rows, lifts) of
+    the v with prod ideals^v = (gamma) principal over the l_i, their
+    conjugates and the m finite S-places (`s_unit_lattice`).  The S-places'
+    ideals are 0, and Z^(2r+m+s) / (R + Z^m) = Z^(2r+s) / pi(R) for pi
+    dropping their columns, so each row with pi(v) != 0 gives (pi(v),
+    -dlog gamma), as the class of (gamma) is the image of gamma's residue.
+    On the leaders: R_T's own relations and the unit rows, the dlogs of
+    the residues of the lattice's generators (which cover the rows with
     pi(v) = 0) and of its torsion generator, which the lattice reduced
     once when it was built (`SUnitLattice.unit_dlogs`).
 

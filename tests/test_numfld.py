@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from starklab.ball import CertificationError, working_precision
 from starklab.finite import GroupStructure
 from starklab.grpring import AbelianGroup, InputError
+from starklab import numfld
 from starklab.hnf import IntLattice, diagonalize_relations, \
     identity_matrix, kernel, mat_mul
 from starklab.lfun import DirichletChar, bernoulli_value
@@ -874,11 +875,13 @@ def test_one_relation_lattice_gives_the_s_units_and_the_ray_class(D, extra):
     L = s_unit_lattice(F, S, T)
     fin = [w.ideal for w in L.places if w.kind == "finite"]
     # the S-units: the relations among the S-places alone, as their own
-    # call gives them, then the fundamental unit of a real field
+    # call gives them, span the lattice's valuation rows (the fundamental
+    # unit of a real field adds a zero row), and each generator has its
+    # row's valuations at every S-place
     alone = _principal_relations(F, fin)
-    units = 1 if F.is_real else 0
-    assert L.valuations[:len(L.valuations) - units] == [v for v, _ in alone]
-    assert L.gens[:len(L.gens) - units] == [g for _, g in alone]
+    assert IntLattice(len(fin), L.valuations) \
+        == IntLattice(len(fin), [v for v, _ in alone])
+    assert [finite_valuations(L, g) for g in L.gens] == L.valuations
     # the ray class: the same group and annihilator as the presentation
     # that keeps a killed column per S-place
     rc = ray_class(F, S, T, lattice=L)
@@ -908,6 +911,74 @@ def test_ray_class_reads_the_unit_rows_off_the_lattice(monkeypatch, D,
     assert calls == [g for v, g in L.relations if any(v[:n])]
     monkeypatch.undo()
     assert rc.orders == ray_class(F, S, T).orders
+
+
+FUNDAMENTAL_400 = [D for D in FUNDAMENTAL_1100 if abs(D) <= 400]
+
+
+@given(st.sampled_from(FUNDAMENTAL_400),
+       st.lists(st.sampled_from(SMALL_PRIMES), max_size=3, unique=True),
+       st.lists(st.sampled_from(list(sympy.primerange(2, 40))), min_size=1,
+                max_size=2, unique=True))
+@settings(max_examples=60, deadline=None)
+@example(D=-3, extra=[2, 7], T=[5])         # 2 inert, 7 split; 3 ramified
+@example(D=-4, extra=[3, 5], T=[7])         # 3 inert, 5 split; 2 ramified
+@example(D=-23, extra=[2, 3, 5], T=[7])     # h = 3: 2 and 3 split, 5 inert
+@example(D=-84, extra=[5, 11], T=[13])      # Cl_K = (Z/2)^2; 5, 11 split
+@example(D=229, extra=[3, 7], T=[11, 2])    # h = 3, N(eps) = -1; 7 inert
+def test_norm_rows_and_lifts_match_the_hermite_route(D, extra, T):
+    # the oracle: the Hermite basis of all the relations, over every class
+    # prime, conjugate and S-place, each row with its own generator
+    F = QuadField(D)
+    S = ["inf"] + sorted(set(F.ramified_primes()) | set(extra))
+    T = sorted(set(T) - set(S))
+    assume(T)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numfld, "_principal_generator",
+                   lambda *a: calls.append(a) or _principal_generator(*a))
+        L = s_unit_lattice(F, S, T)
+    k = len(L.place_ranges["inf"])
+    fin = L.places[k:]
+    r = len(L.class_primes)
+    ideals = (L.class_primes + [p.conj() for p in L.class_primes]
+              + [w.ideal for w in fin])
+    n = len(ideals)
+    oracle = [v for v, _ in _principal_relations(F, ideals)]
+    rows = [v for v, _ in L.relations]
+    assert len(rows) == n
+    assert IntLattice(n, rows) == IntLattice(n, oracle)
+    for v, gamma in L.relations:
+        assert [ord_at_place(gamma, w) for w in fin] == v[2 * r:]
+        assert abs(gamma.norm()) == math.prod(
+            (p.a * p.scale ** 2) ** e for p, e in zip(ideals, v))
+    # the S-units: the oracle's rows off the class primes
+    assert IntLattice(len(fin), L.valuations) == IntLattice(
+        len(fin), [v[2 * r:] for v in oracle if not any(v[:2 * r])])
+    rc = ray_class(F, S, T, lattice=L)
+    kept = _ray_module_keeping_s_columns(F, L)
+    assert rc.orders == kept.orders
+    assert annihilator(rc) == annihilator(kept)
+    # one generator per lift: per class prime, split and ramified prime
+    kinds = [F.splitting(q) for q in S[1:]]
+    assert len(calls) == r + kinds.count("split") + kinds.count("ramified")
+
+
+def _corrupt_a_class_norm_row(real):
+    """`_norm_rows` with the class prime l_1's generator l_1 made l_1 + 1."""
+    def corrupted(field, primes, fin):
+        rows, cols = real(field, primes, fin)
+        v, ell = rows[0]
+        return [(v, ell + 1)] + rows[1:], cols
+    return corrupted
+
+
+def test_a_wrong_norm_row_generator_fails_the_build(monkeypatch):
+    F = QuadField(-23)      # h = 3: one class prime
+    monkeypatch.setattr(numfld, "_norm_rows",
+                        _corrupt_a_class_norm_row(numfld._norm_rows))
+    with pytest.raises(CertificationError, match="has a wrong generator"):
+        s_unit_lattice(F, ["inf", 23], [5])
 
 
 def test_ray_class_of_d_minus_187_by_hand():
@@ -1243,6 +1314,26 @@ for field in (QQ, QuadField(5)):
                          "product formula")
     except CertificationError:
         pass
+
+from starklab import numfld
+
+real_norm_rows = numfld._norm_rows
+
+
+def corrupted(field, primes, fin):
+    rows, cols = real_norm_rows(field, primes, fin)
+    v, ell = rows[0]        # the class prime l_1's row: l_1 made l_1 + 1
+    return [(v, ell + 1)] + rows[1:], cols
+
+
+numfld._norm_rows = corrupted
+try:
+    s_unit_lattice(QuadField(-23), ["inf", 23], [5])
+    raise SystemExit("a wrong class prime's norm-row generator passed")
+except CertificationError:
+    pass
+finally:
+    numfld._norm_rows = real_norm_rows
 
 from starklab.hnf import IntLattice
 
