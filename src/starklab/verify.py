@@ -29,7 +29,8 @@ Each exact decision has one rule.  An integer is read off an enclosure
 only by `Ball.only_integer`, which certifies the one integer the enclosure
 holds: the pairings of epsilon and the positive-D ACNF ratio both go
 through it.  Annihilation is the containment of im(epsilon) in
-`zideal.annihilator` of the ray class group.
+`zideal.annihilator` of the ray class group.  Fitt^{|V|}(Sel^tr) is one
+closed form, `selmer_transpose_fitting`.
 """
 
 import itertools
@@ -55,9 +56,8 @@ from .numfld import (MAX_ABS_DISC, QQ, DatumError, QuadField, RubinDatum,
                      fundamental_unit_log, q_ray_relations, ray_class,
                      s_unit_lattice)
 from .sublat import enumerate_omega_star, norm_sum_identity
-from .zideal import (GIdealLattice, Presentation, UnsupportedCaseError,
-                     annihilator, augmentation_ideal_power,
-                     fitting_from_extension, fitting_ideal)
+from .zideal import (GIdealLattice, UnsupportedCaseError, annihilator,
+                     augmentation_ideal_power, fitting_from_extension)
 
 CHECK_ALIASES = {"lemma41": "norm_identity", "prop42": "norm_decomposition"}
 
@@ -544,83 +544,38 @@ def _radius_str(r):
     return f"{float(r):.3e}"
 
 
-def place_module_fitting(lattice, group, r):
-    """Fitt^r(X_{K,S}) in closed form, from the number of places of K above
-    each v of S, for G trivial or of prime order; UnsupportedCaseError for
-    any other G.
+def selmer_transpose_fitting(data, ray):
+    """Fitt^{|V|}(Sel^tr) for G trivial or of prime order, as (ideal,
+    method); UnsupportedCaseError for any other G, and when Cl_{K,S,T} != 1
+    and a place outside V has more than one place of K above it.
 
-    X_{K,S} is the kernel of the sum map from Y_{K,S} = (+)_{v in S}
-    Z[G/G_v] to Z.  S holds a place v0 with one place w0 of K above it
-    (every place of Q, and a ramified prime by (H1)), and G fixes w0, so
-    dropping w0's coordinate maps X_{K,S} isomorphically onto
-    (+)_{v != v0} Z[G/G_v].  For G trivial or of prime order, Z[G/G_v] is
-    Z[G] when v has more than one place above it and Z = Z[G]/I_G when it
-    has one.  With a places of S of the first kind, the direct sum gives
-
-        Fitt^r(X_{K,S}) = 0                   for r < a,
-                          I_G^(|S| - 1 - r)   otherwise
-
-    (I_G^0 = Z[G]; for K = Q, I_G = 0).  The places of V split
-    completely, so at r = |V| it is 0 when a place outside V splits, and
-    otherwise I_G^(d-1), d = |S| - |V|: `fitting_from_extension` at
-    Cl_{K,S,T} = 1.
+    At Cl_{K,S,T} = 1, Sel^tr is the place module X_{K,S}, the kernel of
+    the sum map from Y_{K,S} = (+)_{v in S} Z[G/G_v] to Z.  S holds a place
+    v0 with one place w0 of K above it (every place of Q, and a ramified
+    prime by (H1)), and G fixes w0, so dropping w0's coordinate maps X_{K,S}
+    isomorphically onto (+)_{v != v0} Z[G/G_v].  For G trivial or of prime
+    order, Z[G/G_v] is Z[G] when v has more than one place above it and
+    Z = Z[G]/I_G when it has one.  The places of V split completely, so one
+    more such place outside V gives |V| + 1 free summands and Fitt^{|V|} =
+    0.  Otherwise the sum is Z^(d-1) + Z[G]^{|V|}, d = |S| - |V|, and with
+    Cl added the ideal is Fitt^0(Cl) * I_G^(d-1),
+    `zideal.fitting_from_extension` (Fitt^0(Cl) = Z[G] at Cl = 1).
     """
+    group, S, V = data.group, data.datum.S, data.datum.V
     if group.order > 1 and not isprime(group.order):
         raise UnsupportedCaseError(
             "the place module's closed form needs G trivial or of prime "
             "order")
-    counts = [len(places) for places in lattice.place_ranges.values()]
-    if r < sum(n > 1 for n in counts):
-        return GIdealLattice.zero(group)
-    return augmentation_ideal_power(group, max(len(counts) - 1 - r, 0))
-
-
-def selmer_transpose_fitting(data, ray):
-    """Fitt^{|V|}(Sel^tr); returns (ideal, method) or raises
-    UnsupportedCaseError.
-
-    With Cl_{K,S,T} = 1, Sel^tr = X_{K,S} and the ideal is
-    `place_module_fitting`'s closed form.  Otherwise every place outside V
-    must have one place of K above it; the ideal is then the direct minors
-    of Cl + Z^(d-1) + Z[G]^{|V|}, cross-checked against
-    `fitting_from_extension` (CertificationError when they differ).
-    """
-    lat, S, V = data.lattice(), data.datum.S, data.datum.V
-    nV = len(V)
-    if ray.order() == 1:
-        return place_module_fitting(lat, data.group, nV), \
-            "closed form of Fitt^{|V|}(X_{K,S})"
-    for v in S:
-        if v not in V and len(lat.place_ranges[v]) > 1:
-            raise UnsupportedCaseError(
-                f"place {v} outside V lacks full decomposition group")
-    d = len(S) - nV
-    pres = _assembled_selmer_presentation(ray, d, nV)
-    fit = fitting_ideal(pres, nV)
-    if fitting_from_extension(ray, d) != fit:
-        raise CertificationError(
-            "Selmer closed form disagrees with the direct minors")
-    return fit, "Cl + trivial-action extension presentation"
-
-
-def _assembled_selmer_presentation(cl_module, d, nV):
-    """Presentation of Cl + Z^{d-1}(trivial) + Z[G]^{nV} (free part)."""
-    group = cl_module.group
-    base = cl_module.standard_presentation()
-    k = base.n_generators
-    total = k + (d - 1) + nV
-    one = GroupRingElement.one(group)
-    rels = []
-    for row in base.relations:
-        rels.append(list(row) + [GroupRingElement.zero(group)] * (total - k))
-    for j in range(d - 1):
-        for gi in range(group.rank):
-            gen = tuple(1 if l == gi else 0 for l in range(group.rank))
-            sigma = GroupRingElement.from_element(group, gen)
-            row = [GroupRingElement.zero(group)] * total
-            row[k + j] = sigma - one
-            rels.append(row)
-    return Presentation(group, total, rels)
+    trivial = ray.order() == 1
+    method = "closed form of Fitt^{|V|}(X_{K,S})" if trivial else \
+        "Cl + trivial-action extension presentation"
+    places = data.lattice().place_ranges
+    split = [v for v in S if v not in V and len(places[v]) > 1]
+    if split and not trivial:
+        raise UnsupportedCaseError(
+            f"place {split[0]} outside V lacks full decomposition group")
+    return (GIdealLattice.zero(group) if split
+            else fitting_from_extension(ray, len(S) - len(V))), method
 
 
 def _run_fitting_equality(scn, data, entry):

@@ -493,8 +493,8 @@ def fitting_from_extension(cl_module, d):
 
     Z = Z[G]/I_G, so the Z^(d-1) summand adds the factor I_G^(d-1), which
     is 0 over the trivial group for d > 1.  At Cl = 1 this is Fitt^r of
-    the place module X_{K,S} = Z^(d-1) + Z[G]^r, as stated with its
-    isomorphism at `verify.place_module_fitting`.
+    the place module X_{K,S} = Z^(d-1) + Z[G]^r, by the isomorphism that
+    `verify.selmer_transpose_fitting` states.
     """
     group = cl_module.group
     if group.order > 1 and not isprime(group.order):

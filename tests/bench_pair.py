@@ -23,9 +23,12 @@ side, and its median beats the parent's by more than the distance between
 the parent's quartiles), with both sides' `setup_s` and `peak_rss_mb`
 samples (the set-up samples of every run too).  A file for the same
 parent gains the workload's entry, so one file holds every workload
-paired against that parent; an entry it replaces moves to the end of
-`earlier`, so the file keeps every run.  The exports are removed at the
-end.
+paired against that parent.  A run replaces the workload's entry only
+when both have the same seed, and the entry it replaces moves to the end
+of `earlier`; a run with another seed goes to the end of `earlier`
+itself, with its seed, so a claim made at one seed is not displaced by a
+run at another, and the file keeps every run.  The exports are removed
+at the end.
 
 With `--setup` each run is one `perfbench/worker.py --workload W --seed S
 --mode setup` process alone, timed as `run.py` times set-up: from just
@@ -270,10 +273,17 @@ def main(argv=None):
                 runs, end_to_end)
             entry.update({"seed": args.seed, "runs": runs})
             entries = doc.setdefault(key, {})
-            if workload in entries:
+            moved = entries.get(workload)
+            if moved is not None and moved.get("seed") != args.seed:
+                moved = entry       # another seed: the entry stays
+                print(f"{workload}: the entry is at seed "
+                      f"{entries[workload].get('seed')}; this run goes to "
+                      f"earlier")
+            else:
+                entries[workload] = entry
+            if moved is not None:
                 doc.setdefault("earlier", {}).setdefault(key, {}).setdefault(
-                    workload, []).append(entries[workload])
-            entries[workload] = entry
+                    workload, []).append(moved)
             with open(path, "w") as fh:
                 json.dump(doc, fh, indent=1, sort_keys=True)
                 fh.write("\n")

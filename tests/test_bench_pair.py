@@ -160,12 +160,11 @@ def test_a_gain_is_claimed_at_nine_wins_in_ten_beyond_the_parents_spread():
     assert p90["change_better_pairs"] == 10 and p90["claim_met"]
 
 
-def test_all_pairs_every_workload_in_turn_into_one_file(tmp_path,
-                                                        monkeypatch):
-    # a checkout whose BENCHMARK.json names three workloads; git, the
-    # export and the runs are fakes, and each fake run reads 100 ops/s
-    # on the parent and 110 on the change
-    names = ["acnf", "rubin_stark", "exact_algebra"]
+def _fake_checkout(tmp_path, monkeypatch, names):
+    """A checkout whose BENCHMARK.json names the workloads; git, the export
+    and the runs are fakes, and each fake run reads 100 ops/s on the parent
+    and 110 on the change.  Returns the lists of the exported shas and of
+    the (workload, side, seed) of each run."""
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(
         {"workloads": [{"name": n} for n in names],
          "end_to_end": END_TO_END}))
@@ -193,6 +192,13 @@ def test_all_pairs_every_workload_in_turn_into_one_file(tmp_path,
             _stdout(110.0 if side == "change" else 100.0, 5.0, 0.1))
 
     monkeypatch.setattr(bench_pair, "run_side", run_side)
+    return exports, calls
+
+
+def test_all_pairs_every_workload_in_turn_into_one_file(tmp_path,
+                                                        monkeypatch):
+    names = ["acnf", "rubin_stark", "exact_algebra"]
+    exports, calls = _fake_checkout(tmp_path, monkeypatch, names)
     assert bench_pair.main(["HEAD~1", "--workload", "all", "--pairs", "2",
                             "--seed", "11"]) == 0
     # one export; each workload's pairs in turn, alternating the first side
@@ -207,10 +213,11 @@ def test_all_pairs_every_workload_in_turn_into_one_file(tmp_path,
         ops = entry["metrics"]["ops_per_s"]
         assert (ops["parent_median"], ops["change_median"]) == (100.0, 110.0)
         assert ops["change_better_pairs"] == 2 and ops["claim_met"]
-    # a later run of one workload replaces its entry and keeps the old one
+    # a later run of one workload at the same seed replaces its entry and
+    # keeps the old one
     calls.clear()
     assert bench_pair.main(["HEAD~1", "--workload", "acnf", "--pairs",
-                            "1"]) == 0
+                            "1", "--seed", "11"]) == 0
     assert [c[0] for c in calls] == ["acnf", "acnf"]
     doc = json.loads((tmp_path / "BENCH_abcdef0.json").read_text())
     assert doc["workloads"]["acnf"]["pairs"] == 1
@@ -219,6 +226,28 @@ def test_all_pairs_every_workload_in_turn_into_one_file(tmp_path,
     # a workload that BENCHMARK.json does not name is refused
     with pytest.raises(SystemExit):
         bench_pair.main(["HEAD~1", "--workload", "acfn"])
+
+
+def test_a_run_at_another_seed_goes_to_earlier(tmp_path, monkeypatch):
+    # the seed-7 entry that a claim rests on stays the entry through a
+    # seed-11 run, which is kept in `earlier` with its seed
+    _fake_checkout(tmp_path, monkeypatch, ["exact_algebra"])
+    assert bench_pair.main(["HEAD~1", "--pairs", "2"]) == 0
+    assert bench_pair.main(["HEAD~1", "--pairs", "1", "--seed", "11"]) == 0
+    doc = json.loads((tmp_path / "BENCH_abcdef0.json").read_text())
+    entry = doc["workloads"]["exact_algebra"]
+    assert (entry["seed"], entry["pairs"]) == (7, 2)
+    assert [(e["seed"], e["pairs"])
+            for e in doc["earlier"]["workloads"]["exact_algebra"]] == \
+        [(11, 1)]
+    # a later seed-7 run replaces the entry, which moves to `earlier` too
+    assert bench_pair.main(["HEAD~1", "--pairs", "3"]) == 0
+    doc = json.loads((tmp_path / "BENCH_abcdef0.json").read_text())
+    assert (doc["workloads"]["exact_algebra"]["seed"],
+            doc["workloads"]["exact_algebra"]["pairs"]) == (7, 3)
+    assert [(e["seed"], e["pairs"])
+            for e in doc["earlier"]["workloads"]["exact_algebra"]] == \
+        [(11, 1), (7, 2)]
 
 
 def test_the_change_side_is_a_copy_of_the_working_tree(tmp_path,

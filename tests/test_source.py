@@ -1,7 +1,8 @@
 """Properties of the `starklab` source itself, read off its syntax trees:
 `__init__` exports exactly what it imports, every function is used
-somewhere in the package or is a reference that tests call, every memo is
-a `functools.lru_cache`, not a dict kept by hand, `verify` names each check
+somewhere in the package or is a reference that tests call, no module but
+`__init__` imports a name it never reads, every memo is a
+`functools.lru_cache`, not a dict kept by hand, `verify` names each check
 once and turns exceptions into verdicts in one place, Q is a field object
 and not a string, a Rubin datum is normalised and checked in one place,
 and only the ball kernel imports mpmath."""
@@ -221,6 +222,33 @@ def test_the_reference_check_sees_functions_hidden_by_a_shared_name():
                  "sublat.count_avoiding(2, 2, 1)\n"):
         unreferenced, _ = _unreferenced(trees, [ast.parse(test)])
         assert unreferenced == ["multilin.WedgeElement.from_vectors"]
+
+
+def _unread_imports(tree):
+    """The names that a module's imports bind and none of its code reads,
+    in import order."""
+    bound = [(a.asname or a.name).split(".")[0] for n in ast.walk(tree)
+             if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names]
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [name for name in bound if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # `__init__` imports to export; every other module reads what it imports
+    unread = {module: _unread_imports(tree)
+              for module, tree in _trees().items() if module != "__init__"}
+    assert {module: names for module, names in unread.items() if names} == {}
+
+
+def test_the_import_check_sees_a_leftover():
+    # a name read only as an attribute, or only bound again, is not read
+    tree = ast.parse("import itertools, os.path\n"
+                     "from .zideal import Presentation, fitting_ideal as fi\n"
+                     "def f(pres, x):\n"
+                     "    Presentation = x.itertools\n"
+                     "    return fi(pres, 0), os.path.sep\n")
+    assert _unread_imports(tree) == ["itertools", "Presentation"]
 
 
 def _is_dict(value):

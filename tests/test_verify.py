@@ -1045,15 +1045,18 @@ def test_norm_identity_gates_hold_under_python_O():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-# -- Fitt^r(X_{K,S}): the closed form against the minors of a presentation
+# -- Fitt^{|V|}(Sel^tr): the closed form against the minors of presentations
 
+from hypothesis import example
 from test_multilin import act_element
+from test_zideal import trivial_action
 
 from starklab import hnf, verify
 from starklab.grpring import AbelianGroup, GroupRingElement
 from starklab.multilin import GLattice
-from starklab.numfld import is_fundamental_discriminant, s_unit_lattice
-from starklab.verify import place_module_fitting
+from starklab.numfld import (RubinDatum, class_number,
+                             is_fundamental_discriminant, kronecker)
+from starklab.verify import field_of, selmer_transpose_fitting
 from starklab.zideal import (Presentation, UnsupportedCaseError,
                              fitting_ideal)
 
@@ -1090,34 +1093,185 @@ def glattice_presentation(M):
     return Presentation(group, t, rels)
 
 
+def assembled_selmer_presentation(cl_module, d, nV):
+    """Presentation of Cl + Z^{d-1}(trivial) + Z[G]^{nV} (free part): Sel^tr
+    when each of the d places outside V has one place of K above it."""
+    group = cl_module.group
+    base = cl_module.standard_presentation()
+    k = base.n_generators
+    total = k + (d - 1) + nV
+    one = GroupRingElement.one(group)
+    rels = []
+    for row in base.relations:
+        rels.append(list(row) + [GroupRingElement.zero(group)] * (total - k))
+    for j in range(d - 1):
+        for gi in range(group.rank):
+            gen = tuple(1 if l == gi else 0 for l in range(group.rank))
+            sigma = GroupRingElement.from_element(group, gen)
+            row = [GroupRingElement.zero(group)] * total
+            row[k + j] = sigma - one
+            rels.append(row)
+    return Presentation(group, total, rels)
+
+
+def selmer_minors(data, ray):
+    """Fitt^{|V|} of `assembled_selmer_presentation` for the datum."""
+    S, V = data.datum.S, data.datum.V
+    return fitting_ideal(
+        assembled_selmer_presentation(ray, len(S) - len(V), len(V)), len(V))
+
+
+def shape_checked_data(spec):
+    """`RubinStarkData` of a Rubin datum given as a scenario's field, S, V
+    and T, with its shape checked but not (H3)."""
+    realization, field, kind = field_of(spec["field"])
+    datum = RubinDatum.of(realization, field, kind, spec["S"], spec["V"],
+                          spec.get("T", []))
+    return RubinStarkData(datum)
+
+
 PLACE_FIELDS = ["Q"] + [D for D in range(-400, 401)
                         if D not in (0, 1) and is_fundamental_discriminant(D)]
 PRIMES_BELOW_30 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-TRIVIAL, CYCLIC2 = AbelianGroup(()), AbelianGroup((2,))
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(PLACE_FIELDS),
-       st.sets(st.sampled_from(PRIMES_BELOW_30), max_size=4))
-def test_place_module_fitting_equals_the_minors_of_a_presentation(D, extra):
-    # S = {inf} + the ramified primes + 0-4 primes below 30, and r = 0..3
+       st.sets(st.sampled_from(PRIMES_BELOW_30), max_size=4),
+       st.integers(0, 31))
+@example("Q", {11}, 0b10)           # V = {11}: I_G^(d-1) over G = 1
+@example(5, {11}, 0b01)             # 11 splits outside V = {inf}: 0
+@example(5, {11}, 0b11)             # V = {inf, 11}: I_G^0 = Z[G]
+@example(-4, {3, 5}, 0b01)          # V = {5}, 3 inert, d = 3: I_G^2
+def test_selmer_transpose_fitting_at_cl_1_is_the_place_modules_minors(
+        D, extra, mask):
+    # S = {inf} + the ramified primes + 0-4 primes below 30, V the places
+    # of S that split completely picked by the bits of mask (S itself less
+    # its last place), and Cl_{K,S,T} = 1: the place module X_{K,S}
     if D == "Q":
-        field, group, ramified = QQ, TRIVIAL, []
+        field = {"type": "Q"}
+        ramified = []
     else:
-        field, group = QuadField(D), CYCLIC2
-        ramified = field.ramified_primes()
+        field = {"type": "quad", "disc": D}
+        ramified = QuadField(D).ramified_primes()
+    realization = field_of(field)[0]
     S = ["inf"] + sorted(set(ramified) | extra)
-    lattice = s_unit_lattice(field, S, [])
-    pres = glattice_presentation(x_glattice(lattice, group))
-    for r in range(4):
-        assert place_module_fitting(lattice, group, r) == \
-            fitting_ideal(pres, r), (D, S, r)
+    splitting = [v for v in S if realization.splits_completely(v)]
+    V = [v for i, v in enumerate(splitting) if mask >> i & 1][:len(S) - 1]
+    data = shape_checked_data({"field": field, "S": S, "V": V})
+    group = data.group
+    pres = glattice_presentation(x_glattice(data.lattice(), group))
+    fit, method = selmer_transpose_fitting(data, trivial_action(group, []))
+    assert method == "closed form of Fitt^{|V|}(X_{K,S})"
+    assert fit == fitting_ideal(pres, len(V)), (D, S, V)
 
 
-def test_place_module_fitting_needs_g_trivial_or_of_prime_order():
-    lattice = s_unit_lattice(QQ, ["inf"], [])
-    with pytest.raises(UnsupportedCaseError):
-        place_module_fitting(lattice, AbelianGroup((2, 2)), 0)
+def test_selmer_transpose_fitting_needs_g_trivial_or_of_prime_order():
+    # K = Q(sqrt 5, sqrt 2), G = (Z/2)^2, at Cl_{K,S,T} = 1 and at a Cl of
+    # order 2
+    data = shape_checked_data({
+        "field": {"type": "multiquad", "discs": [5, 8]}, "S": ["inf", 2, 5],
+        "V": ["inf"]})
+    for cl in ([], [2]):
+        with pytest.raises(UnsupportedCaseError, match="prime order"):
+            selmer_transpose_fitting(
+                data, trivial_action(AbelianGroup((2, 2)), cl))
+
+
+def _pool_selmer_data():
+    """The distinct Rubin data of the pool ops that run fitting_equality
+    over Q or a quadratic field, each as a validated `RubinStarkData`."""
+    import pool_digest  # noqa: F401  (puts perfbench's modules on the path)
+    import workloads
+    specs = {}
+    for name in workloads.WORKLOADS:
+        for _stratum, _n, ops in workloads.pool(name):
+            for op in ops:
+                spec = op.get("spec", {})
+                if "fitting_equality" in spec.get("checks", []) and \
+                        spec["field"]["type"] in ("Q", "quad"):
+                    datum = {k: spec.get(k, []) for k in ("field", "S", "V",
+                                                          "T")}
+                    specs.setdefault(workloads.op_key(datum), datum)
+    out = []
+    for spec in specs.values():
+        scn = Scenario(spec)
+        scn.validate_datum()
+        out.append(RubinStarkData(scn.datum))
+    return out
+
+
+def _splits_outside_v(data):
+    lat, V = data.lattice(), data.datum.V
+    return any(v not in V and len(lat.place_ranges[v]) > 1
+               for v in data.datum.S)
+
+
+def test_selmer_transpose_fitting_is_the_minors_on_the_pool():
+    # every pool datum whose fitting_equality reaches Cl_{K,S,T} != 1 with
+    # one place of K above each place outside V
+    reached = 0
+    for data in _pool_selmer_data():
+        ray = data.ray()
+        if ray.order() == 1 or _splits_outside_v(data):
+            continue
+        fit, method = selmer_transpose_fitting(data, ray)
+        assert method == "Cl + trivial-action extension presentation"
+        assert fit == selmer_minors(data, ray), data.datum
+        reached += 1
+    assert reached == 13
+
+
+IMAG_CLASS_FIELDS = [D for D in range(-400, -2)
+                     if is_fundamental_discriminant(D) and class_number(D) > 1]
+ODD_PRIMES_BELOW_40 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+
+
+@st.composite
+def _imag_class_data(draw):
+    """(D, S, V, T): an imaginary quadratic field with h > 1; S is {inf},
+    the ramified primes, 0-2 inert primes below 30 and, when V = {q}, a
+    split prime q below 30; T is one or two odd primes below 40 outside S."""
+    D = draw(st.sampled_from(IMAG_CLASS_FIELDS))
+    ramified = QuadField(D).ramified_primes()
+    inert = [q for q in PRIMES_BELOW_30 if kronecker(D, q) == -1]
+    split = [q for q in PRIMES_BELOW_30 if kronecker(D, q) == 1]
+    V = draw(st.sampled_from([[]] + [[q] for q in split]))
+    S = ["inf"] + sorted(set(ramified) | set(V) | draw(
+        st.sets(st.sampled_from(inert), max_size=2) if inert
+        else st.just(set())))
+    T = sorted(draw(st.sets(st.sampled_from(
+        [t for t in ODD_PRIMES_BELOW_40 if t not in S]),
+        min_size=1, max_size=2)))
+    return D, S, V, T
+
+
+def _selmer_against_the_minors(D, S, V, T):
+    """Asserts that `selmer_transpose_fitting` is the minors' ideal on the
+    imaginary quadratic datum, and returns its ray class group."""
+    scn = Scenario({"field": {"type": "quad", "disc": D}, "S": S, "V": V,
+                    "T": T})
+    scn.validate_datum()
+    data = RubinStarkData(scn.datum)
+    ray = data.ray()
+    assert not _splits_outside_v(data)
+    fit, _method = selmer_transpose_fitting(data, ray)
+    assert fit == selmer_minors(data, ray), (D, S, V, T)
+    return ray
+
+
+@settings(max_examples=40, deadline=None)
+@given(_imag_class_data())
+@example((-84, ["inf", 2, 3, 5, 7], [5], [11]))
+def test_selmer_transpose_fitting_is_the_minors_of_imaginary_data(case):
+    _selmer_against_the_minors(*case)
+
+
+def test_selmer_transpose_fitting_is_the_minors_of_non_cyclic_classes():
+    assert _selmer_against_the_minors(
+        -420, ["inf", 2, 3, 5, 7], [], [13, 17]).orders == [3, 36]
+    assert _selmer_against_the_minors(
+        -260, ["inf", 2, 5, 13], [], [37]).orders == [2, 18]
 
 
 # Cl_{Q,S,T} = (Z/5)^x / <-1, 11> has order 2, and V = {inf} leaves d = 1
@@ -1133,20 +1287,23 @@ def test_q_with_a_nontrivial_class_group_is_cross_checked(monkeypatch):
     assert entry["witness"]["fitting_hnf"] == [[2]]
     assert entry["witness"]["method"] == \
         "Cl + trivial-action extension presentation"
-    # a closed form with I_G^d for I_G^(d-1) reads 0 for (2)
+    # a closed form with I_G^d for I_G^(d-1) reads 0 for (2): the minors
+    # of the assembled presentation tell it apart, and the verdict fails
     true_closed = verify.fitting_from_extension
     monkeypatch.setattr(verify, "fitting_from_extension",
                         lambda cl, d: true_closed(cl, d + 1))
+    scn = Scenario(Q_WITH_CLASSES)
+    scn.validate_datum()
+    data = RubinStarkData(scn.datum)
+    ray = data.ray()
+    fit, _method = selmer_transpose_fitting(data, ray)
+    assert fit != selmer_minors(data, ray)
     [entry] = run_scenario(Scenario(Q_WITH_CLASSES))["results"]
     assert entry["verdict"] == "fail"
-    assert "disagrees with the direct minors" in entry["witness"]
 
 
 # -- Rubin's S- and T-change rules on im(epsilon), through the pipeline ------
 
-from hypothesis import example
-
-from starklab.numfld import kronecker
 from starklab.zideal import GIdealLattice
 
 CHANGE_FIELDS = [D for D in PLACE_FIELDS if D == "Q" or abs(D) < 100]
