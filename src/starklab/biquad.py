@@ -1,7 +1,9 @@
 """Real biquadratic composita K = k1 k2 k3 read through their three
-quadratic subfields: compositum places, and an S-unit lattice generated by
-the subfields' S-units, whose relations are certified exactly by their
-norms to the subfields and whose logs are read off the subfields' places.
+quadratic subfields: a field whose places (`BiquadField.places`) are
+`numfld.Place`s, as Q's and a quadratic field's are, and an S-unit lattice
+generated by the subfields' S-units, whose relations are certified exactly
+by their norms to the subfields and whose logs are read off the subfields'
+places.
 
 Saturation inside the full unit group is not attempted (out of desk scope);
 the lattice is the subgroup the subfields generate, which is all the
@@ -16,9 +18,10 @@ from . import hnf
 from .ball import (CertificationError, ball_combination, gauss_solve,
                    precision, working_precision)
 from .grpring import InputError
-from .numfld import (QuadField, assembled_log_matrix, certified_arch_logs,
-                     fundamental_discriminant, kronecker, ord_at_place,
-                     s_unit_lattice, squarefree_part)
+from .numfld import (Place, QuadField, _s_places, assembled_log_matrix,
+                     certified_arch_logs, fundamental_discriminant,
+                     kronecker, ord_at_place, s_unit_lattice,
+                     squarefree_part)
 from .zideal import UnsupportedCaseError
 
 
@@ -49,62 +52,41 @@ class BiquadField:
         s2 = -1 if e2 else 1
         return (s1, s2, s1 * s2)
 
+    @lru_cache(maxsize=None)
+    def places(self, v):
+        """The places over the rational place v ('inf' or a prime), as a
+        tuple built once: the four real places, each with its signs, or
+        the one place over q, with its ramification over each subfield.
+
+        Finite places are supported only when there is a single place over
+        v (no Galois orbit bookkeeping at split primes of the compositum);
+        the spread cases, and complex composita, raise
+        UnsupportedCaseError.
+        """
+        if v == "inf":
+            if not self.is_real:
+                raise UnsupportedCaseError("complex composita not supported")
+            return tuple(Place(self, "real", signs=(s1, s2, s1 * s2),
+                               label=f"inf{'+' if s1>0 else '-'}"
+                                     f"{'+' if s2>0 else '-'}")
+                         for s1, s2 in itertools.product((1, -1), repeat=2))
+        # character-theoretic splitting data: the three quadratic characters
+        values = [kronecker(D, v) for D in self.discs]
+        n_unram = 1 + sum(1 for vl in values if vl != 0)
+        e = 4 // n_unram
+        f_ord = 2 if any(vl == -1 for vl in values) else 1
+        g = n_unram // f_ord
+        if g != 1:
+            raise UnsupportedCaseError(
+                f"{v} has {g} places in the compositum; only single-place "
+                "primes are supported at desk scale")
+        # ramification over each subfield: over Q less that of the subfield
+        e_sub = [e // 2 if vl == 0 else e for vl in values]
+        return (Place(self, "finite", q=v, e=e, f=f_ord, e_sub=e_sub,
+                      label=f"{v}"),)
+
     def __repr__(self):
         return f"BiquadField(sqrt {self.ms[0]}, sqrt {self.ms[1]})"
-
-
-class BiquadPlace:
-    """A place of the compositum over a rational place."""
-
-    __slots__ = ("field", "kind", "q", "e", "f", "signs", "e_sub", "label")
-
-    def __init__(self, field, kind, q=None, e=1, f=1, signs=None,
-                 e_sub=None, label=""):
-        self.field = field
-        self.kind = kind
-        self.q = q
-        self.e = e
-        self.f = f
-        self.signs = signs      # archimedean: (s1, s2, s3)
-        self.e_sub = e_sub      # finite: ramification degree over each subfield
-        self.label = label
-
-    def nw(self):
-        return self.q ** self.f
-
-    def __repr__(self):
-        return f"BiquadPlace({self.label})"
-
-
-def biquad_places(field, v):
-    """Places of the compositum over the rational place v.
-
-    Finite places are supported only when there is a single place over v
-    (no Galois orbit bookkeeping at split primes of the compositum); the
-    spread cases raise UnsupportedCaseError.
-    """
-    if v == "inf":
-        if not field.is_real:
-            raise UnsupportedCaseError("complex composita not supported")
-        return [BiquadPlace(field, "real", signs=(s1, s2, s1 * s2),
-                            label=f"inf{'+' if s1>0 else '-'}"
-                                  f"{'+' if s2>0 else '-'}")
-                for s1, s2 in itertools.product((1, -1), repeat=2)]
-    q = int(v)
-    # character-theoretic splitting data: the three quadratic characters
-    values = [kronecker(D, q) for D in field.discs]
-    n_unram = 1 + sum(1 for vl in values if vl != 0)
-    e = 4 // n_unram
-    f_ord = 2 if any(vl == -1 for vl in values) else 1
-    g = n_unram // f_ord
-    if g != 1:
-        raise UnsupportedCaseError(
-            f"{q} has {g} places in the compositum; only single-place "
-            "primes are supported at desk scale")
-    # ramification over each subfield: over Q less that of the subfield
-    e_sub = [e // 2 if vl == 0 else e for vl in values]
-    return [BiquadPlace(field, "finite", q=q, e=e, f=f_ord, e_sub=e_sub,
-                        label=f"{q}")]
 
 
 class BiquadSUnitLattice:
@@ -121,7 +103,9 @@ class BiquadSUnitLattice:
     is built.
 
     It offers the place and log interface of numfld.SUnitLattice
-    (place_indices, place_permutation, valuations, arch_logs, log_matrix).
+    (places, place_ranges, place_permutation, valuations, arch_logs,
+    log_matrix), its places and their ranges laid out by
+    `numfld._s_places`, as `s_unit_lattice` lays out its own.
     Its saturation index is not known, and its T-unit sublattice is not
     built: `t_lattice_hnf` raises, so no check reads an action on its
     coordinates, and it builds none.  S is in a datum's normal form
@@ -134,14 +118,9 @@ class BiquadSUnitLattice:
     def __init__(self, field, S):
         self.field = field
         self.S = S
-        # the places first: biquad_places rejects what is out of scope
+        # the places first: field.places rejects what is out of scope
         # before any subfield lattice is built
-        self.places = []
-        self.place_ranges = {}
-        for v in S:
-            start = len(self.places)
-            self.places.extend(biquad_places(field, v))
-            self.place_ranges[v] = range(start, len(self.places))
+        self.places, _, self.place_ranges = _s_places(field, S)
         sub_lattices = [s_unit_lattice(k, S, ()) for k in field.subfields]
         self.sub_lattices = sub_lattices
         fin = [w for w in self.places if w.kind == "finite"]
@@ -256,13 +235,6 @@ class BiquadSUnitLattice:
         sub_idx: its pool row of the Smith transform."""
         offset = sum(len(sl.gens) for sl in self.sub_lattices[:sub_idx])
         return list(self._V[offset + gen_idx])
-
-    def place_indices(self, v):
-        """Indices in `places` of the places above the rational place v,
-        distinguished place first."""
-        if v not in self.place_ranges:
-            raise InputError(f"no place over {v}")
-        return self.place_ranges[v]
 
     def place_permutation(self, element):
         """The permutation of `places` under a Galois group element: it

@@ -118,7 +118,7 @@ def main(argv=None):
 def _dispatch(args):
     if args.command == "identity":
         hs = enumerate_omega_star(args.p, args.m)
-        element = norm_sum_identity(args.p, args.m, hs)
+        element = norm_sum_identity(hs)
         print(f"sum of subgroup norms over {hs.count_proper()} hyperplanes "
               f"+ correction = {args.p}^{args.m - 1}")
         print(f"identity element: {element!r}")

@@ -177,51 +177,45 @@ def hnf(rows, ambient_dim=None):
     return lat.canonical()
 
 
+def _augmented_echelon(rows, n):
+    """(lattice, tails): the echelon form of the rows [row_i | e_i] of
+    Z^(n+m), m = len(rows), pivoting only in the first n columns, and the
+    last m entries (the tail) of each row that reduces to zero there.  A
+    row of the echelon form is [v | x] with v = x @ rows, and the tails
+    are a basis of the left kernel of rows (a unimodular transform of the
+    identity)."""
+    m = len(rows)
+    lat = IntLattice(n + m)
+    tails = []
+    for i, r in enumerate(rows):
+        aug = list(r) + [0] * m
+        aug[n + i] = 1
+        tail = lat.add_vector(aug, n)
+        if tail is not None:
+            tails.append(tail)
+    return lat, tails
+
+
 def kernel(rows, ambient_dim=None):
     """Basis of the left kernel {x : x @ rows == 0}, as rows of length len(rows).
 
     The returned rows span the kernel lattice exactly (they arise from a
     unimodular transform of the identity).
     """
-    rows = [list(r) for r in rows]
-    m = len(rows)
     if ambient_dim is None:
         ambient_dim = len(rows[0]) if rows else 0
-    n = ambient_dim
-    # run echelon insertion on [row | e_i]; pivots restricted to lead block
-    lat = IntLattice(n + m)
-    harvested = []
-    for i, r in enumerate(rows):
-        aug = r + [0] * m
-        aug[n + i] = 1
-        tail = lat.add_vector(aug, n)
-        if tail is not None:
-            harvested.append(tail)
-    return harvested
+    return _augmented_echelon(rows, ambient_dim)[1]
 
 
 def solve_in_rowspan(rows, vec):
     """Integer x with x @ rows == vec, or None."""
-    rows = [list(r) for r in rows]
-    m = len(rows)
-    if m == 0:
+    if not rows:
         return [] if not any(vec) else None
     n = len(rows[0])
-    lat = IntLattice(n + m)
-    for i, r in enumerate(rows):
-        aug = r + [0] * m
-        aug[n + i] = 1
-        lat.add_vector(aug, n)
-    # reduce [vec | 0]; pivot block reduction mirrors into the tail
-    aug = list(vec) + [0] * m
-    for row, j in zip(lat.rows, lat.pivots):
-        if aug[j] == 0:
-            continue
-        if aug[j] % row[j] != 0:
-            return None
-        q = aug[j] // row[j]
-        for jj in range(len(aug)):
-            aug[jj] -= q * row[jj]
+    lat, _ = _augmented_echelon(rows, n)
+    # reduce [vec | 0]: the reduction in the pivot block mirrors into the
+    # tail, which ends as -x
+    aug = lat.reduce_vector(list(vec) + [0] * len(rows))
     if any(aug[:n]):
         return None
     return [-c for c in aug[n:]]

@@ -96,7 +96,7 @@ def is_fundamental_discriminant(D):
 class RationalField:
     """Q, with Fractions for elements, answering what a `QuadField` answers
     for the S-unit layer: degree 1, unit rank 0, torsion +-1, one place over
-    each rational place, norms and logs.  `QQ` is its one instance."""
+    each rational place, and logs.  `QQ` is its one instance."""
 
     degree = 1
     unit_rank = 0
@@ -106,9 +106,6 @@ class RationalField:
 
     def torsion_units(self):
         return [Fraction(1), Fraction(-1)]
-
-    def norm(self, x):
-        return Fraction(x)
 
     def is_unit(self, x):
         return abs(x) == 1
@@ -148,9 +145,6 @@ class QuadField:
 
     def element(self, a, b=0):
         return QuadElt(self, a, b)
-
-    def norm(self, x):
-        return x.norm()
 
     def is_unit(self, x):
         return x.is_integral() and abs(x.norm()) == 1
@@ -772,19 +766,23 @@ class QuadIdeal:
 # -- places and valuations ---------------------------------------------------
 
 class Place:
-    """A place of Q or a quadratic field.
+    """A place of any field: `QQ`, a `QuadField` or a `BiquadField`.
 
-    kind: 'real' (with conjugate flag), 'complex', or 'finite'.
-    Finite places carry q, e, f and, in a quadratic field, the prime ideal
-    w; at a place of degree 1 (split or ramified q) also omega_image, the
-    integer r mod q with omega = r mod w.
+    kind: 'real' (with conjugate flag in a quadratic field, and in a
+    compositum the signs (s1, s2, s3) it gives sqrt m1, sqrt m2, sqrt m3),
+    'complex', or 'finite'.  Finite places carry q, e, f and, in a
+    quadratic field, the prime ideal w; at a place of degree 1 (split or
+    ramified q) also omega_image, the integer r mod q with omega = r mod w.
+    In a compositum a finite place carries e_sub, its ramification index
+    over each quadratic subfield.
     """
 
     __slots__ = ("field", "kind", "q", "e", "f", "conjugate", "ideal",
-                 "omega_image", "label")
+                 "omega_image", "signs", "e_sub", "label")
 
     def __init__(self, field, kind, q=None, e=1, f=1, conjugate=False,
-                 ideal=None, omega_image=None, label=""):
+                 ideal=None, omega_image=None, signs=None, e_sub=None,
+                 label=""):
         self.field = field
         self.kind = kind
         self.q = q
@@ -793,6 +791,8 @@ class Place:
         self.conjugate = conjugate
         self.ideal = ideal
         self.omega_image = omega_image
+        self.signs = signs
+        self.e_sub = e_sub
         self.label = label
 
     def nw(self):
@@ -1073,13 +1073,6 @@ class SUnitLattice:
     def rank(self):
         return len(self.gens)
 
-    def place_indices(self, v):
-        """Indices in `places` of the places above the rational place v,
-        distinguished place first."""
-        if v not in self.place_ranges:
-            raise InputError(f"no place over {v}")
-        return self.place_ranges[v]
-
     def place_permutation(self, element):
         """The permutation of `places` under a Galois group element (a
         tuple of exponents; the empty tuple over Q)."""
@@ -1317,20 +1310,21 @@ def _normalize_primes(T):
     return sorted(set(out))
 
 
-def _check_torsion_killed(field, T):
-    """(H3) for the T of a `RubinDatum`: DatumError unless each root of
-    unity of `field` other than 1 is not 1 at some place above T.
+def _check_torsion_killed(T):
+    """(H3) for the T of a `RubinDatum`, whatever its field K: DatumError
+    unless no root of unity of K but 1 is 1 at every place above T, which
+    holds exactly when T holds an odd prime.
 
-    A root of unity zeta != 1 is 1 at every place above q exactly when
-    q | N(zeta - 1): zeta - 1 lies in every place over 2 when zeta = -1,
-    and otherwise in one ramified place alone."""
+    Let zeta != 1 have order n.  If n is not a prime power, zeta - 1 is a
+    unit.  If n = p^k > 2, zeta - 1 lies only above p (Washington, GTM 83,
+    Prop. 2.8), and p ramifies in Q(zeta), a subfield of K, so p is in S by
+    (H1) and not in T.  So only -1 can be 1 at every place above T, and it
+    is 1 exactly at the places over 2."""
     if not T:
         raise DatumError("T empty: torsion units survive")
-    for zeta in field.torsion_units()[1:]:
-        n = field.norm(zeta - 1)
-        if all(n % q == 0 for q in T):
-            raise DatumError(
-                f"(H3) fails: {zeta} = 1 at every place above T={list(T)}")
+    if set(T) <= {2}:
+        raise DatumError(
+            f"(H3) fails: -1 = 1 at every place above T={list(T)}")
 
 
 def _principal_generator(field, ideals, exponents):
@@ -1459,9 +1453,10 @@ def _t_sublattice(n, residues, unit_dlogs):
 
 # -- (S, T)-ray class modules ------------------------------------------------
 
-def ray_class(field, S, T, lattice=None):
-    """Cl_{K,S,T} as a FiniteGModule over Gal(K/Q), for `field` `QQ` (over
-    the trivial group) or a `QuadField`, from one presentation (Cohen,
+def ray_class(lattice):
+    """Cl_{K,S,T} as a FiniteGModule over Gal(K/Q), for the field, S and T
+    of `lattice`, the (S, T)-unit lattice (`s_unit_lattice`) of `QQ` (over
+    the trivial group) or of a `QuadField`, from one presentation (Cohen,
     *Advanced Topics in Computational Number Theory*, GTM 193, ch. 4).
 
     Generators: for a quadratic field the class primes l_1..l_r and their
@@ -1483,23 +1478,17 @@ def ray_class(field, S, T, lattice=None):
     Action: the nontrivial automorphism swaps l_i and its conjugate, and
     acts on each leader through its residue (`ResidueSystem.galois_act`).
 
-    The relations come from `lattice`, when the caller already holds
-    `s_unit_lattice(field, S, T)` (InputError if it is another's), else
-    from one built here.  For a quadratic field the order is checked
-    against |Cl_{K,S,T}| = h_S * |R_T / im(units)|, with h_S from the
-    classes of the S-places alone (CertificationError if it fails).  S and
-    T are a `RubinDatum`'s, read as given.
+    For a quadratic field the order is checked against
+    |Cl_{K,S,T}| = h_S * |R_T / im(units)|, with h_S from the classes of
+    the S-places alone (CertificationError if it fails).
     """
-    sl = lattice if lattice is not None else s_unit_lattice(field, S, T)
-    if (sl.field, sl.S, sl.T) != (field, S, T):
-        raise InputError(f"lattice is for S={sl.S}, T={sl.T}, "
-                         f"not S={S}, T={T}")
-    residues = sl.residues
+    field, residues = lattice.field, lattice.residues
     s_len = len(residues.leaders) if residues else 0
-    unit_rows = residues.relation_rows + sl.unit_dlogs if residues else []
+    unit_rows = (residues.relation_rows + lattice.unit_dlogs if residues
+                 else [])
     if field.degree == 1:
         return _module_from_relations(AbelianGroup(()), s_len, unit_rows, [])
-    n = 2 * len(sl.class_primes)
+    n = 2 * len(lattice.class_primes)
     eye = hnf.identity_matrix(n)
 
     def rt_dlog(x):
@@ -1510,7 +1499,7 @@ def ray_class(field, S, T, lattice=None):
     # prod ideals^v = (gamma) gives the row (v, -dlog gamma), its S-place
     # entries dropped
     rel_rows = [v[:n] + [-c for c in rt_dlog(gamma)]
-                for v, gamma in sl.relations if any(v[:n])]
+                for v, gamma in lattice.relations if any(v[:n])]
     rel_rows += [[0] * n + rr for rr in unit_rows]
 
     # Galois action on the generators: l_i <-> conj(l_i), then the leaders
@@ -1522,12 +1511,12 @@ def ray_class(field, S, T, lattice=None):
     module = _module_from_relations(AbelianGroup((2,)), n + s_len, rel_rows,
                                     [action_rows])
     # order consistency: |Cl_{S,T}| = |Cl_S| * |R_T / im units|
-    h_s = _s_class_number(field, ClassGroup(field.D), S[1:])
+    h_s = _s_class_number(field, ClassGroup(field.D), lattice.S[1:])
     if residues:
         q_ord = hnf.IntLattice(s_len, unit_rows).index()
         if q_ord is None:
             raise CertificationError(
-                f"R_T / im(units) is infinite for T={T}")
+                f"R_T / im(units) is infinite for T={lattice.T}")
     else:
         q_ord = 1
     if module.order() != h_s * q_ord:

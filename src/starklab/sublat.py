@@ -102,13 +102,13 @@ def enumerate_omega_star(p, m):
     return hs
 
 
-def norm_sum_identity(p, m, hyperplanes=None):
-    """The identity sum_H N_H + ((p^(m-1)-1) - sum_i p^i) N_G = p^(m-1).
+def norm_sum_identity(hs):
+    """The identity sum_H N_H + ((p^(m-1)-1) - sum_i p^i) N_G = p^(m-1)
+    over G = (Z/p)^m, for the p and m of the HyperplaneSet `hs`.
 
     H ranges over all subgroups of index at most p.  Computes the left side
     exactly in Z[G], raises CertificationError unless it is the constant
-    p^(m-1), and returns it.  hyperplanes: the HyperplaneSet(p, m) a caller
-    already holds; one is built here without it.
+    p^(m-1), and returns it.
 
     The proper planes are summed as lane integers (module docstring), in
     the order of the normals' reversed coordinates: one W-bit lane per
@@ -116,10 +116,7 @@ def norm_sum_identity(p, m, hyperplanes=None):
     any element, at most that number, stays in its lane.  The total is
     decoded once into one count per element.
     """
-    hs = enumerate_omega_star(p, m) if hyperplanes is None else hyperplanes
-    if (hs.p, hs.m) != (p, m):
-        raise InputError(f"{hs!r} is not the hyperplane set of p={p}, m={m}")
-    g = hs.group
+    p, m, g = hs.p, hs.m, hs.group
     width = len(hs.normals).bit_length()
     total = sum(_plane_lanes(hs, width))
     lane = (1 << width) - 1

@@ -183,13 +183,11 @@ class Scenario:
     def validate_datum(self):
         """Build `self.datum`, which every check reads: `RubinDatum.of`
         checks the shape, (H1) and (H2) (InputError), and (H3) is checked
-        here and nowhere else (DatumError), on `QQ` for a compositum,
-        whose torsion is +-1, and not for a generic field."""
+        here and nowhere else (DatumError), by one rule on T for every
+        field, generic fields too (`numfld._check_torsion_killed`)."""
         datum = RubinDatum.of(self.realization, self.field, self.kind,
                               self.S, self.V, self.T)
-        if datum.kind != "generic":
-            _check_torsion_killed(
-                QQ if datum.kind == "multiquad" else datum.field, datum.T)
+        _check_torsion_killed(datum.T)
         self.datum = datum
         self._flags = None
 
@@ -274,15 +272,14 @@ class RubinStarkData:
         return self._lattice
 
     def ray(self):
-        """Cl_{K,S,T} of the datum.  It hands ray_class this datum's
-        lattice(), whose generators give the unit image, instead of a
-        second build of the same lattice."""
+        """Cl_{K,S,T} of the datum, which `ray_class` reads off this
+        datum's lattice(): its field, S and T, and its generators, which
+        give the unit image."""
         if self._ray is None:
-            d = self.datum
-            if d.kind == "multiquad":
+            if self.datum.kind == "multiquad":
                 raise UnsupportedCaseError(
                     "ray class groups of composita are out of desk scope")
-            self._ray = ray_class(d.field, d.S, d.T, lattice=self.lattice())
+            self._ray = ray_class(self.lattice())
         return self._ray
 
     def theta(self):
@@ -349,8 +346,8 @@ class RubinStarkData:
         square."""
         lat, S, V = self.lattice(), self.datum.S, self.datum.V
         v0 = next(v for v in S if v not in V)
-        idx1 = lat.place_indices(V[0])[0]
-        idx0 = lat.place_indices(v0)[0]
+        idx1 = lat.place_ranges[V[0]][0]
+        idx0 = lat.place_ranges[v0][0]
         n, k = len(lat.places), len(lat.place_ranges["inf"])
         b = [Ball(0) for _ in range(n)]
         for el, coeff in zip(self.group.elements, theta.coeffs):
@@ -403,10 +400,10 @@ class RubinStarkData:
                 f"rank {lat.rank}")
         S, V = self.datum.S, self.datum.V
         v0 = next(v for v in S if v not in V)
-        idx0 = lat.place_indices(v0)[0]
+        idx0 = lat.place_ranges[v0][0]
         dropped = [j for j in range(len(lat.places)) if j != idx0]
         # sign of the arrangement of V-places inside the dropped list
-        positions = [dropped.index(lat.place_indices(v)[0]) for v in V]
+        positions = [dropped.index(lat.place_ranges[v][0]) for v in V]
         sign = _permutation_sign(positions)
         lam = lat.log_matrix()
         M = [[lam[g][j] for g in range(lat.rank)] for j in dropped]
@@ -477,7 +474,7 @@ def check_norm_identity(p, m):
     """The subgroup-norm identity over (Z/p)^m, exactly; returns its
     witness, and raises CertificationError when it fails."""
     hs = enumerate_omega_star(p, m)
-    norm_sum_identity(p, m, hs)
+    norm_sum_identity(hs)
     avoiding, containing = hs.count_avoiding((1,) + (0,) * (m - 1))
     return {
         "p": p, "m": m,
@@ -505,7 +502,8 @@ def check_sign_criterion(log_matrix):
 def sign_criterion_matrix(data):
     """The log matrix over the Z-basis of O^x_{K,S,T} and the places above V."""
     lat = data.lattice()
-    v_place_idx = sorted(i for v in data.datum.V for i in lat.place_indices(v))
+    v_place_idx = sorted(i for v in data.datum.V
+                         for i in lat.place_ranges[v])
     if lat.rank != len(v_place_idx):
         # the shape is fixed by (S, V): no precision makes it square, and
         # nothing is built for it

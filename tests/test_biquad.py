@@ -7,9 +7,9 @@ import sympy
 
 from starklab import hnf
 from starklab.ball import Ball
-from starklab.biquad import (BiquadField, BiquadSUnitLattice, biquad_places)
+from starklab.biquad import BiquadField, BiquadSUnitLattice
 from starklab.grpring import AbelianGroup, InputError
-from starklab.numfld import QQ, QuadField, s_unit_lattice
+from starklab.numfld import QQ, QuadField, _s_places, s_unit_lattice
 from starklab.zideal import UnsupportedCaseError
 
 
@@ -22,15 +22,15 @@ def test_field_data():
 
 def test_places():
     F = BiquadField(8, 12)
-    arch = biquad_places(F, "inf")
+    arch = F.places("inf")
     assert len(arch) == 4
-    w2 = biquad_places(F, 2)[0]
+    w2 = F.places(2)[0]
     assert w2.e == 4 and w2.f == 1 and w2.nw() == 2
-    w3 = biquad_places(F, 3)[0]
+    w3 = F.places(3)[0]
     assert w3.e == 2 and w3.f == 2 and w3.nw() == 9
     # a compositum-split prime is out of desk scope
     with pytest.raises(UnsupportedCaseError):
-        biquad_places(F, 23)
+        F.places(23)
 
 
 def test_s_unit_lattice():
@@ -127,16 +127,14 @@ def _biquad_lattice():
 def test_lattice_place_and_galois_protocol(build):
     L, group, gen_perms, gen_mats = build()
     n = len(L.places)
-    # place_indices partitions the places by the rational place below
+    # place_ranges partitions the places by the rational place below
     seen = []
     for v in L.S:
-        idx = list(L.place_indices(v))
+        idx = list(L.place_ranges[v])
         assert idx and all(L.places[i].label.rstrip("+-") == str(v)
                            for i in idx)
         seen.extend(idx)
     assert seen == list(range(n))
-    with pytest.raises(InputError):
-        L.place_indices(97)
     # place_permutation is a group action with the given generators
     perm = {el: L.place_permutation(el) for el in group.elements}
     assert perm[group.identity()] == list(range(n))
@@ -160,6 +158,25 @@ def test_lattice_place_and_galois_protocol(build):
                          start=Ball(0)) for w in range(n)]
             assert all((image[w] - log_row[p[w]]).contains_zero()
                        for w in range(n))
+
+
+@pytest.mark.parametrize("field,S", [
+    (QQ, ["inf", 2, 3]),
+    (QuadField(5), ["inf", 5, 11]),
+    (QuadField(-23), ["inf", 2, 23]),
+    (BiquadField(5, 13), ["inf", 5, 13]),
+], ids=["Q", "D=5", "D=-23", "discs=5,13"])
+def test_every_field_answers_its_places_and_each_lattice_reads_them(field,
+                                                                     S):
+    # places(v) is a tuple built once per field and rational place
+    for v in S:
+        first = field.places(v)
+        assert type(first) is tuple and field.places(v) is first
+    # both lattice classes lay their places out by the one helper
+    L = BiquadSUnitLattice(field, S) if isinstance(field, BiquadField) \
+        else s_unit_lattice(field, S, [])
+    places, _action, place_ranges = _s_places(field, S)
+    assert L.places == places and L.place_ranges == place_ranges
 
 
 def test_biquad_lattice_has_no_t_lattice_and_unknown_saturation():

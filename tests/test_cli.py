@@ -11,9 +11,10 @@ import pytest
 from starklab.cli import main
 
 # a generic field has no S-unit lattice yet, so its datum checks raise
-# AttributeError out of run_scenario
+# AttributeError out of run_scenario; T = {3} passes (H3), which T = {2}
+# would fail before any check ran
 CRASHING = {"field": {"type": "generic", "modulus": 7, "kernel": [6]},
-            "S": ["inf", 7], "T": [2], "checks": ["rs_integrality"]}
+            "S": ["inf", 7], "T": [3], "checks": ["rs_integrality"]}
 GOOD = {"checks": ["norm_identity"], "params": {"p": 2, "m": 2}}
 
 

@@ -1,7 +1,8 @@
 """Properties of the `starklab` source itself, read off its syntax trees:
 `__init__` exports exactly what it imports, every function is used
 somewhere in the package or is a reference that tests call, no module but
-`__init__` imports a name it never reads, every memo is a
+`__init__` imports a name it never reads, every function reads each of
+its parameters, every memo is a
 `functools.lru_cache`, not a dict kept by hand, `verify` names each check
 once and turns exceptions into verdicts in one place, Q is a field object
 and not a string, a Rubin datum is normalised and checked in one place,
@@ -249,6 +250,76 @@ def test_the_import_check_sees_a_leftover():
                      "    Presentation = x.itertools\n"
                      "    return fi(pres, 0), os.path.sep\n")
     assert _unread_imports(tree) == ["itertools", "Presentation"]
+
+
+def _function_nodes(node, prefix):
+    """(qualified name, node) of every function and lambda under node; a
+    lambda takes the name of the function or class around it."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + child.name, child
+            yield from _function_nodes(child, prefix + child.name + ".")
+        elif isinstance(child, ast.ClassDef):
+            yield from _function_nodes(child, prefix + child.name + ".")
+        elif isinstance(child, ast.Lambda):
+            yield prefix + "<lambda>", child
+            yield from _function_nodes(child, prefix)
+        else:
+            yield from _function_nodes(child, prefix)
+
+
+def _unread_parameters(tree, prefix):
+    """(qualified name, parameter) of each parameter that its function or
+    lambda never reads, a read in a nested function included, leaving out
+    self and cls, `_`-prefixed names and the parameters of dunders, whose
+    signatures the interpreter fixes."""
+    out = []
+    for qual, node in _function_nodes(tree, prefix):
+        name = qual.rsplit(".", 1)[-1]
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        a = node.args
+        params = [arg.arg for arg in [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                      a.vararg, a.kwarg] if arg]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [(qual, param) for param in params
+                if param not in read and param not in ("self", "cls")
+                and not param.startswith("_")]
+    return out
+
+
+def test_every_function_reads_each_of_its_parameters():
+    # a parameter that nothing reads is a leftover of a removed path; the
+    # runners in `verify.CHECKS` are exempt, as their signature is the
+    # check protocol, (scenario, data, entry), whichever of them they read
+    trees = _trees()
+    runners = {"verify." + call.args[0].id
+               for call in _assigned(trees["verify"], "CHECKS").values}
+    assert len(runners) == 8
+    unread = [(qual, param) for module, tree in trees.items()
+              for qual, param in _unread_parameters(tree, module + ".")
+              if qual not in runners]
+    assert unread == []
+
+
+def test_the_parameter_check_sees_a_leftover():
+    # a parameter read only as an attribute name is not read; a closure's
+    # read counts for its function, and self, `_x` and a dunder's are exempt
+    tree = ast.parse("def ray_class(field, S, T, lattice, _x):\n"
+                     "    sl = lattice\n"
+                     "    def inner():\n"
+                     "        return T\n"
+                     "    return sl.field, sl.S, (lambda t: sl.T)(inner)\n"
+                     "class C:\n"
+                     "    def __exit__(self, *exc):\n"
+                     "        return None\n"
+                     "    def size(self, scale):\n"
+                     "        return 0\n")
+    assert _unread_parameters(tree, "m.") == [
+        ("m.ray_class", "field"), ("m.ray_class", "S"),
+        ("m.ray_class.<lambda>", "t"), ("m.C.size", "scale")]
 
 
 def _is_dict(value):

@@ -119,10 +119,12 @@ def test_count_avoiding():
 
 
 def test_norm_sum_identity_small():
-    x = norm_sum_identity(2, 2)
+    x = norm_sum_identity(enumerate_omega_star(2, 2))
     assert x.coefficient((0, 0)) == 2 and sum(x.coeffs) == 2
-    assert norm_sum_identity(2, 1).coefficient((0,)) == 1
-    assert norm_sum_identity(3, 2).coefficient((0, 0)) == 3
+    assert norm_sum_identity(enumerate_omega_star(2, 1)) \
+        .coefficient((0,)) == 1
+    assert norm_sum_identity(enumerate_omega_star(3, 2)) \
+        .coefficient((0, 0)) == 3
 
 
 def test_brute_force_oracle_agreement():
@@ -153,10 +155,7 @@ def test_norm_sum_identity_equals_the_dense_sum():
         coefficient = (p ** (m - 1) - 1) - sum(p ** i for i in range(m))
         whole = from_members(g, g.elements)
         total = total + norm_element(g, whole).scale(1 + coefficient)
-        assert norm_sum_identity(p, m) == total, (p, m)
-        assert norm_sum_identity(p, m, hs) == total, (p, m)
-    with pytest.raises(InputError):
-        norm_sum_identity(2, 3, enumerate_omega_star(2, 2))
+        assert norm_sum_identity(hs) == total, (p, m)
 
 
 def test_count_avoiding_rejects_an_element_of_another_rank():

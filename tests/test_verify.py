@@ -599,12 +599,13 @@ def test_a_datum_over_q_presents_its_ray_class_from_its_lattice(monkeypatch):
 def test_s_p_is_the_p_rank_of_the_ray_class_of_q(S, T, p):
     # the leaders less an F_p-rank, against the invariant factors of the
     # module that ray_class builds from the same presentation
-    from starklab.numfld import ray_class
+    from starklab.numfld import ray_class, s_unit_lattice
     from starklab.verify import _q_ray_p_rank
     # S and T in a datum's normal form, which both read as given
     S, T = ["inf"] + sorted(S), sorted(q for q in T if q not in S)
     assert _q_ray_p_rank(S, T, p) == sum(
-        d % p == 0 for d in ray_class(QQ, S, T).orders), (S, T, p)
+        d % p == 0 for d in ray_class(s_unit_lattice(QQ, S, T)).orders), \
+        (S, T, p)
 
 
 def test_sigma_and_the_t_sublattice_are_built_only_when_read(monkeypatch):
@@ -740,10 +741,14 @@ DATUM_ERRORS = [
      "T empty: torsion units survive"),
     ({"type": "Q"}, ["inf", 3], [], [2],
      "(H3) fails: -1 = 1 at every place above T=[2]"),
+    # (H3) is one rule on T for every field: under (H1), only -1 can be 1
+    # at every place above T, and it is so exactly when T is {2}
     ({"type": "quad", "disc": 5}, ["inf", 5], ["inf"], [2],
-     "(H3) fails: QuadElt(-1 + 0*sqrt(5)) = 1 at every place above T=[2]"),
-    # a compositum takes the rule of Q: its torsion is +-1
+     "(H3) fails: -1 = 1 at every place above T=[2]"),
     ({"type": "multiquad", "discs": [5, 13]}, ["inf", 5, 13], ["inf"], [2],
+     "(H3) fails: -1 = 1 at every place above T=[2]"),
+    # a generic field too, before any check reads its field
+    ({"type": "generic", "modulus": 7, "kernel": [6]}, ["inf", 7], [], [2],
      "(H3) fails: -1 = 1 at every place above T=[2]"),
 ]
 
@@ -751,7 +756,8 @@ DATUM_ERRORS = [
 @pytest.mark.parametrize("field,S,V,T,message", DATUM_ERRORS,
                          ids=["no-inf", "ramified-missing", "S-meets-T",
                               "V-not-proper", "V-not-split", "quad-T-empty",
-                              "H3-Q", "H3-Q(sqrt5)", "H3-multiquad"])
+                              "H3-Q", "H3-Q(sqrt5)", "H3-multiquad",
+                              "H3-generic"])
 def test_each_datum_error_keeps_its_message(field, S, V, T, message):
     cert = run_scenario(Scenario({"field": field, "S": S, "V": V, "T": T,
                                   "checks": RUBIN_CHECKS}))
@@ -874,8 +880,8 @@ def _full_system_coords(data, theta):
     from starklab.ball import gauss_solve
     lat, S, V = data.lattice(), data.datum.S, data.datum.V
     v0 = next(v for v in S if v not in V)
-    idx1 = lat.place_indices(V[0])[0]
-    idx0 = lat.place_indices(v0)[0]
+    idx1 = lat.place_ranges[V[0]][0]
+    idx0 = lat.place_ranges[v0][0]
     n = len(lat.places)
     rhs = [Ball(0) for _ in range(n)]
     for el, coeff in zip(data.group.elements, theta.coeffs):
@@ -938,7 +944,7 @@ def test_the_structured_solve_matches_the_full_system_oracle(monkeypatch):
                 olo, ohi = oracle[i].endpoints()
                 assert lo <= ohi and olo <= hi, (d.datum, i)
             finite_v = d.datum.V != ("inf",)
-            expected = 0 if finite_v else len(lat.place_indices("inf"))
+            expected = 0 if finite_v else len(lat.place_ranges["inf"])
             assert solved == [expected], d.datum
             key = (d.datum.kind, finite_v)
             sizes[key] = sizes.get(key, 0) + 1
