@@ -1,9 +1,9 @@
 """Real biquadratic composita K = k1 k2 k3 read through their three
 quadratic subfields: a field whose places (`BiquadField.places`) are
-`numfld.Place`s, as Q's and a quadratic field's are, and an S-unit lattice
-generated by the subfields' S-units, whose relations are certified exactly
-by their norms to the subfields and whose logs are read off the subfields'
-places.
+`numfld.Place`s, as Q's and a quadratic field's are, and whose S-unit
+lattice (`BiquadField.s_unit_lattice`) is generated by the subfields'
+S-units, its relations certified exactly by their norms to the subfields
+and its logs read off the subfields' places.
 
 Saturation inside the full unit group is not attempted (out of desk scope);
 the lattice is the subgroup the subfields generate, which is all the
@@ -20,8 +20,7 @@ from .ball import (CertificationError, ball_combination, gauss_solve,
 from .grpring import InputError
 from .numfld import (Place, QuadField, _s_places, assembled_log_matrix,
                      certified_arch_logs, fundamental_discriminant,
-                     kronecker, ord_at_place, s_unit_lattice,
-                     squarefree_part)
+                     kronecker, ord_at_place, squarefree_part)
 from .zideal import UnsupportedCaseError
 
 
@@ -85,6 +84,9 @@ class BiquadField:
         return (Place(self, "finite", q=v, e=e, f=f_ord, e_sub=e_sub,
                       label=f"{v}"),)
 
+    def s_unit_lattice(self, S, _T):
+        return BiquadSUnitLattice(self, S)
+
     def __repr__(self):
         return f"BiquadField(sqrt {self.ms[0]}, sqrt {self.ms[1]})"
 
@@ -120,8 +122,8 @@ class BiquadSUnitLattice:
         self.S = S
         # the places first: field.places rejects what is out of scope
         # before any subfield lattice is built
-        self.places, _, self.place_ranges = _s_places(field, S)
-        sub_lattices = [s_unit_lattice(k, S, ()) for k in field.subfields]
+        self.places, self.place_ranges = _s_places(field, S)
+        sub_lattices = [k.s_unit_lattice(S, ()) for k in field.subfields]
         self.sub_lattices = sub_lattices
         fin = [w for w in self.places if w.kind == "finite"]
         # generator pool: (subfield index, element of that subfield)

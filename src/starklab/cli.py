@@ -240,8 +240,8 @@ def _run_one_path(path, bits):
 
 
 def _field(text):
-    """(realization, field, kind) of a --field value (`verify.field_of`);
-    three or more discriminants give the realization alone, all theta reads."""
+    """(realization, field) of a --field value (`verify.field_of`); three
+    or more discriminants give the realization alone, all theta reads."""
     if text.strip().upper() == "Q":
         return field_of({"type": "Q"})
     try:
@@ -250,7 +250,7 @@ def _field(text):
         raise InputError(f'a field is "Q", a fundamental discriminant or '
                          f'"d1,d2", got {text!r}') from None
     if len(discs) > 2:
-        return AbelianFieldRealization.multiquadratic(discs), None, "generic"
+        return AbelianFieldRealization.multiquadratic(discs), None
     return field_of({"type": "multiquad", "discs": discs} if len(discs) > 1
                     else {"type": "quad", "disc": discs[0]})
 

@@ -100,6 +100,7 @@ class RationalField:
 
     degree = 1
     unit_rank = 0
+    subfields = ()
 
     def torsion_generator(self):
         return Fraction(-1), 2
@@ -121,6 +122,9 @@ class RationalField:
         """Each element's -log|x| at the real place, as a row."""
         return [[-ball_log(abs(Ball(x)))] for x in elements]
 
+    def s_unit_lattice(self, S, T):
+        return s_unit_lattice(self, S, T)
+
 
 QQ = RationalField()
 
@@ -129,6 +133,7 @@ class QuadField:
     """Q(sqrt(m)) for squarefree m, with fundamental discriminant D."""
 
     degree = 2
+    subfields = ()
 
     @lru_cache(maxsize=None)
     def __new__(cls, D):
@@ -203,6 +208,9 @@ class QuadField:
 
     def ramified_primes(self):
         return sorted(factorint(abs(self.D)))
+
+    def s_unit_lattice(self, S, T):
+        return s_unit_lattice(self, S, T)
 
     def __repr__(self):
         return f"QuadField({self.D})"
@@ -1010,9 +1018,9 @@ class SUnitLattice:
     by construction (the identity for Q; for a quadratic field the rows the
     generators were built from and checked against, and a zero row for the
     fundamental unit), so `express` never re-evaluates the generators;
-    place_action: the permutation of `places` under the nontrivial
-    automorphism; place_ranges: for each rational place v of S, the range
-    of indices in `places` of the places above v; torsion_order,
+    place_ranges: for each rational place v of S, the range of indices in
+    `places` of the places above v, which conjugation reverses
+    (`place_permutation`); torsion_order,
     torsion_gen: the roots of unity (killed in the lattice); unit_dlogs:
     the dlog rows (`ResidueSystem.dlog`) of the residues mod T of the
     generators, then of torsion_gen, each reduced once (None without T);
@@ -1036,8 +1044,7 @@ class SUnitLattice:
     __slots__ = ("_sigma_matrix", "_t_sublattice", "_arch_logs",
                  "field", "S", "T", "places", "gens", "valuations",
                  "torsion_gen", "torsion_order", "residues", "unit_dlogs",
-                 "place_action", "place_ranges", "class_primes",
-                 "relations")
+                 "place_ranges", "class_primes", "relations")
     saturation_index = 1
 
     def __init__(self, **kw):
@@ -1056,9 +1063,9 @@ class SUnitLattice:
             # ord_w(conj g) = ord_{conj w}(g), so conj(g)'s valuations are
             # g's row permuted by the place action
             k = len(self.place_ranges["inf"])
+            perm = self.place_permutation((1,))[k:]
             self._sigma_matrix = [
-                self.express(g.conjugate(),
-                             [row[a - k] for a in self.place_action[k:]])[0]
+                self.express(g.conjugate(), [row[a - k] for a in perm])[0]
                 for g, row in zip(self.gens, self.valuations)]
         return self._sigma_matrix
 
@@ -1075,10 +1082,9 @@ class SUnitLattice:
 
     def place_permutation(self, element):
         """The permutation of `places` under a Galois group element (a
-        tuple of exponents; the empty tuple over Q)."""
-        if any(element):
-            return self.place_action
-        return list(range(len(self.places)))
+        tuple of exponents): the nontrivial one reverses each place range."""
+        return [i for r in self.place_ranges.values()
+                for i in (reversed(r) if any(element) else r)]
 
     def sigma_matrices(self):
         """Action matrices on basis coordinates, one per generator of the
@@ -1175,7 +1181,7 @@ def s_unit_lattice(field, S, T):
     S and T are a `RubinDatum`'s, read as given; the lattice is taken
     modulo torsion, so it needs no (H3).
     """
-    places, place_action, place_ranges = _s_places(field, S)
+    places, place_ranges = _s_places(field, S)
     residues = ResidueSystem(field, T) if T else None
     k = len(place_ranges["inf"])      # the infinite places come first
     fin = places[k:]
@@ -1223,48 +1229,45 @@ def s_unit_lattice(field, S, T):
                         valuations=valuations, torsion_gen=zeta,
                         torsion_order=order, residues=residues,
                         unit_dlogs=_unit_dlogs(gens, zeta, residues),
-                        place_action=place_action, place_ranges=place_ranges,
-                        class_primes=primes, relations=relations)
+                        place_ranges=place_ranges, class_primes=primes,
+                        relations=relations)
 
 
 def _s_places(field, S):
-    """(places, place_action, place_ranges): the places of `field` above
-    S (the distinguished place first over each v), their permutation under
-    conjugation (the identity over Q), and for each v in S the range of its
-    places' indices.  As S lists 'inf' first, the infinite places come
-    first.
+    """(places, place_ranges): the places of `field` above S (the
+    distinguished place first over each v) and for each v in S the range
+    of its places' indices.  As S lists 'inf' first, the infinite places
+    come first.
     """
-    places, place_action, place_ranges = [], [], {}
+    places, place_ranges = [], {}
     for v in S:
         base = len(places)
         places.extend(field.places(v))
         place_ranges[v] = range(base, len(places))
-        place_action.extend(reversed(place_ranges[v]))
-    return places, place_action, place_ranges
+    return places, place_ranges
 
 
 # -- the Rubin datum ---------------------------------------------------------
 
 class RubinDatum(NamedTuple):
     """A Rubin datum (K, S, V, T): the realization of K, `field` (the
-    arithmetic that the lattice and the ray class read: `QQ`, a QuadField,
-    a BiquadField, or None for a generic field), the field's `kind` ("Q",
-    "quad", "multiquad" or "generic"), and S, V and T as sorted tuples of
-    distinct places, "inf" first.  Its one constructor, `of`, normalises
-    them and checks their shape, (H1), S and T disjoint and (H2), in that
-    order (InputError); `verify.Scenario.validate_datum` checks (H3) on it
-    once.  Every reader takes it, or its S and T, as it is.
+    arithmetic that the lattice and the ray class read, and the one record
+    of the field's kind: `QQ`, a QuadField, a BiquadField, or None for a
+    generic field), and S, V and T as sorted tuples of distinct places,
+    "inf" first.  Its one constructor, `of`, normalises them and checks
+    their shape, (H1), S and T disjoint and (H2), in that order
+    (InputError); `verify.Scenario.validate_datum` checks (H3) on it once.
+    Every reader takes it, or its S and T, as it is.
     """
 
     realization: object
     field: object
-    kind: str
     S: tuple
     V: tuple
     T: tuple
 
     @classmethod
-    def of(cls, realization, field, kind, S, V, T):
+    def of(cls, realization, field, S, V, T):
         """The datum, normalised and its shape checked."""
         S = tuple(_normalize_places(S))
         V = tuple(_normalize_places(V))
@@ -1281,7 +1284,7 @@ class RubinDatum(NamedTuple):
         for v in V:
             if not realization.splits_completely(v):
                 raise InputError(f"(H2) fails: {v} does not split completely")
-        return cls(realization, field, kind, S, V, T)
+        return cls(realization, field, S, V, T)
 
 
 def _normalize_places(S):

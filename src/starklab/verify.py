@@ -44,7 +44,7 @@ from . import hnf
 from .ball import (Ball, CertificationError, Undecided, ball_combination,
                    ball_det, ball_log_int, gauss_solve, max_radius,
                    working_precision)
-from .biquad import BiquadField, BiquadSUnitLattice
+from .biquad import BiquadField
 from .grpring import GroupRingElement, InputError
 from .lfun import (AbelianFieldRealization, DirichletChar, LSpec,
                    bernoulli_value, l_jet, stickelberger_element)
@@ -53,8 +53,7 @@ from .multilin import (GLattice, NonIntegralError, WedgeElement,
                        pairing_vector)
 from .numfld import (MAX_ABS_DISC, QQ, DatumError, QuadField, RubinDatum,
                      _check_torsion_killed, class_number,
-                     fundamental_unit_log, q_ray_relations, ray_class,
-                     s_unit_lattice)
+                     fundamental_unit_log, q_ray_relations, ray_class)
 from .sublat import enumerate_omega_star, norm_sum_identity
 from .zideal import (GIdealLattice, UnsupportedCaseError, annihilator,
                      augmentation_ideal_power, fitting_from_extension)
@@ -108,16 +107,16 @@ def _config_params(params):
 
 
 def field_of(spec):
-    """(realization, field, kind) of a scenario's `field` object, as a
-    `RubinDatum` holds them: the kind is its "type"."""
+    """(realization, field) of a scenario's `field` object, as a
+    `RubinDatum` holds them: a generic field has none, only a realization."""
     if not isinstance(spec, dict):
         raise ConfigError(f"field must be a JSON object, got {spec!r}")
     kind = spec.get("type", "Q")
     if kind == "Q":
-        return AbelianFieldRealization.rationals(), QQ, kind
+        return AbelianFieldRealization.rationals(), QQ
     if kind == "quad":
         D = _config_int(spec.get("disc"), "disc")
-        return AbelianFieldRealization.quadratic(D), QuadField(D), kind
+        return AbelianFieldRealization.quadratic(D), QuadField(D)
     if kind == "multiquad":
         discs = [_config_int(d, "discs entry")
                  for d in _config_list(spec.get("discs"), "discs")]
@@ -130,7 +129,7 @@ def field_of(spec):
         # chi(-1) times its modulus
         return realization, BiquadField(*(
             chi.parity() * chi.modulus
-            for chi in realization.coordinate_characters)), kind
+            for chi in realization.coordinate_characters))
     if kind == "generic":
         kernel = [_config_int(g, "kernel entry")
                   for g in _config_list(spec.get("kernel", []), "kernel")]
@@ -138,7 +137,7 @@ def field_of(spec):
         return AbelianFieldRealization(
             _config_int(spec.get("modulus"), "modulus"), kernel,
             expected_degree=None if degree is None
-            else _config_int(degree, "degree")), None, kind
+            else _config_int(degree, "degree")), None
     raise ConfigError(f"unknown field type {kind!r}")
 
 
@@ -160,7 +159,7 @@ class Scenario:
             raise ConfigError(
                 "the scenario key 'order' was removed: every check reads the "
                 "leading term at the order |V|, which no key changes")
-        self.realization, self.field, self.kind = field_of(
+        self.realization, self.field = field_of(
             spec.get("field", {"type": "Q"}))
         self.S = _config_places(spec.get("S", []), "S")
         self.V = _config_places(spec.get("V", []), "V")
@@ -185,8 +184,8 @@ class Scenario:
         checks the shape, (H1) and (H2) (InputError), and (H3) is checked
         here and nowhere else (DatumError), by one rule on T for every
         field, generic fields too (`numfld._check_torsion_killed`)."""
-        datum = RubinDatum.of(self.realization, self.field, self.kind,
-                              self.S, self.V, self.T)
+        datum = RubinDatum.of(self.realization, self.field, self.S, self.V,
+                              self.T)
         _check_torsion_killed(datum.T)
         self.datum = datum
         self._flags = None
@@ -244,9 +243,9 @@ def _q_ray_p_rank(S, T, p):
 class RubinStarkData:
     """Cached pipeline state of one `RubinDatum`, read as it is: each of
     lattice(), ray(), theta(), epsilon(), pairings(), pairing_vectors()
-    and im_lattice() is computed at most once.  lattice() and ray() read
-    the datum's kind; a generic field has no lattice yet.  A caller that
-    already holds the S-unit lattice passes it as `lattice`."""
+    and im_lattice() is computed at most once.  lattice() is the datum's
+    field's; a generic field has none yet.  A caller that already holds
+    the S-unit lattice passes it as `lattice`."""
 
     def __init__(self, datum, lattice=None):
         self.datum = datum
@@ -265,18 +264,16 @@ class RubinStarkData:
     def lattice(self):
         if self._lattice is None:
             d = self.datum
-            if d.kind == "multiquad":
-                self._lattice = BiquadSUnitLattice(d.field, d.S)
-            else:
-                self._lattice = s_unit_lattice(d.field, d.S, d.T)
+            self._lattice = d.field.s_unit_lattice(d.S, d.T)
         return self._lattice
 
     def ray(self):
         """Cl_{K,S,T} of the datum, which `ray_class` reads off this
         datum's lattice(): its field, S and T, and its generators, which
-        give the unit image."""
+        give the unit image.  A compositum is refused before its lattice
+        is built, so its reason is the ray class, not its places."""
         if self._ray is None:
-            if self.datum.kind == "multiquad":
+            if self.datum.field.subfields:
                 raise UnsupportedCaseError(
                     "ray class groups of composita are out of desk scope")
             self._ray = ray_class(self.lattice())
@@ -640,7 +637,7 @@ def _run_norm_decomposition(scn, data, entry):
     """The subfield-norm decomposition of the Rubin-Stark element for a real
     biquadratic compositum with V = {inf}."""
     datum = data.datum
-    if datum.kind != "multiquad":
+    if not isinstance(datum.field, BiquadField):
         raise UnsupportedCaseError(
             "norm decomposition runs on biquadratic composita")
     if datum.V != ("inf",):
@@ -656,7 +653,7 @@ def _run_norm_decomposition(scn, data, entry):
         # the compositum's, and it is real, as V = {inf} splits completely
         sub_datum = datum._replace(
             realization=AbelianFieldRealization.quadratic(D),
-            field=QuadField(D), kind="quad")
+            field=QuadField(D))
         sub_data = RubinStarkData(sub_datum, lattice=lat.sub_lattices[idx])
         eps_sub = sub_data.epsilon()
         parts.append(_included(group, (

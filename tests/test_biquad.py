@@ -172,10 +172,10 @@ def test_every_field_answers_its_places_and_each_lattice_reads_them(field,
     for v in S:
         first = field.places(v)
         assert type(first) is tuple and field.places(v) is first
-    # both lattice classes lay their places out by the one helper
-    L = BiquadSUnitLattice(field, S) if isinstance(field, BiquadField) \
-        else s_unit_lattice(field, S, [])
-    places, _action, place_ranges = _s_places(field, S)
+    # each field builds its lattice, and every lattice lays its places out
+    # by the one helper
+    L = field.s_unit_lattice(S, ())
+    places, place_ranges = _s_places(field, S)
     assert L.places == places and L.place_ranges == place_ranges
 
 

@@ -4,11 +4,10 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from starklab.hnf import (IntLattice, diagonalize_relations, hnf,
+from starklab.hnf import (IntLattice, diagonalize_relations,
                           identity_matrix, kernel, mat_mul, rational_solve,
                           solve_in_rowspan, xgcd)
 

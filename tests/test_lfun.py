@@ -671,7 +671,7 @@ def test_rubin_shape_validation():
     R5 = AbelianFieldRealization.quadratic(5)
 
     def datum(S, V, T):
-        return RubinDatum.of(R5, QuadField(5), "quad", S, V, T)
+        return RubinDatum.of(R5, QuadField(5), S, V, T)
     with pytest.raises(InputError):
         datum([5], [], [3])                         # no infinite place
     with pytest.raises(InputError):
@@ -681,13 +681,13 @@ def test_rubin_shape_validation():
     with pytest.raises(InputError):
         datum(["inf", 5, 2], [2], [3])              # 2 inert
     assert datum(["inf", 5], ["inf"], [3]) == \
-        (R5, QuadField(5), "quad", ("inf", 5), ("inf",), (3,))
+        (R5, QuadField(5), ("inf", 5), ("inf",), (3,))
 
 
 def _theta(R, S, V, T):
     """theta of the datum (S, V, T) over a field given by its realization
     R alone."""
-    return stickelberger_element(RubinDatum.of(R, None, "generic", S, V, T))
+    return stickelberger_element(RubinDatum.of(R, None, S, V, T))
 
 
 @pytest.mark.parametrize("discs", [[5, 5], [5, 20], [5, 8, 40],

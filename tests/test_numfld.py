@@ -864,7 +864,7 @@ def _ray_module_keeping_s_columns(F, L):
     rows += [[0] * n + rr for rr in res.relation_rows
              + [dlog(u) for u in L.gens + [F.torsion_generator()[0]]]]
     action = [eye[j] for j in list(range(r, 2 * r)) + list(range(r))
-              + [2 * r + a - k for a in L.place_action[k:]]]
+              + [2 * r + a - k for a in L.place_permutation((1,))[k:]]]
     action += [[0] * n + res.dlog(res.galois_act(t)) for t in res.leaders]
     return _module_from_relations(AbelianGroup((2,)), n + len(res.leaders),
                                   rows, [action])

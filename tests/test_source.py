@@ -1,16 +1,19 @@
 """Properties of the `starklab` source itself, read off its syntax trees:
 `__init__` exports exactly what it imports, every function is used
-somewhere in the package or is a reference that tests call, no module but
-`__init__` imports a name it never reads, every function reads each of
-its parameters, every memo is a
+somewhere in the package or is a reference that tests call, no module of
+the package but `__init__`, and no test module, imports a name it never
+reads, every function reads each of its parameters, every memo is a
 `functools.lru_cache`, not a dict kept by hand, `verify` names each check
 once and turns exceptions into verdicts in one place, Q is a field object
-and not a string, a Rubin datum is normalised and checked in one place,
-and only the ball kernel imports mpmath."""
+and not a string, the field object is the one record of a field's kind, a
+Rubin datum is normalised and checked in one place, and only the ball
+kernel imports mpmath."""
 
 import ast
 import pathlib
 from collections import Counter
+
+from starklab.numfld import RubinDatum
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "starklab"
 
@@ -225,31 +228,40 @@ def test_the_reference_check_sees_functions_hidden_by_a_shared_name():
         assert unreferenced == ["multilin.WedgeElement.from_vectors"]
 
 
-def _unread_imports(tree):
+def _unread_imports(source):
     """The names that a module's imports bind and none of its code reads,
-    in import order."""
+    in import order.  An import marked `# noqa: F401` is made for its side
+    effect, and is exempt."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
     bound = [(a.asname or a.name).split(".")[0] for n in ast.walk(tree)
-             if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names]
+             if isinstance(n, (ast.Import, ast.ImportFrom))
+             and "# noqa: F401" not in lines[n.lineno - 1]
+             for a in n.names]
     read = {n.id for n in ast.walk(tree)
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     return [name for name in bound if name not in read]
 
 
 def test_no_module_imports_a_name_it_never_reads():
-    # `__init__` imports to export; every other module reads what it imports
-    unread = {module: _unread_imports(tree)
-              for module, tree in _trees().items() if module != "__init__"}
+    # `__init__` imports to export; every other module of the package, and
+    # every module under tests/, reads what it imports
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.stem != "__init__"]
+    unread = {f"{p.parent.name}/{p.name}": _unread_imports(p.read_text())
+              for p in paths + sorted(TESTS.glob("*.py"))}
     assert {module: names for module, names in unread.items() if names} == {}
 
 
 def test_the_import_check_sees_a_leftover():
-    # a name read only as an attribute, or only bound again, is not read
-    tree = ast.parse("import itertools, os.path\n"
-                     "from .zideal import Presentation, fitting_ideal as fi\n"
-                     "def f(pres, x):\n"
-                     "    Presentation = x.itertools\n"
-                     "    return fi(pres, 0), os.path.sep\n")
-    assert _unread_imports(tree) == ["itertools", "Presentation"]
+    # a name read only as an attribute, or only bound again, is not read;
+    # an import marked for its side effect is not a leftover
+    source = ("import itertools, os.path\n"
+              "import pool_digest  # noqa: F401  (its side effect)\n"
+              "from .zideal import Presentation, fitting_ideal as fi\n"
+              "def f(pres, x):\n"
+              "    Presentation = x.itertools\n"
+              "    return fi(pres, 0), os.path.sep\n")
+    assert _unread_imports(source) == ["itertools", "Presentation"]
 
 
 def _function_nodes(node, prefix):
@@ -463,6 +475,15 @@ def test_q_is_a_field_not_a_string():
     # only the readers of a scenario's JSON "type" and of the command
     # line's field word compare with the string "Q"
     assert _comparisons_with("Q") == ["cli._field", "verify.field_of"]
+
+
+def test_the_field_object_is_the_one_record_of_its_kind():
+    # a Rubin datum holds its field, not the name of its kind: only the
+    # reader of a scenario's JSON "type" compares with those names, and
+    # every other reader asks the field object
+    for kind in ("multiquad", "quad", "generic"):
+        assert _comparisons_with(kind) == ["verify.field_of"]
+    assert RubinDatum._fields == ("realization", "field", "S", "V", "T")
 
 
 def test_a_rubin_datum_is_normalised_and_checked_in_one_place():

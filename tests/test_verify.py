@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from starklab.ball import Ball, Undecided, precision, working_precision
 from starklab.verify import (CHECKS, ConfigError, Scenario,
                              certificate_summary, check_norm_identity,
-                             check_sign_criterion, run_scenario, sign_criterion_matrix,
+                             check_sign_criterion, run_scenario,
                              RubinStarkData)
-from starklab.numfld import QQ, DatumError, QuadField
+from starklab.biquad import BiquadField
+from starklab.numfld import QQ, QuadField, RationalField
 
 
 def test_sign_criterion_matrix_level():
@@ -150,6 +151,35 @@ def test_theorem_gating_recorded():
         "V": ["inf"], "T": [5], "checks": ["fitting_equality"],
         "bits": 128}))
     assert cert2["hypotheses"]["thm1_bound"] is True
+
+
+@pytest.mark.parametrize("spec,flags", [
+    # Q(i): s_p = 1, and |S| = 2 meets max(|V| + 2, |V| - s_p + 3) = 2
+    ({"field": {"type": "quad", "disc": -4}, "S": ["inf", 2], "V": [],
+      "T": [17]},
+     {"S": ["inf", 2], "V": [], "T": [17], "thm1_bound": True, "p": 2,
+      "m": 1, "s_p": 1, "thm2_bound": True, "thm2_required_S": 2}),
+    # Q(sqrt 5): |S| = 4 meets the bound 4 ...
+    ({"field": {"type": "quad", "disc": 5}, "S": ["inf", 2, 5, 7],
+      "V": ["inf"], "T": [3]},
+     {"S": ["inf", 2, 5, 7], "V": ["inf"], "T": [3], "thm1_bound": True,
+      "p": 2, "m": 1, "s_p": 0, "thm2_bound": True, "thm2_required_S": 4}),
+    # ... and |S| = 3 falls short of it
+    ({"field": {"type": "quad", "disc": 5}, "S": ["inf", 2, 5],
+      "V": ["inf"], "T": [3]},
+     {"S": ["inf", 2, 5], "V": ["inf"], "T": [3], "thm1_bound": True,
+      "p": 2, "m": 1, "s_p": 0, "thm2_bound": False, "thm2_required_S": 4}),
+    # G = (Z/2)^2: (p - 1)(m - 1) = 1 raises the bound to 5
+    ({"field": {"type": "multiquad", "discs": [5, 13]},
+      "S": ["inf", 5, 13], "V": ["inf"], "T": [3]},
+     {"S": ["inf", 5, 13], "V": ["inf"], "T": [3], "thm1_bound": True,
+      "p": 2, "m": 2, "s_p": 0, "thm2_bound": False, "thm2_required_S": 5}),
+], ids=["D=-4", "D=5,|S|=4", "D=5,|S|=3", "discs=5,13"])
+def test_theorem_two_bound_flags(spec, flags):
+    # Theorem 2 asks |S| >= max(|V| + 2, |V| - s_p + (p - 1)(m - 1) + 3)
+    scn = Scenario(spec)
+    scn.validate_datum()
+    assert scn.hypothesis_flags() == flags
 
 
 def test_igc_exponent_two():
@@ -554,7 +584,7 @@ def _count_calls(monkeypatch, module, name, counts, *aliases):
 def test_one_lattice_and_one_ray_class_per_scenario(monkeypatch):
     from starklab import numfld, verify
     counts = {}
-    _count_calls(monkeypatch, numfld, "s_unit_lattice", counts, verify)
+    _count_calls(monkeypatch, numfld, "s_unit_lattice", counts)
     _count_calls(monkeypatch, numfld, "ray_class", counts, verify)
     cert = run_scenario(Scenario({
         "field": {"type": "quad", "disc": 12}, "S": ["inf", 2, 3],
@@ -848,7 +878,7 @@ def test_a_vacuous_datum_pairs_to_zeros_without_the_galois_action(
     from starklab import multilin, numfld
     vacuous = 0
     for data in pool_digest.rubin_data():
-        if data.datum.kind not in ("Q", "quad"):
+        if not isinstance(data.datum.field, (RationalField, QuadField)):
             continue
         with working_precision(128):
             if not data.theta().is_zero():
@@ -915,7 +945,7 @@ def test_the_structured_solve_matches_the_full_system_oracle(monkeypatch):
     from starklab.grpring import GroupRingElement
     from starklab.zideal import UnsupportedCaseError
     data = [d for d in pool_digest.rubin_data()
-            if len(d.datum.V) == 1 and d.datum.kind != "generic"]
+            if len(d.datum.V) == 1 and d.datum.field is not None]
     for field, S, V, T in FINITE_V_DATA:
         scn = Scenario({"field": field, "S": S, "V": V, "T": T})
         scn.validate_datum()
@@ -946,9 +976,9 @@ def test_the_structured_solve_matches_the_full_system_oracle(monkeypatch):
             finite_v = d.datum.V != ("inf",)
             expected = 0 if finite_v else len(lat.place_ranges["inf"])
             assert solved == [expected], d.datum
-            key = (d.datum.kind, finite_v)
+            key = (type(d.datum.field).__name__, finite_v)
             sizes[key] = sizes.get(key, 0) + 1
-            if d.datum.kind == "multiquad":
+            if isinstance(d.datum.field, BiquadField):
                 continue
             ref = RubinStarkData(d.datum, lattice=lat)
             ref._theta = theta
@@ -957,9 +987,9 @@ def test_the_structured_solve_matches_the_full_system_oracle(monkeypatch):
                 for i, c in enumerate(oracle)})
             assert ref.pairing_vectors() == d.pairing_vectors()
             assert ref.im_lattice().basis() == d.im_lattice().basis()
-    assert sizes == {("Q", False): 4, ("quad", False): 17,
-                     ("multiquad", False): 1, ("quad", True): 2,
-                     ("Q", True): 1}
+    assert sizes == {("RationalField", False): 4, ("QuadField", False): 17,
+                     ("BiquadField", False): 1, ("QuadField", True): 2,
+                     ("RationalField", True): 1}
 
 
 def test_a_vacuous_compositum_is_still_out_of_scope(monkeypatch):
@@ -979,6 +1009,33 @@ def test_a_vacuous_compositum_is_still_out_of_scope(monkeypatch):
     assert entry["verdict"] == "unsupported"
     assert entry["reason"] == \
         "T-unit lattices of composita are out of desk scope"
+
+
+def test_a_compositum_ray_class_is_refused_before_its_places():
+    # 11 has two places in Q(sqrt 5, sqrt 13), so the compositum's lattice
+    # is out of scope; the ray class is refused before the lattice is
+    # built, and only the checks that build the lattice name 11
+    cert = run_scenario(Scenario({
+        "field": {"type": "multiquad", "discs": [5, 13]},
+        "S": ["inf", 5, 11, 13], "V": ["inf"], "T": [3],
+        "checks": ["fitting_equality", "annihilation", "norm_decomposition",
+                   "rs_integrality"]}))
+    ray = "ray class groups of composita are out of desk scope"
+    places = ("11 has 2 places in the compositum; only single-place primes "
+              "are supported at desk scale")
+    assert [(e["verdict"], e["reason"]) for e in cert["results"]] == \
+        [("unsupported", ray)] * 2 + [("unsupported", places)] * 2
+
+
+def test_norm_decomposition_of_a_generic_field_is_unsupported():
+    # a generic field has no field object, so the check refuses it by the
+    # compositum's class before it reads any field arithmetic
+    cert = run_scenario(Scenario({
+        "field": {"type": "generic", "modulus": 5, "kernel": [4]},
+        "S": ["inf", 5], "V": ["inf"], "T": [3],
+        "checks": ["norm_decomposition"]}))
+    assert [(e["verdict"], e["reason"]) for e in cert["results"]] == \
+        [("unsupported", "norm decomposition runs on biquadratic composita")]
 
 
 NORM_IDENTITY_GATES = """
@@ -1130,8 +1187,8 @@ def selmer_minors(data, ray):
 def shape_checked_data(spec):
     """`RubinStarkData` of a Rubin datum given as a scenario's field, S, V
     and T, with its shape checked but not (H3)."""
-    realization, field, kind = field_of(spec["field"])
-    datum = RubinDatum.of(realization, field, kind, spec["S"], spec["V"],
+    realization, field = field_of(spec["field"])
+    datum = RubinDatum.of(realization, field, spec["S"], spec["V"],
                           spec.get("T", []))
     return RubinStarkData(datum)
 
