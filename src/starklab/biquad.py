@@ -12,7 +12,7 @@ norm-decomposition identity needs, and its saturation index is unknown.
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import hnf
 from .ball import (CertificationError, ball_combination, gauss_solve,
@@ -191,7 +191,6 @@ class BiquadSUnitLattice:
                 f"{len(self.places) - 1}")
         # ord_w of each basis element, from its pool coordinates
         self.valuations = hnf.mat_mul(self._basis_pool_rows, val_rows)
-        self._arch_logs = None
 
     def _norms_to_subfields(self, exponents):
         """[N_{K/k_i}(x) for i = 1, 2, 3], exactly, for x the pool product
@@ -253,19 +252,17 @@ class BiquadSUnitLattice:
         raise UnsupportedCaseError(
             "T-unit lattices of composita are out of desk scope")
 
-    @property
+    @cached_property
     def arch_logs(self):
         """-log|h|_w of each basis element h at the real places, combined
         from the pool's logs and rounded once, and certified against the
         product formula (`numfld.certified_arch_logs`) on first read."""
-        if self._arch_logs is None:
-            arch = self.place_ranges["inf"]
-            rows = [[ball_combination([-c for c in hcoords],
-                                      self._real_logs[j], 1, (0, 1))
-                     for j in arch] for hcoords in self._basis_pool_rows]
-            self._arch_logs = certified_arch_logs(
-                rows, self.valuations, self.places[len(arch):])
-        return self._arch_logs
+        arch = self.place_ranges["inf"]
+        rows = [[ball_combination([-c for c in hcoords],
+                                  self._real_logs[j], 1, (0, 1))
+                 for j in arch] for hcoords in self._basis_pool_rows]
+        return certified_arch_logs(rows, self.valuations,
+                                   self.places[len(arch):])
 
     def log_matrix(self):
         """Rows: basis elements; columns: places; entries -log|h|_w

@@ -223,12 +223,13 @@ def _run_many(paths, jobs, bits):
 
 def _run_one_path(path, bits):
     """The certificate of one scenario file, run at `bits` when given, else
-    at the file's own; or, when the file does not load as a scenario, a
-    record of the error with exit code 2; or, when the run raises, a record
-    of the exception with exit code 5, so that the sweep goes on."""
+    at the file's own; or, when the file does not load as a scenario (a
+    field past a desk bound included), a record of the error with exit
+    code 2; or, when the run raises, a record of the exception with exit
+    code 5, so that the sweep goes on."""
     try:
         scn = load_scenario(path)
-    except (ConfigError, InputError, DatumError) as exc:
+    except (ConfigError, InputError, DatumError, CapacityError) as exc:
         return {"path": path, "load_error": str(exc), "exit_code": 2}
     if bits is not None:
         scn.bits = bits

@@ -52,20 +52,20 @@ residue.
 
 from bisect import bisect_left
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, repeat
 from math import comb, factorial, gcd, lcm, prod
 from operator import mul, sub
 from typing import NamedTuple
 
-from .arith import bernoulli, factorint
+from .arith import CapacityError, bernoulli, factorint
 from .ball import (Ball, CBall, CertificationError, PrecisionError,
                    Undecided, ball_combination, ball_log_int, ball_log_prod,
                    precision, working_precision)
 from .finite import GroupStructure
 from .grpring import AbelianGroup, GroupRingElement, InputError
 from .hnf import diagonalize_relations
-from .numfld import (_normalize_places, _normalize_primes,
+from .numfld import (MAX_ABS_DISC, _normalize_places, _normalize_primes,
                      fundamental_discriminant, is_fundamental_discriminant,
                      squarefree_part)
 
@@ -93,7 +93,7 @@ class DirichletChar:
     only at the residues 1 + f', 1 + 2f', ... below f.
     """
 
-    __slots__ = ("modulus", "order", "values", "_conductor", "_classes")
+    __slots__ = ("__dict__", "modulus", "order", "values")
 
     def __init__(self, modulus, order, values):
         self.modulus = modulus
@@ -116,7 +116,6 @@ class DirichletChar:
                 f"a character mod {modulus} of order {order} needs an "
                 f"exponent in range({order}) at every unit and None at "
                 f"every non-unit")
-        self._conductor = self._classes = None
 
     @staticmethod
     @lru_cache(maxsize=256)
@@ -131,21 +130,19 @@ class DirichletChar:
         """Exponent of zeta_order at a (None when not coprime)."""
         return self.values[a % self.modulus]
 
+    @cached_property
     def classes(self):
         """The units a in 1..f grouped by exponent: the pairs (t, (a with
         chi(a) = zeta_n^t)), each tuple ascending and the classes in the
         order of their least elements.  a = f is a unit only for f = 1."""
-        if self._classes is None:
-            groups = [[] for _ in range(self.order)]
-            vals = self.values
-            # the exponents at a = 1..f are values[1:] then values[0]
-            for a, t in enumerate(vals[1:] + vals[:1], 1):
-                if t is not None:
-                    groups[t].append(a)
-            self._classes = tuple(sorted(
-                ((t, tuple(g)) for t, g in enumerate(groups) if g),
-                key=lambda tg: tg[1][0]))
-        return self._classes
+        groups = [[] for _ in range(self.order)]
+        vals = self.values
+        # the exponents at a = 1..f are values[1:] then values[0]
+        for a, t in enumerate(vals[1:] + vals[:1], 1):
+            if t is not None:
+                groups[t].append(a)
+        return tuple(sorted(((t, tuple(g)) for t, g in enumerate(groups) if g),
+                            key=lambda tg: tg[1][0]))
 
     def value(self, t):
         """zeta_n^t, n the order, for an exponent t = chi(a) (`_zeta`)."""
@@ -168,21 +165,19 @@ class DirichletChar:
         vals = [None if t is None else (-t) % n for t in self.values]
         return DirichletChar(self.modulus, n, vals)
 
+    @cached_property
     def conductor(self):
-        if self._conductor is None:
-            # chi factors through (Z/fp)^x iff it is trivial on the units
-            # = 1 mod fp; the non-units among them have the value None, and
-            # fp = f always qualifies.  A character of order 1 is trivial.
-            f = self.modulus
-            self._conductor = 1 if self.order == 1 else next(
-                fp for fp in _divisors(f)
-                if all(self.values[a] in (0, None)
-                       for a in range(1 + fp, f, fp)))
-        return self._conductor
+        # chi factors through (Z/fp)^x iff it is trivial on the units = 1
+        # mod fp; the non-units among them have the value None, and fp = f
+        # always qualifies.  A character of order 1 is trivial.
+        f = self.modulus
+        return 1 if self.order == 1 else next(
+            fp for fp in _divisors(f)
+            if all(self.values[a] in (0, None) for a in range(1 + fp, f, fp)))
 
     def primitive(self):
         """The primitive character inducing this one."""
-        fp = self.conductor()
+        fp = self.conductor
         if fp == self.modulus:
             return self
         f = self.modulus
@@ -274,6 +269,10 @@ class AbelianFieldRealization:
         f = int(modulus)
         if f < 1:
             raise InputError("modulus must be positive")
+        # the units mod f are listed below, before |G| is known
+        if f > MAX_ABS_DISC:
+            raise CapacityError(
+                f"modulus {f} exceeds the desk bound {MAX_ABS_DISC}")
 
         def mul(a, b):
             return (a * b) % f
@@ -313,7 +312,6 @@ class AbelianFieldRealization:
         self.coordinate_characters = coordinate_characters
         self.group = AbelianGroup(
             tuple(chi.order for chi in coordinate_characters))
-        self._principal = None      # built by `_principal_character`
 
     @staticmethod
     def rationals():
@@ -354,7 +352,7 @@ class AbelianFieldRealization:
         the coordinate characters, as the conductor of a product divides
         the lcm of the factors' conductors."""
         return sorted({p for chi in self.coordinate_characters
-                       for p in factorint(chi.conductor())})
+                       for p in factorint(chi.conductor)})
 
     def splits_completely(self, v):
         """Does the rational place v split completely in the field?
@@ -369,7 +367,7 @@ class AbelianFieldRealization:
                        for chi in self.coordinate_characters)
         v = int(v)
         prims = [chi.primitive() for chi in self.coordinate_characters]
-        return all(chi.conductor() % v and chi(v) == 0 for chi in prims)
+        return all(chi.conductor % v and chi(v) == 0 for chi in prims)
 
     def dirichlet(self, chi):
         """The Dirichlet character mod f attached to an abstract character.
@@ -381,13 +379,13 @@ class AbelianFieldRealization:
         object with its conductor and value classes already read.
         """
         if not any(chi.exponents):
-            return self._principal_character()
+            return self._principal_character
         if sum(chi.exponents) == 1:       # labels are >= 0: a unit vector
             psi = self.coordinate_characters[chi.exponents.index(1)]
             if psi.modulus == self.modulus:
                 return psi
         n = chi.order()
-        vals = list(self._principal_character().values)
+        vals = list(self._principal_character.values)
         for t, d, psi in zip(chi.exponents, self.group.invariant_factors,
                              self.coordinate_characters):
             if t:
@@ -397,16 +395,15 @@ class AbelianFieldRealization:
                         vals[a] = (x + w * psi.values[a % m]) % n
         return DirichletChar(self.modulus, n, vals)
 
+    @cached_property
     def _principal_character(self):
         """The principal character mod f, built on first use and kept: the
         trivial character of G, whose values every product in `dirichlet`
         starts from.  It keeps the non-units None also when G is trivial."""
-        if self._principal is None:
-            vals = [0] * self.modulus
-            for p in factorint(self.modulus):
-                vals[::p] = [None] * len(vals[::p])
-            self._principal = DirichletChar(self.modulus, 1, vals)
-        return self._principal
+        vals = [0] * self.modulus
+        for p in factorint(self.modulus):
+            vals[::p] = [None] * len(vals[::p])
+        return DirichletChar(self.modulus, 1, vals)
 
     def __repr__(self):
         return f"AbelianFieldRealization({self.label})"
@@ -677,7 +674,7 @@ class LSpec:
         self.S = _normalize_places(S)
         self.T = _normalize_primes(T)
         prim = char.primitive()
-        ram = set(factorint(prim.conductor()))
+        ram = set(factorint(prim.conductor))
         fin = {v for v in self.S if v != "inf"}
         if "inf" not in self.S:
             raise InputError("S must contain the infinite place")
@@ -696,10 +693,10 @@ def theoretical_order(char, S):
     T-factors (1 - chi(q) q^{1-s}) never vanish at 0.
     """
     prim = char.primitive()
-    base = 1 if (prim.conductor() > 1 and prim.parity() == 1) else 0
+    base = 1 if (prim.conductor > 1 and prim.parity() == 1) else 0
     count = 0
     for v in S:
-        if v == "inf" or prim.conductor() % v == 0:
+        if v == "inf" or prim.conductor % v == 0:
             continue
         if prim(v) == 0:  # exponent 0: chi(v) = 1
             count += 1
@@ -747,10 +744,10 @@ def _primitive_leading(chi, prec):
     at 0 vanishes, the derivative c_1(U) + sum_{t != 0} (zeta_n^t - 1)
     c_1(class t), U the units mod f, whose c_1 less the others' is
     c_1(class 0): U's first, then the classes in class order (`_add_times`)."""
-    if chi.conductor() == 1 or chi.parity() == -1:
+    if chi.conductor == 1 or chi.parity() == -1:
         return _minus_b1(chi), {"prec": prec}
-    f = chi.conductor()
-    classes = chi.classes()     # class 0, holding 1, first
+    f = chi.conductor
+    classes = chi.classes  # class 0, holding 1, first
     value = hurwitz_jet(f, sorted(a for _t, res in classes for a in res))
     for t, residues in classes[1:]:
         value = _add_times(value, chi.value(t) - 1, hurwitz_jet(f, residues))
@@ -766,7 +763,7 @@ def _euler_factors(chi, S, T):
     1 - chi(q) q for each q in T.  The log is keyed on the exponent
     chi(q) = 0, not on the value, as a complex value 1 - zeta_n^0 is a
     ball, which never compares equal to 0."""
-    f = chi.conductor()
+    f = chi.conductor
     for q in S:
         if q != "inf" and f % q:
             t = chi(q)
@@ -780,9 +777,9 @@ def _minus_b1(chi):
     (zeta(0) = -1/2 when f = 1): one integer sum per power of zeta_n, each
     divided once, so exact for a real chi and a certified CBall for a
     complex one."""
-    f = chi.conductor()
+    f = chi.conductor
     return sum(chi.value(t) * Fraction(f * len(res) - 2 * sum(res), 2 * f)
-               for t, res in chi.classes())
+               for t, res in chi.classes)
 
 
 def _add_times(acc, w, x):

@@ -13,8 +13,8 @@ finite places |x|_w = (Nw)^(-ord_w x).
 """
 
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, isqrt, lcm, prod
+from functools import cached_property, lru_cache
+from math import gcd, isqrt, lcm, log, log1p, prod, sqrt
 from typing import NamedTuple
 
 from . import hnf
@@ -1009,6 +1009,20 @@ class ResidueSystem:
 
 # -- S-unit lattices ---------------------------------------------------------
 
+def _unit_log(u):
+    """log|u| at the distinguished real place of a unit u = (A + B sqrt m)/d
+    of a real quadratic field, in floating point.  It is read at the place
+    where |u| = (|A| + |B| sqrt m)/d, at which nothing cancels, as
+    |u conj(u)| = 1 makes |u| at one place 1/|u| at the other; A != 0, as
+    m B^2 = d^2 has no solution for squarefree m > 1.  For u = +-eps^k the
+    quotient _unit_log(u) / _unit_log(eps) is k to within a few |k| 1e-16,
+    so it rounds to k for any u that fits in memory;
+    `SUnitLattice.express` checks the rounding exactly."""
+    a, b = abs(u.A), abs(u.B)
+    larger = log(a) - log(u.d) + log1p(b / a * sqrt(u.field.m))
+    return -larger if u.A * u.B < 0 else larger
+
+
 class SUnitLattice:
     """Exact S-unit lattice of `field`, `QQ` or a QuadField, mod torsion.
 
@@ -1030,21 +1044,20 @@ class SUnitLattice:
     places, the norm rows (`_norm_rows`) and then lifts, which `ray_class`
     presents Cl_{K,S,T} from (both empty over Q).
 
-    Three attributes are built on first read and then kept, as only the
-    checks at |V| >= 1 read them: sigma_matrix, the action of conjugation
-    in basis coordinates (the identity for Q), whose rows `express` the
-    conjugates of the generators; t_sublattice, the coordinates of the
-    T-congruence subgroup, read off unit_dlogs (`_t_sublattice`); and
-    arch_logs, the generators' -log|g|_w at the infinite places, from one
-    call to the field, which with `valuations` are the whole log data
-    (`certified_arch_logs`, `log_matrix`).
+    Three attributes are cached properties, built on first read and then
+    kept, as only the checks at |V| >= 1 read them: sigma_matrix, the
+    action of conjugation in basis coordinates (the identity for Q), whose
+    rows `express` the conjugates of the generators; t_sublattice, the
+    coordinates of the T-congruence subgroup, read off unit_dlogs
+    (`_t_sublattice`); and arch_logs, the generators' -log|g|_w at the
+    infinite places, from one call to the field, which with `valuations`
+    are the whole log data (`certified_arch_logs`, `log_matrix`).
     The construction is exactly saturated: saturation_index == 1.
     """
 
-    __slots__ = ("_sigma_matrix", "_t_sublattice", "_arch_logs",
-                 "field", "S", "T", "places", "gens", "valuations",
-                 "torsion_gen", "torsion_order", "residues", "unit_dlogs",
-                 "place_ranges", "class_primes", "relations")
+    __slots__ = ("__dict__", "field", "S", "T", "places", "gens",
+                 "valuations", "torsion_gen", "torsion_order", "residues",
+                 "unit_dlogs", "place_ranges", "class_primes", "relations")
     saturation_index = 1
 
     def __init__(self, **kw):
@@ -1053,28 +1066,21 @@ class SUnitLattice:
             raise InputError(
                 f"SUnitLattice keywords: unknown {sorted(kw.keys() - names)}, "
                 f"missing {sorted(names - kw.keys())}")
-        self._sigma_matrix = self._t_sublattice = self._arch_logs = None
         for k in names:
             setattr(self, k, kw[k])
 
-    @property
+    @cached_property
     def sigma_matrix(self):
-        if self._sigma_matrix is None:
-            # ord_w(conj g) = ord_{conj w}(g), so conj(g)'s valuations are
-            # g's row permuted by the place action
-            k = len(self.place_ranges["inf"])
-            perm = self.place_permutation((1,))[k:]
-            self._sigma_matrix = [
-                self.express(g.conjugate(), [row[a - k] for a in perm])[0]
+        # ord_w(conj g) = ord_{conj w}(g), so conj(g)'s valuations are g's
+        # row permuted by the place action
+        k = len(self.place_ranges["inf"])
+        perm = self.place_permutation((1,))[k:]
+        return [self.express(g.conjugate(), [row[a - k] for a in perm])[0]
                 for g, row in zip(self.gens, self.valuations)]
-        return self._sigma_matrix
 
-    @property
+    @cached_property
     def t_sublattice(self):
-        if self._t_sublattice is None:
-            self._t_sublattice = _t_sublattice(self.rank, self.residues,
-                                               self.unit_dlogs)
-        return self._t_sublattice
+        return _t_sublattice(self.rank, self.residues, self.unit_dlogs)
 
     @property
     def rank(self):
@@ -1096,10 +1102,11 @@ class SUnitLattice:
 
         The coordinates solve x's valuations at the finite places, which
         the caller knows, against `valuations`; what is left after dividing
-        out the generators must be a unit, then, less its powers of the
+        out the generators must be a unit, then, less its power of the
         fundamental unit when the unit rank is 1, a root of unity; both are
         checked exactly (CertificationError if not, which also catches
-        wrong given valuations).
+        wrong given valuations).  That power is one rounding of
+        log|u| / log|eps| (`_unit_log`), which the exact check certifies.
         """
         sol = hnf.solve_in_rowspan(self.valuations, valuations)
         if sol is None:
@@ -1112,21 +1119,10 @@ class SUnitLattice:
             raise CertificationError(
                 f"{x} / prod gens^{sol} = {u} is not a unit")
         if field.unit_rank:
-            # peel off fundamental-unit factors exactly
             eps_index = self._eps_index()
             eps = self.gens[eps_index]
-            k = 0
-            guard = 0
-            while u.B != 0 or abs(u.A) != u.d:
-                if u.abs_greater_one():
-                    u = u / eps
-                    k += 1
-                else:
-                    u = u * eps
-                    k -= 1
-                guard += 1
-                if guard > 10000:
-                    raise CapacityError("unit expression loop cap")
+            k = round(_unit_log(u) / _unit_log(eps))
+            u = u * eps ** (-k)
             sol[eps_index] += k
         # now u is torsion
         tor = field.torsion_units()
@@ -1141,14 +1137,11 @@ class SUnitLattice:
                 return i
         raise CertificationError("no unit among the generators")
 
-    @property
+    @cached_property
     def arch_logs(self):
-        if self._arch_logs is None:
-            k = len(self.place_ranges["inf"])
-            self._arch_logs = certified_arch_logs(
-                self.field.arch_logs(self.gens), self.valuations,
-                self.places[k:])
-        return self._arch_logs
+        k = len(self.place_ranges["inf"])
+        return certified_arch_logs(self.field.arch_logs(self.gens),
+                                   self.valuations, self.places[k:])
 
     def log_matrix(self):
         """Rows: generators; columns: places; entries -log|g|_w (balls),

@@ -36,6 +36,7 @@ closed form, `selmer_transpose_fitting`.
 import itertools
 import json
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Callable, NamedTuple
 
@@ -242,82 +243,70 @@ def _q_ray_p_rank(S, T, p):
 
 class RubinStarkData:
     """Cached pipeline state of one `RubinDatum`, read as it is: each of
-    lattice(), ray(), theta(), epsilon(), pairings(), pairing_vectors()
-    and im_lattice() is computed at most once.  lattice() is the datum's
-    field's; a generic field has none yet.  A caller that already holds
-    the S-unit lattice passes it as `lattice`."""
+    the stages lattice, ray, theta, epsilon, pairings, pairing_vectors and
+    im_lattice is a `functools.cached_property`, computed at most once (a
+    stage that raises is not kept).  lattice is the datum's field's; a
+    generic field has none yet.  A caller that already holds the S-unit
+    lattice passes it as `lattice`."""
 
     def __init__(self, datum, lattice=None):
         self.datum = datum
-        self._lattice = lattice
-        self._ray = None
-        self._theta = None
-        self._epsilon = None
-        self._pairings = None
-        self._vectors = None
-        self._im = None
+        if lattice is not None:
+            self.lattice = lattice
 
     @property
     def group(self):
         return self.datum.realization.group
 
+    @cached_property
     def lattice(self):
-        if self._lattice is None:
-            d = self.datum
-            self._lattice = d.field.s_unit_lattice(d.S, d.T)
-        return self._lattice
+        d = self.datum
+        return d.field.s_unit_lattice(d.S, d.T)
 
+    @cached_property
     def ray(self):
         """Cl_{K,S,T} of the datum, which `ray_class` reads off this
-        datum's lattice(): its field, S and T, and its generators, which
+        datum's lattice: its field, S and T, and its generators, which
         give the unit image.  A compositum is refused before its lattice
         is built, so its reason is the ray class, not its places."""
-        if self._ray is None:
-            if self.datum.field.subfields:
-                raise UnsupportedCaseError(
-                    "ray class groups of composita are out of desk scope")
-            self._ray = ray_class(self.lattice())
-        return self._ray
+        if self.datum.field.subfields:
+            raise UnsupportedCaseError(
+                "ray class groups of composita are out of desk scope")
+        return ray_class(self.lattice)
 
+    @cached_property
     def theta(self):
-        if self._theta is None:
-            self._theta = stickelberger_element(self.datum)
-        return self._theta
+        return stickelberger_element(self.datum)
 
     def t_glattice(self):
         """O^x_{K,S,T} as a GLattice in lattice coordinates."""
-        lat = self.lattice()
+        lat = self.lattice
         return GLattice(self.group, lat.rank, lat.t_lattice_hnf(),
                         lat.sigma_matrices())
 
+    @cached_property
     def epsilon(self):
         """The Rubin-Stark wedge element in lattice coordinates."""
-        if self._epsilon is not None:
-            return self._epsilon
         # the lattice first: an out-of-scope field is unsupported at any
         # precision, before the L-values can ask for more bits
-        lat = self.lattice()
-        theta = self.theta()
+        lat = self.lattice
+        theta = self.theta
         r = len(self.datum.V)
         if r == 0:
-            self._epsilon = WedgeElement(self.group, 0, {(): theta})
-            return self._epsilon
+            return WedgeElement(self.group, 0, {(): theta})
         if theta.is_zero():
-            self._epsilon = WedgeElement(self.group, r, {})
-            return self._epsilon
+            return WedgeElement(self.group, r, {})
         if r == 1:
             coords = self._solve_degree_one(theta)
             coeffs = {(i,): GroupRingElement.one(self.group, "ball").scale(c)
                       for i, c in enumerate(coords)}
-            self._epsilon = WedgeElement(self.group, 1, coeffs)
-            return self._epsilon
+            return WedgeElement(self.group, 1, coeffs)
         if self.group.order == 1:
             coeff = self._solve_full_wedge(theta, r)
             key = tuple(range(lat.rank))
             coeffs = {key: GroupRingElement.one(self.group, "ball")
                       .scale(coeff)}
-            self._epsilon = WedgeElement(self.group, r, coeffs)
-            return self._epsilon
+            return WedgeElement(self.group, r, coeffs)
         raise UnsupportedCaseError(
             "wedge degree >= 2 over a nontrivial group is out of desk scope")
 
@@ -341,7 +330,7 @@ class RubinStarkData:
         `ball_combination`.  A kernel of another rank than the number of
         infinite rows is a CertificationError: the system is then not
         square."""
-        lat, S, V = self.lattice(), self.datum.S, self.datum.V
+        lat, S, V = self.lattice, self.datum.S, self.datum.V
         v0 = next(v for v in S if v not in V)
         idx1 = lat.place_ranges[V[0]][0]
         idx0 = lat.place_ranges[v0][0]
@@ -390,7 +379,7 @@ class RubinStarkData:
                                  (0, 1)) for g in range(lat.rank)]
 
     def _solve_full_wedge(self, theta, r):
-        lat = self.lattice()
+        lat = self.lattice
         if lat.rank != r:
             raise CertificationError(
                 f"full-wedge solve needs |V| = rank, got |V| = {r} and "
@@ -409,6 +398,7 @@ class RubinStarkData:
         thb = th if isinstance(th, Ball) else Ball(th)
         return (thb * sign) / det
 
+    @cached_property
     def pairings(self):
         """[(index, pairing)]: epsilon paired with every r-subset of the
         dual basis of M = O^x_{K,S,T} (`all_dual_pairings`); for |V| = 0,
@@ -416,36 +406,30 @@ class RubinStarkData:
         epsilon = 0 at r = |V| >= 1 pairs to 0 on the r-subsets of
         range(t): no Galois action is built, only the HNF that rules out a
         compositum."""
-        if self._pairings is None:
-            # epsilon() builds the lattice first, so an out-of-scope field
-            # is unsupported before any L-value, for |V| = 0 too
-            eps, r = self.epsilon(), len(self.datum.V)
-            if not r:
-                self._pairings = [(("theta",), self.theta())]
-            elif not eps.coeffs:
-                t = len(self.lattice().t_lattice_hnf())
-                self._pairings = [(F, GroupRingElement.zero(self.group,
-                                                            "rat"))
-                                  for F in itertools.combinations(range(t), r)]
-            else:
-                self._pairings = all_dual_pairings(eps, self.t_glattice())
-        return self._pairings
+        # epsilon builds the lattice first, so an out-of-scope field is
+        # unsupported before any L-value, for |V| = 0 too
+        eps, r = self.epsilon, len(self.datum.V)
+        if not r:
+            return [(("theta",), self.theta)]
+        if not eps.coeffs:
+            t = len(self.lattice.t_lattice_hnf())
+            return [(F, GroupRingElement.zero(self.group, "rat"))
+                    for F in itertools.combinations(range(t), r)]
+        return all_dual_pairings(eps, self.t_glattice())
 
+    @cached_property
     def pairing_vectors(self):
         """[(index, integer vector)] of the pairings; raises
         NonIntegralError or Undecided as `pairing_vector` does."""
-        if self._vectors is None:
-            self._vectors = [(idx, pairing_vector(val, idx))
-                             for idx, val in self.pairings()]
-        return self._vectors
+        return [(idx, pairing_vector(val, idx))
+                for idx, val in self.pairings]
 
+    @cached_property
     def im_lattice(self):
         """im(epsilon), the G-stable lattice of the pairing vectors: for
         |V| = 0 the principal ideal of theta."""
-        if self._im is None:
-            self._im = GIdealLattice.from_vectors(
-                self.group, [vec for _idx, vec in self.pairing_vectors()])
-        return self._im
+        return GIdealLattice.from_vectors(
+            self.group, [vec for _idx, vec in self.pairing_vectors])
 
 
 def _permutation_sign(seq):
@@ -498,7 +482,7 @@ def check_sign_criterion(log_matrix):
 
 def sign_criterion_matrix(data):
     """The log matrix over the Z-basis of O^x_{K,S,T} and the places above V."""
-    lat = data.lattice()
+    lat = data.lattice
     v_place_idx = sorted(i for v in data.datum.V
                          for i in lat.place_ranges[v])
     if lat.rank != len(v_place_idx):
@@ -523,13 +507,13 @@ def sign_criterion_matrix(data):
 
 def _run_rs_integrality(scn, data, entry):
     """Rubin-Stark integrality: every pairing of epsilon lies in Z[G]."""
-    vectors = data.pairing_vectors()
-    im = data.im_lattice()
-    entry["max_radius"] = _radius_str(max_pairing_radius(data.pairings()))
+    vectors = data.pairing_vectors
+    im = data.im_lattice
+    entry["max_radius"] = _radius_str(max_pairing_radius(data.pairings))
     return "pass", {
         "pairing_vectors": [(list(idx), vec) for idx, vec in vectors],
         "image_hnf": [list(r) for r in im.basis()],
-        "saturation_index": data.lattice().saturation_index,
+        "saturation_index": data.lattice.saturation_index,
     }
 
 
@@ -564,7 +548,7 @@ def selmer_transpose_fitting(data, ray):
     trivial = ray.order() == 1
     method = "closed form of Fitt^{|V|}(X_{K,S})" if trivial else \
         "Cl + trivial-action extension presentation"
-    places = data.lattice().place_ranges
+    places = data.lattice.place_ranges
     split = [v for v in S if v not in V and len(places[v]) > 1]
     if split and not trivial:
         raise UnsupportedCaseError(
@@ -578,9 +562,9 @@ def _run_fitting_equality(scn, data, entry):
     module."""
     entry["sharp_convention"] = (
         "Fitt(Sel)^# is computed as Fitt(Sel^tr) of the transpose module")
-    ray = data.ray()
+    ray = data.ray
     fit, method = selmer_transpose_fitting(data, ray)
-    im = data.im_lattice()
+    im = data.im_lattice
     contains_1 = fit.contains(im)
     contains_2 = im.contains(fit)
     return "pass" if contains_1 and contains_2 else "fail", {
@@ -595,8 +579,8 @@ def _run_fitting_equality(scn, data, entry):
 def _run_annihilation(scn, data, entry):
     """im(epsilon) kills the ray class group Cl_{K,S,T}: Ann(Cl_{K,S,T})
     contains im(epsilon).  A fail names the image row outside Ann."""
-    module = data.ray()
-    image = [list(r) for r in data.im_lattice().basis()]
+    module = data.ray
+    image = [list(r) for r in data.im_lattice.basis()]
     if module.order() == 1:
         return "pass", {"class_group": "trivial", "image_hnf": image}
     ann = annihilator(module)
@@ -623,11 +607,11 @@ def _run_igc_membership(scn, data, entry):
         c = 0
     entry["exponent"] = c
     ideal = augmentation_ideal_power(data.group, c)
-    vectors = data.pairing_vectors()
+    vectors = data.pairing_vectors
     for _idx, vec in vectors:
         if not ideal.contains_vector(vec):
             return "fail", {"pairing": list(vec), "exponent": c}
-    entry["max_radius"] = _radius_str(max_pairing_radius(data.pairings()))
+    entry["max_radius"] = _radius_str(max_pairing_radius(data.pairings))
     return "pass", {"exponent": c,
                     "ideal_hnf": [list(r) for r in ideal.basis()],
                     "pairing_count": len(vectors)}
@@ -642,8 +626,8 @@ def _run_norm_decomposition(scn, data, entry):
             "norm decomposition runs on biquadratic composita")
     if datum.V != ("inf",):
         raise UnsupportedCaseError("implemented for V = {inf}")
-    lat = data.lattice()
-    eps_K = data.epsilon()
+    lat = data.lattice
+    eps_K = data.epsilon
     group = data.group
     # subfield elements, included into compositum coordinates
     parts = []
@@ -655,7 +639,7 @@ def _run_norm_decomposition(scn, data, entry):
             realization=AbelianFieldRealization.quadratic(D),
             field=QuadField(D))
         sub_data = RubinStarkData(sub_datum, lattice=lat.sub_lattices[idx])
-        eps_sub = sub_data.epsilon()
+        eps_sub = sub_data.epsilon
         parts.append(_included(group, (
             (z, lat.subfield_generator_coords(idx, j))
             for (j,), z in eps_sub.coeffs.items())))
@@ -762,7 +746,7 @@ def _run_norm_identity(scn, data, entry):
 def _run_sign_criterion(scn, data, entry):
     sign, det = check_sign_criterion(sign_criterion_matrix(data))
     inside = len(data.datum.S) == len(data.datum.V) + 1 \
-        and data.ray().order() == 1
+        and data.ray.order() == 1
     return "pass", {"sign": sign, "det_mid": repr(det),
                     "inside_hypotheses": inside}
 

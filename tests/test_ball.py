@@ -539,7 +539,7 @@ def _mirror_closed_classes(f):
     R = lfun.AbelianFieldRealization(f, [])
     return sorted({residues for c in R.group.all_characters()
                    if R.dirichlet(c).parity() == 1
-                   for _t, residues in R.dirichlet(c).classes()})
+                   for _t, residues in R.dirichlet(c).classes})
 
 
 def test_hurwitz_jets_are_bit_identical_to_the_oracle_kernel(monkeypatch):

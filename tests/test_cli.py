@@ -1,7 +1,7 @@
 """Smoke tests of the command line: every subcommand once, a complex
 character's leading term as {re, im} balls at every order, exit code 2 for
 malformed places and fields, and a sweep that goes on past a scenario that
-raises."""
+raises and past a file whose field is beyond a desk bound."""
 
 import json
 from fractions import Fraction
@@ -108,3 +108,30 @@ def test_a_scenario_that_raises_does_not_sink_the_sweep(capsys, tmp_path,
     assert records[0]["exit_code"] == 5
     assert "Traceback" in records[0]["traceback"]
     assert records[1]["exit_code"] == 0
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_field_past_the_desk_bound_does_not_sink_the_sweep(capsys, tmp_path,
+                                                             jobs):
+    # QuadField raises CapacityError while the scenario is built: that file
+    # is a config error with exit code 2, and the other files still run
+    over = {"field": {"type": "quad", "disc": 1000005}, "S": ["inf", 5],
+            "checks": ["rs_integrality"]}
+    valid = {"field": {"type": "quad", "disc": -23}, "S": ["inf", 23],
+             "T": [3], "checks": ["annihilation"]}
+    (tmp_path / "a_good.json").write_text(json.dumps(GOOD))
+    (tmp_path / "b_over.json").write_text(json.dumps(over))
+    (tmp_path / "c_valid.json").write_text(json.dumps(valid))
+    report = tmp_path / "report.out"
+    code, out, err = run(capsys, "sweep", str(tmp_path), "--jobs", jobs,
+                         "--out", str(report))
+    assert code == 2 and err == ""
+    assert out.strip().split("\n") == [
+        "[Q] norm_identity: PASS",
+        f"[{tmp_path / 'b_over.json'}] config error: |D| = 1000005 "
+        f"exceeds the desk bound",
+        "[Q(sqrt(-23))] annihilation: PASS"]
+    records = json.loads(report.read_text())
+    assert [r["exit_code"] for r in records] == [0, 2, 0]
+    assert [e["verdict"] for r in (records[0], records[2])
+            for e in r["results"]] == ["pass", "pass"]

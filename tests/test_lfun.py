@@ -11,7 +11,7 @@ from mpmath import mp
 from mpmath.libmp import to_rational
 from sympy.functions.combinatorial.numbers import stirling
 
-from starklab.arith import bernoulli
+from starklab.arith import CapacityError, bernoulli
 from starklab.ball import (Ball, CBall, CertificationError, PrecisionError,
                            Undecided, ball_log_int, precision,
                            working_precision)
@@ -323,17 +323,17 @@ def test_class_jet_log_calls_do_not_grow_with_the_class(monkeypatch):
 
 def test_characters():
     chi3 = DirichletChar.quadratic(-3)
-    assert chi3.parity() == -1 and chi3.conductor() == 3
+    assert chi3.parity() == -1 and chi3.conductor == 3
     chi5 = DirichletChar.quadratic(5)
     assert chi5.parity() == 1 and chi5.order == 2
     triv = trivial_char(12)
-    assert triv.conductor() == 1
+    assert triv.conductor == 1
     assert chi3.inverse().values == chi3.values  # quadratic: self-inverse
     # induced-vs-primitive consistency: chi mod 15 induced from mod 3
     chi15 = DirichletChar(15, 2, [
         None if math.gcd(a, 15) != 1 else chi3(a) for a in range(15)])
     prim = chi15.primitive()
-    assert prim.conductor() == 3 and prim.values == chi3.values
+    assert prim.conductor == 3 and prim.values == chi3.values
 
 
 def test_kronecker_table_is_the_kronecker_symbol():
@@ -378,14 +378,14 @@ def test_conductor_steps_through_the_units_one_mod_each_divisor():
         real = AbelianFieldRealization(f, [])
         for chi in real.group.all_characters():
             dchi = real.dirichlet(chi)
-            assert dchi.conductor() == _conductor_by_full_scan(dchi), (f, chi)
+            assert dchi.conductor == _conductor_by_full_scan(dchi), (f, chi)
     for D in range(-300, 301):
         if D not in (0, 1) and is_fundamental_discriminant(D):
-            assert DirichletChar.quadratic(D).conductor() == abs(D)
+            assert DirichletChar.quadratic(D).conductor == abs(D)
             real = AbelianFieldRealization.quadratic(D)
             for chi in real.group.all_characters():
                 dchi = real.dirichlet(chi)
-                assert dchi.conductor() == _conductor_by_full_scan(dchi)
+                assert dchi.conductor == _conductor_by_full_scan(dchi)
 
 
 def test_parity_of_a_table_that_is_not_a_character_is_an_input_error():
@@ -411,13 +411,13 @@ def test_malformed_value_tables_are_input_errors(modulus, order, values):
 
 def test_value_classes_group_the_units_by_exponent():
     chi = DirichletChar(5, 4, [None, 0, 1, 3, 2])
-    assert chi.classes() == ((0, (1,)), (1, (2,)), (3, (3,)), (2, (4,)))
-    assert DirichletChar.quadratic(5).classes() == ((0, (1, 4)),
-                                                     (1, (2, 3)))
-    assert DirichletChar(1, 1, [0]).classes() == ((0, (1,)),)
+    assert chi.classes == ((0, (1,)), (1, (2,)), (3, (3,)), (2, (4,)))
+    assert DirichletChar.quadratic(5).classes == ((0, (1, 4)),
+                                                   (1, (2, 3)))
+    assert DirichletChar(1, 1, [0]).classes == ((0, (1,)),)
     # a table that is well formed but not multiplicative is accepted:
     # that check would need a generating set of the units
-    assert DirichletChar(5, 4, [None, 0, 1, 1, 0]).classes() == (
+    assert DirichletChar(5, 4, [None, 0, 1, 1, 0]).classes == (
         (0, (1, 4)), (1, (2, 3)))
 
 
@@ -454,7 +454,7 @@ def test_bernoulli_values():
 def _bernoulli_by_residue(chi, S, T):
     """-B_{1,chi} times the Euler factors, one Fraction per residue."""
     chi = chi.primitive()
-    f = chi.conductor()
+    f = chi.conductor
     field = CycloField(max(chi.order, 1))
     powers = [Fraction(0)] * field.e
     for a in range(1, f + 1):
@@ -551,7 +551,7 @@ def _mp_leading(chi, S, T):
     L'(chi, 0) = sum_a chi(a) log Gamma(a/f), Lerch's formula with
     sum_a chi(a) = 0.  Each finite q in S off f gives log q where
     chi(q) = 1 and 1 - chi(q) elsewhere, each q in T gives 1 - chi(q) q."""
-    f, n = chi.conductor(), chi.order
+    f, n = chi.conductor, chi.order
 
     def value(a):
         t = chi(a)
@@ -651,12 +651,12 @@ def test_realizations():
     assert R5.group.order == 2 and R5.ramified_primes() == [5]
     assert R5.splits_completely("inf") and R5.splits_completely(11)
     assert not R5.splits_completely(2)
-    assert sorted(R5.dirichlet(c).conductor()
+    assert sorted(R5.dirichlet(c).conductor
                   for c in R5.group.all_characters()) == [1, 5]
     assert not AbelianFieldRealization.quadratic(-4).splits_completely("inf")
     Rbi = AbelianFieldRealization.multiquadratic([8, 12])
     assert Rbi.group.order == 4
-    assert sorted(Rbi.dirichlet(c).conductor()
+    assert sorted(Rbi.dirichlet(c).conductor
                   for c in Rbi.group.all_characters()) == [1, 8, 12, 24]
     assert Rbi.splits_completely(23) and not Rbi.splits_completely(5)
     assert AbelianFieldRealization.rationals().group.order == 1
@@ -665,6 +665,13 @@ def test_realizations():
     assert R.group.order == 2
     with pytest.raises(InputError):
         AbelianFieldRealization(5, [4], expected_degree=4)
+
+
+def test_a_generic_modulus_past_the_desk_bound_is_refused_first():
+    # the realization lists the units mod f before |G| is known, so a
+    # modulus past the bound on |D| is refused before that, as |D| is
+    with pytest.raises(CapacityError, match="exceeds the desk bound"):
+        AbelianFieldRealization(10 ** 6 + 3, [])
 
 
 def test_rubin_shape_validation():
@@ -941,7 +948,7 @@ class _CosetRealization:
                            if p > 0})
         out = set()
         for chi in self.group.all_characters():
-            out |= set(sympy.factorint(self.dirichlet(chi).conductor()))
+            out |= set(sympy.factorint(self.dirichlet(chi).conductor))
         return sorted(out)
 
     def splits_completely(self, v):
@@ -954,7 +961,7 @@ class _CosetRealization:
             if v == "inf":
                 if prim.parity() != 1:
                     return False
-            elif prim.conductor() % v == 0 or prim(v) != 0:
+            elif prim.conductor % v == 0 or prim(v) != 0:
                 return False
         return True
 
@@ -974,7 +981,7 @@ def _oracle_leading_term(chi, S, T, all_classes=False):
     kernel class is c_1(U) less those of the others; with `all_classes`
     it is sum_v v c_1(class v) instead, the sum over every class."""
     chi = chi.primitive()
-    f = chi.conductor()
+    f = chi.conductor
     real = chi.order <= 2
     params = {"prec": precision()}
     if f > 1 and chi.parity() == 1:
@@ -1019,7 +1026,7 @@ def _oracle_leading_term(chi, S, T, all_classes=False):
 
 def _oracle_bernoulli_value(chi, S, T):
     chi = chi.primitive()
-    f = chi.conductor()
+    f = chi.conductor
     if chi.order <= 2:
         value = Fraction(-sum(_value_rational(chi, a) * (2 * a - f)
                               for a in range(1, f + 1)), 2 * f)
@@ -1087,7 +1094,7 @@ def test_jets_and_bernoulli_values_match_the_oracle_bit_for_bit(
         R = AbelianFieldRealization(f, [])
         for c in R.group.all_characters():
             chi = R.dirichlet(c)
-            cond = chi.conductor()
+            cond = chi.conductor
             if tuple(chi.primitive().values) in done:
                 continue
             done.add(tuple(chi.primitive().values))

@@ -383,6 +383,15 @@ def test_express_roundtrip():
             x = x * (g ** c)
         got, jtor = L5.express(x, finite_valuations(L5, x))
         assert got == coords and jtor == tor
+    # a far power of the fundamental unit comes back whole, in one rounding
+    unit = next(i for i, row in enumerate(L5.valuations) if not any(row))
+    for k in (20000, -20000):
+        coords = [1] * L5.rank
+        coords[unit] = k
+        x = F5.element(-1)
+        for g, c in zip(L5.gens, coords):
+            x = x * (g ** c)
+        assert L5.express(x, finite_valuations(L5, x)) == (coords, 1)
 
 
 def _order_factors(F, S, T):
@@ -713,6 +722,20 @@ def test_express_without_a_unit_generator_is_a_certification_error():
     broken = SUnitLattice(**kw)
     with pytest.raises(CertificationError, match="no unit among"):
         eps = fundamental_unit(5)
+        broken.express(eps, finite_valuations(broken, eps))
+
+
+def test_express_over_a_unit_generator_that_is_not_fundamental_fails():
+    # eps^2 in place of eps: eps = (eps^2)^(1/2) has no integer exponent,
+    # which the exact check after the one rounding finds, where a stepwise
+    # peel would loop
+    L = s_unit_lattice(QuadField(5), ["inf", 5], [3])
+    unit = next(i for i, row in enumerate(L.valuations) if not any(row))
+    kw = {k: getattr(L, k) for k in SUnitLattice.__slots__ if k[0] != "_"}
+    kw["gens"] = [g ** 2 if i == unit else g for i, g in enumerate(L.gens)]
+    broken = SUnitLattice(**kw)
+    eps = fundamental_unit(5)
+    with pytest.raises(CertificationError, match="is not torsion"):
         broken.express(eps, finite_valuations(broken, eps))
 
 

@@ -3,7 +3,8 @@
 somewhere in the package or is a reference that tests call, no module of
 the package but `__init__`, and no test module, imports a name it never
 reads, every function reads each of its parameters, every memo is a
-`functools.lru_cache`, not a dict kept by hand, `verify` names each check
+`functools.lru_cache`, not a dict kept by hand, a value computed once per
+object is a `functools.cached_property`, `verify` names each check
 once and turns exceptions into verdicts in one place, Q is a field object
 and not a string, the field object is the one record of a field's kind, a
 Rubin datum is normalised and checked in one place, and only the ball
@@ -362,6 +363,85 @@ def test_no_module_or_class_keeps_a_dict_cache():
                  for where, name, value in _bindings(tree.body, module)
                  if name.lower().endswith("cache") and _is_dict(value)]
     assert hand_kept == []
+
+
+# Memos that their object starts over, so no cached_property can hold them:
+# the Hermite form, which `add_vector` clears, and the hypothesis flags,
+# which `validate_datum` clears
+RESET_MEMOS = {"hnf.IntLattice._canon", "verify.Scenario._flags"}
+
+
+def _self_attribute(node):
+    """n for the expression `self.n`, else None."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+            and node.value.id == "self":
+        return node.attr
+    return None
+
+
+def _lazy_attributes(tree, module):
+    """`module.Class.n` of each attribute that a method keeps by hand as a
+    value computed once: an `if self.n is None:` whose body assigns
+    `self.n`, or an `if self.n is not None:` whose body returns it."""
+    out = set()
+    for qual, node, kind in _functions(tree, module + "."):
+        if kind != "method":
+            continue
+        for n in ast.walk(node):
+            test = n.test if isinstance(n, ast.If) else None
+            if not (isinstance(test, ast.Compare) and len(test.ops) == 1
+                    and isinstance(test.comparators[0], ast.Constant)
+                    and test.comparators[0].value is None):
+                continue
+            name = _self_attribute(test.left)
+            if name is None:
+                continue
+            body = [x for stmt in n.body for x in ast.walk(stmt)]
+            if isinstance(test.ops[0], ast.Is):
+                kept = any(isinstance(x, ast.Attribute)
+                           and isinstance(x.ctx, ast.Store)
+                           and _self_attribute(x) == name for x in body)
+            else:
+                kept = isinstance(test.ops[0], ast.IsNot) and any(
+                    isinstance(x, ast.Return)
+                    and _self_attribute(x.value) == name for x in body)
+            if kept:
+                out.add(f"{qual.rsplit('.', 1)[0]}.{name}")
+    return out
+
+
+def test_values_computed_once_are_cached_properties():
+    # a value computed at most once per object is a
+    # `functools.cached_property`; only a memo that its object clears is
+    # kept by hand
+    kept = set().union(*(_lazy_attributes(tree, module)
+                         for module, tree in _trees().items()))
+    assert kept == RESET_MEMOS
+
+
+def test_the_lazy_attribute_check_sees_a_leftover():
+    # both hand-kept forms are seen, a tuple target included; a test that
+    # raises, assigns another attribute or reads another object is not a
+    # memo
+    tree = ast.parse("class C:\n"
+                     "    def ray(self):\n"
+                     "        if self._ray is None:\n"
+                     "            self._ray, n = f(), 1\n"
+                     "        return self._ray\n"
+                     "    def eps(self):\n"
+                     "        if self._eps is not None:\n"
+                     "            return self._eps\n"
+                     "        self._eps = f()\n"
+                     "        return self._eps\n"
+                     "    def other(self, d):\n"
+                     "        if self.a is None:\n"
+                     "            raise ValueError(self.a)\n"
+                     "        if self.b is None:\n"
+                     "            self.c = 1\n"
+                     "        if d.e is None:\n"
+                     "            d.e = 1\n"
+                     "        return self.c\n")
+    assert _lazy_attributes(tree, "m") == {"m.C._ray", "m.C._eps"}
 
 
 # What `verify._run_check` turns into a verdict, and the classes above them

@@ -117,7 +117,7 @@ def test_annihilation_fails_on_an_image_outside_the_annihilator(monkeypatch):
     from starklab.zideal import FiniteGModule, GIdealLattice, annihilator
     # Cl_{K,S,T} has order 3 here; the unit ideal does not kill it
     monkeypatch.setattr(RubinStarkData, "im_lattice",
-                        lambda data: GIdealLattice.unit(data.group))
+                        property(lambda data: GIdealLattice.unit(data.group)))
     cert = run_scenario(Scenario({
         "field": {"type": "quad", "disc": -23}, "S": ["inf", 23], "V": [],
         "T": [3], "checks": ["annihilation"], "bits": 128}))
@@ -813,8 +813,8 @@ def test_rank_two_over_q_solves_the_full_wedge(monkeypatch):
         ["pass", "pass", "pass", "pass", "unsupported"]
     assert solved == [2]
     data = RubinStarkData(scn.datum)
-    assert not data.theta().is_zero()
-    assert list(data.epsilon().coeffs) == [(0, 1)]
+    assert not data.theta.is_zero()
+    assert list(data.epsilon.coeffs) == [(0, 1)]
 
 
 def test_integrality_witness_reports_the_lattice_saturation_index():
@@ -858,7 +858,7 @@ def test_theta_vanishes_exactly_when_every_order_exceeds_v():
             theoretical_order(real.dirichlet(chi).inverse(), datum.S)
             > len(datum.V) for chi in real.group.all_characters())
         with working_precision(128):
-            assert data.theta().is_zero() == vacuous, (datum.S, datum.V)
+            assert data.theta.is_zero() == vacuous, (datum.S, datum.V)
         key = (type(datum.field).__name__, vacuous)
         counts[key] = counts.get(key, 0) + 1
     assert counts == {("RationalField", True): 7,
@@ -881,7 +881,7 @@ def test_a_vacuous_datum_pairs_to_zeros_without_the_galois_action(
         if not isinstance(data.datum.field, (RationalField, QuadField)):
             continue
         with working_precision(128):
-            if not data.theta().is_zero():
+            if not data.theta.is_zero():
                 continue
             counts = {}
             with monkeypatch.context() as m:
@@ -890,9 +890,9 @@ def test_a_vacuous_datum_pairs_to_zeros_without_the_galois_action(
                                   (numfld.SUnitLattice, "sigma_matrices"),
                                   (RubinStarkData, "t_glattice")):
                     _count_calls(m, cls, name, counts)
-                pairings = data.pairings()
+                pairings = data.pairings
             assert counts == {}
-            oracle = multilin.all_dual_pairings(data.epsilon(),
+            oracle = multilin.all_dual_pairings(data.epsilon,
                                                 data.t_glattice())
         assert pairings == oracle
         assert all(val.ring == "rat" and val.is_zero()
@@ -908,7 +908,7 @@ def _full_system_coords(data, theta):
     v0 of S outside V, with theta's coefficients put at the image of the
     first place over V and taken off at the image of w0."""
     from starklab.ball import gauss_solve
-    lat, S, V = data.lattice(), data.datum.S, data.datum.V
+    lat, S, V = data.lattice, data.datum.S, data.datum.V
     v0 = next(v for v in S if v not in V)
     idx1 = lat.place_ranges[V[0]][0]
     idx0 = lat.place_ranges[v0][0]
@@ -958,16 +958,16 @@ def test_the_structured_solve_matches_the_full_system_oracle(monkeypatch):
     for d in data:
         with working_precision(128):
             try:
-                lat = d.lattice()
+                lat = d.lattice
             except UnsupportedCaseError:
                 continue
-            theta = d.theta()
+            theta = d.theta
             if theta.is_zero():
                 continue
             solved.clear()
             with monkeypatch.context() as m:
                 m.setattr(verify, "gauss_solve", recorded)
-                eps = d.epsilon()
+                eps = d.epsilon
             oracle = _full_system_coords(d, theta)
             for (i,), z in eps.coeffs.items():
                 lo, hi = z.coeffs[0].endpoints()
@@ -981,12 +981,12 @@ def test_the_structured_solve_matches_the_full_system_oracle(monkeypatch):
             if isinstance(d.datum.field, BiquadField):
                 continue
             ref = RubinStarkData(d.datum, lattice=lat)
-            ref._theta = theta
-            ref._epsilon = WedgeElement(d.group, 1, {
+            ref.theta = theta
+            ref.epsilon = WedgeElement(d.group, 1, {
                 (i,): GroupRingElement.one(d.group, "ball").scale(c)
                 for i, c in enumerate(oracle)})
-            assert ref.pairing_vectors() == d.pairing_vectors()
-            assert ref.im_lattice().basis() == d.im_lattice().basis()
+            assert ref.pairing_vectors == d.pairing_vectors
+            assert ref.im_lattice.basis() == d.im_lattice.basis()
     assert sizes == {("RationalField", False): 4, ("QuadField", False): 17,
                      ("BiquadField", False): 1, ("QuadField", True): 2,
                      ("RationalField", True): 1}
@@ -1223,7 +1223,7 @@ def test_selmer_transpose_fitting_at_cl_1_is_the_place_modules_minors(
     V = [v for i, v in enumerate(splitting) if mask >> i & 1][:len(S) - 1]
     data = shape_checked_data({"field": field, "S": S, "V": V})
     group = data.group
-    pres = glattice_presentation(x_glattice(data.lattice(), group))
+    pres = glattice_presentation(x_glattice(data.lattice, group))
     fit, method = selmer_transpose_fitting(data, trivial_action(group, []))
     assert method == "closed form of Fitt^{|V|}(X_{K,S})"
     assert fit == fitting_ideal(pres, len(V)), (D, S, V)
@@ -1265,7 +1265,7 @@ def _pool_selmer_data():
 
 
 def _splits_outside_v(data):
-    lat, V = data.lattice(), data.datum.V
+    lat, V = data.lattice, data.datum.V
     return any(v not in V and len(lat.place_ranges[v]) > 1
                for v in data.datum.S)
 
@@ -1275,7 +1275,7 @@ def test_selmer_transpose_fitting_is_the_minors_on_the_pool():
     # one place of K above each place outside V
     reached = 0
     for data in _pool_selmer_data():
-        ray = data.ray()
+        ray = data.ray
         if ray.order() == 1 or _splits_outside_v(data):
             continue
         fit, method = selmer_transpose_fitting(data, ray)
@@ -1316,7 +1316,7 @@ def _selmer_against_the_minors(D, S, V, T):
                     "T": T})
     scn.validate_datum()
     data = RubinStarkData(scn.datum)
-    ray = data.ray()
+    ray = data.ray
     assert not _splits_outside_v(data)
     fit, _method = selmer_transpose_fitting(data, ray)
     assert fit == selmer_minors(data, ray), (D, S, V, T)
@@ -1358,7 +1358,7 @@ def test_q_with_a_nontrivial_class_group_is_cross_checked(monkeypatch):
     scn = Scenario(Q_WITH_CLASSES)
     scn.validate_datum()
     data = RubinStarkData(scn.datum)
-    ray = data.ray()
+    ray = data.ray
     fit, _method = selmer_transpose_fitting(data, ray)
     assert fit != selmer_minors(data, ray)
     [entry] = run_scenario(Scenario(Q_WITH_CLASSES))["results"]
@@ -1402,7 +1402,7 @@ def _im_epsilon(D, S, V, T):
     scn = Scenario({"field": field, "S": S, "V": V, "T": T})
     scn.validate_datum()
     with working_precision(128):
-        return RubinStarkData(scn.datum).im_lattice(), scn.realization
+        return RubinStarkData(scn.datum).im_lattice, scn.realization
 
 
 def _euler_ideal(realization, q, x):
